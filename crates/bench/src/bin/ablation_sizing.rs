@@ -10,14 +10,15 @@
 //! Writes `results/ablation_sizing.csv`.
 //! Options: `--n-uarch N --seed S`.
 
-use bench::{cli_campaign_cfg, results_dir};
+use bench::cli::{from_env, Cmd};
+use bench::results_dir;
 use kernels::apps::{hotspot::HotSpot, lud::Lud, scp::Scp};
 use kernels::Benchmark;
 use relia::{pct4, run_uarch_campaign, Table};
 use vgpu_sim::{GpuConfig, HwStructure};
 
 fn main() {
-    let base_cfg = cli_campaign_cfg(100, 0);
+    let base_cfg = from_env(Cmd::Study).campaign_cfg(100, 0);
     let dir = results_dir();
     let apps: [&dyn Benchmark; 3] = [&HotSpot, &Lud, &Scp];
     let mut t = Table::new(

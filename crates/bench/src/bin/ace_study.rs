@@ -21,11 +21,11 @@
 //! (comparison subset; exit 2 on unknown labels), `--n-uarch N --seed S
 //! --sms N --events PATH`.
 
-use std::process::exit;
-
 use ace::{estimate_app, spearman, AceAppEstimate, CompareRow};
-use bench::{finish_observability, init_observability, parse_structures, results_dir};
-use kernels::{all_benchmarks, Benchmark};
+use bench::cli::{die, parse_or_exit, Cmd};
+use bench::{finish_observability, init_observability, results_dir};
+use dispatch::parse_structures;
+use kernels::Benchmark;
 use obs::Phase;
 use relia::{run_uarch_campaign, CampaignCfg, Table};
 use vgpu_sim::{GpuConfig, HwStructure};
@@ -34,13 +34,8 @@ const REF_CSV: &str = "ace_injection_ref.csv";
 const REF_META_CSV: &str = "ace_injection_ref_meta.csv";
 const FIG_CSV: &str = "fig_ace_vs_avf.csv";
 
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    exit(2);
-}
-
 struct Opts {
-    apps: Option<String>,
+    benches: Vec<Box<dyn Benchmark>>,
     structures: Vec<HwStructure>,
     cfg: CampaignCfg,
     make_ref: bool,
@@ -48,74 +43,17 @@ struct Opts {
 }
 
 fn parse_opts(args: &[String]) -> Opts {
-    let mut o = Opts {
-        apps: None,
-        structures: HwStructure::ALL.to_vec(),
-        cfg: CampaignCfg::new(250, 250, 0xC0FF_EE00),
-        make_ref: false,
-        check: false,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--make-ref" => {
-                o.make_ref = true;
-                i += 1;
-                continue;
-            }
-            "--check" => {
-                o.check = true;
-                i += 1;
-                continue;
-            }
-            _ => {}
-        }
-        let Some(v) = args.get(i + 1) else {
-            die(&format!("option {} requires a value", args[i]));
-        };
-        let parse_num = |what: &str| -> u64 {
-            v.parse()
-                .unwrap_or_else(|_| die(&format!("{what} takes a number, got {v:?}")))
-        };
-        match args[i].as_str() {
-            "--apps" => o.apps = Some(v.clone()),
-            "--structures" => {
-                o.structures = parse_structures(v).unwrap_or_else(|e| die(&e));
-            }
-            "--n-uarch" => o.cfg.n_uarch = parse_num("--n-uarch") as usize,
-            "--seed" => o.cfg.seed = parse_num("--seed"),
-            "--sms" => o.cfg.gpu = GpuConfig::volta_scaled(parse_num("--sms") as u32),
-            "--events" => {} // handled by init_observability
-            other => die(&format!("unknown option {other}")),
-        }
-        i += 2;
+    let a = parse_or_exit(Cmd::AceStudy, args);
+    Opts {
+        benches: a.benches(),
+        structures: match a.text("--structures") {
+            Some(list) => parse_structures(list).unwrap_or_else(|e| die(&e)),
+            None => HwStructure::ALL.to_vec(),
+        },
+        cfg: a.campaign_cfg(250, 250),
+        make_ref: a.has("--make-ref"),
+        check: a.has("--check"),
     }
-    o
-}
-
-/// Suite subset in canonical (figure) order, regardless of `--apps` order.
-fn select_benches(spec: Option<&str>) -> Vec<Box<dyn Benchmark>> {
-    let all = all_benchmarks();
-    let Some(spec) = spec else {
-        return all;
-    };
-    let wanted: Vec<String> = spec
-        .split(',')
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .collect();
-    for w in &wanted {
-        if !all.iter().any(|b| b.name().eq_ignore_ascii_case(w)) {
-            let names: Vec<&str> = all.iter().map(|b| b.name()).collect();
-            die(&format!(
-                "unknown app {w:?}; available: {}",
-                names.join(", ")
-            ));
-        }
-    }
-    all.into_iter()
-        .filter(|b| wanted.iter().any(|w| b.name().eq_ignore_ascii_case(w)))
-        .collect()
 }
 
 fn ace_run_ns() -> u64 {
@@ -129,7 +67,7 @@ fn all_phase_ns() -> u64 {
 /// One `--n-uarch` injection campaign per app; records per-(kernel,
 /// structure) injection AVF and per-app campaign wall time.
 fn cmd_make_ref(o: &Opts) {
-    let benches = select_benches(o.apps.as_deref());
+    let benches = &o.benches;
     let mut refs = Table::new(
         format!(
             "Injection AVF reference (n={} per structure, seed {:#x})",
@@ -148,7 +86,7 @@ fn cmd_make_ref(o: &Opts) {
             "sms",
         ],
     );
-    for b in &benches {
+    for b in benches {
         eprintln!("[make-ref] {} (n={})...", b.name(), o.cfg.n_uarch);
         let t0 = all_phase_ns();
         let res = run_uarch_campaign(b.as_ref(), &o.cfg, false);
@@ -199,11 +137,11 @@ fn read_csv_rows(name: &str) -> Option<Vec<Vec<String>>> {
 }
 
 fn cmd_estimate(o: &Opts) {
-    let benches = select_benches(o.apps.as_deref());
+    let benches = &o.benches;
     let gpu = &o.cfg.gpu;
     let mut estimates: Vec<AceAppEstimate> = Vec::new();
     let mut ace_wall_ms: Vec<(String, f64)> = Vec::new();
-    for b in &benches {
+    for b in benches {
         let t0 = ace_run_ns();
         let est = estimate_app(b.as_ref(), gpu);
         ace_wall_ms.push((est.app.clone(), (ace_run_ns() - t0) as f64 / 1e6));
@@ -314,7 +252,7 @@ fn cmd_estimate(o: &Opts) {
             failed = true;
         }
         if failed {
-            exit(1);
+            std::process::exit(1);
         }
         println!("check OK: spearman {r:.4} >= 0.7, min speedup {min_speedup:.0}x >= 50x");
     }
@@ -325,7 +263,10 @@ fn cmd_estimate(o: &Opts) {
 /// `results/`.
 fn cmd_smoke() {
     let gpu = GpuConfig::volta_scaled(2);
-    let bench = select_benches(Some("VA")).pop().unwrap();
+    let bench = kernels::all_benchmarks()
+        .into_iter()
+        .find(|b| b.name() == "VA")
+        .expect("VA in the suite");
     let a = estimate_app(bench.as_ref(), &gpu);
     let b = estimate_app(bench.as_ref(), &gpu);
     if a != b {

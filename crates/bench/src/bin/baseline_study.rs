@@ -14,15 +14,14 @@
 //! `RELIA_PROGRESS` environment switches — see
 //! `bench::init_observability`).
 
-use bench::{
-    cli_campaign_cfg, finish_observability, init_observability, results_dir, run_baseline,
-};
+use bench::cli::{from_env, Cmd};
+use bench::{finish_observability, init_observability, results_dir, run_baseline};
 use relia::{compare_pairs, error_margin, pct, pct4, Confidence, Table, TrendItem};
 use vgpu_sim::HwStructure;
 
 fn main() {
+    let cfg = from_env(Cmd::Study).campaign_cfg(300, 300);
     init_observability();
-    let cfg = cli_campaign_cfg(300, 300);
     eprintln!(
         "n_uarch={} (±{:.2}% @99%), n_sw={} (±{:.2}% @99%)",
         cfg.n_uarch,

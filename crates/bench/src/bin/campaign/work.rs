@@ -1,0 +1,71 @@
+//! `campaign work`: run one worker daemon against a coordinator.
+
+use bench::cli::{die, parse_or_exit, Cmd};
+use dispatch::{WorkSummary, WorkerCfg};
+
+use crate::args::{fail, telemetry_cfg};
+
+/// The injected `--fail-after` death is the requested behaviour.
+fn report_death(s: &WorkSummary) {
+    println!(
+        "worker {}: injected failure after {} trials (lease abandoned)",
+        s.worker, s.trials_executed
+    );
+}
+
+pub fn work(args: &[String]) {
+    let a = parse_or_exit(Cmd::Work, args);
+    let defaults = WorkerCfg::default();
+    let cfg = WorkerCfg {
+        name: a
+            .text("--name")
+            .map_or_else(|| format!("worker-{}", std::process::id()), String::from),
+        heartbeat: a.millis("--heartbeat-ms").unwrap_or(defaults.heartbeat),
+        read_timeout: a
+            .millis("--read-timeout-ms")
+            .unwrap_or(defaults.read_timeout),
+        fail_after: a.num("--fail-after"),
+        telemetry: telemetry_cfg(&a),
+        trace: a.has("--trace"),
+    };
+    let follow = a.has("--follow");
+    if follow && cfg.telemetry.is_some() {
+        die("work --follow cannot mount a fixed telemetry port: each session re-binds it");
+    }
+    let Some(addr) = a.text("--connect") else {
+        die("work requires --connect HOST:PORT");
+    };
+    if !follow {
+        match dispatch::work(addr, &cfg) {
+            Ok(s) if s.died_early => report_death(&s),
+            Ok(s) => println!(
+                "worker {}: {} shards completed, {} trials executed",
+                s.worker, s.shards_completed, s.trials_executed
+            ),
+            Err(e) => fail(&e.to_string()),
+        }
+        return;
+    }
+    // Serve an adaptive campaign: one worker session per wave. The
+    // coordinator keeps the listening socket across waves, so between
+    // waves a reconnect just parks in the accept backlog; once the
+    // coordinator is gone the connection fails and the worker exits.
+    // A session error before any completed session is a real failure.
+    let (mut sessions, mut shards, mut trials) = (0usize, 0usize, 0usize);
+    loop {
+        match dispatch::work(addr, &cfg) {
+            Ok(s) if s.died_early => return report_death(&s),
+            Ok(s) => {
+                sessions += 1;
+                shards += s.shards_completed;
+                trials += s.trials_executed;
+            }
+            Err(e) if sessions == 0 => fail(&e.to_string()),
+            Err(_) => break,
+        }
+    }
+    println!(
+        "worker {}: {} sessions, {} shards completed, {} trials executed",
+        cfg.name, sessions, shards, trials
+    );
+}

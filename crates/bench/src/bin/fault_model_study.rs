@@ -23,9 +23,13 @@
 //! asserted, nothing written under `results/`.
 
 use ace::spearman;
-use bench::{cli_campaign_cfg, finish_observability, init_observability, results_dir};
+use bench::cli::{parse_or_exit, Cmd};
+use bench::{finish_observability, init_observability, results_dir};
 use kernels::all_benchmarks;
-use relia::{pct, pct4, run_sw_campaign, run_uarch_campaign_with, CampaignCfg, Table, TrendItem};
+use relia::{
+    pct, pct4, run_sw_campaign, run_uarch_campaign_with, CampaignCfg, EngineBackend, Table,
+    TrendItem,
+};
 use vgpu_sim::FaultPattern;
 
 /// One (app, kernel) measurement under one fault pattern.
@@ -36,8 +40,7 @@ struct Point {
     svf: f64,
 }
 
-fn measure(cfg: &CampaignCfg, pattern: FaultPattern) -> Vec<Point> {
-    let backend = bench::cli_backend();
+fn measure(cfg: &CampaignCfg, backend: EngineBackend, pattern: FaultPattern) -> Vec<Point> {
     let mut cfg = cfg.clone();
     cfg.pattern = pattern;
     let mut points = Vec::new();
@@ -71,13 +74,19 @@ fn rho(base: &[Point], pts: &[Point], f: impl Fn(&Point) -> f64) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("smoke") {
-        smoke();
+    let mut argv: Vec<String> = std::env::args().skip(1).collect();
+    let smoke_only = argv.first().is_some_and(|a| a == "smoke");
+    if smoke_only {
+        argv.remove(0);
+    }
+    let args = parse_or_exit(Cmd::Study, &argv);
+    let backend = args.backend();
+    if smoke_only {
+        smoke(backend);
         return;
     }
+    let cfg = args.campaign_cfg(60, 120);
     init_observability();
-    let cfg = cli_campaign_cfg(60, 120);
     let mut t = Table::new(
         format!(
             "Fault-model ranking study (n_uarch={}, n_sw={}, seed {:#x})",
@@ -93,7 +102,7 @@ fn main() {
             "spearman_svf_vs_single_bit",
         ],
     );
-    let base = measure(&cfg, FaultPattern::SingleBit);
+    let base = measure(&cfg, backend, FaultPattern::SingleBit);
     let mut summary = Vec::new();
     for &p in &FaultPattern::ALL {
         let pts = if p == FaultPattern::SingleBit {
@@ -107,7 +116,7 @@ fn main() {
                 })
                 .collect()
         } else {
-            measure(&cfg, p)
+            measure(&cfg, backend, p)
         };
         assert_eq!(pts.len(), base.len(), "pattern runs must cover the suite");
         let rho_avf = rho(&base, &pts, |x| x.avf);
@@ -159,8 +168,7 @@ fn main() {
 /// check.sh gate: one app, one transient multi-bit and one persistent
 /// pattern, deterministic across reruns, and the stuck-at campaign must
 /// actually differ from single-bit (the pattern is not a no-op).
-fn smoke() {
-    let backend = bench::cli_backend();
+fn smoke(backend: EngineBackend) {
     let cfg = CampaignCfg::new(6, 6, 0x5A5A);
     let bench = kernels::all_benchmarks()
         .into_iter()

@@ -14,7 +14,8 @@
 //!
 //! Options: `--n-uarch N --n-sw N --seed S`.
 
-use bench::{cli_campaign_cfg, results_dir};
+use bench::cli::{from_env, Cmd};
+use bench::results_dir;
 use kernels::apps::{hotspot::HotSpot, lud::Lud, scp::Scp, va::Va};
 use kernels::{golden_run, Benchmark, Variant};
 use relia::{kernel_metrics, normalized_pair, run_sw_campaign, run_uarch_campaign, Table};
@@ -26,7 +27,7 @@ struct KernelRef<'a> {
 }
 
 fn main() {
-    let cfg = cli_campaign_cfg(200, 200);
+    let cfg = from_env(Cmd::Study).campaign_cfg(200, 200);
     let dir = results_dir();
     let pairs: [(&str, &str, KernelRef, KernelRef); 3] = [
         (

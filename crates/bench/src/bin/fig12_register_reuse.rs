@@ -11,7 +11,8 @@
 //! `results/fig12_src_injection_modes.csv`.
 //! Options: `--n-sw N --seed S`.
 
-use bench::{cli_campaign_cfg, results_dir};
+use bench::cli::{from_env, Cmd};
+use bench::results_dir;
 use kernels::{all_benchmarks, faulty_run, golden_run, Outcome, PlannedFault, Variant};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -21,7 +22,7 @@ use vgpu_arch::Reg;
 use vgpu_sim::{Mode, SwFault, SwFaultKind};
 
 fn main() {
-    let cfg = cli_campaign_cfg(0, 300);
+    let cfg = from_env(Cmd::Study).campaign_cfg(0, 300);
     let dir = results_dir();
 
     // ---- Part 1: the exact Figure 12 example --------------------------

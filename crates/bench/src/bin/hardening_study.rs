@@ -17,13 +17,14 @@
 //! TMR runs cost ~3.5× the unprotected ones, so defaults are smaller
 //! than `baseline_study`'s.
 
-use bench::{cli_campaign_cfg, finish_observability, init_observability, results_dir};
+use bench::cli::{from_env, Cmd};
+use bench::{finish_observability, init_observability, results_dir};
 use kernels::all_benchmarks;
 use relia::{evaluate_hardening, pct, pct4, Table};
 
 fn main() {
+    let cfg = from_env(Cmd::Study).campaign_cfg(150, 150);
     init_observability();
-    let cfg = cli_campaign_cfg(150, 150);
     let dir = results_dir();
     let gpu = cfg.gpu.clone();
 

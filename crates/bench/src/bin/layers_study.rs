@@ -14,16 +14,17 @@
 //! Options: `--n-uarch N --n-sw N --seed S --events PATH`, watchdog:
 //! `--wall-limit-us N --cycle-limit N --no-retry` (docs/CAMPAIGNS.md).
 
-use bench::{cli_campaign_cfg, finish_observability, init_observability, results_dir};
+use bench::cli::{from_env, Cmd};
+use bench::{finish_observability, init_observability, results_dir};
 use kernels::all_benchmarks;
 use relia::{
     pct, pct4, run_pvf_campaign, run_sw_campaign, run_uarch_campaign_with, Table, TrendItem,
 };
 
 fn main() {
+    let args = from_env(Cmd::Study);
+    let (cfg, backend) = (args.campaign_cfg(100, 200), args.backend());
     init_observability();
-    let cfg = cli_campaign_cfg(100, 200);
-    let backend = bench::cli_backend();
     let dir = results_dir();
     let mut t = Table::new(
         "Three-layer comparison: SVF (software) vs PVF (architectural state) vs AVF (cross-layer), %",

@@ -13,7 +13,8 @@
 //! This binary measures both factors on this implementation and writes
 //! `results/speed_study.csv`.
 
-use bench::{cli_campaign_cfg, results_dir};
+use bench::cli::{from_env, Cmd};
+use bench::results_dir;
 use kernels::{all_benchmarks, faulty_run, golden_run, PlannedFault, Variant};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -22,7 +23,7 @@ use std::time::Instant;
 use vgpu_sim::{HwStructure, Mode, SwFault, SwFaultKind, UarchFault};
 
 fn main() {
-    let cfg = cli_campaign_cfg(50, 50);
+    let cfg = from_env(Cmd::Study).campaign_cfg(50, 50);
     let dir = results_dir();
     let mut t = Table::new(
         "Footnote 1: per-injection cost, AVF (cycle-level) vs SVF (software-level)",

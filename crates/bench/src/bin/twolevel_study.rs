@@ -26,11 +26,10 @@
 //! thresholds (two-level Spearman >= 0.7 vs full injection, aggregate
 //! adaptive savings >= 2x) and exits 1 when unmet.
 
-use std::process::exit;
-
 use ace::{estimate_app, spearman};
+use bench::cli::{die, parse_or_exit, Cmd};
 use bench::{finish_observability, init_observability, results_dir};
-use kernels::{all_benchmarks, Benchmark};
+use kernels::Benchmark;
 use relia::plan::Layer;
 use relia::{
     execute_shard, prepare_sw_kinds, sw_seed_tag, CampaignCfg, Confidence, EngineCfg, Table,
@@ -40,13 +39,8 @@ use vgpu_sim::{GpuConfig, SwFaultKind};
 
 const FIG_CSV: &str = "fig_twolevel.csv";
 
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    exit(2);
-}
-
 struct Opts {
-    apps: Option<String>,
+    benches: Vec<Box<dyn Benchmark>>,
     /// Full-injection reference trials per kernel (ground truth).
     n_ref: usize,
     /// Two-level trials per (kernel, instruction class).
@@ -60,79 +54,17 @@ struct Opts {
 }
 
 fn parse_opts(args: &[String]) -> Opts {
-    let mut o = Opts {
-        apps: None,
-        n_ref: 400,
-        n_class: 24,
-        reps: 500,
-        seed: 0x7E11_EBE1,
-        gpu: GpuConfig::volta_scaled(4),
-        acfg: AdaptiveCfg::new(0.1, 8, 128),
-        check: false,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--check" {
-            o.check = true;
-            i += 1;
-            continue;
-        }
-        let Some(v) = args.get(i + 1) else {
-            die(&format!("option {} requires a value", args[i]));
-        };
-        let parse_num = |what: &str| -> u64 {
-            v.parse()
-                .unwrap_or_else(|_| die(&format!("{what} takes a number, got {v:?}")))
-        };
-        match args[i].as_str() {
-            "--apps" => o.apps = Some(v.clone()),
-            "--n-ref" => o.n_ref = parse_num("--n-ref") as usize,
-            "--n-class" => o.n_class = parse_num("--n-class") as usize,
-            "--reps" => o.reps = parse_num("--reps") as usize,
-            "--seed" => o.seed = parse_num("--seed"),
-            "--sms" => o.gpu = GpuConfig::volta_scaled(parse_num("--sms") as u32),
-            "--ci-target" => {
-                o.acfg.ci_target = v
-                    .parse()
-                    .unwrap_or_else(|_| die(&format!("--ci-target takes a number, got {v:?}")));
-            }
-            "--wave-size" => o.acfg.wave_size = parse_num("--wave-size") as usize,
-            "--max-trials" => o.acfg.max_per_stratum = parse_num("--max-trials") as usize,
-            "--events" => {} // handled by init_observability
-            other => die(&format!("unknown option {other}")),
-        }
-        i += 2;
+    let a = parse_or_exit(Cmd::TwolevelStudy, args);
+    Opts {
+        benches: a.benches(),
+        n_ref: a.num("--n-ref").unwrap_or(400),
+        n_class: a.num("--n-class").unwrap_or(24),
+        reps: a.num("--reps").unwrap_or(500),
+        seed: a.num("--seed").unwrap_or(0x7E11_EBE1),
+        gpu: a.gpu(),
+        acfg: a.adaptive_cfg(0.1, 8, 128),
+        check: a.has("--check"),
     }
-    o.acfg.validate().unwrap_or_else(|e| die(&e));
-    if o.n_ref == 0 || o.n_class == 0 || o.reps == 0 {
-        die("--n-ref, --n-class, and --reps must be >= 1");
-    }
-    o
-}
-
-/// Suite subset in canonical (figure) order, regardless of `--apps` order.
-fn select_benches(spec: Option<&str>) -> Vec<Box<dyn Benchmark>> {
-    let all = all_benchmarks();
-    let Some(spec) = spec else {
-        return all;
-    };
-    let wanted: Vec<String> = spec
-        .split(',')
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .collect();
-    for w in &wanted {
-        if !all.iter().any(|b| b.name().eq_ignore_ascii_case(w)) {
-            let names: Vec<&str> = all.iter().map(|b| b.name()).collect();
-            die(&format!(
-                "unknown app {w:?}; available: {}",
-                names.join(", ")
-            ));
-        }
-    }
-    all.into_iter()
-        .filter(|b| wanted.iter().any(|w| b.name().eq_ignore_ascii_case(w)))
-        .collect()
 }
 
 /// Large dest-value-only reference campaign: per-kernel SDC ground truth.
@@ -169,7 +101,7 @@ struct Point {
 }
 
 fn cmd_study(o: &Opts) {
-    let benches = select_benches(o.apps.as_deref());
+    let benches = &o.benches;
     let mut points: Vec<Point> = Vec::new();
     let mut summary = Table::new(
         format!(
@@ -189,7 +121,7 @@ fn cmd_study(o: &Opts) {
         ],
     );
 
-    for b in &benches {
+    for b in benches {
         eprintln!("[twolevel] {}...", b.name());
         let full = full_reference(b.as_ref(), o);
         let two_cfg = CampaignCfg {
@@ -350,7 +282,7 @@ fn cmd_study(o: &Opts) {
             failed = true;
         }
         if failed {
-            exit(1);
+            std::process::exit(1);
         }
         println!("check OK: spearman {r:.4} >= 0.7, adaptive savings {savings:.2}x >= 2x");
     }
@@ -360,7 +292,10 @@ fn cmd_study(o: &Opts) {
 /// adaptive sizer must be deterministic and structurally coherent,
 /// without touching `results/`.
 fn cmd_smoke() {
-    let bench = select_benches(Some("VA")).pop().unwrap();
+    let bench = kernels::all_benchmarks()
+        .into_iter()
+        .find(|b| b.name() == "VA")
+        .expect("VA in the suite");
     let cfg = CampaignCfg::new(0, 3, 0x5710_CA5E);
     let a = estimate_two_level(bench.as_ref(), &cfg, Confidence::C95, 50);
     let b = estimate_two_level(bench.as_ref(), &cfg, Confidence::C95, 50);

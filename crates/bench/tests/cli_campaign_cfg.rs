@@ -3,12 +3,9 @@
 //!
 //! The load-bearing one: a **persistent stuck-at fault under a cycle
 //! limit**. Stuck-at trials cannot take the masked-convergence early exit,
-//! so a run whose semantics diverge (hang, panic, or a classification
-//! that depends on the fast-forward path) shows up here. The watchdog
-//! compares the *architectural* cost (`total_cost`) against the budget —
-//! `simulated_cost` is a scheduling artifact that legitimately differs
-//! between the slow and snapshot-resume paths and must never feed
-//! classification.
+//! so a run whose semantics diverge (hang, panic) shows up here. That the
+//! classification does not depend on the trial path is proven in-process
+//! by `crates/core/tests/path_differential.rs`.
 
 use std::process::Command;
 
@@ -28,13 +25,6 @@ fn run_ok(args: &[&str]) -> String {
         String::from_utf8_lossy(&out.stderr)
     );
     String::from_utf8_lossy(&out.stdout).into_owned()
-}
-
-fn fingerprint(stdout: &str) -> &str {
-    stdout
-        .lines()
-        .find_map(|l| l.strip_prefix("result fingerprint: "))
-        .expect("run prints a result fingerprint")
 }
 
 /// A stuck-at campaign whose every trial blows a tiny cycle budget must
@@ -76,63 +66,4 @@ fn stuck_at_with_cycle_limit_classifies_timeout() {
         timeout > 0.0,
         "overrunning stuck-at trials must classify Timeout, got {app_row:?}"
     );
-}
-
-/// The classification must not depend on the execution path: disabling
-/// golden-prefix fast-forward changes `simulated_cost` but nothing the
-/// records capture, so the result fingerprints must match bit for bit —
-/// also under a cycle limit, where a `simulated_cost`-based watchdog
-/// would classify the two paths differently.
-#[test]
-fn stuck_at_cycle_limit_fingerprint_is_path_independent() {
-    let base = [
-        "run",
-        "--app",
-        "VA",
-        "--n",
-        "3",
-        "--seed",
-        "11",
-        "--fault-model",
-        "stuck-at-0",
-        "--cycle-limit",
-        "2000",
-    ];
-    let fast = run_ok(&base);
-    let mut slow_args = base.to_vec();
-    slow_args.push("--no-fast-forward");
-    let slow = run_ok(&slow_args);
-    assert_eq!(
-        fingerprint(&fast),
-        fingerprint(&slow),
-        "watchdog classification must agree between fast-forward and slow paths"
-    );
-}
-
-/// Same path-independence for an unlimited stuck-at run (the guard that
-/// snapshots plus persistent faults compose), and for a multi-bit burst.
-#[test]
-fn pattern_runs_are_fast_forward_invariant() {
-    for model in ["stuck-at-1", "burst-col"] {
-        let base = [
-            "run",
-            "--app",
-            "VA",
-            "--n",
-            "2",
-            "--seed",
-            "9",
-            "--fault-model",
-            model,
-        ];
-        let fast = run_ok(&base);
-        let mut slow_args = base.to_vec();
-        slow_args.push("--no-fast-forward");
-        let slow = run_ok(&slow_args);
-        assert_eq!(
-            fingerprint(&fast),
-            fingerprint(&slow),
-            "{model}: fast-forward must not change results"
-        );
-    }
 }

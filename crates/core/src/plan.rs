@@ -182,7 +182,7 @@ pub struct PreparedCampaign<'a> {
     /// Lazily captured golden-prefix snapshot set for fast-forward trial
     /// execution, shared by every worker thread. `None` inside the cell
     /// means fast-forward does not apply to this campaign (software
-    /// layer, hardened, or snapshots disabled).
+    /// layer or hardened variant).
     pub snaps: OnceLock<Option<Arc<AppSnapshots>>>,
     /// Lazily recorded golden access trace for the replay backend,
     /// shared by every worker thread. `None` inside the cell means
@@ -191,19 +191,24 @@ pub struct PreparedCampaign<'a> {
 }
 
 impl PreparedCampaign<'_> {
+    /// Whether the accelerated trial paths can serve this campaign: a
+    /// timed uarch plan with at least one fault to inject. Software-layer
+    /// plans (functional engine) and hardened variants run every trial in
+    /// full.
+    fn accelerable(&self) -> bool {
+        self.plan.layer == Layer::Uarch
+            && self.variant == Variant::TIMED
+            && self.plan.trials.iter().any(|t| t.fault.is_some())
+    }
+
     /// The fast-forward snapshot set, capturing it on first use (one
     /// instrumented golden pass with `k` mid-launch snapshots per
     /// launch). Returns `None` — and captures nothing — for campaigns
-    /// fast-forward cannot serve: software-layer plans (functional
-    /// engine), hardened variants, or `k == 0`.
+    /// fast-forward cannot serve, or `k == 0`.
     pub fn snapshots(&self, k: usize) -> Option<&Arc<AppSnapshots>> {
         self.snaps
             .get_or_init(|| {
-                if self.plan.layer != Layer::Uarch
-                    || self.variant != Variant::TIMED
-                    || k == 0
-                    || self.plan.trials.iter().all(|t| t.fault.is_none())
-                {
+                if !self.accelerable() || k == 0 {
                     return None;
                 }
                 let t0 = Instant::now();
@@ -231,15 +236,11 @@ impl PreparedCampaign<'_> {
     /// The replay backend's recorded golden access trace, capturing it
     /// on first use (one traced golden pass, bit-identity asserted
     /// against the untraced baseline). Returns `None` — and records
-    /// nothing — for campaigns replay cannot serve: software-layer
-    /// plans, hardened variants, or all-empty fault populations.
+    /// nothing — for campaigns replay cannot serve.
     pub fn trace(&self) -> Option<&Arc<trace::AppTrace>> {
         self.app_trace
             .get_or_init(|| {
-                if self.plan.layer != Layer::Uarch
-                    || self.variant != Variant::TIMED
-                    || self.plan.trials.iter().all(|t| t.fault.is_none())
-                {
+                if !self.accelerable() {
                     return None;
                 }
                 let tr = obs::time_phase(Phase::TraceCapture, || {

@@ -1,0 +1,154 @@
+//! The differential proof that the trial path is a pure throughput
+//! choice: the oracle (`FastForward::disabled()`, every trial simulated
+//! in full), the timed path (golden-prefix snapshots, the default) and
+//! the replay path (trace adjudication first) must produce the same
+//! classified records — and the same assembled result, derating factors
+//! included — for every fault pattern, under a watchdog cycle budget,
+//! merged from shards, and killed and resumed. Campaigns the
+//! accelerators cannot serve (software layer, hardened variant) degrade
+//! to plain execution on every path. Any divergence here is a bug.
+
+use kernels::apps::{scp::Scp, va::Va};
+use kernels::{Benchmark, Outcome};
+use relia::{
+    assemble_sw, assemble_uarch, execute_shard, execute_trials_with, prepare_sw_campaign,
+    prepare_uarch_campaign, records_fingerprint, CampaignCfg, EngineBackend, EngineCfg,
+    FastForward, PreparedCampaign, TrialRecord,
+};
+use vgpu_sim::FaultPattern;
+
+fn replay_engine() -> EngineCfg {
+    EngineCfg {
+        backend: EngineBackend::Replay,
+        ..EngineCfg::single_shot()
+    }
+}
+
+/// The whole plan on the oracle path.
+fn oracle(prep: &PreparedCampaign) -> Vec<TrialRecord> {
+    let all: Vec<usize> = (0..prep.plan.len()).collect();
+    execute_trials_with(prep, FastForward::disabled(), &all, |_| Ok(())).unwrap()
+}
+
+/// Run the plan on the timed and replay paths and hold both to the
+/// oracle, record for record and after assembly. Returns the oracle's
+/// records.
+fn assert_paths_agree(prep: &PreparedCampaign, what: &str) -> Vec<TrialRecord> {
+    let oracle = oracle(prep);
+    let assembled = assemble_uarch(prep, &oracle).unwrap();
+    for (path, eng) in [
+        ("timed", EngineCfg::single_shot()),
+        ("replay", replay_engine()),
+    ] {
+        let records = execute_shard(prep, &eng).unwrap();
+        assert_eq!(records, oracle, "{what}: {path} changed a trial record");
+        assert_eq!(
+            assemble_uarch(prep, &records).unwrap(),
+            assembled,
+            "{what}: {path} changed the assembled AVF result"
+        );
+    }
+    oracle
+}
+
+#[test]
+fn all_paths_classify_identically_for_every_fault_pattern() {
+    for pattern in FaultPattern::ALL {
+        let cfg = CampaignCfg {
+            pattern,
+            ..CampaignCfg::new(3, 0, 0x9A77)
+        };
+        let prep = prepare_uarch_campaign(&Va, &cfg, false);
+        assert_paths_agree(&prep, pattern.label());
+    }
+    // A second, multi-kernel application on the paper's default pattern.
+    let prep = prepare_uarch_campaign(&Scp, &CampaignCfg::new(6, 0, 0xFF_D1FF), false);
+    assert_paths_agree(&prep, Scp.name());
+}
+
+/// A persistent stuck-at fault under a cycle limit: stuck-at trials
+/// cannot take the masked-convergence early exit, and the watchdog must
+/// compare the *architectural* cost (`total_cost`) against the budget —
+/// `simulated_cost` is a scheduling artifact that differs between the
+/// paths and must never feed classification.
+#[test]
+fn watchdog_cycle_limit_is_path_independent() {
+    let cfg = CampaignCfg {
+        pattern: FaultPattern::StuckAt0,
+        ..CampaignCfg::new(3, 0, 11)
+    };
+    let mut prep = prepare_uarch_campaign(&Va, &cfg, false);
+    // One cycle under the fault-free cost: every trial that runs to
+    // completion overruns the budget on the oracle, while a resumed trial
+    // *simulates* far fewer cycles than that.
+    prep.cfg.watchdog.cycle_limit = Some(prep.golden.total_cost - 1);
+    let records = assert_paths_agree(&prep, "stuck-at-0 under a cycle limit");
+    assert!(records.iter().any(|r| r.outcome == Outcome::Timeout));
+    assert!(
+        records
+            .iter()
+            .all(|r| matches!(r.outcome, Outcome::Timeout | Outcome::Due)),
+        "only aborted runs may keep their class: {records:?}"
+    );
+}
+
+#[test]
+fn replay_shard_merge_and_kill_resume_match_the_oracle() {
+    let dir = std::env::temp_dir().join(format!("relia_path_resume_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let cfg = CampaignCfg::new(5, 0, 0x9E5E);
+    let prep = prepare_uarch_campaign(&Va, &cfg, false);
+    let oracle = oracle(&prep);
+    let assembled = assemble_uarch(&prep, &oracle).unwrap();
+
+    let mut merged = Vec::new();
+    for i in 0..3 {
+        let eng = EngineCfg {
+            backend: EngineBackend::Replay,
+            ..EngineCfg::sharded(3, i)
+        };
+        merged.extend(execute_shard(&prep, &eng).unwrap());
+    }
+    assert_eq!(records_fingerprint(&merged), records_fingerprint(&oracle));
+    assert_eq!(assemble_uarch(&prep, &merged).unwrap(), assembled);
+
+    let path = dir.join("replay.jsonl");
+    let interrupted = EngineCfg {
+        checkpoint: Some(path.clone()),
+        trial_limit: Some(7),
+        ..replay_engine()
+    };
+    assert_eq!(execute_shard(&prep, &interrupted).unwrap().len(), 7);
+    let resumed = EngineCfg {
+        resume: Some(path.clone()),
+        ..replay_engine()
+    };
+    let records = execute_shard(&prep, &resumed).unwrap();
+    assert_eq!(records, oracle);
+    assert_eq!(assemble_uarch(&prep, &records).unwrap(), assembled);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn campaigns_without_accelerators_run_in_full_on_every_path() {
+    // The functional-variant software-fault layer has neither snapshots
+    // nor an access trace; every path must behave exactly like the
+    // oracle.
+    let cfg = CampaignCfg::new(0, 8, 0x5_0FF);
+    let sw = prepare_sw_campaign(&Va, &cfg, false);
+    let want = oracle(&sw);
+    for eng in [EngineCfg::single_shot(), replay_engine()] {
+        let records = execute_shard(&sw, &eng).unwrap();
+        assert_eq!(records, want);
+        assert_eq!(
+            assemble_sw(&sw, &records).unwrap(),
+            assemble_sw(&sw, &want).unwrap()
+        );
+    }
+    assert!(sw.snapshots(relia::DEFAULT_SNAPSHOTS).is_none() && sw.trace().is_none());
+
+    let hardened = prepare_uarch_campaign(&Va, &CampaignCfg::new(4, 0, 0x4A9D), true);
+    assert_paths_agree(&hardened, "hardened");
+    assert!(hardened.trace().is_none());
+}

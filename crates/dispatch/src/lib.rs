@@ -33,8 +33,8 @@ pub mod worker;
 
 pub use coordinator::{serve, DispatchCfg, DispatchStats, ServeOutcome};
 pub use proto::{
-    parse_frame, parse_strata, parse_structures, plan_strata, strata_spec, structures_spec,
-    CampaignSpec, Frame, WaveSpec,
+    parse_frame, parse_strata, parse_structures, plan_strata, scaled_gpu, strata_spec,
+    structures_spec, CampaignSpec, Frame, WaveSpec, MAX_SMS,
 };
 pub use worker::{work, WorkSummary, WorkerCfg};
 

@@ -8,7 +8,7 @@
 //! [`relia::checkpoint::CheckpointWriter`] unchanged.
 //!
 //! ```text
-//! W→C  {"frame":"hello","worker":"w1","proto":1}
+//! W→C  {"frame":"hello","worker":"w1","proto":2,"telemetry":""}
 //! C→W  {"frame":"job","app":"VA","layer":"uarch","n":60,"seed":7,...}
 //! W→C  {"frame":"ready","fingerprint":123456789}
 //! C→W  {"frame":"lease","shard":2,"done":"8,14"}
@@ -36,7 +36,22 @@ use vgpu_sim::{FaultPattern, GpuConfig, HwStructure, SwFaultKind};
 
 /// Bumped whenever a frame changes incompatibly; [`Frame::Hello`] carries
 /// it and the coordinator rejects mismatched workers during the handshake.
-pub const PROTO_VERSION: u64 = 1;
+/// Version 2 made every field of the hello and job frames mandatory.
+pub const PROTO_VERSION: u64 = 2;
+
+/// Largest simulated GPU a campaign may ask for. Bounds what a job frame
+/// can make a worker allocate, and keeps the L2 size (128 KiB per SM)
+/// well inside `u32`.
+pub const MAX_SMS: u32 = 1024;
+
+/// The simulated GPU for an SM count from outside the program (`--sms`,
+/// the job frame's `sms`): the only place that count is range-checked.
+pub fn scaled_gpu(sms: u32) -> Result<GpuConfig, String> {
+    if !(1..=MAX_SMS).contains(&sms) {
+        return Err(format!("--sms must be 1..={MAX_SMS}, got {sms}"));
+    }
+    Ok(GpuConfig::volta_scaled(sms))
+}
 
 /// Parse a `--structures RF,SMEM,L2` list into [`HwStructure`]s
 /// (case-insensitive labels, order preserved, duplicates dropped). The
@@ -184,18 +199,43 @@ pub struct CampaignSpec {
     /// a different model fails the handshake instead of merging garbage.
     pub fault_model: FaultPattern,
     /// Simulation backend the workers run ([`relia::EngineBackend`]).
-    /// A pure throughput knob — classification is byte-identical either
+    /// A pure throughput choice — classification is byte-identical either
     /// way — so it is *not* part of the plan fingerprint; heterogeneous
-    /// backends across a fleet still merge. Absent on the wire for
-    /// `Timed`, so legacy frames are byte-identical.
+    /// backends across a fleet still merge.
     pub backend: EngineBackend,
     /// `Some` for one wave of an adaptive campaign (`None` = the classic
-    /// fixed-n plan; absent on the wire, so legacy frames are
-    /// byte-identical).
+    /// fixed-n plan, which carries neither wave field on the wire).
     pub wave: Option<WaveSpec>,
 }
 
 impl CampaignSpec {
+    /// The one range check of a campaign description, run wherever a spec
+    /// enters the program (the CLI flag table, [`parse_frame`]): a spec
+    /// that passes can be prepared and executed without tripping an
+    /// engine assertion. Messages name the CLI flags.
+    pub fn validate(&self) -> Result<(), String> {
+        scaled_gpu(self.sms)?;
+        let Some(structures) = &self.structures else {
+            return Ok(());
+        };
+        if self.layer == Layer::Sw {
+            return Err("--structures only applies to --layer uarch".into());
+        }
+        // SIMT-stack and scheduler state is ephemeral: a transient flip
+        // there is just one corrupted access, which the storage
+        // structures already model. Only the persistent stuck-at patterns
+        // target them.
+        let control = |h: &HwStructure| matches!(h, HwStructure::Simt | HwStructure::Sched);
+        if structures.iter().any(control) && !self.fault_model.is_persistent() {
+            return Err(format!(
+                "--structures SIMT/SCHED requires a stuck-at fault model \
+                 (--fault-model stuck-at-0 or stuck-at-1), got {}",
+                self.fault_model.label()
+            ));
+        }
+        Ok(())
+    }
+
     /// The campaign configuration this spec describes (default watchdog:
     /// limits off, panic-retry on — the bit-reproducible setting).
     pub fn campaign_cfg(&self) -> CampaignCfg {
@@ -341,10 +381,8 @@ impl Frame {
                 push_json_str(&mut s, &structures_spec(&spec.structures));
                 s.push_str(",\"fault_model\":");
                 push_json_str(&mut s, spec.fault_model.label());
-                if spec.backend != EngineBackend::Timed {
-                    s.push_str(",\"backend\":");
-                    push_json_str(&mut s, spec.backend.label());
-                }
+                s.push_str(",\"backend\":");
+                push_json_str(&mut s, spec.backend.label());
                 if let Some(w) = &spec.wave {
                     s.push_str(&format!(",\"wave\":{},\"strata\":", w.wave));
                     push_json_str(&mut s, &strata_spec(&w.strata));
@@ -408,12 +446,7 @@ pub fn parse_frame(line: &str) -> Option<Frame> {
         "hello" => Some(Frame::Hello {
             worker: get("worker")?.as_str()?.to_string(),
             proto: num("proto")?,
-            // Absent in frames from pre-telemetry workers: same proto
-            // version, just no scrape endpoint to advertise.
-            telemetry: get("telemetry")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("")
-                .to_string(),
+            telemetry: get("telemetry")?.as_str()?.to_string(),
         }),
         "job" => {
             let structures_s = get("structures")?.as_str()?;
@@ -426,22 +459,11 @@ pub fn parse_frame(line: &str) -> Option<Frame> {
                 JsonValue::Bool(b) => *b,
                 _ => return None,
             };
-            // Absent in frames from pre-pattern coordinators: those only
-            // ever dispatched the paper's single-bit model.
-            let fault_model = match get("fault_model").and_then(JsonValue::as_str) {
-                None => FaultPattern::SingleBit,
-                Some(l) => FaultPattern::from_label(l)?,
-            };
-            // Absent in frames from pre-replay coordinators: those only
-            // ever dispatched the timed backend.
-            let backend = match get("backend").and_then(JsonValue::as_str) {
-                None => EngineBackend::Timed,
-                Some(l) => EngineBackend::from_label(l)?,
-            };
+            let fault_model = FaultPattern::from_label(get("fault_model")?.as_str()?)?;
+            let backend = EngineBackend::from_label(get("backend")?.as_str()?)?;
             let layer = Layer::from_label(get("layer")?.as_str()?)?;
-            // Absent in frames from pre-adaptive coordinators (fixed-n
-            // campaigns). A wave index without strata (or vice versa) is
-            // a torn frame, not a legacy one.
+            // Fixed-n campaigns carry neither wave field; a wave index
+            // without strata (or vice versa) is a torn frame.
             let wave = match (num("wave"), get("strata").and_then(JsonValue::as_str)) {
                 (None, None) => None,
                 (Some(w), Some(st)) => Some(WaveSpec {
@@ -450,19 +472,23 @@ pub fn parse_frame(line: &str) -> Option<Frame> {
                 }),
                 _ => return None,
             };
+            let spec = CampaignSpec {
+                app: get("app")?.as_str()?.to_string(),
+                layer,
+                n: num("n")? as usize,
+                seed: num("seed")?,
+                sms: u32::try_from(num("sms")?).ok()?,
+                hardened,
+                structures,
+                fault_model,
+                backend,
+                wave,
+            };
+            // A job this worker could not execute without tripping an
+            // engine assertion is dropped like any other malformed frame.
+            spec.validate().ok()?;
             Some(Frame::Job {
-                spec: CampaignSpec {
-                    app: get("app")?.as_str()?.to_string(),
-                    layer,
-                    n: num("n")? as usize,
-                    seed: num("seed")?,
-                    sms: num("sms")? as u32,
-                    hardened,
-                    structures,
-                    fault_model,
-                    backend,
-                    wave,
-                },
+                spec,
                 shards: num("shards")? as usize,
                 fingerprint: num("fingerprint")?,
             })
@@ -733,40 +759,31 @@ mod tests {
     }
 
     #[test]
-    fn hello_without_telemetry_field_still_parses() {
-        assert_eq!(
-            parse_frame("{\"frame\":\"hello\",\"worker\":\"old\",\"proto\":1}"),
-            Some(Frame::Hello {
-                worker: "old".into(),
-                proto: 1,
-                telemetry: String::new(),
-            })
-        );
-    }
-
-    #[test]
-    fn job_without_fault_model_field_still_parses() {
-        // A coordinator predating the pattern axis never sends the field;
-        // the worker must assume the single-bit model, not reject the job.
-        let line = "{\"frame\":\"job\",\"app\":\"VA\",\"layer\":\"uarch\",\
-                    \"structures\":\"\",\"n\":4,\"seed\":9,\"sms\":4,\
-                    \"hardened\":false,\"shards\":1,\"fingerprint\":5}";
-        let Some(Frame::Job { spec, .. }) = parse_frame(line) else {
-            panic!("legacy job frame must parse");
-        };
-        assert_eq!(spec.fault_model, FaultPattern::SingleBit);
-        // An unknown pattern label is corruption, not a default.
-        let bad = line.replace(
-            "\"hardened\"",
-            "\"fault_model\":\"warp-drive\",\"hardened\"",
-        );
-        assert!(parse_frame(&bad).is_none());
-    }
-
-    #[test]
-    fn backend_field_round_trips_and_is_lenient_for_legacy_frames() {
-        // A replay-backend job survives serialize → parse.
+    fn hello_and_job_fields_are_all_mandatory() {
+        let hello = Frame::Hello {
+            worker: "w".into(),
+            proto: PROTO_VERSION,
+            telemetry: String::new(),
+        }
+        .to_json();
+        assert!(parse_frame(&hello).is_some());
+        assert!(parse_frame(&hello.replace(",\"telemetry\":\"\"", "")).is_none());
         let job = Frame::Job {
+            spec: spec(),
+            shards: 2,
+            fingerprint: 21,
+        }
+        .to_json();
+        assert!(parse_frame(&job).is_some());
+        for field in [",\"fault_model\":\"single-bit\"", ",\"backend\":\"timed\""] {
+            assert!(job.contains(field), "{field} is always serialized");
+            assert!(parse_frame(&job.replace(field, "")).is_none(), "{field}");
+        }
+        // An unknown label is corruption, not a default.
+        assert!(parse_frame(&job.replace("single-bit", "warp-drive")).is_none());
+        assert!(parse_frame(&job.replace("\"timed\"", "\"quantum\"")).is_none());
+        // A replay-backend job survives serialize → parse.
+        let replay = Frame::Job {
             spec: CampaignSpec {
                 backend: EngineBackend::Replay,
                 ..spec()
@@ -774,30 +791,40 @@ mod tests {
             shards: 2,
             fingerprint: 21,
         };
-        assert_eq!(parse_frame(&job.to_json()), Some(job.clone()));
-        // A timed job never carries the field, byte for byte — old
-        // workers keep parsing new coordinators' timed frames.
-        let timed = Frame::Job {
-            spec: spec(),
-            shards: 2,
-            fingerprint: 21,
-        }
-        .to_json();
-        assert!(!timed.contains("backend"));
-        // Absent field → timed (pre-replay coordinator)...
-        let Some(Frame::Job { spec: parsed, .. }) = parse_frame(&timed) else {
-            panic!("timed job frame must parse");
-        };
-        assert_eq!(parsed.backend, EngineBackend::Timed);
-        // ...but an unknown backend label is corruption, not a default.
-        let bad = timed.replace("\"hardened\"", "\"backend\":\"quantum\",\"hardened\"");
-        assert!(parse_frame(&bad).is_none());
+        assert_eq!(parse_frame(&replay.to_json()), Some(replay.clone()));
     }
 
     #[test]
-    fn wave_extension_is_lenient_for_legacy_and_strict_for_torn_frames() {
-        // A fixed-n job never carries wave fields, byte for byte — old
-        // workers keep parsing new coordinators' fixed-n frames.
+    fn out_of_range_specs_fail_validation_and_never_parse() {
+        assert_eq!(spec().validate(), Ok(()));
+        let bad = [
+            CampaignSpec { sms: 0, ..spec() },
+            CampaignSpec {
+                sms: MAX_SMS + 1,
+                ..spec()
+            },
+            CampaignSpec {
+                layer: Layer::Sw,
+                ..spec()
+            },
+            CampaignSpec {
+                structures: Some(vec![HwStructure::RegFile, HwStructure::Simt]),
+                ..spec()
+            },
+        ];
+        for spec in bad {
+            assert!(spec.validate().is_err(), "{spec:?}");
+            let job = Frame::Job {
+                spec,
+                shards: 1,
+                fingerprint: 1,
+            };
+            assert_eq!(parse_frame(&job.to_json()), None, "{job:?}");
+        }
+    }
+
+    #[test]
+    fn wave_fields_come_together_or_not_at_all() {
         let fixed = Frame::Job {
             spec: spec(),
             shards: 2,
@@ -848,6 +875,13 @@ mod tests {
             parse_structures(&structures_spec(&some)).unwrap(),
             some.unwrap()
         );
-        assert!(parse_structures("RF,WARP").is_err());
+        assert!(parse_structures("RF,WARP").unwrap_err().contains("WARP"));
+        // Case-insensitive, whitespace-tolerant, dedup preserving order.
+        assert_eq!(
+            parse_structures(" l2 , rf ,L2").unwrap(),
+            vec![HwStructure::L2, HwStructure::RegFile]
+        );
+        assert!(parse_structures("").is_err());
+        assert!(parse_structures(",,").is_err());
     }
 }

@@ -185,12 +185,10 @@ pub fn work(addr: &str, cfg: &WorkerCfg) -> Result<WorkSummary, DispatchError> {
     };
     let bench = spec.find_bench().map_err(DispatchError::Spec)?;
     let prep = spec.prepare(bench.as_ref());
-    // The dispatched backend is a throughput knob, not a plan property:
-    // it rides outside the fingerprint, so mixed-backend fleets merge.
-    let ff = FastForward {
-        backend: spec.backend,
-        ..FastForward::default()
-    };
+    // The dispatched backend is a throughput choice, not a plan
+    // property: it rides outside the fingerprint, so mixed-backend fleets
+    // merge.
+    let ff = FastForward::from(spec.backend);
     let ours = prep.plan.fingerprint();
     if ours != theirs {
         return Err(DispatchError::FingerprintMismatch { ours, theirs });
@@ -329,9 +327,7 @@ fn worker_status(name: &str) -> String {
     let fell_back = prefix_sum("trace_fallback_full_total");
     if dead + fell_back > 0 {
         out.push_str(&format!(
-            ",\"replay_dead\":{dead},\"replay_fallback\":{fell_back},\
-             \"replay_warps_reexecuted\":{}",
-            prefix_sum("trace_replay_warps_reexecuted_total")
+            ",\"replay_dead\":{dead},\"replay_fallback\":{fell_back}"
         ));
     }
     match obs::progress::wall_quantiles() {

@@ -57,6 +57,12 @@ impl Conn {
             .unwrap_or_else(|| panic!("unparseable frame {line:?}"))
     }
 
+    /// Whether the coordinator hung up without sending anything.
+    fn closed(&mut self) -> bool {
+        let mut line = String::new();
+        matches!(self.r.read_line(&mut line), Ok(0))
+    }
+
     /// Run the hello → job → ready handshake, returning the job.
     fn handshake(&mut self, name: &str) -> (CampaignSpec, usize, u64) {
         self.send(&Frame::Hello {
@@ -130,6 +136,11 @@ fn torn_trial_record_is_dropped_and_resent() {
 
     let outcome = std::thread::scope(|s| {
         let coordinator = s.spawn(|| serve(listener, &prep.plan, &spec, &cfg));
+        // An older peer is refused at hello, never handed a job it would
+        // half-understand.
+        let mut old = Conn::connect(&addr);
+        old.send_line("{\"frame\":\"hello\",\"worker\":\"old\",\"proto\":1,\"telemetry\":\"\"}");
+        assert!(old.closed(), "proto-1 hello must be refused");
         let mut conn = Conn::connect(&addr);
         let (jspec, shards, _) = conn.handshake("torn");
         assert_eq!(jspec, spec, "job frame must round-trip the spec");
@@ -287,6 +298,18 @@ fn no_control_frame_prefix_parses() {
             shards: 3,
             fingerprint: u64::MAX,
         },
+        Frame::Job {
+            spec: CampaignSpec {
+                backend: relia::EngineBackend::Replay,
+                wave: Some(dispatch::WaveSpec {
+                    wave: 1,
+                    strata: dispatch::parse_strata("0:RF:4:4;0:L2:0:2", Layer::Uarch).unwrap(),
+                }),
+                ..spec.clone()
+            },
+            shards: 1,
+            fingerprint: 5,
+        },
         Frame::Ready { fingerprint: 1 },
         Frame::Lease {
             shard: 2,
@@ -305,6 +328,29 @@ fn no_control_frame_prefix_parses() {
     ] {
         assert_no_prefix_parses(&f);
     }
+}
+
+/// A job frame is outside input to a worker: one whose spec would trip
+/// an engine assertion (`"sms":0` panics in the cache model) must be
+/// dropped by the parser like any torn frame, not reach `prepare`.
+#[test]
+fn hostile_job_frame_is_dropped() {
+    let job = Frame::Job {
+        spec: spec(),
+        shards: 1,
+        fingerprint: 9,
+    }
+    .to_json();
+    assert!(parse_frame(&job).is_some());
+    assert!(job.contains("\"sms\":4"));
+    for sms in ["0", "1025", "4294967296", "-1", "\"4\""] {
+        let hostile = job.replace("\"sms\":4", &format!("\"sms\":{sms}"));
+        assert_eq!(parse_frame(&hostile), None, "sms {sms}");
+    }
+    let sw = job.replace("\"layer\":\"uarch\"", "\"layer\":\"sw\"");
+    assert!(parse_frame(&sw).is_some());
+    let sw_rf = sw.replace("\"structures\":\"\"", "\"structures\":\"RF\"");
+    assert_eq!(parse_frame(&sw_rf), None, "structures on the sw layer");
 }
 
 fn outcome_of(tag: u8) -> kernels::Outcome {

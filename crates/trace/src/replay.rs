@@ -173,11 +173,6 @@ pub struct LaunchInfo {
 }
 
 impl LaunchInfo {
-    /// Total warps this launch executes (re-execution cost proxy).
-    pub fn warps(&self) -> u64 {
-        u64::from(self.geom.warps_per_cta) * u64::from(self.geom.total_ctas)
-    }
-
     /// Which CTA slots hold a live CTA at the top of local cycle `c`.
     fn live_slots(&self, num_sms: usize, c: u64) -> Vec<Vec<bool>> {
         let mut live = vec![vec![false; self.geom.slots_per_sm as usize]; num_sms];
@@ -236,9 +231,8 @@ pub enum Verdict {
     /// exactly what the injector would have reported (0 means the fault
     /// landed on an empty structure and `applied` must be false).
     Dead { population: u64 },
-    /// Must re-execute with the timed engine; `warps` is the launch's
-    /// warp count (0 when unknown), for re-execution accounting.
-    Fallback { reason: FallbackReason, warps: u64 },
+    /// Must re-execute with the timed engine.
+    Fallback { reason: FallbackReason },
 }
 
 /// A fully indexed application trace.
@@ -375,11 +369,9 @@ impl AppTrace {
         let Some(li) = self.launches.get(ordinal) else {
             return Verdict::Fallback {
                 reason: FallbackReason::NoTrace,
-                warps: 0,
             };
         };
-        let warps = li.warps();
-        let fallback = |reason| Verdict::Fallback { reason, warps };
+        let fallback = |reason| Verdict::Fallback { reason };
         if self.index.unindexable {
             return fallback(FallbackReason::NoTrace);
         }
@@ -588,13 +580,12 @@ mod tests {
     fn read_after_flip_is_live() {
         let tr = tiny_trace();
         // Only slot 0 lives at cycle 3 → population 64, idx == loc_pick.
-        match tr.adjudicate(&cfg(), 0, &rf_fault(3, 10)) {
+        assert_eq!(
+            tr.adjudicate(&cfg(), 0, &rf_fault(3, 10)),
             Verdict::Fallback {
-                reason: FallbackReason::LiveWord,
-                warps,
-            } => assert_eq!(warps, 6),
-            v => panic!("expected live fallback, got {v:?}"),
-        }
+                reason: FallbackReason::LiveWord
+            }
+        );
     }
 
     #[test]
@@ -684,7 +675,6 @@ mod tests {
             tr.adjudicate(&cfg(), 7, &rf_fault(0, 0)),
             Verdict::Fallback {
                 reason: FallbackReason::NoTrace,
-                warps: 0,
             }
         ));
         assert!(matches!(

@@ -17,8 +17,15 @@ cargo test -q --workspace
 echo "==> cargo bench --no-run (criterion benches must compile)"
 cargo bench --no-run -q
 
-echo "==> campaign shard-merge + fast-forward smoke"
+echo "==> campaign smoke (2-shard merge; oracle == timed == replay; adaptive waves)"
 cargo run --release -q -p bench --bin campaign -- smoke
+
+echo "==> campaign CLI: --help exits 0, out-of-range --sms exits 2"
+CAMPAIGN=target/release/campaign
+"$CAMPAIGN" --help > /dev/null
+"$CAMPAIGN" run --help > /dev/null
+rc=0; "$CAMPAIGN" run --app VA --sms 0 2> /dev/null || rc=$?
+[ "$rc" -eq 2 ]
 
 echo "==> ace_study smoke"
 cargo run --release -q -p bench --bin ace_study -- smoke
@@ -34,7 +41,6 @@ echo "==> dispatch smoke (coordinator + 2 workers, one killed mid-run)"
 # service (docs/DISPATCH.md) with a worker that dies mid-lease via the
 # --fail-after hook. The merged CSV must be byte-identical and the
 # coordinator must report the dead worker's lease as reassigned.
-CAMPAIGN=target/release/campaign
 DISP=$(mktemp -d)
 "$CAMPAIGN" run --app VA --layer uarch --n 6 --seed 1234 \
   --csv "$DISP/single.csv" > /dev/null
@@ -69,13 +75,6 @@ wait
 cmp "$DISP/single.csv" "$DISP/dispatch.csv"
 grep -Eq '\([1-9][0-9]* reassigned' "$DISP/serve.log"
 
-echo "==> fast-forward equivalence smoke (docs/PERF.md)"
-# The golden-prefix fast-forward engine (default) must produce the same
-# assembled CSV as a full slow-path run of the same plan.
-"$CAMPAIGN" run --app VA --layer uarch --n 6 --seed 1234 --no-fast-forward \
-  --csv "$DISP/slow.csv" > /dev/null
-cmp "$DISP/single.csv" "$DISP/slow.csv"
-
 echo "==> replay backend smoke (docs/TRACE.md)"
 # The trace-replay backend records the golden access trace, adjudicates
 # each trial's footprint deadness against it, and synthesizes masked
@@ -86,15 +85,14 @@ echo "==> replay backend smoke (docs/TRACE.md)"
 cmp "$DISP/single.csv" "$DISP/replay.csv"
 
 echo "==> fault-model smoke (docs/FAULT_MODELS.md)"
-# A non-default pattern must run end to end and stay path-independent:
-# a burst-row campaign with and without fast-forward, byte-identical.
+# A non-default pattern must run end to end through the CLI (that every
+# pattern classifies identically on every trial path is proven by
+# crates/core/tests/path_differential.rs).
 "$CAMPAIGN" run --app VA --layer uarch --n 4 --seed 1234 \
-  --fault-model burst-row --csv "$DISP/burst.csv" > /dev/null
-"$CAMPAIGN" run --app VA --layer uarch --n 4 --seed 1234 \
-  --fault-model burst-row --no-fast-forward --csv "$DISP/burst-slow.csv" > /dev/null
-cmp "$DISP/burst.csv" "$DISP/burst-slow.csv"
+  --fault-model burst-row --csv "$DISP/burst.csv" | grep 'result fingerprint' > /dev/null
+test -s "$DISP/burst.csv"
 rm -rf "$DISP"
-echo "dispatch + fast-forward + fault-model smoke: CSVs byte-identical"
+echo "dispatch + replay smoke: CSVs byte-identical; fault-model smoke: OK"
 
 echo "==> adaptive sizing smoke (docs/TWOLEVEL.md)"
 # CI-driven wave sizing must be deterministic and resumable: an
@@ -136,5 +134,8 @@ cargo clippy --release --workspace -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check
+
+echo "==> perf ledger gate (benchmarks/check.sh: the symbols it pins still build and run)"
+benchmarks/check.sh
 
 echo "tier-1 gate: OK"
