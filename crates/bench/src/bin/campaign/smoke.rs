@@ -1,8 +1,9 @@
 //! `campaign smoke`: the tiny end-to-end gate for scripts/check.sh. A
 //! 2-shard run through real checkpoint files must merge to the
 //! single-shot result, the three trial paths (oracle, timed, replay)
-//! must classify identically, and 3-shard adaptive waves must match
-//! single-shot waves.
+//! must classify identically on both layers — on VA and on BFS, whose
+//! host glue sits between 22 launches — and 3-shard adaptive waves must
+//! match single-shot waves.
 
 use dispatch::CampaignSpec;
 use relia::plan::{Layer, PreparedCampaign};
@@ -54,40 +55,46 @@ pub fn smoke() {
         wave: None,
     };
     let bench = spec.find_bench().unwrap_or_else(|e| fail(&e));
-    for layer in [Layer::Uarch, Layer::Sw] {
+    for (app, layer) in [
+        ("VA", Layer::Uarch),
+        ("VA", Layer::Sw),
+        ("BFS", Layer::Uarch),
+        ("BFS", Layer::Sw),
+    ] {
         let spec = CampaignSpec {
+            app: app.into(),
             layer,
             ..spec.clone()
         };
+        let bench = spec.find_bench().unwrap_or_else(|e| fail(&e));
         let prep = spec.prepare(bench.as_ref());
         let single = execute_shard(&prep, &EngineCfg::single_shot()).unwrap();
-        let mut merged = Vec::new();
-        for idx in 0..2 {
-            let path = dir.join(format!("{}-{idx}.jsonl", layer.label()));
-            let eng = EngineCfg {
-                checkpoint: Some(path.clone()),
-                ..EngineCfg::sharded(2, idx)
-            };
-            execute_shard(&prep, &eng).unwrap();
-            merged.extend(load_checkpoint(&path).unwrap().records);
+        if app == "VA" {
+            let mut merged = Vec::new();
+            for idx in 0..2 {
+                let path = dir.join(format!("{}-{idx}.jsonl", layer.label()));
+                let eng = EngineCfg {
+                    checkpoint: Some(path.clone()),
+                    ..EngineCfg::sharded(2, idx)
+                };
+                execute_shard(&prep, &eng).unwrap();
+                merged.extend(load_checkpoint(&path).unwrap().records);
+            }
+            expect_same("VA 2-shard merge == single-shot", &prep, &merged, &single);
         }
-        expect_same("2-shard merge == single-shot", &prep, &merged, &single);
-        if layer == Layer::Uarch {
-            // Path equivalence: the snapshot path (`single` above) and
-            // the trace-replay path must classify byte-identically to
-            // the oracle, which simulates every trial in full
-            // (docs/PERF.md, docs/TRACE.md).
-            let all: Vec<usize> = (0..prep.plan.len()).collect();
-            let oracle =
-                execute_trials_with(&prep, FastForward::disabled(), &all, |_| Ok(())).unwrap();
-            expect_same("timed == oracle", &prep, &single, &oracle);
-            let replay_eng = EngineCfg {
-                backend: EngineBackend::Replay,
-                ..EngineCfg::single_shot()
-            };
-            let replay = execute_shard(&prep, &replay_eng).unwrap();
-            expect_same("replay == oracle", &prep, &replay, &oracle);
-        }
+        // Path equivalence: the default path (`single` above — snapshot
+        // fast-forward for uarch, CTA replay for sw) and the trace-replay
+        // backend must classify byte-identically to the oracle, which
+        // simulates every trial in full (docs/PERF.md, docs/TRACE.md).
+        let all: Vec<usize> = (0..prep.plan.len()).collect();
+        let oracle = execute_trials_with(&prep, FastForward::disabled(), &all, |_| Ok(())).unwrap();
+        expect_same(&format!("{app} default == oracle"), &prep, &single, &oracle);
+        let replay_eng = EngineCfg {
+            backend: EngineBackend::Replay,
+            ..EngineCfg::single_shot()
+        };
+        let replay = execute_shard(&prep, &replay_eng).unwrap();
+        expect_same(&format!("{app} replay == oracle"), &prep, &replay, &oracle);
     }
     // Adaptive gate: a CI-driven campaign executed single-shot must match
     // the same campaign with every wave split over 3 in-process shards —

@@ -10,20 +10,46 @@
 //! 2. **campaign size** — AVF needs one campaign per hardware structure
 //!    (×5), SVF a single campaign per kernel.
 //!
-//! This binary measures both factors on this implementation and writes
+//! This binary measures both factors on this implementation, twice: on
+//! the oracle (`kernels::faulty_run`: every trial simulates its whole
+//! application — the cost structure the paper describes) and on the
+//! engine's default trial path (snapshot fast-forward for AVF, CTA replay
+//! for SVF; docs/PERF.md), golden-reuse capture included — what a campaign
+//! costs now. Both run the same plans: `--n-uarch` register-file injections
+//! and `--n-sw` destination-value injections per kernel. Writes
 //! `results/speed_study.csv`.
 
 use bench::cli::{from_env, Cmd};
 use bench::results_dir;
-use kernels::{all_benchmarks, faulty_run, golden_run, PlannedFault, Variant};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use relia::Table;
+use kernels::all_benchmarks;
+use relia::plan::{prepare_sw_kinds, prepare_uarch_campaign_structures, Layer, PreparedCampaign};
+use relia::{execute_trials_with, FastForward, Table, DEFAULT_SNAPSHOTS};
 use std::time::Instant;
-use vgpu_sim::{HwStructure, Mode, SwFault, SwFaultKind, UarchFault};
+use vgpu_sim::{HwStructure, SwFaultKind};
+
+/// Core-microseconds per injection of `prep` on `path`: the per-trial wall
+/// times the workers measured, plus the one-off golden-reuse capture the
+/// path needs, over the number of trials.
+fn us_per_injection(prep: &PreparedCampaign, path: FastForward) -> f64 {
+    let t0 = Instant::now();
+    if path != FastForward::Oracle {
+        match prep.plan.layer {
+            Layer::Uarch => drop(prep.snapshots(DEFAULT_SNAPSHOTS)),
+            Layer::Sw => drop(prep.cta_log()),
+        }
+    }
+    let capture_us = t0.elapsed().as_micros() as u64;
+    let all: Vec<usize> = (0..prep.plan.len()).collect();
+    let records = execute_trials_with(prep, path, &all, |_| Ok(())).expect("sink cannot fail");
+    let trial_us: u64 = records.iter().map(|r| r.wall_us).sum();
+    (capture_us + trial_us) as f64 / records.len().max(1) as f64
+}
 
 fn main() {
-    let cfg = from_env(Cmd::Study).campaign_cfg(50, 50);
+    let mut cfg = from_env(Cmd::Study).campaign_cfg(50, 50);
+    // A wall limit nothing reaches: its only effect is that the engine
+    // fills `TrialRecord::wall_us`.
+    cfg.watchdog.wall_us_limit = Some(u64::MAX);
     let dir = results_dir();
     let mut t = Table::new(
         "Footnote 1: per-injection cost, AVF (cycle-level) vs SVF (software-level)",
@@ -34,68 +60,38 @@ fn main() {
             "cost ratio",
             "x structures",
             "campaign ratio",
+            "engine AVF us/inj",
+            "engine SVF us/inj",
+            "engine campaign ratio",
         ],
     );
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
     for b in all_benchmarks() {
         eprintln!("[speed] {} ...", b.name());
-        let vt = Variant {
-            mode: Mode::Timed,
-            hardened: false,
-        };
-        let vf = Variant {
-            mode: Mode::Functional,
-            hardened: false,
-        };
-        let gt = golden_run(b.as_ref(), &cfg.gpu, vt);
-        let gf = golden_run(b.as_ref(), &cfg.gpu, vf);
-
-        let t0 = Instant::now();
-        for _ in 0..cfg.n_uarch {
-            let ordinal = rng.gen_range(0..gt.records.len());
-            let cycles = gt.records[ordinal].stats.cycles.max(1);
-            let fault = PlannedFault::Uarch(UarchFault {
-                cycle: rng.gen_range(0..cycles),
-                structure: HwStructure::RegFile,
-                loc_pick: rng.gen(),
-                bit: rng.gen_range(0..32),
-                pattern: vgpu_sim::FaultPattern::SingleBit,
-            });
-            faulty_run(b.as_ref(), &cfg.gpu, vt, &gt, ordinal, fault);
+        let avf =
+            prepare_uarch_campaign_structures(b.as_ref(), &cfg, false, &[HwStructure::RegFile]);
+        let svf = prepare_sw_kinds(b.as_ref(), &cfg, false, &[(SwFaultKind::DestValue, 10)]);
+        let mut row = vec![b.name().to_string()];
+        for path in [FastForward::Oracle, FastForward::default()] {
+            let avf_us = us_per_injection(&avf, path);
+            let svf_us = us_per_injection(&svf, path);
+            let ratio = avf_us / svf_us.max(1.0);
+            row.push(format!("{avf_us:.0}"));
+            row.push(format!("{svf_us:.0}"));
+            if path == FastForward::Oracle {
+                row.push(format!("{ratio:.1}x"));
+                row.push("5".to_string());
+            }
+            row.push(format!("{:.0}x", ratio * 5.0));
         }
-        let avf_us = t0.elapsed().as_micros() as f64 / cfg.n_uarch as f64;
-
-        let t1 = Instant::now();
-        for _ in 0..cfg.n_sw {
-            let ordinal = rng.gen_range(0..gf.records.len());
-            let elig = gf.records[ordinal].stats.gp_dest_instrs.max(1);
-            let fault = PlannedFault::Sw(SwFault {
-                kind: SwFaultKind::DestValue,
-                target: rng.gen_range(0..elig),
-                bit: rng.gen_range(0..32),
-                loc_pick: 0,
-                pattern: vgpu_sim::FaultPattern::SingleBit,
-            });
-            faulty_run(b.as_ref(), &cfg.gpu, vf, &gf, ordinal, fault);
-        }
-        let svf_us = t1.elapsed().as_micros() as f64 / cfg.n_sw as f64;
-
-        let ratio = avf_us / svf_us.max(1.0);
-        t.row(vec![
-            b.name().to_string(),
-            format!("{avf_us:.0}"),
-            format!("{svf_us:.0}"),
-            format!("{ratio:.1}x"),
-            "5".to_string(),
-            format!("{:.0}x", ratio * 5.0),
-        ]);
+        t.row(row);
     }
     println!("{t}");
     println!(
         "paper: AVF campaigns took 1258 machine-days vs 10 for SVF (~126x);\n\
          here the SVF side is also simulated (no silicon), so the per-\n\
          injection gap is smaller — the campaign-size factor (x5 structures)\n\
-         composes identically."
+         composes identically. The engine columns are the same plans on the\n\
+         default trial path (golden reuse, its capture included)."
     );
     t.write_csv(dir.join("speed_study.csv")).unwrap();
 }

@@ -35,7 +35,7 @@ use std::time::Instant;
 use obs::Phase;
 use rayon::prelude::*;
 
-use kernels::{faulty_run, faulty_run_ff, Benchmark, Outcome, PlannedFault, RunResult};
+use kernels::{faulty_run_with, Accel, Benchmark, Outcome, PlannedFault, RunResult};
 use trace::Verdict;
 use vgpu_sim::{FaultPattern, GpuConfig, HwStructure, SwFaultKind};
 
@@ -416,6 +416,8 @@ fn adjudicate(
                 converged: true,
                 applied: population > 0,
                 corrupted_words: 0,
+                ctas_replayed: 0,
+                ctas_simulated: 0,
             })
         }
         Verdict::Fallback { reason } => {
@@ -429,32 +431,38 @@ fn adjudicate(
     }
 }
 
-/// Stage 2: run the faulty execution — resumed from the golden-prefix
-/// snapshot set where the campaign has one (captured on first use, so a
-/// replay campaign only pays for it once a trial falls back), in full
-/// otherwise. A panicking harness is retried once under the watchdog;
-/// `None` means it panicked for good.
+/// Stage 2: run the faulty execution, reusing whatever golden material
+/// the campaign's layer has — the golden-prefix snapshot set (uarch) or
+/// the golden CTA log (sw), each captured on first use, so a replay
+/// campaign only pays for snapshots once a trial falls back — and in full
+/// where it has none (oracle path, hardened variant). A panicking harness
+/// is retried once under the watchdog; `None` means it panicked for good.
 fn simulate(
     prep: &PreparedCampaign,
     path: FastForward,
     ordinal: usize,
     pf: &PlannedFault,
 ) -> Option<RunResult> {
-    let snaps = match path {
-        FastForward::Oracle => None,
-        FastForward::Timed | FastForward::Replay => prep.snapshots(DEFAULT_SNAPSHOTS),
+    let accel = match path {
+        FastForward::Oracle => Accel::None,
+        FastForward::Timed | FastForward::Replay => match prep.plan.layer {
+            Layer::Uarch => prep
+                .snapshots(DEFAULT_SNAPSHOTS)
+                .map_or(Accel::None, Accel::Snapshots),
+            Layer::Sw => prep.cta_log().map_or(Accel::None, Accel::CtaLog),
+        },
     };
     let attempt = || {
-        obs::time_phase(Phase::FaultyRun, || match snaps {
-            Some(s) => faulty_run_ff(prep.bench, &prep.cfg.gpu, &prep.golden, s, ordinal, *pf),
-            None => faulty_run(
+        obs::time_phase(Phase::FaultyRun, || {
+            faulty_run_with(
                 prep.bench,
                 &prep.cfg.gpu,
                 prep.variant,
                 &prep.golden,
                 ordinal,
                 *pf,
-            ),
+                accel,
+            )
         })
     };
     let layer = prep.plan.layer.label();
@@ -463,7 +471,7 @@ fn simulate(
         obs::counter_add("watchdog_retries_total", &[("layer", layer)], 1);
         res = catch_unwind(AssertUnwindSafe(attempt)).ok();
     }
-    if let (Some(_), Some(r), true) = (snaps, &res, observing()) {
+    if let (false, Some(r), true) = (matches!(accel, Accel::None), &res, observing()) {
         let app = prep.plan.app.as_str();
         obs::counter_add(
             "campaign_cycles_skipped_total",
@@ -476,6 +484,14 @@ fn simulate(
         ] {
             if hit {
                 obs::counter_add("snapshot_hits_total", &[("app", app), ("kind", kind)], 1);
+            }
+        }
+        if let Accel::CtaLog(_) = accel {
+            for (n, path) in [
+                (r.ctas_replayed, "replayed"),
+                (r.ctas_simulated, "simulated"),
+            ] {
+                obs::counter_add("sw_cta_total", &[("app", app), ("path", path)], n as u64);
             }
         }
     }
@@ -611,11 +627,13 @@ where
 /// [`execute_trials`] on an explicit trial path. The accelerated paths
 /// capture what they need once up front — the snapshot set for `Timed`,
 /// the golden access trace for `Replay` (which defers snapshots until a
-/// trial falls back) — and run the trial list in (launch,
-/// injection-cycle) order so neighbouring trials share resume snapshots;
-/// records are self-describing, so the reordering is invisible to every
-/// consumer. Campaigns the accelerators cannot serve (software layer,
-/// hardened variant) run every trial in full on any path.
+/// trial falls back), the golden CTA log for a software-layer plan on
+/// either — and reorder the trial list: uarch trials by (launch,
+/// injection-cycle) so neighbouring trials share resume snapshots,
+/// software trials by seed so every worker's chunk holds the same mix of
+/// cheap and dear trials. Records are self-describing, so the reordering
+/// is invisible to every consumer. Hardened variants, which none of the
+/// accelerators can serve, run every trial in full on any path.
 pub fn execute_trials_with<F>(
     prep: &PreparedCampaign,
     path: FastForward,
@@ -626,15 +644,24 @@ where
     F: Fn(&TrialRecord) -> std::io::Result<()> + Sync,
 {
     // Capture happens here, before any trial's wall clock starts; a path
-    // with nothing captured has no locality to sort for.
-    let sorted = match path {
-        FastForward::Oracle => false,
-        FastForward::Timed => prep.snapshots(DEFAULT_SNAPSHOTS).is_some(),
-        FastForward::Replay => prep.trace().is_some(),
-    };
+    // with nothing captured keeps the caller's order.
     let mut order: Vec<usize> = idxs.to_vec();
+    let sorted = match (path, prep.plan.layer) {
+        (FastForward::Oracle, _) => false,
+        (FastForward::Timed, Layer::Uarch) => prep.snapshots(DEFAULT_SNAPSHOTS).is_some(),
+        (FastForward::Replay, Layer::Uarch) => prep.trace().is_some(),
+        (_, Layer::Sw) => prep.cta_log().is_some(),
+    };
     if sorted {
-        order.sort_by_key(|&i| trial_sort_key(&prep.plan.trials[i]));
+        match prep.plan.layer {
+            Layer::Uarch => order.sort_by_key(|&i| trial_sort_key(&prep.plan.trials[i])),
+            // Under CTA replay a trial costs about what follows its
+            // fault, and plan order is kernel order, so the contiguous
+            // chunks the workers take would pair the dearest trials with
+            // the cheapest: deal them out pseudo-randomly instead (no
+            // locality to lose) — by their seeds, which are hashes.
+            Layer::Sw => order.sort_by_key(|&i| prep.plan.trials[i].seed),
+        }
     }
     // Fleet telemetry: progress / throughput / ETA gauges for the local
     // `/metrics` endpoint, and per-trial trace contexts. Pure

@@ -19,7 +19,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use kernels::{
-    golden_run, golden_run_snapshots, AppSnapshots, Benchmark, GoldenRun, PlannedFault, Variant,
+    golden_run, golden_run_cta_log, golden_run_snapshots, AppSnapshots, Benchmark, CtaLog,
+    GoldenRun, PlannedFault, Variant,
 };
 use obs::Phase;
 use vgpu_arch::InstrClass;
@@ -181,23 +182,28 @@ pub struct PreparedCampaign<'a> {
     pub plan: CampaignPlan,
     /// Lazily captured golden-prefix snapshot set for fast-forward trial
     /// execution, shared by every worker thread. `None` inside the cell
-    /// means fast-forward does not apply to this campaign (software
-    /// layer or hardened variant).
+    /// means snapshots do not apply to this campaign (software layer —
+    /// served by `cta_log` instead — or hardened variant).
     pub snaps: OnceLock<Option<Arc<AppSnapshots>>>,
     /// Lazily recorded golden access trace for the replay backend,
     /// shared by every worker thread. `None` inside the cell means
     /// replay does not apply (software layer or hardened variant).
     pub app_trace: OnceLock<Option<Arc<trace::AppTrace>>>,
+    /// Lazily captured golden CTA log for software-layer trial
+    /// execution, shared by every worker thread. `None` inside the cell
+    /// means CTA replay does not apply (microarchitecture layer or
+    /// hardened variant).
+    pub cta_log: OnceLock<Option<Arc<CtaLog>>>,
 }
 
 impl PreparedCampaign<'_> {
-    /// Whether the accelerated trial paths can serve this campaign: a
-    /// timed uarch plan with at least one fault to inject. Software-layer
-    /// plans (functional engine) and hardened variants run every trial in
-    /// full.
-    fn accelerable(&self) -> bool {
-        self.plan.layer == Layer::Uarch
-            && self.variant == Variant::TIMED
+    /// Whether the accelerated trial paths of `layer` can serve this
+    /// campaign: an unhardened plan of that layer (timed engine for
+    /// uarch, functional for sw) with at least one fault to inject.
+    /// Hardened variants run every trial in full.
+    fn accelerable(&self, layer: Layer) -> bool {
+        self.plan.layer == layer
+            && !self.variant.hardened
             && self.plan.trials.iter().any(|t| t.fault.is_some())
     }
 
@@ -208,7 +214,7 @@ impl PreparedCampaign<'_> {
     pub fn snapshots(&self, k: usize) -> Option<&Arc<AppSnapshots>> {
         self.snaps
             .get_or_init(|| {
-                if !self.accelerable() || k == 0 {
+                if !self.accelerable(Layer::Uarch) || k == 0 {
                     return None;
                 }
                 let t0 = Instant::now();
@@ -240,7 +246,7 @@ impl PreparedCampaign<'_> {
     pub fn trace(&self) -> Option<&Arc<trace::AppTrace>> {
         self.app_trace
             .get_or_init(|| {
-                if !self.accelerable() {
+                if !self.accelerable(Layer::Uarch) {
                     return None;
                 }
                 let tr = obs::time_phase(Phase::TraceCapture, || {
@@ -252,6 +258,29 @@ impl PreparedCampaign<'_> {
                     tr.bytes,
                 );
                 Some(Arc::new(tr))
+            })
+            .as_ref()
+    }
+
+    /// The golden CTA log of a software-layer campaign, capturing it on
+    /// first use (one logged functional golden pass, bit-identity
+    /// asserted against the unlogged baseline). Returns `None` — and
+    /// captures nothing — for campaigns CTA replay cannot serve.
+    pub fn cta_log(&self) -> Option<&Arc<CtaLog>> {
+        self.cta_log
+            .get_or_init(|| {
+                if !self.accelerable(Layer::Sw) {
+                    return None;
+                }
+                let log = obs::time_phase(Phase::CtaLogCapture, || {
+                    golden_run_cta_log(self.bench, &self.cfg.gpu, &self.golden)
+                });
+                obs::gauge_set(
+                    "cta_log_bytes",
+                    &[("app", self.plan.app.as_str())],
+                    log.bytes(),
+                );
+                Some(Arc::new(log))
             })
             .as_ref()
     }
@@ -303,18 +332,6 @@ pub fn sw_seed_tag(kind: SwFaultKind) -> u64 {
         SwFaultKind::SrcTransient => 13,
         SwFaultKind::SrcPersistent => 14,
         SwFaultKind::DestClass(c) => 20 + c.index().unwrap_or(InstrClass::COUNT) as u64,
-    }
-}
-
-/// Eligible-population weight of a software fault kind within one golden
-/// launch — the window size the planner draws `SwFault::target` from.
-fn sw_kind_weight(kind: SwFaultKind, stats: &vgpu_sim::Stats) -> u64 {
-    match kind {
-        SwFaultKind::DestValue => stats.gp_dest_instrs,
-        SwFaultKind::SrcPersistent | SwFaultKind::SrcTransient => stats.src_reg_instrs,
-        SwFaultKind::DestValueLoad => stats.ld_dest_instrs,
-        SwFaultKind::ArchState => stats.thread_instrs,
-        SwFaultKind::DestClass(c) => c.index().map(|i| stats.class_dest_instrs[i]).unwrap_or(0),
     }
 }
 
@@ -414,6 +431,7 @@ pub fn prepare_uarch_campaign_structures<'a>(
         golden,
         snaps: OnceLock::new(),
         app_trace: OnceLock::new(),
+        cta_log: OnceLock::new(),
         plan: CampaignPlan {
             app: bench.name().to_string(),
             layer: Layer::Uarch,
@@ -473,7 +491,7 @@ pub fn prepare_sw_kinds<'a>(
                     .iter()
                     .enumerate()
                     .filter(|(_, r)| r.kernel_idx == k_idx)
-                    .map(|(o, r)| (o, sw_kind_weight(kind, &r.stats)))
+                    .map(|(o, r)| (o, kind.eligible(&r.stats)))
                     .filter(|&(_, w)| w > 0)
                     .collect();
                 for trial in 0..cfg.n_sw {
@@ -510,6 +528,7 @@ pub fn prepare_sw_kinds<'a>(
         golden,
         snaps: OnceLock::new(),
         app_trace: OnceLock::new(),
+        cta_log: OnceLock::new(),
         plan: CampaignPlan {
             app: bench.name().to_string(),
             layer: Layer::Sw,
@@ -620,7 +639,7 @@ pub fn prepare_adaptive_wave<'a>(
                         .iter()
                         .enumerate()
                         .filter(|(_, r)| r.kernel_idx == k_idx)
-                        .map(|(o, r)| (o, sw_kind_weight(kind, &r.stats)))
+                        .map(|(o, r)| (o, kind.eligible(&r.stats)))
                         .filter(|&(_, w)| w > 0)
                         .collect();
                     for trial in st.start..st.start + st.count {
@@ -659,6 +678,7 @@ pub fn prepare_adaptive_wave<'a>(
         golden,
         snaps: OnceLock::new(),
         app_trace: OnceLock::new(),
+        cta_log: OnceLock::new(),
         plan: CampaignPlan {
             app: bench.name().to_string(),
             layer,

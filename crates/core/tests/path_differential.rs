@@ -4,18 +4,23 @@
 //! the replay path (trace adjudication first) must produce the same
 //! classified records — and the same assembled result, derating factors
 //! included — for every fault pattern, under a watchdog cycle budget,
-//! merged from shards, and killed and resumed. Campaigns the
-//! accelerators cannot serve (software layer, hardened variant) degrade
-//! to plain execution on every path. Any divergence here is a bug.
+//! merged from shards, and killed and resumed. Software-layer campaigns
+//! take the same two engine paths through the golden CTA log instead
+//! (docs/PERF.md) and are held to the same oracle, for every fault kind
+//! and pattern on all 11 applications. Hardened variants, which no
+//! accelerator serves, degrade to plain execution on every path. Any
+//! divergence here is a bug.
 
-use kernels::apps::{scp::Scp, va::Va};
-use kernels::{Benchmark, Outcome};
+use kernels::apps::{bfs::Bfs, scp::Scp, va::Va};
+use kernels::{all_benchmarks, Benchmark, Outcome};
+use relia::plan::{prepare_sw_kinds, sw_seed_tag};
 use relia::{
-    assemble_sw, assemble_uarch, execute_shard, execute_trials_with, prepare_sw_campaign,
-    prepare_uarch_campaign, records_fingerprint, CampaignCfg, EngineBackend, EngineCfg,
-    FastForward, PreparedCampaign, TrialRecord,
+    assemble_sw, assemble_sw_counts, assemble_uarch, execute_shard, execute_trials_with,
+    prepare_sw_campaign, prepare_uarch_campaign, records_fingerprint, CampaignCfg, EngineBackend,
+    EngineCfg, FastForward, PreparedCampaign, TrialRecord,
 };
-use vgpu_sim::FaultPattern;
+use vgpu_arch::InstrClass;
+use vgpu_sim::{FaultPattern, SwFaultKind};
 
 fn replay_engine() -> EngineCfg {
     EngineCfg {
@@ -130,25 +135,118 @@ fn replay_shard_merge_and_kill_resume_match_the_oracle() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every software fault kind, with the frozen seed tags.
+fn sw_kinds() -> Vec<(SwFaultKind, u64)> {
+    [
+        SwFaultKind::DestValue,
+        SwFaultKind::DestValueLoad,
+        SwFaultKind::SrcTransient,
+        SwFaultKind::SrcPersistent,
+        SwFaultKind::ArchState,
+        SwFaultKind::DestClass(InstrClass::IntAlu),
+    ]
+    .into_iter()
+    .map(|k| (k, sw_seed_tag(k)))
+    .collect()
+}
+
 #[test]
-fn campaigns_without_accelerators_run_in_full_on_every_path() {
-    // The functional-variant software-fault layer has neither snapshots
-    // nor an access trace; every path must behave exactly like the
-    // oracle.
-    let cfg = CampaignCfg::new(0, 8, 0x5_0FF);
-    let sw = prepare_sw_campaign(&Va, &cfg, false);
-    let want = oracle(&sw);
-    for eng in [EngineCfg::single_shot(), replay_engine()] {
-        let records = execute_shard(&sw, &eng).unwrap();
-        assert_eq!(records, want);
-        assert_eq!(
-            assemble_sw(&sw, &records).unwrap(),
-            assemble_sw(&sw, &want).unwrap()
-        );
+fn sw_paths_classify_identically_for_every_app_kind_and_pattern() {
+    // The software layer accepts every pattern: the geometric ones map
+    // onto the bytes of the 32-bit value, the stuck-at ones pin a register
+    // cell of one warp. One trial per (kernel, kind) keeps the 11 × 6 × 7
+    // grid affordable; the per-fault sweep lives in
+    // crates/kernels/tests/cta_replay.rs.
+    for pattern in FaultPattern::ALL {
+        for bench in all_benchmarks() {
+            let cfg = CampaignCfg {
+                pattern,
+                ..CampaignCfg::new(0, 1, 0xC7A ^ pattern as u64)
+            };
+            let prep = prepare_sw_kinds(bench.as_ref(), &cfg, false, &sw_kinds());
+            let what = format!("{} {}", bench.name(), pattern.label());
+            let want = oracle(&prep);
+            let counts = assemble_sw_counts(&prep, &want).unwrap();
+            for eng in [EngineCfg::single_shot(), replay_engine()] {
+                let records = execute_shard(&prep, &eng).unwrap();
+                assert_eq!(records, want, "{what}: CTA replay changed a trial record");
+                assert_eq!(
+                    assemble_sw_counts(&prep, &records).unwrap(),
+                    counts,
+                    "{what}"
+                );
+            }
+            assert!(prep.cta_log().is_some(), "{what}: CTA log never captured");
+        }
     }
+}
+
+#[test]
+fn sw_shard_merge_and_kill_resume_match_the_oracle() {
+    // BFS: 22 launches with host glue between them.
+    let dir = std::env::temp_dir().join(format!("relia_sw_path_resume_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let prep = prepare_sw_campaign(&Bfs, &CampaignCfg::new(0, 6, 0xB0F5), false);
+    let oracle = oracle(&prep);
+    let assembled = assemble_sw(&prep, &oracle).unwrap();
+
+    let mut merged = Vec::new();
+    for i in 0..3 {
+        merged.extend(execute_shard(&prep, &EngineCfg::sharded(3, i)).unwrap());
+    }
+    assert_eq!(records_fingerprint(&merged), records_fingerprint(&oracle));
+    assert_eq!(assemble_sw(&prep, &merged).unwrap(), assembled);
+
+    let path = dir.join("sw.jsonl");
+    let interrupted = EngineCfg {
+        checkpoint: Some(path.clone()),
+        trial_limit: Some(7),
+        ..EngineCfg::single_shot()
+    };
+    assert_eq!(execute_shard(&prep, &interrupted).unwrap().len(), 7);
+    let resumed = EngineCfg {
+        resume: Some(path.clone()),
+        ..EngineCfg::single_shot()
+    };
+    let records = execute_shard(&prep, &resumed).unwrap();
+    assert_eq!(records, oracle);
+    assert_eq!(assemble_sw(&prep, &records).unwrap(), assembled);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sw_watchdog_instruction_limit_is_path_independent() {
+    // The watchdog compares the architectural instruction count, which
+    // CTA replay credits exactly; one under the fault-free cost, every
+    // trial that completes overruns it on every path.
+    let mut prep = prepare_sw_campaign(&Scp, &CampaignCfg::new(0, 6, 13), false);
+    prep.cfg.watchdog.cycle_limit = Some(prep.golden.total_cost - 1);
+    let want = oracle(&prep);
+    assert_eq!(
+        execute_shard(&prep, &EngineCfg::single_shot()).unwrap(),
+        want
+    );
+    assert!(want.iter().any(|r| r.outcome == Outcome::Timeout));
+    assert!(want
+        .iter()
+        .all(|r| matches!(r.outcome, Outcome::Timeout | Outcome::Due)));
+}
+
+#[test]
+fn hardened_campaigns_run_in_full_on_every_path() {
+    // Each accelerator serves one layer and no hardened variant.
+    let sw = prepare_sw_campaign(&Va, &CampaignCfg::new(0, 8, 0x5_0FF), false);
     assert!(sw.snapshots(relia::DEFAULT_SNAPSHOTS).is_none() && sw.trace().is_none());
 
     let hardened = prepare_uarch_campaign(&Va, &CampaignCfg::new(4, 0, 0x4A9D), true);
     assert_paths_agree(&hardened, "hardened");
-    assert!(hardened.trace().is_none());
+    assert!(hardened.trace().is_none() && hardened.cta_log().is_none());
+
+    let hardened_sw = prepare_sw_campaign(&Va, &CampaignCfg::new(0, 4, 0x4A9D), true);
+    let want = oracle(&hardened_sw);
+    for eng in [EngineCfg::single_shot(), replay_engine()] {
+        assert_eq!(execute_shard(&hardened_sw, &eng).unwrap(), want);
+    }
+    assert!(hardened_sw.cta_log().is_none());
 }

@@ -24,11 +24,12 @@ use vgpu_sim::{
     SharedSink, SimSnapshot, Stats, SwFault, SwInjector, UarchFault, UarchInjector,
 };
 
+use crate::ctalog::{CtaLog, CtaReplay};
 use crate::tmr;
 
 thread_local! {
-    /// Per-thread GPU scratch pool: `faulty_run` / `faulty_run_ff` park
-    /// their `Gpu` here on exit and `RunCtl::alloc` revives it (zeroed in
+    /// Per-thread GPU scratch pool: [`faulty_run_with`] parks
+    /// its `Gpu` here on exit and `RunCtl::alloc` revives it (zeroed in
     /// place) when the next trial on this thread wants an identical
     /// configuration and arena layout. Under rayon this makes the hot
     /// campaign loop reuse one arena per worker instead of reallocating
@@ -92,6 +93,12 @@ pub struct RunResult {
     /// error-propagation magnitude (a single SIMT fault frequently fans
     /// out into many corrupted outputs, cf. the paper's introduction).
     pub corrupted_words: u32,
+    /// CTAs whose golden effects were applied from the CTA log instead of
+    /// simulating them ([`Accel::CtaLog`] runs; 0 otherwise).
+    pub ctas_replayed: u32,
+    /// CTAs simulated one at a time under the CTA log (0 otherwise);
+    /// launches simulated whole after the host diverged are not counted.
+    pub ctas_simulated: u32,
 }
 
 /// Record of one launch during a golden run.
@@ -172,6 +179,30 @@ impl AppSnapshots {
     }
 }
 
+/// The golden material a faulty run may reuse instead of simulating
+/// ([`faulty_run_with`]). Every choice classifies identically; they differ
+/// in how much of the application is simulated.
+#[derive(Debug, Clone, Copy)]
+pub enum Accel<'a> {
+    /// None: simulate the whole application — the reference the other two
+    /// are verified against.
+    None,
+    /// Golden-prefix snapshots of the timed engine: restore instead of
+    /// simulating the prefix, resume the injected launch mid-flight, and
+    /// credit whatever provably re-converges ([`golden_run_snapshots`]).
+    Snapshots(&'a Arc<AppSnapshots>),
+    /// The golden CTA log of the functional engine: simulate only the
+    /// CTAs the fault can reach ([`golden_run_cta_log`]).
+    CtaLog(&'a Arc<CtaLog>),
+}
+
+/// [`Accel`] plus the per-run state it needs.
+enum AccelState {
+    None,
+    Snapshots(FfCtx),
+    CtaLog(CtaReplay),
+}
+
 /// Fast-forward state threaded through one faulty run.
 struct FfCtx {
     snaps: Arc<AppSnapshots>,
@@ -216,9 +247,10 @@ enum CtlMode {
         /// Whole-application budget backstop.
         app_budget: Budget,
         applied: bool,
-        /// `Some` enables golden-prefix fast-forward + convergence exit.
-        ff: Option<FfCtx>,
+        accel: AccelState,
     },
+    /// Logged functional golden pass building a [`CtaLog`].
+    CaptureCtas(CtaLog),
 }
 
 /// Controller handed to [`Benchmark::run`]: owns the GPU, performs
@@ -345,7 +377,11 @@ impl RunCtl {
     /// before anything observes device state — host reads and writes,
     /// real simulation, output classification.
     fn flush_ff(&mut self) {
-        let CtlMode::Faulty { ff: Some(ffc), .. } = &mut self.ctl else {
+        let CtlMode::Faulty {
+            accel: AccelState::Snapshots(ffc),
+            ..
+        } = &mut self.ctl
+        else {
             return;
         };
         if let Some(ord) = ffc.pending_restore.take() {
@@ -363,6 +399,17 @@ impl RunCtl {
             .expect("alloc() must run before device access")
     }
 
+    /// The CTA-log state of this run, if it has one.
+    fn cta_replay(&mut self) -> Option<&mut CtaReplay> {
+        match &mut self.ctl {
+            CtlMode::Faulty {
+                accel: AccelState::CtaLog(replay),
+                ..
+            } => Some(replay),
+            _ => None,
+        }
+    }
+
     /// True when running the TMR-hardened variant.
     pub fn hardened(&self) -> bool {
         self.hardened
@@ -378,6 +425,9 @@ impl RunCtl {
     pub fn write_u32_single(&mut self, addr: u32, v: u32) {
         self.flush_ff();
         self.gpu_mut().host_write_u32(addr, v);
+        if let Some(replay) = self.cta_replay() {
+            replay.host_write(addr);
+        }
     }
 
     /// Host write, replicated to every TMR copy.
@@ -389,6 +439,9 @@ impl RunCtl {
         for c in 0..copies {
             gpu.host_write_u32(addr + c * stride, v);
         }
+        if let Some(replay) = self.cta_replay() {
+            replay.host_write(addr);
+        }
     }
 
     pub fn write_f32(&mut self, addr: u32, v: f32) {
@@ -398,6 +451,9 @@ impl RunCtl {
     /// Host read (copy 0 — the voted copy in hardened mode).
     pub fn read_u32(&mut self, addr: u32) -> u32 {
         self.flush_ff();
+        if let Some(replay) = self.cta_replay() {
+            replay.host_read(addr);
+        }
         let gpu = self.gpu_mut();
         gpu.probe_host_read(addr);
         gpu.host_read_u32(addr)
@@ -473,9 +529,15 @@ impl RunCtl {
         let ordinal = self.launch_idx;
         self.launch_idx += 1;
         match &mut self.ctl {
-            CtlMode::Golden => {
+            ctl @ (CtlMode::Golden | CtlMode::CaptureCtas(_)) => {
                 let gpu = self.gpu.as_mut().expect("alloc before launch");
-                let stats = gpu.launch(kernel, &lc, FaultPlan::None, &Budget::unlimited())?;
+                let stats = match ctl {
+                    CtlMode::CaptureCtas(log) => {
+                        let max_stack = gpu.cfg.max_stack_depth;
+                        log.capture_launch(gpu.mem_mut(), kernel, &lc, max_stack)?
+                    }
+                    _ => gpu.launch(kernel, &lc, FaultPlan::None, &Budget::unlimited())?,
+                };
                 let cost = if gpu.mode() == Mode::Timed {
                     stats.cycles
                 } else {
@@ -566,7 +628,7 @@ impl RunCtl {
                 budgets,
                 app_budget,
                 applied,
-                ff,
+                accel,
             } => {
                 let mut budget = budgets.get(ordinal).copied().unwrap_or(Budget {
                     cycles: 1 << 22,
@@ -591,7 +653,7 @@ impl RunCtl {
                 // and credit the golden cost instead of simulating. The
                 // deferral makes a run of skipped launches cost one
                 // restore instead of one per launch.
-                if let Some(ffc) = ff.as_mut() {
+                if let AccelState::Snapshots(ffc) = accel {
                     if !fault_here && (ordinal < *target_launch || ffc.converged) {
                         if let Some(gstats) = ffc
                             .golden_stats
@@ -619,25 +681,56 @@ impl RunCtl {
                     }
                 }
 
+                // CTA replay: simulate only the CTAs the fault can reach.
+                if let AccelState::CtaLog(replay) = accel {
+                    let sw = match fault {
+                        PlannedFault::Sw(f) if fault_here => Some(&*f),
+                        PlannedFault::Uarch(_) if fault_here => {
+                            panic!("microarchitecture faults require the timed engine")
+                        }
+                        _ => None,
+                    };
+                    let max_stack = gpu.cfg.max_stack_depth;
+                    if let Some(run) = replay.launch(
+                        gpu.mem_mut(),
+                        ordinal,
+                        kernel,
+                        &lc,
+                        sw,
+                        applied,
+                        budget.instrs,
+                        max_stack,
+                    ) {
+                        let run = run?;
+                        self.total_cost += run.stats.thread_instrs;
+                        self.simulated_cost += run.simulated_instrs;
+                        return Ok(());
+                    }
+                    // The log no longer applies: simulate the launch whole.
+                }
+
                 let result = if fault_here {
                     match fault {
                         PlannedFault::Uarch(f) => {
                             let mut inj = UarchInjector::new(*f);
-                            let ff_snap = ff.as_ref().map(|ffc| Arc::clone(&ffc.snaps));
-                            let r = match ff_snap.as_ref().and_then(|s| s.mids.get(ordinal)) {
-                                Some(mids) if !mids.is_empty() => {
+                            let ffc = match accel {
+                                AccelState::Snapshots(ffc) => Some(ffc),
+                                _ => None,
+                            };
+                            let snaps = ffc.as_ref().map(|ffc| Arc::clone(&ffc.snaps));
+                            let r = match (ffc, snaps.as_ref().and_then(|s| s.mids.get(ordinal))) {
+                                (Some(ffc), Some(mids)) if !mids.is_empty() => {
                                     // Resume from the nearest golden
                                     // snapshot at-or-before the fault
                                     // cycle, with the convergence exit
                                     // armed against the remaining golden
                                     // snapshots of this launch.
-                                    let snaps = ff_snap.as_ref().expect("mids imply snaps");
+                                    let snaps = snaps.as_ref().expect("mids imply snaps");
                                     let snap = mids
                                         .iter()
                                         .rev()
                                         .find(|s| s.cycle() <= f.cycle)
                                         .expect("cycle-0 snapshot always exists");
-                                    let ffc = ff.as_mut().expect("ff_snap implies ff");
                                     let cv = ConvergeWith {
                                         snaps: mids,
                                         end: &snaps.boundaries[ordinal],
@@ -705,7 +798,11 @@ impl RunCtl {
     /// device state equals the golden post-launch snapshot, the rest of
     /// the application is provably bit-identical to golden.
     fn post_fault_converge_check(&mut self, ordinal: usize) {
-        let CtlMode::Faulty { ff: Some(ffc), .. } = &mut self.ctl else {
+        let CtlMode::Faulty {
+            accel: AccelState::Snapshots(ffc),
+            ..
+        } = &mut self.ctl
+        else {
             return;
         };
         if ffc.converged {
@@ -876,22 +973,49 @@ pub fn golden_run_traced(
     bench
         .run(&mut ctl)
         .unwrap_or_else(|e| panic!("traced golden run of {} aborted: {e:?}", bench.name()));
+    assert_same_golden(&mut ctl, golden, "traced", bench.name());
+}
+
+/// An instrumented golden pass must reproduce the reference golden run:
+/// output, cost, and per-launch statistics.
+fn assert_same_golden(ctl: &mut RunCtl, golden: &GoldenRun, what: &str, app: &str) {
     assert_eq!(
         ctl.snapshot_outputs(),
         golden.output,
-        "traced pass of {} diverged from golden output",
-        bench.name()
+        "{what} pass of {app} diverged from golden output",
     );
     assert_eq!(ctl.total_cost, golden.total_cost);
     assert_eq!(ctl.records.len(), golden.records.len());
     for (t, p) in ctl.records.iter().zip(&golden.records) {
         assert_eq!(
-            t.stats,
-            p.stats,
-            "traced pass of {} diverged from golden stats",
-            bench.name()
+            t.stats, p.stats,
+            "{what} pass of {app} diverged from golden stats",
         );
     }
+}
+
+/// One logged functional golden pass over `bench`, recording what every
+/// CTA read and wrote — the [`CtaLog`] consumed by [`faulty_run_with`]
+/// under [`Accel::CtaLog`]. Asserts bit-identity with `golden` as it goes
+/// (logging must observe, never perturb). Functional, unhardened.
+///
+/// # Panics
+/// Panics if the fault-free application aborts or diverges from `golden`.
+pub fn golden_run_cta_log(bench: &dyn Benchmark, cfg: &GpuConfig, golden: &GoldenRun) -> CtaLog {
+    let mut ctl = RunCtl::new(
+        cfg.clone(),
+        Mode::Functional,
+        false,
+        CtlMode::CaptureCtas(CtaLog::default()),
+    );
+    bench
+        .run(&mut ctl)
+        .unwrap_or_else(|e| panic!("logged golden run of {} aborted: {e:?}", bench.name()));
+    assert_same_golden(&mut ctl, golden, "logged", bench.name());
+    let CtlMode::CaptureCtas(log) = ctl.ctl else {
+        unreachable!()
+    };
+    log
 }
 
 /// The `~k` capture cycles for a launch of `cycles` total: evenly spaced,
@@ -1007,7 +1131,8 @@ fn budgets_from(golden: &GoldenRun, cfg: &GpuConfig) -> (Vec<Budget>, Budget) {
 }
 
 /// Run `bench` with one injected fault and classify the outcome against
-/// `golden`.
+/// `golden`, simulating the whole application: [`faulty_run_with`] under
+/// [`Accel::None`].
 pub fn faulty_run(
     bench: &dyn Benchmark,
     cfg: &GpuConfig,
@@ -1016,16 +1141,19 @@ pub fn faulty_run(
     target_launch: usize,
     fault: PlannedFault,
 ) -> RunResult {
-    faulty_run_inner(bench, cfg, variant, golden, target_launch, fault, None)
+    faulty_run_with(
+        bench,
+        cfg,
+        variant,
+        golden,
+        target_launch,
+        fault,
+        Accel::None,
+    )
 }
 
-/// [`faulty_run`] with golden-prefix fast-forward: the fault-free prefix
-/// restores `snaps` instead of simulating, the injected launch resumes
-/// from the nearest snapshot at-or-before the fault cycle, and execution
-/// that provably re-converges to golden (in-launch or at a launch
-/// boundary) is credited at its golden cost. The returned classification,
-/// `total_cost`, `applied`, and `corrupted_words` are bit-identical to
-/// [`faulty_run`]'s. Timed, unhardened, microarchitecture faults.
+/// [`faulty_run`] on the timed engine with golden-prefix fast-forward:
+/// [`faulty_run_with`] under [`Accel::Snapshots`].
 pub fn faulty_run_ff(
     bench: &dyn Benchmark,
     cfg: &GpuConfig,
@@ -1034,37 +1162,63 @@ pub fn faulty_run_ff(
     target_launch: usize,
     fault: PlannedFault,
 ) -> RunResult {
-    assert!(
-        matches!(fault, PlannedFault::Uarch(_)),
-        "fast-forward applies to microarchitecture faults on the timed engine"
-    );
-    let ff = FfCtx {
-        snaps: Arc::clone(snaps),
-        golden_stats: golden.records.iter().map(|r| r.stats).collect(),
-        converged: false,
-        resumed_at: None,
-        pending_restore: None,
-    };
-    faulty_run_inner(
+    faulty_run_with(
         bench,
         cfg,
         Variant::TIMED,
         golden,
         target_launch,
         fault,
-        Some(ff),
+        Accel::Snapshots(snaps),
     )
 }
 
-fn faulty_run_inner(
+/// Run `bench` with `fault` injected into launch `target_launch` and
+/// classify the outcome against `golden`, reusing golden material where
+/// `accel` offers it. The returned classification, `total_cost`, `applied`
+/// and `corrupted_words` are bit-identical under every [`Accel`].
+///
+/// * [`Accel::Snapshots`] (timed, unhardened): the fault-free prefix
+///   restores snapshots instead of simulating, a microarchitecture fault
+///   resumes its launch from the nearest snapshot at-or-before the fault
+///   cycle, and execution that provably re-converges to golden (in-launch
+///   or at a launch boundary) is credited at its golden cost.
+/// * [`Accel::CtaLog`] (functional, unhardened): CTAs the fault cannot
+///   reach apply their golden stores instead of simulating
+///   ([`crate::ctalog`]).
+///
+/// # Panics
+/// Panics if `accel` does not match `variant`.
+pub fn faulty_run_with(
     bench: &dyn Benchmark,
     cfg: &GpuConfig,
     variant: Variant,
     golden: &GoldenRun,
     target_launch: usize,
     fault: PlannedFault,
-    ff: Option<FfCtx>,
+    accel: Accel<'_>,
 ) -> RunResult {
+    let accel = match accel {
+        Accel::None => AccelState::None,
+        Accel::Snapshots(snaps) => {
+            assert_eq!(variant, Variant::TIMED, "snapshots are timed, unhardened");
+            AccelState::Snapshots(FfCtx {
+                snaps: Arc::clone(snaps),
+                golden_stats: golden.records.iter().map(|r| r.stats).collect(),
+                converged: false,
+                resumed_at: None,
+                pending_restore: None,
+            })
+        }
+        Accel::CtaLog(log) => {
+            assert_eq!(
+                variant,
+                Variant::FUNCTIONAL,
+                "the CTA log is functional, unhardened"
+            );
+            AccelState::CtaLog(CtaReplay::new(log))
+        }
+    };
     let (budgets, app_budget) = budgets_from(golden, cfg);
     let mut ctl = RunCtl::new(
         cfg.clone(),
@@ -1076,20 +1230,12 @@ fn faulty_run_inner(
             budgets,
             app_budget,
             applied: false,
-            ff,
+            accel,
         },
     );
     ctl.use_scratch = true;
     let run = bench.run(&mut ctl);
-    let (applied, resumed_at, converged) = match &ctl.ctl {
-        CtlMode::Faulty { applied, ff, .. } => (
-            *applied,
-            ff.as_ref().and_then(|f| f.resumed_at),
-            ff.as_ref().is_some_and(|f| f.converged),
-        ),
-        _ => unreachable!(),
-    };
-    let result = match run {
+    let (outcome, corrupted_words) = match run {
         Ok(()) => {
             let out = ctl.snapshot_outputs();
             let corrupted_words = out
@@ -1102,35 +1248,37 @@ fn faulty_run_inner(
             } else {
                 Outcome::Sdc
             };
-            RunResult {
-                outcome,
-                total_cost: ctl.total_cost,
-                simulated_cost: ctl.simulated_cost,
-                resumed_at,
-                converged,
-                applied,
-                corrupted_words,
-            }
+            (outcome, corrupted_words)
         }
-        Err(AppAbort::Launch(LaunchAbort::Timeout)) => RunResult {
-            outcome: Outcome::Timeout,
-            total_cost: ctl.total_cost,
-            simulated_cost: ctl.simulated_cost,
-            resumed_at,
-            converged,
-            applied,
-            corrupted_words: 0,
-        },
-        Err(AppAbort::Launch(LaunchAbort::Due(_))) | Err(AppAbort::VoteFailed) => RunResult {
-            outcome: Outcome::Due,
-            total_cost: ctl.total_cost,
-            simulated_cost: ctl.simulated_cost,
-            resumed_at,
-            converged,
-            applied,
-            corrupted_words: 0,
-        },
+        Err(AppAbort::Launch(LaunchAbort::Timeout)) => (Outcome::Timeout, 0),
+        Err(AppAbort::Launch(LaunchAbort::Due(_))) | Err(AppAbort::VoteFailed) => (Outcome::Due, 0),
     };
+    let CtlMode::Faulty { applied, accel, .. } = &ctl.ctl else {
+        unreachable!()
+    };
+    let mut result = RunResult {
+        outcome,
+        total_cost: ctl.total_cost,
+        simulated_cost: ctl.simulated_cost,
+        resumed_at: None,
+        converged: false,
+        applied: *applied,
+        corrupted_words,
+        ctas_replayed: 0,
+        ctas_simulated: 0,
+    };
+    match accel {
+        AccelState::None => {}
+        AccelState::Snapshots(ffc) => {
+            result.resumed_at = ffc.resumed_at;
+            result.converged = ffc.converged;
+        }
+        AccelState::CtaLog(replay) => {
+            result.converged = run.is_ok() && replay.converged();
+            result.ctas_replayed = replay.replayed;
+            result.ctas_simulated = replay.simulated;
+        }
+    }
     ctl.stash_scratch();
     result
 }

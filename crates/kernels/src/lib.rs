@@ -24,14 +24,17 @@
 //! control/data-flow character and resource-utilization profile.
 
 pub mod apps;
+pub mod ctalog;
 pub mod harness;
 pub mod kutil;
 pub mod tmr;
 
+pub use ctalog::CtaLog;
 pub use harness::{
-    faulty_run, faulty_run_ff, golden_run, golden_run_ace, golden_run_snapshots, golden_run_traced,
-    verify_snapshot_resume, AceGoldenRun, AppAbort, AppSnapshots, Benchmark, GoldenRun,
-    LaunchRecord, Outcome, PlannedFault, RunCtl, RunResult, Variant,
+    faulty_run, faulty_run_ff, faulty_run_with, golden_run, golden_run_ace, golden_run_cta_log,
+    golden_run_snapshots, golden_run_traced, verify_snapshot_resume, Accel, AceGoldenRun, AppAbort,
+    AppSnapshots, Benchmark, GoldenRun, LaunchRecord, Outcome, PlannedFault, RunCtl, RunResult,
+    Variant,
 };
 
 /// All 11 benchmarks in the paper's figure order.

@@ -28,10 +28,12 @@ pub enum Phase {
     SnapshotCapture = 5,
     /// Instrumented golden pass recording the replay access trace.
     TraceCapture = 6,
+    /// Logged functional golden pass capturing the CTA log.
+    CtaLogCapture = 7,
 }
 
 impl Phase {
-    pub const ALL: [Phase; 7] = [
+    pub const ALL: [Phase; 8] = [
         Phase::GoldenRun,
         Phase::FaultSetup,
         Phase::FaultyRun,
@@ -39,6 +41,7 @@ impl Phase {
         Phase::AceRun,
         Phase::SnapshotCapture,
         Phase::TraceCapture,
+        Phase::CtaLogCapture,
     ];
 
     pub fn label(&self) -> &'static str {
@@ -50,11 +53,12 @@ impl Phase {
             Phase::AceRun => "ace_run",
             Phase::SnapshotCapture => "snapshot_capture",
             Phase::TraceCapture => "trace_capture",
+            Phase::CtaLogCapture => "cta_log_capture",
         }
     }
 }
 
-const N: usize = 7;
+const N: usize = 8;
 
 struct Profile {
     nanos: [AtomicU64; N],
@@ -175,7 +179,8 @@ mod tests {
                 "classify",
                 "ace_run",
                 "snapshot_capture",
-                "trace_capture"
+                "trace_capture",
+                "cta_log_capture"
             ]
         );
     }

@@ -804,6 +804,63 @@ impl GMem for FlatMem<'_> {
     }
 }
 
+/// [`FlatMem`] that also journals what one CTA did to global memory — the
+/// memory hook behind the golden CTA log ([`crate::functional::run_cta`]):
+/// every lane store is recorded with the word it overwrote, and, when
+/// `reads` is set, every lane load marks its granule
+/// ([`crate::mem::granule_bit`]) in that bitmap.
+pub struct LogMem<'a> {
+    pub mem: &'a mut crate::mem::GlobalMem,
+    /// `(address, word before this store)` per lane store, in program
+    /// order: an address's first entry holds the value the CTA found.
+    pub writes: &'a mut Vec<(u32, u32)>,
+    /// Read-footprint bitmap, `GlobalMem::granule_words` long.
+    pub reads: Option<&'a mut [u32]>,
+}
+
+impl GMem for LogMem<'_> {
+    fn load(
+        &mut self,
+        tex: bool,
+        mask: u32,
+        addrs: &[u32; WARP_SIZE],
+        out: &mut [u32; WARP_SIZE],
+    ) -> Result<u64, DueKind> {
+        FlatMem {
+            mem: &mut *self.mem,
+        }
+        .load(tex, mask, addrs, out)?;
+        if let Some(reads) = self.reads.as_deref_mut() {
+            let mut m = mask;
+            while m != 0 {
+                let lane = m.trailing_zeros() as usize;
+                m &= m - 1;
+                let (word, bit) = crate::mem::granule_bit(addrs[lane]);
+                reads[word] |= bit;
+            }
+        }
+        Ok(0)
+    }
+
+    fn store(
+        &mut self,
+        mask: u32,
+        addrs: &[u32; WARP_SIZE],
+        vals: &[u32; WARP_SIZE],
+    ) -> Result<u64, DueKind> {
+        let mut m = mask;
+        while m != 0 {
+            let lane = m.trailing_zeros() as usize;
+            m &= m - 1;
+            self.mem.check_word(addrs[lane])?;
+            self.writes
+                .push((addrs[lane], self.mem.read_u32(addrs[lane])));
+            self.mem.write_u32(addrs[lane], vals[lane]);
+        }
+        Ok(0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,6 +18,8 @@
 
 use vgpu_arch::InstrClass;
 
+use crate::stats::Stats;
+
 /// The hardware structures targeted by microarchitecture-level fault
 /// injection. The first five are the paper's storage structures; `Simt`
 /// (per-warp divergence-stack state) and `Sched` (warp-scheduler
@@ -327,6 +329,21 @@ impl SwFaultKind {
                 .strip_prefix("dest_")
                 .and_then(InstrClass::from_label)
                 .map(SwFaultKind::DestClass),
+        }
+    }
+
+    /// Eligible population of this kind in an execution that accumulated
+    /// `stats`: the number of dynamic thread-instructions the injector
+    /// counts towards [`SwFault::target`]. The one mapping behind the
+    /// planner's target window, the injector counter of a launch resumed
+    /// mid-way, and the fault-CTA lookup of the golden CTA log.
+    pub fn eligible(&self, stats: &Stats) -> u64 {
+        match self {
+            SwFaultKind::DestValue => stats.gp_dest_instrs,
+            SwFaultKind::DestValueLoad => stats.ld_dest_instrs,
+            SwFaultKind::SrcTransient | SwFaultKind::SrcPersistent => stats.src_reg_instrs,
+            SwFaultKind::ArchState => stats.thread_instrs,
+            SwFaultKind::DestClass(c) => c.index().map_or(0, |i| stats.class_dest_instrs[i]),
         }
     }
 }

@@ -45,7 +45,7 @@ pub use fault::{
 };
 pub use gpu::{Budget, FaultPlan, Gpu, LaunchAbort, Mode};
 pub use lifetime::LifetimeTracker;
-pub use mem::{ArenaPlanner, GlobalMem};
+pub use mem::{granule_bit, ArenaPlanner, GlobalMem, GRANULE_SHIFT};
 pub use probe::{ProbeEvent, SharedSink, TraceSink};
 pub use snapshot::{ConvergeWith, DeviceSnapshot, ResumeOutcome, SimSnapshot};
 pub use stats::{CacheStats, Stats};

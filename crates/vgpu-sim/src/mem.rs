@@ -8,6 +8,20 @@
 
 use crate::due::DueKind;
 
+/// log2 of the address granule (64 bytes) of a read-footprint bitmap:
+/// coarse enough that a CTA's footprint is a handful of bitmap words, fine
+/// enough that two of [`ArenaPlanner`]'s 256-byte-aligned buffers never
+/// share a granule.
+pub const GRANULE_SHIFT: u32 = 6;
+
+/// Position of `addr`'s granule in a granule bitmap (one bit per granule,
+/// 32 per word): `(word index, bit mask)`.
+#[inline]
+pub fn granule_bit(addr: u32) -> (usize, u32) {
+    let g = addr >> GRANULE_SHIFT;
+    ((g / 32) as usize, 1 << (g % 32))
+}
+
 /// Device memory arena with a mapped-range table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GlobalMem {
@@ -28,6 +42,11 @@ impl GlobalMem {
     /// Total arena size in bytes.
     pub fn size(&self) -> u32 {
         self.data.len() as u32
+    }
+
+    /// Words of a granule bitmap ([`granule_bit`]) covering the arena.
+    pub fn granule_words(&self) -> usize {
+        (self.data.len() >> GRANULE_SHIFT).div_ceil(32)
     }
 
     /// Mark `[start, start+len)` as a valid allocation. Ranges must not

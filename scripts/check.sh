@@ -17,7 +17,7 @@ cargo test -q --workspace
 echo "==> cargo bench --no-run (criterion benches must compile)"
 cargo bench --no-run -q
 
-echo "==> campaign smoke (2-shard merge; oracle == timed == replay; adaptive waves)"
+echo "==> campaign smoke (2-shard merge; oracle == default == replay on uarch and sw, VA and BFS; adaptive waves)"
 cargo run --release -q -p bench --bin campaign -- smoke
 
 echo "==> campaign CLI: --help exits 0, out-of-range --sms exits 2"
