@@ -418,6 +418,7 @@ fn adjudicate(
                 corrupted_words: 0,
                 ctas_replayed: 0,
                 ctas_simulated: 0,
+                restored_bytes: 0,
             })
         }
         Verdict::Fallback { reason } => {
@@ -485,6 +486,13 @@ fn simulate(
             if hit {
                 obs::counter_add("snapshot_hits_total", &[("app", app), ("kind", kind)], 1);
             }
+        }
+        if let Accel::Snapshots(_) = accel {
+            obs::counter_add(
+                "snapshot_restore_bytes_total",
+                &[("app", app)],
+                r.restored_bytes,
+            );
         }
         if let Accel::CtaLog(_) = accel {
             for (n, path) in [
@@ -628,12 +636,13 @@ where
 /// capture what they need once up front — the snapshot set for `Timed`,
 /// the golden access trace for `Replay` (which defers snapshots until a
 /// trial falls back), the golden CTA log for a software-layer plan on
-/// either — and reorder the trial list: uarch trials by (launch,
-/// injection-cycle) so neighbouring trials share resume snapshots,
-/// software trials by seed so every worker's chunk holds the same mix of
-/// cheap and dear trials. Records are self-describing, so the reordering
-/// is invisible to every consumer. Hardened variants, which none of the
-/// accelerators can serve, run every trial in full on any path.
+/// either — and uarch trials run sorted by (launch, injection-cycle): the
+/// workers claim trials one at a time in that order, so each worker's own
+/// sequence is ascending too, and a trial finds its scratch machine
+/// synchronised with a snapshot close to the one it resumes from. Records
+/// are self-describing, so the reordering is invisible to every consumer.
+/// Hardened variants, which none of the accelerators can serve, run every
+/// trial in full on any path.
 pub fn execute_trials_with<F>(
     prep: &PreparedCampaign,
     path: FastForward,
@@ -644,24 +653,21 @@ where
     F: Fn(&TrialRecord) -> std::io::Result<()> + Sync,
 {
     // Capture happens here, before any trial's wall clock starts; a path
-    // with nothing captured keeps the caller's order.
+    // with nothing captured keeps the caller's order, and so does a
+    // software-layer plan (no locality to gain, and workers that claim
+    // one trial at a time need no dealing-out to stay evenly busy).
     let mut order: Vec<usize> = idxs.to_vec();
     let sorted = match (path, prep.plan.layer) {
         (FastForward::Oracle, _) => false,
         (FastForward::Timed, Layer::Uarch) => prep.snapshots(DEFAULT_SNAPSHOTS).is_some(),
         (FastForward::Replay, Layer::Uarch) => prep.trace().is_some(),
-        (_, Layer::Sw) => prep.cta_log().is_some(),
+        (_, Layer::Sw) => {
+            prep.cta_log();
+            false
+        }
     };
     if sorted {
-        match prep.plan.layer {
-            Layer::Uarch => order.sort_by_key(|&i| trial_sort_key(&prep.plan.trials[i])),
-            // Under CTA replay a trial costs about what follows its
-            // fault, and plan order is kernel order, so the contiguous
-            // chunks the workers take would pair the dearest trials with
-            // the cheapest: deal them out pseudo-randomly instead (no
-            // locality to lose) — by their seeds, which are hashes.
-            Layer::Sw => order.sort_by_key(|&i| prep.plan.trials[i].seed),
-        }
+        order.sort_by_key(|&i| trial_sort_key(&prep.plan.trials[i]));
     }
     // Fleet telemetry: progress / throughput / ETA gauges for the local
     // `/metrics` endpoint, and per-trial trace contexts. Pure

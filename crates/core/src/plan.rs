@@ -221,11 +221,16 @@ impl PreparedCampaign<'_> {
                 let snaps = obs::time_phase(Phase::SnapshotCapture, || {
                     golden_run_snapshots(self.bench, &self.cfg.gpu, &self.golden, k)
                 });
+                let app = self.plan.app.as_str();
                 obs::gauge_set(
                     "snapshot_bytes",
-                    &[("app", self.plan.app.as_str()), ("layer", "uarch")],
+                    &[("app", app), ("layer", "uarch")],
                     snaps.bytes,
                 );
+                let (owned, shared) = snaps.chunks();
+                for (n, kind) in [(owned, "owned"), (shared, "shared")] {
+                    obs::counter_add("snapshot_chunks_total", &[("app", app), ("kind", kind)], n);
+                }
                 obs::emit_snapshot(&obs::SnapshotEvent {
                     app: &self.plan.app,
                     layer: self.plan.layer.label(),

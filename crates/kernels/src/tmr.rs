@@ -23,6 +23,8 @@
 //! analysis observe residual SDCs that the software-level SVF analysis
 //! declares eliminated (Insight #5).
 
+use std::sync::OnceLock;
+
 use vgpu_arch::{CmpOp, Kernel, KernelBuilder, MemSpace, Operand, Reg, SpecialReg};
 
 /// Threads per CTA of the vote kernel.
@@ -51,7 +53,7 @@ pub fn scalar(idx: u16) -> Operand {
     Operand::Const(idx + 1)
 }
 
-/// Build the majority-vote kernel.
+/// The majority-vote kernel (built on first use).
 ///
 /// Benchmark-level parameters (after the stride word):
 /// `0` — copy-0 base address of the buffer to vote, `1` — word count,
@@ -59,48 +61,51 @@ pub fn scalar(idx: u16) -> Operand {
 ///
 /// Each thread votes one word across the three copies, writes the winner
 /// back to all copies, and raises the flag when all three disagree.
-pub fn vote_kernel() -> Kernel {
-    let mut a = KernelBuilder::new("tmr_vote");
-    let (gid, tmp) = (a.reg(), a.reg());
-    let (a0, a1, a2) = (a.reg(), a.reg(), a.reg());
-    let (v0, v1, v2, m) = (a.reg(), a.reg(), a.reg(), a.reg());
-    let (p_in, p0, p1, p_fail) = (a.pred(), a.pred(), a.pred(), a.pred());
-    a.linear_tid(gid, tmp);
-    a.isetp(p_in, gid, scalar(1), CmpOp::Lt, true); // gid < words
-    a.if_then(p_in, false, |a| {
-        // a0 = base + 4*gid; a1/a2 at +stride/+2*stride (stride = c[0]).
-        a.mov(a0, scalar(0));
-        a.iscadd(a0, gid, Operand::Reg(a0), 2);
-        a.mov(tmp, Operand::Const(0));
-        a.iadd(a1, a0, Operand::Reg(tmp));
-        a.iadd(a2, a1, Operand::Reg(tmp));
-        a.ld(v0, MemSpace::Global, a0, 0);
-        a.ld(v1, MemSpace::Global, a1, 0);
-        a.ld(v2, MemSpace::Global, a2, 0);
-        // p0 = (v0 == v1) | (v0 == v2): v0 is a majority value.
-        a.isetp(p0, v0, Operand::Reg(v1), CmpOp::Eq, false);
-        a.isetp(p1, v0, Operand::Reg(v2), CmpOp::Eq, false);
-        a.psetp(p0, p0, p1, vgpu_arch::BoolOp::Or, false, false);
-        // p1 = (v1 == v2): v1 is the majority when p0 fails.
-        a.isetp(p1, v1, Operand::Reg(v2), CmpOp::Eq, false);
-        // m = p1 ? v1 : v0; m = p0 ? v0 : m.
-        a.sel(m, v1, Operand::Reg(v0), p1, false);
-        a.sel(m, v0, Operand::Reg(m), p0, false);
-        // All three differ: raise the flag (any lane may win the race —
-        // they all write 1).
-        a.psetp(p_fail, p0, p1, vgpu_arch::BoolOp::Or, false, false);
-        a.predicated(p_fail, true, |a| {
-            a.mov(tmp, scalar(2));
-            let one = a.reg();
-            a.mov(one, 1u32);
-            a.st(MemSpace::Global, tmp, 0, one);
+pub fn vote_kernel() -> &'static Kernel {
+    static VOTE: OnceLock<Kernel> = OnceLock::new();
+    VOTE.get_or_init(|| {
+        let mut a = KernelBuilder::new("tmr_vote");
+        let (gid, tmp) = (a.reg(), a.reg());
+        let (a0, a1, a2) = (a.reg(), a.reg(), a.reg());
+        let (v0, v1, v2, m) = (a.reg(), a.reg(), a.reg(), a.reg());
+        let (p_in, p0, p1, p_fail) = (a.pred(), a.pred(), a.pred(), a.pred());
+        a.linear_tid(gid, tmp);
+        a.isetp(p_in, gid, scalar(1), CmpOp::Lt, true); // gid < words
+        a.if_then(p_in, false, |a| {
+            // a0 = base + 4*gid; a1/a2 at +stride/+2*stride (stride = c[0]).
+            a.mov(a0, scalar(0));
+            a.iscadd(a0, gid, Operand::Reg(a0), 2);
+            a.mov(tmp, Operand::Const(0));
+            a.iadd(a1, a0, Operand::Reg(tmp));
+            a.iadd(a2, a1, Operand::Reg(tmp));
+            a.ld(v0, MemSpace::Global, a0, 0);
+            a.ld(v1, MemSpace::Global, a1, 0);
+            a.ld(v2, MemSpace::Global, a2, 0);
+            // p0 = (v0 == v1) | (v0 == v2): v0 is a majority value.
+            a.isetp(p0, v0, Operand::Reg(v1), CmpOp::Eq, false);
+            a.isetp(p1, v0, Operand::Reg(v2), CmpOp::Eq, false);
+            a.psetp(p0, p0, p1, vgpu_arch::BoolOp::Or, false, false);
+            // p1 = (v1 == v2): v1 is the majority when p0 fails.
+            a.isetp(p1, v1, Operand::Reg(v2), CmpOp::Eq, false);
+            // m = p1 ? v1 : v0; m = p0 ? v0 : m.
+            a.sel(m, v1, Operand::Reg(v0), p1, false);
+            a.sel(m, v0, Operand::Reg(m), p0, false);
+            // All three differ: raise the flag (any lane may win the race —
+            // they all write 1).
+            a.psetp(p_fail, p0, p1, vgpu_arch::BoolOp::Or, false, false);
+            a.predicated(p_fail, true, |a| {
+                a.mov(tmp, scalar(2));
+                let one = a.reg();
+                a.mov(one, 1u32);
+                a.st(MemSpace::Global, tmp, 0, one);
+            });
+            // Repair: write the voted value back to every copy.
+            a.st(MemSpace::Global, a0, 0, m);
+            a.st(MemSpace::Global, a1, 0, m);
+            a.st(MemSpace::Global, a2, 0, m);
         });
-        // Repair: write the voted value back to every copy.
-        a.st(MemSpace::Global, a0, 0, m);
-        a.st(MemSpace::Global, a1, 0, m);
-        a.st(MemSpace::Global, a2, 0, m);
-    });
-    a.build().expect("vote kernel is well formed")
+        a.build().expect("vote kernel is well formed")
+    })
 }
 
 #[cfg(test)]

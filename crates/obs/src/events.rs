@@ -236,9 +236,10 @@ pub struct SnapshotEvent<'a> {
     pub layer: &'a str,
     /// Mid-launch snapshots requested per launch.
     pub per_launch: u64,
-    /// Snapshots actually captured (mid-launch + launch boundaries).
+    /// Snapshots actually captured (initial + mid-launch + launch
+    /// boundaries).
     pub count: u64,
-    /// Approximate heap footprint of the whole snapshot set, bytes.
+    /// Heap footprint of the snapshot set's chunk store, bytes.
     pub bytes: u64,
     /// Wall time of the capture pass, microseconds.
     pub wall_us: u64,

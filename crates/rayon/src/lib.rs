@@ -4,14 +4,17 @@
 //! subset of the `rayon` API the campaigns use: `into_par_iter()` /
 //! `par_iter()` followed by `map`, then a terminal `reduce`, `for_each`,
 //! `sum` or `collect`. Work is executed on real OS threads via
-//! [`std::thread::scope`], chunked evenly over the available cores, so
-//! campaigns still parallelize; there is simply no work stealing.
+//! [`std::thread::scope`]: each worker claims the next unclaimed item from
+//! a shared cursor until none are left, so items of very unequal cost
+//! still keep every core busy, and each worker sees its items in
+//! ascending order.
 //!
 //! Thread count: `RAYON_NUM_THREADS` if set, else
 //! [`std::thread::available_parallelism`].
 
 use std::ops::Range;
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 
 pub mod prelude {
     pub use crate::{IntoParallelIterator, IntoParallelRefIterator, ParallelSliceMut};
@@ -33,19 +36,46 @@ pub fn current_num_threads() -> usize {
     })
 }
 
-/// Split `items` into at most `parts` contiguous chunks of near-equal size.
-fn chunked<T>(mut items: Vec<T>, parts: usize) -> Vec<Vec<T>> {
-    let parts = parts.max(1);
-    let chunk = items.len().div_ceil(parts).max(1);
-    let mut out = Vec::with_capacity(parts);
-    while items.len() > chunk {
-        let rest = items.split_off(chunk);
-        out.push(std::mem::replace(&mut items, rest));
+/// `f` over every item, on up to [`current_num_threads`] workers, results
+/// in item order.
+fn map_in_order<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    let workers = current_num_threads().min(items.len());
+    if workers <= 1 {
+        return items.into_iter().map(f).collect();
     }
-    if !items.is_empty() {
-        out.push(items);
-    }
-    out
+    // A slot is locked once, by the worker that claimed its index.
+    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let cursor = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            // Relaxed: the cursor only hands out distinct indices; items
+            // are handed over by their mutexes, results by the join.
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(slot) = slots.get(i) else {
+                return done;
+            };
+            let item = slot
+                .lock()
+                .expect("a slot is locked once")
+                .take()
+                .expect("an index is claimed once");
+            done.push((i, f(item)));
+        }
+    };
+    let mut out: Vec<Option<R>> = slots.iter().map(|_| None).collect();
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers).map(|_| s.spawn(work)).collect();
+        for h in handles {
+            let done = h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+            for (i, r) in done {
+                out[i] = Some(r);
+            }
+        }
+    });
+    out.into_iter()
+        .map(|r| r.expect("every index was claimed"))
+        .collect()
 }
 
 /// A materialized parallel iterator over owned items.
@@ -98,54 +128,21 @@ where
         }
     }
 
-    /// Parallel fold-and-combine. `identity` seeds each worker; `op` folds
-    /// both within and across workers, so it must be associative (the
-    /// campaigns only combine commutative counters).
+    /// Map in parallel, then fold the results in item order, seeded with
+    /// `identity()`.
     pub fn reduce<ID, OP>(self, identity: ID, op: OP) -> R
     where
         ID: Fn() -> R + Send + Sync,
         OP: Fn(R, R) -> R + Send + Sync,
     {
-        let ParMap { items, f } = self;
-        let workers = current_num_threads().min(items.len());
-        if workers <= 1 {
-            return items.into_iter().map(f).fold(identity(), op);
-        }
-        let f = &f;
-        let op = &op;
-        let identity = &identity;
-        let partials: Vec<R> = std::thread::scope(|s| {
-            let handles: Vec<_> = chunked(items, workers)
-                .into_iter()
-                .map(|chunk| s.spawn(move || chunk.into_iter().map(f).fold(identity(), op)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect()
-        });
-        partials.into_iter().fold(identity(), op)
+        map_in_order(self.items, self.f)
+            .into_iter()
+            .fold(identity(), op)
     }
 
     /// Order-preserving parallel collect.
     pub fn collect<C: FromIterator<R>>(self) -> C {
-        let ParMap { items, f } = self;
-        let workers = current_num_threads().min(items.len());
-        if workers <= 1 {
-            return items.into_iter().map(f).collect();
-        }
-        let f = &f;
-        let partials: Vec<Vec<R>> = std::thread::scope(|s| {
-            let handles: Vec<_> = chunked(items, workers)
-                .into_iter()
-                .map(|chunk| s.spawn(move || chunk.into_iter().map(f).collect::<Vec<R>>()))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect()
-        });
-        partials.into_iter().flatten().collect()
+        map_in_order(self.items, self.f).into_iter().collect()
     }
 
     pub fn for_each<G>(self, g: G)
@@ -339,13 +336,15 @@ mod tests {
     }
 
     #[test]
-    fn chunking_covers_all_items() {
-        for n in [0usize, 1, 7, 8, 9, 100] {
-            for parts in [1usize, 3, 8, 200] {
-                let chunks = super::chunked((0..n).collect::<Vec<_>>(), parts);
-                let flat: Vec<usize> = chunks.into_iter().flatten().collect();
-                assert_eq!(flat, (0..n).collect::<Vec<_>>(), "n={n} parts={parts}");
-            }
+    fn every_item_is_mapped_once_in_order() {
+        for n in [0usize, 1, 2, 7, 100] {
+            let claims = AtomicU64::new(0);
+            let out = super::map_in_order((0..n).collect(), |i| {
+                claims.fetch_add(1, Ordering::Relaxed);
+                i * 2
+            });
+            assert_eq!(out, (0..n).map(|i| i * 2).collect::<Vec<_>>(), "n={n}");
+            assert_eq!(claims.load(Ordering::Relaxed), n as u64);
         }
     }
 }

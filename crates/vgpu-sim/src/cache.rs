@@ -19,11 +19,12 @@
 use crate::config::{CacheGeom, Latencies};
 use crate::fault::HwStructure;
 use crate::lifetime::{CacheAce, LifetimeTracker};
-use crate::mem::GlobalMem;
+use crate::mem::{DirtyMap, GlobalMem};
+use crate::snapshot::{Capture, Walk};
 use crate::stats::CacheStats;
 
 /// One cache instance.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct Cache {
     geom: CacheGeom,
     /// Per line: the line address (`addr / line_bytes`) it holds.
@@ -36,6 +37,27 @@ pub struct Cache {
     mshr: Vec<(u32, u64)>,
     stamp: u64,
     pub stats: CacheStats,
+    /// Lines whose data or per-line state (tag, valid, dirty, LRU age)
+    /// changed since the last snapshot synchronisation, as granules of the
+    /// data array: one map covers all five arrays.
+    touched: DirtyMap,
+}
+
+/// The part of a [`Cache`] a snapshot keeps verbatim; the five per-line
+/// arrays go to the chunk store.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct CacheScalars {
+    mshr: Vec<(u32, u64)>,
+    stamp: u64,
+    pub(crate) stats: CacheStats,
+    /// [`Cache::no_live_lines`] of the captured cache.
+    pub(crate) no_live_lines: bool,
+}
+
+impl CacheScalars {
+    pub(crate) fn heap_bytes(&self) -> u64 {
+        (self.mshr.capacity() * std::mem::size_of::<(u32, u64)>()) as u64
+    }
 }
 
 impl Cache {
@@ -50,9 +72,16 @@ impl Cache {
             lru: vec![0; lines],
             mshr: Vec::with_capacity(geom.mshrs as usize),
             stamp: 0,
+            touched: DirtyMap::new(geom.bytes as usize),
             geom,
             stats: CacheStats::default(),
         }
+    }
+
+    /// Record that line `idx` is about to change.
+    #[inline]
+    fn touch(&mut self, idx: usize) {
+        self.touched.mark(idx as u32 * self.geom.line_bytes);
     }
 
     pub fn geom(&self) -> &CacheGeom {
@@ -80,6 +109,7 @@ impl Cache {
     /// Find a resident line and mark it most-recently used.
     pub fn lookup(&mut self, line_addr: u32) -> Option<usize> {
         let idx = self.probe(line_addr)?;
+        self.touch(idx);
         self.stamp += 1;
         self.lru[idx] = self.stamp;
         Some(idx)
@@ -122,6 +152,7 @@ impl Cache {
     pub fn fill(&mut self, idx: usize, line_addr: u32, bytes: &[u8]) {
         let lb = self.geom.line_bytes as usize;
         debug_assert_eq!(bytes.len(), lb);
+        self.touch(idx);
         self.data[idx * lb..(idx + 1) * lb].copy_from_slice(bytes);
         self.tags[idx] = line_addr;
         self.valid[idx] = true;
@@ -142,6 +173,7 @@ impl Cache {
     #[inline]
     pub fn write_word(&mut self, idx: usize, off: u32, v: u32, mark_dirty: bool) {
         let p = idx * self.geom.line_bytes as usize + off as usize;
+        self.touched.mark(p as u32);
         self.data[p..p + 4].copy_from_slice(&v.to_le_bytes());
         if mark_dirty {
             self.dirty[idx] = true;
@@ -177,6 +209,11 @@ impl Cache {
             !self.valid.iter().zip(&self.dirty).any(|(&v, &d)| v && d),
             "invalidating a cache with dirty lines"
         );
+        for idx in 0..self.valid.len() {
+            if self.valid[idx] {
+                self.touch(idx);
+            }
+        }
         self.valid.fill(false);
         self.dirty.fill(false);
         self.mshr.clear();
@@ -189,6 +226,7 @@ impl Cache {
             if self.valid[idx] && self.dirty[idx] {
                 let addr = self.tags[idx] * lb;
                 mem.write_line(addr, self.line_data(idx));
+                self.touch(idx);
                 self.dirty[idx] = false;
                 *mem_writes += 1;
             }
@@ -211,6 +249,7 @@ impl Cache {
     /// transient fault patterns).
     pub fn flip_mask(&mut self, byte_index: u64, mask: u8) {
         let i = byte_index as usize % self.data.len();
+        self.touched.mark(i as u32);
         self.data[i] ^= mask;
     }
 
@@ -218,6 +257,7 @@ impl Cache {
     /// fault patterns; idempotent, so re-asserting every cycle is safe).
     pub fn force_mask(&mut self, byte_index: u64, mask: u8, value: bool) {
         let i = byte_index as usize % self.data.len();
+        self.touched.mark(i as u32);
         self.data[i] = if value {
             self.data[i] | mask
         } else {
@@ -252,48 +292,76 @@ impl Cache {
         self.mshr.clear();
         self.stamp = 0;
         self.stats = CacheStats::default();
+        self.touched.mark_range(0, self.geom.bytes);
     }
 
-    /// Architectural equality: do the two caches behave identically from
-    /// here on? Compares the LRU stamp, the outstanding-fill list, the
-    /// valid bitmap, and — for valid lines only — tag, dirtiness, LRU age
-    /// and data bytes. Invalid lines' stale contents are dead state (a
-    /// fill overwrites them before any read), and `stats` are reporting
-    /// counters, so both are excluded. Used by the masked-convergence
-    /// check; a `false` from residual dead-state differences only costs a
-    /// missed early exit, never correctness.
-    pub fn arch_eq(&self, other: &Cache) -> bool {
-        if self.geom != other.geom
-            || self.stamp != other.stamp
-            || self.mshr != other.mshr
-            || self.valid != other.valid
-        {
+    /// Append this cache to a snapshot being captured: the five per-line
+    /// arrays as chunk indices (data, tags, valid, dirty, LRU — the order
+    /// [`Cache::restore`], [`Cache::same`] and [`Cache::skip`] walk in),
+    /// the rest verbatim.
+    pub(crate) fn capture(&self, cap: &mut Capture<'_>) -> CacheScalars {
+        let lb = self.geom.line_bytes;
+        cap.array(&self.data, &self.touched, 1);
+        cap.array(&self.tags, &self.touched, lb);
+        cap.array(&self.valid, &self.touched, lb);
+        cap.array(&self.dirty, &self.touched, lb);
+        cap.array(&self.lru, &self.touched, lb);
+        CacheScalars {
+            mshr: self.mshr.clone(),
+            stamp: self.stamp,
+            stats: self.stats,
+            no_live_lines: self.no_live_lines(),
+        }
+    }
+
+    /// Bring the cache to the snapshot `w` walks — bit for bit, statistics
+    /// and dead lines included — and mark it clean.
+    pub(crate) fn restore(&mut self, w: &mut Walk<'_>, s: &CacheScalars) {
+        let lb = self.geom.line_bytes;
+        w.restore(&mut self.data, &self.touched, 1);
+        w.restore(&mut self.tags, &self.touched, lb);
+        w.restore(&mut self.valid, &self.touched, lb);
+        w.restore(&mut self.dirty, &self.touched, lb);
+        w.restore(&mut self.lru, &self.touched, lb);
+        self.mshr.clone_from(&s.mshr);
+        self.stamp = s.stamp;
+        self.stats = s.stats;
+        self.touched.clear();
+    }
+
+    /// Architectural equality with the snapshot `w` walks: do the two
+    /// caches behave identically from here on? Compares the LRU stamp, the
+    /// outstanding-fill list, the valid bitmap, and — for valid lines
+    /// only — tag, dirtiness, LRU age and data bytes. Invalid lines' stale
+    /// contents are dead state (a fill overwrites them before any read),
+    /// and `stats` are reporting counters, so both are excluded unless
+    /// `exact` asks for bit-for-bit identity. Used by the
+    /// masked-convergence check; a `false` from residual dead-state
+    /// differences only costs a missed early exit, never correctness.
+    pub(crate) fn same(&self, w: &mut Walk<'_>, s: &CacheScalars, exact: bool) -> bool {
+        if self.stamp != s.stamp || self.mshr != s.mshr || (exact && self.stats != s.stats) {
             return false;
         }
-        let lb = self.geom.line_bytes as usize;
-        for idx in 0..self.tags.len() {
-            if !self.valid[idx] {
-                continue;
-            }
-            if self.tags[idx] != other.tags[idx]
-                || self.dirty[idx] != other.dirty[idx]
-                || self.lru[idx] != other.lru[idx]
-                || self.data[idx * lb..(idx + 1) * lb] != other.data[idx * lb..(idx + 1) * lb]
-            {
-                return false;
-            }
-        }
-        true
+        let lb = self.geom.line_bytes;
+        let live = |line: usize| exact || self.valid[line];
+        w.same(&self.data, &self.touched, 1, |i| live(i / lb as usize))
+            && w.same(&self.tags, &self.touched, lb, live)
+            && w.same(&self.valid, &self.touched, lb, |_| true)
+            && w.same(&self.dirty, &self.touched, lb, live)
+            && w.same(&self.lru, &self.touched, lb, live)
     }
 
-    /// Approximate heap footprint in bytes (snapshot accounting).
-    pub fn byte_size(&self) -> u64 {
-        self.data.len() as u64
-            + self.tags.len() as u64 * 4
-            + self.valid.len() as u64
-            + self.dirty.len() as u64
-            + self.lru.len() as u64 * 8
-            + self.mshr.len() as u64 * 12
+    /// Step `w` past this cache without looking at it.
+    pub(crate) fn skip(&self, w: &mut Walk<'_>) {
+        w.skip(&self.data);
+        w.skip(&self.tags);
+        w.skip(&self.valid);
+        w.skip(&self.dirty);
+        w.skip(&self.lru);
+    }
+
+    pub(crate) fn clear_touched(&mut self) {
+        self.touched.clear();
     }
 
     /// Coherent host update of a resident line (dirtiness unchanged).
@@ -301,6 +369,7 @@ impl Cache {
         let lb = self.geom.line_bytes;
         if let Some(idx) = self.probe(addr / lb) {
             let p = idx * lb as usize + ((addr % lb) & !3) as usize;
+            self.touched.mark(p as u32);
             self.data[p..p + 4].copy_from_slice(&v.to_le_bytes());
             true
         } else {

@@ -9,9 +9,11 @@ use crate::functional::run_functional;
 use crate::lifetime::LifetimeTracker;
 use crate::mem::GlobalMem;
 use crate::probe::SharedSink;
-use crate::snapshot::{ConvergeWith, DeviceSnapshot, ResumeOutcome, SimSnapshot};
+use crate::snapshot::{
+    ChunkStore, ConvergeWith, DeviceSnapshot, Machine, ResumeOutcome, Scope, SnapId,
+};
 use crate::stats::Stats;
-use crate::timed::{run_timed, run_timed_ctl, TimedCtl};
+use crate::timed::{run_timed, run_timed_ctl, SmState, TimedCtl};
 use vgpu_arch::{Kernel, LaunchConfig};
 
 /// Which execution engine a [`Gpu`] uses.
@@ -54,6 +56,39 @@ pub enum FaultPlan<'a> {
     Sw(&'a mut SwInjector),
 }
 
+/// Export one launch's simulator counters (`sim_*`, labeled by engine
+/// mode) into the global obs registry, if observability is on. Every
+/// [`Gpu`] launch reports here itself; so must whoever drives an engine
+/// without one (the harness's CTA-by-CTA functional launches).
+pub fn record_launch(mode: Mode, res: &Result<Stats, LaunchAbort>) {
+    if !obs::enabled() {
+        return;
+    }
+    let mode = match mode {
+        Mode::Timed => "timed",
+        Mode::Functional => "functional",
+    };
+    let labels: &[(&str, &str)] = &[("mode", mode)];
+    obs::counter_add("sim_launches_total", labels, 1);
+    match res {
+        Ok(s) => {
+            obs::counter_add("sim_cycles_total", labels, s.cycles);
+            obs::counter_add("sim_issue_cycles_total", labels, s.issue_cycles);
+            obs::counter_add("sim_stall_cycles_total", labels, s.stall_cycles);
+            obs::counter_add("sim_thread_instrs_total", labels, s.thread_instrs);
+            obs::counter_add("sim_mem_reads_total", labels, s.mem_reads);
+            obs::counter_add("sim_mem_writes_total", labels, s.mem_writes);
+        }
+        Err(abort) => {
+            let cause = match abort {
+                LaunchAbort::Timeout => "timeout",
+                LaunchAbort::Due(_) => "due",
+            };
+            obs::counter_add("sim_aborts_total", &[("mode", mode), ("cause", cause)], 1);
+        }
+    }
+}
+
 /// A virtual GPU: configuration, device memory, cache hierarchy, engines.
 ///
 /// Cache contents persist across launches (as on hardware, where the L2 is
@@ -63,11 +98,10 @@ pub enum FaultPlan<'a> {
 /// would.
 pub struct Gpu {
     pub cfg: GpuConfig,
-    mem: GlobalMem,
     mode: Mode,
-    l1ds: Vec<Cache>,
-    l1ts: Vec<Cache>,
-    l2: Cache,
+    /// Device memory, cache hierarchy and (timed mode) the SMs' register
+    /// files and shared memories: everything a snapshot covers.
+    m: Machine,
     tracker: Option<LifetimeTracker>,
 }
 
@@ -80,13 +114,15 @@ impl Gpu {
             .map(|_| Cache::new(cfg.l1t.clone()))
             .collect();
         let l2 = Cache::new(cfg.l2.clone());
+        // The functional engine keeps registers and shared memory per CTA.
+        let sms = match mode {
+            Mode::Timed => (0..cfg.num_sms).map(|_| SmState::new(&cfg)).collect(),
+            Mode::Functional => Vec::new(),
+        };
         Gpu {
+            m: Machine::new(mem, l1ds, l1ts, l2, sms),
             cfg,
-            mem,
             mode,
-            l1ds,
-            l1ts,
-            l2,
             tracker: None,
         }
     }
@@ -137,8 +173,8 @@ impl Gpu {
         let Some(tr) = self.tracker.as_mut() else {
             return;
         };
-        let lb = self.l2.geom().line_bytes;
-        if let Some(idx) = self.l2.probe(addr / lb) {
+        let lb = self.m.l2.geom().line_bytes;
+        if let Some(idx) = self.m.l2.probe(addr / lb) {
             tr.host_peek(idx, ((addr % lb) / 4) as usize);
         }
     }
@@ -161,7 +197,7 @@ impl Gpu {
     /// word-cycle totals.
     pub fn finish_tracker(&mut self) -> Option<[u64; 5]> {
         let mut tr = self.tracker.take()?;
-        let l2 = &self.l2;
+        let l2 = &self.m.l2;
         tr.finalize_l2(|line| l2.line_dirty(line));
         Some(tr.ace_word_cycles())
     }
@@ -176,38 +212,8 @@ impl Gpu {
         budget: &Budget,
     ) -> Result<Stats, LaunchAbort> {
         let res = self.launch_inner(kernel, lc, fault, budget);
-        if obs::enabled() {
-            self.export_metrics(&res);
-        }
+        record_launch(self.mode, &res);
         res
-    }
-
-    /// Export per-launch simulator counters into the global obs registry,
-    /// labeled by engine mode. Only called while observability is on.
-    fn export_metrics(&self, res: &Result<Stats, LaunchAbort>) {
-        let mode = match self.mode {
-            Mode::Timed => "timed",
-            Mode::Functional => "functional",
-        };
-        let labels: &[(&str, &str)] = &[("mode", mode)];
-        obs::counter_add("sim_launches_total", labels, 1);
-        match res {
-            Ok(s) => {
-                obs::counter_add("sim_cycles_total", labels, s.cycles);
-                obs::counter_add("sim_issue_cycles_total", labels, s.issue_cycles);
-                obs::counter_add("sim_stall_cycles_total", labels, s.stall_cycles);
-                obs::counter_add("sim_thread_instrs_total", labels, s.thread_instrs);
-                obs::counter_add("sim_mem_reads_total", labels, s.mem_reads);
-                obs::counter_add("sim_mem_writes_total", labels, s.mem_writes);
-            }
-            Err(abort) => {
-                let cause = match abort {
-                    LaunchAbort::Timeout => "timeout",
-                    LaunchAbort::Due(_) => "due",
-                };
-                obs::counter_add("sim_aborts_total", &[("mode", mode), ("cause", cause)], 1);
-            }
-        }
     }
 
     fn launch_inner(
@@ -226,10 +232,7 @@ impl Gpu {
                 };
                 let res = run_timed(
                     &self.cfg,
-                    &mut self.mem,
-                    &mut self.l1ds,
-                    &mut self.l1ts,
-                    &mut self.l2,
+                    &mut self.m,
                     kernel,
                     lc,
                     uarch,
@@ -252,8 +255,10 @@ impl Gpu {
                         panic!("microarchitecture faults require the timed engine")
                     }
                 };
+                // Functional stores are not dirty-marked.
+                self.m.desync();
                 run_functional(
-                    &mut self.mem,
+                    &mut self.m.mem,
                     kernel,
                     lc,
                     sw,
@@ -266,30 +271,29 @@ impl Gpu {
 
     // ---- snapshots and fast-forward ------------------------------------
 
-    /// Fault-free launch that additionally captures a [`SimSnapshot`] at
-    /// each cycle of `capture_at` (sorted ascending). The run itself is
-    /// bit-identical to `launch(…, FaultPlan::None, …)` — capture points
-    /// only clone state, never perturb it. Timed mode, no ACE tracker.
+    /// Fault-free launch that additionally appends a snapshot to `store`
+    /// at each cycle of `capture_at` (sorted ascending) and returns their
+    /// handles. The run itself is bit-identical to `launch(…,
+    /// FaultPlan::None, …)` — capture points only read state, never
+    /// perturb it. Timed mode, no ACE tracker.
     pub fn launch_instrumented(
         &mut self,
         kernel: &Kernel,
         lc: &LaunchConfig,
         budget: &Budget,
         capture_at: &[u64],
-    ) -> Result<(Stats, Vec<SimSnapshot>), LaunchAbort> {
+        store: &mut ChunkStore,
+    ) -> Result<(Stats, Vec<SnapId>), LaunchAbort> {
         assert_eq!(self.mode, Mode::Timed, "snapshots require the timed engine");
         assert!(
             self.tracker.is_none(),
             "snapshots are incompatible with ACE lifetime tracking"
         );
         let mut ctl = TimedCtl::none();
-        ctl.capture_at = capture_at;
+        ctl.capture = Some((capture_at, store));
         let res = run_timed_ctl(
             &self.cfg,
-            &mut self.mem,
-            &mut self.l1ds,
-            &mut self.l1ts,
-            &mut self.l2,
+            &mut self.m,
             kernel,
             lc,
             None,
@@ -298,35 +302,22 @@ impl Gpu {
             budget.cycles,
             &mut ctl,
         );
-        if obs::enabled() {
-            self.export_metrics(&res);
-        }
+        record_launch(self.mode, &res);
         res.map(|s| (s, ctl.captured))
     }
 
-    /// Fault-free launch capturing a single snapshot at `cycle`
-    /// (convenience over [`Gpu::launch_instrumented`]). Returns `None`
-    /// for the snapshot if the launch finished before reaching `cycle`.
-    pub fn snapshot_at(
-        &mut self,
-        kernel: &Kernel,
-        lc: &LaunchConfig,
-        budget: &Budget,
-        cycle: u64,
-    ) -> Result<(Stats, Option<SimSnapshot>), LaunchAbort> {
-        let (stats, mut snaps) = self.launch_instrumented(kernel, lc, budget, &[cycle])?;
-        Ok((stats, snaps.pop()))
-    }
-
-    /// Resume a launch mid-flight from `snap` — optionally with a pending
-    /// microarchitecture `fault` (whose cycle must be ≥ the snapshot's)
-    /// and a golden reference enabling the early masked-convergence exit.
-    /// The machine is restored verbatim from the snapshot first, so the
-    /// result is bit-identical to running the same launch with the same
-    /// fault from cycle 0.
+    /// Resume a launch mid-flight from mid-launch snapshot `snap` of
+    /// `store` — optionally with a pending microarchitecture `fault`
+    /// (whose cycle must be ≥ the snapshot's) and a golden reference
+    /// enabling the early masked-convergence exit. The machine is first
+    /// restored to the snapshot bit for bit, so the result is
+    /// bit-identical to running the same launch with the same fault from
+    /// cycle 0.
+    #[allow(clippy::too_many_arguments)]
     pub fn resume_from(
         &mut self,
-        snap: &SimSnapshot,
+        store: &ChunkStore,
+        snap: SnapId,
         kernel: &Kernel,
         lc: &LaunchConfig,
         fault: Option<&mut UarchInjector>,
@@ -338,23 +329,22 @@ impl Gpu {
             self.tracker.is_none(),
             "snapshot resume is incompatible with ACE lifetime tracking"
         );
+        let resumed_at = store
+            .cycle(snap)
+            .expect("resume needs a mid-launch snapshot");
         if let Some(f) = &fault {
             assert!(
-                f.fault.cycle >= snap.cycle(),
-                "snapshot (cycle {}) is past the fault cycle {}",
-                snap.cycle(),
+                f.fault.cycle >= resumed_at,
+                "snapshot (cycle {resumed_at}) is past the fault cycle {}",
                 f.fault.cycle
             );
         }
         let mut ctl = TimedCtl::none();
-        ctl.resume = Some(snap);
+        ctl.resume = Some((store, snap));
         ctl.converge = converge;
         let res = run_timed_ctl(
             &self.cfg,
-            &mut self.mem,
-            &mut self.l1ds,
-            &mut self.l1ts,
-            &mut self.l2,
+            &mut self.m,
             kernel,
             lc,
             fault,
@@ -363,70 +353,73 @@ impl Gpu {
             budget.cycles,
             &mut ctl,
         );
-        if obs::enabled() {
-            self.export_metrics(&res);
-        }
+        record_launch(self.mode, &res);
         res.map(|stats| ResumeOutcome {
             stats,
-            resumed_at: snap.cycle(),
+            resumed_at,
             simulated_cycles: ctl.simulated_cycles,
             converged_at: ctl.converged_at,
+            restored_bytes: ctl.restored_bytes,
         })
     }
 
-    /// Capture the device state (global memory + cache hierarchy) between
-    /// launches — the launch-boundary snapshot of the fast-forward path.
+    /// Append a launch-boundary snapshot of the machine to `store`.
+    pub fn capture(&mut self, store: &mut ChunkStore) -> SnapId {
+        self.m.capture(store, None)
+    }
+
+    /// Bring the machine to snapshot `id` of `store` bit for bit, copying
+    /// only what may differ from it. Returns the bytes copied.
+    pub fn restore(&mut self, store: &ChunkStore, id: SnapId) -> u64 {
+        self.m.restore(store, id)
+    }
+
+    /// Architectural equality with launch-boundary snapshot `id` of
+    /// `store`: global memory and the L2 must match bit-for-bit in every
+    /// valid line (`Cache::same`); the L1s must simply be empty on both
+    /// sides, which they always are at a boundary (the timed engine
+    /// invalidates them at launch end) — an empty cache's LRU stamp is
+    /// dead state. A `true` here means every subsequent launch behaves
+    /// bit-identically on both machines.
+    pub fn converged(&self, store: &ChunkStore, id: SnapId) -> bool {
+        self.m.same(store, id, Scope::Device)
+    }
+
+    /// Whether the machine equals snapshot `id` of `store` bit for bit,
+    /// dead state included (tests).
+    pub fn matches_image(&self, store: &ChunkStore, id: SnapId) -> bool {
+        self.m.same(store, id, Scope::Image)
+    }
+
+    /// Capture the device state between launches as a store of its own.
     pub fn device_snapshot(&self) -> DeviceSnapshot {
-        DeviceSnapshot {
-            mem: self.mem.clone(),
-            l1ds: self.l1ds.clone(),
-            l1ts: self.l1ts.clone(),
-            l2: self.l2.clone(),
-        }
+        let mut store = ChunkStore::new();
+        let id = self.m.snapshot(&mut store, None);
+        DeviceSnapshot { store, id }
     }
 
     /// Restore device state captured by [`Gpu::device_snapshot`] verbatim.
     pub fn restore_device(&mut self, snap: &DeviceSnapshot) {
-        assert_eq!(
-            self.mem.size(),
-            snap.mem.size(),
-            "snapshot from a different arena"
-        );
-        self.mem.clone_from(&snap.mem);
-        for (c, s) in self.l1ds.iter_mut().zip(&snap.l1ds) {
-            c.clone_from(s);
-        }
-        for (c, s) in self.l1ts.iter_mut().zip(&snap.l1ts) {
-            c.clone_from(s);
-        }
-        self.l2.clone_from(&snap.l2);
+        self.restore(&snap.store, snap.id);
     }
 
-    /// Architectural equality with a launch-boundary snapshot: global
-    /// memory and the L2 must match bit-for-bit ([`Cache::arch_eq`]); the
-    /// L1s must simply be empty on both sides, which they always are at a
-    /// boundary (the timed engine invalidates them at launch end) — an
-    /// empty cache's LRU stamp is dead state. A `true` here means every
-    /// subsequent launch behaves bit-identically on both machines.
+    /// [`Gpu::converged`] against a [`Gpu::device_snapshot`].
     pub fn device_converged(&self, snap: &DeviceSnapshot) -> bool {
-        self.mem == snap.mem
-            && self.l2.arch_eq(&snap.l2)
-            && self.l1ds.iter().all(Cache::no_live_lines)
-            && snap.l1ds.iter().all(Cache::no_live_lines)
-            && self.l1ts.iter().all(Cache::no_live_lines)
-            && snap.l1ts.iter().all(Cache::no_live_lines)
+        self.converged(&snap.store, snap.id)
     }
 
     /// Return the GPU to its just-constructed state — zeroed arena bytes
     /// (the mapped-range table survives), reset caches, no tracker — so a
     /// pooled instance can be reused without reallocating (per-worker
-    /// scratch reuse on the campaign hot path).
+    /// scratch reuse on the campaign hot path). Register files and shared
+    /// memories keep their bytes: a launch zeroes what it uses.
     pub fn reset_in_place(&mut self) {
-        self.mem.clear_data();
-        for c in self.l1ds.iter_mut().chain(self.l1ts.iter_mut()) {
+        self.m.desync();
+        self.m.mem.clear_data();
+        for c in self.m.l1ds.iter_mut().chain(self.m.l1ts.iter_mut()) {
             c.reset();
         }
-        self.l2.reset();
+        self.m.l2.reset();
         self.tracker = None;
     }
 
@@ -435,11 +428,11 @@ impl Gpu {
     /// Host word read: sees the L2's copy if resident (timed mode).
     pub fn host_read_u32(&self, addr: u32) -> u32 {
         if self.mode == Mode::Timed {
-            if let Some(v) = self.l2.peek_word(addr) {
+            if let Some(v) = self.m.l2.peek_word(addr) {
                 return v;
             }
         }
-        self.mem.read_u32(addr)
+        self.m.mem.read_u32(addr)
     }
 
     /// Host word write: updates DRAM and any resident L2 copy. With a
@@ -447,11 +440,11 @@ impl Gpu {
     /// closes the word's interval dead — the device-written value was
     /// superseded before any further architectural use.
     pub fn host_write_u32(&mut self, addr: u32, v: u32) {
-        self.mem.write_u32(addr, v);
-        if self.mode == Mode::Timed && self.l2.poke_word(addr, v) {
+        self.m.mem.host_write_u32(addr, v);
+        if self.mode == Mode::Timed && self.m.l2.poke_word(addr, v) {
             if let Some(tr) = self.tracker.as_mut() {
-                let lb = self.l2.geom().line_bytes;
-                if let Some(idx) = self.l2.probe(addr / lb) {
+                let lb = self.m.l2.geom().line_bytes;
+                if let Some(idx) = self.m.l2.probe(addr / lb) {
                     tr.cache_write(
                         crate::fault::HwStructure::L2,
                         0,
@@ -488,11 +481,14 @@ impl Gpu {
 
     /// Direct access to the arena (tests, diagnostics).
     pub fn mem(&self) -> &GlobalMem {
-        &self.mem
+        &self.m.mem
     }
 
+    /// Raw arena access; writes through it are not dirty-marked, so the
+    /// machine forgets its snapshot synchronisation point.
     pub fn mem_mut(&mut self) -> &mut GlobalMem {
-        &mut self.mem
+        self.m.desync();
+        &mut self.m.mem
     }
 }
 
@@ -591,14 +587,17 @@ mod tests {
 
         let (mut g2, lc2, _) = fresh(Mode::Timed);
         let mid = golden.cycles / 2;
-        let (istats, snap) = g2.snapshot_at(&k, &lc2, &Budget::unlimited(), mid).unwrap();
+        let mut store = ChunkStore::new();
+        let (istats, snaps) = g2
+            .launch_instrumented(&k, &lc2, &Budget::unlimited(), &[mid], &mut store)
+            .unwrap();
         assert_eq!(istats, golden, "instrumented run must not perturb stats");
-        let snap = snap.expect("mid-run snapshot");
-        assert_eq!(snap.cycle(), mid);
+        let snap = snaps[0];
+        assert_eq!(store.cycle(snap), Some(mid));
 
         let (mut g3, lc3, out3) = fresh(Mode::Timed);
         let r = g3
-            .resume_from(&snap, &k, &lc3, None, &Budget::unlimited(), None)
+            .resume_from(&store, snap, &k, &lc3, None, &Budget::unlimited(), None)
             .unwrap();
         assert_eq!(r.stats, golden, "resumed run must finish bit-identically");
         assert_eq!(r.resumed_at, mid);
@@ -638,15 +637,22 @@ mod tests {
 
         // Fast path: snapshot before the fault, resume with it pending.
         let (mut gc, lcc, _) = fresh(Mode::Timed);
-        let (_, snap) = gc
-            .snapshot_at(&k, &lcc, &Budget::unlimited(), golden.cycles / 2)
+        let mut store = ChunkStore::new();
+        let (_, snaps) = gc
+            .launch_instrumented(
+                &k,
+                &lcc,
+                &Budget::unlimited(),
+                &[golden.cycles / 2],
+                &mut store,
+            )
             .unwrap();
-        let snap = snap.unwrap();
         let (mut gf, lcf, outf) = fresh(Mode::Timed);
         let mut ff_inj = UarchInjector::new(fault);
         let r = gf
             .resume_from(
-                &snap,
+                &store,
+                snaps[0],
                 &k,
                 &lcf,
                 Some(&mut ff_inj),

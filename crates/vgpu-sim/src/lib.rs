@@ -43,9 +43,9 @@ pub use fault::{
     apply_stuck, pattern_footprint, value_mask, FaultPattern, HwStructure, StuckCache, StuckSite,
     SwFault, SwFaultKind, SwInjector, SwStuck, UarchFault, UarchInjector, BURST_COL_ROWS,
 };
-pub use gpu::{Budget, FaultPlan, Gpu, LaunchAbort, Mode};
+pub use gpu::{record_launch, Budget, FaultPlan, Gpu, LaunchAbort, Mode};
 pub use lifetime::LifetimeTracker;
 pub use mem::{granule_bit, ArenaPlanner, GlobalMem, GRANULE_SHIFT};
 pub use probe::{ProbeEvent, SharedSink, TraceSink};
-pub use snapshot::{ConvergeWith, DeviceSnapshot, ResumeOutcome, SimSnapshot};
+pub use snapshot::{ChunkStore, ConvergeWith, DeviceSnapshot, ResumeOutcome, SnapId};
 pub use stats::{CacheStats, Stats};

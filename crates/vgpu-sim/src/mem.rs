@@ -7,6 +7,7 @@
 //! unmapped territory and be classified as DUEs, as on real hardware.
 
 use crate::due::DueKind;
+use crate::snapshot::{Capture, Walk};
 
 /// log2 of the address granule (64 bytes) of a read-footprint bitmap:
 /// coarse enough that a CTA's footprint is a handful of bitmap words, fine
@@ -22,13 +23,90 @@ pub fn granule_bit(addr: u32) -> (usize, u32) {
     ((g / 32) as usize, 1 << (g % 32))
 }
 
+/// Words of a granule bitmap ([`granule_bit`]) covering `bytes` bytes.
+pub(crate) fn granule_words(bytes: usize) -> usize {
+    bytes.div_ceil(1 << GRANULE_SHIFT).div_ceil(32)
+}
+
+/// A granule bitmap over byte offsets into one flat array of the timed
+/// machine: the granules written since the machine was last synchronised
+/// with a snapshot (`crate::snapshot`). A clear bit promises the granule
+/// still holds that snapshot's bytes, so every mutation of a tracked
+/// array marks here first.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DirtyMap {
+    bits: Vec<u32>,
+}
+
+impl DirtyMap {
+    /// An all-clean map over an array of `bytes` bytes.
+    pub fn new(bytes: usize) -> Self {
+        DirtyMap {
+            bits: vec![0; granule_words(bytes)],
+        }
+    }
+
+    /// Mark the granule holding byte `off`.
+    #[inline]
+    pub fn mark(&mut self, off: u32) {
+        let (w, bit) = granule_bit(off);
+        self.bits[w] |= bit;
+    }
+
+    /// `(word index, bit mask)` of every bitmap word overlapping
+    /// `[off, off + len)`; `len > 0`.
+    fn span(off: u32, len: u32) -> impl Iterator<Item = (usize, u32)> {
+        let (g0, g1) = (off >> GRANULE_SHIFT, (off + len - 1) >> GRANULE_SHIFT);
+        (g0 / 32..=g1 / 32).map(move |w| {
+            let lo = if w == g0 / 32 { g0 % 32 } else { 0 };
+            let hi = if w == g1 / 32 { g1 % 32 } else { 31 };
+            (w as usize, (!0u32 >> (31 - hi)) & (!0u32 << lo))
+        })
+    }
+
+    /// Mark every granule overlapping `[off, off + len)`.
+    pub fn mark_range(&mut self, off: u32, len: u32) {
+        for (w, mask) in Self::span(off, len) {
+            self.bits[w] |= mask;
+        }
+    }
+
+    /// Whether any granule overlapping `[off, off + len)` is marked; the
+    /// range may run past the end of the array.
+    pub fn any(&self, off: u32, len: u32) -> bool {
+        Self::span(off, len).any(|(w, mask)| self.bits.get(w).is_some_and(|b| b & mask != 0))
+    }
+
+    pub fn clear(&mut self) {
+        self.bits.fill(0);
+    }
+
+    /// The raw bitmap, 32 granules per word.
+    pub fn words(&self) -> &[u32] {
+        &self.bits
+    }
+}
+
 /// Device memory arena with a mapped-range table.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct GlobalMem {
     data: Vec<u8>,
     /// Sorted, disjoint `[start, end)` mapped ranges.
     mapped: Vec<(u32, u32)>,
+    /// Arena granules written on the timed path since the last snapshot
+    /// synchronisation. [`GlobalMem::write_u32`] — the functional engine's
+    /// store — deliberately does not mark.
+    dirty: DirtyMap,
 }
+
+/// Same bytes and same mapping; dirty marks are bookkeeping.
+impl PartialEq for GlobalMem {
+    fn eq(&self, other: &Self) -> bool {
+        self.data == other.data && self.mapped == other.mapped
+    }
+}
+
+impl Eq for GlobalMem {}
 
 impl GlobalMem {
     /// Create an arena of `size` bytes, all initially unmapped.
@@ -36,6 +114,7 @@ impl GlobalMem {
         GlobalMem {
             data: vec![0u8; size as usize],
             mapped: Vec::new(),
+            dirty: DirtyMap::new(size as usize),
         }
     }
 
@@ -46,7 +125,7 @@ impl GlobalMem {
 
     /// Words of a granule bitmap ([`granule_bit`]) covering the arena.
     pub fn granule_words(&self) -> usize {
-        (self.data.len() >> GRANULE_SHIFT).div_ceil(32)
+        granule_words(self.data.len())
     }
 
     /// Mark `[start, start+len)` as a valid allocation. Ranges must not
@@ -109,7 +188,15 @@ impl GlobalMem {
 
     /// Write a line back from a cache.
     pub fn write_line(&mut self, addr: u32, bytes: &[u8]) {
+        self.dirty.mark_range(addr, bytes.len() as u32);
         self.data[addr as usize..addr as usize + bytes.len()].copy_from_slice(bytes);
+    }
+
+    /// Host-side word write: [`GlobalMem::write_u32`] plus the dirty mark
+    /// that snapshot restore and compare rely on.
+    pub fn host_write_u32(&mut self, addr: u32, v: u32) {
+        self.dirty.mark(addr);
+        self.write_u32(addr, v);
     }
 
     /// Zero the whole arena, keeping the mapped-range table. Scratch-reuse
@@ -119,9 +206,24 @@ impl GlobalMem {
         self.data.fill(0);
     }
 
-    /// Approximate heap footprint in bytes (snapshot accounting).
-    pub fn byte_size(&self) -> u64 {
-        self.data.len() as u64 + self.mapped.len() as u64 * 8
+    /// Append the arena's chunk indices to a snapshot being captured.
+    pub(crate) fn capture(&self, cap: &mut Capture<'_>) {
+        cap.array(&self.data, &self.dirty, 1);
+    }
+
+    /// Bring the arena to the snapshot `w` walks and mark it clean.
+    pub(crate) fn restore(&mut self, w: &mut Walk<'_>) {
+        w.restore(&mut self.data, &self.dirty, 1);
+        self.dirty.clear();
+    }
+
+    /// Whether the arena holds the bytes of the snapshot `w` walks.
+    pub(crate) fn same(&self, w: &mut Walk<'_>) -> bool {
+        w.same(&self.data, &self.dirty, 1, |_| true)
+    }
+
+    pub(crate) fn clear_dirty(&mut self) {
+        self.dirty.clear();
     }
 }
 

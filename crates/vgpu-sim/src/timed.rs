@@ -16,8 +16,8 @@ use crate::fault::{
     UarchInjector,
 };
 use crate::lifetime::{CacheAce, LifetimeTracker};
-use crate::mem::GlobalMem;
-use crate::snapshot::{ConvergeWith, SimSnapshot};
+use crate::mem::{DirtyMap, GlobalMem};
+use crate::snapshot::{Capture, ChunkStore, ConvergeWith, Machine, Scope, SnapId, Walk};
 use crate::stats::{CacheStats, Stats};
 use crate::warp::Warp;
 use vgpu_arch::{Kernel, LaunchConfig, WARP_SIZE};
@@ -221,8 +221,11 @@ struct CtaSlot {
     arrived: u32,
 }
 
-/// Per-SM state for one launch.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Per-SM state. The register file and shared memory are allocated once
+/// per [`Machine`] and outlive launches — a launch only ever reads the
+/// ranges of CTA slots it filled itself ([`launch_cta`] zeroes them) — the
+/// rest is rebuilt per launch.
+#[derive(Debug)]
 pub(crate) struct SmState {
     rf: Vec<u32>,
     smem: Vec<u32>,
@@ -230,15 +233,126 @@ pub(crate) struct SmState {
     warps: Vec<Option<Warp>>,
     /// Index of the warp issued last cycle (greedy-then-oldest policy).
     last: Option<usize>,
+    /// Granules of `rf` / `smem` written since the last snapshot
+    /// synchronisation …
+    rf_dirty: DirtyMap,
+    smem_dirty: DirtyMap,
+    /// … plus what the issue loop has not folded into them yet
+    /// ([`fold_issue_marks`]): bit `wi` for a warp that issued (its
+    /// register block may have changed), bit `slot` for a CTA slot whose
+    /// shared memory may have.
+    issued: u64,
+    smem_issued: u64,
 }
 
-/// Complete mid-launch engine state — everything `run_timed_ctl` keeps in
-/// locals while simulating, in storable form. Together with the device
-/// state (global memory + cache hierarchy) this suffices to continue a
+/// The part of an [`SmState`] a mid-launch snapshot keeps verbatim.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct SmScalars {
+    slots: Vec<Option<CtaSlot>>,
+    warps: Vec<Option<Warp>>,
+    last: Option<usize>,
+}
+
+impl SmState {
+    pub(crate) fn new(cfg: &GpuConfig) -> Self {
+        let (rf_words, smem_words) = (
+            cfg.rf_regs_per_sm as usize,
+            cfg.smem_bytes_per_sm as usize / 4,
+        );
+        SmState {
+            rf: vec![0; rf_words],
+            smem: vec![0; smem_words],
+            slots: Vec::new(),
+            warps: Vec::new(),
+            last: None,
+            rf_dirty: DirtyMap::new(rf_words * 4),
+            smem_dirty: DirtyMap::new(smem_words * 4),
+            issued: 0,
+            smem_issued: 0,
+        }
+    }
+
+    /// Empty `slots_per_sm` CTA slots of `wpc` warps each.
+    fn begin_launch(&mut self, g: &Geometry) {
+        self.slots.clear();
+        self.slots.resize(g.slots_per_sm as usize, None);
+        self.warps.clear();
+        self.warps.resize((g.slots_per_sm * g.wpc) as usize, None);
+        self.last = None;
+    }
+
+    pub(crate) fn scalars(&self) -> SmScalars {
+        SmScalars {
+            slots: self.slots.clone(),
+            warps: self.warps.clone(),
+            last: self.last,
+        }
+    }
+
+    pub(crate) fn load_scalars(&mut self, s: &SmScalars) {
+        self.slots.clone_from(&s.slots);
+        self.warps.clone_from(&s.warps);
+        self.last = s.last;
+    }
+
+    /// Append the register file and shared memory to a snapshot being
+    /// captured (the order [`SmState::restore`] and [`SmState::same`]
+    /// walk in).
+    pub(crate) fn capture(&self, cap: &mut Capture<'_>) {
+        debug_assert_eq!(self.issued | self.smem_issued, 0, "unfolded issue marks");
+        cap.array(&self.rf, &self.rf_dirty, 4);
+        cap.array(&self.smem, &self.smem_dirty, 4);
+    }
+
+    pub(crate) fn restore(&mut self, w: &mut Walk<'_>) {
+        debug_assert_eq!(self.issued | self.smem_issued, 0, "unfolded issue marks");
+        w.restore(&mut self.rf, &self.rf_dirty, 4);
+        w.restore(&mut self.smem, &self.smem_dirty, 4);
+        self.clear_dirty();
+    }
+
+    pub(crate) fn clear_dirty(&mut self) {
+        self.rf_dirty.clear();
+        self.smem_dirty.clear();
+    }
+
+    /// Equality with the snapshot `w` walks: warp and slot state must
+    /// match the mid-launch scalars `s`, if the snapshot has them; RF and
+    /// SMEM must match in the live CTA slots of `live_slots` — `(regs,
+    /// shared-memory words)` per slot; a free slot's words are zeroed on
+    /// reuse — or, without it, bit for bit.
+    pub(crate) fn same(
+        &self,
+        w: &mut Walk<'_>,
+        s: Option<&SmScalars>,
+        live_slots: Option<(usize, usize)>,
+    ) -> bool {
+        debug_assert_eq!(self.issued | self.smem_issued, 0, "unfolded issue marks");
+        if s.is_some_and(|s| self.last != s.last || self.slots != s.slots || self.warps != s.warps)
+        {
+            return false;
+        }
+        let live = |per_slot: Option<usize>| {
+            move |i: usize| {
+                per_slot.is_none_or(|n| self.slots.get(i / n).is_some_and(Option::is_some))
+            }
+        };
+        w.same(&self.rf, &self.rf_dirty, 4, live(live_slots.map(|l| l.0)))
+            && w.same(
+                &self.smem,
+                &self.smem_dirty,
+                4,
+                live(live_slots.map(|l| l.1)),
+            )
+    }
+}
+
+/// The launch-wide scalars `run_timed_ctl` keeps in locals while
+/// simulating, in storable form. Together with the [`Machine`] (device
+/// state, RF/SMEM, warp and slot state) this suffices to continue a
 /// launch bit-identically from the captured cycle.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct EngineState {
-    pub(crate) sms: Vec<SmState>,
+pub(crate) struct LaunchScalars {
     pub(crate) next_cta: u64,
     pub(crate) done_ctas: u64,
     pub(crate) seq: u64,
@@ -254,15 +368,31 @@ pub(crate) struct EngineState {
     pub(crate) l2_start: CacheStats,
 }
 
-impl EngineState {
-    pub(crate) fn byte_size(&self) -> u64 {
-        let per_sm = |sm: &SmState| {
-            sm.rf.len() as u64 * 4
-                + sm.smem.len() as u64 * 4
-                + sm.slots.len() as u64 * 8
-                + sm.warps.len() as u64 * std::mem::size_of::<Option<Warp>>() as u64
+/// Everything a mid-launch snapshot keeps verbatim beyond the caches'
+/// own scalars.
+#[derive(Debug)]
+pub(crate) struct EngineScalars {
+    pub(crate) sms: Vec<SmScalars>,
+    pub(crate) launch: LaunchScalars,
+}
+
+impl EngineScalars {
+    pub(crate) fn heap_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        let per_sm = |sm: &SmScalars| {
+            sm.slots.capacity() * size_of::<Option<CtaSlot>>()
+                + sm.warps.capacity() * size_of::<Option<Warp>>()
+                + sm.warps
+                    .iter()
+                    .flatten()
+                    .map(|w| w.stack.capacity() * size_of::<crate::warp::StackEntry>())
+                    .sum::<usize>()
         };
-        self.sms.iter().map(per_sm).sum::<u64>() + std::mem::size_of::<EngineState>() as u64
+        let l = &self.launch;
+        (self.sms.capacity() * size_of::<SmScalars>()
+            + self.sms.iter().map(per_sm).sum::<usize>()
+            + (l.l1d_start.capacity() + l.l1t_start.capacity()) * size_of::<CacheStats>())
+            as u64
     }
 }
 
@@ -270,29 +400,34 @@ impl EngineState {
 /// empty value ([`TimedCtl::none`]) makes `run_timed_ctl` behave exactly
 /// like the historical slow path.
 pub(crate) struct TimedCtl<'a> {
-    /// Cycles (sorted ascending) at which to capture a [`SimSnapshot`].
-    pub(crate) capture_at: &'a [u64],
+    /// Cycles (sorted ascending) at which to capture a snapshot, and the
+    /// store to capture into.
+    pub(crate) capture: Option<(&'a [u64], &'a mut ChunkStore)>,
     /// Snapshots captured this run, in cycle order.
-    pub(crate) captured: Vec<SimSnapshot>,
+    pub(crate) captured: Vec<SnapId>,
     /// Start mid-launch from this snapshot instead of from cycle 0.
-    pub(crate) resume: Option<&'a SimSnapshot>,
-    /// Golden reference enabling the early masked-convergence exit.
+    pub(crate) resume: Option<(&'a ChunkStore, SnapId)>,
+    /// Golden reference (snapshots of the `resume` store) enabling the
+    /// early masked-convergence exit.
     pub(crate) converge: Option<ConvergeWith<'a>>,
     /// Cycle at which the run exited early through the convergence check.
     pub(crate) converged_at: Option<u64>,
     /// Cycles actually simulated (exit cycle − start cycle).
     pub(crate) simulated_cycles: u64,
+    /// Bytes the restore to `resume` copied.
+    pub(crate) restored_bytes: u64,
 }
 
 impl<'a> TimedCtl<'a> {
     pub(crate) fn none() -> TimedCtl<'a> {
         TimedCtl {
-            capture_at: &[],
+            capture: None,
             captured: Vec::new(),
             resume: None,
             converge: None,
             converged_at: None,
             simulated_cycles: 0,
+            restored_bytes: 0,
         }
     }
 }
@@ -323,6 +458,10 @@ fn geometry(cfg: &GpuConfig, kernel: &Kernel, lc: &LaunchConfig) -> Geometry {
         kernel.num_regs,
         kernel.smem_bytes
     );
+    assert!(
+        slots_per_sm * wpc <= u64::BITS,
+        "more resident warps per SM than the issue-mark bitmask holds"
+    );
     Geometry {
         wpc,
         regs_per_warp,
@@ -352,8 +491,12 @@ fn launch_cta(
     let ctaid_x = (lin % lc.grid_x as u64) as u32;
     let ctaid_y = (lin / lc.grid_x as u64) as u32;
     let rf_base = slot * g.regs_per_cta as usize;
+    sm.rf_dirty
+        .mark_range(rf_base as u32 * 4, g.regs_per_cta * 4);
     sm.rf[rf_base..rf_base + g.regs_per_cta as usize].fill(0);
     let sm_base = slot * g.smem_words_per_cta as usize;
+    sm.smem_dirty
+        .mark_range(sm_base as u32 * 4, g.smem_words_per_cta * 4);
     sm.smem[sm_base..sm_base + g.smem_words_per_cta as usize].fill(0);
     if let Some(tr) = ace {
         tr.cta_fill(
@@ -382,6 +525,31 @@ fn launch_cta(
         warps_running: g.wpc,
         arrived: 0,
     });
+}
+
+/// Fold the issue loop's per-warp / per-slot marks into the RF and SMEM
+/// dirty maps. The loop sets one bit per issue instead of marking granule
+/// ranges; whoever is about to consult the maps (capture, convergence
+/// compare) or leave the launch folds first.
+fn fold_issue_marks(sms: &mut [SmState], g: &Geometry) {
+    for sm in sms {
+        let mut m = std::mem::take(&mut sm.issued);
+        while m != 0 {
+            let wi = m.trailing_zeros();
+            m &= m - 1;
+            // Warp `wi` is warp `wi % wpc` of slot `wi / wpc`, so its
+            // register block starts `wi` blocks into the file.
+            sm.rf_dirty
+                .mark_range(wi * g.regs_per_warp * 4, g.regs_per_warp * 4);
+        }
+        let mut m = std::mem::take(&mut sm.smem_issued);
+        while m != 0 {
+            let slot = m.trailing_zeros();
+            m &= m - 1;
+            sm.smem_dirty
+                .mark_range(slot * g.smem_words_per_cta * 4, g.smem_words_per_cta * 4);
+        }
+    }
 }
 
 /// Apply a pending microarchitecture fault to the live machine state.
@@ -443,8 +611,10 @@ fn apply_uarch(
             // across the 32 lanes/banks of the physical array.
             for (e, m) in pattern_footprint(pattern, idx, bit, arr_len, 32, WARP_SIZE as u64) {
                 let w = if is_rf {
+                    sm.rf_dirty.mark(e as u32 * 4);
                     &mut sm.rf[e as usize]
                 } else {
+                    sm.smem_dirty.mark(e as u32 * 4);
                     &mut sm.smem[e as usize]
                 };
                 match stuck {
@@ -593,10 +763,12 @@ fn reassert_stuck(
     for s in &inj.stuck {
         match *s {
             StuckSite::RfWord { sm, idx, mask } => {
+                sms[sm].rf_dirty.mark(idx as u32 * 4);
                 let w = &mut sms[sm].rf[idx];
                 *w = apply_stuck(*w, mask, v);
             }
             StuckSite::SmemWord { sm, idx, mask } => {
+                sms[sm].smem_dirty.mark(idx as u32 * 4);
                 let w = &mut sms[sm].smem[idx];
                 *w = apply_stuck(*w, mask, v);
             }
@@ -624,12 +796,9 @@ fn reassert_stuck(
 
 /// Run one kernel launch on the timed engine.
 #[allow(clippy::too_many_arguments)]
-pub fn run_timed(
+pub(crate) fn run_timed(
     cfg: &GpuConfig,
-    mem: &mut GlobalMem,
-    l1ds: &mut [Cache],
-    l1ts: &mut [Cache],
-    l2: &mut Cache,
+    m: &mut Machine,
     kernel: &Kernel,
     lc: &LaunchConfig,
     uarch: Option<&mut UarchInjector>,
@@ -639,10 +808,7 @@ pub fn run_timed(
 ) -> Result<Stats, LaunchAbort> {
     run_timed_ctl(
         cfg,
-        mem,
-        l1ds,
-        l1ts,
-        l2,
+        m,
         kernel,
         lc,
         uarch,
@@ -660,10 +826,7 @@ pub fn run_timed(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_timed_ctl(
     cfg: &GpuConfig,
-    mem: &mut GlobalMem,
-    l1ds: &mut [Cache],
-    l1ts: &mut [Cache],
-    l2: &mut Cache,
+    m: &mut Machine,
     kernel: &Kernel,
     lc: &LaunchConfig,
     mut uarch: Option<&mut UarchInjector>,
@@ -684,7 +847,10 @@ pub(crate) fn run_timed_ctl(
             total_ctas as u32,
         );
     }
-    let capture_at = ctl.capture_at;
+    let (capture_at, mut capture_into) = match ctl.capture.take() {
+        Some((at, store)) => (at, Some(store)),
+        None => (&[][..], None),
+    };
     let mut converge = ctl.converge.take();
     // A persistent (stuck-at) fault is re-asserted until launch end, so
     // the disturbed machine can never provably re-converge to golden
@@ -699,7 +865,7 @@ pub(crate) fn run_timed_ctl(
     }
 
     let state = match ctl.resume {
-        Some(snap) => {
+        Some((store, snap)) => {
             // ACE lifetime intervals and SW injection counters accumulate
             // over the whole prefix; a mid-launch restore cannot rebuild
             // them, so fast-forward refuses those modes.
@@ -707,35 +873,22 @@ pub(crate) fn run_timed_ctl(
                 ace.is_none() && sw.is_none(),
                 "snapshot resume supports plain and uarch-fault runs only"
             );
-            // Verbatim restore: the resumed machine is bit-identical to
-            // the one the snapshot was taken from — including cache stats
-            // and the per-launch baselines — so the continuation
-            // accumulates exactly what an uninterrupted run would.
-            mem.clone_from(&snap.mem);
-            for (c, s) in l1ds.iter_mut().zip(&snap.l1ds) {
-                c.clone_from(s);
-            }
-            for (c, s) in l1ts.iter_mut().zip(&snap.l1ts) {
-                c.clone_from(s);
-            }
-            l2.clone_from(&snap.l2);
-            snap.engine.clone()
+            // The restored machine is bit-identical to the one the
+            // snapshot was taken from — including cache stats and the
+            // per-launch baselines — so the continuation accumulates
+            // exactly what an uninterrupted run would.
+            ctl.restored_bytes = m.restore(store, snap);
+            store.launch_scalars(snap).clone()
         }
         None => {
-            let mut sms: Vec<SmState> = (0..num_sms)
-                .map(|_| SmState {
-                    rf: vec![0; cfg.rf_regs_per_sm as usize],
-                    smem: vec![0; (cfg.smem_bytes_per_sm / 4) as usize],
-                    slots: (0..g.slots_per_sm).map(|_| None).collect(),
-                    warps: (0..g.slots_per_sm * g.wpc).map(|_| None).collect(),
-                    last: None,
-                })
-                .collect();
             let mut next_cta = 0u64;
             let mut seq = 0u64;
+            for sm in m.sms.iter_mut() {
+                sm.begin_launch(&g);
+            }
             // Initial CTA fill, round-robin over SMs.
             'fill: for slot in 0..g.slots_per_sm as usize {
-                for (smi, sm) in sms.iter_mut().enumerate() {
+                for (smi, sm) in m.sms.iter_mut().enumerate() {
                     if next_cta >= total_ctas {
                         break 'fill;
                     }
@@ -754,8 +907,7 @@ pub(crate) fn run_timed_ctl(
                     next_cta += 1;
                 }
             }
-            EngineState {
-                sms,
+            LaunchScalars {
                 next_cta,
                 done_ctas: 0,
                 seq,
@@ -763,14 +915,13 @@ pub(crate) fn run_timed_ctl(
                 mem_reads: 0,
                 mem_writes: 0,
                 cycle: 0,
-                l1d_start: l1ds.iter().map(|c| c.stats).collect(),
-                l1t_start: l1ts.iter().map(|c| c.stats).collect(),
-                l2_start: l2.stats,
+                l1d_start: m.l1ds.iter().map(|c| c.stats).collect(),
+                l1t_start: m.l1ts.iter().map(|c| c.stats).collect(),
+                l2_start: m.l2.stats,
             }
         }
     };
-    let EngineState {
-        mut sms,
+    let LaunchScalars {
         mut next_cta,
         mut done_ctas,
         mut seq,
@@ -787,8 +938,16 @@ pub(crate) fn run_timed_ctl(
     // Convergence checks start strictly after the fault cycle: at or
     // before it the disturbed state cannot have diverged yet, and the
     // check only fires once the flip has actually landed.
+    let golden = ctl.resume.map(|(store, _)| store);
+    let golden_cycle = |id: SnapId| {
+        golden
+            .and_then(|s| s.cycle(id))
+            .expect("convergence snapshots are mid-launch snapshots of the resume store")
+    };
     let mut conv_idx = match (&converge, uarch.as_deref()) {
-        (Some(cv), Some(inj)) => cv.snaps.partition_point(|s| s.cycle() <= inj.fault.cycle),
+        (Some(cv), Some(inj)) => cv
+            .snaps
+            .partition_point(|&s| golden_cycle(s) <= inj.fault.cycle),
         (Some(_), None) => panic!("convergence exit requires a microarchitecture fault"),
         _ => 0,
     };
@@ -808,25 +967,21 @@ pub(crate) fn run_timed_ctl(
                     break;
                 }
                 if cc == cycle {
-                    ctl.captured.push(SimSnapshot {
-                        engine: EngineState {
-                            sms: sms.clone(),
-                            next_cta,
-                            done_ctas,
-                            seq,
-                            stats,
-                            mem_reads,
-                            mem_writes,
-                            cycle,
-                            l1d_start: l1d_start.clone(),
-                            l1t_start: l1t_start.clone(),
-                            l2_start,
-                        },
-                        mem: mem.clone(),
-                        l1ds: l1ds.to_vec(),
-                        l1ts: l1ts.to_vec(),
-                        l2: l2.clone(),
-                    });
+                    fold_issue_marks(&mut m.sms, &g);
+                    let store = capture_into.as_deref_mut().expect("capture store");
+                    let launch = LaunchScalars {
+                        next_cta,
+                        done_ctas,
+                        seq,
+                        stats,
+                        mem_reads,
+                        mem_writes,
+                        cycle,
+                        l1d_start: l1d_start.clone(),
+                        l1t_start: l1t_start.clone(),
+                        l2_start,
+                    };
+                    ctl.captured.push(m.capture(store, Some(launch)));
                 }
                 cap_idx += 1;
             }
@@ -836,33 +991,50 @@ pub(crate) fn run_timed_ctl(
             // faults) before the next instructions can observe them.
             if let Some(inj) = uarch.as_deref_mut() {
                 if !inj.applied && cycle >= inj.fault.cycle {
-                    apply_uarch(inj, &mut sms, l1ds, l1ts, l2, &g);
+                    apply_uarch(inj, &mut m.sms, &mut m.l1ds, &mut m.l1ts, &mut m.l2, &g);
                 } else if inj.applied && !inj.stuck.is_empty() {
-                    reassert_stuck(inj, &mut sms, l1ds, l1ts, l2);
+                    reassert_stuck(inj, &mut m.sms, &mut m.l1ds, &mut m.l1ts, &mut m.l2);
                 }
             }
 
             // Early masked-convergence exit: once the fault has landed,
             // compare the disturbed machine against the golden snapshot at
             // the same cycle; architectural equality means the rest of the
-            // launch is bit-identical to golden, so splice the golden
+            // launch is bit-identical to golden, so credit the golden
             // suffix instead of simulating it.
-            if let Some(cv) = &converge {
+            if let (Some(cv), Some(store)) = (&converge, golden) {
                 if uarch.as_deref().is_some_and(|i| i.applied) {
-                    while cv.snaps.get(conv_idx).is_some_and(|s| s.cycle() < cycle) {
+                    while cv
+                        .snaps
+                        .get(conv_idx)
+                        .is_some_and(|&s| golden_cycle(s) < cycle)
+                    {
                         conv_idx += 1;
                     }
-                    if cv.snaps.get(conv_idx).is_some_and(|s| s.cycle() == cycle) {
-                        let gs = &cv.snaps[conv_idx];
+                    if cv
+                        .snaps
+                        .get(conv_idx)
+                        .is_some_and(|&s| golden_cycle(s) == cycle)
+                    {
+                        let gs = cv.snaps[conv_idx];
                         conv_idx += 1;
-                        if engine_converged(
-                            &sms, &g, next_cta, done_ctas, seq, mem, l1ds, l1ts, l2, gs,
-                        ) {
+                        fold_issue_marks(&mut m.sms, &g);
+                        let gl = store.launch_scalars(gs);
+                        if (next_cta, done_ctas, seq) == (gl.next_cta, gl.done_ctas, gl.seq)
+                            && m.same(
+                                store,
+                                gs,
+                                Scope::Engine {
+                                    regs_per_cta: g.regs_per_cta as usize,
+                                    smem_words_per_cta: g.smem_words_per_cta as usize,
+                                },
+                            )
+                        {
                             ctl.converged_at = Some(cycle);
                             ctl.simulated_cycles = cycle - start_cycle;
                             return Ok(splice_golden_suffix(
-                                cv, gs, stats, mem_reads, mem_writes, mem, l1ds, l1ts, l2,
-                                &l1d_start, &l1t_start, &l2_start,
+                                cv, store, gs, stats, mem_reads, mem_writes, m, &l1d_start,
+                                &l1t_start, &l2_start,
                             ));
                         }
                     }
@@ -871,7 +1043,7 @@ pub(crate) fn run_timed_ctl(
 
             let mut issued_any = false;
             let mut resident = 0u64;
-            for (smi, sm) in sms.iter_mut().enumerate() {
+            for (smi, sm) in m.sms.iter_mut().enumerate() {
                 resident += sm.warps.iter().flatten().filter(|w| !w.done).count() as u64;
 
                 // Greedy-then-oldest pick.
@@ -897,12 +1069,13 @@ pub(crate) fn run_timed_ctl(
                 let rf_base = slot_idx * g.regs_per_cta as usize
                     + warp.warp_in_cta as usize * g.regs_per_warp as usize;
                 let smem_base = slot_idx * g.smem_words_per_cta as usize;
+                sm.issued |= 1 << wi;
                 let (event, due) = {
                     let mut tg = TimedGMem {
-                        l1d: &mut l1ds[smi],
-                        l1t: &mut l1ts[smi],
-                        l2,
-                        mem,
+                        l1d: &mut m.l1ds[smi],
+                        l1t: &mut m.l1ts[smi],
+                        l2: &mut m.l2,
+                        mem: &mut m.mem,
                         lat: &cfg.lat,
                         now: cycle,
                         mem_reads: &mut mem_reads,
@@ -929,6 +1102,15 @@ pub(crate) fn run_timed_ctl(
                         Err(e) => (None, Some(e)),
                     }
                 };
+                // Shared memory changes only under a shared-memory
+                // instruction — which may have stored to some lanes before
+                // faulting on another.
+                if matches!(
+                    event,
+                    None | Some(StepEvent::Issued(IssueClass::Smem { .. }))
+                ) {
+                    sm.smem_issued |= 1 << slot_idx;
+                }
                 if let Some(e) = due {
                     break 'outer Err(LaunchAbort::Due(e));
                 }
@@ -1018,7 +1200,7 @@ pub(crate) fn run_timed_ctl(
                 1
             } else {
                 let mut nxt = u64::MAX;
-                for sm in &sms {
+                for sm in &m.sms {
                     for w in sm.warps.iter().flatten() {
                         if !w.done && !w.at_barrier && w.ready_at > cycle {
                             nxt = nxt.min(w.ready_at);
@@ -1043,9 +1225,9 @@ pub(crate) fn run_timed_ctl(
                     }
                 }
                 if let Some(cv) = &converge {
-                    if let Some(gs) = cv.snaps.get(conv_idx) {
-                        if gs.cycle() > cycle {
-                            target = target.min(gs.cycle());
+                    if let Some(&gs) = cv.snaps.get(conv_idx) {
+                        if golden_cycle(gs) > cycle {
+                            target = target.min(golden_cycle(gs));
                         }
                     }
                 }
@@ -1072,12 +1254,13 @@ pub(crate) fn run_timed_ctl(
     // memory after the epilogue).
     if let Some(inj) = uarch.as_deref() {
         if inj.applied && !inj.stuck.is_empty() {
-            reassert_stuck(inj, &mut sms, l1ds, l1ts, l2);
+            reassert_stuck(inj, &mut m.sms, &mut m.l1ds, &mut m.l1ts, &mut m.l2);
         }
     }
+    fold_issue_marks(&mut m.sms, &g);
 
     // Kernel boundary: L1s are invalidated (write-through, nothing dirty).
-    for c in l1ds.iter_mut().chain(l1ts.iter_mut()) {
+    for c in m.l1ds.iter_mut().chain(m.l1ts.iter_mut()) {
         c.invalidate_all();
     }
     // Register-file and shared-memory contents die with the grid, and the
@@ -1091,139 +1274,81 @@ pub(crate) fn run_timed_ctl(
     stats.cycles = cycle;
     stats.mem_reads = mem_reads;
     stats.mem_writes = mem_writes;
-    stats.l1d.add(&cache_delta(l1ds, &l1d_start));
-    stats.l1t.add(&cache_delta(l1ts, &l1t_start));
-    stats.l2.add(&one_cache_delta(l2, &l2_start));
+    stats
+        .l1d
+        .add(&cache_delta(m.l1ds.iter().map(|c| c.stats), &l1d_start));
+    stats
+        .l1t
+        .add(&cache_delta(m.l1ts.iter().map(|c| c.stats), &l1t_start));
+    stats.l2.add(&one_cache_delta(m.l2.stats, &l2_start));
     Ok(stats)
 }
 
-/// Architectural equality between the live (disturbed) machine and a
-/// golden snapshot at the same cycle. Dead state is excluded: stale
-/// RF/SMEM words in free CTA slots (zeroed on reuse by [`launch_cta`]),
-/// invalid cache lines, and cache hit/miss counters cannot influence any
-/// future architectural outcome. Everything else — warp contexts, CTA
-/// bookkeeping, live RF/SMEM ranges, valid cache lines with their tags /
-/// dirty bits / LRU ages, MSHRs, and all of global memory — must match
-/// bit-for-bit. A false negative only costs performance (the trial keeps
-/// simulating); a false positive would be a correctness bug, so the
-/// comparison is strict everywhere it matters.
-#[allow(clippy::too_many_arguments)]
-fn engine_converged(
-    sms: &[SmState],
-    g: &Geometry,
-    next_cta: u64,
-    done_ctas: u64,
-    seq: u64,
-    mem: &GlobalMem,
-    l1ds: &[Cache],
-    l1ts: &[Cache],
-    l2: &Cache,
-    gs: &SimSnapshot,
-) -> bool {
-    let ge = &gs.engine;
-    if next_cta != ge.next_cta || done_ctas != ge.done_ctas || seq != ge.seq {
-        return false;
-    }
-    for (sm, gsm) in sms.iter().zip(&ge.sms) {
-        if sm.last != gsm.last || sm.slots != gsm.slots || sm.warps != gsm.warps {
-            return false;
-        }
-        for (slot_idx, slot) in sm.slots.iter().enumerate() {
-            if slot.is_none() {
-                continue;
-            }
-            let r0 = slot_idx * g.regs_per_cta as usize;
-            let r1 = r0 + g.regs_per_cta as usize;
-            let s0 = slot_idx * g.smem_words_per_cta as usize;
-            let s1 = s0 + g.smem_words_per_cta as usize;
-            if sm.rf[r0..r1] != gsm.rf[r0..r1] || sm.smem[s0..s1] != gsm.smem[s0..s1] {
-                return false;
-            }
-        }
-    }
-    if !l2.arch_eq(&gs.l2) {
-        return false;
-    }
-    for (c, s) in l1ds.iter().zip(&gs.l1ds) {
-        if !c.arch_eq(s) {
-            return false;
-        }
-    }
-    for (c, s) in l1ts.iter().zip(&gs.l1ts) {
-        if !c.arch_eq(s) {
-            return false;
-        }
-    }
-    *mem == gs.mem
-}
-
-/// Build the final launch [`Stats`] for a converged trial and jump the
-/// device to the golden post-launch state. The disturbed run simulated
-/// the prefix up to the convergence cycle; golden's own counters cover
-/// the suffix from the matched snapshot `gs` to launch end, so the total
-/// is `prefix + (golden_end − golden_at_gs)` for every engine counter,
-/// and the cache deltas compose the same way against their per-launch
-/// baselines.
+/// Build the final launch [`Stats`] for a trial that converged with the
+/// golden snapshot `gs` of `store`. The disturbed run simulated the prefix
+/// up to the convergence cycle; golden's own counters cover the suffix
+/// from `gs` to launch end, so the total is `prefix + (golden_end −
+/// golden_at_gs)` for every engine counter, and the cache deltas compose
+/// the same way against their per-launch baselines. The machine stays
+/// where it converged: whoever continues the run restores the golden
+/// post-launch snapshot (or follows it without restoring), so the launch
+/// epilogue is skipped.
 #[allow(clippy::too_many_arguments)]
 fn splice_golden_suffix(
     cv: &ConvergeWith<'_>,
-    gs: &SimSnapshot,
+    store: &ChunkStore,
+    gs: SnapId,
     mut stats: Stats,
     mem_reads: u64,
     mem_writes: u64,
-    mem: &mut GlobalMem,
-    l1ds: &mut [Cache],
-    l1ts: &mut [Cache],
-    l2: &mut Cache,
+    m: &Machine,
     l1d_start: &[CacheStats],
     l1t_start: &[CacheStats],
     l2_start: &CacheStats,
 ) -> Stats {
     let end = &cv.end_stats;
-    stats.add_engine_delta(end, &gs.engine.stats);
+    let gl = store.launch_scalars(gs);
+    let (g_l1s, g_l2) = store.cache_scalars(gs);
+    let (g_l1ds, g_l1ts) = g_l1s.split_at(m.l1ds.len());
+    stats.add_engine_delta(end, &gl.stats);
     stats.cycles = end.cycles;
-    stats.mem_reads = mem_reads + (end.mem_reads - gs.engine.mem_reads);
-    stats.mem_writes = mem_writes + (end.mem_writes - gs.engine.mem_writes);
+    stats.mem_reads = mem_reads + (end.mem_reads - gl.mem_reads);
+    stats.mem_writes = mem_writes + (end.mem_writes - gl.mem_writes);
     // Cache counters: what this run accumulated so far plus golden's
     // remaining share of its own per-launch delta.
-    stats.l1d = cache_delta(l1ds, l1d_start);
-    stats.l1t = cache_delta(l1ts, l1t_start);
-    stats.l2 = one_cache_delta(l2, l2_start);
+    stats.l1d = cache_delta(m.l1ds.iter().map(|c| c.stats), l1d_start);
+    stats.l1t = cache_delta(m.l1ts.iter().map(|c| c.stats), l1t_start);
+    stats.l2 = one_cache_delta(m.l2.stats, l2_start);
     let mut tail = end.l1d;
-    sub_stats(&mut tail, &cache_delta(&gs.l1ds, &gs.engine.l1d_start));
+    sub_stats(
+        &mut tail,
+        &cache_delta(g_l1ds.iter().map(|c| c.stats), &gl.l1d_start),
+    );
     stats.l1d.add(&tail);
     let mut tail = end.l1t;
-    sub_stats(&mut tail, &cache_delta(&gs.l1ts, &gs.engine.l1t_start));
+    sub_stats(
+        &mut tail,
+        &cache_delta(g_l1ts.iter().map(|c| c.stats), &gl.l1t_start),
+    );
     stats.l1t.add(&tail);
     let mut tail = end.l2;
-    sub_stats(&mut tail, &one_cache_delta(&gs.l2, &gs.engine.l2_start));
+    sub_stats(&mut tail, &one_cache_delta(g_l2.stats, &gl.l2_start));
     stats.l2.add(&tail);
-    // Device jump: the golden boundary snapshot already has the L1s
-    // invalidated, so the normal epilogue is skipped by the caller.
-    mem.clone_from(&cv.end.mem);
-    for (c, s) in l1ds.iter_mut().zip(&cv.end.l1ds) {
-        c.clone_from(s);
-    }
-    for (c, s) in l1ts.iter_mut().zip(&cv.end.l1ts) {
-        c.clone_from(s);
-    }
-    l2.clone_from(&cv.end.l2);
     stats
 }
 
 /// Sum of per-cache stat deltas against their launch-start baselines.
-fn cache_delta(caches: &[Cache], starts: &[CacheStats]) -> CacheStats {
+fn cache_delta(now: impl Iterator<Item = CacheStats>, starts: &[CacheStats]) -> CacheStats {
     let mut acc = CacheStats::default();
-    for (c, s0) in caches.iter().zip(starts) {
+    for (c, s0) in now.zip(starts) {
         acc.add(&one_cache_delta(c, s0));
     }
     acc
 }
 
-fn one_cache_delta(c: &Cache, s0: &CacheStats) -> CacheStats {
-    let mut d = c.stats;
-    sub_stats(&mut d, s0);
-    d
+fn one_cache_delta(mut now: CacheStats, s0: &CacheStats) -> CacheStats {
+    sub_stats(&mut now, s0);
+    now
 }
 
 fn sub_stats(a: &mut CacheStats, b: &CacheStats) {
@@ -1291,13 +1416,8 @@ mod tests {
         let k = kernel_with(2, 0);
         let lc = LaunchConfig::new(1, 40, vec![]); // 1 full warp + 8 lanes
         let g = geometry(&cfg, &k, &lc);
-        let mut sm = SmState {
-            rf: vec![0; cfg.rf_regs_per_sm as usize],
-            smem: vec![0; (cfg.smem_bytes_per_sm / 4) as usize],
-            slots: (0..g.slots_per_sm).map(|_| None).collect(),
-            warps: (0..g.slots_per_sm * g.wpc).map(|_| None).collect(),
-            last: None,
-        };
+        let mut sm = SmState::new(&cfg);
+        sm.begin_launch(&g);
         let mut seq = 0;
         launch_cta(&mut sm, 0, 0, &lc, &g, &mut seq, 0, 0, true, None);
         let w0 = sm.warps[0].as_ref().unwrap();
