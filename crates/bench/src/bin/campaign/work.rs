@@ -35,37 +35,23 @@ pub fn work(args: &[String]) {
     let Some(addr) = a.text("--connect") else {
         die("work requires --connect HOST:PORT");
     };
-    if !follow {
-        match dispatch::work(addr, &cfg) {
-            Ok(s) if s.died_early => report_death(&s),
-            Ok(s) => println!(
-                "worker {}: {} shards completed, {} trials executed",
-                s.worker, s.shards_completed, s.trials_executed
-            ),
-            Err(e) => fail(&e.to_string()),
-        }
-        return;
+    // `--follow` serves an adaptive campaign: one session per wave, the
+    // application's captures kept in between (`dispatch::follow`).
+    let run = if follow {
+        dispatch::follow
+    } else {
+        dispatch::work
+    };
+    match run(addr, &cfg) {
+        Ok(s) if s.died_early => report_death(&s),
+        Ok(s) if follow => println!(
+            "worker {}: {} sessions, {} shards completed, {} trials executed",
+            s.worker, s.sessions, s.shards_completed, s.trials_executed
+        ),
+        Ok(s) => println!(
+            "worker {}: {} shards completed, {} trials executed",
+            s.worker, s.shards_completed, s.trials_executed
+        ),
+        Err(e) => fail(&e.to_string()),
     }
-    // Serve an adaptive campaign: one worker session per wave. The
-    // coordinator keeps the listening socket across waves, so between
-    // waves a reconnect just parks in the accept backlog; once the
-    // coordinator is gone the connection fails and the worker exits.
-    // A session error before any completed session is a real failure.
-    let (mut sessions, mut shards, mut trials) = (0usize, 0usize, 0usize);
-    loop {
-        match dispatch::work(addr, &cfg) {
-            Ok(s) if s.died_early => return report_death(&s),
-            Ok(s) => {
-                sessions += 1;
-                shards += s.shards_completed;
-                trials += s.trials_executed;
-            }
-            Err(e) if sessions == 0 => fail(&e.to_string()),
-            Err(_) => break,
-        }
-    }
-    println!(
-        "worker {}: {} sessions, {} shards completed, {} trials executed",
-        cfg.name, sessions, shards, trials
-    );
 }

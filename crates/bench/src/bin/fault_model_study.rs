@@ -25,10 +25,10 @@
 use ace::spearman;
 use bench::cli::{parse_or_exit, Cmd};
 use bench::{finish_observability, init_observability, results_dir};
-use kernels::all_benchmarks;
+use kernels::{all_benchmarks, Benchmark};
 use relia::{
-    pct, pct4, run_sw_campaign, run_uarch_campaign_with, CampaignCfg, EngineBackend, Table,
-    TrendItem,
+    pct, pct4, run_sw_campaign_on, run_uarch_campaign_on, AppCaptures, CampaignCfg, EngineBackend,
+    Layer, SvfAppResult, Table, TrendItem, UarchAppResult,
 };
 use vgpu_sim::FaultPattern;
 
@@ -40,22 +40,50 @@ struct Point {
     svf: f64,
 }
 
-fn measure(cfg: &CampaignCfg, backend: EngineBackend, pattern: FaultPattern) -> Vec<Point> {
-    let mut cfg = cfg.clone();
-    cfg.pattern = pattern;
-    let mut points = Vec::new();
+/// Both campaigns of one app under every pattern of `patterns`, in that
+/// order. The pattern never feeds seed derivation or the golden run, so
+/// all of an app's campaigns share one set of captures per layer: one
+/// golden run, one snapshot set (or trace) and one CTA log per app, not
+/// per (app, pattern).
+fn run_patterns(
+    bench: &dyn Benchmark,
+    cfg: &CampaignCfg,
+    backend: EngineBackend,
+    patterns: &[FaultPattern],
+) -> Vec<(UarchAppResult, SvfAppResult)> {
+    let uarch = AppCaptures::new(bench, &cfg.gpu, Layer::Uarch, false);
+    let sw = AppCaptures::new(bench, &cfg.gpu, Layer::Sw, false);
+    (patterns.iter())
+        .map(|&pattern| {
+            eprintln!("[fault-model] {} / {} ...", bench.name(), pattern.label());
+            let cfg = CampaignCfg {
+                pattern,
+                ..cfg.clone()
+            };
+            (
+                run_uarch_campaign_on(&uarch, &cfg, backend),
+                run_sw_campaign_on(&sw, &cfg),
+            )
+        })
+        .collect()
+}
+
+/// Per-kernel points of the whole suite under every [`FaultPattern`],
+/// indexed like [`FaultPattern::ALL`].
+fn measure(cfg: &CampaignCfg, backend: EngineBackend) -> Vec<Vec<Point>> {
+    let mut points: Vec<Vec<Point>> = FaultPattern::ALL.iter().map(|_| Vec::new()).collect();
     for b in all_benchmarks() {
-        eprintln!("[fault-model] {} / {} ...", pattern.label(), b.name());
-        let uarch = run_uarch_campaign_with(b.as_ref(), &cfg, false, backend);
-        let sw = run_sw_campaign(b.as_ref(), &cfg, false);
-        for (ku, ks) in uarch.kernels.iter().zip(&sw.kernels) {
-            assert_eq!(ku.kernel, ks.kernel, "layer kernel order must agree");
-            points.push(Point {
-                app: uarch.app.clone(),
-                kernel: ku.kernel.clone(),
-                avf: ku.chip_avf(&cfg.gpu).total(),
-                svf: ks.svf().total(),
-            });
+        let runs = run_patterns(b.as_ref(), cfg, backend, &FaultPattern::ALL);
+        for ((uarch, sw), out) in runs.iter().zip(&mut points) {
+            for (ku, ks) in uarch.kernels.iter().zip(&sw.kernels) {
+                assert_eq!(ku.kernel, ks.kernel, "layer kernel order must agree");
+                out.push(Point {
+                    app: uarch.app.clone(),
+                    kernel: ku.kernel.clone(),
+                    avf: ku.chip_avf(&cfg.gpu).total(),
+                    svf: ks.svf().total(),
+                });
+            }
         }
     }
     points
@@ -102,25 +130,16 @@ fn main() {
             "spearman_svf_vs_single_bit",
         ],
     );
-    let base = measure(&cfg, backend, FaultPattern::SingleBit);
+    let all = measure(&cfg, backend);
+    let single_bit = (FaultPattern::ALL.iter())
+        .position(|&p| p == FaultPattern::SingleBit)
+        .expect("single-bit is a pattern");
+    let base = &all[single_bit];
     let mut summary = Vec::new();
-    for &p in &FaultPattern::ALL {
-        let pts = if p == FaultPattern::SingleBit {
-            // Reuse the baseline run: same cfg, same pattern, same seeds.
-            base.iter()
-                .map(|b| Point {
-                    app: b.app.clone(),
-                    kernel: b.kernel.clone(),
-                    avf: b.avf,
-                    svf: b.svf,
-                })
-                .collect()
-        } else {
-            measure(&cfg, backend, p)
-        };
+    for (&p, pts) in FaultPattern::ALL.iter().zip(&all) {
         assert_eq!(pts.len(), base.len(), "pattern runs must cover the suite");
-        let rho_avf = rho(&base, &pts, |x| x.avf);
-        let rho_svf = rho(&base, &pts, |x| x.svf);
+        let rho_avf = rho(base, pts, |x| x.avf);
+        let rho_svf = rho(base, pts, |x| x.svf);
         // The inversion analysis of Table I, re-run under this pattern:
         // does ranking apps by SVF still mis-order them vs AVF?
         let items: Vec<TrendItem> = pts
@@ -133,7 +152,7 @@ fn main() {
             .collect();
         let trend = relia::compare_pairs(&items);
         summary.push((p, rho_avf.clone(), rho_svf.clone(), trend));
-        for x in &pts {
+        for x in pts {
             t.row(vec![
                 x.app.clone(),
                 x.kernel.clone(),
@@ -174,20 +193,30 @@ fn smoke(backend: EngineBackend) {
         .into_iter()
         .find(|b| b.name() == "VA")
         .expect("VA in the suite");
-    let run = |pattern: FaultPattern| {
-        let mut c = cfg.clone();
-        c.pattern = pattern;
-        let u = run_uarch_campaign_with(bench.as_ref(), &c, false, backend);
-        let s = run_sw_campaign(bench.as_ref(), &c, false);
-        (
-            u.app_avf(&c.gpu).total(),
-            s.app_svf().total(),
-            u.kernels[0].per_structure.clone(),
-        )
+    // One call = one set of captures; the patterns inside it share them.
+    let run = |patterns: &[FaultPattern]| -> Vec<_> {
+        run_patterns(bench.as_ref(), &cfg, backend, patterns)
+            .into_iter()
+            .map(|(u, s)| {
+                (
+                    u.app_avf(&cfg.gpu).total(),
+                    s.app_svf().total(),
+                    u.kernels[0].per_structure.clone(),
+                )
+            })
+            .collect()
     };
-    for pattern in [FaultPattern::BurstRow, FaultPattern::StuckAt0] {
-        let a = run(pattern);
-        let b = run(pattern);
+    let patterns = [
+        FaultPattern::BurstRow,
+        FaultPattern::StuckAt0,
+        FaultPattern::SingleBit,
+        FaultPattern::StuckAt1,
+    ];
+    let first = run(&patterns);
+    // Rerun on captures of its own, one pattern at a time: what a pattern
+    // measures must not depend on which campaigns shared its captures.
+    for (pattern, a) in patterns[..2].iter().zip(&first) {
+        let b = &run(&[*pattern])[0];
         assert_eq!(
             a.2,
             b.2,
@@ -197,8 +226,7 @@ fn smoke(backend: EngineBackend) {
         assert_eq!(a.0.to_bits(), b.0.to_bits(), "AVF must be deterministic");
         assert_eq!(a.1.to_bits(), b.1.to_bits(), "SVF must be deterministic");
     }
-    let single = run(FaultPattern::SingleBit);
-    let stuck = run(FaultPattern::StuckAt1);
+    let (single, stuck) = (&first[2], &first[3]);
     assert_ne!(
         single.2, stuck.2,
         "smoke failed: stuck-at-1 outcomes identical to single-bit — the \

@@ -18,7 +18,8 @@ use bench::cli::{from_env, Cmd};
 use bench::{finish_observability, init_observability, results_dir};
 use kernels::all_benchmarks;
 use relia::{
-    pct, pct4, run_pvf_campaign, run_sw_campaign, run_uarch_campaign_with, Table, TrendItem,
+    pct, pct4, run_pvf_campaign_on, run_sw_campaign_on, run_uarch_campaign_with, AppCaptures,
+    Layer, Table, TrendItem,
 };
 
 fn main() {
@@ -34,8 +35,11 @@ fn main() {
     let mut items_pa = Vec::new(); // PVF vs AVF ranking agreement
     for b in all_benchmarks() {
         eprintln!("[layers] {} ...", b.name());
-        let svf = run_sw_campaign(b.as_ref(), &cfg, false).app_svf().total();
-        let pvf = run_pvf_campaign(b.as_ref(), &cfg, false).app_pvf().total();
+        // SVF and PVF are both functional-engine campaigns: one golden
+        // run and one CTA log serve the two.
+        let sw = AppCaptures::new(b.as_ref(), &cfg.gpu, Layer::Sw, false);
+        let svf = run_sw_campaign_on(&sw, &cfg).app_svf().total();
+        let pvf = run_pvf_campaign_on(&sw, &cfg).app_pvf().total();
         let avf = run_uarch_campaign_with(b.as_ref(), &cfg, false, backend)
             .app_avf(&cfg.gpu)
             .total();

@@ -26,15 +26,18 @@
 //! thresholds (two-level Spearman >= 0.7 vs full injection, aggregate
 //! adaptive savings >= 2x) and exits 1 when unmet.
 
+use std::sync::Arc;
+
 use ace::{estimate_app, spearman};
 use bench::cli::{die, parse_or_exit, Cmd};
 use bench::{finish_observability, init_observability, results_dir};
 use kernels::Benchmark;
 use relia::plan::Layer;
-use relia::{
-    execute_shard, prepare_sw_kinds, sw_seed_tag, CampaignCfg, Confidence, EngineCfg, Table,
+use relia::{execute_shard, plan_sw, AppCaptures, CampaignCfg, Confidence, EngineCfg, Table};
+use stat::{
+    class_targets, estimate_two_level, estimate_two_level_on, run_adaptive_on, run_adaptive_single,
+    AdaptiveCfg,
 };
-use stat::{class_targets, estimate_two_level, run_adaptive_single, AdaptiveCfg};
 use vgpu_sim::{GpuConfig, SwFaultKind};
 
 const FIG_CSV: &str = "fig_twolevel.csv";
@@ -68,15 +71,12 @@ fn parse_opts(args: &[String]) -> Opts {
 }
 
 /// Large dest-value-only reference campaign: per-kernel SDC ground truth.
-fn full_reference(bench: &dyn Benchmark, o: &Opts) -> Vec<f64> {
+fn full_reference(captures: &Arc<AppCaptures>, o: &Opts) -> Vec<f64> {
     let cfg = CampaignCfg {
-        n_sw: o.n_ref,
-        seed: o.seed,
         gpu: o.gpu.clone(),
         ..CampaignCfg::new(0, o.n_ref, o.seed)
     };
-    let kind = SwFaultKind::DestValue;
-    let prep = prepare_sw_kinds(bench, &cfg, false, &[(kind, sw_seed_tag(kind))]);
+    let prep = plan_sw(captures, &cfg, &[SwFaultKind::DestValue]);
     let records = execute_shard(&prep, &EngineCfg::single_shot())
         .expect("single-shot execution performs no checkpoint I/O");
     let counts =
@@ -123,24 +123,26 @@ fn cmd_study(o: &Opts) {
 
     for b in benches {
         eprintln!("[twolevel] {}...", b.name());
-        let full = full_reference(b.as_ref(), o);
+        // The three injection arms are functional-engine campaigns over
+        // one app and GPU: one golden run and one CTA log serve them all.
+        let captures = AppCaptures::new(b.as_ref(), &o.gpu, Layer::Sw, false);
+        let full = full_reference(&captures, o);
         let two_cfg = CampaignCfg {
             gpu: o.gpu.clone(),
             ..CampaignCfg::new(0, o.n_class, o.seed)
         };
-        let two = estimate_two_level(b.as_ref(), &two_cfg, Confidence::C95, o.reps);
+        let two = estimate_two_level_on(&captures, &two_cfg, Confidence::C95, o.reps);
         let ace = estimate_app(b.as_ref(), &o.gpu);
         let adaptive_cfg = CampaignCfg {
             gpu: o.gpu.clone(),
             ..CampaignCfg::new(0, 0, o.seed)
         };
-        let adaptive = run_adaptive_single(
-            b.as_ref(),
+        let adaptive = run_adaptive_on(
+            &captures,
             &adaptive_cfg,
-            false,
-            Layer::Sw,
             &class_targets(),
             &o.acfg,
+            |prep, _| execute_shard(prep, &EngineCfg::single_shot()),
         )
         .expect("in-process waves cannot under-cover their own plan");
 

@@ -29,7 +29,7 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering as AtomicOrdering;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use obs::Phase;
@@ -39,14 +39,15 @@ use kernels::{faulty_run_with, Accel, Benchmark, Outcome, PlannedFault, RunResul
 use trace::Verdict;
 use vgpu_sim::{FaultPattern, GpuConfig, HwStructure, SwFaultKind};
 
+use crate::captures::AppCaptures;
 use crate::checkpoint::{
     load_checkpoint, CheckpointError, CheckpointHeader, CheckpointWriter, TrialRecord,
     DEFAULT_CHECKPOINT_EVERY,
 };
 use crate::metrics::{ClassCounts, ClassRates};
 use crate::plan::{
-    derive_seed, prepare_sw_campaign, prepare_uarch_campaign, shard_trials, CampaignPlan, Layer,
-    PreparedCampaign, TrialTarget,
+    derive_seed, plan_sw, plan_uarch, shard_trials, CampaignPlan, Layer, PreparedCampaign,
+    TrialTarget, SVF_KINDS,
 };
 
 /// Per-injection watchdog: bounds how long one pathological trial can
@@ -133,7 +134,7 @@ fn observe_trial(
     started: Instant,
 ) {
     let app = prep.plan.app.as_str();
-    let kernel = prep.bench.kernels()[t.kernel_idx];
+    let kernel = prep.bench().kernels()[t.kernel_idx];
     let layer = prep.plan.layer.label();
     let target = t.target.label();
     let (bit, cycle) = match &t.fault {
@@ -456,9 +457,9 @@ fn simulate(
     let attempt = || {
         obs::time_phase(Phase::FaultyRun, || {
             faulty_run_with(
-                prep.bench,
+                prep.bench(),
                 &prep.cfg.gpu,
-                prep.variant,
+                prep.captures.variant(),
                 &prep.golden,
                 ordinal,
                 *pf,
@@ -1054,7 +1055,7 @@ pub fn assemble_uarch(
         ));
     }
     let outs = complete_outcomes(&prep.plan, records)?;
-    let n_kernels = prep.bench.kernels().len();
+    let n_kernels = prep.bench().kernels().len();
     // Plans restricted to the storage structures keep the historical
     // five-row shape; only plans that actually target the SIMT stack or
     // the scheduler widen the result to the full injectable set.
@@ -1077,7 +1078,7 @@ pub fn assemble_uarch(
         sc.ctrl_affected_masked += r.ctrl as u32;
     }
     let kernels = prep
-        .bench
+        .bench()
         .kernels()
         .iter()
         .enumerate()
@@ -1132,7 +1133,20 @@ pub fn run_uarch_campaign_with(
     hardened: bool,
     backend: EngineBackend,
 ) -> UarchAppResult {
-    let prep = prepare_uarch_campaign(bench, cfg, hardened);
+    let captures = AppCaptures::new(bench, &cfg.gpu, Layer::Uarch, hardened);
+    run_uarch_campaign_on(&captures, cfg, backend)
+}
+
+/// [`run_uarch_campaign_with`] against an application's existing
+/// captures: a caller that runs several campaigns over one (app, GPU,
+/// hardened) — one per fault pattern, say — pays for the golden run and
+/// the capture pass once.
+pub fn run_uarch_campaign_on(
+    captures: &Arc<AppCaptures>,
+    cfg: &CampaignCfg,
+    backend: EngineBackend,
+) -> UarchAppResult {
+    let prep = plan_uarch(captures, cfg, &HwStructure::ALL);
     let eng = EngineCfg {
         backend,
         ..EngineCfg::single_shot()
@@ -1212,7 +1226,7 @@ pub fn assemble_sw_counts(
     }
     let outs = complete_outcomes(&prep.plan, records)?;
     let kinds = &prep.plan.sw_kinds;
-    let n_kernels = prep.bench.kernels().len();
+    let n_kernels = prep.bench().kernels().len();
     let mut acc = vec![vec![ClassCounts::default(); kinds.len()]; n_kernels];
     for (t, r) in prep.plan.trials.iter().zip(&outs) {
         let TrialTarget::Fault(kind) = t.target else {
@@ -1241,7 +1255,7 @@ pub fn assemble_sw(
     }
     let counts = assemble_sw_counts(prep, records)?;
     let kernels = prep
-        .bench
+        .bench()
         .kernels()
         .iter()
         .enumerate()
@@ -1261,7 +1275,13 @@ pub fn assemble_sw(
 /// Run the software-level (NVBitFI model) campaign for one application:
 /// destination-value injections plus the load-only SVF-LD variant.
 pub fn run_sw_campaign(bench: &dyn Benchmark, cfg: &CampaignCfg, hardened: bool) -> SvfAppResult {
-    let prep = prepare_sw_campaign(bench, cfg, hardened);
+    run_sw_campaign_on(&AppCaptures::new(bench, &cfg.gpu, Layer::Sw, hardened), cfg)
+}
+
+/// [`run_sw_campaign`] against an application's existing (software-layer)
+/// captures.
+pub fn run_sw_campaign_on(captures: &Arc<AppCaptures>, cfg: &CampaignCfg) -> SvfAppResult {
+    let prep = plan_sw(captures, cfg, &SVF_KINDS);
     let records = execute_shard(&prep, &EngineCfg::single_shot())
         .expect("single-shot execution performs no checkpoint I/O");
     assemble_sw(&prep, &records).expect("a single shard covers the whole plan")
@@ -1270,6 +1290,7 @@ pub fn run_sw_campaign(bench: &dyn Benchmark, cfg: &CampaignCfg, hardened: bool)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::{prepare_sw_campaign, prepare_uarch_campaign};
     use kernels::apps::va::Va;
 
     #[test]

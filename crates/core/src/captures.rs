@@ -1,0 +1,232 @@
+//! What is captured once per application: the golden run and the golden
+//! material the accelerated trial paths reuse.
+//!
+//! An [`AppCaptures`] handle belongs to one (benchmark, GPU configuration,
+//! layer, hardened) tuple. It runs the golden execution when it is built
+//! and captures the fast-forward snapshot set, the replay access trace and
+//! the CTA log lazily, each at most once, on the first plan that needs it.
+//! Every plan of that application — the waves of an adaptive campaign, the
+//! patterns of a fault-model sweep, the wave sessions of a followed
+//! dispatch worker — is expanded against the same handle
+//! ([`crate::plan::plan_uarch`] / [`crate::plan::plan_sw`] /
+//! [`crate::plan::plan_wave`]) and shares what it holds.
+//!
+//! Lifetime is the handle's: there is no process-wide cache, so dropping
+//! the last `Arc` (the handle and every [`crate::plan::PreparedCampaign`]
+//! built on it) frees the store. Whether a *plan* may use an artefact is
+//! decided by the plan (`PreparedCampaign::{snapshots, trace, cta_log}`);
+//! the cells here only ever hold a finished capture, never a "does not
+//! apply", so one plan with nothing to inject cannot switch the
+//! accelerators off for the next.
+
+use std::sync::{Arc, OnceLock};
+use std::time::Instant;
+
+use kernels::{
+    golden_run, golden_run_cta_log, golden_run_snapshots, AppSnapshots, Benchmark, CtaLog,
+    GoldenRun, Variant,
+};
+use obs::Phase;
+use vgpu_sim::GpuConfig;
+
+use crate::plan::Layer;
+
+/// One lazily captured golden artefact of an [`AppCaptures`] handle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Capture {
+    /// Golden-prefix snapshot set of the timed engine (uarch layer).
+    Snapshots = 0,
+    /// Golden access trace of the replay backend (uarch layer).
+    Trace = 1,
+    /// Golden CTA log of the functional engine (software layer).
+    CtaLog = 2,
+}
+
+impl Capture {
+    pub(crate) const COUNT: usize = 3;
+
+    /// `kind` label of `captures_reused_total`.
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            Capture::Snapshots => "snapshots",
+            Capture::Trace => "trace",
+            Capture::CtaLog => "cta_log",
+        }
+    }
+
+    fn layer(self) -> Layer {
+        match self {
+            Capture::Snapshots | Capture::Trace => Layer::Uarch,
+            Capture::CtaLog => Layer::Sw,
+        }
+    }
+}
+
+/// The golden run of one application variant plus everything captured
+/// from it, shared by every plan of that application (module docs).
+pub struct AppCaptures<'a> {
+    bench: &'a dyn Benchmark,
+    gpu: GpuConfig,
+    layer: Layer,
+    hardened: bool,
+    golden: Arc<GoldenRun>,
+    /// The snapshot set and the per-launch count it was captured with.
+    snaps: OnceLock<(usize, Arc<AppSnapshots>)>,
+    trace: OnceLock<Arc<trace::AppTrace>>,
+    cta_log: OnceLock<Arc<CtaLog>>,
+}
+
+impl<'a> AppCaptures<'a> {
+    /// Run the golden execution of `bench` on `gpu` — timed for the
+    /// microarchitecture layer, functional for the software layer — and
+    /// return the handle every plan of that application is expanded
+    /// against. Captures nothing else yet.
+    pub fn new(
+        bench: &'a dyn Benchmark,
+        gpu: &GpuConfig,
+        layer: Layer,
+        hardened: bool,
+    ) -> Arc<AppCaptures<'a>> {
+        let variant = Variant {
+            mode: layer.mode(),
+            hardened,
+        };
+        let golden = obs::time_phase(Phase::GoldenRun, || golden_run(bench, gpu, variant));
+        Arc::new(AppCaptures {
+            bench,
+            gpu: gpu.clone(),
+            layer,
+            hardened,
+            golden: Arc::new(golden),
+            snaps: OnceLock::new(),
+            trace: OnceLock::new(),
+            cta_log: OnceLock::new(),
+        })
+    }
+
+    pub fn bench(&self) -> &'a dyn Benchmark {
+        self.bench
+    }
+
+    pub fn gpu(&self) -> &GpuConfig {
+        &self.gpu
+    }
+
+    pub fn layer(&self) -> Layer {
+        self.layer
+    }
+
+    /// Execution variant of the golden run and of every trial.
+    pub fn variant(&self) -> Variant {
+        Variant {
+            mode: self.layer.mode(),
+            hardened: self.hardened,
+        }
+    }
+
+    pub fn golden(&self) -> &Arc<GoldenRun> {
+        &self.golden
+    }
+
+    /// Whether this handle is the one for (`bench`, `gpu`, `layer`,
+    /// `hardened`) — what a long-lived holder checks before planning the
+    /// next campaign against it.
+    pub fn is_for(
+        &self,
+        bench: &dyn Benchmark,
+        gpu: &GpuConfig,
+        layer: Layer,
+        hardened: bool,
+    ) -> bool {
+        self.bench.name() == bench.name()
+            && self.gpu == *gpu
+            && self.layer == layer
+            && self.hardened == hardened
+    }
+
+    /// Whether artefact `what` exists for this application variant at
+    /// all: it belongs to the handle's layer, and hardened variants run
+    /// every trial in full.
+    pub(crate) fn serves(&self, what: Capture) -> bool {
+        self.layer == what.layer() && !self.hardened
+    }
+
+    /// Whether `what` has been captured already.
+    pub(crate) fn captured(&self, what: Capture) -> bool {
+        match what {
+            Capture::Snapshots => self.snaps.get().is_some(),
+            Capture::Trace => self.trace.get().is_some(),
+            Capture::CtaLog => self.cta_log.get().is_some(),
+        }
+    }
+
+    /// The fast-forward snapshot set, capturing it on first use: one
+    /// instrumented golden pass with `k` mid-launch snapshots per launch.
+    pub(crate) fn snapshots(&self, k: usize) -> &Arc<AppSnapshots> {
+        debug_assert!(k > 0 && self.serves(Capture::Snapshots));
+        let (captured_k, snaps) = self.snaps.get_or_init(|| {
+            let t0 = Instant::now();
+            let snaps = obs::time_phase(Phase::SnapshotCapture, || {
+                golden_run_snapshots(self.bench, &self.gpu, &self.golden, k)
+            });
+            let app = self.bench.name();
+            obs::gauge_set(
+                "snapshot_bytes",
+                &[("app", app), ("layer", "uarch")],
+                snaps.bytes,
+            );
+            let (owned, shared) = snaps.chunks();
+            for (n, kind) in [(owned, "owned"), (shared, "shared")] {
+                obs::counter_add("snapshot_chunks_total", &[("app", app), ("kind", kind)], n);
+            }
+            obs::emit_snapshot(&obs::SnapshotEvent {
+                app,
+                layer: self.layer.label(),
+                per_launch: k as u64,
+                count: snaps.count() as u64,
+                bytes: snaps.bytes,
+                wall_us: t0.elapsed().as_micros() as u64,
+            });
+            (k, Arc::new(snaps))
+        });
+        debug_assert_eq!(
+            *captured_k,
+            k,
+            "{}: snapshot set was captured with {captured_k} snapshots per launch",
+            self.bench.name()
+        );
+        snaps
+    }
+
+    /// The replay backend's golden access trace, recording it on first
+    /// use (one traced golden pass, bit-identity asserted against the
+    /// untraced baseline).
+    pub(crate) fn trace(&self) -> &Arc<trace::AppTrace> {
+        debug_assert!(self.serves(Capture::Trace));
+        self.trace.get_or_init(|| {
+            let tr = obs::time_phase(Phase::TraceCapture, || {
+                trace::record_app_trace(self.bench, &self.gpu, &self.golden)
+            });
+            obs::gauge_set(
+                "trace_bytes",
+                &[("app", self.bench.name()), ("layer", "uarch")],
+                tr.bytes,
+            );
+            Arc::new(tr)
+        })
+    }
+
+    /// The golden CTA log, capturing it on first use (one logged
+    /// functional golden pass, bit-identity asserted against the unlogged
+    /// baseline).
+    pub(crate) fn cta_log(&self) -> &Arc<CtaLog> {
+        debug_assert!(self.serves(Capture::CtaLog));
+        self.cta_log.get_or_init(|| {
+            let log = obs::time_phase(Phase::CtaLogCapture, || {
+                golden_run_cta_log(self.bench, &self.gpu, &self.golden)
+            });
+            obs::gauge_set("cta_log_bytes", &[("app", self.bench.name())], log.bytes());
+            Arc::new(log)
+        })
+    }
+}

@@ -36,6 +36,7 @@
 //! ```
 
 pub mod campaign;
+pub mod captures;
 pub mod checkpoint;
 pub mod hardening;
 pub mod metrics;
@@ -48,10 +49,12 @@ pub mod trends;
 
 pub use campaign::{
     assemble_sw, assemble_sw_counts, assemble_uarch, dedupe_records, execute_shard, execute_trials,
-    execute_trials_with, records_fingerprint, run_sw_campaign, run_uarch_campaign,
-    run_uarch_campaign_with, CampaignCfg, EngineBackend, EngineCfg, EngineError, FastForward,
-    SvfAppResult, SvfKernelResult, UarchAppResult, UarchKernelResult, Watchdog, DEFAULT_SNAPSHOTS,
+    execute_trials_with, records_fingerprint, run_sw_campaign, run_sw_campaign_on,
+    run_uarch_campaign, run_uarch_campaign_on, run_uarch_campaign_with, CampaignCfg, EngineBackend,
+    EngineCfg, EngineError, FastForward, SvfAppResult, SvfKernelResult, UarchAppResult,
+    UarchKernelResult, Watchdog, DEFAULT_SNAPSHOTS,
 };
+pub use captures::AppCaptures;
 pub use checkpoint::{
     load_checkpoint, Checkpoint, CheckpointError, CheckpointHeader, CheckpointWriter, TrialRecord,
     DEFAULT_CHECKPOINT_EVERY,
@@ -59,11 +62,12 @@ pub use checkpoint::{
 pub use hardening::{evaluate_hardening, HardeningComparison};
 pub use metrics::{error_margin, ClassCounts, ClassRates, Confidence};
 pub use plan::{
-    prepare_adaptive_wave, prepare_sw_campaign, prepare_sw_kinds, prepare_uarch_campaign,
-    prepare_uarch_campaign_structures, shard_trials, sw_seed_tag, CampaignPlan, Layer,
-    PlannedTrial, PreparedCampaign, StratumSpec, TrialTarget,
+    plan_strata, plan_sw, plan_uarch, plan_wave, prepare_adaptive_wave, prepare_sw_campaign,
+    prepare_sw_kinds, prepare_uarch_campaign, prepare_uarch_campaign_structures, shard_trials,
+    sw_seed_tag, CampaignPlan, Layer, PlannedTrial, PreparedCampaign, StratumSpec, TrialTarget,
+    SVF_KINDS,
 };
 pub use profile::{kernel_metrics, normalized_pair, UtilMetrics, METRIC_LABELS};
-pub use pvf::{run_pvf_campaign, PvfAppResult, PvfKernelResult};
+pub use pvf::{run_pvf_campaign, run_pvf_campaign_on, PvfAppResult, PvfKernelResult};
 pub use report::{metrics_tables, pct, pct4, phase_table, RowArityError, Table};
 pub use trends::{compare_pairs, opposite_pairs, TrendCount, TrendItem};

@@ -12,21 +12,19 @@
 //! list into one u64 so checkpoints and shard outputs can prove they came
 //! from the same plan before being merged.
 
-use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use kernels::{
-    golden_run, golden_run_cta_log, golden_run_snapshots, AppSnapshots, Benchmark, CtaLog,
-    GoldenRun, PlannedFault, Variant,
-};
+use kernels::{AppSnapshots, Benchmark, CtaLog, GoldenRun, PlannedFault};
 use obs::Phase;
 use vgpu_arch::InstrClass;
 use vgpu_sim::{FaultPattern, HwStructure, Mode, SwFault, SwFaultKind, UarchFault};
 
 use crate::campaign::CampaignCfg;
+use crate::captures::{AppCaptures, Capture};
 
 /// Abstraction layer of a campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,6 +36,14 @@ pub enum Layer {
 }
 
 impl Layer {
+    /// The engine a campaign of this layer runs on.
+    pub fn mode(&self) -> Mode {
+        match self {
+            Layer::Uarch => Mode::Timed,
+            Layer::Sw => Mode::Functional,
+        }
+    }
+
     /// Stable identifier used in metric labels, events, and checkpoints.
     pub fn label(&self) -> &'static str {
         match self {
@@ -108,7 +114,7 @@ pub struct CampaignPlan {
     /// Software fault kinds with their seed-derivation tags, in
     /// sub-campaign order (empty for uarch plans).
     pub sw_kinds: Vec<(SwFaultKind, u64)>,
-    /// Wave index for adaptive campaigns ([`prepare_adaptive_wave`]);
+    /// Wave index for adaptive campaigns ([`plan_wave`]);
     /// `None` for classic fixed-n plans. Folded into the fingerprint so
     /// the checkpoints and dispatch leases of different waves can never
     /// be confused, while every fixed-plan fingerprint predates the
@@ -169,125 +175,76 @@ impl CampaignPlan {
     }
 }
 
-/// A plan bound to everything needed to execute it: the benchmark, the
-/// campaign configuration, and the golden run its faults were resolved
-/// against. Produced by [`prepare_uarch_campaign`] / [`prepare_sw_campaign`],
-/// consumed by [`crate::campaign::execute_shard`] and the `assemble_*`
-/// folds.
+/// A plan bound to everything needed to execute it: the campaign
+/// configuration and the [`AppCaptures`] handle — benchmark, golden run,
+/// lazily captured golden material — its faults were resolved against.
+/// Produced by the `prepare_*` / `plan_*` functions below, consumed by
+/// [`crate::campaign::execute_shard`] and the `assemble_*` folds. Every
+/// plan of one application can share one handle; whether *this* plan may
+/// use what the handle holds is decided here, per plan.
 pub struct PreparedCampaign<'a> {
-    pub bench: &'a dyn Benchmark,
     pub cfg: CampaignCfg,
-    pub variant: Variant,
-    pub golden: GoldenRun,
     pub plan: CampaignPlan,
-    /// Lazily captured golden-prefix snapshot set for fast-forward trial
-    /// execution, shared by every worker thread. `None` inside the cell
-    /// means snapshots do not apply to this campaign (software layer —
-    /// served by `cta_log` instead — or hardened variant).
-    pub snaps: OnceLock<Option<Arc<AppSnapshots>>>,
-    /// Lazily recorded golden access trace for the replay backend,
-    /// shared by every worker thread. `None` inside the cell means
-    /// replay does not apply (software layer or hardened variant).
-    pub app_trace: OnceLock<Option<Arc<trace::AppTrace>>>,
-    /// Lazily captured golden CTA log for software-layer trial
-    /// execution, shared by every worker thread. `None` inside the cell
-    /// means CTA replay does not apply (microarchitecture layer or
-    /// hardened variant).
-    pub cta_log: OnceLock<Option<Arc<CtaLog>>>,
+    /// The handle's golden run.
+    pub golden: Arc<GoldenRun>,
+    pub captures: Arc<AppCaptures<'a>>,
+    /// At least one trial has a fault to inject.
+    injects: bool,
+    /// Per [`Capture`]: this plan has asked for the artefact before (the
+    /// first ask is where `captures_reused_total` is decided).
+    asked: [AtomicBool; Capture::COUNT],
 }
 
-impl PreparedCampaign<'_> {
-    /// Whether the accelerated trial paths of `layer` can serve this
-    /// campaign: an unhardened plan of that layer (timed engine for
-    /// uarch, functional for sw) with at least one fault to inject.
-    /// Hardened variants run every trial in full.
-    fn accelerable(&self, layer: Layer) -> bool {
-        self.plan.layer == layer
-            && !self.variant.hardened
-            && self.plan.trials.iter().any(|t| t.fault.is_some())
+impl<'a> PreparedCampaign<'a> {
+    pub fn bench(&self) -> &'a dyn Benchmark {
+        self.captures.bench()
     }
 
-    /// The fast-forward snapshot set, capturing it on first use (one
-    /// instrumented golden pass with `k` mid-launch snapshots per
-    /// launch). Returns `None` — and captures nothing — for campaigns
+    /// The handle's artefact `what` — captured by the first plan of the
+    /// application that asks — if the accelerated trial path built on it
+    /// can serve this campaign: the artefact exists for the application
+    /// variant (unhardened, the plan's layer) and the plan has at least
+    /// one fault to inject. `None` captures nothing. Counts a reuse the
+    /// first time the plan is handed what an earlier plan captured.
+    fn shared<'s, T>(
+        &'s self,
+        what: Capture,
+        get: impl FnOnce(&'s AppCaptures<'a>) -> &'s T,
+    ) -> Option<&'s T> {
+        if !(self.injects && self.captures.serves(what)) {
+            return None;
+        }
+        let asked = &self.asked[what as usize];
+        if !asked.load(Ordering::Relaxed)
+            && !asked.swap(true, Ordering::Relaxed)
+            && self.captures.captured(what)
+        {
+            let labels = [("app", self.plan.app.as_str()), ("kind", what.label())];
+            obs::counter_add("captures_reused_total", &labels, 1);
+        }
+        Some(get(&self.captures))
+    }
+
+    /// The fast-forward snapshot set: one instrumented golden pass with
+    /// `k` mid-launch snapshots per launch. `None` for campaigns
     /// fast-forward cannot serve, or `k == 0`.
     pub fn snapshots(&self, k: usize) -> Option<&Arc<AppSnapshots>> {
-        self.snaps
-            .get_or_init(|| {
-                if !self.accelerable(Layer::Uarch) || k == 0 {
-                    return None;
-                }
-                let t0 = Instant::now();
-                let snaps = obs::time_phase(Phase::SnapshotCapture, || {
-                    golden_run_snapshots(self.bench, &self.cfg.gpu, &self.golden, k)
-                });
-                let app = self.plan.app.as_str();
-                obs::gauge_set(
-                    "snapshot_bytes",
-                    &[("app", app), ("layer", "uarch")],
-                    snaps.bytes,
-                );
-                let (owned, shared) = snaps.chunks();
-                for (n, kind) in [(owned, "owned"), (shared, "shared")] {
-                    obs::counter_add("snapshot_chunks_total", &[("app", app), ("kind", kind)], n);
-                }
-                obs::emit_snapshot(&obs::SnapshotEvent {
-                    app: &self.plan.app,
-                    layer: self.plan.layer.label(),
-                    per_launch: k as u64,
-                    count: snaps.count() as u64,
-                    bytes: snaps.bytes,
-                    wall_us: t0.elapsed().as_micros() as u64,
-                });
-                Some(Arc::new(snaps))
-            })
-            .as_ref()
+        if k == 0 {
+            return None;
+        }
+        self.shared(Capture::Snapshots, |c| c.snapshots(k))
     }
 
-    /// The replay backend's recorded golden access trace, capturing it
-    /// on first use (one traced golden pass, bit-identity asserted
-    /// against the untraced baseline). Returns `None` — and records
-    /// nothing — for campaigns replay cannot serve.
+    /// The replay backend's recorded golden access trace. `None` for
+    /// campaigns replay cannot serve.
     pub fn trace(&self) -> Option<&Arc<trace::AppTrace>> {
-        self.app_trace
-            .get_or_init(|| {
-                if !self.accelerable(Layer::Uarch) {
-                    return None;
-                }
-                let tr = obs::time_phase(Phase::TraceCapture, || {
-                    trace::record_app_trace(self.bench, &self.cfg.gpu, &self.golden)
-                });
-                obs::gauge_set(
-                    "trace_bytes",
-                    &[("app", self.plan.app.as_str()), ("layer", "uarch")],
-                    tr.bytes,
-                );
-                Some(Arc::new(tr))
-            })
-            .as_ref()
+        self.shared(Capture::Trace, AppCaptures::trace)
     }
 
-    /// The golden CTA log of a software-layer campaign, capturing it on
-    /// first use (one logged functional golden pass, bit-identity
-    /// asserted against the unlogged baseline). Returns `None` — and
-    /// captures nothing — for campaigns CTA replay cannot serve.
+    /// The golden CTA log of a software-layer campaign. `None` for
+    /// campaigns CTA replay cannot serve.
     pub fn cta_log(&self) -> Option<&Arc<CtaLog>> {
-        self.cta_log
-            .get_or_init(|| {
-                if !self.accelerable(Layer::Sw) {
-                    return None;
-                }
-                let log = obs::time_phase(Phase::CtaLogCapture, || {
-                    golden_run_cta_log(self.bench, &self.cfg.gpu, &self.golden)
-                });
-                obs::gauge_set(
-                    "cta_log_bytes",
-                    &[("app", self.plan.app.as_str())],
-                    log.bytes(),
-                );
-                Some(Arc::new(log))
-            })
-            .as_ref()
+        self.shared(Capture::CtaLog, AppCaptures::cta_log)
     }
 }
 
@@ -356,12 +313,241 @@ pub(crate) fn pick_weighted(rng: &mut SmallRng, weights: &[(usize, u64)]) -> Opt
     unreachable!("weighted pick ran past total");
 }
 
-/// Run the golden execution and expand the microarchitecture-level (AVF)
-/// campaign into its full trial list: every (kernel, structure) pair gets
-/// `n_uarch` trials, each resolved to a (launch, cycle, location, bit)
-/// flip by the same seed derivation the monolithic campaign loop used —
-/// so executing the plan in any partition reproduces `run_uarch_campaign`
-/// exactly.
+/// One (kernel, target) stratum slice of a plan: the trial ordinals
+/// `start..start + count` of that stratum's seed stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StratumSpec {
+    pub kernel_idx: usize,
+    pub target: TrialTarget,
+    /// First trial ordinal (adaptive waves: the trials already executed
+    /// by earlier waves; fixed-n plans: 0).
+    pub start: usize,
+    /// Trials the plan holds for the stratum.
+    pub count: usize,
+}
+
+/// Reconstruct the stratum specs of an adaptive wave plan, in
+/// first-appearance order. A wave plan lists each stratum's trials as
+/// the consecutive ordinals `start..start + count`, so the specs are
+/// fully recoverable — feeding them back through [`plan_wave`] (as a
+/// dispatch worker does) re-expands the identical plan.
+pub fn plan_strata(plan: &CampaignPlan) -> Vec<StratumSpec> {
+    let mut out: Vec<StratumSpec> = Vec::new();
+    for t in &plan.trials {
+        match out
+            .iter_mut()
+            .find(|s| s.kernel_idx == t.kernel_idx && s.target == t.target)
+        {
+            Some(s) => {
+                s.start = s.start.min(t.trial);
+                s.count += 1;
+            }
+            None => out.push(StratumSpec {
+                kernel_idx: t.kernel_idx,
+                target: t.target,
+                start: t.trial,
+                count: 1,
+            }),
+        }
+    }
+    out
+}
+
+/// The standard software-level (SVF) sub-campaigns: destination-value
+/// injections plus the load-only SVF-LD variant.
+pub const SVF_KINDS: [SwFaultKind; 2] = [SwFaultKind::DestValue, SwFaultKind::DestValueLoad];
+
+/// The one stratum expander: resolve, stratum by stratum, the trials with
+/// ordinals `start..start + count` to a (launch, cycle | instruction,
+/// location, bit) fault. A trial depends only on (seed, app, kernel,
+/// target, ordinal) and the golden launch windows — never on which plan
+/// asks — so a fixed-n plan ("every stratum, ordinals `0..n`"), a
+/// structure subset and an adaptive wave mint identical trials for the
+/// ordinals they share, and executing a plan in any partition reproduces
+/// the single-shot campaign exactly.
+fn expand(captures: &AppCaptures, cfg: &CampaignCfg, strata: &[StratumSpec]) -> Vec<PlannedTrial> {
+    let app_tag = str_tag(captures.bench().name());
+    let mut trials = Vec::with_capacity(strata.iter().map(|s| s.count).sum());
+    for st in strata {
+        // (seed-stream tag of the target, of its layer)
+        let (tag, layer, layer_tag) = match st.target {
+            TrialTarget::Structure(h) => (h as u64, Layer::Uarch, 1),
+            TrialTarget::Fault(kind) => (sw_seed_tag(kind), Layer::Sw, 2),
+        };
+        assert_eq!(
+            layer,
+            captures.layer(),
+            "{} stratum in a {} plan",
+            st.target.label(),
+            captures.layer().label()
+        );
+        // Launches of the kernel weighted by the target's population in
+        // them: cycles for a structure, eligible instructions for a kind.
+        let windows: Vec<(usize, u64)> = (captures.golden().records.iter().enumerate())
+            .filter(|(_, r)| r.kernel_idx == st.kernel_idx)
+            .map(|(o, r)| match st.target {
+                TrialTarget::Structure(_) => (o, r.stats.cycles),
+                TrialTarget::Fault(kind) => (o, kind.eligible(&r.stats)),
+            })
+            .filter(|&(_, w)| w > 0)
+            .collect();
+        for trial in st.start..st.start + st.count {
+            let seed = derive_seed(
+                cfg.seed,
+                &[app_tag, st.kernel_idx as u64, tag, trial as u64, layer_tag],
+            );
+            let mut rng = SmallRng::seed_from_u64(seed);
+            // Field order is draw order; both are frozen.
+            let fault = pick_weighted(&mut rng, &windows).map(|(ordinal, weight)| {
+                let fault = match st.target {
+                    TrialTarget::Structure(h) => PlannedFault::Uarch(UarchFault {
+                        cycle: rng.gen_range(0..weight),
+                        structure: h,
+                        loc_pick: rng.gen(),
+                        bit: rng.gen_range(0..32),
+                        pattern: cfg.pattern,
+                    }),
+                    TrialTarget::Fault(kind) => PlannedFault::Sw(SwFault {
+                        kind,
+                        target: rng.gen_range(0..weight),
+                        bit: rng.gen_range(0..32),
+                        loc_pick: rng.gen(),
+                        pattern: cfg.pattern,
+                    }),
+                };
+                (ordinal, fault)
+            });
+            trials.push(PlannedTrial {
+                index: trials.len(),
+                kernel_idx: st.kernel_idx,
+                target: st.target,
+                trial,
+                seed,
+                fault,
+            });
+        }
+    }
+    trials
+}
+
+/// Expand `strata` against the application's golden run and bind the plan
+/// to `captures`: a fixed-n plan of `n_per_target` trials per stratum, or
+/// adaptive wave `wave` (whose strata have sizes of their own).
+fn plan_on<'a>(
+    captures: &Arc<AppCaptures<'a>>,
+    cfg: &CampaignCfg,
+    strata: &[StratumSpec],
+    n_per_target: usize,
+    wave: Option<u64>,
+) -> PreparedCampaign<'a> {
+    assert!(
+        *captures.gpu() == cfg.gpu,
+        "captures of {} belong to another GPU configuration",
+        captures.bench().name()
+    );
+    let trials = obs::time_phase(Phase::FaultSetup, || expand(captures, cfg, strata));
+    let mut sw_kinds: Vec<(SwFaultKind, u64)> = Vec::new();
+    for st in strata {
+        if let TrialTarget::Fault(kind) = st.target {
+            if !sw_kinds.iter().any(|&(k, _)| k == kind) {
+                sw_kinds.push((kind, sw_seed_tag(kind)));
+            }
+        }
+    }
+    PreparedCampaign {
+        cfg: cfg.clone(),
+        golden: captures.golden().clone(),
+        captures: captures.clone(),
+        injects: trials.iter().any(|t| t.fault.is_some()),
+        asked: Default::default(),
+        plan: CampaignPlan {
+            app: captures.bench().name().to_string(),
+            layer: captures.layer(),
+            seed: cfg.seed,
+            hardened: captures.variant().hardened,
+            pattern: cfg.pattern,
+            n_per_target,
+            sw_kinds,
+            wave,
+            trials,
+        },
+    }
+}
+
+/// The fixed-n plan over `targets`: every (kernel, target) stratum,
+/// ordinals `0..n`.
+fn plan_fixed<'a>(
+    captures: &Arc<AppCaptures<'a>>,
+    cfg: &CampaignCfg,
+    targets: impl Iterator<Item = TrialTarget> + Clone,
+) -> PreparedCampaign<'a> {
+    let count = match captures.layer() {
+        Layer::Uarch => cfg.n_uarch,
+        Layer::Sw => cfg.n_sw,
+    };
+    let strata: Vec<StratumSpec> = (0..captures.bench().kernels().len())
+        .flat_map(|kernel_idx| {
+            targets.clone().map(move |target| StratumSpec {
+                kernel_idx,
+                target,
+                start: 0,
+                count,
+            })
+        })
+        .collect();
+    plan_on(captures, cfg, &strata, count, None)
+}
+
+/// Expand the microarchitecture-level (AVF) campaign against an
+/// application's captures: `cfg.n_uarch` trials per (kernel, structure)
+/// over `structures` (the `--structures` CLI filter; [`HwStructure::ALL`]
+/// for the standard campaign), each resolved to a (launch, cycle,
+/// location, bit) flip. Per-trial seeds depend only on (seed, app,
+/// kernel, structure, trial), so a subset plan injects exactly the faults
+/// the full plan would inject into those structures.
+pub fn plan_uarch<'a>(
+    captures: &Arc<AppCaptures<'a>>,
+    cfg: &CampaignCfg,
+    structures: &[HwStructure],
+) -> PreparedCampaign<'a> {
+    let targets = structures.iter().map(|&h| TrialTarget::Structure(h));
+    plan_fixed(captures, cfg, targets)
+}
+
+/// Expand a software-level campaign against an application's captures:
+/// `cfg.n_sw` trials per (kernel, fault kind) over `kinds` —
+/// [`SVF_KINDS`] for the standard SVF campaign, one kind for PVF, the
+/// instruction classes for the two-level model.
+pub fn plan_sw<'a>(
+    captures: &Arc<AppCaptures<'a>>,
+    cfg: &CampaignCfg,
+    kinds: &[SwFaultKind],
+) -> PreparedCampaign<'a> {
+    plan_fixed(captures, cfg, kinds.iter().map(|&k| TrialTarget::Fault(k)))
+}
+
+/// Expand one adaptive wave against an application's captures: for each
+/// stratum, the trials with ordinals `start..start + count` of that
+/// (kernel, target) seed stream — a contiguous slice of the stratum a
+/// big-enough fixed plan would run. Adaptive campaigns are therefore
+/// deterministic by construction: the trials of wave `w` depend only on
+/// (seed, app, strata), never on how earlier waves were executed, and
+/// each wave runs through the unchanged engine (checkpoints, shards,
+/// dispatch leases) under its own wave-tagged fingerprint.
+///
+/// All strata must belong to the captures' layer; sw strata may mix
+/// fault kinds.
+pub fn plan_wave<'a>(
+    captures: &Arc<AppCaptures<'a>>,
+    cfg: &CampaignCfg,
+    strata: &[StratumSpec],
+    wave: u64,
+) -> PreparedCampaign<'a> {
+    plan_on(captures, cfg, strata, 0, Some(wave))
+}
+
+/// Golden run + [`plan_uarch`] over all five storage structures, on
+/// captures of its own.
 pub fn prepare_uarch_campaign<'a>(
     bench: &'a dyn Benchmark,
     cfg: &CampaignCfg,
@@ -370,208 +556,52 @@ pub fn prepare_uarch_campaign<'a>(
     prepare_uarch_campaign_structures(bench, cfg, hardened, &HwStructure::ALL)
 }
 
-/// [`prepare_uarch_campaign`] restricted to a structure subset (the
-/// `--structures` CLI filter). Per-trial seeds depend only on
-/// (seed, app, kernel, structure, trial), so a subset plan injects
-/// exactly the faults the full plan would inject into those structures.
+/// Golden run + [`plan_uarch`], on captures of its own.
 pub fn prepare_uarch_campaign_structures<'a>(
     bench: &'a dyn Benchmark,
     cfg: &CampaignCfg,
     hardened: bool,
     structures: &[HwStructure],
 ) -> PreparedCampaign<'a> {
-    let variant = Variant {
-        mode: Mode::Timed,
-        hardened,
-    };
-    let golden = obs::time_phase(Phase::GoldenRun, || golden_run(bench, &cfg.gpu, variant));
-    let app_tag = str_tag(bench.name());
-    let n_kernels = bench.kernels().len();
-    let mut trials = Vec::with_capacity(n_kernels * structures.len() * cfg.n_uarch);
-    obs::time_phase(Phase::FaultSetup, || {
-        for k_idx in 0..n_kernels {
-            let windows: Vec<(usize, u64)> = golden
-                .records
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.kernel_idx == k_idx && r.stats.cycles > 0)
-                .map(|(o, r)| (o, r.stats.cycles))
-                .collect();
-            for &h in structures {
-                for trial in 0..cfg.n_uarch {
-                    let s = derive_seed(
-                        cfg.seed,
-                        &[app_tag, k_idx as u64, h as u64, trial as u64, 1],
-                    );
-                    let mut rng = SmallRng::seed_from_u64(s);
-                    let fault =
-                        pick_weighted(&mut rng, &windows).map(|(ordinal, launch_cycles)| {
-                            (
-                                ordinal,
-                                PlannedFault::Uarch(UarchFault {
-                                    cycle: rng.gen_range(0..launch_cycles),
-                                    structure: h,
-                                    loc_pick: rng.gen(),
-                                    bit: rng.gen_range(0..32),
-                                    pattern: cfg.pattern,
-                                }),
-                            )
-                        });
-                    trials.push(PlannedTrial {
-                        index: trials.len(),
-                        kernel_idx: k_idx,
-                        target: TrialTarget::Structure(h),
-                        trial,
-                        seed: s,
-                        fault,
-                    });
-                }
-            }
-        }
-    });
-    PreparedCampaign {
-        bench,
-        cfg: cfg.clone(),
-        variant,
-        golden,
-        snaps: OnceLock::new(),
-        app_trace: OnceLock::new(),
-        cta_log: OnceLock::new(),
-        plan: CampaignPlan {
-            app: bench.name().to_string(),
-            layer: Layer::Uarch,
-            seed: cfg.seed,
-            hardened,
-            pattern: cfg.pattern,
-            n_per_target: cfg.n_uarch,
-            sw_kinds: Vec::new(),
-            wave: None,
-            trials,
-        },
-    }
+    let captures = AppCaptures::new(bench, &cfg.gpu, Layer::Uarch, hardened);
+    plan_uarch(&captures, cfg, structures)
 }
 
-/// The standard software-level (SVF) campaign: destination-value
-/// injections plus the load-only SVF-LD variant.
+/// Golden run + [`plan_sw`] over [`SVF_KINDS`], on captures of its own.
 pub fn prepare_sw_campaign<'a>(
     bench: &'a dyn Benchmark,
     cfg: &CampaignCfg,
     hardened: bool,
 ) -> PreparedCampaign<'a> {
-    prepare_sw_kinds(
-        bench,
-        cfg,
-        hardened,
-        &[
-            (SwFaultKind::DestValue, 10),
-            (SwFaultKind::DestValueLoad, 11),
-        ],
-    )
+    let captures = AppCaptures::new(bench, &cfg.gpu, Layer::Sw, hardened);
+    plan_sw(&captures, cfg, &SVF_KINDS)
 }
 
-/// Software-level plan over an explicit set of (fault kind, seed tag)
-/// sub-campaigns — the generalization behind [`prepare_sw_campaign`] and
-/// the PVF campaign. Tags feed the seed derivation and must match the
-/// historical constants (10 = dest-value, 11 = dest-value-load,
-/// 12 = arch-state) for results to stay comparable across versions.
+/// Golden run + [`plan_sw`], on captures of its own. The tags are the
+/// frozen [`sw_seed_tag`] constants, kept in the signature for its
+/// callers' sake.
 pub fn prepare_sw_kinds<'a>(
     bench: &'a dyn Benchmark,
     cfg: &CampaignCfg,
     hardened: bool,
     kinds: &[(SwFaultKind, u64)],
 ) -> PreparedCampaign<'a> {
-    let variant = Variant {
-        mode: Mode::Functional,
-        hardened,
-    };
-    let golden = obs::time_phase(Phase::GoldenRun, || golden_run(bench, &cfg.gpu, variant));
-    let app_tag = str_tag(bench.name());
-    let n_kernels = bench.kernels().len();
-    let mut trials = Vec::with_capacity(n_kernels * kinds.len() * cfg.n_sw);
-    obs::time_phase(Phase::FaultSetup, || {
-        for k_idx in 0..n_kernels {
-            for &(kind, tag) in kinds {
-                let windows: Vec<(usize, u64)> = golden
-                    .records
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, r)| r.kernel_idx == k_idx)
-                    .map(|(o, r)| (o, kind.eligible(&r.stats)))
-                    .filter(|&(_, w)| w > 0)
-                    .collect();
-                for trial in 0..cfg.n_sw {
-                    let s = derive_seed(cfg.seed, &[app_tag, k_idx as u64, tag, trial as u64, 2]);
-                    let mut rng = SmallRng::seed_from_u64(s);
-                    let fault = pick_weighted(&mut rng, &windows).map(|(ordinal, weight)| {
-                        (
-                            ordinal,
-                            PlannedFault::Sw(SwFault {
-                                kind,
-                                target: rng.gen_range(0..weight),
-                                bit: rng.gen_range(0..32),
-                                loc_pick: rng.gen(),
-                                pattern: cfg.pattern,
-                            }),
-                        )
-                    });
-                    trials.push(PlannedTrial {
-                        index: trials.len(),
-                        kernel_idx: k_idx,
-                        target: TrialTarget::Fault(kind),
-                        trial,
-                        seed: s,
-                        fault,
-                    });
-                }
-            }
-        }
-    });
-    PreparedCampaign {
-        bench,
-        cfg: cfg.clone(),
-        variant,
-        golden,
-        snaps: OnceLock::new(),
-        app_trace: OnceLock::new(),
-        cta_log: OnceLock::new(),
-        plan: CampaignPlan {
-            app: bench.name().to_string(),
-            layer: Layer::Sw,
-            seed: cfg.seed,
-            hardened,
-            pattern: cfg.pattern,
-            n_per_target: cfg.n_sw,
-            sw_kinds: kinds.to_vec(),
-            wave: None,
-            trials,
-        },
-    }
+    let kinds: Vec<SwFaultKind> = (kinds.iter())
+        .map(|&(kind, tag)| {
+            assert_eq!(
+                tag,
+                sw_seed_tag(kind),
+                "{}: seed tags are frozen",
+                kind.label()
+            );
+            kind
+        })
+        .collect();
+    let captures = AppCaptures::new(bench, &cfg.gpu, Layer::Sw, hardened);
+    plan_sw(&captures, cfg, &kinds)
 }
 
-/// One (kernel, target) stratum slice of an adaptive wave: the trial
-/// ordinals `start..start + count` of that stratum's seed stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StratumSpec {
-    pub kernel_idx: usize,
-    pub target: TrialTarget,
-    /// First trial ordinal this wave executes in the stratum (= trials
-    /// already executed by earlier waves).
-    pub start: usize,
-    /// Trials this wave adds to the stratum.
-    pub count: usize,
-}
-
-/// Expand one adaptive wave into a plan: for each stratum, the trials
-/// with ordinals `start..start + count` of that (kernel, target) seed
-/// stream — derived *identically* to the fixed-n planners, so a wave is
-/// a contiguous slice of the stratum a big-enough fixed plan would run.
-/// Adaptive campaigns are therefore deterministic by construction: the
-/// trials of wave `w` depend only on (seed, app, strata), never on how
-/// earlier waves were executed, and each wave runs through the unchanged
-/// engine (checkpoints, shards, dispatch leases) under its own
-/// wave-tagged fingerprint.
-///
-/// All strata must belong to `layer`; sw strata may mix fault kinds.
+/// Golden run + [`plan_wave`], on captures of its own.
 pub fn prepare_adaptive_wave<'a>(
     bench: &'a dyn Benchmark,
     cfg: &CampaignCfg,
@@ -580,122 +610,8 @@ pub fn prepare_adaptive_wave<'a>(
     strata: &[StratumSpec],
     wave: u64,
 ) -> PreparedCampaign<'a> {
-    let variant = Variant {
-        mode: match layer {
-            Layer::Uarch => Mode::Timed,
-            Layer::Sw => Mode::Functional,
-        },
-        hardened,
-    };
-    let golden = obs::time_phase(Phase::GoldenRun, || golden_run(bench, &cfg.gpu, variant));
-    let app_tag = str_tag(bench.name());
-    let mut trials = Vec::with_capacity(strata.iter().map(|s| s.count).sum());
-    let mut sw_kinds: Vec<(SwFaultKind, u64)> = Vec::new();
-    obs::time_phase(Phase::FaultSetup, || {
-        for st in strata {
-            let k_idx = st.kernel_idx;
-            match st.target {
-                TrialTarget::Structure(h) => {
-                    assert_eq!(layer, Layer::Uarch, "structure stratum in a sw wave");
-                    let windows: Vec<(usize, u64)> = golden
-                        .records
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, r)| r.kernel_idx == k_idx && r.stats.cycles > 0)
-                        .map(|(o, r)| (o, r.stats.cycles))
-                        .collect();
-                    for trial in st.start..st.start + st.count {
-                        let s = derive_seed(
-                            cfg.seed,
-                            &[app_tag, k_idx as u64, h as u64, trial as u64, 1],
-                        );
-                        let mut rng = SmallRng::seed_from_u64(s);
-                        let fault =
-                            pick_weighted(&mut rng, &windows).map(|(ordinal, launch_cycles)| {
-                                (
-                                    ordinal,
-                                    PlannedFault::Uarch(UarchFault {
-                                        cycle: rng.gen_range(0..launch_cycles),
-                                        structure: h,
-                                        loc_pick: rng.gen(),
-                                        bit: rng.gen_range(0..32),
-                                        pattern: cfg.pattern,
-                                    }),
-                                )
-                            });
-                        trials.push(PlannedTrial {
-                            index: trials.len(),
-                            kernel_idx: k_idx,
-                            target: st.target,
-                            trial,
-                            seed: s,
-                            fault,
-                        });
-                    }
-                }
-                TrialTarget::Fault(kind) => {
-                    assert_eq!(layer, Layer::Sw, "fault-kind stratum in a uarch wave");
-                    let tag = sw_seed_tag(kind);
-                    if !sw_kinds.iter().any(|&(k, _)| k == kind) {
-                        sw_kinds.push((kind, tag));
-                    }
-                    let windows: Vec<(usize, u64)> = golden
-                        .records
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, r)| r.kernel_idx == k_idx)
-                        .map(|(o, r)| (o, kind.eligible(&r.stats)))
-                        .filter(|&(_, w)| w > 0)
-                        .collect();
-                    for trial in st.start..st.start + st.count {
-                        let s =
-                            derive_seed(cfg.seed, &[app_tag, k_idx as u64, tag, trial as u64, 2]);
-                        let mut rng = SmallRng::seed_from_u64(s);
-                        let fault = pick_weighted(&mut rng, &windows).map(|(ordinal, weight)| {
-                            (
-                                ordinal,
-                                PlannedFault::Sw(SwFault {
-                                    kind,
-                                    target: rng.gen_range(0..weight),
-                                    bit: rng.gen_range(0..32),
-                                    loc_pick: rng.gen(),
-                                    pattern: cfg.pattern,
-                                }),
-                            )
-                        });
-                        trials.push(PlannedTrial {
-                            index: trials.len(),
-                            kernel_idx: k_idx,
-                            target: st.target,
-                            trial,
-                            seed: s,
-                            fault,
-                        });
-                    }
-                }
-            }
-        }
-    });
-    PreparedCampaign {
-        bench,
-        cfg: cfg.clone(),
-        variant,
-        golden,
-        snaps: OnceLock::new(),
-        app_trace: OnceLock::new(),
-        cta_log: OnceLock::new(),
-        plan: CampaignPlan {
-            app: bench.name().to_string(),
-            layer,
-            seed: cfg.seed,
-            hardened,
-            pattern: cfg.pattern,
-            n_per_target: 0,
-            sw_kinds,
-            wave: Some(wave),
-            trials,
-        },
-    }
+    let captures = AppCaptures::new(bench, &cfg.gpu, layer, hardened);
+    plan_wave(&captures, cfg, strata, wave)
 }
 
 #[cfg(test)]
@@ -826,6 +742,25 @@ mod tests {
                 .map(|t| t.seed)
                 .collect::<Vec<_>>(),
         );
+    }
+
+    #[test]
+    fn snapshots_of_zero_is_none_and_pins_nothing() {
+        let prep = prepare_uarch_campaign(&Va, &CampaignCfg::new(2, 0, 0x5AA5), false);
+        assert!(prep.snapshots(0).is_none());
+        // k = 0 left the cell alone: a real k still captures.
+        let snaps = prep.snapshots(2).expect("k = 0 pinned None").clone();
+        assert!(Arc::ptr_eq(&snaps, prep.snapshots(2).unwrap()));
+        assert!(prep.snapshots(0).is_none());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "captured with 2 snapshots per launch")]
+    fn snapshots_of_a_second_k_is_loud() {
+        let prep = prepare_uarch_campaign(&Va, &CampaignCfg::new(2, 0, 0x5AA5), false);
+        prep.snapshots(2);
+        prep.snapshots(3);
     }
 
     #[test]

@@ -12,12 +12,15 @@
 //! error comes from the *fault-origin population* (SVF→PVF) versus from
 //! *hardware masking and derating* (PVF→AVF).
 
+use std::sync::Arc;
+
 use kernels::Benchmark;
 use vgpu_sim::SwFaultKind;
 
 use crate::campaign::{assemble_sw_counts, execute_shard, CampaignCfg, EngineCfg};
+use crate::captures::AppCaptures;
 use crate::metrics::{ClassCounts, ClassRates};
-use crate::plan::prepare_sw_kinds;
+use crate::plan::{plan_sw, Layer};
 
 /// PVF measurements for one kernel.
 #[derive(Debug, Clone)]
@@ -56,14 +59,17 @@ impl PvfAppResult {
 /// Run the architectural-state (PVF approximation) campaign through the
 /// sharded engine — one single-shot shard of an ArchState-only plan.
 pub fn run_pvf_campaign(bench: &dyn Benchmark, cfg: &CampaignCfg, hardened: bool) -> PvfAppResult {
-    let prep = prepare_sw_kinds(bench, cfg, hardened, &[(SwFaultKind::ArchState, 12)]);
+    run_pvf_campaign_on(&AppCaptures::new(bench, &cfg.gpu, Layer::Sw, hardened), cfg)
+}
+
+/// [`run_pvf_campaign`] against an application's existing (software-layer)
+/// captures — the SVF campaign's, in the three-layer study.
+pub fn run_pvf_campaign_on(captures: &Arc<AppCaptures>, cfg: &CampaignCfg) -> PvfAppResult {
+    let prep = plan_sw(captures, cfg, &[SwFaultKind::ArchState]);
     let records = execute_shard(&prep, &EngineCfg::single_shot())
         .expect("single-shot execution performs no checkpoint I/O");
     let counts = assemble_sw_counts(&prep, &records).expect("a single shard covers the whole plan");
-    let kernels = bench
-        .kernels()
-        .iter()
-        .enumerate()
+    let kernels = (prep.bench().kernels().iter().enumerate())
         .map(|(k_idx, k_name)| PvfKernelResult {
             kernel: k_name.to_string(),
             counts: counts[k_idx][0],
@@ -71,7 +77,7 @@ pub fn run_pvf_campaign(bench: &dyn Benchmark, cfg: &CampaignCfg, hardened: bool
         })
         .collect();
     PvfAppResult {
-        app: bench.name().to_string(),
+        app: prep.plan.app.clone(),
         kernels,
     }
 }

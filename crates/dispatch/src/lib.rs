@@ -13,12 +13,13 @@
 //!   records are deduped by plan index, so at-least-once execution (two
 //!   workers racing on a reassigned lease, a slow worker finishing after
 //!   its lease expired) cannot change a single result bit.
-//! * A **worker** ([`work`]) connects, rebuilds the plan from the job
-//!   spec, verifies the plan fingerprint, and executes leased shards,
-//!   streaming each classified trial back over the wire in the same JSONL
-//!   record dialect the checkpoint files use — so a half-finished lease
-//!   resumes mid-shard on reassignment (the coordinator tells the next
-//!   worker which trials it already holds).
+//! * A **worker** ([`work`]; [`follow`] for the wave sessions of an
+//!   adaptive campaign) connects, rebuilds the plan from the job spec,
+//!   verifies the plan fingerprint, and executes leased shards, streaming
+//!   each classified trial back over the wire in the same JSONL record
+//!   dialect the checkpoint files use — so a half-finished lease resumes
+//!   mid-shard on reassignment (the coordinator tells the next worker
+//!   which trials it already holds).
 //!
 //! The wire protocol ([`proto`]) is one flat JSON object per line,
 //! written and parsed with the exact `obs::events` serializer/reader the
@@ -36,7 +37,7 @@ pub use proto::{
     parse_frame, parse_strata, parse_structures, plan_strata, scaled_gpu, strata_spec,
     structures_spec, CampaignSpec, Frame, WaveSpec, MAX_SMS,
 };
-pub use worker::{work, WorkSummary, WorkerCfg};
+pub use worker::{follow, work, WorkSummary, WorkerCfg};
 
 use std::fmt;
 use std::path::PathBuf;

@@ -25,13 +25,15 @@
 //! is always detected, never misread as a shorter valid frame (guarded
 //! by a property test mirroring the torn-checkpoint-line tests).
 
+use std::sync::Arc;
+
 use obs::events::{parse_line, push_json_str, JsonValue};
 use relia::checkpoint::{parse_checkpoint_line, CheckpointLine, TrialRecord};
+pub use relia::plan::plan_strata;
 use relia::plan::{
-    prepare_adaptive_wave, prepare_sw_campaign, prepare_uarch_campaign_structures, Layer,
-    PreparedCampaign, StratumSpec, TrialTarget,
+    plan_sw, plan_uarch, plan_wave, Layer, PreparedCampaign, StratumSpec, TrialTarget, SVF_KINDS,
 };
-use relia::{CampaignCfg, EngineBackend};
+use relia::{AppCaptures, CampaignCfg, EngineBackend};
 use vgpu_sim::{FaultPattern, GpuConfig, HwStructure, SwFaultKind};
 
 /// Bumped whenever a frame changes incompatibly; [`Frame::Hello`] carries
@@ -91,7 +93,7 @@ pub fn structures_spec(structures: &Option<Vec<HwStructure>>) -> String {
 /// One adaptive wave of a CI-driven campaign: the still-unconverged
 /// strata and their trial-ordinal windows. When a job frame carries a
 /// wave the worker rebuilds the plan with
-/// [`relia::plan::prepare_adaptive_wave`] instead of the fixed-n
+/// [`relia::plan::plan_wave`] instead of the fixed-n
 /// planners; the wave index folds into the plan fingerprint, so the
 /// handshake still proves both sides expanded the identical trial set.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -148,34 +150,6 @@ pub fn parse_strata(spec: &str, layer: Layer) -> Option<Vec<StratumSpec>> {
         return None;
     }
     Some(out)
-}
-
-/// Reconstruct the stratum specs of an adaptive wave plan, in
-/// first-appearance order. A wave plan lists each stratum's trials as
-/// the consecutive ordinals `start..start + count`, so the specs are
-/// fully recoverable — feeding them back through
-/// [`relia::plan::prepare_adaptive_wave`] (as a worker does) re-expands
-/// the identical plan.
-pub fn plan_strata(plan: &relia::plan::CampaignPlan) -> Vec<StratumSpec> {
-    let mut out: Vec<StratumSpec> = Vec::new();
-    for t in &plan.trials {
-        match out
-            .iter_mut()
-            .find(|s| s.kernel_idx == t.kernel_idx && s.target == t.target)
-        {
-            Some(s) => {
-                s.start = s.start.min(t.trial);
-                s.count += 1;
-            }
-            None => out.push(StratumSpec {
-                kernel_idx: t.kernel_idx,
-                target: t.target,
-                start: t.trial,
-                count: 1,
-            }),
-        }
-    }
-    out
 }
 
 /// Everything a worker needs to rebuild the coordinator's campaign plan
@@ -248,19 +222,41 @@ impl CampaignSpec {
     /// Look up the benchmark by name (case-insensitive).
     pub fn find_bench(&self) -> Result<Box<dyn kernels::Benchmark>, String> {
         let mut all = kernels::all_benchmarks();
-        match all
-            .iter()
+        let i = self.bench_index(&all)?;
+        Ok(all.swap_remove(i))
+    }
+
+    /// Position of this spec's benchmark in `all` (by name,
+    /// case-insensitive) — for callers that keep the suite alive across
+    /// several specs.
+    pub fn bench_index(&self, all: &[Box<dyn kernels::Benchmark>]) -> Result<usize, String> {
+        all.iter()
             .position(|b| b.name().eq_ignore_ascii_case(&self.app))
-        {
-            Some(i) => Ok(all.swap_remove(i)),
-            None => {
+            .ok_or_else(|| {
                 let names: Vec<&str> = all.iter().map(|b| b.name()).collect();
-                Err(format!(
+                format!(
                     "unknown app {:?}; available: {}",
                     self.app,
                     names.join(", ")
-                ))
-            }
+                )
+            })
+    }
+
+    /// The captures this spec's plans are expanded against: `held`'s, when
+    /// that is the handle for the same (app, GPU, layer, hardened) — the
+    /// previous wave session of a followed worker — and otherwise fresh
+    /// ones (a golden run), which replace `held`.
+    pub fn captures<'a>(
+        &self,
+        bench: &'a dyn kernels::Benchmark,
+        held: &mut Option<Arc<AppCaptures<'a>>>,
+    ) -> Arc<AppCaptures<'a>> {
+        let gpu = GpuConfig::volta_scaled(self.sms);
+        match held {
+            Some(c) if c.is_for(bench, &gpu, self.layer, self.hardened) => c.clone(),
+            _ => held
+                .insert(AppCaptures::new(bench, &gpu, self.layer, self.hardened))
+                .clone(),
         }
     }
 
@@ -269,25 +265,20 @@ impl CampaignSpec {
     /// specs on identical code produce identical plan fingerprints; the
     /// handshake verifies exactly that.
     pub fn prepare<'a>(&self, bench: &'a dyn kernels::Benchmark) -> PreparedCampaign<'a> {
+        self.plan(&self.captures(bench, &mut None))
+    }
+
+    /// [`CampaignSpec::prepare`] against [`CampaignSpec::captures`].
+    pub fn plan<'a>(&self, captures: &Arc<AppCaptures<'a>>) -> PreparedCampaign<'a> {
         let cfg = self.campaign_cfg();
-        if let Some(w) = &self.wave {
-            return prepare_adaptive_wave(
-                bench,
+        match (&self.wave, self.layer) {
+            (Some(w), _) => plan_wave(captures, &cfg, &w.strata, w.wave),
+            (None, Layer::Uarch) => plan_uarch(
+                captures,
                 &cfg,
-                self.hardened,
-                self.layer,
-                &w.strata,
-                w.wave,
-            );
-        }
-        match self.layer {
-            Layer::Uarch => prepare_uarch_campaign_structures(
-                bench,
-                &cfg,
-                self.hardened,
                 self.structures.as_deref().unwrap_or(&HwStructure::ALL),
             ),
-            Layer::Sw => prepare_sw_campaign(bench, &cfg, self.hardened),
+            (None, Layer::Sw) => plan_sw(captures, &cfg, &SVF_KINDS),
         }
     }
 }

@@ -2,8 +2,10 @@
 //! records back.
 //!
 //! A worker connects, introduces itself, receives the job spec, and
-//! rebuilds the *entire* campaign plan locally — golden run included —
-//! then proves it by echoing the plan fingerprint. From there it loops:
+//! rebuilds the *entire* campaign plan locally — golden run included,
+//! unless it [`follow`]s an adaptive campaign and still holds the
+//! application's captures from the previous wave session — then proves
+//! it by echoing the plan fingerprint. From there it loops:
 //! take a lease, execute the shard's still-missing trials with the same
 //! parallel engine a local run uses ([`relia::execute_trials`]), stream
 //! each classified record over the wire the moment it exists, and claim
@@ -22,13 +24,14 @@
 use std::io::ErrorKind;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use kernels::Benchmark;
 use obs::counter_add;
 use relia::checkpoint::TrialRecord;
 use relia::plan::{shard_trials, PreparedCampaign};
-use relia::{execute_trials_with, FastForward};
+use relia::{execute_trials_with, AppCaptures, FastForward};
 
 use crate::proto::{parse_frame, write_frame, Frame, Line, LineReader, PROTO_VERSION};
 use crate::{DispatchError, TelemetryCfg};
@@ -71,10 +74,13 @@ impl Default for WorkerCfg {
     }
 }
 
-/// What one worker session amounted to.
+/// What one worker session — or, summed, every session of a [`follow`]ed
+/// campaign — amounted to.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkSummary {
     pub worker: String,
+    /// Sessions that ran to the coordinator's shutdown.
+    pub sessions: usize,
     /// Shards this worker drove to an `ack`.
     pub shards_completed: usize,
     /// Trial records streamed to the coordinator.
@@ -122,6 +128,55 @@ fn send(write: &Mutex<TcpStream>, frame: &Frame) -> std::io::Result<()> {
 /// `Ok` with [`WorkSummary::died_early`] set — the test harness treats
 /// it as the expected outcome, not a failure.
 pub fn work(addr: &str, cfg: &WorkerCfg) -> Result<WorkSummary, DispatchError> {
+    session(addr, cfg, &kernels::all_benchmarks(), &mut None)
+}
+
+/// Serve an adaptive campaign: one worker session per wave, until the
+/// coordinator is gone. The coordinator keeps the listening socket across
+/// waves, so between waves a reconnect just parks in the accept backlog;
+/// once the coordinator has exited the connection fails and the summed
+/// summary is returned. A session error before any completed session is
+/// a real failure.
+///
+/// The application's captures are held from one session to the next —
+/// for as long as the job frames name the same (app, GPU, layer,
+/// hardened) — so a followed worker runs the golden execution and the
+/// capture pass once per campaign, not once per wave.
+pub fn follow(addr: &str, cfg: &WorkerCfg) -> Result<WorkSummary, DispatchError> {
+    let benches = kernels::all_benchmarks();
+    let mut held = None;
+    let mut total = WorkSummary {
+        worker: cfg.name.clone(),
+        sessions: 0,
+        shards_completed: 0,
+        trials_executed: 0,
+        died_early: false,
+    };
+    loop {
+        match session(addr, cfg, &benches, &mut held) {
+            Ok(s) => {
+                total.sessions += s.sessions;
+                total.shards_completed += s.shards_completed;
+                total.trials_executed += s.trials_executed;
+                total.died_early = s.died_early;
+                if s.died_early {
+                    return Ok(total);
+                }
+            }
+            Err(e) if total.sessions == 0 => return Err(e),
+            Err(_) => return Ok(total),
+        }
+    }
+}
+
+/// One worker session. `held` carries the captures of the previous
+/// session's application in and this one's out.
+fn session<'b>(
+    addr: &str,
+    cfg: &WorkerCfg,
+    benches: &'b [Box<dyn Benchmark>],
+    held: &mut Option<Arc<AppCaptures<'b>>>,
+) -> Result<WorkSummary, DispatchError> {
     // Mount the local telemetry server first so the hello frame can
     // advertise a live address for the coordinator to scrape.
     let telemetry = match &cfg.telemetry {
@@ -172,6 +227,7 @@ pub fn work(addr: &str, cfg: &WorkerCfg) -> Result<WorkSummary, DispatchError> {
         Frame::Shutdown => {
             return Ok(WorkSummary {
                 worker: cfg.name.clone(),
+                sessions: 1,
                 shards_completed: 0,
                 trials_executed: 0,
                 died_early: false,
@@ -183,8 +239,8 @@ pub fn work(addr: &str, cfg: &WorkerCfg) -> Result<WorkSummary, DispatchError> {
             )))
         }
     };
-    let bench = spec.find_bench().map_err(DispatchError::Spec)?;
-    let prep = spec.prepare(bench.as_ref());
+    let bench = &benches[spec.bench_index(benches).map_err(DispatchError::Spec)?];
+    let prep = spec.plan(&spec.captures(bench.as_ref(), held));
     // The dispatched backend is a throughput choice, not a plan
     // property: it rides outside the fingerprint, so mixed-backend fleets
     // merge.
@@ -233,6 +289,7 @@ pub fn work(addr: &str, cfg: &WorkerCfg) -> Result<WorkSummary, DispatchError> {
                     let _ = write.lock().unwrap().shutdown(std::net::Shutdown::Both);
                     return Ok(WorkSummary {
                         worker: cfg.name.clone(),
+                        sessions: 0,
                         shards_completed,
                         trials_executed: cache.lock().unwrap().len(),
                         died_early: true,
@@ -280,6 +337,7 @@ pub fn work(addr: &str, cfg: &WorkerCfg) -> Result<WorkSummary, DispatchError> {
     let trials_executed = cache.lock().unwrap().len();
     Ok(WorkSummary {
         worker: cfg.name.clone(),
+        sessions: 1,
         shards_completed,
         trials_executed,
         died_early: false,

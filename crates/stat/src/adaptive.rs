@@ -8,16 +8,23 @@
 //!
 //! Determinism contract: the trials of wave `w` depend only on
 //! (seed, app, strata specs) — never on *how* earlier waves were
-//! executed — because [`prepare_adaptive_wave`] derives per-trial seeds
-//! from the same (kernel, target, ordinal) streams as the fixed-n
-//! planners. Convergence decisions are pure functions of complete wave
-//! record sets. So an adaptive campaign run single-shot, sharded,
-//! killed-and-resumed, or farmed out over dispatch workers produces
-//! byte-identical wave plans, records, and final intervals.
+//! executed — because [`plan_wave`] derives per-trial seeds from the same
+//! (kernel, target, ordinal) streams as the fixed-n planners. Convergence
+//! decisions are pure functions of complete wave record sets. So an
+//! adaptive campaign run single-shot, sharded, killed-and-resumed, or
+//! farmed out over dispatch workers produces byte-identical wave plans,
+//! records, and final intervals.
+//!
+//! Every wave is planned against one [`AppCaptures`] handle: the golden
+//! run happens once per campaign, and the snapshot set / access trace /
+//! CTA log are captured by the first wave that executes a trial, not by
+//! every wave.
+
+use std::sync::Arc;
 
 use kernels::Benchmark;
 use relia::{
-    assemble_uarch, dedupe_records, execute_shard, prepare_adaptive_wave, records_fingerprint,
+    assemble_uarch, dedupe_records, execute_shard, plan_wave, records_fingerprint, AppCaptures,
     CampaignCfg, Confidence, EngineCfg, EngineError, Layer, PreparedCampaign, StratumSpec,
     TrialRecord, TrialTarget,
 };
@@ -225,6 +232,22 @@ pub fn run_adaptive<E>(
     layer: Layer,
     targets: &[TrialTarget],
     acfg: &AdaptiveCfg,
+    exec: E,
+) -> Result<AdaptiveResult, EngineError>
+where
+    E: FnMut(&PreparedCampaign, u64) -> Result<Vec<TrialRecord>, EngineError>,
+{
+    let captures = AppCaptures::new(bench, &cfg.gpu, layer, hardened);
+    run_adaptive_on(&captures, cfg, targets, acfg, exec)
+}
+
+/// [`run_adaptive`] against an application's existing captures (whose
+/// layer and variant the campaign takes).
+pub fn run_adaptive_on<E>(
+    captures: &Arc<AppCaptures>,
+    cfg: &CampaignCfg,
+    targets: &[TrialTarget],
+    acfg: &AdaptiveCfg,
     mut exec: E,
 ) -> Result<AdaptiveResult, EngineError>
 where
@@ -235,6 +258,7 @@ where
         "invalid adaptive config: {:?}",
         acfg.validate()
     );
+    let (bench, layer) = (captures.bench(), captures.layer());
     let n_kernels = bench.kernels().len();
     let mut strata: Vec<AdaptiveStratum> = (0..n_kernels)
         .flat_map(|k_idx| {
@@ -275,7 +299,7 @@ where
                 }
             })
             .collect();
-        let prep = prepare_adaptive_wave(bench, cfg, hardened, layer, &specs, wave);
+        let prep = plan_wave(captures, cfg, &specs, wave);
         plans_fp = fold_fp(plans_fp, prep.plan.fingerprint());
         let records = complete_wave(prep.plan.len(), &exec(&prep, wave)?)?;
         records_fp = fold_fp(records_fp, records_fingerprint(&records));

@@ -22,12 +22,12 @@ pub mod strata;
 pub mod twolevel;
 
 pub use adaptive::{
-    class_targets, run_adaptive, run_adaptive_single, sw_targets, uarch_targets, AdaptiveCfg,
-    AdaptiveResult, AdaptiveStratum,
+    class_targets, run_adaptive, run_adaptive_on, run_adaptive_single, sw_targets, uarch_targets,
+    AdaptiveCfg, AdaptiveResult, AdaptiveStratum,
 };
 pub use ci::{bootstrap_weighted_ci, weighted_rate, wilson, Interval, WeightedStratum};
 pub use strata::StratumStats;
 pub use twolevel::{
-    assemble_two_level, class_kinds, estimate_two_level, ClassEstimate, KernelEstimate,
-    TwoLevelEstimate, DEFAULT_BOOTSTRAP_REPS,
+    assemble_two_level, class_kinds, estimate_two_level, estimate_two_level_on, ClassEstimate,
+    KernelEstimate, TwoLevelEstimate, DEFAULT_BOOTSTRAP_REPS,
 };

@@ -9,14 +9,16 @@
 //! the propagated estimate).
 //!
 //! The class strata reuse the deterministic plan/execute engine end to
-//! end: a two-level campaign is an ordinary [`prepare_sw_kinds`] plan
-//! over [`SwFaultKind::DestClass`] sub-campaigns, so checkpoints, shard
+//! end: a two-level campaign is an ordinary [`plan_sw`] plan over
+//! [`SwFaultKind::DestClass`] sub-campaigns, so checkpoints, shard
 //! merges, and dispatch leases all work unchanged.
+
+use std::sync::Arc;
 
 use kernels::Benchmark;
 use relia::{
-    assemble_sw_counts, execute_shard, prepare_sw_kinds, sw_seed_tag, CampaignCfg, ClassCounts,
-    Confidence, EngineCfg, EngineError, PreparedCampaign, TrialRecord,
+    assemble_sw_counts, execute_shard, plan_sw, sw_seed_tag, AppCaptures, CampaignCfg, ClassCounts,
+    Confidence, EngineCfg, EngineError, Layer, PreparedCampaign, TrialRecord,
 };
 use vgpu_arch::InstrClass;
 use vgpu_sim::SwFaultKind;
@@ -151,7 +153,7 @@ pub fn assemble_two_level(
     let counts = assemble_sw_counts(prep, records)?;
     let kinds = &prep.plan.sw_kinds;
     let kernels: Vec<KernelEstimate> = prep
-        .bench
+        .bench()
         .kernels()
         .iter()
         .enumerate()
@@ -229,7 +231,20 @@ pub fn estimate_two_level(
     conf: Confidence,
     reps: usize,
 ) -> TwoLevelEstimate {
-    let prep = prepare_sw_kinds(bench, cfg, false, &class_kinds());
+    let captures = AppCaptures::new(bench, &cfg.gpu, Layer::Sw, false);
+    estimate_two_level_on(&captures, cfg, conf, reps)
+}
+
+/// [`estimate_two_level`] against an application's existing
+/// (software-layer, unhardened) captures.
+pub fn estimate_two_level_on(
+    captures: &Arc<AppCaptures>,
+    cfg: &CampaignCfg,
+    conf: Confidence,
+    reps: usize,
+) -> TwoLevelEstimate {
+    let kinds: Vec<SwFaultKind> = class_kinds().into_iter().map(|(k, _)| k).collect();
+    let prep = plan_sw(captures, cfg, &kinds);
     let records = execute_shard(&prep, &EngineCfg::single_shot())
         .expect("single-shot execution performs no checkpoint I/O");
     assemble_two_level(&prep, &records, conf, reps).expect("a single shard covers the whole plan")

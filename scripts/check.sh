@@ -102,7 +102,12 @@ echo "==> adaptive sizing smoke (docs/TWOLEVEL.md)"
 ADPT=$(mktemp -d)
 AFLAGS=(--app VA --layer uarch --adaptive --ci-target 0.15
         --wave-size 6 --max-trials 24 --seed 53083)
-"$CAMPAIGN" run "${AFLAGS[@]}" --csv "$ADPT/adaptive.csv" > "$ADPT/one.txt"
+"$CAMPAIGN" run "${AFLAGS[@]}" --csv "$ADPT/adaptive.csv" \
+  --events "$ADPT/events.jsonl" > "$ADPT/one.txt" 2> /dev/null
+# Captured once per application (docs/PERF.md): several waves, one
+# snapshot capture.
+test "$(grep -c '"record":"wave"' "$ADPT/events.jsonl")" -ge 2
+test "$(grep -c '"record":"snapshot"' "$ADPT/events.jsonl")" -eq 1
 # The CSV parses (header + one row per stratum) and every stratum
 # converged on the CI target before the trial cap.
 head -1 "$ADPT/adaptive.csv" | grep -q '^Kernel,Target,Trials,Fail'
