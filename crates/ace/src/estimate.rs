@@ -1,6 +1,6 @@
 //! Fold lifetime-tracker totals into analytic AVF estimates.
 
-use kernels::{golden_run_ace, Benchmark};
+use kernels::{golden_pass, AceProfile, Benchmark, Sinks, Variant};
 use obs::Phase;
 use vgpu_sim::{GpuConfig, HwStructure};
 
@@ -95,7 +95,12 @@ impl AceAppEstimate {
 /// campaign's `faulty_run` cost.
 pub fn estimate_app(bench: &dyn Benchmark, cfg: &GpuConfig) -> AceAppEstimate {
     obs::time_phase(Phase::AceRun, || {
-        let ace = golden_run_ace(bench, cfg);
+        let sinks = Sinks {
+            ace: Some(AceProfile::default()),
+            ..Sinks::default()
+        };
+        let pass = golden_pass(bench, cfg, Variant::TIMED, sinks);
+        let (golden, ace) = (pass.golden, pass.ace.expect("asked for"));
         let names = bench.kernels();
         let mut kernels: Vec<AceKernelEstimate> = names
             .iter()
@@ -105,7 +110,7 @@ pub fn estimate_app(bench: &dyn Benchmark, cfg: &GpuConfig) -> AceAppEstimate {
                 ace_word_cycles: [0; 5],
             })
             .collect();
-        for (r, delta) in ace.golden.records.iter().zip(&ace.per_launch) {
+        for (r, delta) in golden.records.iter().zip(&ace.per_launch) {
             let k = &mut kernels[r.kernel_idx];
             k.cycles += r.stats.cycles;
             for (acc, d) in k.ace_word_cycles.iter_mut().zip(delta) {
@@ -122,7 +127,7 @@ pub fn estimate_app(bench: &dyn Benchmark, cfg: &GpuConfig) -> AceAppEstimate {
             app: bench.name().to_string(),
             kernels,
             totals: ace.totals,
-            total_cycles: ace.golden.total_cost,
+            total_cycles: golden.total_cost,
             events: ace.events,
         }
     })

@@ -1,32 +1,9 @@
-//! Tracker on/off differential: attaching the ACE lifetime tracker must
-//! be invisible — byte-identical functional outputs, identical cycle
-//! counts and statistics, and unchanged injection-campaign outcomes.
+//! Tracker on/off differential: an ACE-instrumented run must leave
+//! injection-campaign outcomes unchanged. (That the tracker is invisible
+//! to the golden run itself — output, cycle counts, statistics — is the
+//! all-sinks differential of `crates/trace/tests/golden_pass.rs`.)
 
-use kernels::{all_benchmarks, golden_run, golden_run_ace, Variant};
 use relia::{execute_shard, prepare_uarch_campaign, records_fingerprint, CampaignCfg, EngineCfg};
-use vgpu_sim::GpuConfig;
-
-#[test]
-fn tracker_is_invisible_to_every_golden_run() {
-    let cfg = GpuConfig::volta_scaled(4);
-    for b in all_benchmarks() {
-        let plain = golden_run(b.as_ref(), &cfg, Variant::TIMED);
-        let ace = golden_run_ace(b.as_ref(), &cfg);
-        assert_eq!(plain.output, ace.golden.output, "{} output", b.name());
-        assert_eq!(
-            plain.total_cost,
-            ace.golden.total_cost,
-            "{} total cycles",
-            b.name()
-        );
-        assert_eq!(plain.records.len(), ace.golden.records.len());
-        for (p, a) in plain.records.iter().zip(&ace.golden.records) {
-            assert_eq!(p.stats, a.stats, "{} per-launch stats", b.name());
-        }
-        // The instrumentation itself did run.
-        assert!(ace.events > 0, "{} recorded no lifetime events", b.name());
-    }
-}
 
 #[test]
 fn ace_runs_do_not_perturb_injection_campaigns() {

@@ -18,8 +18,8 @@ use bench::cli::{from_env, Cmd};
 use bench::{finish_observability, init_observability, results_dir};
 use kernels::all_benchmarks;
 use relia::{
-    pct, pct4, run_pvf_campaign_on, run_sw_campaign_on, run_uarch_campaign_with, AppCaptures,
-    Layer, Table, TrendItem,
+    pct, pct4, run_pvf_campaign_on, run_sw_campaign_on, run_uarch_campaign_on, AppCaptures, Layer,
+    Table, TrendItem,
 };
 
 fn main() {
@@ -40,7 +40,8 @@ fn main() {
         let sw = AppCaptures::new(b.as_ref(), &cfg.gpu, Layer::Sw, false);
         let svf = run_sw_campaign_on(&sw, &cfg).app_svf().total();
         let pvf = run_pvf_campaign_on(&sw, &cfg).app_pvf().total();
-        let avf = run_uarch_campaign_with(b.as_ref(), &cfg, false, backend)
+        let uarch = AppCaptures::new(b.as_ref(), &cfg.gpu, Layer::Uarch, false);
+        let avf = run_uarch_campaign_on(&uarch, &cfg, backend)
             .app_avf(&cfg.gpu)
             .total();
         t.row(vec![

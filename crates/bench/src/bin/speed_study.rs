@@ -22,8 +22,8 @@
 use bench::cli::{from_env, Cmd};
 use bench::results_dir;
 use kernels::all_benchmarks;
-use relia::plan::{prepare_sw_kinds, prepare_uarch_campaign_structures, Layer, PreparedCampaign};
-use relia::{execute_trials_with, FastForward, Table, DEFAULT_SNAPSHOTS};
+use relia::plan::{plan_sw, plan_uarch, Layer, PreparedCampaign};
+use relia::{execute_trials_with, AppCaptures, FastForward, Table, DEFAULT_SNAPSHOTS};
 use std::time::Instant;
 use vgpu_sim::{HwStructure, SwFaultKind};
 
@@ -67,9 +67,10 @@ fn main() {
     );
     for b in all_benchmarks() {
         eprintln!("[speed] {} ...", b.name());
-        let avf =
-            prepare_uarch_campaign_structures(b.as_ref(), &cfg, false, &[HwStructure::RegFile]);
-        let svf = prepare_sw_kinds(b.as_ref(), &cfg, false, &[(SwFaultKind::DestValue, 10)]);
+        let uarch = AppCaptures::new(b.as_ref(), &cfg.gpu, Layer::Uarch, false);
+        let avf = plan_uarch(&uarch, &cfg, &[HwStructure::RegFile]);
+        let sw = AppCaptures::new(b.as_ref(), &cfg.gpu, Layer::Sw, false);
+        let svf = plan_sw(&sw, &cfg, &[SwFaultKind::DestValue]);
         let mut row = vec![b.name().to_string()];
         for path in [FastForward::Oracle, FastForward::default()] {
             let avf_us = us_per_injection(&avf, path);

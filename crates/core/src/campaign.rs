@@ -37,7 +37,7 @@ use rayon::prelude::*;
 
 use kernels::{faulty_run_with, Accel, Benchmark, Outcome, PlannedFault, RunResult};
 use trace::Verdict;
-use vgpu_sim::{FaultPattern, GpuConfig, HwStructure, SwFaultKind};
+use vgpu_sim::{FaultPattern, GpuConfig, HwStructure};
 
 use crate::captures::AppCaptures;
 use crate::checkpoint::{
@@ -46,8 +46,8 @@ use crate::checkpoint::{
 };
 use crate::metrics::{ClassCounts, ClassRates};
 use crate::plan::{
-    derive_seed, plan_sw, plan_uarch, shard_trials, CampaignPlan, Layer, PreparedCampaign,
-    TrialTarget, SVF_KINDS,
+    derive_seed, plan_sw, plan_uarch, shard_trials, sw_seed_tag, CampaignPlan, Layer,
+    PreparedCampaign, TrialTarget, SVF_KINDS,
 };
 
 /// Per-injection watchdog: bounds how long one pathological trial can
@@ -1121,26 +1121,17 @@ pub fn run_uarch_campaign(
     cfg: &CampaignCfg,
     hardened: bool,
 ) -> UarchAppResult {
-    run_uarch_campaign_with(bench, cfg, hardened, EngineBackend::Timed)
-}
-
-/// [`run_uarch_campaign`] with an explicit simulation backend — the
-/// study binaries' `--backend` axis. Results are byte-identical across
-/// backends (differential-tested); replay only changes the wall cost.
-pub fn run_uarch_campaign_with(
-    bench: &dyn Benchmark,
-    cfg: &CampaignCfg,
-    hardened: bool,
-    backend: EngineBackend,
-) -> UarchAppResult {
     let captures = AppCaptures::new(bench, &cfg.gpu, Layer::Uarch, hardened);
-    run_uarch_campaign_on(&captures, cfg, backend)
+    run_uarch_campaign_on(&captures, cfg, EngineBackend::Timed)
 }
 
-/// [`run_uarch_campaign_with`] against an application's existing
-/// captures: a caller that runs several campaigns over one (app, GPU,
-/// hardened) — one per fault pattern, say — pays for the golden run and
-/// the capture pass once.
+/// [`run_uarch_campaign`] against an application's existing captures and
+/// with an explicit simulation backend — the study binaries' `--backend`
+/// axis. Results are byte-identical across backends
+/// (differential-tested); replay only changes the wall cost. A caller
+/// that runs several campaigns over one (app, GPU, hardened) — one per
+/// fault pattern, say — pays for the golden run and the capture pass
+/// once.
 pub fn run_uarch_campaign_on(
     captures: &Arc<AppCaptures>,
     cfg: &CampaignCfg,
@@ -1244,11 +1235,7 @@ pub fn assemble_sw(
     prep: &PreparedCampaign,
     records: &[TrialRecord],
 ) -> Result<SvfAppResult, EngineError> {
-    let expected = [
-        (SwFaultKind::DestValue, 10),
-        (SwFaultKind::DestValueLoad, 11),
-    ];
-    if prep.plan.sw_kinds != expected {
+    if prep.plan.sw_kinds != SVF_KINDS.map(|k| (k, sw_seed_tag(k))) {
         return Err(EngineError::PlanMismatch(
             "assemble_sw expects the standard dest-value + dest-value-ld plan".into(),
         ));

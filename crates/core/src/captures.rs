@@ -5,6 +5,10 @@
 //! layer, hardened) tuple. It runs the golden execution when it is built
 //! and captures the fast-forward snapshot set, the replay access trace and
 //! the CTA log lazily, each at most once, on the first plan that needs it.
+//! Every one of them is [`kernels::golden_pass`] with the matching sink;
+//! they stay separate passes, one artefact each, because each is wanted by
+//! a different trial path at a different time and a timed golden pass is
+//! the cheap part of any of them (docs/PERF.md, *One pass, its sinks*).
 //! Every plan of that application — the waves of an adaptive campaign, the
 //! patterns of a fault-model sweep, the wave sessions of a followed
 //! dispatch worker — is expanded against the same handle
@@ -23,8 +27,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use kernels::{
-    golden_run, golden_run_cta_log, golden_run_snapshots, AppSnapshots, Benchmark, CtaLog,
-    GoldenRun, Variant,
+    golden_pass, AppSnapshots, Benchmark, CtaLog, GoldenRun, Sinks, SnapshotSink, Variant,
 };
 use obs::Phase;
 use vgpu_sim::GpuConfig;
@@ -91,7 +94,9 @@ impl<'a> AppCaptures<'a> {
             mode: layer.mode(),
             hardened,
         };
-        let golden = obs::time_phase(Phase::GoldenRun, || golden_run(bench, gpu, variant));
+        let golden = obs::time_phase(Phase::GoldenRun, || {
+            golden_pass(bench, gpu, variant, Sinks::default()).golden
+        });
         Arc::new(AppCaptures {
             bench,
             gpu: gpu.clone(),
@@ -161,13 +166,19 @@ impl<'a> AppCaptures<'a> {
     }
 
     /// The fast-forward snapshot set, capturing it on first use: one
-    /// instrumented golden pass with `k` mid-launch snapshots per launch.
+    /// golden pass with the snapshot sink, `k` mid-launch snapshots per
+    /// launch.
     pub(crate) fn snapshots(&self, k: usize) -> &Arc<AppSnapshots> {
         debug_assert!(k > 0 && self.serves(Capture::Snapshots));
         let (captured_k, snaps) = self.snaps.get_or_init(|| {
             let t0 = Instant::now();
             let snaps = obs::time_phase(Phase::SnapshotCapture, || {
-                golden_run_snapshots(self.bench, &self.gpu, &self.golden, k)
+                let sinks = Sinks {
+                    snapshots: Some(SnapshotSink::new(&self.golden, k)),
+                    ..Sinks::default()
+                };
+                let pass = golden_pass(self.bench, &self.gpu, self.variant(), sinks);
+                pass.snapshots.expect("asked for")
             });
             let app = self.bench.name();
             obs::gauge_set(
@@ -199,8 +210,8 @@ impl<'a> AppCaptures<'a> {
     }
 
     /// The replay backend's golden access trace, recording it on first
-    /// use (one traced golden pass, bit-identity asserted against the
-    /// untraced baseline).
+    /// use (one golden pass with a trace sink, bit-identity asserted
+    /// against the untraced baseline).
     pub(crate) fn trace(&self) -> &Arc<trace::AppTrace> {
         debug_assert!(self.serves(Capture::Trace));
         self.trace.get_or_init(|| {
@@ -216,14 +227,20 @@ impl<'a> AppCaptures<'a> {
         })
     }
 
-    /// The golden CTA log, capturing it on first use (one logged
-    /// functional golden pass, bit-identity asserted against the unlogged
-    /// baseline).
+    /// The golden CTA log, capturing it on first use (one functional
+    /// golden pass with the CTA-log sink, bit-identity asserted against
+    /// the unlogged baseline).
     pub(crate) fn cta_log(&self) -> &Arc<CtaLog> {
         debug_assert!(self.serves(Capture::CtaLog));
         self.cta_log.get_or_init(|| {
             let log = obs::time_phase(Phase::CtaLogCapture, || {
-                golden_run_cta_log(self.bench, &self.gpu, &self.golden)
+                let sinks = Sinks {
+                    reference: Some(&self.golden),
+                    cta_log: Some(CtaLog::default()),
+                    ..Sinks::default()
+                };
+                let pass = golden_pass(self.bench, &self.gpu, self.variant(), sinks);
+                pass.cta_log.expect("asked for")
             });
             obs::gauge_set("cta_log_bytes", &[("app", self.bench.name())], log.bytes());
             Arc::new(log)

@@ -50,9 +50,9 @@ pub mod trends;
 pub use campaign::{
     assemble_sw, assemble_sw_counts, assemble_uarch, dedupe_records, execute_shard, execute_trials,
     execute_trials_with, records_fingerprint, run_sw_campaign, run_sw_campaign_on,
-    run_uarch_campaign, run_uarch_campaign_on, run_uarch_campaign_with, CampaignCfg, EngineBackend,
-    EngineCfg, EngineError, FastForward, SvfAppResult, SvfKernelResult, UarchAppResult,
-    UarchKernelResult, Watchdog, DEFAULT_SNAPSHOTS,
+    run_uarch_campaign, run_uarch_campaign_on, CampaignCfg, EngineBackend, EngineCfg, EngineError,
+    FastForward, SvfAppResult, SvfKernelResult, UarchAppResult, UarchKernelResult, Watchdog,
+    DEFAULT_SNAPSHOTS,
 };
 pub use captures::AppCaptures;
 pub use checkpoint::{
@@ -62,10 +62,9 @@ pub use checkpoint::{
 pub use hardening::{evaluate_hardening, HardeningComparison};
 pub use metrics::{error_margin, ClassCounts, ClassRates, Confidence};
 pub use plan::{
-    plan_strata, plan_sw, plan_uarch, plan_wave, prepare_adaptive_wave, prepare_sw_campaign,
-    prepare_sw_kinds, prepare_uarch_campaign, prepare_uarch_campaign_structures, shard_trials,
-    sw_seed_tag, CampaignPlan, Layer, PlannedTrial, PreparedCampaign, StratumSpec, TrialTarget,
-    SVF_KINDS,
+    plan_strata, plan_sw, plan_uarch, plan_wave, prepare_sw_campaign, prepare_uarch_campaign,
+    shard_trials, sw_seed_tag, CampaignPlan, Layer, PlannedTrial, PreparedCampaign, StratumSpec,
+    TrialTarget, SVF_KINDS,
 };
 pub use profile::{kernel_metrics, normalized_pair, UtilMetrics, METRIC_LABELS};
 pub use pvf::{run_pvf_campaign, run_pvf_campaign_on, PvfAppResult, PvfKernelResult};

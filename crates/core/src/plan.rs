@@ -553,18 +553,8 @@ pub fn prepare_uarch_campaign<'a>(
     cfg: &CampaignCfg,
     hardened: bool,
 ) -> PreparedCampaign<'a> {
-    prepare_uarch_campaign_structures(bench, cfg, hardened, &HwStructure::ALL)
-}
-
-/// Golden run + [`plan_uarch`], on captures of its own.
-pub fn prepare_uarch_campaign_structures<'a>(
-    bench: &'a dyn Benchmark,
-    cfg: &CampaignCfg,
-    hardened: bool,
-    structures: &[HwStructure],
-) -> PreparedCampaign<'a> {
     let captures = AppCaptures::new(bench, &cfg.gpu, Layer::Uarch, hardened);
-    plan_uarch(&captures, cfg, structures)
+    plan_uarch(&captures, cfg, &HwStructure::ALL)
 }
 
 /// Golden run + [`plan_sw`] over [`SVF_KINDS`], on captures of its own.
@@ -575,43 +565,6 @@ pub fn prepare_sw_campaign<'a>(
 ) -> PreparedCampaign<'a> {
     let captures = AppCaptures::new(bench, &cfg.gpu, Layer::Sw, hardened);
     plan_sw(&captures, cfg, &SVF_KINDS)
-}
-
-/// Golden run + [`plan_sw`], on captures of its own. The tags are the
-/// frozen [`sw_seed_tag`] constants, kept in the signature for its
-/// callers' sake.
-pub fn prepare_sw_kinds<'a>(
-    bench: &'a dyn Benchmark,
-    cfg: &CampaignCfg,
-    hardened: bool,
-    kinds: &[(SwFaultKind, u64)],
-) -> PreparedCampaign<'a> {
-    let kinds: Vec<SwFaultKind> = (kinds.iter())
-        .map(|&(kind, tag)| {
-            assert_eq!(
-                tag,
-                sw_seed_tag(kind),
-                "{}: seed tags are frozen",
-                kind.label()
-            );
-            kind
-        })
-        .collect();
-    let captures = AppCaptures::new(bench, &cfg.gpu, Layer::Sw, hardened);
-    plan_sw(&captures, cfg, &kinds)
-}
-
-/// Golden run + [`plan_wave`], on captures of its own.
-pub fn prepare_adaptive_wave<'a>(
-    bench: &'a dyn Benchmark,
-    cfg: &CampaignCfg,
-    hardened: bool,
-    layer: Layer,
-    strata: &[StratumSpec],
-    wave: u64,
-) -> PreparedCampaign<'a> {
-    let captures = AppCaptures::new(bench, &cfg.gpu, layer, hardened);
-    plan_wave(&captures, cfg, strata, wave)
 }
 
 #[cfg(test)]
@@ -654,10 +607,9 @@ mod tests {
     fn structure_subset_plans_inject_the_same_faults() {
         let cfg = CampaignCfg::new(8, 8, 0xACE);
         let full = prepare_uarch_campaign(&Va, &cfg, false);
-        let subset = prepare_uarch_campaign_structures(
-            &Va,
+        let subset = plan_uarch(
+            &full.captures,
             &cfg,
-            false,
             &[HwStructure::RegFile, HwStructure::L2],
         );
         assert_eq!(
@@ -695,7 +647,7 @@ mod tests {
             start: 3,
             count: 5,
         }];
-        let wave = prepare_adaptive_wave(&Va, &cfg, false, Layer::Uarch, &strata, 1);
+        let wave = plan_wave(&fixed.captures, &cfg, &strata, 1);
         assert_eq!(wave.plan.len(), 5);
         for t in &wave.plan.trials {
             let m = fixed
@@ -711,7 +663,7 @@ mod tests {
         }
         // Same strata, different wave index → different fingerprint, so
         // per-wave checkpoints and dispatch leases can never be confused.
-        let wave2 = prepare_adaptive_wave(&Va, &cfg, false, Layer::Uarch, &strata, 2);
+        let wave2 = plan_wave(&fixed.captures, &cfg, &strata, 2);
         assert_ne!(wave.plan.fingerprint(), wave2.plan.fingerprint());
         assert_eq!(wave.plan.trials, wave2.plan.trials);
 
@@ -722,16 +674,9 @@ mod tests {
             start: 0,
             count: 4,
         }];
-        let sw_wave = prepare_adaptive_wave(&Va, &cfg, false, Layer::Sw, &class_strata, 0);
-        let sw_fixed = prepare_sw_kinds(
-            &Va,
-            &cfg,
-            false,
-            &[(
-                SwFaultKind::DestClass(InstrClass::IntAlu),
-                sw_seed_tag(SwFaultKind::DestClass(InstrClass::IntAlu)),
-            )],
-        );
+        let sw = AppCaptures::new(&Va, &cfg.gpu, Layer::Sw, false);
+        let sw_wave = plan_wave(&sw, &cfg, &class_strata, 0);
+        let sw_fixed = plan_sw(&sw, &cfg, &[SwFaultKind::DestClass(InstrClass::IntAlu)]);
         assert_eq!(
             sw_wave.plan.trials[..4]
                 .iter()

@@ -13,11 +13,11 @@
 
 use kernels::apps::{bfs::Bfs, scp::Scp, va::Va};
 use kernels::{all_benchmarks, Benchmark, Outcome};
-use relia::plan::{prepare_sw_kinds, sw_seed_tag};
+use relia::plan::{plan_sw, Layer};
 use relia::{
     assemble_sw, assemble_sw_counts, assemble_uarch, execute_shard, execute_trials_with,
-    prepare_sw_campaign, prepare_uarch_campaign, records_fingerprint, CampaignCfg, EngineBackend,
-    EngineCfg, FastForward, PreparedCampaign, TrialRecord,
+    prepare_sw_campaign, prepare_uarch_campaign, records_fingerprint, AppCaptures, CampaignCfg,
+    EngineBackend, EngineCfg, FastForward, PreparedCampaign, TrialRecord,
 };
 use vgpu_arch::InstrClass;
 use vgpu_sim::{FaultPattern, SwFaultKind};
@@ -135,20 +135,15 @@ fn replay_shard_merge_and_kill_resume_match_the_oracle() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Every software fault kind, with the frozen seed tags.
-fn sw_kinds() -> Vec<(SwFaultKind, u64)> {
-    [
-        SwFaultKind::DestValue,
-        SwFaultKind::DestValueLoad,
-        SwFaultKind::SrcTransient,
-        SwFaultKind::SrcPersistent,
-        SwFaultKind::ArchState,
-        SwFaultKind::DestClass(InstrClass::IntAlu),
-    ]
-    .into_iter()
-    .map(|k| (k, sw_seed_tag(k)))
-    .collect()
-}
+/// Every software fault kind.
+const SW_KINDS: [SwFaultKind; 6] = [
+    SwFaultKind::DestValue,
+    SwFaultKind::DestValueLoad,
+    SwFaultKind::SrcTransient,
+    SwFaultKind::SrcPersistent,
+    SwFaultKind::ArchState,
+    SwFaultKind::DestClass(InstrClass::IntAlu),
+];
 
 #[test]
 fn sw_paths_classify_identically_for_every_app_kind_and_pattern() {
@@ -163,7 +158,8 @@ fn sw_paths_classify_identically_for_every_app_kind_and_pattern() {
                 pattern,
                 ..CampaignCfg::new(0, 1, 0xC7A ^ pattern as u64)
             };
-            let prep = prepare_sw_kinds(bench.as_ref(), &cfg, false, &sw_kinds());
+            let captures = AppCaptures::new(bench.as_ref(), &cfg.gpu, Layer::Sw, false);
+            let prep = plan_sw(&captures, &cfg, &SW_KINDS);
             let what = format!("{} {}", bench.name(), pattern.label());
             let want = oracle(&prep);
             let counts = assemble_sw_counts(&prep, &want).unwrap();

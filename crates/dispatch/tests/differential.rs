@@ -332,7 +332,8 @@ fn va_uarch_adaptive_dispatch_equals_single_shot() {
 #[test]
 fn wave_plan_strata_round_trip_through_job_spec() {
     use dispatch::{plan_strata, WaveSpec};
-    use relia::plan::{prepare_adaptive_wave, StratumSpec, TrialTarget};
+    use relia::plan::{plan_wave, StratumSpec, TrialTarget};
+    use relia::AppCaptures;
 
     let base = spec_for("VA", Layer::Uarch, FaultPattern::SingleBit);
     let bench = base.find_bench().expect("benchmark exists");
@@ -351,7 +352,8 @@ fn wave_plan_strata_round_trip_through_job_spec() {
             count: 3,
         },
     ];
-    let prep = prepare_adaptive_wave(bench.as_ref(), &cfg, false, Layer::Uarch, &strata, 5);
+    let captures = AppCaptures::new(bench.as_ref(), &cfg.gpu, Layer::Uarch, false);
+    let prep = plan_wave(&captures, &cfg, &strata, 5);
     assert_eq!(plan_strata(&prep.plan), strata);
     let spec = CampaignSpec {
         wave: Some(WaveSpec {

@@ -26,7 +26,7 @@ use vgpu_sim::functional::run_cta;
 use vgpu_sim::{granule_bit, GlobalMem, Stats, SwFault, SwInjector, GRANULE_SHIFT};
 
 /// What every CTA of one golden functional run read and wrote. Captured
-/// once per software-level campaign by [`crate::golden_run_cta_log`] and
+/// once per software-level application by [`crate::golden_pass`] and
 /// shared by every trial; holds store deltas and sparse granule bitmaps
 /// only, never a copy of device memory.
 #[derive(Debug, Default)]

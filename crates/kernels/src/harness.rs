@@ -5,14 +5,22 @@
 //! A [`Benchmark`] implementation expresses its host program against
 //! [`RunCtl`]: it allocates device buffers once, initializes inputs, and
 //! interleaves kernel launches with host-side glue. The same host program
-//! then serves four purposes:
+//! is then run two ways:
 //!
-//! * **golden** runs record per-launch statistics and the final output;
-//! * **faulty** runs inject one fault into one chosen launch and classify
-//!   the outcome against the golden output;
-//! * **hardened** variants transparently triplicate buffers, launch with
-//!   `grid_y == 3`, and majority-vote after every protected kernel;
-//! * **profiling** runs collect the Figure-3 utilization metrics.
+//! * **fault-free**, by [`golden_pass`] — the one profiling run each of the
+//!   paper's methodologies needs per application. It records per-launch
+//!   statistics and the final output (the [`GoldenRun`]) and feeds whatever
+//!   [`Sinks`] ride along: ACE lifetime accounting, a probe sink for the
+//!   access trace, golden-prefix snapshots (timed engine), the CTA log
+//!   (functional engine). Sinks observe, never perturb: a pass given a
+//!   reference run is compared with it, in one place;
+//! * **faulty**, by [`faulty_run_with`] — one fault injected into one
+//!   chosen launch, the outcome classified against the golden output,
+//!   reusing whatever golden material an [`Accel`] offers.
+//!
+//! Either way the **hardened** variant transparently triplicates buffers,
+//! launches with `grid_y == 3`, and majority-votes after every protected
+//! kernel (Figure 6 of the paper).
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -107,7 +115,7 @@ pub struct RunResult {
 }
 
 /// Record of one launch during a golden run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LaunchRecord {
     /// Index into [`Benchmark::kernels`]. Vote launches carry the index of
     /// the kernel they protect.
@@ -125,7 +133,7 @@ pub struct LaunchRecord {
 }
 
 /// Everything learned from a golden run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GoldenRun {
     pub records: Vec<LaunchRecord>,
     /// Final output words (copy 0 for hardened apps).
@@ -195,6 +203,149 @@ impl AppSnapshots {
     }
 }
 
+/// What a golden pass records on top of its [`GoldenRun`]
+/// ([`golden_pass`]). The sinks are independent of one another — any set
+/// the engine of the pass serves may ride the same run — and each is
+/// handed in empty and comes back filled in the [`GoldenPass`].
+#[derive(Default)]
+pub struct Sinks<'a> {
+    /// The run this pass must reproduce bit for bit: output, total cost,
+    /// per-launch statistics. A snapshot sink brings its own.
+    pub reference: Option<&'a GoldenRun>,
+    /// ACE lifetime accounting (`vgpu_sim::lifetime`; timed engine).
+    pub ace: Option<AceProfile>,
+    /// Mirror the engine's access stream (`vgpu_sim::probe`) and the host
+    /// program's reads into this sink: the recording side of the replay
+    /// backend (`crates/trace`; timed engine).
+    pub trace: Option<SharedSink>,
+    /// Golden-prefix snapshots (timed engine, unhardened).
+    pub snapshots: Option<SnapshotSink<'a>>,
+    /// What every CTA read and wrote (functional engine, unhardened).
+    pub cta_log: Option<CtaLog>,
+}
+
+/// What the ACE sink of a golden pass measured.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct AceProfile {
+    /// Per-launch ACE word-cycle deltas (`HwStructure::ALL` order), one
+    /// entry per [`GoldenRun::records`] element. L2 intervals still open
+    /// when a launch retires are only counted once closed — they surface
+    /// either in a later launch's delta or in the final residual.
+    pub per_launch: Vec<[u64; 5]>,
+    /// Final per-structure ACE word-cycle totals, including every L2
+    /// interval closed at end of application (dirty lines live, clean
+    /// lines dead). While the pass runs: the tracker's totals after the
+    /// last launch.
+    pub totals: [u64; 5],
+    /// Lifetime events recorded (tracker work volume, for `obs`).
+    pub events: u64,
+}
+
+/// The snapshot sink of a golden pass: `~k` mid-launch snapshots per
+/// launch, evenly spaced over the launch, plus one at every launch
+/// boundary — the [`AppSnapshots`] consumed under [`Accel::Snapshots`].
+pub struct SnapshotSink<'a> {
+    /// The reference golden run: capture cycles are spaced by its launch
+    /// lengths, and the pass is compared with it.
+    golden: &'a GoldenRun,
+    k: usize,
+    /// Test hook: `(ordinal, cycle)` — capture an extra snapshot of that
+    /// launch at that cycle (clamped into the launch), immediately resume
+    /// from it with no fault, and assert the suffix is reproduced
+    /// bit-identically ([`verify_snapshot_resume`]).
+    pub verify_resume: Option<(usize, u64)>,
+    store: ChunkStore,
+    initial: Option<SnapId>,
+    boundaries: Vec<SnapId>,
+    mids: Vec<Vec<SnapId>>,
+}
+
+impl<'a> SnapshotSink<'a> {
+    pub fn new(golden: &'a GoldenRun, k: usize) -> Self {
+        SnapshotSink {
+            golden,
+            k,
+            verify_resume: None,
+            store: ChunkStore::new(),
+            initial: None,
+            boundaries: Vec::new(),
+            mids: Vec::new(),
+        }
+    }
+
+    /// Run golden launch `ordinal` on `gpu`, capturing its mid-launch
+    /// snapshots and the boundary snapshot after it.
+    fn launch(
+        &mut self,
+        gpu: &mut Gpu,
+        ordinal: usize,
+        kernel: &Kernel,
+        lc: &LaunchConfig,
+    ) -> Result<Stats, LaunchAbort> {
+        let cycles = self.golden.records.get(ordinal).map_or_else(
+            || panic!("the pass launched more kernels than its reference golden run"),
+            |r| r.stats.cycles,
+        );
+        let mut capture_at = snapshot_cycles(cycles, self.k);
+        let probe_cycle = match self.verify_resume {
+            Some((po, pc)) if po == ordinal => {
+                let pc = pc.min(cycles.saturating_sub(1));
+                if let Err(i) = capture_at.binary_search(&pc) {
+                    capture_at.insert(i, pc);
+                }
+                Some(pc)
+            }
+            _ => None,
+        };
+        let store = &mut self.store;
+        let (stats, snaps) =
+            gpu.launch_instrumented(kernel, lc, &Budget::unlimited(), &capture_at, store)?;
+        let boundary = gpu.capture(store);
+        if let Some(pc) = probe_cycle {
+            // Resume from the probe snapshot with no fault; the suffix
+            // must be reproduced bit-for-bit in statistics, cycle count,
+            // and machine state.
+            let snap = *snaps
+                .iter()
+                .find(|&&s| store.cycle(s) == Some(pc))
+                .expect("probe snapshot captured");
+            let r = gpu
+                .resume_from(store, snap, kernel, lc, None, &Budget::unlimited(), None)
+                .unwrap_or_else(|e| panic!("fault-free resume aborted: {e:?}"));
+            assert_eq!(r.stats, stats, "resume must reproduce golden stats");
+            assert_eq!(r.resumed_at, pc);
+            assert_eq!(r.simulated_cycles, stats.cycles - pc);
+            assert!(r.converged_at.is_none());
+            assert!(
+                gpu.matches_image(store, boundary),
+                "resume must reproduce the post-launch machine state verbatim"
+            );
+        }
+        self.mids.push(snaps);
+        self.boundaries.push(boundary);
+        Ok(stats)
+    }
+
+    fn finish(mut self) -> AppSnapshots {
+        self.store.shrink_to_fit();
+        AppSnapshots {
+            bytes: self.store.heap_bytes(),
+            store: self.store,
+            initial: self.initial.expect("the run launched a kernel"),
+            boundaries: self.boundaries,
+            mids: self.mids,
+        }
+    }
+}
+
+/// A finished [`golden_pass`]: the golden run and what its sinks hold.
+pub struct GoldenPass {
+    pub golden: GoldenRun,
+    pub ace: Option<AceProfile>,
+    pub snapshots: Option<AppSnapshots>,
+    pub cta_log: Option<CtaLog>,
+}
+
 /// The golden material a faulty run may reuse instead of simulating
 /// ([`faulty_run_with`]). Every choice classifies identically; they differ
 /// in how much of the application is simulated.
@@ -205,10 +356,10 @@ pub enum Accel<'a> {
     None,
     /// Golden-prefix snapshots of the timed engine: follow them instead of
     /// simulating the prefix, resume the injected launch mid-flight, and
-    /// credit whatever provably re-converges ([`golden_run_snapshots`]).
+    /// credit whatever provably re-converges ([`SnapshotSink`]).
     Snapshots(&'a Arc<AppSnapshots>),
     /// The golden CTA log of the functional engine: simulate only the
-    /// CTAs the fault can reach ([`golden_run_cta_log`]).
+    /// CTAs the fault can reach ([`Sinks::cta_log`]).
     CtaLog(&'a Arc<CtaLog>),
 }
 
@@ -289,23 +440,9 @@ impl FfCtx<'_> {
 
 /// What a [`RunCtl`] is doing.
 enum CtlMode<'a> {
-    Golden,
-    /// Instrumented golden pass capturing [`AppSnapshots`]; asserts
-    /// bit-identity with the reference golden run as it goes.
-    Capture {
-        /// Snapshots per launch (`~k`, evenly spaced over the launch).
-        k: usize,
-        /// The reference golden run.
-        golden: &'a GoldenRun,
-        store: ChunkStore,
-        initial: Option<SnapId>,
-        boundaries: Vec<SnapId>,
-        mids: Vec<Vec<SnapId>>,
-        /// Test hook: `(ordinal, cycle)` — capture an extra snapshot of
-        /// that launch at that cycle, immediately resume from it with no
-        /// fault, and assert the suffix is reproduced bit-identically.
-        probe: Option<(usize, u64)>,
-    },
+    /// Fault-free pass feeding these sinks ([`golden_pass`]). Boxed: the
+    /// per-trial `Faulty` controller should not carry their size.
+    Golden(Box<Sinks<'a>>),
     Faulty {
         target_launch: usize,
         fault: PlannedFault,
@@ -317,8 +454,6 @@ enum CtlMode<'a> {
         applied: bool,
         accel: AccelState<'a>,
     },
-    /// Logged functional golden pass building a [`CtaLog`].
-    CaptureCtas(CtaLog),
 }
 
 /// Controller handed to [`Benchmark::run`]: owns the GPU, performs
@@ -343,16 +478,6 @@ pub struct RunCtl<'a> {
     /// of building a fresh one (campaign hot path only).
     use_scratch: bool,
     outputs: Vec<(u32, u32)>,
-    /// Attach an ACE lifetime tracker at `alloc` time (golden runs only).
-    ace: bool,
-    /// Attach a probe sink at `alloc` time (traced golden runs only): the
-    /// engine's access stream is mirrored into it, and host-side reads are
-    /// recorded as `HostRead` probe events.
-    trace: Option<SharedSink>,
-    /// Cumulative tracker totals after the previous launch.
-    ace_prev: [u64; 5],
-    /// Per-launch ACE word-cycle deltas, aligned with `records`.
-    ace_per_launch: Vec<[u64; 5]>,
 }
 
 impl<'a> RunCtl<'a> {
@@ -371,10 +496,6 @@ impl<'a> RunCtl<'a> {
             simulated_cost: 0,
             use_scratch: false,
             outputs: Vec::new(),
-            ace: false,
-            trace: None,
-            ace_prev: [0; 5],
-            ace_per_launch: Vec::new(),
         }
     }
 
@@ -405,7 +526,7 @@ impl<'a> RunCtl<'a> {
             assert_eq!(first2 - first1, self.tmr_stride, "uniform TMR stride");
             self.flag_addr = planner.alloc(4);
         }
-        let scratch = if self.use_scratch && !self.ace && self.trace.is_none() {
+        let scratch = if self.use_scratch {
             GPU_SCRATCH.take().filter(|g| {
                 g.mode() == self.mode_sim && g.cfg == *self.cfg && planner.builds_layout_of(g.mem())
             })
@@ -426,11 +547,10 @@ impl<'a> RunCtl<'a> {
             }
             None => Gpu::new(self.cfg.clone(), planner.build(), self.mode_sim),
         };
-        if let Some(sink) = self.trace.take() {
-            assert!(!self.ace, "trace recording and --ace are exclusive");
-            gpu.attach_trace_sink(sink);
-        } else if self.ace {
-            gpu.attach_tracker();
+        if let CtlMode::Golden(sinks) = &mut self.ctl {
+            if sinks.ace.is_some() || sinks.trace.is_some() {
+                gpu.attach_probes(sinks.ace.is_some(), sinks.trace.take());
+            }
         }
         self.gpu = Some(gpu);
         addrs
@@ -447,17 +567,15 @@ impl<'a> RunCtl<'a> {
     /// The host program is about to observe the device for the first time
     /// (a read or a launch): whatever it wrote until now, it wrote without
     /// having seen anything, on the golden run and on every faulty one
-    /// alike. A capture pass takes its initial snapshot here; a
+    /// alike. A snapshot sink takes its initial snapshot here; a
     /// fast-forward run starts following it.
     fn observe(&mut self) {
         match &mut self.ctl {
-            CtlMode::Capture {
-                store,
-                initial: initial @ None,
-                ..
-            } => {
-                let gpu = self.gpu.as_mut().expect("alloc before device access");
-                *initial = Some(gpu.capture(store));
+            CtlMode::Golden(sinks) => {
+                if let Some(snaps @ SnapshotSink { initial: None, .. }) = &mut sinks.snapshots {
+                    let gpu = self.gpu.as_mut().expect("alloc before device access");
+                    snaps.initial = Some(gpu.capture(&mut snaps.store));
+                }
             }
             CtlMode::Faulty {
                 accel: AccelState::Snapshots(ffc),
@@ -635,16 +753,17 @@ impl<'a> RunCtl<'a> {
         self.launch_idx += 1;
         self.observe();
         match &mut self.ctl {
-            ctl @ (CtlMode::Golden | CtlMode::CaptureCtas(_)) => {
+            CtlMode::Golden(sinks) => {
                 let gpu = self.gpu.as_mut().expect("alloc before launch");
-                let stats = match ctl {
-                    CtlMode::CaptureCtas(log) => {
-                        let max_stack = gpu.cfg.max_stack_depth;
-                        let res = log.capture_launch(gpu.mem_mut(), kernel, &lc, max_stack);
-                        record_launch(Mode::Functional, &res);
-                        res?
-                    }
-                    _ => gpu.launch(kernel, &lc, FaultPlan::None, &Budget::unlimited())?,
+                let stats = if let Some(log) = &mut sinks.cta_log {
+                    let max_stack = gpu.cfg.max_stack_depth;
+                    let res = log.capture_launch(gpu.mem_mut(), kernel, &lc, max_stack);
+                    record_launch(Mode::Functional, &res);
+                    res?
+                } else if let Some(snaps) = &mut sinks.snapshots {
+                    snaps.launch(gpu, ordinal, kernel, &lc)?
+                } else {
+                    gpu.launch(kernel, &lc, FaultPlan::None, &Budget::unlimited())?
                 };
                 let cost = if gpu.mode() == Mode::Timed {
                     stats.cycles
@@ -653,7 +772,11 @@ impl<'a> RunCtl<'a> {
                 };
                 self.total_cost += cost;
                 self.simulated_cost += cost;
-                let ace_tot = gpu.tracker_totals();
+                if let (Some(ace), Some(now)) = (&mut sinks.ace, gpu.tracker_totals()) {
+                    let delta = std::array::from_fn(|i| now[i] - ace.totals[i]);
+                    ace.per_launch.push(delta);
+                    ace.totals = now;
+                }
                 self.records.push(LaunchRecord {
                     kernel_idx,
                     is_vote,
@@ -663,73 +786,6 @@ impl<'a> RunCtl<'a> {
                     num_regs: kernel.num_regs,
                     smem_bytes: kernel.smem_bytes,
                 });
-                if let Some(tot) = ace_tot {
-                    let mut delta = [0u64; 5];
-                    for (d, (now, prev)) in delta.iter_mut().zip(tot.iter().zip(&self.ace_prev)) {
-                        *d = now - prev;
-                    }
-                    self.ace_prev = tot;
-                    self.ace_per_launch.push(delta);
-                }
-                Ok(())
-            }
-            CtlMode::Capture {
-                k,
-                golden,
-                store,
-                boundaries,
-                mids,
-                probe,
-                ..
-            } => {
-                let gpu = self.gpu.as_mut().expect("alloc before launch");
-                let expect = golden.records.get(ordinal).map_or_else(
-                    || panic!("capture pass launched more kernels than the golden run"),
-                    |r| r.stats,
-                );
-                let mut capture_at = snapshot_cycles(expect.cycles, *k);
-                let probe_cycle = match probe {
-                    Some((po, pc)) if *po == ordinal => {
-                        let pc = (*pc).min(expect.cycles.saturating_sub(1));
-                        if let Err(i) = capture_at.binary_search(&pc) {
-                            capture_at.insert(i, pc);
-                        }
-                        Some(pc)
-                    }
-                    _ => None,
-                };
-                let (stats, snaps) = gpu
-                    .launch_instrumented(kernel, &lc, &Budget::unlimited(), &capture_at, store)
-                    .unwrap_or_else(|e| panic!("instrumented golden pass aborted: {e:?}"));
-                assert_eq!(
-                    stats, expect,
-                    "instrumented pass diverged from golden at launch {ordinal}"
-                );
-                let boundary = gpu.capture(store);
-                if let Some(pc) = probe_cycle {
-                    // Test hook: resume from the probe snapshot with no
-                    // fault; the suffix must be reproduced bit-for-bit in
-                    // statistics, cycle count, and machine state.
-                    let snap = *snaps
-                        .iter()
-                        .find(|&&s| store.cycle(s) == Some(pc))
-                        .expect("probe snapshot captured");
-                    let r = gpu
-                        .resume_from(store, snap, kernel, &lc, None, &Budget::unlimited(), None)
-                        .unwrap_or_else(|e| panic!("fault-free resume aborted: {e:?}"));
-                    assert_eq!(r.stats, expect, "resume must reproduce golden stats");
-                    assert_eq!(r.resumed_at, pc);
-                    assert_eq!(r.simulated_cycles, expect.cycles - pc);
-                    assert!(r.converged_at.is_none());
-                    assert!(
-                        gpu.matches_image(store, boundary),
-                        "resume must reproduce the post-launch machine state verbatim"
-                    );
-                }
-                self.total_cost += stats.cycles;
-                self.simulated_cost += stats.cycles;
-                mids.push(snaps);
-                boundaries.push(boundary);
                 Ok(())
             }
             CtlMode::Faulty {
@@ -955,151 +1011,108 @@ impl Variant {
     };
 }
 
-/// Run `bench` fault-free, recording per-launch statistics and the output.
+/// Run `bench` fault-free on the engine `variant` names, recording
+/// per-launch statistics and the output, and feed `sinks` along the way.
+/// This is the only fault-free run of the harness: every golden artefact —
+/// the plain [`GoldenRun`], the ACE profile, the access trace, the
+/// snapshot set, the CTA log — is this pass with the matching sink
+/// attached. Sinks observe, never perturb: with a reference given, the
+/// pass is checked against it before anything is returned.
 ///
 /// # Panics
-/// Panics if the fault-free application aborts — that is a benchmark bug,
-/// not a measurable outcome.
-pub fn golden_run(bench: &dyn Benchmark, cfg: &GpuConfig, variant: Variant) -> GoldenRun {
-    let mut ctl = RunCtl::new(cfg, variant.mode, variant.hardened, CtlMode::Golden);
-    bench
-        .run(&mut ctl)
-        .unwrap_or_else(|e| panic!("golden run of {} aborted: {e:?}", bench.name()));
-    assert!(
-        !ctl.outputs.is_empty(),
-        "{} registered no outputs",
-        bench.name()
-    );
-    GoldenRun {
-        output: ctl.snapshot_outputs(),
-        records: ctl.records,
-        total_cost: ctl.total_cost,
-    }
-}
-
-/// A golden run instrumented with the ACE lifetime tracker
-/// (`vgpu_sim::lifetime`). Always timed and unhardened, to match the
-/// microarchitectural injection campaigns it screens for.
-#[derive(Debug, Clone)]
-pub struct AceGoldenRun {
-    pub golden: GoldenRun,
-    /// Per-launch ACE word-cycle deltas (`HwStructure::ALL` order), one
-    /// entry per `golden.records` element. L2 intervals still open when a
-    /// launch retires are only counted once closed — they surface either
-    /// in a later launch's delta or in the final residual.
-    pub per_launch: Vec<[u64; 5]>,
-    /// Final per-structure ACE word-cycle totals, including every L2
-    /// interval closed at end of application (dirty lines live, clean
-    /// lines dead).
-    pub totals: [u64; 5],
-    /// Lifetime events recorded (tracker work volume, for `obs`).
-    pub events: u64,
-}
-
-impl AceGoldenRun {
-    /// L2 word-cycles closed only at end-of-application (not attributed
-    /// to any single launch).
-    pub fn l2_residual(&self) -> u64 {
-        let attributed: u64 = self.per_launch.iter().map(|d| d[4]).sum();
-        self.totals[4] - attributed
-    }
-}
-
-/// Run `bench` fault-free on the timed engine with ACE lifetime tracking
-/// attached, recording per-structure ACE word-cycle totals alongside the
-/// usual golden statistics.
-///
-/// # Panics
-/// Panics if the fault-free application aborts (a benchmark bug).
-pub fn golden_run_ace(bench: &dyn Benchmark, cfg: &GpuConfig) -> AceGoldenRun {
-    let mut ctl = RunCtl::new(cfg, Mode::Timed, false, CtlMode::Golden);
-    ctl.ace = true;
-    bench
-        .run(&mut ctl)
-        .unwrap_or_else(|e| panic!("ACE golden run of {} aborted: {e:?}", bench.name()));
-    assert!(
-        !ctl.outputs.is_empty(),
-        "{} registered no outputs",
-        bench.name()
-    );
-    let output = ctl.snapshot_outputs();
-    let gpu = ctl.gpu.as_mut().expect("alloc ran");
-    let events = gpu.tracker_events().unwrap_or(0);
-    let totals = gpu.finish_tracker().expect("tracker attached in alloc");
-    AceGoldenRun {
-        golden: GoldenRun {
-            output,
-            records: ctl.records,
-            total_cost: ctl.total_cost,
-        },
-        per_launch: ctl.ace_per_launch,
-        totals,
-        events,
-    }
-}
-
-/// Run `bench` fault-free on the timed engine with a probe sink attached:
-/// one traced golden pass whose full access stream (`vgpu_sim::probe`) is
-/// mirrored into `sink` — the recording pass of the replay backend
-/// (`crates/trace`). Asserts bit-identity with the reference `golden` run
-/// as it goes: tracing must observe, never perturb. Timed, unhardened.
-///
-/// # Panics
-/// Panics if the fault-free application aborts or diverges from `golden`.
-pub fn golden_run_traced(
+/// Panics if the fault-free application aborts (a benchmark bug, not a
+/// measurable outcome), if it diverges from the reference, or if a sink
+/// does not match `variant`.
+pub fn golden_pass(
     bench: &dyn Benchmark,
     cfg: &GpuConfig,
-    golden: &GoldenRun,
-    sink: SharedSink,
-) {
-    let mut ctl = RunCtl::new(cfg, Mode::Timed, false, CtlMode::Golden);
-    ctl.trace = Some(sink);
+    variant: Variant,
+    sinks: Sinks<'_>,
+) -> GoldenPass {
+    if sinks.snapshots.is_some() {
+        assert_eq!(variant, Variant::TIMED, "snapshots are timed, unhardened");
+    }
+    if sinks.cta_log.is_some() {
+        assert_eq!(
+            variant,
+            Variant::FUNCTIONAL,
+            "the CTA log is functional, unhardened"
+        );
+    }
+    let app = bench.name();
+    let mode = CtlMode::Golden(Box::new(sinks));
+    let mut ctl = RunCtl::new(cfg, variant.mode, variant.hardened, mode);
     bench
         .run(&mut ctl)
-        .unwrap_or_else(|e| panic!("traced golden run of {} aborted: {e:?}", bench.name()));
-    assert_same_golden(&mut ctl, golden, "traced", bench.name());
+        .unwrap_or_else(|e| panic!("golden pass of {app} aborted: {e:?}"));
+    assert!(!ctl.outputs.is_empty(), "{app} registered no outputs");
+    let golden = GoldenRun {
+        output: ctl.snapshot_outputs(),
+        records: std::mem::take(&mut ctl.records),
+        total_cost: ctl.total_cost,
+    };
+    let CtlMode::Golden(mut sinks) = ctl.ctl else {
+        unreachable!()
+    };
+    let snapshot_reference = sinks.snapshots.as_ref().map(|s| s.golden);
+    if let Some(reference) = snapshot_reference.or(sinks.reference) {
+        assert_same_golden(&golden, reference, app);
+    }
+    if let Some(ace) = &mut sinks.ace {
+        let gpu = ctl.gpu.as_mut().expect("alloc ran");
+        ace.events = gpu.tracker_events().expect("tracker attached in alloc");
+        ace.totals = gpu.finish_tracker().expect("tracker attached in alloc");
+    }
+    // `ctl` goes here, and with its machine the tracker: a probe sink has
+    // seen the whole stream by the time the caller looks at it.
+    GoldenPass {
+        golden,
+        ace: sinks.ace,
+        snapshots: sinks.snapshots.map(SnapshotSink::finish),
+        cta_log: sinks.cta_log,
+    }
 }
 
-/// An instrumented golden pass must reproduce the reference golden run:
+/// A pass with sinks attached must reproduce its reference golden run:
 /// output, cost, and per-launch statistics.
-fn assert_same_golden(ctl: &mut RunCtl<'_>, golden: &GoldenRun, what: &str, app: &str) {
-    assert_eq!(
-        ctl.snapshot_outputs(),
-        golden.output,
-        "{what} pass of {app} diverged from golden output",
+fn assert_same_golden(pass: &GoldenRun, reference: &GoldenRun, app: &str) {
+    assert!(
+        pass.output == reference.output,
+        "instrumented pass of {app} diverged from golden output"
     );
-    assert_eq!(ctl.total_cost, golden.total_cost);
-    assert_eq!(ctl.records.len(), golden.records.len());
-    for (t, p) in ctl.records.iter().zip(&golden.records) {
+    assert_eq!(
+        (pass.total_cost, pass.records.len()),
+        (reference.total_cost, reference.records.len()),
+        "instrumented pass of {app} diverged from golden cost or launch count"
+    );
+    for (i, (t, p)) in pass.records.iter().zip(&reference.records).enumerate() {
         assert_eq!(
             t.stats, p.stats,
-            "{what} pass of {app} diverged from golden stats",
+            "instrumented pass of {app} diverged from golden stats at launch {i}"
         );
     }
 }
 
-/// One logged functional golden pass over `bench`, recording what every
-/// CTA read and wrote — the [`CtaLog`] consumed by [`faulty_run_with`]
-/// under [`Accel::CtaLog`]. Asserts bit-identity with `golden` as it goes
-/// (logging must observe, never perturb). Functional, unhardened.
-///
-/// # Panics
-/// Panics if the fault-free application aborts or diverges from `golden`.
-pub fn golden_run_cta_log(bench: &dyn Benchmark, cfg: &GpuConfig, golden: &GoldenRun) -> CtaLog {
-    let mut ctl = RunCtl::new(
-        cfg,
-        Mode::Functional,
-        false,
-        CtlMode::CaptureCtas(CtaLog::default()),
-    );
-    bench
-        .run(&mut ctl)
-        .unwrap_or_else(|e| panic!("logged golden run of {} aborted: {e:?}", bench.name()));
-    assert_same_golden(&mut ctl, golden, "logged", bench.name());
-    let CtlMode::CaptureCtas(log) = ctl.ctl else {
-        unreachable!()
+/// [`golden_pass`] with no sink: the plain golden run.
+pub fn golden_run(bench: &dyn Benchmark, cfg: &GpuConfig, variant: Variant) -> GoldenRun {
+    golden_pass(bench, cfg, variant, Sinks::default()).golden
+}
+
+/// [`golden_pass`] with the snapshot sink alone: `~k` mid-launch snapshots
+/// per launch plus one at every launch boundary — the golden-prefix
+/// material consumed by [`faulty_run_ff`]. Timed, unhardened.
+pub fn golden_run_snapshots(
+    bench: &dyn Benchmark,
+    cfg: &GpuConfig,
+    golden: &GoldenRun,
+    k: usize,
+) -> AppSnapshots {
+    let sinks = Sinks {
+        snapshots: Some(SnapshotSink::new(golden, k)),
+        ..Sinks::default()
     };
-    log
+    let pass = golden_pass(bench, cfg, Variant::TIMED, sinks);
+    pass.snapshots.expect("asked for")
 }
 
 /// The `~k` capture cycles for a launch of `cycles` total: evenly spaced,
@@ -1111,72 +1124,6 @@ fn snapshot_cycles(cycles: u64, k: usize) -> Vec<u64> {
     let mut v: Vec<u64> = (0..k).map(|i| i * cycles / k).collect();
     v.dedup();
     v
-}
-
-fn capture_pass(
-    bench: &dyn Benchmark,
-    cfg: &GpuConfig,
-    golden: &GoldenRun,
-    k: usize,
-    probe: Option<(usize, u64)>,
-) -> AppSnapshots {
-    let mut ctl = RunCtl::new(
-        cfg,
-        Mode::Timed,
-        false,
-        CtlMode::Capture {
-            k,
-            golden,
-            store: ChunkStore::new(),
-            initial: None,
-            boundaries: Vec::new(),
-            mids: Vec::new(),
-            probe,
-        },
-    );
-    bench
-        .run(&mut ctl)
-        .unwrap_or_else(|e| panic!("capture pass of {} aborted: {e:?}", bench.name()));
-    assert_eq!(
-        ctl.snapshot_outputs(),
-        golden.output,
-        "capture pass of {} diverged from golden output",
-        bench.name()
-    );
-    assert_eq!(ctl.total_cost, golden.total_cost);
-    let CtlMode::Capture {
-        mut store,
-        initial,
-        boundaries,
-        mids,
-        ..
-    } = ctl.ctl
-    else {
-        unreachable!()
-    };
-    assert_eq!(boundaries.len(), golden.records.len());
-    store.shrink_to_fit();
-    AppSnapshots {
-        bytes: store.heap_bytes(),
-        store,
-        initial: initial.expect("the run launched a kernel"),
-        boundaries,
-        mids,
-    }
-}
-
-/// One instrumented golden pass over `bench`, capturing `~k` mid-launch
-/// snapshots per launch plus a device snapshot at every launch boundary —
-/// the golden-prefix material consumed by [`faulty_run_ff`]. Asserts
-/// bit-identity with `golden` as it goes (the instrumented engine must
-/// not perturb the run). Timed, unhardened.
-pub fn golden_run_snapshots(
-    bench: &dyn Benchmark,
-    cfg: &GpuConfig,
-    golden: &GoldenRun,
-    k: usize,
-) -> AppSnapshots {
-    capture_pass(bench, cfg, golden, k, None)
 }
 
 /// Test helper: capture an extra snapshot of launch `ordinal` at `cycle`
@@ -1194,7 +1141,13 @@ pub fn verify_snapshot_resume(
     cycle: u64,
 ) {
     assert!(ordinal < golden.records.len(), "probe ordinal out of range");
-    capture_pass(bench, cfg, golden, 2, Some((ordinal, cycle)));
+    let mut snapshots = SnapshotSink::new(golden, 2);
+    snapshots.verify_resume = Some((ordinal, cycle));
+    let sinks = Sinks {
+        snapshots: Some(snapshots),
+        ..Sinks::default()
+    };
+    golden_pass(bench, cfg, Variant::TIMED, sinks);
 }
 
 /// The budget of one faulty launch, from the statistics of its golden
@@ -1414,28 +1367,6 @@ mod tests {
         assert_eq!(g.kernel_stats(0).thread_instrs, 3000);
         assert_eq!(g.kernel_stats(1).cycles, 50);
         assert_eq!(g.app_stats().cycles, 350);
-    }
-
-    #[test]
-    fn ace_golden_run_matches_plain_golden_and_tracks_lifetimes() {
-        let cfg = GpuConfig::volta_scaled(2);
-        let bench = crate::apps::va::Va;
-        let plain = golden_run(&bench, &cfg, Variant::TIMED);
-        let ace = golden_run_ace(&bench, &cfg);
-        // Differential: tracking must not perturb the simulation.
-        assert_eq!(ace.golden.output, plain.output);
-        assert_eq!(ace.golden.total_cost, plain.total_cost);
-        assert_eq!(ace.golden.records.len(), plain.records.len());
-        for (a, p) in ace.golden.records.iter().zip(&plain.records) {
-            assert_eq!(a.stats.cycles, p.stats.cycles);
-            assert_eq!(a.stats.thread_instrs, p.stats.thread_instrs);
-        }
-        // And it must actually have measured something.
-        assert_eq!(ace.per_launch.len(), ace.golden.records.len());
-        assert!(ace.events > 0);
-        assert!(ace.totals[0] > 0, "RF lifetimes expected: {:?}", ace.totals);
-        let attributed: u64 = ace.per_launch.iter().map(|d| d[4]).sum();
-        assert_eq!(ace.l2_residual(), ace.totals[4] - attributed);
     }
 
     #[test]

@@ -31,9 +31,9 @@ pub mod tmr;
 
 pub use ctalog::CtaLog;
 pub use harness::{
-    faulty_run, faulty_run_ff, faulty_run_with, golden_run, golden_run_ace, golden_run_cta_log,
-    golden_run_snapshots, golden_run_traced, verify_snapshot_resume, Accel, AceGoldenRun, AppAbort,
-    AppSnapshots, Benchmark, GoldenRun, LaunchRecord, Outcome, PlannedFault, RunCtl, RunResult,
+    faulty_run, faulty_run_ff, faulty_run_with, golden_pass, golden_run, golden_run_snapshots,
+    verify_snapshot_resume, Accel, AceProfile, AppAbort, AppSnapshots, Benchmark, GoldenPass,
+    GoldenRun, LaunchRecord, Outcome, PlannedFault, RunCtl, RunResult, Sinks, SnapshotSink,
     Variant,
 };
 

@@ -10,8 +10,8 @@ use std::sync::Arc;
 
 use kernels::apps::{bfs::Bfs, kmeans::KMeans, sradv2::SradV2, va::Va};
 use kernels::{
-    all_benchmarks, faulty_run, faulty_run_with, golden_run, golden_run_cta_log, Accel, Benchmark,
-    CtaLog, GoldenRun, Outcome, PlannedFault, RunResult, Variant,
+    all_benchmarks, faulty_run, faulty_run_with, golden_pass, golden_run, Accel, Benchmark, CtaLog,
+    GoldenRun, Outcome, PlannedFault, RunResult, Sinks, Variant,
 };
 use proptest::prelude::*;
 use vgpu_arch::InstrClass;
@@ -38,7 +38,16 @@ impl<'a> Rig<'a> {
     fn new(bench: &'a dyn Benchmark) -> Self {
         let cfg = GpuConfig::default();
         let golden = golden_run(bench, &cfg, Variant::FUNCTIONAL);
-        let log = Arc::new(golden_run_cta_log(bench, &cfg, &golden));
+        let sinks = Sinks {
+            reference: Some(&golden),
+            cta_log: Some(CtaLog::default()),
+            ..Sinks::default()
+        };
+        let log = Arc::new(
+            golden_pass(bench, &cfg, Variant::FUNCTIONAL, sinks)
+                .cta_log
+                .unwrap(),
+        );
         assert_eq!(log.launches(), golden.records.len());
         assert_eq!(
             log.ctas() as u64,

@@ -357,29 +357,6 @@ pub fn decode_segment_lossy(bytes: &[u8]) -> Option<SegmentEvents> {
     })
 }
 
-/// Order-sensitive fingerprint of a set of encoded blobs (splitmix64
-/// fold, same construction the campaign planner uses for plan
-/// fingerprints).
-pub fn fingerprint_blobs<B: AsRef<[u8]>>(blobs: &[B]) -> u64 {
-    fn splitmix64(mut z: u64) -> u64 {
-        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-    let mut acc = 0x7472_6163_6500_0001u64; // "trace", v1
-    for blob in blobs {
-        let bytes = blob.as_ref();
-        acc = splitmix64(acc ^ bytes.len() as u64);
-        for chunk in bytes.chunks(8) {
-            let mut w = [0u8; 8];
-            w[..chunk.len()].copy_from_slice(chunk);
-            acc = splitmix64(acc ^ u64::from_le_bytes(w));
-        }
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -505,17 +482,5 @@ mod tests {
     fn bad_magic_rejected() {
         assert!(decode_segment_lossy(b"nope").is_none());
         assert!(decode_segment_lossy(b"vtrc\x02\x00\x00\x00").is_none());
-    }
-
-    #[test]
-    fn fingerprint_is_order_and_content_sensitive() {
-        let a = vec![1u8, 2, 3];
-        let b = vec![4u8, 5];
-        let f1 = fingerprint_blobs(&[a.clone(), b.clone()]);
-        let f2 = fingerprint_blobs(&[b, a.clone()]);
-        let f3 = fingerprint_blobs(&[a]);
-        assert_ne!(f1, f2);
-        assert_ne!(f1, f3);
-        assert_eq!(f1, f1);
     }
 }

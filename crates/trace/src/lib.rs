@@ -6,11 +6,11 @@
 //! before anything reads them. This crate removes that waste without
 //! giving up a single bit of fidelity:
 //!
-//! 1. **Record** ([`recorder`]): the golden instrumented pass runs once
-//!    per (app, config) with a probe sink attached, capturing every
-//!    register-file, shared-memory, and cache word access as a compact
-//!    delta/varint-encoded stream — one blob per segment (host glue /
-//!    launch), content-fingerprinted like campaign plans.
+//! 1. **Record** ([`recorder`]): one golden pass per (app, config) runs
+//!    with a probe sink attached, capturing every register-file,
+//!    shared-memory, and cache word access as a compact
+//!    delta/varint-encoded stream — one in-memory blob per segment (host
+//!    glue / launch), held for the life of the application's captures.
 //! 2. **Adjudicate** ([`replay`]): for each trial, mirror the
 //!    injector's site selection exactly, expand the fault pattern's
 //!    footprint, and look up the first recorded touch of every affected
@@ -30,8 +30,8 @@ pub mod recorder;
 pub mod replay;
 
 pub use codec::{
-    decode_segment_lossy, encode_segment, fingerprint_blobs, get_varint, put_varint, SegmentEvents,
-    TraceEvent, TraceGeometry, MAGIC, VERSION,
+    decode_segment_lossy, encode_segment, get_varint, put_varint, SegmentEvents, TraceEvent,
+    TraceGeometry, MAGIC, VERSION,
 };
 pub use recorder::{record_app_trace, TraceBuilder};
 pub use replay::{AppTrace, FallbackReason, LaunchInfo, Verdict};

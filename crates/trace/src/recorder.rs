@@ -1,5 +1,5 @@
 //! Trace recording: a [`TraceSink`] that segments the probe stream and a
-//! one-call wrapper around the instrumented golden pass.
+//! one-call wrapper around the golden pass it rides.
 //!
 //! The builder receives [`ProbeEvent`]s from the timed engine (see
 //! `vgpu_sim::probe`) and buckets them into segments: host glue before
@@ -8,16 +8,15 @@
 //! segments additionally capture the occupancy geometry and the retired
 //! cycle count from [`ProbeEvent::LaunchBegin`] / [`ProbeEvent::LaunchEnd`].
 //!
-//! [`record_app_trace`] runs the *golden* pass once with the sink
-//! attached (bit-identity to the untraced golden run is asserted inside
-//! `kernels::golden_run_traced`) and returns the finished, indexed
-//! [`AppTrace`].
+//! [`record_app_trace`] runs `kernels::golden_pass` once with the builder
+//! as its trace sink (the pass asserts bit-identity to the untraced golden
+//! run it is given) and returns the finished, indexed [`AppTrace`].
 
 use std::sync::{Arc, Mutex};
 
-use kernels::{Benchmark, GoldenRun};
+use kernels::{golden_pass, Benchmark, GoldenRun, Sinks, Variant};
 use rayon::prelude::*;
-use vgpu_sim::{GpuConfig, ProbeEvent, SharedSink, TraceSink};
+use vgpu_sim::{GpuConfig, ProbeEvent, TraceSink};
 
 use crate::codec::{SegmentEvents, TraceEvent, TraceGeometry};
 use crate::replay::AppTrace;
@@ -62,11 +61,10 @@ impl TraceBuilder {
         self.done.push(prev);
     }
 
-    /// Close the final segment, encode everything, and build the replay
-    /// index — directly from the in-memory event stream, skipping the
-    /// decode round trip (`AppTrace::from_segments`). The builder is
+    /// Close the final segment and encode everything: the segment blobs
+    /// ([`AppTrace::blobs`]) and the events they encode. The builder is
     /// left empty (reusable).
-    pub fn finish(&mut self) -> AppTrace {
+    pub fn encode(&mut self) -> (Vec<Vec<u8>>, Vec<SegmentEvents>) {
         let mut recs = std::mem::take(&mut self.done);
         recs.push(std::mem::replace(&mut self.cur, SegRec::host()));
         let segs: Vec<SegmentEvents> = recs
@@ -89,6 +87,14 @@ impl TraceBuilder {
                 )
             })
             .collect();
+        (encoded, segs)
+    }
+
+    /// [`encode`](Self::encode), then build the replay index — directly
+    /// from the in-memory event stream, skipping the decode round trip
+    /// (`AppTrace::from_segments`).
+    pub fn finish(&mut self) -> AppTrace {
+        let (encoded, segs) = self.encode();
         AppTrace::from_segments(encoded, &segs)
     }
 }
@@ -173,16 +179,19 @@ impl TraceSink for TraceBuilder {
     }
 }
 
-/// Record the replay trace for one application: run the golden
-/// instrumented pass with a [`TraceBuilder`] attached and return the
-/// finished [`AppTrace`]. The traced pass asserts bit-identity (outputs,
-/// costs, per-launch stats) against the already-captured `golden`
-/// baseline, so a trace can never silently desynchronise from the run
-/// it claims to describe.
+/// Record the replay trace for one application: one timed golden pass
+/// with a [`TraceBuilder`] as its trace sink, returned as the finished
+/// [`AppTrace`]. The pass asserts bit-identity (outputs, costs, per-launch
+/// stats) against the already-captured `golden` baseline, so a trace can
+/// never silently desynchronise from the run it claims to describe.
 pub fn record_app_trace(bench: &dyn Benchmark, cfg: &GpuConfig, golden: &GoldenRun) -> AppTrace {
     let builder = Arc::new(Mutex::new(TraceBuilder::new()));
-    let sink: SharedSink = builder.clone();
-    kernels::golden_run_traced(bench, cfg, golden, sink);
+    let sinks = Sinks {
+        reference: Some(golden),
+        trace: Some(builder.clone()),
+        ..Sinks::default()
+    };
+    golden_pass(bench, cfg, Variant::TIMED, sinks);
     let mut b = builder.lock().expect("trace builder lock");
     b.finish()
 }

@@ -24,14 +24,11 @@
 //! of its cycle, before issue, so touches at `t == cycle` count as
 //! post-fault.
 
-use std::io::{Error, ErrorKind, Result as IoResult};
-use std::path::Path;
-
 use rayon::prelude::*;
 use vgpu_arch::WARP_SIZE;
 use vgpu_sim::{pattern_footprint, GpuConfig, HwStructure, UarchFault};
 
-use crate::codec::{decode_segment_lossy, fingerprint_blobs, TraceEvent, TraceGeometry};
+use crate::codec::{decode_segment_lossy, TraceEvent, TraceGeometry};
 
 const KEY_WORD_BITS: u32 = 40;
 const KEY_INST_BITS: u32 = 16;
@@ -242,8 +239,6 @@ pub struct AppTrace {
     index: EventIndex,
     /// Total encoded size of all segment blobs.
     pub bytes: u64,
-    /// Content fingerprint over the encoded blobs.
-    pub fingerprint: u64,
 }
 
 impl AppTrace {
@@ -299,13 +294,11 @@ impl AppTrace {
         }
         let index = EventIndex::build(segs);
         let bytes = blobs.iter().map(|b| b.len() as u64).sum();
-        let fingerprint = fingerprint_blobs(&blobs);
         AppTrace {
             blobs,
             launches,
             index,
             bytes,
-            fingerprint,
         }
     }
 
@@ -322,43 +315,6 @@ impl AppTrace {
     /// The encoded segment blobs, in segment order.
     pub fn blobs(&self) -> &[Vec<u8>] {
         &self.blobs
-    }
-
-    /// Persist one `.trace` artifact per segment into `dir`
-    /// (`seg-<k>.trace`), creating the directory if needed.
-    pub fn save_to_dir(&self, dir: &Path) -> IoResult<()> {
-        std::fs::create_dir_all(dir)?;
-        for (i, blob) in self.blobs.iter().enumerate() {
-            std::fs::write(dir.join(format!("seg-{i}.trace")), blob)?;
-        }
-        Ok(())
-    }
-
-    /// Load a trace saved by [`save_to_dir`](AppTrace::save_to_dir):
-    /// reads consecutive `seg-<k>.trace` files starting at 0 and
-    /// validates that every blob decodes completely.
-    pub fn load_from_dir(dir: &Path) -> IoResult<AppTrace> {
-        let mut blobs = Vec::new();
-        loop {
-            let path = dir.join(format!("seg-{}.trace", blobs.len()));
-            if !path.exists() {
-                break;
-            }
-            blobs.push(std::fs::read(&path)?);
-        }
-        if blobs.is_empty() {
-            return Err(Error::new(ErrorKind::NotFound, "no seg-0.trace in dir"));
-        }
-        for (i, b) in blobs.iter().enumerate() {
-            let ok = decode_segment_lossy(b).is_some_and(|se| se.complete && se.seg == i as u32);
-            if !ok {
-                return Err(Error::new(
-                    ErrorKind::InvalidData,
-                    format!("seg-{i}.trace is corrupt or out of order"),
-                ));
-            }
-        }
-        Ok(AppTrace::from_blobs(blobs))
     }
 
     /// Decide whether the trial `(launch ordinal, fault)` can be
@@ -734,17 +690,5 @@ mod tests {
         // A neighbouring untouched word is dead.
         let f2 = UarchFault { loc_pick: 24, ..f };
         assert!(matches!(tr.adjudicate(&c, 0, &f2), Verdict::Dead { .. }));
-    }
-
-    #[test]
-    fn save_load_round_trip() {
-        let tr = tiny_trace();
-        let dir = std::env::temp_dir().join(format!("trace-test-{}", std::process::id()));
-        tr.save_to_dir(&dir).unwrap();
-        let back = AppTrace::load_from_dir(&dir).unwrap();
-        assert_eq!(back.fingerprint, tr.fingerprint);
-        assert_eq!(back.bytes, tr.bytes);
-        assert_eq!(back.num_launches(), 1);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -131,33 +131,28 @@ impl Gpu {
         self.mode
     }
 
-    /// Enable ACE lifetime tracking for subsequent timed launches (the
-    /// `--ace` mode). Must be attached before the first launch so L2
-    /// lifetimes spanning kernels are measured from a common origin.
-    pub fn attach_tracker(&mut self) {
+    /// Instrument subsequent timed launches: ACE lifetime accounting
+    /// (`ace`, the `--ace` mode), a probe `sink` the engine's hook stream is
+    /// mirrored into (`crates/trace`'s recorder), or both on the same run.
+    /// Must precede the first launch so L2 lifetimes spanning kernels are
+    /// measured from a common origin.
+    pub fn attach_probes(&mut self, ace: bool, sink: Option<SharedSink>) {
         assert_eq!(
             self.mode,
             Mode::Timed,
-            "ACE lifetime tracking requires the timed engine"
+            "lifetime tracking and trace recording require the timed engine"
         );
-        self.tracker = Some(LifetimeTracker::new(&self.cfg));
-    }
-
-    /// Enable trace recording for subsequent timed launches: attaches a
-    /// lifetime tracker (so every engine hook fires) and mirrors the hook
-    /// stream into `sink` (`crates/trace`'s recorder). Like
-    /// [`Gpu::attach_tracker`], must precede the first launch.
-    pub fn attach_trace_sink(&mut self, sink: SharedSink) {
-        assert_eq!(
-            self.mode,
-            Mode::Timed,
-            "trace recording requires the timed engine"
-        );
-        // Forwarding-only tracker: the recorder needs the hook stream,
-        // not the ACE interval accounting, and skipping the latter keeps
-        // the traced pass cheap (docs/TRACE.md).
-        let mut tr = LifetimeTracker::trace_only(&self.cfg);
-        tr.set_sink(sink);
+        // Without ACE the tracker only forwards: the recorder needs the
+        // hook stream, not the interval accounting, and skipping the
+        // latter keeps the traced pass cheap (docs/TRACE.md).
+        let mut tr = if ace {
+            LifetimeTracker::new(&self.cfg)
+        } else {
+            LifetimeTracker::trace_only(&self.cfg)
+        };
+        if let Some(sink) = sink {
+            tr.set_sink(sink);
+        }
         self.tracker = Some(tr);
     }
 
@@ -240,11 +235,7 @@ impl Gpu {
                     self.tracker.as_mut(),
                     budget.cycles,
                 );
-                if let Ok(s) = &res {
-                    if let Some(tr) = self.tracker.as_mut() {
-                        tr.advance_base(s.cycles);
-                    }
-                }
+                self.advance_tracker(&res);
                 res
             }
             Mode::Functional => {
@@ -275,7 +266,8 @@ impl Gpu {
     /// at each cycle of `capture_at` (sorted ascending) and returns their
     /// handles. The run itself is bit-identical to `launch(…,
     /// FaultPlan::None, …)` — capture points only read state, never
-    /// perturb it. Timed mode, no ACE tracker.
+    /// perturb it — and attached probes ([`Gpu::attach_probes`]) see it
+    /// exactly as they would see that launch. Timed mode.
     pub fn launch_instrumented(
         &mut self,
         kernel: &Kernel,
@@ -285,10 +277,6 @@ impl Gpu {
         store: &mut ChunkStore,
     ) -> Result<(Stats, Vec<SnapId>), LaunchAbort> {
         assert_eq!(self.mode, Mode::Timed, "snapshots require the timed engine");
-        assert!(
-            self.tracker.is_none(),
-            "snapshots are incompatible with ACE lifetime tracking"
-        );
         let mut ctl = TimedCtl::none();
         ctl.capture = Some((capture_at, store));
         let res = run_timed_ctl(
@@ -298,12 +286,20 @@ impl Gpu {
             lc,
             None,
             None,
-            None,
+            self.tracker.as_mut(),
             budget.cycles,
             &mut ctl,
         );
+        self.advance_tracker(&res);
         record_launch(self.mode, &res);
         res.map(|s| (s, ctl.captured))
+    }
+
+    /// Move an attached tracker's global clock past a retired launch.
+    fn advance_tracker(&mut self, res: &Result<Stats, LaunchAbort>) {
+        if let (Ok(s), Some(tr)) = (res, self.tracker.as_mut()) {
+            tr.advance_base(s.cycles);
+        }
     }
 
     /// Resume a launch mid-flight from mid-launch snapshot `snap` of

@@ -363,6 +363,15 @@ impl LifetimeTracker {
     /// up to the write-back, so every word closes live.
     pub fn close_line_live(&mut self, h: HwStructure, inst: usize, line: usize, t: u64) {
         self.events += 1;
+        self.account_line_live(h, inst, line, t);
+        // A dirty write-back propagates the line's data outward — the
+        // probe stream records it as a whole-line read.
+        self.probe_line(h, inst, line, t, false);
+    }
+
+    /// The ACE half of [`close_line_live`](Self::close_line_live): every
+    /// word of the line closes live at `t`; nothing reaches the sink.
+    fn account_line_live(&mut self, h: HwStructure, inst: usize, line: usize, t: u64) {
         if self.ace {
             let g = self.g(t);
             let start = self.line_word(h, inst, line, 0);
@@ -371,9 +380,6 @@ impl LifetimeTracker {
                 tr.close_live(i, g);
             }
         }
-        // A dirty write-back propagates the line's data outward — the
-        // probe stream records it as a whole-line read.
-        self.probe_line(h, inst, line, t, false);
     }
 
     // ---- scheduling probes (no ACE accounting, forwarding only) ----
@@ -468,7 +474,8 @@ impl LifetimeTracker {
 
     /// End of the traced application: close every surviving L2 line —
     /// live at the current global time if dirty (its data still backs
-    /// memory the host may read), dead otherwise.
+    /// memory the host may read), dead otherwise. Bookkeeping only: no
+    /// line is evicted, so an attached sink sees nothing.
     pub fn finalize_l2(&mut self, dirty: impl Fn(usize) -> bool) {
         if !self.ace {
             return;
@@ -478,7 +485,7 @@ impl LifetimeTracker {
             if dirty(line) {
                 // Local time 0 ⇒ the closing time is the current global
                 // clock (`base`).
-                self.close_line_live(HwStructure::L2, 0, line, 0);
+                self.account_line_live(HwStructure::L2, 0, line, 0);
             } else {
                 let start = self.line_word(HwStructure::L2, 0, line, 0);
                 let tr = &mut self.tracks[HwStructure::L2 as usize];
@@ -591,6 +598,30 @@ mod tests {
         t.advance_base(200);
         t.finalize_l2(|line| line == 1);
         assert_eq!(t.ace_word_cycles()[HwStructure::L2 as usize], 190);
+    }
+
+    #[test]
+    fn finalize_l2_accounts_without_reaching_the_sink() {
+        use std::sync::{Arc, Mutex};
+        struct Collect(Vec<ProbeEvent>);
+        impl crate::probe::TraceSink for Collect {
+            fn event(&mut self, ev: ProbeEvent) {
+                self.0.push(ev);
+            }
+        }
+        let sink = Arc::new(Mutex::new(Collect(Vec::new())));
+        let mut t = LifetimeTracker::new(&mini_cfg());
+        t.set_sink(sink.clone());
+        t.cache_write(HwStructure::L2, 0, 1, 0, 10);
+        t.advance_base(200);
+        t.finalize_l2(|line| line == 1);
+        assert_eq!(t.ace_word_cycles()[HwStructure::L2 as usize], 190);
+        drop(t);
+        // The write is the whole stream: closing the dirty line at end of
+        // application is not a write-back and must not look like one.
+        let got = &sink.lock().unwrap().0;
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert!(matches!(got[0], ProbeEvent::Access { write: true, .. }));
     }
 
     #[test]
