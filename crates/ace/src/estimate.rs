@@ -59,7 +59,7 @@ pub struct AceAppEstimate {
     pub totals: [u64; 5],
     /// Total golden cycles of the application.
     pub total_cycles: u64,
-    /// Lifetime events the tracker recorded (instrumentation volume).
+    /// Probe events the lifetime sink consumed (instrumentation volume).
     pub events: u64,
 }
 
@@ -88,7 +88,7 @@ impl AceAppEstimate {
     }
 }
 
-/// Run `bench` once, fault-free, with the lifetime tracker attached, and
+/// Run `bench` once, fault-free, with the lifetime sink attached, and
 /// fold the intervals into per-kernel and app-level analytic AVF. The
 /// whole instrumented simulation is attributed to [`Phase::AceRun`] so
 /// `obs` phase timings directly compare estimator cost against the

@@ -4,11 +4,11 @@
 //! hundreds of full faulty simulations per structure per kernel. This
 //! crate implements the classic analytical alternative (Mukherjee et
 //! al.'s ACE analysis, and the analytic half of Hari et al.'s two-level
-//! hybrid): a *single* fault-free timed run, instrumented by
-//! [`vgpu_sim::lifetime::LifetimeTracker`], records how long each word of
-//! each hardware structure holds a value that is still Architecturally
-//! Correct Execution-critical — written and later read (or written back
-//! to DRAM) rather than overwritten or dropped. Folding those intervals
+//! hybrid): a *single* fault-free timed run, whose probe stream a
+//! [`vgpu_sim::lifetime::LifetimeTracker`] sink folds, tells how long each
+//! word of each hardware structure holds a value that is still
+//! Architecturally Correct Execution-critical — written and later read (or
+//! written back to DRAM) rather than overwritten or dropped. Folding those intervals
 //! into per-structure totals gives an analytic AVF estimate
 //!
 //! ```text

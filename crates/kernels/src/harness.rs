@@ -10,10 +10,11 @@
 //! * **fault-free**, by [`golden_pass`] — the one profiling run each of the
 //!   paper's methodologies needs per application. It records per-launch
 //!   statistics and the final output (the [`GoldenRun`]) and feeds whatever
-//!   [`Sinks`] ride along: ACE lifetime accounting, a probe sink for the
-//!   access trace, golden-prefix snapshots (timed engine), the CTA log
-//!   (functional engine). Sinks observe, never perturb: a pass given a
-//!   reference run is compared with it, in one place;
+//!   [`Sinks`] ride along: ACE lifetime accounting and the access trace
+//!   (both sinks of the timed engine's probe stream), golden-prefix
+//!   snapshots (timed engine), the CTA log (functional engine). Sinks
+//!   observe, never perturb: a pass given a reference run is compared with
+//!   it, in one place;
 //! * **faulty**, by [`faulty_run_with`] — one fault injected into one
 //!   chosen launch, the outcome classified against the golden output,
 //!   reusing whatever golden material an [`Accel`] offers.
@@ -23,13 +24,14 @@
 //! kernel (Figure 6 of the paper).
 
 use std::cell::RefCell;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use vgpu_arch::{Kernel, LaunchConfig};
 use vgpu_sim::due::LaunchAbort;
 use vgpu_sim::{
-    record_launch, ArenaPlanner, Budget, ChunkStore, ConvergeWith, FaultPlan, Gpu, GpuConfig, Mode,
-    SharedSink, SnapId, Stats, SwFault, SwInjector, UarchFault, UarchInjector,
+    record_launch, tee, ArenaPlanner, Budget, ChunkStore, ConvergeWith, FaultPlan, Gpu, GpuConfig,
+    LifetimeTracker, Mode, SharedSink, SnapId, Stats, SwFault, SwInjector, UarchFault,
+    UarchInjector,
 };
 
 use crate::ctalog::{CtaLog, CtaReplay};
@@ -212,11 +214,12 @@ pub struct Sinks<'a> {
     /// The run this pass must reproduce bit for bit: output, total cost,
     /// per-launch statistics. A snapshot sink brings its own.
     pub reference: Option<&'a GoldenRun>,
-    /// ACE lifetime accounting (`vgpu_sim::lifetime`; timed engine).
+    /// ACE lifetime accounting: a `vgpu_sim::lifetime` sink on the probe
+    /// stream of the pass (timed engine).
     pub ace: Option<AceProfile>,
-    /// Mirror the engine's access stream (`vgpu_sim::probe`) and the host
-    /// program's reads into this sink: the recording side of the replay
-    /// backend (`crates/trace`; timed engine).
+    /// Feed the engine's probe stream (`vgpu_sim::probe`) — its accesses
+    /// and the host program's reads — to this sink: the recording side of
+    /// the replay backend (`crates/trace`; timed engine).
     pub trace: Option<SharedSink>,
     /// Golden-prefix snapshots (timed engine, unhardened).
     pub snapshots: Option<SnapshotSink<'a>>,
@@ -234,10 +237,10 @@ pub struct AceProfile {
     pub per_launch: Vec<[u64; 5]>,
     /// Final per-structure ACE word-cycle totals, including every L2
     /// interval closed at end of application (dirty lines live, clean
-    /// lines dead). While the pass runs: the tracker's totals after the
-    /// last launch.
+    /// lines dead).
     pub totals: [u64; 5],
-    /// Lifetime events recorded (tracker work volume, for `obs`).
+    /// `Access` and `Range` probe events the sink consumed (work volume,
+    /// for `obs`).
     pub events: u64,
 }
 
@@ -474,9 +477,6 @@ pub struct RunCtl<'a> {
     /// prefixes and spliced suffixes); equals `total_cost` off the fast
     /// path.
     simulated_cost: u64,
-    /// Try to revive the thread-local scratch [`Gpu`] in `alloc` instead
-    /// of building a fresh one (campaign hot path only).
-    use_scratch: bool,
     outputs: Vec<(u32, u32)>,
 }
 
@@ -494,7 +494,6 @@ impl<'a> RunCtl<'a> {
             ctl,
             total_cost: 0,
             simulated_cost: 0,
-            use_scratch: false,
             outputs: Vec::new(),
         }
     }
@@ -526,12 +525,13 @@ impl<'a> RunCtl<'a> {
             assert_eq!(first2 - first1, self.tmr_stride, "uniform TMR stride");
             self.flag_addr = planner.alloc(4);
         }
-        let scratch = if self.use_scratch {
-            GPU_SCRATCH.take().filter(|g| {
+        // A faulty run tries to revive the thread-local scratch `Gpu`
+        // instead of building a fresh one (campaign hot path).
+        let scratch = match self.ctl {
+            CtlMode::Faulty { .. } => GPU_SCRATCH.take().filter(|g| {
                 g.mode() == self.mode_sim && g.cfg == *self.cfg && planner.builds_layout_of(g.mem())
-            })
-        } else {
-            None
+            }),
+            CtlMode::Golden(_) => None,
         };
         let mut gpu = match scratch {
             Some(mut g) => {
@@ -548,8 +548,8 @@ impl<'a> RunCtl<'a> {
             None => Gpu::new(self.cfg.clone(), planner.build(), self.mode_sim),
         };
         if let CtlMode::Golden(sinks) = &mut self.ctl {
-            if sinks.ace.is_some() || sinks.trace.is_some() {
-                gpu.attach_probes(sinks.ace.is_some(), sinks.trace.take());
+            if let Some(sink) = sinks.trace.take() {
+                gpu.attach_probe(sink);
             }
         }
         self.gpu = Some(gpu);
@@ -772,11 +772,6 @@ impl<'a> RunCtl<'a> {
                 };
                 self.total_cost += cost;
                 self.simulated_cost += cost;
-                if let (Some(ace), Some(now)) = (&mut sinks.ace, gpu.tracker_totals()) {
-                    let delta = std::array::from_fn(|i| now[i] - ace.totals[i]);
-                    ace.per_launch.push(delta);
-                    ace.totals = now;
-                }
                 self.records.push(LaunchRecord {
                     kernel_idx,
                     is_vote,
@@ -1027,7 +1022,7 @@ pub fn golden_pass(
     bench: &dyn Benchmark,
     cfg: &GpuConfig,
     variant: Variant,
-    sinks: Sinks<'_>,
+    mut sinks: Sinks<'_>,
 ) -> GoldenPass {
     if sinks.snapshots.is_some() {
         assert_eq!(variant, Variant::TIMED, "snapshots are timed, unhardened");
@@ -1038,6 +1033,17 @@ pub fn golden_pass(
             Variant::FUNCTIONAL,
             "the CTA log is functional, unhardened"
         );
+    }
+    // The ACE sink rides the same probe stream as the trace sink.
+    let lifetimes = sinks
+        .ace
+        .as_ref()
+        .map(|_| Arc::new(Mutex::new(LifetimeTracker::new(cfg))));
+    if let Some(lifetimes) = &lifetimes {
+        sinks.trace = Some(match sinks.trace.take() {
+            Some(trace) => tee(lifetimes.clone(), trace),
+            None => lifetimes.clone(),
+        });
     }
     let app = bench.name();
     let mode = CtlMode::Golden(Box::new(sinks));
@@ -1058,13 +1064,16 @@ pub fn golden_pass(
     if let Some(reference) = snapshot_reference.or(sinks.reference) {
         assert_same_golden(&golden, reference, app);
     }
-    if let Some(ace) = &mut sinks.ace {
-        let gpu = ctl.gpu.as_mut().expect("alloc ran");
-        ace.events = gpu.tracker_events().expect("tracker attached in alloc");
-        ace.totals = gpu.finish_tracker().expect("tracker attached in alloc");
+    // A probe sink has seen the whole stream by the time anyone looks at it.
+    let gpu = ctl.gpu.as_mut().expect("alloc ran");
+    gpu.detach_probe();
+    if let (Some(ace), Some(lifetimes)) = (&mut sinks.ace, lifetimes) {
+        let mut lifetimes = lifetimes.lock().expect("lifetime sink poisoned");
+        lifetimes.finalize(|line| gpu.l2().line_dirty(line));
+        ace.per_launch = lifetimes.per_launch().to_vec();
+        ace.totals = lifetimes.ace_word_cycles();
+        ace.events = lifetimes.events();
     }
-    // `ctl` goes here, and with its machine the tracker: a probe sink has
-    // seen the whole stream by the time the caller looks at it.
     GoldenPass {
         golden,
         ace: sinks.ace,
@@ -1277,7 +1286,6 @@ pub fn faulty_run_with(
             accel,
         },
     );
-    ctl.use_scratch = true;
     let run = bench.run(&mut ctl);
     let (outcome, corrupted_words) = match run {
         // Still following the golden run at the end: its output is the

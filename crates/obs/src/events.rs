@@ -333,8 +333,8 @@ pub fn shutdown_events() {
 }
 
 // ---------------------------------------------------------------------
-// Minimal JSON reader (flat objects of strings/numbers), for round-trip
-// tests and in-repo analysis of event logs.
+// Minimal JSON reader, for checkpoints, wire frames, round-trip tests and
+// in-repo analysis of event logs.
 // ---------------------------------------------------------------------
 
 /// A parsed JSON scalar. Numbers keep their raw text so 64-bit integers
@@ -372,68 +372,21 @@ impl JsonValue {
 
 /// Parse one JSONL line: a flat object of string / number / bool / null
 /// values. Returns the fields in source order. `None` on malformed input
-/// or nested structures.
+/// or nested structures. A document only parses once its closing brace
+/// has been read, so no proper prefix of a line parses — which is what
+/// torn-frame detection in checkpoints and the dispatch protocol relies
+/// on.
 pub fn parse_line(line: &str) -> Option<Vec<(String, JsonValue)>> {
-    let mut chars = line.trim().chars().peekable();
-    let mut out = Vec::new();
-    if chars.next()? != '{' {
+    let JsonNode::Obj(fields) = parse_json(line)? else {
         return None;
-    }
-    loop {
-        skip_ws(&mut chars);
-        match chars.peek()? {
-            '}' => {
-                chars.next();
-                break;
-            }
-            ',' => {
-                chars.next();
-                continue;
-            }
-            _ => {}
-        }
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        if chars.next()? != ':' {
-            return None;
-        }
-        skip_ws(&mut chars);
-        let val = match chars.peek()? {
-            '"' => JsonValue::Str(parse_string(&mut chars)?),
-            't' | 'f' | 'n' => {
-                let mut word = String::new();
-                while chars.peek().is_some_and(|c| c.is_ascii_alphabetic()) {
-                    word.push(chars.next().unwrap());
-                }
-                match word.as_str() {
-                    "true" => JsonValue::Bool(true),
-                    "false" => JsonValue::Bool(false),
-                    "null" => JsonValue::Null,
-                    _ => return None,
-                }
-            }
-            _ => {
-                let mut num = String::new();
-                while let Some(&c) = chars.peek() {
-                    if c.is_ascii_digit() || "+-.eE".contains(c) {
-                        num.push(c);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                // Validate syntax eagerly; keep the raw text.
-                num.parse::<f64>().ok()?;
-                JsonValue::Num(num)
-            }
-        };
-        out.push((key, val));
-    }
-    skip_ws(&mut chars);
-    if chars.next().is_some() {
-        return None; // trailing garbage
-    }
-    Some(out)
+    };
+    fields
+        .into_iter()
+        .map(|(key, node)| match node {
+            JsonNode::Scalar(value) => Some((key, value)),
+            _ => None,
+        })
+        .collect()
 }
 
 /// A parsed JSON document node. Unlike [`parse_line`]'s flat rows, this
@@ -491,11 +444,9 @@ impl JsonNode {
     }
 }
 
-/// Parse a full (possibly nested) JSON document. `None` on malformed
-/// input or trailing garbage. [`parse_line`] stays deliberately flat —
-/// its no-proper-prefix-parses property is load-bearing for torn-frame
-/// detection in checkpoints and the dispatch protocol — so nested
-/// consumers (the `/status` documents) use this instead.
+/// Parse a full (possibly nested) JSON document — the one reader of the
+/// workspace; [`parse_line`] is this plus "a flat object". `None` on
+/// malformed input or trailing garbage.
 pub fn parse_json(text: &str) -> Option<JsonNode> {
     let mut chars = text.trim().chars().peekable();
     let node = parse_node(&mut chars)?;
@@ -750,6 +701,9 @@ mod tests {
         assert!(parse_line("{\"a\":}").is_none());
         assert!(parse_line("{\"a\":1} trailing").is_none());
         assert!(parse_line("[1,2]").is_none());
+        // Well-formed but nested: a document, not a line.
+        assert!(parse_line("{\"a\":[1]}").is_none());
+        assert!(parse_line("{\"a\":{\"b\":1}}").is_none());
         assert!(parse_line("{\"a\":1,\"b\":\"x\", \"c\":true,\"d\":null}").is_some());
     }
 

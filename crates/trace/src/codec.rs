@@ -20,17 +20,23 @@
 //! ```
 //!
 //! Every event starts with a kind byte `op | (h << 4)` where `h` is the
-//! [`HwStructure`](vgpu_sim::HwStructure) discriminant for access/range
-//! ops and 0 otherwise. Cycle times are delta-encoded within a segment
-//! (they are nondecreasing in append order). All integers are LEB128
-//! varints, so a typical register access costs 4-6 bytes instead of the
-//! 25 of its in-memory form.
+//! [`HwStructure`] discriminant (0 = RF, 1 = SMEM, 2 = L1D, 3 = L1T,
+//! 4 = L2) for access/range ops and 0 otherwise. Cycle times are
+//! delta-encoded within a segment (they are nondecreasing in append
+//! order). All integers are LEB128 varints, so a typical register access
+//! costs 4-6 bytes instead of the 25 of its in-memory form.
+//!
+//! The in-memory form of an event is the probe stream's own
+//! [`SegEvent`], and of a launch header its [`LaunchGeometry`]: the
+//! recorder keeps what it receives and encodes it here.
 //!
 //! [`decode_segment_lossy`] is deliberately forgiving: a truncated blob
 //! yields the longest cleanly-decodable event prefix with
-//! `complete == false`, never a panic. The replay index is built from
-//! *decoded* blobs, so the codec is load-bearing, not just an export
-//! format.
+//! `complete == false`, never a panic. Decoding is the import side only
+//! (`AppTrace::from_blobs`): the recorder builds the replay index from the
+//! in-memory stream it has just encoded, never from decoded blobs.
+
+use vgpu_sim::{HwStructure, LaunchGeometry, SegEvent};
 
 /// Blob magic, little-endian `b"vtrc"`.
 pub const MAGIC: [u8; 4] = *b"vtrc";
@@ -46,67 +52,13 @@ const OP_SLOT_FILL: u8 = 5;
 const OP_SLOT_FREE: u8 = 6;
 const OP_HOST_READ: u8 = 7;
 
-/// Occupancy geometry of one launch, as carried in its segment header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceGeometry {
-    pub warps_per_cta: u32,
-    pub regs_per_cta: u32,
-    pub smem_words_per_cta: u32,
-    pub slots_per_sm: u32,
-    pub total_ctas: u32,
-}
-
-/// One decoded trace event. `h` is the raw [`HwStructure`] discriminant
-/// (0 = RF, 1 = SMEM, 2 = L1D, 3 = L1T, 4 = L2).
-///
-/// [`HwStructure`]: vgpu_sim::HwStructure
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceEvent {
-    Access {
-        h: u8,
-        inst: u32,
-        word: u64,
-        t: u64,
-        write: bool,
-    },
-    Range {
-        h: u8,
-        inst: u32,
-        start: u64,
-        len: u32,
-        t: u64,
-        write: bool,
-    },
-    Slot {
-        sm: u32,
-        slot: u32,
-        t: u64,
-        fill: bool,
-        initial: bool,
-    },
-    HostRead {
-        word: u64,
-    },
-}
-
-impl TraceEvent {
-    fn t(&self) -> u64 {
-        match *self {
-            TraceEvent::Access { t, .. }
-            | TraceEvent::Range { t, .. }
-            | TraceEvent::Slot { t, .. } => t,
-            TraceEvent::HostRead { .. } => 0,
-        }
-    }
-}
-
 /// One decoded segment: header plus whatever events survived decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentEvents {
     pub seg: u32,
     /// `Some((geometry, cycles))` for launch segments, `None` for host glue.
-    pub launch: Option<(TraceGeometry, u64)>,
-    pub events: Vec<TraceEvent>,
+    pub launch: Option<(LaunchGeometry, u64)>,
+    pub events: Vec<SegEvent>,
     /// False when the blob was truncated or carried trailing garbage.
     pub complete: bool,
 }
@@ -148,8 +100,8 @@ pub fn get_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
 /// Encode one segment into a self-contained blob.
 pub fn encode_segment(
     seg: u32,
-    launch: Option<(&TraceGeometry, u64)>,
-    events: &[TraceEvent],
+    launch: Option<(&LaunchGeometry, u64)>,
+    events: &[SegEvent],
 ) -> Vec<u8> {
     let mut buf = Vec::with_capacity(16 + events.len() * 5);
     buf.extend_from_slice(&MAGIC);
@@ -166,68 +118,70 @@ pub fn encode_segment(
     }
     put_varint(&mut buf, events.len() as u64);
     let mut last_t = 0u64;
+    // Cycle times are delta-encoded; `HostRead` carries none and leaves
+    // the delta chain alone.
+    let mut delta = |t: u64| {
+        debug_assert!(t >= last_t, "trace events must be t-nondecreasing");
+        let dt = t.saturating_sub(last_t);
+        last_t = last_t.max(t);
+        dt
+    };
     for ev in events {
-        // HostRead carries no time and must not disturb the delta chain.
-        let dt = if matches!(ev, TraceEvent::HostRead { .. }) {
-            0
-        } else {
-            let t = ev.t();
-            debug_assert!(t >= last_t, "trace events must be t-nondecreasing");
-            let dt = t.saturating_sub(last_t);
-            last_t = last_t.max(t);
-            dt
-        };
         match *ev {
-            TraceEvent::Access {
+            SegEvent::Access {
                 h,
                 inst,
                 word,
+                t,
                 write,
-                ..
             } => {
                 let op = if write {
                     OP_ACCESS_WRITE
                 } else {
                     OP_ACCESS_READ
                 };
-                buf.push(op | (h << 4));
+                buf.push(op | ((h as u8) << 4));
                 put_varint(&mut buf, u64::from(inst));
                 put_varint(&mut buf, word);
-                put_varint(&mut buf, dt);
+                put_varint(&mut buf, delta(t));
             }
-            TraceEvent::Range {
+            SegEvent::Range {
                 h,
                 inst,
                 start,
                 len,
+                t,
                 write,
-                ..
             } => {
                 let op = if write { OP_RANGE_WRITE } else { OP_RANGE_READ };
-                buf.push(op | (h << 4));
+                buf.push(op | ((h as u8) << 4));
                 put_varint(&mut buf, u64::from(inst));
                 put_varint(&mut buf, start);
                 put_varint(&mut buf, u64::from(len));
-                put_varint(&mut buf, dt);
+                put_varint(&mut buf, delta(t));
             }
-            TraceEvent::Slot {
+            SegEvent::SlotFill {
                 sm,
                 slot,
-                fill,
+                t,
                 initial,
-                ..
             } => {
-                let op = match (fill, initial) {
-                    (true, true) => OP_SLOT_FILL_INITIAL,
-                    (true, false) => OP_SLOT_FILL,
-                    (false, _) => OP_SLOT_FREE,
-                };
-                buf.push(op);
+                buf.push(if initial {
+                    OP_SLOT_FILL_INITIAL
+                } else {
+                    OP_SLOT_FILL
+                });
                 put_varint(&mut buf, u64::from(sm));
                 put_varint(&mut buf, u64::from(slot));
-                put_varint(&mut buf, dt);
+                put_varint(&mut buf, delta(t));
             }
-            TraceEvent::HostRead { word } => {
+            SegEvent::SlotFree { sm, slot, t } => {
+                buf.push(OP_SLOT_FREE);
+                put_varint(&mut buf, u64::from(sm));
+                put_varint(&mut buf, u64::from(slot));
+                put_varint(&mut buf, delta(t));
+            }
+            SegEvent::HostRead { word } => {
                 buf.push(OP_HOST_READ);
                 put_varint(&mut buf, word);
             }
@@ -236,63 +190,46 @@ pub fn encode_segment(
     buf
 }
 
-fn decode_event(bytes: &[u8], pos: &mut usize, last_t: &mut u64) -> Option<TraceEvent> {
+fn decode_event(bytes: &[u8], pos: &mut usize, last_t: &mut u64) -> Option<SegEvent> {
     let kind = *bytes.get(*pos)?;
     *pos += 1;
-    let op = kind & 0x0F;
-    let h = kind >> 4;
+    let (op, h) = (kind & 0x0F, kind >> 4);
+    // The structure an access/range op names; the other ops carry 0.
+    let structure = || HwStructure::ALL.get(usize::from(h)).copied();
+    let mut next_t = |bytes: &[u8], pos: &mut usize| {
+        *last_t = last_t.checked_add(get_varint(bytes, pos)?)?;
+        Some(*last_t)
+    };
     match op {
-        OP_ACCESS_READ | OP_ACCESS_WRITE => {
-            let inst = u32::try_from(get_varint(bytes, pos)?).ok()?;
-            let word = get_varint(bytes, pos)?;
-            let t = last_t.checked_add(get_varint(bytes, pos)?)?;
-            *last_t = t;
-            Some(TraceEvent::Access {
-                h,
-                inst,
-                word,
-                t,
-                write: op == OP_ACCESS_WRITE,
-            })
-        }
-        OP_RANGE_READ | OP_RANGE_WRITE => {
-            let inst = u32::try_from(get_varint(bytes, pos)?).ok()?;
-            let start = get_varint(bytes, pos)?;
-            let len = u32::try_from(get_varint(bytes, pos)?).ok()?;
-            let t = last_t.checked_add(get_varint(bytes, pos)?)?;
-            *last_t = t;
-            Some(TraceEvent::Range {
-                h,
-                inst,
-                start,
-                len,
-                t,
-                write: op == OP_RANGE_WRITE,
-            })
-        }
-        OP_SLOT_FILL_INITIAL | OP_SLOT_FILL | OP_SLOT_FREE => {
-            if h != 0 {
-                return None;
-            }
-            let sm = u32::try_from(get_varint(bytes, pos)?).ok()?;
-            let slot = u32::try_from(get_varint(bytes, pos)?).ok()?;
-            let t = last_t.checked_add(get_varint(bytes, pos)?)?;
-            *last_t = t;
-            Some(TraceEvent::Slot {
-                sm,
-                slot,
-                t,
-                fill: op != OP_SLOT_FREE,
-                initial: op == OP_SLOT_FILL_INITIAL,
-            })
-        }
-        OP_HOST_READ => {
-            if h != 0 {
-                return None;
-            }
-            let word = get_varint(bytes, pos)?;
-            Some(TraceEvent::HostRead { word })
-        }
+        OP_ACCESS_READ | OP_ACCESS_WRITE => Some(SegEvent::Access {
+            h: structure()?,
+            inst: u32::try_from(get_varint(bytes, pos)?).ok()?,
+            word: get_varint(bytes, pos)?,
+            t: next_t(bytes, pos)?,
+            write: op == OP_ACCESS_WRITE,
+        }),
+        OP_RANGE_READ | OP_RANGE_WRITE => Some(SegEvent::Range {
+            h: structure()?,
+            inst: u32::try_from(get_varint(bytes, pos)?).ok()?,
+            start: get_varint(bytes, pos)?,
+            len: u32::try_from(get_varint(bytes, pos)?).ok()?,
+            t: next_t(bytes, pos)?,
+            write: op == OP_RANGE_WRITE,
+        }),
+        OP_SLOT_FILL_INITIAL | OP_SLOT_FILL if h == 0 => Some(SegEvent::SlotFill {
+            sm: u32::try_from(get_varint(bytes, pos)?).ok()?,
+            slot: u32::try_from(get_varint(bytes, pos)?).ok()?,
+            t: next_t(bytes, pos)?,
+            initial: op == OP_SLOT_FILL_INITIAL,
+        }),
+        OP_SLOT_FREE if h == 0 => Some(SegEvent::SlotFree {
+            sm: u32::try_from(get_varint(bytes, pos)?).ok()?,
+            slot: u32::try_from(get_varint(bytes, pos)?).ok()?,
+            t: next_t(bytes, pos)?,
+        }),
+        OP_HOST_READ if h == 0 => Some(SegEvent::HostRead {
+            word: get_varint(bytes, pos)?,
+        }),
         _ => None,
     }
 }
@@ -321,7 +258,7 @@ pub fn decode_segment_lossy(bytes: &[u8]) -> Option<SegmentEvents> {
         let total_ctas = u32::try_from(get_varint(bytes, &mut pos)?).ok()?;
         let cycles = get_varint(bytes, &mut pos)?;
         Some((
-            TraceGeometry {
+            LaunchGeometry {
                 warps_per_cta,
                 regs_per_cta,
                 smem_words_per_cta,
@@ -360,6 +297,7 @@ pub fn decode_segment_lossy(bytes: &[u8]) -> Option<SegmentEvents> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use HwStructure::{RegFile, L1D, L2};
 
     #[test]
     fn varint_round_trip_boundaries() {
@@ -391,7 +329,7 @@ mod tests {
 
     #[test]
     fn segment_round_trip() {
-        let g = TraceGeometry {
+        let g = LaunchGeometry {
             warps_per_cta: 4,
             regs_per_cta: 512,
             smem_words_per_cta: 1,
@@ -399,41 +337,38 @@ mod tests {
             total_ctas: 12,
         };
         let events = vec![
-            TraceEvent::Slot {
+            SegEvent::SlotFill {
                 sm: 0,
                 slot: 0,
                 t: 0,
-                fill: true,
                 initial: true,
             },
-            TraceEvent::Range {
-                h: 0,
+            SegEvent::Range {
+                h: RegFile,
                 inst: 0,
                 start: 0,
                 len: 512,
                 t: 0,
                 write: true,
             },
-            TraceEvent::Access {
-                h: 0,
+            SegEvent::Access {
+                h: RegFile,
                 inst: 0,
                 word: 37,
                 t: 5,
                 write: false,
             },
-            TraceEvent::Access {
-                h: 4,
+            SegEvent::Access {
+                h: L2,
                 inst: 0,
                 word: 1024,
                 t: 9,
                 write: true,
             },
-            TraceEvent::Slot {
+            SegEvent::SlotFree {
                 sm: 0,
                 slot: 0,
                 t: 11,
-                fill: false,
-                initial: false,
             },
         ];
         let blob = encode_segment(3, Some((&g, 12)), &events);
@@ -447,8 +382,8 @@ mod tests {
     #[test]
     fn host_segment_round_trip() {
         let events = vec![
-            TraceEvent::HostRead { word: 99 },
-            TraceEvent::HostRead { word: 0 },
+            SegEvent::HostRead { word: 99 },
+            SegEvent::HostRead { word: 0 },
         ];
         let blob = encode_segment(2, None, &events);
         let dec = decode_segment_lossy(&blob).unwrap();
@@ -459,9 +394,9 @@ mod tests {
 
     #[test]
     fn truncated_blob_yields_event_prefix() {
-        let events: Vec<TraceEvent> = (0..20)
-            .map(|i| TraceEvent::Access {
-                h: 2,
+        let events: Vec<SegEvent> = (0..20)
+            .map(|i| SegEvent::Access {
+                h: L1D,
                 inst: 1,
                 word: i * 131,
                 t: i,
@@ -475,6 +410,26 @@ mod tests {
                 assert!(!d.complete);
                 assert_eq!(&events[..d.events.len()], d.events.as_slice());
             }
+        }
+    }
+
+    #[test]
+    fn out_of_range_structure_is_a_malformed_byte() {
+        let ev = SegEvent::Access {
+            h: L2,
+            inst: 0,
+            word: 1,
+            t: 0,
+            write: false,
+        };
+        // The second event starts where a one-event blob ends.
+        let second = encode_segment(0, None, &[ev]).len();
+        let mut blob = encode_segment(0, None, &[ev, ev]);
+        for h in 5..16u8 {
+            blob[second] = OP_ACCESS_READ | (h << 4);
+            let dec = decode_segment_lossy(&blob).expect("header decodes");
+            assert!(!dec.complete, "h = {h}");
+            assert_eq!(dec.events, [ev]);
         }
     }
 

@@ -11,10 +11,10 @@
 //!    shared-memory, and cache word access as a compact
 //!    delta/varint-encoded stream — one in-memory blob per segment (host
 //!    glue / launch), held for the life of the application's captures.
-//! 2. **Adjudicate** ([`replay`]): for each trial, mirror the
-//!    injector's site selection exactly, expand the fault pattern's
-//!    footprint, and look up the first recorded touch of every affected
-//!    word at-or-after the fault position. If every word is written
+//! 2. **Adjudicate** ([`replay`]): for each trial, ask the injector's own
+//!    site resolver (`vgpu_sim::resolve_site`) which words the fault
+//!    hits, and look up the first recorded touch of every one of them
+//!    at-or-after the fault position. If every word is written
 //!    first (or never touched), the trial is *provably masked* and its
 //!    record is synthesized in microseconds. Reads, persistent faults,
 //!    control-state faults, and unindexable sites fall back to full
@@ -30,8 +30,7 @@ pub mod recorder;
 pub mod replay;
 
 pub use codec::{
-    decode_segment_lossy, encode_segment, get_varint, put_varint, SegmentEvents, TraceEvent,
-    TraceGeometry, MAGIC, VERSION,
+    decode_segment_lossy, encode_segment, get_varint, put_varint, SegmentEvents, MAGIC, VERSION,
 };
 pub use recorder::{record_app_trace, TraceBuilder};
 pub use replay::{AppTrace, FallbackReason, LaunchInfo, Verdict};

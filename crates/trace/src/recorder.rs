@@ -16,15 +16,15 @@ use std::sync::{Arc, Mutex};
 
 use kernels::{golden_pass, Benchmark, GoldenRun, Sinks, Variant};
 use rayon::prelude::*;
-use vgpu_sim::{GpuConfig, ProbeEvent, TraceSink};
+use vgpu_sim::{GpuConfig, LaunchGeometry, ProbeEvent, SegEvent, TraceSink};
 
-use crate::codec::{SegmentEvents, TraceEvent, TraceGeometry};
+use crate::codec::SegmentEvents;
 use crate::replay::AppTrace;
 
 struct SegRec {
     /// `Some` for launch segments; cycles is filled in at `LaunchEnd`.
-    launch: Option<(TraceGeometry, u64)>,
-    events: Vec<TraceEvent>,
+    launch: Option<(LaunchGeometry, u64)>,
+    events: Vec<SegEvent>,
 }
 
 impl SegRec {
@@ -100,81 +100,21 @@ impl TraceBuilder {
 }
 
 impl TraceSink for TraceBuilder {
-    fn event(&mut self, ev: ProbeEvent) {
-        match ev {
-            ProbeEvent::LaunchBegin {
-                warps_per_cta,
-                regs_per_cta,
-                smem_words_per_cta,
-                slots_per_sm,
-                total_ctas,
-            } => {
-                let geom = TraceGeometry {
-                    warps_per_cta,
-                    regs_per_cta,
-                    smem_words_per_cta,
-                    slots_per_sm,
-                    total_ctas,
-                };
-                self.roll(SegRec {
+    fn consume(&mut self, batch: &[ProbeEvent]) {
+        for ev in batch {
+            match *ev {
+                ProbeEvent::LaunchBegin(geom) => self.roll(SegRec {
                     launch: Some((geom, 0)),
                     events: Vec::new(),
-                });
-            }
-            ProbeEvent::LaunchEnd { cycles } => {
-                if let Some((_, c)) = self.cur.launch.as_mut() {
-                    *c = cycles;
+                }),
+                ProbeEvent::LaunchEnd { cycles } => {
+                    if let Some((_, c)) = self.cur.launch.as_mut() {
+                        *c = cycles;
+                    }
+                    self.roll(SegRec::host());
                 }
-                self.roll(SegRec::host());
+                ProbeEvent::Seg(ev) => self.cur.events.push(ev),
             }
-            ProbeEvent::SlotFill {
-                sm,
-                slot,
-                t,
-                initial,
-            } => self.cur.events.push(TraceEvent::Slot {
-                sm,
-                slot,
-                t,
-                fill: true,
-                initial,
-            }),
-            ProbeEvent::SlotFree { sm, slot, t } => self.cur.events.push(TraceEvent::Slot {
-                sm,
-                slot,
-                t,
-                fill: false,
-                initial: false,
-            }),
-            ProbeEvent::Access {
-                h,
-                inst,
-                word,
-                t,
-                write,
-            } => self.cur.events.push(TraceEvent::Access {
-                h: h as u8,
-                inst,
-                word,
-                t,
-                write,
-            }),
-            ProbeEvent::Range {
-                h,
-                inst,
-                start,
-                len,
-                t,
-                write,
-            } => self.cur.events.push(TraceEvent::Range {
-                h: h as u8,
-                inst,
-                start,
-                len,
-                t,
-                write,
-            }),
-            ProbeEvent::HostRead { word } => self.cur.events.push(TraceEvent::HostRead { word }),
         }
     }
 }

@@ -24,24 +24,23 @@
 //! of its cycle, before issue, so touches at `t == cycle` count as
 //! post-fault.
 
-use rayon::prelude::*;
-use vgpu_arch::WARP_SIZE;
-use vgpu_sim::{pattern_footprint, GpuConfig, HwStructure, UarchFault};
+use std::cell::OnceCell;
 
-use crate::codec::{decode_segment_lossy, TraceEvent, TraceGeometry};
+use rayon::prelude::*;
+use vgpu_sim::{resolve_site, GpuConfig, HwStructure, LaunchGeometry, SegEvent, UarchFault};
+
+use crate::codec::decode_segment_lossy;
 
 const KEY_WORD_BITS: u32 = 40;
 const KEY_INST_BITS: u32 = 16;
 const POS_T_BITS: u32 = 40;
 
-fn pack_key(h: u8, inst: u32, word: u64) -> Option<u64> {
+fn pack_key(h: HwStructure, inst: u32, word: u64) -> Option<u64> {
     if word >> KEY_WORD_BITS != 0 || inst >> KEY_INST_BITS != 0 {
         return None;
     }
     Some(
-        (u64::from(h) << (KEY_WORD_BITS + KEY_INST_BITS))
-            | (u64::from(inst) << KEY_WORD_BITS)
-            | word,
+        ((h as u64) << (KEY_WORD_BITS + KEY_INST_BITS)) | (u64::from(inst) << KEY_WORD_BITS) | word,
     )
 }
 
@@ -82,7 +81,7 @@ impl EventIndex {
             .map(|se| {
                 let mut points = Vec::with_capacity(se.events.len());
                 let mut unindexable = false;
-                let mut push = |h: u8, inst: u32, word: u64, t: u64, write: bool| match (
+                let mut push = |h: HwStructure, inst: u32, word: u64, t: u64, write: bool| match (
                     pack_key(h, inst, word),
                     pack_pos(se.seg, t, write),
                 ) {
@@ -91,14 +90,14 @@ impl EventIndex {
                 };
                 for ev in &se.events {
                     match *ev {
-                        TraceEvent::Access {
+                        SegEvent::Access {
                             h,
                             inst,
                             word,
                             t,
                             write,
                         } => push(h, inst, word, t, write),
-                        TraceEvent::Range {
+                        SegEvent::Range {
                             h,
                             inst,
                             start,
@@ -110,10 +109,8 @@ impl EventIndex {
                                 push(h, inst, w, t, write);
                             }
                         }
-                        TraceEvent::HostRead { word } => {
-                            push(HwStructure::L2 as u8, 0, word, 0, false)
-                        }
-                        TraceEvent::Slot { .. } => {}
+                        SegEvent::HostRead { word } => push(HwStructure::L2, 0, word, 0, false),
+                        SegEvent::SlotFill { .. } | SegEvent::SlotFree { .. } => {}
                     }
                 }
                 (points, unindexable)
@@ -135,7 +132,7 @@ impl EventIndex {
     /// `None` if never touched again, otherwise `Some(read)`. Reads sort
     /// before writes at equal position, so a same-cycle read/write tie
     /// conservatively reports a read.
-    fn first_touch(&self, h: u8, inst: u32, word: u64, seg: u32, c: u64) -> Option<bool> {
+    fn first_touch(&self, h: HwStructure, inst: u32, word: u64, seg: u32, c: u64) -> Option<bool> {
         let key = pack_key(h, inst, word)?;
         let pos = pack_pos(seg, c, false)?;
         let i = self.points.partition_point(|e| (e.key, e.pos) < (key, pos));
@@ -159,11 +156,11 @@ struct SlotEvent {
 }
 
 /// Per-launch replay info: geometry, retired cycle count, and the slot
-/// occupancy timeline needed to mirror the injector's population walk.
+/// occupancy timeline the fault-site resolver needs.
 pub struct LaunchInfo {
     /// Global segment number of this launch (`2 * ordinal + 1`).
     pub seg: u32,
-    pub geom: TraceGeometry,
+    pub geom: LaunchGeometry,
     /// Local cycles the launch ran for (golden).
     pub cycles: u64,
     slot_events: Vec<SlotEvent>,
@@ -197,7 +194,7 @@ pub enum FallbackReason {
     /// SIMT-stack / scheduler faults disturb control, not data.
     ControlState,
     /// No usable trace for the target site (missing launch, out-of-range
-    /// cycle, unindexable coordinates, incompatible line geometry).
+    /// cycle, unindexable coordinates).
     NoTrace,
 }
 
@@ -269,17 +266,22 @@ impl AppTrace {
                     .events
                     .iter()
                     .filter_map(|ev| match *ev {
-                        TraceEvent::Slot {
+                        SegEvent::SlotFill {
                             sm,
                             slot,
                             t,
-                            fill,
                             initial,
                         } => Some(SlotEvent {
                             sm,
                             slot,
-                            eff: if fill && initial { 0 } else { t + 1 },
-                            fill,
+                            eff: if initial { 0 } else { t + 1 },
+                            fill: true,
+                        }),
+                        SegEvent::SlotFree { sm, slot, t } => Some(SlotEvent {
+                            sm,
+                            slot,
+                            eff: t + 1,
+                            fill: false,
                         }),
                         _ => None,
                     })
@@ -318,120 +320,45 @@ impl AppTrace {
     }
 
     /// Decide whether the trial `(launch ordinal, fault)` can be
-    /// adjudicated dead from the trace alone. Mirrors the injector's
-    /// site selection (`apply_uarch`) exactly: same population walk over
-    /// live CTA slots, same footprint expansion, same array geometry.
+    /// adjudicated dead from the trace alone. The site is the one the
+    /// injector would hit (`vgpu_sim::resolve_site`, given the recorded
+    /// slot occupancy at the fault cycle); what is decided here is whether
+    /// the first touch of each of its words is a read.
     pub fn adjudicate(&self, cfg: &GpuConfig, ordinal: usize, fault: &UarchFault) -> Verdict {
-        let Some(li) = self.launches.get(ordinal) else {
-            return Verdict::Fallback {
-                reason: FallbackReason::NoTrace,
-            };
-        };
         let fallback = |reason| Verdict::Fallback { reason };
+        let Some(li) = self.launches.get(ordinal) else {
+            return fallback(FallbackReason::NoTrace);
+        };
         if self.index.unindexable {
             return fallback(FallbackReason::NoTrace);
         }
         if fault.pattern.is_persistent() {
             return fallback(FallbackReason::Persistent);
         }
-        match fault.structure {
-            HwStructure::Simt | HwStructure::Sched => {
-                return fallback(FallbackReason::ControlState)
-            }
-            HwStructure::RegFile
-            | HwStructure::Smem
-            | HwStructure::L1D
-            | HwStructure::L1T
-            | HwStructure::L2 => {}
-        }
         let c = fault.cycle;
+        let live = OnceCell::new();
+        let occupied = |sm: usize, slot: usize| {
+            live.get_or_init(|| li.live_slots(cfg.num_sms as usize, c))[sm][slot]
+        };
+        let Some(site) = resolve_site(fault, &li.geom, cfg, occupied) else {
+            return fallback(FallbackReason::ControlState);
+        };
         if c >= li.cycles {
             // The engine would idle-forward to the fault cycle and apply
             // the fault in post-launch state we did not model; punt.
             return fallback(FallbackReason::NoTrace);
         }
-        let seg_f = li.seg;
-        let h = fault.structure as u8;
-        let g = &li.geom;
-        match fault.structure {
-            HwStructure::RegFile | HwStructure::Smem => {
-                let is_rf = fault.structure == HwStructure::RegFile;
-                let per_cta = u64::from(if is_rf {
-                    g.regs_per_cta
-                } else {
-                    g.smem_words_per_cta
-                });
-                let live = li.live_slots(cfg.num_sms as usize, c);
-                let live_slots: u64 = live
-                    .iter()
-                    .map(|sm| sm.iter().filter(|&&x| x).count() as u64)
-                    .sum();
-                let population = live_slots * per_cta;
-                if population == 0 {
-                    return Verdict::Dead { population: 0 };
-                }
-                let mut target = fault.loc_pick % population;
-                let mut site = None;
-                'walk: for (smi, sm) in live.iter().enumerate() {
-                    for (slot_idx, &occ) in sm.iter().enumerate() {
-                        if !occ {
-                            continue;
-                        }
-                        if target < per_cta {
-                            site = Some((smi, slot_idx as u64 * per_cta + target));
-                            break 'walk;
-                        }
-                        target -= per_cta;
-                    }
-                }
-                let (smi, idx) = site.expect("population walk must land");
-                let arr_len = u64::from(if is_rf {
-                    cfg.rf_regs_per_sm
-                } else {
-                    cfg.smem_bytes_per_sm / 4
-                });
-                for (e, _mask) in
-                    pattern_footprint(fault.pattern, idx, fault.bit, arr_len, 32, WARP_SIZE as u64)
-                {
-                    if self.index.first_touch(h, smi as u32, e, seg_f, c) == Some(true) {
-                        return fallback(FallbackReason::LiveWord);
-                    }
-                }
-                Verdict::Dead { population }
-            }
-            HwStructure::L1D | HwStructure::L1T | HwStructure::L2 => {
-                let (geom, count) = match fault.structure {
-                    HwStructure::L1D => (&cfg.l1d, u64::from(cfg.num_sms)),
-                    HwStructure::L1T => (&cfg.l1t, u64::from(cfg.num_sms)),
-                    _ => (&cfg.l2, 1),
-                };
-                let line_words = u64::from(cfg.l2.line_bytes / 4);
-                if u64::from(geom.line_bytes / 4) > line_words {
-                    // The recorder addresses cache words as
-                    // `frame * (l2_line_bytes / 4) + offset`; a larger
-                    // line would alias frames, so refuse to adjudicate.
-                    return fallback(FallbackReason::NoTrace);
-                }
-                let per = u64::from(geom.bytes);
-                let population = per * count * 8;
-                let byte = fault.loc_pick % (per * count);
-                let which = (byte / per) as u32;
-                let row = u64::from(geom.line_bytes);
-                let mut words: Vec<u64> =
-                    pattern_footprint(fault.pattern, byte % per, fault.bit, per, 8, row)
-                        .iter()
-                        .map(|(b, _)| (b / row) * line_words + (b % row) / 4)
-                        .collect();
-                words.sort_unstable();
-                words.dedup();
-                for w in words {
-                    if self.index.first_touch(h, which, w, seg_f, c) == Some(true) {
-                        return fallback(FallbackReason::LiveWord);
-                    }
-                }
-                Verdict::Dead { population }
-            }
-            HwStructure::Simt | HwStructure::Sched => unreachable!("handled above"),
+        let read_first = |w| {
+            let touch = self
+                .index
+                .first_touch(fault.structure, site.inst as u32, w, li.seg, c);
+            touch == Some(true)
+        };
+        if site.words().into_iter().any(read_first) {
+            return fallback(FallbackReason::LiveWord);
+        }
+        Verdict::Dead {
+            population: site.population,
         }
     }
 }
@@ -441,9 +368,10 @@ mod tests {
     use super::*;
     use crate::codec::encode_segment;
     use vgpu_sim::FaultPattern;
+    use HwStructure::{RegFile, L2};
 
-    fn geom() -> TraceGeometry {
-        TraceGeometry {
+    fn geom() -> LaunchGeometry {
+        LaunchGeometry {
             warps_per_cta: 2,
             regs_per_cta: 64,
             smem_words_per_cta: 8,
@@ -458,52 +386,50 @@ mod tests {
     fn tiny_trace() -> AppTrace {
         let g = geom();
         let launch_events = vec![
-            TraceEvent::Slot {
+            SegEvent::SlotFill {
                 sm: 0,
                 slot: 0,
                 t: 0,
-                fill: true,
                 initial: true,
             },
-            TraceEvent::Range {
-                h: 0,
+            SegEvent::Range {
+                h: RegFile,
                 inst: 0,
                 start: 0,
                 len: 64,
                 t: 0,
                 write: true,
             },
-            TraceEvent::Access {
-                h: 0,
+            SegEvent::Access {
+                h: RegFile,
                 inst: 0,
                 word: 10,
                 t: 2,
                 write: true,
             },
-            TraceEvent::Access {
-                h: 0,
+            SegEvent::Access {
+                h: RegFile,
                 inst: 0,
                 word: 20,
                 t: 3,
                 write: true,
             },
-            TraceEvent::Slot {
+            SegEvent::SlotFill {
                 sm: 0,
                 slot: 1,
                 t: 4,
-                fill: true,
                 initial: false,
             },
-            TraceEvent::Range {
-                h: 0,
+            SegEvent::Range {
+                h: RegFile,
                 inst: 0,
                 start: 64,
                 len: 64,
                 t: 4,
                 write: true,
             },
-            TraceEvent::Access {
-                h: 0,
+            SegEvent::Access {
+                h: RegFile,
                 inst: 0,
                 word: 10,
                 t: 6,
@@ -513,7 +439,7 @@ mod tests {
         let blobs = vec![
             encode_segment(0, None, &[]),
             encode_segment(1, Some((&g, 10)), &launch_events),
-            encode_segment(2, None, &[TraceEvent::HostRead { word: 5 }]),
+            encode_segment(2, None, &[SegEvent::HostRead { word: 5 }]),
         ];
         AppTrace::from_blobs(blobs)
     }
@@ -651,15 +577,14 @@ mod tests {
                 1,
                 Some((&g, 10)),
                 &[
-                    TraceEvent::Slot {
+                    SegEvent::SlotFill {
                         sm: 0,
                         slot: 0,
                         t: 0,
-                        fill: true,
                         initial: true,
                     },
-                    TraceEvent::Access {
-                        h: 4,
+                    SegEvent::Access {
+                        h: L2,
                         inst: 0,
                         word: 5,
                         t: 1,
@@ -667,7 +592,7 @@ mod tests {
                     },
                 ],
             ),
-            encode_segment(2, None, &[TraceEvent::HostRead { word: 5 }]),
+            encode_segment(2, None, &[SegEvent::HostRead { word: 5 }]),
         ];
         let tr = AppTrace::from_blobs(blobs);
         let c = cfg();

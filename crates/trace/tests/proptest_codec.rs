@@ -8,26 +8,27 @@
 //! * decoding arbitrary garbage never panics.
 
 use proptest::prelude::*;
-use trace::{decode_segment_lossy, encode_segment, TraceEvent, TraceGeometry};
+use trace::{decode_segment_lossy, encode_segment};
+use vgpu_sim::{HwStructure, LaunchGeometry, SegEvent};
 
 /// Build a well-formed event list from proptest-generated raw parts:
 /// times are made nondecreasing by accumulating the per-event deltas.
-fn events_from(parts: Vec<((u8, u8, bool), (u32, u64, u32, u16))>) -> Vec<TraceEvent> {
+fn events_from(parts: Vec<((u8, u8, bool), (u32, u64, u32, u16))>) -> Vec<SegEvent> {
     let mut t = 0u64;
     parts
         .into_iter()
         .map(|((op, h, write), (inst, word, len, dt))| {
             t += u64::from(dt);
-            let h = h % 5;
-            match op % 4 {
-                0 => TraceEvent::Access {
+            let h = HwStructure::ALL[usize::from(h % 5)];
+            match op % 5 {
+                0 => SegEvent::Access {
                     h,
                     inst,
                     word,
                     t,
                     write,
                 },
-                1 => TraceEvent::Range {
+                1 => SegEvent::Range {
                     h,
                     inst,
                     start: word,
@@ -35,15 +36,18 @@ fn events_from(parts: Vec<((u8, u8, bool), (u32, u64, u32, u16))>) -> Vec<TraceE
                     t,
                     write,
                 },
-                2 => TraceEvent::Slot {
+                2 => SegEvent::SlotFill {
                     sm: inst,
                     slot: len,
                     t,
-                    fill: write,
-                    // A free's `initial` flag is not encoded; normalise.
-                    initial: write && word % 2 == 0,
+                    initial: write,
                 },
-                _ => TraceEvent::HostRead { word },
+                3 => SegEvent::SlotFree {
+                    sm: inst,
+                    slot: len,
+                    t,
+                },
+                _ => SegEvent::HostRead { word },
             }
         })
         .collect()
@@ -53,13 +57,13 @@ fn events_from(parts: Vec<((u8, u8, bool), (u32, u64, u32, u16))>) -> Vec<TraceE
 /// timed event; drop generated sequences where that would regress time
 /// (the recorder never produces them: host reads live in host segments
 /// where every timed event has t == 0).
-fn well_formed(events: &[TraceEvent]) -> bool {
+fn well_formed(events: &[SegEvent]) -> bool {
     let mut last = 0u64;
     for ev in events {
         let t = match *ev {
-            TraceEvent::Access { t, .. } | TraceEvent::Range { t, .. } => t,
-            TraceEvent::Slot { t, .. } => t,
-            TraceEvent::HostRead { .. } => continue,
+            SegEvent::Access { t, .. } | SegEvent::Range { t, .. } => t,
+            SegEvent::SlotFill { t, .. } | SegEvent::SlotFree { t, .. } => t,
+            SegEvent::HostRead { .. } => continue,
         };
         if t < last {
             return false;
@@ -69,10 +73,10 @@ fn well_formed(events: &[TraceEvent]) -> bool {
     true
 }
 
-fn arb_geom() -> impl Strategy<Value = TraceGeometry> {
+fn arb_geom() -> impl Strategy<Value = LaunchGeometry> {
     (1u32..64, 1u32..4096, 1u32..1024, 1u32..16, 1u32..512).prop_map(
         |(warps_per_cta, regs_per_cta, smem_words_per_cta, slots_per_sm, total_ctas)| {
-            TraceGeometry {
+            LaunchGeometry {
                 warps_per_cta,
                 regs_per_cta,
                 smem_words_per_cta,

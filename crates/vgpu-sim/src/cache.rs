@@ -17,9 +17,9 @@
 //! wait for the remaining latency.
 
 use crate::config::{CacheGeom, Latencies};
-use crate::fault::HwStructure;
-use crate::lifetime::{CacheAce, LifetimeTracker};
+use crate::fault::{cache_word, HwStructure};
 use crate::mem::{DirtyMap, GlobalMem};
+use crate::probe::Probe;
 use crate::snapshot::{Capture, Walk};
 use crate::stats::CacheStats;
 
@@ -140,6 +140,17 @@ impl Cache {
 
     pub fn line_addr_of(&self, idx: usize) -> u32 {
         self.tags[idx]
+    }
+
+    /// Probe-stream name of the word at byte `off` of line `idx`.
+    pub(crate) fn word(&self, idx: usize, off: u32) -> u64 {
+        cache_word(idx as u64 * u64::from(self.geom.line_bytes) + u64::from(off))
+    }
+
+    /// Probe-stream name of the word at `addr`, if its line is resident.
+    pub(crate) fn resident_word(&self, addr: u32) -> Option<u64> {
+        let lb = self.geom.line_bytes;
+        self.probe(addr / lb).map(|idx| self.word(idx, addr % lb))
     }
 
     /// Byte view of line `idx`.
@@ -378,6 +389,16 @@ impl Cache {
     }
 }
 
+/// The probe of an access through an L1, and the L1 instance it goes
+/// through: L1-side and L2-side events each name the right instance.
+pub struct L1Probe<'a> {
+    pub(crate) probe: &'a mut Probe,
+    /// Which L1 structure the access goes through (L1D or L1T).
+    pub(crate) l1: HwStructure,
+    /// SM index owning the L1 instance.
+    pub(crate) sm: usize,
+}
+
 /// Result of a hierarchy access: the loaded value and the cycle at which
 /// the requesting warp may proceed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -396,7 +417,7 @@ pub(crate) fn ensure_l2(
     lat: &Latencies,
     mem_reads: &mut u64,
     mem_writes: &mut u64,
-    ace: Option<&mut LifetimeTracker>,
+    probe: Option<&mut Probe>,
 ) -> (usize, u64) {
     l2.stats.accesses += 1;
     if let Some(idx) = l2.lookup(line_addr) {
@@ -420,14 +441,14 @@ pub(crate) fn ensure_l2(
     let lb = l2.geom.line_bytes;
     let bytes: Vec<u8> = mem.line(line_addr * lb, lb).to_vec();
     l2.fill(victim, line_addr, &bytes);
-    if let Some(tr) = ace {
-        // A dirty victim's data was architecturally required up to the
-        // write-back; a clean victim's open intervals close dead when the
-        // fill overwrites them (handled inside `cache_fill`'s writes).
+    if let Some(p) = probe {
+        // A dirty write-back propagates the victim's data outward: a
+        // whole-line read. The fill overwrites the line either way.
+        let line = l2.word(victim, 0);
         if victim_dirty {
-            tr.close_line_live(HwStructure::L2, 0, victim, now);
+            p.range(HwStructure::L2, 0, line, lb / 4, now, false);
         }
-        tr.cache_fill(HwStructure::L2, 0, victim, now);
+        p.range(HwStructure::L2, 0, line, lb / 4, now, true);
     }
     *mem_reads += 1;
     let mut ready = now + lat.dram as u64;
@@ -450,7 +471,7 @@ pub fn load_via(
     lat: &Latencies,
     mem_reads: &mut u64,
     mem_writes: &mut u64,
-    mut ace: Option<CacheAce<'_>>,
+    mut probe: Option<L1Probe<'_>>,
 ) -> AccessResult {
     let lb = l1.geom.line_bytes;
     debug_assert_eq!(lb, l2.geom.line_bytes, "uniform line size across levels");
@@ -465,9 +486,8 @@ pub fn load_via(
             }
             None => now + lat.l1_hit as u64,
         };
-        if let Some(a) = ace.as_mut() {
-            a.tracker
-                .cache_read(a.l1, a.sm, idx, (off / 4) as usize, now);
+        if let Some(p) = probe.as_mut() {
+            p.probe.access(p.l1, p.sm, l1.word(idx, off), now, false);
         }
         return AccessResult {
             value: l1.read_word(idx, off),
@@ -483,21 +503,20 @@ pub fn load_via(
         lat,
         mem_reads,
         mem_writes,
-        ace.as_mut().map(|a| &mut *a.tracker),
+        probe.as_mut().map(|p| &mut *p.probe),
     );
     let victim = l1.victim(line_addr);
     // L1 is write-through: the victim is clean by construction and is
     // silently dropped — a fault previously injected into it is masked here.
     let line: Vec<u8> = l2.line_data(l2_idx).to_vec();
     l1.fill(victim, line_addr, &line);
-    if let Some(a) = ace.as_mut() {
+    if let Some(L1Probe { probe, l1: h, sm }) = probe {
         // The whole L2 line is read to service the L1 fill (conservative),
-        // the L1 victim's words open fresh intervals, and the requested
+        // every word of the L1 victim is overwritten, and the requested
         // word is read immediately.
-        a.tracker.cache_read_line(HwStructure::L2, 0, l2_idx, now);
-        a.tracker.cache_fill(a.l1, a.sm, victim, now);
-        a.tracker
-            .cache_read(a.l1, a.sm, victim, (off / 4) as usize, now);
+        probe.range(HwStructure::L2, 0, l2.word(l2_idx, 0), lb / 4, now, false);
+        probe.range(h, sm, l1.word(victim, 0), lb / 4, now, true);
+        probe.access(h, sm, l1.word(victim, off), now, false);
     }
     let mut ready = l2_ready + (lat.l1_hit as u64);
     if !l1.mshr_alloc(line_addr, ready, now) {
@@ -523,7 +542,7 @@ pub fn store_via(
     lat: &Latencies,
     mem_reads: &mut u64,
     mem_writes: &mut u64,
-    mut ace: Option<CacheAce<'_>>,
+    mut probe: Option<L1Probe<'_>>,
 ) -> u64 {
     let lb = l1d.geom.line_bytes;
     let line_addr = addr / lb;
@@ -532,9 +551,8 @@ pub fn store_via(
     if let Some(idx) = l1d.lookup(line_addr) {
         // Update in place; the line stays clean (write-through).
         l1d.write_word(idx, off, value, false);
-        if let Some(a) = ace.as_mut() {
-            a.tracker
-                .cache_write(a.l1, a.sm, idx, (off / 4) as usize, now);
+        if let Some(p) = probe.as_mut() {
+            p.probe.access(p.l1, p.sm, l1d.word(idx, off), now, true);
         }
     } else {
         l1d.stats.misses += 1; // no write-allocate
@@ -547,12 +565,11 @@ pub fn store_via(
         lat,
         mem_reads,
         mem_writes,
-        ace.as_mut().map(|a| &mut *a.tracker),
+        probe.as_mut().map(|p| &mut *p.probe),
     );
     l2.write_word(l2_idx, off, value, true);
-    if let Some(a) = ace.as_mut() {
-        a.tracker
-            .cache_write(HwStructure::L2, 0, l2_idx, (off / 4) as usize, now);
+    if let Some(L1Probe { probe, .. }) = probe {
+        probe.access(HwStructure::L2, 0, l2.word(l2_idx, off), now, true);
     }
     now + lat.store as u64
 }

@@ -35,23 +35,19 @@ pub trait GMem {
         vals: &[u32; WARP_SIZE],
     ) -> Result<u64, DueKind>;
 
-    /// Whether ACE lifetime tracking is active. Gates the per-instruction
-    /// register-operand walk in [`step_warp`] so untracked runs pay nothing.
-    fn ace_enabled(&self) -> bool {
+    /// Whether a probe is attached. Gates the per-instruction
+    /// register-operand walk in [`step_warp`] so unprobed runs pay nothing.
+    fn probed(&self) -> bool {
         false
     }
 
-    /// ACE hook: a register word (`reg * 32 + lane`, warp-local) was read.
-    fn ace_reg_read(&mut self, _reg_word: usize) {}
+    /// Probe hook: a register word (`reg * 32 + lane`, warp-local) was
+    /// read or written.
+    fn probe_reg(&mut self, _reg_word: usize, _write: bool) {}
 
-    /// ACE hook: a register word (warp-local) was written.
-    fn ace_reg_write(&mut self, _reg_word: usize) {}
-
-    /// ACE hook: a shared-memory word (CTA-local index) was read.
-    fn ace_smem_read(&mut self, _word: usize) {}
-
-    /// ACE hook: a shared-memory word (CTA-local index) was written.
-    fn ace_smem_write(&mut self, _word: usize) {}
+    /// Probe hook: a shared-memory word (CTA-local index) was read or
+    /// written.
+    fn probe_smem(&mut self, _word: usize, _write: bool) {}
 }
 
 /// How long the issued instruction occupies the warp.
@@ -313,16 +309,16 @@ pub fn step_warp<M: GMem>(w: &mut Warp, ctx: &mut ExecCtx<'_, M>) -> Result<Step
         ctx.stats.src_reg_instrs += n_active;
     }
 
-    // ---- ACE lifetime tracking: source-register reads ------------------
+    // ---- probe: source-register reads -----------------------------------
     // `Sel` conservatively counts both inputs as read; predicate registers
-    // are not part of the tracked register file.
-    if ctx.mem.ace_enabled() && exec_mask != 0 {
+    // are not part of the modeled register file.
+    if ctx.mem.probed() && exec_mask != 0 {
         for r in op.src_regs() {
             let mut m = exec_mask;
             while m != 0 {
                 let lane = m.trailing_zeros() as usize;
                 m &= m - 1;
-                ctx.mem.ace_reg_read(reg_idx(r, lane));
+                ctx.mem.probe_reg(reg_idx(r, lane), false);
             }
         }
     }
@@ -695,14 +691,14 @@ pub fn step_warp<M: GMem>(w: &mut Warp, ctx: &mut ExecCtx<'_, M>) -> Result<Step
         }
     }
 
-    // ---- ACE lifetime tracking: destination-register write -------------
-    if ctx.mem.ace_enabled() && exec_mask != 0 {
+    // ---- probe: destination-register write ------------------------------
+    if ctx.mem.probed() && exec_mask != 0 {
         if let Some(d) = op.dst_reg() {
             let mut m = exec_mask;
             while m != 0 {
                 let lane = m.trailing_zeros() as usize;
                 m &= m - 1;
-                ctx.mem.ace_reg_write(reg_idx(d, lane));
+                ctx.mem.probe_reg(reg_idx(d, lane), true);
             }
         }
     }
@@ -741,13 +737,8 @@ fn smem_access<M: GMem>(
         }
         let word = (addr / 4) as usize;
         bank_counts[word % 32] += 1;
-        if ctx.mem.ace_enabled() {
-            if load_into.is_some() {
-                ctx.mem.ace_smem_read(word);
-            }
-            if store_from.is_some() {
-                ctx.mem.ace_smem_write(word);
-            }
+        if ctx.mem.probed() {
+            ctx.mem.probe_smem(word, store_from.is_some());
         }
         if let Some(d) = load_into {
             ctx.regs[reg_idx(d, lane)] = ctx.smem[word];

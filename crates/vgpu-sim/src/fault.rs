@@ -15,9 +15,19 @@
 //! structure geometry), or persistent stuck-at-0/1 faults that are
 //! re-asserted on every access until the launch retires. See
 //! docs/FAULT_MODELS.md for the catalog and geometry mapping.
+//!
+//! What a [`UarchFault`] in a storage structure *names* — which words of
+//! which physical array, out of what population — is decided in one place,
+//! [`resolve_site`] (next to [`pattern_footprint`], the pattern geometry it
+//! expands the seed with). The injector of the timed engine applies the
+//! [`FaultSite`] it returns; the trace-replay adjudicator looks the same
+//! site's words up in the recorded probe stream, where [`cache_word`]
+//! names cache words. The two agree by construction.
 
-use vgpu_arch::InstrClass;
+use vgpu_arch::{InstrClass, WARP_SIZE};
 
+use crate::config::GpuConfig;
+use crate::probe::LaunchGeometry;
 use crate::stats::Stats;
 
 /// The hardware structures targeted by microarchitecture-level fault
@@ -216,6 +226,121 @@ pub fn pattern_footprint(
             })
             .collect(),
     }
+}
+
+/// The physical location of one storage-structure fault: what
+/// [`resolve_site`] makes of a [`UarchFault`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FaultSite {
+    pub structure: HwStructure,
+    /// Size of the population the seed location was drawn from: the words
+    /// of resident CTAs for the register file and shared memory (0 when
+    /// none is resident — the fault lands nowhere), data-array bits for
+    /// caches.
+    pub population: u64,
+    /// The array instance hit: the SM, or 0 for the L2.
+    pub inst: usize,
+    /// `(element, mask)` pairs to corrupt within that instance, ascending
+    /// by element: 32-bit words of the SM's register file / shared memory,
+    /// or bytes of the cache's data array (8-bit masks). Empty when the
+    /// population is.
+    pub footprint: Vec<(u64, u32)>,
+}
+
+impl FaultSite {
+    /// The footprint as probe-stream word names
+    /// ([`SegEvent::Access`](crate::probe::SegEvent)), ascending, each once.
+    pub fn words(&self) -> Vec<u64> {
+        let is_cache = HwStructure::CACHES.contains(&self.structure);
+        let mut words: Vec<u64> = self
+            .footprint
+            .iter()
+            .map(|&(e, _)| if is_cache { cache_word(e) } else { e })
+            .collect();
+        words.dedup();
+        words
+    }
+}
+
+/// The probe-stream name of the cache word holding byte `byte` of a data
+/// array: its index in the array, whatever the line size.
+pub fn cache_word(byte: u64) -> u64 {
+    byte / 4
+}
+
+/// Site selection for a fault in one of the five storage structures, at a
+/// cycle when `occupied(sm, slot)` says which CTA slots of the launch
+/// hold a CTA: the seed location is `loc_pick % population` — over the
+/// register / shared-memory partitions of the occupied slots in (SM, slot)
+/// order, or over the data-array bytes of all instances of the cache,
+/// valid or not — and the pattern expands it within its array
+/// ([`pattern_footprint`]; rows are the 32 lanes / banks of a register or
+/// shared-memory row, and a cache line). `None` for the control-state
+/// structures, whose sites are warps, not words.
+pub fn resolve_site(
+    fault: &UarchFault,
+    geom: &LaunchGeometry,
+    cfg: &GpuConfig,
+    occupied: impl Fn(usize, usize) -> bool,
+) -> Option<FaultSite> {
+    let structure = fault.structure;
+    let (population, inst, seed, entries, width, row) = match structure {
+        HwStructure::RegFile | HwStructure::Smem => {
+            let (per_cta, entries) = if structure == HwStructure::RegFile {
+                (geom.regs_per_cta, cfg.rf_regs_per_sm)
+            } else {
+                (geom.smem_words_per_cta, cfg.smem_bytes_per_sm / 4)
+            };
+            let per_cta = u64::from(per_cta);
+            let live = || {
+                (0..cfg.num_sms as usize)
+                    .flat_map(|sm| (0..geom.slots_per_sm as usize).map(move |slot| (sm, slot)))
+                    .filter(|&(sm, slot)| occupied(sm, slot))
+            };
+            let population = live().count() as u64 * per_cta;
+            if population == 0 {
+                // Nothing allocated at this cycle: trivially masked.
+                return Some(FaultSite {
+                    structure,
+                    population,
+                    inst: 0,
+                    footprint: Vec::new(),
+                });
+            }
+            let target = fault.loc_pick % population;
+            let (sm, slot) = live()
+                .nth((target / per_cta) as usize)
+                .expect("the target is inside the population");
+            let seed = slot as u64 * per_cta + target % per_cta;
+            (
+                population,
+                sm,
+                seed,
+                u64::from(entries),
+                32,
+                WARP_SIZE as u64,
+            )
+        }
+        HwStructure::L1D | HwStructure::L1T | HwStructure::L2 => {
+            let (cache, count) = match structure {
+                HwStructure::L1D => (&cfg.l1d, cfg.num_sms),
+                HwStructure::L1T => (&cfg.l1t, cfg.num_sms),
+                _ => (&cfg.l2, 1),
+            };
+            let per = u64::from(cache.bytes);
+            let byte = fault.loc_pick % (per * u64::from(count));
+            let inst = (byte / per) as usize;
+            let row = u64::from(cache.line_bytes);
+            (per * u64::from(count) * 8, inst, byte % per, per, 8, row)
+        }
+        HwStructure::Simt | HwStructure::Sched => return None,
+    };
+    Some(FaultSite {
+        structure,
+        population,
+        inst,
+        footprint: pattern_footprint(fault.pattern, seed, fault.bit, entries, width, row),
+    })
 }
 
 /// The 32-bit value mask a pattern corrupts when the fault site is a

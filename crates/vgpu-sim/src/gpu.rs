@@ -4,11 +4,10 @@
 use crate::cache::Cache;
 use crate::config::GpuConfig;
 pub use crate::due::LaunchAbort;
-use crate::fault::{SwInjector, UarchInjector};
+use crate::fault::{HwStructure, SwInjector, UarchInjector};
 use crate::functional::run_functional;
-use crate::lifetime::LifetimeTracker;
 use crate::mem::GlobalMem;
-use crate::probe::SharedSink;
+use crate::probe::{Probe, SharedSink};
 use crate::snapshot::{
     ChunkStore, ConvergeWith, DeviceSnapshot, Machine, ResumeOutcome, Scope, SnapId,
 };
@@ -102,7 +101,7 @@ pub struct Gpu {
     /// Device memory, cache hierarchy and (timed mode) the SMs' register
     /// files and shared memories: everything a snapshot covers.
     m: Machine,
-    tracker: Option<LifetimeTracker>,
+    probe: Option<Probe>,
 }
 
 impl Gpu {
@@ -123,7 +122,7 @@ impl Gpu {
             m: Machine::new(mem, l1ds, l1ts, l2, sms),
             cfg,
             mode,
-            tracker: None,
+            probe: None,
         }
     }
 
@@ -131,70 +130,28 @@ impl Gpu {
         self.mode
     }
 
-    /// Instrument subsequent timed launches: ACE lifetime accounting
-    /// (`ace`, the `--ace` mode), a probe `sink` the engine's hook stream is
-    /// mirrored into (`crates/trace`'s recorder), or both on the same run.
-    /// Must precede the first launch so L2 lifetimes spanning kernels are
-    /// measured from a common origin.
-    pub fn attach_probes(&mut self, ace: bool, sink: Option<SharedSink>) {
-        assert_eq!(
-            self.mode,
-            Mode::Timed,
-            "lifetime tracking and trace recording require the timed engine"
-        );
-        // Without ACE the tracker only forwards: the recorder needs the
-        // hook stream, not the interval accounting, and skipping the
-        // latter keeps the traced pass cheap (docs/TRACE.md).
-        let mut tr = if ace {
-            LifetimeTracker::new(&self.cfg)
-        } else {
-            LifetimeTracker::trace_only(&self.cfg)
-        };
-        if let Some(sink) = sink {
-            tr.set_sink(sink);
-        }
-        self.tracker = Some(tr);
+    /// Instrument subsequent timed launches and host accesses: every
+    /// engine hook is forwarded to `sink` (`crate::probe`). Must precede
+    /// the first launch for the sink to see the whole application.
+    pub fn attach_probe(&mut self, sink: SharedSink) {
+        assert_eq!(self.mode, Mode::Timed, "probes require the timed engine");
+        self.probe = Some(Probe::new(sink));
     }
 
-    /// Record a host-side word read against an attached probe sink: if
-    /// `addr` is L2-resident, the peek is forwarded as a
-    /// [`ProbeEvent::HostRead`](crate::probe::ProbeEvent) so the trace
-    /// knows the word's value propagated to the host (classification or
-    /// inter-launch glue). No-op without a tracker or outside timed mode.
+    /// Stop instrumenting; the sink has the whole stream when this returns.
+    pub fn detach_probe(&mut self) {
+        self.probe = None;
+    }
+
+    /// Record a host-side word read against an attached probe: if `addr`
+    /// is L2-resident, the sink learns that the word's value propagated to
+    /// the host (classification or inter-launch glue). No-op otherwise.
     pub fn probe_host_read(&mut self, addr: u32) {
-        if self.mode != Mode::Timed {
-            return;
+        if let Some(p) = self.probe.as_mut() {
+            if let Some(word) = self.m.l2.resident_word(addr) {
+                p.host_read(word);
+            }
         }
-        let Some(tr) = self.tracker.as_mut() else {
-            return;
-        };
-        let lb = self.m.l2.geom().line_bytes;
-        if let Some(idx) = self.m.l2.probe(addr / lb) {
-            tr.host_peek(idx, ((addr % lb) / 4) as usize);
-        }
-    }
-
-    /// Cumulative ACE word-cycles per structure so far (`HwStructure::ALL`
-    /// order), if a tracker is attached. Open L2 intervals are not yet
-    /// included — see [`Gpu::finish_tracker`].
-    pub fn tracker_totals(&self) -> Option<[u64; 5]> {
-        self.tracker.as_ref().map(|t| t.ace_word_cycles())
-    }
-
-    /// Number of lifetime events (reads/writes/fills/evictions) recorded
-    /// so far, if a tracker is attached.
-    pub fn tracker_events(&self) -> Option<u64> {
-        self.tracker.as_ref().map(|t| t.events())
-    }
-
-    /// Close every surviving L2 interval (dirty lines count live up to
-    /// now), detach the tracker, and return the final per-structure ACE
-    /// word-cycle totals.
-    pub fn finish_tracker(&mut self) -> Option<[u64; 5]> {
-        let mut tr = self.tracker.take()?;
-        let l2 = &self.m.l2;
-        tr.finalize_l2(|line| l2.line_dirty(line));
-        Some(tr.ace_word_cycles())
     }
 
     /// Launch a kernel. Returns per-launch statistics, or the abort cause
@@ -225,18 +182,16 @@ impl Gpu {
                     FaultPlan::Uarch(u) => (Some(u), None),
                     FaultPlan::Sw(s) => (None, Some(s)),
                 };
-                let res = run_timed(
+                run_timed(
                     &self.cfg,
                     &mut self.m,
                     kernel,
                     lc,
                     uarch,
                     sw,
-                    self.tracker.as_mut(),
+                    self.probe.as_mut(),
                     budget.cycles,
-                );
-                self.advance_tracker(&res);
-                res
+                )
             }
             Mode::Functional => {
                 let sw = match fault {
@@ -266,8 +221,8 @@ impl Gpu {
     /// at each cycle of `capture_at` (sorted ascending) and returns their
     /// handles. The run itself is bit-identical to `launch(…,
     /// FaultPlan::None, …)` — capture points only read state, never
-    /// perturb it — and attached probes ([`Gpu::attach_probes`]) see it
-    /// exactly as they would see that launch. Timed mode.
+    /// perturb it — and an attached probe ([`Gpu::attach_probe`]) sees it
+    /// exactly as it would see that launch. Timed mode.
     pub fn launch_instrumented(
         &mut self,
         kernel: &Kernel,
@@ -286,20 +241,12 @@ impl Gpu {
             lc,
             None,
             None,
-            self.tracker.as_mut(),
+            self.probe.as_mut(),
             budget.cycles,
             &mut ctl,
         );
-        self.advance_tracker(&res);
         record_launch(self.mode, &res);
         res.map(|s| (s, ctl.captured))
-    }
-
-    /// Move an attached tracker's global clock past a retired launch.
-    fn advance_tracker(&mut self, res: &Result<Stats, LaunchAbort>) {
-        if let (Ok(s), Some(tr)) = (res, self.tracker.as_mut()) {
-            tr.advance_base(s.cycles);
-        }
     }
 
     /// Resume a launch mid-flight from mid-launch snapshot `snap` of
@@ -322,8 +269,8 @@ impl Gpu {
     ) -> Result<ResumeOutcome, LaunchAbort> {
         assert_eq!(self.mode, Mode::Timed, "snapshots require the timed engine");
         assert!(
-            self.tracker.is_none(),
-            "snapshot resume is incompatible with ACE lifetime tracking"
+            self.probe.is_none(),
+            "snapshot resume is incompatible with an attached probe"
         );
         let resumed_at = store
             .cycle(snap)
@@ -405,7 +352,7 @@ impl Gpu {
     }
 
     /// Return the GPU to its just-constructed state — zeroed arena bytes
-    /// (the mapped-range table survives), reset caches, no tracker — so a
+    /// (the mapped-range table survives), reset caches, no probe — so a
     /// pooled instance can be reused without reallocating (per-worker
     /// scratch reuse on the campaign hot path). Register files and shared
     /// memories keep their bytes: a launch zeroes what it uses.
@@ -416,7 +363,7 @@ impl Gpu {
             c.reset();
         }
         self.m.l2.reset();
-        self.tracker = None;
+        self.probe = None;
     }
 
     // ---- coherent host access ------------------------------------------
@@ -431,24 +378,13 @@ impl Gpu {
         self.m.mem.read_u32(addr)
     }
 
-    /// Host word write: updates DRAM and any resident L2 copy. With a
-    /// lifetime tracker attached, a host overwrite of a resident L2 word
-    /// closes the word's interval dead — the device-written value was
-    /// superseded before any further architectural use.
+    /// Host word write: updates DRAM and any resident L2 copy (which an
+    /// attached probe sees as a write of that L2 word).
     pub fn host_write_u32(&mut self, addr: u32, v: u32) {
         self.m.mem.host_write_u32(addr, v);
         if self.mode == Mode::Timed && self.m.l2.poke_word(addr, v) {
-            if let Some(tr) = self.tracker.as_mut() {
-                let lb = self.m.l2.geom().line_bytes;
-                if let Some(idx) = self.m.l2.probe(addr / lb) {
-                    tr.cache_write(
-                        crate::fault::HwStructure::L2,
-                        0,
-                        idx,
-                        ((addr % lb) / 4) as usize,
-                        0,
-                    );
-                }
+            if let (Some(p), Some(word)) = (self.probe.as_mut(), self.m.l2.resident_word(addr)) {
+                p.access(HwStructure::L2, 0, word, 0, true);
             }
         }
     }
@@ -478,6 +414,12 @@ impl Gpu {
     /// Direct access to the arena (tests, diagnostics).
     pub fn mem(&self) -> &GlobalMem {
         &self.m.mem
+    }
+
+    /// The L2 as it stands (which lines are dirty, for a lifetime sink's
+    /// end-of-application accounting).
+    pub fn l2(&self) -> &Cache {
+        &self.m.l2
     }
 
     /// Raw arena access; writes through it are not dirty-marked, so the

@@ -40,12 +40,13 @@ pub mod warp;
 pub use config::{CacheGeom, GpuConfig, Latencies};
 pub use due::DueKind;
 pub use fault::{
-    apply_stuck, pattern_footprint, value_mask, FaultPattern, HwStructure, StuckCache, StuckSite,
-    SwFault, SwFaultKind, SwInjector, SwStuck, UarchFault, UarchInjector, BURST_COL_ROWS,
+    apply_stuck, cache_word, pattern_footprint, resolve_site, value_mask, FaultPattern, FaultSite,
+    HwStructure, StuckCache, StuckSite, SwFault, SwFaultKind, SwInjector, SwStuck, UarchFault,
+    UarchInjector, BURST_COL_ROWS,
 };
 pub use gpu::{record_launch, Budget, FaultPlan, Gpu, LaunchAbort, Mode};
 pub use lifetime::LifetimeTracker;
 pub use mem::{granule_bit, ArenaPlanner, GlobalMem, GRANULE_SHIFT};
-pub use probe::{ProbeEvent, SharedSink, TraceSink};
+pub use probe::{tee, LaunchGeometry, ProbeEvent, SegEvent, SharedSink, TraceSink};
 pub use snapshot::{ChunkStore, ConvergeWith, DeviceSnapshot, ResumeOutcome, SnapId};
 pub use stats::{CacheStats, Stats};

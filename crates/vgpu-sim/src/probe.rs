@@ -1,39 +1,42 @@
-//! Simulation probes: a low-level event stream for trace recorders.
+//! Simulation probes: the timed engine's only instrumentation interface.
 //!
-//! The timed engine already reports every architectural access to the
-//! optional [`LifetimeTracker`](crate::lifetime::LifetimeTracker) (the
-//! ACE estimator). A [`TraceSink`] taps that same hook vocabulary —
-//! plus a few scheduling hooks the ACE model does not need (CTA slot
-//! occupancy, launch geometry) — so an external recorder can rebuild,
-//! per launch, exactly which words of which structure were written and
-//! read at which cycle. `crates/trace` consumes this stream to build
-//! the replay backend's access index.
+//! The engine (`timed.rs`, `cache.rs`, `gpu.rs`) reports every
+//! architectural access of the five modeled structures — plus the
+//! scheduling facts needed to interpret them (launch geometry, CTA slot
+//! occupancy) and the host's reads of L2-resident words — to one optional
+//! [`Probe`] through emit-only hooks. The probe batches the events and
+//! hands them, in order, to a [`TraceSink`]. What the stream *means* is the
+//! sink's business: `crate::lifetime` folds it into ACE lifetimes,
+//! `crates/trace`'s recorder into the replay backend's access index, and
+//! [`tee`] feeds both from one pass. A sink only ever receives — it has no
+//! way to emit — so nothing a consumer does can leak into what another
+//! consumer sees.
 //!
-//! Times are **launch-local** cycles, exactly as the simulator hands
-//! them to the tracker hooks; host-side events (L2 pokes between
-//! launches) arrive with `t == 0`. A recorder that needs a global order
-//! must segment the stream on [`ProbeEvent::LaunchBegin`] /
-//! [`ProbeEvent::LaunchEnd`] boundaries.
+//! Times are **launch-local** cycles; host-side events (L2 pokes between
+//! launches) arrive with `t == 0`. A sink that needs a global order
+//! segments the stream on [`ProbeEvent::LaunchBegin`] /
+//! [`ProbeEvent::LaunchEnd`] or adds up the retired cycle counts.
 
 use std::sync::{Arc, Mutex};
 
 use crate::fault::HwStructure;
 
-/// One probe event, forwarded verbatim from the engine hooks.
+/// Occupancy geometry of one launch: what is needed to reconstruct the
+/// per-SM CTA-slot partitioning of the register file and shared memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeEvent {
-    /// A kernel launch begins; carries the occupancy geometry needed to
-    /// reconstruct the per-SM CTA-slot partitioning of the register file
-    /// and shared memory.
-    LaunchBegin {
-        warps_per_cta: u32,
-        regs_per_cta: u32,
-        smem_words_per_cta: u32,
-        slots_per_sm: u32,
-        total_ctas: u32,
-    },
-    /// The launch retired after `cycles` local cycles.
-    LaunchEnd { cycles: u64 },
+pub struct LaunchGeometry {
+    pub warps_per_cta: u32,
+    pub regs_per_cta: u32,
+    pub smem_words_per_cta: u32,
+    pub slots_per_sm: u32,
+    pub total_ctas: u32,
+}
+
+/// One event inside a segment of the stream (a launch, or the host glue
+/// between two launches). Also the in-memory form of a recorded trace
+/// event (`crates/trace`'s codec).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SegEvent {
     /// CTA slot `slot` of SM `sm` was (re)filled. `initial` fills happen
     /// during the pre-cycle-0 prefill and are occupied from cycle 0;
     /// mid-run fills happen during cycle `t`'s retire stage and are
@@ -48,8 +51,8 @@ pub enum ProbeEvent {
     /// stage (empty from cycle `t + 1`).
     SlotFree { sm: u32, slot: u32, t: u64 },
     /// One 32-bit word of structure `h`, instance `inst`, was accessed
-    /// at local cycle `t`. For caches `word` is the physical frame-major
-    /// index (`frame * line_words + offset`).
+    /// at local cycle `t`. Cache words are named by
+    /// [`cache_word`](crate::fault::cache_word).
     Access {
         h: HwStructure,
         inst: u32,
@@ -73,70 +76,149 @@ pub enum ProbeEvent {
     HostRead { word: u64 },
 }
 
-/// Receiver of the probe stream. Implemented by `crates/trace`'s
-/// recorder; the simulator only ever forwards into it.
+/// One probe event, as the engine hooks emit it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ProbeEvent {
+    /// A kernel launch begins.
+    LaunchBegin(LaunchGeometry),
+    /// The launch retired after `cycles` local cycles.
+    LaunchEnd {
+        cycles: u64,
+    },
+    Seg(SegEvent),
+}
+
+/// Receiver of the probe stream.
 pub trait TraceSink: Send {
-    fn event(&mut self, ev: ProbeEvent);
+    /// Consume the next run of events, in stream order.
+    fn consume(&mut self, batch: &[ProbeEvent]);
 }
 
 /// Shared handle to a sink, cloneable into the engine.
 pub type SharedSink = Arc<Mutex<dyn TraceSink>>;
 
-/// Events buffered per [`ProbeBuf`] flush. Access hooks fire every
-/// simulated cycle, so taking the sink mutex per event would dominate
-/// the traced pass; batching amortises the lock (and the dynamic
-/// dispatch cache misses) to one acquisition per `BUF_CAP` events.
+struct Tee(SharedSink, SharedSink);
+
+impl TraceSink for Tee {
+    fn consume(&mut self, batch: &[ProbeEvent]) {
+        for sink in [&self.0, &self.1] {
+            sink.lock().expect("probe sink poisoned").consume(batch);
+        }
+    }
+}
+
+/// A sink that hands every batch to `a`, then to `b`.
+pub fn tee(a: SharedSink, b: SharedSink) -> SharedSink {
+    Arc::new(Mutex::new(Tee(a, b)))
+}
+
+/// Events buffered per flush. Access hooks fire every simulated cycle, so
+/// taking the sink mutex (and a dynamic dispatch) per event would dominate
+/// an instrumented pass; batching amortises both to one per `BUF_CAP`
+/// events.
 const BUF_CAP: usize = 8192;
 
-/// Order-preserving batching wrapper around a [`SharedSink`]: events
-/// accumulate in a local vector and drain into the sink in FIFO order
-/// on overflow, explicit flush, or drop — so the receiver still sees
-/// the exact hook stream, just in bursts.
-pub(crate) struct ProbeBuf {
+/// The engine side of the stream: emit-only hooks in front of an
+/// order-preserving buffer that drains into the sink on overflow, at every
+/// launch end, and on drop — the receiver sees the exact hook stream, in
+/// bursts.
+pub(crate) struct Probe {
     sink: SharedSink,
     buf: Vec<ProbeEvent>,
 }
 
-impl ProbeBuf {
+impl Probe {
     pub(crate) fn new(sink: SharedSink) -> Self {
-        ProbeBuf {
+        Probe {
             sink,
             buf: Vec::with_capacity(BUF_CAP),
         }
     }
 
     #[inline]
-    pub(crate) fn push(&mut self, ev: ProbeEvent) {
+    fn push(&mut self, ev: ProbeEvent) {
         self.buf.push(ev);
         if self.buf.len() >= BUF_CAP {
             self.flush();
         }
     }
 
-    pub(crate) fn flush(&mut self) {
-        if self.buf.is_empty() {
-            return;
-        }
-        let mut s = self.sink.lock().expect("probe sink poisoned");
-        for ev in self.buf.drain(..) {
-            s.event(ev);
+    fn flush(&mut self) {
+        if !self.buf.is_empty() {
+            let mut sink = self.sink.lock().expect("probe sink poisoned");
+            sink.consume(&self.buf);
+            self.buf.clear();
         }
     }
-}
 
-impl Drop for ProbeBuf {
-    /// A detaching owner (end of the traced run) must not strand
-    /// buffered events.
-    fn drop(&mut self) {
+    #[inline]
+    pub(crate) fn access(&mut self, h: HwStructure, inst: usize, word: u64, t: u64, write: bool) {
+        self.push(ProbeEvent::Seg(SegEvent::Access {
+            h,
+            inst: inst as u32,
+            word,
+            t,
+            write,
+        }));
+    }
+
+    #[inline]
+    pub(crate) fn range(
+        &mut self,
+        h: HwStructure,
+        inst: usize,
+        start: u64,
+        len: u32,
+        t: u64,
+        write: bool,
+    ) {
+        self.push(ProbeEvent::Seg(SegEvent::Range {
+            h,
+            inst: inst as u32,
+            start,
+            len,
+            t,
+            write,
+        }));
+    }
+
+    pub(crate) fn slot_fill(&mut self, sm: usize, slot: usize, t: u64, initial: bool) {
+        self.push(ProbeEvent::Seg(SegEvent::SlotFill {
+            sm: sm as u32,
+            slot: slot as u32,
+            t,
+            initial,
+        }));
+    }
+
+    pub(crate) fn slot_free(&mut self, sm: usize, slot: usize, t: u64) {
+        self.push(ProbeEvent::Seg(SegEvent::SlotFree {
+            sm: sm as u32,
+            slot: slot as u32,
+            t,
+        }));
+    }
+
+    pub(crate) fn host_read(&mut self, word: u64) {
+        self.push(ProbeEvent::Seg(SegEvent::HostRead { word }));
+    }
+
+    pub(crate) fn launch_begin(&mut self, geom: LaunchGeometry) {
+        self.push(ProbeEvent::LaunchBegin(geom));
+    }
+
+    /// Segment boundary: the sink gets the completed launch promptly.
+    pub(crate) fn launch_end(&mut self, cycles: u64) {
+        self.push(ProbeEvent::LaunchEnd { cycles });
         self.flush();
     }
 }
 
-/// Deliver one event to an optional buffered sink (no-op when detached).
-#[inline]
-pub(crate) fn emit(sink: &mut Option<ProbeBuf>, ev: ProbeEvent) {
-    if let Some(b) = sink {
-        b.push(ev);
+impl Drop for Probe {
+    /// A detaching owner (end of the instrumented run) must not strand
+    /// buffered events.
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 
@@ -146,46 +228,64 @@ mod tests {
 
     struct Collect(Vec<ProbeEvent>);
     impl TraceSink for Collect {
-        fn event(&mut self, ev: ProbeEvent) {
-            self.0.push(ev);
+        fn consume(&mut self, batch: &[ProbeEvent]) {
+            self.0.extend_from_slice(batch);
         }
     }
 
+    fn host_read(word: u64) -> ProbeEvent {
+        ProbeEvent::Seg(SegEvent::HostRead { word })
+    }
+
     #[test]
-    fn emit_forwards_in_order_and_tolerates_detached() {
-        let sink: Arc<Mutex<Collect>> = Arc::new(Mutex::new(Collect(Vec::new())));
-        let shared: SharedSink = sink.clone();
-        let mut some = Some(ProbeBuf::new(shared));
-        emit(&mut some, ProbeEvent::LaunchEnd { cycles: 9 });
-        emit(&mut some, ProbeEvent::HostRead { word: 17 });
-        emit(&mut None, ProbeEvent::LaunchEnd { cycles: 1 });
+    fn hooks_reach_the_sink_in_order_on_launch_end_and_drop() {
+        let sink = Arc::new(Mutex::new(Collect(Vec::new())));
+        let mut probe = Probe::new(sink.clone());
+        probe.host_read(17);
         // Buffered events only reach the sink on flush/drop.
         assert!(sink.lock().unwrap().0.is_empty());
-        drop(some);
+        probe.launch_end(9);
+        assert_eq!(sink.lock().unwrap().0.len(), 2);
+        probe.host_read(18);
+        drop(probe);
         let got = &sink.lock().unwrap().0;
         assert_eq!(
             got.as_slice(),
             &[
+                host_read(17),
                 ProbeEvent::LaunchEnd { cycles: 9 },
-                ProbeEvent::HostRead { word: 17 },
+                host_read(18)
             ]
         );
     }
 
     #[test]
-    fn probe_buf_flushes_on_overflow_preserving_order() {
-        let sink: Arc<Mutex<Collect>> = Arc::new(Mutex::new(Collect(Vec::new())));
-        let mut buf = ProbeBuf::new(sink.clone());
+    fn probe_flushes_on_overflow_preserving_order() {
+        let sink = Arc::new(Mutex::new(Collect(Vec::new())));
+        let mut probe = Probe::new(sink.clone());
         for w in 0..(BUF_CAP as u64 + 10) {
-            buf.push(ProbeEvent::HostRead { word: w });
+            probe.host_read(w);
         }
         // One overflow flush happened; the tail is still buffered.
         assert_eq!(sink.lock().unwrap().0.len(), BUF_CAP);
-        buf.flush();
+        drop(probe);
         let got = &sink.lock().unwrap().0;
         assert_eq!(got.len(), BUF_CAP + 10);
         for (w, ev) in got.iter().enumerate() {
-            assert_eq!(*ev, ProbeEvent::HostRead { word: w as u64 });
+            assert_eq!(*ev, host_read(w as u64));
         }
+    }
+
+    #[test]
+    fn tee_hands_both_sinks_the_same_stream() {
+        let (a, b) = (
+            Arc::new(Mutex::new(Collect(Vec::new()))),
+            Arc::new(Mutex::new(Collect(Vec::new()))),
+        );
+        let mut probe = Probe::new(tee(a.clone(), b.clone()));
+        probe.host_read(1);
+        probe.launch_end(5);
+        assert_eq!(a.lock().unwrap().0, b.lock().unwrap().0);
+        assert_eq!(a.lock().unwrap().0.len(), 2);
     }
 }

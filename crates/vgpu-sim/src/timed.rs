@@ -7,16 +7,16 @@
 //! are fast-forwarded to the next readiness event (clamped to the pending
 //! fault cycle so injections land at the exact requested cycle).
 
-use crate::cache::{ensure_l2, load_via, Cache};
+use crate::cache::{ensure_l2, load_via, Cache, L1Probe};
 use crate::config::{GpuConfig, Latencies};
 use crate::due::{DueKind, LaunchAbort};
 use crate::exec::{step_warp, ExecCtx, GMem, IssueClass, StepEvent};
 use crate::fault::{
-    apply_stuck, pattern_footprint, value_mask, HwStructure, StuckCache, StuckSite, SwInjector,
+    apply_stuck, resolve_site, value_mask, HwStructure, StuckCache, StuckSite, SwInjector,
     UarchInjector,
 };
-use crate::lifetime::{CacheAce, LifetimeTracker};
 use crate::mem::{DirtyMap, GlobalMem};
+use crate::probe::{LaunchGeometry, Probe};
 use crate::snapshot::{Capture, ChunkStore, ConvergeWith, Machine, Scope, SnapId, Walk};
 use crate::stats::{CacheStats, Stats};
 use crate::warp::Warp;
@@ -33,13 +33,13 @@ struct TimedGMem<'a> {
     now: u64,
     mem_reads: &'a mut u64,
     mem_writes: &'a mut u64,
-    /// ACE lifetime tracker (fault-free `--ace` runs only), plus the
-    /// coordinates translating this step's warp-local register / CTA-local
-    /// shared-memory indices to SM-global tracker entries.
-    ace: Option<&'a mut LifetimeTracker>,
+    /// The probe of an instrumented fault-free run, plus the coordinates
+    /// translating this step's warp-local register / CTA-local
+    /// shared-memory indices to words of the SM's arrays.
+    probe: Option<&'a mut Probe>,
     sm: usize,
-    ace_rf_base: usize,
-    ace_smem_base: usize,
+    rf_base: usize,
+    smem_base: usize,
 }
 
 impl GMem for TimedGMem<'_> {
@@ -78,8 +78,8 @@ impl GMem for TimedGMem<'_> {
                 // normally still resident, but an intervening fill in the
                 // same set may have evicted it — refetch in that case.
                 if let Some(idx) = l1.probe(line) {
-                    if let Some(tr) = self.ace.as_deref_mut() {
-                        tr.cache_read(h, self.sm, idx, ((addr % lb) / 4) as usize, self.now);
+                    if let Some(p) = self.probe.as_deref_mut() {
+                        p.access(h, self.sm, l1.word(idx, addr % lb), self.now, false);
                     }
                     out[lane] = l1.read_word(idx, addr % lb);
                     continue;
@@ -94,8 +94,8 @@ impl GMem for TimedGMem<'_> {
                 self.lat,
                 self.mem_reads,
                 self.mem_writes,
-                self.ace.as_deref_mut().map(|tr| CacheAce {
-                    tracker: tr,
+                self.probe.as_deref_mut().map(|probe| L1Probe {
+                    probe,
                     l1: h,
                     sm: self.sm,
                 }),
@@ -146,15 +146,16 @@ impl GMem for TimedGMem<'_> {
                     self.lat,
                     self.mem_reads,
                     self.mem_writes,
-                    self.ace.as_deref_mut(),
+                    self.probe.as_deref_mut(),
                 );
                 seen[n] = line;
                 n += 1;
             }
             if let Some(i1) = self.l1d.lookup(line) {
                 self.l1d.write_word(i1, off, vals[lane], false);
-                if let Some(tr) = self.ace.as_deref_mut() {
-                    tr.cache_write(HwStructure::L1D, self.sm, i1, (off / 4) as usize, self.now);
+                if let Some(p) = self.probe.as_deref_mut() {
+                    let word = self.l1d.word(i1, off);
+                    p.access(HwStructure::L1D, self.sm, word, self.now, true);
                 }
             }
             let i2 = match self.l2.probe(line) {
@@ -168,48 +169,34 @@ impl GMem for TimedGMem<'_> {
                         self.lat,
                         self.mem_reads,
                         self.mem_writes,
-                        self.ace.as_deref_mut(),
+                        self.probe.as_deref_mut(),
                     )
                     .0
                 }
             };
             self.l2.write_word(i2, off, vals[lane], true);
-            if let Some(tr) = self.ace.as_deref_mut() {
-                tr.cache_write(HwStructure::L2, 0, i2, (off / 4) as usize, self.now);
+            if let Some(p) = self.probe.as_deref_mut() {
+                p.access(HwStructure::L2, 0, self.l2.word(i2, off), self.now, true);
             }
         }
         Ok(self.now + self.lat.store as u64)
     }
 
-    fn ace_enabled(&self) -> bool {
-        self.ace.is_some()
+    fn probed(&self) -> bool {
+        self.probe.is_some()
     }
 
-    fn ace_reg_read(&mut self, reg_word: usize) {
-        let (sm, base, now) = (self.sm, self.ace_rf_base, self.now);
-        if let Some(tr) = self.ace.as_deref_mut() {
-            tr.reg_read(sm, base + reg_word, now);
+    fn probe_reg(&mut self, reg_word: usize, write: bool) {
+        if let Some(p) = self.probe.as_deref_mut() {
+            let word = (self.rf_base + reg_word) as u64;
+            p.access(HwStructure::RegFile, self.sm, word, self.now, write);
         }
     }
 
-    fn ace_reg_write(&mut self, reg_word: usize) {
-        let (sm, base, now) = (self.sm, self.ace_rf_base, self.now);
-        if let Some(tr) = self.ace.as_deref_mut() {
-            tr.reg_write(sm, base + reg_word, now);
-        }
-    }
-
-    fn ace_smem_read(&mut self, word: usize) {
-        let (sm, base, now) = (self.sm, self.ace_smem_base, self.now);
-        if let Some(tr) = self.ace.as_deref_mut() {
-            tr.smem_read(sm, base + word, now);
-        }
-    }
-
-    fn ace_smem_write(&mut self, word: usize) {
-        let (sm, base, now) = (self.sm, self.ace_smem_base, self.now);
-        if let Some(tr) = self.ace.as_deref_mut() {
-            tr.smem_write(sm, base + word, now);
+    fn probe_smem(&mut self, word: usize, write: bool) {
+        if let Some(p) = self.probe.as_deref_mut() {
+            let word = (self.smem_base + word) as u64;
+            p.access(HwStructure::Smem, self.sm, word, self.now, write);
         }
     }
 }
@@ -441,6 +428,19 @@ struct Geometry {
     slots_per_sm: u32,
 }
 
+impl Geometry {
+    /// The geometry as the probe stream and the fault-site resolver see it.
+    fn launch(&self, lc: &LaunchConfig) -> LaunchGeometry {
+        LaunchGeometry {
+            warps_per_cta: self.wpc,
+            regs_per_cta: self.regs_per_cta,
+            smem_words_per_cta: self.smem_words_per_cta,
+            slots_per_sm: self.slots_per_sm,
+            total_ctas: lc.num_ctas() as u32,
+        }
+    }
+}
+
 fn geometry(cfg: &GpuConfig, kernel: &Kernel, lc: &LaunchConfig) -> Geometry {
     let wpc = lc.warps_per_cta();
     let regs_per_warp = kernel.num_regs as u32 * WARP_SIZE as u32;
@@ -486,7 +486,7 @@ fn launch_cta(
     smi: usize,
     t: u64,
     initial: bool,
-    ace: Option<&mut LifetimeTracker>,
+    probe: Option<&mut Probe>,
 ) {
     let ctaid_x = (lin % lc.grid_x as u64) as u32;
     let ctaid_y = (lin / lc.grid_x as u64) as u32;
@@ -498,16 +498,25 @@ fn launch_cta(
     sm.smem_dirty
         .mark_range(sm_base as u32 * 4, g.smem_words_per_cta * 4);
     sm.smem[sm_base..sm_base + g.smem_words_per_cta as usize].fill(0);
-    if let Some(tr) = ace {
-        tr.cta_fill(
+    if let Some(p) = probe {
+        // The zero-fill writes both partitions whole.
+        p.range(
+            HwStructure::RegFile,
             smi,
-            rf_base,
-            g.regs_per_cta as usize,
-            sm_base,
-            g.smem_words_per_cta as usize,
+            rf_base as u64,
+            g.regs_per_cta,
             t,
+            true,
         );
-        tr.slot_fill(smi, slot, t, initial);
+        p.range(
+            HwStructure::Smem,
+            smi,
+            sm_base as u64,
+            g.smem_words_per_cta,
+            t,
+            true,
+        );
+        p.slot_fill(smi, slot, t, initial);
     }
     for wi in 0..g.wpc {
         let first_thread = wi * WARP_SIZE as u32;
@@ -554,12 +563,13 @@ fn fold_issue_marks(sms: &mut [SmState], g: &Geometry) {
 
 /// Apply a pending microarchitecture fault to the live machine state.
 ///
-/// The seed location is drawn exactly as in the single-bit model
-/// (`loc_pick % population`); the fault's [`FaultPattern`] then expands it
-/// into its full footprint via [`pattern_footprint`]. Transient patterns
-/// XOR their masks once; stuck-at patterns force the masked bits and pin
-/// the resolved physical sites in `inj.stuck`, which the engine re-forces
-/// on every simulation step until launch end.
+/// [`resolve_site`] names the physical words and masks of a fault in a
+/// storage structure — the seed location drawn exactly as in the
+/// single-bit model (`loc_pick % population`), expanded by the fault's
+/// [`FaultPattern`]; a control-state fault hits one live warp. Transient
+/// patterns XOR their masks once; stuck-at patterns force the masked bits
+/// and pin the resolved physical sites in `inj.stuck`, which the engine
+/// re-forces on every simulation step until launch end.
 ///
 /// [`FaultPattern`]: crate::fault::FaultPattern
 fn apply_uarch(
@@ -568,177 +578,114 @@ fn apply_uarch(
     l1ds: &mut [Cache],
     l1ts: &mut [Cache],
     l2: &mut Cache,
-    g: &Geometry,
+    g: &LaunchGeometry,
+    cfg: &GpuConfig,
 ) {
     inj.applied = true;
-    let bit = inj.fault.bit;
-    let pattern = inj.fault.pattern;
-    let stuck = pattern.stuck_value();
-    match inj.fault.structure {
-        HwStructure::RegFile | HwStructure::Smem => {
-            let is_rf = inj.fault.structure == HwStructure::RegFile;
-            let per_cta = if is_rf {
-                g.regs_per_cta as u64
-            } else {
-                g.smem_words_per_cta as u64
+    let structure = inj.fault.structure;
+    let occupied = |sm: usize, slot: usize| sms[sm].slots[slot].is_some();
+    let sites: Vec<StuckSite> = if let Some(site) = resolve_site(&inj.fault, g, cfg, occupied) {
+        inj.population = site.population;
+        let sm = site.inst;
+        let physical = |(e, mask): (u64, u32)| {
+            let byte = |cache| StuckSite::CacheByte {
+                cache,
+                byte: e,
+                mask: mask as u8,
             };
-            let mut population = 0u64;
-            for sm in sms.iter() {
-                population += sm.slots.iter().flatten().count() as u64 * per_cta;
+            let idx = e as usize;
+            match structure {
+                HwStructure::RegFile => StuckSite::RfWord { sm, idx, mask },
+                HwStructure::Smem => StuckSite::SmemWord { sm, idx, mask },
+                HwStructure::L1D => byte(StuckCache::L1d(sm)),
+                HwStructure::L1T => byte(StuckCache::L1t(sm)),
+                _ => byte(StuckCache::L2),
             }
-            inj.population = population;
-            if population == 0 {
-                return; // nothing allocated at this cycle: trivially masked
-            }
-            let mut target = inj.fault.loc_pick % population;
-            let mut site = None;
-            'walk: for (smi, sm) in sms.iter().enumerate() {
-                for (slot_idx, slot) in sm.slots.iter().enumerate() {
-                    if slot.is_none() {
-                        continue;
-                    }
-                    if target < per_cta {
-                        site = Some((smi, slot_idx as u64 * per_cta + target));
-                        break 'walk;
-                    }
-                    target -= per_cta;
-                }
-            }
-            let (smi, idx) = site.expect("population walk must land");
-            let sm = &mut sms[smi];
-            let arr_len = if is_rf { sm.rf.len() } else { sm.smem.len() } as u64;
-            // Rows of WARP_SIZE words: one register (or shared-memory row)
-            // across the 32 lanes/banks of the physical array.
-            for (e, m) in pattern_footprint(pattern, idx, bit, arr_len, 32, WARP_SIZE as u64) {
-                let w = if is_rf {
-                    sm.rf_dirty.mark(e as u32 * 4);
-                    &mut sm.rf[e as usize]
-                } else {
-                    sm.smem_dirty.mark(e as u32 * 4);
-                    &mut sm.smem[e as usize]
-                };
-                match stuck {
-                    Some(v) => {
-                        *w = apply_stuck(*w, m, v);
-                        inj.stuck.push(if is_rf {
-                            StuckSite::RfWord {
-                                sm: smi,
-                                idx: e as usize,
-                                mask: m,
-                            }
-                        } else {
-                            StuckSite::SmemWord {
-                                sm: smi,
-                                idx: e as usize,
-                                mask: m,
-                            }
-                        });
-                    }
-                    None => *w ^= m,
-                }
+        };
+        site.footprint.into_iter().map(physical).collect()
+    } else {
+        // Parallelism-management state: target one live warp, chosen
+        // uniformly over the resident not-yet-retired warps.
+        let live = || {
+            sms.iter().enumerate().flat_map(|(smi, sm)| {
+                let warps = sm.warps.iter().enumerate();
+                warps
+                    .filter(|(_, w)| w.as_ref().is_some_and(|w| !w.done))
+                    .map(move |(wi, _)| (smi, wi))
+            })
+        };
+        inj.population = live().count() as u64;
+        if inj.population == 0 {
+            return;
+        }
+        let (sm, warp) = live()
+            .nth((inj.fault.loc_pick % inj.population) as usize)
+            .expect("the target is inside the population");
+        let mask = value_mask(inj.fault.pattern, inj.fault.bit);
+        let stack_empty = sms[sm].warps[warp]
+            .as_ref()
+            .is_some_and(|w| w.stack.is_empty());
+        match structure {
+            HwStructure::Simt if stack_empty => Vec::new(),
+            HwStructure::Simt => vec![StuckSite::SimtMask { sm, warp, mask }],
+            _ => vec![StuckSite::SchedReady { sm, warp, mask }],
+        }
+    };
+    let stuck = inj.stuck_value();
+    for &site in &sites {
+        disturb(site, stuck, sms, l1ds, l1ts, l2);
+    }
+    if stuck.is_some() {
+        inj.stuck = sites;
+    }
+}
+
+/// XOR the masked bits of one physical site (a transient), or force them
+/// to `stuck`.
+fn disturb(
+    site: StuckSite,
+    stuck: Option<bool>,
+    sms: &mut [SmState],
+    l1ds: &mut [Cache],
+    l1ts: &mut [Cache],
+    l2: &mut Cache,
+) {
+    let hit = |word: u32, mask: u32| match stuck {
+        Some(v) => apply_stuck(word, mask, v),
+        None => word ^ mask,
+    };
+    match site {
+        StuckSite::RfWord { sm, idx, mask } => {
+            sms[sm].rf_dirty.mark(idx as u32 * 4);
+            let w = &mut sms[sm].rf[idx];
+            *w = hit(*w, mask);
+        }
+        StuckSite::SmemWord { sm, idx, mask } => {
+            sms[sm].smem_dirty.mark(idx as u32 * 4);
+            let w = &mut sms[sm].smem[idx];
+            *w = hit(*w, mask);
+        }
+        StuckSite::CacheByte { cache, byte, mask } => {
+            let cache = match cache {
+                StuckCache::L1d(i) => &mut l1ds[i],
+                StuckCache::L1t(i) => &mut l1ts[i],
+                StuckCache::L2 => l2,
+            };
+            match stuck {
+                Some(v) => cache.force_mask(byte, mask, v),
+                None => cache.flip_mask(byte, mask),
             }
         }
-        HwStructure::L1D | HwStructure::L1T => {
-            let is_l1d = inj.fault.structure == HwStructure::L1D;
-            let caches = if is_l1d { l1ds } else { l1ts };
-            let per = caches[0].data_bytes();
-            let total = per * caches.len() as u64;
-            inj.population = total * 8;
-            let byte = inj.fault.loc_pick % total;
-            let which = (byte / per) as usize;
-            let row = caches[which].geom().line_bytes as u64;
-            for (b, m) in pattern_footprint(pattern, byte % per, bit, per, 8, row) {
-                let m8 = m as u8;
-                match stuck {
-                    Some(v) => {
-                        caches[which].force_mask(b, m8, v);
-                        inj.stuck.push(StuckSite::CacheByte {
-                            cache: if is_l1d {
-                                StuckCache::L1d(which)
-                            } else {
-                                StuckCache::L1t(which)
-                            },
-                            byte: b,
-                            mask: m8,
-                        });
-                    }
-                    None => caches[which].flip_mask(b, m8),
-                }
+        StuckSite::SimtMask { sm, warp, mask } => {
+            let warp = sms[sm].warps[warp].as_mut();
+            if let Some(top) = warp.and_then(|w| w.stack.last_mut()) {
+                top.mask = hit(top.mask, mask);
             }
         }
-        HwStructure::L2 => {
-            let per = l2.data_bytes();
-            inj.population = per * 8;
-            let row = l2.geom().line_bytes as u64;
-            for (b, m) in pattern_footprint(pattern, inj.fault.loc_pick % per, bit, per, 8, row) {
-                let m8 = m as u8;
-                match stuck {
-                    Some(v) => {
-                        l2.force_mask(b, m8, v);
-                        inj.stuck.push(StuckSite::CacheByte {
-                            cache: StuckCache::L2,
-                            byte: b,
-                            mask: m8,
-                        });
-                    }
-                    None => l2.flip_mask(b, m8),
-                }
-            }
-        }
-        HwStructure::Simt | HwStructure::Sched => {
-            // Parallelism-management state: target one live warp, chosen
-            // uniformly over the resident not-yet-retired warps.
-            let mut population = 0u64;
-            for sm in sms.iter() {
-                population += sm.warps.iter().flatten().filter(|w| !w.done).count() as u64;
-            }
-            inj.population = population;
-            if population == 0 {
-                return;
-            }
-            let mut target = inj.fault.loc_pick % population;
-            let mut site = None;
-            'scan: for (smi, sm) in sms.iter().enumerate() {
-                for (wi, w) in sm.warps.iter().enumerate() {
-                    if w.as_ref().is_some_and(|w| !w.done) {
-                        if target == 0 {
-                            site = Some((smi, wi));
-                            break 'scan;
-                        }
-                        target -= 1;
-                    }
-                }
-            }
-            let (smi, wi) = site.expect("population walk must land");
-            let mask = value_mask(pattern, bit);
-            let w = sms[smi].warps[wi].as_mut().expect("selected warp live");
-            if inj.fault.structure == HwStructure::Simt {
-                if let Some(top) = w.stack.last_mut() {
-                    match stuck {
-                        Some(v) => {
-                            top.mask = apply_stuck(top.mask, mask, v);
-                            inj.stuck.push(StuckSite::SimtMask {
-                                sm: smi,
-                                warp: wi,
-                                mask,
-                            });
-                        }
-                        None => top.mask ^= mask,
-                    }
-                }
-            } else {
-                match stuck {
-                    Some(v) => {
-                        let lo = apply_stuck(w.ready_at as u32, mask, v);
-                        w.ready_at = (w.ready_at & !0xFFFF_FFFF) | u64::from(lo);
-                        inj.stuck.push(StuckSite::SchedReady {
-                            sm: smi,
-                            warp: wi,
-                            mask,
-                        });
-                    }
-                    None => w.ready_at ^= u64::from(mask),
-                }
+        StuckSite::SchedReady { sm, warp, mask } => {
+            if let Some(w) = sms[sm].warps[warp].as_mut() {
+                let lo = hit(w.ready_at as u32, mask);
+                w.ready_at = (w.ready_at & !0xFFFF_FFFF) | u64::from(lo);
             }
         }
     }
@@ -757,39 +704,9 @@ fn reassert_stuck(
     l1ts: &mut [Cache],
     l2: &mut Cache,
 ) {
-    let Some(v) = inj.stuck_value() else {
-        return;
-    };
-    for s in &inj.stuck {
-        match *s {
-            StuckSite::RfWord { sm, idx, mask } => {
-                sms[sm].rf_dirty.mark(idx as u32 * 4);
-                let w = &mut sms[sm].rf[idx];
-                *w = apply_stuck(*w, mask, v);
-            }
-            StuckSite::SmemWord { sm, idx, mask } => {
-                sms[sm].smem_dirty.mark(idx as u32 * 4);
-                let w = &mut sms[sm].smem[idx];
-                *w = apply_stuck(*w, mask, v);
-            }
-            StuckSite::CacheByte { cache, byte, mask } => match cache {
-                StuckCache::L1d(i) => l1ds[i].force_mask(byte, mask, v),
-                StuckCache::L1t(i) => l1ts[i].force_mask(byte, mask, v),
-                StuckCache::L2 => l2.force_mask(byte, mask, v),
-            },
-            StuckSite::SimtMask { sm, warp, mask } => {
-                if let Some(w) = sms[sm].warps[warp].as_mut() {
-                    if let Some(top) = w.stack.last_mut() {
-                        top.mask = apply_stuck(top.mask, mask, v);
-                    }
-                }
-            }
-            StuckSite::SchedReady { sm, warp, mask } => {
-                if let Some(w) = sms[sm].warps[warp].as_mut() {
-                    let lo = apply_stuck(w.ready_at as u32, mask, v);
-                    w.ready_at = (w.ready_at & !0xFFFF_FFFF) | u64::from(lo);
-                }
-            }
+    if let Some(v) = inj.stuck_value() {
+        for &site in &inj.stuck {
+            disturb(site, Some(v), sms, l1ds, l1ts, l2);
         }
     }
 }
@@ -803,7 +720,7 @@ pub(crate) fn run_timed(
     lc: &LaunchConfig,
     uarch: Option<&mut UarchInjector>,
     sw: Option<&mut SwInjector>,
-    ace: Option<&mut LifetimeTracker>,
+    probe: Option<&mut Probe>,
     budget_cycles: u64,
 ) -> Result<Stats, LaunchAbort> {
     run_timed_ctl(
@@ -813,7 +730,7 @@ pub(crate) fn run_timed(
         lc,
         uarch,
         sw,
-        ace,
+        probe,
         budget_cycles,
         &mut TimedCtl::none(),
     )
@@ -831,21 +748,16 @@ pub(crate) fn run_timed_ctl(
     lc: &LaunchConfig,
     mut uarch: Option<&mut UarchInjector>,
     mut sw: Option<&mut SwInjector>,
-    mut ace: Option<&mut LifetimeTracker>,
+    mut probe: Option<&mut Probe>,
     budget_cycles: u64,
     ctl: &mut TimedCtl<'_>,
 ) -> Result<Stats, LaunchAbort> {
     let g = geometry(cfg, kernel, lc);
     let num_sms = cfg.num_sms as usize;
     let total_ctas = lc.num_ctas();
-    if let Some(tr) = ace.as_deref_mut() {
-        tr.launch_begin(
-            g.wpc,
-            g.regs_per_cta,
-            g.smem_words_per_cta,
-            g.slots_per_sm,
-            total_ctas as u32,
-        );
+    let launch_geom = g.launch(lc);
+    if let Some(p) = probe.as_deref_mut() {
+        p.launch_begin(launch_geom);
     }
     let (capture_at, mut capture_into) = match ctl.capture.take() {
         Some((at, store)) => (at, Some(store)),
@@ -866,11 +778,11 @@ pub(crate) fn run_timed_ctl(
 
     let state = match ctl.resume {
         Some((store, snap)) => {
-            // ACE lifetime intervals and SW injection counters accumulate
-            // over the whole prefix; a mid-launch restore cannot rebuild
-            // them, so fast-forward refuses those modes.
+            // The probe stream and SW injection counters accumulate over
+            // the whole prefix; a mid-launch restore cannot rebuild them,
+            // so fast-forward refuses those modes.
             assert!(
-                ace.is_none() && sw.is_none(),
+                probe.is_none() && sw.is_none(),
                 "snapshot resume supports plain and uarch-fault runs only"
             );
             // The restored machine is bit-identical to the one the
@@ -902,7 +814,7 @@ pub(crate) fn run_timed_ctl(
                         smi,
                         0,
                         true,
-                        ace.as_deref_mut(),
+                        probe.as_deref_mut(),
                     );
                     next_cta += 1;
                 }
@@ -991,7 +903,15 @@ pub(crate) fn run_timed_ctl(
             // faults) before the next instructions can observe them.
             if let Some(inj) = uarch.as_deref_mut() {
                 if !inj.applied && cycle >= inj.fault.cycle {
-                    apply_uarch(inj, &mut m.sms, &mut m.l1ds, &mut m.l1ts, &mut m.l2, &g);
+                    apply_uarch(
+                        inj,
+                        &mut m.sms,
+                        &mut m.l1ds,
+                        &mut m.l1ts,
+                        &mut m.l2,
+                        &launch_geom,
+                        cfg,
+                    );
                 } else if inj.applied && !inj.stuck.is_empty() {
                     reassert_stuck(inj, &mut m.sms, &mut m.l1ds, &mut m.l1ts, &mut m.l2);
                 }
@@ -1080,10 +1000,10 @@ pub(crate) fn run_timed_ctl(
                         now: cycle,
                         mem_reads: &mut mem_reads,
                         mem_writes: &mut mem_writes,
-                        ace: ace.as_deref_mut(),
+                        probe: probe.as_deref_mut(),
                         sm: smi,
-                        ace_rf_base: rf_base,
-                        ace_smem_base: smem_base,
+                        rf_base,
+                        smem_base,
                     };
                     let mut ctx = ExecCtx {
                         kernel,
@@ -1153,8 +1073,8 @@ pub(crate) fn run_timed_ctl(
                         if slot.warps_running == 0 {
                             sm.slots[slot_idx] = None;
                             done_ctas += 1;
-                            if let Some(tr) = ace.as_deref_mut() {
-                                tr.slot_free(smi, slot_idx, cycle);
+                            if let Some(p) = probe.as_deref_mut() {
+                                p.slot_free(smi, slot_idx, cycle);
                             }
                             if next_cta < total_ctas {
                                 launch_cta(
@@ -1167,7 +1087,7 @@ pub(crate) fn run_timed_ctl(
                                     smi,
                                     cycle,
                                     false,
-                                    ace.as_deref_mut(),
+                                    probe.as_deref_mut(),
                                 );
                                 next_cta += 1;
                             }
@@ -1263,10 +1183,8 @@ pub(crate) fn run_timed_ctl(
     for c in m.l1ds.iter_mut().chain(m.l1ts.iter_mut()) {
         c.invalidate_all();
     }
-    // Register-file and shared-memory contents die with the grid, and the
-    // invalidated L1 lines are clean: close every open interval dead.
-    if let Some(tr) = ace {
-        tr.launch_end(cycle);
+    if let Some(p) = probe {
+        p.launch_end(cycle);
     }
 
     result?;
@@ -1361,6 +1279,9 @@ fn sub_stats(a: &mut CacheStats, b: &CacheStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CacheGeom;
+    use crate::fault::{FaultPattern, UarchFault};
+    use proptest::prelude::*;
     use vgpu_arch::KernelBuilder;
 
     fn kernel_with(regs: u8, smem: u32) -> Kernel {
@@ -1408,6 +1329,111 @@ mod tests {
         let k = kernel_with(2, 80 * 1024); // > 64 KiB SMEM per SM
         let lc = LaunchConfig::new(1, 32, vec![]);
         geometry(&cfg, &k, &lc);
+    }
+
+    /// Every element of the five storage structures, `[structure][instance]`:
+    /// words of the register files and shared memories, bytes of the cache
+    /// data arrays.
+    fn image(sms: &[SmState], l1ds: &[Cache], l1ts: &[Cache], l2: &Cache) -> [Vec<Vec<u32>>; 5] {
+        let bytes = |c: &Cache| {
+            let lines = 0..c.geom().lines() as usize;
+            lines
+                .flat_map(|l| c.line_data(l).iter().map(|&b| u32::from(b)))
+                .collect()
+        };
+        [
+            sms.iter().map(|sm| sm.rf.clone()).collect(),
+            sms.iter().map(|sm| sm.smem.clone()).collect(),
+            l1ds.iter().map(bytes).collect(),
+            l1ts.iter().map(bytes).collect(),
+            vec![bytes(l2)],
+        ]
+    }
+
+    proptest! {
+        /// The injector changes exactly what the site resolver names: on a
+        /// machine with arbitrary slot occupancy and contents, a fault of
+        /// any storage structure and pattern flips (or forces) the masked
+        /// bits of the resolved footprint and nothing else, out of the
+        /// resolved population.
+        #[test]
+        fn a_fault_changes_exactly_the_words_its_site_names(
+            regs in 1u8..=8,
+            smem_words in 0u32..=64,
+            wpc in 1u32..=2,
+            occupancy in any::<u32>(),
+            noise in any::<u32>(),
+            which in 0usize..5,
+            pattern in 0usize..FaultPattern::ALL.len(),
+            loc_pick in any::<u64>(),
+            bit in any::<u8>(),
+        ) {
+            let line = |bytes| CacheGeom { bytes, line_bytes: 128, ways: 2, mshrs: 2 };
+            let cfg = GpuConfig {
+                max_threads_per_sm: 256,
+                max_ctas_per_sm: 4,
+                rf_regs_per_sm: 2048,
+                smem_bytes_per_sm: 1024,
+                l1d: line(1024),
+                l1t: line(512),
+                l2: line(2048),
+                ..GpuConfig::volta_scaled(2)
+            };
+            let kernel = kernel_with(regs, smem_words * 4);
+            let lc = LaunchConfig::new(64, wpc * WARP_SIZE as u32, vec![]);
+            let g = geometry(&cfg, &kernel, &lc);
+            let occupied = |sm: usize, slot: usize| occupancy >> (sm * 4 + slot) & 1 == 1;
+            // Any byte pattern will do, as long as both stuck values show.
+            let mut noise = u64::from(noise);
+            let mut next = || {
+                noise = noise.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (noise >> 32) as u32
+            };
+            let mut sms: Vec<SmState> = (0..2).map(|_| SmState::new(&cfg)).collect();
+            for (smi, sm) in sms.iter_mut().enumerate() {
+                sm.begin_launch(&g);
+                for slot in (0..g.slots_per_sm as usize).filter(|&slot| occupied(smi, slot)) {
+                    launch_cta(sm, slot, 0, &lc, &g, &mut 0, smi, 0, true, None);
+                }
+                sm.rf.iter_mut().chain(&mut sm.smem).for_each(|w| *w = next());
+            }
+            let mut cache = |geom: &CacheGeom| {
+                let mut c = Cache::new(geom.clone());
+                for l in 0..geom.lines() as usize {
+                    let bytes: Vec<u8> = (0..geom.line_bytes).map(|_| next() as u8).collect();
+                    c.fill(l, l as u32, &bytes);
+                }
+                c
+            };
+            let mut l1ds = vec![cache(&cfg.l1d), cache(&cfg.l1d)];
+            let mut l1ts = vec![cache(&cfg.l1t), cache(&cfg.l1t)];
+            let mut l2 = cache(&cfg.l2);
+
+            let fault = UarchFault {
+                cycle: 0,
+                structure: HwStructure::ALL[which],
+                loc_pick,
+                bit,
+                pattern: FaultPattern::ALL[pattern],
+            };
+            let site = resolve_site(&fault, &g.launch(&lc), &cfg, occupied).expect("storage");
+            let mut expected = image(&sms, &l1ds, &l1ts, &l2);
+            for &(e, mask) in &site.footprint {
+                let w = &mut expected[which][site.inst][e as usize];
+                *w = match fault.pattern.stuck_value() {
+                    Some(v) => apply_stuck(*w, mask, v),
+                    None => *w ^ mask,
+                };
+            }
+            let mut inj = UarchInjector::new(fault);
+            apply_uarch(&mut inj, &mut sms, &mut l1ds, &mut l1ts, &mut l2, &g.launch(&lc), &cfg);
+            prop_assert!(inj.applied);
+            prop_assert_eq!(inj.population, site.population);
+            prop_assert!(image(&sms, &l1ds, &l1ts, &l2) == expected);
+            // A pinned stuck-at site is one the fault named.
+            let pinned = if fault.pattern.is_persistent() { site.footprint.len() } else { 0 };
+            prop_assert_eq!(inj.stuck.len(), pinned);
+        }
     }
 
     #[test]

@@ -27,6 +27,13 @@ rc=0; "$CAMPAIGN" run --app VA --sms 0 2> /dev/null || rc=$?
 echo "==> ace_study smoke"
 cargo run --release -q -p bench --bin ace_study -- smoke
 
+echo "==> ace_study: the suite's analytic AVFs are the checked-in ones (results/fig_ace_vs_avf.csv)"
+ACE_REF=$(mktemp)
+cp results/fig_ace_vs_avf.csv "$ACE_REF"
+cargo run --release -q -p bench --bin ace_study > /dev/null
+cmp "$ACE_REF" results/fig_ace_vs_avf.csv
+rm -f "$ACE_REF"
+
 echo "==> fault_model_study smoke"
 cargo run --release -q -p bench --bin fault_model_study -- smoke
 
@@ -141,6 +148,6 @@ echo "==> perf ledger gate (benchmarks/check.sh: the symbols it pins still build
 benchmarks/check.sh
 
 echo "==> size (reported, not gated): code lines under crates/*/src — no blanks, comments or #[cfg(test)] modules"
-awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && !/^[[:space:]]*(\/\/|$)/{n[FILENAME]++; all++} END{for(f in n) if(f~/(harness|captures|recorder|gpu)\.rs$/) print n[f], f; print all, "total"}' $(find crates/*/src -name '*.rs') | sort -k2
+awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && !/^[[:space:]]*(\/\/|$)/{n[FILENAME]++; all++} END{for(f in n) if(f~/(harness|captures|recorder|gpu|lifetime|probe|fault|replay)\.rs$/) print n[f], f; print all, "total"}' $(find crates/*/src -name '*.rs') | sort -k2
 
 echo "tier-1 gate: OK"
