@@ -8,8 +8,8 @@ use bench::cli::{die, parse_or_exit, Cmd};
 use relia::checkpoint::CheckpointHeader;
 use relia::plan::{Layer, PreparedCampaign};
 use relia::{
-    assemble_sw, assemble_uarch, load_checkpoint, pct, records_fingerprint, ClassRates, Table,
-    TrialRecord,
+    assemble_sw, assemble_uarch, load_checkpoint, pct, records_fingerprint, ClassRates, RecordSet,
+    Table, TrialRecord,
 };
 
 use crate::args::fail;
@@ -83,7 +83,11 @@ pub fn merge(args: &[String]) {
     let (spec, bench) = a.campaign();
     let prep = spec.prepare(bench.as_ref());
     let expect = CheckpointHeader::for_plan(&prep.plan, 1, 0);
-    let mut records = Vec::new();
+    // Two files for the same shard (a reassigned lease journaled twice, a
+    // resumed run merged alongside its original) are fine: the set keeps
+    // the first record of each trial and rejects only records that
+    // *disagree* on an outcome.
+    let mut set = RecordSet::new(prep.plan.len());
     let mut first: Option<CheckpointHeader> = None;
     for path in &a.positional {
         let ck = load_checkpoint(Path::new(path)).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
@@ -104,14 +108,10 @@ pub fn merge(args: &[String]) {
             }
             _ => {}
         }
-        records.extend(ck.records);
+        set.extend(&ck.records)
+            .unwrap_or_else(|e| fail(&format!("{path}: {e}")));
     }
-    // Two files for the same shard (a reassigned lease journaled twice, a
-    // resumed run merged alongside its original) are fine: deterministic
-    // trials make duplicates byte-agreeing, so dedupe keeps the first of
-    // each and rejects only records that *disagree* on an outcome.
-    let records = relia::dedupe_records(&records).unwrap_or_else(|e| fail(&e.to_string()));
-    // complete_outcomes inside assemble rejects remaining gaps, so a
-    // missing shard still fails loudly here.
+    // A missing shard fails loudly here: the set does not cover the plan.
+    let records = set.complete().unwrap_or_else(|e| fail(&e.to_string()));
     print_result(&prep, &records, a.path("--csv").as_deref());
 }

@@ -4,7 +4,7 @@
 use std::net::TcpListener;
 
 use bench::cli::{die, parse_or_exit, Cmd};
-use dispatch::{plan_strata, CampaignSpec, DispatchCfg, DispatchStats, WaveSpec};
+use dispatch::{CampaignSpec, DispatchCfg, DispatchStats, WaveSpec};
 use stat::run_adaptive;
 
 use crate::args::{adaptive, adaptive_targets, fail, telemetry_cfg};
@@ -112,7 +112,7 @@ pub fn serve(args: &[String]) {
             let wspec = CampaignSpec {
                 wave: Some(WaveSpec {
                     wave,
-                    strata: plan_strata(&prep.plan),
+                    strata: prep.plan.strata.clone(),
                 }),
                 ..spec.clone()
             };

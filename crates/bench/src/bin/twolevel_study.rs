@@ -79,9 +79,9 @@ fn full_reference(captures: &Arc<AppCaptures>, o: &Opts) -> Vec<f64> {
     let prep = plan_sw(captures, &cfg, &[SwFaultKind::DestValue]);
     let records = execute_shard(&prep, &EngineCfg::single_shot())
         .expect("single-shot execution performs no checkpoint I/O");
-    let counts =
-        relia::assemble_sw_counts(&prep, &records).expect("a single shard covers the whole plan");
-    counts.iter().map(|k| k[0].rates().sdc).collect()
+    // One dest-value stratum per kernel, in kernel order.
+    let table = relia::assemble(&prep, &records).expect("a single shard covers the whole plan");
+    table.iter().map(|row| row.counts.rates().sdc).collect()
 }
 
 /// One per-kernel comparison point.

@@ -11,11 +11,17 @@
 //!    JSONL checkpoint ([`crate::checkpoint`]) and skipping trials an
 //!    interrupted run already finished (`resume`). A per-injection
 //!    [`Watchdog`] bounds pathological trials.
-//! 3. **Assemble** ([`assemble_uarch`] / [`assemble_sw`]) — fold any
-//!    complete set of trial records (one shard's worth at a time, or a
-//!    merge of many) into the AVF/SVF result types. Because outcome
-//!    counts are integer sums and every trial's fault is fixed at plan
-//!    time, merged shard outputs are identical to a single-shot run.
+//! 3. **Assemble** ([`assemble`] and its projections) — one fold turns
+//!    any record set that covers the plan (a single shot, a merge of
+//!    shards in any order, duplicates from at-least-once execution
+//!    included — [`crate::records::RecordSet`] owns that rule) into
+//!    outcome counts per stratum of [`CampaignPlan::strata`];
+//!    [`assemble_uarch`] / [`assemble_sw`] project the table by
+//!    (kernel, target) into the AVF/SVF result types, and PVF, the
+//!    two-level estimator and the adaptive sizer read it directly.
+//!    Because outcome counts are integer sums and every trial's fault is
+//!    fixed at plan time, merged shard outputs are identical to a
+//!    single-shot run.
 //!
 //! [`run_uarch_campaign`] and [`run_sw_campaign`] — the gpuFI-4 (AVF) and
 //! NVBitFI (SVF) methodologies of Sections II-B/II-C — are now thin
@@ -41,14 +47,15 @@ use vgpu_sim::{FaultPattern, GpuConfig, HwStructure};
 
 use crate::captures::AppCaptures;
 use crate::checkpoint::{
-    load_checkpoint, CheckpointError, CheckpointHeader, CheckpointWriter, TrialRecord,
-    DEFAULT_CHECKPOINT_EVERY,
+    load_checkpoint, outcome_class, CheckpointError, CheckpointHeader, CheckpointWriter,
+    TrialRecord, DEFAULT_CHECKPOINT_EVERY,
 };
 use crate::metrics::{ClassCounts, ClassRates};
 use crate::plan::{
-    derive_seed, plan_sw, plan_uarch, shard_trials, sw_seed_tag, CampaignPlan, Layer,
-    PreparedCampaign, TrialTarget, SVF_KINDS,
+    plan_sw, plan_uarch, shard_trials, CampaignPlan, Layer, PreparedCampaign, TrialTarget,
+    SVF_KINDS,
 };
+use crate::records::RecordSet;
 
 /// Per-injection watchdog: bounds how long one pathological trial can
 /// hold a shard hostage. All limits are off by default so watchdog-free
@@ -104,16 +111,6 @@ impl CampaignCfg {
             watchdog: Watchdog::default(),
             pattern: FaultPattern::SingleBit,
         }
-    }
-}
-
-/// Map a campaign outcome onto the obs reporting enum.
-fn outcome_class(o: Outcome) -> obs::OutcomeClass {
-    match o {
-        Outcome::Masked => obs::OutcomeClass::Masked,
-        Outcome::Sdc => obs::OutcomeClass::Sdc,
-        Outcome::Timeout => obs::OutcomeClass::Timeout,
-        Outcome::Due => obs::OutcomeClass::Due,
     }
 }
 
@@ -297,13 +294,9 @@ pub enum EngineError {
     ForeignTrial {
         idx: usize,
     },
-    /// Two records claim the same plan index.
-    DuplicateTrial {
-        idx: usize,
-    },
     /// Two records claim the same plan index with *different*
     /// classifications — impossible for deterministic trials, so it means
-    /// corruption or a plan/code mismatch, and no dedupe may paper over it.
+    /// corruption or a plan/code mismatch, and no merge may paper over it.
     ConflictingDuplicate {
         idx: usize,
     },
@@ -325,9 +318,6 @@ impl fmt::Display for EngineError {
             }
             EngineError::ForeignTrial { idx } => {
                 write!(f, "trial record {idx} does not belong to this plan/shard")
-            }
-            EngineError::DuplicateTrial { idx } => {
-                write!(f, "duplicate record for trial {idx}")
             }
             EngineError::ConflictingDuplicate { idx } => {
                 write!(
@@ -621,7 +611,8 @@ fn record_trial_rate(done: u64, total: u64, sim_cycles: u64, t0: Instant) {
 /// file) and the dispatch worker daemon (sink = TCP connection to the
 /// coordinator). A sink error aborts the run; trials already in flight on
 /// other workers may still call the sink before the abort propagates,
-/// which is safe because every consumer dedupes by plan index.
+/// which is safe because every consumer holds its records in a
+/// [`RecordSet`], one slot per plan index.
 pub fn execute_trials<F>(
     prep: &PreparedCampaign,
     idxs: &[usize],
@@ -720,7 +711,7 @@ pub fn execute_shard(
     let my = shard_trials(plan.len(), eng.shards, eng.shard_index);
     obs::trace::set_shard(eng.shard_index as u64);
     let header = CheckpointHeader::for_plan(plan, eng.shards, eng.shard_index);
-    let mut slots: Vec<Option<TrialRecord>> = vec![None; plan.len()];
+    let mut set = RecordSet::new(plan.len());
 
     let mut writer: Option<CheckpointWriter> = None;
     if let Some(rp) = &eng.resume {
@@ -738,16 +729,13 @@ pub fn execute_shard(
                 header.shards,
             )));
         }
-        let mut done = 0usize;
         for r in &ck.records {
-            if r.idx >= plan.len() || r.idx % eng.shards != eng.shard_index {
+            if r.idx % eng.shards != eng.shard_index {
                 return Err(EngineError::ForeignTrial { idx: r.idx });
             }
-            if slots[r.idx].replace(*r).is_some() {
-                return Err(EngineError::DuplicateTrial { idx: r.idx });
-            }
-            done += 1;
+            set.insert(*r)?;
         }
+        let done = set.held();
         if done >= my.len() {
             return Err(EngineError::AlreadyComplete { done });
         }
@@ -770,7 +758,7 @@ pub fn execute_shard(
         writer = Some(CheckpointWriter::create(cp, &header, eng.checkpoint_every)?);
     }
 
-    let remaining: Vec<usize> = my.iter().copied().filter(|&i| slots[i].is_none()).collect();
+    let remaining = set.missing(&my);
     let todo = eng
         .trial_limit
         .map_or(remaining.len(), |l| l.min(remaining.len()));
@@ -805,10 +793,8 @@ pub fn execute_shard(
         w.finish()?;
     }
 
-    for r in new_records {
-        slots[r.idx] = Some(r);
-    }
-    let out: Vec<TrialRecord> = my.iter().filter_map(|&i| slots[i]).collect();
+    set.extend(&new_records)?;
+    let out: Vec<TrialRecord> = my.iter().filter_map(|&i| set.get(i).copied()).collect();
     obs::emit_campaign(&obs::CampaignEvent {
         kind: "shard_done",
         app: &plan.app,
@@ -821,95 +807,76 @@ pub fn execute_shard(
     Ok(out)
 }
 
-/// Validate that `records` exactly cover `plan` (no gaps, no duplicates,
-/// no foreign indices) and return them indexed by plan position.
-fn complete_outcomes(
-    plan: &CampaignPlan,
-    records: &[TrialRecord],
-) -> Result<Vec<TrialRecord>, EngineError> {
-    let mut slots: Vec<Option<TrialRecord>> = vec![None; plan.len()];
-    for &r in records {
-        if r.idx >= plan.len() {
-            return Err(EngineError::ForeignTrial { idx: r.idx });
-        }
-        if slots[r.idx].replace(r).is_some() {
-            return Err(EngineError::DuplicateTrial { idx: r.idx });
-        }
-    }
-    let missing = slots.iter().filter(|s| s.is_none()).count();
-    if missing > 0 {
-        return Err(EngineError::IncompleteCover {
-            missing,
-            total: plan.len(),
-        });
-    }
-    Ok(slots.into_iter().map(Option::unwrap).collect())
-}
-
-/// Order-insensitive digest of a record set — two runs that classified
-/// the same trials the same way agree on it regardless of shard layout.
-/// Used by the shard-merge smoke gate and printed by `campaign merge`.
-pub fn records_fingerprint(records: &[TrialRecord]) -> u64 {
-    let mut acc = 0u64;
-    for r in records {
-        // XOR-combine per-record hashes so ordering doesn't matter.
-        acc ^= derive_seed(
-            0x5ca1_ab1e,
-            &[r.idx as u64, r.outcome as u64, r.ctrl as u64],
-        );
-    }
-    acc
-}
-
-/// Collapse duplicate trial records into one record per plan index — the
-/// at-least-once merge used when the same shard was executed more than
-/// once (two dispatch workers racing on a reassigned lease, the same
-/// checkpoint file supplied to `merge` twice).
-///
-/// Trials are deterministic, so every re-execution of a plan index must
-/// classify identically; duplicates agreeing on `(outcome, ctrl)` are
-/// folded to the first-seen record (`wall_us` is wall-clock noise and may
-/// legitimately differ), while a disagreement is reported as
-/// [`EngineError::ConflictingDuplicate`] — that can only mean corrupt
-/// input or records from a different plan, and silently picking a winner
-/// would fabricate science. Output is sorted by plan index.
-pub fn dedupe_records(records: &[TrialRecord]) -> Result<Vec<TrialRecord>, EngineError> {
-    let mut by_idx: std::collections::BTreeMap<usize, TrialRecord> =
-        std::collections::BTreeMap::new();
-    for r in records {
-        match by_idx.get(&r.idx) {
-            None => {
-                by_idx.insert(r.idx, *r);
-            }
-            Some(first) => {
-                if first.outcome != r.outcome || first.ctrl != r.ctrl {
-                    return Err(EngineError::ConflictingDuplicate { idx: r.idx });
-                }
-            }
-        }
-    }
-    Ok(by_idx.into_values().collect())
-}
-
 // ---------------------------------------------------------------------
-// Microarchitecture level (AVF)
+// Assembly: the one fold and its projections
 // ---------------------------------------------------------------------
 
-/// Per-(kernel, structure) campaign outcome.
+/// Outcome counts of one stratum of a plan: one row of [`assemble`]'s
+/// table, and of the per-(kernel, structure) projection
+/// [`UarchKernelResult::per_structure`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StructureCampaign {
+pub struct StratumCounts {
     pub counts: ClassCounts,
     /// Masked runs whose total cycle count differs from golden — the
     /// control-path proxy of Figure 11.
     pub ctrl_affected_masked: u32,
 }
 
+/// Stage 3, the one fold: outcome counts per stratum of the plan, aligned
+/// with `prep.plan.strata`. `records` may come from a single-shot run, a
+/// merge of shards in any order, a resumed checkpoint or a dispatch fleet,
+/// and may repeat a trial (at-least-once execution) — they pass through a
+/// [`RecordSet`] first, so the table is identical in every case and its
+/// rows sum to `plan.len()`. Everything the engine reports — AVF, SVF,
+/// PVF, the two-level estimate, adaptive convergence — is a projection of
+/// this table.
+pub fn assemble(
+    prep: &PreparedCampaign,
+    records: &[TrialRecord],
+) -> Result<Vec<StratumCounts>, EngineError> {
+    let mut set = RecordSet::new(prep.plan.len());
+    set.extend(records)?;
+    let outs = set.complete()?;
+    let rows = prep.plan.strata_trials().map(|(_, trials)| {
+        let mut row = StratumCounts::default();
+        for r in trials.iter().map(|t| &outs[t.index]) {
+            row.counts.record(r.outcome);
+            row.ctrl_affected_masked += r.ctrl as u32;
+        }
+        row
+    });
+    Ok(rows.collect())
+}
+
+/// The table's projection onto one (kernel, target): the sum of the rows
+/// of every stratum of that pair. A wave plan may hold a pair more than
+/// once and a structure-subset plan not at all.
+fn project(
+    plan: &CampaignPlan,
+    table: &[StratumCounts],
+    kernel_idx: usize,
+    target: TrialTarget,
+) -> StratumCounts {
+    let mut acc = StratumCounts::default();
+    for (st, row) in plan.strata.iter().zip(table) {
+        if st.kernel_idx == kernel_idx && st.target == target {
+            acc.counts.add(&row.counts);
+            acc.ctrl_affected_masked += row.ctrl_affected_masked;
+        }
+    }
+    acc
+}
+
+// ---------------------------------------------------------------------
+// Microarchitecture level (AVF)
+// ---------------------------------------------------------------------
+
 /// Everything measured about one kernel at the microarchitecture level.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UarchKernelResult {
     /// Kernel display name ("K1", ...).
     pub kernel: String,
-    pub per_structure: Vec<(HwStructure, StructureCampaign)>,
+    pub per_structure: Vec<(HwStructure, StratumCounts)>,
     /// Derating factors (Section II-B): live-allocation share for RF and
     /// SMEM, 1.0 for the always-whole-array cache structures.
     pub df: Vec<(HwStructure, f64)>,
@@ -927,7 +894,7 @@ impl UarchKernelResult {
             .map_or(1.0, |&(_, d)| d)
     }
 
-    pub fn counts_of(&self, h: HwStructure) -> &StructureCampaign {
+    pub fn counts_of(&self, h: HwStructure) -> &StratumCounts {
         &self
             .per_structure
             .iter()
@@ -988,12 +955,7 @@ pub struct UarchAppResult {
 
 impl UarchAppResult {
     fn cycle_weighted(&self, f: impl Fn(&UarchKernelResult) -> ClassRates) -> ClassRates {
-        let total: u64 = self.kernels.iter().map(|k| k.cycles).sum();
-        let mut acc = ClassRates::default();
-        for k in &self.kernels {
-            acc.add(&f(k).scale(k.cycles as f64 / total.max(1) as f64));
-        }
-        acc
+        ClassRates::weighted(self.kernels.iter().map(|k| (f(k), k.cycles)))
     }
 
     /// Application AVF: kernel chip-AVF weighted by kernel cycles
@@ -1017,7 +979,7 @@ impl UarchAppResult {
 /// launches (Section II-B):
 /// `DF = size_per_thread × num_threads / system_size`
 /// (per-CTA for shared memory), clamped to 1.
-fn derating_factor(
+pub fn derating_factor(
     golden: &kernels::GoldenRun,
     kernel_idx: usize,
     gpu: &GpuConfig,
@@ -1042,41 +1004,32 @@ fn derating_factor(
     }
 }
 
-/// Fold a complete record set into the microarchitecture-level result.
-/// `records` may come from one single-shot run, a merge of disjoint
-/// shards, or a resumed checkpoint — the result is identical.
+/// The microarchitecture-level result: [`assemble`]'s table projected by
+/// (kernel, structure), plus each kernel's cycles and derating factors.
+/// `records` may come from one single-shot run, a merge of shards, or a
+/// resumed checkpoint — the result is identical.
 pub fn assemble_uarch(
     prep: &PreparedCampaign,
     records: &[TrialRecord],
 ) -> Result<UarchAppResult, EngineError> {
-    if prep.plan.layer != Layer::Uarch {
+    let plan = &prep.plan;
+    if plan.layer != Layer::Uarch {
         return Err(EngineError::PlanMismatch(
             "assemble_uarch on a software-level plan".into(),
         ));
     }
-    let outs = complete_outcomes(&prep.plan, records)?;
-    let n_kernels = prep.bench().kernels().len();
+    let table = assemble(prep, records)?;
     // Plans restricted to the storage structures keep the historical
     // five-row shape; only plans that actually target the SIMT stack or
     // the scheduler widen the result to the full injectable set.
     let structs: &[HwStructure] =
-        if prep.plan.trials.iter().any(
-            |t| matches!(t.target, TrialTarget::Structure(h) if !HwStructure::ALL.contains(&h)),
+        if plan.strata.iter().any(
+            |s| matches!(s.target, TrialTarget::Structure(h) if !HwStructure::ALL.contains(&h)),
         ) {
             &HwStructure::INJECTABLE
         } else {
             &HwStructure::ALL
         };
-    let mut acc = vec![vec![StructureCampaign::default(); structs.len()]; n_kernels];
-    for (t, r) in prep.plan.trials.iter().zip(&outs) {
-        let TrialTarget::Structure(h) = t.target else {
-            unreachable!("uarch plans only target structures");
-        };
-        let pos = structs.iter().position(|&x| x == h).unwrap();
-        let sc = &mut acc[t.kernel_idx][pos];
-        sc.counts.record(r.outcome);
-        sc.ctrl_affected_masked += r.ctrl as u32;
-    }
     let kernels = prep
         .bench()
         .kernels()
@@ -1092,8 +1045,7 @@ pub fn assemble_uarch(
                 .sum();
             let per_structure = structs
                 .iter()
-                .zip(&acc[k_idx])
-                .map(|(&h, &c)| (h, c))
+                .map(|&h| (h, project(plan, &table, k_idx, TrialTarget::Structure(h))))
                 .collect();
             let df = structs
                 .iter()
@@ -1109,7 +1061,7 @@ pub fn assemble_uarch(
         })
         .collect();
     Ok(UarchAppResult {
-        app: prep.plan.app.clone(),
+        app: plan.app.clone(),
         kernels,
     })
 }
@@ -1183,12 +1135,7 @@ pub struct SvfAppResult {
 
 impl SvfAppResult {
     fn instr_weighted(&self, f: impl Fn(&SvfKernelResult) -> ClassRates) -> ClassRates {
-        let total: u64 = self.kernels.iter().map(|k| k.instrs).sum();
-        let mut acc = ClassRates::default();
-        for k in &self.kernels {
-            acc.add(&f(k).scale(k.instrs as f64 / total.max(1) as f64));
-        }
-        acc
+        ClassRates::weighted(self.kernels.iter().map(|k| (f(k), k.instrs)))
     }
 
     /// Application SVF: kernel SVF weighted by executed instructions
@@ -1202,45 +1149,20 @@ impl SvfAppResult {
     }
 }
 
-/// Fold a complete record set of any software-level plan into per-kernel,
-/// per-sub-campaign outcome counts, indexed `[kernel][position in
-/// plan.sw_kinds]`. The generic assembly behind [`assemble_sw`] and the
-/// PVF campaign.
-pub fn assemble_sw_counts(
-    prep: &PreparedCampaign,
-    records: &[TrialRecord],
-) -> Result<Vec<Vec<ClassCounts>>, EngineError> {
-    if prep.plan.layer != Layer::Sw {
-        return Err(EngineError::PlanMismatch(
-            "assemble_sw on a microarchitecture-level plan".into(),
-        ));
-    }
-    let outs = complete_outcomes(&prep.plan, records)?;
-    let kinds = &prep.plan.sw_kinds;
-    let n_kernels = prep.bench().kernels().len();
-    let mut acc = vec![vec![ClassCounts::default(); kinds.len()]; n_kernels];
-    for (t, r) in prep.plan.trials.iter().zip(&outs) {
-        let TrialTarget::Fault(kind) = t.target else {
-            unreachable!("sw plans only target fault kinds");
-        };
-        let pos = kinds.iter().position(|&(k, _)| k == kind).unwrap();
-        acc[t.kernel_idx][pos].record(r.outcome);
-    }
-    Ok(acc)
-}
-
-/// Fold a complete record set of the standard SVF plan (dest-value +
-/// dest-value-load) into the software-level result.
+/// The software-level result of the standard SVF plan: [`assemble`]'s
+/// table projected by (kernel, dest-value | dest-value-load).
 pub fn assemble_sw(
     prep: &PreparedCampaign,
     records: &[TrialRecord],
 ) -> Result<SvfAppResult, EngineError> {
-    if prep.plan.sw_kinds != SVF_KINDS.map(|k| (k, sw_seed_tag(k))) {
+    let plan = &prep.plan;
+    let [value, load] = SVF_KINDS.map(TrialTarget::Fault);
+    if (plan.strata.iter()).any(|s| s.target != value && s.target != load) {
         return Err(EngineError::PlanMismatch(
             "assemble_sw expects the standard dest-value + dest-value-ld plan".into(),
         ));
     }
-    let counts = assemble_sw_counts(prep, records)?;
+    let table = assemble(prep, records)?;
     let kernels = prep
         .bench()
         .kernels()
@@ -1248,13 +1170,13 @@ pub fn assemble_sw(
         .enumerate()
         .map(|(k_idx, k_name)| SvfKernelResult {
             kernel: k_name.to_string(),
-            counts: counts[k_idx][0],
-            counts_ld: counts[k_idx][1],
+            counts: project(plan, &table, k_idx, value).counts,
+            counts_ld: project(plan, &table, k_idx, load).counts,
             instrs: prep.golden.kernel_stats(k_idx).thread_instrs,
         })
         .collect();
     Ok(SvfAppResult {
-        app: prep.plan.app.clone(),
+        app: plan.app.clone(),
         kernels,
     })
 }
@@ -1278,6 +1200,7 @@ pub fn run_sw_campaign_on(captures: &Arc<AppCaptures>, cfg: &CampaignCfg) -> Svf
 mod tests {
     use super::*;
     use crate::plan::{prepare_sw_campaign, prepare_uarch_campaign};
+    use crate::records::records_fingerprint;
     use kernels::apps::va::Va;
 
     #[test]
@@ -1305,12 +1228,16 @@ mod tests {
             assemble_sw(&prep, &recs[1..]),
             Err(EngineError::IncompleteCover { missing: 1, .. })
         ));
+        // An agreeing duplicate folds into the record already held.
         let mut dup = recs.clone();
-        dup.push(recs[0]);
-        assert!(matches!(
-            assemble_sw(&prep, &dup),
-            Err(EngineError::DuplicateTrial { idx: 0 })
-        ));
+        dup.push(TrialRecord {
+            wall_us: recs[0].wall_us + 1,
+            ..recs[0]
+        });
+        assert_eq!(
+            assemble_sw(&prep, &dup).unwrap(),
+            assemble_sw(&prep, &recs).unwrap()
+        );
         let mut foreign = recs.clone();
         foreign[0].idx = prep.plan.len();
         assert!(matches!(
@@ -1358,9 +1285,9 @@ mod tests {
     #[test]
     fn duplicate_shard_submissions_dedupe_to_single_shot() {
         // Execute shard 1 of 3 twice (as two racing workers would after a
-        // lease reassignment); the concatenation has duplicates, dedupe
-        // collapses them, and assembly equals the single-shot result even
-        // though the re-execution's wall_us values differ.
+        // lease reassignment); the concatenation has duplicates, the
+        // record set folds them, and assembly equals the single-shot
+        // result even though the re-execution's wall_us values differ.
         let cfg = CampaignCfg::new(6, 6, 0xD15);
         let prep = prepare_sw_campaign(&Va, &cfg, false);
         let single = execute_shard(&prep, &EngineCfg::single_shot()).unwrap();
@@ -1369,15 +1296,13 @@ mod tests {
             all.extend(execute_shard(&prep, &EngineCfg::sharded(3, i)).unwrap());
         }
         all.extend(execute_shard(&prep, &EngineCfg::sharded(3, 1)).unwrap());
-        assert!(
-            assemble_sw(&prep, &all).is_err(),
-            "raw concat has duplicates"
-        );
-        let deduped = dedupe_records(&all).unwrap();
         assert_eq!(
-            assemble_sw(&prep, &deduped).unwrap(),
+            assemble_sw(&prep, &all).unwrap(),
             assemble_sw(&prep, &single).unwrap()
         );
+        let mut set = RecordSet::new(prep.plan.len());
+        set.extend(&all).unwrap();
+        let deduped = set.complete().unwrap();
         assert_eq!(records_fingerprint(&deduped), records_fingerprint(&single));
 
         // A conflicting duplicate is corruption, never silently merged.
@@ -1389,7 +1314,7 @@ mod tests {
         };
         bad.push(evil);
         assert!(matches!(
-            dedupe_records(&bad),
+            assemble_sw(&prep, &bad),
             Err(EngineError::ConflictingDuplicate { idx }) if idx == bad[0].idx
         ));
     }

@@ -34,24 +34,31 @@ use crate::plan::{CampaignPlan, Layer};
 /// Default flush interval: completed trials between checkpoint flushes.
 pub const DEFAULT_CHECKPOINT_EVERY: usize = 64;
 
-/// Outcome class label as used in event logs and checkpoints.
-pub fn outcome_label(o: Outcome) -> &'static str {
+/// Map a campaign outcome onto the obs reporting enum, whose labels are
+/// the one table of outcome strings (events, metrics, checkpoints, wire).
+pub(crate) fn outcome_class(o: Outcome) -> obs::OutcomeClass {
     match o {
-        Outcome::Masked => "masked",
-        Outcome::Sdc => "sdc",
-        Outcome::Timeout => "timeout",
-        Outcome::Due => "due",
+        Outcome::Masked => obs::OutcomeClass::Masked,
+        Outcome::Sdc => obs::OutcomeClass::Sdc,
+        Outcome::Timeout => obs::OutcomeClass::Timeout,
+        Outcome::Due => obs::OutcomeClass::Due,
     }
 }
 
+/// Outcome class label as used in event logs and checkpoints.
+pub fn outcome_label(o: Outcome) -> &'static str {
+    outcome_class(o).label()
+}
+
 pub fn outcome_from_label(s: &str) -> Option<Outcome> {
-    match s {
-        "masked" => Some(Outcome::Masked),
-        "sdc" => Some(Outcome::Sdc),
-        "timeout" => Some(Outcome::Timeout),
-        "due" => Some(Outcome::Due),
-        _ => None,
-    }
+    [
+        Outcome::Masked,
+        Outcome::Sdc,
+        Outcome::Timeout,
+        Outcome::Due,
+    ]
+    .into_iter()
+    .find(|&o| outcome_label(o) == s)
 }
 
 /// The identity line of a checkpoint file: which plan, which shard.

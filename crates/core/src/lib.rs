@@ -43,15 +43,16 @@ pub mod metrics;
 pub mod plan;
 pub mod profile;
 pub mod pvf;
+pub mod records;
 pub mod report;
 pub mod reuse;
 pub mod trends;
 
 pub use campaign::{
-    assemble_sw, assemble_sw_counts, assemble_uarch, dedupe_records, execute_shard, execute_trials,
-    execute_trials_with, records_fingerprint, run_sw_campaign, run_sw_campaign_on,
-    run_uarch_campaign, run_uarch_campaign_on, CampaignCfg, EngineBackend, EngineCfg, EngineError,
-    FastForward, SvfAppResult, SvfKernelResult, UarchAppResult, UarchKernelResult, Watchdog,
+    assemble, assemble_sw, assemble_uarch, derating_factor, execute_shard, execute_trials,
+    execute_trials_with, run_sw_campaign, run_sw_campaign_on, run_uarch_campaign,
+    run_uarch_campaign_on, CampaignCfg, EngineBackend, EngineCfg, EngineError, FastForward,
+    StratumCounts, SvfAppResult, SvfKernelResult, UarchAppResult, UarchKernelResult, Watchdog,
     DEFAULT_SNAPSHOTS,
 };
 pub use captures::AppCaptures;
@@ -62,11 +63,12 @@ pub use checkpoint::{
 pub use hardening::{evaluate_hardening, HardeningComparison};
 pub use metrics::{error_margin, ClassCounts, ClassRates, Confidence};
 pub use plan::{
-    plan_strata, plan_sw, plan_uarch, plan_wave, prepare_sw_campaign, prepare_uarch_campaign,
-    shard_trials, sw_seed_tag, CampaignPlan, Layer, PlannedTrial, PreparedCampaign, StratumSpec,
-    TrialTarget, SVF_KINDS,
+    plan_sw, plan_uarch, plan_wave, prepare_sw_campaign, prepare_uarch_campaign, shard_trials,
+    sw_seed_tag, CampaignPlan, Layer, PlannedTrial, PreparedCampaign, StratumSpec, TrialTarget,
+    SVF_KINDS,
 };
 pub use profile::{kernel_metrics, normalized_pair, UtilMetrics, METRIC_LABELS};
 pub use pvf::{run_pvf_campaign, run_pvf_campaign_on, PvfAppResult, PvfKernelResult};
+pub use records::{records_fingerprint, RecordSet};
 pub use report::{metrics_tables, pct, pct4, phase_table, RowArityError, Table};
 pub use trends::{compare_pairs, opposite_pairs, TrendCount, TrendItem};

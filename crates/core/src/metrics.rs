@@ -84,6 +84,19 @@ impl ClassRates {
         self.timeout += o.timeout;
         self.due += o.due;
     }
+
+    /// Weighted mean `Σ wᵢ·rᵢ / Σ wᵢ` of `(rates, weight)` parts — the
+    /// multi-kernel rule of Sections II-B/II-C (kernel AVF by cycles,
+    /// kernel SVF/PVF by instructions). Zero when the weights sum to zero.
+    pub fn weighted(parts: impl IntoIterator<Item = (ClassRates, u64)>) -> ClassRates {
+        let parts: Vec<(ClassRates, u64)> = parts.into_iter().collect();
+        let total: u64 = parts.iter().map(|&(_, w)| w).sum();
+        let mut acc = ClassRates::default();
+        for (r, w) in parts {
+            acc.add(&r.scale(w as f64 / total.max(1) as f64));
+        }
+        acc
+    }
 }
 
 /// Confidence level for the statistical-FI error margin.

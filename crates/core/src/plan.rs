@@ -7,7 +7,10 @@
 //! `(seed, app, kernel, target, trial)` alone, the plan is identical no
 //! matter how execution is split: across rayon workers, across
 //! `--shards M --shard-index i` processes, or across an interruption and
-//! a `--resume`. [`shard_trials`] partitions a plan into disjoint strided
+//! a `--resume`. The plan keeps the [`StratumSpec`]s it was expanded from
+//! and lays its trials out stratum by stratum, so a wave's job frame, the
+//! assemble fold and the adaptive sizer all read one description instead
+//! of reverse-engineering it from the trial list. [`shard_trials`] partitions a plan into disjoint strided
 //! slices, and [`CampaignPlan::fingerprint`] condenses the whole trial
 //! list into one u64 so checkpoints and shard outputs can prove they came
 //! from the same plan before being merged.
@@ -111,9 +114,12 @@ pub struct CampaignPlan {
     pub pattern: FaultPattern,
     /// Injections per (kernel, target) sub-campaign.
     pub n_per_target: usize,
-    /// Software fault kinds with their seed-derivation tags, in
-    /// sub-campaign order (empty for uarch plans).
-    pub sw_kinds: Vec<(SwFaultKind, u64)>,
+    /// The strata the plan was expanded from, exactly as the expander was
+    /// given them. `trials` is laid out stratum by stratum: stratum `i`
+    /// owns the `strata[i].count` consecutive plan indices after those of
+    /// strata `0..i` ([`CampaignPlan::strata_trials`]). A zero-count
+    /// stratum and a (kernel, target) that appears twice are both legal.
+    pub strata: Vec<StratumSpec>,
     /// Wave index for adaptive campaigns ([`plan_wave`]);
     /// `None` for classic fixed-n plans. Folded into the fingerprint so
     /// the checkpoints and dispatch leases of different waves can never
@@ -130,6 +136,16 @@ impl CampaignPlan {
 
     pub fn is_empty(&self) -> bool {
         self.trials.is_empty()
+    }
+
+    /// Every stratum with the slice of `trials` it owns, in plan order.
+    pub fn strata_trials(&self) -> impl Iterator<Item = (&StratumSpec, &[PlannedTrial])> {
+        let mut rest = &self.trials[..];
+        self.strata.iter().map(move |st| {
+            let (mine, tail) = rest.split_at(st.count);
+            rest = tail;
+            (st, mine)
+        })
     }
 
     /// Order-sensitive digest of the plan: campaign identity plus, for
@@ -179,7 +195,7 @@ impl CampaignPlan {
 /// configuration and the [`AppCaptures`] handle — benchmark, golden run,
 /// lazily captured golden material — its faults were resolved against.
 /// Produced by the `prepare_*` / `plan_*` functions below, consumed by
-/// [`crate::campaign::execute_shard`] and the `assemble_*` folds. Every
+/// [`crate::campaign::execute_shard`] and [`crate::campaign::assemble`]. Every
 /// plan of one application can share one handle; whether *this* plan may
 /// use what the handle holds is decided here, per plan.
 pub struct PreparedCampaign<'a> {
@@ -326,33 +342,6 @@ pub struct StratumSpec {
     pub count: usize,
 }
 
-/// Reconstruct the stratum specs of an adaptive wave plan, in
-/// first-appearance order. A wave plan lists each stratum's trials as
-/// the consecutive ordinals `start..start + count`, so the specs are
-/// fully recoverable — feeding them back through [`plan_wave`] (as a
-/// dispatch worker does) re-expands the identical plan.
-pub fn plan_strata(plan: &CampaignPlan) -> Vec<StratumSpec> {
-    let mut out: Vec<StratumSpec> = Vec::new();
-    for t in &plan.trials {
-        match out
-            .iter_mut()
-            .find(|s| s.kernel_idx == t.kernel_idx && s.target == t.target)
-        {
-            Some(s) => {
-                s.start = s.start.min(t.trial);
-                s.count += 1;
-            }
-            None => out.push(StratumSpec {
-                kernel_idx: t.kernel_idx,
-                target: t.target,
-                start: t.trial,
-                count: 1,
-            }),
-        }
-    }
-    out
-}
-
 /// The standard software-level (SVF) sub-campaigns: destination-value
 /// injections plus the load-only SVF-LD variant.
 pub const SVF_KINDS: [SwFaultKind; 2] = [SwFaultKind::DestValue, SwFaultKind::DestValueLoad];
@@ -446,14 +435,6 @@ fn plan_on<'a>(
         captures.bench().name()
     );
     let trials = obs::time_phase(Phase::FaultSetup, || expand(captures, cfg, strata));
-    let mut sw_kinds: Vec<(SwFaultKind, u64)> = Vec::new();
-    for st in strata {
-        if let TrialTarget::Fault(kind) = st.target {
-            if !sw_kinds.iter().any(|&(k, _)| k == kind) {
-                sw_kinds.push((kind, sw_seed_tag(kind)));
-            }
-        }
-    }
     PreparedCampaign {
         cfg: cfg.clone(),
         golden: captures.golden().clone(),
@@ -467,7 +448,7 @@ fn plan_on<'a>(
             hardened: captures.variant().hardened,
             pattern: cfg.pattern,
             n_per_target,
-            sw_kinds,
+            strata: strata.to_vec(),
             wave,
             trials,
         },

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use kernels::Benchmark;
 use vgpu_sim::SwFaultKind;
 
-use crate::campaign::{assemble_sw_counts, execute_shard, CampaignCfg, EngineCfg};
+use crate::campaign::{assemble, execute_shard, CampaignCfg, EngineCfg};
 use crate::captures::AppCaptures;
 use crate::metrics::{ClassCounts, ClassRates};
 use crate::plan::{plan_sw, Layer};
@@ -47,12 +47,7 @@ pub struct PvfAppResult {
 impl PvfAppResult {
     /// Instruction-weighted application PVF (same weighting rule as SVF).
     pub fn app_pvf(&self) -> ClassRates {
-        let total: u64 = self.kernels.iter().map(|k| k.instrs).sum();
-        let mut acc = ClassRates::default();
-        for k in &self.kernels {
-            acc.add(&k.pvf().scale(k.instrs as f64 / total.max(1) as f64));
-        }
-        acc
+        ClassRates::weighted(self.kernels.iter().map(|k| (k.pvf(), k.instrs)))
     }
 }
 
@@ -68,12 +63,13 @@ pub fn run_pvf_campaign_on(captures: &Arc<AppCaptures>, cfg: &CampaignCfg) -> Pv
     let prep = plan_sw(captures, cfg, &[SwFaultKind::ArchState]);
     let records = execute_shard(&prep, &EngineCfg::single_shot())
         .expect("single-shot execution performs no checkpoint I/O");
-    let counts = assemble_sw_counts(&prep, &records).expect("a single shard covers the whole plan");
-    let kernels = (prep.bench().kernels().iter().enumerate())
-        .map(|(k_idx, k_name)| PvfKernelResult {
-            kernel: k_name.to_string(),
-            counts: counts[k_idx][0],
-            instrs: prep.golden.kernel_stats(k_idx).thread_instrs,
+    // One ArchState stratum per kernel, in kernel order.
+    let table = assemble(&prep, &records).expect("a single shard covers the whole plan");
+    let kernels = (prep.plan.strata.iter().zip(table))
+        .map(|(st, row)| PvfKernelResult {
+            kernel: prep.bench().kernels()[st.kernel_idx].to_string(),
+            counts: row.counts,
+            instrs: prep.golden.kernel_stats(st.kernel_idx).thread_instrs,
         })
         .collect();
     PvfAppResult {

@@ -15,9 +15,9 @@ use kernels::apps::{bfs::Bfs, scp::Scp, va::Va};
 use kernels::{all_benchmarks, Benchmark, Outcome};
 use relia::plan::{plan_sw, Layer};
 use relia::{
-    assemble_sw, assemble_sw_counts, assemble_uarch, execute_shard, execute_trials_with,
-    prepare_sw_campaign, prepare_uarch_campaign, records_fingerprint, AppCaptures, CampaignCfg,
-    EngineBackend, EngineCfg, FastForward, PreparedCampaign, TrialRecord,
+    assemble, assemble_sw, assemble_uarch, execute_shard, execute_trials_with, prepare_sw_campaign,
+    prepare_uarch_campaign, records_fingerprint, AppCaptures, CampaignCfg, EngineBackend,
+    EngineCfg, FastForward, PreparedCampaign, TrialRecord,
 };
 use vgpu_arch::InstrClass;
 use vgpu_sim::{FaultPattern, SwFaultKind};
@@ -162,15 +162,11 @@ fn sw_paths_classify_identically_for_every_app_kind_and_pattern() {
             let prep = plan_sw(&captures, &cfg, &SW_KINDS);
             let what = format!("{} {}", bench.name(), pattern.label());
             let want = oracle(&prep);
-            let counts = assemble_sw_counts(&prep, &want).unwrap();
+            let counts = assemble(&prep, &want).unwrap();
             for eng in [EngineCfg::single_shot(), replay_engine()] {
                 let records = execute_shard(&prep, &eng).unwrap();
                 assert_eq!(records, want, "{what}: CTA replay changed a trial record");
-                assert_eq!(
-                    assemble_sw_counts(&prep, &records).unwrap(),
-                    counts,
-                    "{what}"
-                );
+                assert_eq!(assemble(&prep, &records).unwrap(), counts, "{what}");
             }
             assert!(prep.cta_log().is_some(), "{what}: CTA log never captured");
         }

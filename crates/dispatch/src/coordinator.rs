@@ -3,8 +3,8 @@
 //! One accept loop (non-blocking, 20 ms tick) doubles as the lease
 //! reaper; each accepted connection gets a handler thread under a
 //! [`std::thread::scope`], so [`serve`] returns only after every handler
-//! has drained. All shared state sits behind one mutex: a slot per
-//! planned trial (dedupe by plan index) plus a state machine per shard:
+//! has drained. All shared state sits behind one mutex: the campaign's
+//! [`RecordSet`] (a slot per planned trial) plus a state machine per shard:
 //!
 //! ```text
 //!            grant                    all records held, journal fsynced
@@ -16,10 +16,13 @@
 //!
 //! Execution is at-least-once by design — an expired lease is simply
 //! re-granted, and the slow first worker keeps streaming — so merge
-//! safety comes from the slots: the first record for a plan index wins,
-//! later duplicates must agree on (outcome, ctrl) or the campaign aborts
-//! with [`DispatchError::Conflict`]. Trials are deterministic functions
-//! of their planned seed, so honest duplicates always agree.
+//! safety comes from the record set's one duplicate rule: the first record
+//! for a plan index wins, later duplicates must agree on (outcome, ctrl)
+//! or the campaign aborts with [`relia::EngineError::ConflictingDuplicate`].
+//! Trials are deterministic functions of their planned seed, so honest
+//! duplicates always agree. The coordinator's one leniency sits at its
+//! call site: a record whose index the plan does not have is stream
+//! corruption, dropped like a torn line, not a fatal error.
 
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -31,6 +34,7 @@ use obs::events::push_json_str;
 use obs::{counter_add, emit_dispatch, gauge_set, DispatchEvent};
 use relia::checkpoint::{CheckpointHeader, CheckpointWriter, TrialRecord};
 use relia::plan::{shard_trials, CampaignPlan};
+use relia::{EngineError, RecordSet};
 
 use crate::proto::{
     parse_frame, write_frame, CampaignSpec, Frame, Line, LineReader, PROTO_VERSION,
@@ -134,7 +138,7 @@ enum ShardState {
 }
 
 struct State {
-    slots: Vec<Option<TrialRecord>>,
+    records: RecordSet,
     shards: Vec<ShardState>,
     stats: DispatchStats,
     done: bool,
@@ -204,7 +208,7 @@ pub fn serve(
         started: Instant::now(),
         workers: Mutex::new(Vec::new()),
         state: Mutex::new(State {
-            slots: vec![None; plan.len()],
+            records: RecordSet::new(plan.len()),
             shards,
             stats: DispatchStats::default(),
             done,
@@ -294,12 +298,7 @@ pub fn serve(
     if let Some(e) = st.fatal {
         return Err(e);
     }
-    let mut records = Vec::with_capacity(st.slots.len());
-    for (i, slot) in st.slots.into_iter().enumerate() {
-        records.push(slot.ok_or_else(|| {
-            DispatchError::Protocol(format!("campaign finished with no record for trial {i}"))
-        })?);
-    }
+    let records = st.records.complete()?;
     emit_dispatch(&DispatchEvent {
         kind: "complete",
         worker: "",
@@ -318,14 +317,14 @@ pub fn serve(
 
 /// Render the coordinator's `/status` document: one JSON object with the
 /// fleet view (`campaign status`/`campaign top` poll this). Scans every
-/// slot, so it runs at [`STATUS_TICK`] rate, not per request. Also
+/// shard's slots, so it runs at [`STATUS_TICK`] rate, not per request. Also
 /// refreshes the coordinator-side `dispatch_*` gauges so `/metrics`
 /// moves in lockstep with `/status`.
 fn render_status(ctx: &Ctx) -> String {
     let st = ctx.state.lock().unwrap();
     let now = Instant::now();
-    let held_total = st.slots.iter().filter(|s| s.is_some()).count();
-    let planned = st.slots.len();
+    let held_total = st.records.held();
+    let planned = ctx.plan.len();
     let elapsed = ctx.started.elapsed();
     let rate = if elapsed.as_secs_f64() > 0.0 {
         held_total as f64 / elapsed.as_secs_f64()
@@ -391,11 +390,8 @@ fn render_status(ctx: &Ctx) -> String {
         if i > 0 {
             out.push(',');
         }
-        let held = ctx.shard_idxs[i]
-            .iter()
-            .filter(|&&t| st.slots[t].is_some())
-            .count();
         let total = ctx.shard_idxs[i].len();
+        let held = total - st.records.missing(&ctx.shard_idxs[i]).len();
         out.push_str(&format!(
             "{{\"shard\":{i},\"held\":{held},\"total\":{total}"
         ));
@@ -493,10 +489,7 @@ fn expire_leases(ctx: &Ctx) {
             attempts,
         };
         st.stats.leases_expired += 1;
-        let held = ctx.shard_idxs[i]
-            .iter()
-            .filter(|&&t| st.slots[t].is_some())
-            .count();
+        let held = ctx.shard_idxs[i].len() - st.records.missing(&ctx.shard_idxs[i]).len();
         counter_add("dispatch_lease_expiries_total", &[], 1);
         emit_dispatch(&DispatchEvent {
             kind: "lease_expired",
@@ -568,7 +561,7 @@ fn try_grant(ctx: &Ctx, conn: u64, worker: &str) -> Grant {
     let done: Vec<usize> = ctx.shard_idxs[shard]
         .iter()
         .copied()
-        .filter(|&t| st.slots[t].is_some())
+        .filter(|&t| st.records.get(t).is_some())
         .collect();
     counter_add("dispatch_leases_total", &[], 1);
     emit_dispatch(&DispatchEvent {
@@ -584,35 +577,30 @@ fn try_grant(ctx: &Ctx, conn: u64, worker: &str) -> Grant {
     Grant::Lease { shard, done }
 }
 
-/// Dedupe-insert one record. Returns `true` when the campaign must abort
-/// (two records for one plan index disagree on the outcome).
+/// Offer one record to the campaign's set. Returns `true` when the
+/// campaign must abort (two records for one plan index disagree on the
+/// outcome).
 fn insert_record(ctx: &Ctx, rec: TrialRecord) -> bool {
     let mut st = ctx.state.lock().unwrap();
-    if rec.idx >= st.slots.len() {
+    let conflict = match st.records.insert(rec) {
+        Ok(true) => return false,
         // A record for a trial the plan doesn't have can only be stream
         // corruption; drop it like a torn line and let resend repair.
-        st.stats.torn_frames += 1;
+        Err(EngineError::ForeignTrial { .. }) => {
+            note_torn(&mut st);
+            return false;
+        }
+        Ok(false) => None,
+        Err(e) => Some(e),
+    };
+    st.stats.duplicate_records += 1;
+    counter_add("dispatch_duplicate_records_total", &[], 1);
+    let Some(e) = conflict else {
         return false;
-    }
-    match &st.slots[rec.idx] {
-        None => {
-            st.slots[rec.idx] = Some(rec);
-            false
-        }
-        Some(prev) => {
-            let conflict = prev.outcome != rec.outcome || prev.ctrl != rec.ctrl;
-            st.stats.duplicate_records += 1;
-            counter_add("dispatch_duplicate_records_total", &[], 1);
-            if conflict {
-                st.fatal
-                    .get_or_insert(DispatchError::Conflict { idx: rec.idx });
-                st.done = true;
-                true
-            } else {
-                false
-            }
-        }
-    }
+    };
+    st.fatal.get_or_insert(e.into());
+    st.done = true;
+    true
 }
 
 fn renew_lease(ctx: &Ctx, conn: u64, shard: usize) {
@@ -642,11 +630,7 @@ fn complete_shard(ctx: &Ctx, shard: usize, worker: &str) -> DoneReply {
     if matches!(st.shards[shard], ShardState::Done) {
         return DoneReply::Ack; // another worker won the race; ack is idempotent
     }
-    let missing: Vec<usize> = ctx.shard_idxs[shard]
-        .iter()
-        .copied()
-        .filter(|&t| st.slots[t].is_none())
-        .collect();
+    let missing = st.records.missing(&ctx.shard_idxs[shard]);
     if !missing.is_empty() {
         st.stats.resend_requests += 1;
         counter_add("dispatch_resend_requests_total", &[], 1);
@@ -658,7 +642,7 @@ fn complete_shard(ctx: &Ctx, shard: usize, worker: &str) -> DoneReply {
             let path = dir.join(format!("shard-{shard}.jsonl"));
             let mut w = CheckpointWriter::create(&path, &header, usize::MAX)?;
             for &t in &ctx.shard_idxs[shard] {
-                w.record(st.slots[t].as_ref().expect("verified above"))?;
+                w.record(st.records.get(t).expect("verified above"))?;
             }
             w.finish() // flush + fsync — must precede the ack
         };
@@ -693,8 +677,8 @@ fn complete_shard(ctx: &Ctx, shard: usize, worker: &str) -> DoneReply {
     DoneReply::Ack
 }
 
-fn note_torn(ctx: &Ctx) {
-    ctx.state.lock().unwrap().stats.torn_frames += 1;
+fn note_torn(st: &mut State) {
+    st.stats.torn_frames += 1;
     counter_add("dispatch_torn_frames_total", &[], 1);
 }
 
@@ -824,12 +808,12 @@ fn handle_inner(conn: u64, mut stream: TcpStream, ctx: &Ctx) -> std::io::Result<
                 }
                 Line::Eof { torn } => {
                     if torn {
-                        note_torn(ctx);
+                        note_torn(&mut ctx.state.lock().unwrap());
                     }
                     return Ok(());
                 }
                 Line::Full(l) => match parse_frame(&l) {
-                    None => note_torn(ctx),
+                    None => note_torn(&mut ctx.state.lock().unwrap()),
                     Some(Frame::Trial(rec)) => {
                         if insert_record(ctx, rec) {
                             return Ok(()); // conflicting duplicate: campaign aborted

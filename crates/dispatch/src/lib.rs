@@ -10,9 +10,10 @@
 //!   [`relia::plan::CampaignPlan`] every shard derives locally, leases
 //!   strided shards to workers with expiring leases, and reassigns the
 //!   shards of dead workers with exponential backoff. Incoming trial
-//!   records are deduped by plan index, so at-least-once execution (two
-//!   workers racing on a reassigned lease, a slow worker finishing after
-//!   its lease expired) cannot change a single result bit.
+//!   records land in one [`relia::RecordSet`] — a slot per plan index —
+//!   so at-least-once execution (two workers racing on a reassigned
+//!   lease, a slow worker finishing after its lease expired) cannot
+//!   change a single result bit.
 //! * A **worker** ([`work`]; [`follow`] for the wave sessions of an
 //!   adaptive campaign) connects, rebuilds the plan from the job spec,
 //!   verifies the plan fingerprint, and executes leased shards, streaming
@@ -34,8 +35,8 @@ pub mod worker;
 
 pub use coordinator::{serve, DispatchCfg, DispatchStats, ServeOutcome};
 pub use proto::{
-    parse_frame, parse_strata, parse_structures, plan_strata, scaled_gpu, strata_spec,
-    structures_spec, CampaignSpec, Frame, WaveSpec, MAX_SMS,
+    parse_frame, parse_strata, parse_structures, scaled_gpu, strata_spec, structures_spec,
+    CampaignSpec, Frame, WaveSpec, MAX_SMS,
 };
 pub use worker::{follow, work, WorkSummary, WorkerCfg};
 
@@ -90,10 +91,9 @@ pub enum DispatchError {
         ours: u64,
         theirs: u64,
     },
-    /// Two records for the same plan index disagree on the outcome.
-    Conflict {
-        idx: usize,
-    },
+    /// The record set refused the fleet's records: two records for one
+    /// plan index disagree on the outcome (a nondeterministic worker or a
+    /// corrupt stream), or the campaign ended without covering the plan.
     Engine(EngineError),
 }
 
@@ -107,11 +107,6 @@ impl fmt::Display for DispatchError {
                 f,
                 "plan fingerprint mismatch: local {ours:#018x} vs coordinator {theirs:#018x} \
                  (different code revision or configuration?)"
-            ),
-            DispatchError::Conflict { idx } => write!(
-                f,
-                "records for trial {idx} disagree on the outcome — \
-                 nondeterministic worker or corrupt stream"
             ),
             DispatchError::Engine(e) => write!(f, "{e}"),
         }

@@ -29,7 +29,6 @@ use std::sync::Arc;
 
 use obs::events::{parse_line, push_json_str, JsonValue};
 use relia::checkpoint::{parse_checkpoint_line, CheckpointLine, TrialRecord};
-pub use relia::plan::plan_strata;
 use relia::plan::{
     plan_sw, plan_uarch, plan_wave, Layer, PreparedCampaign, StratumSpec, TrialTarget, SVF_KINDS,
 };

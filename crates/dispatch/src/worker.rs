@@ -12,10 +12,10 @@
 //! `shard_done`. A heartbeat thread renews the lease while trials run,
 //! so a lease only expires when the worker is actually gone.
 //!
-//! Every record the worker produced stays in an in-memory cache for the
+//! Every record the worker produced stays in a [`RecordSet`] for the
 //! duration of the session: if the coordinator lost lines to a torn
 //! frame it answers `shard_done` with `resend`, and the worker replays
-//! the missing records from cache instead of re-executing them.
+//! the missing records from the set instead of re-executing them.
 //!
 //! For fault-tolerance tests, [`WorkerCfg::fail_after`] makes the worker
 //! die abruptly (socket torn down mid-stream, no goodbye) after N trial
@@ -29,9 +29,8 @@ use std::time::{Duration, Instant};
 
 use kernels::Benchmark;
 use obs::counter_add;
-use relia::checkpoint::TrialRecord;
 use relia::plan::{shard_trials, PreparedCampaign};
-use relia::{execute_trials_with, AppCaptures, FastForward};
+use relia::{execute_trials_with, AppCaptures, FastForward, RecordSet};
 
 use crate::proto::{parse_frame, write_frame, Frame, Line, LineReader, PROTO_VERSION};
 use crate::{DispatchError, TelemetryCfg};
@@ -253,7 +252,7 @@ fn session<'b>(
 
     let executed = AtomicUsize::new(0);
     let died = AtomicBool::new(false);
-    let cache: Mutex<Vec<TrialRecord>> = Mutex::new(Vec::new());
+    let cache = Mutex::new(RecordSet::new(prep.plan.len()));
     let mut shards_completed = 0usize;
 
     loop {
@@ -264,9 +263,12 @@ fn session<'b>(
                 send(&write, &Frame::Poll)?;
             }
             Frame::Lease { shard, done } => {
+                // `done` is a filtered shard slice, so ascending; were it
+                // not, a miss here only re-executes a trial the
+                // coordinator holds, and the duplicate folds.
                 let todo: Vec<usize> = shard_trials(prep.plan.len(), shards, shard)
                     .into_iter()
-                    .filter(|i| !done.contains(i))
+                    .filter(|i| done.binary_search(i).is_err())
                     .collect();
                 if cfg.trace {
                     obs::trace::set_shard(shard as u64);
@@ -291,7 +293,7 @@ fn session<'b>(
                         worker: cfg.name.clone(),
                         sessions: 0,
                         shards_completed,
-                        trials_executed: cache.lock().unwrap().len(),
+                        trials_executed: cache.lock().unwrap().held(),
                         died_early: true,
                     });
                 }
@@ -307,7 +309,7 @@ fn session<'b>(
                         Frame::Resend { shard: s, missing } if s == shard => {
                             let cached = cache.lock().unwrap();
                             for idx in &missing {
-                                let Some(rec) = cached.iter().find(|r| r.idx == *idx) else {
+                                let Some(rec) = cached.get(*idx) else {
                                     return Err(DispatchError::Protocol(format!(
                                         "coordinator wants trial {idx}, which this worker \
                                          never executed"
@@ -334,7 +336,7 @@ fn session<'b>(
         }
     }
 
-    let trials_executed = cache.lock().unwrap().len();
+    let trials_executed = cache.lock().unwrap().held();
     Ok(WorkSummary {
         worker: cfg.name.clone(),
         sessions: 1,
@@ -414,7 +416,7 @@ fn run_lease(
     shard: usize,
     executed: &AtomicUsize,
     died: &AtomicBool,
-    cache: &Mutex<Vec<TrialRecord>>,
+    cache: &Mutex<RecordSet>,
 ) -> Result<(), DispatchError> {
     let stop = AtomicBool::new(false);
     let streamed = AtomicU64::new(0);
@@ -446,7 +448,7 @@ fn run_lease(
                     ));
                 }
             }
-            cache.lock().unwrap().push(*rec);
+            (cache.lock().unwrap().insert(*rec)).map_err(std::io::Error::other)?;
             send(write, &Frame::Trial(*rec))?;
             streamed.fetch_add(1, Ordering::AcqRel);
             counter_add("dispatch_worker_trials_total", &[], 1);

@@ -3,7 +3,7 @@
 //! the per-structure counts and derating factors —
 //!
 //! 1. single-shot in-process execution,
-//! 2. a local 3-shard run merged with dedupe,
+//! 2. a local 3-shard run merged through a `RecordSet`,
 //! 3. a coordinator + 3 worker daemons over TCP, where the FIRST worker
 //!    is killed mid-campaign (socket torn down after a few trials) and
 //!    its lease is reassigned to a healthy worker.
@@ -20,8 +20,8 @@ use dispatch::{serve, work, CampaignSpec, DispatchCfg, WorkerCfg};
 use relia::checkpoint::TrialRecord;
 use relia::plan::Layer;
 use relia::{
-    assemble_sw, assemble_uarch, dedupe_records, execute_shard, execute_trials,
-    records_fingerprint, EngineCfg,
+    assemble_sw, assemble_uarch, execute_shard, execute_trials, records_fingerprint, EngineCfg,
+    RecordSet,
 };
 use vgpu_sim::{FaultPattern, HwStructure};
 
@@ -71,11 +71,14 @@ fn differential_spec(spec: CampaignSpec) {
     let single = execute_trials(&prep, &all, |_| Ok(())).expect("single-shot");
 
     // 2. Local 3-shard merge.
-    let mut sharded = Vec::new();
+    let mut sharded = RecordSet::new(prep.plan.len());
     for i in 0..3 {
-        sharded.extend(execute_shard(&prep, &EngineCfg::sharded(3, i)).expect("shard"));
+        let shard = execute_shard(&prep, &EngineCfg::sharded(3, i)).expect("shard");
+        sharded
+            .extend(&shard)
+            .expect("no conflicts in a local merge");
     }
-    let sharded = dedupe_records(&sharded).expect("no conflicts in a local merge");
+    let sharded = sharded.complete().expect("three shards cover the plan");
     assert_eq!(
         records_fingerprint(&sharded),
         records_fingerprint(&single),
@@ -228,7 +231,7 @@ fn scp_sw_dispatch_equals_single_shot() {
 // proves it via the wave-tagged plan fingerprint.
 #[test]
 fn va_uarch_adaptive_dispatch_equals_single_shot() {
-    use dispatch::{plan_strata, WaveSpec};
+    use dispatch::WaveSpec;
     use stat::{run_adaptive, run_adaptive_single, uarch_targets, AdaptiveCfg};
 
     let base = spec_for("VA", Layer::Uarch, FaultPattern::SingleBit);
@@ -272,7 +275,7 @@ fn va_uarch_adaptive_dispatch_equals_single_shot() {
             let spec = CampaignSpec {
                 wave: Some(WaveSpec {
                     wave,
-                    strata: plan_strata(&prep.plan),
+                    strata: prep.plan.strata.clone(),
                 }),
                 ..base.clone()
             };
@@ -326,45 +329,66 @@ fn va_uarch_adaptive_dispatch_equals_single_shot() {
     assert_eq!(single.plans_fp, dispatched.plans_fp);
 }
 
-// Strata reconstruction from a wave plan must be exact — a worker that
-// re-derives the plan from the reconstructed strata lands on the same
+// A wave plan keeps the strata it was expanded from — a worker that
+// re-derives the plan from the job frame they ride in lands on the same
 // fingerprint the coordinator computed.
-#[test]
-fn wave_plan_strata_round_trip_through_job_spec() {
-    use dispatch::{plan_strata, WaveSpec};
-    use relia::plan::{plan_wave, StratumSpec, TrialTarget};
+fn wave_strata_round_trip(strata: Vec<relia::plan::StratumSpec>) {
+    use dispatch::{parse_frame, Frame, WaveSpec};
+    use relia::plan::plan_wave;
     use relia::AppCaptures;
 
     let base = spec_for("VA", Layer::Uarch, FaultPattern::SingleBit);
     let bench = base.find_bench().expect("benchmark exists");
     let cfg = base.campaign_cfg();
-    let strata = vec![
-        StratumSpec {
-            kernel_idx: 0,
-            target: TrialTarget::Structure(HwStructure::RegFile),
-            start: 4,
-            count: 6,
-        },
-        StratumSpec {
-            kernel_idx: 0,
-            target: TrialTarget::Structure(HwStructure::L2),
-            start: 0,
-            count: 3,
-        },
-    ];
     let captures = AppCaptures::new(bench.as_ref(), &cfg.gpu, Layer::Uarch, false);
     let prep = plan_wave(&captures, &cfg, &strata, 5);
-    assert_eq!(plan_strata(&prep.plan), strata);
-    let spec = CampaignSpec {
-        wave: Some(WaveSpec {
-            wave: 5,
-            strata: plan_strata(&prep.plan),
-        }),
-        ..base
+    assert_eq!(prep.plan.strata, strata);
+    let job = Frame::Job {
+        spec: CampaignSpec {
+            wave: Some(WaveSpec {
+                wave: 5,
+                strata: prep.plan.strata.clone(),
+            }),
+            ..base
+        },
+        shards: 2,
+        fingerprint: prep.plan.fingerprint(),
+    };
+    let Some(Frame::Job { spec, .. }) = parse_frame(&job.to_json()) else {
+        panic!("job frame must parse: {}", job.to_json());
     };
     let reprep = spec.prepare(bench.as_ref());
+    assert_eq!(reprep.plan.strata, strata);
     assert_eq!(reprep.plan.fingerprint(), prep.plan.fingerprint());
     assert_eq!(reprep.plan.trials, prep.plan.trials);
+}
+
+fn stratum(h: HwStructure, start: usize, count: usize) -> relia::plan::StratumSpec {
+    relia::plan::StratumSpec {
+        kernel_idx: 0,
+        target: relia::plan::TrialTarget::Structure(h),
+        start,
+        count,
+    }
+}
+
+#[test]
+fn wave_plan_strata_round_trip_through_job_spec() {
+    wave_strata_round_trip(vec![
+        stratum(HwStructure::RegFile, 4, 6),
+        stratum(HwStructure::L2, 0, 3),
+    ]);
+}
+
+// What the trial list alone could not express: a stratum with no trials,
+// and the same (kernel, target) in two strata.
+#[test]
+fn zero_count_and_repeated_strata_round_trip_through_job_spec() {
+    wave_strata_round_trip(vec![
+        stratum(HwStructure::RegFile, 4, 6),
+        stratum(HwStructure::Smem, 2, 0),
+        stratum(HwStructure::RegFile, 20, 3),
+    ]);
 }
 
 #[test]

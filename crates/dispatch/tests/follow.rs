@@ -9,7 +9,7 @@
 use std::net::TcpListener;
 use std::time::Duration;
 
-use dispatch::{follow, plan_strata, serve, CampaignSpec, DispatchCfg, WaveSpec, WorkerCfg};
+use dispatch::{follow, serve, CampaignSpec, DispatchCfg, WaveSpec, WorkerCfg};
 use obs::Phase;
 use relia::plan::Layer;
 use stat::{run_adaptive, run_adaptive_single, uarch_targets, AdaptiveCfg};
@@ -75,7 +75,7 @@ fn a_followed_worker_captures_once_per_campaign() {
                 let spec = CampaignSpec {
                     wave: Some(WaveSpec {
                         wave,
-                        strata: plan_strata(&prep.plan),
+                        strata: prep.plan.strata.clone(),
                     }),
                     ..base.clone()
                 };

@@ -1,6 +1,6 @@
 //! Wire-level fault-tolerance tests, driven by a hand-rolled fake worker
-//! speaking raw frames over a real socket so every byte is under test
-//! control:
+//! ([`common::Conn`]) speaking raw frames over a real socket so every byte
+//! is under test control:
 //!
 //! * a torn (truncated mid-line) trial record is dropped, the connection
 //!   stays consistent, and the coordinator re-requests exactly the
@@ -12,10 +12,12 @@
 //!   wire-side mirror of `crates/core/tests/proptest_plan.rs`'s
 //!   torn-final-line recovery property.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+mod common;
+
+use std::net::TcpListener;
 use std::time::Duration;
 
+use common::Conn;
 use dispatch::proto::PROTO_VERSION;
 use dispatch::{parse_frame, serve, CampaignSpec, DispatchCfg, Frame};
 use proptest::prelude::*;
@@ -23,79 +25,6 @@ use relia::checkpoint::TrialRecord;
 use relia::plan::Layer;
 use relia::{execute_trials, records_fingerprint};
 use vgpu_sim::HwStructure;
-
-/// A scripted worker connection: raw line I/O, 5 s read timeout so a
-/// coordinator bug fails the test instead of hanging it.
-struct Conn {
-    r: BufReader<TcpStream>,
-    w: TcpStream,
-}
-
-impl Conn {
-    fn connect(addr: &str) -> Conn {
-        let w = TcpStream::connect(addr).expect("connect");
-        w.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        Conn {
-            r: BufReader::new(w.try_clone().unwrap()),
-            w,
-        }
-    }
-
-    fn send_line(&mut self, line: &str) {
-        self.w.write_all(line.as_bytes()).expect("send");
-        self.w.write_all(b"\n").expect("send");
-    }
-
-    fn send(&mut self, f: &Frame) {
-        self.send_line(&f.to_json());
-    }
-
-    fn recv(&mut self) -> Frame {
-        let mut line = String::new();
-        self.r.read_line(&mut line).expect("recv");
-        parse_frame(line.trim_end_matches('\n'))
-            .unwrap_or_else(|| panic!("unparseable frame {line:?}"))
-    }
-
-    /// Whether the coordinator hung up without sending anything.
-    fn closed(&mut self) -> bool {
-        let mut line = String::new();
-        matches!(self.r.read_line(&mut line), Ok(0))
-    }
-
-    /// Run the hello → job → ready handshake, returning the job.
-    fn handshake(&mut self, name: &str) -> (CampaignSpec, usize, u64) {
-        self.send(&Frame::Hello {
-            worker: name.into(),
-            proto: PROTO_VERSION,
-            telemetry: String::new(),
-        });
-        let Frame::Job {
-            spec,
-            shards,
-            fingerprint,
-        } = self.recv()
-        else {
-            panic!("expected job frame");
-        };
-        self.send(&Frame::Ready { fingerprint });
-        (spec, shards, fingerprint)
-    }
-
-    /// Poll until the coordinator grants a lease.
-    fn await_lease(&mut self) -> (usize, Vec<usize>) {
-        loop {
-            match self.recv() {
-                Frame::Lease { shard, done } => return (shard, done),
-                Frame::Wait { ms } => {
-                    std::thread::sleep(Duration::from_millis(ms));
-                    self.send(&Frame::Poll);
-                }
-                f => panic!("expected lease/wait, got {f:?}"),
-            }
-        }
-    }
-}
 
 fn spec() -> CampaignSpec {
     CampaignSpec {

@@ -5,9 +5,12 @@
 //! mid-campaign must serve lint-clean Prometheus exposition text and a
 //! parseable `/status` fleet document.
 
+mod common;
+
 use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
+use common::Conn;
 use dispatch::{serve, work, CampaignSpec, DispatchCfg, TelemetryCfg, WorkerCfg};
 use relia::plan::Layer;
 use relia::{execute_trials, records_fingerprint};
@@ -55,7 +58,9 @@ fn telemetry_preserves_bit_identical_merge_and_exposes_endpoints() {
     let addr = format!("127.0.0.1:{}", listener.local_addr().unwrap().port());
     let cfg = DispatchCfg {
         shards: 3,
-        lease: Duration::from_millis(500),
+        // Long enough that the scripted peer below keeps its lease for as
+        // long as the test needs; its hang-up, not the timer, ends it.
+        lease: Duration::from_secs(60),
         backoff: Duration::from_millis(50),
         max_backoff: Duration::from_millis(200),
         wait_ms: 50,
@@ -113,10 +118,16 @@ fn telemetry_preserves_bit_identical_merge_and_exposes_endpoints() {
             .expect("shard_detail array");
         assert_eq!(shard_detail.len(), 3);
 
+        // A scripted peer handshakes first and sits on one shard's lease:
+        // the campaign cannot complete, so the worker's session — and the
+        // telemetry server that lives only as long as it — provably
+        // outlasts the scrape below, however fast the trials are.
+        let mut squatter = Conn::connect(&addr);
+        squatter.handshake("squatter");
+        squatter.await_lease();
+
         // Now run the fleet: one traced worker with its own telemetry
         // server, which the coordinator discovers via the hello frame.
-        // Its server lives only while `work` runs, so scrape it from
-        // here while the worker thread executes.
         let w = s.spawn(|| work(&addr, &wcfg));
         let worker_addr = wait_for_port(&worker_pf);
         let (code, wstatus) =
@@ -127,6 +138,9 @@ fn telemetry_preserves_bit_identical_merge_and_exposes_endpoints() {
             wdoc.get("role").and_then(obs::JsonNode::as_str),
             Some("worker")
         );
+        // The peer hangs up; the coordinator reclaims its lease at once
+        // and the worker finishes the campaign.
+        drop(squatter);
         let summary = w.join().unwrap().expect("worker session");
         assert!(summary.shards_completed >= 1);
         coordinator.join().unwrap().expect("serve")

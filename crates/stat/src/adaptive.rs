@@ -10,7 +10,10 @@
 //! (seed, app, strata specs) — never on *how* earlier waves were
 //! executed — because [`plan_wave`] derives per-trial seeds from the same
 //! (kernel, target, ordinal) streams as the fixed-n planners. Convergence
-//! decisions are pure functions of complete wave record sets. So an
+//! decisions are pure functions of complete wave record sets: each wave's
+//! records pass through a [`RecordSet`] and the one stratum fold
+//! ([`assemble`]), whose rows — aligned with the wave plan's strata, which
+//! *are* the pending strata — are zipped into the running counts. So an
 //! adaptive campaign run single-shot, sharded, killed-and-resumed, or
 //! farmed out over dispatch workers produces byte-identical wave plans,
 //! records, and final intervals.
@@ -24,9 +27,9 @@ use std::sync::Arc;
 
 use kernels::Benchmark;
 use relia::{
-    assemble_uarch, dedupe_records, execute_shard, plan_wave, records_fingerprint, AppCaptures,
-    CampaignCfg, Confidence, EngineCfg, EngineError, Layer, PreparedCampaign, StratumSpec,
-    TrialRecord, TrialTarget,
+    assemble, derating_factor, execute_shard, plan_wave, records_fingerprint, AppCaptures,
+    CampaignCfg, Confidence, EngineCfg, EngineError, Layer, PreparedCampaign, RecordSet,
+    StratumSpec, TrialRecord, TrialTarget,
 };
 use vgpu_sim::{HwStructure, SwFaultKind};
 
@@ -195,25 +198,6 @@ fn fold_fp(acc: u64, x: u64) -> u64 {
     acc.rotate_left(7) ^ x
 }
 
-/// Validate that `records` exactly cover a wave plan (indices `0..len`,
-/// no gaps; duplicates must agree) and return them in plan order.
-fn complete_wave(
-    plan_len: usize,
-    records: &[TrialRecord],
-) -> Result<Vec<TrialRecord>, EngineError> {
-    let recs = dedupe_records(records)?;
-    if let Some(r) = recs.iter().find(|r| r.idx >= plan_len) {
-        return Err(EngineError::ForeignTrial { idx: r.idx });
-    }
-    if recs.len() < plan_len {
-        return Err(EngineError::IncompleteCover {
-            missing: plan_len - recs.len(),
-            total: plan_len,
-        });
-    }
-    Ok(recs)
-}
-
 /// Run an adaptive campaign, delegating each wave's execution to `exec`.
 ///
 /// `exec` receives the prepared wave and its index and must return a
@@ -267,7 +251,12 @@ where
                 target,
                 stats: StratumStats::default(),
                 n: 0,
-                derate: 1.0,
+                derate: match target {
+                    TrialTarget::Structure(h) => {
+                        derating_factor(captures.golden(), k_idx, &cfg.gpu, h)
+                    }
+                    TrialTarget::Fault(_) => 1.0,
+                },
                 empty: false,
                 converged_wave: None,
             })
@@ -301,46 +290,22 @@ where
             .collect();
         let prep = plan_wave(captures, cfg, &specs, wave);
         plans_fp = fold_fp(plans_fp, prep.plan.fingerprint());
-        let records = complete_wave(prep.plan.len(), &exec(&prep, wave)?)?;
+        let mut set = RecordSet::new(prep.plan.len());
+        set.extend(&exec(&prep, wave)?)?;
+        let records = set.complete()?;
         records_fp = fold_fp(records_fp, records_fingerprint(&records));
 
-        // Wave 0 covers every stratum, so it is the one place to harvest
-        // structure derating factors (uarch) and detect empty populations
-        // (a stratum whose trials all resolved to no fault).
-        if wave == 0 {
-            let df = if layer == Layer::Uarch {
-                Some(assemble_uarch(&prep, &records)?)
-            } else {
-                None
-            };
-            for &i in &pending {
-                let s = &mut strata[i];
-                if let (Some(app), TrialTarget::Structure(h)) = (&df, s.target) {
-                    s.derate = app.kernels[s.kernel_idx].df_of(h);
-                }
-                s.empty = prep
-                    .plan
-                    .trials
-                    .iter()
-                    .filter(|t| t.kernel_idx == s.kernel_idx && t.target == s.target)
-                    .all(|t| t.fault.is_none());
-            }
-        }
-
-        for r in &records {
-            let t = &prep.plan.trials[r.idx];
-            let s = strata
-                .iter_mut()
-                .find(|s| s.kernel_idx == t.kernel_idx && s.target == t.target)
-                .expect("wave trial belongs to a known stratum");
-            s.stats.record(r.outcome);
-        }
-        for sp in &specs {
-            let s = strata
-                .iter_mut()
-                .find(|s| s.kernel_idx == sp.kernel_idx && s.target == sp.target)
-                .unwrap();
-            s.n += sp.count;
+        // The wave's plan strata are the pending strata, in order: zip each
+        // with its row of the count table and its own slice of trials. A
+        // stratum whose trials all resolved to no fault has an empty
+        // population (the same verdict in every wave).
+        let table = assemble(&prep, &records)?;
+        for ((&i, row), (spec, trials)) in pending.iter().zip(&table).zip(prep.plan.strata_trials())
+        {
+            let s = &mut strata[i];
+            s.empty = trials.iter().all(|t| t.fault.is_none());
+            s.stats.counts.add(&row.counts);
+            s.n += spec.count;
             if s.converged(acfg) {
                 s.converged_wave = Some(wave);
             }

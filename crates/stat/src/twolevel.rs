@@ -17,8 +17,8 @@ use std::sync::Arc;
 
 use kernels::Benchmark;
 use relia::{
-    assemble_sw_counts, execute_shard, plan_sw, sw_seed_tag, AppCaptures, CampaignCfg, ClassCounts,
-    Confidence, EngineCfg, EngineError, Layer, PreparedCampaign, TrialRecord,
+    assemble, execute_shard, plan_sw, sw_seed_tag, AppCaptures, CampaignCfg, ClassCounts,
+    Confidence, EngineCfg, EngineError, Layer, PreparedCampaign, TrialRecord, TrialTarget,
 };
 use vgpu_arch::InstrClass;
 use vgpu_sim::SwFaultKind;
@@ -141,66 +141,58 @@ fn bootstrap_strata(
 }
 
 /// Fold a complete two-level record set into the propagated estimate.
-/// `prep` must be a plan over [`class_kinds`] (any subset order works —
-/// classes are resolved by kind, not position). Deterministic: the
-/// bootstrap seed is derived from the campaign seed.
+/// `prep` must be a plan over [`class_kinds`] (any subset, any order —
+/// each stratum of the plan names its own kernel and class). Deterministic:
+/// the bootstrap seed is derived from the campaign seed.
 pub fn assemble_two_level(
     prep: &PreparedCampaign,
     records: &[TrialRecord],
     conf: Confidence,
     reps: usize,
 ) -> Result<TwoLevelEstimate, EngineError> {
-    let counts = assemble_sw_counts(prep, records)?;
-    let kinds = &prep.plan.sw_kinds;
-    let kernels: Vec<KernelEstimate> = prep
-        .bench()
-        .kernels()
-        .iter()
-        .enumerate()
-        .map(|(k_idx, k_name)| {
-            let stats = prep.golden.kernel_stats(k_idx);
-            let classes = kinds
-                .iter()
-                .enumerate()
-                .filter_map(|(pos, &(kind, _))| {
-                    let SwFaultKind::DestClass(class) = kind else {
-                        return None;
-                    };
-                    let pop = class
-                        .index()
-                        .map(|i| stats.class_dest_instrs[i])
-                        .unwrap_or(0);
-                    let share = if stats.gp_dest_instrs == 0 {
-                        0.0
-                    } else {
-                        pop as f64 / stats.gp_dest_instrs as f64
-                    };
-                    let c = counts[k_idx][pos];
-                    // An empty class population contributes weight 0; its
-                    // trivially masked trials carry no evidence and must
-                    // not narrow the propagated CI, so drop its sample.
-                    let c = if pop == 0 { ClassCounts::default() } else { c };
-                    Some(ClassEstimate {
-                        class,
-                        share,
-                        counts: c,
-                        sdc_ci: wilson(c.sdc as u64, c.total() as u64, conf),
-                        failure_ci: wilson(
-                            (c.sdc + c.timeout + c.due) as u64,
-                            c.total() as u64,
-                            conf,
-                        ),
-                    })
-                })
-                .collect();
-            KernelEstimate {
-                kernel: k_name.to_string(),
-                instrs: stats.thread_instrs,
-                gp_dest_instrs: stats.gp_dest_instrs,
-                classes,
-            }
+    let table = assemble(prep, records)?;
+    let names = prep.bench().kernels();
+    let stats: Vec<_> = (0..names.len())
+        .map(|k_idx| prep.golden.kernel_stats(k_idx))
+        .collect();
+    let mut kernels: Vec<KernelEstimate> = (names.iter().zip(&stats))
+        .map(|(k_name, stats)| KernelEstimate {
+            kernel: k_name.to_string(),
+            instrs: stats.thread_instrs,
+            gp_dest_instrs: stats.gp_dest_instrs,
+            classes: Vec::new(),
         })
         .collect();
+    for (st, row) in prep.plan.strata.iter().zip(&table) {
+        let TrialTarget::Fault(SwFaultKind::DestClass(class)) = st.target else {
+            continue;
+        };
+        let stats = &stats[st.kernel_idx];
+        let pop = class
+            .index()
+            .map(|i| stats.class_dest_instrs[i])
+            .unwrap_or(0);
+        let share = if stats.gp_dest_instrs == 0 {
+            0.0
+        } else {
+            pop as f64 / stats.gp_dest_instrs as f64
+        };
+        // An empty class population contributes weight 0; its trivially
+        // masked trials carry no evidence and must not narrow the
+        // propagated CI, so drop its sample.
+        let c = if pop == 0 {
+            ClassCounts::default()
+        } else {
+            row.counts
+        };
+        kernels[st.kernel_idx].classes.push(ClassEstimate {
+            class,
+            share,
+            counts: c,
+            sdc_ci: wilson(c.sdc as u64, c.total() as u64, conf),
+            failure_ci: wilson((c.sdc + c.timeout + c.due) as u64, c.total() as u64, conf),
+        });
+    }
 
     let sdc_strata = bootstrap_strata(&kernels, |c| c.sdc as u64);
     let fail_strata = bootstrap_strata(&kernels, |c| (c.sdc + c.timeout + c.due) as u64);

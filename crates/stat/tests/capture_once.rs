@@ -13,9 +13,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use kernels::apps::va::Va;
 use obs::Phase;
 use relia::{
-    execute_shard, execute_trials_with, load_checkpoint, plan_strata, plan_wave, AppCaptures,
-    CampaignCfg, EngineBackend, EngineCfg, EngineError, FastForward, Layer, PreparedCampaign,
-    StratumSpec, TrialRecord, TrialTarget, DEFAULT_SNAPSHOTS,
+    execute_shard, execute_trials_with, load_checkpoint, plan_wave, AppCaptures, CampaignCfg,
+    EngineBackend, EngineCfg, EngineError, FastForward, Layer, PreparedCampaign, StratumSpec,
+    TrialRecord, TrialTarget, DEFAULT_SNAPSHOTS,
 };
 use stat::{run_adaptive, sw_targets, uarch_targets, AdaptiveCfg, AdaptiveResult};
 use vgpu_arch::InstrClass;
@@ -121,7 +121,7 @@ fn shared_captures_move_no_plan_and_no_record() {
         // own and executed on the oracle path.
         let standalone = run_adaptive(&Va, &cfg, false, layer, &targets, &acfg, |prep, wave| {
             let own = AppCaptures::new(&Va, &cfg.gpu, layer, false);
-            let fresh = plan_wave(&own, &cfg, &plan_strata(&prep.plan), wave);
+            let fresh = plan_wave(&own, &cfg, &prep.plan.strata, wave);
             assert_eq!(fresh.plan.trials, prep.plan.trials);
             let all: Vec<usize> = (0..fresh.plan.len()).collect();
             Ok(execute_trials_with(

@@ -244,11 +244,6 @@ impl Cache {
         }
     }
 
-    /// Total data-array bytes (fault-injection population).
-    pub fn data_bytes(&self) -> u64 {
-        self.data.len() as u64
-    }
-
     /// Flip one bit of the data array (microarchitecture fault injection).
     /// The flip lands wherever `byte_index` points — valid line, stale
     /// invalid line, it does not matter: that is the AVF fault model.

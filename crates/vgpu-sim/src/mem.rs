@@ -256,11 +256,6 @@ impl ArenaPlanner {
         base
     }
 
-    /// Current high-water mark (exclusive end of the allocated space).
-    pub fn high_water(&self) -> u32 {
-        self.cursor
-    }
-
     /// Whether `mem` has exactly the arena size and mapped-range table
     /// [`ArenaPlanner::build`] would produce right now — the condition for
     /// recycling an existing arena (after [`GlobalMem::clear_data`])

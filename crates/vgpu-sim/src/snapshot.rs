@@ -738,13 +738,6 @@ pub struct DeviceSnapshot {
     pub(crate) id: SnapId,
 }
 
-impl DeviceSnapshot {
-    /// Exact heap footprint in bytes.
-    pub fn byte_size(&self) -> u64 {
-        self.store.heap_bytes()
-    }
-}
-
 /// Golden reference handed to `Gpu::resume_from` to enable the early
 /// masked-convergence exit for one launch.
 pub struct ConvergeWith<'a> {
