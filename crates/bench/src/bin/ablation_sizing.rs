@@ -7,19 +7,21 @@
 //! should not) by recomputing two applications' AVFs under different GPU
 //! sizings and reporting whether their *ranking* survives.
 //!
-//! Writes `results/ablation_sizing.csv`.
-//! Options: `--n-uarch N --seed S`.
+//! Writes `ablation_sizing.csv` to `--out-dir` (default `results/`).
+//! Options: `--n-uarch N --seed S --backend B --events PATH`.
 
 use bench::cli::{from_env, Cmd};
-use bench::results_dir;
+use bench::{finish_observability, init_observability};
 use kernels::apps::{hotspot::HotSpot, lud::Lud, scp::Scp};
 use kernels::Benchmark;
-use relia::{pct4, run_uarch_campaign, Table};
+use relia::{pct4, run_uarch_campaign_on, AppCaptures, Layer, Table};
 use vgpu_sim::{GpuConfig, HwStructure};
 
 fn main() {
-    let base_cfg = from_env(Cmd::Study).campaign_cfg(100, 0);
-    let dir = results_dir();
+    let args = from_env(Cmd::Study);
+    let (base_cfg, backend) = (args.campaign_cfg(100, 0), args.backend());
+    init_observability();
+    let dir = args.results_dir();
     let apps: [&dyn Benchmark; 3] = [&HotSpot, &Lud, &Scp];
     let mut t = Table::new(
         "Ablation: chip AVF under different GPU sizings, %",
@@ -41,7 +43,8 @@ fn main() {
         let mut avfs = Vec::new();
         for app in apps {
             eprintln!("[ablation] {} SMs, {} ...", sms, app.name());
-            let r = run_uarch_campaign(app, &cfg, false);
+            let captures = AppCaptures::new(app, &cfg.gpu, Layer::Uarch, false);
+            let r = run_uarch_campaign_on(&captures, &cfg, backend);
             avfs.push((app.name(), r.app_avf(&cfg.gpu).total(), r));
         }
         let rank_holds = avfs[0].1 > avfs[1].1; // HotSpot vs LUD
@@ -63,4 +66,5 @@ fn main() {
     }
     println!("{t}");
     t.write_csv(dir.join("ablation_sizing.csv")).unwrap();
+    finish_observability();
 }

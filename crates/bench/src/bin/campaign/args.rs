@@ -1,5 +1,5 @@
 //! What the subcommands share on top of the flag table: the
-//! runtime-failure exit, and the projections of `--adaptive` and
+//! runtime-failure and out-of-budget exits, and the projections of `--adaptive` and
 //! `--telemetry-port` that both `run`/`serve` and `serve`/`work` use.
 
 use std::process::exit;
@@ -13,6 +13,15 @@ use stat::{sw_targets, uarch_targets, AdaptiveCfg};
 pub fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
     exit(1);
+}
+
+/// `--limit` ran out before `what` (a campaign of `paper`, a wave of
+/// `run --adaptive`) was covered: say so and stop, successfully — the
+/// journal is resumable.
+pub fn exit_partial(what: &str, done: usize, total: usize) -> ! {
+    println!("{what}: {done}/{total} trials classified (partial — resume to finish)");
+    bench::finish_observability();
+    exit(0);
 }
 
 /// `--adaptive` sizing, or `None` for a fixed-n campaign. An

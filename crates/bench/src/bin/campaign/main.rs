@@ -1,8 +1,13 @@
-//! Sharded campaign driver: split one fault-injection campaign across
-//! processes/machines, checkpoint while running, resume after a kill, and
-//! merge shard outputs back into the single-shot result.
+//! The campaign driver — the repo's one command line. Regenerate the
+//! paper's injection figures in one resumable run (`paper`), or split one
+//! fault-injection campaign across processes/machines, checkpoint while
+//! running, resume after a kill, and merge shard outputs back into the
+//! single-shot result.
 //!
 //! ```text
+//! campaign paper --out-dir DIR [--n-uarch N --n-sw N --apps VA,SCP --limit L]
+//! campaign list
+//! campaign golden --app VA [--layer uarch|sw] [--hardened] [--sms N]
 //! campaign run   --app VA --layer uarch --shards 4 --shard-index 0 \
 //!                --checkpoint shard0.jsonl [--resume shard0.jsonl]
 //! campaign run   --app VA --layer uarch --adaptive --ci-target 0.05 \
@@ -38,7 +43,9 @@
 
 mod args;
 mod fleet;
+mod golden;
 mod merge;
+mod paper;
 mod run;
 mod serve;
 mod smoke;
@@ -47,7 +54,8 @@ mod work;
 use bench::cli::{die, usage, Cmd};
 use bench::{finish_observability, init_observability};
 
-const SUBCOMMANDS: &str = "run|merge|serve|work|status|top|scrape|lint|timeline|smoke";
+const SUBCOMMANDS: &str =
+    "paper|list|golden|run|merge|serve|work|status|top|scrape|lint|timeline|smoke";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -63,7 +71,8 @@ fn main() {
             println!("{}", usage(*cmd));
         }
         println!(
-            "usage: campaign status|scrape ADDR     one-shot fleet view / lint of a telemetry endpoint\n\
+            "usage: campaign list                   the applications and their kernels\n\
+             usage: campaign status|scrape ADDR     one-shot fleet view / lint of a telemetry endpoint\n\
              usage: campaign lint                   validate Prometheus exposition text from stdin\n\
              usage: campaign timeline FILE...       merge JSONL trace events into one timeline\n\
              usage: campaign smoke                  in-process path + shard + adaptive equivalence gate"
@@ -73,6 +82,9 @@ fn main() {
     let rest = &args[2..];
     init_observability();
     match sub.as_str() {
+        "paper" => paper::paper(rest),
+        "list" => golden::list(),
+        "golden" => golden::golden(rest),
         "run" => run::run(rest),
         "merge" => merge::merge(rest),
         "serve" => serve::serve(rest),

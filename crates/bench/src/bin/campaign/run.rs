@@ -2,19 +2,17 @@
 //! fixed-n, or CI-sized in waves with `--adaptive`.
 
 use std::path::{Path, PathBuf};
-use std::process::exit;
 
 use bench::cli::{die, parse_or_exit, Cmd};
-use bench::finish_observability;
 use dispatch::CampaignSpec;
 use kernels::Benchmark;
 use relia::{
-    execute_shard, load_checkpoint, pct, records_fingerprint, shard_trials, CampaignCfg, EngineCfg,
-    EngineError, Table, Watchdog, DEFAULT_CHECKPOINT_EVERY,
+    execute_resumable, execute_shard, pct, records_fingerprint, shard_trials, CampaignCfg,
+    EngineCfg, ShardRun, Table, Watchdog, DEFAULT_CHECKPOINT_EVERY,
 };
 use stat::{run_adaptive, AdaptiveCfg, AdaptiveResult};
 
-use crate::args::{adaptive, adaptive_targets, fail};
+use crate::args::{adaptive, adaptive_targets, exit_partial, fail};
 use crate::merge::{print_result, write_csv};
 
 pub fn run(args: &[String]) {
@@ -64,13 +62,7 @@ pub fn run(args: &[String]) {
         shards,
         my,
     );
-    let records = match execute_shard(&prep, &eng) {
-        Ok(r) => r,
-        Err(e @ EngineError::AlreadyComplete { .. }) => {
-            fail(&format!("{e}; nothing to resume"));
-        }
-        Err(e) => fail(&e.to_string()),
-    };
+    let records = execute_shard(&prep, &eng).unwrap_or_else(|e| fail(&e.to_string()));
     if records.len() == prep.plan.len() {
         print_result(&prep, &records, csv.as_deref());
     } else {
@@ -138,47 +130,24 @@ fn run_waves(
         &targets,
         acfg,
         |prep, wave| {
-            let resume = eng
-                .resume
-                .as_ref()
-                .map(|b| wave_path(b, wave))
-                .filter(|p| p.exists());
-            let journal = |p: &PathBuf| {
-                load_checkpoint(p)
-                    .unwrap_or_else(|e| fail(&format!("{}: {e}", p.display())))
-                    .records
-            };
-            // The resume journal's record count tells us how many of this
-            // wave's trials are already classified — only the rest count
-            // against `--limit`.
-            let preexisting = resume.as_ref().map_or(0, |p| journal(p).len());
+            // A wave whose journal is already complete is loaded, one that
+            // is partial is finished, and only the trials executed now
+            // count against `--limit`.
             let wave_eng = EngineCfg {
                 checkpoint: eng.checkpoint.as_ref().map(|b| wave_path(b, wave)),
-                resume,
+                resume: (eng.resume.as_ref())
+                    .map(|b| wave_path(b, wave))
+                    .filter(|p| p.exists()),
                 trial_limit: eng.trial_limit.map(|l| l.saturating_sub(executed_new)),
                 ..eng.clone()
             };
-            let records = match execute_shard(prep, &wave_eng) {
-                Ok(r) => r,
-                Err(EngineError::AlreadyComplete { .. }) => journal(
-                    wave_eng
-                        .resume
-                        .as_ref()
-                        .expect("AlreadyComplete implies a resume journal"),
-                ),
-                Err(e) => fail(&e.to_string()),
-            };
+            let ShardRun { records, resumed } =
+                execute_resumable(prep, &wave_eng).unwrap_or_else(|e| fail(&e.to_string()));
             if records.len() < prep.plan.len() {
-                println!(
-                    "adaptive wave {wave}: {}/{} trials classified \
-                     (partial — resume to finish)",
-                    records.len(),
-                    prep.plan.len()
-                );
-                finish_observability();
-                exit(0);
+                let what = format!("adaptive wave {wave}");
+                exit_partial(&what, records.len(), prep.plan.len());
             }
-            executed_new += records.len() - preexisting;
+            executed_new += records.len() - resumed;
             Ok(records)
         },
     )

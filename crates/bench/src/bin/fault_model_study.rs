@@ -24,7 +24,7 @@
 
 use ace::spearman;
 use bench::cli::{parse_or_exit, Cmd};
-use bench::{finish_observability, init_observability, results_dir};
+use bench::{finish_observability, init_observability};
 use kernels::{all_benchmarks, Benchmark};
 use relia::{
     pct, pct4, run_sw_campaign_on, run_uarch_campaign_on, AppCaptures, CampaignCfg, EngineBackend,
@@ -174,7 +174,7 @@ fn main() {
             trend.total()
         );
     }
-    let dir = results_dir();
+    let dir = args.results_dir();
     t.write_csv(dir.join("fig_fault_model_ranking.csv"))
         .unwrap();
     println!(

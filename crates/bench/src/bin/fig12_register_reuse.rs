@@ -7,23 +7,27 @@
 //!    and the *reuse-replicating* model the paper proposes, showing that
 //!    the instantaneous model underestimates vulnerability.
 //!
-//! Writes `results/fig12_reuse_sets.csv` and
-//! `results/fig12_src_injection_modes.csv`.
-//! Options: `--n-sw N --seed S`.
+//! Writes `fig12_reuse_sets.csv` and `fig12_src_injection_modes.csv` to
+//! `--out-dir` (default `results/`).
+//! Options: `--n-sw N --seed S --events PATH` (one event per injection).
 
 use bench::cli::{from_env, Cmd};
-use bench::results_dir;
-use kernels::{all_benchmarks, faulty_run, golden_run, Outcome, PlannedFault, Variant};
+use bench::{finish_observability, init_observability};
+use kernels::{all_benchmarks, faulty_run, golden_run, PlannedFault, Variant};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use relia::checkpoint::outcome_label;
 use relia::reuse::{figure12_kernel, readers_until_redef};
 use relia::{pct, ClassCounts, Table};
+use std::time::Instant;
 use vgpu_arch::Reg;
 use vgpu_sim::{Mode, SwFault, SwFaultKind};
 
 fn main() {
-    let cfg = from_env(Cmd::Study).campaign_cfg(0, 300);
-    let dir = results_dir();
+    let args = from_env(Cmd::Study);
+    let cfg = args.campaign_cfg(0, 300);
+    init_observability();
+    let dir = args.results_dir();
 
     // ---- Part 1: the exact Figure 12 example --------------------------
     let k = figure12_kernel();
@@ -76,7 +80,7 @@ fn main() {
                 .filter(|&(_, w)| w > 0)
                 .collect();
             let total: u64 = windows.iter().map(|&(_, w)| w).sum();
-            for _ in 0..cfg.n_sw {
+            for trial in 0..cfg.n_sw {
                 let mut x = rng.gen_range(0..total);
                 let (ordinal, weight) = windows
                     .iter()
@@ -90,16 +94,32 @@ fn main() {
                         }
                     })
                     .unwrap();
-                let fault = PlannedFault::Sw(SwFault {
+                let fault = SwFault {
                     kind,
                     target: rng.gen_range(0..weight),
                     bit: rng.gen_range(0..32),
                     loc_pick: 0,
                     pattern: vgpu_sim::FaultPattern::SingleBit,
-                });
-                let res = faulty_run(b.as_ref(), &cfg.gpu, variant, &golden, ordinal, fault);
+                };
+                let t0 = Instant::now();
+                let planned = PlannedFault::Sw(fault);
+                let res = faulty_run(b.as_ref(), &cfg.gpu, variant, &golden, ordinal, planned);
                 counts.record(res.outcome);
-                let _ = Outcome::Masked;
+                // These injections bypass the campaign engine (one stream
+                // over the whole application, not per kernel), so the
+                // event the engine would emit is emitted here.
+                obs::emit(&obs::InjectionEvent {
+                    seed: cfg.seed,
+                    app: b.name(),
+                    kernel: b.kernels()[golden.records[ordinal].kernel_idx],
+                    layer: "sw",
+                    target: kind.label(),
+                    trial: trial as u64,
+                    bit: fault.bit,
+                    cycle: fault.target,
+                    outcome: outcome_label(res.outcome),
+                    wall_us: t0.elapsed().as_micros() as u64,
+                });
             }
             fr[mi] = counts.failure_rate();
         }
@@ -114,4 +134,5 @@ fn main() {
     modes
         .write_csv(dir.join("fig12_src_injection_modes.csv"))
         .unwrap();
+    finish_observability();
 }

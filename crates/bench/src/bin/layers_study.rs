@@ -10,12 +10,12 @@
 //! * **PVF → AVF**: hardware masking + derating (dead/unallocated entries,
 //!   cache evictions, structure sizes).
 //!
-//! Writes `results/layers_study.csv`.
+//! Writes `layers_study.csv` to `--out-dir` (default `results/`).
 //! Options: `--n-uarch N --n-sw N --seed S --events PATH`, watchdog:
 //! `--wall-limit-us N --cycle-limit N --no-retry` (docs/CAMPAIGNS.md).
 
 use bench::cli::{from_env, Cmd};
-use bench::{finish_observability, init_observability, results_dir};
+use bench::{finish_observability, init_observability};
 use kernels::all_benchmarks;
 use relia::{
     pct, pct4, run_pvf_campaign_on, run_sw_campaign_on, run_uarch_campaign_on, AppCaptures, Layer,
@@ -26,7 +26,7 @@ fn main() {
     let args = from_env(Cmd::Study);
     let (cfg, backend) = (args.campaign_cfg(100, 200), args.backend());
     init_observability();
-    let dir = results_dir();
+    let dir = args.results_dir();
     let mut t = Table::new(
         "Three-layer comparison: SVF (software) vs PVF (architectural state) vs AVF (cross-layer), %",
         &["App", "SVF", "PVF", "AVF", "SVF/PVF", "PVF/AVF"],

@@ -17,10 +17,11 @@
 //! for SVF; docs/PERF.md), golden-reuse capture included — what a campaign
 //! costs now. Both run the same plans: `--n-uarch` register-file injections
 //! and `--n-sw` destination-value injections per kernel. Writes
-//! `results/speed_study.csv`.
+//! `speed_study.csv` to `--out-dir` (default `results/`); `--events PATH`
+//! logs every injection of both paths.
 
 use bench::cli::{from_env, Cmd};
-use bench::results_dir;
+use bench::{finish_observability, init_observability};
 use kernels::all_benchmarks;
 use relia::plan::{plan_sw, plan_uarch, Layer, PreparedCampaign};
 use relia::{execute_trials_with, AppCaptures, FastForward, Table, DEFAULT_SNAPSHOTS};
@@ -46,11 +47,13 @@ fn us_per_injection(prep: &PreparedCampaign, path: FastForward) -> f64 {
 }
 
 fn main() {
-    let mut cfg = from_env(Cmd::Study).campaign_cfg(50, 50);
+    let args = from_env(Cmd::Study);
+    let mut cfg = args.campaign_cfg(50, 50);
+    init_observability();
     // A wall limit nothing reaches: its only effect is that the engine
     // fills `TrialRecord::wall_us`.
     cfg.watchdog.wall_us_limit = Some(u64::MAX);
-    let dir = results_dir();
+    let dir = args.results_dir();
     let mut t = Table::new(
         "Footnote 1: per-injection cost, AVF (cycle-level) vs SVF (software-level)",
         &[
@@ -95,4 +98,5 @@ fn main() {
          default trial path (golden reuse, its capture included)."
     );
     t.write_csv(dir.join("speed_study.csv")).unwrap();
+    finish_observability();
 }

@@ -32,19 +32,26 @@ pub enum Cmd {
     Serve,
     Work,
     Top,
-    /// The figure/table binaries that run fixed-size AVF + SVF campaigns.
+    /// `campaign paper`: every campaign behind the paper's figures, once.
+    Paper,
+    /// `campaign golden`: one fault-free run, per launch.
+    Golden,
+    /// The stand-alone study binaries that run fixed-size AVF + SVF
+    /// campaigns of their own (the extensions and footnote 1).
     Study,
     AceStudy,
     TwolevelStudy,
 }
 
 impl Cmd {
-    pub const ALL: [Cmd; 8] = [
+    pub const ALL: [Cmd; 10] = [
         Cmd::Run,
         Cmd::Merge,
         Cmd::Serve,
         Cmd::Work,
         Cmd::Top,
+        Cmd::Paper,
+        Cmd::Golden,
         Cmd::Study,
         Cmd::AceStudy,
         Cmd::TwolevelStudy,
@@ -62,6 +69,8 @@ impl Cmd {
             Cmd::Serve => Some("serve"),
             Cmd::Work => Some("work"),
             Cmd::Top => Some("top"),
+            Cmd::Paper => Some("paper"),
+            Cmd::Golden => Some("golden"),
             Cmd::Study | Cmd::AceStudy | Cmd::TwolevelStudy => None,
         }
     }
@@ -81,13 +90,17 @@ const MERGE: u16 = Cmd::Merge.bit();
 const SERVE: u16 = Cmd::Serve.bit();
 const WORK: u16 = Cmd::Work.bit();
 const TOP: u16 = Cmd::Top.bit();
+const PAPER: u16 = Cmd::Paper.bit();
+const GOLDEN: u16 = Cmd::Golden.bit();
 const STUDY: u16 = Cmd::Study.bit();
 const ACE: u16 = Cmd::AceStudy.bit();
 const TWOLEVEL: u16 = Cmd::TwolevelStudy.bit();
 /// The commands that rebuild a plan from a campaign description.
 const PLAN: u16 = RUN | MERGE | SERVE;
 const STUDIES: u16 = STUDY | ACE | TWOLEVEL;
-const EVERY: u16 = PLAN | WORK | STUDIES;
+/// The commands sized by `--n-uarch` / `--n-sw` instead of `--n`.
+const SIZED: u16 = STUDY | PAPER;
+const EVERY: u16 = PLAN | WORK | STUDIES | PAPER;
 
 /// What follows a flag on the command line, with its placeholder in the
 /// usage text and the check the value must pass.
@@ -144,21 +157,21 @@ const fn flag(name: &'static str, arg: Arg, cmds: u16, help: &'static str) -> Fl
 #[rustfmt::skip]
 pub const FLAGS: &[Flag] = &[
     // The campaign description (dispatch::CampaignSpec).
-    flag("--app", Arg::Text("NAME"), PLAN, "application to inject into (required)"),
-    flag("--layer", Arg::Choice(layers), PLAN, "injection layer: AVF (uarch, default) or SVF (sw)"),
+    flag("--app", Arg::Text("NAME"), PLAN | GOLDEN, "application to inject into (required)"),
+    flag("--layer", Arg::Choice(layers), PLAN | GOLDEN, "injection layer: AVF (uarch, default) or SVF (sw)"),
     flag("--n", Arg::Num("N", ANY), PLAN, "injections per (kernel, target); default 100"),
-    flag("--n-uarch", Arg::Num("N", ANY), STUDY | ACE, "injections per (kernel, structure) in AVF campaigns"),
-    flag("--n-sw", Arg::Num("N", ANY), STUDY, "injections per kernel in SVF campaigns"),
-    flag("--seed", Arg::Num("S", ANY), PLAN | STUDIES, "campaign seed; every trial derives from it"),
-    flag("--sms", Arg::Num("N", 0..=u32::MAX as u64), PLAN | STUDIES, "SM count of the simulated GPU; default 4"),
-    flag("--hardened", Arg::Switch, PLAN, "inject into the TMR-hardened variant"),
+    flag("--n-uarch", Arg::Num("N", ANY), SIZED | ACE, "injections per (kernel, structure) in AVF campaigns (paper: default 250)"),
+    flag("--n-sw", Arg::Num("N", ANY), SIZED, "injections per kernel and fault kind in SVF campaigns (paper: default 500)"),
+    flag("--seed", Arg::Num("S", ANY), PLAN | STUDIES | PAPER, "campaign seed; every trial derives from it"),
+    flag("--sms", Arg::Num("N", 0..=u32::MAX as u64), PLAN | STUDIES | PAPER | GOLDEN, "SM count of the simulated GPU; default 4"),
+    flag("--hardened", Arg::Switch, PLAN | GOLDEN, "the TMR-hardened variant of the application"),
     flag("--structures", Arg::Text("RF,SMEM,.."), PLAN | ACE, "uarch structure subset (SIMT, SCHED: stuck-at models only)"),
-    flag("--fault-model", Arg::Choice(fault_models), PLAN | STUDY, "fault pattern of every trial; default single-bit"),
-    flag("--backend", Arg::Choice(backends), RUN | SERVE | STUDY, "trial engine; records are identical, replay skips dead faults"),
+    flag("--fault-model", Arg::Choice(fault_models), PLAN | SIZED, "fault pattern of every trial; default single-bit"),
+    flag("--backend", Arg::Choice(backends), RUN | SERVE | SIZED, "trial engine; records are identical, replay skips dead faults"),
     // Per-injection watchdog (relia::Watchdog); off by default.
-    flag("--wall-limit-us", Arg::Num("N", ANY), RUN | STUDY, "reclassify a trial over this wall time as Timeout"),
-    flag("--cycle-limit", Arg::Num("N", ANY), RUN | STUDY, "reclassify a trial over this many cycles as Timeout"),
-    flag("--no-retry", Arg::Switch, RUN | STUDY, "do not retry a trial whose harness panicked"),
+    flag("--wall-limit-us", Arg::Num("N", ANY), RUN | SIZED, "reclassify a trial over this wall time as Timeout"),
+    flag("--cycle-limit", Arg::Num("N", ANY), RUN | SIZED, "reclassify a trial over this many cycles as Timeout"),
+    flag("--no-retry", Arg::Switch, RUN | SIZED, "do not retry a trial whose harness panicked"),
     // Output.
     flag("--csv", Arg::Text("PATH"), PLAN, "also write the result table as CSV"),
     flag("--events", Arg::Text("PATH"), EVERY, "JSONL event sink; turns metrics on (docs/OBSERVABILITY.md)"),
@@ -166,9 +179,9 @@ pub const FLAGS: &[Flag] = &[
     flag("--shards", Arg::Num("N", POSITIVE), RUN | SERVE, "strided shards the plan is split into"),
     flag("--shard-index", Arg::Num("I", ANY), RUN, "this process's shard, 0-based"),
     flag("--checkpoint", Arg::Text("PATH"), RUN, "journal every classified trial (adaptive: PATH.waveW)"),
-    flag("--checkpoint-every", Arg::Num("K", ANY), RUN, "trials between checkpoint flushes; default 64"),
+    flag("--checkpoint-every", Arg::Num("K", ANY), RUN | PAPER, "trials between checkpoint flushes; default 64"),
     flag("--resume", Arg::Text("PATH"), RUN, "skip the trials this checkpoint already classifies"),
-    flag("--limit", Arg::Num("L", ANY), RUN, "stop after L new trials, leaving a resumable checkpoint"),
+    flag("--limit", Arg::Num("L", ANY), RUN | PAPER, "stop after L new trials, leaving a resumable checkpoint"),
     // CI-driven sizing (docs/TWOLEVEL.md).
     flag("--adaptive", Arg::Switch, RUN | SERVE, "size each stratum by CI half-width instead of --n"),
     flag("--ci-target", Arg::Real("X"), RUN | SERVE | TWOLEVEL, "adaptive: CI half-width to reach, in (0, 1)"),
@@ -181,7 +194,7 @@ pub const FLAGS: &[Flag] = &[
     flag("--backoff-ms", Arg::Num("MS", POSITIVE), SERVE, "first reassignment backoff; default 250"),
     flag("--max-backoff-ms", Arg::Num("MS", ANY), SERVE, "backoff ceiling; default 5000"),
     flag("--wait-ms", Arg::Num("MS", POSITIVE), SERVE, "poll interval told to idle workers; default 200"),
-    flag("--out-dir", Arg::Text("DIR"), SERVE, "journal each shard's records under DIR"),
+    flag("--out-dir", Arg::Text("DIR"), SERVE | SIZED, "serve: shard journals under DIR; paper, studies: CSVs (paper: required)"),
     flag("--telemetry-port", Arg::Num("PORT", PORT), SERVE | WORK, "mount /metrics and /status on 127.0.0.1:PORT (0 = any)"),
     flag("--telemetry-port-file", Arg::Text("PATH"), SERVE | WORK, "write the bound telemetry port here"),
     // Worker.
@@ -196,7 +209,7 @@ pub const FLAGS: &[Flag] = &[
     flag("--interval-ms", Arg::Num("MS", POSITIVE), TOP, "poll interval; default 1000"),
     flag("--iterations", Arg::Num("N", ANY), TOP, "stop after N polls (0 = until the campaign is done)"),
     // Study binaries.
-    flag("--apps", Arg::Text("VA,NW,.."), ACE | TWOLEVEL, "suite subset"),
+    flag("--apps", Arg::Text("VA,NW,.."), ACE | TWOLEVEL | PAPER, "suite subset"),
     flag("--make-ref", Arg::Switch, ACE, "record the injection reference instead of estimating"),
     flag("--check", Arg::Switch, ACE | TWOLEVEL, "gate on the acceptance thresholds (exit 1 when unmet)"),
     flag("--n-ref", Arg::Num("N", POSITIVE), TWOLEVEL, "full-injection reference trials per kernel"),
@@ -453,11 +466,11 @@ impl Parsed {
         }
     }
 
-    /// The configuration of a study binary's fixed-size AVF + SVF
-    /// campaigns. Defaults are sized so every figure regenerates in
-    /// minutes on a laptop; pass larger counts to tighten confidence
-    /// intervals (the paper used 3,000 injections per target at ±2.35%,
-    /// 99% confidence).
+    /// The configuration of the fixed-size AVF + SVF campaigns of
+    /// `campaign paper` and the study binaries. Defaults are sized so
+    /// every figure regenerates in minutes on a laptop; pass larger
+    /// counts to tighten confidence intervals (the paper used 3,000
+    /// injections per target at ±2.35%, 99% confidence).
     pub fn campaign_cfg(&self, default_uarch: usize, default_sw: usize) -> CampaignCfg {
         CampaignCfg {
             gpu: self.gpu(),
@@ -467,6 +480,12 @@ impl Parsed {
             watchdog: self.watchdog(),
             pattern: self.fault_model(),
         }
+    }
+
+    /// Where a study binary writes its CSVs: `--out-dir`, or the
+    /// checked-in `results/`.
+    pub fn results_dir(&self) -> PathBuf {
+        self.path("--out-dir").unwrap_or_else(crate::results_dir)
     }
 
     /// The adaptive sizing flags over the given defaults, rejecting any

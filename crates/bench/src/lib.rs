@@ -1,12 +1,17 @@
-//! Shared plumbing for the figure/table regeneration binaries.
+//! Shared plumbing for the `campaign` driver and the study binaries.
 //!
-//! Each binary regenerates one artifact of the paper's evaluation section
-//! (see DESIGN.md's per-experiment index) and writes both an aligned text
-//! table to stdout and a CSV under `results/`.
+//! `campaign paper` regenerates every injection-derived artifact of the
+//! paper's evaluation section (Figures 1–5, 7–11, Table I; DESIGN.md's
+//! per-experiment index) from one journaled record set per campaign —
+//! the tables are the pure functions of [`figures`]. The stand-alone
+//! binaries cover what is not an injection campaign of the suite
+//! (Figure 12, footnote 1) and the extensions. All of them take their
+//! flags from the one table in [`cli`], print aligned text tables to
+//! stdout and write CSVs to `--out-dir` (the studies default to the
+//! checked-in `results/`).
 
 pub mod cli;
-
-use relia::CampaignCfg;
+pub mod figures;
 
 /// Turn on observability from CLI/env before running campaigns:
 ///
@@ -74,31 +79,7 @@ pub fn finish_observability() {
     }
 }
 
-/// Results directory (repo-relative `results/`).
+/// The checked-in results directory (repo-relative `results/`).
 pub fn results_dir() -> std::path::PathBuf {
     std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
-}
-
-/// Unhardened AVF + SVF campaigns over the whole suite — shared by the
-/// Figure 1/2/4/5 and Table I generators.
-pub struct BaselineResults {
-    pub cfg: CampaignCfg,
-    pub apps: Vec<(relia::UarchAppResult, relia::SvfAppResult)>,
-}
-
-pub fn run_baseline(cfg: &CampaignCfg) -> BaselineResults {
-    let apps = kernels::all_benchmarks()
-        .iter()
-        .map(|b| {
-            eprintln!("[baseline] {} ...", b.name());
-            (
-                relia::run_uarch_campaign(b.as_ref(), cfg, false),
-                relia::run_sw_campaign(b.as_ref(), cfg, false),
-            )
-        })
-        .collect();
-    BaselineResults {
-        cfg: cfg.clone(),
-        apps,
-    }
 }

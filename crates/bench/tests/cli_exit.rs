@@ -52,6 +52,12 @@ fn validation_errors_exit_2() {
     );
     assert_exit(&["merge"], 2); // no shard files
     assert_exit(&["merge", "missing.jsonl"], 2); // no --app
+    assert_exit(&["paper"], 2); // no --out-dir
+    assert_exit(&["paper", "--out-dir", "x", "--apps", "NOPE"], 2);
+    assert_exit(&["paper", "--out-dir", "x", "--layer", "sw"], 2); // runs both
+    assert_exit(&["golden"], 2); // no --app
+    assert_exit(&["golden", "--app", "nope"], 2);
+    assert_exit(&["golden", "--app", "VA", "--n", "3"], 2); // not a campaign
 }
 
 #[test]
@@ -109,6 +115,8 @@ fn out_of_range_sms_exits_2_instead_of_panicking() {
     assert_exit(&["run", "--app", "VA", "--sms", "0"], 2);
     assert_exit(&["serve", "--app", "VA", "--sms", "0"], 2);
     assert_exit(&["merge", "--app", "VA", "--sms", "0", "x.jsonl"], 2);
+    assert_exit(&["golden", "--app", "VA", "--sms", "0"], 2);
+    assert_exit(&["paper", "--out-dir", "x", "--sms", "0"], 2);
     assert_exit(&["run", "--app", "VA", "--sms", "1000000"], 2);
     assert_exit(&["run", "--app", "VA", "--sms", "99999999999"], 2);
 }
@@ -132,6 +140,8 @@ fn help_exits_0_and_lists_the_flags() {
         ("serve", "--lease-ms", "--checkpoint"),
         ("work", "--connect", "--app"),
         ("top", "--interval-ms", "--app"),
+        ("paper", "--out-dir", "--app "),
+        ("golden", "--hardened", "--seed"),
     ] {
         let out = campaign(&[sub, "--help"]);
         assert_eq!(out.status.code(), Some(0), "campaign {sub} --help");
@@ -141,6 +151,7 @@ fn help_exits_0_and_lists_the_flags() {
     }
     // Help wins over whatever else is on the line.
     assert_exit(&["run", "--app", "NOPE", "--help"], 0);
+    assert_exit(&["paper", "--help"], 0);
 }
 
 #[test]
@@ -279,6 +290,71 @@ fn runtime_failures_exit_1() {
         l.local_addr().unwrap().port()
     };
     assert_exit(&["work", "--connect", &format!("127.0.0.1:{port}")], 1);
+}
+
+#[test]
+fn list_and_golden_exit_0() {
+    let out = campaign(&["list"]);
+    assert_eq!(out.status.code(), Some(0));
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(text.lines().count(), 12, "a header and 11 applications");
+    assert!(text.contains("LUD          K1 K2 K3"), "{text}");
+    let out = campaign(&["golden", "--app", "va", "--hardened"]);
+    assert_eq!(out.status.code(), Some(0));
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.starts_with("VA golden (timed, TMR)"), "{text}");
+    assert!(text.contains("K1(vote)"), "{text}");
+    let out = campaign(&["golden", "--app", "VA", "--layer", "sw"]);
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("VA golden (functional)"));
+}
+
+/// A study binary of this crate, run at n = 1 into cargo's `target/tmp`
+/// with `--events`: the flag must produce a log, not be parsed and
+/// dropped.
+fn study_writes_events(exe: &str, name: &str) {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("cli_exit_{name}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let events = dir.join("events.jsonl");
+    let out = Command::new(exe)
+        .args(["--n-uarch", "1", "--n-sw", "1", "--backend", "replay"])
+        .arg("--out-dir")
+        .arg(&dir)
+        .arg("--events")
+        .arg(&events)
+        .output()
+        .expect("spawn study binary");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{name}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let log = std::fs::read_to_string(&events).unwrap_or_else(|e| panic!("{name}: {e}"));
+    assert!(log.contains("\"outcome\""), "{name}: no injection event");
+    assert!(
+        std::fs::read_dir(&dir).unwrap().count() >= 2,
+        "{name}: no CSV written to --out-dir"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn ablation_sizing_writes_the_events_it_accepts() {
+    study_writes_events(env!("CARGO_BIN_EXE_ablation_sizing"), "ablation_sizing");
+}
+
+#[test]
+fn speed_study_writes_the_events_it_accepts() {
+    study_writes_events(env!("CARGO_BIN_EXE_speed_study"), "speed_study");
+}
+
+#[test]
+fn fig12_register_reuse_writes_the_events_it_accepts() {
+    study_writes_events(
+        env!("CARGO_BIN_EXE_fig12_register_reuse"),
+        "fig12_register_reuse",
+    );
 }
 
 #[test]

@@ -9,8 +9,10 @@
 //! 2. **Execute** ([`execute_shard`]) — run any strided shard of the plan
 //!    in parallel, optionally journaling every classified trial to a
 //!    JSONL checkpoint ([`crate::checkpoint`]) and skipping trials an
-//!    interrupted run already finished (`resume`). A per-injection
-//!    [`Watchdog`] bounds pathological trials.
+//!    interrupted run already finished (`resume`);
+//!    [`execute_resumable`] is the same stage for callers that only want
+//!    the shard finished, and loads a journal that already is. A
+//!    per-injection [`Watchdog`] bounds pathological trials.
 //! 3. **Assemble** ([`assemble`] and its projections) — one fold turns
 //!    any record set that covers the plan (a single shot, a merge of
 //!    shards in any order, duplicates from at-least-once execution
@@ -696,22 +698,54 @@ where
     Ok(records)
 }
 
+/// What [`execute_resumable`] returns: a shard's classified trials in plan
+/// order, and how many of them its resume journal already held.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ShardRun {
+    pub records: Vec<TrialRecord>,
+    pub resumed: usize,
+}
+
 /// Execute one strided shard of a prepared campaign, in parallel.
 ///
 /// Returns the shard's classified trials in plan order — records loaded
 /// from a resumed checkpoint plus everything newly executed. With
 /// `eng.checkpoint`/`eng.resume` set, every classified trial is journaled
 /// so an interruption at any point (including mid-line) loses at most
-/// `checkpoint_every` trials.
+/// `checkpoint_every` trials. Resuming a checkpoint that already
+/// classifies the whole shard is [`EngineError::AlreadyComplete`]: there
+/// is nothing to execute ([`execute_resumable`] loads it instead).
 pub fn execute_shard(
     prep: &PreparedCampaign,
     eng: &EngineCfg,
 ) -> Result<Vec<TrialRecord>, EngineError> {
+    let run = execute_resumable(prep, eng)?;
+    let shard_len = shard_trials(prep.plan.len(), eng.shards, eng.shard_index).len();
+    if eng.resume.is_some() && run.resumed >= shard_len {
+        return Err(EngineError::AlreadyComplete { done: run.resumed });
+    }
+    Ok(run.records)
+}
+
+/// [`execute_shard`] for callers that journal and resume at the same
+/// place and only want the shard finished — the campaigns of `campaign
+/// paper`, the waves of `campaign run --adaptive`. Whatever `eng.resume`
+/// holds is kept; what it lacks is executed (up to `eng.trial_limit`) and
+/// appended; a journal that already classifies the whole shard is the
+/// result — loaded once, nothing simulated, no file rewritten, no
+/// campaign event emitted.
+pub fn execute_resumable(
+    prep: &PreparedCampaign,
+    eng: &EngineCfg,
+) -> Result<ShardRun, EngineError> {
     let plan = &prep.plan;
     let my = shard_trials(plan.len(), eng.shards, eng.shard_index);
     obs::trace::set_shard(eng.shard_index as u64);
     let header = CheckpointHeader::for_plan(plan, eng.shards, eng.shard_index);
     let mut set = RecordSet::new(plan.len());
+    let in_plan_order = |set: &RecordSet| -> Vec<TrialRecord> {
+        my.iter().filter_map(|&i| set.get(i).copied()).collect()
+    };
 
     let mut writer: Option<CheckpointWriter> = None;
     if let Some(rp) = &eng.resume {
@@ -737,7 +771,10 @@ pub fn execute_shard(
         }
         let done = set.held();
         if done >= my.len() {
-            return Err(EngineError::AlreadyComplete { done });
+            return Ok(ShardRun {
+                records: in_plan_order(&set),
+                resumed: done,
+            });
         }
         obs::counter_add(
             "campaign_resume_skipped_total",
@@ -758,6 +795,7 @@ pub fn execute_shard(
         writer = Some(CheckpointWriter::create(cp, &header, eng.checkpoint_every)?);
     }
 
+    let resumed = set.held();
     let remaining = set.missing(&my);
     let todo = eng
         .trial_limit
@@ -794,7 +832,7 @@ pub fn execute_shard(
     }
 
     set.extend(&new_records)?;
-    let out: Vec<TrialRecord> = my.iter().filter_map(|&i| set.get(i).copied()).collect();
+    let out = in_plan_order(&set);
     obs::emit_campaign(&obs::CampaignEvent {
         kind: "shard_done",
         app: &plan.app,
@@ -804,7 +842,10 @@ pub fn execute_shard(
         done: out.len() as u64,
         total: my.len() as u64,
     });
-    Ok(out)
+    Ok(ShardRun {
+        records: out,
+        resumed,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -1279,6 +1320,43 @@ mod tests {
             let ck = crate::checkpoint::load_checkpoint(&path).unwrap();
             assert_eq!(assemble_uarch(&prep, &ck.records).unwrap(), expect);
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resumable_execution_finishes_a_partial_journal_and_loads_a_complete_one() {
+        let dir = std::env::temp_dir().join(format!("relia_resumable_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("journal.jsonl");
+        let prep = prepare_sw_campaign(&Va, &CampaignCfg::new(4, 4, 9), false);
+        let eng = |resume: bool, trial_limit| EngineCfg {
+            checkpoint: Some(path.clone()),
+            resume: resume.then(|| path.clone()),
+            trial_limit,
+            ..EngineCfg::single_shot()
+        };
+        let killed = execute_resumable(&prep, &eng(false, Some(3))).unwrap();
+        assert_eq!((killed.records.len(), killed.resumed), (3, 0));
+        let finished = execute_resumable(&prep, &eng(true, None)).unwrap();
+        assert_eq!(
+            (finished.records.len(), finished.resumed),
+            (prep.plan.len(), 3)
+        );
+        // Complete: the journal is the result, and is left as it is.
+        let bytes = std::fs::read(&path).unwrap();
+        let loaded = execute_resumable(&prep, &eng(true, Some(0))).unwrap();
+        assert_eq!(loaded.resumed, prep.plan.len());
+        assert_eq!(loaded.records, finished.records);
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        assert_eq!(
+            records_fingerprint(&loaded.records),
+            records_fingerprint(&execute_shard(&prep, &EngineCfg::single_shot()).unwrap())
+        );
+        // For `execute_shard`, which is asked to execute, that is an error.
+        assert!(matches!(
+            execute_shard(&prep, &eng(true, None)),
+            Err(EngineError::AlreadyComplete { done }) if done == prep.plan.len()
+        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

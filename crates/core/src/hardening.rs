@@ -1,13 +1,12 @@
-//! Hardening evaluation (Section IV): run both the unprotected and the
-//! TMR-hardened variant of an application under both assessment layers
-//! and pair the results for the Figure 7–10 comparisons.
+//! Hardening evaluation (Section IV): the results of the unprotected and
+//! the TMR-hardened variant of an application under both assessment
+//! layers, paired for the Figure 7–11 comparisons. Running the four
+//! campaigns is the caller's business (`campaign paper` runs each once,
+//! journaled); this module only pairs what they produced.
 
-use kernels::Benchmark;
 use vgpu_sim::HwStructure;
 
-use crate::campaign::{
-    run_sw_campaign, run_uarch_campaign, CampaignCfg, SvfAppResult, UarchAppResult,
-};
+use crate::campaign::{SvfAppResult, UarchAppResult};
 use crate::metrics::ClassRates;
 
 /// Paired unprotected/TMR measurements for one application.
@@ -33,17 +32,6 @@ pub struct KernelHardeningRow {
     /// Control-path-affected masked fraction before/after (Figure 11).
     pub ctrl_base: f64,
     pub ctrl_tmr: f64,
-}
-
-/// Run all four campaigns for one application.
-pub fn evaluate_hardening(bench: &dyn Benchmark, cfg: &CampaignCfg) -> HardeningComparison {
-    HardeningComparison {
-        app: bench.name().to_string(),
-        base_avf: run_uarch_campaign(bench, cfg, false),
-        base_svf: run_sw_campaign(bench, cfg, false),
-        tmr_avf: run_uarch_campaign(bench, cfg, true),
-        tmr_svf: run_sw_campaign(bench, cfg, true),
-    }
 }
 
 impl HardeningComparison {

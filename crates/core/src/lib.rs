@@ -49,25 +49,25 @@ pub mod reuse;
 pub mod trends;
 
 pub use campaign::{
-    assemble, assemble_sw, assemble_uarch, derating_factor, execute_shard, execute_trials,
-    execute_trials_with, run_sw_campaign, run_sw_campaign_on, run_uarch_campaign,
+    assemble, assemble_sw, assemble_uarch, derating_factor, execute_resumable, execute_shard,
+    execute_trials, execute_trials_with, run_sw_campaign, run_sw_campaign_on, run_uarch_campaign,
     run_uarch_campaign_on, CampaignCfg, EngineBackend, EngineCfg, EngineError, FastForward,
-    StratumCounts, SvfAppResult, SvfKernelResult, UarchAppResult, UarchKernelResult, Watchdog,
-    DEFAULT_SNAPSHOTS,
+    ShardRun, StratumCounts, SvfAppResult, SvfKernelResult, UarchAppResult, UarchKernelResult,
+    Watchdog, DEFAULT_SNAPSHOTS,
 };
 pub use captures::AppCaptures;
 pub use checkpoint::{
     load_checkpoint, Checkpoint, CheckpointError, CheckpointHeader, CheckpointWriter, TrialRecord,
     DEFAULT_CHECKPOINT_EVERY,
 };
-pub use hardening::{evaluate_hardening, HardeningComparison};
+pub use hardening::{HardeningComparison, KernelHardeningRow};
 pub use metrics::{error_margin, ClassCounts, ClassRates, Confidence};
 pub use plan::{
     plan_sw, plan_uarch, plan_wave, prepare_sw_campaign, prepare_uarch_campaign, shard_trials,
     sw_seed_tag, CampaignPlan, Layer, PlannedTrial, PreparedCampaign, StratumSpec, TrialTarget,
     SVF_KINDS,
 };
-pub use profile::{kernel_metrics, normalized_pair, UtilMetrics, METRIC_LABELS};
+pub use profile::{kernel_metrics, normalized_pair, pair_shares, UtilMetrics, METRIC_LABELS};
 pub use pvf::{run_pvf_campaign, run_pvf_campaign_on, PvfAppResult, PvfKernelResult};
 pub use records::{records_fingerprint, RecordSet};
 pub use report::{metrics_tables, pct, pct4, phase_table, RowArityError, Table};

@@ -291,7 +291,9 @@ pub(crate) fn derive_seed(base: u64, tags: &[u64]) -> u64 {
     x
 }
 
-pub(crate) fn str_tag(s: &str) -> u64 {
+/// FNV-1a over the bytes of `s`: the seed-derivation tag of a name, and
+/// the content hash `campaign paper` records per CSV.
+pub fn str_tag(s: &str) -> u64 {
     s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
         (h ^ b as u64).wrapping_mul(0x1000_0000_01b3)
     })

@@ -100,22 +100,28 @@ pub fn kernel_metrics(golden: &GoldenRun, kernel_idx: usize, gpu: &GpuConfig) ->
     }
 }
 
-/// Figure 3's pairwise normalization: each metric of kernel 1 as a share
-/// of the pair's sum (50% = equal). Returns `(label, share1, share2)`
+/// Figure 3's normalization of one quantity of a kernel pair: each
+/// kernel's share of the pair's sum, in percent (50/50 when both are 0).
+pub fn pair_shares(a: f64, b: f64) -> (f64, f64) {
+    let sum = a + b;
+    if sum == 0.0 {
+        (50.0, 50.0)
+    } else {
+        (a / sum * 100.0, b / sum * 100.0)
+    }
+}
+
+/// [`pair_shares`] of every utilization metric: `(label, share1, share2)`
 /// per metric, in percent.
 pub fn normalized_pair(m1: &UtilMetrics, m2: &UtilMetrics) -> Vec<(&'static str, f64, f64)> {
-    METRIC_LABELS
+    (METRIC_LABELS
         .iter()
-        .zip(m1.values().iter().zip(m2.values().iter()))
-        .map(|(&label, (&a, &b))| {
-            let sum = a + b;
-            if sum == 0.0 {
-                (label, 50.0, 50.0)
-            } else {
-                (label, a / sum * 100.0, b / sum * 100.0)
-            }
-        })
-        .collect()
+        .zip(m1.values().iter().zip(&m2.values())))
+    .map(|(&label, (&a, &b))| {
+        let (a, b) = pair_shares(a, b);
+        (label, a, b)
+    })
+    .collect()
 }
 
 #[cfg(test)]

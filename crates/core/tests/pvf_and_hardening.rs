@@ -3,7 +3,7 @@
 
 use kernels::apps::va::Va;
 use relia::{
-    evaluate_hardening, run_pvf_campaign, run_sw_campaign, run_uarch_campaign, CampaignCfg,
+    run_pvf_campaign, run_sw_campaign, run_uarch_campaign, CampaignCfg, HardeningComparison,
 };
 use vgpu_sim::HwStructure;
 
@@ -36,7 +36,13 @@ fn pvf_campaign_is_deterministic() {
 #[test]
 fn hardening_comparison_has_full_shape() {
     let cfg = cfg(30);
-    let cmp = evaluate_hardening(&Va, &cfg);
+    let cmp = HardeningComparison {
+        app: "VA".into(),
+        base_avf: run_uarch_campaign(&Va, &cfg, false),
+        base_svf: run_sw_campaign(&Va, &cfg, false),
+        tmr_avf: run_uarch_campaign(&Va, &cfg, true),
+        tmr_svf: run_sw_campaign(&Va, &cfg, true),
+    };
     let rows = cmp.kernel_rows(&cfg.gpu);
     assert_eq!(rows.len(), 1, "VA has one kernel");
     let row = &rows[0];

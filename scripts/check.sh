@@ -24,6 +24,32 @@ CAMPAIGN=target/release/campaign
 rc=0; "$CAMPAIGN" run --app VA --sms 0 2> /dev/null || rc=$?
 [ "$rc" -eq 2 ]
 
+echo "==> paper smoke (docs/CAMPAIGNS.md): every campaign once, resumable, same figures as the per-figure binaries"
+# The whole suite at n = 2 (44 campaigns, 644 trials, ~10 s), once
+# uninterrupted and once killed by --limit and resumed. Both must write
+# the 13 figure CSVs of crates/bench/tests/fixtures/paper_n2 — generated
+# once, at the parent of the change that introduced `campaign paper`
+# (commit 39cbd8e), by the three binaries it replaced (baseline_study,
+# fig03_utilization, hardening_study at --n-uarch 2 --n-sw 2) — and the
+# same MANIFEST, from 44 golden runs and 44 shard starts.
+PAPER=$(mktemp -d)
+PFLAGS=(paper --n-uarch 2 --n-sw 2)
+"$CAMPAIGN" "${PFLAGS[@]}" --out-dir "$PAPER/a" --events "$PAPER/a.jsonl" \
+  > /dev/null 2> "$PAPER/a.err"
+test "$(grep -c '"kind":"shard_start"' "$PAPER/a.jsonl")" -eq 44
+grep -Eq '^golden_run +44 ' "$PAPER/a.err"
+"$CAMPAIGN" "${PFLAGS[@]}" --out-dir "$PAPER/b" --limit 40 2> /dev/null \
+  | grep 'partial — resume to finish' > /dev/null
+"$CAMPAIGN" "${PFLAGS[@]}" --out-dir "$PAPER/b" > /dev/null 2>&1
+test "$(ls crates/bench/tests/fixtures/paper_n2/*.csv | wc -l)" -eq 13
+for f in crates/bench/tests/fixtures/paper_n2/*.csv; do
+  cmp "$f" "$PAPER/a/$(basename "$f")"
+  cmp "$f" "$PAPER/b/$(basename "$f")"
+done
+cmp "$PAPER/a/MANIFEST.csv" "$PAPER/b/MANIFEST.csv"
+rm -rf "$PAPER"
+echo "paper smoke: uninterrupted == resumed == the per-figure binaries' CSVs"
+
 echo "==> ace_study smoke"
 cargo run --release -q -p bench --bin ace_study -- smoke
 
@@ -148,6 +174,6 @@ echo "==> perf ledger gate (benchmarks/check.sh: the symbols it pins still build
 benchmarks/check.sh
 
 echo "==> size (reported, not gated): code lines under crates/*/src — no blanks, comments or #[cfg(test)] modules"
-awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && !/^[[:space:]]*(\/\/|$)/{n[FILENAME]++; all++} END{for(f in n) if(f~/\/(harness|captures|recorder|gpu|lifetime|probe|fault|replay|campaign|plan|records|adaptive|twolevel|coordinator|worker)\.rs$/) print n[f], f; print all, "total"}' $(find crates/*/src -name '*.rs') | sort -k2
+awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && !/^[[:space:]]*(\/\/|$)/{n[FILENAME]++; all++} END{for(f in n) if(f~/\/(harness|captures|recorder|gpu|lifetime|probe|fault|replay|campaign|plan|records|adaptive|twolevel|coordinator|worker|paper|figures)\.rs$/) print n[f], f; print all, "total"}' $(find crates/*/src -name '*.rs') | sort -k2
 
 echo "tier-1 gate: OK"

@@ -17,9 +17,10 @@
 //! * [`assess`] ([`relia`]) — campaigns, AVF/SVF math, trends, profiling,
 //!   hardening evaluation, and the register-reuse analyzer.
 //!
-//! See `examples/quickstart.rs` for a five-minute tour, and the
-//! `bench` crate's binaries for regenerating every figure and table of
-//! the paper's evaluation section.
+//! See `examples/quickstart.rs` for a five-minute tour. There is no
+//! binary here: the one command line is the `bench` crate's `campaign`
+//! driver, whose `paper` subcommand regenerates every injection figure
+//! and table of the paper's evaluation section.
 
 pub use kernels as suite;
 pub use relia as assess;
