@@ -11,7 +11,7 @@
 //! Options: `--n-uarch N --seed S --backend B --events PATH`.
 
 use bench::cli::{from_env, Cmd};
-use bench::{finish_observability, init_observability};
+use bench::finish_observability;
 use kernels::apps::{hotspot::HotSpot, lud::Lud, scp::Scp};
 use kernels::Benchmark;
 use relia::{pct4, run_uarch_campaign_on, AppCaptures, Layer, Table};
@@ -20,7 +20,6 @@ use vgpu_sim::{GpuConfig, HwStructure};
 fn main() {
     let args = from_env(Cmd::Study);
     let (base_cfg, backend) = (args.campaign_cfg(100, 0), args.backend());
-    init_observability();
     let dir = args.results_dir();
     let apps: [&dyn Benchmark; 3] = [&HotSpot, &Lud, &Scp];
     let mut t = Table::new(

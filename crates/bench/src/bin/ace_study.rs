@@ -23,7 +23,7 @@
 
 use ace::{estimate_app, spearman, AceAppEstimate, CompareRow};
 use bench::cli::{die, parse_or_exit, Cmd};
-use bench::{finish_observability, init_observability, results_dir};
+use bench::{finish_observability, results_dir};
 use dispatch::parse_structures;
 use kernels::Benchmark;
 use obs::Phase;
@@ -300,7 +300,6 @@ fn main() {
         return;
     }
     let o = parse_opts(&args);
-    init_observability();
     // Phase timings back the speedup table, so always collect them here.
     obs::set_enabled(true);
     if o.make_ref {

@@ -80,7 +80,14 @@ fn main() {
         return;
     }
     let rest = &args[2..];
-    init_observability();
+    // A subcommand of the flag table turns observability on when it parses
+    // `rest` (`--events`); the others have the `RELIA_*` variables alone.
+    let in_table = Cmd::ALL
+        .iter()
+        .any(|c| c.subcommand() == Some(sub.as_str()));
+    if !in_table {
+        init_observability(None);
+    }
     match sub.as_str() {
         "paper" => paper::paper(rest),
         "list" => golden::list(),

@@ -1,9 +1,9 @@
 //! `campaign smoke`: the tiny end-to-end gate for scripts/check.sh. A
 //! 2-shard run through real checkpoint files must merge to the
 //! single-shot result, the three trial paths (oracle, timed, replay)
-//! must classify identically on both layers — on VA and on BFS, whose
-//! host glue sits between 22 launches — and 3-shard adaptive waves must
-//! match single-shot waves.
+//! must classify identically on both layers — on VA, on BFS, whose host
+//! glue sits between 22 launches, and on BFS under TMR, which adds a vote
+//! after each — and 3-shard adaptive waves must match single-shot waves.
 
 use dispatch::CampaignSpec;
 use relia::plan::{Layer, PreparedCampaign};
@@ -55,17 +55,21 @@ pub fn smoke() {
         wave: None,
     };
     let bench = spec.find_bench().unwrap_or_else(|e| fail(&e));
-    for (app, layer) in [
-        ("VA", Layer::Uarch),
-        ("VA", Layer::Sw),
-        ("BFS", Layer::Uarch),
-        ("BFS", Layer::Sw),
+    for (app, layer, hardened) in [
+        ("VA", Layer::Uarch, false),
+        ("VA", Layer::Sw, false),
+        ("BFS", Layer::Uarch, false),
+        ("BFS", Layer::Sw, false),
+        ("BFS", Layer::Uarch, true),
+        ("BFS", Layer::Sw, true),
     ] {
         let spec = CampaignSpec {
             app: app.into(),
             layer,
+            hardened,
             ..spec.clone()
         };
+        let app = format!("{app}{}", if hardened { "-TMR" } else { "" });
         let bench = spec.find_bench().unwrap_or_else(|e| fail(&e));
         let prep = spec.prepare(bench.as_ref());
         let single = execute_shard(&prep, &EngineCfg::single_shot()).unwrap();

@@ -24,7 +24,7 @@
 
 use ace::spearman;
 use bench::cli::{parse_or_exit, Cmd};
-use bench::{finish_observability, init_observability};
+use bench::finish_observability;
 use kernels::{all_benchmarks, Benchmark};
 use relia::{
     pct, pct4, run_sw_campaign_on, run_uarch_campaign_on, AppCaptures, CampaignCfg, EngineBackend,
@@ -114,7 +114,6 @@ fn main() {
         return;
     }
     let cfg = args.campaign_cfg(60, 120);
-    init_observability();
     let mut t = Table::new(
         format!(
             "Fault-model ranking study (n_uarch={}, n_sw={}, seed {:#x})",

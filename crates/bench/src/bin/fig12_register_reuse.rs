@@ -12,7 +12,7 @@
 //! Options: `--n-sw N --seed S --events PATH` (one event per injection).
 
 use bench::cli::{from_env, Cmd};
-use bench::{finish_observability, init_observability};
+use bench::finish_observability;
 use kernels::{all_benchmarks, faulty_run, golden_run, PlannedFault, Variant};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -26,7 +26,6 @@ use vgpu_sim::{Mode, SwFault, SwFaultKind};
 fn main() {
     let args = from_env(Cmd::Study);
     let cfg = args.campaign_cfg(0, 300);
-    init_observability();
     let dir = args.results_dir();
 
     // ---- Part 1: the exact Figure 12 example --------------------------

@@ -15,7 +15,7 @@
 //! `--wall-limit-us N --cycle-limit N --no-retry` (docs/CAMPAIGNS.md).
 
 use bench::cli::{from_env, Cmd};
-use bench::{finish_observability, init_observability};
+use bench::finish_observability;
 use kernels::all_benchmarks;
 use relia::{
     pct, pct4, run_pvf_campaign_on, run_sw_campaign_on, run_uarch_campaign_on, AppCaptures, Layer,
@@ -25,7 +25,6 @@ use relia::{
 fn main() {
     let args = from_env(Cmd::Study);
     let (cfg, backend) = (args.campaign_cfg(100, 200), args.backend());
-    init_observability();
     let dir = args.results_dir();
     let mut t = Table::new(
         "Three-layer comparison: SVF (software) vs PVF (architectural state) vs AVF (cross-layer), %",

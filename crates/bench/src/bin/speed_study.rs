@@ -21,7 +21,7 @@
 //! logs every injection of both paths.
 
 use bench::cli::{from_env, Cmd};
-use bench::{finish_observability, init_observability};
+use bench::finish_observability;
 use kernels::all_benchmarks;
 use relia::plan::{plan_sw, plan_uarch, Layer, PreparedCampaign};
 use relia::{execute_trials_with, AppCaptures, FastForward, Table, DEFAULT_SNAPSHOTS};
@@ -49,7 +49,6 @@ fn us_per_injection(prep: &PreparedCampaign, path: FastForward) -> f64 {
 fn main() {
     let args = from_env(Cmd::Study);
     let mut cfg = args.campaign_cfg(50, 50);
-    init_observability();
     // A wall limit nothing reaches: its only effect is that the engine
     // fills `TrialRecord::wall_us`.
     cfg.watchdog.wall_us_limit = Some(u64::MAX);

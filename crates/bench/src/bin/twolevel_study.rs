@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 use ace::{estimate_app, spearman};
 use bench::cli::{die, parse_or_exit, Cmd};
-use bench::{finish_observability, init_observability, results_dir};
+use bench::{finish_observability, results_dir};
 use kernels::Benchmark;
 use relia::plan::Layer;
 use relia::{execute_shard, plan_sw, AppCaptures, CampaignCfg, Confidence, EngineCfg, Table};
@@ -351,7 +351,6 @@ fn main() {
         return;
     }
     let o = parse_opts(&args);
-    init_observability();
     cmd_study(&o);
     finish_observability();
 }

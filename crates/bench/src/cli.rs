@@ -354,13 +354,17 @@ pub fn parse(cmd: Cmd, args: &[String]) -> Result<Parsed, String> {
 }
 
 /// [`parse`] for a binary's `main`: `--help`/`-h` prints the usage text
-/// and exits 0, a usage error exits 2.
+/// and exits 0, a usage error exits 2, and a command line that parses
+/// turns observability on from its `--events` and the `RELIA_*` variables
+/// ([`crate::init_observability`]).
 pub fn parse_or_exit(cmd: Cmd, args: &[String]) -> Parsed {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         print!("{}", usage(cmd));
         exit(0);
     }
-    parse(cmd, args).unwrap_or_else(|e| die(&e))
+    let parsed = parse(cmd, args).unwrap_or_else(|e| die(&e));
+    crate::init_observability(parsed.text("--events"));
+    parsed
 }
 
 /// [`parse_or_exit`] over this process's own arguments, for the study

@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use kernels::{all_benchmarks, GoldenRun};
-use relia::plan::Layer;
+use relia::plan::{variant_label, Layer};
 use relia::{
     compare_pairs, kernel_metrics, normalized_pair, pair_shares, pct, pct4, CampaignCfg,
     ClassRates, HardeningComparison, KernelHardeningRow, Table, TrendItem,
@@ -376,8 +376,7 @@ pub struct CampaignEntry {
 /// `<app>.<uarch|sw>.<base|tmr>`: a campaign's name in the manifest and
 /// the stem of its journal file.
 pub fn campaign_name(app: &str, layer: Layer, hardened: bool) -> String {
-    let variant = if hardened { "tmr" } else { "base" };
-    format!("{app}.{}.{variant}", layer.label())
+    format!("{app}.{}.{}", layer.label(), variant_label(hardened))
 }
 
 /// `MANIFEST.csv`: what a directory of figure CSVs was made from. `flag`

@@ -13,10 +13,12 @@
 pub mod cli;
 pub mod figures;
 
-/// Turn on observability from CLI/env before running campaigns:
+/// Turn on observability before running campaigns — called by
+/// [`cli::parse_or_exit`] with the command line's `--events`, so a binary
+/// that parses its flags has it on:
 ///
-/// * `--events PATH` or `RELIA_EVENTS=PATH` — JSONL event sink (one line
-///   per injection) plus the metrics registry;
+/// * `--events PATH` (`events`) or `RELIA_EVENTS=PATH` — JSONL event sink
+///   (one line per injection) plus the metrics registry;
 /// * `RELIA_METRICS=1` — metrics registry and phase timers alone;
 /// * `RELIA_PROGRESS=1`/`0` — force the stderr progress reporter on/off
 ///   (default: on exactly when events or metrics are on).
@@ -24,19 +26,12 @@ pub mod figures;
 /// With none of these set the campaigns run exactly as before: no files,
 /// no extra output, identical results (observability never touches the
 /// seeded RNG streams).
-pub fn init_observability() {
+pub fn init_observability(events: Option<&str>) {
     // Always installed: a panicking campaign must not lose the buffered
     // event/trace lines needed to debug the panic.
     obs::install_panic_hook();
-    let args: Vec<String> = std::env::args().collect();
-    if args.last().map(String::as_str) == Some("--events") {
-        eprintln!("error: --events requires a path");
-        std::process::exit(2);
-    }
-    let events_path = args
-        .windows(2)
-        .find(|w| w[0] == "--events")
-        .map(|w| w[1].clone())
+    let events_path = events
+        .map(String::from)
         .or_else(|| std::env::var("RELIA_EVENTS").ok().filter(|s| !s.is_empty()));
     let metrics_on = std::env::var("RELIA_METRICS").is_ok_and(|v| v != "0");
     let mut any = metrics_on;

@@ -194,8 +194,8 @@ fn observe_trial(
 /// provably dead in the recorded golden access trace synthesize their
 /// (masked) record without simulating; everything else re-executes on
 /// the timed engine. Classification is byte-identical either way
-/// (differential-tested). Campaigns replay cannot serve — software
-/// layer, functional variant, hardened apps — degrade to `Timed`.
+/// (differential-tested). A software-layer campaign, which has no
+/// access trace, runs the same under either.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineBackend {
     /// Simulate every trial on the timed engine, resumed from
@@ -429,8 +429,8 @@ fn adjudicate(
 /// the campaign's layer has — the golden-prefix snapshot set (uarch) or
 /// the golden CTA log (sw), each captured on first use, so a replay
 /// campaign only pays for snapshots once a trial falls back — and in full
-/// where it has none (oracle path, hardened variant). A panicking harness
-/// is retried once under the watchdog; `None` means it panicked for good.
+/// on the oracle path. A panicking harness is retried once under the
+/// watchdog; `None` means it panicked for good.
 fn simulate(
     prep: &PreparedCampaign,
     path: FastForward,
@@ -635,8 +635,6 @@ where
 /// sequence is ascending too, and a trial finds its scratch machine
 /// synchronised with a snapshot close to the one it resumes from. Records
 /// are self-describing, so the reordering is invisible to every consumer.
-/// Hardened variants, which none of the accelerators can serve, run every
-/// trial in full on any path.
 pub fn execute_trials_with<F>(
     prep: &PreparedCampaign,
     path: FastForward,

@@ -32,7 +32,7 @@ use kernels::{
 use obs::Phase;
 use vgpu_sim::GpuConfig;
 
-use crate::plan::Layer;
+use crate::plan::{variant_label, Layer};
 
 /// One lazily captured golden artefact of an [`AppCaptures`] handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,10 +150,20 @@ impl<'a> AppCaptures<'a> {
     }
 
     /// Whether artefact `what` exists for this application variant at
-    /// all: it belongs to the handle's layer, and hardened variants run
-    /// every trial in full.
+    /// all: it belongs to the handle's layer.
     pub(crate) fn serves(&self, what: Capture) -> bool {
-        self.layer == what.layer() && !self.hardened
+        self.layer == what.layer()
+    }
+
+    /// `{app, layer, variant}`: the labels of this handle's capture gauges
+    /// (`variant` is `base` | `tmr`, so the two handles of one application
+    /// report side by side).
+    fn labels(&self) -> [(&'static str, &'static str); 3] {
+        [
+            ("app", self.bench.name()),
+            ("layer", self.layer.label()),
+            ("variant", variant_label(self.hardened)),
+        ]
     }
 
     /// Whether `what` has been captured already.
@@ -181,11 +191,7 @@ impl<'a> AppCaptures<'a> {
                 pass.snapshots.expect("asked for")
             });
             let app = self.bench.name();
-            obs::gauge_set(
-                "snapshot_bytes",
-                &[("app", app), ("layer", "uarch")],
-                snaps.bytes,
-            );
+            obs::gauge_set("snapshot_bytes", &self.labels(), snaps.bytes);
             let (owned, shared) = snaps.chunks();
             for (n, kind) in [(owned, "owned"), (shared, "shared")] {
                 obs::counter_add("snapshot_chunks_total", &[("app", app), ("kind", kind)], n);
@@ -193,6 +199,7 @@ impl<'a> AppCaptures<'a> {
             obs::emit_snapshot(&obs::SnapshotEvent {
                 app,
                 layer: self.layer.label(),
+                hardened: self.hardened,
                 per_launch: k as u64,
                 count: snaps.count() as u64,
                 bytes: snaps.bytes,
@@ -216,13 +223,9 @@ impl<'a> AppCaptures<'a> {
         debug_assert!(self.serves(Capture::Trace));
         self.trace.get_or_init(|| {
             let tr = obs::time_phase(Phase::TraceCapture, || {
-                trace::record_app_trace(self.bench, &self.gpu, &self.golden)
+                trace::record_trace(self.bench, &self.gpu, self.variant(), &self.golden)
             });
-            obs::gauge_set(
-                "trace_bytes",
-                &[("app", self.bench.name()), ("layer", "uarch")],
-                tr.bytes,
-            );
+            obs::gauge_set("trace_bytes", &self.labels(), tr.bytes);
             Arc::new(tr)
         })
     }
@@ -242,7 +245,7 @@ impl<'a> AppCaptures<'a> {
                 let pass = golden_pass(self.bench, &self.gpu, self.variant(), sinks);
                 pass.cta_log.expect("asked for")
             });
-            obs::gauge_set("cta_log_bytes", &[("app", self.bench.name())], log.bytes());
+            obs::gauge_set("cta_log_bytes", &self.labels(), log.bytes());
             Arc::new(log)
         })
     }

@@ -64,6 +64,17 @@ impl Layer {
     }
 }
 
+/// `base` | `tmr`: how journal names, the `variant` metric label and the
+/// manifest call the unprotected and the TMR-hardened variant of an
+/// application.
+pub fn variant_label(hardened: bool) -> &'static str {
+    if hardened {
+        "tmr"
+    } else {
+        "base"
+    }
+}
+
 /// What one trial targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrialTarget {
@@ -219,8 +230,8 @@ impl<'a> PreparedCampaign<'a> {
     /// The handle's artefact `what` — captured by the first plan of the
     /// application that asks — if the accelerated trial path built on it
     /// can serve this campaign: the artefact exists for the application
-    /// variant (unhardened, the plan's layer) and the plan has at least
-    /// one fault to inject. `None` captures nothing. Counts a reuse the
+    /// variant (the plan's layer) and the plan has at least one fault to
+    /// inject. `None` captures nothing. Counts a reuse the
     /// first time the plan is handed what an earlier plan captured.
     fn shared<'s, T>(
         &'s self,
@@ -235,7 +246,11 @@ impl<'a> PreparedCampaign<'a> {
             && !asked.swap(true, Ordering::Relaxed)
             && self.captures.captured(what)
         {
-            let labels = [("app", self.plan.app.as_str()), ("kind", what.label())];
+            let labels = [
+                ("app", self.plan.app.as_str()),
+                ("kind", what.label()),
+                ("variant", variant_label(self.plan.hardened)),
+            ];
             obs::counter_add("captures_reused_total", &labels, 1);
         }
         Some(get(&self.captures))

@@ -7,17 +7,17 @@
 //! merged from shards, and killed and resumed. Software-layer campaigns
 //! take the same two engine paths through the golden CTA log instead
 //! (docs/PERF.md) and are held to the same oracle, for every fault kind
-//! and pattern on all 11 applications. Hardened variants, which no
-//! accelerator serves, degrade to plain execution on every path. Any
-//! divergence here is a bug.
+//! and pattern on all 11 applications. TMR-hardened variants take the
+//! same paths — `hardened` is a dimension of this suite, not a fork of
+//! the engine. Any divergence here is a bug.
 
 use kernels::apps::{bfs::Bfs, scp::Scp, va::Va};
 use kernels::{all_benchmarks, Benchmark, Outcome};
 use relia::plan::{plan_sw, Layer};
 use relia::{
-    assemble, assemble_sw, assemble_uarch, execute_shard, execute_trials_with, prepare_sw_campaign,
+    assemble, assemble_uarch, execute_shard, execute_trials_with, prepare_sw_campaign,
     prepare_uarch_campaign, records_fingerprint, AppCaptures, CampaignCfg, EngineBackend,
-    EngineCfg, FastForward, PreparedCampaign, TrialRecord,
+    EngineCfg, FastForward, PreparedCampaign, TrialRecord, DEFAULT_SNAPSHOTS,
 };
 use vgpu_arch::InstrClass;
 use vgpu_sim::{FaultPattern, SwFaultKind};
@@ -97,42 +97,49 @@ fn watchdog_cycle_limit_is_path_independent() {
     );
 }
 
-#[test]
-fn replay_shard_merge_and_kill_resume_match_the_oracle() {
-    let dir = std::env::temp_dir().join(format!("relia_path_resume_{}", std::process::id()));
+/// Merge `prep` from three shards, then kill it after 7 trials and
+/// resume it from its journal, on `backend`: both must reproduce the
+/// oracle's records and assembled counts.
+fn assert_merge_and_resume_match_the_oracle(
+    prep: &PreparedCampaign,
+    backend: EngineBackend,
+    tag: &str,
+) {
+    let dir = std::env::temp_dir().join(format!("relia_path_resume_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let cfg = CampaignCfg::new(5, 0, 0x9E5E);
-    let prep = prepare_uarch_campaign(&Va, &cfg, false);
-    let oracle = oracle(&prep);
-    let assembled = assemble_uarch(&prep, &oracle).unwrap();
+    let oracle = oracle(prep);
+    let assembled = assemble(prep, &oracle).unwrap();
+    let engine = |eng: EngineCfg| EngineCfg { backend, ..eng };
 
     let mut merged = Vec::new();
     for i in 0..3 {
-        let eng = EngineCfg {
-            backend: EngineBackend::Replay,
-            ..EngineCfg::sharded(3, i)
-        };
-        merged.extend(execute_shard(&prep, &eng).unwrap());
+        merged.extend(execute_shard(prep, &engine(EngineCfg::sharded(3, i))).unwrap());
     }
     assert_eq!(records_fingerprint(&merged), records_fingerprint(&oracle));
-    assert_eq!(assemble_uarch(&prep, &merged).unwrap(), assembled);
+    assert_eq!(assemble(prep, &merged).unwrap(), assembled);
 
-    let path = dir.join("replay.jsonl");
-    let interrupted = EngineCfg {
+    let path = dir.join("journal.jsonl");
+    let interrupted = engine(EngineCfg {
         checkpoint: Some(path.clone()),
         trial_limit: Some(7),
-        ..replay_engine()
-    };
-    assert_eq!(execute_shard(&prep, &interrupted).unwrap().len(), 7);
-    let resumed = EngineCfg {
-        resume: Some(path.clone()),
-        ..replay_engine()
-    };
-    let records = execute_shard(&prep, &resumed).unwrap();
+        ..EngineCfg::single_shot()
+    });
+    assert_eq!(execute_shard(prep, &interrupted).unwrap().len(), 7);
+    let resumed = engine(EngineCfg {
+        resume: Some(path),
+        ..EngineCfg::single_shot()
+    });
+    let records = execute_shard(prep, &resumed).unwrap();
     assert_eq!(records, oracle);
-    assert_eq!(assemble_uarch(&prep, &records).unwrap(), assembled);
+    assert_eq!(assemble(prep, &records).unwrap(), assembled);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn replay_shard_merge_and_kill_resume_match_the_oracle() {
+    let prep = prepare_uarch_campaign(&Va, &CampaignCfg::new(5, 0, 0x9E5E), false);
+    assert_merge_and_resume_match_the_oracle(&prep, EngineBackend::Replay, "replay");
 }
 
 /// Every software fault kind.
@@ -144,6 +151,22 @@ const SW_KINDS: [SwFaultKind; 6] = [
     SwFaultKind::ArchState,
     SwFaultKind::DestClass(InstrClass::IntAlu),
 ];
+
+/// One software-layer plan of every kind in [`SW_KINDS`] on the default
+/// and replay engines (both CTA replay), held to the oracle record for
+/// record and after assembly; the CTA log must have been captured.
+fn assert_sw_paths_agree(bench: &dyn Benchmark, cfg: &CampaignCfg, hardened: bool, what: &str) {
+    let captures = AppCaptures::new(bench, &cfg.gpu, Layer::Sw, hardened);
+    let prep = plan_sw(&captures, cfg, &SW_KINDS);
+    let want = oracle(&prep);
+    let counts = assemble(&prep, &want).unwrap();
+    for eng in [EngineCfg::single_shot(), replay_engine()] {
+        let records = execute_shard(&prep, &eng).unwrap();
+        assert_eq!(records, want, "{what}: CTA replay changed a trial record");
+        assert_eq!(assemble(&prep, &records).unwrap(), counts, "{what}");
+    }
+    assert!(prep.cta_log().is_some(), "{what}: CTA log never captured");
+}
 
 #[test]
 fn sw_paths_classify_identically_for_every_app_kind_and_pattern() {
@@ -158,17 +181,8 @@ fn sw_paths_classify_identically_for_every_app_kind_and_pattern() {
                 pattern,
                 ..CampaignCfg::new(0, 1, 0xC7A ^ pattern as u64)
             };
-            let captures = AppCaptures::new(bench.as_ref(), &cfg.gpu, Layer::Sw, false);
-            let prep = plan_sw(&captures, &cfg, &SW_KINDS);
             let what = format!("{} {}", bench.name(), pattern.label());
-            let want = oracle(&prep);
-            let counts = assemble(&prep, &want).unwrap();
-            for eng in [EngineCfg::single_shot(), replay_engine()] {
-                let records = execute_shard(&prep, &eng).unwrap();
-                assert_eq!(records, want, "{what}: CTA replay changed a trial record");
-                assert_eq!(assemble(&prep, &records).unwrap(), counts, "{what}");
-            }
-            assert!(prep.cta_log().is_some(), "{what}: CTA log never captured");
+            assert_sw_paths_agree(bench.as_ref(), &cfg, false, &what);
         }
     }
 }
@@ -176,35 +190,8 @@ fn sw_paths_classify_identically_for_every_app_kind_and_pattern() {
 #[test]
 fn sw_shard_merge_and_kill_resume_match_the_oracle() {
     // BFS: 22 launches with host glue between them.
-    let dir = std::env::temp_dir().join(format!("relia_sw_path_resume_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
     let prep = prepare_sw_campaign(&Bfs, &CampaignCfg::new(0, 6, 0xB0F5), false);
-    let oracle = oracle(&prep);
-    let assembled = assemble_sw(&prep, &oracle).unwrap();
-
-    let mut merged = Vec::new();
-    for i in 0..3 {
-        merged.extend(execute_shard(&prep, &EngineCfg::sharded(3, i)).unwrap());
-    }
-    assert_eq!(records_fingerprint(&merged), records_fingerprint(&oracle));
-    assert_eq!(assemble_sw(&prep, &merged).unwrap(), assembled);
-
-    let path = dir.join("sw.jsonl");
-    let interrupted = EngineCfg {
-        checkpoint: Some(path.clone()),
-        trial_limit: Some(7),
-        ..EngineCfg::single_shot()
-    };
-    assert_eq!(execute_shard(&prep, &interrupted).unwrap().len(), 7);
-    let resumed = EngineCfg {
-        resume: Some(path.clone()),
-        ..EngineCfg::single_shot()
-    };
-    let records = execute_shard(&prep, &resumed).unwrap();
-    assert_eq!(records, oracle);
-    assert_eq!(assemble_sw(&prep, &records).unwrap(), assembled);
-    let _ = std::fs::remove_dir_all(&dir);
+    assert_merge_and_resume_match_the_oracle(&prep, EngineBackend::Timed, "sw");
 }
 
 #[test]
@@ -225,20 +212,62 @@ fn sw_watchdog_instruction_limit_is_path_independent() {
         .all(|r| matches!(r.outcome, Outcome::Timeout | Outcome::Due)));
 }
 
+/// `hardened` is not an eligibility dimension: a TMR plan captures the
+/// artefacts of its layer and takes the same accelerated paths as its
+/// unprotected twin — a hardened launch is the same kernel over
+/// triplicated buffers, a vote is a launch plus a host read of the flag —
+/// so it is held to the same oracle, under every fault pattern.
 #[test]
-fn hardened_campaigns_run_in_full_on_every_path() {
-    // Each accelerator serves one layer and no hardened variant.
-    let sw = prepare_sw_campaign(&Va, &CampaignCfg::new(0, 8, 0x5_0FF), false);
-    assert!(sw.snapshots(relia::DEFAULT_SNAPSHOTS).is_none() && sw.trace().is_none());
-
-    let hardened = prepare_uarch_campaign(&Va, &CampaignCfg::new(4, 0, 0x4A9D), true);
-    assert_paths_agree(&hardened, "hardened");
-    assert!(hardened.trace().is_none() && hardened.cta_log().is_none());
-
-    let hardened_sw = prepare_sw_campaign(&Va, &CampaignCfg::new(0, 4, 0x4A9D), true);
-    let want = oracle(&hardened_sw);
-    for eng in [EngineCfg::single_shot(), replay_engine()] {
-        assert_eq!(execute_shard(&hardened_sw, &eng).unwrap(), want);
+fn hardened_uarch_plans_are_served_and_match_the_oracle_on_every_path() {
+    // Each accelerator serves one layer, whatever the variant.
+    for hardened in [false, true] {
+        let sw = prepare_sw_campaign(&Va, &CampaignCfg::new(0, 8, 0x5_0FF), hardened);
+        assert!(sw.snapshots(DEFAULT_SNAPSHOTS).is_none() && sw.trace().is_none());
     }
-    assert!(hardened_sw.cta_log().is_none());
+
+    let served = |prep: &PreparedCampaign, what: &str| {
+        assert!(
+            prep.snapshots(DEFAULT_SNAPSHOTS).is_some() && prep.trace().is_some(),
+            "{what}: snapshot set or trace never captured"
+        );
+        assert!(prep.cta_log().is_none(), "{what}");
+    };
+    for pattern in FaultPattern::ALL {
+        let cfg = CampaignCfg {
+            pattern,
+            ..CampaignCfg::new(2, 0, 0x4A9D)
+        };
+        let mut prep = prepare_uarch_campaign(&Va, &cfg, true);
+        let what = format!("VA-TMR {}", pattern.label());
+        if matches!(pattern, FaultPattern::StuckAt0 | FaultPattern::StuckAt1) {
+            // No masked-convergence exit for a persistent fault, and the
+            // watchdog budget is architectural cost on every path.
+            prep.cfg.watchdog.cycle_limit = Some(prep.golden.total_cost - 1);
+            let records = assert_paths_agree(&prep, &what);
+            assert!(records.iter().any(|r| r.outcome == Outcome::Timeout));
+        } else {
+            assert_paths_agree(&prep, &what);
+        }
+        served(&prep, &what);
+    }
+    // BFS: 22 launches, a vote (launch + host read of its flag) after
+    // each, host glue deciding whether to go on.
+    let prep = prepare_uarch_campaign(&Bfs, &CampaignCfg::new(1, 0, 0xB0F5), true);
+    assert!(prep.golden.records.iter().any(|r| r.is_vote));
+    assert_paths_agree(&prep, "BFS-TMR");
+    served(&prep, "BFS-TMR");
+}
+
+#[test]
+fn hardened_sw_plans_are_served_and_match_the_oracle_on_every_path() {
+    for bench in [&Va as &dyn Benchmark, &Scp, &Bfs] {
+        let what = format!("{}-TMR", bench.name());
+        assert_sw_paths_agree(bench, &CampaignCfg::new(0, 2, 0x4A9D), true, &what);
+    }
+}
+
+#[test]
+fn hardened_shard_merge_and_kill_resume_match_the_oracle() {
+    let prep = prepare_uarch_campaign(&Va, &CampaignCfg::new(3, 0, 0x9E5E), true);
+    assert_merge_and_resume_match_the_oracle(&prep, EngineBackend::Replay, "tmr");
 }

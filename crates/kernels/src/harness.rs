@@ -174,9 +174,10 @@ pub enum PlannedFault {
 /// Golden-prefix snapshots of one application, captured by
 /// [`golden_run_snapshots`] and shared (via `Arc`) across every
 /// fast-forward trial of a campaign: one chunk store, so the set costs
-/// about one machine image plus what the run changed. Always timed and
-/// unhardened, to match the microarchitectural campaigns that consume
-/// them.
+/// about one machine image plus what the run changed. Always timed, to
+/// match the microarchitectural campaigns that consume them; a hardened
+/// application's set holds its three copies and its vote launches like
+/// any other buffers and launches.
 #[derive(Debug)]
 pub struct AppSnapshots {
     store: ChunkStore,
@@ -221,9 +222,9 @@ pub struct Sinks<'a> {
     /// and the host program's reads — to this sink: the recording side of
     /// the replay backend (`crates/trace`; timed engine).
     pub trace: Option<SharedSink>,
-    /// Golden-prefix snapshots (timed engine, unhardened).
+    /// Golden-prefix snapshots (timed engine).
     pub snapshots: Option<SnapshotSink<'a>>,
-    /// What every CTA read and wrote (functional engine, unhardened).
+    /// What every CTA read and wrote (functional engine).
     pub cta_log: Option<CtaLog>,
 }
 
@@ -635,20 +636,12 @@ impl<'a> RunCtl<'a> {
         }
     }
 
-    /// Host write, replicated to every TMR copy.
+    /// Host write, replicated to every TMR copy: each copy is a word of
+    /// its own to the machine, to a followed snapshot and to the CTA log.
     pub fn write_u32(&mut self, addr: u32, v: u32) {
-        // Fast-forward runs are unhardened: one copy.
-        if self.ff().is_some_and(|f| f.host_write(addr, v)) {
-            return;
-        }
-        let stride = self.tmr_stride;
         let copies = if self.hardened { 3 } else { 1 };
-        let gpu = self.gpu_mut();
         for c in 0..copies {
-            gpu.host_write_u32(addr + c * stride, v);
-        }
-        if let Some(replay) = self.cta_replay() {
-            replay.host_write(addr);
+            self.write_u32_single(addr + c * self.tmr_stride, v);
         }
     }
 
@@ -1025,14 +1018,10 @@ pub fn golden_pass(
     mut sinks: Sinks<'_>,
 ) -> GoldenPass {
     if sinks.snapshots.is_some() {
-        assert_eq!(variant, Variant::TIMED, "snapshots are timed, unhardened");
+        assert_eq!(variant.mode, Mode::Timed, "snapshots are timed");
     }
     if sinks.cta_log.is_some() {
-        assert_eq!(
-            variant,
-            Variant::FUNCTIONAL,
-            "the CTA log is functional, unhardened"
-        );
+        assert_eq!(variant.mode, Mode::Functional, "the CTA log is functional");
     }
     // The ACE sink rides the same probe stream as the trace sink.
     let lifetimes = sinks
@@ -1107,9 +1096,9 @@ pub fn golden_run(bench: &dyn Benchmark, cfg: &GpuConfig, variant: Variant) -> G
     golden_pass(bench, cfg, variant, Sinks::default()).golden
 }
 
-/// [`golden_pass`] with the snapshot sink alone: `~k` mid-launch snapshots
-/// per launch plus one at every launch boundary — the golden-prefix
-/// material consumed by [`faulty_run_ff`]. Timed, unhardened.
+/// [`golden_pass`] of the unhardened application with the snapshot sink
+/// alone: `~k` mid-launch snapshots per launch plus one at every launch
+/// boundary — the golden-prefix material consumed by [`faulty_run_ff`].
 pub fn golden_run_snapshots(
     bench: &dyn Benchmark,
     cfg: &GpuConfig,
@@ -1230,12 +1219,12 @@ pub fn faulty_run_ff(
 /// `accel` offers it. The returned classification, `total_cost`, `applied`
 /// and `corrupted_words` are bit-identical under every [`Accel`].
 ///
-/// * [`Accel::Snapshots`] (timed, unhardened): the fault-free prefix
+/// * [`Accel::Snapshots`] (timed engine): the fault-free prefix
 ///   follows golden snapshots instead of simulating, a microarchitecture
 ///   fault resumes its launch from the nearest snapshot at-or-before the
 ///   fault cycle, and execution that provably re-converges to golden
 ///   (in-launch or at a launch boundary) is credited at its golden cost.
-/// * [`Accel::CtaLog`] (functional, unhardened): CTAs the fault cannot
+/// * [`Accel::CtaLog`] (functional engine): CTAs the fault cannot
 ///   reach apply their golden stores instead of simulating
 ///   ([`crate::ctalog`]).
 ///
@@ -1253,7 +1242,7 @@ pub fn faulty_run_with(
     let accel = match accel {
         Accel::None => AccelState::None,
         Accel::Snapshots(snaps) => {
-            assert_eq!(variant, Variant::TIMED, "snapshots are timed, unhardened");
+            assert_eq!(variant.mode, Mode::Timed, "snapshots are timed");
             AccelState::Snapshots(FfCtx {
                 snaps,
                 converged: false,
@@ -1265,11 +1254,7 @@ pub fn faulty_run_with(
             })
         }
         Accel::CtaLog(log) => {
-            assert_eq!(
-                variant,
-                Variant::FUNCTIONAL,
-                "the CTA log is functional, unhardened"
-            );
+            assert_eq!(variant.mode, Mode::Functional, "the CTA log is functional");
             AccelState::CtaLog(CtaReplay::new(log))
         }
     };

@@ -4,10 +4,15 @@
 //! corrupted-word count) must be bit-identical to the whole-application
 //! simulation of [`faulty_run`], for every fault kind and pattern, on
 //! every benchmark — including the ones whose host glue reads words the
-//! fault corrupted.
+//! fault corrupted, and TMR-hardened variants, whose votes are launches
+//! like any other.
 
+mod common;
+
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use common::TmrProbe;
 use kernels::apps::{bfs::Bfs, kmeans::KMeans, sradv2::SradV2, va::Va};
 use kernels::{
     all_benchmarks, faulty_run, faulty_run_with, golden_pass, golden_run, Accel, Benchmark, CtaLog,
@@ -29,25 +34,27 @@ const KINDS: [SwFaultKind; 7] = [
 
 struct Rig<'a> {
     bench: &'a dyn Benchmark,
+    variant: Variant,
     cfg: GpuConfig,
     golden: GoldenRun,
     log: Arc<CtaLog>,
 }
 
 impl<'a> Rig<'a> {
+    /// The unhardened application.
     fn new(bench: &'a dyn Benchmark) -> Self {
+        Rig::of(bench, Variant::FUNCTIONAL)
+    }
+
+    fn of(bench: &'a dyn Benchmark, variant: Variant) -> Self {
         let cfg = GpuConfig::default();
-        let golden = golden_run(bench, &cfg, Variant::FUNCTIONAL);
+        let golden = golden_run(bench, &cfg, variant);
         let sinks = Sinks {
             reference: Some(&golden),
             cta_log: Some(CtaLog::default()),
             ..Sinks::default()
         };
-        let log = Arc::new(
-            golden_pass(bench, &cfg, Variant::FUNCTIONAL, sinks)
-                .cta_log
-                .unwrap(),
-        );
+        let log = Arc::new(golden_pass(bench, &cfg, variant, sinks).cta_log.unwrap());
         assert_eq!(log.launches(), golden.records.len());
         assert_eq!(
             log.ctas() as u64,
@@ -55,6 +62,7 @@ impl<'a> Rig<'a> {
         );
         Rig {
             bench,
+            variant,
             cfg,
             golden,
             log,
@@ -65,7 +73,7 @@ impl<'a> Rig<'a> {
         faulty_run_with(
             self.bench,
             &self.cfg,
-            Variant::FUNCTIONAL,
+            self.variant,
             &self.golden,
             launch,
             PlannedFault::Sw(fault),
@@ -78,7 +86,7 @@ impl<'a> Rig<'a> {
         let slow = faulty_run(
             self.bench,
             &self.cfg,
-            Variant::FUNCTIONAL,
+            self.variant,
             &self.golden,
             launch,
             PlannedFault::Sw(fault),
@@ -135,8 +143,10 @@ fn every_kind_and_pattern_matches_the_oracle_on_every_benchmark() {
     // launches.
     let mut simulated = 0u64;
     let mut total = 0u64;
-    for b in all_benchmarks() {
-        let rig = Rig::new(b.as_ref());
+    let benches = all_benchmarks();
+    let unhardened = benches.iter().map(|b| Rig::new(b.as_ref()));
+    // One hardened application: BFS-TMR, a vote after each of its launches.
+    for rig in unhardened.chain([Rig::of(&Bfs, Variant::FUNCTIONAL_TMR)]) {
         let n = rig.golden.records.len();
         let mut launches = vec![0, n / 2, n - 1];
         launches.dedup();
@@ -213,6 +223,42 @@ fn kmeans_host_glue_reading_a_dirty_word_falls_back_to_full_simulation() {
 }
 
 #[test]
+fn hardened_host_steps_replay_exactly() {
+    // `TmrProbe` (tests/common). A fault in K1 that changes what copy 1 or
+    // 2 stores makes the vote fail: a DUE on both paths. A fault in the
+    // vote that follows can corrupt all three copies alike; the host then
+    // rewrites every copy of the buffer, so nothing stays dirty and no
+    // later CTA simulates.
+    let probe = TmrProbe::default();
+    let rig = Rig::of(&probe, Variant::FUNCTIONAL_TMR);
+    assert_eq!(rig.golden.records.len(), 4, "K1, vote, K2, vote");
+    probe.vote_failures.store(0, Ordering::Relaxed);
+    let mut cleaned = 0;
+    for launch in 0..2 {
+        let pop = SwFaultKind::DestValue.eligible(&rig.golden.records[launch].stats);
+        for target in 0..pop {
+            let fault = SwFault {
+                kind: SwFaultKind::DestValue,
+                target,
+                bit: 7,
+                loc_pick: target,
+                pattern: FaultPattern::SingleBit,
+            };
+            let (slow, fast) = rig.check(launch, fault);
+            if matches!(slow.outcome, Outcome::Masked | Outcome::Sdc) {
+                assert_eq!(fast.ctas_simulated, 1, "launch {launch} {fault:?}");
+                assert!(fast.converged, "launch {launch} {fault:?}");
+                cleaned += 1;
+            }
+        }
+    }
+    let failed = probe.vote_failures.load(Ordering::Relaxed);
+    assert!(failed > 0, "no fault made the vote fail");
+    assert_eq!(failed % 2, 0, "a vote failed on one path only");
+    assert!(cleaned > 0, "every trial aborted");
+}
+
+#[test]
 fn stuck_at_faults_stay_confined_to_their_cta() {
     // A stuck register cell is re-forced after every instruction of its
     // warp — and only of its warp, whose `seq` the per-CTA step must
@@ -270,11 +316,13 @@ fn instruction_budget_one_under_golden_cost_times_out_on_both_paths() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Arbitrary (benchmark, launch, target, bit, kind, pattern) — targets
-    /// past the eligible population (a fault that never fires) included.
+    /// Arbitrary (benchmark, variant, launch, target, bit, kind, pattern) —
+    /// targets past the eligible population (a fault that never fires)
+    /// included.
     #[test]
     fn replay_matches_the_oracle_at_arbitrary_faults(
         bench_idx in 0usize..11,
+        hardened in any::<bool>(),
         launch_pick in 0u64..u64::MAX,
         target_pick in 0u64..u64::MAX,
         bit in 0u8..32,
@@ -283,7 +331,8 @@ proptest! {
         loc_pick in 0u64..u64::MAX,
     ) {
         let benches = all_benchmarks();
-        let rig = Rig::new(benches[bench_idx].as_ref());
+        let variant = Variant { hardened, ..Variant::FUNCTIONAL };
+        let rig = Rig::of(benches[bench_idx].as_ref(), variant);
         let launch = (launch_pick % rig.golden.records.len() as u64) as usize;
         let kind = KINDS[kind_idx];
         let pop = kind.eligible(&rig.golden.records[launch].stats);

@@ -1,8 +1,9 @@
 //! Golden-prefix fast-forward must be an *optimization*, never a model
-//! change: every classification artifact of [`kernels::faulty_run_ff`]
-//! (outcome, architectural cost, applied flag, corrupted-word count) must
-//! be bit-identical to the slow path's, and a fault-free snapshot resume
-//! must reproduce the golden suffix verbatim.
+//! change: every classification artifact of a faulty run under
+//! [`Accel::Snapshots`] (outcome, architectural cost, applied flag,
+//! corrupted-word count) must be bit-identical to the slow path's, for
+//! unprotected and TMR-hardened applications alike, and a fault-free
+//! snapshot resume must reproduce the golden suffix verbatim.
 //!
 //! Fast-forward trials run back to back on one thread, so each starts on
 //! the scratch machine the previous one left behind and restores only
@@ -10,12 +11,17 @@
 //! against the snapshot's full image and every dirty-only convergence
 //! verdict against a full compare (`vgpu_sim::snapshot`).
 
+mod common;
+
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use common::TmrProbe;
 use kernels::apps::{lud::Lud, scp::Scp, va::Va};
 use kernels::{
-    all_benchmarks, faulty_run, faulty_run_ff, golden_run, golden_run_snapshots,
-    verify_snapshot_resume, Benchmark, GoldenRun, PlannedFault, Variant,
+    all_benchmarks, faulty_run_ff, faulty_run_with, golden_pass, golden_run, golden_run_snapshots,
+    verify_snapshot_resume, Accel, AppSnapshots, Benchmark, GoldenRun, PlannedFault, Sinks,
+    SnapshotSink, Variant,
 };
 use proptest::prelude::*;
 use vgpu_sim::fault::HwStructure;
@@ -46,6 +52,21 @@ fn assert_ff_matches_pattern(
     golden: &GoldenRun,
     pattern: vgpu_sim::FaultPattern,
 ) {
+    let faults = sweep(golden, target, pattern);
+    let resumed_past_zero = assert_ff_matches_faults(bench, Variant::TIMED, golden, &faults);
+    assert!(
+        resumed_past_zero > 0,
+        "{}: no trial ever resumed from a mid-launch snapshot — fast-forward inert",
+        bench.name()
+    );
+}
+
+/// Every structure × [`probe_cycles`] of launch `target`.
+fn sweep(
+    golden: &GoldenRun,
+    target: usize,
+    pattern: vgpu_sim::FaultPattern,
+) -> Vec<(usize, UarchFault)> {
     let launch_cycles = golden.records[target].stats.cycles;
     let mut faults = Vec::new();
     for structure in HwStructure::ALL {
@@ -59,13 +80,23 @@ fn assert_ff_matches_pattern(
             });
         }
     }
-    let faults: Vec<_> = faults.into_iter().map(|f| (target, f)).collect();
-    let resumed_past_zero = assert_ff_matches_faults(bench, golden, &faults);
-    assert!(
-        resumed_past_zero > 0,
-        "{}: no trial ever resumed from a mid-launch snapshot — fast-forward inert",
-        bench.name()
-    );
+    faults.into_iter().map(|f| (target, f)).collect()
+}
+
+/// The snapshot set of `variant`'s golden run, `k` per launch.
+fn snapshot_set(
+    bench: &dyn Benchmark,
+    cfg: &GpuConfig,
+    variant: Variant,
+    golden: &GoldenRun,
+    k: usize,
+) -> AppSnapshots {
+    let sinks = Sinks {
+        snapshots: Some(SnapshotSink::new(golden, k)),
+        ..Sinks::default()
+    };
+    let pass = golden_pass(bench, cfg, variant, sinks);
+    pass.snapshots.expect("asked for")
 }
 
 /// Run `faults` (launch, fault) through fast-forward back to back — one
@@ -74,21 +105,23 @@ fn assert_ff_matches_pattern(
 /// Returns how many trials resumed from a snapshot past cycle 0.
 fn assert_ff_matches_faults(
     bench: &dyn Benchmark,
+    variant: Variant,
     golden: &GoldenRun,
     faults: &[(usize, UarchFault)],
 ) -> u32 {
     let cfg = cfg();
-    let snaps = Arc::new(golden_run_snapshots(bench, &cfg, golden, 4));
+    let snaps = Arc::new(snapshot_set(bench, &cfg, variant, golden, 4));
+    let run = |target, f, accel| {
+        let fault = PlannedFault::Uarch(f);
+        faulty_run_with(bench, &cfg, variant, golden, target, fault, accel)
+    };
     let fast: Vec<_> = faults
         .iter()
-        .map(|&(target, f)| {
-            faulty_run_ff(bench, &cfg, golden, &snaps, target, PlannedFault::Uarch(f))
-        })
+        .map(|&(target, f)| run(target, f, Accel::Snapshots(&snaps)))
         .collect();
     let mut resumed_past_zero = 0;
     for (&(target, f), fast) in faults.iter().zip(fast) {
-        let fault = PlannedFault::Uarch(f);
-        let slow = faulty_run(bench, &cfg, Variant::TIMED, golden, target, fault);
+        let slow = run(target, f, Accel::None);
         let tag = format!("{} launch {target} {f:?}", bench.name());
         assert_eq!(fast.outcome, slow.outcome, "{tag}");
         assert_eq!(fast.total_cost, slow.total_cost, "{tag}");
@@ -188,26 +221,116 @@ fn dead_state_left_on_the_scratch_machine_is_harmless() {
             f(last, at(last, 3), HwStructure::L1T, SingleBit, 77),
             f(last, at(last, 2), HwStructure::RegFile, SingleBit, 4242),
         ];
-        assert_ff_matches_faults(b, &golden, &faults);
+        assert_ff_matches_faults(b, Variant::TIMED, &golden, &faults);
     }
+}
+
+#[test]
+fn ff_bit_identical_to_slow_path_hardened() {
+    // A hardened launch is the same kernel with `grid_y == 3` over
+    // triplicated buffers and a vote is a launch plus a host read of its
+    // flag, so a TMR application follows, resumes and converges like any
+    // other: SCP's two kernels, each followed by its votes, faulted in the
+    // first kernel launch, in a vote and in the last launch.
+    let golden = golden_run(&Scp, &cfg(), Variant::TIMED_TMR);
+    let vote = golden.records.iter().position(|r| r.is_vote).unwrap();
+    let mut faults = Vec::new();
+    for target in [0, vote, golden.records.len() - 1] {
+        faults.extend(sweep(&golden, target, vgpu_sim::FaultPattern::SingleBit));
+    }
+    let resumed = assert_ff_matches_faults(&Scp, Variant::TIMED_TMR, &golden, &faults);
+    assert!(resumed > 0, "SCP-TMR: fast-forward inert");
+}
+
+#[test]
+fn hardened_host_steps_follow_snapshots_exactly() {
+    // `TmrProbe` (tests/common): the vote after K1 fails when a fault
+    // changes what copy 1 or 2 stored — a DUE on both paths — and the host
+    // then rewrites all three copies and reads each back before the next
+    // launch, which a run still following a golden snapshot must answer
+    // from a machine gone live with every copy written.
+    let probe = TmrProbe::default();
+    let golden = golden_run(&probe, &cfg(), Variant::TIMED_TMR);
+    assert_eq!(golden.records.len(), 4, "K1, vote, K2, vote");
+    let mut faults = Vec::new();
+    for target in 0..4 {
+        faults.extend(sweep(&golden, target, vgpu_sim::FaultPattern::SingleBit));
+    }
+    // A register-file fault early in K1, at every word of the three
+    // resident CTAs: those in a live register of copy 1 or 2 change what
+    // that copy stores.
+    let k1 = &golden.records[0];
+    for loc_pick in 0..3 * 32 * u64::from(k1.num_regs) {
+        let fault = UarchFault {
+            cycle: k1.stats.cycles / 4,
+            structure: HwStructure::RegFile,
+            loc_pick,
+            bit: 3,
+            pattern: vgpu_sim::FaultPattern::SingleBit,
+        };
+        faults.push((0, fault));
+    }
+    probe.vote_failures.store(0, Ordering::Relaxed);
+    assert_ff_matches_faults(&probe, Variant::TIMED_TMR, &golden, &faults);
+    let failed = probe.vote_failures.load(Ordering::Relaxed);
+    assert!(failed > 0, "no fault made the vote fail");
+    assert_eq!(failed % 2, 0, "a vote failed on one path only");
+}
+
+#[test]
+fn unhardened_fronts_are_the_general_pass_and_run() {
+    // `golden_run_snapshots` / `faulty_run_ff` are `golden_pass` with the
+    // snapshot sink / `faulty_run_with` under `Accel::Snapshots`, for
+    // `Variant::TIMED`.
+    let cfg = cfg();
+    let golden = golden_run(&Va, &cfg, Variant::TIMED);
+    let front = Arc::new(golden_run_snapshots(&Va, &cfg, &golden, 4));
+    let general = snapshot_set(&Va, &cfg, Variant::TIMED, &golden, 4);
+    assert_eq!(
+        (front.bytes, front.count(), front.chunks()),
+        (general.bytes, general.count(), general.chunks())
+    );
+    let (target, f) = sweep(&golden, 0, vgpu_sim::FaultPattern::SingleBit)[7];
+    let fault = PlannedFault::Uarch(f);
+    let a = faulty_run_ff(&Va, &cfg, &golden, &front, target, fault);
+    let accel = Accel::Snapshots(&front);
+    let b = faulty_run_with(&Va, &cfg, Variant::TIMED, &golden, target, fault, accel);
+    let artifacts = |r: &kernels::RunResult| {
+        let cost = (r.total_cost, r.simulated_cost, r.resumed_at);
+        (r.outcome, cost, r.converged, r.applied, r.corrupted_words)
+    };
+    assert_eq!(artifacts(&a), artifacts(&b));
 }
 
 #[test]
 fn snapshot_sets_cost_what_changed() {
     // The campaign configuration (4 SMs, 8 mid-launch snapshots per
     // launch): a regression to whole-machine copies — 400 MB for BFS,
-    // 1.2 GB over the suite — must not land silently.
+    // 1.2 GB over the suite — must not land silently. A hardened set holds
+    // three copies of every buffer and a boundary per vote launch
+    // (measured: BFS 11.3 → 55.0 MB, the suite 48.5 → 161.3 MB).
     let cfg = GpuConfig::default();
-    let mut total = 0;
-    for b in all_benchmarks() {
-        let golden = golden_run(b.as_ref(), &cfg, Variant::TIMED);
-        let bytes = golden_run_snapshots(b.as_ref(), &cfg, &golden, 8).bytes;
-        if b.name() == "BFS" {
-            assert!(bytes <= 40 << 20, "BFS snapshot set is {bytes} B");
+    for (variant, bfs_cap, suite_cap) in [
+        (Variant::TIMED, 40u64 << 20, 150u64 << 20),
+        (Variant::TIMED_TMR, 72 << 20, 200 << 20),
+    ] {
+        let mut total = 0;
+        for b in all_benchmarks() {
+            let golden = golden_run(b.as_ref(), &cfg, variant);
+            let bytes = snapshot_set(b.as_ref(), &cfg, variant, &golden, 8).bytes;
+            if b.name() == "BFS" {
+                assert!(
+                    bytes <= bfs_cap,
+                    "{variant:?}: BFS snapshot set is {bytes} B"
+                );
+            }
+            total += bytes;
         }
-        total += bytes;
+        assert!(
+            total <= suite_cap,
+            "{variant:?}: the 11 snapshot sets sum to {total} B"
+        );
     }
-    assert!(total <= 150 << 20, "the 11 snapshot sets sum to {total} B");
 }
 
 #[test]
@@ -244,12 +367,13 @@ proptest! {
         verify_snapshot_resume(b, &cfg, &golden, ordinal, cycle);
     }
 
-    /// Arbitrary (benchmark, launch, cycle, structure, pattern) sequences
-    /// of trials, back to back on one scratch machine: every record equals
-    /// the oracle's, whatever the machine was left holding.
+    /// Arbitrary (benchmark, variant, launch, cycle, structure, pattern)
+    /// sequences of trials, back to back on one scratch machine: every
+    /// record equals the oracle's, whatever the machine was left holding.
     #[test]
     fn consecutive_resumes_on_one_scratch_machine_match_the_oracle(
         bench_idx in 0usize..11,
+        hardened in any::<bool>(),
         picks in proptest::collection::vec(
             (0u64..u64::MAX, 0u64..u64::MAX, 0usize..5, 0usize..7, 0u64..u64::MAX),
             2..5,
@@ -257,7 +381,8 @@ proptest! {
     ) {
         let benches = all_benchmarks();
         let b = benches[bench_idx].as_ref();
-        let golden = golden_run(b, &cfg(), Variant::TIMED);
+        let variant = Variant { hardened, ..Variant::TIMED };
+        let golden = golden_run(b, &cfg(), variant);
         let faults: Vec<_> = picks
             .into_iter()
             .map(|(ordinal_pick, cycle_pick, structure, pattern, loc_pick)| {
@@ -272,6 +397,6 @@ proptest! {
                 (ordinal, fault)
             })
             .collect();
-        assert_ff_matches_faults(b, &golden, &faults);
+        assert_ff_matches_faults(b, variant, &golden, &faults);
     }
 }

@@ -234,6 +234,9 @@ pub struct SnapshotEvent<'a> {
     pub app: &'a str,
     /// `"uarch"` or `"sw"`.
     pub layer: &'a str,
+    /// The TMR-hardened variant of the application (its unprotected twin
+    /// captures a set of its own).
+    pub hardened: bool,
     /// Mid-launch snapshots requested per launch.
     pub per_launch: u64,
     /// Snapshots actually captured (initial + mid-launch + launch
@@ -254,8 +257,8 @@ impl SnapshotEvent<'_> {
         s.push_str(",\"layer\":");
         push_json_str(&mut s, self.layer);
         s.push_str(&format!(
-            ",\"per_launch\":{},\"count\":{},\"bytes\":{},\"wall_us\":{}}}",
-            self.per_launch, self.count, self.bytes, self.wall_us
+            ",\"hardened\":{},\"per_launch\":{},\"count\":{},\"bytes\":{},\"wall_us\":{}}}",
+            self.hardened, self.per_launch, self.count, self.bytes, self.wall_us
         ));
         s
     }
@@ -666,6 +669,7 @@ mod tests {
         let ev = SnapshotEvent {
             app: "SCP",
             layer: "uarch",
+            hardened: true,
             per_launch: 8,
             count: 9,
             bytes: 4_200_000,
@@ -681,6 +685,7 @@ mod tests {
         assert_eq!(get("record").unwrap().as_str(), Some("snapshot"));
         assert_eq!(get("app").unwrap().as_str(), Some("SCP"));
         assert_eq!(get("layer").unwrap().as_str(), Some("uarch"));
+        assert_eq!(get("hardened"), Some(JsonValue::Bool(true)));
         assert_eq!(get("per_launch").unwrap().as_u64(), Some(8));
         assert_eq!(get("count").unwrap().as_u64(), Some(9));
         assert_eq!(get("bytes").unwrap().as_u64(), Some(4_200_000));

@@ -60,28 +60,35 @@ fn adaptive_uarch(
 #[test]
 fn a_campaign_of_many_waves_runs_golden_and_captures_once() {
     let _obs = observed();
-    for (layer, backend, capture, kind) in [
+    for (layer, backend, capture, kind, gauge) in [
         (
             Layer::Uarch,
             EngineBackend::Timed,
             Phase::SnapshotCapture,
             "snapshots",
+            "snapshot_bytes{app=VA,layer=uarch,",
         ),
         (
             Layer::Uarch,
             EngineBackend::Replay,
             Phase::TraceCapture,
             "trace",
+            "trace_bytes{app=VA,layer=uarch,",
         ),
         (
             Layer::Sw,
             EngineBackend::Timed,
             Phase::CtaLogCapture,
             "cta_log",
+            "cta_log_bytes{app=VA,layer=sw,",
         ),
     ] {
         reset_counters();
-        let what = format!("{} on {}", layer.label(), backend.label());
+        let events = std::env::temp_dir().join(format!(
+            "relia_capture_once_{}_{kind}.jsonl",
+            std::process::id()
+        ));
+        obs::init_events(&events).unwrap();
         let targets = match layer {
             Layer::Uarch => uarch_targets(),
             Layer::Sw => sw_targets(),
@@ -90,21 +97,64 @@ fn a_campaign_of_many_waves_runs_golden_and_captures_once() {
             backend,
             ..EngineCfg::single_shot()
         };
-        let res = run_adaptive(&Va, &cfg(), false, layer, &targets, &acfg(), |prep, _| {
-            execute_shard(prep, &eng)
-        })
-        .unwrap();
-        assert!(res.waves >= 3, "{what}: only {} waves", res.waves);
-        assert_eq!(calls(Phase::GoldenRun), 1, "{what}: golden runs");
-        assert_eq!(calls(capture), 1, "{what}: {kind} captures");
-        // Replay defers the snapshot set to its first fallback; it is
-        // still one set per campaign.
-        assert!(calls(Phase::SnapshotCapture) <= 1, "{what}");
-        // Every wave after the capturing one was served from the cell.
-        let reused = obs::global()
-            .snapshot()
-            .counter(&format!("captures_reused_total{{app=VA,kind={kind}}}"));
-        assert_eq!(reused, Some(res.waves - 1), "{what}: reuses");
+        // The unprotected application, then its TMR variant: a handle
+        // each, captured once each, reported side by side.
+        for (campaigns, hardened) in [(1, false), (2, true)] {
+            let variant = if hardened { "tmr" } else { "base" };
+            let what = format!("{variant} {} on {}", layer.label(), backend.label());
+            let res = run_adaptive(
+                &Va,
+                &cfg(),
+                hardened,
+                layer,
+                &targets,
+                &acfg(),
+                |prep, _| execute_shard(prep, &eng),
+            )
+            .unwrap();
+            assert!(res.waves >= 3, "{what}: only {} waves", res.waves);
+            assert_eq!(calls(Phase::GoldenRun), campaigns, "{what}: golden runs");
+            assert_eq!(calls(capture), campaigns, "{what}: {kind} captures");
+            // Replay defers the snapshot set to its first fallback; it is
+            // still one set per campaign.
+            assert!(calls(Phase::SnapshotCapture) <= campaigns, "{what}");
+            // Every wave after the capturing one was served from the cell.
+            let reused = obs::global().snapshot().counter(&format!(
+                "captures_reused_total{{app=VA,kind={kind},variant={variant}}}"
+            ));
+            assert_eq!(reused, Some(res.waves - 1), "{what}: reuses");
+        }
+        // Neither handle's gauge replaced the other's, and the log holds
+        // one snapshot event per (app, variant).
+        let gauges = obs::global().snapshot().gauges;
+        let bytes = |variant: &str| {
+            let key = format!("{gauge}variant={variant}}}");
+            let found = gauges.iter().find(|(k, _)| *k == key);
+            found.unwrap_or_else(|| panic!("no {key} in {gauges:?}")).1
+        };
+        assert!(
+            bytes("tmr") > bytes("base"),
+            "{kind}: three copies cost more"
+        );
+        obs::flush_events().unwrap();
+        let log = std::fs::read_to_string(&events).unwrap();
+        let snapshot_events: Vec<&str> = (log.lines())
+            .filter(|l| l.contains("\"record\":\"snapshot\""))
+            .collect();
+        let of = |hardened: bool| {
+            let field = format!("\"hardened\":{hardened}");
+            snapshot_events
+                .iter()
+                .filter(|l| l.contains(&field))
+                .count() as u64
+        };
+        assert!(of(false) <= 1 && of(true) <= 1, "{kind}: {log}");
+        assert_eq!(
+            of(false) + of(true),
+            calls(Phase::SnapshotCapture),
+            "{kind}"
+        );
+        let _ = std::fs::remove_file(&events);
     }
 }
 

@@ -6,8 +6,8 @@
 //! before anything reads them. This crate removes that waste without
 //! giving up a single bit of fidelity:
 //!
-//! 1. **Record** ([`recorder`]): one golden pass per (app, config) runs
-//!    with a probe sink attached, capturing every register-file,
+//! 1. **Record** ([`recorder`]): one golden pass per (app variant, config)
+//!    runs with a probe sink attached, capturing every register-file,
 //!    shared-memory, and cache word access as a compact
 //!    delta/varint-encoded stream — one in-memory blob per segment (host
 //!    glue / launch), held for the life of the application's captures.
@@ -32,5 +32,5 @@ pub mod replay;
 pub use codec::{
     decode_segment_lossy, encode_segment, get_varint, put_varint, SegmentEvents, MAGIC, VERSION,
 };
-pub use recorder::{record_app_trace, TraceBuilder};
+pub use recorder::{record_app_trace, record_trace, TraceBuilder};
 pub use replay::{AppTrace, FallbackReason, LaunchInfo, Verdict};

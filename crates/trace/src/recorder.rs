@@ -8,8 +8,8 @@
 //! segments additionally capture the occupancy geometry and the retired
 //! cycle count from [`ProbeEvent::LaunchBegin`] / [`ProbeEvent::LaunchEnd`].
 //!
-//! [`record_app_trace`] runs `kernels::golden_pass` once with the builder
-//! as its trace sink (the pass asserts bit-identity to the untraced golden
+//! [`record_trace`] runs `kernels::golden_pass` once with the builder as
+//! its trace sink (the pass asserts bit-identity to the untraced golden
 //! run it is given) and returns the finished, indexed [`AppTrace`].
 
 use std::sync::{Arc, Mutex};
@@ -89,14 +89,6 @@ impl TraceBuilder {
             .collect();
         (encoded, segs)
     }
-
-    /// [`encode`](Self::encode), then build the replay index — directly
-    /// from the in-memory event stream, skipping the decode round trip
-    /// (`AppTrace::from_segments`).
-    pub fn finish(&mut self) -> AppTrace {
-        let (encoded, segs) = self.encode();
-        AppTrace::from_segments(encoded, &segs)
-    }
 }
 
 impl TraceSink for TraceBuilder {
@@ -119,19 +111,32 @@ impl TraceSink for TraceBuilder {
     }
 }
 
-/// Record the replay trace for one application: one timed golden pass
-/// with a [`TraceBuilder`] as its trace sink, returned as the finished
-/// [`AppTrace`]. The pass asserts bit-identity (outputs, costs, per-launch
-/// stats) against the already-captured `golden` baseline, so a trace can
-/// never silently desynchronise from the run it claims to describe.
-pub fn record_app_trace(bench: &dyn Benchmark, cfg: &GpuConfig, golden: &GoldenRun) -> AppTrace {
+/// Record the replay trace of one application variant: one timed golden
+/// pass with a [`TraceBuilder`] as its trace sink, returned as the
+/// finished, indexed [`AppTrace`] — the index is built directly from the
+/// in-memory event stream, skipping the decode round trip
+/// (`AppTrace::from_segments`). The pass asserts bit-identity (outputs,
+/// costs, per-launch stats) against the already-captured `golden`
+/// baseline, so a trace can never silently desynchronise from the run it
+/// claims to describe.
+pub fn record_trace(
+    bench: &dyn Benchmark,
+    cfg: &GpuConfig,
+    variant: Variant,
+    golden: &GoldenRun,
+) -> AppTrace {
     let builder = Arc::new(Mutex::new(TraceBuilder::new()));
     let sinks = Sinks {
         reference: Some(golden),
         trace: Some(builder.clone()),
         ..Sinks::default()
     };
-    golden_pass(bench, cfg, Variant::TIMED, sinks);
-    let mut b = builder.lock().expect("trace builder lock");
-    b.finish()
+    golden_pass(bench, cfg, variant, sinks);
+    let (encoded, segs) = builder.lock().expect("trace builder lock").encode();
+    AppTrace::from_segments(encoded, &segs)
+}
+
+/// [`record_trace`] of the unhardened application.
+pub fn record_app_trace(bench: &dyn Benchmark, cfg: &GpuConfig, golden: &GoldenRun) -> AppTrace {
+    record_trace(bench, cfg, Variant::TIMED, golden)
 }

@@ -14,7 +14,7 @@ cargo build --release --workspace
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "==> campaign smoke (2-shard merge; oracle == default == replay on uarch and sw, VA and BFS; adaptive waves)"
+echo "==> campaign smoke (2-shard merge; oracle == default == replay on uarch and sw, VA, BFS and BFS-TMR; adaptive waves)"
 cargo run --release -q -p bench --bin campaign -- smoke
 
 echo "==> campaign CLI: --help exits 0, out-of-range --sms exits 2"
@@ -25,18 +25,24 @@ rc=0; "$CAMPAIGN" run --app VA --sms 0 2> /dev/null || rc=$?
 [ "$rc" -eq 2 ]
 
 echo "==> paper smoke (docs/CAMPAIGNS.md): every campaign once, resumable, same figures as the per-figure binaries"
-# The whole suite at n = 2 (44 campaigns, 644 trials, ~10 s), once
-# uninterrupted and once killed by --limit and resumed. Both must write
+# The whole suite at n = 2 (44 campaigns, 644 trials, ~4 s — 11 s while
+# TMR trials ran in full), once uninterrupted and once killed by --limit
+# and resumed. Both must write
 # the 13 figure CSVs of crates/bench/tests/fixtures/paper_n2 — generated
 # once, at the parent of the change that introduced `campaign paper`
 # (commit 39cbd8e), by the three binaries it replaced (baseline_study,
-# fig03_utilization, hardening_study at --n-uarch 2 --n-sw 2) — and the
-# same MANIFEST, from 44 golden runs and 44 shard starts.
+# fig03_utilization, hardening_study at --n-uarch 2 --n-sw 2), whose TMR
+# trials all ran on the oracle path: an all-apps, both-layers hardened
+# differential — and the same MANIFEST, from 44 golden runs, 44 shard
+# starts and 22 snapshot captures (every uarch campaign, base and TMR,
+# is served by the fast-forward path).
 PAPER=$(mktemp -d)
 PFLAGS=(paper --n-uarch 2 --n-sw 2)
 "$CAMPAIGN" "${PFLAGS[@]}" --out-dir "$PAPER/a" --events "$PAPER/a.jsonl" \
   > /dev/null 2> "$PAPER/a.err"
 test "$(grep -c '"kind":"shard_start"' "$PAPER/a.jsonl")" -eq 44
+test "$(grep -c '"record":"snapshot"' "$PAPER/a.jsonl")" -eq 22
+test "$(grep -c '"record":"snapshot".*"hardened":true' "$PAPER/a.jsonl")" -eq 11
 grep -Eq '^golden_run +44 ' "$PAPER/a.err"
 "$CAMPAIGN" "${PFLAGS[@]}" --out-dir "$PAPER/b" --limit 40 2> /dev/null \
   | grep 'partial — resume to finish' > /dev/null
@@ -59,6 +65,14 @@ cp results/fig_ace_vs_avf.csv "$ACE_REF"
 cargo run --release -q -p bench --bin ace_study > /dev/null
 cmp "$ACE_REF" results/fig_ace_vs_avf.csv
 rm -f "$ACE_REF"
+
+echo "==> fig12_register_reuse: Figure 12's tables are the checked-in ones (results/fig12_*.csv)"
+FIG12=$(mktemp -d)
+cargo run --release -q -p bench --bin fig12_register_reuse -- --out-dir "$FIG12" > /dev/null 2>&1
+for f in fig12_reuse_sets.csv fig12_src_injection_modes.csv; do
+  cmp "results/$f" "$FIG12/$f"
+done
+rm -rf "$FIG12"
 
 echo "==> fault_model_study smoke"
 cargo run --release -q -p bench --bin fault_model_study -- smoke
