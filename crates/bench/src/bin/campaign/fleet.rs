@@ -39,8 +39,13 @@ fn fleet_lines(doc: &obs::JsonNode) -> Vec<String> {
     let mut out = Vec::new();
     match s("role").as_deref() {
         Some("coordinator") => {
+            // An adaptive campaign names the wave its counts belong to.
+            let wave = match doc.get("wave").and_then(obs::JsonNode::as_u64) {
+                Some(w) => format!(" wave {w}"),
+                None => String::new(),
+            };
             out.push(format!(
-                "coordinator  {} {}  fp {}  shards {}  {}",
+                "coordinator  {} {}{wave}  fp {}  shards {}  {}",
                 s("app").unwrap_or_default(),
                 s("layer").unwrap_or_default(),
                 s("campaign_fp").unwrap_or_default(),

@@ -14,7 +14,7 @@
 //!                [--wave-size 16 --max-trials 256 --checkpoint BASE --resume BASE]
 //! campaign merge --app VA --layer uarch shard0.jsonl shard1.jsonl ...
 //! campaign serve --app VA --layer uarch --shards 3 --listen 127.0.0.1:0 [--adaptive ...]
-//! campaign work  --connect 127.0.0.1:PORT [--follow]
+//! campaign work  --connect 127.0.0.1:PORT
 //! campaign status|top|scrape ADDR, campaign lint, campaign timeline FILE...
 //! campaign smoke
 //! ```

@@ -25,13 +25,13 @@ use bench::figures::{
 use kernels::Benchmark;
 use relia::plan::{str_tag, Layer, PreparedCampaign};
 use relia::{
-    assemble_sw, assemble_uarch, error_margin, execute_resumable, plan_sw, plan_uarch,
-    records_fingerprint, AppCaptures, CampaignCfg, Confidence, EngineCfg, EngineError,
-    HardeningComparison, TrialRecord, DEFAULT_CHECKPOINT_EVERY, SVF_KINDS,
+    assemble_sw, assemble_uarch, error_margin, plan_sw, plan_uarch, records_fingerprint,
+    AppCaptures, CampaignCfg, Confidence, EngineCfg, EngineError, HardeningComparison, TrialRecord,
+    DEFAULT_CHECKPOINT_EVERY, SVF_KINDS,
 };
 use vgpu_sim::HwStructure;
 
-use crate::args::{exit_partial, fail};
+use crate::args::{execute_journaled, fail};
 use crate::merge::write_csv;
 
 struct Driver {
@@ -63,21 +63,14 @@ impl Driver {
             Layer::Sw => plan_sw(&captures, &self.cfg, &SVF_KINDS),
         };
         let journal = self.journals.join(format!("{name}.jsonl"));
-        // A file killed before its header reached the disk holds nothing.
-        let holds_records = std::fs::metadata(&journal).is_ok_and(|m| m.len() > 0);
-        let eng = EngineCfg {
-            resume: holds_records.then(|| journal.clone()),
-            checkpoint: Some(journal),
-            ..self.eng.clone()
-        };
-        let run = execute_resumable(&prep, &eng).unwrap_or_else(|e| fail(&format!("{name}: {e}")));
+        let run = execute_journaled(
+            &name,
+            &prep,
+            &mut self.eng,
+            Some(journal.clone()),
+            Some(journal),
+        );
         let executed = run.records.len() - run.resumed;
-        if let Some(left) = &mut self.eng.trial_limit {
-            *left -= executed;
-        }
-        if run.records.len() < prep.plan.len() {
-            exit_partial(&name, run.records.len(), prep.plan.len());
-        }
         let result =
             assemble(&prep, &run.records).unwrap_or_else(|e| fail(&format!("{name}: {e}")));
         self.done.push(CampaignEntry {

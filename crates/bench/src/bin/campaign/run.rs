@@ -7,12 +7,12 @@ use bench::cli::{die, parse_or_exit, Cmd};
 use dispatch::CampaignSpec;
 use kernels::Benchmark;
 use relia::{
-    execute_resumable, execute_shard, pct, records_fingerprint, shard_trials, CampaignCfg,
-    EngineCfg, ShardRun, Table, Watchdog, DEFAULT_CHECKPOINT_EVERY,
+    execute_shard, pct, records_fingerprint, shard_trials, CampaignCfg, EngineCfg, Table, Watchdog,
+    DEFAULT_CHECKPOINT_EVERY,
 };
 use stat::{run_adaptive, AdaptiveCfg, AdaptiveResult};
 
-use crate::args::{adaptive, adaptive_targets, exit_partial, fail};
+use crate::args::{adaptive, adaptive_targets, execute_journaled, fail};
 use crate::merge::{print_result, write_csv};
 
 pub fn run(args: &[String]) {
@@ -42,7 +42,7 @@ pub fn run(args: &[String]) {
         if shards != 1 {
             die(
                 "--adaptive runs single-process per wave; distribute an adaptive campaign \
-                 with serve --adaptive + work --follow instead of --shards",
+                 with serve --adaptive + work instead of --shards",
             );
         }
         let res = run_waves(bench.as_ref(), &spec, a.watchdog(), &acfg, &eng);
@@ -121,7 +121,9 @@ fn run_waves(
         watchdog,
         ..spec.campaign_cfg()
     };
-    let mut executed_new = 0usize;
+    // What is left of `--limit` is charged wave by wave.
+    let mut eng = eng.clone();
+    let (checkpoint, resume) = (eng.checkpoint.take(), eng.resume.take());
     run_adaptive(
         bench,
         &cfg,
@@ -130,25 +132,9 @@ fn run_waves(
         &targets,
         acfg,
         |prep, wave| {
-            // A wave whose journal is already complete is loaded, one that
-            // is partial is finished, and only the trials executed now
-            // count against `--limit`.
-            let wave_eng = EngineCfg {
-                checkpoint: eng.checkpoint.as_ref().map(|b| wave_path(b, wave)),
-                resume: (eng.resume.as_ref())
-                    .map(|b| wave_path(b, wave))
-                    .filter(|p| p.exists()),
-                trial_limit: eng.trial_limit.map(|l| l.saturating_sub(executed_new)),
-                ..eng.clone()
-            };
-            let ShardRun { records, resumed } =
-                execute_resumable(prep, &wave_eng).unwrap_or_else(|e| fail(&e.to_string()));
-            if records.len() < prep.plan.len() {
-                let what = format!("adaptive wave {wave}");
-                exit_partial(&what, records.len(), prep.plan.len());
-            }
-            executed_new += records.len() - resumed;
-            Ok(records)
+            let at = |base: &Option<PathBuf>| base.as_ref().map(|b| wave_path(b, wave));
+            let what = format!("adaptive wave {wave}");
+            Ok(execute_journaled(&what, prep, &mut eng, at(&checkpoint), at(&resume)).records)
         },
     )
     .unwrap_or_else(|e| fail(&e.to_string()))

@@ -1,10 +1,11 @@
-//! `campaign serve`: run the dispatch coordinator (docs/DISPATCH.md) —
-//! once for a fixed-n campaign, once per wave with `--adaptive`.
+//! `campaign serve`: run the dispatch coordinator (docs/DISPATCH.md) for
+//! one campaign — a fixed-n plan, or with `--adaptive` one plan per wave,
+//! served to the same connected workers.
 
 use std::net::TcpListener;
 
 use bench::cli::{die, parse_or_exit, Cmd};
-use dispatch::{CampaignSpec, DispatchCfg, DispatchStats, WaveSpec};
+use dispatch::{DispatchCfg, DispatchStats};
 use stat::run_adaptive;
 
 use crate::args::{adaptive, adaptive_targets, fail, telemetry_cfg};
@@ -13,7 +14,7 @@ use crate::run::print_adaptive;
 
 fn stats_line(s: &DispatchStats) -> String {
     format!(
-        "{} worker sessions, {} leases ({} reassigned, {} expired), {} shards, \
+        "{} workers, {} leases ({} reassigned, {} expired), {} shards, \
          {} duplicate records, {} torn frames, {} resends",
         s.workers_joined,
         s.leases_granted,
@@ -46,12 +47,6 @@ pub fn serve(args: &[String]) {
             dcfg.max_backoff.as_millis(),
             dcfg.backoff.as_millis()
         ));
-    }
-    if adaptive.is_some() && dcfg.telemetry.is_some() {
-        die(
-            "serve --adaptive cannot mount a fixed telemetry port: each wave runs its own \
-             coordinator and the port would be re-bound mid-campaign",
-        );
     }
     let csv = a.path("--csv");
     let listen = a.text("--listen").unwrap_or("127.0.0.1:0");
@@ -86,10 +81,8 @@ pub fn serve(args: &[String]) {
         return;
     };
 
-    // One coordinator per wave on the same bound socket: workers run
-    // `work --follow` and reconnect between waves. The wave (index +
-    // strata) rides in the job frame, so each worker re-expands the
-    // wave plan locally and the handshake proves it.
+    // The wave (index + strata) rides in the job frame, so each worker
+    // re-expands the wave plan locally and the handshake proves it.
     eprintln!(
         "[dispatch] {} {} adaptive: CI target ±{}, wave size {}, cap {}/stratum, \
          {} shards, listening on {local}",
@@ -100,60 +93,32 @@ pub fn serve(args: &[String]) {
         acfg.max_per_stratum,
         dcfg.shards,
     );
-    let mut totals = DispatchStats::default();
-    let res = run_adaptive(
-        bench.as_ref(),
-        &spec.campaign_cfg(),
-        spec.hardened,
-        spec.layer,
-        &adaptive_targets(&spec),
-        &acfg,
-        |prep, wave| {
-            let wspec = CampaignSpec {
-                wave: Some(WaveSpec {
-                    wave,
-                    strata: prep.plan.strata.clone(),
-                }),
-                ..spec.clone()
-            };
-            let wcfg = DispatchCfg {
-                // Separate journals per wave: the shard file names
-                // repeat across waves.
-                out_dir: dcfg.out_dir.as_ref().map(|d| {
-                    let dir = d.join(format!("wave{wave}"));
-                    std::fs::create_dir_all(&dir)
-                        .unwrap_or_else(|e| fail(&format!("cannot create {}: {e}", dir.display())));
-                    dir
-                }),
-                ..dcfg.clone()
-            };
-            let l = listener
-                .try_clone()
-                .unwrap_or_else(|e| fail(&format!("cannot clone listener: {e}")));
-            eprintln!(
-                "[dispatch] wave {wave}: {} trials, fingerprint {:#018x}",
-                prep.plan.len(),
-                prep.plan.fingerprint(),
-            );
-            let outcome = dispatch::serve(l, &prep.plan, &wspec, &wcfg)
-                .unwrap_or_else(|e| fail(&e.to_string()));
-            let s = &outcome.stats;
-            totals.workers_joined += s.workers_joined;
-            totals.leases_granted += s.leases_granted;
-            totals.leases_reassigned += s.leases_reassigned;
-            totals.leases_expired += s.leases_expired;
-            totals.shards_completed += s.shards_completed;
-            totals.duplicate_records += s.duplicate_records;
-            totals.torn_frames += s.torn_frames;
-            totals.resend_requests += s.resend_requests;
-            Ok(outcome.records)
-        },
-    )
+    let (res, stats) = dispatch::serve_with(listener, &dcfg, |coord| {
+        run_adaptive(
+            bench.as_ref(),
+            &spec.campaign_cfg(),
+            spec.hardened,
+            spec.layer,
+            &adaptive_targets(&spec),
+            &acfg,
+            |prep, wave| {
+                eprintln!(
+                    "[dispatch] wave {wave}: {} trials, fingerprint {:#018x}",
+                    prep.plan.len(),
+                    prep.plan.fingerprint(),
+                );
+                Ok(coord
+                    .run(&prep.plan, &spec)
+                    .unwrap_or_else(|e| fail(&e.to_string())))
+            },
+        )
+    })
     .unwrap_or_else(|e| fail(&e.to_string()));
+    let res = res.unwrap_or_else(|e| fail(&e.to_string()));
     eprintln!(
         "[dispatch] adaptive complete: {} waves, {}",
         res.waves,
-        stats_line(&totals)
+        stats_line(&stats)
     );
     print_adaptive(bench.as_ref(), &res, &acfg, csv.as_deref());
 }

@@ -1,4 +1,5 @@
-//! `campaign work`: run one worker daemon against a coordinator.
+//! `campaign work`: run one worker daemon against a coordinator, for the
+//! whole of its campaign.
 
 use bench::cli::{die, parse_or_exit, Cmd};
 use dispatch::{WorkSummary, WorkerCfg};
@@ -28,26 +29,11 @@ pub fn work(args: &[String]) {
         telemetry: telemetry_cfg(&a),
         trace: a.has("--trace"),
     };
-    let follow = a.has("--follow");
-    if follow && cfg.telemetry.is_some() {
-        die("work --follow cannot mount a fixed telemetry port: each session re-binds it");
-    }
     let Some(addr) = a.text("--connect") else {
         die("work requires --connect HOST:PORT");
     };
-    // `--follow` serves an adaptive campaign: one session per wave, the
-    // application's captures kept in between (`dispatch::follow`).
-    let run = if follow {
-        dispatch::follow
-    } else {
-        dispatch::work
-    };
-    match run(addr, &cfg) {
+    match dispatch::work(addr, &cfg) {
         Ok(s) if s.died_early => report_death(&s),
-        Ok(s) if follow => println!(
-            "worker {}: {} sessions, {} shards completed, {} trials executed",
-            s.worker, s.sessions, s.shards_completed, s.trials_executed
-        ),
         Ok(s) => println!(
             "worker {}: {} shards completed, {} trials executed",
             s.worker, s.shards_completed, s.trials_executed

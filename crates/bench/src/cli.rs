@@ -204,7 +204,6 @@ pub const FLAGS: &[Flag] = &[
     flag("--read-timeout-ms", Arg::Num("MS", POSITIVE), WORK, "give up on a silent coordinator; default 30000"),
     flag("--fail-after", Arg::Num("N", ANY), WORK, "test hook: die abruptly after N trial records"),
     flag("--trace", Arg::Switch, WORK, "forward trace events to the coordinator after each lease"),
-    flag("--follow", Arg::Switch, WORK, "reconnect for every wave of an adaptive campaign"),
     // Fleet view.
     flag("--interval-ms", Arg::Num("MS", POSITIVE), TOP, "poll interval; default 1000"),
     flag("--iterations", Arg::Num("N", ANY), TOP, "stop after N polls (0 = until the campaign is done)"),

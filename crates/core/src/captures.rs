@@ -10,8 +10,8 @@
 //! a different trial path at a different time and a timed golden pass is
 //! the cheap part of any of them (docs/PERF.md, *One pass, its sinks*).
 //! Every plan of that application — the waves of an adaptive campaign, the
-//! patterns of a fault-model sweep, the wave sessions of a followed
-//! dispatch worker — is expanded against the same handle
+//! patterns of a fault-model sweep, the waves a dispatch worker is sent in
+//! its session — is expanded against the same handle
 //! ([`crate::plan::plan_uarch`] / [`crate::plan::plan_sw`] /
 //! [`crate::plan::plan_wave`]) and shares what it holds.
 //!

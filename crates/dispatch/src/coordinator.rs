@@ -1,10 +1,18 @@
-//! The coordinator: owns the plan, leases shards, merges results.
+//! The coordinator: serves plans to the fleet, leases shards, merges
+//! results.
+//!
+//! A coordinator outlives one plan: [`serve_with`] binds the fleet — the
+//! listener, the accepted connections, the worker directory, the
+//! telemetry server, one running [`DispatchStats`] — to the caller's
+//! closure, and [`Coordinator::run`] serves one plan to it, once per wave
+//! of an adaptive campaign. [`serve`] is the one-plan case.
 //!
 //! One accept loop (non-blocking, 20 ms tick) doubles as the lease
 //! reaper; each accepted connection gets a handler thread under a
-//! [`std::thread::scope`], so [`serve`] returns only after every handler
-//! has drained. All shared state sits behind one mutex: the campaign's
-//! [`RecordSet`] (a slot per planned trial) plus a state machine per shard:
+//! [`std::thread::scope`], so [`serve_with`] returns only after every
+//! handler has drained. All shared state sits behind one mutex: the
+//! current plan's [`RecordSet`] (a slot per planned trial) plus a state
+//! machine per shard:
 //!
 //! ```text
 //!            grant                    all records held, journal fsynced
@@ -26,8 +34,7 @@
 
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use obs::events::push_json_str;
@@ -137,26 +144,53 @@ enum ShardState {
     Done,
 }
 
-struct State {
+/// One plan being served: what [`Coordinator::run`] installs and the
+/// handlers lease out. It owns what it needs of the caller's plan, so the
+/// handlers — which outlive any one `run` — borrow nothing from it.
+struct Job {
+    /// Ordinal of the `run` call (1, 2, …). A handler takes records,
+    /// heartbeats and shard claims only from a worker that answered *this*
+    /// job's frame with `ready`: what a slow worker still streams for an
+    /// earlier plan is dropped, never merged into the wrong record set.
+    seq: u64,
+    spec: CampaignSpec,
+    /// Shard 0's journal header: the plan's identity (trial count,
+    /// fingerprint) and, per shard, what each journal file starts with.
+    header: CheckpointHeader,
+    /// Where completed shards are journaled: `out_dir`, or for a wave
+    /// `out_dir/waveW` — the shard file names repeat across waves.
+    journal: Option<PathBuf>,
+    /// Plan indices owned by each shard (strided cover, precomputed).
+    shard_idxs: Vec<Vec<usize>>,
     records: RecordSet,
     shards: Vec<ShardState>,
-    stats: DispatchStats,
+    started: Instant,
     done: bool,
+}
+
+struct State {
+    /// The plan of the latest `run` (kept after it completes, for `/status`).
+    job: Option<Job>,
+    stats: DispatchStats,
+    /// The caller's closure has returned: handlers say `shutdown`.
+    over: bool,
     fatal: Option<DispatchError>,
 }
 
-struct Ctx<'a> {
-    plan: &'a CampaignPlan,
-    spec: &'a CampaignSpec,
+/// A running coordinator, handed to the closure of [`serve_with`].
+pub struct Coordinator<'a> {
     cfg: &'a DispatchCfg,
-    /// Plan indices owned by each shard (strided cover, precomputed).
-    shard_idxs: Vec<Vec<usize>>,
-    fingerprint: u64,
-    started: Instant,
     /// Workers that said hello: `(name, telemetry addr)` — addr may be
     /// empty when the worker mounts no telemetry server.
     workers: Mutex<Vec<(String, String)>>,
     state: Mutex<State>,
+    /// The `/status` document the telemetry server hands out: its
+    /// handlers need 'static content, so the fleet view is published
+    /// into a shared string.
+    status_doc: Arc<Mutex<String>>,
+    /// Signalled on every transition a thread may be parked on: a plan
+    /// installed, a plan finished or aborted, the campaign over.
+    wake: Condvar,
 }
 
 fn backoff_for(cfg: &DispatchCfg, attempts: u64) -> Duration {
@@ -166,7 +200,8 @@ fn backoff_for(cfg: &DispatchCfg, attempts: u64) -> Duration {
         .min(cfg.max_backoff)
 }
 
-/// Run the coordinator until every shard of `plan` is complete.
+/// Run the coordinator until every shard of `plan` is complete: the
+/// one-plan case of [`serve_with`].
 ///
 /// `listener` is accepted as-is so callers can bind port 0 and publish
 /// the chosen port before serving. Returns the merged record vector and
@@ -178,62 +213,51 @@ pub fn serve(
     spec: &CampaignSpec,
     cfg: &DispatchCfg,
 ) -> Result<ServeOutcome, DispatchError> {
+    let (records, stats) = serve_with(listener, cfg, |coord| coord.run(plan, spec))?;
+    Ok(ServeOutcome {
+        records: records?,
+        stats,
+    })
+}
+
+/// Run a coordinator for as long as `body` does: workers that connect to
+/// `listener` stay connected across every [`Coordinator::run`] `body`
+/// makes — one `hello`, then a `job`/`ready` handshake per plan — and are
+/// sent `shutdown` when it returns. Returns what `body` returned and the
+/// statistics of the whole campaign.
+pub fn serve_with<R>(
+    listener: TcpListener,
+    cfg: &DispatchCfg,
+    body: impl FnOnce(&Coordinator) -> R,
+) -> Result<(R, DispatchStats), DispatchError> {
     if cfg.shards == 0 {
         return Err(DispatchError::Spec("shards must be >= 1".into()));
     }
-    let now = Instant::now();
-    let shard_idxs: Vec<Vec<usize>> = (0..cfg.shards)
-        .map(|i| shard_trials(plan.len(), cfg.shards, i))
-        .collect();
-    let shards: Vec<ShardState> = shard_idxs
-        .iter()
-        .map(|idxs| {
-            if idxs.is_empty() {
-                ShardState::Done
-            } else {
-                ShardState::Pending {
-                    not_before: now,
-                    attempts: 0,
-                }
-            }
-        })
-        .collect();
-    let done = shards.iter().all(|s| matches!(s, ShardState::Done));
-    let ctx = Ctx {
-        plan,
-        spec,
+    let coord = Coordinator {
         cfg,
-        shard_idxs,
-        fingerprint: plan.fingerprint(),
-        started: Instant::now(),
         workers: Mutex::new(Vec::new()),
         state: Mutex::new(State {
-            records: RecordSet::new(plan.len()),
-            shards,
+            job: None,
             stats: DispatchStats::default(),
-            done,
+            over: false,
             fatal: None,
         }),
+        status_doc: Arc::new(Mutex::new(String::from("{}"))),
+        wake: Condvar::new(),
     };
-    obs::trace::set_campaign_fp(ctx.fingerprint);
     // Lifecycle markers (serve_start/lease/shard_complete/complete) are
     // gated on the tracing switch; a coordinator with a live events sink
     // wants them in the timeline alongside the worker-forwarded records.
     if obs::events_enabled() {
         obs::trace::set_tracing(true);
     }
-    obs::trace::emit_for("serve_start", 0, u64::MAX, 0);
     listener.set_nonblocking(true)?;
-    let next_conn = AtomicU64::new(1);
 
-    // Telemetry: the HTTP handlers need 'static content, so the accept
-    // loop publishes the fleet view into shared strings the server reads.
-    let status_doc = Arc::new(Mutex::new(String::from("{}")));
     let worker_metrics = Arc::new(Mutex::new(String::new()));
     let _telemetry = match &cfg.telemetry {
         None => None,
         Some(tcfg) => {
-            let status = Arc::clone(&status_doc);
+            let status = Arc::clone(&coord.status_doc);
             let extra = Arc::clone(&worker_metrics);
             Some(crate::mount_telemetry(
                 tcfg,
@@ -245,87 +269,189 @@ pub fn serve(
         }
     };
 
-    std::thread::scope(|s| {
+    let out = std::thread::scope(|s| {
+        let coord = &coord;
         if _telemetry.is_some() {
             // Scraper: poll every advertised worker /metrics and
             // re-export the series under worker="name" labels.
-            let ctx = &ctx;
             let extra = Arc::clone(&worker_metrics);
-            s.spawn(move || loop {
-                if ctx.state.lock().unwrap().done {
-                    break;
+            s.spawn(move || {
+                while !coord.state.lock().unwrap().over {
+                    *extra.lock().unwrap() = scrape_workers(coord);
+                    std::thread::sleep(SCRAPE_TICK);
                 }
-                *extra.lock().unwrap() = scrape_workers(ctx);
-                std::thread::sleep(SCRAPE_TICK);
             });
         }
-        let mut last_status = Instant::now() - STATUS_TICK;
-        loop {
-            if ctx.state.lock().unwrap().done {
-                break;
-            }
-            if _telemetry.is_some() && last_status.elapsed() >= STATUS_TICK {
-                last_status = Instant::now();
-                *status_doc.lock().unwrap() = render_status(&ctx);
-            }
-            match listener.accept() {
-                Ok((stream, _addr)) => {
-                    let conn = next_conn.fetch_add(1, Ordering::Relaxed);
-                    let ctx = &ctx;
-                    s.spawn(move || handle(conn, stream, ctx));
+        let listener = &listener;
+        s.spawn(move || {
+            let mut next_conn = 1u64;
+            let mut last_status = Instant::now() - STATUS_TICK;
+            while !coord.state.lock().unwrap().over {
+                if last_status.elapsed() >= STATUS_TICK {
+                    last_status = Instant::now();
+                    coord.publish_status();
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    expire_leases(&ctx);
-                    std::thread::sleep(ACCEPT_TICK);
-                }
-                Err(e) => {
-                    let mut st = ctx.state.lock().unwrap();
-                    st.fatal.get_or_insert(DispatchError::Io(e));
-                    st.done = true;
-                    break;
+                match listener.accept() {
+                    Ok((stream, _addr)) => {
+                        let conn = next_conn;
+                        next_conn += 1;
+                        s.spawn(move || handle(conn, stream, coord));
+                    }
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                        expire_leases(coord);
+                        std::thread::sleep(ACCEPT_TICK);
+                    }
+                    Err(e) => {
+                        let mut st = coord.state.lock().unwrap();
+                        coord.finish(&mut st, Some(DispatchError::Io(e)));
+                        break;
+                    }
                 }
             }
-        }
-        // Dropping out of the scope joins every handler; they all notice
-        // `done` within one HANDLER_TICK and say goodbye to their worker.
+        });
+        // However `body` ends — a panic included — the campaign is over;
+        // leaving the scope then joins the accept loop and every handler,
+        // which all notice within one tick and say goodbye to their worker.
+        let _end = EndCampaign(coord);
+        body(coord)
     });
     // Final (post-completion) fleet view for pollers that race shutdown.
-    if _telemetry.is_some() {
-        *status_doc.lock().unwrap() = render_status(&ctx);
+    coord.publish_status();
+    let st = coord.state.into_inner().unwrap();
+    Ok((out, st.stats))
+}
+
+/// Marks the campaign over when [`serve_with`]'s closure is done.
+struct EndCampaign<'a>(&'a Coordinator<'a>);
+
+impl Drop for EndCampaign<'_> {
+    fn drop(&mut self) {
+        // Setting a flag leaves the state valid even if a handler panicked
+        // while holding the lock.
+        let mut st = self.0.state.lock().unwrap_or_else(|e| e.into_inner());
+        st.over = true;
+        self.0.wake.notify_all();
+    }
+}
+
+impl Coordinator<'_> {
+    /// Serve one plan to the fleet — every worker connected now or joining
+    /// while it runs — until each of its shards is complete, and return
+    /// one record per planned trial, sorted by plan index: the same vector
+    /// a single-process [`relia::execute_trials`] over the full plan would
+    /// produce (modulo wall-clock noise). `spec` is the campaign `plan`
+    /// belongs to: it rides in the `job` frame each worker re-expands the
+    /// plan from, a wave plan's index and strata with it.
+    pub fn run(
+        &self,
+        plan: &CampaignPlan,
+        spec: &CampaignSpec,
+    ) -> Result<Vec<TrialRecord>, DispatchError> {
+        let shards = self.cfg.shards;
+        let journal = match (&self.cfg.out_dir, plan.wave) {
+            (Some(dir), Some(wave)) => {
+                let dir = dir.join(format!("wave{wave}"));
+                std::fs::create_dir_all(&dir)?;
+                Some(dir)
+            }
+            (dir, _) => dir.clone(),
+        };
+        let now = Instant::now();
+        let shard_idxs: Vec<Vec<usize>> = (0..shards)
+            .map(|i| shard_trials(plan.len(), shards, i))
+            .collect();
+        let states: Vec<ShardState> = shard_idxs
+            .iter()
+            .map(|idxs| {
+                if idxs.is_empty() {
+                    ShardState::Done
+                } else {
+                    ShardState::Pending {
+                        not_before: now,
+                        attempts: 0,
+                    }
+                }
+            })
+            .collect();
+        let header = CheckpointHeader::for_plan(plan, shards, 0);
+        obs::trace::set_campaign_fp(header.fingerprint);
+        obs::trace::emit_for("serve_start", 0, u64::MAX, 0);
+
+        {
+            let mut st = self.state.lock().unwrap();
+            st.job = Some(Job {
+                seq: st.job.as_ref().map_or(1, |j| j.seq + 1),
+                spec: spec.for_plan(plan),
+                header,
+                journal,
+                shard_idxs,
+                records: RecordSet::new(plan.len()),
+                done: states.iter().all(|s| matches!(s, ShardState::Done)),
+                shards: states,
+                started: now,
+            });
+        }
+        self.wake.notify_all();
+        // A poller sees the new plan at once, not a status tick later.
+        self.publish_status();
+        let running = |s: &mut State| s.fatal.is_none() && s.job.as_ref().is_some_and(|j| !j.done);
+        let mut st = (self.wake)
+            .wait_while(self.state.lock().unwrap(), running)
+            .unwrap();
+        if let Some(e) = st.fatal.take() {
+            return Err(e);
+        }
+        let job = st.job.as_ref().expect("installed above");
+        let records = job.records.clone().complete()?;
+        drop(st);
+        emit_dispatch(&DispatchEvent {
+            kind: "complete",
+            worker: "",
+            shard: 0,
+            shards: shards as u64,
+            attempt: 0,
+            done: records.len() as u64,
+            total: records.len() as u64,
+        });
+        obs::trace::emit_for("complete", 0, u64::MAX, 0);
+        Ok(records)
     }
 
-    let st = ctx.state.into_inner().unwrap();
-    if let Some(e) = st.fatal {
-        return Err(e);
+    /// Re-render the `/status` document, if a telemetry server serves one.
+    fn publish_status(&self) {
+        if self.cfg.telemetry.is_some() {
+            *self.status_doc.lock().unwrap() = render_status(self);
+        }
     }
-    let records = st.records.complete()?;
-    emit_dispatch(&DispatchEvent {
-        kind: "complete",
-        worker: "",
-        shard: 0,
-        shards: cfg.shards as u64,
-        attempt: 0,
-        done: records.len() as u64,
-        total: records.len() as u64,
-    });
-    obs::trace::emit_for("complete", 0, u64::MAX, 0);
-    Ok(ServeOutcome {
-        records,
-        stats: st.stats,
-    })
+
+    /// End the current plan — complete, or aborted by `fatal` — and wake
+    /// its `run`.
+    fn finish(&self, st: &mut State, fatal: Option<DispatchError>) {
+        if let Some(e) = fatal {
+            st.fatal.get_or_insert(e);
+        }
+        if let Some(job) = &mut st.job {
+            job.done = true;
+        }
+        self.wake.notify_all();
+    }
 }
 
 /// Render the coordinator's `/status` document: one JSON object with the
-/// fleet view (`campaign status`/`campaign top` poll this). Scans every
-/// shard's slots, so it runs at [`STATUS_TICK`] rate, not per request. Also
+/// fleet view of the current plan (`campaign status`/`campaign top` poll
+/// this; `{}` until the first plan is installed). Scans every shard's
+/// slots, so it runs at [`STATUS_TICK`] rate, not per request. Also
 /// refreshes the coordinator-side `dispatch_*` gauges so `/metrics`
 /// moves in lockstep with `/status`.
-fn render_status(ctx: &Ctx) -> String {
-    let st = ctx.state.lock().unwrap();
+fn render_status(coord: &Coordinator) -> String {
+    let st = coord.state.lock().unwrap();
+    let Some(job) = &st.job else {
+        return String::from("{}");
+    };
     let now = Instant::now();
-    let held_total = st.records.held();
-    let planned = ctx.plan.len();
-    let elapsed = ctx.started.elapsed();
+    let held_total = job.records.held();
+    let planned = job.header.trials;
+    let elapsed = job.started.elapsed();
     let rate = if elapsed.as_secs_f64() > 0.0 {
         held_total as f64 / elapsed.as_secs_f64()
     } else {
@@ -335,7 +461,7 @@ fn render_status(ctx: &Ctx) -> String {
     // No observed rate yet means no projection: `eta_ms` is omitted from
     // the document (status renderers print `eta --`) and the gauge is
     // left untouched rather than lying with a 0.
-    let eta_ms: Option<u64> = if st.done {
+    let eta_ms: Option<u64> = if job.done {
         Some(0)
     } else if rate > 0.0 {
         Some((remaining as f64 / rate * 1000.0) as u64)
@@ -351,27 +477,32 @@ fn render_status(ctx: &Ctx) -> String {
     gauge_set(
         "dispatch_workers_known",
         &[],
-        ctx.workers.lock().unwrap().len() as u64,
+        coord.workers.lock().unwrap().len() as u64,
     );
 
     let mut out = String::with_capacity(1024);
     out.push_str("{\"record\":\"dispatch_status\",\"role\":\"coordinator\"");
     out.push_str(",\"app\":");
-    push_json_str(&mut out, &ctx.spec.app);
+    push_json_str(&mut out, &job.spec.app);
     out.push_str(",\"layer\":");
-    push_json_str(&mut out, ctx.spec.layer.label());
+    push_json_str(&mut out, job.spec.layer.label());
+    // The trial counts below are the current wave's; the stats are the
+    // whole campaign's.
+    if let Some(w) = &job.spec.wave {
+        out.push_str(&format!(",\"wave\":{}", w.wave));
+    }
     out.push_str(",\"campaign_fp\":");
-    push_json_str(&mut out, &format!("{:016x}", ctx.fingerprint));
+    push_json_str(&mut out, &format!("{:016x}", job.header.fingerprint));
     out.push_str(&format!(
         ",\"shards\":{},\"trials\":{planned},\"records_held\":{held_total}",
-        ctx.cfg.shards
+        coord.cfg.shards
     ));
     out.push_str(&format!(",\"records_per_s\":{rate:.3}"));
     if let Some(ms) = eta_ms {
         out.push_str(&format!(",\"eta_ms\":{ms}"));
     }
     out.push_str(&format!(",\"elapsed_ms\":{}", elapsed.as_millis()));
-    out.push_str(&format!(",\"done\":{}", st.done));
+    out.push_str(&format!(",\"done\":{}", st.over));
     out.push_str(&format!(
         ",\"stats\":{{\"workers_joined\":{},\"leases_granted\":{},\"leases_reassigned\":{},\
          \"leases_expired\":{},\"shards_completed\":{},\"duplicate_records\":{},\
@@ -386,12 +517,12 @@ fn render_status(ctx: &Ctx) -> String {
         st.stats.resend_requests
     ));
     out.push_str(",\"shard_detail\":[");
-    for (i, s) in st.shards.iter().enumerate() {
+    for (i, s) in job.shards.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let total = ctx.shard_idxs[i].len();
-        let held = total - st.records.missing(&ctx.shard_idxs[i]).len();
+        let total = job.shard_idxs[i].len();
+        let held = total - job.records.missing(&job.shard_idxs[i]).len();
         out.push_str(&format!(
             "{{\"shard\":{i},\"held\":{held},\"total\":{total}"
         ));
@@ -412,7 +543,7 @@ fn render_status(ctx: &Ctx) -> String {
                 ..
             } => {
                 let expires_in = expires.saturating_duration_since(now);
-                let hb_age = ctx.cfg.lease.saturating_sub(expires_in).as_millis();
+                let hb_age = coord.cfg.lease.saturating_sub(expires_in).as_millis();
                 out.push_str(",\"state\":\"leased\",\"owner\":");
                 push_json_str(&mut out, worker);
                 out.push_str(&format!(
@@ -425,7 +556,7 @@ fn render_status(ctx: &Ctx) -> String {
         }
     }
     out.push_str("],\"workers\":[");
-    for (i, (name, addr)) in ctx.workers.lock().unwrap().iter().enumerate() {
+    for (i, (name, addr)) in coord.workers.lock().unwrap().iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -444,8 +575,8 @@ fn render_status(ctx: &Ctx) -> String {
 /// verbatim to the coordinator's own `/metrics` body — the lint accepts
 /// per-worker label sets under a shared family). Unreachable workers are
 /// skipped; a counter records the misses.
-fn scrape_workers(ctx: &Ctx) -> String {
-    let targets: Vec<(String, String)> = ctx
+fn scrape_workers(coord: &Coordinator) -> String {
+    let targets: Vec<(String, String)> = coord
         .workers
         .lock()
         .unwrap()
@@ -465,220 +596,241 @@ fn scrape_workers(ctx: &Ctx) -> String {
     out
 }
 
+/// Put a lost lease back in play, after the backoff its attempt count earns.
+fn reclaim(cfg: &DispatchCfg, job: &mut Job, stats: &mut DispatchStats, shard: usize) -> u64 {
+    let ShardState::Leased { attempts, .. } = job.shards[shard] else {
+        unreachable!("only a leased shard is reclaimed");
+    };
+    job.shards[shard] = ShardState::Pending {
+        not_before: Instant::now() + backoff_for(cfg, attempts),
+        attempts,
+    };
+    stats.leases_expired += 1;
+    counter_add("dispatch_lease_expiries_total", &[], 1);
+    attempts
+}
+
 /// Reclaim leases whose holder has gone silent past the lease duration.
-fn expire_leases(ctx: &Ctx) {
-    let mut st = ctx.state.lock().unwrap();
-    if st.done {
+fn expire_leases(coord: &Coordinator) {
+    let mut st = coord.state.lock().unwrap();
+    let State { job, stats, .. } = &mut *st;
+    let Some(job) = job.as_mut().filter(|j| !j.done) else {
         return;
-    }
+    };
     let now = Instant::now();
-    let expired: Vec<(usize, u64)> = st
-        .shards
-        .iter()
-        .enumerate()
-        .filter_map(|(i, s)| match s {
-            ShardState::Leased {
-                expires, attempts, ..
-            } if *expires <= now => Some((i, *attempts)),
-            _ => None,
-        })
-        .collect();
-    for (i, attempts) in expired {
-        st.shards[i] = ShardState::Pending {
-            not_before: now + backoff_for(ctx.cfg, attempts),
-            attempts,
-        };
-        st.stats.leases_expired += 1;
-        let held = ctx.shard_idxs[i].len() - st.records.missing(&ctx.shard_idxs[i]).len();
-        counter_add("dispatch_lease_expiries_total", &[], 1);
+    for i in 0..job.shards.len() {
+        if !matches!(job.shards[i], ShardState::Leased { expires, .. } if expires <= now) {
+            continue;
+        }
+        let attempts = reclaim(coord.cfg, job, stats, i);
+        let total = job.shard_idxs[i].len();
         emit_dispatch(&DispatchEvent {
             kind: "lease_expired",
             worker: "",
             shard: i as u64,
-            shards: ctx.cfg.shards as u64,
+            shards: coord.cfg.shards as u64,
             attempt: attempts,
-            done: held as u64,
-            total: ctx.shard_idxs[i].len() as u64,
+            done: (total - job.records.missing(&job.shard_idxs[i]).len()) as u64,
+            total: total as u64,
         });
     }
 }
 
 /// Release any lease still held by a departed connection (immediate
 /// reclaim instead of waiting out the lease timer).
-fn release_conn(ctx: &Ctx, conn: u64) {
-    let mut st = ctx.state.lock().unwrap();
-    let now = Instant::now();
-    for i in 0..st.shards.len() {
-        if let ShardState::Leased {
-            conn: c, attempts, ..
-        } = st.shards[i]
-        {
-            if c == conn {
-                st.shards[i] = ShardState::Pending {
-                    not_before: now + backoff_for(ctx.cfg, attempts),
-                    attempts,
-                };
-                st.stats.leases_expired += 1;
-                counter_add("dispatch_lease_expiries_total", &[], 1);
-            }
+fn release_conn(coord: &Coordinator, conn: u64) {
+    let mut st = coord.state.lock().unwrap();
+    let State { job, stats, .. } = &mut *st;
+    let Some(job) = job else { return };
+    for i in 0..job.shards.len() {
+        if matches!(job.shards[i], ShardState::Leased { conn: c, .. } if c == conn) {
+            reclaim(coord.cfg, job, stats, i);
         }
     }
 }
 
-enum Grant {
-    Lease { shard: usize, done: Vec<usize> },
-    Busy,
-    AllDone,
-}
-
-fn try_grant(ctx: &Ctx, conn: u64, worker: &str) -> Grant {
-    let mut st = ctx.state.lock().unwrap();
-    if st.done {
-        return Grant::AllDone;
+/// Decide the next frame for the idle worker on `conn`, which is `ready`
+/// for plan `seq` (0 = none yet): `shutdown`, a `job` it has not seen,
+/// a `lease`, or `wait`. The ordinal returned is the current plan's — what
+/// a `ready` to that `job` makes the worker ready for.
+fn next_frame(coord: &Coordinator, conn: u64, worker: &str, seq: u64) -> (Frame, u64) {
+    // Between plans the worker is held for news — the next plan, or the
+    // end of the campaign — so either reaches it at once; only a whole
+    // wait period without any makes the handler send `wait`, the
+    // keep-alive that restarts the worker's patience.
+    let between_plans = |s: &mut State| !s.over && s.job.as_ref().is_none_or(|j| j.done);
+    let wait = Duration::from_millis(coord.cfg.wait_ms);
+    let st = coord.state.lock().unwrap();
+    let (mut st, _) = (coord.wake)
+        .wait_timeout_while(st, wait, between_plans)
+        .unwrap();
+    if st.over {
+        return (Frame::Shutdown, seq);
+    }
+    let busy = Frame::Wait {
+        ms: coord.cfg.wait_ms,
+    };
+    let State { job, stats, .. } = &mut *st;
+    let Some(job) = job.as_mut().filter(|j| !j.done) else {
+        return (busy, seq);
+    };
+    if job.seq != seq {
+        let plan = Frame::Job {
+            spec: job.spec.clone(),
+            shards: coord.cfg.shards,
+            fingerprint: job.header.fingerprint,
+        };
+        return (plan, job.seq);
     }
     let now = Instant::now();
-    let pick = st
+    let pick = job
         .shards
         .iter()
         .position(|s| matches!(s, ShardState::Pending { not_before, .. } if *not_before <= now));
     let Some(shard) = pick else {
-        return Grant::Busy;
+        return (busy, seq);
     };
-    let attempts = match st.shards[shard] {
+    let attempts = match job.shards[shard] {
         ShardState::Pending { attempts, .. } => attempts + 1,
         _ => unreachable!("picked a non-pending shard"),
     };
-    st.shards[shard] = ShardState::Leased {
+    job.shards[shard] = ShardState::Leased {
         conn,
         worker: worker.to_string(),
-        expires: now + ctx.cfg.lease,
+        expires: now + coord.cfg.lease,
         attempts,
     };
-    st.stats.leases_granted += 1;
+    stats.leases_granted += 1;
     if attempts > 1 {
-        st.stats.leases_reassigned += 1;
+        stats.leases_reassigned += 1;
     }
-    let done: Vec<usize> = ctx.shard_idxs[shard]
+    let done: Vec<usize> = job.shard_idxs[shard]
         .iter()
         .copied()
-        .filter(|&t| st.records.get(t).is_some())
+        .filter(|&t| job.records.get(t).is_some())
         .collect();
     counter_add("dispatch_leases_total", &[], 1);
     emit_dispatch(&DispatchEvent {
         kind: "lease",
         worker,
         shard: shard as u64,
-        shards: ctx.cfg.shards as u64,
+        shards: coord.cfg.shards as u64,
         attempt: attempts,
         done: done.len() as u64,
-        total: ctx.shard_idxs[shard].len() as u64,
+        total: job.shard_idxs[shard].len() as u64,
     });
     obs::trace::emit_for("lease", shard as u64, u64::MAX, 0);
-    Grant::Lease { shard, done }
+    (Frame::Lease { shard, done }, seq)
 }
 
-/// Offer one record to the campaign's set. Returns `true` when the
-/// campaign must abort (two records for one plan index disagree on the
-/// outcome).
-fn insert_record(ctx: &Ctx, rec: TrialRecord) -> bool {
-    let mut st = ctx.state.lock().unwrap();
-    let conflict = match st.records.insert(rec) {
+/// Offer one record to plan `seq`'s set. Returns `true` when the plan
+/// must abort (two records for one plan index disagree on the outcome).
+fn insert_record(coord: &Coordinator, seq: u64, rec: TrialRecord) -> bool {
+    let mut st = coord.state.lock().unwrap();
+    let State { job, stats, .. } = &mut *st;
+    let Some(job) = job.as_mut().filter(|j| j.seq == seq) else {
+        return false;
+    };
+    let conflict = match job.records.insert(rec) {
         Ok(true) => return false,
         // A record for a trial the plan doesn't have can only be stream
         // corruption; drop it like a torn line and let resend repair.
         Err(EngineError::ForeignTrial { .. }) => {
-            note_torn(&mut st);
+            note_torn(stats);
             return false;
         }
         Ok(false) => None,
         Err(e) => Some(e),
     };
-    st.stats.duplicate_records += 1;
+    stats.duplicate_records += 1;
     counter_add("dispatch_duplicate_records_total", &[], 1);
     let Some(e) = conflict else {
         return false;
     };
-    st.fatal.get_or_insert(e.into());
-    st.done = true;
+    coord.finish(&mut st, Some(e.into()));
     true
 }
 
-fn renew_lease(ctx: &Ctx, conn: u64, shard: usize) {
-    let mut st = ctx.state.lock().unwrap();
+fn renew_lease(coord: &Coordinator, conn: u64, seq: u64, shard: usize) {
+    let mut st = coord.state.lock().unwrap();
+    let job = st.job.as_mut().filter(|j| j.seq == seq);
     if let Some(ShardState::Leased {
         conn: c, expires, ..
-    }) = st.shards.get_mut(shard)
+    }) = job.and_then(|j| j.shards.get_mut(shard))
     {
         if *c == conn {
-            *expires = Instant::now() + ctx.cfg.lease;
+            *expires = Instant::now() + coord.cfg.lease;
         }
     }
 }
 
-enum DoneReply {
-    Ack,
-    Resend(Vec<usize>),
-    Fatal,
-}
-
-/// Handle a worker's `shard_done` claim. Verifies every slot the shard
-/// owns is filled (else: `resend`), journals the shard durably (fsync)
-/// when an out_dir is configured, and only then marks it Done — so the
-/// `ack` the caller sends never precedes stable storage.
-fn complete_shard(ctx: &Ctx, shard: usize, worker: &str) -> DoneReply {
-    let mut st = ctx.state.lock().unwrap();
-    if matches!(st.shards[shard], ShardState::Done) {
-        return DoneReply::Ack; // another worker won the race; ack is idempotent
+/// Handle a worker's `shard_done` claim on plan `seq`, returning the reply
+/// (`None`: the plan was aborted). Verifies every slot the shard owns is
+/// filled (else: `resend`), journals the shard durably (fsync) when an
+/// out_dir is configured, and only then marks it Done — so the `ack` the
+/// caller sends never precedes stable storage.
+fn complete_shard(coord: &Coordinator, seq: u64, shard: usize, worker: &str) -> Option<Frame> {
+    let mut st = coord.state.lock().unwrap();
+    let State { job, stats, .. } = &mut *st;
+    let Some(job) = job.as_mut().filter(|j| j.seq == seq) else {
+        return Some(Frame::Ack { shard }); // the plan completed without this worker and is gone
+    };
+    if matches!(job.shards[shard], ShardState::Done) {
+        return Some(Frame::Ack { shard }); // another worker won the race; ack is idempotent
     }
-    let missing = st.records.missing(&ctx.shard_idxs[shard]);
+    let idxs = &job.shard_idxs[shard];
+    let missing = job.records.missing(idxs);
     if !missing.is_empty() {
-        st.stats.resend_requests += 1;
+        stats.resend_requests += 1;
         counter_add("dispatch_resend_requests_total", &[], 1);
-        return DoneReply::Resend(missing);
+        return Some(Frame::Resend { shard, missing });
     }
-    if let Some(dir) = &ctx.cfg.out_dir {
+    if let Some(dir) = &job.journal {
         let persist = || -> std::io::Result<()> {
-            let header = CheckpointHeader::for_plan(ctx.plan, ctx.cfg.shards, shard);
+            let header = CheckpointHeader {
+                shard_index: shard,
+                ..job.header.clone()
+            };
             let path = dir.join(format!("shard-{shard}.jsonl"));
             let mut w = CheckpointWriter::create(&path, &header, usize::MAX)?;
-            for &t in &ctx.shard_idxs[shard] {
-                w.record(st.records.get(t).expect("verified above"))?;
+            for &t in idxs {
+                w.record(job.records.get(t).expect("verified above"))?;
             }
             w.finish() // flush + fsync — must precede the ack
         };
         if let Err(e) = persist() {
-            st.fatal.get_or_insert(DispatchError::Io(e));
-            st.done = true;
-            return DoneReply::Fatal;
+            coord.finish(&mut st, Some(DispatchError::Io(e)));
+            return None;
         }
     }
-    st.shards[shard] = ShardState::Done;
-    st.stats.shards_completed += 1;
-    let done_shards = st
+    let total = idxs.len() as u64;
+    job.shards[shard] = ShardState::Done;
+    stats.shards_completed += 1;
+    let done_shards = job
         .shards
         .iter()
         .filter(|s| matches!(s, ShardState::Done))
         .count();
-    if done_shards == ctx.cfg.shards {
-        st.done = true;
-    }
     counter_add("dispatch_shards_completed_total", &[], 1);
     gauge_set("dispatch_shards_done", &[], done_shards as u64);
     emit_dispatch(&DispatchEvent {
         kind: "shard_complete",
         worker,
         shard: shard as u64,
-        shards: ctx.cfg.shards as u64,
+        shards: coord.cfg.shards as u64,
         attempt: 0,
-        done: ctx.shard_idxs[shard].len() as u64,
-        total: ctx.shard_idxs[shard].len() as u64,
+        done: total,
+        total,
     });
     obs::trace::emit_for("shard_complete", shard as u64, u64::MAX, 0);
-    DoneReply::Ack
+    if done_shards == coord.cfg.shards {
+        coord.finish(&mut st, None);
+    }
+    Some(Frame::Ack { shard })
 }
 
-fn note_torn(st: &mut State) {
-    st.stats.torn_frames += 1;
+fn note_torn(stats: &mut DispatchStats) {
+    stats.torn_frames += 1;
     counter_add("dispatch_torn_frames_total", &[], 1);
 }
 
@@ -697,110 +849,97 @@ fn farewell(stream: &mut TcpStream, lines: &mut LineReader) {
     }
 }
 
-fn handle(conn: u64, stream: TcpStream, ctx: &Ctx) {
+fn handle(conn: u64, stream: TcpStream, coord: &Coordinator) {
     // Per-connection failures (bad handshake, worker I/O errors) drop the
     // connection; release_conn puts any lease it held back in play.
-    let _ = handle_inner(conn, stream, ctx);
-    release_conn(ctx, conn);
+    let _ = handle_inner(conn, stream, coord);
+    release_conn(coord, conn);
 }
 
-fn handle_inner(conn: u64, mut stream: TcpStream, ctx: &Ctx) -> std::io::Result<()> {
+/// The worker's next handshake frame (`hello`, `ready`). `None`: it hung
+/// up or sent garbage, or the campaign ended first and it was told so.
+fn handshake_frame(
+    coord: &Coordinator,
+    stream: &mut TcpStream,
+    lines: &mut LineReader,
+) -> std::io::Result<Option<Frame>> {
+    loop {
+        match lines.next()? {
+            Line::Full(l) => return Ok(parse_frame(&l)),
+            Line::Eof { .. } => return Ok(None),
+            Line::Timeout => {
+                if coord.state.lock().unwrap().over {
+                    farewell(stream, lines);
+                    return Ok(None);
+                }
+            }
+        }
+    }
+}
+
+fn handle_inner(conn: u64, mut stream: TcpStream, coord: &Coordinator) -> std::io::Result<()> {
     stream.set_nonblocking(false)?;
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(HANDLER_TICK))?;
     let mut lines = LineReader::new(stream.try_clone()?);
 
-    // Handshake: hello → job → ready (with a matching fingerprint).
-    let worker = loop {
-        match lines.next()? {
-            Line::Full(l) => match parse_frame(&l) {
-                Some(Frame::Hello {
-                    worker,
-                    proto,
-                    telemetry,
-                }) if proto == PROTO_VERSION => {
-                    let mut ws = ctx.workers.lock().unwrap();
-                    match ws.iter_mut().find(|(n, _)| *n == worker) {
-                        Some(entry) => entry.1 = telemetry,
-                        None => ws.push((worker.clone(), telemetry)),
-                    }
-                    break worker;
-                }
-                _ => return Ok(()),
-            },
-            Line::Timeout => {
-                if ctx.state.lock().unwrap().done {
-                    farewell(&mut stream, &mut lines);
-                    return Ok(());
-                }
+    // Once per connection: hello.
+    let worker = match handshake_frame(coord, &mut stream, &mut lines)? {
+        Some(Frame::Hello {
+            worker,
+            proto: PROTO_VERSION,
+            telemetry,
+        }) => {
+            let mut ws = coord.workers.lock().unwrap();
+            match ws.iter_mut().find(|(n, _)| *n == worker) {
+                Some(entry) => entry.1 = telemetry,
+                None => ws.push((worker.clone(), telemetry)),
             }
-            Line::Eof { .. } => return Ok(()),
+            worker
         }
+        _ => return Ok(()),
     };
-    ctx.state.lock().unwrap().stats.workers_joined += 1;
+    coord.state.lock().unwrap().stats.workers_joined += 1;
     counter_add("dispatch_workers_joined_total", &[], 1);
     emit_dispatch(&DispatchEvent {
         kind: "worker_join",
         worker: &worker,
         shard: 0,
-        shards: ctx.cfg.shards as u64,
+        shards: coord.cfg.shards as u64,
         attempt: 0,
         done: 0,
-        total: ctx.plan.len() as u64,
+        total: 0,
     });
-    write_frame(
-        &mut stream,
-        &Frame::Job {
-            spec: ctx.spec.clone(),
-            shards: ctx.cfg.shards,
-            fingerprint: ctx.fingerprint,
-        },
-    )?;
-    loop {
-        match lines.next()? {
-            Line::Full(l) => match parse_frame(&l) {
-                Some(Frame::Ready { fingerprint }) if fingerprint == ctx.fingerprint => break,
-                // Mismatched plan or confused worker: it cannot safely
-                // execute trials for us, so drop the connection.
-                _ => return Ok(()),
-            },
-            Line::Timeout => {
-                if ctx.state.lock().unwrap().done {
-                    farewell(&mut stream, &mut lines);
-                    return Ok(());
-                }
-            }
-            Line::Eof { .. } => return Ok(()),
-        }
-    }
 
+    // The plan this worker is `ready` for (0 = none yet).
+    let mut seq = 0u64;
     'serve: loop {
-        match try_grant(ctx, conn, &worker) {
-            Grant::AllDone => {
+        match next_frame(coord, conn, &worker, seq) {
+            (Frame::Shutdown, _) => {
                 farewell(&mut stream, &mut lines);
                 return Ok(());
             }
-            Grant::Busy => write_frame(
-                &mut stream,
-                &Frame::Wait {
-                    ms: ctx.cfg.wait_ms,
-                },
-            )?,
-            Grant::Lease { shard, done } => {
-                write_frame(&mut stream, &Frame::Lease { shard, done })?
+            // Once per plan: job → ready (with a matching fingerprint).
+            (job @ Frame::Job { fingerprint, .. }, next) => {
+                write_frame(&mut stream, &job)?;
+                match handshake_frame(coord, &mut stream, &mut lines)? {
+                    Some(Frame::Ready { fingerprint: f }) if f == fingerprint => seq = next,
+                    // Mismatched plan or confused worker: it cannot safely
+                    // execute trials for us, so drop the connection.
+                    _ => return Ok(()),
+                }
+                continue 'serve;
             }
+            (wait_or_lease, _) => write_frame(&mut stream, &wait_or_lease)?,
         }
         // Pump frames until this worker goes idle again (poll after a
         // wait, or ack after a completed shard).
         loop {
             match lines.next()? {
                 Line::Timeout => {
-                    let st = ctx.state.lock().unwrap();
-                    let mine = st
-                        .shards
-                        .iter()
-                        .any(|s| matches!(s, ShardState::Leased { conn: c, .. } if *c == conn));
-                    if st.done && !mine {
+                    let st = coord.state.lock().unwrap();
+                    let mine = |s: &ShardState| matches!(s, ShardState::Leased { conn: c, .. } if *c == conn);
+                    if st.over && !st.job.as_ref().is_some_and(|j| j.shards.iter().any(mine)) {
                         drop(st);
                         farewell(&mut stream, &mut lines);
                         return Ok(());
@@ -808,33 +947,30 @@ fn handle_inner(conn: u64, mut stream: TcpStream, ctx: &Ctx) -> std::io::Result<
                 }
                 Line::Eof { torn } => {
                     if torn {
-                        note_torn(&mut ctx.state.lock().unwrap());
+                        note_torn(&mut coord.state.lock().unwrap().stats);
                     }
                     return Ok(());
                 }
                 Line::Full(l) => match parse_frame(&l) {
-                    None => note_torn(&mut ctx.state.lock().unwrap()),
+                    None => note_torn(&mut coord.state.lock().unwrap().stats),
                     Some(Frame::Trial(rec)) => {
-                        if insert_record(ctx, rec) {
-                            return Ok(()); // conflicting duplicate: campaign aborted
+                        if insert_record(coord, seq, rec) {
+                            return Ok(()); // conflicting duplicate: plan aborted
                         }
                     }
                     Some(Frame::Trace(ev)) => obs::trace::emit_event(ev),
-                    Some(Frame::Heartbeat { shard, .. }) => renew_lease(ctx, conn, shard),
+                    Some(Frame::Heartbeat { shard, .. }) => renew_lease(coord, conn, seq, shard),
                     Some(Frame::Poll) => continue 'serve,
                     Some(Frame::ShardDone { shard }) => {
-                        if shard >= ctx.cfg.shards {
+                        if shard >= coord.cfg.shards {
                             return Ok(());
                         }
-                        match complete_shard(ctx, shard, &worker) {
-                            DoneReply::Ack => {
-                                write_frame(&mut stream, &Frame::Ack { shard })?;
-                                continue 'serve;
-                            }
-                            DoneReply::Resend(missing) => {
-                                write_frame(&mut stream, &Frame::Resend { shard, missing })?
-                            }
-                            DoneReply::Fatal => return Ok(()),
+                        let Some(reply) = complete_shard(coord, seq, shard, &worker) else {
+                            return Ok(());
+                        };
+                        write_frame(&mut stream, &reply)?;
+                        if matches!(reply, Frame::Ack { .. }) {
+                            continue 'serve;
                         }
                     }
                     // Frames that only flow coordinator → worker.

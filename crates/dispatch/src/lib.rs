@@ -6,7 +6,9 @@
 //! to a single-process run — the networked layer on top of the
 //! plan/execute/assemble engine in `crates/core` (docs/DISPATCH.md).
 //!
-//! * The **coordinator** ([`serve`]) expands the campaign into the same
+//! * The **coordinator** ([`serve`] for one plan; [`serve_with`] and
+//!   [`Coordinator::run`] for a campaign of several, the waves of an
+//!   adaptive one, served to the same connected fleet) takes the same
 //!   [`relia::plan::CampaignPlan`] every shard derives locally, leases
 //!   strided shards to workers with expiring leases, and reassigns the
 //!   shards of dead workers with exponential backoff. Incoming trial
@@ -14,13 +16,13 @@
 //!   so at-least-once execution (two workers racing on a reassigned
 //!   lease, a slow worker finishing after its lease expired) cannot
 //!   change a single result bit.
-//! * A **worker** ([`work`]; [`follow`] for the wave sessions of an
-//!   adaptive campaign) connects, rebuilds the plan from the job spec,
-//!   verifies the plan fingerprint, and executes leased shards, streaming
-//!   each classified trial back over the wire in the same JSONL record
-//!   dialect the checkpoint files use — so a half-finished lease resumes
-//!   mid-shard on reassignment (the coordinator tells the next worker
-//!   which trials it already holds).
+//! * A **worker** ([`work`]) connects once per campaign, rebuilds each
+//!   plan from its job spec (keeping the application's captures from one
+//!   plan to the next), verifies the plan fingerprint, and executes
+//!   leased shards, streaming each classified trial back over the wire in
+//!   the same JSONL record dialect the checkpoint files use — so a
+//!   half-finished lease resumes mid-shard on reassignment (the
+//!   coordinator tells the next worker which trials it already holds).
 //!
 //! The wire protocol ([`proto`]) is one flat JSON object per line,
 //! written and parsed with the exact `obs::events` serializer/reader the
@@ -33,12 +35,12 @@ pub mod coordinator;
 pub mod proto;
 pub mod worker;
 
-pub use coordinator::{serve, DispatchCfg, DispatchStats, ServeOutcome};
+pub use coordinator::{serve, serve_with, Coordinator, DispatchCfg, DispatchStats, ServeOutcome};
 pub use proto::{
     parse_frame, parse_strata, parse_structures, scaled_gpu, strata_spec, structures_spec,
     CampaignSpec, Frame, WaveSpec, MAX_SMS,
 };
-pub use worker::{follow, work, WorkSummary, WorkerCfg};
+pub use worker::{work, WorkSummary, WorkerCfg};
 
 use std::fmt;
 use std::path::PathBuf;

@@ -8,7 +8,7 @@
 //! [`relia::checkpoint::CheckpointWriter`] unchanged.
 //!
 //! ```text
-//! W→C  {"frame":"hello","worker":"w1","proto":2,"telemetry":""}
+//! W→C  {"frame":"hello","worker":"w1","proto":3,"telemetry":""}
 //! C→W  {"frame":"job","app":"VA","layer":"uarch","n":60,"seed":7,...}
 //! W→C  {"frame":"ready","fingerprint":123456789}
 //! C→W  {"frame":"lease","shard":2,"done":"8,14"}
@@ -16,8 +16,13 @@
 //! W→C  {"frame":"heartbeat","shard":2,"done":17}
 //! W→C  {"frame":"shard_done","shard":2}
 //! C→W  {"frame":"ack","shard":2}          (or {"frame":"resend",...})
+//! C→W  {"frame":"job",...}              (the next plan of the campaign)
 //! C→W  {"frame":"shutdown"}
 //! ```
+//!
+//! One connection serves a whole campaign: a worker that holds no lease
+//! may be sent another `job` (the next wave of an adaptive campaign) and
+//! answers each with `ready`; `shutdown` ends the campaign, not a plan.
 //!
 //! [`parse_frame`] returns `None` on any malformed line. Because every
 //! frame ends in `}` and contains no `}` before its end, *no proper
@@ -30,15 +35,18 @@ use std::sync::Arc;
 use obs::events::{parse_line, push_json_str, JsonValue};
 use relia::checkpoint::{parse_checkpoint_line, CheckpointLine, TrialRecord};
 use relia::plan::{
-    plan_sw, plan_uarch, plan_wave, Layer, PreparedCampaign, StratumSpec, TrialTarget, SVF_KINDS,
+    plan_sw, plan_uarch, plan_wave, CampaignPlan, Layer, PreparedCampaign, StratumSpec,
+    TrialTarget, SVF_KINDS,
 };
 use relia::{AppCaptures, CampaignCfg, EngineBackend};
 use vgpu_sim::{FaultPattern, GpuConfig, HwStructure, SwFaultKind};
 
 /// Bumped whenever a frame changes incompatibly; [`Frame::Hello`] carries
 /// it and the coordinator rejects mismatched workers during the handshake.
-/// Version 2 made every field of the hello and job frames mandatory.
-pub const PROTO_VERSION: u64 = 2;
+/// Version 2 made every field of the hello and job frames mandatory;
+/// version 3 changed no frame's bytes but lets `job` repeat on one
+/// connection, which a version-2 worker would read as a protocol error.
+pub const PROTO_VERSION: u64 = 3;
 
 /// Largest simulated GPU a campaign may ask for. Bounds what a job frame
 /// can make a worker allocate, and keeps the L2 size (128 KiB per SM)
@@ -241,21 +249,17 @@ impl CampaignSpec {
             })
     }
 
-    /// The captures this spec's plans are expanded against: `held`'s, when
-    /// that is the handle for the same (app, GPU, layer, hardened) — the
-    /// previous wave session of a followed worker — and otherwise fresh
-    /// ones (a golden run), which replace `held`.
-    pub fn captures<'a>(
-        &self,
-        bench: &'a dyn kernels::Benchmark,
-        held: &mut Option<Arc<AppCaptures<'a>>>,
-    ) -> Arc<AppCaptures<'a>> {
-        let gpu = GpuConfig::volta_scaled(self.sms);
-        match held {
-            Some(c) if c.is_for(bench, &gpu, self.layer, self.hardened) => c.clone(),
-            _ => held
-                .insert(AppCaptures::new(bench, &gpu, self.layer, self.hardened))
-                .clone(),
+    /// This spec as the job frame of `plan`, one plan of its campaign: a
+    /// wave plan's index and strata ride along, so a worker re-expands
+    /// exactly it.
+    pub(crate) fn for_plan(&self, plan: &CampaignPlan) -> CampaignSpec {
+        let wave = plan.wave.map(|wave| WaveSpec {
+            wave,
+            strata: plan.strata.clone(),
+        });
+        CampaignSpec {
+            wave,
+            ..self.clone()
         }
     }
 
@@ -264,10 +268,12 @@ impl CampaignSpec {
     /// specs on identical code produce identical plan fingerprints; the
     /// handshake verifies exactly that.
     pub fn prepare<'a>(&self, bench: &'a dyn kernels::Benchmark) -> PreparedCampaign<'a> {
-        self.plan(&self.captures(bench, &mut None))
+        let gpu = GpuConfig::volta_scaled(self.sms);
+        self.plan(&AppCaptures::new(bench, &gpu, self.layer, self.hardened))
     }
 
-    /// [`CampaignSpec::prepare`] against [`CampaignSpec::captures`].
+    /// [`CampaignSpec::prepare`] against captures the caller holds (they
+    /// must be this spec's application, GPU, layer and variant).
     pub fn plan<'a>(&self, captures: &Arc<AppCaptures<'a>>) -> PreparedCampaign<'a> {
         let cfg = self.campaign_cfg();
         match (&self.wave, self.layer) {

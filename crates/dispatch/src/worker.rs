@@ -2,20 +2,25 @@
 //! records back.
 //!
 //! A worker connects, introduces itself, receives the job spec, and
-//! rebuilds the *entire* campaign plan locally — golden run included,
-//! unless it [`follow`]s an adaptive campaign and still holds the
-//! application's captures from the previous wave session — then proves
-//! it by echoing the plan fingerprint. From there it loops:
+//! rebuilds the *entire* campaign plan locally — golden run included —
+//! then proves it by echoing the plan fingerprint. From there it loops:
 //! take a lease, execute the shard's still-missing trials with the same
 //! parallel engine a local run uses ([`relia::execute_trials`]), stream
 //! each classified record over the wire the moment it exists, and claim
 //! `shard_done`. A heartbeat thread renews the lease while trials run,
 //! so a lease only expires when the worker is actually gone.
 //!
-//! Every record the worker produced stays in a [`RecordSet`] for the
-//! duration of the session: if the coordinator lost lines to a torn
+//! Every record the worker produced stays in a [`RecordSet`] for as
+//! long as its plan is served: if the coordinator lost lines to a torn
 //! frame it answers `shard_done` with `resend`, and the worker replays
 //! the missing records from the set instead of re-executing them.
+//!
+//! One connection serves a whole campaign. Whenever the worker holds no
+//! lease the coordinator may send another `job` — the next wave of an
+//! adaptive campaign: the worker re-plans against the application's
+//! captures it already holds (no second golden run), proves the new
+//! fingerprint the same way, and starts a fresh record cache. `shutdown`
+//! ends the campaign.
 //!
 //! For fault-tolerance tests, [`WorkerCfg::fail_after`] makes the worker
 //! die abruptly (socket torn down mid-stream, no goodbye) after N trial
@@ -27,7 +32,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use kernels::Benchmark;
 use obs::counter_add;
 use relia::plan::{shard_trials, PreparedCampaign};
 use relia::{execute_trials_with, AppCaptures, FastForward, RecordSet};
@@ -73,13 +77,10 @@ impl Default for WorkerCfg {
     }
 }
 
-/// What one worker session — or, summed, every session of a [`follow`]ed
-/// campaign — amounted to.
+/// What a worker's campaign amounted to.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkSummary {
     pub worker: String,
-    /// Sessions that ran to the coordinator's shutdown.
-    pub sessions: usize,
     /// Shards this worker drove to an `ack`.
     pub shards_completed: usize,
     /// Trial records streamed to the coordinator.
@@ -119,63 +120,26 @@ fn send(write: &Mutex<TcpStream>, frame: &Frame) -> std::io::Result<()> {
     write_frame(&mut write.lock().unwrap(), frame)
 }
 
-/// Connect to a coordinator at `addr` and work until it says shutdown.
+/// The plan of the latest `job` frame, as this worker expanded it.
+struct Job<'b> {
+    prep: PreparedCampaign<'b>,
+    fingerprint: u64,
+    shards: usize,
+    ff: FastForward,
+    /// Every record this worker produced for the plan (`resend` replays
+    /// from here).
+    cache: Mutex<RecordSet>,
+}
+
+/// Connect to a coordinator at `addr` and work — through every plan of
+/// its campaign — until it says shutdown.
 ///
 /// Errors are local to this worker (the coordinator just reassigns its
 /// leases): a spec it cannot realize, a plan fingerprint mismatch, a
-/// dead connection. An injected `fail_after` death is reported as
-/// `Ok` with [`WorkSummary::died_early`] set — the test harness treats
-/// it as the expected outcome, not a failure.
+/// frame out of turn, a dead connection. An injected `fail_after` death
+/// is reported as `Ok` with [`WorkSummary::died_early`] set — the test
+/// harness treats it as the expected outcome, not a failure.
 pub fn work(addr: &str, cfg: &WorkerCfg) -> Result<WorkSummary, DispatchError> {
-    session(addr, cfg, &kernels::all_benchmarks(), &mut None)
-}
-
-/// Serve an adaptive campaign: one worker session per wave, until the
-/// coordinator is gone. The coordinator keeps the listening socket across
-/// waves, so between waves a reconnect just parks in the accept backlog;
-/// once the coordinator has exited the connection fails and the summed
-/// summary is returned. A session error before any completed session is
-/// a real failure.
-///
-/// The application's captures are held from one session to the next —
-/// for as long as the job frames name the same (app, GPU, layer,
-/// hardened) — so a followed worker runs the golden execution and the
-/// capture pass once per campaign, not once per wave.
-pub fn follow(addr: &str, cfg: &WorkerCfg) -> Result<WorkSummary, DispatchError> {
-    let benches = kernels::all_benchmarks();
-    let mut held = None;
-    let mut total = WorkSummary {
-        worker: cfg.name.clone(),
-        sessions: 0,
-        shards_completed: 0,
-        trials_executed: 0,
-        died_early: false,
-    };
-    loop {
-        match session(addr, cfg, &benches, &mut held) {
-            Ok(s) => {
-                total.sessions += s.sessions;
-                total.shards_completed += s.shards_completed;
-                total.trials_executed += s.trials_executed;
-                total.died_early = s.died_early;
-                if s.died_early {
-                    return Ok(total);
-                }
-            }
-            Err(e) if total.sessions == 0 => return Err(e),
-            Err(_) => return Ok(total),
-        }
-    }
-}
-
-/// One worker session. `held` carries the captures of the previous
-/// session's application in and this one's out.
-fn session<'b>(
-    addr: &str,
-    cfg: &WorkerCfg,
-    benches: &'b [Box<dyn Benchmark>],
-    held: &mut Option<Arc<AppCaptures<'b>>>,
-) -> Result<WorkSummary, DispatchError> {
     // Mount the local telemetry server first so the hello frame can
     // advertise a live address for the coordinator to scrape.
     let telemetry = match &cfg.telemetry {
@@ -216,44 +180,23 @@ fn session<'b>(
                 .unwrap_or_default(),
         },
     )?;
-    let (spec, shards, theirs) = match next_frame(&mut lines, cfg.read_timeout)? {
-        Frame::Job {
-            spec,
-            shards,
-            fingerprint,
-        } => (spec, shards, fingerprint),
-        // Campaign already over: a clean zero-work session.
-        Frame::Shutdown => {
-            return Ok(WorkSummary {
-                worker: cfg.name.clone(),
-                sessions: 1,
-                shards_completed: 0,
-                trials_executed: 0,
-                died_early: false,
-            })
-        }
-        f => {
-            return Err(DispatchError::Protocol(format!(
-                "expected job frame, got {f:?}"
-            )))
-        }
-    };
-    let bench = &benches[spec.bench_index(benches).map_err(DispatchError::Spec)?];
-    let prep = spec.plan(&spec.captures(bench.as_ref(), held));
-    // The dispatched backend is a throughput choice, not a plan
-    // property: it rides outside the fingerprint, so mixed-backend fleets
-    // merge.
-    let ff = FastForward::from(spec.backend);
-    let ours = prep.plan.fingerprint();
-    if ours != theirs {
-        return Err(DispatchError::FingerprintMismatch { ours, theirs });
-    }
-    send(&write, &Frame::Ready { fingerprint: ours })?;
 
+    let benches = kernels::all_benchmarks();
+    // The application's captures outlive a plan: for as long as the job
+    // frames name the same (app, GPU, layer, hardened) — the waves of an
+    // adaptive campaign — the golden execution and the capture pass run
+    // once, not once per plan.
+    let mut captures: Option<Arc<AppCaptures>> = None;
+    let mut job: Option<Job> = None;
     let executed = AtomicUsize::new(0);
     let died = AtomicBool::new(false);
-    let cache = Mutex::new(RecordSet::new(prep.plan.len()));
-    let mut shards_completed = 0usize;
+    let mut summary = WorkSummary {
+        worker: cfg.name.clone(),
+        shards_completed: 0,
+        trials_executed: 0,
+        died_early: false,
+    };
+    let held = |job: &Option<Job>| job.as_ref().map_or(0, |j| j.cache.lock().unwrap().held());
 
     loop {
         match next_frame(&mut lines, cfg.read_timeout)? {
@@ -262,52 +205,83 @@ fn session<'b>(
                 std::thread::sleep(Duration::from_millis(ms.min(2_000)));
                 send(&write, &Frame::Poll)?;
             }
+            Frame::Job {
+                spec,
+                shards,
+                fingerprint: theirs,
+            } => {
+                // The finished plan goes first — with it the last hold on the
+                // captures of an application this job may not name again.
+                summary.trials_executed += held(&job.take());
+                let bench =
+                    benches[spec.bench_index(&benches).map_err(DispatchError::Spec)?].as_ref();
+                let gpu = spec.campaign_cfg().gpu;
+                let captures = match &captures {
+                    Some(c) if c.is_for(bench, &gpu, spec.layer, spec.hardened) => c,
+                    _ => captures.insert(AppCaptures::new(bench, &gpu, spec.layer, spec.hardened)),
+                };
+                let prep = spec.plan(captures);
+                let fingerprint = prep.plan.fingerprint();
+                if fingerprint != theirs {
+                    return Err(DispatchError::FingerprintMismatch {
+                        ours: fingerprint,
+                        theirs,
+                    });
+                }
+                job = Some(Job {
+                    cache: Mutex::new(RecordSet::new(prep.plan.len())),
+                    prep,
+                    fingerprint,
+                    shards,
+                    // The dispatched backend is a throughput choice, not a
+                    // plan property: it rides outside the fingerprint, so
+                    // mixed-backend fleets merge.
+                    ff: FastForward::from(spec.backend),
+                });
+                send(&write, &Frame::Ready { fingerprint })?;
+            }
             Frame::Lease { shard, done } => {
+                let Some(job) = &job else {
+                    return Err(DispatchError::Protocol("lease before any job".into()));
+                };
                 // `done` is a filtered shard slice, so ascending; were it
                 // not, a miss here only re-executes a trial the
                 // coordinator holds, and the duplicate folds.
-                let todo: Vec<usize> = shard_trials(prep.plan.len(), shards, shard)
+                let todo: Vec<usize> = shard_trials(job.prep.plan.len(), job.shards, shard)
                     .into_iter()
                     .filter(|i| done.binary_search(i).is_err())
                     .collect();
                 if cfg.trace {
                     obs::trace::set_shard(shard as u64);
-                    obs::trace::set_campaign_fp(ours);
+                    obs::trace::set_campaign_fp(job.fingerprint);
                     obs::trace::emit_for("lease_start", shard as u64, u64::MAX, 0);
                 }
-                run_lease(
-                    &prep, ff, &todo, &write, cfg, shard, &executed, &died, &cache,
-                )?;
-                if cfg.trace && !died.load(Ordering::Acquire) {
+                run_lease(job, &todo, &write, cfg, shard, &executed, &died)?;
+                if died.load(Ordering::Acquire) {
+                    // Emulate SIGKILL: tear the socket down with records
+                    // possibly still in flight, no shard_done, no goodbye.
+                    let _ = write.lock().unwrap().shutdown(std::net::Shutdown::Both);
+                    summary.died_early = true;
+                    break;
+                }
+                if cfg.trace {
                     // Forward everything captured during the lease; the
                     // coordinator re-emits the events into its own sink.
                     for ev in obs::trace::drain() {
                         send(&write, &Frame::Trace(ev))?;
                     }
                 }
-                if died.load(Ordering::Acquire) {
-                    // Emulate SIGKILL: tear the socket down with records
-                    // possibly still in flight, no shard_done, no goodbye.
-                    let _ = write.lock().unwrap().shutdown(std::net::Shutdown::Both);
-                    return Ok(WorkSummary {
-                        worker: cfg.name.clone(),
-                        sessions: 0,
-                        shards_completed,
-                        trials_executed: cache.lock().unwrap().held(),
-                        died_early: true,
-                    });
-                }
                 send(&write, &Frame::ShardDone { shard })?;
                 // Await the ack, replaying any records lost to torn frames.
                 loop {
                     match next_frame(&mut lines, cfg.read_timeout)? {
                         Frame::Ack { shard: s } if s == shard => {
-                            shards_completed += 1;
+                            summary.shards_completed += 1;
                             counter_add("dispatch_worker_shards_total", &[], 1);
                             break;
                         }
                         Frame::Resend { shard: s, missing } if s == shard => {
-                            let cached = cache.lock().unwrap();
+                            let cached = job.cache.lock().unwrap();
                             for idx in &missing {
                                 let Some(rec) = cached.get(*idx) else {
                                     return Err(DispatchError::Protocol(format!(
@@ -336,14 +310,8 @@ fn session<'b>(
         }
     }
 
-    let trials_executed = cache.lock().unwrap().held();
-    Ok(WorkSummary {
-        worker: cfg.name.clone(),
-        sessions: 1,
-        shards_completed,
-        trials_executed,
-        died_early: false,
-    })
+    summary.trials_executed += held(&job);
+    Ok(summary)
 }
 
 /// Render a worker's `/status` document: local engine progress plus
@@ -406,17 +374,14 @@ fn worker_status(name: &str) -> String {
 
 /// Execute the lease's trials in parallel, streaming each record as it
 /// is classified, with a heartbeat thread keeping the lease alive.
-#[allow(clippy::too_many_arguments)]
 fn run_lease(
-    prep: &PreparedCampaign,
-    ff: FastForward,
+    job: &Job,
     todo: &[usize],
     write: &Mutex<TcpStream>,
     cfg: &WorkerCfg,
     shard: usize,
     executed: &AtomicUsize,
     died: &AtomicBool,
-    cache: &Mutex<RecordSet>,
 ) -> Result<(), DispatchError> {
     let stop = AtomicBool::new(false);
     let streamed = AtomicU64::new(0);
@@ -437,7 +402,7 @@ fn run_lease(
                 }
             }
         });
-        let r = execute_trials_with(prep, ff, todo, |rec| {
+        let r = execute_trials_with(&job.prep, job.ff, todo, |rec| {
             let k = executed.fetch_add(1, Ordering::AcqRel);
             if let Some(limit) = cfg.fail_after {
                 if k >= limit {
@@ -448,7 +413,7 @@ fn run_lease(
                     ));
                 }
             }
-            (cache.lock().unwrap().insert(*rec)).map_err(std::io::Error::other)?;
+            (job.cache.lock().unwrap().insert(*rec)).map_err(std::io::Error::other)?;
             send(write, &Frame::Trial(*rec))?;
             streamed.fetch_add(1, Ordering::AcqRel);
             counter_add("dispatch_worker_trials_total", &[], 1);

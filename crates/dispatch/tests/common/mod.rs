@@ -1,11 +1,12 @@
-//! The scripted raw-socket worker the wire-level tests share: every byte
+//! The scripted raw-socket peer the wire-level tests share: every byte
 //! it sends is under test control, so torn lines, duplicate and conflicting
 //! records, out-of-plan indices and a peer that sits on a lease can all be
-//! produced on demand.
+//! produced on demand. Mostly a worker ([`Conn::connect`]); for the tests
+//! of the real worker's error paths, a coordinator ([`Conn::accept`]).
 #![allow(dead_code)] // each test binary uses its own subset
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
 use dispatch::proto::PROTO_VERSION;
@@ -20,7 +21,15 @@ pub struct Conn {
 
 impl Conn {
     pub fn connect(addr: &str) -> Conn {
-        let w = TcpStream::connect(addr).expect("connect");
+        Conn::over(TcpStream::connect(addr).expect("connect"))
+    }
+
+    /// The coordinator's end of the next connection to `listener`.
+    pub fn accept(listener: &TcpListener) -> Conn {
+        Conn::over(listener.accept().expect("accept").0)
+    }
+
+    fn over(w: TcpStream) -> Conn {
         w.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         Conn {
             r: BufReader::new(w.try_clone().unwrap()),
@@ -57,29 +66,41 @@ impl Conn {
             proto: PROTO_VERSION,
             telemetry: String::new(),
         });
-        let Frame::Job {
-            spec,
-            shards,
-            fingerprint,
-        } = self.recv()
-        else {
-            panic!("expected job frame");
-        };
+        let (spec, shards, fingerprint) = self.await_job();
         self.send(&Frame::Ready { fingerprint });
         (spec, shards, fingerprint)
     }
 
-    /// Poll until the coordinator grants a lease.
-    pub fn await_lease(&mut self) -> (usize, Vec<usize>) {
+    /// The next frame that is not a `wait` (each of which is polled).
+    fn past_waits(&mut self) -> Frame {
         loop {
             match self.recv() {
-                Frame::Lease { shard, done } => return (shard, done),
                 Frame::Wait { ms } => {
                     std::thread::sleep(Duration::from_millis(ms));
                     self.send(&Frame::Poll);
                 }
-                f => panic!("expected lease/wait, got {f:?}"),
+                f => return f,
             }
+        }
+    }
+
+    /// Poll until the coordinator describes a (or the next) plan.
+    pub fn await_job(&mut self) -> (CampaignSpec, usize, u64) {
+        match self.past_waits() {
+            Frame::Job {
+                spec,
+                shards,
+                fingerprint,
+            } => (spec, shards, fingerprint),
+            f => panic!("expected job/wait, got {f:?}"),
+        }
+    }
+
+    /// Poll until the coordinator grants a lease.
+    pub fn await_lease(&mut self) -> (usize, Vec<usize>) {
+        match self.past_waits() {
+            Frame::Lease { shard, done } => (shard, done),
+            f => panic!("expected lease/wait, got {f:?}"),
         }
     }
 }

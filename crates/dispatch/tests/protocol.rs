@@ -8,6 +8,9 @@
 //! * two workers racing on a reassigned lease submit the same records
 //!   twice — the merge dedupes and the assembled result still equals the
 //!   single-shot run;
+//! * a `job` frame may only reach a worker that holds no lease — the real
+//!   worker, handed one while it awaits an `ack`, gives up with a protocol
+//!   error;
 //! * no proper prefix of any frame parses as a (different) frame — the
 //!   wire-side mirror of `crates/core/tests/proptest_plan.rs`'s
 //!   torn-final-line recovery property.
@@ -19,7 +22,9 @@ use std::time::Duration;
 
 use common::Conn;
 use dispatch::proto::PROTO_VERSION;
-use dispatch::{parse_frame, serve, CampaignSpec, DispatchCfg, Frame};
+use dispatch::{
+    parse_frame, serve, work, CampaignSpec, DispatchCfg, DispatchError, Frame, WorkerCfg,
+};
 use proptest::prelude::*;
 use relia::checkpoint::TrialRecord;
 use relia::plan::Layer;
@@ -66,10 +71,15 @@ fn torn_trial_record_is_dropped_and_resent() {
     let outcome = std::thread::scope(|s| {
         let coordinator = s.spawn(|| serve(listener, &prep.plan, &spec, &cfg));
         // An older peer is refused at hello, never handed a job it would
-        // half-understand.
-        let mut old = Conn::connect(&addr);
-        old.send_line("{\"frame\":\"hello\",\"worker\":\"old\",\"proto\":1,\"telemetry\":\"\"}");
-        assert!(old.closed(), "proto-1 hello must be refused");
+        // half-understand — or, speaking version 2, a second job it would
+        // take for a protocol violation.
+        for proto in [1, 2] {
+            let mut old = Conn::connect(&addr);
+            old.send_line(&format!(
+                "{{\"frame\":\"hello\",\"worker\":\"old\",\"proto\":{proto},\"telemetry\":\"\"}}"
+            ));
+            assert!(old.closed(), "proto-{proto} hello must be refused");
+        }
         let mut conn = Conn::connect(&addr);
         let (jspec, shards, _) = conn.handshake("torn");
         assert_eq!(jspec, spec, "job frame must round-trip the spec");
@@ -193,6 +203,39 @@ fn duplicate_submissions_from_racing_workers_dedupe() {
     assert_eq!(stats.leases_reassigned, 1, "{stats:?}");
     assert!(stats.leases_expired >= 1, "{stats:?}");
     assert_eq!(stats.shards_completed, 1, "{stats:?}");
+}
+
+#[test]
+fn job_frame_while_holding_a_lease_is_a_protocol_error_on_the_worker() {
+    let spec = spec();
+    let bench = spec.find_bench().unwrap();
+    let job = Frame::Job {
+        fingerprint: spec.prepare(bench.as_ref()).plan.fingerprint(),
+        spec,
+        shards: 1,
+    };
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = format!("127.0.0.1:{}", listener.local_addr().unwrap().port());
+    let err = std::thread::scope(|s| {
+        let worker = s.spawn(|| work(&addr, &WorkerCfg::default()));
+        let mut coordinator = Conn::accept(&listener);
+        assert!(matches!(coordinator.recv(), Frame::Hello { .. }));
+        coordinator.send(&job);
+        assert!(matches!(coordinator.recv(), Frame::Ready { .. }));
+        coordinator.send(&Frame::Lease {
+            shard: 0,
+            done: vec![],
+        });
+        // The lease is the worker's until its claim is acked: a second
+        // job in place of the ack is out of turn.
+        while !matches!(coordinator.recv(), Frame::ShardDone { shard: 0 }) {}
+        coordinator.send(&job);
+        worker.join().unwrap().expect_err("job out of turn")
+    });
+    assert!(
+        matches!(&err, DispatchError::Protocol(why) if why.contains("expected ack/resend")),
+        "{err:?}"
+    );
 }
 
 /// Every frame ends in `}` and the parser requires a complete object, so

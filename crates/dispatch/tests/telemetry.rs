@@ -3,7 +3,8 @@
 //! telemetry servers, trace capture and forwarding — must still merge
 //! byte-identically to a single-shot run, and the endpoints it exposes
 //! mid-campaign must serve lint-clean Prometheus exposition text and a
-//! parseable `/status` fleet document.
+//! parseable `/status` fleet document. An adaptive campaign serves both
+//! from one port for all of its waves, `/status` naming the current one.
 
 mod common;
 
@@ -11,7 +12,7 @@ use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
 use common::Conn;
-use dispatch::{serve, work, CampaignSpec, DispatchCfg, TelemetryCfg, WorkerCfg};
+use dispatch::{serve, serve_with, work, CampaignSpec, DispatchCfg, TelemetryCfg, WorkerCfg};
 use relia::plan::Layer;
 use relia::{execute_trials, records_fingerprint};
 
@@ -27,6 +28,24 @@ fn wait_for_port(path: &std::path::Path) -> String {
         std::thread::sleep(Duration::from_millis(10));
     }
     panic!("telemetry port file {} never appeared", path.display());
+}
+
+/// Poll the coordinator's `/status` until it shows the plan `shows`
+/// accepts (the document is `{}` until the first plan is installed, and a
+/// wave's stays up until the next wave's replaces it).
+fn await_status(addr: &str, shows: impl Fn(&obs::JsonNode) -> bool) -> obs::JsonNode {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let (code, status) =
+            obs::http_get(addr, "/status", Duration::from_secs(2)).expect("GET /status");
+        assert_eq!(code, 200);
+        let doc = obs::parse_json(&status).expect("/status must parse as JSON");
+        if shows(&doc) {
+            return doc;
+        }
+        assert!(Instant::now() < deadline, "/status never showed the plan");
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
 #[test]
@@ -92,10 +111,7 @@ fn telemetry_preserves_bit_identical_merge_and_exposes_endpoints() {
             obs::http_get(&tele_addr, "/metrics", Duration::from_secs(2)).expect("GET /metrics");
         assert_eq!(code, 200);
         obs::expo::lint(&metrics).expect("mid-run /metrics must lint clean");
-        let (code, status) =
-            obs::http_get(&tele_addr, "/status", Duration::from_secs(2)).expect("GET /status");
-        assert_eq!(code, 200);
-        let doc = obs::parse_json(&status).expect("/status must parse as JSON");
+        let doc = await_status(&tele_addr, |doc| doc.get("role").is_some());
         assert_eq!(
             doc.get("role").and_then(obs::JsonNode::as_str),
             Some("coordinator")
@@ -152,5 +168,115 @@ fn telemetry_preserves_bit_identical_merge_and_exposes_endpoints() {
         "telemetry + trace must not change a single result bit"
     );
     assert_eq!(outcome.stats.shards_completed, 3);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn one_telemetry_port_serves_every_wave_of_an_adaptive_campaign() {
+    use stat::{run_adaptive, run_adaptive_single, uarch_targets, AdaptiveCfg};
+
+    let base = CampaignSpec {
+        app: "VA".to_string(),
+        layer: Layer::Uarch,
+        n: 0,
+        sms: 4,
+        seed: 0x7E1E_AA11_0000_0003,
+        hardened: false,
+        structures: None,
+        fault_model: vgpu_sim::FaultPattern::SingleBit,
+        backend: relia::EngineBackend::Timed,
+        wave: None,
+    };
+    let bench = base.find_bench().expect("benchmark exists");
+    let (ccfg, targets) = (base.campaign_cfg(), uarch_targets());
+    let acfg = AdaptiveCfg::new(0.15, 6, 24);
+    let single = run_adaptive_single(bench.as_ref(), &ccfg, false, Layer::Uarch, &targets, &acfg)
+        .expect("single-shot adaptive");
+    assert!(single.waves >= 2, "config must produce a multi-wave run");
+
+    let dir = std::env::temp_dir().join(format!("relia_telemetry_waves_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let telemetry = |file: &str| {
+        Some(TelemetryCfg {
+            listen: "127.0.0.1:0".to_string(),
+            port_file: Some(dir.join(file)),
+        })
+    };
+    let cfg = DispatchCfg {
+        shards: 2,
+        wait_ms: 50,
+        telemetry: telemetry("coordinator-port.txt"),
+        ..DispatchCfg::default()
+    };
+    let wcfg = WorkerCfg {
+        name: "tele-waves".into(),
+        heartbeat: Duration::from_millis(50),
+        telemetry: telemetry("worker-port.txt"),
+        trace: true,
+        ..WorkerCfg::default()
+    };
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = format!("127.0.0.1:{}", listener.local_addr().unwrap().port());
+
+    let (dispatched, stats) = std::thread::scope(|s| {
+        // One worker session, with its own fixed telemetry port, for the
+        // whole campaign.
+        let worker = s.spawn(|| work(&addr, &wcfg));
+        let served = serve_with(listener, &cfg, |coord| {
+            // Bound once, before the first wave: every wave is scraped here.
+            let tele_addr = wait_for_port(&dir.join("coordinator-port.txt"));
+            run_adaptive(
+                bench.as_ref(),
+                &ccfg,
+                false,
+                Layer::Uarch,
+                &targets,
+                &acfg,
+                |prep, wave| {
+                    let plan = &prep.plan;
+                    let records = std::thread::scope(|w| {
+                        let run = w.spawn(|| coord.run(plan, &base));
+                        // The wave's document is published when its plan is
+                        // installed and stays until the next one's is — which
+                        // cannot happen before this closure returns.
+                        let doc = await_status(&tele_addr, |doc| {
+                            doc.get("wave").and_then(obs::JsonNode::as_u64) == Some(wave)
+                        });
+                        let num = |k: &str| doc.get(k).and_then(obs::JsonNode::as_u64);
+                        assert_eq!(num("trials"), Some(plan.len() as u64));
+                        assert!(num("records_held") <= num("trials"));
+                        assert_eq!(
+                            doc.get("campaign_fp").and_then(obs::JsonNode::as_str),
+                            Some(format!("{:016x}", plan.fingerprint()).as_str())
+                        );
+                        assert_eq!(
+                            doc.get("done").and_then(obs::JsonNode::as_bool),
+                            Some(false),
+                            "a finished wave is not a finished campaign"
+                        );
+                        let (code, metrics) =
+                            obs::http_get(&tele_addr, "/metrics", Duration::from_secs(2))
+                                .expect("GET /metrics");
+                        assert_eq!(code, 200);
+                        obs::expo::lint(&metrics).expect("mid-campaign /metrics must lint clean");
+                        run.join().unwrap()
+                    });
+                    Ok(records.expect("wave served"))
+                },
+            )
+            .expect("dispatched adaptive")
+        })
+        .expect("coordinator");
+        let summary = worker.join().unwrap().expect("worker session");
+        assert_eq!(summary.trials_executed, single.total_trials());
+        served
+    });
+
+    assert_eq!(
+        single, dispatched,
+        "telemetry + trace must not change a single result bit"
+    );
+    assert_eq!(stats.workers_joined, 1, "{stats:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }

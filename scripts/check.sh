@@ -141,8 +141,9 @@ echo "dispatch + replay smoke: CSVs byte-identical; fault-model smoke: OK"
 echo "==> adaptive sizing smoke (docs/TWOLEVEL.md)"
 # CI-driven wave sizing must be deterministic and resumable: an
 # uninterrupted run, a run killed mid-wave-2 (--limit) and resumed from
-# its per-wave checkpoints, and a dispatched run (coordinator + two
-# followed workers) must all print the same plan/result fingerprints.
+# its per-wave checkpoints, and a dispatched run (one coordinator, two
+# plain workers that each stay connected for every wave) must all print
+# the same plan/result fingerprints.
 ADPT=$(mktemp -d)
 AFLAGS=(--app VA --layer uarch --adaptive --ci-target 0.15
         --wave-size 6 --max-trials 24 --seed 53083)
@@ -164,14 +165,21 @@ test "$(wc -l < "$ADPT/adaptive.csv")" -eq 6
 cmp "$ADPT/one.txt" "$ADPT/two.txt"
 "$CAMPAIGN" serve "${AFLAGS[@]}" --shards 3 --listen 127.0.0.1:0 \
   --port-file "$ADPT/port.txt" --lease-ms 400 --backoff-ms 50 \
-  --max-backoff-ms 200 --wait-ms 50 > "$ADPT/served.txt" 2> /dev/null &
+  --max-backoff-ms 200 --wait-ms 50 --telemetry-port 0 \
+  --telemetry-port-file "$ADPT/telemetry-port.txt" \
+  > "$ADPT/served.txt" 2> "$ADPT/serve.log" &
 ADPT_PID=$!
-for _ in $(seq 1 100); do [ -s "$ADPT/port.txt" ] && break; sleep 0.1; done
+for _ in $(seq 1 100); do [ -s "$ADPT/port.txt" ] && [ -s "$ADPT/telemetry-port.txt" ] && break; sleep 0.1; done
 APORT=$(cat "$ADPT/port.txt")
-"$CAMPAIGN" work --connect "127.0.0.1:$APORT" --follow --name aw1 > /dev/null &
-"$CAMPAIGN" work --connect "127.0.0.1:$APORT" --follow --name aw2 > /dev/null &
+# One telemetry port for the whole campaign, up before any worker joins.
+"$CAMPAIGN" scrape "127.0.0.1:$(cat "$ADPT/telemetry-port.txt")"
+"$CAMPAIGN" work --connect "127.0.0.1:$APORT" --name aw1 > /dev/null &
+"$CAMPAIGN" work --connect "127.0.0.1:$APORT" --name aw2 > /dev/null &
 wait "$ADPT_PID"
 wait
+# One connection per worker for the campaign, not one per worker and wave
+# (a worker that starts after the last wave finished never joins).
+grep -Eq 'adaptive complete: [0-9]+ waves, [12] workers,' "$ADPT/serve.log"
 grep 'fingerprint' "$ADPT/one.txt" > "$ADPT/fp-single.txt"
 grep 'fingerprint' "$ADPT/served.txt" > "$ADPT/fp-served.txt"
 cmp "$ADPT/fp-single.txt" "$ADPT/fp-served.txt"
