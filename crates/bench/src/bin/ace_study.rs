@@ -1,234 +1,109 @@
 //! ACE analytical-estimator study: single-pass analytic AVF for the whole
-//! suite, cross-validated against recorded injection AVF
-//! (`results/fig_ace_vs_avf.csv`).
+//! suite, cross-validated against the injection AVF of the same
+//! campaigns `campaign paper` runs (`fig_ace_vs_avf.csv`).
 //!
 //! ```text
-//! ace_study --make-ref [--n-uarch 250]   # record the injection reference
-//! ace_study [--check]                    # estimate + compare + figure CSV
+//! ace_study [--check] [--out-dir DIR]    # estimate + compare + figure CSV
 //! ace_study smoke                        # tiny determinism gate
 //! ```
 //!
-//! The default run performs **no injections**: one instrumented fault-free
-//! timed simulation per application (under the `ace_run` obs phase) yields
-//! per-kernel, per-structure analytic AVF. If the reference CSVs written
-//! by `--make-ref` are present, it emits the comparison figure with
-//! Spearman rank correlation and mean absolute error, plus a stdout-only
-//! speedup table from the obs phase timings. `--check` additionally gates
-//! on the acceptance thresholds (Spearman ≥ 0.7, per-app speedup ≥ 50×)
-//! and exits 1 when unmet.
+//! One instrumented fault-free timed simulation per application (under
+//! the `ace_run` obs phase) yields per-kernel, per-structure analytic
+//! AVF. The injection side is the `<app>.uarch.base` campaign of the
+//! journaled driver ([`bench::driver`]) under `DIR/journal/` (`DIR`
+//! defaults to the checked-in `results/`): where `campaign paper` — or an
+//! earlier `ace_study` — completed it at the same `--n-uarch --seed --sms`
+//! it is loaded and **no injection** is performed; otherwise it is run
+//! and journaled here. The figure CSV carries the comparison with
+//! Spearman rank correlation and mean absolute error; a stdout-only table
+//! reports the estimator's speedup over each campaign this invocation
+//! executed in full (`n/a` for a loaded one — no recorded wall is read).
+//! `--check` gates on what is deterministic (Spearman ≥ 0.7) and exits 1
+//! when unmet.
 //!
 //! Options: `--apps VA,NW` (suite subset), `--structures RF,SMEM,L2`
 //! (comparison subset; exit 2 on unknown labels), `--n-uarch N --seed S
 //! --sms N --events PATH`.
 
-use ace::{estimate_app, spearman, AceAppEstimate, CompareRow};
+use ace::{estimate_app, spearman, CompareRow};
 use bench::cli::{die, parse_or_exit, Cmd};
-use bench::{finish_observability, results_dir};
+use bench::driver::{write_csv, Driver, Key, Metric};
+use bench::figures::{RECORD_N_SW, RECORD_N_UARCH};
+use bench::finish_observability;
 use dispatch::parse_structures;
-use kernels::Benchmark;
 use obs::Phase;
-use relia::{run_uarch_campaign, CampaignCfg, Table};
+use relia::{EngineCfg, Table};
 use vgpu_sim::{GpuConfig, HwStructure};
 
-const REF_CSV: &str = "ace_injection_ref.csv";
-const REF_META_CSV: &str = "ace_injection_ref_meta.csv";
 const FIG_CSV: &str = "fig_ace_vs_avf.csv";
-
-struct Opts {
-    benches: Vec<Box<dyn Benchmark>>,
-    structures: Vec<HwStructure>,
-    cfg: CampaignCfg,
-    make_ref: bool,
-    check: bool,
-}
-
-fn parse_opts(args: &[String]) -> Opts {
-    let a = parse_or_exit(Cmd::AceStudy, args);
-    Opts {
-        benches: a.benches(),
-        structures: match a.text("--structures") {
-            Some(list) => parse_structures(list).unwrap_or_else(|e| die(&e)),
-            None => HwStructure::ALL.to_vec(),
-        },
-        cfg: a.campaign_cfg(250, 250),
-        make_ref: a.has("--make-ref"),
-        check: a.has("--check"),
-    }
-}
 
 fn ace_run_ns() -> u64 {
     obs::phase_snapshot()[Phase::AceRun as usize].total_ns
 }
 
-fn all_phase_ns() -> u64 {
-    obs::phase_snapshot().iter().map(|p| p.total_ns).sum()
-}
+fn cmd_estimate(args: &[String]) {
+    let a = parse_or_exit(Cmd::AceStudy, args);
+    let benches = a.benches();
+    let structures = match a.text("--structures") {
+        Some(list) => parse_structures(list).unwrap_or_else(|e| die(&e)),
+        None => HwStructure::ALL.to_vec(),
+    };
+    let (check, dir) = (a.has("--check"), a.results_dir());
+    let cfg = a.campaign_cfg(RECORD_N_UARCH, RECORD_N_SW);
+    let gpu = &cfg.gpu;
+    // Phase timings back the speedup table, so always collect them here.
+    obs::set_enabled(true);
 
-/// One `--n-uarch` injection campaign per app; records per-(kernel,
-/// structure) injection AVF and per-app campaign wall time.
-fn cmd_make_ref(o: &Opts) {
-    let benches = &o.benches;
-    let mut refs = Table::new(
-        format!(
-            "Injection AVF reference (n={} per structure, seed {:#x})",
-            o.cfg.n_uarch, o.cfg.seed
-        ),
-        &["app", "kernel", "structure", "inj_avf", "n_per_structure"],
+    let mut driver = Driver::new(&cfg, EngineCfg::single_shot(), &dir, &benches);
+    let mut estimates = Vec::new();
+    let mut rows: Vec<CompareRow> = Vec::new();
+    let mut speed = Table::new(
+        "Estimator cost vs the injection campaign as this invocation ran it",
+        &["app", "ace_ms", "campaign_ms", "speedup"],
     );
-    let mut meta = Table::new(
-        "Injection reference campaign cost",
-        &[
-            "app",
-            "campaign_wall_ms",
-            "trials",
-            "n_uarch",
-            "seed",
-            "sms",
-        ],
-    );
-    for b in benches {
-        eprintln!("[make-ref] {} (n={})...", b.name(), o.cfg.n_uarch);
-        let t0 = all_phase_ns();
-        let res = run_uarch_campaign(b.as_ref(), &o.cfg, false);
-        let wall_ms = (all_phase_ns() - t0) as f64 / 1e6;
-        let trials = b.kernels().len() * HwStructure::ALL.len() * o.cfg.n_uarch;
-        for k in &res.kernels {
-            for &h in &HwStructure::ALL {
-                refs.row(vec![
-                    res.app.clone(),
-                    k.kernel.clone(),
-                    h.label().to_string(),
-                    format!("{:.8}", k.avf(h).total()),
-                    o.cfg.n_uarch.to_string(),
-                ]);
-            }
-        }
-        meta.row(vec![
-            res.app.clone(),
-            format!("{wall_ms:.3}"),
-            trials.to_string(),
-            o.cfg.n_uarch.to_string(),
-            o.cfg.seed.to_string(),
-            o.cfg.gpu.num_sms.to_string(),
-        ]);
-    }
-    let dir = results_dir();
-    refs.write_csv(dir.join(REF_CSV)).unwrap();
-    meta.write_csv(dir.join(REF_META_CSV)).unwrap();
-    println!("{meta}");
-    println!(
-        "wrote {} and {} under {}",
-        REF_CSV,
-        REF_META_CSV,
-        dir.display()
-    );
-}
-
-/// Minimal CSV reader for the two reference files (no quoted fields).
-fn read_csv_rows(name: &str) -> Option<Vec<Vec<String>>> {
-    let text = std::fs::read_to_string(results_dir().join(name)).ok()?;
-    Some(
-        text.lines()
-            .skip(1)
-            .filter(|l| !l.trim().is_empty())
-            .map(|l| l.split(',').map(|c| c.trim().to_string()).collect())
-            .collect(),
-    )
-}
-
-fn cmd_estimate(o: &Opts) {
-    let benches = &o.benches;
-    let gpu = &o.cfg.gpu;
-    let mut estimates: Vec<AceAppEstimate> = Vec::new();
-    let mut ace_wall_ms: Vec<(String, f64)> = Vec::new();
-    for b in benches {
+    for b in &benches {
         let t0 = ace_run_ns();
         let est = estimate_app(b.as_ref(), gpu);
-        ace_wall_ms.push((est.app.clone(), (ace_run_ns() - t0) as f64 / 1e6));
+        let ace_ms = (ace_run_ns() - t0) as f64 / 1e6;
+        let campaign = driver.run(&Key::of(&cfg, b.name(), Metric::Avf, false));
+        let injected = campaign.result.avf().0;
+        for (k, inj) in est.kernels.iter().zip(&injected.kernels) {
+            assert_eq!(k.kernel, inj.kernel, "kernel order must agree");
+            rows.extend(structures.iter().map(|&h| CompareRow {
+                app: est.app.clone(),
+                kernel: k.kernel.clone(),
+                structure: h,
+                analytic: k.avf(gpu, h),
+                injected: inj.avf(h).total(),
+            }));
+        }
+        // Wall times are machine-dependent: stdout only, the figure CSV
+        // stays deterministic. A campaign loaded (even in part) from its
+        // journal has no wall of its own to compare against.
+        let measured = |cell: String| match campaign.executed == campaign.trials {
+            true => cell,
+            false => "n/a".to_string(),
+        };
+        let campaign_ms = campaign.wall_s * 1e3;
+        speed.row(vec![
+            est.app.clone(),
+            format!("{ace_ms:.3}"),
+            measured(format!("{campaign_ms:.3}")),
+            measured(format!("{:.0}x", campaign_ms / ace_ms.max(1e-9))),
+        ]);
         estimates.push(est);
     }
 
-    println!("{}", ace::structure_table(&estimates, gpu, &o.structures));
+    println!("{}", ace::structure_table(&estimates, gpu, &structures));
     println!("{}", ace::app_table(&estimates, gpu));
-
-    // ---- cross-validation against the recorded injection reference --
-    let Some(ref_rows) = read_csv_rows(REF_CSV) else {
-        eprintln!(
-            "note: {}/{} not found — run `ace_study --make-ref` first for \
-             the injection comparison",
-            results_dir().display(),
-            REF_CSV
-        );
-        if o.check {
-            die("--check requires the injection reference");
-        }
-        return;
-    };
-    let inj_of = |app: &str, kernel: &str, h: HwStructure| -> Option<f64> {
-        ref_rows
-            .iter()
-            .find(|r| r[0] == app && r[1] == kernel && r[2] == h.label())
-            .map(|r| r[3].parse().expect("inj_avf is a number"))
-    };
-    let mut rows: Vec<CompareRow> = Vec::new();
-    for est in &estimates {
-        for k in &est.kernels {
-            for &h in &o.structures {
-                let Some(injected) = inj_of(&est.app, &k.kernel, h) else {
-                    eprintln!(
-                        "warning: no reference row for {} {} {} — stale {}?",
-                        est.app,
-                        k.kernel,
-                        h.label(),
-                        REF_CSV
-                    );
-                    continue;
-                };
-                rows.push(CompareRow {
-                    app: est.app.clone(),
-                    kernel: k.kernel.clone(),
-                    structure: h,
-                    analytic: k.avf(gpu, h),
-                    injected,
-                });
-            }
-        }
-    }
     let fig = ace::comparison_table(&rows);
     println!("{fig}");
-    fig.write_csv(results_dir().join(FIG_CSV)).unwrap();
-    println!("wrote {}", results_dir().join(FIG_CSV).display());
+    write_csv(&fig, &dir.join(FIG_CSV));
+    println!("{speed}");
 
     let xs: Vec<f64> = rows.iter().map(|r| r.analytic).collect();
     let ys: Vec<f64> = rows.iter().map(|r| r.injected).collect();
     let rho = spearman(&xs, &ys);
-
-    // ---- estimator cost vs recorded campaign cost (stdout only: wall
-    // times are machine-dependent, the figure CSV stays deterministic) --
-    let meta = read_csv_rows(REF_META_CSV).unwrap_or_default();
-    let mut speed = Table::new(
-        "Estimator cost vs recorded injection campaign (obs phase wall)",
-        &["app", "ace_ms", "campaign_ms", "speedup"],
-    );
-    let mut min_speedup = f64::INFINITY;
-    for (app, ace_ms) in &ace_wall_ms {
-        let Some(m) = meta.iter().find(|r| &r[0] == app) else {
-            continue;
-        };
-        let campaign_ms: f64 = m[1].parse().expect("campaign_wall_ms is a number");
-        let ratio = campaign_ms / ace_ms.max(1e-9);
-        min_speedup = min_speedup.min(ratio);
-        speed.row(vec![
-            app.clone(),
-            format!("{ace_ms:.3}"),
-            format!("{campaign_ms:.3}"),
-            format!("{ratio:.0}x"),
-        ]);
-    }
-    if !speed.rows.is_empty() {
-        println!("{speed}");
-    }
-
     match rho {
         Some(r) => println!(
             "spearman(analytic, injection) = {r:.4} over {} points",
@@ -236,25 +111,13 @@ fn cmd_estimate(o: &Opts) {
         ),
         None => println!("spearman undefined ({} points)", rows.len()),
     }
-
-    if o.check {
+    if check {
         let r = rho.unwrap_or_else(|| die("--check: spearman undefined"));
-        let mut failed = false;
         if r < 0.7 {
             eprintln!("check FAILED: spearman {r:.4} < 0.7");
-            failed = true;
-        }
-        if speed.rows.is_empty() {
-            eprintln!("check FAILED: no campaign wall-time reference (rerun --make-ref)");
-            failed = true;
-        } else if min_speedup < 50.0 {
-            eprintln!("check FAILED: min speedup {min_speedup:.0}x < 50x");
-            failed = true;
-        }
-        if failed {
             std::process::exit(1);
         }
-        println!("check OK: spearman {r:.4} >= 0.7, min speedup {min_speedup:.0}x >= 50x");
+        println!("check OK: spearman {r:.4} >= 0.7");
     }
 }
 
@@ -299,13 +162,6 @@ fn main() {
         cmd_smoke();
         return;
     }
-    let o = parse_opts(&args);
-    // Phase timings back the speedup table, so always collect them here.
-    obs::set_enabled(true);
-    if o.make_ref {
-        cmd_make_ref(&o);
-    } else {
-        cmd_estimate(&o);
-    }
+    cmd_estimate(&args);
     finish_observability();
 }

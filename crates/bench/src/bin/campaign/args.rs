@@ -1,62 +1,12 @@
 //! What the subcommands share on top of the flag table: the
-//! runtime-failure and out-of-budget exits, the journal rule of `paper`
-//! and `run --adaptive`, and the projections of `--adaptive` and
+//! runtime-failure exit, and the projections of `--adaptive` and
 //! `--telemetry-port` that both `run`/`serve` and `serve`/`work` use.
 
-use std::path::PathBuf;
-use std::process::exit;
-
 use bench::cli::{die, Parsed};
+pub use bench::driver::fail;
 use dispatch::{CampaignSpec, TelemetryCfg};
-use relia::plan::{Layer, PreparedCampaign, TrialTarget};
-use relia::{execute_resumable, EngineCfg, ShardRun};
+use relia::plan::{Layer, TrialTarget};
 use stat::{sw_targets, uarch_targets, AdaptiveCfg};
-
-/// Runtime failure: the request was well-formed but executing it failed.
-pub fn fail(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    exit(1);
-}
-
-/// `--limit` ran out before `what` (a campaign of `paper`, a wave of
-/// `run --adaptive`) was covered: say so and stop, successfully — the
-/// journal is resumable.
-pub fn exit_partial(what: &str, done: usize, total: usize) -> ! {
-    println!("{what}: {done}/{total} trials classified (partial — resume to finish)");
-    bench::finish_observability();
-    exit(0);
-}
-
-/// Run — or finish, or just load — one journaled plan of a larger run
-/// (`what`: a campaign of `paper`, a wave of `run --adaptive`). A journal
-/// at `resume` that holds records is resumed, a complete one loaded; one
-/// that is missing, or was killed before its header reached the disk,
-/// holds nothing and the plan starts fresh. `eng.trial_limit` is what is
-/// left of `--limit`: it is charged with the trials executed now, and
-/// when it runs out before the plan is covered the process exits 0 with
-/// the "partial" line, the journal at `checkpoint` resumable.
-pub fn execute_journaled(
-    what: &str,
-    prep: &PreparedCampaign,
-    eng: &mut EngineCfg,
-    checkpoint: Option<PathBuf>,
-    resume: Option<PathBuf>,
-) -> ShardRun {
-    let holds_records = |p: &PathBuf| std::fs::metadata(p).is_ok_and(|m| m.len() > 0);
-    let cfg = EngineCfg {
-        checkpoint,
-        resume: resume.filter(holds_records),
-        ..eng.clone()
-    };
-    let run = execute_resumable(prep, &cfg).unwrap_or_else(|e| fail(&format!("{what}: {e}")));
-    if let Some(left) = &mut eng.trial_limit {
-        *left -= run.records.len() - run.resumed;
-    }
-    if run.records.len() < prep.plan.len() {
-        exit_partial(what, run.records.len(), prep.plan.len());
-    }
-    run
-}
 
 /// `--adaptive` sizing, or `None` for a fixed-n campaign. An
 /// adaptive-only flag without `--adaptive` is a usage error, not a

@@ -1,11 +1,13 @@
 //! The campaign driver — the repo's one command line. Regenerate the
-//! paper's injection figures in one resumable run (`paper`), or split one
-//! fault-injection campaign across processes/machines, checkpoint while
-//! running, resume after a kill, and merge shard outputs back into the
-//! single-shot result.
+//! paper's injection figures (`paper`) or the extension studies built on
+//! the same campaigns (`extensions`) in one resumable run each, or split
+//! one fault-injection campaign across processes/machines, checkpoint
+//! while running, resume after a kill, and merge shard outputs back into
+//! the single-shot result.
 //!
 //! ```text
 //! campaign paper --out-dir DIR [--n-uarch N --n-sw N --apps VA,SCP --limit L]
+//! campaign extensions --out-dir DIR [the same flags; shares DIR/journal/ with paper]
 //! campaign list
 //! campaign golden --app VA [--layer uarch|sw] [--hardened] [--sms N]
 //! campaign run   --app VA --layer uarch --shards 4 --shard-index 0 \
@@ -52,10 +54,11 @@ mod smoke;
 mod work;
 
 use bench::cli::{die, usage, Cmd};
+use bench::figures::{EXTENSIONS, FIGURES};
 use bench::{finish_observability, init_observability};
 
 const SUBCOMMANDS: &str =
-    "paper|list|golden|run|merge|serve|work|status|top|scrape|lint|timeline|smoke";
+    "paper|extensions|list|golden|run|merge|serve|work|status|top|scrape|lint|timeline|smoke";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -82,14 +85,14 @@ fn main() {
     let rest = &args[2..];
     // A subcommand of the flag table turns observability on when it parses
     // `rest` (`--events`); the others have the `RELIA_*` variables alone.
-    let in_table = Cmd::ALL
-        .iter()
-        .any(|c| c.subcommand() == Some(sub.as_str()));
+    let in_table = (Cmd::ALL.iter().filter_map(|c| c.subcommand()))
+        .any(|names| names.split('|').any(|name| name == sub));
     if !in_table {
         init_observability(None);
     }
     match sub.as_str() {
-        "paper" => paper::paper(rest),
+        "paper" => paper::figure_set(sub, &FIGURES, "", rest),
+        "extensions" => paper::figure_set(sub, &EXTENSIONS, ".extensions", rest),
         "list" => golden::list(),
         "golden" => golden::golden(rest),
         "run" => run::run(rest),

@@ -68,10 +68,7 @@ pub fn print_result(prep: &PreparedCampaign, records: &[TrialRecord], csv: Optio
 /// Write `table` where `--csv` said, if it said anything.
 pub fn write_csv(table: &Table, csv: Option<&Path>) {
     if let Some(path) = csv {
-        table
-            .write_csv(path)
-            .unwrap_or_else(|e| fail(&format!("cannot write {}: {e}", path.display())));
-        eprintln!("[campaign] wrote {}", path.display());
+        bench::driver::write_csv(table, path);
     }
 }
 

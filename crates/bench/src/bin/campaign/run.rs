@@ -4,6 +4,7 @@
 use std::path::{Path, PathBuf};
 
 use bench::cli::{die, parse_or_exit, Cmd};
+use bench::driver::execute_journaled;
 use dispatch::CampaignSpec;
 use kernels::Benchmark;
 use relia::{
@@ -12,7 +13,7 @@ use relia::{
 };
 use stat::{run_adaptive, AdaptiveCfg, AdaptiveResult};
 
-use crate::args::{adaptive, adaptive_targets, execute_journaled, fail};
+use crate::args::{adaptive, adaptive_targets, fail};
 use crate::merge::{print_result, write_csv};
 
 pub fn run(args: &[String]) {

@@ -9,7 +9,8 @@
 //!
 //! Writes `fig12_reuse_sets.csv` and `fig12_src_injection_modes.csv` to
 //! `--out-dir` (default `results/`).
-//! Options: `--n-sw N --seed S --events PATH` (one event per injection).
+//! Options: `--n-sw N --seed S --sms N --events PATH` (one event per
+//! injection).
 
 use bench::cli::{from_env, Cmd};
 use bench::finish_observability;
@@ -24,7 +25,7 @@ use vgpu_arch::Reg;
 use vgpu_sim::{Mode, SwFault, SwFaultKind};
 
 fn main() {
-    let args = from_env(Cmd::Study);
+    let args = from_env(Cmd::Fig12);
     let cfg = args.campaign_cfg(0, 300);
     let dir = args.results_dir();
 

@@ -2,7 +2,8 @@
 //! two-level SDC model against a large full-injection reference and the
 //! injection-free ACE analytic bound, plus the trial-count savings of
 //! adaptive CI-driven sizing at a fixed interval target
-//! (`results/fig_twolevel.csv`, docs/TWOLEVEL.md).
+//! (`fig_twolevel.csv` under `--out-dir`, default `results/`;
+//! docs/TWOLEVEL.md).
 //!
 //! ```text
 //! twolevel_study [--check]     # full study + figure CSV
@@ -30,7 +31,7 @@ use std::sync::Arc;
 
 use ace::{estimate_app, spearman};
 use bench::cli::{die, parse_or_exit, Cmd};
-use bench::{finish_observability, results_dir};
+use bench::finish_observability;
 use kernels::Benchmark;
 use relia::plan::Layer;
 use relia::{execute_shard, plan_sw, AppCaptures, CampaignCfg, Confidence, EngineCfg, Table};
@@ -54,6 +55,7 @@ struct Opts {
     gpu: GpuConfig,
     acfg: AdaptiveCfg,
     check: bool,
+    out_dir: std::path::PathBuf,
 }
 
 fn parse_opts(args: &[String]) -> Opts {
@@ -67,6 +69,7 @@ fn parse_opts(args: &[String]) -> Opts {
         gpu: a.gpu(),
         acfg: a.adaptive_cfg(0.1, 8, 128),
         check: a.has("--check"),
+        out_dir: a.results_dir(),
     }
 }
 
@@ -236,8 +239,8 @@ fn cmd_study(o: &Opts) {
     }
     println!("{fig}");
     println!("{summary}");
-    fig.write_csv(results_dir().join(FIG_CSV)).unwrap();
-    println!("wrote {}", results_dir().join(FIG_CSV).display());
+    fig.write_csv(o.out_dir.join(FIG_CSV)).unwrap();
+    println!("wrote {}", o.out_dir.join(FIG_CSV).display());
 
     let fulls: Vec<f64> = points.iter().map(|p| p.full).collect();
     let twos: Vec<f64> = points.iter().map(|p| p.two).collect();

@@ -14,7 +14,7 @@ use std::ops::RangeInclusive;
 use std::path::PathBuf;
 use std::process::exit;
 
-use dispatch::{parse_structures, scaled_gpu, CampaignSpec};
+use dispatch::{parse_structures, scaled_gpu, CampaignSpec, MAX_N};
 use kernels::{all_benchmarks, Benchmark};
 use relia::plan::Layer;
 use relia::{CampaignCfg, EngineBackend, Watchdog};
@@ -32,13 +32,13 @@ pub enum Cmd {
     Serve,
     Work,
     Top,
-    /// `campaign paper`: every campaign behind the paper's figures, once.
+    /// `campaign paper` and `campaign extensions`: every campaign behind
+    /// a figure set, once.
     Paper,
     /// `campaign golden`: one fault-free run, per launch.
     Golden,
-    /// The stand-alone study binaries that run fixed-size AVF + SVF
-    /// campaigns of their own (the extensions and footnote 1).
-    Study,
+    /// `fig12_register_reuse`: source-register injections of its own.
+    Fig12,
     AceStudy,
     TwolevelStudy,
 }
@@ -52,7 +52,7 @@ impl Cmd {
         Cmd::Top,
         Cmd::Paper,
         Cmd::Golden,
-        Cmd::Study,
+        Cmd::Fig12,
         Cmd::AceStudy,
         Cmd::TwolevelStudy,
     ];
@@ -61,7 +61,8 @@ impl Cmd {
         1 << self as u16
     }
 
-    /// `campaign` subcommand name; `None` for a stand-alone study binary.
+    /// `campaign` subcommand name (`a|b` when two subcommands share the
+    /// flags); `None` for a stand-alone study binary.
     pub fn subcommand(self) -> Option<&'static str> {
         match self {
             Cmd::Run => Some("run"),
@@ -69,9 +70,9 @@ impl Cmd {
             Cmd::Serve => Some("serve"),
             Cmd::Work => Some("work"),
             Cmd::Top => Some("top"),
-            Cmd::Paper => Some("paper"),
+            Cmd::Paper => Some("paper|extensions"),
             Cmd::Golden => Some("golden"),
-            Cmd::Study | Cmd::AceStudy | Cmd::TwolevelStudy => None,
+            Cmd::Fig12 | Cmd::AceStudy | Cmd::TwolevelStudy => None,
         }
     }
 
@@ -92,14 +93,12 @@ const WORK: u16 = Cmd::Work.bit();
 const TOP: u16 = Cmd::Top.bit();
 const PAPER: u16 = Cmd::Paper.bit();
 const GOLDEN: u16 = Cmd::Golden.bit();
-const STUDY: u16 = Cmd::Study.bit();
+const FIG12: u16 = Cmd::Fig12.bit();
 const ACE: u16 = Cmd::AceStudy.bit();
 const TWOLEVEL: u16 = Cmd::TwolevelStudy.bit();
 /// The commands that rebuild a plan from a campaign description.
 const PLAN: u16 = RUN | MERGE | SERVE;
-const STUDIES: u16 = STUDY | ACE | TWOLEVEL;
-/// The commands sized by `--n-uarch` / `--n-sw` instead of `--n`.
-const SIZED: u16 = STUDY | PAPER;
+const STUDIES: u16 = FIG12 | ACE | TWOLEVEL;
 const EVERY: u16 = PLAN | WORK | STUDIES | PAPER;
 
 /// What follows a flag on the command line, with its placeholder in the
@@ -131,6 +130,8 @@ pub struct Flag {
 const ANY: RangeInclusive<u64> = 0..=u64::MAX;
 const POSITIVE: RangeInclusive<u64> = 1..=u64::MAX;
 const PORT: RangeInclusive<u64> = 0..=u16::MAX as u64;
+/// `--n-uarch` / `--n-sw`: the bound [`CampaignSpec::validate`] puts on `--n`.
+const SAMPLE: RangeInclusive<u64> = 0..=MAX_N as u64;
 
 fn layers() -> Vec<&'static str> {
     vec![Layer::Uarch.label(), Layer::Sw.label()]
@@ -160,18 +161,18 @@ pub const FLAGS: &[Flag] = &[
     flag("--app", Arg::Text("NAME"), PLAN | GOLDEN, "application to inject into (required)"),
     flag("--layer", Arg::Choice(layers), PLAN | GOLDEN, "injection layer: AVF (uarch, default) or SVF (sw)"),
     flag("--n", Arg::Num("N", ANY), PLAN, "injections per (kernel, target); default 100"),
-    flag("--n-uarch", Arg::Num("N", ANY), SIZED | ACE, "injections per (kernel, structure) in AVF campaigns (paper: default 250)"),
-    flag("--n-sw", Arg::Num("N", ANY), SIZED, "injections per kernel and fault kind in SVF campaigns (paper: default 500)"),
+    flag("--n-uarch", Arg::Num("N", SAMPLE), PAPER | ACE, "injections per (kernel, structure) in AVF campaigns (paper: default 250)"),
+    flag("--n-sw", Arg::Num("N", SAMPLE), PAPER | FIG12, "injections per kernel and fault kind in SVF campaigns (paper: default 500)"),
     flag("--seed", Arg::Num("S", ANY), PLAN | STUDIES | PAPER, "campaign seed; every trial derives from it"),
     flag("--sms", Arg::Num("N", 0..=u32::MAX as u64), PLAN | STUDIES | PAPER | GOLDEN, "SM count of the simulated GPU; default 4"),
     flag("--hardened", Arg::Switch, PLAN | GOLDEN, "the TMR-hardened variant of the application"),
     flag("--structures", Arg::Text("RF,SMEM,.."), PLAN | ACE, "uarch structure subset (SIMT, SCHED: stuck-at models only)"),
-    flag("--fault-model", Arg::Choice(fault_models), PLAN | SIZED, "fault pattern of every trial; default single-bit"),
-    flag("--backend", Arg::Choice(backends), RUN | SERVE | SIZED, "trial engine; records are identical, replay skips dead faults"),
+    flag("--fault-model", Arg::Choice(fault_models), PLAN | PAPER, "fault pattern of every trial; default single-bit"),
+    flag("--backend", Arg::Choice(backends), RUN | SERVE | PAPER, "trial engine; records are identical, replay skips dead faults"),
     // Per-injection watchdog (relia::Watchdog); off by default.
-    flag("--wall-limit-us", Arg::Num("N", ANY), RUN | SIZED, "reclassify a trial over this wall time as Timeout"),
-    flag("--cycle-limit", Arg::Num("N", ANY), RUN | SIZED, "reclassify a trial over this many cycles as Timeout"),
-    flag("--no-retry", Arg::Switch, RUN | SIZED, "do not retry a trial whose harness panicked"),
+    flag("--wall-limit-us", Arg::Num("N", ANY), RUN | PAPER, "reclassify a trial over this wall time as Timeout"),
+    flag("--cycle-limit", Arg::Num("N", ANY), RUN | PAPER, "reclassify a trial over this many cycles as Timeout"),
+    flag("--no-retry", Arg::Switch, RUN | PAPER, "do not retry a trial whose harness panicked"),
     // Output.
     flag("--csv", Arg::Text("PATH"), PLAN, "also write the result table as CSV"),
     flag("--events", Arg::Text("PATH"), EVERY, "JSONL event sink; turns metrics on (docs/OBSERVABILITY.md)"),
@@ -194,7 +195,7 @@ pub const FLAGS: &[Flag] = &[
     flag("--backoff-ms", Arg::Num("MS", POSITIVE), SERVE, "first reassignment backoff; default 250"),
     flag("--max-backoff-ms", Arg::Num("MS", ANY), SERVE, "backoff ceiling; default 5000"),
     flag("--wait-ms", Arg::Num("MS", POSITIVE), SERVE, "poll interval told to idle workers; default 200"),
-    flag("--out-dir", Arg::Text("DIR"), SERVE | SIZED, "serve: shard journals under DIR; paper, studies: CSVs (paper: required)"),
+    flag("--out-dir", Arg::Text("DIR"), SERVE | PAPER | STUDIES, "serve: shard journals under DIR; paper, extensions (required), studies: CSVs + journal/"),
     flag("--telemetry-port", Arg::Num("PORT", PORT), SERVE | WORK, "mount /metrics and /status on 127.0.0.1:PORT (0 = any)"),
     flag("--telemetry-port-file", Arg::Text("PATH"), SERVE | WORK, "write the bound telemetry port here"),
     // Worker.
@@ -209,7 +210,6 @@ pub const FLAGS: &[Flag] = &[
     flag("--iterations", Arg::Num("N", ANY), TOP, "stop after N polls (0 = until the campaign is done)"),
     // Study binaries.
     flag("--apps", Arg::Text("VA,NW,.."), ACE | TWOLEVEL | PAPER, "suite subset"),
-    flag("--make-ref", Arg::Switch, ACE, "record the injection reference instead of estimating"),
     flag("--check", Arg::Switch, ACE | TWOLEVEL, "gate on the acceptance thresholds (exit 1 when unmet)"),
     flag("--n-ref", Arg::Num("N", POSITIVE), TWOLEVEL, "full-injection reference trials per kernel"),
     flag("--n-class", Arg::Num("N", POSITIVE), TWOLEVEL, "two-level trials per (kernel, instruction class)"),
@@ -469,11 +469,11 @@ impl Parsed {
         }
     }
 
-    /// The configuration of the fixed-size AVF + SVF campaigns of
-    /// `campaign paper` and the study binaries. Defaults are sized so
-    /// every figure regenerates in minutes on a laptop; pass larger
-    /// counts to tighten confidence intervals (the paper used 3,000
-    /// injections per target at ±2.35%, 99% confidence).
+    /// The configuration of the fixed-size AVF + SVF campaigns of the
+    /// figure sets and the study binaries. Defaults are sized so every
+    /// figure regenerates in minutes on a laptop; pass larger counts to
+    /// tighten confidence intervals (the paper used 3,000 injections per
+    /// target at ±2.35%, 99% confidence), up to [`MAX_N`].
     pub fn campaign_cfg(&self, default_uarch: usize, default_sw: usize) -> CampaignCfg {
         CampaignCfg {
             gpu: self.gpu(),

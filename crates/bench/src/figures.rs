@@ -1,34 +1,44 @@
-//! The paper's figures and tables as projections of campaign results —
-//! what `campaign paper` writes.
+//! The figures and tables under `results/` as projections of campaign
+//! results — what `campaign paper` and `campaign extensions` write.
 //!
-//! One [`AppResults`] per application holds the four campaigns the paper
-//! runs on it (AVF and SVF, unprotected and TMR-hardened) plus the
-//! fault-free run its utilization profile is read from. Every artifact of the
-//! evaluation section that comes from injection — Figures 1, 2, 3a–c, 4,
-//! 5, 7–11 and Table I — is a pure function of a slice of those
-//! ([`FIGURES`]), so each campaign is simulated once however many figures
-//! read it. [`manifest`] records what a set of CSVs was made from: the
-//! flags that determine the records, every campaign's plan and record
-//! fingerprints, and a content hash per CSV — all deterministic, so two
-//! runs at the same flags write byte-identical manifests and
+//! A [`Figure`] names the campaigns it reads ([`Figure::keys`]) and is a
+//! pure function of their assembled results, so each campaign is
+//! simulated once however many figures — of either set — read it.
+//! [`FIGURES`] is the paper's set: every artifact of the evaluation
+//! section that comes from injection (Figures 1, 2, 3a–c, 4, 5, 7–11 and
+//! Table I), each a function of one [`AppResults`] per application — the
+//! four campaigns the paper runs on it (AVF and SVF, unprotected and
+//! TMR-hardened) plus the fault-free run its utilization profile is read
+//! from. [`EXTENSIONS`] is the set beyond the paper: the three-layer
+//! comparison, the sizing ablation and the fault-model ranking study,
+//! which read the same unprotected campaigns plus their own variants
+//! (PVF targets, other fault patterns, other SM counts). [`manifest`]
+//! records what a set of CSVs was made from: the flags that determine the
+//! records, every campaign's plan and record fingerprints, and a content
+//! hash per CSV — all deterministic, so two runs at the same flags write
+//! byte-identical manifests and
 //! `crates/bench/tests/results_of_record.rs` can tell when a file under
-//! `results/` is no longer the one the manifest describes.
+//! `results/` is no longer the one its manifest describes.
 
 use std::sync::Arc;
 
+use ace::spearman;
 use kernels::{all_benchmarks, GoldenRun};
 use relia::plan::{variant_label, Layer};
 use relia::{
     compare_pairs, kernel_metrics, normalized_pair, pair_shares, pct, pct4, CampaignCfg,
     ClassRates, HardeningComparison, KernelHardeningRow, Table, TrendItem,
 };
-use vgpu_sim::{GpuConfig, HwStructure};
+use vgpu_sim::{FaultPattern, GpuConfig, HwStructure};
+
+use crate::driver::{Assembled, Campaign, Key, Metric};
 
 /// Injections per (kernel, structure) of the results of record under
-/// `results/`, and `campaign paper`'s default `--n-uarch`.
+/// `results/`, and the default `--n-uarch` of the commands that write
+/// them.
 pub const RECORD_N_UARCH: usize = 250;
-/// Injections per (kernel, fault kind) of the results of record, and
-/// `campaign paper`'s default `--n-sw`.
+/// Injections per (kernel, fault kind) of the results of record, and the
+/// default `--n-sw` of the commands that write them.
 pub const RECORD_N_SW: usize = 500;
 
 /// Everything the paper's figures read about one application.
@@ -40,22 +50,64 @@ pub struct AppResults {
     pub golden: Arc<GoldenRun>,
 }
 
+/// The suite's application names, in figure order.
+fn suite() -> Vec<&'static str> {
+    all_benchmarks().iter().map(|b| b.name()).collect()
+}
+
+/// The four campaigns the paper runs on each of `apps`: AVF and SVF,
+/// unprotected then TMR.
+fn paper_keys(cfg: &CampaignCfg, apps: impl IntoIterator<Item = &'static str>) -> Vec<Key> {
+    let of = |app, hardened| {
+        [Metric::Avf, Metric::Svf].map(move |metric| Key::of(cfg, app, metric, hardened))
+    };
+    (apps.into_iter())
+        .flat_map(|app| [of(app, false), of(app, true)])
+        .flatten()
+        .collect()
+}
+
+/// The results of [`paper_keys`], application by application.
+fn app_results(results: &[&Assembled]) -> Vec<AppResults> {
+    (results.chunks(4))
+        .map(|of_app| {
+            let (base_avf, golden) = of_app[0].avf();
+            AppResults {
+                campaigns: HardeningComparison {
+                    app: base_avf.app.clone(),
+                    base_avf: base_avf.clone(),
+                    base_svf: of_app[1].svf().clone(),
+                    tmr_avf: of_app[2].avf().0.clone(),
+                    tmr_svf: of_app[3].svf().clone(),
+                },
+                golden: golden.clone(),
+            }
+        })
+        .collect()
+}
+
 /// A pure function of the results of the applications that were run.
 type Projection<T> = fn(&[AppResults], &GpuConfig) -> T;
 
-/// One CSV of the evaluation section.
+/// An extension's table, with the summary lines printed under it, from
+/// the results of its keys in key order.
+type ExtensionTable = fn(&CampaignCfg, &[&Assembled]) -> (Table, String);
+
+/// One CSV under `results/`.
 pub struct Figure {
     pub file: &'static str,
     source: Source,
 }
 
 enum Source {
-    /// A projection of the whole suite's results.
+    /// A projection of the whole suite's four campaigns per application.
     Suite(Projection<Table>),
     /// Figure 3: two kernels (application, kernel index) side by side.
     KernelPair(&'static str, [(&'static str, usize); 2]),
+    /// An extension: the keys it reads at the run's flags, and its table.
+    Extension(fn(&CampaignCfg) -> Vec<Key>, ExtensionTable),
 }
-use Source::{KernelPair, Suite};
+use Source::{Extension, KernelPair, Suite};
 
 /// Every injection-derived artifact of the paper, in the paper's order.
 #[rustfmt::skip]
@@ -75,19 +127,41 @@ pub const FIGURES: [Figure; 13] = [
     Figure { file: "fig11_control_path.csv", source: Suite(fig11) },
 ];
 
+/// The extension studies (EXPERIMENTS.md, "Extensions beyond the paper")
+/// that are projections of suite campaigns.
+#[rustfmt::skip]
+pub const EXTENSIONS: [Figure; 3] = [
+    Figure { file: "layers_study.csv", source: Extension(layers_keys, layers) },
+    Figure { file: "ablation_sizing.csv", source: Extension(ablation_keys, ablation) },
+    Figure { file: "fig_fault_model_ranking.csv", source: Extension(fault_model_keys, fault_model) },
+];
+
 impl Figure {
-    /// The figure over `results` (the applications that were run, in suite
-    /// order), or `None` when one it reads is not among them.
-    pub fn table(&self, results: &[AppResults], gpu: &GpuConfig) -> Option<Table> {
-        let find = |app: &str| results.iter().find(|r| r.campaigns.app == app);
+    /// The campaigns the figure reads, at the run's flags.
+    pub fn keys(&self, cfg: &CampaignCfg) -> Vec<Key> {
         match self.source {
-            Suite(table) => (all_benchmarks().iter())
-                .all(|b| find(b.name()).is_some())
-                .then(|| table(results, gpu)),
-            KernelPair(title, [(a, ka), (b, kb)]) => {
-                Some(fig03(title, (find(a)?, ka), (find(b)?, kb), gpu))
-            }
+            Suite(_) => paper_keys(cfg, suite()),
+            KernelPair(_, [(a, _), (b, _)]) => paper_keys(cfg, [a, b]),
+            Extension(keys, _) => keys(cfg),
         }
+    }
+
+    /// The figure over the campaigns of a run at flags `cfg`, with the
+    /// summary lines to print under it (extensions only), or `None` when
+    /// a campaign it reads is not among them.
+    pub fn render(&self, campaigns: &[Campaign], cfg: &CampaignCfg) -> Option<(Table, String)> {
+        let result = |key: &Key| Some(&campaigns.iter().find(|c| c.key == *key)?.result);
+        let results: Vec<&Assembled> =
+            (self.keys(cfg).iter().map(result)).collect::<Option<_>>()?;
+        Some(match self.source {
+            Suite(table) => (table(&app_results(&results), &cfg.gpu), String::new()),
+            KernelPair(title, [(_, ka), (_, kb)]) => {
+                let apps = app_results(&results);
+                let table = fig03(title, (&apps[0], ka), (&apps[1], kb), &cfg.gpu);
+                (table, String::new())
+            }
+            Extension(_, table) => table(cfg, &results),
+        })
     }
 }
 
@@ -358,34 +432,240 @@ fn fig11(results: &[AppResults], gpu: &GpuConfig) -> Table {
     })
 }
 
-/// One campaign of a `campaign paper` run: what [`manifest`] records of
-/// it, and what this invocation spent on it ([`wall`]).
-pub struct CampaignEntry {
-    pub app: String,
-    pub layer: Layer,
-    pub hardened: bool,
-    pub trials: usize,
-    pub plan_fp: u64,
-    pub records_fp: u64,
-    /// Trials this invocation executed; the rest came from the journal.
-    pub executed: usize,
-    /// Wall seconds: golden run + plan + execute (or load) + assemble.
-    pub wall_s: f64,
+// ---------------------------------------------------------------------
+// Extensions beyond the paper
+// ---------------------------------------------------------------------
+
+fn layers_keys(cfg: &CampaignCfg) -> Vec<Key> {
+    let metrics = [Metric::Svf, Metric::Pvf, Metric::Avf];
+    let of_app = |app| metrics.map(|metric| Key::of(cfg, app, metric, false));
+    suite().into_iter().flat_map(of_app).collect()
 }
 
-/// `<app>.<uarch|sw>.<base|tmr>`: a campaign's name in the manifest and
-/// the stem of its journal file.
-pub fn campaign_name(app: &str, layer: Layer, hardened: bool) -> String {
-    format!("{app}.{}.{}", layer.label(), variant_label(hardened))
+/// The **three-layer** vulnerability comparison (SVF vs PVF vs AVF) — the
+/// GPU analogue of the CPU cross-layer stack the paper's related work
+/// builds on (Papadimitriou & Gizopoulos, ISCA'21; Sridharan & Kaeli's
+/// PVF). Decomposes the software-level estimation error into its two
+/// sources: SVF → PVF, the fault-origin population (destination values of
+/// executed instructions vs the whole live architectural register state),
+/// and PVF → AVF, hardware masking + derating (dead/unallocated entries,
+/// cache evictions, structure sizes).
+fn layers(cfg: &CampaignCfg, results: &[&Assembled]) -> (Table, String) {
+    let mut t = Table::new(
+        "Three-layer comparison: SVF (software) vs PVF (architectural state) vs AVF (cross-layer), %",
+        &["App", "SVF", "PVF", "AVF", "SVF/PVF", "PVF/AVF"],
+    );
+    let mut items_sp = Vec::new(); // SVF vs PVF ranking agreement
+    let mut items_pa = Vec::new(); // PVF vs AVF ranking agreement
+    for of_app in results.chunks(3) {
+        let app = &of_app[0].svf().app;
+        let svf = of_app[0].svf().app_svf().total();
+        let pvf = of_app[1].pvf().app_pvf().total();
+        let avf = of_app[2].avf().0.app_avf(&cfg.gpu).total();
+        t.row(vec![
+            app.clone(),
+            pct(svf),
+            pct(pvf),
+            pct4(avf),
+            format!("{:.2}x", svf / pvf.max(1e-9)),
+            format!("{:.0}x", pvf / avf.max(1e-9)),
+        ]);
+        let item = |a, b| TrendItem {
+            name: app.clone(),
+            a,
+            b,
+        };
+        items_sp.push(item(svf, pvf));
+        items_pa.push(item(pvf, avf));
+    }
+    let sp = compare_pairs(&items_sp);
+    let pa = compare_pairs(&items_pa);
+    let summary = format!(
+        "ranking agreement: SVF-vs-PVF {}/{} consistent, PVF-vs-AVF {}/{} consistent\n\
+         → most of the *ranking* error appears below the architectural level\n\
+         (hardware masking + derating), matching the paper's Insight #6.",
+        sp.consistent,
+        sp.total(),
+        pa.consistent,
+        pa.total()
+    );
+    (t, summary)
 }
 
-/// `MANIFEST.csv`: what a directory of figure CSVs was made from. `flag`
-/// rows are the settings that determine the records (the backend is not
-/// one: records are identical on every backend), `campaign` rows carry
-/// each campaign's trial count and plan / record fingerprints, `csv` rows
-/// the FNV-1a hash ([`relia::plan::str_tag`]) of every CSV written next to
-/// it — what `results_of_record.rs` recomputes.
-pub fn manifest(cfg: &CampaignCfg, campaigns: &[CampaignEntry], csvs: &[(&str, u64)]) -> Table {
+const ABLATION_APPS: [&str; 3] = ["HotSpot", "LUD", "SCP"];
+const ABLATION_SMS: [u32; 3] = [2, 4, 8];
+
+fn ablation_keys(cfg: &CampaignCfg) -> Vec<Key> {
+    let key = |app| Key::of(cfg, app, Metric::Avf, false);
+    let of_sizing = |sms| ABLATION_APPS.map(|app| Key { sms, ..key(app) });
+    ABLATION_SMS.into_iter().flat_map(of_sizing).collect()
+}
+
+/// How the chip AVF depends on design choices the methodology bakes in —
+/// SM count (changes derating factors and the L2 share of the chip's bit
+/// budget) and the structure-size weighting itself. Probes the paper's
+/// threat-to-validity discussion (Section VI, "GPU devices": absolute
+/// values shift with sizing, relative trends should not) by recomputing
+/// three applications' AVFs under different GPU sizings and reporting
+/// whether the HotSpot > LUD *ranking* survives.
+fn ablation(_: &CampaignCfg, results: &[&Assembled]) -> (Table, String) {
+    let mut t = Table::new(
+        "Ablation: chip AVF under different GPU sizings, %",
+        &[
+            "SMs",
+            "RF share",
+            "App",
+            "AVF",
+            "AVF-RF",
+            "AVF-L2",
+            "rank(HotSpot>LUD)",
+        ],
+    );
+    for (of_sizing, sms) in results.chunks(ABLATION_APPS.len()).zip(ABLATION_SMS) {
+        let gpu = GpuConfig::volta_scaled(sms);
+        let rf_share = gpu.structure_bits(HwStructure::RegFile) as f64 / gpu.total_bits() as f64;
+        let avfs: Vec<_> = (of_sizing.iter())
+            .map(|r| (r.avf().0, r.avf().0.app_avf(&gpu).total()))
+            .collect();
+        let rank_holds = avfs[0].1 > avfs[1].1; // HotSpot vs LUD
+        for (r, avf) in &avfs {
+            t.row(vec![
+                sms.to_string(),
+                format!("{:.0}%", rf_share * 100.0),
+                r.app.clone(),
+                pct4(*avf),
+                pct4(r.app_avf_structure(HwStructure::RegFile).total()),
+                pct4(r.app_avf_structure(HwStructure::L2).total()),
+                if rank_holds {
+                    "yes".into()
+                } else {
+                    "NO".into()
+                },
+            ]);
+        }
+    }
+    (t, String::new())
+}
+
+fn fault_model_keys(cfg: &CampaignCfg) -> Vec<Key> {
+    let base = paper_keys(cfg, suite()).into_iter().filter(|k| !k.hardened);
+    let of_pattern = |pattern| base.clone().map(move |k| Key { pattern, ..k });
+    FaultPattern::ALL.into_iter().flat_map(of_pattern).collect()
+}
+
+/// One (app, kernel) measurement under one fault pattern.
+struct Point {
+    app: String,
+    kernel: String,
+    avf: f64,
+    svf: f64,
+}
+
+/// Spearman of a metric across the per-kernel vector vs the single-bit
+/// baseline (same campaign sizes, same seeds — the pattern is the only
+/// difference). `None` (constant input) renders as "NA".
+fn rho(base: &[Point], pts: &[Point], f: impl Fn(&Point) -> f64) -> String {
+    let xs: Vec<f64> = base.iter().map(&f).collect();
+    let ys: Vec<f64> = pts.iter().map(&f).collect();
+    match spearman(&xs, &ys) {
+        Some(r) => format!("{r:.4}"),
+        None => "NA".to_string(),
+    }
+}
+
+/// The cross-layer ranking analysis under every [`FaultPattern`] —
+/// multi-bit transients (adjacent double, whole entry, row/column bursts)
+/// and persistent stuck-at cells — asking the paper's question again for
+/// each: *does the software-level ranking survive?* Per pattern: the
+/// Spearman rank correlation of the per-kernel AVF (and SVF) vector
+/// against the single-bit baseline — how much the fault model itself
+/// reshuffles the vulnerability ranking at each layer — and the
+/// SVF-vs-AVF pairwise ranking agreement (the Table I / Insight #6
+/// inversion analysis), re-run under that pattern.
+fn fault_model(cfg: &CampaignCfg, results: &[&Assembled]) -> (Table, String) {
+    let mut t = Table::new(
+        format!(
+            "Fault-model ranking study (n_uarch={}, n_sw={}, seed {:#x})",
+            cfg.n_uarch, cfg.n_sw, cfg.seed
+        ),
+        &[
+            "app",
+            "kernel",
+            "pattern",
+            "avf",
+            "svf",
+            "spearman_avf_vs_single_bit",
+            "spearman_svf_vs_single_bit",
+        ],
+    );
+    // Per-kernel points of the whole suite, indexed like `FaultPattern::ALL`.
+    let all: Vec<Vec<Point>> = (results.chunks(results.len() / FaultPattern::ALL.len()))
+        .map(|of_pattern| {
+            let mut points = Vec::new();
+            for of_app in of_pattern.chunks(2) {
+                let (uarch, sw) = (of_app[0].avf().0, of_app[1].svf());
+                for (ku, ks) in uarch.kernels.iter().zip(&sw.kernels) {
+                    assert_eq!(ku.kernel, ks.kernel, "layer kernel order must agree");
+                    points.push(Point {
+                        app: uarch.app.clone(),
+                        kernel: ku.kernel.clone(),
+                        avf: ku.chip_avf(&cfg.gpu).total(),
+                        svf: ks.svf().total(),
+                    });
+                }
+            }
+            points
+        })
+        .collect();
+    let single_bit = (FaultPattern::ALL.iter())
+        .position(|&p| p == FaultPattern::SingleBit)
+        .expect("single-bit is a pattern");
+    let base = &all[single_bit];
+    let mut summary = Vec::new();
+    for (&p, pts) in FaultPattern::ALL.iter().zip(&all) {
+        let rho_avf = rho(base, pts, |x| x.avf);
+        let rho_svf = rho(base, pts, |x| x.svf);
+        // The inversion analysis of Table I, re-run under this pattern:
+        // does ranking apps by SVF still mis-order them vs AVF?
+        let items: Vec<TrendItem> = pts
+            .iter()
+            .map(|x| TrendItem {
+                name: format!("{}/{}", x.app, x.kernel),
+                a: x.svf,
+                b: x.avf,
+            })
+            .collect();
+        let trend = compare_pairs(&items);
+        summary.push(format!(
+            "{:>15}: spearman vs single-bit AVF {rho_avf} / SVF {rho_svf}, \
+             SVF-vs-AVF ranking {}/{} pairs consistent",
+            p.label(),
+            trend.consistent,
+            trend.total()
+        ));
+        for x in pts {
+            t.row(vec![
+                x.app.clone(),
+                x.kernel.clone(),
+                p.label().to_string(),
+                pct4(x.avf),
+                pct(x.svf),
+                rho_avf.clone(),
+                rho_svf.clone(),
+            ]);
+        }
+    }
+    (t, summary.join("\n"))
+}
+
+/// `MANIFEST.csv` / `MANIFEST.extensions.csv`: what a directory of figure
+/// CSVs was made from. `flag` rows are the settings that determine the
+/// records (the backend is not one: records are identical on every
+/// backend), `campaign` rows carry each campaign's trial count and plan /
+/// record fingerprints, `csv` rows the FNV-1a hash
+/// ([`relia::plan::str_tag`]) of every CSV written next to it — what
+/// `results_of_record.rs` recomputes.
+pub fn manifest(cfg: &CampaignCfg, campaigns: &[Campaign], csvs: &[(&str, u64)]) -> Table {
     let mut t = Table::new(
         "MANIFEST: flags, campaigns and CSV hashes of this run",
         &["Record", "Name", "Value", "Trials", "Plan", "Records"],
@@ -406,11 +686,10 @@ pub fn manifest(cfg: &CampaignCfg, campaigns: &[CampaignEntry], csvs: &[(&str, u
         push(["flag", name, &value, "", "", ""]);
     }
     for c in campaigns {
-        let name = campaign_name(&c.app, c.layer, c.hardened);
         let (plan, records) = (hex(c.plan_fp), hex(c.records_fp));
         push([
             "campaign",
-            &name,
+            &c.name,
             "",
             &c.trials.to_string(),
             &plan,
@@ -423,31 +702,35 @@ pub fn manifest(cfg: &CampaignCfg, campaigns: &[CampaignEntry], csvs: &[(&str, u
     t
 }
 
-/// `wall.csv`: what this invocation spent per campaign, then per campaign
-/// kind — the regeneration wall, measured.
-pub fn wall(campaigns: &[CampaignEntry]) -> Table {
+/// `wall.csv` / `wall.extensions.csv`: what this invocation spent per
+/// campaign, then per campaign kind — the regeneration wall, measured.
+pub fn wall(campaigns: &[Campaign]) -> Table {
     let mut t = Table::new(
         "Wall time of this invocation (golden run + plan + execute + assemble), s",
         &["Campaign", "Trials", "Executed", "Wall_s"],
     );
-    let mut sum = |name: String, of: &[&CampaignEntry]| {
+    let mut sum = |name: &str, of: &[&Campaign]| {
         let trials: usize = of.iter().map(|c| c.trials).sum();
         let executed: usize = of.iter().map(|c| c.executed).sum();
         let wall_s: f64 = of.iter().map(|c| c.wall_s).sum();
         let cells = [trials, executed].map(|n| n.to_string());
-        t.row(row(name, cells.into_iter().chain([format!("{wall_s:.2}")])));
+        let cells = cells.into_iter().chain([format!("{wall_s:.2}")]);
+        t.row(row(name.to_string(), cells));
     };
     for c in campaigns {
-        sum(campaign_name(&c.app, c.layer, c.hardened), &[c]);
+        sum(&c.name, &[c]);
     }
     for layer in [Layer::Uarch, Layer::Sw] {
         for hardened in [false, true] {
-            let kind: Vec<&CampaignEntry> = (campaigns.iter())
-                .filter(|c| c.layer == layer && c.hardened == hardened)
+            let kind: Vec<&Campaign> = (campaigns.iter())
+                .filter(|c| c.key.metric.layer() == layer && c.key.hardened == hardened)
                 .collect();
-            sum(campaign_name("total", layer, hardened), &kind);
+            if !kind.is_empty() {
+                let name = format!("total.{}.{}", layer.label(), variant_label(hardened));
+                sum(&name, &kind);
+            }
         }
     }
-    sum("total".to_string(), &campaigns.iter().collect::<Vec<_>>());
+    sum("total", &campaigns.iter().collect::<Vec<_>>());
     t
 }

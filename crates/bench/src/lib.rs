@@ -2,15 +2,17 @@
 //!
 //! `campaign paper` regenerates every injection-derived artifact of the
 //! paper's evaluation section (Figures 1–5, 7–11, Table I; DESIGN.md's
-//! per-experiment index) from one journaled record set per campaign —
-//! the tables are the pure functions of [`figures`]. The stand-alone
-//! binaries cover what is not an injection campaign of the suite
-//! (Figure 12, footnote 1) and the extensions. All of them take their
-//! flags from the one table in [`cli`], print aligned text tables to
-//! stdout and write CSVs to `--out-dir` (the studies default to the
-//! checked-in `results/`).
+//! per-experiment index) and `campaign extensions` the extension studies
+//! built on the same campaigns, both from one journaled record set per
+//! campaign ([`driver`]) — the tables are the pure functions of
+//! [`figures`]. The stand-alone binaries cover what is not a projection of
+//! suite campaigns (Figure 12, the ACE and two-level estimators). All of
+//! them take their flags from the one table in [`cli`], print aligned text
+//! tables to stdout and write CSVs to `--out-dir` (the studies default to
+//! the checked-in `results/`).
 
 pub mod cli;
+pub mod driver;
 pub mod figures;
 
 /// Turn on observability before running campaigns — called by

@@ -53,6 +53,8 @@ fn validation_errors_exit_2() {
     assert_exit(&["merge"], 2); // no shard files
     assert_exit(&["merge", "missing.jsonl"], 2); // no --app
     assert_exit(&["paper"], 2); // no --out-dir
+    assert_exit(&["extensions"], 2);
+    assert_exit(&["extensions", "--out-dir", "x", "--apps", "NOPE"], 2);
     assert_exit(&["paper", "--out-dir", "x", "--apps", "NOPE"], 2);
     assert_exit(&["paper", "--out-dir", "x", "--layer", "sw"], 2); // runs both
     assert_exit(&["golden"], 2); // no --app
@@ -121,6 +123,31 @@ fn out_of_range_sms_exits_2_instead_of_panicking() {
     assert_exit(&["run", "--app", "VA", "--sms", "99999999999"], 2);
 }
 
+/// A sample size from outside that no machine can hold — `--n
+/// 18446744073709551615` used to panic with `capacity overflow`, `--n
+/// 1000000000000` to abort on a 400 TB allocation — is a usage error: one
+/// line on stderr, exit 2, before anything is planned.
+#[test]
+fn oversized_sample_sizes_exit_2_with_one_line() {
+    for args in [
+        &["run", "--app", "VA", "--n", "18446744073709551615"][..],
+        &["run", "--app", "VA", "--n", "1000000000000"],
+        &["run", "--app", "VA", "--n", "1000001"],
+        &["serve", "--app", "VA", "--n", "1000001"],
+        &["paper", "--out-dir", "x", "--n-uarch", "1000001"],
+        &["paper", "--out-dir", "x", "--n-sw", "18446744073709551615"],
+        &["extensions", "--out-dir", "x", "--n-uarch", "1000000000000"],
+        &["extensions", "--out-dir", "x", "--n-sw", "1000001"],
+    ] {
+        let out = campaign(args);
+        assert_eq!(out.status.code(), Some(2), "campaign {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.lines().count(), 1, "campaign {args:?}: {stderr}");
+        assert!(stderr.contains("must be 0..=1000000"), "{stderr}");
+    }
+    assert!(!std::path::Path::new("x").exists(), "nothing was written");
+}
+
 #[test]
 fn help_exits_0_and_lists_the_flags() {
     for args in [&["--help"][..], &["-h"], &["run", "--help"], &["run", "-h"]] {
@@ -141,6 +168,7 @@ fn help_exits_0_and_lists_the_flags() {
         ("work", "--connect", "--app"),
         ("top", "--interval-ms", "--app"),
         ("paper", "--out-dir", "--app "),
+        ("extensions", "--fault-model", "--app "),
         ("golden", "--hardened", "--seed"),
     ] {
         let out = campaign(&[sub, "--help"]);
@@ -152,6 +180,7 @@ fn help_exits_0_and_lists_the_flags() {
     // Help wins over whatever else is on the line.
     assert_exit(&["run", "--app", "NOPE", "--help"], 0);
     assert_exit(&["paper", "--help"], 0);
+    assert_exit(&["extensions", "--help"], 0);
 }
 
 #[test]
@@ -327,22 +356,19 @@ fn list_and_golden_exit_0() {
     assert!(String::from_utf8_lossy(&out.stdout).starts_with("VA golden (functional)"));
 }
 
-/// A study binary of this crate, run at n = 1 into cargo's `target/tmp`
-/// with `--events`: the flag must produce a log, not be parsed and
-/// dropped.
-fn study_writes_events(exe: &str, name: &str) {
+/// `--events` on a command that accepts it must produce a log, not be
+/// parsed and dropped, and the CSVs must land in `--out-dir`: run at n = 1
+/// into cargo's `target/tmp`.
+fn writes_events(mut cmd: Command, name: &str, flags: &[&str]) {
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("cli_exit_{name}"));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let events = dir.join("events.jsonl");
-    let out = Command::new(exe)
-        .args(["--n-uarch", "1", "--n-sw", "1", "--backend", "replay"])
-        .arg("--out-dir")
-        .arg(&dir)
+    let out = (cmd.args(flags).arg("--out-dir").arg(&dir))
         .arg("--events")
         .arg(&events)
         .output()
-        .expect("spawn study binary");
+        .expect("spawn binary");
     assert_eq!(
         out.status.code(),
         Some(0),
@@ -352,28 +378,50 @@ fn study_writes_events(exe: &str, name: &str) {
     let log = std::fs::read_to_string(&events).unwrap_or_else(|e| panic!("{name}: {e}"));
     assert!(log.contains("\"outcome\""), "{name}: no injection event");
     assert!(
-        std::fs::read_dir(&dir).unwrap().count() >= 2,
+        std::fs::read_dir(&dir).unwrap().count() >= 3,
         "{name}: no CSV written to --out-dir"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn ablation_sizing_writes_the_events_it_accepts() {
-    study_writes_events(env!("CARGO_BIN_EXE_ablation_sizing"), "ablation_sizing");
-}
-
-#[test]
-fn speed_study_writes_the_events_it_accepts() {
-    study_writes_events(env!("CARGO_BIN_EXE_speed_study"), "speed_study");
+fn extensions_writes_the_events_it_accepts() {
+    // The sizing ablation's three applications: nine campaigns on top of
+    // their six standard ones, one CSV, its manifest and its wall table.
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_campaign"));
+    cmd.arg("extensions");
+    let flags = ["--apps", "HotSpot,LUD,SCP", "--n-uarch", "1", "--n-sw", "1"];
+    writes_events(
+        cmd,
+        "extensions",
+        &[&flags[..], &["--backend", "replay"]].concat(),
+    );
 }
 
 #[test]
 fn fig12_register_reuse_writes_the_events_it_accepts() {
-    study_writes_events(
-        env!("CARGO_BIN_EXE_fig12_register_reuse"),
-        "fig12_register_reuse",
-    );
+    let cmd = Command::new(env!("CARGO_BIN_EXE_fig12_register_reuse"));
+    writes_events(cmd, "fig12_register_reuse", &["--n-sw", "1"]);
+}
+
+/// The flags of the deleted study binaries and of `ace_study`'s recorded
+/// reference are gone, not ignored. (Spelled in pieces, like the other
+/// removed flags.)
+#[test]
+fn removed_study_flags_are_unknown_options() {
+    let ace = |args: &[&str]| {
+        (Command::new(env!("CARGO_BIN_EXE_ace_study")).args(args))
+            .output()
+            .expect("spawn ace_study")
+    };
+    let make_ref = format!("--make-{}", "ref");
+    assert_eq!(ace(&[&make_ref]).status.code(), Some(2));
+    assert_eq!(ace(&["--n-uarch", "1000001"]).status.code(), Some(2));
+    let fig12 = Command::new(env!("CARGO_BIN_EXE_fig12_register_reuse"))
+        .args(["--backend", "replay"])
+        .output()
+        .expect("spawn fig12_register_reuse");
+    assert_eq!(fig12.status.code(), Some(2), "fig12 runs no engine backend");
 }
 
 #[test]

@@ -1,14 +1,16 @@
 //! `results/` holds results of record: the figure CSVs there are the ones
-//! `results/MANIFEST.csv` describes — written by one `campaign paper` run
-//! at the sample size the bare command defaults to — and they show the
-//! paper's shapes (DESIGN.md §6). No simulation: everything is read from
-//! the committed files, so a smaller run that overwrites any of them
-//! (the n = 3 smoke that sat in `fig01` for eighteen PRs) fails here.
+//! `results/MANIFEST.csv` and `results/MANIFEST.extensions.csv` describe —
+//! written by one `campaign paper` and one `campaign extensions` run at
+//! the sample size the bare commands default to, against one journal set
+//! — and they show the paper's shapes (DESIGN.md §6) and what
+//! EXPERIMENTS.md claims of the extensions. No simulation: everything is
+//! read from the committed files, so a smaller run that overwrites any of
+//! them (the n = 3 smoke that sat in `fig01` for eighteen PRs) fails here.
 
 use std::collections::HashMap;
 
 use bench::cli::DEFAULT_SEED;
-use bench::figures::{FIGURES, RECORD_N_SW, RECORD_N_UARCH};
+use bench::figures::{Figure, EXTENSIONS, FIGURES, RECORD_N_SW, RECORD_N_UARCH};
 use relia::plan::str_tag;
 
 fn read(file: &str) -> String {
@@ -40,9 +42,12 @@ fn table(file: &str) -> Vec<(String, HashMap<String, f64>)> {
         .collect()
 }
 
-#[test]
-fn every_csv_is_the_one_the_manifest_describes() {
-    let rows = csv("MANIFEST.csv");
+/// Check that `manifest` was written at exactly the flags the bare
+/// command runs with, lists every figure of `figures`, and that every
+/// file it lists still has the bytes the run wrote. Returns its
+/// `campaign` rows.
+fn campaigns_of(manifest: &str, command: &str, figures: &[Figure]) -> Vec<Vec<String>> {
+    let rows = csv(manifest);
     assert_eq!(
         rows[0],
         ["Record", "Name", "Value", "Trials", "Plan", "Records"]
@@ -51,8 +56,7 @@ fn every_csv_is_the_one_the_manifest_describes() {
     let flags: HashMap<&str, &str> = (of("flag").iter())
         .map(|r| (r[1].as_str(), r[2].as_str()))
         .collect();
-    // Recorded at (at least) the advertised sample size, and at exactly
-    // the flags the bare `campaign paper --out-dir results` runs with.
+    // Recorded at (at least) the advertised sample size.
     let n = |name: &str| flags[name].parse::<usize>().unwrap();
     assert!(n("n_uarch") >= 250 && n("n_sw") >= 500, "{flags:?}");
     assert_eq!((n("n_uarch"), n("n_sw")), (RECORD_N_UARCH, RECORD_N_SW));
@@ -64,37 +68,105 @@ fn every_csv_is_the_one_the_manifest_describes() {
         ("none", "none")
     );
 
-    // 11 applications x {uarch, sw} x {base, tmr}, each exactly once.
-    let campaigns = of("campaign");
-    assert_eq!(campaigns.len(), 44);
-    let mut names: Vec<&str> = campaigns.iter().map(|r| r[1].as_str()).collect();
-    names.sort();
-    names.dedup();
-    assert_eq!(names.len(), 44, "a campaign is listed twice");
-    let trials = |layer: &str| -> usize {
-        (campaigns.iter())
-            .filter(|r| r[1].contains(layer))
-            .map(|r| r[3].parse::<usize>().unwrap())
-            .sum()
-    };
-    // 23 kernels x 5 structures (x 2 sw kinds) x n, unprotected + TMR.
-    assert_eq!(trials(".uarch."), 2 * 23 * 5 * n("n_uarch"));
-    assert_eq!(trials(".sw."), 2 * 23 * 2 * n("n_sw"));
-
-    // Every figure is listed, and every listed file still has the bytes
-    // the run wrote.
     let csvs = of("csv");
     let listed: Vec<&str> = csvs.iter().map(|r| r[1].as_str()).collect();
-    let figures: Vec<&str> = FIGURES.iter().map(|f| f.file).collect();
-    assert_eq!(listed, figures);
+    let files: Vec<&str> = figures.iter().map(|f| f.file).collect();
+    assert_eq!(listed, files, "{manifest}");
     for r in csvs {
         assert_eq!(
             format!("{:#018x}", str_tag(&read(&r[1]))),
             r[2],
-            "results/{} is not the file results/MANIFEST.csv describes — regenerate all of \
-             them with `campaign paper --out-dir results`, never one by hand",
+            "results/{} is not the file results/{manifest} describes — regenerate all of \
+             them with `{command} --out-dir results`, never one by hand",
             r[1]
         );
+    }
+    let campaigns: Vec<Vec<String>> = of("campaign").into_iter().cloned().collect();
+    let mut names: Vec<&str> = campaigns.iter().map(|r| r[1].as_str()).collect();
+    names.sort();
+    names.dedup();
+    assert_eq!(names.len(), campaigns.len(), "a campaign is listed twice");
+    campaigns
+}
+
+/// The trials of the campaigns whose name satisfies `named`.
+fn trials(campaigns: &[Vec<String>], named: impl Fn(&str) -> bool) -> usize {
+    (campaigns.iter().filter(|r| named(&r[1])))
+        .map(|r| r[3].parse::<usize>().unwrap())
+        .sum()
+}
+
+#[test]
+fn every_csv_is_the_one_the_manifest_describes() {
+    // 11 applications x {uarch, sw} x {base, tmr}, each exactly once:
+    // 23 kernels x 5 structures (x 2 sw kinds) x n, unprotected + TMR.
+    let paper = campaigns_of("MANIFEST.csv", "campaign paper", &FIGURES);
+    assert_eq!(paper.len(), 44);
+    assert_eq!(
+        trials(&paper, |c| c.contains(".uarch.")),
+        2 * 23 * 5 * RECORD_N_UARCH
+    );
+    assert_eq!(
+        trials(&paper, |c| c.contains(".sw.")),
+        2 * 23 * 2 * RECORD_N_SW
+    );
+
+    // The 22 unprotected ones again — the same journals, so the same
+    // rows — plus 11 PVF campaigns (one stratum per kernel), HotSpot /
+    // LUD / SCP (1 + 3 + 1 kernels) at 2 and 8 SMs, and 6 patterns x 22.
+    let ext = campaigns_of(
+        "MANIFEST.extensions.csv",
+        "campaign extensions",
+        &EXTENSIONS,
+    );
+    assert_eq!(ext.len(), 22 + 11 + 6 + 6 * 22);
+    let shared: Vec<&Vec<String>> = (paper.iter().filter(|r| r[1].ends_with(".base"))).collect();
+    assert_eq!(shared.len(), 22);
+    for row in shared {
+        assert!(ext.contains(row), "{row:?} is not the campaign paper ran");
+    }
+    assert_eq!(trials(&ext, |c| c.ends_with(".pvf")), 23 * RECORD_N_SW);
+    assert_eq!(
+        trials(&ext, |c| c.contains(".sms")),
+        2 * 5 * 5 * RECORD_N_UARCH
+    );
+    assert_eq!(
+        trials(&ext, |c| c.contains(".stuck-at-0")),
+        23 * 5 * RECORD_N_UARCH + 23 * 2 * RECORD_N_SW
+    );
+}
+
+/// EXPERIMENTS.md, three-layer decomposition: SVF > PVF > AVF for every
+/// application.
+#[test]
+fn shape_svf_above_pvf_above_avf_for_every_application() {
+    let layers = table("layers_study.csv");
+    assert_eq!(layers.len(), 11);
+    for (app, v) in &layers {
+        assert!(
+            v["SVF"] > v["PVF"] && v["PVF"] > v["AVF"],
+            "{app}: SVF {} PVF {} AVF {}",
+            v["SVF"],
+            v["PVF"],
+            v["AVF"]
+        );
+    }
+}
+
+/// EXPERIMENTS.md, sizing ablation: absolute AVFs move with the SM count,
+/// the HotSpot > LUD ranking does not.
+#[test]
+fn shape_hotspot_above_lud_at_every_gpu_sizing() {
+    let rows = csv("ablation_sizing.csv");
+    let avf = |sms: &str, app: &str| -> f64 {
+        let row = (rows.iter().find(|r| r[0] == sms && r[2] == app))
+            .unwrap_or_else(|| panic!("no row for {app} at {sms} SMs"));
+        assert_eq!(row[6], "yes", "{row:?}");
+        row[3].parse().unwrap()
+    };
+    assert_eq!(rows.len(), 1 + 9);
+    for sms in ["2", "4", "8"] {
+        assert!(avf(sms, "HotSpot") > avf(sms, "LUD"), "{sms} SMs");
     }
 }
 

@@ -37,7 +37,7 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering as AtomicOrdering;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use obs::Phase;
@@ -47,15 +47,14 @@ use kernels::{faulty_run_with, Accel, Benchmark, Outcome, PlannedFault, RunResul
 use trace::Verdict;
 use vgpu_sim::{FaultPattern, GpuConfig, HwStructure};
 
-use crate::captures::AppCaptures;
 use crate::checkpoint::{
     load_checkpoint, outcome_class, CheckpointError, CheckpointHeader, CheckpointWriter,
     TrialRecord, DEFAULT_CHECKPOINT_EVERY,
 };
 use crate::metrics::{ClassCounts, ClassRates};
 use crate::plan::{
-    plan_sw, plan_uarch, shard_trials, CampaignPlan, Layer, PreparedCampaign, TrialTarget,
-    SVF_KINDS,
+    prepare_sw_campaign, prepare_uarch_campaign, shard_trials, CampaignPlan, Layer,
+    PreparedCampaign, TrialTarget, SVF_KINDS,
 };
 use crate::records::RecordSet;
 
@@ -1112,29 +1111,9 @@ pub fn run_uarch_campaign(
     cfg: &CampaignCfg,
     hardened: bool,
 ) -> UarchAppResult {
-    let captures = AppCaptures::new(bench, &cfg.gpu, Layer::Uarch, hardened);
-    run_uarch_campaign_on(&captures, cfg, EngineBackend::Timed)
-}
-
-/// [`run_uarch_campaign`] against an application's existing captures and
-/// with an explicit simulation backend — the study binaries' `--backend`
-/// axis. Results are byte-identical across backends
-/// (differential-tested); replay only changes the wall cost. A caller
-/// that runs several campaigns over one (app, GPU, hardened) — one per
-/// fault pattern, say — pays for the golden run and the capture pass
-/// once.
-pub fn run_uarch_campaign_on(
-    captures: &Arc<AppCaptures>,
-    cfg: &CampaignCfg,
-    backend: EngineBackend,
-) -> UarchAppResult {
-    let prep = plan_uarch(captures, cfg, &HwStructure::ALL);
-    let eng = EngineCfg {
-        backend,
-        ..EngineCfg::single_shot()
-    };
-    let records =
-        execute_shard(&prep, &eng).expect("single-shot execution performs no checkpoint I/O");
+    let prep = prepare_uarch_campaign(bench, cfg, hardened);
+    let records = execute_shard(&prep, &EngineCfg::single_shot())
+        .expect("single-shot execution performs no checkpoint I/O");
     assemble_uarch(&prep, &records).expect("a single shard covers the whole plan")
 }
 
@@ -1223,13 +1202,7 @@ pub fn assemble_sw(
 /// Run the software-level (NVBitFI model) campaign for one application:
 /// destination-value injections plus the load-only SVF-LD variant.
 pub fn run_sw_campaign(bench: &dyn Benchmark, cfg: &CampaignCfg, hardened: bool) -> SvfAppResult {
-    run_sw_campaign_on(&AppCaptures::new(bench, &cfg.gpu, Layer::Sw, hardened), cfg)
-}
-
-/// [`run_sw_campaign`] against an application's existing (software-layer)
-/// captures.
-pub fn run_sw_campaign_on(captures: &Arc<AppCaptures>, cfg: &CampaignCfg) -> SvfAppResult {
-    let prep = plan_sw(captures, cfg, &SVF_KINDS);
+    let prep = prepare_sw_campaign(bench, cfg, hardened);
     let records = execute_shard(&prep, &EngineCfg::single_shot())
         .expect("single-shot execution performs no checkpoint I/O");
     assemble_sw(&prep, &records).expect("a single shard covers the whole plan")

@@ -50,10 +50,9 @@ pub mod trends;
 
 pub use campaign::{
     assemble, assemble_sw, assemble_uarch, derating_factor, execute_resumable, execute_shard,
-    execute_trials, execute_trials_with, run_sw_campaign, run_sw_campaign_on, run_uarch_campaign,
-    run_uarch_campaign_on, CampaignCfg, EngineBackend, EngineCfg, EngineError, FastForward,
-    ShardRun, StratumCounts, SvfAppResult, SvfKernelResult, UarchAppResult, UarchKernelResult,
-    Watchdog, DEFAULT_SNAPSHOTS,
+    execute_trials, execute_trials_with, run_sw_campaign, run_uarch_campaign, CampaignCfg,
+    EngineBackend, EngineCfg, EngineError, FastForward, ShardRun, StratumCounts, SvfAppResult,
+    SvfKernelResult, UarchAppResult, UarchKernelResult, Watchdog, DEFAULT_SNAPSHOTS,
 };
 pub use captures::AppCaptures;
 pub use checkpoint::{
@@ -68,7 +67,7 @@ pub use plan::{
     SVF_KINDS,
 };
 pub use profile::{kernel_metrics, normalized_pair, pair_shares, UtilMetrics, METRIC_LABELS};
-pub use pvf::{run_pvf_campaign, run_pvf_campaign_on, PvfAppResult, PvfKernelResult};
+pub use pvf::{assemble_pvf, run_pvf_campaign, PvfAppResult, PvfKernelResult};
 pub use records::{records_fingerprint, RecordSet};
 pub use report::{metrics_tables, pct, pct4, phase_table, RowArityError, Table};
 pub use trends::{compare_pairs, opposite_pairs, TrendCount, TrendItem};

@@ -12,15 +12,14 @@
 //! error comes from the *fault-origin population* (SVF→PVF) versus from
 //! *hardware masking and derating* (PVF→AVF).
 
-use std::sync::Arc;
-
 use kernels::Benchmark;
 use vgpu_sim::SwFaultKind;
 
-use crate::campaign::{assemble, execute_shard, CampaignCfg, EngineCfg};
+use crate::campaign::{assemble, execute_shard, CampaignCfg, EngineCfg, EngineError};
 use crate::captures::AppCaptures;
+use crate::checkpoint::TrialRecord;
 use crate::metrics::{ClassCounts, ClassRates};
-use crate::plan::{plan_sw, Layer};
+use crate::plan::{plan_sw, Layer, PreparedCampaign, TrialTarget};
 
 /// PVF measurements for one kernel.
 #[derive(Debug, Clone)]
@@ -51,20 +50,19 @@ impl PvfAppResult {
     }
 }
 
-/// Run the architectural-state (PVF approximation) campaign through the
-/// sharded engine — one single-shot shard of an ArchState-only plan.
-pub fn run_pvf_campaign(bench: &dyn Benchmark, cfg: &CampaignCfg, hardened: bool) -> PvfAppResult {
-    run_pvf_campaign_on(&AppCaptures::new(bench, &cfg.gpu, Layer::Sw, hardened), cfg)
-}
-
-/// [`run_pvf_campaign`] against an application's existing (software-layer)
-/// captures — the SVF campaign's, in the three-layer study.
-pub fn run_pvf_campaign_on(captures: &Arc<AppCaptures>, cfg: &CampaignCfg) -> PvfAppResult {
-    let prep = plan_sw(captures, cfg, &[SwFaultKind::ArchState]);
-    let records = execute_shard(&prep, &EngineCfg::single_shot())
-        .expect("single-shot execution performs no checkpoint I/O");
-    // One ArchState stratum per kernel, in kernel order.
-    let table = assemble(&prep, &records).expect("a single shard covers the whole plan");
+/// The architectural-state result of an ArchState-only software-level
+/// plan: [`assemble`]'s table, one stratum per kernel in kernel order.
+pub fn assemble_pvf(
+    prep: &PreparedCampaign,
+    records: &[TrialRecord],
+) -> Result<PvfAppResult, EngineError> {
+    let arch_state = TrialTarget::Fault(SwFaultKind::ArchState);
+    if (prep.plan.strata.iter()).any(|s| s.target != arch_state) {
+        return Err(EngineError::PlanMismatch(
+            "assemble_pvf expects an ArchState-only plan".into(),
+        ));
+    }
+    let table = assemble(prep, records)?;
     let kernels = (prep.plan.strata.iter().zip(table))
         .map(|(st, row)| PvfKernelResult {
             kernel: prep.bench().kernels()[st.kernel_idx].to_string(),
@@ -72,8 +70,18 @@ pub fn run_pvf_campaign_on(captures: &Arc<AppCaptures>, cfg: &CampaignCfg) -> Pv
             instrs: prep.golden.kernel_stats(st.kernel_idx).thread_instrs,
         })
         .collect();
-    PvfAppResult {
+    Ok(PvfAppResult {
         app: prep.plan.app.clone(),
         kernels,
-    }
+    })
+}
+
+/// Run the architectural-state (PVF approximation) campaign through the
+/// sharded engine — one single-shot shard of an ArchState-only plan.
+pub fn run_pvf_campaign(bench: &dyn Benchmark, cfg: &CampaignCfg, hardened: bool) -> PvfAppResult {
+    let captures = AppCaptures::new(bench, &cfg.gpu, Layer::Sw, hardened);
+    let prep = plan_sw(&captures, cfg, &[SwFaultKind::ArchState]);
+    let records = execute_shard(&prep, &EngineCfg::single_shot())
+        .expect("single-shot execution performs no checkpoint I/O");
+    assemble_pvf(&prep, &records).expect("a single shard covers the whole plan")
 }

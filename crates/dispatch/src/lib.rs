@@ -38,7 +38,7 @@ pub mod worker;
 pub use coordinator::{serve, serve_with, Coordinator, DispatchCfg, DispatchStats, ServeOutcome};
 pub use proto::{
     parse_frame, parse_strata, parse_structures, scaled_gpu, strata_spec, structures_spec,
-    CampaignSpec, Frame, WaveSpec, MAX_SMS,
+    CampaignSpec, Frame, WaveSpec, MAX_N, MAX_SMS,
 };
 pub use worker::{work, WorkSummary, WorkerCfg};
 

@@ -53,6 +53,11 @@ pub const PROTO_VERSION: u64 = 3;
 /// well inside `u32`.
 pub const MAX_SMS: u32 = 1024;
 
+/// Largest per-stratum sample size a campaign may ask for (333× the
+/// paper's 3,000). Bounds the trial list a `--n` or a job frame's `n` can
+/// make a process allocate.
+pub const MAX_N: usize = 1_000_000;
+
 /// The simulated GPU for an SM count from outside the program (`--sms`,
 /// the job frame's `sms`): the only place that count is range-checked.
 pub fn scaled_gpu(sms: u32) -> Result<GpuConfig, String> {
@@ -196,6 +201,10 @@ impl CampaignSpec {
     /// engine assertion. Messages name the CLI flags.
     pub fn validate(&self) -> Result<(), String> {
         scaled_gpu(self.sms)?;
+        let wave_counts = self.wave.iter().flat_map(|w| &w.strata).map(|s| s.count);
+        if let Some(n) = wave_counts.chain([self.n]).find(|&n| n > MAX_N) {
+            return Err(format!("--n must be 0..={MAX_N}, got {n}"));
+        }
         let Some(structures) = &self.structures else {
             return Ok(());
         };
@@ -797,6 +806,22 @@ mod tests {
             CampaignSpec { sms: 0, ..spec() },
             CampaignSpec {
                 sms: MAX_SMS + 1,
+                ..spec()
+            },
+            CampaignSpec {
+                n: MAX_N + 1,
+                ..spec()
+            },
+            CampaignSpec {
+                wave: Some(WaveSpec {
+                    wave: 1,
+                    strata: vec![StratumSpec {
+                        kernel_idx: 0,
+                        target: TrialTarget::Structure(HwStructure::RegFile),
+                        start: 0,
+                        count: MAX_N + 1,
+                    }],
+                }),
                 ..spec()
             },
             CampaignSpec {

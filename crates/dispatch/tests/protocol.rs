@@ -319,6 +319,13 @@ fn hostile_job_frame_is_dropped() {
         let hostile = job.replace("\"sms\":4", &format!("\"sms\":{sms}"));
         assert_eq!(parse_frame(&hostile), None, "sms {sms}");
     }
+    // An `n` that would make `prepare` allocate the trial list of a
+    // 400 TB (or `capacity overflow`) plan.
+    assert!(job.contains("\"n\":2,"), "{job}");
+    for n in ["1000001", "1000000000000", "18446744073709551615"] {
+        let hostile = job.replace("\"n\":2,", &format!("\"n\":{n},"));
+        assert_eq!(parse_frame(&hostile), None, "n {n}");
+    }
     let sw = job.replace("\"layer\":\"uarch\"", "\"layer\":\"sw\"");
     assert!(parse_frame(&sw).is_some());
     let sw_rf = sw.replace("\"structures\":\"\"", "\"structures\":\"RF\"");

@@ -13,13 +13,14 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use kernels::apps::va::Va;
 use obs::Phase;
 use relia::{
-    execute_shard, execute_trials_with, load_checkpoint, plan_wave, AppCaptures, CampaignCfg,
-    EngineBackend, EngineCfg, EngineError, FastForward, Layer, PreparedCampaign, StratumSpec,
-    TrialRecord, TrialTarget, DEFAULT_SNAPSHOTS,
+    execute_shard, execute_trials_with, load_checkpoint, plan_sw, plan_uarch, plan_wave,
+    records_fingerprint, AppCaptures, CampaignCfg, EngineBackend, EngineCfg, EngineError,
+    FastForward, Layer, PreparedCampaign, StratumSpec, TrialRecord, TrialTarget, DEFAULT_SNAPSHOTS,
+    SVF_KINDS,
 };
 use stat::{run_adaptive, sw_targets, uarch_targets, AdaptiveCfg, AdaptiveResult};
 use vgpu_arch::InstrClass;
-use vgpu_sim::{HwStructure, SwFaultKind};
+use vgpu_sim::{FaultPattern, HwStructure, SwFaultKind};
 
 static OBS: Mutex<()> = Mutex::new(());
 
@@ -184,6 +185,55 @@ fn shared_captures_move_no_plan_and_no_record() {
         .unwrap();
         assert_eq!(shared, standalone, "{}", layer.label());
     }
+}
+
+/// What the journaled driver does for the fault-model study: the
+/// campaigns of every pattern of an application are planned against one
+/// handle per layer (the pattern feeds neither seed derivation nor the
+/// golden run). What a pattern measures must not depend on which campaigns
+/// shared its captures, and a persistent pattern must reach the injector.
+#[test]
+fn a_patterns_records_do_not_depend_on_which_campaigns_shared_its_captures() {
+    let _obs = observed();
+    let base = CampaignCfg::new(6, 6, 0x5A5A);
+    let run = |captures: &Arc<AppCaptures>, pattern: FaultPattern| {
+        let cfg = CampaignCfg {
+            pattern,
+            ..base.clone()
+        };
+        let prep = match captures.layer() {
+            Layer::Uarch => plan_uarch(captures, &cfg, &HwStructure::ALL),
+            Layer::Sw => plan_sw(captures, &cfg, &SVF_KINDS),
+        };
+        // (index, outcome, ctrl) of every trial: a record minus its wall time.
+        let records = execute_shard(&prep, &EngineCfg::single_shot()).unwrap();
+        let outcomes: Vec<_> = records.iter().map(|r| r.outcome).collect();
+        (records_fingerprint(&records), outcomes)
+    };
+    let patterns = [
+        FaultPattern::BurstRow,
+        FaultPattern::StuckAt0,
+        FaultPattern::SingleBit,
+        FaultPattern::StuckAt1,
+    ];
+    for layer in [Layer::Uarch, Layer::Sw] {
+        let shared = AppCaptures::new(&Va, &base.gpu, layer, false);
+        let first: Vec<_> = patterns.iter().map(|&p| run(&shared, p)).collect();
+        // Rerun on captures of its own, one pattern at a time.
+        for (&pattern, records) in patterns[..2].iter().zip(&first) {
+            let own = AppCaptures::new(&Va, &base.gpu, layer, false);
+            assert_eq!(run(&own, pattern), *records, "{}", pattern.label());
+        }
+        if layer == Layer::Uarch {
+            assert_ne!(
+                first[2].1, first[3].1,
+                "stuck-at-1 outcomes identical to single-bit: the pattern is not reaching \
+                 the injector"
+            );
+        }
+    }
+    assert_eq!(calls(Phase::GoldenRun), 2 * 3, "one per handle");
+    assert_eq!(calls(Phase::SnapshotCapture), 3, "one per uarch handle");
 }
 
 #[test]

@@ -53,18 +53,44 @@ for f in crates/bench/tests/fixtures/paper_n2/*.csv; do
   cmp "$f" "$PAPER/b/$(basename "$f")"
 done
 cmp "$PAPER/a/MANIFEST.csv" "$PAPER/b/MANIFEST.csv"
-rm -rf "$PAPER"
 echo "paper smoke: uninterrupted == resumed == the per-figure binaries' CSVs"
+
+echo "==> extension smoke (docs/CAMPAIGNS.md): same journals, same bytes as the study binaries it replaced"
+# `campaign extensions` at the same flags into the directory the paper
+# smoke just filled: 171 campaigns, of which the 22 unprotected standard
+# ones are loaded from paper's journals (Executed = 0, no shard start) and
+# 149 run (11 PVF, HotSpot / LUD / SCP at 2 and 8 SMs, 6 patterns x 22).
+# Then into an empty directory, killed by --limit and resumed. Both must
+# write the 3 CSVs of crates/bench/tests/fixtures/ext_n2 — generated at
+# the parent of the change that deleted them (commit b68f1dd) by
+# layers_study, ablation_sizing and fault_model_study at --n-uarch 2
+# --n-sw 2 — and the same MANIFEST.extensions.csv.
+XFLAGS=(extensions --n-uarch 2 --n-sw 2)
+"$CAMPAIGN" "${XFLAGS[@]}" --out-dir "$PAPER/a" --events "$PAPER/x.jsonl" > /dev/null 2>&1
+test "$(grep -c '"kind":"shard_start"' "$PAPER/x.jsonl")" -eq 149
+test "$(grep -Ec '^[^.]+\.(uarch|sw)\.base,[0-9]+,0,' "$PAPER/a/wall.extensions.csv")" -eq 22
+"$CAMPAIGN" "${XFLAGS[@]}" --out-dir "$PAPER/c" --limit 300 2> /dev/null \
+  | grep 'partial — resume to finish' > /dev/null
+"$CAMPAIGN" "${XFLAGS[@]}" --out-dir "$PAPER/c" > /dev/null 2>&1
+test "$(ls crates/bench/tests/fixtures/ext_n2/*.csv | wc -l)" -eq 3
+for f in crates/bench/tests/fixtures/ext_n2/*.csv; do
+  cmp "$f" "$PAPER/a/$(basename "$f")"
+  cmp "$f" "$PAPER/c/$(basename "$f")"
+done
+cmp "$PAPER/a/MANIFEST.extensions.csv" "$PAPER/c/MANIFEST.extensions.csv"
+rm -rf "$PAPER"
+echo "extension smoke: after paper == killed and resumed on its own == the study binaries' CSVs"
 
 echo "==> ace_study smoke"
 cargo run --release -q -p bench --bin ace_study -- smoke
 
-echo "==> ace_study: the suite's analytic AVFs are the checked-in ones (results/fig_ace_vs_avf.csv)"
-ACE_REF=$(mktemp)
-cp results/fig_ace_vs_avf.csv "$ACE_REF"
-cargo run --release -q -p bench --bin ace_study > /dev/null
-cmp "$ACE_REF" results/fig_ace_vs_avf.csv
-rm -f "$ACE_REF"
+echo "==> ace_study: analytic and injection AVFs are the checked-in ones (results/fig_ace_vs_avf.csv)"
+# Into a scratch directory, so its 11 `<app>.uarch.base` campaigns are
+# run (n = 250, ~25 s), not loaded, and nothing under results/ is written.
+ACE=$(mktemp -d)
+cargo run --release -q -p bench --bin ace_study -- --check --out-dir "$ACE" > /dev/null 2>&1
+cmp results/fig_ace_vs_avf.csv "$ACE/fig_ace_vs_avf.csv"
+rm -rf "$ACE"
 
 echo "==> fig12_register_reuse: Figure 12's tables are the checked-in ones (results/fig12_*.csv)"
 FIG12=$(mktemp -d)
@@ -73,9 +99,6 @@ for f in fig12_reuse_sets.csv fig12_src_injection_modes.csv; do
   cmp "results/$f" "$FIG12/$f"
 done
 rm -rf "$FIG12"
-
-echo "==> fault_model_study smoke"
-cargo run --release -q -p bench --bin fault_model_study -- smoke
 
 echo "==> twolevel_study smoke"
 cargo run --release -q -p bench --bin twolevel_study -- smoke
@@ -196,6 +219,6 @@ echo "==> perf ledger gate (benchmarks/check.sh: the symbols it pins still build
 benchmarks/check.sh
 
 echo "==> size (reported, not gated): code lines under crates/*/src — no blanks, comments or #[cfg(test)] modules"
-awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && !/^[[:space:]]*(\/\/|$)/{n[FILENAME]++; all++} END{for(f in n) if(f~/\/(harness|captures|recorder|gpu|lifetime|probe|fault|replay|campaign|plan|records|adaptive|twolevel|coordinator|worker|paper|figures)\.rs$/) print n[f], f; print all, "total"}' $(find crates/*/src -name '*.rs') | sort -k2
+awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && !/^[[:space:]]*(\/\/|$)/{n[FILENAME]++; all++} END{for(f in n) if(f~/\/(harness|captures|recorder|gpu|lifetime|probe|fault|replay|campaign|plan|records|adaptive|twolevel|coordinator|worker|driver|paper|figures)\.rs$/) print n[f], f; print all, "total"}' $(find crates/*/src -name '*.rs') | sort -k2
 
 echo "tier-1 gate: OK"
