@@ -218,7 +218,8 @@ impl<'a> AppCaptures<'a> {
 
     /// The replay backend's golden access trace, recording it on first
     /// use (one golden pass with a trace sink, bit-identity asserted
-    /// against the untraced baseline).
+    /// against the untraced baseline). Its encoded size and the size of its
+    /// liveness index are gauges.
     pub(crate) fn trace(&self) -> &Arc<trace::AppTrace> {
         debug_assert!(self.serves(Capture::Trace));
         self.trace.get_or_init(|| {
@@ -226,6 +227,7 @@ impl<'a> AppCaptures<'a> {
                 trace::record_trace(self.bench, &self.gpu, self.variant(), &self.golden)
             });
             obs::gauge_set("trace_bytes", &self.labels(), tr.bytes);
+            obs::gauge_set("trace_index_bytes", &self.labels(), tr.index_bytes());
             Arc::new(tr)
         })
     }

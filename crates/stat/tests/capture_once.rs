@@ -137,6 +137,14 @@ fn a_campaign_of_many_waves_runs_golden_and_captures_once() {
             bytes("tmr") > bytes("base"),
             "{kind}: three copies cost more"
         );
+        if capture == Phase::TraceCapture {
+            let index = |variant: &str| {
+                let key = format!("trace_index_bytes{{app=VA,layer=uarch,variant={variant}}}");
+                gauges.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
+            };
+            assert!(index("tmr") > index("base"), "{gauges:?}");
+            assert!(index("base") > Some(0), "{gauges:?}");
+        }
         obs::flush_events().unwrap();
         let log = std::fs::read_to_string(&events).unwrap();
         let snapshot_events: Vec<&str> = (log.lines())

@@ -33,8 +33,8 @@
 //! [`decode_segment_lossy`] is deliberately forgiving: a truncated blob
 //! yields the longest cleanly-decodable event prefix with
 //! `complete == false`, never a panic. Decoding is the import side only
-//! (`AppTrace::from_blobs`): the recorder builds the replay index from the
-//! in-memory stream it has just encoded, never from decoded blobs.
+//! (`AppTrace::from_blobs`): the recorder folds the replay index from the
+//! in-memory events of each segment it encodes, never from decoded blobs.
 
 use vgpu_sim::{HwStructure, LaunchGeometry, SegEvent};
 

@@ -10,16 +10,19 @@
 //!    runs with a probe sink attached, capturing every register-file,
 //!    shared-memory, and cache word access as a compact
 //!    delta/varint-encoded stream — one in-memory blob per segment (host
-//!    glue / launch), held for the life of the application's captures.
+//!    glue / launch), held for the life of the application's captures —
+//!    and folding each segment, as it closes, into per-word *read runs*:
+//!    the intervals from a write to the last read of its value.
 //! 2. **Adjudicate** ([`replay`]): for each trial, ask the injector's own
 //!    site resolver (`vgpu_sim::resolve_site`) which words the fault
-//!    hits, and look up the first recorded touch of every one of them
-//!    at-or-after the fault position. If every word is written
-//!    first (or never touched), the trial is *provably masked* and its
-//!    record is synthesized in microseconds. Reads, persistent faults,
-//!    control-state faults, and unindexable sites fall back to full
-//!    timed re-execution — so replay output is byte-identical to the
-//!    timed backend by construction, just an order of magnitude faster.
+//!    hits, and binary-search each word's read runs for the fault
+//!    position. If no word's first touch at-or-after it is a read (every
+//!    word is written first, or never touched), the trial is *provably
+//!    masked* and its record is synthesized in microseconds. Reads,
+//!    persistent faults, control-state faults, and unindexable sites fall
+//!    back to full timed re-execution — so replay output is
+//!    byte-identical to the timed backend by construction, just an order
+//!    of magnitude faster.
 //!
 //! The engine-facing surface lives in `relia::campaign` (backend
 //! selection); this crate is deliberately free of campaign and

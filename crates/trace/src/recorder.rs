@@ -7,6 +7,10 @@
 //! the glue after each launch fills the next even segment. Launch
 //! segments additionally capture the occupancy geometry and the retired
 //! cycle count from [`ProbeEvent::LaunchBegin`] / [`ProbeEvent::LaunchEnd`].
+//! When a segment closes it is folded into the replay index
+//! (`replay::Fold`) and, beside the fold, encoded into its blob; then its
+//! events are dropped: one segment's events are alive at a time, never the
+//! application's.
 //!
 //! [`record_trace`] runs `kernels::golden_pass` once with the builder as
 //! its trace sink (the pass asserts bit-identity to the untraced golden
@@ -15,79 +19,52 @@
 use std::sync::{Arc, Mutex};
 
 use kernels::{golden_pass, Benchmark, GoldenRun, Sinks, Variant};
-use rayon::prelude::*;
 use vgpu_sim::{GpuConfig, LaunchGeometry, ProbeEvent, SegEvent, TraceSink};
 
-use crate::codec::SegmentEvents;
-use crate::replay::AppTrace;
+use crate::codec::encode_segment;
+use crate::replay::{AppTrace, Fold};
 
-struct SegRec {
-    /// `Some` for launch segments; cycles is filled in at `LaunchEnd`.
+/// Accumulates the probe stream of one application run.
+#[derive(Default)]
+pub struct TraceBuilder {
+    /// One per closed segment.
+    blobs: Vec<Vec<u8>>,
+    fold: Fold,
+    /// The open segment: `Some` for a launch (cycles filled in at
+    /// `LaunchEnd`), and its events so far.
     launch: Option<(LaunchGeometry, u64)>,
     events: Vec<SegEvent>,
 }
 
-impl SegRec {
-    fn host() -> Self {
-        SegRec {
-            launch: None,
-            events: Vec::new(),
-        }
-    }
-}
-
-/// Accumulates the probe stream of one application run.
-pub struct TraceBuilder {
-    done: Vec<SegRec>,
-    cur: SegRec,
-}
-
-impl Default for TraceBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl TraceBuilder {
     pub fn new() -> Self {
-        TraceBuilder {
-            done: Vec::new(),
-            cur: SegRec::host(),
-        }
+        Self::default()
     }
 
-    fn roll(&mut self, next: SegRec) {
-        let prev = std::mem::replace(&mut self.cur, next);
-        self.done.push(prev);
+    /// Close the open segment — fold it, encode it, drop its events — and
+    /// open the next one.
+    fn close(&mut self, next: Option<(LaunchGeometry, u64)>) {
+        let seg = self.blobs.len() as u32;
+        let launch = std::mem::replace(&mut self.launch, next);
+        let header = launch.as_ref().map(|(g, c)| (g, *c));
+        let (fold, events) = (&mut self.fold, &self.events);
+        // Neither needs the other: the encoder runs beside the fold.
+        let blob = std::thread::scope(|s| {
+            let blob = s.spawn(|| encode_segment(seg, header, events));
+            fold.segment(seg, launch, events);
+            blob.join().unwrap_or_else(|e| std::panic::resume_unwind(e))
+        });
+        self.blobs.push(blob);
+        self.events.clear();
     }
 
-    /// Close the final segment and encode everything: the segment blobs
-    /// ([`AppTrace::blobs`]) and the events they encode. The builder is
-    /// left empty (reusable).
-    pub fn encode(&mut self) -> (Vec<Vec<u8>>, Vec<SegmentEvents>) {
-        let mut recs = std::mem::take(&mut self.done);
-        recs.push(std::mem::replace(&mut self.cur, SegRec::host()));
-        let segs: Vec<SegmentEvents> = recs
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| SegmentEvents {
-                seg: i as u32,
-                launch: s.launch,
-                events: s.events,
-                complete: true,
-            })
-            .collect();
-        let encoded: Vec<Vec<u8>> = segs
-            .par_iter()
-            .map(|s| {
-                crate::codec::encode_segment(
-                    s.seg,
-                    s.launch.as_ref().map(|(g, c)| (g, *c)),
-                    &s.events,
-                )
-            })
-            .collect();
-        (encoded, segs)
+    /// Close the final segment and return the finished, indexed trace
+    /// ([`AppTrace::blobs`] are the encoded segments). The builder is left
+    /// empty (reusable).
+    pub fn finish(&mut self) -> AppTrace {
+        self.close(None);
+        let TraceBuilder { blobs, fold, .. } = std::mem::take(self);
+        fold.finish(blobs)
     }
 }
 
@@ -95,17 +72,14 @@ impl TraceSink for TraceBuilder {
     fn consume(&mut self, batch: &[ProbeEvent]) {
         for ev in batch {
             match *ev {
-                ProbeEvent::LaunchBegin(geom) => self.roll(SegRec {
-                    launch: Some((geom, 0)),
-                    events: Vec::new(),
-                }),
+                ProbeEvent::LaunchBegin(geom) => self.close(Some((geom, 0))),
                 ProbeEvent::LaunchEnd { cycles } => {
-                    if let Some((_, c)) = self.cur.launch.as_mut() {
+                    if let Some((_, c)) = self.launch.as_mut() {
                         *c = cycles;
                     }
-                    self.roll(SegRec::host());
+                    self.close(None);
                 }
-                ProbeEvent::Seg(ev) => self.cur.events.push(ev),
+                ProbeEvent::Seg(ev) => self.events.push(ev),
             }
         }
     }
@@ -113,12 +87,11 @@ impl TraceSink for TraceBuilder {
 
 /// Record the replay trace of one application variant: one timed golden
 /// pass with a [`TraceBuilder`] as its trace sink, returned as the
-/// finished, indexed [`AppTrace`] — the index is built directly from the
-/// in-memory event stream, skipping the decode round trip
-/// (`AppTrace::from_segments`). The pass asserts bit-identity (outputs,
-/// costs, per-launch stats) against the already-captured `golden`
-/// baseline, so a trace can never silently desynchronise from the run it
-/// claims to describe.
+/// finished, indexed [`AppTrace`] — the index is folded from the
+/// in-memory events of each segment as it closes, never from decoded
+/// blobs. The pass asserts bit-identity (outputs, costs, per-launch
+/// stats) against the already-captured `golden` baseline, so a trace can
+/// never silently desynchronise from the run it claims to describe.
 pub fn record_trace(
     bench: &dyn Benchmark,
     cfg: &GpuConfig,
@@ -132,8 +105,8 @@ pub fn record_trace(
         ..Sinks::default()
     };
     golden_pass(bench, cfg, variant, sinks);
-    let (encoded, segs) = builder.lock().expect("trace builder lock").encode();
-    AppTrace::from_segments(encoded, &segs)
+    let trace = builder.lock().expect("trace builder lock").finish();
+    trace
 }
 
 /// [`record_trace`] of the unhardened application.

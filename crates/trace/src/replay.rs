@@ -2,7 +2,8 @@
 //!
 //! An [`AppTrace`] is the indexed form of one application's recorded
 //! probe stream: the encoded per-segment blobs, per-launch occupancy
-//! info, and a global first-touch index over every recorded access.
+//! info, and a per-word live-interval index folded from every recorded
+//! access.
 //!
 //! The replay engine's core question, for one transient uarch fault, is:
 //! *is every bit of the fault footprint provably dead?* A flipped word
@@ -22,137 +23,223 @@
 //! and host glue fills the even segments, so `(segment, cycle)`
 //! lexicographic order is program order. The fault applies at the *top*
 //! of its cycle, before issue, so touches at `t == cycle` count as
-//! post-fault.
+//! post-fault, and a read and a write at the same position resolve as
+//! *read first*.
+//!
+//! The index keeps, per (structure, instance, word), only the word's
+//! **read runs** `(lo, hi]`: `lo` is the last write strictly before a read
+//! (−∞ when none precedes it), `hi` the last read that follows the same
+//! write. A flip at position `p` is consumed iff `p` lies in one of them;
+//! writes and repeated reads inside a run leave nothing behind. [`Fold`]
+//! builds the runs in one pass over the segments in program order —
+//! per word the last write, the write before it (what a read tied with
+//! the last write follows) and the open run's last read — so they come
+//! out time-ordered per word, and a counting sort by word lays them out
+//! at the end.
 
 use std::cell::OnceCell;
+use std::mem::size_of;
 
 use rayon::prelude::*;
 use vgpu_sim::{resolve_site, GpuConfig, HwStructure, LaunchGeometry, SegEvent, UarchFault};
 
 use crate::codec::decode_segment_lossy;
 
-const KEY_WORD_BITS: u32 = 40;
-const KEY_INST_BITS: u32 = 16;
-const POS_T_BITS: u32 = 40;
+/// Coordinate caps: a touch beyond them makes the trace unindexable
+/// (every trial falls back `NoTrace`) before any per-word state is
+/// allocated for it.
+const INST_BITS: u32 = 16;
+const WORD_BITS: u32 = 24;
+const T_BITS: u32 = 40;
+const SEG_BITS: u32 = 22;
 
-fn pack_key(h: HwStructure, inst: u32, word: u64) -> Option<u64> {
-    if word >> KEY_WORD_BITS != 0 || inst >> KEY_INST_BITS != 0 {
-        return None;
+/// `(seg, t)` as one ordered u64, offset by one so that 0 is −∞ ("no
+/// write yet").
+fn pos(seg: u32, t: u64) -> Option<u64> {
+    (t >> T_BITS == 0 && seg >> SEG_BITS == 0).then(|| ((u64::from(seg) << T_BITS) | t) + 1)
+}
+
+/// Fold state of one word, positions as [`pos`].
+#[derive(Clone, Copy, Default)]
+struct WordState {
+    /// The last write.
+    w: u64,
+    /// The last write strictly before `w`: what a read tied with `w`
+    /// follows.
+    before_w: u64,
+    /// The open read run `(lo, hi]`; `hi == 0` when none is open.
+    lo: u64,
+    hi: u64,
+}
+
+/// One (structure, instance) array under construction.
+#[derive(Default)]
+struct Lane {
+    words: Vec<WordState>,
+    /// Closed runs `(word, lo, hi)`, in closing order.
+    closed: Vec<(u32, u64, u64)>,
+}
+
+impl Lane {
+    fn touch(&mut self, start: usize, end: usize, p: u64, write: bool) {
+        if self.words.len() < end {
+            self.words.resize(end, WordState::default());
+        }
+        for i in start..end {
+            let s = &mut self.words[i];
+            if write {
+                if s.w != p {
+                    (s.before_w, s.w) = (s.w, p);
+                }
+                continue;
+            }
+            // The write this read follows; a different one opens a run.
+            let lo = if s.w == p { s.before_w } else { s.w };
+            if s.lo != lo && s.hi != 0 {
+                self.closed.push((i as u32, s.lo, s.hi));
+            }
+            (s.lo, s.hi) = (lo, p);
+        }
     }
-    Some(
-        ((h as u64) << (KEY_WORD_BITS + KEY_INST_BITS)) | (u64::from(inst) << KEY_WORD_BITS) | word,
-    )
-}
 
-/// Pack `(seg, t, write)` into one ordered u64. The write flag sits in
-/// the LSB, so at equal `(seg, t)` reads sort *before* writes — which
-/// makes the first-entry lookup conservatively report a read whenever a
-/// read and a write hit the same word in the same cycle.
-fn pack_pos(seg: u32, t: u64, write: bool) -> Option<u64> {
-    if t >> POS_T_BITS != 0 || seg >> (63 - POS_T_BITS - 1) != 0 {
-        return None;
+    /// Close every open run and lay all of them out by word, with a
+    /// counting sort that keeps each word's runs in time order.
+    fn finish(self) -> Column {
+        let Lane { words, closed } = self;
+        let open = |(w, s): (usize, &WordState)| (s.hi != 0).then_some((w as u32, s.lo, s.hi));
+        let mut offsets = vec![0; words.len() + 1];
+        for (w, ..) in closed
+            .iter()
+            .copied()
+            .chain(words.iter().enumerate().filter_map(open))
+        {
+            offsets[w as usize] += 1;
+        }
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
+        }
+        // Latest first, each into the last free slot of its word's slice:
+        // a word's offset ends where its slice starts.
+        let mut runs = vec![(0, 0); offsets[words.len()]];
+        let open_runs = words.iter().enumerate().filter_map(open);
+        for (w, lo, hi) in open_runs.chain(closed.into_iter().rev()) {
+            offsets[w as usize] -= 1;
+            runs[offsets[w as usize]] = (lo, hi);
+        }
+        Column { offsets, runs }
     }
-    Some((u64::from(seg) << (POS_T_BITS + 1)) | (t << 1) | u64::from(write))
 }
 
-/// One indexed word touch: `(key, pos)`, both packed.
-#[derive(Clone, Copy)]
-struct PointEntry {
-    key: u64,
-    pos: u64,
+/// The read runs of one (structure, instance) array.
+struct Column {
+    /// Word `w`'s runs are `runs[offsets[w]..offsets[w + 1]]`.
+    offsets: Vec<usize>,
+    runs: Vec<(u64, u64)>,
 }
 
-/// First-touch index over every recorded access, range events expanded
-/// to their constituent words.
-struct EventIndex {
-    /// Sorted by `(key, pos)`.
-    points: Vec<PointEntry>,
-    /// Set when some event exceeded the packing limits; adjudication
-    /// then refuses to trust the index and always falls back.
+/// The fold that builds an [`AppTrace`]'s index and launch table from
+/// its segments, fed in segment order (module docs). The recorder feeds it
+/// each segment as it closes, [`AppTrace::from_blobs`] each decoded blob.
+#[derive(Default)]
+pub(crate) struct Fold {
+    /// Per structure, per instance.
+    lanes: [Vec<Lane>; 5],
+    launches: Vec<LaunchInfo>,
+    /// Some touch exceeded the coordinate caps or went back in time; the
+    /// lanes are dropped and adjudication always falls back.
     unindexable: bool,
 }
 
-impl EventIndex {
-    fn build(segs: &[crate::codec::SegmentEvents]) -> EventIndex {
-        // Expand per segment in parallel (a trace is tens of millions of
-        // word touches), then one parallel sort over the concatenation.
-        let per_seg: Vec<(Vec<PointEntry>, bool)> = segs
-            .par_iter()
-            .map(|se| {
-                let mut points = Vec::with_capacity(se.events.len());
-                let mut unindexable = false;
-                let mut push = |h: HwStructure, inst: u32, word: u64, t: u64, write: bool| match (
-                    pack_key(h, inst, word),
-                    pack_pos(se.seg, t, write),
-                ) {
-                    (Some(key), Some(pos)) => points.push(PointEntry { key, pos }),
-                    _ => unindexable = true,
-                };
-                for ev in &se.events {
-                    match *ev {
-                        SegEvent::Access {
-                            h,
-                            inst,
-                            word,
-                            t,
-                            write,
-                        } => push(h, inst, word, t, write),
-                        SegEvent::Range {
-                            h,
-                            inst,
-                            start,
-                            len,
-                            t,
-                            write,
-                        } => {
-                            for w in start..start + u64::from(len) {
-                                push(h, inst, w, t, write);
-                            }
-                        }
-                        SegEvent::HostRead { word } => push(HwStructure::L2, 0, word, 0, false),
-                        SegEvent::SlotFill { .. } | SegEvent::SlotFree { .. } => {}
-                    }
-                }
-                (points, unindexable)
-            })
-            .collect();
-        let unindexable = per_seg.iter().any(|(_, u)| *u);
-        let mut points = Vec::with_capacity(per_seg.iter().map(|(p, _)| p.len()).sum());
-        for (p, _) in per_seg {
-            points.extend(p);
+impl Fold {
+    /// Fold segment `seg`: a launch when `launch` is its geometry and
+    /// retired cycles.
+    pub(crate) fn segment(
+        &mut self,
+        seg: u32,
+        launch: Option<(LaunchGeometry, u64)>,
+        events: &[SegEvent],
+    ) {
+        if let Some((geom, cycles)) = launch {
+            let slot_events = events.iter().filter_map(slot_event).collect();
+            self.launches.push(LaunchInfo {
+                seg,
+                geom,
+                cycles,
+                slot_events,
+            });
         }
-        points.par_sort_unstable_by_key(|e| (e.key, e.pos));
-        EventIndex {
-            points,
-            unindexable,
+        let mut last = 0;
+        for ev in events {
+            let (h, inst, start, len, t, write) = match *ev {
+                SegEvent::Access {
+                    h,
+                    inst,
+                    word,
+                    t,
+                    write,
+                } => (h, inst, word, 1, t, write),
+                SegEvent::Range {
+                    h,
+                    inst,
+                    start,
+                    len,
+                    t,
+                    write,
+                } => (h, inst, start, len, t, write),
+                SegEvent::HostRead { word } => (HwStructure::L2, 0, word, 1, 0, false),
+                SegEvent::SlotFill { .. } | SegEvent::SlotFree { .. } => continue,
+            };
+            let end = start.saturating_add(u64::from(len));
+            match pos(seg, t) {
+                _ if self.unindexable => return,
+                Some(p) if p >= last && inst >> INST_BITS == 0 && end <= 1 << WORD_BITS => {
+                    let lanes = &mut self.lanes[h as usize];
+                    if lanes.len() <= inst as usize {
+                        lanes.resize_with(inst as usize + 1, Lane::default);
+                    }
+                    lanes[inst as usize].touch(start as usize, end as usize, p, write);
+                    last = p;
+                }
+                _ => {
+                    self.unindexable = true;
+                    self.lanes = Default::default();
+                }
+            }
         }
     }
 
-    /// First recorded touch of `(h, inst, word)` at-or-after `(seg, c)`:
-    /// `None` if never touched again, otherwise `Some(read)`. Reads sort
-    /// before writes at equal position, so a same-cycle read/write tie
-    /// conservatively reports a read.
-    fn first_touch(&self, h: HwStructure, inst: u32, word: u64, seg: u32, c: u64) -> Option<bool> {
-        let key = pack_key(h, inst, word)?;
-        let pos = pack_pos(seg, c, false)?;
-        let i = self.points.partition_point(|e| (e.key, e.pos) < (key, pos));
-        match self.points.get(i) {
-            Some(e) if e.key == key => Some(e.pos & 1 == 0),
-            _ => None,
+    /// The finished trace over `blobs`, the encoded form of the segments
+    /// folded.
+    pub(crate) fn finish(self, blobs: Vec<Vec<u8>>) -> AppTrace {
+        AppTrace {
+            bytes: blobs.iter().map(|b| b.len() as u64).sum(),
+            blobs,
+            launches: self.launches,
+            columns: self
+                .lanes
+                .map(|lanes| lanes.into_par_iter().map(Lane::finish).collect()),
+            unindexable: self.unindexable,
         }
     }
 }
 
-/// One CTA-slot occupancy transition, with its *effective* cycle: an
-/// initial (prefill) fill occupies from cycle 0, mid-run fills and
+/// One CTA-slot occupancy transition `(sm, slot, effective cycle, fill)`:
+/// an initial (prefill) fill occupies from cycle 0, mid-run fills and
 /// frees take effect from `t + 1` (they happen in cycle `t`'s retire
 /// stage, after that cycle's fault application point).
-#[derive(Clone, Copy)]
-struct SlotEvent {
-    sm: u32,
-    slot: u32,
-    eff: u64,
-    fill: bool,
+type SlotEvent = (u32, u32, u64, bool);
+
+fn slot_event(ev: &SegEvent) -> Option<SlotEvent> {
+    match *ev {
+        SegEvent::SlotFill {
+            sm,
+            slot,
+            t,
+            initial,
+        } => Some((sm, slot, if initial { 0 } else { t + 1 }, true)),
+        SegEvent::SlotFree { sm, slot, t } => Some((sm, slot, t + 1, false)),
+        _ => None,
+    }
 }
 
 /// Per-launch replay info: geometry, retired cycle count, and the slot
@@ -170,13 +257,13 @@ impl LaunchInfo {
     /// Which CTA slots hold a live CTA at the top of local cycle `c`.
     fn live_slots(&self, num_sms: usize, c: u64) -> Vec<Vec<bool>> {
         let mut live = vec![vec![false; self.geom.slots_per_sm as usize]; num_sms];
-        for ev in &self.slot_events {
-            if ev.eff <= c {
+        for &(sm, slot, eff, fill) in &self.slot_events {
+            if eff <= c {
                 if let Some(s) = live
-                    .get_mut(ev.sm as usize)
-                    .and_then(|sm| sm.get_mut(ev.slot as usize))
+                    .get_mut(sm as usize)
+                    .and_then(|sm| sm.get_mut(slot as usize))
                 {
-                    *s = ev.fill;
+                    *s = fill;
                 }
             }
         }
@@ -233,75 +320,28 @@ pub enum Verdict {
 pub struct AppTrace {
     blobs: Vec<Vec<u8>>,
     launches: Vec<LaunchInfo>,
-    index: EventIndex,
+    /// Per structure, per instance: the read runs of every word.
+    columns: [Vec<Column>; 5],
+    unindexable: bool,
     /// Total encoded size of all segment blobs.
     pub bytes: u64,
 }
 
 impl AppTrace {
-    /// Decode and index a set of encoded segment blobs (in segment
-    /// order). Panics if any blob fails to round-trip — the blobs come
-    /// from our own encoder, so anything else is a codec bug.
+    /// Decode and index a set of encoded segment blobs, which must be in
+    /// segment order, one decoded segment alive at a time. Panics if any
+    /// blob fails to round-trip or is out of place — the blobs come from
+    /// our own encoder, so anything else is a codec bug (or a permuted
+    /// list the in-order fold would silently mis-index).
     pub fn from_blobs(blobs: Vec<Vec<u8>>) -> AppTrace {
-        let segs: Vec<crate::codec::SegmentEvents> = blobs
-            .par_iter()
-            .map(|b| {
-                let se = decode_segment_lossy(b).expect("trace blob header must decode");
-                assert!(se.complete, "trace blob must round-trip completely");
-                se
-            })
-            .collect();
-        Self::from_segments(blobs, &segs)
-    }
-
-    /// Index already-decoded segments against their encoded blobs. The
-    /// recorder calls this directly with the in-memory event stream it
-    /// just encoded, skipping the decode round trip (the codec's
-    /// encode↔decode fixpoint is property-tested separately).
-    pub fn from_segments(blobs: Vec<Vec<u8>>, segs: &[crate::codec::SegmentEvents]) -> AppTrace {
-        let mut launches = Vec::new();
-        for se in segs {
-            if let Some((geom, cycles)) = se.launch {
-                let slot_events = se
-                    .events
-                    .iter()
-                    .filter_map(|ev| match *ev {
-                        SegEvent::SlotFill {
-                            sm,
-                            slot,
-                            t,
-                            initial,
-                        } => Some(SlotEvent {
-                            sm,
-                            slot,
-                            eff: if initial { 0 } else { t + 1 },
-                            fill: true,
-                        }),
-                        SegEvent::SlotFree { sm, slot, t } => Some(SlotEvent {
-                            sm,
-                            slot,
-                            eff: t + 1,
-                            fill: false,
-                        }),
-                        _ => None,
-                    })
-                    .collect();
-                launches.push(LaunchInfo {
-                    seg: se.seg,
-                    geom,
-                    cycles,
-                    slot_events,
-                });
-            }
+        let mut fold = Fold::default();
+        for (i, b) in blobs.iter().enumerate() {
+            let se = decode_segment_lossy(b).expect("trace blob header must decode");
+            assert!(se.complete, "trace blob must round-trip completely");
+            assert_eq!(se.seg as usize, i, "trace blobs must be in segment order");
+            fold.segment(se.seg, se.launch, &se.events);
         }
-        let index = EventIndex::build(segs);
-        let bytes = blobs.iter().map(|b| b.len() as u64).sum();
-        AppTrace {
-            blobs,
-            launches,
-            index,
-            bytes,
-        }
+        fold.finish(blobs)
     }
 
     /// Number of recorded launches.
@@ -329,7 +369,7 @@ impl AppTrace {
         let Some(li) = self.launches.get(ordinal) else {
             return fallback(FallbackReason::NoTrace);
         };
-        if self.index.unindexable {
+        if self.unindexable {
             return fallback(FallbackReason::NoTrace);
         }
         if fault.pattern.is_persistent() {
@@ -348,18 +388,57 @@ impl AppTrace {
             // the fault in post-launch state we did not model; punt.
             return fallback(FallbackReason::NoTrace);
         }
-        let read_first = |w| {
-            let touch = self
-                .index
-                .first_touch(fault.structure, site.inst as u32, w, li.seg, c);
-            touch == Some(true)
-        };
-        if site.words().into_iter().any(read_first) {
+        let live = |w| self.live(fault.structure, site.inst as u32, w, li.seg, c);
+        if site.words().into_iter().any(live) {
             return fallback(FallbackReason::LiveWord);
         }
         Verdict::Dead {
             population: site.population,
         }
+    }
+
+    /// Whether a flip of `word` at the top of `(seg, cycle)` is read before
+    /// it is overwritten: the first recorded touch at-or-after that
+    /// position is a read, a same-position read and write counting read
+    /// first. Always `false` on an unindexable trace, which
+    /// [`adjudicate`](Self::adjudicate) refuses before asking.
+    pub fn live(&self, h: HwStructure, inst: u32, word: u64, seg: u32, cycle: u64) -> bool {
+        let column = self
+            .columns
+            .get(h as usize)
+            .and_then(|c| c.get(inst as usize));
+        let (Some(column), Some(p), w) = (column, pos(seg, cycle), word as usize) else {
+            return false;
+        };
+        let Some(&[start, end]) = column.offsets.get(w..w.saturating_add(2)) else {
+            return false;
+        };
+        let runs = &column.runs[start..end];
+        let first = runs.partition_point(|&(_, hi)| hi < p);
+        runs.get(first).is_some_and(|&(lo, _)| lo < p)
+    }
+
+    /// Per structure (`HwStructure::ALL` order), Σ `hi − lo` over the read
+    /// runs a write opened inside the segment of their last read: the
+    /// word-cycles from a write to the last read of its value. ACE
+    /// lifetime where ACE's rules and the trace's coincide (docs/ACE.md).
+    pub fn live_word_cycles(&self) -> [u64; 5] {
+        let same_seg =
+            |&&(lo, hi): &&(u64, u64)| lo != 0 && (lo - 1) >> T_BITS == (hi - 1) >> T_BITS;
+        self.columns.each_ref().map(|columns| {
+            let runs = columns.iter().flat_map(|c| &c.runs);
+            runs.filter(same_seg).map(|&(lo, hi)| hi - lo).sum()
+        })
+    }
+
+    /// Bytes held by the index: per-word offsets, read runs and the
+    /// launches' slot timelines (the blobs are [`bytes`](Self::bytes)).
+    pub fn index_bytes(&self) -> u64 {
+        let columns = self.columns.iter().flatten();
+        let run = size_of::<(u64, u64)>();
+        let runs = columns.map(|c| c.offsets.len() * size_of::<usize>() + c.runs.len() * run);
+        let slots = self.launches.iter().map(|l| l.slot_events.len());
+        (runs.sum::<usize>() + slots.sum::<usize>() * size_of::<SlotEvent>()) as u64
     }
 }
 
@@ -615,5 +694,124 @@ mod tests {
         // A neighbouring untouched word is dead.
         let f2 = UarchFault { loc_pick: 24, ..f };
         assert!(matches!(tr.adjudicate(&c, 0, &f2), Verdict::Dead { .. }));
+    }
+
+    fn rf(word: u64, t: u64, write: bool) -> SegEvent {
+        SegEvent::Access {
+            h: RegFile,
+            inst: 0,
+            word,
+            t,
+            write,
+        }
+    }
+
+    /// Host glue (seg 0), then one launch (seg 1) with `events`.
+    fn one_launch(events: &[SegEvent]) -> AppTrace {
+        AppTrace::from_blobs(vec![
+            encode_segment(0, None, &[]),
+            encode_segment(1, Some((&geom(), 100)), events),
+        ])
+    }
+
+    #[test]
+    fn same_cycle_read_and_write_resolve_read_first_in_any_arrival_order() {
+        // RF word 0: written at t=2, a read and a write at t=5 arriving
+        // W-R, R-W or R-W-R, written at 6, read at 7. The read at 5 comes
+        // first whatever the order, so it consumes flips in (2, 5].
+        let (w, r) = (rf(0, 5, true), rf(0, 5, false));
+        for tie in [vec![w, r], vec![r, w], vec![r, w, r]] {
+            let events = [
+                vec![rf(0, 2, true)],
+                tie,
+                vec![rf(0, 6, true), rf(0, 7, false)],
+            ];
+            let tr = one_launch(&events.concat());
+            let live: Vec<bool> = (1..=8).map(|c| tr.live(RegFile, 0, 0, 1, c)).collect();
+            assert_eq!(live, [false, false, true, true, true, false, true, false]);
+        }
+    }
+
+    #[test]
+    fn a_host_read_is_a_read_at_the_top_of_its_host_segment() {
+        // L2 word 9: written by launch 0 at t=3; in the glue after it the
+        // host writes it and then reads it, both at (2, 0) — read first.
+        let write = |t| SegEvent::Access {
+            h: L2,
+            inst: 0,
+            word: 9,
+            t,
+            write: true,
+        };
+        let tr = AppTrace::from_blobs(vec![
+            encode_segment(0, None, &[]),
+            encode_segment(1, Some((&geom(), 10)), &[write(3)]),
+            encode_segment(2, None, &[write(0), SegEvent::HostRead { word: 9 }]),
+        ]);
+        let live = |seg, c| tr.live(L2, 0, 9, seg, c);
+        assert_eq!(
+            [live(1, 3), live(1, 4), live(2, 0), live(2, 1)],
+            [false, true, true, false]
+        );
+    }
+
+    #[test]
+    fn a_read_no_write_precedes_is_live_from_the_start() {
+        let tr = one_launch(&[rf(4, 6, false), rf(4, 8, true), rf(4, 9, false)]);
+        let live = |seg, c| tr.live(RegFile, 0, 4, seg, c);
+        assert_eq!(
+            [live(0, 0), live(1, 0), live(1, 6), live(1, 7), live(1, 9)],
+            [true, true, true, false, true]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "trace blobs must be in segment order")]
+    fn permuted_blobs_are_refused() {
+        let mut blobs = tiny_trace().blobs().to_vec();
+        blobs.swap(0, 2);
+        AppTrace::from_blobs(blobs);
+    }
+
+    #[test]
+    fn coordinates_beyond_the_caps_make_the_trace_unindexable() {
+        let fill = SegEvent::SlotFill {
+            sm: 0,
+            slot: 0,
+            t: 0,
+            initial: true,
+        };
+        let write = |h, inst, start, len, t| SegEvent::Range {
+            h,
+            inst,
+            start,
+            len,
+            t,
+            write: true,
+        };
+        for events in [
+            vec![write(RegFile, 1 << 16, 0, 1, 1)],
+            // Per-word state grows on demand: this must not allocate.
+            vec![write(RegFile, 0, 1 << 40, 1, 1)],
+            vec![write(L2, 0, (1 << 24) - 1, 2, 1)],
+            vec![write(RegFile, 0, 0, 1, 1 << 40)],
+            // A launch's times go back (the fold relies on program order).
+            vec![rf(0, 5, true), SegEvent::HostRead { word: 0 }],
+        ] {
+            let tr = one_launch(&[vec![fill], events.clone()].concat());
+            assert_eq!(
+                tr.adjudicate(&cfg(), 0, &rf_fault(1, 7)),
+                Verdict::Fallback {
+                    reason: FallbackReason::NoTrace
+                },
+                "{events:?}"
+            );
+            assert!(tr.index_bytes() < 1 << 10, "{events:?}");
+        }
+        let tr = one_launch(&[fill, write(RegFile, (1 << 16) - 1, 0, 1, 1)]);
+        assert_eq!(
+            tr.adjudicate(&cfg(), 0, &rf_fault(1, 7)),
+            Verdict::Dead { population: 64 }
+        );
     }
 }

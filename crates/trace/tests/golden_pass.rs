@@ -24,8 +24,7 @@ struct Recorded {
     ace: Option<AceProfile>,
     /// `AppSnapshots::{bytes, count, chunks}`.
     snapshots: Option<(u64, usize, (u64, u64))>,
-    /// The encoded segments: what `AppTrace::blobs` holds, without the
-    /// index build (most of a debug-build `finish`).
+    /// The encoded segments (`AppTrace::blobs`).
     trace: Option<Vec<Vec<u8>>>,
 }
 
@@ -50,7 +49,7 @@ fn timed_pass(
         golden: pass.golden,
         ace: pass.ace,
         snapshots: pass.snapshots.map(|s| (s.bytes, s.count(), s.chunks())),
-        trace: trace.then(|| builder.encode().0),
+        trace: trace.then(|| builder.finish().blobs().to_vec()),
     }
 }
 

@@ -146,10 +146,22 @@ echo "==> replay backend smoke (docs/TRACE.md)"
 # The trace-replay backend records the golden access trace, adjudicates
 # each trial's footprint deadness against it, and synthesizes masked
 # records for provably-dead trials; the assembled CSV must be
-# byte-identical to the timed backend's.
+# byte-identical to the timed backend's — on VA (one launch), BFS (many
+# launches with host glue between them, pointer chasing) and TMR VA
+# (three copies, a vote launch after every launch).
 "$CAMPAIGN" run --app VA --layer uarch --n 6 --seed 1234 --backend replay \
   --csv "$DISP/replay.csv" > /dev/null
 cmp "$DISP/single.csv" "$DISP/replay.csv"
+for target in "BFS" "VA --hardened"; do
+  tag=${target// /}
+  for backend in timed replay; do
+    # $target is split on purpose: an app name and its flags.
+    # shellcheck disable=SC2086
+    "$CAMPAIGN" run --app $target --layer uarch --n 6 --seed 1234 \
+      --backend "$backend" --csv "$DISP/$tag.$backend.csv" > /dev/null
+  done
+  cmp "$DISP/$tag.timed.csv" "$DISP/$tag.replay.csv"
+done
 
 echo "==> fault-model smoke (docs/FAULT_MODELS.md)"
 # A non-default pattern must run end to end through the CLI (that every
