@@ -26,22 +26,30 @@
 //! order). All integers are LEB128 varints, so a typical register access
 //! costs 4-6 bytes instead of the 25 of its in-memory form.
 //!
-//! The in-memory form of an event is the probe stream's own
-//! [`SegEvent`], and of a launch header its [`LaunchGeometry`]: the
-//! recorder keeps what it receives and encodes it here.
+//! There is one event encoder, `SegmentEncoder`, and it streams: the
+//! recorder hands it each probe-stream [`SegEvent`] as it arrives, and
+//! when the segment closes it writes the header (whose event count and
+//! launch cycles are only known then) in front of the body already
+//! encoded. [`encode_segment`] is its one-shot form. No segment's events
+//! are ever held in memory on the way in.
 //!
 //! [`decode_segment_lossy`] is deliberately forgiving: a truncated blob
 //! yields the longest cleanly-decodable event prefix with
 //! `complete == false`, never a panic. Decoding is the import side only
-//! (`AppTrace::from_blobs`): the recorder folds the replay index from the
-//! in-memory events of each segment it encodes, never from decoded blobs.
+//! (`AppTrace::from_blobs`), and [`SegmentEvents`] — a header and its
+//! `Vec<SegEvent>` — is its output: the recorder folds the replay index
+//! from the events it streams, never from decoded blobs.
 
 use vgpu_sim::{HwStructure, LaunchGeometry, SegEvent};
 
 /// Blob magic, little-endian `b"vtrc"`.
-pub const MAGIC: [u8; 4] = *b"vtrc";
+const MAGIC: [u8; 4] = *b"vtrc";
 /// Current blob format version.
-pub const VERSION: u8 = 1;
+const VERSION: u8 = 1;
+/// The longest header: magic, version, kind, then eight varints at most —
+/// seg and five geometry `u32`s (≤ 5 bytes each), cycles and the event
+/// count (≤ 10 each).
+const HEADER_MAX: usize = 4 + 1 + 1 + 6 * 5 + 2 * 10;
 
 const OP_ACCESS_READ: u8 = 0;
 const OP_ACCESS_WRITE: u8 = 1;
@@ -64,7 +72,7 @@ pub struct SegmentEvents {
 }
 
 /// Append `v` as a LEB128 varint.
-pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7F) as u8;
         v >>= 7;
@@ -77,7 +85,7 @@ pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Read a LEB128 varint at `*pos`, bounds- and overflow-checked.
-pub fn get_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
+fn get_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
@@ -97,36 +105,57 @@ pub fn get_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
     }
 }
 
-/// Encode one segment into a self-contained blob.
+/// Encode one segment into a self-contained blob: the one-shot form of
+/// the recorder's streaming encoder.
 pub fn encode_segment(
     seg: u32,
     launch: Option<(&LaunchGeometry, u64)>,
     events: &[SegEvent],
 ) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(16 + events.len() * 5);
-    buf.extend_from_slice(&MAGIC);
-    buf.push(VERSION);
-    buf.push(u8::from(launch.is_some()));
-    put_varint(&mut buf, u64::from(seg));
-    if let Some((g, cycles)) = launch {
-        put_varint(&mut buf, u64::from(g.warps_per_cta));
-        put_varint(&mut buf, u64::from(g.regs_per_cta));
-        put_varint(&mut buf, u64::from(g.smem_words_per_cta));
-        put_varint(&mut buf, u64::from(g.slots_per_sm));
-        put_varint(&mut buf, u64::from(g.total_ctas));
-        put_varint(&mut buf, cycles);
+    let mut enc = SegmentEncoder::with_capacity(events.len() * 5);
+    events.iter().for_each(|ev| enc.push(ev));
+    enc.finish(seg, launch)
+}
+
+/// One segment's blob, encoded as its events arrive.
+pub(crate) struct SegmentEncoder {
+    /// [`HEADER_MAX`] bytes of room for the header, then the events.
+    buf: Vec<u8>,
+    events: u64,
+    /// The time the next timed event's delta is taken from.
+    last_t: u64,
+}
+
+impl Default for SegmentEncoder {
+    fn default() -> Self {
+        Self::with_capacity(0)
     }
-    put_varint(&mut buf, events.len() as u64);
-    let mut last_t = 0u64;
-    // Cycle times are delta-encoded; `HostRead` carries none and leaves
-    // the delta chain alone.
-    let mut delta = |t: u64| {
-        debug_assert!(t >= last_t, "trace events must be t-nondecreasing");
-        let dt = t.saturating_sub(last_t);
-        last_t = last_t.max(t);
-        dt
-    };
-    for ev in events {
+}
+
+impl SegmentEncoder {
+    /// An empty segment with room for `body` bytes of events.
+    fn with_capacity(body: usize) -> Self {
+        let mut buf = Vec::with_capacity(HEADER_MAX + body);
+        buf.resize(HEADER_MAX, 0);
+        Self {
+            buf,
+            events: 0,
+            last_t: 0,
+        }
+    }
+
+    /// Append the segment's next event.
+    pub(crate) fn push(&mut self, ev: &SegEvent) {
+        let (buf, last_t) = (&mut self.buf, &mut self.last_t);
+        self.events += 1;
+        // Cycle times are delta-encoded; `HostRead` carries none and
+        // leaves the delta chain alone.
+        let mut delta = |t: u64| {
+            debug_assert!(t >= *last_t, "trace events must be t-nondecreasing");
+            let dt = t.saturating_sub(*last_t);
+            *last_t = (*last_t).max(t);
+            dt
+        };
         match *ev {
             SegEvent::Access {
                 h,
@@ -141,9 +170,9 @@ pub fn encode_segment(
                     OP_ACCESS_READ
                 };
                 buf.push(op | ((h as u8) << 4));
-                put_varint(&mut buf, u64::from(inst));
-                put_varint(&mut buf, word);
-                put_varint(&mut buf, delta(t));
+                put_varint(buf, u64::from(inst));
+                put_varint(buf, word);
+                put_varint(buf, delta(t));
             }
             SegEvent::Range {
                 h,
@@ -155,10 +184,10 @@ pub fn encode_segment(
             } => {
                 let op = if write { OP_RANGE_WRITE } else { OP_RANGE_READ };
                 buf.push(op | ((h as u8) << 4));
-                put_varint(&mut buf, u64::from(inst));
-                put_varint(&mut buf, start);
-                put_varint(&mut buf, u64::from(len));
-                put_varint(&mut buf, delta(t));
+                put_varint(buf, u64::from(inst));
+                put_varint(buf, start);
+                put_varint(buf, u64::from(len));
+                put_varint(buf, delta(t));
             }
             SegEvent::SlotFill {
                 sm,
@@ -171,23 +200,49 @@ pub fn encode_segment(
                 } else {
                     OP_SLOT_FILL
                 });
-                put_varint(&mut buf, u64::from(sm));
-                put_varint(&mut buf, u64::from(slot));
-                put_varint(&mut buf, delta(t));
+                put_varint(buf, u64::from(sm));
+                put_varint(buf, u64::from(slot));
+                put_varint(buf, delta(t));
             }
             SegEvent::SlotFree { sm, slot, t } => {
                 buf.push(OP_SLOT_FREE);
-                put_varint(&mut buf, u64::from(sm));
-                put_varint(&mut buf, u64::from(slot));
-                put_varint(&mut buf, delta(t));
+                put_varint(buf, u64::from(sm));
+                put_varint(buf, u64::from(slot));
+                put_varint(buf, delta(t));
             }
             SegEvent::HostRead { word } => {
                 buf.push(OP_HOST_READ);
-                put_varint(&mut buf, word);
+                put_varint(buf, word);
             }
         }
     }
-    buf
+
+    /// The blob of segment `seg` (a launch when `launch` is its geometry
+    /// and retired cycles): the header written into the room in front of
+    /// the events, which move up to meet it in place — the body is never
+    /// held twice.
+    pub(crate) fn finish(self, seg: u32, launch: Option<(&LaunchGeometry, u64)>) -> Vec<u8> {
+        let mut header = Vec::with_capacity(HEADER_MAX);
+        header.extend_from_slice(&MAGIC);
+        header.push(VERSION);
+        header.push(u8::from(launch.is_some()));
+        put_varint(&mut header, u64::from(seg));
+        if let Some((g, cycles)) = launch {
+            put_varint(&mut header, u64::from(g.warps_per_cta));
+            put_varint(&mut header, u64::from(g.regs_per_cta));
+            put_varint(&mut header, u64::from(g.smem_words_per_cta));
+            put_varint(&mut header, u64::from(g.slots_per_sm));
+            put_varint(&mut header, u64::from(g.total_ctas));
+            put_varint(&mut header, cycles);
+        }
+        put_varint(&mut header, self.events);
+        let mut buf = self.buf;
+        let start = HEADER_MAX - header.len();
+        buf[start..HEADER_MAX].copy_from_slice(&header);
+        buf.drain(..start);
+        buf.shrink_to_fit();
+        buf
+    }
 }
 
 fn decode_event(bytes: &[u8], pos: &mut usize, last_t: &mut u64) -> Option<SegEvent> {

@@ -7,12 +7,12 @@
 //! giving up a single bit of fidelity:
 //!
 //! 1. **Record** ([`recorder`]): one golden pass per (app variant, config)
-//!    runs with a probe sink attached, capturing every register-file,
-//!    shared-memory, and cache word access as a compact
-//!    delta/varint-encoded stream — one in-memory blob per segment (host
-//!    glue / launch), held for the life of the application's captures —
-//!    and folding each segment, as it closes, into per-word *read runs*:
-//!    the intervals from a write to the last read of its value.
+//!    runs with a probe sink attached. Every register-file, shared-memory,
+//!    and cache word access streams, as its probe batch arrives, into
+//!    per-word *read runs* — the intervals from a write to the last read
+//!    of its value — and into a compact delta/varint-encoded blob per
+//!    segment (host glue / launch; [`codec`]), held for the life of the
+//!    application's captures. No segment's events are buffered.
 //! 2. **Adjudicate** ([`replay`]): for each trial, ask the injector's own
 //!    site resolver (`vgpu_sim::resolve_site`) which words the fault
 //!    hits, and binary-search each word's read runs for the fault
@@ -32,8 +32,6 @@ pub mod codec;
 pub mod recorder;
 pub mod replay;
 
-pub use codec::{
-    decode_segment_lossy, encode_segment, get_varint, put_varint, SegmentEvents, MAGIC, VERSION,
-};
+pub use codec::{decode_segment_lossy, encode_segment, SegmentEvents};
 pub use recorder::{record_app_trace, record_trace, TraceBuilder};
 pub use replay::{AppTrace, FallbackReason, LaunchInfo, Verdict};

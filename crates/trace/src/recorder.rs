@@ -7,10 +7,10 @@
 //! the glue after each launch fills the next even segment. Launch
 //! segments additionally capture the occupancy geometry and the retired
 //! cycle count from [`ProbeEvent::LaunchBegin`] / [`ProbeEvent::LaunchEnd`].
-//! When a segment closes it is folded into the replay index
-//! (`replay::Fold`) and, beside the fold, encoded into its blob; then its
-//! events are dropped: one segment's events are alive at a time, never the
-//! application's.
+//! The recorder is a pure stream: every event of a batch goes straight
+//! into the replay index (`replay::Fold`) and the segment's encoder as it
+//! arrives, and when a segment closes only its header is written, in
+//! front of the body already encoded. No event outlives its batch.
 //!
 //! [`record_trace`] runs `kernels::golden_pass` once with the builder as
 //! its trace sink (the pass asserts bit-identity to the untraced golden
@@ -19,9 +19,9 @@
 use std::sync::{Arc, Mutex};
 
 use kernels::{golden_pass, Benchmark, GoldenRun, Sinks, Variant};
-use vgpu_sim::{GpuConfig, LaunchGeometry, ProbeEvent, SegEvent, TraceSink};
+use vgpu_sim::{GpuConfig, LaunchGeometry, ProbeEvent, TraceSink};
 
-use crate::codec::encode_segment;
+use crate::codec::SegmentEncoder;
 use crate::replay::{AppTrace, Fold};
 
 /// Accumulates the probe stream of one application run.
@@ -31,9 +31,9 @@ pub struct TraceBuilder {
     blobs: Vec<Vec<u8>>,
     fold: Fold,
     /// The open segment: `Some` for a launch (cycles filled in at
-    /// `LaunchEnd`), and its events so far.
+    /// `LaunchEnd`), and its events encoded so far.
     launch: Option<(LaunchGeometry, u64)>,
-    events: Vec<SegEvent>,
+    body: SegmentEncoder,
 }
 
 impl TraceBuilder {
@@ -41,21 +41,16 @@ impl TraceBuilder {
         Self::default()
     }
 
-    /// Close the open segment — fold it, encode it, drop its events — and
-    /// open the next one.
+    /// Close the open segment — its blob is its header in front of its
+    /// encoded events — and open the next one.
     fn close(&mut self, next: Option<(LaunchGeometry, u64)>) {
         let seg = self.blobs.len() as u32;
         let launch = std::mem::replace(&mut self.launch, next);
-        let header = launch.as_ref().map(|(g, c)| (g, *c));
-        let (fold, events) = (&mut self.fold, &self.events);
-        // Neither needs the other: the encoder runs beside the fold.
-        let blob = std::thread::scope(|s| {
-            let blob = s.spawn(|| encode_segment(seg, header, events));
-            fold.segment(seg, launch, events);
-            blob.join().unwrap_or_else(|e| std::panic::resume_unwind(e))
-        });
-        self.blobs.push(blob);
-        self.events.clear();
+        self.fold.close(launch);
+        let body = std::mem::take(&mut self.body);
+        self.blobs
+            .push(body.finish(seg, launch.as_ref().map(|(g, c)| (g, *c))));
+        self.fold.open(seg + 1, next.is_some());
     }
 
     /// Close the final segment and return the finished, indexed trace
@@ -79,7 +74,10 @@ impl TraceSink for TraceBuilder {
                     }
                     self.close(None);
                 }
-                ProbeEvent::Seg(ev) => self.events.push(ev),
+                ProbeEvent::Seg(ev) => {
+                    self.fold.event(&ev);
+                    self.body.push(&ev);
+                }
             }
         }
     }
@@ -87,11 +85,11 @@ impl TraceSink for TraceBuilder {
 
 /// Record the replay trace of one application variant: one timed golden
 /// pass with a [`TraceBuilder`] as its trace sink, returned as the
-/// finished, indexed [`AppTrace`] — the index is folded from the
-/// in-memory events of each segment as it closes, never from decoded
-/// blobs. The pass asserts bit-identity (outputs, costs, per-launch
-/// stats) against the already-captured `golden` baseline, so a trace can
-/// never silently desynchronise from the run it claims to describe.
+/// finished, indexed [`AppTrace`] — the index is folded from the probe
+/// stream as it arrives, never from decoded blobs. The pass asserts
+/// bit-identity (outputs, costs, per-launch stats) against the
+/// already-captured `golden` baseline, so a trace can never silently
+/// desynchronise from the run it claims to describe.
 pub fn record_trace(
     bench: &dyn Benchmark,
     cfg: &GpuConfig,

@@ -31,11 +31,12 @@
 //! (−∞ when none precedes it), `hi` the last read that follows the same
 //! write. A flip at position `p` is consumed iff `p` lies in one of them;
 //! writes and repeated reads inside a run leave nothing behind. [`Fold`]
-//! builds the runs in one pass over the segments in program order —
-//! per word the last write, the write before it (what a read tied with
-//! the last write follows) and the open run's last read — so they come
-//! out time-ordered per word, and a counting sort by word lays them out
-//! at the end.
+//! builds the runs in one pass over the events in program order, one
+//! event at a time — per word the last write, the write before it (what a
+//! read tied with the last write follows) and the open run's last read —
+//! so they come out time-ordered per word, and a counting sort by word
+//! lays them out at the end. Besides that per-word state, the only thing
+//! the fold holds per segment is an open launch's slot timeline.
 
 use std::cell::OnceCell;
 use std::mem::size_of;
@@ -138,8 +139,11 @@ struct Column {
 }
 
 /// The fold that builds an [`AppTrace`]'s index and launch table from
-/// its segments, fed in segment order (module docs). The recorder feeds it
-/// each segment as it closes, [`AppTrace::from_blobs`] each decoded blob.
+/// its segments' events, fed one at a time in program order (module docs):
+/// [`open`](Self::open) a segment, [`event`](Self::event) each of its
+/// events, [`close`](Self::close) it. The recorder feeds it the probe
+/// stream as it arrives, [`AppTrace::from_blobs`] each decoded blob. A
+/// fresh fold has segment 0, host glue, open.
 #[derive(Default)]
 pub(crate) struct Fold {
     /// Per structure, per instance.
@@ -148,63 +152,85 @@ pub(crate) struct Fold {
     /// Some touch exceeded the coordinate caps or went back in time; the
     /// lanes are dropped and adjudication always falls back.
     unindexable: bool,
+    /// The open segment, and the last position folded in it.
+    seg: u32,
+    last: u64,
+    /// The open launch's slot timeline so far; `None` in host glue.
+    slots: Option<Vec<SlotEvent>>,
 }
 
 impl Fold {
-    /// Fold segment `seg`: a launch when `launch` is its geometry and
+    /// Open segment `seg`, a launch when `is_launch`.
+    pub(crate) fn open(&mut self, seg: u32, is_launch: bool) {
+        self.seg = seg;
+        self.last = 0;
+        self.slots = is_launch.then(Vec::new);
+    }
+
+    /// Fold the open segment's next event.
+    pub(crate) fn event(&mut self, ev: &SegEvent) {
+        let (h, inst, start, len, t, write) = match *ev {
+            SegEvent::Access {
+                h,
+                inst,
+                word,
+                t,
+                write,
+            } => (h, inst, word, 1, t, write),
+            SegEvent::Range {
+                h,
+                inst,
+                start,
+                len,
+                t,
+                write,
+            } => (h, inst, start, len, t, write),
+            SegEvent::HostRead { word } => (HwStructure::L2, 0, word, 1, 0, false),
+            SegEvent::SlotFill {
+                sm,
+                slot,
+                t,
+                initial,
+            } => return self.slot((sm, slot, if initial { 0 } else { t + 1 }, true)),
+            SegEvent::SlotFree { sm, slot, t } => return self.slot((sm, slot, t + 1, false)),
+        };
+        if self.unindexable {
+            return;
+        }
+        let end = start.saturating_add(u64::from(len));
+        match pos(self.seg, t) {
+            Some(p) if p >= self.last && inst >> INST_BITS == 0 && end <= 1 << WORD_BITS => {
+                let lanes = &mut self.lanes[h as usize];
+                if lanes.len() <= inst as usize {
+                    lanes.resize_with(inst as usize + 1, Lane::default);
+                }
+                lanes[inst as usize].touch(start as usize, end as usize, p, write);
+                self.last = p;
+            }
+            _ => {
+                self.unindexable = true;
+                self.lanes = Default::default();
+            }
+        }
+    }
+
+    fn slot(&mut self, ev: SlotEvent) {
+        if let Some(slots) = &mut self.slots {
+            slots.push(ev);
+        }
+    }
+
+    /// Close the open segment: a launch when `launch` is its geometry and
     /// retired cycles.
-    pub(crate) fn segment(
-        &mut self,
-        seg: u32,
-        launch: Option<(LaunchGeometry, u64)>,
-        events: &[SegEvent],
-    ) {
+    pub(crate) fn close(&mut self, launch: Option<(LaunchGeometry, u64)>) {
+        let slot_events = self.slots.take().unwrap_or_default();
         if let Some((geom, cycles)) = launch {
-            let slot_events = events.iter().filter_map(slot_event).collect();
             self.launches.push(LaunchInfo {
-                seg,
+                seg: self.seg,
                 geom,
                 cycles,
                 slot_events,
             });
-        }
-        let mut last = 0;
-        for ev in events {
-            let (h, inst, start, len, t, write) = match *ev {
-                SegEvent::Access {
-                    h,
-                    inst,
-                    word,
-                    t,
-                    write,
-                } => (h, inst, word, 1, t, write),
-                SegEvent::Range {
-                    h,
-                    inst,
-                    start,
-                    len,
-                    t,
-                    write,
-                } => (h, inst, start, len, t, write),
-                SegEvent::HostRead { word } => (HwStructure::L2, 0, word, 1, 0, false),
-                SegEvent::SlotFill { .. } | SegEvent::SlotFree { .. } => continue,
-            };
-            let end = start.saturating_add(u64::from(len));
-            match pos(seg, t) {
-                _ if self.unindexable => return,
-                Some(p) if p >= last && inst >> INST_BITS == 0 && end <= 1 << WORD_BITS => {
-                    let lanes = &mut self.lanes[h as usize];
-                    if lanes.len() <= inst as usize {
-                        lanes.resize_with(inst as usize + 1, Lane::default);
-                    }
-                    lanes[inst as usize].touch(start as usize, end as usize, p, write);
-                    last = p;
-                }
-                _ => {
-                    self.unindexable = true;
-                    self.lanes = Default::default();
-                }
-            }
         }
     }
 
@@ -228,19 +254,6 @@ impl Fold {
 /// frees take effect from `t + 1` (they happen in cycle `t`'s retire
 /// stage, after that cycle's fault application point).
 type SlotEvent = (u32, u32, u64, bool);
-
-fn slot_event(ev: &SegEvent) -> Option<SlotEvent> {
-    match *ev {
-        SegEvent::SlotFill {
-            sm,
-            slot,
-            t,
-            initial,
-        } => Some((sm, slot, if initial { 0 } else { t + 1 }, true)),
-        SegEvent::SlotFree { sm, slot, t } => Some((sm, slot, t + 1, false)),
-        _ => None,
-    }
-}
 
 /// Per-launch replay info: geometry, retired cycle count, and the slot
 /// occupancy timeline the fault-site resolver needs.
@@ -339,7 +352,9 @@ impl AppTrace {
             let se = decode_segment_lossy(b).expect("trace blob header must decode");
             assert!(se.complete, "trace blob must round-trip completely");
             assert_eq!(se.seg as usize, i, "trace blobs must be in segment order");
-            fold.segment(se.seg, se.launch, &se.events);
+            fold.open(se.seg, se.launch.is_some());
+            se.events.iter().for_each(|ev| fold.event(ev));
+            fold.close(se.launch);
         }
         fold.finish(blobs)
     }

@@ -6,7 +6,9 @@
 //!   position, reads before writes at one position) at every touch position
 //!   ±1 cycle, and `live_word_cycles` a brute-force grouping of reads by the
 //!   write they follow (one run per such write, none overlapping), for the
-//!   recorder's trace and for its blobs re-imported;
+//!   recorder's trace and for its blobs re-imported; and however the
+//!   stream is batched, each blob the recorder streamed decodes to exactly
+//!   its segment's header and events;
 //! * on every application, the read runs' within-segment lengths are ACE's
 //!   register-file and shared-memory lifetimes, word-cycle for word-cycle;
 //! * K-Means' index costs its read runs, not its word touches.
@@ -17,7 +19,7 @@ use std::sync::{Arc, Mutex};
 use kernels::{all_benchmarks, golden_pass, golden_run, AceProfile, Sinks, Variant};
 use proptest::prelude::*;
 use rayon::prelude::*;
-use trace::{AppTrace, TraceBuilder};
+use trace::{decode_segment_lossy, AppTrace, SegmentEvents, TraceBuilder};
 use vgpu_sim::{
     GpuConfig, HwStructure, LaunchGeometry, ProbeEvent, SegEvent, SharedSink, TraceSink,
 };
@@ -84,24 +86,25 @@ fn arb_parts(max: usize) -> impl Strategy<Value = Vec<Part>> {
     )
 }
 
-/// Append one segment's touches: in a launch segment `t` accumulates the
-/// deltas (repeated cycles are frequent); a host segment is all `t == 0`
-/// and may carry `HostRead`s.
+/// One segment's events, and its touches appended to `touches`: in a
+/// launch segment `t` accumulates the deltas (repeated cycles are
+/// frequent) and the launch runs one cycle past the last; a host segment
+/// is all `t == 0` and may carry `HostRead`s.
 fn segment(
     parts: Vec<Part>,
     seg: u32,
-    launch: bool,
-    probe: &mut Vec<ProbeEvent>,
+    launch: Option<LaunchGeometry>,
     touches: &mut Vec<Touch>,
-) -> u64 {
+) -> SegmentEvents {
+    let mut events = Vec::new();
     let mut t = 0;
     for ((op, h, write), (inst, word, len, dt)) in parts {
         let h = HwStructure::ALL[usize::from(h)];
-        if launch {
+        if launch.is_some() {
             t += dt;
         }
         let (ev, h, inst, len, write) = match op {
-            2 if !launch => (SegEvent::HostRead { word }, HwStructure::L2, 0, 1, false),
+            2 if launch.is_none() => (SegEvent::HostRead { word }, HwStructure::L2, 0, 1, false),
             0 => {
                 let ev = SegEvent::Access {
                     h,
@@ -124,7 +127,7 @@ fn segment(
                 (ev, h, inst, len, write)
             }
         };
-        probe.push(ProbeEvent::Seg(ev));
+        events.push(ev);
         touches.extend((word..word + u64::from(len)).map(|word| Touch {
             h,
             inst,
@@ -134,7 +137,12 @@ fn segment(
             write,
         }));
     }
-    t
+    SegmentEvents {
+        seg,
+        launch: launch.map(|g| (g, t + 1)),
+        events,
+        complete: true,
+    }
 }
 
 proptest! {
@@ -153,20 +161,29 @@ proptest! {
             slots_per_sm: 1,
             total_ctas: 1,
         };
-        let (mut probe, mut touches) = (Vec::new(), Vec::new());
-        segment(prefix, 0, false, &mut probe, &mut touches);
+        let mut touches = Vec::new();
+        let mut segments = vec![segment(prefix, 0, None, &mut touches)];
         for (k, (launch, host)) in launches.into_iter().enumerate() {
             let seg = 2 * k as u32 + 1;
-            probe.push(ProbeEvent::LaunchBegin(geom));
-            let cycles = segment(launch, seg, true, &mut probe, &mut touches) + 1;
-            probe.push(ProbeEvent::LaunchEnd { cycles });
-            segment(host, seg + 1, false, &mut probe, &mut touches);
+            segments.push(segment(launch, seg, Some(geom), &mut touches));
+            segments.push(segment(host, seg + 1, None, &mut touches));
+        }
+        let mut probe = Vec::new();
+        for s in &segments {
+            probe.extend(s.launch.map(|(g, _)| ProbeEvent::LaunchBegin(g)));
+            probe.extend(s.events.iter().copied().map(ProbeEvent::Seg));
+            probe.extend(s.launch.map(|(_, cycles)| ProbeEvent::LaunchEnd { cycles }));
         }
         let mut builder = TraceBuilder::new();
         for chunk in probe.chunks(batch) {
             builder.consume(chunk);
         }
         let recorded = builder.finish();
+        // Streamed across batch boundaries, each blob is exactly its segment.
+        prop_assert_eq!(recorded.blobs().len(), segments.len());
+        for (blob, want) in recorded.blobs().iter().zip(&segments) {
+            prop_assert_eq!(decode_segment_lossy(blob).as_ref(), Some(want));
+        }
         let imported = AppTrace::from_blobs(recorded.blobs().to_vec());
         let word_cycles = oracle_word_cycles(&touches);
         for tr in [&recorded, &imported] {

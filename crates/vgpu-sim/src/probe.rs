@@ -33,8 +33,9 @@ pub struct LaunchGeometry {
 }
 
 /// One event inside a segment of the stream (a launch, or the host glue
-/// between two launches). Also the in-memory form of a recorded trace
-/// event (`crates/trace`'s codec).
+/// between two launches). Also the in-memory form of a trace event as
+/// `crates/trace`'s decoder returns it; the recorder encodes the stream's
+/// events as they arrive and never holds them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SegEvent {
     /// CTA slot `slot` of SM `sm` was (re)filled. `initial` fills happen
