@@ -37,14 +37,11 @@ pub enum Cmd {
     Paper,
     /// `campaign golden`: one fault-free run, per launch.
     Golden,
-    /// `fig12_register_reuse`: source-register injections of its own.
-    Fig12,
     AceStudy,
-    TwolevelStudy,
 }
 
 impl Cmd {
-    pub const ALL: [Cmd; 10] = [
+    pub const ALL: [Cmd; 8] = [
         Cmd::Run,
         Cmd::Merge,
         Cmd::Serve,
@@ -52,9 +49,7 @@ impl Cmd {
         Cmd::Top,
         Cmd::Paper,
         Cmd::Golden,
-        Cmd::Fig12,
         Cmd::AceStudy,
-        Cmd::TwolevelStudy,
     ];
 
     const fn bit(self) -> u16 {
@@ -62,7 +57,7 @@ impl Cmd {
     }
 
     /// `campaign` subcommand name (`a|b` when two subcommands share the
-    /// flags); `None` for a stand-alone study binary.
+    /// flags); `None` for the stand-alone `ace_study`.
     pub fn subcommand(self) -> Option<&'static str> {
         match self {
             Cmd::Run => Some("run"),
@@ -72,7 +67,7 @@ impl Cmd {
             Cmd::Top => Some("top"),
             Cmd::Paper => Some("paper|extensions"),
             Cmd::Golden => Some("golden"),
-            Cmd::Fig12 | Cmd::AceStudy | Cmd::TwolevelStudy => None,
+            Cmd::AceStudy => None,
         }
     }
 
@@ -93,13 +88,10 @@ const WORK: u16 = Cmd::Work.bit();
 const TOP: u16 = Cmd::Top.bit();
 const PAPER: u16 = Cmd::Paper.bit();
 const GOLDEN: u16 = Cmd::Golden.bit();
-const FIG12: u16 = Cmd::Fig12.bit();
 const ACE: u16 = Cmd::AceStudy.bit();
-const TWOLEVEL: u16 = Cmd::TwolevelStudy.bit();
 /// The commands that rebuild a plan from a campaign description.
 const PLAN: u16 = RUN | MERGE | SERVE;
-const STUDIES: u16 = FIG12 | ACE | TWOLEVEL;
-const EVERY: u16 = PLAN | WORK | STUDIES | PAPER;
+const EVERY: u16 = PLAN | WORK | ACE | PAPER;
 
 /// What follows a flag on the command line, with its placeholder in the
 /// usage text and the check the value must pass.
@@ -162,9 +154,9 @@ pub const FLAGS: &[Flag] = &[
     flag("--layer", Arg::Choice(layers), PLAN | GOLDEN, "injection layer: AVF (uarch, default) or SVF (sw)"),
     flag("--n", Arg::Num("N", ANY), PLAN, "injections per (kernel, target); default 100"),
     flag("--n-uarch", Arg::Num("N", SAMPLE), PAPER | ACE, "injections per (kernel, structure) in AVF campaigns (paper: default 250)"),
-    flag("--n-sw", Arg::Num("N", SAMPLE), PAPER | FIG12, "injections per kernel and fault kind in SVF campaigns (paper: default 500)"),
-    flag("--seed", Arg::Num("S", ANY), PLAN | STUDIES | PAPER, "campaign seed; every trial derives from it"),
-    flag("--sms", Arg::Num("N", 0..=u32::MAX as u64), PLAN | STUDIES | PAPER | GOLDEN, "SM count of the simulated GPU; default 4"),
+    flag("--n-sw", Arg::Num("N", SAMPLE), PAPER, "injections per kernel and fault kind in SVF campaigns (paper: default 500)"),
+    flag("--seed", Arg::Num("S", ANY), PLAN | ACE | PAPER, "campaign seed; every trial derives from it"),
+    flag("--sms", Arg::Num("N", 0..=u32::MAX as u64), PLAN | ACE | PAPER | GOLDEN, "SM count of the simulated GPU; default 4"),
     flag("--hardened", Arg::Switch, PLAN | GOLDEN, "the TMR-hardened variant of the application"),
     flag("--structures", Arg::Text("RF,SMEM,.."), PLAN | ACE, "uarch structure subset (SIMT, SCHED: stuck-at models only)"),
     flag("--fault-model", Arg::Choice(fault_models), PLAN | PAPER, "fault pattern of every trial; default single-bit"),
@@ -185,9 +177,9 @@ pub const FLAGS: &[Flag] = &[
     flag("--limit", Arg::Num("L", ANY), RUN | PAPER, "stop after L new trials, leaving a resumable checkpoint"),
     // CI-driven sizing (docs/TWOLEVEL.md).
     flag("--adaptive", Arg::Switch, RUN | SERVE, "size each stratum by CI half-width instead of --n"),
-    flag("--ci-target", Arg::Real("X"), RUN | SERVE | TWOLEVEL, "adaptive: CI half-width to reach, in (0, 1)"),
-    flag("--wave-size", Arg::Num("N", ANY), RUN | SERVE | TWOLEVEL, "adaptive: trials per unconverged stratum per wave"),
-    flag("--max-trials", Arg::Num("N", ANY), RUN | SERVE | TWOLEVEL, "adaptive: trial cap per stratum"),
+    flag("--ci-target", Arg::Real("X"), RUN | SERVE, "adaptive: CI half-width to reach, in (0, 1)"),
+    flag("--wave-size", Arg::Num("N", ANY), RUN | SERVE, "adaptive: trials per unconverged stratum per wave"),
+    flag("--max-trials", Arg::Num("N", ANY), RUN | SERVE, "adaptive: trial cap per stratum"),
     // Coordinator (docs/DISPATCH.md).
     flag("--listen", Arg::Addr, SERVE, "coordinator bind address; default 127.0.0.1:0"),
     flag("--port-file", Arg::Text("PATH"), SERVE, "write the bound port here (write-then-rename)"),
@@ -195,7 +187,7 @@ pub const FLAGS: &[Flag] = &[
     flag("--backoff-ms", Arg::Num("MS", POSITIVE), SERVE, "first reassignment backoff; default 250"),
     flag("--max-backoff-ms", Arg::Num("MS", ANY), SERVE, "backoff ceiling; default 5000"),
     flag("--wait-ms", Arg::Num("MS", POSITIVE), SERVE, "poll interval told to idle workers; default 200"),
-    flag("--out-dir", Arg::Text("DIR"), SERVE | PAPER | STUDIES, "serve: shard journals under DIR; paper, extensions (required), studies: CSVs + journal/"),
+    flag("--out-dir", Arg::Text("DIR"), SERVE | PAPER | ACE, "serve: shard journals under DIR; paper, extensions (required), ace_study: CSVs + journal/"),
     flag("--telemetry-port", Arg::Num("PORT", PORT), SERVE | WORK, "mount /metrics and /status on 127.0.0.1:PORT (0 = any)"),
     flag("--telemetry-port-file", Arg::Text("PATH"), SERVE | WORK, "write the bound telemetry port here"),
     // Worker.
@@ -208,12 +200,9 @@ pub const FLAGS: &[Flag] = &[
     // Fleet view.
     flag("--interval-ms", Arg::Num("MS", POSITIVE), TOP, "poll interval; default 1000"),
     flag("--iterations", Arg::Num("N", ANY), TOP, "stop after N polls (0 = until the campaign is done)"),
-    // Study binaries.
-    flag("--apps", Arg::Text("VA,NW,.."), ACE | TWOLEVEL | PAPER, "suite subset"),
-    flag("--check", Arg::Switch, ACE | TWOLEVEL, "gate on the acceptance thresholds (exit 1 when unmet)"),
-    flag("--n-ref", Arg::Num("N", POSITIVE), TWOLEVEL, "full-injection reference trials per kernel"),
-    flag("--n-class", Arg::Num("N", POSITIVE), TWOLEVEL, "two-level trials per (kernel, instruction class)"),
-    flag("--reps", Arg::Num("N", POSITIVE), TWOLEVEL, "bootstrap replicates for the app-level CI"),
+    // Figure sets and the ACE study.
+    flag("--apps", Arg::Text("VA,NW,.."), ACE | PAPER, "suite subset"),
+    flag("--check", Arg::Switch, ACE, "gate on the acceptance threshold (exit 1 when unmet)"),
 ];
 
 /// CLI/validation error: one line on stderr, exit 2.
@@ -366,12 +355,6 @@ pub fn parse_or_exit(cmd: Cmd, args: &[String]) -> Parsed {
     parsed
 }
 
-/// [`parse_or_exit`] over this process's own arguments, for the study
-/// binaries (which have no subcommand level).
-pub fn from_env(cmd: Cmd) -> Parsed {
-    parse_or_exit(cmd, &std::env::args().skip(1).collect::<Vec<_>>())
-}
-
 impl Parsed {
     /// The value of `name` as given last, if it was given at all.
     pub fn text(&self, name: &str) -> Option<&str> {
@@ -469,8 +452,8 @@ impl Parsed {
         }
     }
 
-    /// The configuration of the fixed-size AVF + SVF campaigns of the
-    /// figure sets and the study binaries. Defaults are sized so every
+    /// The configuration of the fixed-size campaigns of the figure sets and
+    /// `ace_study`. Defaults are sized so every
     /// figure regenerates in minutes on a laptop; pass larger counts to
     /// tighten confidence intervals (the paper used 3,000 injections per
     /// target at ±2.35%, 99% confidence), up to [`MAX_N`].
@@ -485,7 +468,7 @@ impl Parsed {
         }
     }
 
-    /// Where a study binary writes its CSVs: `--out-dir`, or the
+    /// Where `ace_study` writes its CSV and journals: `--out-dir`, or the
     /// checked-in `results/`.
     pub fn results_dir(&self) -> PathBuf {
         self.path("--out-dir").unwrap_or_else(crate::results_dir)

@@ -1,8 +1,9 @@
 //! The journaled campaign driver: the one piece of code that runs a suite
 //! campaign for a file under `results/`.
 //!
-//! A campaign is named by its [`Key`] — what, besides the run's sample
-//! sizes, seed and watchdog, determines its records — and journaled at
+//! A campaign is named by its [`Key`] — what, besides the run's seed and
+//! watchdog, determines its records: application, targets, variant, fault
+//! pattern, GPU size and trials per stratum — and journaled at
 //! `DIR/journal/<name>.jsonl` in the checkpoint format, `<name>` derived
 //! from the key ([`Key::name`]). The journal is both checkpoint and
 //! resume file: a killed run re-invoked with the same command line
@@ -26,6 +27,7 @@ use relia::{
     records_fingerprint, AppCaptures, CampaignCfg, EngineCfg, PvfAppResult, ShardRun, SvfAppResult,
     Table, UarchAppResult, SVF_KINDS,
 };
+use stat::{StrataRecords, CLASS_KINDS};
 use vgpu_sim::{FaultPattern, GpuConfig, HwStructure, SwFaultKind};
 
 /// Runtime failure: the request was well-formed but executing it failed.
@@ -82,76 +84,105 @@ pub fn write_csv(table: &Table, path: &Path) {
     eprintln!("[campaign] wrote {}", path.display());
 }
 
-/// The vulnerability factor a campaign measures: which layer it injects
-/// at and into which targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Metric {
+/// Figure 12's pair: a source-register flip that lasts one instruction
+/// (instantaneous) and one every later reader sees (reuse-replicating).
+pub const SRC_KINDS: [SwFaultKind; 2] = [SwFaultKind::SrcTransient, SwFaultKind::SrcPersistent];
+
+/// The sets of software fault kinds a key may name, in run order, each
+/// with the suffix it adds to the campaign's name: SVF, PVF (arbitrary
+/// architectural registers), Figure 12's source-register pair and the
+/// two-level model's instruction classes.
+const KIND_SETS: [(&[SwFaultKind], &str); 4] = [
+    (&SVF_KINDS, ""),
+    (&[SwFaultKind::ArchState], ".pvf"),
+    (&SRC_KINDS, ".src"),
+    (&CLASS_KINDS, ".classes"),
+];
+
+/// What a campaign injects into; the layer follows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Targets {
     /// Microarchitecture level, the five storage structures.
-    Avf,
-    /// Software level, the standard destination-value kinds.
-    Svf,
-    /// Software level, arbitrary architectural registers (`.pvf`).
-    Pvf,
+    Structures,
+    /// Software level, one of the sets of fault kinds of [`KIND_SETS`].
+    Kinds(&'static [SwFaultKind]),
 }
 
-impl Metric {
+impl Targets {
     pub fn layer(self) -> Layer {
         match self {
-            Metric::Avf => Layer::Uarch,
-            Metric::Svf | Metric::Pvf => Layer::Sw,
+            Targets::Structures => Layer::Uarch,
+            Targets::Kinds(_) => Layer::Sw,
         }
+    }
+
+    /// Position in run order and name suffix.
+    fn rank(self) -> (usize, &'static str) {
+        let Targets::Kinds(kinds) = self else {
+            return (0, "");
+        };
+        let i = (KIND_SETS.iter().position(|&(set, _)| set == kinds))
+            .unwrap_or_else(|| panic!("{kinds:?} is not a set of KIND_SETS"));
+        (1 + i, KIND_SETS[i].1)
     }
 }
 
-/// What determines a campaign's records, given the run's sample sizes,
-/// seed and watchdog.
+/// What determines a campaign's records, given the run's seed and
+/// watchdog.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Key {
     pub app: &'static str,
-    pub metric: Metric,
+    pub targets: Targets,
     pub hardened: bool,
     pub pattern: FaultPattern,
     pub sms: u32,
+    /// Trials per (kernel, target).
+    pub n: usize,
 }
 
 impl Key {
-    /// The campaign of (`app`, `metric`, variant) at the run's own
-    /// `--fault-model` and `--sms`.
-    pub fn of(cfg: &CampaignCfg, app: &'static str, metric: Metric, hardened: bool) -> Key {
+    /// The campaign of (`app`, `targets`, variant) at the run's own
+    /// `--fault-model`, `--sms` and `--n-uarch` / `--n-sw`.
+    pub fn of(cfg: &CampaignCfg, app: &'static str, targets: Targets, hardened: bool) -> Key {
         Key {
             app,
-            metric,
+            targets,
             hardened,
             pattern: cfg.pattern,
             sms: cfg.gpu.num_sms,
+            n: cfg.n(targets.layer()),
         }
     }
 
     /// `<app>.<uarch|sw>.<base|tmr>`, then a suffix for each thing that
-    /// differs from the standard campaign at the run's flags: `.pvf`,
-    /// `.<pattern>`, `.sms<k>`. The campaign's name in the manifest and
-    /// the stem of its journal file.
+    /// differs from the standard campaign at the run's flags: the target
+    /// set's (`.pvf`, `.src`, `.classes`), `.<pattern>`, `.sms<k>`,
+    /// `.n<n>`. The campaign's name in the manifest and the stem of its
+    /// journal file.
     pub fn name(&self, cfg: &CampaignCfg) -> String {
-        let layer = self.metric.layer().label();
-        let mut name = format!("{}.{layer}.{}", self.app, variant_label(self.hardened));
-        if self.metric == Metric::Pvf {
-            name.push_str(".pvf");
-        }
+        let layer = self.targets.layer();
+        let (_, suffix) = self.targets.rank();
+        let variant = variant_label(self.hardened);
+        let mut name = format!("{}.{}.{variant}{suffix}", self.app, layer.label());
         if self.pattern != cfg.pattern {
             name.push_str(&format!(".{}", self.pattern.label()));
         }
         if self.sms != cfg.gpu.num_sms {
             name.push_str(&format!(".sms{}", self.sms));
         }
+        if self.n != cfg.n(layer) {
+            name.push_str(&format!(".n{}", self.n));
+        }
         name
     }
 
     /// Run order: application by application in suite order, and within
     /// one the keys that share a captures handle next to each other.
-    fn order(&self) -> (Option<usize>, bool, Metric, u32, Option<usize>) {
+    fn order(&self) -> (Option<usize>, bool, usize, u32, Option<usize>, usize) {
         let app = all_benchmarks().iter().position(|b| b.name() == self.app);
         let pattern = FaultPattern::ALL.iter().position(|&p| p == self.pattern);
-        (app, self.hardened, self.metric, self.sms, pattern)
+        let (targets, _) = self.targets.rank();
+        (app, self.hardened, targets, self.sms, pattern, self.n)
     }
 }
 
@@ -162,10 +193,13 @@ pub enum Assembled {
     Avf(UarchAppResult, Arc<GoldenRun>),
     Svf(SvfAppResult),
     Pvf(PvfAppResult),
+    /// Any other set of fault kinds: the records, stratum by stratum.
+    Strata(StrataRecords),
 }
 
 impl Assembled {
-    /// The result of a [`Metric::Avf`] campaign, with its golden run.
+    /// The result of a [`Targets::Structures`] campaign, with its golden
+    /// run.
     pub fn avf(&self) -> (&UarchAppResult, &Arc<GoldenRun>) {
         match self {
             Assembled::Avf(result, golden) => (result, golden),
@@ -173,7 +207,7 @@ impl Assembled {
         }
     }
 
-    /// The result of a [`Metric::Svf`] campaign.
+    /// The result of an SVF campaign.
     pub fn svf(&self) -> &SvfAppResult {
         match self {
             Assembled::Svf(result) => result,
@@ -181,11 +215,19 @@ impl Assembled {
         }
     }
 
-    /// The result of a [`Metric::Pvf`] campaign.
+    /// The result of a PVF campaign.
     pub fn pvf(&self) -> &PvfAppResult {
         match self {
             Assembled::Pvf(result) => result,
             _ => panic!("not a PVF campaign"),
+        }
+    }
+
+    /// The records of a campaign of another set of fault kinds.
+    pub fn strata(&self) -> &StrataRecords {
+        match self {
+            Assembled::Strata(result) => result,
+            _ => panic!("not a campaign kept by stratum"),
         }
     }
 }
@@ -266,12 +308,16 @@ impl<'a> Driver<'a> {
             .find(|b| b.name() == key.app)
             .expect("a key names one of the driver's applications")
             .as_ref();
-        let cfg = CampaignCfg {
+        let layer = key.targets.layer();
+        let mut cfg = CampaignCfg {
             gpu: GpuConfig::volta_scaled(key.sms),
             pattern: key.pattern,
             ..self.cfg.clone()
         };
-        let layer = key.metric.layer();
+        match layer {
+            Layer::Uarch => cfg.n_uarch = key.n,
+            Layer::Sw => cfg.n_sw = key.n,
+        }
         let held = self.captures.take();
         let captures = match held.filter(|c| c.is_for(bench, &cfg.gpu, layer, key.hardened)) {
             Some(shared) => shared,
@@ -279,10 +325,9 @@ impl<'a> Driver<'a> {
             None => AppCaptures::new(bench, &cfg.gpu, layer, key.hardened),
         };
         self.captures = Some(captures.clone());
-        let prep = match key.metric {
-            Metric::Avf => plan_uarch(&captures, &cfg, &HwStructure::ALL),
-            Metric::Svf => plan_sw(&captures, &cfg, &SVF_KINDS),
-            Metric::Pvf => plan_sw(&captures, &cfg, &[SwFaultKind::ArchState]),
+        let prep = match key.targets {
+            Targets::Structures => plan_uarch(&captures, &cfg, &HwStructure::ALL),
+            Targets::Kinds(kinds) => plan_sw(&captures, &cfg, kinds),
         };
         let journal = self.journals.join(format!("{name}.jsonl"));
         let run = execute_journaled(
@@ -293,12 +338,17 @@ impl<'a> Driver<'a> {
             Some(journal),
         );
         let records = &run.records;
-        let result = match key.metric {
-            Metric::Avf => {
+        let result = match key.targets {
+            Targets::Structures => {
                 assemble_uarch(&prep, records).map(|r| Assembled::Avf(r, prep.golden.clone()))
             }
-            Metric::Svf => assemble_sw(&prep, records).map(Assembled::Svf),
-            Metric::Pvf => assemble_pvf(&prep, records).map(Assembled::Pvf),
+            Targets::Kinds(kinds) if *kinds == SVF_KINDS => {
+                assemble_sw(&prep, records).map(Assembled::Svf)
+            }
+            Targets::Kinds([SwFaultKind::ArchState]) => {
+                assemble_pvf(&prep, records).map(Assembled::Pvf)
+            }
+            Targets::Kinds(_) => StrataRecords::assemble(&prep, records).map(Assembled::Strata),
         }
         .unwrap_or_else(|e| fail(&format!("{name}: {e}")));
         self.done.push(Campaign {

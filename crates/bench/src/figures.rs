@@ -9,10 +9,13 @@
 //! Table I), each a function of one [`AppResults`] per application — the
 //! four campaigns the paper runs on it (AVF and SVF, unprotected and
 //! TMR-hardened) plus the fault-free run its utilization profile is read
-//! from. [`EXTENSIONS`] is the set beyond the paper: the three-layer
-//! comparison, the sizing ablation and the fault-model ranking study,
-//! which read the same unprotected campaigns plus their own variants
-//! (PVF targets, other fault patterns, other SM counts). [`manifest`]
+//! from — and Figure 12: the static register-reuse sets and the
+//! Section V-B proposal measured by one source-register campaign per
+//! application. [`EXTENSIONS`] is the set beyond the paper: the
+//! three-layer comparison, the sizing ablation, the fault-model ranking
+//! study and the two-level study, which read the same unprotected
+//! campaigns plus their own variants (PVF targets, other fault patterns,
+//! other SM counts, instruction-class strata). [`manifest`]
 //! records what a set of CSVs was made from: the flags that determine the
 //! records, every campaign's plan and record fingerprints, and a content
 //! hash per CSV — all deterministic, so two runs at the same flags write
@@ -25,13 +28,16 @@ use std::sync::Arc;
 use ace::spearman;
 use kernels::{all_benchmarks, GoldenRun};
 use relia::plan::{variant_label, Layer};
+use relia::reuse::{figure12_kernel, readers_until_redef};
 use relia::{
     compare_pairs, kernel_metrics, normalized_pair, pair_shares, pct, pct4, CampaignCfg,
-    ClassRates, HardeningComparison, KernelHardeningRow, Table, TrendItem,
+    ClassRates, Confidence, HardeningComparison, KernelHardeningRow, Table, TrendItem, SVF_KINDS,
 };
-use vgpu_sim::{FaultPattern, GpuConfig, HwStructure};
+use stat::{AdaptiveCfg, Interval, CLASS_KINDS, DEFAULT_BOOTSTRAP_REPS};
+use vgpu_arch::Reg;
+use vgpu_sim::{FaultPattern, GpuConfig, HwStructure, SwFaultKind};
 
-use crate::driver::{Assembled, Campaign, Key, Metric};
+use crate::driver::{Assembled, Campaign, Key, Targets, SRC_KINDS};
 
 /// Injections per (kernel, structure) of the results of record under
 /// `results/`, and the default `--n-uarch` of the commands that write
@@ -59,7 +65,8 @@ fn suite() -> Vec<&'static str> {
 /// unprotected then TMR.
 fn paper_keys(cfg: &CampaignCfg, apps: impl IntoIterator<Item = &'static str>) -> Vec<Key> {
     let of = |app, hardened| {
-        [Metric::Avf, Metric::Svf].map(move |metric| Key::of(cfg, app, metric, hardened))
+        [Targets::Structures, Targets::Kinds(&SVF_KINDS)]
+            .map(move |targets| Key::of(cfg, app, targets, hardened))
     };
     (apps.into_iter())
         .flat_map(|app| [of(app, false), of(app, true)])
@@ -89,9 +96,9 @@ fn app_results(results: &[&Assembled]) -> Vec<AppResults> {
 /// A pure function of the results of the applications that were run.
 type Projection<T> = fn(&[AppResults], &GpuConfig) -> T;
 
-/// An extension's table, with the summary lines printed under it, from
-/// the results of its keys in key order.
-type ExtensionTable = fn(&CampaignCfg, &[&Assembled]) -> (Table, String);
+/// A figure's table, with the summary lines printed under it, from the
+/// results of its keys in key order.
+type KeyedTable = fn(&CampaignCfg, &[&Assembled]) -> (Table, String);
 
 /// One CSV under `results/`.
 pub struct Figure {
@@ -104,14 +111,16 @@ enum Source {
     Suite(Projection<Table>),
     /// Figure 3: two kernels (application, kernel index) side by side.
     KernelPair(&'static str, [(&'static str, usize); 2]),
-    /// An extension: the keys it reads at the run's flags, and its table.
-    Extension(fn(&CampaignCfg) -> Vec<Key>, ExtensionTable),
+    /// Any other figure: the keys it reads at the run's flags, and its
+    /// table.
+    Keyed(fn(&CampaignCfg) -> Vec<Key>, KeyedTable),
 }
-use Source::{Extension, KernelPair, Suite};
+use Source::{KernelPair, Keyed, Suite};
 
-/// Every injection-derived artifact of the paper, in the paper's order.
+/// Every injection-derived artifact of the paper, in the paper's order,
+/// and Figure 12's static reuse sets.
 #[rustfmt::skip]
-pub const FIGURES: [Figure; 13] = [
+pub const FIGURES: [Figure; 15] = [
     Figure { file: "fig01_app_avf_svf.csv", source: Suite(fig01) },
     Figure { file: "fig02_kernel_avf_svf.csv", source: Suite(fig02) },
     Figure { file: "fig03a.csv", source: KernelPair("Figure 3a: HotSpot K1 vs LUD K1 (opposite trend)", [("HotSpot", 0), ("LUD", 0)]) },
@@ -125,15 +134,18 @@ pub const FIGURES: [Figure; 13] = [
     Figure { file: "fig09_hardened_due_timeout.csv", source: Suite(fig09) },
     Figure { file: "fig10_structure_breakdown.csv", source: Suite(fig10) },
     Figure { file: "fig11_control_path.csv", source: Suite(fig11) },
+    Figure { file: "fig12_reuse_sets.csv", source: Keyed(no_keys, fig12_reuse_sets) },
+    Figure { file: "fig12_src_injection_modes.csv", source: Keyed(src_keys, fig12_src) },
 ];
 
-/// The extension studies (EXPERIMENTS.md, "Extensions beyond the paper")
-/// that are projections of suite campaigns.
+/// The extension studies (EXPERIMENTS.md, "Extensions beyond the paper"),
+/// all projections of suite campaigns.
 #[rustfmt::skip]
-pub const EXTENSIONS: [Figure; 3] = [
-    Figure { file: "layers_study.csv", source: Extension(layers_keys, layers) },
-    Figure { file: "ablation_sizing.csv", source: Extension(ablation_keys, ablation) },
-    Figure { file: "fig_fault_model_ranking.csv", source: Extension(fault_model_keys, fault_model) },
+pub const EXTENSIONS: [Figure; 4] = [
+    Figure { file: "layers_study.csv", source: Keyed(layers_keys, layers) },
+    Figure { file: "ablation_sizing.csv", source: Keyed(ablation_keys, ablation) },
+    Figure { file: "fig_fault_model_ranking.csv", source: Keyed(fault_model_keys, fault_model) },
+    Figure { file: "fig_twolevel.csv", source: Keyed(twolevel_keys, twolevel) },
 ];
 
 impl Figure {
@@ -142,12 +154,12 @@ impl Figure {
         match self.source {
             Suite(_) => paper_keys(cfg, suite()),
             KernelPair(_, [(a, _), (b, _)]) => paper_keys(cfg, [a, b]),
-            Extension(keys, _) => keys(cfg),
+            Keyed(keys, _) => keys(cfg),
         }
     }
 
     /// The figure over the campaigns of a run at flags `cfg`, with the
-    /// summary lines to print under it (extensions only), or `None` when
+    /// summary lines to print under it (keyed figures only), or `None` when
     /// a campaign it reads is not among them.
     pub fn render(&self, campaigns: &[Campaign], cfg: &CampaignCfg) -> Option<(Table, String)> {
         let result = |key: &Key| Some(&campaigns.iter().find(|c| c.key == *key)?.result);
@@ -160,7 +172,7 @@ impl Figure {
                 let table = fig03(title, (&apps[0], ka), (&apps[1], kb), &cfg.gpu);
                 (table, String::new())
             }
-            Extension(_, table) => table(cfg, &results),
+            Keyed(_, table) => table(cfg, &results),
         })
     }
 }
@@ -432,13 +444,73 @@ fn fig11(results: &[AppResults], gpu: &GpuConfig) -> Table {
     })
 }
 
+fn no_keys(_: &CampaignCfg) -> Vec<Key> {
+    Vec::new()
+}
+
+/// Figure 12: the register-reuse sets of the paper's ten-instruction
+/// snippet — the instructions a flip of a source register reaches before
+/// the register is rewritten (Section V-B's red circles) — with the
+/// snippet's disassembly as the summary.
+fn fig12_reuse_sets(_: &CampaignCfg, _: &[&Assembled]) -> (Table, String) {
+    let k = figure12_kernel();
+    let mut t = Table::new(
+        "Figure 12: register-reuse sets (fault at instruction #4)",
+        &["Register", "Fault at", "Affected instructions"],
+    );
+    for (reg, at) in [(Reg(0), 3usize), (Reg(3), 3), (Reg(2), 4)] {
+        let readers: Vec<String> = (readers_until_redef(&k, at, reg).iter())
+            .map(|i| format!("#{}", i + 1))
+            .collect();
+        t.row(vec![
+            format!("R{}", reg.0),
+            format!("#{}", at + 1),
+            readers.join(" "),
+        ]);
+    }
+    (t, k.disassemble())
+}
+
+fn src_keys(cfg: &CampaignCfg) -> Vec<Key> {
+    let key = |app| Key::of(cfg, app, Targets::Kinds(&SRC_KINDS), false);
+    suite().into_iter().map(key).collect()
+}
+
+/// Section V-B's proposal, quantified: per application, the failure rate
+/// of source-register flips that last one instruction (what software-level
+/// injectors model) against flips every later reader of the register sees
+/// (what the proposed reuse analyzer replicates). Each kernel's rate is
+/// weighted by its source-reading instructions.
+fn fig12_src(_: &CampaignCfg, results: &[&Assembled]) -> (Table, String) {
+    let mut t = Table::new(
+        "Source-register injection: instantaneous (SrcTransient) vs reuse-replicating (SrcPersistent) failure rates, %",
+        &["App", "FR transient", "FR persistent", "underestimation (pp)"],
+    );
+    let mut higher = 0;
+    for r in results.iter().map(|r| r.strata()) {
+        let [transient, persistent] = SRC_KINDS.map(|kind| r.app_rates(kind).total());
+        higher += (persistent > transient) as usize;
+        let gap = format!("{:+.2}", (persistent - transient) * 100.0);
+        t.row(vec![r.app.clone(), pct(transient), pct(persistent), gap]);
+    }
+    let summary = format!(
+        "reuse-replicating above instantaneous in {higher} of {} applications",
+        results.len()
+    );
+    (t, summary)
+}
+
 // ---------------------------------------------------------------------
 // Extensions beyond the paper
 // ---------------------------------------------------------------------
 
 fn layers_keys(cfg: &CampaignCfg) -> Vec<Key> {
-    let metrics = [Metric::Svf, Metric::Pvf, Metric::Avf];
-    let of_app = |app| metrics.map(|metric| Key::of(cfg, app, metric, false));
+    let targets = [
+        Targets::Kinds(&SVF_KINDS),
+        Targets::Kinds(&[SwFaultKind::ArchState]),
+        Targets::Structures,
+    ];
+    let of_app = |app| targets.map(|targets| Key::of(cfg, app, targets, false));
     suite().into_iter().flat_map(of_app).collect()
 }
 
@@ -496,7 +568,7 @@ const ABLATION_APPS: [&str; 3] = ["HotSpot", "LUD", "SCP"];
 const ABLATION_SMS: [u32; 3] = [2, 4, 8];
 
 fn ablation_keys(cfg: &CampaignCfg) -> Vec<Key> {
-    let key = |app| Key::of(cfg, app, Metric::Avf, false);
+    let key = |app| Key::of(cfg, app, Targets::Structures, false);
     let of_sizing = |sms| ABLATION_APPS.map(|app| Key { sms, ..key(app) });
     ABLATION_SMS.into_iter().flat_map(of_sizing).collect()
 }
@@ -658,6 +730,104 @@ fn fault_model(cfg: &CampaignCfg, results: &[&Assembled]) -> (Table, String) {
     (t, summary.join("\n"))
 }
 
+/// Trials per (kernel, instruction class) of the two-level study's class
+/// campaign, and the adaptive arm's cap, unless `--n-sw` is smaller.
+const TWOLEVEL_CAP: usize = 128;
+/// The two-level arm's sample per (kernel, instruction class).
+const TWOLEVEL_N: usize = 24;
+
+fn twolevel_keys(cfg: &CampaignCfg) -> Vec<Key> {
+    let of_app = |app| {
+        let svf = Key::of(cfg, app, Targets::Kinds(&SVF_KINDS), false);
+        let classes = Key {
+            targets: Targets::Kinds(&CLASS_KINDS),
+            n: cfg.n_sw.min(TWOLEVEL_CAP),
+            ..svf.clone()
+        };
+        [svf, classes]
+    };
+    suite().into_iter().flat_map(of_app).collect()
+}
+
+/// The two-level SDC model (docs/TWOLEVEL.md) against full injection, per
+/// kernel, with three arms that each read one campaign:
+///
+/// - **full** — the SVF campaign's dest-value stratum, the reference;
+/// - **two-level** — the first [`TWOLEVEL_N`] trials of every instruction
+///   class, class rates propagated through population shares (Wilson
+///   band per class; bootstrap interval per application in the summary);
+/// - **adaptive** — the class strata sized by CI (±0.1, waves of 8, cap
+///   [`TWOLEVEL_CAP`]), replayed over the class campaign's records, and
+///   the uniform design with the same guarantee (every class stratum of
+///   the kernel at its worst stratum's count).
+fn twolevel(cfg: &CampaignCfg, results: &[&Assembled]) -> (Table, String) {
+    let mut t = Table::new(
+        format!(
+            "Two-level vs full-injection SDC per kernel (seed {:#x})",
+            cfg.seed
+        ),
+        &[
+            "app",
+            "kernel",
+            "full_sdc",
+            "twolevel_sdc",
+            "twolevel_lo",
+            "twolevel_hi",
+            "err_twolevel",
+            "full_trials",
+            "twolevel_trials",
+            "adaptive_trials",
+            "adaptive_uniform",
+        ],
+    );
+    let cap = cfg.n_sw.min(TWOLEVEL_CAP);
+    let acfg = AdaptiveCfg::new(0.1, 8.min(cap), cap);
+    let mut summary = Vec::new();
+    let (mut fulls, mut twos, mut adaptive_total, mut uniform_total) = (vec![], vec![], 0, 0);
+    for of_app in results.chunks(2) {
+        let (full, classes) = (of_app[0].svf(), of_app[1].strata());
+        let two = classes.two_level(TWOLEVEL_N, Confidence::C95, DEFAULT_BOOTSTRAP_REPS);
+        let adaptive = classes.adaptive(&acfg);
+        for (k, (kf, kt)) in full.kernels.iter().zip(&two.kernels).enumerate() {
+            let sizes = (adaptive.strata.iter().filter(|s| s.kernel_idx == k)).map(|s| s.n);
+            let trials: usize = sizes.clone().sum();
+            let uniform = sizes.clone().max().unwrap_or(0) * sizes.count();
+            let band = |end: fn(&Interval) -> f64| -> f64 {
+                kt.classes.iter().map(|c| c.share * end(&c.sdc_ci)).sum()
+            };
+            let (f, two_sdc) = (kf.counts.rates().sdc, kt.sdc());
+            let (lo, hi) = (band(|i| i.lo), band(|i| i.hi));
+            let rates = [f, two_sdc, lo, hi, (two_sdc - f).abs()].map(|x| format!("{x:.6}"));
+            let n_two = kt.classes.len() * TWOLEVEL_N.min(cap);
+            let counts =
+                [kf.counts.total() as usize, n_two, trials, uniform].map(|n| n.to_string());
+            let cells = [kf.kernel.clone()].into_iter().chain(rates).chain(counts);
+            t.row(row(full.app.clone(), cells));
+            fulls.push(f);
+            twos.push(two_sdc);
+            adaptive_total += trials;
+            uniform_total += uniform;
+        }
+        summary.push(format!(
+            "{}: two-level SDC {:.4} in [{:.4}, {:.4}] (bootstrap, 95%); adaptive {} waves",
+            two.app, two.sdc, two.sdc_ci.lo, two.sdc_ci.hi, adaptive.waves,
+        ));
+    }
+    let rho = spearman(&twos, &fulls).map_or("undefined".to_string(), |r| format!("{r:.4}"));
+    let errors = fulls.iter().zip(&twos).map(|(f, t)| (t - f).abs());
+    let mae = errors.sum::<f64>() / fulls.len().max(1) as f64;
+    summary.push(format!(
+        "spearman(two-level, full) = {rho}, MAE {mae:.6} over {} kernels",
+        fulls.len()
+    ));
+    summary.push(format!(
+        "adaptive (CI ±{}): {adaptive_total} trials vs uniform {uniform_total} -> savings {:.2}x",
+        acfg.ci_target,
+        uniform_total as f64 / adaptive_total.max(1) as f64
+    ));
+    (t, summary.join("\n"))
+}
+
 /// `MANIFEST.csv` / `MANIFEST.extensions.csv`: what a directory of figure
 /// CSVs was made from. `flag` rows are the settings that determine the
 /// records (the backend is not one: records are identical on every
@@ -723,7 +893,7 @@ pub fn wall(campaigns: &[Campaign]) -> Table {
     for layer in [Layer::Uarch, Layer::Sw] {
         for hardened in [false, true] {
             let kind: Vec<&Campaign> = (campaigns.iter())
-                .filter(|c| c.key.metric.layer() == layer && c.key.hardened == hardened)
+                .filter(|c| c.key.targets.layer() == layer && c.key.hardened == hardened)
                 .collect();
             if !kind.is_empty() {
                 let name = format!("total.{}.{}", layer.label(), variant_label(hardened));

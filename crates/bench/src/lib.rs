@@ -1,15 +1,15 @@
-//! Shared plumbing for the `campaign` driver and the study binaries.
+//! Shared plumbing for the `campaign` driver and `ace_study`.
 //!
 //! `campaign paper` regenerates every injection-derived artifact of the
-//! paper's evaluation section (Figures 1–5, 7–11, Table I; DESIGN.md's
+//! paper's evaluation section (Figures 1–5, 7–12, Table I; DESIGN.md's
 //! per-experiment index) and `campaign extensions` the extension studies
-//! built on the same campaigns, both from one journaled record set per
-//! campaign ([`driver`]) — the tables are the pure functions of
-//! [`figures`]. The stand-alone binaries cover what is not a projection of
-//! suite campaigns (Figure 12, the ACE and two-level estimators). All of
-//! them take their flags from the one table in [`cli`], print aligned text
-//! tables to stdout and write CSVs to `--out-dir` (the studies default to
-//! the checked-in `results/`).
+//! built on the same campaigns (the two-level estimator among them), both
+//! from one journaled record set per campaign ([`driver`]) — the tables
+//! are the pure functions of [`figures`]. `ace_study` adds the analytic
+//! ACE estimate, which no campaign yields, next to the journaled AVF
+//! campaigns. Both take their flags from the one table in [`cli`], print
+//! aligned text tables to stdout and write CSVs to `--out-dir`
+//! (`ace_study` defaults to the checked-in `results/`).
 
 pub mod cli;
 pub mod driver;

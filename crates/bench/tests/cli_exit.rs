@@ -398,10 +398,10 @@ fn extensions_writes_the_events_it_accepts() {
     );
 }
 
-#[test]
-fn fig12_register_reuse_writes_the_events_it_accepts() {
-    let cmd = Command::new(env!("CARGO_BIN_EXE_fig12_register_reuse"));
-    writes_events(cmd, "fig12_register_reuse", &["--n-sw", "1"]);
+fn ace(args: &[&str]) -> std::process::Output {
+    (Command::new(env!("CARGO_BIN_EXE_ace_study")).args(args))
+        .output()
+        .expect("spawn ace_study")
 }
 
 /// The flags of the deleted study binaries and of `ace_study`'s recorded
@@ -409,19 +409,43 @@ fn fig12_register_reuse_writes_the_events_it_accepts() {
 /// removed flags.)
 #[test]
 fn removed_study_flags_are_unknown_options() {
-    let ace = |args: &[&str]| {
-        (Command::new(env!("CARGO_BIN_EXE_ace_study")).args(args))
-            .output()
-            .expect("spawn ace_study")
-    };
     let make_ref = format!("--make-{}", "ref");
     assert_eq!(ace(&[&make_ref]).status.code(), Some(2));
     assert_eq!(ace(&["--n-uarch", "1000001"]).status.code(), Some(2));
-    let fig12 = Command::new(env!("CARGO_BIN_EXE_fig12_register_reuse"))
-        .args(["--backend", "replay"])
-        .output()
-        .expect("spawn fig12_register_reuse");
-    assert_eq!(fig12.status.code(), Some(2), "fig12 runs no engine backend");
+    // The two-level study is a figure of `extensions`, sized by the run's
+    // `--n-sw`: its reference, sample and bootstrap sizes are no flags.
+    for what in ["ref", "class"] {
+        let removed = format!("--n-{what}");
+        assert_exit(&["extensions", "--out-dir", "x", &removed, "1"], 2);
+    }
+    let reps = format!("--{}", "reps");
+    assert_exit(&["extensions", "--out-dir", "x", &reps, "1"], 2);
+    assert!(!std::path::Path::new("x").exists(), "nothing was written");
+}
+
+/// `ace_study --check` on a well-formed command line whose comparison has
+/// no ranking (one structure of one single-kernel application: constant
+/// input, Spearman undefined) fails at run time — exit 1, after the CSV
+/// is written — not as a usage error.
+#[test]
+fn ace_study_check_without_a_ranking_exits_1() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_exit_ace_check");
+    let _ = std::fs::remove_dir_all(&dir);
+    let flags = [
+        "--check",
+        "--apps",
+        "VA",
+        "--structures",
+        "RF",
+        "--n-uarch",
+        "2",
+    ];
+    let out = ace(&[&flags[..], &["--out-dir", dir.to_str().unwrap()]].concat());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("spearman undefined"), "{stderr}");
+    assert!(dir.join("fig_ace_vs_avf.csv").exists());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -1,9 +1,10 @@
-//! `campaign extensions` end to end on the whole suite at n = 2 (171
+//! `campaign extensions` end to end on the whole suite at n = 2 (182
 //! campaigns, 22 of them the unprotected ones `campaign paper` runs): the
-//! three CSVs are byte for byte what the three binaries it replaced wrote
-//! at the same flags (`fixtures/ext_n2`, generated at the parent of the
-//! change that deleted `layers_study`, `ablation_sizing` and
-//! `fault_model_study`), a campaign `paper` completed under the same
+//! three CSVs of `fixtures/ext_n2` are byte for byte what the three
+//! binaries it replaced wrote at the same flags (generated at the parent
+//! of the change that deleted `layers_study`, `ablation_sizing` and
+//! `fault_model_study`), the two-level study is written next to them, a
+//! campaign `paper` completed under the same
 //! `--out-dir` is loaded and not re-simulated, and a killed run into an
 //! empty directory resumes to the same bytes and the same manifest.
 
@@ -72,8 +73,9 @@ fn campaigns_paper_completed_are_loaded_not_simulated_again() {
         "paper's files stay"
     );
 
-    // 22 shared campaigns, none of them executed; the other 149 (11 PVF,
-    // 3 applications at 2 and 8 SMs, 6 patterns x 22) each started once.
+    // 22 shared campaigns, none of them executed; the other 160 (11 PVF,
+    // 3 applications at 2 and 8 SMs, 6 patterns x 22, 11 instruction-class
+    // campaigns) each started once.
     let wall = read(&dir, "wall.extensions.csv");
     let rows: Vec<Vec<&str>> = wall.lines().map(|l| l.split(',').collect()).collect();
     let shared: Vec<&Vec<&str>> = (rows.iter())
@@ -88,17 +90,17 @@ fn campaigns_paper_completed_are_loaded_not_simulated_again() {
     }
     assert_eq!(
         rows.iter().filter(|r| !r[0].starts_with("total")).count(),
-        1 + 171
+        1 + 182
     );
     let log = std::fs::read_to_string(&events).unwrap();
-    assert_eq!(log.matches("\"kind\":\"shard_start\"").count(), 149);
+    assert_eq!(log.matches("\"kind\":\"shard_start\"").count(), 160);
 
     // The shared campaigns carry the fingerprints paper recorded.
     let manifest = read(&dir, "MANIFEST.extensions.csv");
     for line in paper_manifest.lines().filter(|l| l.contains(".base,")) {
         assert!(manifest.contains(line), "{line}");
     }
-    for file in CSVS {
+    for file in CSVS.iter().chain(&["fig_twolevel.csv"]) {
         assert!(manifest.contains(&format!("\ncsv,{file},0x")), "{file}");
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -117,7 +119,7 @@ fn a_killed_run_into_an_empty_directory_resumes_to_the_same_bytes() {
     expect_ok(&campaign("extensions", &dir, &[]));
     assert_writes_the_fixtures(&dir);
     let resumed = read(&dir, "MANIFEST.extensions.csv");
-    assert_eq!(resumed.matches("\ncampaign,").count(), 171);
+    assert_eq!(resumed.matches("\ncampaign,").count(), 182);
 
     // Every journal is complete now: again, and nothing is executed and
     // the manifest is the same.

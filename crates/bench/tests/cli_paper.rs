@@ -1,5 +1,5 @@
 //! `campaign paper` end to end on two cheap applications (VA and SCP,
-//! n = 2: eight campaigns, 56 trials): a killed run resumes to exactly
+//! n = 2: ten campaigns, 64 trials): a killed run resumes to exactly
 //! what an uninterrupted run writes, a finished run re-simulates nothing,
 //! a journal of another plan is refused rather than merged, only the
 //! figures whose applications were run are written, and the backend does
@@ -71,7 +71,7 @@ fn killed_run_resumes_byte_identically_and_a_finished_run_simulates_nothing() {
         assert_eq!(read(&dir, file), read(uninterrupted(), file), "{file}");
     }
     let manifest = String::from_utf8(read(&dir, "MANIFEST.csv")).unwrap();
-    assert_eq!(manifest.matches("\ncampaign,").count(), 8);
+    assert_eq!(manifest.matches("\ncampaign,").count(), 10);
     assert!(
         manifest.contains("\ncampaign,VA.uarch.tmr,,10,0x"),
         "{manifest}"
@@ -90,7 +90,7 @@ fn killed_run_resumes_byte_identically_and_a_finished_run_simulates_nothing() {
     let total = (stdout.lines().find(|l| l.starts_with("total ")))
         .unwrap_or_else(|| panic!("no total row:\n{stdout}"));
     let cells: Vec<&str> = total.split_whitespace().collect();
-    assert_eq!(cells[1..3], ["56", "0"], "trials, executed: {total}");
+    assert_eq!(cells[1..3], ["64", "0"], "trials, executed: {total}");
     assert_eq!(
         read(&dir, "MANIFEST.csv"),
         read(uninterrupted(), "MANIFEST.csv")
@@ -117,12 +117,25 @@ fn only_figures_whose_applications_were_all_run_are_written() {
         .collect();
     written.sort();
     // Figure 3c is VA K1 vs SCP K1; 3a/3b need HotSpot and LUD, every
-    // other figure the whole suite.
+    // other figure but Figure 12's static reuse sets the whole suite.
     assert_eq!(
         written,
-        ["MANIFEST.csv", "fig03c.csv", "journal", "wall.csv"]
+        [
+            "MANIFEST.csv",
+            "fig03c.csv",
+            "fig12_reuse_sets.csv",
+            "journal",
+            "wall.csv"
+        ]
     );
-    assert_eq!(std::fs::read_dir(dir.join("journal")).unwrap().count(), 8);
+    // Per application: AVF and SVF, unprotected and TMR, and the
+    // source-register campaign.
+    let mut journals: Vec<String> = (std::fs::read_dir(dir.join("journal")).unwrap())
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    journals.sort();
+    assert_eq!(journals.len(), 10, "{journals:?}");
+    assert!(journals.contains(&"VA.sw.base.src.jsonl".to_string()));
 }
 
 #[test]

@@ -9,6 +9,7 @@
 
 use std::collections::HashMap;
 
+use ace::spearman;
 use bench::cli::DEFAULT_SEED;
 use bench::figures::{Figure, EXTENSIONS, FIGURES, RECORD_N_SW, RECORD_N_UARCH};
 use relia::plan::str_tag;
@@ -96,30 +97,51 @@ fn trials(campaigns: &[Vec<String>], named: impl Fn(&str) -> bool) -> usize {
         .sum()
 }
 
+/// The FNV-1a hash of the `campaign` rows whose name satisfies `named`,
+/// as CSV lines joined by newlines.
+fn rows_hash(campaigns: &[Vec<String>], named: impl Fn(&str) -> bool) -> String {
+    let rows: Vec<String> = (campaigns.iter().filter(|r| named(&r[1])))
+        .map(|r| r.join(","))
+        .collect();
+    format!("{:#018x}", str_tag(&rows.join("\n")))
+}
+
 #[test]
 fn every_csv_is_the_one_the_manifest_describes() {
     // 11 applications x {uarch, sw} x {base, tmr}, each exactly once:
-    // 23 kernels x 5 structures (x 2 sw kinds) x n, unprotected + TMR.
+    // 23 kernels x 5 structures (x 2 sw kinds) x n, unprotected + TMR;
+    // and Figure 12's unprotected source-register campaign (2 kinds).
     let paper = campaigns_of("MANIFEST.csv", "campaign paper", &FIGURES);
-    assert_eq!(paper.len(), 44);
+    assert_eq!(paper.len(), 44 + 11);
+    let src = |c: &str| c.ends_with(".src");
     assert_eq!(
         trials(&paper, |c| c.contains(".uarch.")),
         2 * 23 * 5 * RECORD_N_UARCH
     );
     assert_eq!(
-        trials(&paper, |c| c.contains(".sw.")),
+        trials(&paper, |c| c.contains(".sw.") && !src(c)),
         2 * 23 * 2 * RECORD_N_SW
     );
+    assert_eq!(trials(&paper, src), 23 * 2 * RECORD_N_SW);
+    // The 44 campaigns the paper's figures read are the ones recorded
+    // before Figure 12 joined the set, row for row.
+    assert_eq!(rows_hash(&paper, |c| !src(c)), "0x370078fbf618aaf9");
 
     // The 22 unprotected ones again — the same journals, so the same
     // rows — plus 11 PVF campaigns (one stratum per kernel), HotSpot /
-    // LUD / SCP (1 + 3 + 1 kernels) at 2 and 8 SMs, and 6 patterns x 22.
+    // LUD / SCP (1 + 3 + 1 kernels) at 2 and 8 SMs, 6 patterns x 22 and
+    // the two-level study's 11 instruction-class campaigns (6 classes).
     let ext = campaigns_of(
         "MANIFEST.extensions.csv",
         "campaign extensions",
         &EXTENSIONS,
     );
-    assert_eq!(ext.len(), 22 + 11 + 6 + 6 * 22);
+    assert_eq!(ext.len(), 22 + 11 + 6 + 6 * 22 + 11);
+    let classes = |c: &str| c.contains(".classes");
+    assert_eq!(trials(&ext, classes), 23 * 6 * 128);
+    // The other 171 are the ones recorded before the two-level study
+    // joined the set, row for row.
+    assert_eq!(rows_hash(&ext, |c| !classes(c)), "0x01fec4e9f7be0b80");
     let shared: Vec<&Vec<String>> = (paper.iter().filter(|r| r[1].ends_with(".base"))).collect();
     assert_eq!(shared.len(), 22);
     for row in shared {
@@ -251,4 +273,29 @@ fn shape_tmr_removes_svf_sdcs_but_not_avf_sdcs_and_due_share_rises() {
         due_tmr > due_base,
         "DUE share of AVF: {due_base:.3} unprotected, {due_tmr:.3} under TMR"
     );
+}
+
+/// Figure 12: a flip of `R0` at instruction #4 reaches #5 and #7, where
+/// `R0` is rewritten (Section V-B's red circles).
+#[test]
+fn shape_the_reuse_set_of_r0_at_4_is_5_and_7() {
+    let rows = csv("fig12_reuse_sets.csv");
+    let r0 = (rows.iter().find(|r| r[0] == "R0")).expect("an R0 row");
+    assert_eq!(r0[1..], ["#4", "#5 #7"]);
+}
+
+/// EXPERIMENTS.md, two-level study: the two-level estimate ranks the
+/// kernels like full injection does (Spearman >= 0.7), and CI-driven
+/// sizing needs at most half the trials of the uniform design with the
+/// same guarantee.
+#[test]
+fn shape_two_level_ranks_like_full_injection_and_adaptive_halves_the_trials() {
+    let fig = table("fig_twolevel.csv");
+    assert_eq!(fig.len(), 23);
+    let col = |name: &str| -> Vec<f64> { fig.iter().map(|(_, v)| v[name]).collect() };
+    let rho = spearman(&col("twolevel_sdc"), &col("full_sdc")).expect("a ranking");
+    assert!(rho >= 0.7, "spearman(two-level, full) = {rho:.4}");
+    let sum = |name: &str| col(name).iter().sum::<f64>();
+    let savings = sum("adaptive_uniform") / sum("adaptive_trials");
+    assert!(savings >= 2.0, "adaptive savings {savings:.2}x");
 }

@@ -113,6 +113,14 @@ impl CampaignCfg {
             pattern: FaultPattern::SingleBit,
         }
     }
+
+    /// Injections per (kernel, target) of a fixed-n campaign at `layer`.
+    pub fn n(&self, layer: Layer) -> usize {
+        match layer {
+            Layer::Uarch => self.n_uarch,
+            Layer::Sw => self.n_sw,
+        }
+    }
 }
 
 /// Whether any observability sink wants per-trial data. Hoisted out of

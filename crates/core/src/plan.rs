@@ -479,10 +479,7 @@ fn plan_fixed<'a>(
     cfg: &CampaignCfg,
     targets: impl Iterator<Item = TrialTarget> + Clone,
 ) -> PreparedCampaign<'a> {
-    let count = match captures.layer() {
-        Layer::Uarch => cfg.n_uarch,
-        Layer::Sw => cfg.n_sw,
-    };
+    let count = cfg.n(captures.layer());
     let strata: Vec<StratumSpec> = (0..captures.bench().kernels().len())
         .flat_map(|kernel_idx| {
             targets.clone().map(move |target| StratumSpec {

@@ -22,19 +22,22 @@
 //! run happens once per campaign, and the snapshot set / access trace /
 //! CTA log are captured by the first wave that executes a trial, not by
 //! every wave.
-
-use std::sync::Arc;
+//!
+//! Which strata a wave samples and how a stratum folds a wave are one
+//! rule (`AdaptiveResult::next_wave`, `AdaptiveResult::fold_wave`),
+//! shared by [`run_adaptive`] and by [`StrataRecords::adaptive`], which
+//! replays the schedule over a fixed campaign's records.
 
 use kernels::Benchmark;
 use relia::{
     assemble, derating_factor, execute_shard, plan_wave, records_fingerprint, AppCaptures,
-    CampaignCfg, Confidence, EngineCfg, EngineError, Layer, PreparedCampaign, RecordSet,
-    StratumSpec, TrialRecord, TrialTarget,
+    CampaignCfg, ClassCounts, Confidence, EngineCfg, EngineError, Layer, PreparedCampaign,
+    RecordSet, StratumSpec, TrialRecord, TrialTarget,
 };
 use vgpu_sim::{HwStructure, SwFaultKind};
 
-use crate::strata::StratumStats;
-use crate::twolevel::class_kinds;
+use crate::strata::{StrataRecords, StratumStats};
+use crate::twolevel::CLASS_KINDS;
 
 /// How an adaptive campaign decides it is done.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -103,6 +106,19 @@ pub struct AdaptiveStratum {
 }
 
 impl AdaptiveStratum {
+    /// A stratum no wave has sampled yet.
+    fn new(kernel_idx: usize, target: TrialTarget, derate: f64) -> Self {
+        AdaptiveStratum {
+            kernel_idx,
+            target,
+            stats: StratumStats::default(),
+            n: 0,
+            derate,
+            empty: false,
+            converged_wave: None,
+        }
+    }
+
     /// The stratum's current derated CI half-width (what the target is
     /// compared against).
     pub fn derated_halfwidth(&self, conf: Confidence) -> f64 {
@@ -114,6 +130,18 @@ impl AdaptiveStratum {
 
     fn converged(&self, acfg: &AdaptiveCfg) -> bool {
         self.n > 0 && (self.empty || self.derated_halfwidth(acfg.conf) <= acfg.ci_target)
+    }
+
+    /// The ordinals the next wave samples: `wave_size` more, up to the
+    /// cap; `None` once the stratum converged or reached the cap.
+    fn next_slice(&self, acfg: &AdaptiveCfg) -> Option<StratumSpec> {
+        let open = self.converged_wave.is_none() && self.n < acfg.max_per_stratum;
+        open.then(|| StratumSpec {
+            kernel_idx: self.kernel_idx,
+            target: self.target,
+            start: self.n,
+            count: acfg.wave_size.min(acfg.max_per_stratum - self.n),
+        })
     }
 }
 
@@ -134,6 +162,18 @@ pub struct AdaptiveResult {
 }
 
 impl AdaptiveResult {
+    /// A campaign no wave has run yet.
+    fn start(app: String, layer: Layer, strata: Vec<AdaptiveStratum>) -> Self {
+        AdaptiveResult {
+            app,
+            layer,
+            strata,
+            waves: 0,
+            plans_fp: 0,
+            records_fp: 0,
+        }
+    }
+
     /// Trials executed across all strata.
     pub fn total_trials(&self) -> usize {
         self.strata.iter().map(|s| s.n).sum()
@@ -167,6 +207,36 @@ impl AdaptiveResult {
             .map(|s| s.derated_halfwidth(conf))
             .fold(0.0, f64::max)
     }
+
+    /// The next wave: the slice every stratum still sampling asks for, in
+    /// stratum order. Empty when the campaign is done.
+    fn next_wave(&self, acfg: &AdaptiveCfg) -> Vec<StratumSpec> {
+        (self.strata.iter())
+            .filter_map(|s| s.next_slice(acfg))
+            .collect()
+    }
+
+    /// Fold the wave [`AdaptiveResult::next_wave`] asks for: one row per
+    /// slice, in order — the slice's outcome counts, and whether the
+    /// stratum's population is empty (the same verdict in every wave).
+    /// A stratum converges once its derated interval meets the target.
+    fn fold_wave(
+        &mut self,
+        acfg: &AdaptiveCfg,
+        rows: impl IntoIterator<Item = (ClassCounts, bool)>,
+    ) {
+        let wave = self.waves;
+        let sampled = (self.strata.iter_mut()).filter_map(|s| Some((s.next_slice(acfg)?, s)));
+        for ((slice, s), (counts, empty)) in sampled.zip(rows) {
+            s.empty = empty;
+            s.stats.counts.add(&counts);
+            s.n += slice.count;
+            if s.converged(acfg) {
+                s.converged_wave = Some(wave);
+            }
+        }
+        self.waves += 1;
+    }
 }
 
 /// The standard uarch stratification: every kernel × storage structure.
@@ -178,12 +248,9 @@ pub fn uarch_targets() -> Vec<TrialTarget> {
 }
 
 /// The two-level software stratification: every kernel × instruction
-/// class ([`class_kinds`]).
+/// class ([`CLASS_KINDS`]).
 pub fn class_targets() -> Vec<TrialTarget> {
-    class_kinds()
-        .into_iter()
-        .map(|(k, _)| TrialTarget::Fault(k))
-        .collect()
+    CLASS_KINDS.map(TrialTarget::Fault).to_vec()
 }
 
 /// The standard software stratification (dest-value + dest-value-load).
@@ -216,22 +283,6 @@ pub fn run_adaptive<E>(
     layer: Layer,
     targets: &[TrialTarget],
     acfg: &AdaptiveCfg,
-    exec: E,
-) -> Result<AdaptiveResult, EngineError>
-where
-    E: FnMut(&PreparedCampaign, u64) -> Result<Vec<TrialRecord>, EngineError>,
-{
-    let captures = AppCaptures::new(bench, &cfg.gpu, layer, hardened);
-    run_adaptive_on(&captures, cfg, targets, acfg, exec)
-}
-
-/// [`run_adaptive`] against an application's existing captures (whose
-/// layer and variant the campaign takes).
-pub fn run_adaptive_on<E>(
-    captures: &Arc<AppCaptures>,
-    cfg: &CampaignCfg,
-    targets: &[TrialTarget],
-    acfg: &AdaptiveCfg,
     mut exec: E,
 ) -> Result<AdaptiveResult, EngineError>
 where
@@ -242,81 +293,44 @@ where
         "invalid adaptive config: {:?}",
         acfg.validate()
     );
-    let (bench, layer) = (captures.bench(), captures.layer());
-    let n_kernels = bench.kernels().len();
-    let mut strata: Vec<AdaptiveStratum> = (0..n_kernels)
+    let captures = AppCaptures::new(bench, &cfg.gpu, layer, hardened);
+    let golden = captures.golden();
+    let strata = (0..bench.kernels().len())
         .flat_map(|k_idx| {
-            targets.iter().map(move |&target| AdaptiveStratum {
-                kernel_idx: k_idx,
-                target,
-                stats: StratumStats::default(),
-                n: 0,
-                derate: match target {
-                    TrialTarget::Structure(h) => {
-                        derating_factor(captures.golden(), k_idx, &cfg.gpu, h)
-                    }
+            targets.iter().map(move |&target| {
+                let derate = match target {
+                    TrialTarget::Structure(h) => derating_factor(golden, k_idx, &cfg.gpu, h),
                     TrialTarget::Fault(_) => 1.0,
-                },
-                empty: false,
-                converged_wave: None,
+                };
+                AdaptiveStratum::new(k_idx, target, derate)
             })
         })
         .collect();
-
-    let mut wave = 0u64;
-    let mut plans_fp = 0u64;
-    let mut records_fp = 0u64;
+    let mut result = AdaptiveResult::start(bench.name().to_string(), layer, strata);
     loop {
-        let pending: Vec<usize> = strata
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.converged_wave.is_none() && s.n < acfg.max_per_stratum)
-            .map(|(i, _)| i)
-            .collect();
-        if pending.is_empty() {
-            break;
+        let specs = result.next_wave(acfg);
+        if specs.is_empty() {
+            return Ok(result);
         }
-        let specs: Vec<StratumSpec> = pending
-            .iter()
-            .map(|&i| {
-                let s = &strata[i];
-                StratumSpec {
-                    kernel_idx: s.kernel_idx,
-                    target: s.target,
-                    start: s.n,
-                    count: acfg.wave_size.min(acfg.max_per_stratum - s.n),
-                }
-            })
-            .collect();
-        let prep = plan_wave(captures, cfg, &specs, wave);
-        plans_fp = fold_fp(plans_fp, prep.plan.fingerprint());
+        let wave = result.waves;
+        let prep = plan_wave(&captures, cfg, &specs, wave);
+        result.plans_fp = fold_fp(result.plans_fp, prep.plan.fingerprint());
         let mut set = RecordSet::new(prep.plan.len());
         set.extend(&exec(&prep, wave)?)?;
         let records = set.complete()?;
-        records_fp = fold_fp(records_fp, records_fingerprint(&records));
+        result.records_fp = fold_fp(result.records_fp, records_fingerprint(&records));
 
-        // The wave's plan strata are the pending strata, in order: zip each
-        // with its row of the count table and its own slice of trials. A
-        // stratum whose trials all resolved to no fault has an empty
-        // population (the same verdict in every wave).
+        // The wave's plan strata are the slices `next_wave` asked for, in
+        // order: one row of the count table and one slice of trials each.
+        // A stratum whose trials all resolved to no fault has an empty
+        // population.
         let table = assemble(&prep, &records)?;
-        for ((&i, row), (spec, trials)) in pending.iter().zip(&table).zip(prep.plan.strata_trials())
-        {
-            let s = &mut strata[i];
-            s.empty = trials.iter().all(|t| t.fault.is_none());
-            s.stats.counts.add(&row.counts);
-            s.n += spec.count;
-            if s.converged(acfg) {
-                s.converged_wave = Some(wave);
-            }
-        }
+        let rows = (table.iter().zip(prep.plan.strata_trials()))
+            .map(|(row, (_, trials))| (row.counts, trials.iter().all(|t| t.fault.is_none())));
+        result.fold_wave(acfg, rows);
 
-        let still_pending = strata
-            .iter()
-            .filter(|s| s.converged_wave.is_none() && s.n < acfg.max_per_stratum)
-            .count() as u64;
-        let max_hw = strata
-            .iter()
+        let still_pending = result.next_wave(acfg).len() as u64;
+        let max_hw = (result.strata.iter())
             .filter(|s| s.converged_wave.is_none())
             .map(|s| s.derated_halfwidth(acfg.conf))
             .fold(0.0, f64::max);
@@ -343,20 +357,38 @@ where
             wave,
             trials: prep.plan.len() as u64,
             pending: still_pending,
-            strata: strata.len() as u64,
+            strata: result.strata.len() as u64,
             max_halfwidth_micros: (max_hw * 1e6) as u64,
         });
-        wave += 1;
     }
+}
 
-    Ok(AdaptiveResult {
-        app: bench.name().to_string(),
-        layer,
-        strata,
-        waves: wave,
-        plans_fp,
-        records_fp,
-    })
+impl StrataRecords {
+    /// The adaptive campaign over this campaign's strata, replayed: every
+    /// wave reads the ordinals it asks for from the recorded outcomes
+    /// instead of running them. A trial does not depend on the plan that
+    /// holds it and a stratum stops on its own prefix alone, so with a cap
+    /// no larger than the recorded trials per stratum the strata, counts
+    /// and waves are exactly [`run_adaptive`]'s over the same targets;
+    /// only the fingerprints (of plans never built) stay 0. Strata are
+    /// taken as software strata: no derating.
+    pub fn adaptive(&self, acfg: &AdaptiveCfg) -> AdaptiveResult {
+        let strata = (self.strata.iter())
+            .map(|s| AdaptiveStratum::new(s.kernel_idx, s.target, 1.0))
+            .collect();
+        let mut result = AdaptiveResult::start(self.app.clone(), self.layer, strata);
+        loop {
+            let specs = result.next_wave(acfg);
+            if specs.is_empty() {
+                return result;
+            }
+            let rows = specs.iter().map(|sl| {
+                let st = (self.stratum(sl.kernel_idx, sl.target)).expect("a recorded stratum");
+                (st.counts(sl.start..sl.start + sl.count), st.empty)
+            });
+            result.fold_wave(acfg, rows);
+        }
+    }
 }
 
 /// [`run_adaptive`] with plain single-shot in-process wave execution.

@@ -10,6 +10,10 @@
 //!   per-class samples are injected through the ordinary plan/execute
 //!   engine, and class rates propagate through population shares to
 //!   kernel- and application-level estimates with bootstrap CIs.
+//! - [`strata`] — per-stratum statistics, and a fixed campaign kept
+//!   stratum by stratum ([`StrataRecords`]), from which the two-level
+//!   estimate of any smaller sample and the adaptive campaign under any
+//!   smaller cap are read off without running them.
 //! - [`adaptive`] — CI-driven campaign sizing: deterministic trial waves
 //!   per (kernel, target) stratum until every stratum's derated CI
 //!   half-width meets the target, with per-wave plan fingerprints so
@@ -22,12 +26,12 @@ pub mod strata;
 pub mod twolevel;
 
 pub use adaptive::{
-    class_targets, run_adaptive, run_adaptive_on, run_adaptive_single, sw_targets, uarch_targets,
-    AdaptiveCfg, AdaptiveResult, AdaptiveStratum,
+    class_targets, run_adaptive, run_adaptive_single, sw_targets, uarch_targets, AdaptiveCfg,
+    AdaptiveResult, AdaptiveStratum,
 };
 pub use ci::{bootstrap_weighted_ci, weighted_rate, wilson, Interval, WeightedStratum};
-pub use strata::StratumStats;
+pub use strata::{RecordedStratum, StrataRecords, StratumStats};
 pub use twolevel::{
-    assemble_two_level, class_kinds, estimate_two_level, estimate_two_level_on, ClassEstimate,
-    KernelEstimate, TwoLevelEstimate, DEFAULT_BOOTSTRAP_REPS,
+    estimate_two_level, ClassEstimate, KernelEstimate, TwoLevelEstimate, CLASS_KINDS,
+    DEFAULT_BOOTSTRAP_REPS,
 };

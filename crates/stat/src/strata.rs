@@ -1,4 +1,5 @@
-//! NaN-hardened per-stratum aggregation for adaptive campaigns.
+//! NaN-hardened per-stratum aggregation for adaptive campaigns, and a
+//! fixed campaign kept stratum by stratum.
 //!
 //! Adaptive waves routinely produce strata with zero or one trial (a
 //! stratum that converged in wave 0, or whose eligible population is
@@ -6,10 +7,107 @@
 //! or single-trial strata are `0.0`, never NaN, and the confidence
 //! interval of an empty stratum collapses to `[0, 1]` — so folding such
 //! strata into a merge can never poison the aggregate.
+//!
+//! [`StrataRecords`] keeps each stratum's outcomes in ordinal order. A
+//! trial depends only on (seed, app, kernel, target, ordinal), never on
+//! the plan that holds it, so the first `k` outcomes of a stratum are the
+//! records a plan of `k` trials per stratum would produce, and a slice
+//! `a..b` is the records an adaptive wave asking for those ordinals would
+//! produce: smaller designs are read off one journaled campaign instead
+//! of being run again ([`StrataRecords::two_level`],
+//! [`StrataRecords::adaptive`]).
 
-use relia::{ClassCounts, Confidence};
+use std::ops::Range;
+
+use kernels::Outcome;
+use relia::{
+    ClassCounts, ClassRates, Confidence, EngineError, Layer, PreparedCampaign, RecordSet,
+    TrialRecord, TrialTarget,
+};
+use vgpu_sim::{Stats, SwFaultKind};
 
 use crate::ci::{wilson, Interval};
+
+/// One stratum of a fixed plan with its outcomes in ordinal order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RecordedStratum {
+    pub kernel_idx: usize,
+    pub target: TrialTarget,
+    /// The target population is empty: every trial was planned without a
+    /// fault and is trivially masked.
+    pub empty: bool,
+    pub outcomes: Vec<Outcome>,
+}
+
+impl RecordedStratum {
+    /// Outcome counts of the trials with ordinals `range`.
+    pub fn counts(&self, range: Range<usize>) -> ClassCounts {
+        let mut c = ClassCounts::default();
+        self.outcomes[range].iter().for_each(|&o| c.record(o));
+        c
+    }
+}
+
+/// A complete fixed-n campaign, stratum by stratum, with each kernel's
+/// golden-run statistics (its populations and weights).
+#[derive(Debug, Clone, PartialEq)]
+pub struct StrataRecords {
+    pub app: String,
+    pub layer: Layer,
+    pub seed: u64,
+    /// Kernel names and golden-run statistics, in kernel order.
+    pub kernels: Vec<(String, Stats)>,
+    /// The plan's strata, in plan order.
+    pub strata: Vec<RecordedStratum>,
+}
+
+impl StrataRecords {
+    /// Split the records of `prep` by stratum. Fails like
+    /// [`relia::assemble`] when they do not cover the plan or disagree.
+    pub fn assemble(prep: &PreparedCampaign, records: &[TrialRecord]) -> Result<Self, EngineError> {
+        let mut set = RecordSet::new(prep.plan.len());
+        set.extend(records)?;
+        let outs = set.complete()?;
+        let strata = (prep.plan.strata_trials())
+            .map(|(st, trials)| RecordedStratum {
+                kernel_idx: st.kernel_idx,
+                target: st.target,
+                empty: trials.iter().all(|t| t.fault.is_none()),
+                outcomes: trials.iter().map(|t| outs[t.index].outcome).collect(),
+            })
+            .collect();
+        let names = prep.bench().kernels().iter();
+        let kernels = (names.enumerate())
+            .map(|(k, name)| (name.to_string(), prep.golden.kernel_stats(k)))
+            .collect();
+        Ok(StrataRecords {
+            app: prep.plan.app.clone(),
+            layer: prep.plan.layer,
+            seed: prep.plan.seed,
+            kernels,
+            strata,
+        })
+    }
+
+    /// The stratum of (`kernel_idx`, `target`).
+    pub fn stratum(&self, kernel_idx: usize, target: TrialTarget) -> Option<&RecordedStratum> {
+        (self.strata.iter()).find(|s| s.kernel_idx == kernel_idx && s.target == target)
+    }
+
+    /// The application's rates under fault kind `kind`: each kernel's
+    /// stratum weighted by the kind's population in it — a sample drawn
+    /// uniformly from the whole application's `kind`-eligible
+    /// instructions, stratified by kernel.
+    pub fn app_rates(&self, kind: SwFaultKind) -> ClassRates {
+        let target = TrialTarget::Fault(kind);
+        ClassRates::weighted(
+            (self.strata.iter().filter(|s| s.target == target)).map(|s| {
+                let rates = s.counts(0..s.outcomes.len()).rates();
+                (rates, kind.eligible(&self.kernels[s.kernel_idx].1))
+            }),
+        )
+    }
+}
 
 /// Outcome statistics of one (kernel, target) stratum, safe to fold at
 /// any trial count.

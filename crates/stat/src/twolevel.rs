@@ -10,32 +10,32 @@
 //!
 //! The class strata reuse the deterministic plan/execute engine end to
 //! end: a two-level campaign is an ordinary [`plan_sw`] plan over
-//! [`SwFaultKind::DestClass`] sub-campaigns, so checkpoints, shard
-//! merges, and dispatch leases all work unchanged.
-
-use std::sync::Arc;
+//! [`CLASS_KINDS`], so checkpoints, shard merges, and dispatch leases all
+//! work unchanged, and the estimate is a fold of its records
+//! ([`StrataRecords::two_level`]) — of any prefix of them.
 
 use kernels::Benchmark;
 use relia::{
-    assemble, execute_shard, plan_sw, sw_seed_tag, AppCaptures, CampaignCfg, ClassCounts,
-    Confidence, EngineCfg, EngineError, Layer, PreparedCampaign, TrialRecord, TrialTarget,
+    execute_shard, plan_sw, AppCaptures, CampaignCfg, ClassCounts, Confidence, EngineCfg, Layer,
+    TrialTarget,
 };
 use vgpu_arch::InstrClass;
 use vgpu_sim::SwFaultKind;
 
 use crate::ci::{bootstrap_weighted_ci, weighted_rate, wilson, Interval, WeightedStratum};
+use crate::strata::StrataRecords;
 
 /// The per-class sub-campaigns of a two-level plan, in the stable
-/// [`InstrClass::ALL`] order, with their frozen seed-derivation tags.
-pub fn class_kinds() -> Vec<(SwFaultKind, u64)> {
-    InstrClass::ALL
-        .iter()
-        .map(|&c| {
-            let k = SwFaultKind::DestClass(c);
-            (k, sw_seed_tag(k))
-        })
-        .collect()
-}
+/// [`InstrClass::ALL`] order (seed-derivation tags 20 + index).
+pub const CLASS_KINDS: [SwFaultKind; InstrClass::COUNT] = {
+    let mut kinds = [SwFaultKind::DestValue; InstrClass::COUNT];
+    let mut i = 0;
+    while i < InstrClass::COUNT {
+        kinds[i] = SwFaultKind::DestClass(InstrClass::ALL[i]);
+        i += 1;
+    }
+    kinds
+};
 
 /// Bootstrap replicates used by the top-level estimate unless the caller
 /// picks a different budget.
@@ -140,83 +140,72 @@ fn bootstrap_strata(
     out
 }
 
-/// Fold a complete two-level record set into the propagated estimate.
-/// `prep` must be a plan over [`class_kinds`] (any subset, any order —
-/// each stratum of the plan names its own kernel and class). Deterministic:
-/// the bootstrap seed is derived from the campaign seed.
-pub fn assemble_two_level(
-    prep: &PreparedCampaign,
-    records: &[TrialRecord],
-    conf: Confidence,
-    reps: usize,
-) -> Result<TwoLevelEstimate, EngineError> {
-    let table = assemble(prep, records)?;
-    let names = prep.bench().kernels();
-    let stats: Vec<_> = (0..names.len())
-        .map(|k_idx| prep.golden.kernel_stats(k_idx))
-        .collect();
-    let mut kernels: Vec<KernelEstimate> = (names.iter().zip(&stats))
-        .map(|(k_name, stats)| KernelEstimate {
-            kernel: k_name.to_string(),
-            instrs: stats.thread_instrs,
-            gp_dest_instrs: stats.gp_dest_instrs,
-            classes: Vec::new(),
-        })
-        .collect();
-    for (st, row) in prep.plan.strata.iter().zip(&table) {
-        let TrialTarget::Fault(SwFaultKind::DestClass(class)) = st.target else {
-            continue;
-        };
-        let stats = &stats[st.kernel_idx];
-        let pop = class
-            .index()
-            .map(|i| stats.class_dest_instrs[i])
-            .unwrap_or(0);
-        let share = if stats.gp_dest_instrs == 0 {
-            0.0
-        } else {
-            pop as f64 / stats.gp_dest_instrs as f64
-        };
-        // An empty class population contributes weight 0; its trivially
-        // masked trials carry no evidence and must not narrow the
-        // propagated CI, so drop its sample.
-        let c = if pop == 0 {
-            ClassCounts::default()
-        } else {
-            row.counts
-        };
-        kernels[st.kernel_idx].classes.push(ClassEstimate {
-            class,
-            share,
-            counts: c,
-            sdc_ci: wilson(c.sdc as u64, c.total() as u64, conf),
-            failure_ci: wilson((c.sdc + c.timeout + c.due) as u64, c.total() as u64, conf),
-        });
-    }
+impl StrataRecords {
+    /// The propagated two-level estimate from the first `n` ordinals of
+    /// every instruction-class stratum (strata of other targets are
+    /// skipped): what a plan of `n` trials per (kernel, class) folds to.
+    /// Deterministic: the bootstrap seed is derived from the campaign
+    /// seed.
+    pub fn two_level(&self, n: usize, conf: Confidence, reps: usize) -> TwoLevelEstimate {
+        let mut kernels: Vec<KernelEstimate> = (self.kernels.iter())
+            .map(|(name, stats)| KernelEstimate {
+                kernel: name.clone(),
+                instrs: stats.thread_instrs,
+                gp_dest_instrs: stats.gp_dest_instrs,
+                classes: Vec::new(),
+            })
+            .collect();
+        let (mut planned, mut injected) = (0, 0);
+        for st in &self.strata {
+            let TrialTarget::Fault(SwFaultKind::DestClass(class)) = st.target else {
+                continue;
+            };
+            let taken = n.min(st.outcomes.len());
+            planned += taken;
+            injected += if st.empty { 0 } else { taken };
+            let stats = &self.kernels[st.kernel_idx].1;
+            let pop = class.index().map_or(0, |i| stats.class_dest_instrs[i]);
+            let share = if stats.gp_dest_instrs == 0 {
+                0.0
+            } else {
+                pop as f64 / stats.gp_dest_instrs as f64
+            };
+            // An empty class population contributes weight 0; its trivially
+            // masked trials carry no evidence and must not narrow the
+            // propagated CI, so drop its sample.
+            let c = if pop == 0 {
+                ClassCounts::default()
+            } else {
+                st.counts(0..taken)
+            };
+            kernels[st.kernel_idx].classes.push(ClassEstimate {
+                class,
+                share,
+                counts: c,
+                sdc_ci: wilson(c.sdc as u64, c.total() as u64, conf),
+                failure_ci: wilson((c.sdc + c.timeout + c.due) as u64, c.total() as u64, conf),
+            });
+        }
 
-    let sdc_strata = bootstrap_strata(&kernels, |c| c.sdc as u64);
-    let fail_strata = bootstrap_strata(&kernels, |c| (c.sdc + c.timeout + c.due) as u64);
-    let boot_seed = prep.plan.seed ^ 0x7701_e7e1u64.rotate_left(13);
-    Ok(TwoLevelEstimate {
-        app: prep.plan.app.clone(),
-        sdc: weighted_rate(&sdc_strata),
-        failure: weighted_rate(&fail_strata),
-        sdc_ci: bootstrap_weighted_ci(&sdc_strata, reps, boot_seed, conf),
-        failure_ci: bootstrap_weighted_ci(&fail_strata, reps, boot_seed ^ 1, conf),
-        planned: prep.plan.len(),
-        injected: prep
-            .plan
-            .trials
-            .iter()
-            .filter(|t| t.fault.is_some())
-            .count(),
-        kernels,
-    })
+        let sdc_strata = bootstrap_strata(&kernels, |c| c.sdc as u64);
+        let fail_strata = bootstrap_strata(&kernels, |c| (c.sdc + c.timeout + c.due) as u64);
+        let boot_seed = self.seed ^ 0x7701_e7e1u64.rotate_left(13);
+        TwoLevelEstimate {
+            app: self.app.clone(),
+            sdc: weighted_rate(&sdc_strata),
+            failure: weighted_rate(&fail_strata),
+            sdc_ci: bootstrap_weighted_ci(&sdc_strata, reps, boot_seed, conf),
+            failure_ci: bootstrap_weighted_ci(&fail_strata, reps, boot_seed ^ 1, conf),
+            planned,
+            injected,
+            kernels,
+        }
+    }
 }
 
-/// Plan, execute (single shard), and assemble the two-level estimate for
-/// one application. `cfg.n_sw` is the per-(kernel, class) sample size —
-/// the whole point of the model is that it can be small.
+/// Plan, execute (single shard), and fold the two-level estimate for one
+/// application. `cfg.n_sw` is the per-(kernel, class) sample size — the
+/// whole point of the model is that it can be small.
 pub fn estimate_two_level(
     bench: &dyn Benchmark,
     cfg: &CampaignCfg,
@@ -224,22 +213,11 @@ pub fn estimate_two_level(
     reps: usize,
 ) -> TwoLevelEstimate {
     let captures = AppCaptures::new(bench, &cfg.gpu, Layer::Sw, false);
-    estimate_two_level_on(&captures, cfg, conf, reps)
-}
-
-/// [`estimate_two_level`] against an application's existing
-/// (software-layer, unhardened) captures.
-pub fn estimate_two_level_on(
-    captures: &Arc<AppCaptures>,
-    cfg: &CampaignCfg,
-    conf: Confidence,
-    reps: usize,
-) -> TwoLevelEstimate {
-    let kinds: Vec<SwFaultKind> = class_kinds().into_iter().map(|(k, _)| k).collect();
-    let prep = plan_sw(captures, cfg, &kinds);
+    let prep = plan_sw(&captures, cfg, &CLASS_KINDS);
     let records = execute_shard(&prep, &EngineCfg::single_shot())
         .expect("single-shot execution performs no checkpoint I/O");
-    assemble_two_level(&prep, &records, conf, reps).expect("a single shard covers the whole plan")
+    let strata = StrataRecords::assemble(&prep, &records).expect("a single shard covers the plan");
+    strata.two_level(cfg.n_sw, conf, reps)
 }
 
 #[cfg(test)]
@@ -249,11 +227,9 @@ mod tests {
 
     #[test]
     fn class_kinds_cover_all_classes_with_stable_tags() {
-        let kinds = class_kinds();
-        assert_eq!(kinds.len(), InstrClass::COUNT);
-        for (i, &(kind, tag)) in kinds.iter().enumerate() {
+        for (i, &kind) in CLASS_KINDS.iter().enumerate() {
             assert_eq!(kind, SwFaultKind::DestClass(InstrClass::ALL[i]));
-            assert_eq!(tag, 20 + i as u64);
+            assert_eq!(relia::sw_seed_tag(kind), 20 + i as u64);
         }
     }
 

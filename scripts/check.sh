@@ -25,22 +25,23 @@ rc=0; "$CAMPAIGN" run --app VA --sms 0 2> /dev/null || rc=$?
 [ "$rc" -eq 2 ]
 
 echo "==> paper smoke (docs/CAMPAIGNS.md): every campaign once, resumable, same figures as the per-figure binaries"
-# The whole suite at n = 2 (44 campaigns, 644 trials, ~4 s — 11 s while
-# TMR trials ran in full), once uninterrupted and once killed by --limit
-# and resumed. Both must write
+# The whole suite at n = 2 (55 campaigns, 736 trials, ~4 s), once
+# uninterrupted and once killed by --limit and resumed. Both must write
 # the 13 figure CSVs of crates/bench/tests/fixtures/paper_n2 — generated
 # once, at the parent of the change that introduced `campaign paper`
 # (commit 39cbd8e), by the three binaries it replaced (baseline_study,
 # fig03_utilization, hardening_study at --n-uarch 2 --n-sw 2), whose TMR
 # trials all ran on the oracle path: an all-apps, both-layers hardened
-# differential — and the same MANIFEST, from 44 golden runs, 44 shard
-# starts and 22 snapshot captures (every uarch campaign, base and TMR,
-# is served by the fast-forward path).
+# differential — Figure 12's static reuse sets as results/ holds them,
+# and the same MANIFEST, from 44 golden runs, 55 shard starts and 22
+# snapshot captures (every uarch campaign, base and TMR, is served by the
+# fast-forward path; the 11 source-register campaigns of Figure 12 share
+# the captures of their application's SVF campaign).
 PAPER=$(mktemp -d)
 PFLAGS=(paper --n-uarch 2 --n-sw 2)
 "$CAMPAIGN" "${PFLAGS[@]}" --out-dir "$PAPER/a" --events "$PAPER/a.jsonl" \
   > /dev/null 2> "$PAPER/a.err"
-test "$(grep -c '"kind":"shard_start"' "$PAPER/a.jsonl")" -eq 44
+test "$(grep -c '"kind":"shard_start"' "$PAPER/a.jsonl")" -eq 55
 test "$(grep -c '"record":"snapshot"' "$PAPER/a.jsonl")" -eq 22
 test "$(grep -c '"record":"snapshot".*"hardened":true' "$PAPER/a.jsonl")" -eq 11
 grep -Eq '^golden_run +44 ' "$PAPER/a.err"
@@ -52,14 +53,16 @@ for f in crates/bench/tests/fixtures/paper_n2/*.csv; do
   cmp "$f" "$PAPER/a/$(basename "$f")"
   cmp "$f" "$PAPER/b/$(basename "$f")"
 done
+cmp results/fig12_reuse_sets.csv "$PAPER/a/fig12_reuse_sets.csv"
 cmp "$PAPER/a/MANIFEST.csv" "$PAPER/b/MANIFEST.csv"
 echo "paper smoke: uninterrupted == resumed == the per-figure binaries' CSVs"
 
 echo "==> extension smoke (docs/CAMPAIGNS.md): same journals, same bytes as the study binaries it replaced"
 # `campaign extensions` at the same flags into the directory the paper
-# smoke just filled: 171 campaigns, of which the 22 unprotected standard
+# smoke just filled: 182 campaigns, of which the 22 unprotected standard
 # ones are loaded from paper's journals (Executed = 0, no shard start) and
-# 149 run (11 PVF, HotSpot / LUD / SCP at 2 and 8 SMs, 6 patterns x 22).
+# 160 run (11 PVF, HotSpot / LUD / SCP at 2 and 8 SMs, 6 patterns x 22,
+# 11 instruction-class campaigns of the two-level study).
 # Then into an empty directory, killed by --limit and resumed. Both must
 # write the 3 CSVs of crates/bench/tests/fixtures/ext_n2 — generated at
 # the parent of the change that deleted them (commit b68f1dd) by
@@ -67,7 +70,7 @@ echo "==> extension smoke (docs/CAMPAIGNS.md): same journals, same bytes as the 
 # --n-sw 2 — and the same MANIFEST.extensions.csv.
 XFLAGS=(extensions --n-uarch 2 --n-sw 2)
 "$CAMPAIGN" "${XFLAGS[@]}" --out-dir "$PAPER/a" --events "$PAPER/x.jsonl" > /dev/null 2>&1
-test "$(grep -c '"kind":"shard_start"' "$PAPER/x.jsonl")" -eq 149
+test "$(grep -c '"kind":"shard_start"' "$PAPER/x.jsonl")" -eq 160
 test "$(grep -Ec '^[^.]+\.(uarch|sw)\.base,[0-9]+,0,' "$PAPER/a/wall.extensions.csv")" -eq 22
 "$CAMPAIGN" "${XFLAGS[@]}" --out-dir "$PAPER/c" --limit 300 2> /dev/null \
   | grep 'partial — resume to finish' > /dev/null
@@ -91,17 +94,6 @@ ACE=$(mktemp -d)
 cargo run --release -q -p bench --bin ace_study -- --check --out-dir "$ACE" > /dev/null 2>&1
 cmp results/fig_ace_vs_avf.csv "$ACE/fig_ace_vs_avf.csv"
 rm -rf "$ACE"
-
-echo "==> fig12_register_reuse: Figure 12's tables are the checked-in ones (results/fig12_*.csv)"
-FIG12=$(mktemp -d)
-cargo run --release -q -p bench --bin fig12_register_reuse -- --out-dir "$FIG12" > /dev/null 2>&1
-for f in fig12_reuse_sets.csv fig12_src_injection_modes.csv; do
-  cmp "results/$f" "$FIG12/$f"
-done
-rm -rf "$FIG12"
-
-echo "==> twolevel_study smoke"
-cargo run --release -q -p bench --bin twolevel_study -- smoke
 
 echo "==> dispatch smoke (coordinator + 2 workers, one killed mid-run)"
 # Single-process reference, then the same campaign through the dispatch
