@@ -30,7 +30,7 @@ pub mod reg;
 pub use asm::KernelBuilder;
 pub use instr::{Guard, Instr};
 pub use kernel::{Kernel, LaunchConfig, ValidateError};
-pub use op::{BoolOp, CmpOp, InstrClass, MemSpace, Op, Operand};
+pub use op::{BoolOp, CmpOp, InstrClass, MemSpace, Op, Operand, SrcRegs};
 pub use reg::{Pred, Reg, SpecialReg};
 
 /// Number of threads in a warp. Fixed at 32, as on all NVIDIA hardware.

@@ -324,11 +324,14 @@ impl Op {
         }
     }
 
-    /// General-purpose registers read by this op.
-    pub fn src_regs(&self) -> Vec<Reg> {
+    /// General-purpose registers read by this op, in operand order.
+    pub fn src_regs(&self) -> SrcRegs {
         use Op::*;
-        let mut v = Vec::with_capacity(3);
-        let push_op = |o: &Operand, v: &mut Vec<Reg>| {
+        let mut v = SrcRegs {
+            regs: [Reg(0); 3],
+            len: 0,
+        };
+        let push_op = |o: &Operand, v: &mut SrcRegs| {
             if let Some(r) = o.src_reg() {
                 v.push(r);
             }
@@ -350,11 +353,8 @@ impl Op {
             | FMnMx { a, b, .. }
             | ISetP { a, b, .. }
             | FSetP { a, b, .. }
-            | Sel { a, b, .. } => {
-                v.push(*a);
-                push_op(b, &mut v);
-            }
-            IScAdd { a, b, .. } => {
+            | Sel { a, b, .. }
+            | IScAdd { a, b, .. } => {
                 v.push(*a);
                 push_op(b, &mut v);
             }
@@ -370,8 +370,8 @@ impl Op {
             | FLog { a, .. }
             | FAbs { a, .. }
             | I2F { a, .. }
-            | F2I { a, .. } => v.push(*a),
-            Ld { a, .. } => v.push(*a),
+            | F2I { a, .. }
+            | Ld { a, .. } => v.push(*a),
             St { a, v: val, .. } => {
                 v.push(*a);
                 v.push(*val);
@@ -432,6 +432,37 @@ impl Op {
                 InstrClass::Other
             }
         }
+    }
+}
+
+/// The general-purpose registers an op reads ([`Op::src_regs`]): an inline
+/// list of at most three, so asking costs no allocation. It derefs to
+/// `[Reg]` and iterates by value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SrcRegs {
+    regs: [Reg; 3],
+    len: u8,
+}
+
+impl SrcRegs {
+    fn push(&mut self, r: Reg) {
+        self.regs[self.len as usize] = r;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for SrcRegs {
+    type Target = [Reg];
+    fn deref(&self) -> &[Reg] {
+        &self.regs[..self.len as usize]
+    }
+}
+
+impl IntoIterator for SrcRegs {
+    type Item = Reg;
+    type IntoIter = std::iter::Take<std::array::IntoIter<Reg, 3>>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.regs.into_iter().take(self.len as usize)
     }
 }
 
@@ -561,7 +592,11 @@ mod tests {
             c: Operand::Reg(Reg(3)),
         };
         assert_eq!(op.dst_reg(), Some(Reg(4)));
-        assert_eq!(op.src_regs(), vec![Reg(0), Reg(3)]);
+        assert_eq!(*op.src_regs(), [Reg(0), Reg(3)]);
+        assert_eq!(
+            op.src_regs().into_iter().collect::<Vec<_>>(),
+            [Reg(0), Reg(3)]
+        );
 
         let st = Op::St {
             space: MemSpace::Global,
@@ -570,7 +605,8 @@ mod tests {
             v: Reg(5),
         };
         assert_eq!(st.dst_reg(), None);
-        assert_eq!(st.src_regs(), vec![Reg(2), Reg(5)]);
+        assert_eq!(*st.src_regs(), [Reg(2), Reg(5)]);
+        assert!(Op::Bar.src_regs().is_empty());
         assert!(st.is_mem());
         assert!(!st.is_load());
     }

@@ -109,32 +109,106 @@ fn reg_idx(r: Reg, lane: usize) -> usize {
     r.0 as usize * WARP_SIZE + lane
 }
 
+/// One 32-bit word per lane of a warp.
+type Row = [u32; WARP_SIZE];
+
+/// The lanes of `mask`, ascending.
 #[inline]
-fn read_reg(regs: &[u32], r: Reg, lane: usize) -> u32 {
-    regs[reg_idx(r, lane)]
+pub(crate) fn lanes_of(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let lane = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        (lane < WARP_SIZE).then_some(lane)
+    })
 }
 
+/// Register `r` of every lane.
 #[inline]
-fn read_op(regs: &[u32], params: &[u32], o: &Operand, lane: usize) -> u32 {
-    match o {
-        Operand::Reg(r) => read_reg(regs, *r, lane),
-        Operand::Imm(v) => *v,
+fn row(regs: &[u32], r: Reg) -> &Row {
+    regs[reg_idx(r, 0)..reg_idx(r, WARP_SIZE)]
+        .try_into()
+        .expect("a row is WARP_SIZE words")
+}
+
+/// An operand on every lane: a register row, or an immediate or
+/// constant-bank word broadcast.
+#[inline]
+fn operand(regs: &[u32], params: &[u32], o: &Operand) -> Row {
+    match *o {
+        Operand::Reg(r) => *row(regs, r),
+        Operand::Imm(v) => [v; WARP_SIZE],
         Operand::Const(i) => {
             debug_assert!(
-                (*i as usize) < params.len(),
+                (i as usize) < params.len(),
                 "constant bank index out of range"
             );
-            params.get(*i as usize).copied().unwrap_or(0)
+            [params.get(i as usize).copied().unwrap_or(0); WARP_SIZE]
         }
     }
 }
 
-#[inline]
-fn fcmp(cmp: CmpOp, a: f32, bv: f32) -> bool {
-    match a.partial_cmp(&bv) {
-        Some(ord) => cmp.eval(ord),
-        None => cmp == CmpOp::Ne, // unordered: only NE is true
+/// `f` evaluated on every lane. Every op computed this way is pure, so
+/// the values of lanes outside the exec mask are simply discarded.
+#[inline(always)]
+fn lanes(f: impl Fn(usize) -> u32) -> Row {
+    let mut out = [0; WARP_SIZE];
+    for (lane, o) in out.iter_mut().enumerate() {
+        *o = f(lane);
     }
+    out
+}
+
+/// Write `vals` into register `d` on the lanes of `mask` only.
+#[inline]
+fn write_row(regs: &mut [u32], d: Reg, mask: u32, vals: &Row) {
+    let dst: &mut Row = (&mut regs[reg_idx(d, 0)..reg_idx(d, WARP_SIZE)])
+        .try_into()
+        .expect("a row is WARP_SIZE words");
+    if mask == u32::MAX {
+        *dst = *vals;
+    } else {
+        for (lane, (o, &v)) in dst.iter_mut().zip(vals).enumerate() {
+            *o = if mask >> lane & 1 != 0 { v } else { *o };
+        }
+    }
+}
+
+/// Predicate bits of `mask` set to those of `bits`, the rest kept.
+#[inline]
+fn write_pred(p: &mut u32, mask: u32, bits: u32) {
+    *p = (*p & !mask) | (bits & mask);
+}
+
+/// Bit `lane` set where `f(lane)` holds.
+#[inline(always)]
+fn lane_bits(f: impl Fn(usize) -> bool) -> u32 {
+    (0..WARP_SIZE).fold(0, |m, lane| m | (f(lane) as u32) << lane)
+}
+
+/// `cmp` on a comparison result, tabulated so a lane pays an index, not a
+/// match: `table[ord_idx(..)]`. Unordered (NaN) is index 3, where only
+/// `Ne` holds.
+#[inline]
+fn cmp_table(cmp: CmpOp) -> [bool; 4] {
+    use std::cmp::Ordering::*;
+    [
+        cmp.eval(Less),
+        cmp.eval(Equal),
+        cmp.eval(Greater),
+        cmp == CmpOp::Ne,
+    ]
+}
+
+#[inline(always)]
+fn ord_idx(ord: Option<std::cmp::Ordering>) -> usize {
+    ord.map_or(3, |o| (o as i8 + 1) as usize)
+}
+
+/// `[a + off]` on every lane.
+#[inline]
+fn addrs(regs: &[u32], a: Reg, off: i32) -> Row {
+    let a = row(regs, a);
+    lanes(|l| a[l].wrapping_add(off as u32))
 }
 
 /// Kind of value-level software fault pending for this instruction.
@@ -194,17 +268,9 @@ pub fn step_warp<M: GMem>(w: &mut Warp, ctx: &mut ExecCtx<'_, M>) -> Result<Step
             if eligible {
                 let t = sw.fault.target;
                 if t >= sw.counter && t < sw.counter + n_active {
-                    // Locate the (t - counter)-th active lane.
-                    let mut k = (t - sw.counter) as u32;
-                    let mut m = exec_mask;
-                    let lane = loop {
-                        let l = m.trailing_zeros();
-                        if k == 0 {
-                            break l as usize;
-                        }
-                        m &= m - 1;
-                        k -= 1;
-                    };
+                    let lane = lanes_of(exec_mask)
+                        .nth((t - sw.counter) as usize)
+                        .expect("the target is one of this instruction's active lanes");
                     let mask = value_mask(sw.fault.pattern, sw.fault.bit);
                     let stuck_v = sw.fault.pattern.stuck_value();
                     match sw.fault.kind {
@@ -312,44 +378,40 @@ pub fn step_warp<M: GMem>(w: &mut Warp, ctx: &mut ExecCtx<'_, M>) -> Result<Step
     // ---- probe: source-register reads -----------------------------------
     // `Sel` conservatively counts both inputs as read; predicate registers
     // are not part of the modeled register file.
-    if ctx.mem.probed() && exec_mask != 0 {
+    if ctx.mem.probed() {
         for r in op.src_regs() {
-            let mut m = exec_mask;
-            while m != 0 {
-                let lane = m.trailing_zeros() as usize;
-                m &= m - 1;
+            for lane in lanes_of(exec_mask) {
                 ctx.mem.probe_reg(reg_idx(r, lane), false);
             }
         }
     }
 
-    macro_rules! lanes {
-        ($lane:ident, $body:block) => {{
-            let mut m = exec_mask;
-            while m != 0 {
-                let $lane = m.trailing_zeros() as usize;
-                m &= m - 1;
-                $body
-            }
+    // ---- the operation: one pass over 32-lane rows ----------------------
+    // Register operands are read as rows and immediate / constant operands
+    // broadcast once; results are written back under the exec mask.
+    macro_rules! alu {
+        ($class:expr, $d:expr, |$l:ident| $e:expr) => {{
+            let out = lanes(|$l| $e);
+            write_row(ctx.regs, *$d, exec_mask, &out);
+            $class
         }};
     }
     macro_rules! alu1 {
-        ($d:expr, $a:expr, $lane:ident, $e:expr) => {{
-            lanes!($lane, {
-                let av = read_reg(ctx.regs, $a, $lane);
-                ctx.regs[reg_idx($d, $lane)] = $e(av);
-            });
-            IssueClass::Alu
+        ($d:expr, $a:expr, $e:expr) => {{
+            let a = row(ctx.regs, *$a);
+            alu!(IssueClass::Alu, $d, |l| $e(a[l]))
         }};
     }
     macro_rules! alu2 {
-        ($d:expr, $a:expr, $b:expr, $lane:ident, $e:expr) => {{
-            lanes!($lane, {
-                let av = read_reg(ctx.regs, $a, $lane);
-                let bv = read_op(ctx.regs, ctx.params, $b, $lane);
-                ctx.regs[reg_idx($d, $lane)] = $e(av, bv);
-            });
-            IssueClass::Alu
+        ($d:expr, $a:expr, $b:expr, $e:expr) => {{
+            let (a, b) = (row(ctx.regs, *$a), operand(ctx.regs, ctx.params, $b));
+            alu!(IssueClass::Alu, $d, |l| $e(a[l], b[l]))
+        }};
+    }
+    macro_rules! sfu {
+        ($d:expr, $a:expr, $e:expr) => {{
+            let a = row(ctx.regs, *$a);
+            alu!(IssueClass::Sfu, $d, |l| fb($e(f(a[l]))))
         }};
     }
 
@@ -358,40 +420,36 @@ pub fn step_warp<M: GMem>(w: &mut Warp, ctx: &mut ExecCtx<'_, M>) -> Result<Step
 
     let class: IssueClass = match &op {
         Op::S2R { d, sr } => {
-            lanes!(lane, {
-                let v = match sr {
-                    SpecialReg::TidX => w.warp_in_cta * WARP_SIZE as u32 + lane as u32,
-                    SpecialReg::CtaIdX => w.ctaid_x,
-                    SpecialReg::CtaIdY => w.ctaid_y,
-                    SpecialReg::NTidX => ctx.ntid,
-                    SpecialReg::NCtaIdX => ctx.nctaid,
-                    SpecialReg::LaneId => lane as u32,
-                };
-                ctx.regs[reg_idx(*d, lane)] = v;
-            });
+            let tid0 = w.warp_in_cta * WARP_SIZE as u32;
+            let v = match sr {
+                SpecialReg::TidX => lanes(|l| tid0 + l as u32),
+                SpecialReg::LaneId => lanes(|l| l as u32),
+                SpecialReg::CtaIdX => [w.ctaid_x; WARP_SIZE],
+                SpecialReg::CtaIdY => [w.ctaid_y; WARP_SIZE],
+                SpecialReg::NTidX => [ctx.ntid; WARP_SIZE],
+                SpecialReg::NCtaIdX => [ctx.nctaid; WARP_SIZE],
+            };
+            write_row(ctx.regs, *d, exec_mask, &v);
             IssueClass::Alu
         }
         Op::Mov { d, a } => {
-            lanes!(lane, {
-                ctx.regs[reg_idx(*d, lane)] = read_op(ctx.regs, ctx.params, a, lane);
-            });
+            let v = operand(ctx.regs, ctx.params, a);
+            write_row(ctx.regs, *d, exec_mask, &v);
             IssueClass::Alu
         }
-        Op::IAdd { d, a, b } => alu2!(*d, *a, b, lane, |x: u32, y: u32| x.wrapping_add(y)),
-        Op::ISub { d, a, b } => alu2!(*d, *a, b, lane, |x: u32, y: u32| x.wrapping_sub(y)),
-        Op::IMul { d, a, b } => alu2!(*d, *a, b, lane, |x: u32, y: u32| x.wrapping_mul(y)),
+        Op::IAdd { d, a, b } => alu2!(d, a, b, |x: u32, y| x.wrapping_add(y)),
+        Op::ISub { d, a, b } => alu2!(d, a, b, |x: u32, y| x.wrapping_sub(y)),
+        Op::IMul { d, a, b } => alu2!(d, a, b, |x: u32, y| x.wrapping_mul(y)),
         Op::IMad { d, a, b, c } => {
-            lanes!(lane, {
-                let av = read_reg(ctx.regs, *a, lane);
-                let bv = read_op(ctx.regs, ctx.params, b, lane);
-                let cv = read_op(ctx.regs, ctx.params, c, lane);
-                ctx.regs[reg_idx(*d, lane)] = av.wrapping_mul(bv).wrapping_add(cv);
-            });
-            IssueClass::Alu
+            let (a, b) = (row(ctx.regs, *a), operand(ctx.regs, ctx.params, b));
+            let c = operand(ctx.regs, ctx.params, c);
+            alu!(IssueClass::Alu, d, |l| a[l]
+                .wrapping_mul(b[l])
+                .wrapping_add(c[l]))
         }
         Op::IScAdd { d, a, b, shift } => {
             let sh = *shift as u32 & 31;
-            alu2!(*d, *a, b, lane, |x: u32, y: u32| (x << sh).wrapping_add(y))
+            alu2!(d, a, b, |x: u32, y| (x << sh).wrapping_add(y))
         }
         Op::IMnMx {
             d,
@@ -399,87 +457,44 @@ pub fn step_warp<M: GMem>(w: &mut Warp, ctx: &mut ExecCtx<'_, M>) -> Result<Step
             b,
             max,
             signed,
-        } => {
-            let (mx, sg) = (*max, *signed);
-            alu2!(*d, *a, b, lane, |x: u32, y: u32| {
-                if sg {
-                    let (xi, yi) = (x as i32, y as i32);
-                    (if mx { xi.max(yi) } else { xi.min(yi) }) as u32
-                } else if mx {
-                    x.max(y)
-                } else {
-                    x.min(y)
-                }
-            })
-        }
+        } => match (*max, *signed) {
+            (true, true) => alu2!(d, a, b, |x, y| (x as i32).max(y as i32) as u32),
+            (false, true) => alu2!(d, a, b, |x, y| (x as i32).min(y as i32) as u32),
+            (true, false) => alu2!(d, a, b, u32::max),
+            (false, false) => alu2!(d, a, b, u32::min),
+        },
         // NVIDIA shifts clamp: amounts >= 32 yield 0.
-        Op::Shl { d, a, b } => {
-            alu2!(*d, *a, b, lane, |x: u32, y: u32| if y >= 32 {
-                0
-            } else {
-                x << y
-            })
-        }
-        Op::Shr { d, a, b } => {
-            alu2!(*d, *a, b, lane, |x: u32, y: u32| if y >= 32 {
-                0
-            } else {
-                x >> y
-            })
-        }
-        Op::And { d, a, b } => alu2!(*d, *a, b, lane, |x: u32, y: u32| x & y),
-        Op::Or { d, a, b } => alu2!(*d, *a, b, lane, |x: u32, y: u32| x | y),
-        Op::Xor { d, a, b } => alu2!(*d, *a, b, lane, |x: u32, y: u32| x ^ y),
-        Op::Not { d, a } => alu1!(*d, *a, lane, |x: u32| !x),
-        Op::FAdd { d, a, b } => alu2!(*d, *a, b, lane, |x, y| fb(f(x) + f(y))),
-        Op::FMul { d, a, b } => alu2!(*d, *a, b, lane, |x, y| fb(f(x) * f(y))),
+        Op::Shl { d, a, b } => alu2!(d, a, b, |x: u32, y| x.checked_shl(y).unwrap_or(0)),
+        Op::Shr { d, a, b } => alu2!(d, a, b, |x: u32, y| x.checked_shr(y).unwrap_or(0)),
+        Op::And { d, a, b } => alu2!(d, a, b, |x, y| x & y),
+        Op::Or { d, a, b } => alu2!(d, a, b, |x, y| x | y),
+        Op::Xor { d, a, b } => alu2!(d, a, b, |x, y| x ^ y),
+        Op::Not { d, a } => alu1!(d, a, |x: u32| !x),
+        Op::FAdd { d, a, b } => alu2!(d, a, b, |x, y| fb(f(x) + f(y))),
+        Op::FMul { d, a, b } => alu2!(d, a, b, |x, y| fb(f(x) * f(y))),
         Op::FFma { d, a, b, c } => {
-            lanes!(lane, {
-                let av = f(read_reg(ctx.regs, *a, lane));
-                let bv = f(read_op(ctx.regs, ctx.params, b, lane));
-                let cv = f(read_op(ctx.regs, ctx.params, c, lane));
-                ctx.regs[reg_idx(*d, lane)] = fb(av.mul_add(bv, cv));
-            });
-            IssueClass::Alu
+            let (a, b) = (row(ctx.regs, *a), operand(ctx.regs, ctx.params, b));
+            let c = operand(ctx.regs, ctx.params, c);
+            alu!(
+                IssueClass::Alu,
+                d,
+                |l| fb(f(a[l]).mul_add(f(b[l]), f(c[l])))
+            )
         }
         Op::FMnMx { d, a, b, max } => {
-            let mx = *max;
-            alu2!(*d, *a, b, lane, |x, y| {
-                let (xf, yf) = (f(x), f(y));
-                fb(if mx { xf.max(yf) } else { xf.min(yf) })
-            })
+            if *max {
+                alu2!(d, a, b, |x, y| fb(f(x).max(f(y))))
+            } else {
+                alu2!(d, a, b, |x, y| fb(f(x).min(f(y))))
+            }
         }
-        Op::FRcp { d, a } => {
-            lanes!(lane, {
-                let av = f(read_reg(ctx.regs, *a, lane));
-                ctx.regs[reg_idx(*d, lane)] = fb(1.0 / av);
-            });
-            IssueClass::Sfu
-        }
-        Op::FSqrt { d, a } => {
-            lanes!(lane, {
-                let av = f(read_reg(ctx.regs, *a, lane));
-                ctx.regs[reg_idx(*d, lane)] = fb(av.sqrt());
-            });
-            IssueClass::Sfu
-        }
-        Op::FExp { d, a } => {
-            lanes!(lane, {
-                let av = f(read_reg(ctx.regs, *a, lane));
-                ctx.regs[reg_idx(*d, lane)] = fb(av.exp());
-            });
-            IssueClass::Sfu
-        }
-        Op::FLog { d, a } => {
-            lanes!(lane, {
-                let av = f(read_reg(ctx.regs, *a, lane));
-                ctx.regs[reg_idx(*d, lane)] = fb(av.ln());
-            });
-            IssueClass::Sfu
-        }
-        Op::FAbs { d, a } => alu1!(*d, *a, lane, |x: u32| x & 0x7fff_ffff),
-        Op::I2F { d, a } => alu1!(*d, *a, lane, |x: u32| fb(x as i32 as f32)),
-        Op::F2I { d, a } => alu1!(*d, *a, lane, |x: u32| f(x) as i32 as u32),
+        Op::FRcp { d, a } => sfu!(d, a, |x: f32| 1.0 / x),
+        Op::FSqrt { d, a } => sfu!(d, a, f32::sqrt),
+        Op::FExp { d, a } => sfu!(d, a, f32::exp),
+        Op::FLog { d, a } => sfu!(d, a, f32::ln),
+        Op::FAbs { d, a } => alu1!(d, a, |x: u32| x & 0x7fff_ffff),
+        Op::I2F { d, a } => alu1!(d, a, |x: u32| fb(x as i32 as f32)),
+        Op::F2I { d, a } => alu1!(d, a, |x: u32| f(x) as i32 as u32),
         Op::ISetP {
             p,
             a,
@@ -487,35 +502,21 @@ pub fn step_warp<M: GMem>(w: &mut Warp, ctx: &mut ExecCtx<'_, M>) -> Result<Step
             cmp,
             signed,
         } => {
-            lanes!(lane, {
-                let av = read_reg(ctx.regs, *a, lane);
-                let bv = read_op(ctx.regs, ctx.params, b, lane);
-                let r = if *signed {
-                    cmp.eval((av as i32).cmp(&(bv as i32)))
-                } else {
-                    cmp.eval(av.cmp(&bv))
-                };
-                let bitm = 1u32 << lane;
-                if r {
-                    w.preds[p.0 as usize] |= bitm;
-                } else {
-                    w.preds[p.0 as usize] &= !bitm;
-                }
-            });
+            let (a, b) = (row(ctx.regs, *a), operand(ctx.regs, ctx.params, b));
+            let t = cmp_table(*cmp);
+            let bits = if *signed {
+                lane_bits(|l| t[ord_idx(Some((a[l] as i32).cmp(&(b[l] as i32))))])
+            } else {
+                lane_bits(|l| t[ord_idx(Some(a[l].cmp(&b[l])))])
+            };
+            write_pred(&mut w.preds[p.0 as usize], exec_mask, bits);
             IssueClass::Alu
         }
         Op::FSetP { p, a, b, cmp } => {
-            lanes!(lane, {
-                let av = f(read_reg(ctx.regs, *a, lane));
-                let bv = f(read_op(ctx.regs, ctx.params, b, lane));
-                let r = fcmp(*cmp, av, bv);
-                let bitm = 1u32 << lane;
-                if r {
-                    w.preds[p.0 as usize] |= bitm;
-                } else {
-                    w.preds[p.0 as usize] &= !bitm;
-                }
-            });
+            let (a, b) = (row(ctx.regs, *a), operand(ctx.regs, ctx.params, b));
+            let t = cmp_table(*cmp);
+            let bits = lane_bits(|l| t[ord_idx(f(a[l]).partial_cmp(&f(b[l])))]);
+            write_pred(&mut w.preds[p.0 as usize], exec_mask, bits);
             IssueClass::Alu
         }
         Op::PSetP {
@@ -526,79 +527,51 @@ pub fn step_warp<M: GMem>(w: &mut Warp, ctx: &mut ExecCtx<'_, M>) -> Result<Step
             na,
             nb,
         } => {
-            let am = if *na {
-                !w.preds[a.0 as usize]
-            } else {
-                w.preds[a.0 as usize]
-            };
-            let bm = if *nb {
-                !w.preds[b.0 as usize]
-            } else {
-                w.preds[b.0 as usize]
-            };
+            let am = w.preds[a.0 as usize] ^ if *na { !0 } else { 0 };
+            let bm = w.preds[b.0 as usize] ^ if *nb { !0 } else { 0 };
             let rm = match bop {
                 vgpu_arch::BoolOp::And => am & bm,
                 vgpu_arch::BoolOp::Or => am | bm,
                 vgpu_arch::BoolOp::Xor => am ^ bm,
             };
-            w.preds[p.0 as usize] = (w.preds[p.0 as usize] & !exec_mask) | (rm & exec_mask);
+            write_pred(&mut w.preds[p.0 as usize], exec_mask, rm);
             IssueClass::Alu
         }
         Op::Sel { d, a, b, p, neg } => {
-            let pm = if *neg {
-                !w.preds[p.0 as usize]
+            let pm = w.preds[p.0 as usize] ^ if *neg { !0 } else { 0 };
+            let (a, b) = (row(ctx.regs, *a), operand(ctx.regs, ctx.params, b));
+            alu!(IssueClass::Alu, d, |l| if pm >> l & 1 != 0 {
+                a[l]
             } else {
-                w.preds[p.0 as usize]
-            };
-            lanes!(lane, {
-                let v = if pm & (1 << lane) != 0 {
-                    read_reg(ctx.regs, *a, lane)
-                } else {
-                    read_op(ctx.regs, ctx.params, b, lane)
-                };
-                ctx.regs[reg_idx(*d, lane)] = v;
-            });
-            IssueClass::Alu
+                b[l]
+            })
         }
-        Op::Ld { d, space, a, off } => match space {
-            MemSpace::Shared => smem_access(w, ctx, exec_mask, *a, *off, Some(*d), None)?,
-            MemSpace::Global | MemSpace::Tex => {
-                let mut addrs = [0u32; WARP_SIZE];
-                lanes!(lane, {
-                    addrs[lane] = read_reg(ctx.regs, *a, lane).wrapping_add(*off as u32);
-                });
-                let mut out = [0u32; WARP_SIZE];
-                if exec_mask != 0 {
-                    let ready =
-                        ctx.mem
-                            .load(*space == MemSpace::Tex, exec_mask, &addrs, &mut out)?;
-                    lanes!(lane, {
-                        ctx.regs[reg_idx(*d, lane)] = out[lane];
-                    });
+        Op::Ld { d, space, a, off } => {
+            let addrs = addrs(ctx.regs, *a, *off);
+            match space {
+                MemSpace::Shared => smem_access(ctx, exec_mask, &addrs, Some(*d), None)?,
+                _ if exec_mask == 0 => IssueClass::Alu,
+                MemSpace::Global | MemSpace::Tex => {
+                    let mut out = [0u32; WARP_SIZE];
+                    let tex = *space == MemSpace::Tex;
+                    let ready = ctx.mem.load(tex, exec_mask, &addrs, &mut out)?;
+                    write_row(ctx.regs, *d, exec_mask, &out);
                     IssueClass::Mem { ready }
-                } else {
-                    IssueClass::Alu
                 }
             }
-        },
-        Op::St { space, a, off, v } => match space {
-            MemSpace::Shared => smem_access(w, ctx, exec_mask, *a, *off, None, Some(*v))?,
-            MemSpace::Tex => unreachable!("validated kernels cannot store to texture space"),
-            MemSpace::Global => {
-                let mut addrs = [0u32; WARP_SIZE];
-                let mut vals = [0u32; WARP_SIZE];
-                lanes!(lane, {
-                    addrs[lane] = read_reg(ctx.regs, *a, lane).wrapping_add(*off as u32);
-                    vals[lane] = read_reg(ctx.regs, *v, lane);
-                });
-                if exec_mask != 0 {
-                    let ready = ctx.mem.store(exec_mask, &addrs, &vals)?;
+        }
+        Op::St { space, a, off, v } => {
+            let addrs = addrs(ctx.regs, *a, *off);
+            match space {
+                MemSpace::Shared => smem_access(ctx, exec_mask, &addrs, None, Some(*v))?,
+                MemSpace::Tex => unreachable!("validated kernels cannot store to texture space"),
+                _ if exec_mask == 0 => IssueClass::Alu,
+                MemSpace::Global => {
+                    let ready = ctx.mem.store(exec_mask, &addrs, row(ctx.regs, *v))?;
                     IssueClass::Mem { ready }
-                } else {
-                    IssueClass::Alu
                 }
             }
-        },
+        }
         Op::Bar => {
             event = StepEvent::Barrier;
             IssueClass::Alu
@@ -692,12 +665,9 @@ pub fn step_warp<M: GMem>(w: &mut Warp, ctx: &mut ExecCtx<'_, M>) -> Result<Step
     }
 
     // ---- probe: destination-register write ------------------------------
-    if ctx.mem.probed() && exec_mask != 0 {
+    if ctx.mem.probed() {
         if let Some(d) = op.dst_reg() {
-            let mut m = exec_mask;
-            while m != 0 {
-                let lane = m.trailing_zeros() as usize;
-                m &= m - 1;
+            for lane in lanes_of(exec_mask) {
                 ctx.mem.probe_reg(reg_idx(d, lane), true);
             }
         }
@@ -714,25 +684,20 @@ pub fn step_warp<M: GMem>(w: &mut Warp, ctx: &mut ExecCtx<'_, M>) -> Result<Step
 
 /// Shared-memory access with bounds checking and a 32-bank conflict model.
 fn smem_access<M: GMem>(
-    w: &mut Warp,
     ctx: &mut ExecCtx<'_, M>,
     exec_mask: u32,
-    a: Reg,
-    off: i32,
+    addrs: &Row,
     load_into: Option<Reg>,
     store_from: Option<Reg>,
 ) -> Result<IssueClass, DueKind> {
-    let len_bytes = (ctx.smem.len() * 4) as u32;
+    let len_bytes = ctx.smem.len() as u64 * 4;
     let mut bank_counts = [0u8; 32];
-    let mut m = exec_mask;
-    while m != 0 {
-        let lane = m.trailing_zeros() as usize;
-        m &= m - 1;
-        let addr = read_reg(ctx.regs, a, lane).wrapping_add(off as u32);
+    for lane in lanes_of(exec_mask) {
+        let addr = addrs[lane];
         if !addr.is_multiple_of(4) {
             return Err(DueKind::Misaligned { addr });
         }
-        if addr + 4 > len_bytes {
+        if addr as u64 + 4 > len_bytes {
             return Err(DueKind::SmemOutOfBounds { off: addr });
         }
         let word = (addr / 4) as usize;
@@ -744,11 +709,9 @@ fn smem_access<M: GMem>(
             ctx.regs[reg_idx(d, lane)] = ctx.smem[word];
         }
         if let Some(v) = store_from {
-            let val = read_reg(ctx.regs, v, lane);
-            ctx.smem[word] = val;
+            ctx.smem[word] = ctx.regs[reg_idx(v, lane)];
         }
     }
-    let _ = w;
     let max_per_bank = *bank_counts.iter().max().unwrap() as u32;
     Ok(IssueClass::Smem {
         extra_conflicts: max_per_bank.saturating_sub(1),
@@ -768,11 +731,8 @@ impl GMem for FlatMem<'_> {
         addrs: &[u32; WARP_SIZE],
         out: &mut [u32; WARP_SIZE],
     ) -> Result<u64, DueKind> {
-        let mut m = mask;
-        while m != 0 {
-            let lane = m.trailing_zeros() as usize;
-            m &= m - 1;
-            self.mem.check_word(addrs[lane])?;
+        self.mem.check_warp(mask, addrs)?;
+        for lane in lanes_of(mask) {
             out[lane] = self.mem.read_u32(addrs[lane]);
         }
         Ok(0)
@@ -784,11 +744,8 @@ impl GMem for FlatMem<'_> {
         addrs: &[u32; WARP_SIZE],
         vals: &[u32; WARP_SIZE],
     ) -> Result<u64, DueKind> {
-        let mut m = mask;
-        while m != 0 {
-            let lane = m.trailing_zeros() as usize;
-            m &= m - 1;
-            self.mem.check_word(addrs[lane])?;
+        self.mem.check_warp(mask, addrs)?;
+        for lane in lanes_of(mask) {
             self.mem.write_u32(addrs[lane], vals[lane]);
         }
         Ok(0)
@@ -822,10 +779,7 @@ impl GMem for LogMem<'_> {
         }
         .load(tex, mask, addrs, out)?;
         if let Some(reads) = self.reads.as_deref_mut() {
-            let mut m = mask;
-            while m != 0 {
-                let lane = m.trailing_zeros() as usize;
-                m &= m - 1;
+            for lane in lanes_of(mask) {
                 let (word, bit) = crate::mem::granule_bit(addrs[lane]);
                 reads[word] |= bit;
             }
@@ -839,11 +793,8 @@ impl GMem for LogMem<'_> {
         addrs: &[u32; WARP_SIZE],
         vals: &[u32; WARP_SIZE],
     ) -> Result<u64, DueKind> {
-        let mut m = mask;
-        while m != 0 {
-            let lane = m.trailing_zeros() as usize;
-            m &= m - 1;
-            self.mem.check_word(addrs[lane])?;
+        self.mem.check_warp(mask, addrs)?;
+        for lane in lanes_of(mask) {
             self.writes
                 .push((addrs[lane], self.mem.read_u32(addrs[lane])));
             self.mem.write_u32(addrs[lane], vals[lane]);
@@ -1071,42 +1022,46 @@ mod tests {
 
     #[test]
     fn smem_out_of_bounds_is_due() {
-        let mut a = KernelBuilder::new("t");
-        a.alloc_smem(16);
-        let (r0, r1) = (a.reg(), a.reg());
-        a.mov(r0, 64u32);
-        a.ld(r1, MemSpace::Shared, r0, 0);
-        let k = a.build().unwrap();
-        let mut w = Warp::new(0, 0, 0, 1, 0);
-        let mut regs = vec![0u32; k.num_regs as usize * WARP_SIZE];
-        let mut smem = vec![0u32; (k.smem_bytes / 4) as usize];
-        let mut stats = Stats::default();
-        let mut mem = GlobalMem::new(64);
-        let mut flat = FlatMem { mem: &mut mem };
-        let mut got = None;
-        for _ in 0..10 {
-            let mut ctx = ExecCtx {
-                kernel: &k,
-                params: &[],
-                ntid: 32,
-                nctaid: 1,
-                regs: &mut regs,
-                smem: &mut smem,
-                mem: &mut flat,
-                stats: &mut stats,
-                sw: None,
-                max_stack: 64,
-            };
-            match step_warp(&mut w, &mut ctx) {
-                Err(e) => {
-                    got = Some(e);
-                    break;
+        // One word past the end, and an address whose `+ 4` wraps to 0
+        // (a zero register with offset -4).
+        for (base, off, want) in [(64u32, 0, 64), (0, -4, 0xffff_fffc)] {
+            let mut a = KernelBuilder::new("t");
+            a.alloc_smem(16);
+            let (r0, r1) = (a.reg(), a.reg());
+            a.mov(r0, base);
+            a.ld(r1, MemSpace::Shared, r0, off);
+            let k = a.build().unwrap();
+            let mut w = Warp::new(0, 0, 0, 1, 0);
+            let mut regs = vec![0u32; k.num_regs as usize * WARP_SIZE];
+            let mut smem = vec![0u32; (k.smem_bytes / 4) as usize];
+            let mut stats = Stats::default();
+            let mut mem = GlobalMem::new(64);
+            let mut flat = FlatMem { mem: &mut mem };
+            let mut got = None;
+            for _ in 0..10 {
+                let mut ctx = ExecCtx {
+                    kernel: &k,
+                    params: &[],
+                    ntid: 32,
+                    nctaid: 1,
+                    regs: &mut regs,
+                    smem: &mut smem,
+                    mem: &mut flat,
+                    stats: &mut stats,
+                    sw: None,
+                    max_stack: 64,
+                };
+                match step_warp(&mut w, &mut ctx) {
+                    Err(e) => {
+                        got = Some(e);
+                        break;
+                    }
+                    Ok(StepEvent::Done) => break,
+                    Ok(_) => {}
                 }
-                Ok(StepEvent::Done) => break,
-                Ok(_) => {}
             }
+            assert_eq!(got, Some(DueKind::SmemOutOfBounds { off: want }));
         }
-        assert_eq!(got, Some(DueKind::SmemOutOfBounds { off: 64 }));
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! unmapped territory and be classified as DUEs, as on real hardware.
 
 use crate::due::DueKind;
+use crate::exec::lanes_of;
 use crate::snapshot::{Capture, Walk};
+use vgpu_arch::WARP_SIZE;
 
 /// log2 of the address granule (64 bytes) of a read-footprint bitmap:
 /// coarse enough that a CTA's footprint is a handful of bitmap words, fine
@@ -21,6 +23,12 @@ pub const GRANULE_SHIFT: u32 = 6;
 pub fn granule_bit(addr: u32) -> (usize, u32) {
     let g = addr >> GRANULE_SHIFT;
     ((g / 32) as usize, 1 << (g % 32))
+}
+
+/// Whether the word at `addr` lies entirely in `[start, end)`.
+#[inline]
+fn word_in(addr: u32, (start, end): (u32, u32)) -> bool {
+    start <= addr && addr as u64 + 4 <= end as u64
 }
 
 /// Words of a granule bitmap ([`granule_bit`]) covering `bytes` bytes.
@@ -145,22 +153,34 @@ impl GlobalMem {
         self.mapped.insert(pos, (start, end));
     }
 
-    /// True if the aligned word at `addr` lies entirely in a mapped range.
-    pub fn is_mapped_word(&self, addr: u32) -> bool {
+    /// The mapped range `[start, end)` holding the whole word at `addr`.
+    fn range_of_word(&self, addr: u32) -> Option<(u32, u32)> {
         let pos = self.mapped.partition_point(|&(_, e)| e <= addr);
-        match self.mapped.get(pos) {
-            Some(&(s, e)) => s <= addr && addr as u64 + 4 <= e as u64,
-            None => false,
-        }
+        let &(s, e) = self.mapped.get(pos)?;
+        word_in(addr, (s, e)).then_some((s, e))
     }
 
-    /// Validate a device word access: alignment then mapping.
-    pub fn check_word(&self, addr: u32) -> Result<(), DueKind> {
-        if !addr.is_multiple_of(4) {
-            return Err(DueKind::Misaligned { addr });
-        }
-        if !self.is_mapped_word(addr) {
-            return Err(DueKind::IllegalAddress { addr });
+    /// True if the aligned word at `addr` lies entirely in a mapped range.
+    pub fn is_mapped_word(&self, addr: u32) -> bool {
+        self.range_of_word(addr).is_some()
+    }
+
+    /// Validate a warp's device word accesses, the lanes of `mask` in
+    /// ascending order, alignment then mapping: the first bad lane's DUE.
+    /// A lane inside the previous lane's mapped range skips the table
+    /// search.
+    pub fn check_warp(&self, mask: u32, addrs: &[u32; WARP_SIZE]) -> Result<(), DueKind> {
+        let mut range = (0, 0);
+        for lane in lanes_of(mask) {
+            let addr = addrs[lane];
+            if !addr.is_multiple_of(4) {
+                return Err(DueKind::Misaligned { addr });
+            }
+            if !word_in(addr, range) {
+                range = self
+                    .range_of_word(addr)
+                    .ok_or(DueKind::IllegalAddress { addr })?;
+            }
         }
         Ok(())
     }
@@ -301,11 +321,36 @@ mod tests {
         assert!(m.is_mapped_word(316)); // 256 + 60: last full word
         assert!(!m.is_mapped_word(318));
         assert!(!m.is_mapped_word(200));
-        assert!(m.check_word(256).is_ok());
-        assert_eq!(m.check_word(258), Err(DueKind::Misaligned { addr: 258 }));
+        let one = |addr| m.check_warp(1, &[addr; WARP_SIZE]);
+        assert!(one(256).is_ok());
+        assert_eq!(one(258), Err(DueKind::Misaligned { addr: 258 }));
+        assert_eq!(one(512), Err(DueKind::IllegalAddress { addr: 512 }));
+    }
+
+    #[test]
+    fn warp_check_reports_the_first_bad_lane() {
+        let mut m = GlobalMem::new(4096);
+        m.map(256, 64);
+        m.map(1024, 64);
+        // Lanes alternate between the two ranges, then leave them.
+        let mut addrs: [u32; WARP_SIZE] =
+            std::array::from_fn(|l| [256, 1024][l % 2] + (l as u32 / 2) * 4);
+        assert!(m.check_warp(u32::MAX, &addrs).is_ok());
+        addrs[5] = 320; // one word past the first range
+        addrs[9] = 3;
         assert_eq!(
-            m.check_word(512),
-            Err(DueKind::IllegalAddress { addr: 512 })
+            m.check_warp(u32::MAX, &addrs),
+            Err(DueKind::IllegalAddress { addr: 320 })
+        );
+        assert_eq!(
+            m.check_warp(!0x20, &addrs),
+            Err(DueKind::Misaligned { addr: 3 })
+        );
+        assert!(m.check_warp(0x5f, &addrs).is_ok(), "bad lanes masked off");
+        assert_eq!(
+            m.check_warp(0x3, &[316; WARP_SIZE]),
+            Ok(()),
+            "a range's last word"
         );
     }
 

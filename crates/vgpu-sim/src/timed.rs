@@ -10,7 +10,7 @@
 use crate::cache::{ensure_l2, load_via, Cache, L1Probe};
 use crate::config::{GpuConfig, Latencies};
 use crate::due::{DueKind, LaunchAbort};
-use crate::exec::{step_warp, ExecCtx, GMem, IssueClass, StepEvent};
+use crate::exec::{lanes_of, step_warp, ExecCtx, GMem, IssueClass, StepEvent};
 use crate::fault::{
     apply_stuck, resolve_site, value_mask, HwStructure, StuckCache, StuckSite, SwInjector,
     UarchInjector,
@@ -50,12 +50,7 @@ impl GMem for TimedGMem<'_> {
         addrs: &[u32; WARP_SIZE],
         out: &mut [u32; WARP_SIZE],
     ) -> Result<u64, DueKind> {
-        let mut m = mask;
-        while m != 0 {
-            let lane = m.trailing_zeros() as usize;
-            m &= m - 1;
-            self.mem.check_word(addrs[lane])?;
-        }
+        self.mem.check_warp(mask, addrs)?;
         let l1 = if tex { &mut *self.l1t } else { &mut *self.l1d };
         let h = if tex {
             HwStructure::L1T
@@ -66,10 +61,7 @@ impl GMem for TimedGMem<'_> {
         let mut seen = [0u32; WARP_SIZE];
         let mut n = 0usize;
         let mut ready_max = self.now;
-        let mut m = mask;
-        while m != 0 {
-            let lane = m.trailing_zeros() as usize;
-            m &= m - 1;
+        for lane in lanes_of(mask) {
             let addr = addrs[lane];
             let line = addr / lb;
             let already = seen[..n].contains(&line);
@@ -116,19 +108,11 @@ impl GMem for TimedGMem<'_> {
         addrs: &[u32; WARP_SIZE],
         vals: &[u32; WARP_SIZE],
     ) -> Result<u64, DueKind> {
-        let mut m = mask;
-        while m != 0 {
-            let lane = m.trailing_zeros() as usize;
-            m &= m - 1;
-            self.mem.check_word(addrs[lane])?;
-        }
+        self.mem.check_warp(mask, addrs)?;
         let lb = self.l1d.geom().line_bytes;
         let mut seen = [0u32; WARP_SIZE];
         let mut n = 0usize;
-        let mut m = mask;
-        while m != 0 {
-            let lane = m.trailing_zeros() as usize;
-            m &= m - 1;
+        for lane in lanes_of(mask) {
             let addr = addrs[lane];
             let line = addr / lb;
             let off = addr % lb;
