@@ -188,6 +188,7 @@ mod tests {
             est.total_cycles
         );
         assert!(est.kernels[0].avf(&gpu, HwStructure::RegFile) > 0.0);
+        assert!(est.events > 0, "the lifetime sink saw no event");
         // Deterministic across reruns.
         let again = estimate_app(&bench, &gpu);
         assert_eq!(est, again);

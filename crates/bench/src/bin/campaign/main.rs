@@ -1,6 +1,7 @@
-//! The campaign driver — the repo's one command line. Regenerate the
-//! paper's injection figures (`paper`) or the extension studies built on
-//! the same campaigns (`extensions`) in one resumable run each, or split
+//! The campaign driver — the repo's one command line and its one binary.
+//! Regenerate the paper's injection figures (`paper`) or the extension
+//! studies built on the same campaigns, the analytic ACE estimate against
+//! injection among them (`extensions`), in one resumable run each, or split
 //! one fault-injection campaign across processes/machines, checkpoint
 //! while running, resume after a kill, and merge shard outputs back into
 //! the single-shot result.
@@ -18,7 +19,6 @@
 //! campaign serve --app VA --layer uarch --shards 3 --listen 127.0.0.1:0 [--adaptive ...]
 //! campaign work  --connect 127.0.0.1:PORT
 //! campaign status|top|scrape ADDR, campaign lint, campaign timeline FILE...
-//! campaign smoke
 //! ```
 //!
 //! `campaign --help` lists the subcommands and `campaign <sub> --help`
@@ -50,7 +50,6 @@ mod merge;
 mod paper;
 mod run;
 mod serve;
-mod smoke;
 mod work;
 
 use bench::cli::{die, usage, Cmd};
@@ -58,7 +57,7 @@ use bench::figures::{EXTENSIONS, FIGURES};
 use bench::{finish_observability, init_observability};
 
 const SUBCOMMANDS: &str =
-    "paper|extensions|list|golden|run|merge|serve|work|status|top|scrape|lint|timeline|smoke";
+    "paper|extensions|list|golden|run|merge|serve|work|status|top|scrape|lint|timeline";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -70,22 +69,21 @@ fn main() {
     };
     if sub == "--help" || sub == "-h" {
         println!("usage: campaign <{SUBCOMMANDS}> [options]\n");
-        for cmd in Cmd::ALL.iter().filter(|c| c.subcommand().is_some()) {
-            println!("{}", usage(*cmd));
+        for cmd in Cmd::ALL {
+            println!("{}", usage(cmd));
         }
         println!(
             "usage: campaign list                   the applications and their kernels\n\
              usage: campaign status|scrape ADDR     one-shot fleet view / lint of a telemetry endpoint\n\
              usage: campaign lint                   validate Prometheus exposition text from stdin\n\
-             usage: campaign timeline FILE...       merge JSONL trace events into one timeline\n\
-             usage: campaign smoke                  in-process path + shard + adaptive equivalence gate"
+             usage: campaign timeline FILE...       merge JSONL trace events into one timeline"
         );
         return;
     }
     let rest = &args[2..];
     // A subcommand of the flag table turns observability on when it parses
     // `rest` (`--events`); the others have the `RELIA_*` variables alone.
-    let in_table = (Cmd::ALL.iter().filter_map(|c| c.subcommand()))
+    let in_table = (Cmd::ALL.iter().map(|c| c.subcommand()))
         .any(|names| names.split('|').any(|name| name == sub));
     if !in_table {
         init_observability(None);
@@ -104,7 +102,6 @@ fn main() {
         "scrape" => fleet::scrape(rest),
         "lint" => fleet::lint(),
         "timeline" => fleet::timeline(rest),
-        "smoke" => smoke::smoke(),
         other => die(&format!("unknown subcommand {other:?} ({SUBCOMMANDS})")),
     }
     finish_observability();

@@ -7,8 +7,8 @@
 //! (`uarch`) and SVF (`sw`), unprotected (`base`) and TMR-hardened
 //! (`tmr`); for `extensions` the unprotected two plus their PVF,
 //! fault-pattern and SM-count variants — run by [`bench::driver::Driver`]
-//! against `DIR/journal/`, which both commands (and `ace_study`) share: a
-//! campaign any of them completed is loaded, not re-simulated. Once every
+//! against `DIR/journal/`, which both commands share: a campaign either
+//! of them completed is loaded, not re-simulated. Once every
 //! campaign is complete, each figure whose campaigns were all run is
 //! written to `DIR` as CSV, with `MANIFEST<set>.csv` (deterministic:
 //! flags, campaign fingerprints, CSV hashes) and `wall<set>.csv` (this

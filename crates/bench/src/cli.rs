@@ -1,6 +1,6 @@
-//! The one flag table behind every binary of this crate.
+//! The one flag table behind the `campaign` command line.
 //!
-//! Each flag any of them accepts is declared exactly once in [`FLAGS`]:
+//! Each flag a subcommand accepts is declared exactly once in [`FLAGS`]:
 //! its name, what follows it on the command line (with the range check
 //! the value must pass), the commands that accept it, and its help line.
 //! [`parse`] checks a command line against the table, [`usage`] renders
@@ -37,11 +37,10 @@ pub enum Cmd {
     Paper,
     /// `campaign golden`: one fault-free run, per launch.
     Golden,
-    AceStudy,
 }
 
 impl Cmd {
-    pub const ALL: [Cmd; 8] = [
+    pub const ALL: [Cmd; 7] = [
         Cmd::Run,
         Cmd::Merge,
         Cmd::Serve,
@@ -49,7 +48,6 @@ impl Cmd {
         Cmd::Top,
         Cmd::Paper,
         Cmd::Golden,
-        Cmd::AceStudy,
     ];
 
     const fn bit(self) -> u16 {
@@ -57,17 +55,16 @@ impl Cmd {
     }
 
     /// `campaign` subcommand name (`a|b` when two subcommands share the
-    /// flags); `None` for the stand-alone `ace_study`.
-    pub fn subcommand(self) -> Option<&'static str> {
+    /// flags).
+    pub fn subcommand(self) -> &'static str {
         match self {
-            Cmd::Run => Some("run"),
-            Cmd::Merge => Some("merge"),
-            Cmd::Serve => Some("serve"),
-            Cmd::Work => Some("work"),
-            Cmd::Top => Some("top"),
-            Cmd::Paper => Some("paper|extensions"),
-            Cmd::Golden => Some("golden"),
-            Cmd::AceStudy => None,
+            Cmd::Run => "run",
+            Cmd::Merge => "merge",
+            Cmd::Serve => "serve",
+            Cmd::Work => "work",
+            Cmd::Top => "top",
+            Cmd::Paper => "paper|extensions",
+            Cmd::Golden => "golden",
         }
     }
 
@@ -88,10 +85,9 @@ const WORK: u16 = Cmd::Work.bit();
 const TOP: u16 = Cmd::Top.bit();
 const PAPER: u16 = Cmd::Paper.bit();
 const GOLDEN: u16 = Cmd::Golden.bit();
-const ACE: u16 = Cmd::AceStudy.bit();
 /// The commands that rebuild a plan from a campaign description.
 const PLAN: u16 = RUN | MERGE | SERVE;
-const EVERY: u16 = PLAN | WORK | ACE | PAPER;
+const EVERY: u16 = PLAN | WORK | PAPER;
 
 /// What follows a flag on the command line, with its placeholder in the
 /// usage text and the check the value must pass.
@@ -146,19 +142,19 @@ const fn flag(name: &'static str, arg: Arg, cmds: u16, help: &'static str) -> Fl
     }
 }
 
-/// Every flag of every binary in this crate, declared once.
+/// Every flag of `campaign`, declared once.
 #[rustfmt::skip]
 pub const FLAGS: &[Flag] = &[
     // The campaign description (dispatch::CampaignSpec).
     flag("--app", Arg::Text("NAME"), PLAN | GOLDEN, "application to inject into (required)"),
     flag("--layer", Arg::Choice(layers), PLAN | GOLDEN, "injection layer: AVF (uarch, default) or SVF (sw)"),
     flag("--n", Arg::Num("N", ANY), PLAN, "injections per (kernel, target); default 100"),
-    flag("--n-uarch", Arg::Num("N", SAMPLE), PAPER | ACE, "injections per (kernel, structure) in AVF campaigns (paper: default 250)"),
-    flag("--n-sw", Arg::Num("N", SAMPLE), PAPER, "injections per kernel and fault kind in SVF campaigns (paper: default 500)"),
-    flag("--seed", Arg::Num("S", ANY), PLAN | ACE | PAPER, "campaign seed; every trial derives from it"),
-    flag("--sms", Arg::Num("N", 0..=u32::MAX as u64), PLAN | ACE | PAPER | GOLDEN, "SM count of the simulated GPU; default 4"),
+    flag("--n-uarch", Arg::Num("N", SAMPLE), PAPER, "injections per (kernel, structure) in AVF campaigns; default 250"),
+    flag("--n-sw", Arg::Num("N", SAMPLE), PAPER, "injections per kernel and fault kind in SVF campaigns; default 500"),
+    flag("--seed", Arg::Num("S", ANY), PLAN | PAPER, "campaign seed; every trial derives from it"),
+    flag("--sms", Arg::Num("N", 0..=u32::MAX as u64), PLAN | PAPER | GOLDEN, "SM count of the simulated GPU; default 4"),
     flag("--hardened", Arg::Switch, PLAN | GOLDEN, "the TMR-hardened variant of the application"),
-    flag("--structures", Arg::Text("RF,SMEM,.."), PLAN | ACE, "uarch structure subset (SIMT, SCHED: stuck-at models only)"),
+    flag("--structures", Arg::Text("RF,SMEM,.."), PLAN, "uarch structure subset (SIMT, SCHED: stuck-at models only)"),
     flag("--fault-model", Arg::Choice(fault_models), PLAN | PAPER, "fault pattern of every trial; default single-bit"),
     flag("--backend", Arg::Choice(backends), RUN | SERVE | PAPER, "trial engine; records are identical, replay skips dead faults"),
     // Per-injection watchdog (relia::Watchdog); off by default.
@@ -187,7 +183,7 @@ pub const FLAGS: &[Flag] = &[
     flag("--backoff-ms", Arg::Num("MS", POSITIVE), SERVE, "first reassignment backoff; default 250"),
     flag("--max-backoff-ms", Arg::Num("MS", ANY), SERVE, "backoff ceiling; default 5000"),
     flag("--wait-ms", Arg::Num("MS", POSITIVE), SERVE, "poll interval told to idle workers; default 200"),
-    flag("--out-dir", Arg::Text("DIR"), SERVE | PAPER | ACE, "serve: shard journals under DIR; paper, extensions (required), ace_study: CSVs + journal/"),
+    flag("--out-dir", Arg::Text("DIR"), SERVE | PAPER, "serve: shard journals under DIR; paper, extensions (required): CSVs + journal/"),
     flag("--telemetry-port", Arg::Num("PORT", PORT), SERVE | WORK, "mount /metrics and /status on 127.0.0.1:PORT (0 = any)"),
     flag("--telemetry-port-file", Arg::Text("PATH"), SERVE | WORK, "write the bound telemetry port here"),
     // Worker.
@@ -200,9 +196,8 @@ pub const FLAGS: &[Flag] = &[
     // Fleet view.
     flag("--interval-ms", Arg::Num("MS", POSITIVE), TOP, "poll interval; default 1000"),
     flag("--iterations", Arg::Num("N", ANY), TOP, "stop after N polls (0 = until the campaign is done)"),
-    // Figure sets and the ACE study.
-    flag("--apps", Arg::Text("VA,NW,.."), ACE | PAPER, "suite subset"),
-    flag("--check", Arg::Switch, ACE, "gate on the acceptance threshold (exit 1 when unmet)"),
+    // Figure sets.
+    flag("--apps", Arg::Text("VA,NW,.."), PAPER, "suite subset"),
 ];
 
 /// CLI/validation error: one line on stderr, exit 2.
@@ -272,14 +267,7 @@ impl Arg {
 
 /// The `--help` text of one command, generated from [`FLAGS`].
 pub fn usage(cmd: Cmd) -> String {
-    let mut out = match cmd.subcommand() {
-        Some(sub) => format!("usage: campaign {sub} [options]"),
-        None => {
-            let exe = std::env::args().next().unwrap_or_default();
-            let name = exe.rsplit('/').next().unwrap_or_default();
-            format!("usage: {name} [options]")
-        }
-    };
+    let mut out = format!("usage: campaign {} [options]", cmd.subcommand());
     if let Some(what) = cmd.positional() {
         out.push_str(&format!(" {what}"));
     }
@@ -341,7 +329,7 @@ pub fn parse(cmd: Cmd, args: &[String]) -> Result<Parsed, String> {
     Ok(parsed)
 }
 
-/// [`parse`] for a binary's `main`: `--help`/`-h` prints the usage text
+/// [`parse`] for a subcommand: `--help`/`-h` prints the usage text
 /// and exits 0, a usage error exits 2, and a command line that parses
 /// turns observability on from its `--events` and the `RELIA_*` variables
 /// ([`crate::init_observability`]).
@@ -452,11 +440,11 @@ impl Parsed {
         }
     }
 
-    /// The configuration of the fixed-size campaigns of the figure sets and
-    /// `ace_study`. Defaults are sized so every
-    /// figure regenerates in minutes on a laptop; pass larger counts to
-    /// tighten confidence intervals (the paper used 3,000 injections per
-    /// target at ±2.35%, 99% confidence), up to [`MAX_N`].
+    /// The configuration of the fixed-size campaigns of the figure sets.
+    /// Defaults are sized so every figure regenerates in minutes on a
+    /// laptop; pass larger counts to tighten confidence intervals (the
+    /// paper used 3,000 injections per target at ±2.35%, 99% confidence),
+    /// up to [`MAX_N`].
     pub fn campaign_cfg(&self, default_uarch: usize, default_sw: usize) -> CampaignCfg {
         CampaignCfg {
             gpu: self.gpu(),
@@ -466,12 +454,6 @@ impl Parsed {
             watchdog: self.watchdog(),
             pattern: self.fault_model(),
         }
-    }
-
-    /// Where `ace_study` writes its CSV and journals: `--out-dir`, or the
-    /// checked-in `results/`.
-    pub fn results_dir(&self) -> PathBuf {
-        self.path("--out-dir").unwrap_or_else(crate::results_dir)
     }
 
     /// The adaptive sizing flags over the given defaults, rejecting any
@@ -487,7 +469,8 @@ impl Parsed {
     }
 
     /// `--apps` as a suite subset in canonical (figure) order, whatever
-    /// order the list names them in; the whole suite when absent.
+    /// order the list names them in; the whole suite when absent. A list
+    /// that names no application is a usage error.
     pub fn benches(&self) -> Vec<Box<dyn Benchmark>> {
         let all = all_benchmarks();
         let Some(list) = self.text("--apps") else {
@@ -498,6 +481,9 @@ impl Parsed {
             .map(str::trim)
             .filter(|s| !s.is_empty())
             .collect();
+        if wanted.is_empty() {
+            die(&format!("--apps {list:?} names no application"));
+        }
         let named = |b: &dyn Benchmark, w: &str| b.name().eq_ignore_ascii_case(w);
         for w in &wanted {
             if !all.iter().any(|b| named(b.as_ref(), w)) {

@@ -8,8 +8,8 @@
 //! from the key ([`Key::name`]). The journal is both checkpoint and
 //! resume file: a killed run re-invoked with the same command line
 //! finishes what is missing, and a complete journal is loaded, not
-//! re-simulated — whichever command (`campaign paper`, `campaign
-//! extensions`, `ace_study`) asked for the key first. One handle
+//! re-simulated — whichever figure set (`campaign paper`, `campaign
+//! extensions`) asked for the key first. One handle
 //! ([`AppCaptures`]) lives at a time, reused by consecutive keys of the
 //! same (application, GPU, layer, variant), so memory is one
 //! application's and a fault-pattern sweep pays for one golden run and
@@ -297,10 +297,9 @@ impl<'a> Driver<'a> {
         }
     }
 
-    /// Run (or finish, or load) the campaign `key` names — once per
-    /// driver — and assemble its result. Exits 0 with a "partial" line
-    /// when `--limit` ran out first.
-    pub fn run(&mut self, key: &Key) -> &Campaign {
+    /// Run (or finish, or load) the campaign `key` names and assemble its
+    /// result. Exits 0 with a "partial" line when `--limit` ran out first.
+    fn run(&mut self, key: &Key) {
         let name = key.name(&self.cfg);
         eprintln!("[campaign] {name} ...");
         let t0 = Instant::now();
@@ -361,6 +360,5 @@ impl<'a> Driver<'a> {
             executed: records.len() - run.resumed,
             wall_s: t0.elapsed().as_secs_f64(),
         });
-        self.done.last().expect("just pushed")
     }
 }

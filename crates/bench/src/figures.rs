@@ -3,7 +3,10 @@
 //!
 //! A [`Figure`] names the campaigns it reads ([`Figure::keys`]) and is a
 //! pure function of their assembled results, so each campaign is
-//! simulated once however many figures — of either set — read it.
+//! simulated once however many figures — of either set — read it. (The
+//! ACE comparison also runs the analytic estimator, one fault-free pass
+//! per application: deterministic in the application and the GPU, so
+//! the figure is still a function of the run's flags.)
 //! [`FIGURES`] is the paper's set: every artifact of the evaluation
 //! section that comes from injection (Figures 1, 2, 3a–c, 4, 5, 7–11 and
 //! Table I), each a function of one [`AppResults`] per application — the
@@ -13,9 +16,10 @@
 //! Section V-B proposal measured by one source-register campaign per
 //! application. [`EXTENSIONS`] is the set beyond the paper: the
 //! three-layer comparison, the sizing ablation, the fault-model ranking
-//! study and the two-level study, which read the same unprotected
-//! campaigns plus their own variants (PVF targets, other fault patterns,
-//! other SM counts, instruction-class strata). [`manifest`]
+//! study, the two-level study and the analytic ACE estimate against
+//! injection, which read the same unprotected campaigns plus their own
+//! variants (PVF targets, other fault patterns, other SM counts,
+//! instruction-class strata). [`manifest`]
 //! records what a set of CSVs was made from: the flags that determine the
 //! records, every campaign's plan and record fingerprints, and a content
 //! hash per CSV — all deterministic, so two runs at the same flags write
@@ -24,8 +28,9 @@
 //! `results/` is no longer the one its manifest describes.
 
 use std::sync::Arc;
+use std::time::Instant;
 
-use ace::spearman;
+use ace::{app_table, comparison_table, estimate_app, spearman, structure_table, CompareRow};
 use kernels::{all_benchmarks, GoldenRun};
 use relia::plan::{variant_label, Layer};
 use relia::reuse::{figure12_kernel, readers_until_redef};
@@ -141,11 +146,12 @@ pub const FIGURES: [Figure; 15] = [
 /// The extension studies (EXPERIMENTS.md, "Extensions beyond the paper"),
 /// all projections of suite campaigns.
 #[rustfmt::skip]
-pub const EXTENSIONS: [Figure; 4] = [
+pub const EXTENSIONS: [Figure; 5] = [
     Figure { file: "layers_study.csv", source: Keyed(layers_keys, layers) },
     Figure { file: "ablation_sizing.csv", source: Keyed(ablation_keys, ablation) },
     Figure { file: "fig_fault_model_ranking.csv", source: Keyed(fault_model_keys, fault_model) },
     Figure { file: "fig_twolevel.csv", source: Keyed(twolevel_keys, twolevel) },
+    Figure { file: "fig_ace_vs_avf.csv", source: Keyed(ace_keys, ace_vs_avf) },
 ];
 
 impl Figure {
@@ -826,6 +832,57 @@ fn twolevel(cfg: &CampaignCfg, results: &[&Assembled]) -> (Table, String) {
         uniform_total as f64 / adaptive_total.max(1) as f64
     ));
     (t, summary.join("\n"))
+}
+
+fn ace_keys(cfg: &CampaignCfg) -> Vec<Key> {
+    let key = |app| Key::of(cfg, app, Targets::Structures, false);
+    suite().into_iter().map(key).collect()
+}
+
+/// The analytic ACE estimate (docs/ACE.md) against injection AVF, per
+/// (kernel, structure) point, with the mean absolute error and Spearman
+/// rank correlation per structure and over all points. The injection side
+/// is each application's AVF campaign; the analytic side is one
+/// instrumented fault-free run per application. The summary holds the
+/// analytic estimates per kernel and per application, the overall
+/// Spearman and each application's ACE pass in ms — machine-dependent,
+/// so printed only, like `wall.csv`'s seconds.
+fn ace_vs_avf(cfg: &CampaignCfg, results: &[&Assembled]) -> (Table, String) {
+    let gpu = &cfg.gpu;
+    let mut pass = Table::new("ACE pass per application, ms", &["app", "ace_ms"]);
+    let (mut estimates, mut points) = (Vec::new(), Vec::new());
+    for (bench, r) in all_benchmarks().iter().zip(results) {
+        let t0 = Instant::now();
+        let est = estimate_app(bench.as_ref(), gpu);
+        let ms = t0.elapsed().as_secs_f64() * 1e3;
+        pass.row(vec![est.app.clone(), format!("{ms:.1}")]);
+        let injected = r.avf().0;
+        for (k, inj) in est.kernels.iter().zip(&injected.kernels) {
+            let (analytic, measured) = ((&est.app, &k.kernel), (&injected.app, &inj.kernel));
+            assert_eq!(analytic, measured, "the two sides name the same kernels");
+            points.extend(HwStructure::ALL.map(|h| CompareRow {
+                app: est.app.clone(),
+                kernel: k.kernel.clone(),
+                structure: h,
+                analytic: k.avf(gpu, h),
+                injected: inj.avf(h).total(),
+            }));
+        }
+        estimates.push(est);
+    }
+    let xs: Vec<f64> = points.iter().map(|p| p.analytic).collect();
+    let ys: Vec<f64> = points.iter().map(|p| p.injected).collect();
+    let rho = spearman(&xs, &ys).map_or("undefined".to_string(), |r| format!("{r:.4}"));
+    let summary = format!(
+        "{}\n{}\nspearman(analytic, injection) = {rho} over {} points\n\n{pass}",
+        structure_table(&estimates, gpu, &HwStructure::ALL),
+        app_table(&estimates, gpu),
+        points.len(),
+    );
+    (
+        comparison_table(&points),
+        summary.trim_end_matches('\n').to_string(),
+    )
 }
 
 /// `MANIFEST.csv` / `MANIFEST.extensions.csv`: what a directory of figure

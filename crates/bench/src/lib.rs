@@ -1,15 +1,14 @@
-//! Shared plumbing for the `campaign` driver and `ace_study`.
+//! The library behind the `campaign` driver.
 //!
 //! `campaign paper` regenerates every injection-derived artifact of the
 //! paper's evaluation section (Figures 1–5, 7–12, Table I; DESIGN.md's
 //! per-experiment index) and `campaign extensions` the extension studies
-//! built on the same campaigns (the two-level estimator among them), both
-//! from one journaled record set per campaign ([`driver`]) — the tables
-//! are the pure functions of [`figures`]. `ace_study` adds the analytic
-//! ACE estimate, which no campaign yields, next to the journaled AVF
-//! campaigns. Both take their flags from the one table in [`cli`], print
-//! aligned text tables to stdout and write CSVs to `--out-dir`
-//! (`ace_study` defaults to the checked-in `results/`).
+//! built on the same campaigns (the two-level estimator and the analytic
+//! ACE estimate against injection among them), both from one journaled
+//! record set per campaign ([`driver`]) — the tables are the functions of
+//! [`figures`]. Both take their flags from the one table in [`cli`], print
+//! aligned text tables to stdout and write CSVs only to the `--out-dir`
+//! they are given.
 
 pub mod cli;
 pub mod driver;
@@ -74,9 +73,4 @@ pub fn finish_observability() {
         obs::flush_events().expect("flush events");
         obs::events::shutdown_events();
     }
-}
-
-/// The checked-in results directory (repo-relative `results/`).
-pub fn results_dir() -> std::path::PathBuf {
-    std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
 }

@@ -56,6 +56,10 @@ fn validation_errors_exit_2() {
     assert_exit(&["extensions"], 2);
     assert_exit(&["extensions", "--out-dir", "x", "--apps", "NOPE"], 2);
     assert_exit(&["paper", "--out-dir", "x", "--apps", "NOPE"], 2);
+    // A list that names no application would run no campaign and write an
+    // empty manifest.
+    assert_exit(&["paper", "--out-dir", "x", "--apps", ","], 2);
+    assert_exit(&["extensions", "--out-dir", "x", "--apps", ""], 2);
     assert_exit(&["paper", "--out-dir", "x", "--layer", "sw"], 2); // runs both
     assert_exit(&["golden"], 2); // no --app
     assert_exit(&["golden", "--app", "nope"], 2);
@@ -398,54 +402,27 @@ fn extensions_writes_the_events_it_accepts() {
     );
 }
 
-fn ace(args: &[&str]) -> std::process::Output {
-    (Command::new(env!("CARGO_BIN_EXE_ace_study")).args(args))
-        .output()
-        .expect("spawn ace_study")
-}
-
-/// The flags of the deleted study binaries and of `ace_study`'s recorded
-/// reference are gone, not ignored. (Spelled in pieces, like the other
-/// removed flags.)
+/// The flags of the deleted study binaries are gone, not ignored, and so
+/// is the in-binary smoke gate. (Spelled in pieces where a grep for the
+/// flag would otherwise find it, like the other removed flags.)
 #[test]
 fn removed_study_flags_are_unknown_options() {
-    let make_ref = format!("--make-{}", "ref");
-    assert_eq!(ace(&[&make_ref]).status.code(), Some(2));
-    assert_eq!(ace(&["--n-uarch", "1000001"]).status.code(), Some(2));
-    // The two-level study is a figure of `extensions`, sized by the run's
-    // `--n-sw`: its reference, sample and bootstrap sizes are no flags.
+    // The ACE comparison is a figure of `extensions`: its Spearman gate is
+    // a test on the committed file, its recorded reference long gone.
+    // The two-level study is one too, sized by the run's `--n-sw`: its
+    // reference, sample and bootstrap sizes are no flags.
+    let removed = ["--check".to_string(), format!("--make-{}", "ref")];
+    for flag in removed {
+        assert_exit(&["extensions", "--out-dir", "x", &flag], 2);
+    }
     for what in ["ref", "class"] {
         let removed = format!("--n-{what}");
         assert_exit(&["extensions", "--out-dir", "x", &removed, "1"], 2);
     }
     let reps = format!("--{}", "reps");
     assert_exit(&["extensions", "--out-dir", "x", &reps, "1"], 2);
+    assert_exit(&["smoke"], 2);
     assert!(!std::path::Path::new("x").exists(), "nothing was written");
-}
-
-/// `ace_study --check` on a well-formed command line whose comparison has
-/// no ranking (one structure of one single-kernel application: constant
-/// input, Spearman undefined) fails at run time — exit 1, after the CSV
-/// is written — not as a usage error.
-#[test]
-fn ace_study_check_without_a_ranking_exits_1() {
-    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_exit_ace_check");
-    let _ = std::fs::remove_dir_all(&dir);
-    let flags = [
-        "--check",
-        "--apps",
-        "VA",
-        "--structures",
-        "RF",
-        "--n-uarch",
-        "2",
-    ];
-    let out = ace(&[&flags[..], &["--out-dir", dir.to_str().unwrap()]].concat());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(stderr.contains("spearman undefined"), "{stderr}");
-    assert!(dir.join("fig_ace_vs_avf.csv").exists());
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

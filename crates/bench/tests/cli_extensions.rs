@@ -1,9 +1,10 @@
 //! `campaign extensions` end to end on the whole suite at n = 2 (182
 //! campaigns, 22 of them the unprotected ones `campaign paper` runs): the
-//! three CSVs of `fixtures/ext_n2` are byte for byte what the three
-//! binaries it replaced wrote at the same flags (generated at the parent
-//! of the change that deleted `layers_study`, `ablation_sizing` and
-//! `fault_model_study`), the two-level study is written next to them, a
+//! four CSVs of `fixtures/ext_n2` are byte for byte what the binaries it
+//! replaced wrote at the same flags (three generated at the parent of the
+//! change that deleted `layers_study`, `ablation_sizing` and
+//! `fault_model_study`, `fig_ace_vs_avf.csv` at the parent of the one that
+//! deleted `ace_study`), the two-level study is written next to them, a
 //! campaign `paper` completed under the same
 //! `--out-dir` is loaded and not re-simulated, and a killed run into an
 //! empty directory resumes to the same bytes and the same manifest.
@@ -11,10 +12,11 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-const CSVS: [&str; 3] = [
+const CSVS: [&str; 4] = [
     "layers_study.csv",
     "ablation_sizing.csv",
     "fig_fault_model_ranking.csv",
+    "fig_ace_vs_avf.csv",
 ];
 
 fn campaign(sub: &str, dir: &Path, extra: &[&str]) -> Output {

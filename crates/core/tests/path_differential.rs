@@ -66,9 +66,12 @@ fn all_paths_classify_identically_for_every_fault_pattern() {
         let prep = prepare_uarch_campaign(&Va, &cfg, false);
         assert_paths_agree(&prep, pattern.label());
     }
-    // A second, multi-kernel application on the paper's default pattern.
+    // A second application on the paper's default pattern, and BFS: 22
+    // launches with host glue between them.
     let prep = prepare_uarch_campaign(&Scp, &CampaignCfg::new(6, 0, 0xFF_D1FF), false);
     assert_paths_agree(&prep, Scp.name());
+    let prep = prepare_uarch_campaign(&Bfs, &CampaignCfg::new(2, 0, 0x5A5A), false);
+    assert_paths_agree(&prep, Bfs.name());
 }
 
 /// A persistent stuck-at fault under a cycle limit: stuck-at trials

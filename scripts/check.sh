@@ -14,9 +14,6 @@ cargo build --release --workspace
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "==> campaign smoke (2-shard merge; oracle == default == replay on uarch and sw, VA, BFS and BFS-TMR; adaptive waves)"
-cargo run --release -q -p bench --bin campaign -- smoke
-
 echo "==> campaign CLI: --help exits 0, out-of-range --sms exits 2"
 CAMPAIGN=target/release/campaign
 "$CAMPAIGN" --help > /dev/null
@@ -64,10 +61,13 @@ echo "==> extension smoke (docs/CAMPAIGNS.md): same journals, same bytes as the 
 # 160 run (11 PVF, HotSpot / LUD / SCP at 2 and 8 SMs, 6 patterns x 22,
 # 11 instruction-class campaigns of the two-level study).
 # Then into an empty directory, killed by --limit and resumed. Both must
-# write the 3 CSVs of crates/bench/tests/fixtures/ext_n2 — generated at
-# the parent of the change that deleted them (commit b68f1dd) by
-# layers_study, ablation_sizing and fault_model_study at --n-uarch 2
-# --n-sw 2 — and the same MANIFEST.extensions.csv.
+# write the 4 CSVs of crates/bench/tests/fixtures/ext_n2 and the same
+# MANIFEST.extensions.csv. Three were generated at the parent of the
+# change that deleted their binaries (commit b68f1dd) by layers_study,
+# ablation_sizing and fault_model_study at --n-uarch 2 --n-sw 2;
+# fig_ace_vs_avf.csv at the parent of the change that deleted ace_study
+# (commit 1ff6c1a) by `ace_study --n-uarch 2 --out-dir D`, the same bytes
+# whether D held the paper smoke's journals or nothing.
 XFLAGS=(extensions --n-uarch 2 --n-sw 2)
 "$CAMPAIGN" "${XFLAGS[@]}" --out-dir "$PAPER/a" --events "$PAPER/x.jsonl" > /dev/null 2>&1
 test "$(grep -c '"kind":"shard_start"' "$PAPER/x.jsonl")" -eq 160
@@ -75,7 +75,7 @@ test "$(grep -Ec '^[^.]+\.(uarch|sw)\.base,[0-9]+,0,' "$PAPER/a/wall.extensions.
 "$CAMPAIGN" "${XFLAGS[@]}" --out-dir "$PAPER/c" --limit 300 2> /dev/null \
   | grep 'partial — resume to finish' > /dev/null
 "$CAMPAIGN" "${XFLAGS[@]}" --out-dir "$PAPER/c" > /dev/null 2>&1
-test "$(ls crates/bench/tests/fixtures/ext_n2/*.csv | wc -l)" -eq 3
+test "$(ls crates/bench/tests/fixtures/ext_n2/*.csv | wc -l)" -eq 4
 for f in crates/bench/tests/fixtures/ext_n2/*.csv; do
   cmp "$f" "$PAPER/a/$(basename "$f")"
   cmp "$f" "$PAPER/c/$(basename "$f")"
@@ -83,17 +83,6 @@ done
 cmp "$PAPER/a/MANIFEST.extensions.csv" "$PAPER/c/MANIFEST.extensions.csv"
 rm -rf "$PAPER"
 echo "extension smoke: after paper == killed and resumed on its own == the study binaries' CSVs"
-
-echo "==> ace_study smoke"
-cargo run --release -q -p bench --bin ace_study -- smoke
-
-echo "==> ace_study: analytic and injection AVFs are the checked-in ones (results/fig_ace_vs_avf.csv)"
-# Into a scratch directory, so its 11 `<app>.uarch.base` campaigns are
-# run (n = 250, ~25 s), not loaded, and nothing under results/ is written.
-ACE=$(mktemp -d)
-cargo run --release -q -p bench --bin ace_study -- --check --out-dir "$ACE" > /dev/null 2>&1
-cmp results/fig_ace_vs_avf.csv "$ACE/fig_ace_vs_avf.csv"
-rm -rf "$ACE"
 
 echo "==> dispatch smoke (coordinator + 2 workers, one killed mid-run)"
 # Single-process reference, then the same campaign through the dispatch
