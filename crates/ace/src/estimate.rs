@@ -1,7 +1,6 @@
 //! Fold lifetime-tracker totals into analytic AVF estimates.
 
 use kernels::{golden_pass, AceProfile, Benchmark, Sinks, Variant};
-use obs::Phase;
 use vgpu_sim::{GpuConfig, HwStructure};
 
 /// Analytic per-kernel estimate from the single instrumented run.
@@ -90,11 +89,10 @@ impl AceAppEstimate {
 
 /// Run `bench` once, fault-free, with the lifetime sink attached, and
 /// fold the intervals into per-kernel and app-level analytic AVF. The
-/// whole instrumented simulation is attributed to [`Phase::AceRun`] so
-/// `obs` phase timings directly compare estimator cost against the
-/// campaign's `faulty_run` cost.
+/// whole instrumented simulation is the `ace.estimate` span, so its cost
+/// sits next to the campaign's `kernels.trials` in `span_us`.
 pub fn estimate_app(bench: &dyn Benchmark, cfg: &GpuConfig) -> AceAppEstimate {
-    obs::time_phase(Phase::AceRun, || {
+    obs::span("ace.estimate", || {
         let sinks = Sinks {
             ace: Some(AceProfile::default()),
             ..Sinks::default()

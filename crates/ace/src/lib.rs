@@ -23,8 +23,8 @@
 //! where the analytic estimate is high or uncertain.
 //!
 //! [`estimate_app`] runs the instrumented simulation under the
-//! `obs::Phase::AceRun` span so its cost is visible next to the campaign
-//! phases; [`corr::spearman`] quantifies agreement with recorded
+//! `ace.estimate` span (`obs::span`) so its cost is visible next to the
+//! campaign's spans; [`corr::spearman`] quantifies agreement with recorded
 //! injection AVF; [`report`] renders the comparison tables behind
 //! `results/fig_ace_vs_avf.csv`.
 

@@ -20,7 +20,8 @@ pub mod figures;
 ///
 /// * `--events PATH` (`events`) or `RELIA_EVENTS=PATH` — JSONL event sink
 ///   (one line per injection) plus the metrics registry;
-/// * `RELIA_METRICS=1` — metrics registry and phase timers alone;
+/// * `RELIA_METRICS=1` — the metrics registry alone, spans included (each
+///   `obs::span` observes `span_us{span=<name>}`);
 /// * `RELIA_PROGRESS=1`/`0` — force the stderr progress reporter on/off
 ///   (default: on exactly when events or metrics are on).
 ///
@@ -57,9 +58,10 @@ pub fn init_observability(events: Option<&str>) {
     }
 }
 
-/// Print the final observability summary (metrics snapshot + phase
-/// profile) to stderr and flush/close the event sink. No-op when
-/// [`init_observability`] enabled nothing.
+/// Print the final observability summary (the metrics snapshot; the
+/// `span_us` histogram rows are the per-span profile) to stderr and
+/// flush/close the event sink. No-op when [`init_observability`] enabled
+/// nothing.
 pub fn finish_observability() {
     obs::progress::finish();
     if obs::enabled() {
@@ -67,7 +69,6 @@ pub fn finish_observability() {
         for t in relia::report::metrics_tables(&snap) {
             eprintln!("{t}");
         }
-        eprintln!("{}", relia::report::phase_table(&obs::phase_snapshot()));
     }
     if obs::events_enabled() {
         obs::flush_events().expect("flush events");

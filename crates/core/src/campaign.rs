@@ -40,7 +40,6 @@ use std::sync::atomic::Ordering as AtomicOrdering;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use obs::Phase;
 use rayon::prelude::*;
 
 use kernels::{faulty_run_with, Accel, Benchmark, Outcome, PlannedFault, RunResult};
@@ -151,43 +150,43 @@ fn observe_trial(
     let class = outcome_class(outcome);
     let out_label = class.label();
     let wall_us = started.elapsed().as_micros() as u64;
-    obs::time_phase(Phase::Classify, || {
-        obs::counter_add(
-            "injections_total",
-            &[
-                ("app", app),
-                ("kernel", kernel),
-                ("layer", layer),
-                ("target", target),
-                ("outcome", out_label),
-            ],
-            1,
-        );
-        // Coarse per-structure rollup for the end-of-run summary table.
-        obs::counter_add(
-            "outcomes_total",
-            &[("layer", layer), ("target", target), ("outcome", out_label)],
-            1,
-        );
-        obs::histogram_observe(
-            "injection_wall_us",
-            &[("app", app), ("layer", layer)],
-            &obs::WALL_US_BUCKETS,
-            wall_us,
-        );
-        obs::emit(&obs::InjectionEvent {
-            seed: t.seed,
-            app,
-            kernel,
-            layer,
-            target,
-            trial: t.trial as u64,
-            bit,
-            cycle,
-            outcome: out_label,
-            wall_us,
-        });
-    });
+    obs::counter_add(
+        "injections_total",
+        &[
+            ("app", app),
+            ("kernel", kernel),
+            ("layer", layer),
+            ("target", target),
+            ("outcome", out_label),
+        ],
+        1,
+    );
+    // Coarse per-structure rollup for the end-of-run summary table.
+    obs::counter_add(
+        "outcomes_total",
+        &[("layer", layer), ("target", target), ("outcome", out_label)],
+        1,
+    );
+    obs::histogram_observe(
+        "injection_wall_us",
+        &[("app", app), ("layer", layer)],
+        &obs::WALL_US_BUCKETS,
+        wall_us,
+    );
+    if obs::events_enabled() {
+        obs::emit_record(&[
+            ("seed", t.seed.into()),
+            ("app", app.into()),
+            ("kernel", kernel.into()),
+            ("layer", layer.into()),
+            ("target", target.into()),
+            ("trial", t.trial.into()),
+            ("bit", u64::from(bit).into()),
+            ("cycle", cycle.into()),
+            ("outcome", out_label.into()),
+            ("wall_us", wall_us.into()),
+        ]);
+    }
     obs::progress::record(class);
 }
 
@@ -405,7 +404,10 @@ fn adjudicate(
         return None;
     };
     let app = prep.plan.app.as_str();
-    match prep.trace()?.adjudicate(&prep.cfg.gpu, ordinal, u) {
+    let trace = prep.trace()?;
+    match obs::span("trace.adjudicate", || {
+        trace.adjudicate(&prep.cfg.gpu, ordinal, u)
+    }) {
         Verdict::Dead { population } => {
             obs::counter_add("trace_replay_dead_total", &[("app", app)], 1);
             Some(RunResult {
@@ -454,17 +456,15 @@ fn simulate(
         },
     };
     let attempt = || {
-        obs::time_phase(Phase::FaultyRun, || {
-            faulty_run_with(
-                prep.bench(),
-                &prep.cfg.gpu,
-                prep.captures.variant(),
-                &prep.golden,
-                ordinal,
-                *pf,
-                accel,
-            )
-        })
+        faulty_run_with(
+            prep.bench(),
+            &prep.cfg.gpu,
+            prep.captures.variant(),
+            &prep.golden,
+            ordinal,
+            *pf,
+            accel,
+        )
     };
     let layer = prep.plan.layer.label();
     let mut res = catch_unwind(AssertUnwindSafe(attempt)).ok();
@@ -522,7 +522,8 @@ fn run_one_trial(
     let obs_on = observing();
     let t0 = (obs_on || wd.wall_us_limit.is_some()).then(Instant::now);
     let run = t.fault.as_ref().map(|(ordinal, pf)| {
-        adjudicate(prep, path, *ordinal, pf).or_else(|| simulate(prep, path, *ordinal, pf))
+        adjudicate(prep, path, *ordinal, pf)
+            .or_else(|| obs::span("kernels.trials", || simulate(prep, path, *ordinal, pf)))
     });
     let mut sim_cost = 0u64;
     let (mut outcome, cost_differs) = match run {
@@ -679,21 +680,22 @@ where
     let done_ctr = std::sync::atomic::AtomicU64::new(0);
     let sim_ctr = std::sync::atomic::AtomicU64::new(0);
     let t0 = Instant::now();
-    let mut records: Vec<TrialRecord> = order
-        .par_iter()
-        .map(|&idx| -> Result<TrialRecord, std::io::Error> {
-            let (rec, sim_cost) = obs::trace::with_ctx(idx as u64, || {
-                run_one_trial(prep, &prep.plan.trials[idx], path)
-            });
-            if telem {
-                let done = done_ctr.fetch_add(1, AtomicOrdering::Relaxed) + 1;
-                let sim = sim_ctr.fetch_add(sim_cost, AtomicOrdering::Relaxed) + sim_cost;
-                record_trial_rate(done, total, sim, t0);
-            }
-            sink(&rec)?;
-            Ok(rec)
-        })
-        .collect::<Result<_, _>>()?;
+    let mut records: Vec<TrialRecord> = obs::span("core.execute", || {
+        (order.par_iter())
+            .map(|&idx| -> Result<TrialRecord, std::io::Error> {
+                let (rec, sim_cost) = obs::trace::with_ctx(idx as u64, || {
+                    run_one_trial(prep, &prep.plan.trials[idx], path)
+                });
+                if telem {
+                    let done = done_ctr.fetch_add(1, AtomicOrdering::Relaxed) + 1;
+                    let sim = sim_ctr.fetch_add(sim_cost, AtomicOrdering::Relaxed) + sim_cost;
+                    record_trial_rate(done, total, sim, t0);
+                }
+                sink(&rec)?;
+                Ok(rec)
+            })
+            .collect::<Result<_, _>>()
+    })?;
     // Execution order is a scheduling detail; callers get records back in
     // the order they asked for, exactly as on the oracle path.
     if sorted {
@@ -751,6 +753,19 @@ pub fn execute_resumable(
     let in_plan_order = |set: &RecordSet| -> Vec<TrialRecord> {
         my.iter().filter_map(|&i| set.get(i).copied()).collect()
     };
+    // A `"record":"campaign"` line: shard start / done, checkpoint resume.
+    let campaign_event = |kind: &str, done: usize| {
+        obs::emit_record(&[
+            ("record", "campaign".into()),
+            ("kind", kind.into()),
+            ("app", plan.app.as_str().into()),
+            ("layer", plan.layer.label().into()),
+            ("shard", eng.shard_index.into()),
+            ("shards", eng.shards.into()),
+            ("done", done.into()),
+            ("total", my.len().into()),
+        ])
+    };
 
     let mut writer: Option<CheckpointWriter> = None;
     if let Some(rp) = &eng.resume {
@@ -786,15 +801,7 @@ pub fn execute_resumable(
             &[("layer", plan.layer.label())],
             done as u64,
         );
-        obs::emit_campaign(&obs::CampaignEvent {
-            kind: "resume",
-            app: &plan.app,
-            layer: plan.layer.label(),
-            shard: eng.shard_index as u64,
-            shards: eng.shards as u64,
-            done: done as u64,
-            total: my.len() as u64,
-        });
+        campaign_event("resume", done);
         writer = Some(CheckpointWriter::recreate(rp, &ck, eng.checkpoint_every)?);
     } else if let Some(cp) = &eng.checkpoint {
         writer = Some(CheckpointWriter::create(cp, &header, eng.checkpoint_every)?);
@@ -808,15 +815,7 @@ pub fn execute_resumable(
     if obs::progress::progress_enabled() {
         obs::progress::add_total(todo as u64);
     }
-    obs::emit_campaign(&obs::CampaignEvent {
-        kind: "shard_start",
-        app: &plan.app,
-        layer: plan.layer.label(),
-        shard: eng.shard_index as u64,
-        shards: eng.shards as u64,
-        done: (my.len() - remaining.len()) as u64,
-        total: my.len() as u64,
-    });
+    campaign_event("shard_start", my.len() - remaining.len());
 
     let writer = Mutex::new(writer);
     let new_records = execute_trials_with(
@@ -838,15 +837,7 @@ pub fn execute_resumable(
 
     set.extend(&new_records)?;
     let out = in_plan_order(&set);
-    obs::emit_campaign(&obs::CampaignEvent {
-        kind: "shard_done",
-        app: &plan.app,
-        layer: plan.layer.label(),
-        shard: eng.shard_index as u64,
-        shards: eng.shards as u64,
-        done: out.len() as u64,
-        total: my.len() as u64,
-    });
+    campaign_event("shard_done", out.len());
     Ok(ShardRun {
         records: out,
         resumed,
@@ -880,18 +871,20 @@ pub fn assemble(
     prep: &PreparedCampaign,
     records: &[TrialRecord],
 ) -> Result<Vec<StratumCounts>, EngineError> {
-    let mut set = RecordSet::new(prep.plan.len());
-    set.extend(records)?;
-    let outs = set.complete()?;
-    let rows = prep.plan.strata_trials().map(|(_, trials)| {
-        let mut row = StratumCounts::default();
-        for r in trials.iter().map(|t| &outs[t.index]) {
-            row.counts.record(r.outcome);
-            row.ctrl_affected_masked += r.ctrl as u32;
-        }
-        row
-    });
-    Ok(rows.collect())
+    obs::span("core.assemble", || {
+        let mut set = RecordSet::new(prep.plan.len());
+        set.extend(records)?;
+        let outs = set.complete()?;
+        let rows = prep.plan.strata_trials().map(|(_, trials)| {
+            let mut row = StratumCounts::default();
+            for r in trials.iter().map(|t| &outs[t.index]) {
+                row.counts.record(r.outcome);
+                row.ctrl_affected_masked += r.ctrl as u32;
+            }
+            row
+        });
+        Ok(rows.collect())
+    })
 }
 
 /// The table's projection onto one (kernel, target): the sum of the rows

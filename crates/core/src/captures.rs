@@ -29,7 +29,6 @@ use std::time::Instant;
 use kernels::{
     golden_pass, AppSnapshots, Benchmark, CtaLog, GoldenRun, Sinks, SnapshotSink, Variant,
 };
-use obs::Phase;
 use vgpu_sim::GpuConfig;
 
 use crate::plan::{variant_label, Layer};
@@ -94,7 +93,7 @@ impl<'a> AppCaptures<'a> {
             mode: layer.mode(),
             hardened,
         };
-        let golden = obs::time_phase(Phase::GoldenRun, || {
+        let golden = obs::span("kernels.golden", || {
             golden_pass(bench, gpu, variant, Sinks::default()).golden
         });
         Arc::new(AppCaptures {
@@ -182,7 +181,7 @@ impl<'a> AppCaptures<'a> {
         debug_assert!(k > 0 && self.serves(Capture::Snapshots));
         let (captured_k, snaps) = self.snaps.get_or_init(|| {
             let t0 = Instant::now();
-            let snaps = obs::time_phase(Phase::SnapshotCapture, || {
+            let snaps = obs::span("kernels.snapshot_capture", || {
                 let sinks = Sinks {
                     snapshots: Some(SnapshotSink::new(&self.golden, k)),
                     ..Sinks::default()
@@ -196,15 +195,16 @@ impl<'a> AppCaptures<'a> {
             for (n, kind) in [(owned, "owned"), (shared, "shared")] {
                 obs::counter_add("snapshot_chunks_total", &[("app", app), ("kind", kind)], n);
             }
-            obs::emit_snapshot(&obs::SnapshotEvent {
-                app,
-                layer: self.layer.label(),
-                hardened: self.hardened,
-                per_launch: k as u64,
-                count: snaps.count() as u64,
-                bytes: snaps.bytes,
-                wall_us: t0.elapsed().as_micros() as u64,
-            });
+            obs::emit_record(&[
+                ("record", "snapshot".into()),
+                ("app", app.into()),
+                ("layer", self.layer.label().into()),
+                ("hardened", self.hardened.into()),
+                ("per_launch", k.into()),
+                ("count", snaps.count().into()),
+                ("bytes", snaps.bytes.into()),
+                ("wall_us", (t0.elapsed().as_micros() as u64).into()),
+            ]);
             (k, Arc::new(snaps))
         });
         debug_assert_eq!(
@@ -223,7 +223,7 @@ impl<'a> AppCaptures<'a> {
     pub(crate) fn trace(&self) -> &Arc<trace::AppTrace> {
         debug_assert!(self.serves(Capture::Trace));
         self.trace.get_or_init(|| {
-            let tr = obs::time_phase(Phase::TraceCapture, || {
+            let tr = obs::span("trace.capture", || {
                 trace::record_trace(self.bench, &self.gpu, self.variant(), &self.golden)
             });
             obs::gauge_set("trace_bytes", &self.labels(), tr.bytes);
@@ -238,7 +238,7 @@ impl<'a> AppCaptures<'a> {
     pub(crate) fn cta_log(&self) -> &Arc<CtaLog> {
         debug_assert!(self.serves(Capture::CtaLog));
         self.cta_log.get_or_init(|| {
-            let log = obs::time_phase(Phase::CtaLogCapture, || {
+            let log = obs::span("kernels.cta_log_capture", || {
                 let sinks = Sinks {
                     reference: Some(&self.golden),
                     cta_log: Some(CtaLog::default()),

@@ -69,5 +69,5 @@ pub use plan::{
 pub use profile::{kernel_metrics, normalized_pair, pair_shares, UtilMetrics, METRIC_LABELS};
 pub use pvf::{assemble_pvf, run_pvf_campaign, PvfAppResult, PvfKernelResult};
 pub use records::{records_fingerprint, RecordSet};
-pub use report::{metrics_tables, pct, pct4, phase_table, RowArityError, Table};
+pub use report::{metrics_tables, pct, pct4, RowArityError, Table};
 pub use trends::{compare_pairs, opposite_pairs, TrendCount, TrendItem};

@@ -22,7 +22,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use kernels::{AppSnapshots, Benchmark, CtaLog, GoldenRun, PlannedFault};
-use obs::Phase;
 use vgpu_arch::InstrClass;
 use vgpu_sim::{FaultPattern, HwStructure, Mode, SwFault, SwFaultKind, UarchFault};
 
@@ -451,7 +450,7 @@ fn plan_on<'a>(
         "captures of {} belong to another GPU configuration",
         captures.bench().name()
     );
-    let trials = obs::time_phase(Phase::FaultSetup, || expand(captures, cfg, strata));
+    let trials = obs::span("core.plan", || expand(captures, cfg, strata));
     PreparedCampaign {
         cfg: cfg.clone(),
         golden: captures.golden().clone(),
@@ -548,8 +547,10 @@ pub fn prepare_uarch_campaign<'a>(
     cfg: &CampaignCfg,
     hardened: bool,
 ) -> PreparedCampaign<'a> {
-    let captures = AppCaptures::new(bench, &cfg.gpu, Layer::Uarch, hardened);
-    plan_uarch(&captures, cfg, &HwStructure::ALL)
+    obs::span("core.prepare", || {
+        let captures = AppCaptures::new(bench, &cfg.gpu, Layer::Uarch, hardened);
+        plan_uarch(&captures, cfg, &HwStructure::ALL)
+    })
 }
 
 /// Golden run + [`plan_sw`] over [`SVF_KINDS`], on captures of its own.
@@ -558,8 +559,10 @@ pub fn prepare_sw_campaign<'a>(
     cfg: &CampaignCfg,
     hardened: bool,
 ) -> PreparedCampaign<'a> {
-    let captures = AppCaptures::new(bench, &cfg.gpu, Layer::Sw, hardened);
-    plan_sw(&captures, cfg, &SVF_KINDS)
+    obs::span("core.prepare", || {
+        let captures = AppCaptures::new(bench, &cfg.gpu, Layer::Sw, hardened);
+        plan_sw(&captures, cfg, &SVF_KINDS)
+    })
 }
 
 #[cfg(test)]

@@ -133,7 +133,8 @@ impl fmt::Display for Table {
 }
 
 /// Render an obs registry snapshot as report tables: one for counters,
-/// one for gauges, one summarizing histograms (count / mean / p50 / p99).
+/// one for gauges, one summarizing histograms (count / sum / mean / p50 /
+/// p99; a `span_us` row's sum is that span's total time).
 /// Empty sections are omitted; the `BTreeMap`-backed snapshot keeps the
 /// ordering deterministic.
 pub fn metrics_tables(snap: &obs::Snapshot) -> Vec<Table> {
@@ -155,13 +156,14 @@ pub fn metrics_tables(snap: &obs::Snapshot) -> Vec<Table> {
     if !snap.histograms.is_empty() {
         let mut t = Table::new(
             "metrics: histograms",
-            &["histogram", "count", "mean", "p50", "p99"],
+            &["histogram", "count", "sum", "mean", "p50", "p99"],
         );
         let bound = |b: Option<u64>| b.map_or("inf".to_string(), |v| v.to_string());
         for (k, h) in &snap.histograms {
             t.row(vec![
                 k.clone(),
                 h.count.to_string(),
+                h.sum.to_string(),
                 format!("{:.1}", h.mean()),
                 bound(h.quantile_bound(0.5)),
                 bound(h.quantile_bound(0.99)),
@@ -170,21 +172,6 @@ pub fn metrics_tables(snap: &obs::Snapshot) -> Vec<Table> {
         out.push(t);
     }
     out
-}
-
-/// Render the campaign phase profile (golden run / fault setup / faulty
-/// run / classify) as a table. Phases that never ran are omitted.
-pub fn phase_table(phases: &[obs::PhaseSnapshot]) -> Table {
-    let mut t = Table::new("phase profile", &["phase", "calls", "total ms", "mean µs"]);
-    for p in phases.iter().filter(|p| p.calls > 0) {
-        t.row(vec![
-            p.phase.label().to_string(),
-            p.calls.to_string(),
-            format!("{:.1}", p.total_ms()),
-            format!("{:.1}", p.mean_us()),
-        ]);
-    }
-    t
 }
 
 /// Format a fraction as a percentage with two decimals ("12.34").
@@ -235,11 +222,23 @@ mod tests {
     }
 
     #[test]
-    fn metrics_and_phase_tables_render() {
+    fn metrics_tables_render() {
         let r = obs::Registry::new();
         r.counter_add("inj", &[("app", "VA")], 3);
         r.gauge_set("workers", &[], 8);
         r.histogram_observe("wall", &[], &[10, 100], 7);
+        r.histogram_observe(
+            "span_us",
+            &[("span", "kernels.golden")],
+            &[10, 10_000],
+            4_000,
+        );
+        r.histogram_observe(
+            "span_us",
+            &[("span", "kernels.golden")],
+            &[10, 10_000],
+            2_000,
+        );
         let tables = metrics_tables(&r.snapshot());
         assert_eq!(tables.len(), 3);
         let text: String = tables.iter().map(|t| t.to_string()).collect();
@@ -247,22 +246,9 @@ mod tests {
         assert!(text.contains("workers"));
         assert!(text.contains("wall"));
         assert!(metrics_tables(&obs::Registry::new().snapshot()).is_empty());
-
-        let phases = vec![
-            obs::PhaseSnapshot {
-                phase: obs::Phase::GoldenRun,
-                calls: 2,
-                total_ns: 4_000_000,
-            },
-            obs::PhaseSnapshot {
-                phase: obs::Phase::FaultyRun,
-                calls: 0,
-                total_ns: 0,
-            },
-        ];
-        let t = phase_table(&phases);
-        assert_eq!(t.rows.len(), 1, "idle phases omitted");
-        assert_eq!(t.rows[0][0], "golden_run");
+        // A span's row carries its calls and its total µs.
+        let spans = &tables[2].rows[0];
+        assert_eq!(spans[..3], ["span_us{span=kernels.golden}", "2", "6000"]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Enabling observability must not change campaign results.
 //!
 //! All campaign randomness flows through `derive_seed`-seeded per-trial
-//! RNGs; the event sink, metrics registry, and phase timers never touch
+//! RNGs; the event sink, metrics registry, and spans never touch
 //! those streams. This test runs the same small campaign with everything
 //! off and with everything on, and demands bit-identical outcome counts —
 //! plus a parseable JSONL record for every injection.
@@ -56,7 +56,11 @@ fn event_sink_and_metrics_do_not_change_outcomes() {
     let obs_s = run_sw_campaign(&Va, &cfg, false);
     let observed = counts_fingerprint(&obs_u, &obs_s);
     let snapshot = obs::global().snapshot();
-    let phases = obs::phase_snapshot();
+    let spans = |name: &str| {
+        let key = format!("span_us{{span={name}}}");
+        let found = snapshot.histograms.iter().find(|(k, _)| *k == key);
+        found.map_or(0, |(_, h)| h.count) as usize
+    };
     obs::reset_for_test(); // flushes + closes the sink, switches off
 
     assert_eq!(
@@ -154,20 +158,9 @@ fn event_sink_and_metrics_do_not_change_outcomes() {
         "outcomes_total rollup covers every trial"
     );
 
-    // Phase profile saw both campaign shapes.
-    assert_eq!(
-        phases[obs::Phase::GoldenRun as usize].calls,
-        2,
-        "one golden run per campaign"
-    );
-    assert_eq!(
-        phases[obs::Phase::FaultyRun as usize].calls as usize,
-        expected
-    );
-    assert_eq!(
-        phases[obs::Phase::Classify as usize].calls as usize,
-        expected
-    );
+    // The span profile saw both campaign shapes.
+    assert_eq!(spans("kernels.golden"), 2, "one golden run per campaign");
+    assert_eq!(spans("kernels.trials"), expected);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

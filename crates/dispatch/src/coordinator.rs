@@ -38,7 +38,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use obs::events::push_json_str;
-use obs::{counter_add, emit_dispatch, gauge_set, DispatchEvent};
+use obs::{counter_add, gauge_set};
 use relia::checkpoint::{CheckpointHeader, CheckpointWriter, TrialRecord};
 use relia::plan::{shard_trials, CampaignPlan};
 use relia::{EngineError, RecordSet};
@@ -404,15 +404,15 @@ impl Coordinator<'_> {
         let job = st.job.as_ref().expect("installed above");
         let records = job.records.clone().complete()?;
         drop(st);
-        emit_dispatch(&DispatchEvent {
-            kind: "complete",
-            worker: "",
-            shard: 0,
-            shards: shards as u64,
-            attempt: 0,
-            done: records.len() as u64,
-            total: records.len() as u64,
-        });
+        emit_dispatch(
+            "complete",
+            "",
+            0,
+            shards as u64,
+            0,
+            records.len() as u64,
+            records.len() as u64,
+        );
         obs::trace::emit_for("complete", 0, u64::MAX, 0);
         Ok(records)
     }
@@ -610,6 +610,31 @@ fn reclaim(cfg: &DispatchCfg, job: &mut Job, stats: &mut DispatchStats, shard: u
     attempts
 }
 
+/// A `"record":"dispatch"` line of the event log. `worker` is `""` for
+/// coordinator-only events, `shard` 0 for whole-campaign ones; `attempt`
+/// is the shard's execution attempt (1 = first lease), `done` the records
+/// held for it so far, `total` the trials it owns.
+fn emit_dispatch(
+    kind: &str,
+    worker: &str,
+    shard: u64,
+    shards: u64,
+    attempt: u64,
+    done: u64,
+    total: u64,
+) {
+    obs::emit_record(&[
+        ("record", "dispatch".into()),
+        ("kind", kind.into()),
+        ("worker", worker.into()),
+        ("shard", shard.into()),
+        ("shards", shards.into()),
+        ("attempt", attempt.into()),
+        ("done", done.into()),
+        ("total", total.into()),
+    ]);
+}
+
 /// Reclaim leases whose holder has gone silent past the lease duration.
 fn expire_leases(coord: &Coordinator) {
     let mut st = coord.state.lock().unwrap();
@@ -624,15 +649,15 @@ fn expire_leases(coord: &Coordinator) {
         }
         let attempts = reclaim(coord.cfg, job, stats, i);
         let total = job.shard_idxs[i].len();
-        emit_dispatch(&DispatchEvent {
-            kind: "lease_expired",
-            worker: "",
-            shard: i as u64,
-            shards: coord.cfg.shards as u64,
-            attempt: attempts,
-            done: (total - job.records.missing(&job.shard_idxs[i]).len()) as u64,
-            total: total as u64,
-        });
+        emit_dispatch(
+            "lease_expired",
+            "",
+            i as u64,
+            coord.cfg.shards as u64,
+            attempts,
+            (total - job.records.missing(&job.shard_idxs[i]).len()) as u64,
+            total as u64,
+        );
     }
 }
 
@@ -710,15 +735,15 @@ fn next_frame(coord: &Coordinator, conn: u64, worker: &str, seq: u64) -> (Frame,
         .filter(|&t| job.records.get(t).is_some())
         .collect();
     counter_add("dispatch_leases_total", &[], 1);
-    emit_dispatch(&DispatchEvent {
-        kind: "lease",
+    emit_dispatch(
+        "lease",
         worker,
-        shard: shard as u64,
-        shards: coord.cfg.shards as u64,
-        attempt: attempts,
-        done: done.len() as u64,
-        total: job.shard_idxs[shard].len() as u64,
-    });
+        shard as u64,
+        coord.cfg.shards as u64,
+        attempts,
+        done.len() as u64,
+        job.shard_idxs[shard].len() as u64,
+    );
     obs::trace::emit_for("lease", shard as u64, u64::MAX, 0);
     (Frame::Lease { shard, done }, seq)
 }
@@ -813,15 +838,15 @@ fn complete_shard(coord: &Coordinator, seq: u64, shard: usize, worker: &str) -> 
         .count();
     counter_add("dispatch_shards_completed_total", &[], 1);
     gauge_set("dispatch_shards_done", &[], done_shards as u64);
-    emit_dispatch(&DispatchEvent {
-        kind: "shard_complete",
+    emit_dispatch(
+        "shard_complete",
         worker,
-        shard: shard as u64,
-        shards: coord.cfg.shards as u64,
-        attempt: 0,
-        done: total,
+        shard as u64,
+        coord.cfg.shards as u64,
+        0,
         total,
-    });
+        total,
+    );
     obs::trace::emit_for("shard_complete", shard as u64, u64::MAX, 0);
     if done_shards == coord.cfg.shards {
         coord.finish(&mut st, None);
@@ -901,15 +926,7 @@ fn handle_inner(conn: u64, mut stream: TcpStream, coord: &Coordinator) -> std::i
     };
     coord.state.lock().unwrap().stats.workers_joined += 1;
     counter_add("dispatch_workers_joined_total", &[], 1);
-    emit_dispatch(&DispatchEvent {
-        kind: "worker_join",
-        worker: &worker,
-        shard: 0,
-        shards: coord.cfg.shards as u64,
-        attempt: 0,
-        done: 0,
-        total: 0,
-    });
+    emit_dispatch("worker_join", &worker, 0, coord.cfg.shards as u64, 0, 0, 0);
 
     // The plan this worker is `ready` for (0 = none yet).
     let mut seq = 0u64;

@@ -727,7 +727,7 @@ mod tests {
                 wall_us: 950,
             }),
             Frame::Trace(obs::TraceEvent {
-                kind: "faulty_run".into(),
+                kind: "kernels.trials".into(),
                 worker: "w1".into(),
                 campaign_fp: u64::MAX - 3,
                 shard: 2,

@@ -6,7 +6,7 @@
 //! reassignment, and the dispatched campaign still equals the single-shot
 //! one bit for bit.
 //!
-//! A test binary of its own, with one test: it counts phase calls and
+//! A test binary of its own, with one test: it counts span calls and
 //! joined workers, and both counters are process-global.
 
 use std::net::TcpListener;
@@ -14,14 +14,16 @@ use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use dispatch::{serve_with, work, CampaignSpec, DispatchCfg, WorkerCfg};
-use obs::Phase;
 use relia::plan::Layer;
 use stat::{run_adaptive, run_adaptive_single, uarch_targets, AdaptiveCfg};
 use vgpu_sim::FaultPattern;
 
-fn calls(phase: Phase) -> u64 {
-    let snap = obs::phase_snapshot();
-    snap.iter().find(|p| p.phase == phase).unwrap().calls
+/// Calls of span `name` so far: the count of its `span_us` histogram.
+fn calls(name: &str) -> u64 {
+    let key = format!("span_us{{span={name}}}");
+    let snap = obs::global().snapshot();
+    let found = snap.histograms.iter().find(|(k, _)| *k == key);
+    found.map_or(0, |(_, h)| h.count)
 }
 
 /// Connections that got as far as `hello`, as the coordinator counts them.
@@ -122,8 +124,8 @@ fn one_session_per_worker_serves_every_wave() {
         let late = late.unwrap().join().unwrap().expect("late worker");
         (dispatched, stats, doomed.unwrap(), steady, late)
     });
-    let golden_runs = calls(Phase::GoldenRun);
-    let captures = calls(Phase::SnapshotCapture);
+    let golden_runs = calls("kernels.golden");
+    let captures = calls("kernels.snapshot_capture");
     obs::reset_for_test();
 
     assert_eq!(single, dispatched, "multi-wave dispatch differential");

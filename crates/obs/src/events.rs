@@ -1,15 +1,17 @@
-//! Structured JSONL event sink: one line per injection.
+//! Structured JSONL event sink: one flat JSON object per line.
 //!
-//! The serializer is hand-rolled (no serde in the sandbox) and the format
-//! is one flat JSON object per line, so downstream analysis — SDC-pattern
-//! studies in the style of Tung et al., two-level SDC estimation à la
-//! Hari et al. — can regenerate per-injection telemetry with any JSON
-//! reader. [`parse_line`] provides a minimal reader for tests and
-//! in-repo tooling.
+//! Every record shape — one line per injection, the `campaign`,
+//! `dispatch`, `snapshot`, `wave` and `trace` records — goes through one
+//! hand-rolled writer (no serde in the sandbox), [`emit_record`], so
+//! downstream analysis — SDC-pattern studies in the style of Tung et al.,
+//! two-level SDC estimation à la Hari et al. — can regenerate
+//! per-injection telemetry with any JSON reader. [`parse_line`] provides a
+//! minimal reader for tests and in-repo tooling.
 //!
-//! The sink is process-global and off by default; while off, [`emit`] is
-//! a single relaxed atomic load. Event emission never perturbs campaign
-//! RNG streams, so results are identical with the sink on or off.
+//! The sink is process-global and off by default; while off,
+//! [`emit_record`] is a single relaxed atomic load. Event emission never
+//! perturbs campaign RNG streams, so results are identical with the sink
+//! on or off.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -19,29 +21,6 @@ use std::sync::Mutex;
 
 static EVENTS_ON: AtomicBool = AtomicBool::new(false);
 static SINK: Mutex<Option<BufWriter<File>>> = Mutex::new(None);
-
-/// One fault-injection trial, as recorded in the event log.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InjectionEvent<'a> {
-    /// Per-trial derived seed (reproduces the trial exactly).
-    pub seed: u64,
-    pub app: &'a str,
-    pub kernel: &'a str,
-    /// Abstraction layer: `"uarch"` (AVF side) or `"sw"` (SVF side).
-    pub layer: &'a str,
-    /// Hardware structure label (uarch) or fault-kind label (sw).
-    pub target: &'a str,
-    /// Trial ordinal within its (kernel, target) sub-campaign.
-    pub trial: u64,
-    /// Flipped bit position.
-    pub bit: u8,
-    /// Injection cycle (uarch) or eligible-instruction index (sw).
-    pub cycle: u64,
-    /// Outcome class label: `masked` / `sdc` / `timeout` / `due`.
-    pub outcome: &'a str,
-    /// Wall-clock time of the whole trial, microseconds.
-    pub wall_us: u64,
-}
 
 /// JSON string literal serializer shared by every JSONL writer in the
 /// workspace (events here, campaign checkpoints in `crates/core`), so all
@@ -60,40 +39,6 @@ pub fn push_json_str(out: &mut String, s: &str) {
         }
     }
     out.push('"');
-}
-
-impl InjectionEvent<'_> {
-    /// Serialize as a single JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(160);
-        s.push('{');
-        let num = |s: &mut String, k: &str, v: u64, first: bool| {
-            if !first {
-                s.push(',');
-            }
-            push_json_str(s, k);
-            s.push(':');
-            s.push_str(&v.to_string());
-        };
-        let st = |s: &mut String, k: &str, v: &str| {
-            s.push(',');
-            push_json_str(s, k);
-            s.push(':');
-            push_json_str(s, v);
-        };
-        num(&mut s, "seed", self.seed, true);
-        st(&mut s, "app", self.app);
-        st(&mut s, "kernel", self.kernel);
-        st(&mut s, "layer", self.layer);
-        st(&mut s, "target", self.target);
-        num(&mut s, "trial", self.trial, false);
-        num(&mut s, "bit", self.bit as u64, false);
-        num(&mut s, "cycle", self.cycle, false);
-        st(&mut s, "outcome", self.outcome);
-        num(&mut s, "wall_us", self.wall_us, false);
-        s.push('}');
-        s
-    }
 }
 
 /// Open (truncate) `path` and start recording events.
@@ -124,199 +69,34 @@ fn write_line(line: &str) {
     }
 }
 
-/// Write a pre-serialized record into the sink (sibling modules — trace
-/// records share the event log). Callers check [`events_enabled`].
-pub(crate) fn write_raw_line(line: &str) {
-    write_line(line);
-}
-
-/// Record one event; no-op while no sink is installed.
-pub fn emit(ev: &InjectionEvent) {
-    if !events_enabled() {
-        return;
+/// `fields` as one flat JSON object, in order, with no spaces and no
+/// trailing newline: the one serializer of every event-log record.
+pub(crate) fn record_json(fields: &[(&str, JsonValue)]) -> String {
+    let mut s = String::with_capacity(160);
+    s.push('{');
+    for (i, (key, value)) in fields.iter().enumerate() {
+        if i > 0 {
+            s.push(',');
+        }
+        push_json_str(&mut s, key);
+        s.push(':');
+        match value {
+            JsonValue::Str(v) => push_json_str(&mut s, v),
+            JsonValue::Num(n) => s.push_str(n),
+            JsonValue::Bool(b) => s.push_str(if *b { "true" } else { "false" }),
+            JsonValue::Null => s.push_str("null"),
+        }
     }
-    write_line(&ev.to_json());
+    s.push('}');
+    s
 }
 
-/// A campaign lifecycle event: shard start/finish, checkpoint resume,
-/// merge. Distinguished from injection lines by `"record":"campaign"`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CampaignEvent<'a> {
-    /// `"shard_start"` / `"shard_done"` / `"resume"` / `"merge"`.
-    pub kind: &'a str,
-    pub app: &'a str,
-    /// `"uarch"` or `"sw"`.
-    pub layer: &'a str,
-    pub shard: u64,
-    pub shards: u64,
-    /// Trials already classified (loaded from a checkpoint on resume).
-    pub done: u64,
-    /// Trials owned by this shard.
-    pub total: u64,
-}
-
-impl CampaignEvent<'_> {
-    /// Serialize as a single JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(128);
-        s.push_str("{\"record\":\"campaign\",\"kind\":");
-        push_json_str(&mut s, self.kind);
-        s.push_str(",\"app\":");
-        push_json_str(&mut s, self.app);
-        s.push_str(",\"layer\":");
-        push_json_str(&mut s, self.layer);
-        s.push_str(&format!(
-            ",\"shard\":{},\"shards\":{},\"done\":{},\"total\":{}}}",
-            self.shard, self.shards, self.done, self.total
-        ));
-        s
+/// Write one record line to the event log; no-op while no sink is
+/// installed.
+pub fn emit_record(fields: &[(&str, JsonValue)]) {
+    if events_enabled() {
+        write_line(&record_json(fields));
     }
-}
-
-/// Record one campaign lifecycle event; no-op while no sink is installed.
-pub fn emit_campaign(ev: &CampaignEvent) {
-    if !events_enabled() {
-        return;
-    }
-    write_line(&ev.to_json());
-}
-
-/// A dispatch-service lifecycle event: worker joins, lease grants and
-/// expiries, shard completions, campaign completion. Distinguished from
-/// the other record shapes by `"record":"dispatch"`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DispatchEvent<'a> {
-    /// `"worker_join"` / `"lease"` / `"lease_expired"` /
-    /// `"shard_complete"` / `"complete"`.
-    pub kind: &'a str,
-    /// Worker name (`""` for coordinator-only events like expiries).
-    pub worker: &'a str,
-    /// Shard the event refers to (`0` for whole-campaign events).
-    pub shard: u64,
-    pub shards: u64,
-    /// Execution attempt for this shard (1 = first lease).
-    pub attempt: u64,
-    /// Trial records the coordinator holds for this shard so far.
-    pub done: u64,
-    /// Trials owned by the shard.
-    pub total: u64,
-}
-
-impl DispatchEvent<'_> {
-    /// Serialize as a single JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(144);
-        s.push_str("{\"record\":\"dispatch\",\"kind\":");
-        push_json_str(&mut s, self.kind);
-        s.push_str(",\"worker\":");
-        push_json_str(&mut s, self.worker);
-        s.push_str(&format!(
-            ",\"shard\":{},\"shards\":{},\"attempt\":{},\"done\":{},\"total\":{}}}",
-            self.shard, self.shards, self.attempt, self.done, self.total
-        ));
-        s
-    }
-}
-
-/// Record one dispatch lifecycle event; no-op while no sink is installed.
-pub fn emit_dispatch(ev: &DispatchEvent) {
-    if !events_enabled() {
-        return;
-    }
-    write_line(&ev.to_json());
-}
-
-/// A snapshot-capture event: one instrumented golden pass materialized
-/// the fast-forward snapshot set of a campaign. Distinguished from the
-/// other record shapes by `"record":"snapshot"`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotEvent<'a> {
-    pub app: &'a str,
-    /// `"uarch"` or `"sw"`.
-    pub layer: &'a str,
-    /// The TMR-hardened variant of the application (its unprotected twin
-    /// captures a set of its own).
-    pub hardened: bool,
-    /// Mid-launch snapshots requested per launch.
-    pub per_launch: u64,
-    /// Snapshots actually captured (initial + mid-launch + launch
-    /// boundaries).
-    pub count: u64,
-    /// Heap footprint of the snapshot set's chunk store, bytes.
-    pub bytes: u64,
-    /// Wall time of the capture pass, microseconds.
-    pub wall_us: u64,
-}
-
-impl SnapshotEvent<'_> {
-    /// Serialize as a single JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(144);
-        s.push_str("{\"record\":\"snapshot\",\"app\":");
-        push_json_str(&mut s, self.app);
-        s.push_str(",\"layer\":");
-        push_json_str(&mut s, self.layer);
-        s.push_str(&format!(
-            ",\"hardened\":{},\"per_launch\":{},\"count\":{},\"bytes\":{},\"wall_us\":{}}}",
-            self.hardened, self.per_launch, self.count, self.bytes, self.wall_us
-        ));
-        s
-    }
-}
-
-/// Record one snapshot-capture event; no-op while no sink is installed.
-pub fn emit_snapshot(ev: &SnapshotEvent) {
-    if !events_enabled() {
-        return;
-    }
-    write_line(&ev.to_json());
-}
-
-/// An adaptive-sizing wave event: one CI-driven wave of an adaptive
-/// campaign finished and the planner re-evaluated its strata.
-/// Distinguished from the other record shapes by `"record":"wave"`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WaveEvent<'a> {
-    pub app: &'a str,
-    /// `"uarch"` or `"sw"`.
-    pub layer: &'a str,
-    /// Wave index (0-based).
-    pub wave: u64,
-    /// Trials executed by this wave.
-    pub trials: u64,
-    /// Strata still below the CI target after this wave.
-    pub pending: u64,
-    /// Strata total.
-    pub strata: u64,
-    /// Worst per-stratum CI half-width after this wave (micro-units:
-    /// half-width × 1e6, matching the `adaptive_ci_halfwidth_micros`
-    /// gauge).
-    pub max_halfwidth_micros: u64,
-}
-
-impl WaveEvent<'_> {
-    /// Serialize as a single JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(144);
-        s.push_str("{\"record\":\"wave\",\"app\":");
-        push_json_str(&mut s, self.app);
-        s.push_str(",\"layer\":");
-        push_json_str(&mut s, self.layer);
-        s.push_str(&format!(
-            ",\"wave\":{},\"trials\":{},\"pending\":{},\"strata\":{},\
-             \"max_halfwidth_micros\":{}}}",
-            self.wave, self.trials, self.pending, self.strata, self.max_halfwidth_micros
-        ));
-        s
-    }
-}
-
-/// Record one adaptive wave event; no-op while no sink is installed.
-pub fn emit_wave(ev: &WaveEvent) {
-    if !events_enabled() {
-        return;
-    }
-    write_line(&ev.to_json());
 }
 
 /// Flush buffered events to disk.
@@ -370,6 +150,31 @@ impl JsonValue {
             JsonValue::Str(s) => Some(s),
             _ => None,
         }
+    }
+}
+
+// What a record's fields are built from.
+impl From<&str> for JsonValue {
+    fn from(s: &str) -> Self {
+        JsonValue::Str(s.to_string())
+    }
+}
+
+impl From<u64> for JsonValue {
+    fn from(n: u64) -> Self {
+        JsonValue::Num(n.to_string())
+    }
+}
+
+impl From<usize> for JsonValue {
+    fn from(n: usize) -> Self {
+        JsonValue::Num(n.to_string())
+    }
+}
+
+impl From<bool> for JsonValue {
+    fn from(b: bool) -> Self {
+        JsonValue::Bool(b)
     }
 }
 
@@ -572,124 +377,105 @@ fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars>) -> Option<Stri
 mod tests {
     use super::*;
 
-    fn event() -> InjectionEvent<'static> {
-        InjectionEvent {
-            seed: 0xDEAD_BEEF_1234_5678,
-            app: "HotSpot",
-            kernel: "K1",
-            layer: "uarch",
-            target: "L1D",
-            trial: 42,
-            bit: 17,
-            cycle: 123_456,
-            outcome: "sdc",
-            wall_us: 950,
+    fn injection() -> Vec<(&'static str, JsonValue)> {
+        vec![
+            ("seed", 0xDEAD_BEEF_1234_5678u64.into()),
+            ("app", "HotSpot".into()),
+            ("kernel", "K1".into()),
+            ("layer", "uarch".into()),
+            ("target", "L1D".into()),
+            ("trial", 42u64.into()),
+            ("bit", 17u64.into()),
+            ("cycle", 123_456u64.into()),
+            ("outcome", "sdc".into()),
+            ("wall_us", 950u64.into()),
+        ]
+    }
+
+    /// One line of each of the six record shapes, pinned to the bytes the
+    /// per-shape serializers this writer replaced produced for the same
+    /// values — and each line parses back to exactly its fields.
+    #[test]
+    fn every_record_shape_is_pinned_byte_for_byte() {
+        let n = |v: u64| JsonValue::from(v);
+        let s = |v: &str| JsonValue::from(v);
+        let shapes: [(Vec<(&str, JsonValue)>, &str); 5] = [
+            (
+                injection(),
+                r#"{"seed":16045690981402826360,"app":"HotSpot","kernel":"K1","layer":"uarch","target":"L1D","trial":42,"bit":17,"cycle":123456,"outcome":"sdc","wall_us":950}"#,
+            ),
+            (
+                vec![
+                    ("record", s("campaign")),
+                    ("kind", s("resume")),
+                    ("app", s("VA")),
+                    ("layer", s("uarch")),
+                    ("shard", n(1)),
+                    ("shards", n(3)),
+                    ("done", n(40)),
+                    ("total", n(100)),
+                ],
+                r#"{"record":"campaign","kind":"resume","app":"VA","layer":"uarch","shard":1,"shards":3,"done":40,"total":100}"#,
+            ),
+            (
+                vec![
+                    ("record", s("dispatch")),
+                    ("kind", s("lease")),
+                    ("worker", s("w\"1\"")),
+                    ("shard", n(2)),
+                    ("shards", n(6)),
+                    ("attempt", n(3)),
+                    ("done", n(17)),
+                    ("total", n(50)),
+                ],
+                r#"{"record":"dispatch","kind":"lease","worker":"w\"1\"","shard":2,"shards":6,"attempt":3,"done":17,"total":50}"#,
+            ),
+            (
+                vec![
+                    ("record", s("snapshot")),
+                    ("app", s("SCP")),
+                    ("layer", s("uarch")),
+                    ("hardened", true.into()),
+                    ("per_launch", n(8)),
+                    ("count", n(9)),
+                    ("bytes", n(4_200_000)),
+                    ("wall_us", n(12_345)),
+                ],
+                r#"{"record":"snapshot","app":"SCP","layer":"uarch","hardened":true,"per_launch":8,"count":9,"bytes":4200000,"wall_us":12345}"#,
+            ),
+            (
+                vec![
+                    ("record", s("wave")),
+                    ("app", s("VA")),
+                    ("layer", s("sw")),
+                    ("wave", n(2)),
+                    ("trials", n(30)),
+                    ("pending", n(4)),
+                    ("strata", n(10)),
+                    ("max_halfwidth_micros", n(81_234)),
+                ],
+                r#"{"record":"wave","app":"VA","layer":"sw","wave":2,"trials":30,"pending":4,"strata":10,"max_halfwidth_micros":81234}"#,
+            ),
+        ];
+        for (fields, pinned) in &shapes {
+            assert_eq!(record_json(fields), *pinned);
+            let back = parse_line(pinned).expect("parses");
+            let back: Vec<(&str, JsonValue)> =
+                back.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
+            assert_eq!(back, *fields);
         }
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let line = event().to_json();
-        let fields = parse_line(&line).expect("parses");
-        let get = |k: &str| {
-            fields
-                .iter()
-                .find(|(key, _)| key == k)
-                .map(|(_, v)| v.clone())
-        };
-        assert_eq!(get("seed").unwrap().as_u64(), Some(0xDEAD_BEEF_1234_5678));
-        assert_eq!(get("app").unwrap().as_str(), Some("HotSpot"));
-        assert_eq!(get("kernel").unwrap().as_str(), Some("K1"));
-        assert_eq!(get("layer").unwrap().as_str(), Some("uarch"));
-        assert_eq!(get("target").unwrap().as_str(), Some("L1D"));
-        assert_eq!(get("trial").unwrap().as_u64(), Some(42));
-        assert_eq!(get("bit").unwrap().as_u64(), Some(17));
-        assert_eq!(get("cycle").unwrap().as_u64(), Some(123_456));
-        assert_eq!(get("outcome").unwrap().as_str(), Some("sdc"));
-        assert_eq!(get("wall_us").unwrap().as_u64(), Some(950));
-        assert_eq!(fields.len(), 10);
-    }
-
-    #[test]
-    fn campaign_event_round_trips() {
-        let ev = CampaignEvent {
-            kind: "resume",
-            app: "VA",
-            layer: "uarch",
-            shard: 1,
-            shards: 3,
-            done: 40,
-            total: 100,
-        };
-        let fields = parse_line(&ev.to_json()).expect("parses");
-        let get = |k: &str| {
-            fields
-                .iter()
-                .find(|(key, _)| key == k)
-                .map(|(_, v)| v.clone())
-        };
-        assert_eq!(get("record").unwrap().as_str(), Some("campaign"));
-        assert_eq!(get("kind").unwrap().as_str(), Some("resume"));
-        assert_eq!(get("shard").unwrap().as_u64(), Some(1));
-        assert_eq!(get("shards").unwrap().as_u64(), Some(3));
-        assert_eq!(get("done").unwrap().as_u64(), Some(40));
-        assert_eq!(get("total").unwrap().as_u64(), Some(100));
-    }
-
-    #[test]
-    fn dispatch_event_round_trips() {
-        let ev = DispatchEvent {
-            kind: "lease",
-            worker: "w\"1\"",
+        let trace = crate::TraceEvent {
+            kind: "lease_start".into(),
+            worker: "w\t7".into(),
+            campaign_fp: 0xDEAD_BEEF_1234_5678,
             shard: 2,
-            shards: 6,
-            attempt: 3,
-            done: 17,
-            total: 50,
+            trial: u64::MAX,
+            t_us: 1_000_001,
+            wall_us: 0,
         };
-        let fields = parse_line(&ev.to_json()).expect("parses");
-        let get = |k: &str| {
-            fields
-                .iter()
-                .find(|(key, _)| key == k)
-                .map(|(_, v)| v.clone())
-        };
-        assert_eq!(get("record").unwrap().as_str(), Some("dispatch"));
-        assert_eq!(get("kind").unwrap().as_str(), Some("lease"));
-        assert_eq!(get("worker").unwrap().as_str(), Some("w\"1\""));
-        assert_eq!(get("shard").unwrap().as_u64(), Some(2));
-        assert_eq!(get("shards").unwrap().as_u64(), Some(6));
-        assert_eq!(get("attempt").unwrap().as_u64(), Some(3));
-        assert_eq!(get("done").unwrap().as_u64(), Some(17));
-        assert_eq!(get("total").unwrap().as_u64(), Some(50));
-    }
-
-    #[test]
-    fn snapshot_event_round_trips() {
-        let ev = SnapshotEvent {
-            app: "SCP",
-            layer: "uarch",
-            hardened: true,
-            per_launch: 8,
-            count: 9,
-            bytes: 4_200_000,
-            wall_us: 12_345,
-        };
-        let fields = parse_line(&ev.to_json()).expect("parses");
-        let get = |k: &str| {
-            fields
-                .iter()
-                .find(|(key, _)| key == k)
-                .map(|(_, v)| v.clone())
-        };
-        assert_eq!(get("record").unwrap().as_str(), Some("snapshot"));
-        assert_eq!(get("app").unwrap().as_str(), Some("SCP"));
-        assert_eq!(get("layer").unwrap().as_str(), Some("uarch"));
-        assert_eq!(get("hardened"), Some(JsonValue::Bool(true)));
-        assert_eq!(get("per_launch").unwrap().as_u64(), Some(8));
-        assert_eq!(get("count").unwrap().as_u64(), Some(9));
-        assert_eq!(get("bytes").unwrap().as_u64(), Some(4_200_000));
-        assert_eq!(get("wall_us").unwrap().as_u64(), Some(12_345));
+        let pinned = r#"{"record":"trace","kind":"lease_start","worker":"w\t7","campaign_fp":16045690981402826360,"shard":2,"trial":18446744073709551615,"t_us":1000001,"wall_us":0}"#;
+        assert_eq!(trace.to_json(), pinned);
+        assert_eq!(crate::TraceEvent::parse(pinned), Some(trace));
     }
 
     #[test]
@@ -748,13 +534,13 @@ mod tests {
 
         // Disabled: emit is a no-op, file never created.
         shutdown_events();
-        emit(&event());
+        emit_record(&injection());
         assert!(!path.exists());
 
         init_events(&path).unwrap();
         assert!(events_enabled());
-        emit(&event());
-        emit(&event());
+        emit_record(&injection());
+        emit_record(&injection());
         shutdown_events();
         assert!(!events_enabled());
 

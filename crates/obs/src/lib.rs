@@ -6,19 +6,21 @@
 //! `std` atomics and mutexes; there is no crates.io dependency by design
 //! (the build sandbox has no registry access).
 //!
-//! Four pieces, all behind a single process-global switch so disabled
-//! campaigns pay one relaxed atomic load per call site:
+//! Four pieces, each behind a process-global switch so disabled campaigns
+//! pay one relaxed atomic load per call site:
 //!
 //! * [`registry`] — a thread-safe metrics registry: monotonic counters,
 //!   gauges, and fixed-bucket histograms, keyed by metric name plus
 //!   `key=value` labels (e.g. `app`/`kernel`/`structure`).
-//! * [`span`] — phase timers. Campaign trials pass through the phases
-//!   golden run → fault setup → faulty run → classification; totals are
-//!   aggregated across rayon workers with atomics.
-//! * [`events`] — a structured JSONL sink writing one line per injection
-//!   (seed, app, kernel, target, bit, cycle, outcome, wall time). The
-//!   serializer is hand-rolled; [`events::parse_line`] parses lines back
-//!   for tests and post-hoc analysis.
+//! * [`span()`] — the one timer: a named span (`kernels.trials`,
+//!   `core.plan`, …, the perf ledger's names) observed into the
+//!   `span_us{span=<name>}` histogram while metrics are on and emitted as
+//!   a span-end [`trace`] record while tracing is on.
+//! * [`events`] — a structured JSONL sink with one record writer,
+//!   [`emit_record`], behind every line (one per injection, plus
+//!   campaign / dispatch / snapshot / wave / trace records);
+//!   [`events::parse_line`] parses lines back for tests and post-hoc
+//!   analysis.
 //! * [`progress`] — a throttled stderr progress reporter with running
 //!   outcome-class rates.
 //!
@@ -31,13 +33,11 @@ pub mod expo;
 pub mod http;
 pub mod progress;
 pub mod registry;
-pub mod span;
+mod span;
 pub mod trace;
 
 pub use events::{
-    emit, emit_campaign, emit_dispatch, emit_snapshot, emit_wave, events_enabled, flush_events,
-    init_events, parse_json, CampaignEvent, DispatchEvent, InjectionEvent, JsonNode, JsonValue,
-    SnapshotEvent, WaveEvent,
+    emit_record, events_enabled, flush_events, init_events, parse_json, JsonNode, JsonValue,
 };
 pub use http::{http_get, Handlers, TelemetryServer};
 pub use progress::OutcomeClass;
@@ -45,7 +45,7 @@ pub use registry::{
     counter_add, enabled, gauge_set, global, histogram_observe, set_enabled, Histogram,
     HistogramSnapshot, Registry, Snapshot,
 };
-pub use span::{phase_snapshot, time_phase, Phase, PhaseSnapshot};
+pub use span::span;
 pub use trace::{TraceCtx, TraceEvent};
 
 /// Bucket upper bounds (µs) for injection wall-time histograms:
@@ -59,7 +59,6 @@ pub const WALL_US_BUCKETS: [u64; 12] = [
 pub fn reset_for_test() {
     registry::set_enabled(false);
     registry::global().clear();
-    span::reset();
     progress::reset();
     trace::reset();
     events::shutdown_events();

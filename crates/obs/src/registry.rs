@@ -14,8 +14,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static GLOBAL: OnceLock<Registry> = OnceLock::new();
 
-/// Master switch for the metrics registry (and the span timers, which
-/// consult it too). Off by default: campaigns pay one relaxed load.
+/// Master switch for the metrics registry (and for the `span_us`
+/// histogram of [`crate::span`]). Off by default: campaigns pay one
+/// relaxed load.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }

@@ -1,187 +1,92 @@
-//! Span timers with a per-phase profile.
+//! The one timer. [`span`] runs a closure and, while metrics or tracing is
+//! on, records its wall time under a `<crate>.<what>` name — the name the
+//! perf ledger gives the same work (docs/OBSERVABILITY.md lists them):
 //!
-//! Each injection trial passes through a fixed set of phases; wall time
-//! per phase is accumulated into global atomics, so aggregation across
-//! rayon workers is free. Timing only happens while the registry switch
-//! ([`crate::registry::enabled`]) is on — disabled runs execute the
-//! closure directly.
+//! * metrics on: one observation of the registry histogram
+//!   `span_us{span=<name>}`, which `/metrics`, a coordinator's worker
+//!   scrape and the end-of-run histogram table all carry;
+//! * tracing on: one span-end trace record with `kind = <name>`.
+//!
+//! With both off, a span costs two relaxed loads.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use crate::registry;
+use crate::{registry, trace};
 
-/// Campaign phases, in execution order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
-    /// Fault-free reference run of the application.
-    GoldenRun = 0,
-    /// Seed derivation, launch-window sampling, fault planning.
-    FaultSetup = 1,
-    /// The faulty end-to-end application run.
-    FaultyRun = 2,
-    /// Outcome classification and bookkeeping (counters, events).
-    Classify = 3,
-    /// Single-pass instrumented ACE/lifetime run (analytic estimator).
-    AceRun = 4,
-    /// Instrumented golden pass capturing fast-forward snapshots.
-    SnapshotCapture = 5,
-    /// Instrumented golden pass recording the replay access trace.
-    TraceCapture = 6,
-    /// Logged functional golden pass capturing the CTA log.
-    CtaLogCapture = 7,
-}
+/// Bucket upper bounds (µs) of `span_us`: from one trial's adjudication
+/// to a whole campaign's execution, ×≈3 per step.
+const SPAN_US_BUCKETS: [u64; 17] = [
+    1,
+    3,
+    10,
+    30,
+    100,
+    300,
+    1_000,
+    3_000,
+    10_000,
+    30_000,
+    100_000,
+    300_000,
+    1_000_000,
+    3_000_000,
+    10_000_000,
+    30_000_000,
+    100_000_000,
+];
 
-impl Phase {
-    pub const ALL: [Phase; 8] = [
-        Phase::GoldenRun,
-        Phase::FaultSetup,
-        Phase::FaultyRun,
-        Phase::Classify,
-        Phase::AceRun,
-        Phase::SnapshotCapture,
-        Phase::TraceCapture,
-        Phase::CtaLogCapture,
-    ];
-
-    pub fn label(&self) -> &'static str {
-        match self {
-            Phase::GoldenRun => "golden_run",
-            Phase::FaultSetup => "fault_setup",
-            Phase::FaultyRun => "faulty_run",
-            Phase::Classify => "classify",
-            Phase::AceRun => "ace_run",
-            Phase::SnapshotCapture => "snapshot_capture",
-            Phase::TraceCapture => "trace_capture",
-            Phase::CtaLogCapture => "cta_log_capture",
-        }
-    }
-}
-
-const N: usize = 8;
-
-struct Profile {
-    nanos: [AtomicU64; N],
-    calls: [AtomicU64; N],
-}
-
-#[allow(clippy::declare_interior_mutable_const)]
-const ZERO: AtomicU64 = AtomicU64::new(0);
-
-static PROFILE: Profile = Profile {
-    nanos: [ZERO; N],
-    calls: [ZERO; N],
-};
-
-/// Run `f`, attributing its wall time to `phase` when observability is
-/// enabled; otherwise just runs `f`.
-pub fn time_phase<T>(phase: Phase, f: impl FnOnce() -> T) -> T {
-    if !registry::enabled() {
+/// Run `f` as span `name`, timing it when metrics or tracing is on.
+pub fn span<T>(name: &str, f: impl FnOnce() -> T) -> T {
+    let (metrics, tracing) = (registry::enabled(), trace::tracing());
+    if !metrics && !tracing {
         return f();
     }
     let t0 = Instant::now();
     let out = f();
-    record(phase, t0.elapsed().as_nanos() as u64);
+    let us = t0.elapsed().as_micros() as u64;
+    if metrics {
+        registry::global().histogram_observe("span_us", &[("span", name)], &SPAN_US_BUCKETS, us);
+    }
+    trace::emit(name, us);
     out
-}
-
-/// Directly attribute `nanos` of wall time to `phase` (for call sites
-/// that already measured).
-pub fn record(phase: Phase, nanos: u64) {
-    let i = phase as usize;
-    PROFILE.nanos[i].fetch_add(nanos, Ordering::Relaxed);
-    PROFILE.calls[i].fetch_add(1, Ordering::Relaxed);
-    // Phase timings double as trace records while tracing is on (the
-    // emit is a single relaxed load otherwise).
-    crate::trace::emit(phase.label(), nanos / 1_000);
-}
-
-/// One phase's aggregate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PhaseSnapshot {
-    pub phase: Phase,
-    pub calls: u64,
-    pub total_ns: u64,
-}
-
-impl PhaseSnapshot {
-    pub fn total_ms(&self) -> f64 {
-        self.total_ns as f64 / 1e6
-    }
-
-    pub fn mean_us(&self) -> f64 {
-        if self.calls == 0 {
-            0.0
-        } else {
-            self.total_ns as f64 / self.calls as f64 / 1e3
-        }
-    }
-}
-
-/// Aggregates for all phases, in execution order.
-pub fn phase_snapshot() -> Vec<PhaseSnapshot> {
-    Phase::ALL
-        .iter()
-        .map(|&p| PhaseSnapshot {
-            phase: p,
-            calls: PROFILE.calls[p as usize].load(Ordering::Relaxed),
-            total_ns: PROFILE.nanos[p as usize].load(Ordering::Relaxed),
-        })
-        .collect()
-}
-
-/// Zero all phase aggregates (tests).
-pub fn reset() {
-    for i in 0..N {
-        PROFILE.nanos[i].store(0, Ordering::Relaxed);
-        PROFILE.calls[i].store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn timing_only_when_enabled() {
-        let _guard = crate::testutil::lock();
-        registry::set_enabled(false);
-        reset();
-        let v = time_phase(Phase::FaultyRun, || 41 + 1);
-        assert_eq!(v, 42);
-        assert_eq!(phase_snapshot()[Phase::FaultyRun as usize].calls, 0);
-
-        registry::set_enabled(true);
-        let v = time_phase(Phase::FaultyRun, || 2 * 21);
-        assert_eq!(v, 42);
-        record(Phase::Classify, 1500);
-        record(Phase::Classify, 500);
-        let snap = phase_snapshot();
-        let faulty = snap[Phase::FaultyRun as usize];
-        assert_eq!(faulty.calls, 1);
-        let classify = snap[Phase::Classify as usize];
-        assert_eq!(classify.calls, 2);
-        assert_eq!(classify.total_ns, 2000);
-        assert!((classify.mean_us() - 1.0).abs() < 1e-12);
-        registry::set_enabled(false);
-        reset();
+    fn count(name: &str) -> Option<u64> {
+        let key = format!("span_us{{span={name}}}");
+        let snap = registry::global().snapshot();
+        let found = snap.histograms.into_iter().find(|(k, _)| *k == key);
+        found.map(|(_, h)| h.count)
     }
 
     #[test]
-    fn labels_cover_all_phases() {
-        let labels: Vec<_> = Phase::ALL.iter().map(|p| p.label()).collect();
+    fn a_span_times_when_metrics_or_tracing_is_on() {
+        let _guard = crate::testutil::lock();
+        crate::reset_for_test();
+        assert_eq!(span("core.plan", || 41 + 1), 42);
+        assert_eq!(count("core.plan"), None, "both switches off");
+
+        registry::set_enabled(true);
+        assert_eq!(span("core.plan", || 2 * 21), 42);
+        span("core.plan", || ());
+        assert_eq!(count("core.plan"), Some(2));
+        assert!(trace::drain().is_empty(), "tracing off");
+
+        // Tracing alone: the span-end record, no histogram.
+        crate::reset_for_test();
+        trace::set_tracing(true);
+        trace::set_capture(true);
+        trace::with_ctx(7, || span("kernels.trials", || ()));
+        let records = trace::drain();
+        assert_eq!(records.len(), 1);
         assert_eq!(
-            labels,
-            vec![
-                "golden_run",
-                "fault_setup",
-                "faulty_run",
-                "classify",
-                "ace_run",
-                "snapshot_capture",
-                "trace_capture",
-                "cta_log_capture"
-            ]
+            (records[0].kind.as_str(), records[0].trial),
+            ("kernels.trials", 7)
         );
+        assert_eq!(count("kernels.trials"), None, "metrics off");
+        crate::reset_for_test();
     }
 }

@@ -7,9 +7,9 @@
 //! records cross the wire as dispatch protocol frames so the
 //! coordinator's event log holds a fleet-wide timeline.
 //!
-//! Records are JSONL [`TraceEvent`] lines (`"record":"trace"`, same
-//! dialect as [`crate::events`]) with a kind (phase label or lifecycle
-//! marker), the context coordinates, a start offset `t_us` relative to
+//! Records are JSONL [`TraceEvent`] lines (`"record":"trace"`, written by
+//! [`crate::events`]' one record writer) with a kind (a span name such as
+//! `kernels.trials`, or a lifecycle marker), the context coordinates, a start offset `t_us` relative to
 //! this process's trace epoch, and a `wall_us` duration. The
 //! `campaign timeline` tool reassembles them post hoc.
 //!
@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use crate::events::{push_json_str, JsonValue};
+use crate::events::JsonValue;
 
 /// Cap on the in-process capture buffer; past it, events are counted in
 /// [`dropped`] instead of stored (a worker that never drains must not
@@ -53,11 +53,11 @@ pub struct TraceCtx {
     pub trial: u64,
 }
 
-/// One trace record: a phase timing or lifecycle marker with its
+/// One trace record: a span end or lifecycle marker with its
 /// [`TraceCtx`] coordinates attached.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Phase label (`"faulty_run"`, ...) or lifecycle marker
+    /// Span name (`"kernels.trials"`, ...) or lifecycle marker
     /// (`"lease_start"`, `"shard_done"`, `"merge"`, ...).
     pub kind: String,
     /// Worker name (`""` when the process has not been named).
@@ -75,18 +75,23 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    /// Serialize as a single JSON object (no trailing newline).
+    fn fields(&self) -> [(&'static str, JsonValue); 8] {
+        [
+            ("record", "trace".into()),
+            ("kind", self.kind.as_str().into()),
+            ("worker", self.worker.as_str().into()),
+            ("campaign_fp", self.campaign_fp.into()),
+            ("shard", self.shard.into()),
+            ("trial", self.trial.into()),
+            ("t_us", self.t_us.into()),
+            ("wall_us", self.wall_us.into()),
+        ]
+    }
+
+    /// Serialize as a single JSON object (no trailing newline), through
+    /// the event log's one record writer.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(160);
-        s.push_str("{\"record\":\"trace\",\"kind\":");
-        push_json_str(&mut s, &self.kind);
-        s.push_str(",\"worker\":");
-        push_json_str(&mut s, &self.worker);
-        s.push_str(&format!(
-            ",\"campaign_fp\":{},\"shard\":{},\"trial\":{},\"t_us\":{},\"wall_us\":{}}}",
-            self.campaign_fp, self.shard, self.trial, self.t_us, self.wall_us
-        ));
-        s
+        crate::events::record_json(&self.fields())
     }
 
     /// Rebuild from fields produced by [`crate::events::parse_line`].
@@ -211,7 +216,7 @@ pub fn emit_for(kind: &str, shard: u64, trial: u64, wall_us: u64) {
 /// calls this to re-log records forwarded from workers.
 pub fn emit_event(ev: TraceEvent) {
     if crate::events::events_enabled() {
-        crate::events::write_raw_line(&ev.to_json());
+        crate::events::emit_record(&ev.fields());
     }
     if CAPTURE_ON.load(Ordering::Relaxed) {
         let mut buf = CAPTURE.lock().unwrap_or_else(|e| e.into_inner());
@@ -252,7 +257,7 @@ mod tests {
     #[test]
     fn json_round_trip() {
         let ev = TraceEvent {
-            kind: "faulty_run".to_string(),
+            kind: "kernels.trials".to_string(),
             worker: "w\"1\"".to_string(),
             campaign_fp: 0xDEAD_BEEF_1234_5678,
             shard: 2,
@@ -280,11 +285,11 @@ mod tests {
         set_worker("w7");
         set_campaign_fp(99);
         set_shard(3);
-        with_ctx(12, || emit("faulty_run", 500));
+        with_ctx(12, || emit("kernels.trials", 500));
         emit("lease_start", 0);
         let drained = drain();
         assert_eq!(drained.len(), 2);
-        assert_eq!(drained[0].kind, "faulty_run");
+        assert_eq!(drained[0].kind, "kernels.trials");
         assert_eq!(drained[0].worker, "w7");
         assert_eq!(drained[0].campaign_fp, 99);
         assert_eq!(drained[0].shard, 3);
@@ -300,7 +305,7 @@ mod tests {
         let _guard = crate::testutil::lock();
         reset();
         set_capture(true); // capture without tracing: emit still gated
-        emit("faulty_run", 1);
+        emit("kernels.trials", 1);
         assert!(drain().is_empty());
         reset();
     }

@@ -30,21 +30,21 @@ fn concurrent_counter_and_histogram_updates_are_lossless() {
 }
 
 #[test]
-fn concurrent_phase_recording_accumulates() {
-    // The span profile is global; reset it and serialize against other
-    // integration tests via distinct process (cargo runs each test binary
-    // separately), so only this file's tests share it.
-    obs::span::reset();
+fn concurrent_spans_accumulate() {
+    // Spans land in the global registry; this is the only test of its
+    // binary that switches it on (cargo runs each test binary as a
+    // separate process).
+    obs::reset_for_test();
+    obs::set_enabled(true);
     (0..1000usize)
         .into_par_iter()
-        .map(|_| {
-            obs::span::record(obs::Phase::FaultyRun, 10);
-            0u64
-        })
+        .map(|i| obs::span("kernels.trials", || i as u64))
         .reduce(|| 0, |a, b| a + b);
-    let snap = obs::phase_snapshot();
-    let faulty = snap[obs::Phase::FaultyRun as usize];
-    assert_eq!(faulty.calls, 1000);
-    assert_eq!(faulty.total_ns, 10_000);
-    obs::span::reset();
+    let snap = obs::global().snapshot();
+    let (_, spans) = (snap.histograms.iter())
+        .find(|(k, _)| k == "span_us{span=kernels.trials}")
+        .expect("the span histogram");
+    assert_eq!(spans.count, 1000);
+    assert_eq!(spans.buckets.iter().sum::<u64>(), 1000);
+    obs::reset_for_test();
 }

@@ -288,79 +288,82 @@ pub fn run_adaptive<E>(
 where
     E: FnMut(&PreparedCampaign, u64) -> Result<Vec<TrialRecord>, EngineError>,
 {
-    assert!(
-        acfg.validate().is_ok(),
-        "invalid adaptive config: {:?}",
-        acfg.validate()
-    );
-    let captures = AppCaptures::new(bench, &cfg.gpu, layer, hardened);
-    let golden = captures.golden();
-    let strata = (0..bench.kernels().len())
-        .flat_map(|k_idx| {
-            targets.iter().map(move |&target| {
-                let derate = match target {
-                    TrialTarget::Structure(h) => derating_factor(golden, k_idx, &cfg.gpu, h),
-                    TrialTarget::Fault(_) => 1.0,
-                };
-                AdaptiveStratum::new(k_idx, target, derate)
+    obs::span("stat.run_adaptive", move || {
+        assert!(
+            acfg.validate().is_ok(),
+            "invalid adaptive config: {:?}",
+            acfg.validate()
+        );
+        let captures = AppCaptures::new(bench, &cfg.gpu, layer, hardened);
+        let golden = captures.golden();
+        let strata = (0..bench.kernels().len())
+            .flat_map(|k_idx| {
+                targets.iter().map(move |&target| {
+                    let derate = match target {
+                        TrialTarget::Structure(h) => derating_factor(golden, k_idx, &cfg.gpu, h),
+                        TrialTarget::Fault(_) => 1.0,
+                    };
+                    AdaptiveStratum::new(k_idx, target, derate)
+                })
             })
-        })
-        .collect();
-    let mut result = AdaptiveResult::start(bench.name().to_string(), layer, strata);
-    loop {
-        let specs = result.next_wave(acfg);
-        if specs.is_empty() {
-            return Ok(result);
+            .collect();
+        let mut result = AdaptiveResult::start(bench.name().to_string(), layer, strata);
+        loop {
+            let specs = result.next_wave(acfg);
+            if specs.is_empty() {
+                return Ok(result);
+            }
+            let wave = result.waves;
+            let prep = plan_wave(&captures, cfg, &specs, wave);
+            result.plans_fp = fold_fp(result.plans_fp, prep.plan.fingerprint());
+            let mut set = RecordSet::new(prep.plan.len());
+            set.extend(&exec(&prep, wave)?)?;
+            let records = set.complete()?;
+            result.records_fp = fold_fp(result.records_fp, records_fingerprint(&records));
+
+            // The wave's plan strata are the slices `next_wave` asked for, in
+            // order: one row of the count table and one slice of trials each.
+            // A stratum whose trials all resolved to no fault has an empty
+            // population.
+            let table = assemble(&prep, &records)?;
+            let rows = (table.iter().zip(prep.plan.strata_trials()))
+                .map(|(row, (_, trials))| (row.counts, trials.iter().all(|t| t.fault.is_none())));
+            result.fold_wave(acfg, rows);
+
+            let still_pending = result.next_wave(acfg).len() as u64;
+            let max_hw = (result.strata.iter())
+                .filter(|s| s.converged_wave.is_none())
+                .map(|s| s.derated_halfwidth(acfg.conf))
+                .fold(0.0, f64::max);
+            let app = bench.name();
+            let layer_label = layer.label();
+            obs::counter_add(
+                "adaptive_waves_total",
+                &[("app", app), ("layer", layer_label)],
+                1,
+            );
+            obs::gauge_set(
+                "adaptive_ci_halfwidth_micros",
+                &[("app", app), ("layer", layer_label)],
+                (max_hw * 1e6) as u64,
+            );
+            obs::gauge_set(
+                "adaptive_pending_strata",
+                &[("app", app), ("layer", layer_label)],
+                still_pending,
+            );
+            obs::emit_record(&[
+                ("record", "wave".into()),
+                ("app", app.into()),
+                ("layer", layer_label.into()),
+                ("wave", wave.into()),
+                ("trials", prep.plan.len().into()),
+                ("pending", still_pending.into()),
+                ("strata", result.strata.len().into()),
+                ("max_halfwidth_micros", ((max_hw * 1e6) as u64).into()),
+            ]);
         }
-        let wave = result.waves;
-        let prep = plan_wave(&captures, cfg, &specs, wave);
-        result.plans_fp = fold_fp(result.plans_fp, prep.plan.fingerprint());
-        let mut set = RecordSet::new(prep.plan.len());
-        set.extend(&exec(&prep, wave)?)?;
-        let records = set.complete()?;
-        result.records_fp = fold_fp(result.records_fp, records_fingerprint(&records));
-
-        // The wave's plan strata are the slices `next_wave` asked for, in
-        // order: one row of the count table and one slice of trials each.
-        // A stratum whose trials all resolved to no fault has an empty
-        // population.
-        let table = assemble(&prep, &records)?;
-        let rows = (table.iter().zip(prep.plan.strata_trials()))
-            .map(|(row, (_, trials))| (row.counts, trials.iter().all(|t| t.fault.is_none())));
-        result.fold_wave(acfg, rows);
-
-        let still_pending = result.next_wave(acfg).len() as u64;
-        let max_hw = (result.strata.iter())
-            .filter(|s| s.converged_wave.is_none())
-            .map(|s| s.derated_halfwidth(acfg.conf))
-            .fold(0.0, f64::max);
-        let app = bench.name();
-        let layer_label = layer.label();
-        obs::counter_add(
-            "adaptive_waves_total",
-            &[("app", app), ("layer", layer_label)],
-            1,
-        );
-        obs::gauge_set(
-            "adaptive_ci_halfwidth_micros",
-            &[("app", app), ("layer", layer_label)],
-            (max_hw * 1e6) as u64,
-        );
-        obs::gauge_set(
-            "adaptive_pending_strata",
-            &[("app", app), ("layer", layer_label)],
-            still_pending,
-        );
-        obs::emit_wave(&obs::WaveEvent {
-            app,
-            layer: layer_label,
-            wave,
-            trials: prep.plan.len() as u64,
-            pending: still_pending,
-            strata: result.strata.len() as u64,
-            max_halfwidth_micros: (max_hw * 1e6) as u64,
-        });
-    }
+    })
 }
 
 impl StrataRecords {

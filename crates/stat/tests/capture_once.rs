@@ -4,14 +4,13 @@
 //! campaign instead of once per wave — lazily, per-plan eligible, freed
 //! with the handle, and without moving a plan or a record.
 //!
-//! A test binary of its own: the phase counters and the metrics registry
-//! are process-global, so every test here holds [`observed`]'s lock and
-//! starts them from zero.
+//! A test binary of its own: the metrics registry, which holds the span
+//! counts, is process-global, so every test here holds [`observed`]'s
+//! lock and starts it from zero.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use kernels::apps::va::Va;
-use obs::Phase;
 use relia::{
     execute_shard, execute_trials_with, load_checkpoint, plan_sw, plan_uarch, plan_wave,
     records_fingerprint, AppCaptures, CampaignCfg, EngineBackend, EngineCfg, EngineError,
@@ -37,9 +36,12 @@ fn reset_counters() {
     obs::set_enabled(true);
 }
 
-fn calls(phase: Phase) -> u64 {
-    let snap = obs::phase_snapshot();
-    snap.iter().find(|p| p.phase == phase).unwrap().calls
+/// Calls of span `name` so far: the count of its `span_us` histogram.
+fn calls(name: &str) -> u64 {
+    let key = format!("span_us{{span={name}}}");
+    let snap = obs::global().snapshot();
+    let found = snap.histograms.iter().find(|(k, _)| *k == key);
+    found.map_or(0, |(_, h)| h.count)
 }
 
 fn cfg() -> CampaignCfg {
@@ -65,21 +67,21 @@ fn a_campaign_of_many_waves_runs_golden_and_captures_once() {
         (
             Layer::Uarch,
             EngineBackend::Timed,
-            Phase::SnapshotCapture,
+            "kernels.snapshot_capture",
             "snapshots",
             "snapshot_bytes{app=VA,layer=uarch,",
         ),
         (
             Layer::Uarch,
             EngineBackend::Replay,
-            Phase::TraceCapture,
+            "trace.capture",
             "trace",
             "trace_bytes{app=VA,layer=uarch,",
         ),
         (
             Layer::Sw,
             EngineBackend::Timed,
-            Phase::CtaLogCapture,
+            "kernels.cta_log_capture",
             "cta_log",
             "cta_log_bytes{app=VA,layer=sw,",
         ),
@@ -114,11 +116,11 @@ fn a_campaign_of_many_waves_runs_golden_and_captures_once() {
             )
             .unwrap();
             assert!(res.waves >= 3, "{what}: only {} waves", res.waves);
-            assert_eq!(calls(Phase::GoldenRun), campaigns, "{what}: golden runs");
+            assert_eq!(calls("kernels.golden"), campaigns, "{what}: golden runs");
             assert_eq!(calls(capture), campaigns, "{what}: {kind} captures");
             // Replay defers the snapshot set to its first fallback; it is
             // still one set per campaign.
-            assert!(calls(Phase::SnapshotCapture) <= campaigns, "{what}");
+            assert!(calls("kernels.snapshot_capture") <= campaigns, "{what}");
             // Every wave after the capturing one was served from the cell.
             let reused = obs::global().snapshot().counter(&format!(
                 "captures_reused_total{{app=VA,kind={kind},variant={variant}}}"
@@ -137,7 +139,7 @@ fn a_campaign_of_many_waves_runs_golden_and_captures_once() {
             bytes("tmr") > bytes("base"),
             "{kind}: three copies cost more"
         );
-        if capture == Phase::TraceCapture {
+        if capture == "trace.capture" {
             let index = |variant: &str| {
                 let key = format!("trace_index_bytes{{app=VA,layer=uarch,variant={variant}}}");
                 gauges.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
@@ -160,7 +162,7 @@ fn a_campaign_of_many_waves_runs_golden_and_captures_once() {
         assert!(of(false) <= 1 && of(true) <= 1, "{kind}: {log}");
         assert_eq!(
             of(false) + of(true),
-            calls(Phase::SnapshotCapture),
+            calls("kernels.snapshot_capture"),
             "{kind}"
         );
         let _ = std::fs::remove_file(&events);
@@ -240,8 +242,8 @@ fn a_patterns_records_do_not_depend_on_which_campaigns_shared_its_captures() {
             );
         }
     }
-    assert_eq!(calls(Phase::GoldenRun), 2 * 3, "one per handle");
-    assert_eq!(calls(Phase::SnapshotCapture), 3, "one per uarch handle");
+    assert_eq!(calls("kernels.golden"), 2 * 3, "one per handle");
+    assert_eq!(calls("kernels.snapshot_capture"), 3, "one per uarch handle");
 }
 
 #[test]
@@ -258,7 +260,7 @@ fn a_run_resumed_from_complete_journals_captures_nothing() {
         };
         execute_shard(prep, &eng)
     });
-    assert_eq!(calls(Phase::SnapshotCapture), 1);
+    assert_eq!(calls("kernels.snapshot_capture"), 1);
 
     reset_counters();
     // What `campaign run --adaptive --resume` does with a complete journal.
@@ -275,13 +277,13 @@ fn a_run_resumed_from_complete_journals_captures_nothing() {
         }
     });
     assert_eq!(first, resumed);
-    assert_eq!(calls(Phase::GoldenRun), 1, "planning needs the golden run");
+    assert_eq!(calls("kernels.golden"), 1, "planning needs the golden run");
     for capture in [
-        Phase::SnapshotCapture,
-        Phase::TraceCapture,
-        Phase::CtaLogCapture,
+        "kernels.snapshot_capture",
+        "trace.capture",
+        "kernels.cta_log_capture",
     ] {
-        assert_eq!(calls(capture), 0, "{}", capture.label());
+        assert_eq!(calls(capture), 0, "{}", capture);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -309,16 +311,16 @@ fn a_plan_with_nothing_to_inject_neither_captures_nor_stops_the_next() {
     assert!(idle.plan.trials.iter().all(|t| t.fault.is_none()));
     execute_shard(&idle, &EngineCfg::single_shot()).unwrap();
     assert!(idle.cta_log().is_none());
-    assert_eq!(calls(Phase::CtaLogCapture), 0);
+    assert_eq!(calls("kernels.cta_log_capture"), 0);
 
     let busy = class_wave(true, 1);
     execute_shard(&busy, &EngineCfg::single_shot()).unwrap();
     assert!(busy.cta_log().is_some(), "the idle plan pinned a None");
-    assert_eq!(calls(Phase::CtaLogCapture), 1);
+    assert_eq!(calls("kernels.cta_log_capture"), 1);
     // Eligibility is the plan's: the capture does not make the idle plan
     // accelerable after the fact.
     assert!(idle.cta_log().is_none());
-    assert_eq!(calls(Phase::GoldenRun), 1);
+    assert_eq!(calls("kernels.golden"), 1);
 }
 
 #[test]

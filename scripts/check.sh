@@ -30,7 +30,8 @@ echo "==> paper smoke (docs/CAMPAIGNS.md): every campaign once, resumable, same 
 # fig03_utilization, hardening_study at --n-uarch 2 --n-sw 2), whose TMR
 # trials all ran on the oracle path: an all-apps, both-layers hardened
 # differential — Figure 12's static reuse sets as results/ holds them,
-# and the same MANIFEST, from 44 golden runs, 55 shard starts and 22
+# and the same MANIFEST, from 44 golden runs (the exit profile's
+# span_us{span=kernels.golden} count), 55 shard starts and 22
 # snapshot captures (every uarch campaign, base and TMR, is served by the
 # fast-forward path; the 11 source-register campaigns of Figure 12 share
 # the captures of their application's SVF campaign).
@@ -41,7 +42,7 @@ PFLAGS=(paper --n-uarch 2 --n-sw 2)
 test "$(grep -c '"kind":"shard_start"' "$PAPER/a.jsonl")" -eq 55
 test "$(grep -c '"record":"snapshot"' "$PAPER/a.jsonl")" -eq 22
 test "$(grep -c '"record":"snapshot".*"hardened":true' "$PAPER/a.jsonl")" -eq 11
-grep -Eq '^golden_run +44 ' "$PAPER/a.err"
+grep -Eq '^span_us\{span=kernels\.golden\} +44 ' "$PAPER/a.err"
 "$CAMPAIGN" "${PFLAGS[@]}" --out-dir "$PAPER/b" --limit 40 2> /dev/null \
   | grep 'partial — resume to finish' > /dev/null
 "$CAMPAIGN" "${PFLAGS[@]}" --out-dir "$PAPER/b" > /dev/null 2>&1
@@ -88,7 +89,9 @@ echo "==> dispatch smoke (coordinator + 2 workers, one killed mid-run)"
 # Single-process reference, then the same campaign through the dispatch
 # service (docs/DISPATCH.md) with a worker that dies mid-lease via the
 # --fail-after hook. The merged CSV must be byte-identical and the
-# coordinator must report the dead worker's lease as reassigned.
+# coordinator must report the dead worker's lease as reassigned. w1 runs
+# with --trace: its spans reach the coordinator's event log, and
+# `campaign timeline` lists a kernels.trials row per trial it ran.
 DISP=$(mktemp -d)
 "$CAMPAIGN" run --app VA --layer uarch --n 6 --seed 1234 \
   --csv "$DISP/single.csv" > /dev/null
@@ -96,7 +99,8 @@ DISP=$(mktemp -d)
   --listen 127.0.0.1:0 --port-file "$DISP/port.txt" \
   --telemetry-port 0 --telemetry-port-file "$DISP/telemetry-port.txt" \
   --lease-ms 400 --backoff-ms 50 --max-backoff-ms 200 --wait-ms 50 \
-  --csv "$DISP/dispatch.csv" > /dev/null 2> "$DISP/serve.log" &
+  --csv "$DISP/dispatch.csv" --events "$DISP/serve.jsonl" \
+  > /dev/null 2> "$DISP/serve.log" &
 SERVE_PID=$!
 for _ in $(seq 1 100); do [ -s "$DISP/port.txt" ] && break; sleep 0.1; done
 PORT=$(cat "$DISP/port.txt")
@@ -122,6 +126,7 @@ wait "$SERVE_PID"
 wait
 cmp "$DISP/single.csv" "$DISP/dispatch.csv"
 grep -Eq '\([1-9][0-9]* reassigned' "$DISP/serve.log"
+"$CAMPAIGN" timeline "$DISP/serve.jsonl" | grep -Eq '  kernels\.trials +w1 '
 
 echo "==> replay backend smoke (docs/TRACE.md)"
 # The trace-replay backend records the golden access trace, adjudicates
