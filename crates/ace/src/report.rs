@@ -170,7 +170,7 @@ mod tests {
             total_cycles: 10,
             events: 7,
         };
-        let t = structure_table(&[est.clone()], &gpu, &HwStructure::ALL);
+        let t = structure_table(std::slice::from_ref(&est), &gpu, &HwStructure::ALL);
         assert_eq!(t.headers.len(), 3 + 5 + 1);
         assert_eq!(t.rows.len(), 1);
         let a = app_table(&[est], &gpu);

@@ -5,7 +5,6 @@
 use std::path::Path;
 
 use bench::cli::{die, parse_or_exit, Cmd};
-use relia::checkpoint::CheckpointHeader;
 use relia::plan::{Layer, PreparedCampaign};
 use relia::{
     assemble_sw, assemble_uarch, load_checkpoint, pct, records_fingerprint, ClassRates, RecordSet,
@@ -79,31 +78,20 @@ pub fn merge(args: &[String]) {
     }
     let (spec, bench) = a.campaign();
     let prep = spec.prepare(bench.as_ref());
-    let expect = CheckpointHeader::for_plan(&prep.plan, 1, 0);
+    let fingerprint = prep.plan.fingerprint();
     // Two files for the same shard (a reassigned lease journaled twice, a
     // resumed run merged alongside its original) are fine: the set keeps
     // the first record of each trial and rejects only records that
     // *disagree* on an outcome.
     let mut set = RecordSet::new(prep.plan.len());
-    let mut first: Option<CheckpointHeader> = None;
     for path in &a.positional {
         let ck = load_checkpoint(Path::new(path)).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
-        if ck.header.fingerprint != expect.fingerprint {
+        if ck.header.fingerprint != fingerprint {
             fail(&format!(
-                "{path}: fingerprint {:#x} does not match this plan ({:#x}) — \
+                "{path}: fingerprint {:#x} does not match this plan ({fingerprint:#x}) — \
                  different app/layer/n/seed/sms/hardened?",
-                ck.header.fingerprint, expect.fingerprint
+                ck.header.fingerprint
             ));
-        }
-        match &first {
-            None => first = Some(ck.header.clone()),
-            Some(h) if !h.same_plan(&ck.header) => {
-                fail(&format!(
-                    "{path}: shard header disagrees with {}",
-                    a.positional[0]
-                ));
-            }
-            _ => {}
         }
         set.extend(&ck.records)
             .unwrap_or_else(|e| fail(&format!("{path}: {e}")));

@@ -4,7 +4,7 @@
 
 use std::net::TcpListener;
 
-use bench::cli::{die, parse_or_exit, Cmd};
+use bench::cli::{parse_or_exit, Cmd};
 use dispatch::{DispatchCfg, DispatchStats};
 use stat::run_adaptive;
 
@@ -35,19 +35,9 @@ pub fn serve(args: &[String]) {
     let dcfg = DispatchCfg {
         shards: a.num("--shards").unwrap_or(defaults.shards),
         lease: a.millis("--lease-ms").unwrap_or(defaults.lease),
-        backoff: a.millis("--backoff-ms").unwrap_or(defaults.backoff),
-        max_backoff: a.millis("--max-backoff-ms").unwrap_or(defaults.max_backoff),
-        wait_ms: a.num("--wait-ms").unwrap_or(defaults.wait_ms),
         out_dir: a.path("--out-dir"),
         telemetry: telemetry_cfg(&a),
     };
-    if dcfg.max_backoff < dcfg.backoff {
-        die(&format!(
-            "--max-backoff-ms {} is below --backoff-ms {}",
-            dcfg.max_backoff.as_millis(),
-            dcfg.backoff.as_millis()
-        ));
-    }
     let csv = a.path("--csv");
     let listen = a.text("--listen").unwrap_or("127.0.0.1:0");
     let listener = TcpListener::bind(listen)

@@ -16,15 +16,10 @@ fn report_death(s: &WorkSummary) {
 
 pub fn work(args: &[String]) {
     let a = parse_or_exit(Cmd::Work, args);
-    let defaults = WorkerCfg::default();
     let cfg = WorkerCfg {
         name: a
             .text("--name")
             .map_or_else(|| format!("worker-{}", std::process::id()), String::from),
-        heartbeat: a.millis("--heartbeat-ms").unwrap_or(defaults.heartbeat),
-        read_timeout: a
-            .millis("--read-timeout-ms")
-            .unwrap_or(defaults.read_timeout),
         fail_after: a.num("--fail-after"),
         telemetry: telemetry_cfg(&a),
         trace: a.has("--trace"),

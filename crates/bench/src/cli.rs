@@ -179,18 +179,13 @@ pub const FLAGS: &[Flag] = &[
     // Coordinator (docs/DISPATCH.md).
     flag("--listen", Arg::Addr, SERVE, "coordinator bind address; default 127.0.0.1:0"),
     flag("--port-file", Arg::Text("PATH"), SERVE, "write the bound port here (write-then-rename)"),
-    flag("--lease-ms", Arg::Num("MS", POSITIVE), SERVE, "shard lease duration; default 10000"),
-    flag("--backoff-ms", Arg::Num("MS", POSITIVE), SERVE, "first reassignment backoff; default 250"),
-    flag("--max-backoff-ms", Arg::Num("MS", ANY), SERVE, "backoff ceiling; default 5000"),
-    flag("--wait-ms", Arg::Num("MS", POSITIVE), SERVE, "poll interval told to idle workers; default 200"),
+    flag("--lease-ms", Arg::Num("MS", POSITIVE), SERVE, "shard lease duration, which every fleet timing derives from; default 10000"),
     flag("--out-dir", Arg::Text("DIR"), SERVE | PAPER, "serve: shard journals under DIR; paper, extensions (required): CSVs + journal/"),
     flag("--telemetry-port", Arg::Num("PORT", PORT), SERVE | WORK, "mount /metrics and /status on 127.0.0.1:PORT (0 = any)"),
     flag("--telemetry-port-file", Arg::Text("PATH"), SERVE | WORK, "write the bound telemetry port here"),
     // Worker.
     flag("--connect", Arg::Addr, WORK, "coordinator address (required)"),
     flag("--name", Arg::Text("NAME"), WORK, "worker name in events and /status"),
-    flag("--heartbeat-ms", Arg::Num("MS", POSITIVE), WORK, "lease renewal interval; default 500"),
-    flag("--read-timeout-ms", Arg::Num("MS", POSITIVE), WORK, "give up on a silent coordinator; default 30000"),
     flag("--fail-after", Arg::Num("N", ANY), WORK, "test hook: die abruptly after N trial records"),
     flag("--trace", Arg::Switch, WORK, "forward trace events to the coordinator after each lease"),
     // Fleet view.
@@ -591,7 +586,6 @@ mod tests {
             "--connect noport",
             "--connect :123",
             "--connect 127.0.0.1:99999",
-            "--heartbeat-ms 0",
             "--telemetry-port 70000",
         ] {
             assert!(parse(Cmd::Work, &args(bad)).is_err(), "work {bad}");

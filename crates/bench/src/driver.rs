@@ -104,7 +104,7 @@ const KIND_SETS: [(&[SwFaultKind], &str); 4] = [
 pub enum Targets {
     /// Microarchitecture level, the five storage structures.
     Structures,
-    /// Software level, one of the sets of fault kinds of [`KIND_SETS`].
+    /// Software level, one of the sets of fault kinds of `KIND_SETS`.
     Kinds(&'static [SwFaultKind]),
 }
 
@@ -287,7 +287,7 @@ impl<'a> Driver<'a> {
     }
 
     /// Run every key of `keys` that names one of the driver's
-    /// applications, each once, in [`Key::order`].
+    /// applications, each once, in `Key::order`.
     pub fn run_all(&mut self, mut keys: Vec<Key>) {
         keys.retain(|k| self.benches.iter().any(|b| b.name() == k.app));
         keys.sort_by_cached_key(Key::order);

@@ -1309,6 +1309,17 @@ mod tests {
         };
         let killed = execute_resumable(&prep, &eng(false, Some(3))).unwrap();
         assert_eq!((killed.records.len(), killed.resumed), (3, 0));
+        // A header that also names the plan's inputs resumes all the same.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let h = CheckpointHeader::for_plan(&prep.plan, 1, 0);
+        let with_inputs = format!(
+            "{{\"record\":\"plan\",\"app\":\"VA\",\"layer\":\"sw\",\"seed\":9,\"hardened\":false,\
+             \"n\":4,\"trials\":{},\"shards\":1,\"shard_index\":0,\"fingerprint\":{}}}",
+            h.trials, h.fingerprint
+        );
+        let text = text.replacen(&h.to_json(), &with_inputs, 1);
+        assert!(text.starts_with(&with_inputs));
+        std::fs::write(&path, text).unwrap();
         let finished = execute_resumable(&prep, &eng(true, None)).unwrap();
         assert_eq!(
             (finished.records.len(), finished.resumed),

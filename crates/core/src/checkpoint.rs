@@ -1,15 +1,14 @@
-//! Hand-rolled JSONL checkpoint files for resumable campaigns.
+//! JSONL checkpoint files for resumable campaigns.
 //!
 //! A checkpoint file records which trials of a [`crate::plan::CampaignPlan`]
 //! shard have already been classified, so an interrupted shard can resume
 //! without redoing finished injections and a `merge` can fold shard
 //! outputs back into one result. The format follows the `obs::events`
-//! record shape — one flat JSON object per line, written with the same
-//! hand-rolled serializer conventions and read back with
-//! [`obs::events::parse_line`]:
+//! record shape — one flat JSON object per line, written by
+//! [`obs::events::record_json`] and read back with [`obs::events::Fields`]:
 //!
 //! ```text
-//! {"record":"plan","app":"VA","layer":"uarch","seed":43981,"hardened":false,...}
+//! {"record":"plan","trials":300,"shards":3,"shard_index":1,"fingerprint":1234}
 //! {"record":"trial","idx":7,"outcome":"sdc","ctrl":false,"wall_us":123}
 //! ```
 //!
@@ -27,9 +26,9 @@ use std::io::{BufWriter, Write};
 use std::path::Path;
 
 use kernels::Outcome;
-use obs::events::{parse_line, push_json_str, JsonValue};
+use obs::events::{record_json, Fields};
 
-use crate::plan::{CampaignPlan, Layer};
+use crate::plan::CampaignPlan;
 
 /// Default flush interval: completed trials between checkpoint flushes.
 pub const DEFAULT_CHECKPOINT_EVERY: usize = 64;
@@ -61,15 +60,12 @@ pub fn outcome_from_label(s: &str) -> Option<Outcome> {
     .find(|&o| outcome_label(o) == s)
 }
 
-/// The identity line of a checkpoint file: which plan, which shard.
+/// The identity line of a checkpoint file: which plan, which shard. The
+/// plan's fingerprint folds in its app, layer, seed, variant and sample
+/// size, so the header does not repeat them. A header line that also
+/// names them still loads: fields a reader does not ask for are ignored.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointHeader {
-    pub app: String,
-    pub layer: Layer,
-    pub seed: u64,
-    pub hardened: bool,
-    /// Injections per (kernel, target) sub-campaign.
-    pub n_per_target: usize,
     /// Total trials in the whole plan (all shards).
     pub trials: usize,
     pub shards: usize,
@@ -80,11 +76,6 @@ pub struct CheckpointHeader {
 impl CheckpointHeader {
     pub fn for_plan(plan: &CampaignPlan, shards: usize, shard_index: usize) -> Self {
         CheckpointHeader {
-            app: plan.app.clone(),
-            layer: plan.layer,
-            seed: plan.seed,
-            hardened: plan.hardened,
-            n_per_target: plan.n_per_target,
             trials: plan.len(),
             shards,
             shard_index,
@@ -92,36 +83,24 @@ impl CheckpointHeader {
         }
     }
 
-    /// Whether this header and `other` come from the same plan (any shard).
-    pub fn same_plan(&self, other: &CheckpointHeader) -> bool {
-        self.app == other.app
-            && self.layer == other.layer
-            && self.seed == other.seed
-            && self.hardened == other.hardened
-            && self.n_per_target == other.n_per_target
-            && self.trials == other.trials
-            && self.shards == other.shards
-            && self.fingerprint == other.fingerprint
-    }
-
     /// Serialize as a single JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(160);
-        s.push_str("{\"record\":\"plan\",\"app\":");
-        push_json_str(&mut s, &self.app);
-        s.push_str(",\"layer\":");
-        push_json_str(&mut s, self.layer.label());
-        s.push_str(&format!(
-            ",\"seed\":{},\"hardened\":{},\"n\":{},\"trials\":{},\"shards\":{},\"shard_index\":{},\"fingerprint\":{}}}",
-            self.seed,
-            self.hardened,
-            self.n_per_target,
-            self.trials,
-            self.shards,
-            self.shard_index,
-            self.fingerprint
-        ));
-        s
+        record_json(&[
+            ("record", "plan".into()),
+            ("trials", self.trials.into()),
+            ("shards", self.shards.into()),
+            ("shard_index", self.shard_index.into()),
+            ("fingerprint", self.fingerprint.into()),
+        ])
+    }
+
+    fn from_fields(f: &Fields) -> Option<CheckpointHeader> {
+        Some(CheckpointHeader {
+            trials: f.usize("trials")?,
+            shards: f.usize("shards")?,
+            shard_index: f.usize("shard_index")?,
+            fingerprint: f.u64("fingerprint")?,
+        })
     }
 }
 
@@ -140,51 +119,41 @@ pub struct TrialRecord {
 
 impl TrialRecord {
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"record\":\"trial\",\"idx\":{},\"outcome\":\"{}\",\"ctrl\":{},\"wall_us\":{}}}",
-            self.idx,
-            outcome_label(self.outcome),
-            self.ctrl,
-            self.wall_us
-        )
+        record_json(&[
+            ("record", "trial".into()),
+            ("idx", self.idx.into()),
+            ("outcome", outcome_label(self.outcome).into()),
+            ("ctrl", self.ctrl.into()),
+            ("wall_us", self.wall_us.into()),
+        ])
+    }
+
+    /// Rebuild from the fields of a `"record":"trial"` line (the caller
+    /// has checked the discriminator).
+    pub fn from_fields(f: &Fields) -> Option<TrialRecord> {
+        Some(TrialRecord {
+            idx: f.usize("idx")?,
+            outcome: outcome_from_label(f.str("outcome")?)?,
+            ctrl: f.bool("ctrl")?,
+            wall_us: f.u64("wall_us")?,
+        })
     }
 }
 
 /// One parsed checkpoint line.
 #[derive(Debug, Clone, PartialEq)]
-pub enum CheckpointLine {
+enum CheckpointLine {
     Header(CheckpointHeader),
     Trial(TrialRecord),
 }
 
 /// Parse one checkpoint line. `None` on malformed input or an unknown
 /// record type.
-pub fn parse_checkpoint_line(line: &str) -> Option<CheckpointLine> {
-    let fields = parse_line(line)?;
-    let get = |k: &str| fields.iter().find(|(key, _)| key == k).map(|(_, v)| v);
-    let num = |k: &str| get(k).and_then(JsonValue::as_u64);
-    let boolean = |k: &str| match get(k)? {
-        JsonValue::Bool(b) => Some(*b),
-        _ => None,
-    };
-    match get("record")?.as_str()? {
-        "plan" => Some(CheckpointLine::Header(CheckpointHeader {
-            app: get("app")?.as_str()?.to_string(),
-            layer: Layer::from_label(get("layer")?.as_str()?)?,
-            seed: num("seed")?,
-            hardened: boolean("hardened")?,
-            n_per_target: num("n")? as usize,
-            trials: num("trials")? as usize,
-            shards: num("shards")? as usize,
-            shard_index: num("shard_index")? as usize,
-            fingerprint: num("fingerprint")?,
-        })),
-        "trial" => Some(CheckpointLine::Trial(TrialRecord {
-            idx: num("idx")? as usize,
-            outcome: outcome_from_label(get("outcome")?.as_str()?)?,
-            ctrl: boolean("ctrl")?,
-            wall_us: num("wall_us")?,
-        })),
+fn parse_checkpoint_line(line: &str) -> Option<CheckpointLine> {
+    let f = Fields::parse(line)?;
+    match f.str("record")? {
+        "plan" => CheckpointHeader::from_fields(&f).map(CheckpointLine::Header),
+        "trial" => TrialRecord::from_fields(&f).map(CheckpointLine::Trial),
         _ => None,
     }
 }
@@ -381,11 +350,6 @@ mod tests {
 
     fn header() -> CheckpointHeader {
         CheckpointHeader {
-            app: "VA".into(),
-            layer: Layer::Uarch,
-            seed: 0xDEAD_BEEF_1234_5678,
-            hardened: false,
-            n_per_target: 60,
             trials: 300,
             shards: 3,
             shard_index: 1,
@@ -431,6 +395,39 @@ mod tests {
         }
         assert!(parse_checkpoint_line("{\"record\":\"unknown\"}").is_none());
         assert!(parse_checkpoint_line("not json").is_none());
+    }
+
+    /// The bytes of both line shapes. The trial line is the one every
+    /// journal has always held; the header carries the shard slice and
+    /// the fingerprint only, and a header that also names the plan's
+    /// inputs (app, layer, seed, variant, n) still loads.
+    #[test]
+    fn line_bytes_are_pinned_and_extra_header_fields_are_ignored() {
+        let trial = TrialRecord {
+            idx: 17,
+            outcome: Outcome::Sdc,
+            ctrl: true,
+            wall_us: 950,
+        };
+        assert_eq!(
+            trial.to_json(),
+            r#"{"record":"trial","idx":17,"outcome":"sdc","ctrl":true,"wall_us":950}"#
+        );
+        let h = CheckpointHeader {
+            trials: 10,
+            shards: 3,
+            shard_index: 1,
+            fingerprint: 0xFFFF_FFFF_FFFF_FFFE,
+        };
+        assert_eq!(
+            h.to_json(),
+            r#"{"record":"plan","trials":10,"shards":3,"shard_index":1,"fingerprint":18446744073709551614}"#
+        );
+        let with_inputs = r#"{"record":"plan","app":"VA","layer":"uarch","seed":43981,"hardened":false,"n":2,"trials":10,"shards":3,"shard_index":1,"fingerprint":18446744073709551614}"#;
+        assert_eq!(
+            parse_checkpoint_line(with_inputs),
+            Some(CheckpointLine::Header(h))
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@ use relia::checkpoint::{
     checkpoint_to_string, parse_checkpoint, Checkpoint, CheckpointError, CheckpointHeader,
     TrialRecord,
 };
-use relia::plan::{shard_trials, Layer};
+use relia::plan::shard_trials;
 use relia::{EngineError, RecordSet};
 
 fn outcome_of(tag: u8) -> kernels::Outcome {
@@ -52,13 +52,7 @@ fn shuffle<T>(v: &mut [T], mut seed: u64) {
 }
 
 /// Build a structurally valid checkpoint from proptest-generated parts.
-fn checkpoint(
-    app: &str,
-    layer_uarch: bool,
-    seed: u64,
-    hardened: bool,
-    trials: Vec<(u32, u8, bool, u32)>,
-) -> Checkpoint {
+fn checkpoint(seed: u64, trials: Vec<(u32, u8, bool, u32)>) -> Checkpoint {
     let records: Vec<TrialRecord> = trials
         .iter()
         .map(|&(idx, out, ctrl, wall)| TrialRecord {
@@ -70,11 +64,6 @@ fn checkpoint(
         .collect();
     Checkpoint {
         header: CheckpointHeader {
-            app: app.to_string(),
-            layer: if layer_uarch { Layer::Uarch } else { Layer::Sw },
-            seed,
-            hardened,
-            n_per_target: records.len().max(1),
             trials: 1 + records.iter().map(|r| r.idx).max().unwrap_or(0),
             shards: 3,
             shard_index: 1,
@@ -218,18 +207,13 @@ proptest! {
     }
 
     /// serialize → parse → serialize is a fixpoint, for arbitrary header
-    /// fields (including apps needing JSON string escaping) and records.
+    /// fields and records.
     #[test]
     fn checkpoint_roundtrip_is_a_fixpoint(
-        // Printable ASCII, including `"` and `\` so escaping is exercised.
-        app_bytes in prop::collection::vec(0x20u8..0x7f, 0..12),
-        layer_uarch in any::<bool>(),
         seed in any::<u64>(),
-        hardened in any::<bool>(),
         trials in prop::collection::vec((any::<u32>(), any::<u8>(), any::<bool>(), any::<u32>()), 0..40),
     ) {
-        let app = String::from_utf8(app_bytes).unwrap();
-        let ck = checkpoint(&app, layer_uarch, seed, hardened, trials);
+        let ck = checkpoint(seed, trials);
         let text = checkpoint_to_string(&ck);
         let back = parse_checkpoint(&text).unwrap();
         prop_assert_eq!(&back, &ck, "parse must invert serialize");
@@ -242,13 +226,11 @@ proptest! {
     /// file. It never invents or corrupts a record.
     #[test]
     fn truncated_checkpoint_recovers_a_prefix(
-        app_bytes in prop::collection::vec(b'a'..=b'z', 1..8),
         seed in any::<u64>(),
         trials in prop::collection::vec((any::<u32>(), any::<u8>(), any::<bool>(), any::<u32>()), 1..30),
         cut_frac in 0.0f64..1.0,
     ) {
-        let app = String::from_utf8(app_bytes).unwrap();
-        let ck = checkpoint(&app, true, seed, false, trials);
+        let ck = checkpoint(seed, trials);
         let text = checkpoint_to_string(&ck);
         let cut = (text.len() as f64 * cut_frac) as usize;
         match parse_checkpoint(&text[..cut]) {

@@ -19,7 +19,7 @@
 //! Pending ----------> Leased{conn, expires} ----------> Done
 //!    ^                    |
 //!    |   lease expired /  |
-//!    +---- conn died -----+   (back off: min(backoff·2^(attempts-1), max))
+//!    +---- conn died -----+   (back off: min(lease/40·2^(attempts-1), lease/2))
 //! ```
 //!
 //! Execution is at-least-once by design — an expired lease is simply
@@ -44,7 +44,7 @@ use relia::plan::{shard_trials, CampaignPlan};
 use relia::{EngineError, RecordSet};
 
 use crate::proto::{
-    parse_frame, write_frame, CampaignSpec, Frame, Line, LineReader, PROTO_VERSION,
+    backoff, parse_frame, wait, write_frame, CampaignSpec, Frame, Line, LineReader, PROTO_VERSION,
 };
 use crate::{DispatchError, TelemetryCfg};
 
@@ -65,20 +65,16 @@ const SCRAPE_TICK: Duration = Duration::from_millis(500);
 /// whole scrape round.
 const SCRAPE_TIMEOUT: Duration = Duration::from_millis(250);
 
-/// Coordinator tuning knobs.
+/// Coordinator settings.
 #[derive(Debug, Clone)]
 pub struct DispatchCfg {
     /// How many shards to cut the plan into (≥ 1; more shards than
     /// workers just means workers take several leases in turn).
     pub shards: usize,
     /// Lease duration; heartbeats renew it, silence past it reassigns.
+    /// The fleet's one timing setting: the reassignment backoff, the
+    /// workers' poll interval and their heartbeat derive from it.
     pub lease: Duration,
-    /// Base delay before re-granting a shard whose lease was lost.
-    pub backoff: Duration,
-    /// Cap on the exponential reassignment backoff.
-    pub max_backoff: Duration,
-    /// How long workers are told to sleep when no shard is grantable.
-    pub wait_ms: u64,
     /// Journal each completed shard here as a checkpoint file, fsynced
     /// *before* the shard is acked (crash-safe hand-off).
     pub out_dir: Option<PathBuf>,
@@ -92,9 +88,6 @@ impl Default for DispatchCfg {
         DispatchCfg {
             shards: 2,
             lease: Duration::from_secs(10),
-            backoff: Duration::from_millis(250),
-            max_backoff: Duration::from_secs(5),
-            wait_ms: 200,
             out_dir: None,
             telemetry: None,
         }
@@ -191,13 +184,6 @@ pub struct Coordinator<'a> {
     /// Signalled on every transition a thread may be parked on: a plan
     /// installed, a plan finished or aborted, the campaign over.
     wake: Condvar,
-}
-
-fn backoff_for(cfg: &DispatchCfg, attempts: u64) -> Duration {
-    let shift = attempts.saturating_sub(1).min(16) as u32;
-    cfg.backoff
-        .saturating_mul(1u32 << shift)
-        .min(cfg.max_backoff)
 }
 
 /// Run the coordinator until every shard of `plan` is complete: the
@@ -602,7 +588,7 @@ fn reclaim(cfg: &DispatchCfg, job: &mut Job, stats: &mut DispatchStats, shard: u
         unreachable!("only a leased shard is reclaimed");
     };
     job.shards[shard] = ShardState::Pending {
-        not_before: Instant::now() + backoff_for(cfg, attempts),
+        not_before: Instant::now() + backoff(cfg.lease, attempts),
         attempts,
     };
     stats.leases_expired += 1;
@@ -684,7 +670,7 @@ fn next_frame(coord: &Coordinator, conn: u64, worker: &str, seq: u64) -> (Frame,
     // wait period without any makes the handler send `wait`, the
     // keep-alive that restarts the worker's patience.
     let between_plans = |s: &mut State| !s.over && s.job.as_ref().is_none_or(|j| j.done);
-    let wait = Duration::from_millis(coord.cfg.wait_ms);
+    let wait = wait(coord.cfg.lease);
     let st = coord.state.lock().unwrap();
     let (mut st, _) = (coord.wake)
         .wait_timeout_while(st, wait, between_plans)
@@ -693,7 +679,7 @@ fn next_frame(coord: &Coordinator, conn: u64, worker: &str, seq: u64) -> (Frame,
         return (Frame::Shutdown, seq);
     }
     let busy = Frame::Wait {
-        ms: coord.cfg.wait_ms,
+        ms: wait.as_millis() as u64, // at most 2 s
     };
     let State { job, stats, .. } = &mut *st;
     let Some(job) = job.as_mut().filter(|j| !j.done) else {
@@ -745,7 +731,8 @@ fn next_frame(coord: &Coordinator, conn: u64, worker: &str, seq: u64) -> (Frame,
         job.shard_idxs[shard].len() as u64,
     );
     obs::trace::emit_for("lease", shard as u64, u64::MAX, 0);
-    (Frame::Lease { shard, done }, seq)
+    let ms = u64::try_from(coord.cfg.lease.as_millis()).unwrap_or(u64::MAX);
+    (Frame::Lease { shard, done, ms }, seq)
 }
 
 /// Offer one record to plan `seq`'s set. Returns `true` when the plan
@@ -776,6 +763,7 @@ fn insert_record(coord: &Coordinator, seq: u64, rec: TrialRecord) -> bool {
     true
 }
 
+/// A heartbeat from the holder: the one frame that renews a lease.
 fn renew_lease(coord: &Coordinator, conn: u64, seq: u64, shard: usize) {
     let mut st = coord.state.lock().unwrap();
     let job = st.job.as_mut().filter(|j| j.seq == seq);

@@ -8,10 +8,10 @@
 //! [`relia::checkpoint::CheckpointWriter`] unchanged.
 //!
 //! ```text
-//! W→C  {"frame":"hello","worker":"w1","proto":3,"telemetry":""}
+//! W→C  {"frame":"hello","worker":"w1","proto":4,"telemetry":""}
 //! C→W  {"frame":"job","app":"VA","layer":"uarch","n":60,"seed":7,...}
 //! W→C  {"frame":"ready","fingerprint":123456789}
-//! C→W  {"frame":"lease","shard":2,"done":"8,14"}
+//! C→W  {"frame":"lease","shard":2,"done":"8,14","ms":10000}
 //! W→C  {"record":"trial","idx":20,"outcome":"masked","ctrl":false,...}
 //! W→C  {"frame":"heartbeat","shard":2,"done":17}
 //! W→C  {"frame":"shard_done","shard":2}
@@ -24,6 +24,10 @@
 //! may be sent another `job` (the next wave of an adaptive campaign) and
 //! answers each with `ready`; `shutdown` ends the campaign, not a plan.
 //!
+//! The lease is the fleet's one timing setting: the `lease` frame carries
+//! its duration, and every other interval of both ends derives from it
+//! (`heartbeat`, `wait`, `backoff`).
+//!
 //! [`parse_frame`] returns `None` on any malformed line. Because every
 //! frame ends in `}` and contains no `}` before its end, *no proper
 //! prefix of a frame parses* — a torn line (connection died mid-write)
@@ -31,9 +35,10 @@
 //! by a property test mirroring the torn-checkpoint-line tests).
 
 use std::sync::Arc;
+use std::time::Duration;
 
-use obs::events::{parse_line, push_json_str, JsonValue};
-use relia::checkpoint::{parse_checkpoint_line, CheckpointLine, TrialRecord};
+use obs::events::{record_json, Fields, JsonValue};
+use relia::checkpoint::TrialRecord;
 use relia::plan::{
     plan_sw, plan_uarch, plan_wave, CampaignPlan, Layer, PreparedCampaign, StratumSpec,
     TrialTarget, SVF_KINDS,
@@ -45,8 +50,38 @@ use vgpu_sim::{FaultPattern, GpuConfig, HwStructure, SwFaultKind};
 /// it and the coordinator rejects mismatched workers during the handshake.
 /// Version 2 made every field of the hello and job frames mandatory;
 /// version 3 changed no frame's bytes but lets `job` repeat on one
-/// connection, which a version-2 worker would read as a protocol error.
-pub const PROTO_VERSION: u64 = 3;
+/// connection, which a version-2 worker would read as a protocol error;
+/// version 4 adds the lease's duration (`ms`) to the `lease` frame, which
+/// the worker derives its heartbeat from.
+pub const PROTO_VERSION: u64 = 4;
+
+/// How long a worker waits on a silent coordinator before it gives up. A
+/// constant: an idle worker hears from the coordinator at least every
+/// [`wait`], which is at most 2 s.
+pub(crate) const READ_PATIENCE: Duration = Duration::from_secs(30);
+
+fn at_least_1ms(d: Duration) -> Duration {
+    d.max(Duration::from_millis(1))
+}
+
+/// Delay before a shard whose lease was lost on its `attempts`-th grant is
+/// granted again: `lease/40 · 2^(attempts−1)`, capped at `lease/2`.
+pub(crate) fn backoff(lease: Duration, attempts: u64) -> Duration {
+    let shift = attempts.saturating_sub(1).min(16) as u32;
+    at_least_1ms((lease / 40).saturating_mul(1 << shift).min(lease / 2))
+}
+
+/// How long a worker with nothing to do is told to wait before it polls:
+/// `min(lease/50, 2 s)`.
+pub(crate) fn wait(lease: Duration) -> Duration {
+    at_least_1ms((lease / 50).min(Duration::from_secs(2)))
+}
+
+/// How often a worker renews the lease it holds: `lease/20`. Only a
+/// heartbeat renews a lease; records do not.
+pub(crate) fn heartbeat(lease: Duration) -> Duration {
+    at_least_1ms(lease / 20)
+}
 
 /// Largest simulated GPU a campaign may ask for. Bounds what a job frame
 /// can make a worker allocate, and keeps the L2 size (128 KiB per SM)
@@ -317,9 +352,14 @@ pub enum Frame {
     },
     /// Worker confirms its locally derived plan fingerprint.
     Ready { fingerprint: u64 },
-    /// Coordinator grants a shard lease; `done` lists the plan indices it
-    /// already holds for this shard (mid-shard resume on reassignment).
-    Lease { shard: usize, done: Vec<usize> },
+    /// Coordinator grants a shard lease of `ms` milliseconds; `done` lists
+    /// the plan indices it already holds for this shard (mid-shard resume
+    /// on reassignment).
+    Lease {
+        shard: usize,
+        done: Vec<usize>,
+        ms: u64,
+    },
     /// No shard available right now; poll again in `ms`.
     Wait { ms: u64 },
     /// Worker asks for work after a [`Frame::Wait`].
@@ -360,72 +400,79 @@ fn parse_idx_list(s: &str) -> Option<Vec<usize>> {
 impl Frame {
     /// Serialize as a single JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
-        match self {
+        let (kind, fields): (&str, Vec<(&str, JsonValue)>) = match self {
             Frame::Hello {
                 worker,
                 proto,
                 telemetry,
-            } => {
-                let mut s = String::from("{\"frame\":\"hello\",\"worker\":");
-                push_json_str(&mut s, worker);
-                s.push_str(&format!(",\"proto\":{proto},\"telemetry\":"));
-                push_json_str(&mut s, telemetry);
-                s.push('}');
-                s
-            }
+            } => (
+                "hello",
+                vec![
+                    ("worker", worker.as_str().into()),
+                    ("proto", (*proto).into()),
+                    ("telemetry", telemetry.as_str().into()),
+                ],
+            ),
             Frame::Job {
                 spec,
                 shards,
                 fingerprint,
             } => {
-                let mut s = String::from("{\"frame\":\"job\",\"app\":");
-                push_json_str(&mut s, &spec.app);
-                s.push_str(",\"layer\":");
-                push_json_str(&mut s, spec.layer.label());
-                s.push_str(",\"structures\":");
-                push_json_str(&mut s, &structures_spec(&spec.structures));
-                s.push_str(",\"fault_model\":");
-                push_json_str(&mut s, spec.fault_model.label());
-                s.push_str(",\"backend\":");
-                push_json_str(&mut s, spec.backend.label());
+                let mut f = vec![
+                    ("app", spec.app.as_str().into()),
+                    ("layer", spec.layer.label().into()),
+                    (
+                        "structures",
+                        structures_spec(&spec.structures).as_str().into(),
+                    ),
+                    ("fault_model", spec.fault_model.label().into()),
+                    ("backend", spec.backend.label().into()),
+                ];
                 if let Some(w) = &spec.wave {
-                    s.push_str(&format!(",\"wave\":{},\"strata\":", w.wave));
-                    push_json_str(&mut s, &strata_spec(&w.strata));
+                    f.push(("wave", w.wave.into()));
+                    f.push(("strata", strata_spec(&w.strata).as_str().into()));
                 }
-                s.push_str(&format!(
-                    ",\"n\":{},\"seed\":{},\"sms\":{},\"hardened\":{},\"shards\":{shards},\"fingerprint\":{fingerprint}}}",
-                    spec.n, spec.seed, spec.sms, spec.hardened
-                ));
-                s
+                f.extend([
+                    ("n", spec.n.into()),
+                    ("seed", spec.seed.into()),
+                    ("sms", u64::from(spec.sms).into()),
+                    ("hardened", spec.hardened.into()),
+                    ("shards", (*shards).into()),
+                    ("fingerprint", (*fingerprint).into()),
+                ]);
+                ("job", f)
             }
-            Frame::Ready { fingerprint } => {
-                format!("{{\"frame\":\"ready\",\"fingerprint\":{fingerprint}}}")
-            }
-            Frame::Lease { shard, done } => {
-                let mut s = format!("{{\"frame\":\"lease\",\"shard\":{shard},\"done\":");
-                push_json_str(&mut s, &idx_list(done));
-                s.push('}');
-                s
-            }
-            Frame::Wait { ms } => format!("{{\"frame\":\"wait\",\"ms\":{ms}}}"),
-            Frame::Poll => "{\"frame\":\"poll\"}".to_string(),
-            Frame::Heartbeat { shard, done } => {
-                format!("{{\"frame\":\"heartbeat\",\"shard\":{shard},\"done\":{done}}}")
-            }
-            Frame::ShardDone { shard } => {
-                format!("{{\"frame\":\"shard_done\",\"shard\":{shard}}}")
-            }
-            Frame::Resend { shard, missing } => {
-                let mut s = format!("{{\"frame\":\"resend\",\"shard\":{shard},\"missing\":");
-                push_json_str(&mut s, &idx_list(missing));
-                s.push('}');
-                s
-            }
-            Frame::Ack { shard } => format!("{{\"frame\":\"ack\",\"shard\":{shard}}}"),
-            Frame::Shutdown => "{\"frame\":\"shutdown\"}".to_string(),
-            Frame::Trial(r) => r.to_json(),
-            Frame::Trace(ev) => ev.to_json(),
-        }
+            Frame::Ready { fingerprint } => ("ready", vec![("fingerprint", (*fingerprint).into())]),
+            Frame::Lease { shard, done, ms } => (
+                "lease",
+                vec![
+                    ("shard", (*shard).into()),
+                    ("done", idx_list(done).as_str().into()),
+                    ("ms", (*ms).into()),
+                ],
+            ),
+            Frame::Wait { ms } => ("wait", vec![("ms", (*ms).into())]),
+            Frame::Poll => ("poll", vec![]),
+            Frame::Heartbeat { shard, done } => (
+                "heartbeat",
+                vec![("shard", (*shard).into()), ("done", (*done).into())],
+            ),
+            Frame::ShardDone { shard } => ("shard_done", vec![("shard", (*shard).into())]),
+            Frame::Resend { shard, missing } => (
+                "resend",
+                vec![
+                    ("shard", (*shard).into()),
+                    ("missing", idx_list(missing).as_str().into()),
+                ],
+            ),
+            Frame::Ack { shard } => ("ack", vec![("shard", (*shard).into())]),
+            Frame::Shutdown => ("shutdown", vec![]),
+            Frame::Trial(r) => return r.to_json(),
+            Frame::Trace(ev) => return ev.to_json(),
+        };
+        let mut all = vec![("frame", kind.into())];
+        all.extend(fields);
+        record_json(&all)
     }
 }
 
@@ -433,43 +480,30 @@ impl Frame {
 /// (torn frames), unknown frame kinds, or a checkpoint *header* line
 /// (which never travels over the wire).
 pub fn parse_frame(line: &str) -> Option<Frame> {
-    let fields = parse_line(line)?;
-    let get = |k: &str| fields.iter().find(|(key, _)| key == k).map(|(_, v)| v);
-    let num = |k: &str| get(k).and_then(JsonValue::as_u64);
-    let Some(kind) = get("frame").and_then(JsonValue::as_str) else {
-        // Not a control frame: trace records, then the checkpoint
-        // trial-record shape.
-        if get("record").and_then(JsonValue::as_str) == Some("trace") {
-            return obs::TraceEvent::from_fields(&fields).map(Frame::Trace);
-        }
-        return match parse_checkpoint_line(line)? {
-            CheckpointLine::Trial(t) => Some(Frame::Trial(t)),
-            CheckpointLine::Header(_) => None,
+    let f = Fields::parse(line)?;
+    let Some(kind) = f.str("frame") else {
+        // Not a control frame: a trial or a trace record.
+        return match f.str("record")? {
+            "trial" => TrialRecord::from_fields(&f).map(Frame::Trial),
+            "trace" => obs::TraceEvent::from_fields(&f).map(Frame::Trace),
+            _ => None,
         };
     };
     match kind {
         "hello" => Some(Frame::Hello {
-            worker: get("worker")?.as_str()?.to_string(),
-            proto: num("proto")?,
-            telemetry: get("telemetry")?.as_str()?.to_string(),
+            worker: f.str("worker")?.to_string(),
+            proto: f.u64("proto")?,
+            telemetry: f.str("telemetry")?.to_string(),
         }),
         "job" => {
-            let structures_s = get("structures")?.as_str()?;
-            let structures = if structures_s.is_empty() {
-                None
-            } else {
-                Some(parse_structures(structures_s).ok()?)
+            let structures = match f.str("structures")? {
+                "" => None,
+                s => Some(parse_structures(s).ok()?),
             };
-            let hardened = match get("hardened")? {
-                JsonValue::Bool(b) => *b,
-                _ => return None,
-            };
-            let fault_model = FaultPattern::from_label(get("fault_model")?.as_str()?)?;
-            let backend = EngineBackend::from_label(get("backend")?.as_str()?)?;
-            let layer = Layer::from_label(get("layer")?.as_str()?)?;
+            let layer = Layer::from_label(f.str("layer")?)?;
             // Fixed-n campaigns carry neither wave field; a wave index
             // without strata (or vice versa) is a torn frame.
-            let wave = match (num("wave"), get("strata").and_then(JsonValue::as_str)) {
+            let wave = match (f.u64("wave"), f.str("strata")) {
                 (None, None) => None,
                 (Some(w), Some(st)) => Some(WaveSpec {
                     wave: w,
@@ -478,15 +512,15 @@ pub fn parse_frame(line: &str) -> Option<Frame> {
                 _ => return None,
             };
             let spec = CampaignSpec {
-                app: get("app")?.as_str()?.to_string(),
+                app: f.str("app")?.to_string(),
                 layer,
-                n: num("n")? as usize,
-                seed: num("seed")?,
-                sms: u32::try_from(num("sms")?).ok()?,
-                hardened,
+                n: f.usize("n")?,
+                seed: f.u64("seed")?,
+                sms: u32::try_from(f.u64("sms")?).ok()?,
+                hardened: f.bool("hardened")?,
                 structures,
-                fault_model,
-                backend,
+                fault_model: FaultPattern::from_label(f.str("fault_model")?)?,
+                backend: EngineBackend::from_label(f.str("backend")?)?,
                 wave,
             };
             // A job this worker could not execute without tripping an
@@ -494,32 +528,33 @@ pub fn parse_frame(line: &str) -> Option<Frame> {
             spec.validate().ok()?;
             Some(Frame::Job {
                 spec,
-                shards: num("shards")? as usize,
-                fingerprint: num("fingerprint")?,
+                shards: f.usize("shards")?,
+                fingerprint: f.u64("fingerprint")?,
             })
         }
         "ready" => Some(Frame::Ready {
-            fingerprint: num("fingerprint")?,
+            fingerprint: f.u64("fingerprint")?,
         }),
         "lease" => Some(Frame::Lease {
-            shard: num("shard")? as usize,
-            done: parse_idx_list(get("done")?.as_str()?)?,
+            shard: f.usize("shard")?,
+            done: parse_idx_list(f.str("done")?)?,
+            ms: f.u64("ms")?,
         }),
-        "wait" => Some(Frame::Wait { ms: num("ms")? }),
+        "wait" => Some(Frame::Wait { ms: f.u64("ms")? }),
         "poll" => Some(Frame::Poll),
         "heartbeat" => Some(Frame::Heartbeat {
-            shard: num("shard")? as usize,
-            done: num("done")?,
+            shard: f.usize("shard")?,
+            done: f.u64("done")?,
         }),
         "shard_done" => Some(Frame::ShardDone {
-            shard: num("shard")? as usize,
+            shard: f.usize("shard")?,
         }),
         "resend" => Some(Frame::Resend {
-            shard: num("shard")? as usize,
-            missing: parse_idx_list(get("missing")?.as_str()?)?,
+            shard: f.usize("shard")?,
+            missing: parse_idx_list(f.str("missing")?)?,
         }),
         "ack" => Some(Frame::Ack {
-            shard: num("shard")? as usize,
+            shard: f.usize("shard")?,
         }),
         "shutdown" => Some(Frame::Shutdown),
         _ => None,
@@ -705,10 +740,12 @@ mod tests {
             Frame::Lease {
                 shard: 2,
                 done: vec![2, 8, 14],
+                ms: 10_000,
             },
             Frame::Lease {
                 shard: 0,
                 done: vec![],
+                ms: 1,
             },
             Frame::Wait { ms: 250 },
             Frame::Poll,
@@ -747,20 +784,139 @@ mod tests {
         assert!(parse_frame("").is_none());
         assert!(parse_frame("not json").is_none());
         assert!(parse_frame("{\"frame\":\"warp-drive\"}").is_none());
-        assert!(parse_frame("{\"frame\":\"lease\",\"shard\":1,\"done\":\"1,x\"}").is_none());
+        assert!(
+            parse_frame("{\"frame\":\"lease\",\"shard\":1,\"done\":\"1,x\",\"ms\":9}").is_none()
+        );
         // A checkpoint *header* line never travels over the wire.
         let h = relia::CheckpointHeader {
-            app: "VA".into(),
-            layer: Layer::Uarch,
-            seed: 1,
-            hardened: false,
-            n_per_target: 2,
             trials: 10,
             shards: 1,
             shard_index: 0,
             fingerprint: 3,
         };
         assert!(parse_frame(&h.to_json()).is_none());
+    }
+
+    /// One line per frame kind. Every one but `lease` holds the bytes the
+    /// protocol-3 writer produced for the same values; `lease` gained its
+    /// duration, and one without it does not parse.
+    #[test]
+    fn every_frame_kind_is_pinned_byte_for_byte() {
+        let pins = [
+            (
+                Frame::Hello {
+                    worker: "w\"1".into(),
+                    proto: 4,
+                    telemetry: "127.0.0.1:9102".into(),
+                },
+                r#"{"frame":"hello","worker":"w\"1","proto":4,"telemetry":"127.0.0.1:9102"}"#,
+            ),
+            (
+                Frame::Job {
+                    spec: spec(),
+                    shards: 6,
+                    fingerprint: u64::MAX - 1,
+                },
+                r#"{"frame":"job","app":"VA","layer":"uarch","structures":"RF,L2","fault_model":"single-bit","backend":"timed","n":60,"seed":16045690981114315524,"sms":4,"hardened":true,"shards":6,"fingerprint":18446744073709551614}"#,
+            ),
+            (
+                Frame::Job {
+                    spec: CampaignSpec {
+                        wave: Some(WaveSpec {
+                            wave: 3,
+                            strata: parse_strata("0:RF:16:8;2:L2:0:4", Layer::Uarch).unwrap(),
+                        }),
+                        backend: EngineBackend::Replay,
+                        ..spec()
+                    },
+                    shards: 3,
+                    fingerprint: 9,
+                },
+                r#"{"frame":"job","app":"VA","layer":"uarch","structures":"RF,L2","fault_model":"single-bit","backend":"replay","wave":3,"strata":"0:RF:16:8;2:L2:0:4","n":60,"seed":16045690981114315524,"sms":4,"hardened":true,"shards":3,"fingerprint":9}"#,
+            ),
+            (
+                Frame::Ready {
+                    fingerprint: u64::MAX,
+                },
+                r#"{"frame":"ready","fingerprint":18446744073709551615}"#,
+            ),
+            (
+                Frame::Lease {
+                    shard: 2,
+                    done: vec![2, 8, 14],
+                    ms: 10_000,
+                },
+                r#"{"frame":"lease","shard":2,"done":"2,8,14","ms":10000}"#,
+            ),
+            (Frame::Wait { ms: 200 }, r#"{"frame":"wait","ms":200}"#),
+            (Frame::Poll, r#"{"frame":"poll"}"#),
+            (
+                Frame::Heartbeat { shard: 3, done: 41 },
+                r#"{"frame":"heartbeat","shard":3,"done":41}"#,
+            ),
+            (
+                Frame::ShardDone { shard: 3 },
+                r#"{"frame":"shard_done","shard":3}"#,
+            ),
+            (
+                Frame::Resend {
+                    shard: 3,
+                    missing: vec![9, 12],
+                },
+                r#"{"frame":"resend","shard":3,"missing":"9,12"}"#,
+            ),
+            (Frame::Ack { shard: 3 }, r#"{"frame":"ack","shard":3}"#),
+            (Frame::Shutdown, r#"{"frame":"shutdown"}"#),
+            (
+                Frame::Trial(TrialRecord {
+                    idx: 17,
+                    outcome: Outcome::Sdc,
+                    ctrl: true,
+                    wall_us: 950,
+                }),
+                r#"{"record":"trial","idx":17,"outcome":"sdc","ctrl":true,"wall_us":950}"#,
+            ),
+            (
+                Frame::Trace(obs::TraceEvent {
+                    kind: "kernels.trials".into(),
+                    worker: "w1".into(),
+                    campaign_fp: u64::MAX - 3,
+                    shard: 2,
+                    trial: 17,
+                    t_us: 1_000_000,
+                    wall_us: 917,
+                }),
+                r#"{"record":"trace","kind":"kernels.trials","worker":"w1","campaign_fp":18446744073709551612,"shard":2,"trial":17,"t_us":1000000,"wall_us":917}"#,
+            ),
+        ];
+        for (frame, pinned) in pins {
+            assert_eq!(frame.to_json(), pinned);
+            assert_eq!(parse_frame(pinned), Some(frame));
+        }
+        assert_eq!(
+            parse_frame(r#"{"frame":"lease","shard":2,"done":"2,8,14"}"#),
+            None,
+            "a protocol-3 lease has no duration"
+        );
+    }
+
+    #[test]
+    fn every_timing_derives_from_the_lease() {
+        let lease = Duration::from_secs(10);
+        let ms = Duration::from_millis;
+        assert_eq!(backoff(lease, 1), ms(250));
+        assert_eq!(backoff(lease, 2), ms(500));
+        assert_eq!(backoff(lease, 99), ms(5_000), "capped at lease/2");
+        assert_eq!(wait(lease), ms(200));
+        assert_eq!(heartbeat(lease), ms(500));
+        assert_eq!(READ_PATIENCE, ms(30_000));
+        // A long lease waits at most 2 s; a tiny one floors at 1 ms.
+        assert_eq!(wait(Duration::from_secs(3600)), ms(2_000));
+        let tiny = ms(5);
+        assert_eq!(
+            (backoff(tiny, 1), wait(tiny), heartbeat(tiny)),
+            (ms(1), ms(1), ms(1))
+        );
     }
 
     #[test]
@@ -891,10 +1047,10 @@ mod tests {
     #[test]
     fn structures_spec_round_trips() {
         assert_eq!(structures_spec(&None), "");
-        let some = Some(vec![HwStructure::Smem, HwStructure::L1T]);
+        let some = vec![HwStructure::Smem, HwStructure::L1T];
         assert_eq!(
-            parse_structures(&structures_spec(&some)).unwrap(),
-            some.unwrap()
+            parse_structures(&structures_spec(&Some(some.clone()))).unwrap(),
+            some
         );
         assert!(parse_structures("RF,WARP").unwrap_err().contains("WARP"));
         // Case-insensitive, whitespace-tolerant, dedup preserving order.

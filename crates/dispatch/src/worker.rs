@@ -7,8 +7,9 @@
 //! take a lease, execute the shard's still-missing trials with the same
 //! parallel engine a local run uses ([`relia::execute_trials`]), stream
 //! each classified record over the wire the moment it exists, and claim
-//! `shard_done`. A heartbeat thread renews the lease while trials run,
-//! so a lease only expires when the worker is actually gone.
+//! `shard_done`. A heartbeat thread renews the lease while trials run, at
+//! an interval derived from the duration the `lease` frame carries, so a
+//! lease only expires when the worker is actually gone.
 //!
 //! Every record the worker produced stays in a [`RecordSet`] for as
 //! long as its plan is served: if the coordinator lost lines to a torn
@@ -36,22 +37,20 @@ use obs::counter_add;
 use relia::plan::{shard_trials, PreparedCampaign};
 use relia::{execute_trials_with, AppCaptures, FastForward, RecordSet};
 
-use crate::proto::{parse_frame, write_frame, Frame, Line, LineReader, PROTO_VERSION};
+use crate::proto::{
+    heartbeat, parse_frame, write_frame, Frame, Line, LineReader, PROTO_VERSION, READ_PATIENCE,
+};
 use crate::{DispatchError, TelemetryCfg};
 
-/// Socket-level read tick; overall patience is [`WorkerCfg::read_timeout`].
+/// Socket-level read tick; overall patience is [`READ_PATIENCE`].
 const READ_TICK: Duration = Duration::from_millis(50);
 
-/// Worker tuning knobs.
+/// Worker settings. Its timings are not among them: they derive from the
+/// lease the coordinator grants.
 #[derive(Debug, Clone)]
 pub struct WorkerCfg {
     /// Name reported in the hello frame (shows up in dispatch events).
     pub name: String,
-    /// How often to renew the lease while executing trials. Must be
-    /// comfortably below the coordinator's lease duration.
-    pub heartbeat: Duration,
-    /// Give up if the coordinator stays silent this long.
-    pub read_timeout: Duration,
     /// Test hook: tear the connection down (no goodbye) after this many
     /// trial records have been streamed, emulating a SIGKILLed worker.
     pub fail_after: Option<usize>,
@@ -68,8 +67,6 @@ impl Default for WorkerCfg {
     fn default() -> Self {
         WorkerCfg {
             name: "worker".into(),
-            heartbeat: Duration::from_millis(500),
-            read_timeout: Duration::from_secs(30),
             fail_after: None,
             telemetry: None,
             trace: false,
@@ -89,8 +86,9 @@ pub struct WorkSummary {
     pub died_early: bool,
 }
 
-/// Read the next well-formed frame, dropping torn lines, within `patience`.
-fn next_frame(lines: &mut LineReader, patience: Duration) -> Result<Frame, DispatchError> {
+/// Read the next well-formed frame, dropping torn lines, within
+/// [`READ_PATIENCE`].
+fn next_frame(lines: &mut LineReader) -> Result<Frame, DispatchError> {
     let start = Instant::now();
     loop {
         match lines.next()? {
@@ -101,9 +99,9 @@ fn next_frame(lines: &mut LineReader, patience: Duration) -> Result<Frame, Dispa
                 counter_add("dispatch_worker_torn_frames_total", &[], 1);
             }
             Line::Timeout => {
-                if start.elapsed() >= patience {
+                if start.elapsed() >= READ_PATIENCE {
                     return Err(DispatchError::Protocol(format!(
-                        "coordinator silent for {patience:?}"
+                        "coordinator silent for {READ_PATIENCE:?}"
                     )));
                 }
             }
@@ -199,7 +197,7 @@ pub fn work(addr: &str, cfg: &WorkerCfg) -> Result<WorkSummary, DispatchError> {
     let held = |job: &Option<Job>| job.as_ref().map_or(0, |j| j.cache.lock().unwrap().held());
 
     loop {
-        match next_frame(&mut lines, cfg.read_timeout)? {
+        match next_frame(&mut lines)? {
             Frame::Shutdown => break,
             Frame::Wait { ms } => {
                 std::thread::sleep(Duration::from_millis(ms.min(2_000)));
@@ -240,7 +238,7 @@ pub fn work(addr: &str, cfg: &WorkerCfg) -> Result<WorkSummary, DispatchError> {
                 });
                 send(&write, &Frame::Ready { fingerprint })?;
             }
-            Frame::Lease { shard, done } => {
+            Frame::Lease { shard, done, ms } => {
                 let Some(job) = &job else {
                     return Err(DispatchError::Protocol("lease before any job".into()));
                 };
@@ -256,7 +254,8 @@ pub fn work(addr: &str, cfg: &WorkerCfg) -> Result<WorkSummary, DispatchError> {
                     obs::trace::set_campaign_fp(job.fingerprint);
                     obs::trace::emit_for("lease_start", shard as u64, u64::MAX, 0);
                 }
-                run_lease(job, &todo, &write, cfg, shard, &executed, &died)?;
+                let hb = heartbeat(Duration::from_millis(ms));
+                run_lease(job, &todo, &write, cfg, shard, hb, &executed, &died)?;
                 if died.load(Ordering::Acquire) {
                     // Emulate SIGKILL: tear the socket down with records
                     // possibly still in flight, no shard_done, no goodbye.
@@ -274,7 +273,7 @@ pub fn work(addr: &str, cfg: &WorkerCfg) -> Result<WorkSummary, DispatchError> {
                 send(&write, &Frame::ShardDone { shard })?;
                 // Await the ack, replaying any records lost to torn frames.
                 loop {
-                    match next_frame(&mut lines, cfg.read_timeout)? {
+                    match next_frame(&mut lines)? {
                         Frame::Ack { shard: s } if s == shard => {
                             summary.shards_completed += 1;
                             counter_add("dispatch_worker_shards_total", &[], 1);
@@ -373,13 +372,16 @@ fn worker_status(name: &str) -> String {
 }
 
 /// Execute the lease's trials in parallel, streaming each record as it
-/// is classified, with a heartbeat thread keeping the lease alive.
+/// is classified, with a heartbeat thread keeping the lease alive every
+/// `hb`.
+#[allow(clippy::too_many_arguments)]
 fn run_lease(
     job: &Job,
     todo: &[usize],
     write: &Mutex<TcpStream>,
     cfg: &WorkerCfg,
     shard: usize,
+    hb: Duration,
     executed: &AtomicUsize,
     died: &AtomicBool,
 ) -> Result<(), DispatchError> {
@@ -389,14 +391,14 @@ fn run_lease(
         s.spawn(|| {
             let mut last = Instant::now();
             while !stop.load(Ordering::Acquire) {
-                std::thread::sleep(Duration::from_millis(10));
-                if last.elapsed() >= cfg.heartbeat {
+                std::thread::sleep(hb.min(Duration::from_millis(10)));
+                if last.elapsed() >= hb {
                     last = Instant::now();
-                    let hb = Frame::Heartbeat {
+                    let beat = Frame::Heartbeat {
                         shard,
                         done: streamed.load(Ordering::Acquire),
                     };
-                    if send(write, &hb).is_err() {
+                    if send(write, &beat).is_err() {
                         break;
                     }
                 }

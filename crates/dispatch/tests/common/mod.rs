@@ -99,7 +99,7 @@ impl Conn {
     /// Poll until the coordinator grants a lease.
     pub fn await_lease(&mut self) -> (usize, Vec<usize>) {
         match self.past_waits() {
-            Frame::Lease { shard, done } => (shard, done),
+            Frame::Lease { shard, done, .. } => (shard, done),
             f => panic!("expected lease/wait, got {f:?}"),
         }
     }

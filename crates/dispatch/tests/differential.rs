@@ -92,17 +92,10 @@ fn differential_spec(spec: CampaignSpec) {
     let cfg = DispatchCfg {
         shards: 3,
         lease: Duration::from_millis(300),
-        backoff: Duration::from_millis(50),
-        max_backoff: Duration::from_millis(200),
-        wait_ms: 50,
         out_dir: None,
         telemetry: None,
     };
-    let healthy = WorkerCfg {
-        heartbeat: Duration::from_millis(50),
-        read_timeout: Duration::from_secs(30),
-        ..WorkerCfg::default()
-    };
+    let healthy = WorkerCfg::default();
     let outcome = std::thread::scope(|s| {
         let coordinator = s.spawn(|| serve(listener, &prep.plan, &spec, &cfg));
         // The doomed worker goes FIRST and alone, so it provably takes a
@@ -253,17 +246,10 @@ fn va_uarch_adaptive_dispatch_equals_single_shot() {
     let dcfg = DispatchCfg {
         shards: 3,
         lease: Duration::from_millis(300),
-        backoff: Duration::from_millis(50),
-        max_backoff: Duration::from_millis(200),
-        wait_ms: 50,
         out_dir: None,
         telemetry: None,
     };
-    let healthy = WorkerCfg {
-        heartbeat: Duration::from_millis(50),
-        read_timeout: Duration::from_secs(30),
-        ..WorkerCfg::default()
-    };
+    let healthy = WorkerCfg::default();
     let dispatched = run_adaptive(
         bench.as_ref(),
         &cfg,

@@ -22,7 +22,6 @@ mod common;
 
 use std::net::TcpListener;
 use std::sync::atomic::Ordering;
-use std::time::Duration;
 
 use common::Conn;
 use dispatch::proto::PROTO_VERSION;
@@ -53,8 +52,6 @@ fn spec() -> CampaignSpec {
 fn cfg() -> DispatchCfg {
     DispatchCfg {
         shards: 1,
-        lease: Duration::from_secs(10),
-        wait_ms: 50,
         ..DispatchCfg::default()
     }
 }

@@ -57,15 +57,11 @@ fn one_session_per_worker_serves_every_wave() {
     let dcfg = DispatchCfg {
         shards: 2,
         lease: Duration::from_millis(300),
-        backoff: Duration::from_millis(50),
-        max_backoff: Duration::from_millis(200),
-        wait_ms: 50,
         out_dir: None,
         telemetry: None,
     };
     let worker = |name: &str, fail_after| WorkerCfg {
         name: name.into(),
-        heartbeat: Duration::from_millis(50),
         fail_after,
         ..WorkerCfg::default()
     };

@@ -8,6 +8,9 @@
 //! * two workers racing on a reassigned lease submit the same records
 //!   twice — the merge dedupes and the assembled result still equals the
 //!   single-shot run;
+//! * a real worker with default settings keeps a short lease alive, by
+//!   heartbeats timed from the lease frame, through a shard several
+//!   leases long;
 //! * a `job` frame may only reach a worker that holds no lease — the real
 //!   worker, handed one while it awaits an `ack`, gives up with a protocol
 //!   error;
@@ -61,8 +64,6 @@ fn torn_trial_record_is_dropped_and_resent() {
     let records = run_all(&spec);
     let cfg = DispatchCfg {
         shards: 1,
-        lease: Duration::from_secs(10),
-        wait_ms: 50,
         ..DispatchCfg::default()
     };
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -72,8 +73,9 @@ fn torn_trial_record_is_dropped_and_resent() {
         let coordinator = s.spawn(|| serve(listener, &prep.plan, &spec, &cfg));
         // An older peer is refused at hello, never handed a job it would
         // half-understand — or, speaking version 2, a second job it would
-        // take for a protocol violation.
-        for proto in [1, 2] {
+        // take for a protocol violation, or, speaking version 3, a lease
+        // whose duration it would not read.
+        for proto in [1, 2, 3] {
             let mut old = Conn::connect(&addr);
             old.send_line(&format!(
                 "{{\"frame\":\"hello\",\"worker\":\"old\",\"proto\":{proto},\"telemetry\":\"\"}}"
@@ -91,7 +93,7 @@ fn torn_trial_record_is_dropped_and_resent() {
         // wire equivalent of a connection dying mid-write.
         let victim = records[records.len() / 2].idx;
         for r in &records {
-            let line = Frame::Trial(r.clone()).to_json();
+            let line = Frame::Trial(*r).to_json();
             if r.idx == victim {
                 conn.send_line(&line[..line.len() / 2]);
             } else {
@@ -104,7 +106,7 @@ fn torn_trial_record_is_dropped_and_resent() {
             panic!("expected resend for the torn record");
         };
         assert_eq!(missing, vec![victim], "exactly the torn trial re-requested");
-        let line = Frame::Trial(records.iter().find(|r| r.idx == victim).unwrap().clone());
+        let line = Frame::Trial(*records.iter().find(|r| r.idx == victim).unwrap());
         conn.send(&line);
         conn.send(&Frame::ShardDone { shard: 0 });
         assert!(matches!(conn.recv(), Frame::Ack { shard: 0 }));
@@ -132,9 +134,6 @@ fn duplicate_submissions_from_racing_workers_dedupe() {
     let cfg = DispatchCfg {
         shards: 1,
         lease: Duration::from_millis(150),
-        backoff: Duration::from_millis(50),
-        max_backoff: Duration::from_millis(100),
-        wait_ms: 30,
         ..DispatchCfg::default()
     };
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -152,7 +151,7 @@ fn duplicate_submissions_from_racing_workers_dedupe() {
         let (shard, done) = w1.await_lease();
         assert_eq!((shard, done.as_slice()), (0, &[][..]));
         for r in &half {
-            w1.send(&Frame::Trial((*r).clone()));
+            w1.send(&Frame::Trial(**r));
         }
         std::thread::sleep(cfg.lease + Duration::from_millis(250));
 
@@ -171,7 +170,7 @@ fn duplicate_submissions_from_racing_workers_dedupe() {
         // with a resend for the half it never ran — which proves the
         // connection state survived the duplicates.
         for r in &half {
-            w1.send(&Frame::Trial((*r).clone()));
+            w1.send(&Frame::Trial(**r));
         }
         w1.send(&Frame::ShardDone { shard: 0 });
         let Frame::Resend { shard: 0, missing } = w1.recv() else {
@@ -183,7 +182,7 @@ fn duplicate_submissions_from_racing_workers_dedupe() {
 
         // Worker 2 finishes the shard for real.
         for r in &rest {
-            w2.send(&Frame::Trial((*r).clone()));
+            w2.send(&Frame::Trial(**r));
         }
         w2.send(&Frame::ShardDone { shard: 0 });
         assert!(matches!(w2.recv(), Frame::Ack { shard: 0 }));
@@ -203,6 +202,49 @@ fn duplicate_submissions_from_racing_workers_dedupe() {
     assert_eq!(stats.leases_reassigned, 1, "{stats:?}");
     assert!(stats.leases_expired >= 1, "{stats:?}");
     assert_eq!(stats.shards_completed, 1, "{stats:?}");
+}
+
+/// Only a heartbeat renews a lease, and a worker's heartbeat derives from
+/// the lease it holds: a worker with no settings keeps a short lease
+/// through a shard that runs several leases long.
+#[test]
+fn a_default_worker_keeps_a_short_lease_through_a_long_shard() {
+    let cfg = DispatchCfg {
+        shards: 1,
+        lease: Duration::from_millis(200),
+        ..DispatchCfg::default()
+    };
+    let bench = spec().find_bench().unwrap();
+    // Enough trials that the one shard runs three leases long on this
+    // machine and build.
+    let mut n = 16;
+    let (spec, prep, single) = loop {
+        let spec = CampaignSpec { n, ..spec() };
+        let prep = spec.prepare(bench.as_ref());
+        let all: Vec<usize> = (0..prep.plan.len()).collect();
+        let t0 = std::time::Instant::now();
+        let single = execute_trials(&prep, &all, |_| Ok(())).unwrap();
+        if t0.elapsed() >= 3 * cfg.lease {
+            break (spec, prep, single);
+        }
+        n *= 2;
+    };
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = format!("127.0.0.1:{}", listener.local_addr().unwrap().port());
+    let outcome = std::thread::scope(|s| {
+        let worker = s.spawn(|| work(&addr, &WorkerCfg::default()));
+        let outcome = serve(listener, &prep.plan, &spec, &cfg).expect("serve");
+        worker.join().unwrap().expect("worker");
+        outcome
+    });
+    assert_eq!(
+        records_fingerprint(&outcome.records),
+        records_fingerprint(&single)
+    );
+    let stats = &outcome.stats;
+    assert_eq!(stats.leases_granted, 1, "{stats:?}");
+    assert_eq!(stats.leases_expired, 0, "{stats:?}");
+    assert_eq!(stats.leases_reassigned, 0, "{stats:?}");
 }
 
 #[test]
@@ -225,6 +267,7 @@ fn job_frame_while_holding_a_lease_is_a_protocol_error_on_the_worker() {
         coordinator.send(&Frame::Lease {
             shard: 0,
             done: vec![],
+            ms: 10_000,
         });
         // The lease is the worker's until its claim is acked: a second
         // job in place of the ack is out of turn.
@@ -286,6 +329,7 @@ fn no_control_frame_prefix_parses() {
         Frame::Lease {
             shard: 2,
             done: vec![1, 3, 5],
+            ms: 400,
         },
         Frame::Wait { ms: 200 },
         Frame::Poll,

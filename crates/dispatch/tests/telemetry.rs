@@ -80,9 +80,6 @@ fn telemetry_preserves_bit_identical_merge_and_exposes_endpoints() {
         // Long enough that the scripted peer below keeps its lease for as
         // long as the test needs; its hang-up, not the timer, ends it.
         lease: Duration::from_secs(60),
-        backoff: Duration::from_millis(50),
-        max_backoff: Duration::from_millis(200),
-        wait_ms: 50,
         out_dir: None,
         telemetry: Some(TelemetryCfg {
             listen: "127.0.0.1:0".to_string(),
@@ -91,8 +88,6 @@ fn telemetry_preserves_bit_identical_merge_and_exposes_endpoints() {
     };
     let wcfg = WorkerCfg {
         name: "tele-w1".into(),
-        heartbeat: Duration::from_millis(50),
-        read_timeout: Duration::from_secs(30),
         fail_after: None,
         telemetry: Some(TelemetryCfg {
             listen: "127.0.0.1:0".to_string(),
@@ -205,13 +200,11 @@ fn one_telemetry_port_serves_every_wave_of_an_adaptive_campaign() {
     };
     let cfg = DispatchCfg {
         shards: 2,
-        wait_ms: 50,
         telemetry: telemetry("coordinator-port.txt"),
         ..DispatchCfg::default()
     };
     let wcfg = WorkerCfg {
         name: "tele-waves".into(),
-        heartbeat: Duration::from_millis(50),
         telemetry: telemetry("worker-port.txt"),
         trace: true,
         ..WorkerCfg::default()

@@ -5,7 +5,7 @@
 //! registers, predicates and shared memory die with their CTA, so a CTA is
 //! a pure function of (kernel, launch parameters, CTA index, the global
 //! words it loads). One logged golden pass ([`CtaLog`]) therefore lets a
-//! faulty run ([`CtaReplay`]) keep only a **dirty set** — the words where
+//! faulty run (`CtaReplay`) keep only a **dirty set** — the words where
 //! its memory differs from golden — and apply one rule per CTA: a CTA whose
 //! read footprint misses the dirty set (and that does not carry the fault)
 //! did exactly what it did in the golden run, so its golden stores and

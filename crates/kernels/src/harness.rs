@@ -1364,10 +1364,21 @@ mod tests {
 
     #[test]
     fn variants_cover_the_grid() {
-        assert_eq!(Variant::TIMED.mode, Mode::Timed);
-        assert!(!Variant::TIMED.hardened);
-        assert!(Variant::TIMED_TMR.hardened);
-        assert_eq!(Variant::FUNCTIONAL.mode, Mode::Functional);
-        assert!(Variant::FUNCTIONAL_TMR.hardened);
+        let grid = [
+            Variant::TIMED,
+            Variant::TIMED_TMR,
+            Variant::FUNCTIONAL,
+            Variant::FUNCTIONAL_TMR,
+        ]
+        .map(|v| (v.mode, v.hardened));
+        assert_eq!(
+            grid,
+            [
+                (Mode::Timed, false),
+                (Mode::Timed, true),
+                (Mode::Functional, false),
+                (Mode::Functional, true),
+            ]
+        );
     }
 }

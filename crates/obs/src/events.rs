@@ -2,11 +2,13 @@
 //!
 //! Every record shape — one line per injection, the `campaign`,
 //! `dispatch`, `snapshot`, `wave` and `trace` records — goes through one
-//! hand-rolled writer (no serde in the sandbox), [`emit_record`], so
-//! downstream analysis — SDC-pattern studies in the style of Tung et al.,
-//! two-level SDC estimation à la Hari et al. — can regenerate
-//! per-injection telemetry with any JSON reader. [`parse_line`] provides a
-//! minimal reader for tests and in-repo tooling.
+//! hand-rolled writer (no serde in the sandbox), [`record_json`] behind
+//! [`emit_record`], so downstream analysis — SDC-pattern studies in the
+//! style of Tung et al., two-level SDC estimation à la Hari et al. — can
+//! regenerate per-injection telemetry with any JSON reader. Checkpoint
+//! journals and dispatch wire frames are written by the same
+//! [`record_json`] and read back by the same [`Fields`] over
+//! [`parse_line`].
 //!
 //! The sink is process-global and off by default; while off,
 //! [`emit_record`] is a single relaxed atomic load. Event emission never
@@ -22,9 +24,9 @@ use std::sync::Mutex;
 static EVENTS_ON: AtomicBool = AtomicBool::new(false);
 static SINK: Mutex<Option<BufWriter<File>>> = Mutex::new(None);
 
-/// JSON string literal serializer shared by every JSONL writer in the
-/// workspace (events here, campaign checkpoints in `crates/core`), so all
-/// record shapes escape identically and [`parse_line`] reads them all.
+/// JSON string literal serializer behind [`record_json`] and the nested
+/// `/status` documents, so every shape escapes identically and
+/// [`parse_json`] reads them all.
 pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
@@ -70,8 +72,9 @@ fn write_line(line: &str) {
 }
 
 /// `fields` as one flat JSON object, in order, with no spaces and no
-/// trailing newline: the one serializer of every event-log record.
-pub(crate) fn record_json(fields: &[(&str, JsonValue)]) -> String {
+/// trailing newline: the one line writer of the workspace — event-log
+/// records, checkpoint journals and dispatch wire frames alike.
+pub fn record_json(fields: &[(&str, JsonValue)]) -> String {
     let mut s = String::with_capacity(160);
     s.push('{');
     for (i, (key, value)) in fields.iter().enumerate() {
@@ -195,6 +198,44 @@ pub fn parse_line(line: &str) -> Option<Vec<(String, JsonValue)>> {
             _ => None,
         })
         .collect()
+}
+
+/// The fields of one [`parse_line`] line, looked up by key: the one field
+/// reader of every JSONL parser (checkpoint lines, wire frames, trace
+/// records). Fields a reader does not ask for are ignored, so a line may
+/// carry more than its reader knows.
+#[derive(Debug)]
+pub struct Fields(Vec<(String, JsonValue)>);
+
+impl Fields {
+    /// `None` on any line [`parse_line`] rejects.
+    pub fn parse(line: &str) -> Option<Fields> {
+        parse_line(line).map(Fields)
+    }
+
+    fn get(&self, key: &str) -> Option<&JsonValue> {
+        self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    pub fn str(&self, key: &str) -> Option<&str> {
+        self.get(key)?.as_str()
+    }
+
+    pub fn u64(&self, key: &str) -> Option<u64> {
+        self.get(key)?.as_u64()
+    }
+
+    /// A number that fits a `usize`.
+    pub fn usize(&self, key: &str) -> Option<usize> {
+        usize::try_from(self.u64(key)?).ok()
+    }
+
+    pub fn bool(&self, key: &str) -> Option<bool> {
+        match self.get(key)? {
+            JsonValue::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
 }
 
 /// A parsed JSON document node. Unlike [`parse_line`]'s flat rows, this

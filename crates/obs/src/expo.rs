@@ -1,6 +1,6 @@
 //! Prometheus text exposition over the metrics registry.
 //!
-//! Renders a [`Snapshot`](crate::registry::Snapshot) in the Prometheus
+//! Renders a [`Snapshot`] in the Prometheus
 //! text format (version 0.0.4): `# TYPE` comments, `name{label="v"} N`
 //! sample lines, and the three-part histogram encoding — cumulative
 //! `_bucket{le="..."}` series ending in `le="+Inf"`, plus `_sum` and

@@ -305,8 +305,7 @@ mod tests {
     #[test]
     fn shutdown_stops_accepting() {
         let mut server =
-            TelemetryServer::bind("127.0.0.1:0", Handlers::status_only(|| String::new()))
-                .expect("bind");
+            TelemetryServer::bind("127.0.0.1:0", Handlers::status_only(String::new)).expect("bind");
         let addr = server.addr().to_string();
         server.shutdown();
         // The listener is gone: connects are refused (or time out).

@@ -16,11 +16,11 @@
 //!   `core.plan`, …, the perf ledger's names) observed into the
 //!   `span_us{span=<name>}` histogram while metrics are on and emitted as
 //!   a span-end [`trace`] record while tracing is on.
-//! * [`events`] — a structured JSONL sink with one record writer,
-//!   [`emit_record`], behind every line (one per injection, plus
-//!   campaign / dispatch / snapshot / wave / trace records);
-//!   [`events::parse_line`] parses lines back for tests and post-hoc
-//!   analysis.
+//! * [`events`] — a structured JSONL sink with one line writer,
+//!   [`events::record_json`], behind every line (one per injection, plus
+//!   campaign / dispatch / snapshot / wave / trace records, checkpoint
+//!   journals and dispatch wire frames); [`events::Fields`] reads lines
+//!   back.
 //! * [`progress`] — a throttled stderr progress reporter with running
 //!   outcome-class rates.
 //!

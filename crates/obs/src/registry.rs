@@ -151,7 +151,7 @@ impl HistogramSnapshot {
         None
     }
 
-    /// Smallest bucket bound covering at least `q` (in [0,1]) of the
+    /// Smallest bucket bound covering at least `q` (in `[0, 1]`) of the
     /// observations; `None` when the quantile falls in the overflow
     /// bucket or the histogram is empty.
     pub fn quantile_bound(&self, q: f64) -> Option<u64> {
@@ -347,7 +347,7 @@ mod tests {
         let s = h.snapshot();
         assert_eq!(s.buckets, vec![2, 2, 1, 2]);
         assert_eq!(s.count, 7);
-        assert_eq!(s.sum, 0 + 10 + 11 + 20 + 30 + 31 + u64::MAX / 2);
+        assert_eq!(s.sum, 10 + 11 + 20 + 30 + 31 + u64::MAX / 2);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use crate::events::JsonValue;
+use crate::events::{Fields, JsonValue};
 
 /// Cap on the in-process capture buffer; past it, events are counted in
 /// [`dropped`] instead of stored (a worker that never drains must not
@@ -94,27 +94,26 @@ impl TraceEvent {
         crate::events::record_json(&self.fields())
     }
 
-    /// Rebuild from fields produced by [`crate::events::parse_line`].
-    /// `None` unless the line is a well-formed `"record":"trace"` object.
-    pub fn from_fields(fields: &[(String, JsonValue)]) -> Option<TraceEvent> {
-        let get = |k: &str| fields.iter().find(|(key, _)| key == k).map(|(_, v)| v);
-        if get("record")?.as_str()? != "trace" {
+    /// Rebuild from the fields of one line. `None` unless the line is a
+    /// well-formed `"record":"trace"` object.
+    pub fn from_fields(f: &Fields) -> Option<TraceEvent> {
+        if f.str("record")? != "trace" {
             return None;
         }
         Some(TraceEvent {
-            kind: get("kind")?.as_str()?.to_string(),
-            worker: get("worker")?.as_str()?.to_string(),
-            campaign_fp: get("campaign_fp")?.as_u64()?,
-            shard: get("shard")?.as_u64()?,
-            trial: get("trial")?.as_u64()?,
-            t_us: get("t_us")?.as_u64()?,
-            wall_us: get("wall_us")?.as_u64()?,
+            kind: f.str("kind")?.to_string(),
+            worker: f.str("worker")?.to_string(),
+            campaign_fp: f.u64("campaign_fp")?,
+            shard: f.u64("shard")?,
+            trial: f.u64("trial")?,
+            t_us: f.u64("t_us")?,
+            wall_us: f.u64("wall_us")?,
         })
     }
 
     /// Parse one JSONL line as a trace record.
     pub fn parse(line: &str) -> Option<TraceEvent> {
-        TraceEvent::from_fields(&crate::events::parse_line(line)?)
+        TraceEvent::from_fields(&Fields::parse(line)?)
     }
 }
 

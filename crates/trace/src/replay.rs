@@ -30,7 +30,7 @@
 //! **read runs** `(lo, hi]`: `lo` is the last write strictly before a read
 //! (−∞ when none precedes it), `hi` the last read that follows the same
 //! write. A flip at position `p` is consumed iff `p` lies in one of them;
-//! writes and repeated reads inside a run leave nothing behind. [`Fold`]
+//! writes and repeated reads inside a run leave nothing behind. `Fold`
 //! builds the runs in one pass over the events in program order, one
 //! event at a time — per word the last write, the write before it (what a
 //! read tied with the last write follows) and the open run's last read —

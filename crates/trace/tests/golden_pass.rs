@@ -112,7 +112,8 @@ fn refused(what: &str, pass: impl FnOnce()) {
 #[test]
 fn a_pass_that_does_not_reproduce_its_reference_is_refused() {
     let cfg = GpuConfig::volta_scaled(2);
-    let tampers: [(&str, fn(&mut GoldenRun)); 2] = [
+    type Tamper = (&'static str, fn(&mut GoldenRun));
+    let tampers: [Tamper; 2] = [
         ("output word", |g| g.output[0] ^= 1),
         ("launch cycles", |g| g.records[0].stats.cycles += 1),
     ];

@@ -11,9 +11,12 @@ use proptest::prelude::*;
 use trace::{decode_segment_lossy, encode_segment};
 use vgpu_sim::{HwStructure, LaunchGeometry, SegEvent};
 
+/// One generated event: (op, structure, write), (inst, word, len, time delta).
+type RawEvent = ((u8, u8, bool), (u32, u64, u32, u16));
+
 /// Build a well-formed event list from proptest-generated raw parts:
 /// times are made nondecreasing by accumulating the per-event deltas.
-fn events_from(parts: Vec<((u8, u8, bool), (u32, u64, u32, u16))>) -> Vec<SegEvent> {
+fn events_from(parts: Vec<RawEvent>) -> Vec<SegEvent> {
     let mut t = 0u64;
     parts
         .into_iter()

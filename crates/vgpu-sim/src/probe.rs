@@ -4,7 +4,7 @@
 //! architectural access of the five modeled structures — plus the
 //! scheduling facts needed to interpret them (launch geometry, CTA slot
 //! occupancy) and the host's reads of L2-resident words — to one optional
-//! [`Probe`] through emit-only hooks. The probe batches the events and
+//! `Probe` through emit-only hooks. The probe batches the events and
 //! hands them, in order, to a [`TraceSink`]. What the stream *means* is the
 //! sink's business: `crate::lifetime` folds it into ACE lifetimes,
 //! `crates/trace`'s recorder into the replay backend's access index, and

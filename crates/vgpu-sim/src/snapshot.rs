@@ -12,9 +12,9 @@
 //! so a set of snapshots of one run shares almost all of its bytes. The
 //! scalars are kept verbatim.
 //!
-//! A [`Machine`] remembers which snapshot it was last synchronised with
+//! A `Machine` remembers which snapshot it was last synchronised with
 //! (captured into or restored from) and marks every granule it writes
-//! afterwards ([`crate::mem::DirtyMap`]). Restoring it to another snapshot
+//! afterwards (`mem::DirtyMap`). Restoring it to another snapshot
 //! of the same store copies only the chunks that are dirty or whose index
 //! differs between the two tables, and comparing it with one looks at only
 //! those chunks. A restored machine equals the snapshot bit for bit, so a

@@ -98,8 +98,7 @@ DISP=$(mktemp -d)
 "$CAMPAIGN" serve --app VA --layer uarch --n 6 --seed 1234 --shards 3 \
   --listen 127.0.0.1:0 --port-file "$DISP/port.txt" \
   --telemetry-port 0 --telemetry-port-file "$DISP/telemetry-port.txt" \
-  --lease-ms 400 --backoff-ms 50 --max-backoff-ms 200 --wait-ms 50 \
-  --csv "$DISP/dispatch.csv" --events "$DISP/serve.jsonl" \
+  --lease-ms 400 --csv "$DISP/dispatch.csv" --events "$DISP/serve.jsonl" \
   > /dev/null 2> "$DISP/serve.log" &
 SERVE_PID=$!
 for _ in $(seq 1 100); do [ -s "$DISP/port.txt" ] && break; sleep 0.1; done
@@ -117,11 +116,10 @@ curl -sf "http://127.0.0.1:$TPORT/metrics" | "$CAMPAIGN" lint
 curl -sf "http://127.0.0.1:$TPORT/status" | grep '"role":"coordinator"' > /dev/null
 "$CAMPAIGN" status "127.0.0.1:$TPORT" | grep 'coordinator' > /dev/null
 "$CAMPAIGN" top "127.0.0.1:$TPORT" --interval-ms 100 --iterations 2 > /dev/null
-"$CAMPAIGN" work --connect "127.0.0.1:$PORT" --name doomed \
-  --fail-after 4 --heartbeat-ms 50 > /dev/null
-"$CAMPAIGN" work --connect "127.0.0.1:$PORT" --name w1 --heartbeat-ms 50 \
+"$CAMPAIGN" work --connect "127.0.0.1:$PORT" --name doomed --fail-after 4 > /dev/null
+"$CAMPAIGN" work --connect "127.0.0.1:$PORT" --name w1 \
   --telemetry-port 0 --telemetry-port-file "$DISP/w1-port.txt" --trace > /dev/null &
-"$CAMPAIGN" work --connect "127.0.0.1:$PORT" --name w2 --heartbeat-ms 50 > /dev/null &
+"$CAMPAIGN" work --connect "127.0.0.1:$PORT" --name w2 > /dev/null &
 wait "$SERVE_PID"
 wait
 cmp "$DISP/single.csv" "$DISP/dispatch.csv"
@@ -185,8 +183,7 @@ test "$(wc -l < "$ADPT/adaptive.csv")" -eq 6
   --resume "$ADPT/ck.jsonl" > "$ADPT/two.txt"
 cmp "$ADPT/one.txt" "$ADPT/two.txt"
 "$CAMPAIGN" serve "${AFLAGS[@]}" --shards 3 --listen 127.0.0.1:0 \
-  --port-file "$ADPT/port.txt" --lease-ms 400 --backoff-ms 50 \
-  --max-backoff-ms 200 --wait-ms 50 --telemetry-port 0 \
+  --port-file "$ADPT/port.txt" --lease-ms 400 --telemetry-port 0 \
   --telemetry-port-file "$ADPT/telemetry-port.txt" \
   > "$ADPT/served.txt" 2> "$ADPT/serve.log" &
 ADPT_PID=$!
@@ -207,8 +204,11 @@ cmp "$ADPT/fp-single.txt" "$ADPT/fp-served.txt"
 rm -rf "$ADPT"
 echo "adaptive smoke: single-shot == resumed == dispatched"
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --release --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --release --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc --workspace --no-deps with rustdoc warnings denied"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> cargo fmt --check"
 cargo fmt --check
