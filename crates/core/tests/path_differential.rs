@@ -11,16 +11,16 @@
 //! same paths — `hardened` is a dimension of this suite, not a fork of
 //! the engine. Any divergence here is a bug.
 
-use kernels::apps::{bfs::Bfs, scp::Scp, va::Va};
+use kernels::apps::{bfs::Bfs, lud::Lud, scp::Scp, sradv1::SradV1, va::Va};
 use kernels::{all_benchmarks, Benchmark, Outcome};
-use relia::plan::{plan_sw, Layer};
+use relia::plan::{plan_sw, plan_uarch, Layer};
 use relia::{
     assemble, assemble_uarch, execute_shard, execute_trials_with, prepare_sw_campaign,
     prepare_uarch_campaign, records_fingerprint, AppCaptures, CampaignCfg, EngineBackend,
     EngineCfg, FastForward, PreparedCampaign, TrialRecord, DEFAULT_SNAPSHOTS,
 };
 use vgpu_arch::InstrClass;
-use vgpu_sim::{FaultPattern, SwFaultKind};
+use vgpu_sim::{FaultPattern, GpuConfig, HwStructure, SwFaultKind};
 
 fn replay_engine() -> EngineCfg {
     EngineCfg {
@@ -266,6 +266,42 @@ fn hardened_sw_plans_are_served_and_match_the_oracle_on_every_path() {
     for bench in [&Va as &dyn Benchmark, &Scp, &Bfs] {
         let what = format!("{}-TMR", bench.name());
         assert_sw_paths_agree(bench, &CampaignCfg::new(0, 2, 0x4A9D), true, &what);
+    }
+}
+
+/// Permanent faults in the parallelism-management state — the top-of-stack
+/// active mask of one warp's SIMT stack and one warp's scheduler
+/// readiness — on the applications with barriers, divergence and many
+/// launches. `SCHED` is the one fault that rewrites `ready_at` underneath
+/// the scheduler's wake cycle, and re-asserts it every step. The records
+/// fingerprints were recorded before the scheduler kept occupancy bits
+/// and a wake cycle.
+#[test]
+fn control_state_stuck_at_faults_classify_identically_on_every_path() {
+    const PINS: [(&str, [u64; 2]); 3] = [
+        ("BFS", [0x573cd97a5a7390c7, 0xabe8696cadafcfa9]),
+        ("LUD", [0xa24620fad9870dd7, 0x6ebada8cc1495265]),
+        ("SRADv1", [0xba766b83cd1dd13e, 0xfb73173ec1fe20f3]),
+    ];
+    for (bench, (app, pins)) in [&Bfs as &dyn Benchmark, &Lud, &SradV1]
+        .into_iter()
+        .zip(PINS)
+    {
+        assert_eq!(bench.name(), app);
+        let captures = AppCaptures::new(bench, &GpuConfig::default(), Layer::Uarch, false);
+        for (pattern, pin) in [FaultPattern::StuckAt0, FaultPattern::StuckAt1]
+            .into_iter()
+            .zip(pins)
+        {
+            let cfg = CampaignCfg {
+                pattern,
+                ..CampaignCfg::new(1, 0, 0x51_3C4D)
+            };
+            let prep = plan_uarch(&captures, &cfg, &[HwStructure::Simt, HwStructure::Sched]);
+            let what = format!("{app} {}", pattern.label());
+            let records = assert_paths_agree(&prep, &what);
+            assert_eq!(records_fingerprint(&records), pin, "{what}");
+        }
     }
 }
 

@@ -17,11 +17,13 @@
 //! wait for the remaining latency.
 
 use crate::config::{CacheGeom, Latencies};
+use crate::exec::lanes_of;
 use crate::fault::{cache_word, HwStructure};
 use crate::mem::{DirtyMap, GlobalMem};
 use crate::probe::Probe;
 use crate::snapshot::{Capture, Walk};
 use crate::stats::CacheStats;
+use vgpu_arch::WARP_SIZE;
 
 /// One cache instance.
 #[derive(Debug)]
@@ -404,7 +406,7 @@ pub struct AccessResult {
 
 /// Fetch a full line into `l2` (if absent) and return `(way, ready)`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn ensure_l2(
+fn ensure_l2(
     l2: &mut Cache,
     mem: &mut GlobalMem,
     line_addr: u32,
@@ -434,8 +436,7 @@ pub(crate) fn ensure_l2(
         *mem_writes += 1;
     }
     let lb = l2.geom.line_bytes;
-    let bytes: Vec<u8> = mem.line(line_addr * lb, lb).to_vec();
-    l2.fill(victim, line_addr, &bytes);
+    l2.fill(victim, line_addr, mem.line(line_addr * lb, lb));
     if let Some(p) = probe {
         // A dirty write-back propagates the victim's data outward: a
         // whole-line read. The fill overwrites the line either way.
@@ -503,8 +504,7 @@ pub fn load_via(
     let victim = l1.victim(line_addr);
     // L1 is write-through: the victim is clean by construction and is
     // silently dropped — a fault previously injected into it is masked here.
-    let line: Vec<u8> = l2.line_data(l2_idx).to_vec();
-    l1.fill(victim, line_addr, &line);
+    l1.fill(victim, line_addr, l2.line_data(l2_idx));
     if let Some(L1Probe { probe, l1: h, sm }) = probe {
         // The whole L2 line is read to service the L1 fill (conservative),
         // every word of the L1 victim is overwritten, and the requested
@@ -524,15 +524,19 @@ pub fn load_via(
     }
 }
 
-/// Store one word: write-through the L1D, write-back allocate in L2.
-/// `addr` must already be validated.
+/// Store the lanes of `mask` of one warp instruction (`vals[lane]` to
+/// `addrs[lane]`): write-through the L1D without allocating, write-back
+/// allocate in L2. Each distinct line counts one access (and, if the L1D
+/// does not hold it, one miss) however many lanes hit it. Returns the
+/// cycle the warp may proceed. The addresses must already be validated.
 #[allow(clippy::too_many_arguments)]
-pub fn store_via(
+pub fn store_warp(
     l1d: &mut Cache,
     l2: &mut Cache,
     mem: &mut GlobalMem,
-    addr: u32,
-    value: u32,
+    mask: u32,
+    addrs: &[u32; WARP_SIZE],
+    vals: &[u32; WARP_SIZE],
     now: u64,
     lat: &Latencies,
     mem_reads: &mut u64,
@@ -540,31 +544,59 @@ pub fn store_via(
     mut probe: Option<L1Probe<'_>>,
 ) -> u64 {
     let lb = l1d.geom.line_bytes;
-    let line_addr = addr / lb;
-    let off = addr % lb;
-    l1d.stats.accesses += 1;
-    if let Some(idx) = l1d.lookup(line_addr) {
-        // Update in place; the line stays clean (write-through).
-        l1d.write_word(idx, off, value, false);
-        if let Some(p) = probe.as_mut() {
-            p.probe.access(p.l1, p.sm, l1d.word(idx, off), now, true);
+    let mut seen = [0u32; WARP_SIZE];
+    let mut n = 0usize;
+    for lane in lanes_of(mask) {
+        let addr = addrs[lane];
+        let line = addr / lb;
+        let off = addr % lb;
+        if !seen[..n].contains(&line) {
+            // One coalesced access per line for the statistics.
+            l1d.stats.accesses += 1;
+            if l1d.probe(line).is_none() {
+                l1d.stats.misses += 1; // write-through, no allocate
+            }
+            ensure_l2(
+                l2,
+                mem,
+                line,
+                now,
+                lat,
+                mem_reads,
+                mem_writes,
+                probe.as_mut().map(|p| &mut *p.probe),
+            );
+            seen[n] = line;
+            n += 1;
         }
-    } else {
-        l1d.stats.misses += 1; // no write-allocate
-    }
-    let (l2_idx, _) = ensure_l2(
-        l2,
-        mem,
-        line_addr,
-        now,
-        lat,
-        mem_reads,
-        mem_writes,
-        probe.as_mut().map(|p| &mut *p.probe),
-    );
-    l2.write_word(l2_idx, off, value, true);
-    if let Some(L1Probe { probe, .. }) = probe {
-        probe.access(HwStructure::L2, 0, l2.word(l2_idx, off), now, true);
+        if let Some(i1) = l1d.lookup(line) {
+            // Update in place; the line stays clean (write-through).
+            l1d.write_word(i1, off, vals[lane], false);
+            if let Some(p) = probe.as_mut() {
+                p.probe.access(p.l1, p.sm, l1d.word(i1, off), now, true);
+            }
+        }
+        let i2 = match l2.probe(line) {
+            Some(i) => i,
+            None => {
+                ensure_l2(
+                    l2,
+                    mem,
+                    line,
+                    now,
+                    lat,
+                    mem_reads,
+                    mem_writes,
+                    probe.as_mut().map(|p| &mut *p.probe),
+                )
+                .0
+            }
+        };
+        l2.write_word(i2, off, vals[lane], true);
+        if let Some(p) = probe.as_mut() {
+            p.probe
+                .access(HwStructure::L2, 0, l2.word(i2, off), now, true);
+        }
     }
     now + lat.store as u64
 }
@@ -601,6 +633,35 @@ mod tests {
         m.map(0, 64 * 1024);
         m.write_u32(addr, v);
         m
+    }
+
+    /// A one-lane [`store_warp`] of `value` to `addr`.
+    #[allow(clippy::too_many_arguments)]
+    fn store_word(
+        l1d: &mut Cache,
+        l2: &mut Cache,
+        mem: &mut GlobalMem,
+        addr: u32,
+        value: u32,
+        now: u64,
+        mem_reads: &mut u64,
+        mem_writes: &mut u64,
+    ) -> u64 {
+        let (mut addrs, mut vals) = ([0; WARP_SIZE], [0; WARP_SIZE]);
+        (addrs[0], vals[0]) = (addr, value);
+        store_warp(
+            l1d,
+            l2,
+            mem,
+            1,
+            &addrs,
+            &vals,
+            now,
+            &lat(),
+            mem_reads,
+            mem_writes,
+            None,
+        )
     }
 
     #[test]
@@ -764,18 +825,7 @@ mod tests {
             &mut mw,
             None,
         );
-        store_via(
-            &mut l1,
-            &mut l2,
-            &mut mem,
-            0,
-            42,
-            1000,
-            &lat(),
-            &mut mr,
-            &mut mw,
-            None,
-        );
+        store_word(&mut l1, &mut l2, &mut mem, 0, 42, 1000, &mut mr, &mut mw);
         let i1 = l1.probe(0).unwrap();
         assert!(!l1.line_dirty(i1), "write-through L1 stays clean");
         assert_eq!(l1.read_word(i1, 0), 42, "L1 copy updated");
@@ -800,20 +850,30 @@ mod tests {
         });
         let mut mem = mem_with(0, 0);
         let (mut mr, mut mw) = (0, 0);
-        store_via(
+        // A whole warp storing one 128-byte line: one coalesced access.
+        let addrs = std::array::from_fn(|lane| lane as u32 * 4);
+        let vals = std::array::from_fn(|lane| 9 + lane as u32);
+        let ready = store_warp(
             &mut l1,
             &mut l2,
             &mut mem,
-            0,
-            9,
+            u32::MAX,
+            &addrs,
+            &vals,
             0,
             &lat(),
             &mut mr,
             &mut mw,
             None,
         );
+        assert_eq!(ready, 8, "a store costs the store latency");
         assert_eq!(l1.probe(0), None, "no write-allocate in L1");
-        assert!(l2.probe(0).is_some(), "write-allocate in L2");
+        assert_eq!((l1.stats.accesses, l1.stats.misses), (1, 1));
+        assert_eq!((l2.stats.accesses, l2.stats.misses), (1, 1));
+        let i2 = l2.probe(0).expect("write-allocate in L2");
+        for lane in [0, 17, 31] {
+            assert_eq!(l2.read_word(i2, lane * 4), 9 + lane);
+        }
     }
 
     #[test]
@@ -908,18 +968,7 @@ mod tests {
         let mut l2 = Cache::new(geom);
         let mut mem = mem_with(0, 0);
         let (mut mr, mut mw) = (0, 0);
-        store_via(
-            &mut l1,
-            &mut l2,
-            &mut mem,
-            0,
-            0x10,
-            0,
-            &lat(),
-            &mut mr,
-            &mut mw,
-            None,
-        );
+        store_word(&mut l1, &mut l2, &mut mem, 0, 0x10, 0, &mut mr, &mut mw);
         let idx = l2.probe(0).unwrap();
         l2.flip_bit(idx as u64 * 128, 0); // 0x10 -> 0x11
                                           // Evict line 0 from L2: load lines 2 and 4 (set 0 of 2 sets).

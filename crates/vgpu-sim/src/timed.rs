@@ -7,7 +7,7 @@
 //! are fast-forwarded to the next readiness event (clamped to the pending
 //! fault cycle so injections land at the exact requested cycle).
 
-use crate::cache::{ensure_l2, load_via, Cache, L1Probe};
+use crate::cache::{load_via, store_warp, Cache, L1Probe};
 use crate::config::{GpuConfig, Latencies};
 use crate::due::{DueKind, LaunchAbort};
 use crate::exec::{lanes_of, step_warp, ExecCtx, GMem, IssueClass, StepEvent};
@@ -109,61 +109,23 @@ impl GMem for TimedGMem<'_> {
         vals: &[u32; WARP_SIZE],
     ) -> Result<u64, DueKind> {
         self.mem.check_warp(mask, addrs)?;
-        let lb = self.l1d.geom().line_bytes;
-        let mut seen = [0u32; WARP_SIZE];
-        let mut n = 0usize;
-        for lane in lanes_of(mask) {
-            let addr = addrs[lane];
-            let line = addr / lb;
-            let off = addr % lb;
-            if !seen[..n].contains(&line) {
-                // One coalesced access per line for the statistics.
-                self.l1d.stats.accesses += 1;
-                if self.l1d.probe(line).is_none() {
-                    self.l1d.stats.misses += 1; // write-through, no allocate
-                }
-                ensure_l2(
-                    self.l2,
-                    self.mem,
-                    line,
-                    self.now,
-                    self.lat,
-                    self.mem_reads,
-                    self.mem_writes,
-                    self.probe.as_deref_mut(),
-                );
-                seen[n] = line;
-                n += 1;
-            }
-            if let Some(i1) = self.l1d.lookup(line) {
-                self.l1d.write_word(i1, off, vals[lane], false);
-                if let Some(p) = self.probe.as_deref_mut() {
-                    let word = self.l1d.word(i1, off);
-                    p.access(HwStructure::L1D, self.sm, word, self.now, true);
-                }
-            }
-            let i2 = match self.l2.probe(line) {
-                Some(i) => i,
-                None => {
-                    ensure_l2(
-                        self.l2,
-                        self.mem,
-                        line,
-                        self.now,
-                        self.lat,
-                        self.mem_reads,
-                        self.mem_writes,
-                        self.probe.as_deref_mut(),
-                    )
-                    .0
-                }
-            };
-            self.l2.write_word(i2, off, vals[lane], true);
-            if let Some(p) = self.probe.as_deref_mut() {
-                p.access(HwStructure::L2, 0, self.l2.word(i2, off), self.now, true);
-            }
-        }
-        Ok(self.now + self.lat.store as u64)
+        Ok(store_warp(
+            self.l1d,
+            self.l2,
+            self.mem,
+            mask,
+            addrs,
+            vals,
+            self.now,
+            self.lat,
+            self.mem_reads,
+            self.mem_writes,
+            self.probe.as_deref_mut().map(|probe| L1Probe {
+                probe,
+                l1: HwStructure::L1D,
+                sm: self.sm,
+            }),
+        ))
     }
 
     fn probed(&self) -> bool {
@@ -204,6 +166,17 @@ pub(crate) struct SmState {
     warps: Vec<Option<Warp>>,
     /// Index of the warp issued last cycle (greedy-then-oldest policy).
     last: Option<usize>,
+    /// Derived from `warps`, so never captured or compared: bit `wi` is
+    /// set iff warp slot `wi` holds a warp ([`launch_cta`] sets it, `Done`
+    /// clears it, [`SmState::load_scalars`] rebuilds it).
+    occupied: u64,
+    /// Derived too: the earliest cycle at which an occupied warp that is
+    /// not at a barrier can issue (`u64::MAX` if none) — exactly, or any
+    /// value not after the cycle it was set in, which sends the next
+    /// [`SmState::pick`] to rescan. Whatever changes readiness behind the
+    /// scheduler's back (a barrier release, a CTA refill, a restore, a
+    /// `SchedReady` fault) sets it to 0.
+    wake: u64,
     /// Granules of `rf` / `smem` written since the last snapshot
     /// synchronisation …
     rf_dirty: DirtyMap,
@@ -236,6 +209,8 @@ impl SmState {
             slots: Vec::new(),
             warps: Vec::new(),
             last: None,
+            occupied: 0,
+            wake: u64::MAX,
             rf_dirty: DirtyMap::new(rf_words * 4),
             smem_dirty: DirtyMap::new(smem_words * 4),
             issued: 0,
@@ -250,6 +225,8 @@ impl SmState {
         self.warps.clear();
         self.warps.resize((g.slots_per_sm * g.wpc) as usize, None);
         self.last = None;
+        self.occupied = 0;
+        self.wake = u64::MAX;
     }
 
     pub(crate) fn scalars(&self) -> SmScalars {
@@ -264,6 +241,62 @@ impl SmState {
         self.slots.clone_from(&s.slots);
         self.warps.clone_from(&s.warps);
         self.last = s.last;
+        self.occupied = (self.warps.iter().enumerate())
+            .filter(|(_, w)| w.is_some())
+            .fold(0, |m, (wi, _)| m | 1 << wi);
+        self.wake = 0;
+    }
+
+    /// The greedy-then-oldest pick at `cycle`: the warp issued last cycle
+    /// if it is ready again, else the oldest ready warp. Leaves `wake`
+    /// covering the *other* warps, for the caller to fold the picked one's
+    /// new state into; with nothing ready, forgets the greedy warp.
+    fn pick(&mut self, cycle: u64) -> Option<usize> {
+        if self.wake > cycle {
+            self.last = None;
+            return None;
+        }
+        let ready = |w: &Warp| !w.at_barrier && w.ready_at <= cycle;
+        if let Some(wi) = self.last {
+            if self.warps[wi].as_ref().is_some_and(ready) {
+                return Some(wi);
+            }
+        }
+        let mut oldest: Option<(usize, u64)> = None;
+        let mut others_ready = false;
+        let mut next = u64::MAX;
+        for wi in bits(self.occupied) {
+            let w = self.warps[wi].as_ref().expect("occupied slot holds a warp");
+            debug_assert!(!w.done, "a finished warp left in its slot");
+            if w.at_barrier {
+                continue;
+            }
+            if w.ready_at > cycle {
+                next = next.min(w.ready_at);
+            } else {
+                others_ready |= oldest.is_some();
+                if oldest.is_none_or(|(_, seq)| w.seq < seq) {
+                    oldest = Some((wi, w.seq));
+                }
+            }
+        }
+        self.wake = if others_ready { cycle } else { next };
+        if oldest.is_none() {
+            self.last = None;
+        }
+        oldest.map(|(wi, _)| wi)
+    }
+
+    /// Release the barrier of CTA slot `slot` (`wpc` warps per slot).
+    fn release_barrier(&mut self, slot: usize, wpc: usize) {
+        self.slots[slot].as_mut().expect("slot live").arrived = 0;
+        for w in self.warps[slot * wpc..(slot + 1) * wpc]
+            .iter_mut()
+            .flatten()
+        {
+            w.at_barrier = false;
+        }
+        self.wake = 0;
     }
 
     /// Append the register file and shared memory to a snapshot being
@@ -512,12 +545,25 @@ fn launch_cta(
         };
         let w = Warp::new(ctaid_x, ctaid_y, wi, mask, *seq);
         *seq += 1;
-        sm.warps[slot * g.wpc as usize + wi as usize] = Some(w);
+        let idx = slot * g.wpc as usize + wi as usize;
+        sm.warps[idx] = Some(w);
+        sm.occupied |= 1 << idx;
     }
     sm.slots[slot] = Some(CtaSlot {
         warps_running: g.wpc,
         arrived: 0,
     });
+    // The new warps are ready at once.
+    sm.wake = 0;
+}
+
+/// The indices of the set bits of `m`, ascending.
+fn bits(mut m: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let i = (m != 0).then(|| m.trailing_zeros() as usize)?;
+        m &= m - 1;
+        Some(i)
+    })
 }
 
 /// Fold the issue loop's per-warp / per-slot marks into the RF and SMEM
@@ -526,21 +572,15 @@ fn launch_cta(
 /// compare) or leave the launch folds first.
 fn fold_issue_marks(sms: &mut [SmState], g: &Geometry) {
     for sm in sms {
-        let mut m = std::mem::take(&mut sm.issued);
-        while m != 0 {
-            let wi = m.trailing_zeros();
-            m &= m - 1;
+        for wi in bits(std::mem::take(&mut sm.issued)) {
             // Warp `wi` is warp `wi % wpc` of slot `wi / wpc`, so its
             // register block starts `wi` blocks into the file.
             sm.rf_dirty
-                .mark_range(wi * g.regs_per_warp * 4, g.regs_per_warp * 4);
+                .mark_range(wi as u32 * g.regs_per_warp * 4, g.regs_per_warp * 4);
         }
-        let mut m = std::mem::take(&mut sm.smem_issued);
-        while m != 0 {
-            let slot = m.trailing_zeros();
-            m &= m - 1;
-            sm.smem_dirty
-                .mark_range(slot * g.smem_words_per_cta * 4, g.smem_words_per_cta * 4);
+        for slot in bits(std::mem::take(&mut sm.smem_issued)) {
+            let words = g.smem_words_per_cta;
+            sm.smem_dirty.mark_range(slot as u32 * words * 4, words * 4);
         }
     }
 }
@@ -671,6 +711,7 @@ fn disturb(
                 let lo = hit(w.ready_at as u32, mask);
                 w.ready_at = (w.ready_at & !0xFFFF_FFFF) | u64::from(lo);
             }
+            sms[sm].wake = 0;
         }
     }
 }
@@ -948,23 +989,8 @@ pub(crate) fn run_timed_ctl(
             let mut issued_any = false;
             let mut resident = 0u64;
             for (smi, sm) in m.sms.iter_mut().enumerate() {
-                resident += sm.warps.iter().flatten().filter(|w| !w.done).count() as u64;
-
-                // Greedy-then-oldest pick.
-                let ready = |w: &Warp, cyc: u64| !w.done && !w.at_barrier && w.ready_at <= cyc;
-                let pick = match sm.last {
-                    Some(wi) if sm.warps[wi].as_ref().is_some_and(|w| ready(w, cycle)) => Some(wi),
-                    _ => sm
-                        .warps
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, w)| w.as_ref().map(|w| (i, w)))
-                        .filter(|(_, w)| ready(w, cycle))
-                        .min_by_key(|(_, w)| w.seq)
-                        .map(|(i, _)| i),
-                };
-                let Some(wi) = pick else {
-                    sm.last = None;
+                resident += u64::from(sm.occupied.count_ones());
+                let Some(wi) = sm.pick(cycle) else {
                     continue;
                 };
 
@@ -1032,6 +1058,7 @@ pub(crate) fn run_timed_ctl(
                             IssueClass::Mem { ready } => ready.saturating_sub(cycle).max(1),
                         };
                         warp.ready_at = cycle + latency;
+                        sm.wake = sm.wake.min(warp.ready_at);
                         sm.warps[wi] = Some(warp);
                         sm.last = Some(wi);
                         clear_greedy = false;
@@ -1043,15 +1070,12 @@ pub(crate) fn run_timed_ctl(
                         let slot = sm.slots[slot_idx].as_mut().expect("slot live");
                         slot.arrived += 1;
                         if slot.arrived >= slot.warps_running {
-                            slot.arrived = 0;
-                            let base = slot_idx * g.wpc as usize;
-                            for w in sm.warps[base..base + g.wpc as usize].iter_mut().flatten() {
-                                w.at_barrier = false;
-                            }
+                            sm.release_barrier(slot_idx, g.wpc as usize);
                         }
                     }
                     StepEvent::Done => {
                         sm.warps[wi] = None;
+                        sm.occupied &= !(1 << wi);
                         let slot = sm.slots[slot_idx].as_mut().expect("slot live");
                         slot.warps_running -= 1;
                         if slot.warps_running == 0 {
@@ -1077,11 +1101,7 @@ pub(crate) fn run_timed_ctl(
                             }
                         } else if slot.arrived >= slot.warps_running {
                             // Last non-waiting warp exited: release the barrier.
-                            slot.arrived = 0;
-                            let base = slot_idx * g.wpc as usize;
-                            for w in sm.warps[base..base + g.wpc as usize].iter_mut().flatten() {
-                                w.at_barrier = false;
-                            }
+                            sm.release_barrier(slot_idx, g.wpc as usize);
                         }
                     }
                 }
@@ -1099,18 +1119,20 @@ pub(crate) fn run_timed_ctl(
             }
 
             // Advance time: one cycle after an issue, else fast-forward to the
-            // next readiness event (clamped to a pending fault cycle).
+            // next readiness event (clamped to a pending fault cycle). With
+            // nothing issued, every SM's pick found nothing ready, so every
+            // wake cycle is exact and after `cycle`.
             let advance = if issued_any {
                 1
             } else {
-                let mut nxt = u64::MAX;
-                for sm in &m.sms {
-                    for w in sm.warps.iter().flatten() {
-                        if !w.done && !w.at_barrier && w.ready_at > cycle {
-                            nxt = nxt.min(w.ready_at);
-                        }
-                    }
-                }
+                let nxt = m.sms.iter().map(|sm| sm.wake).min().unwrap_or(u64::MAX);
+                debug_assert!(m.sms.iter().all(|sm| sm.wake > cycle
+                    && sm.wake
+                        == (sm.warps.iter().flatten())
+                            .filter(|w| !w.at_barrier)
+                            .map(|w| w.ready_at)
+                            .min()
+                            .unwrap_or(u64::MAX)));
                 if nxt == u64::MAX {
                     break Err(LaunchAbort::Due(DueKind::BarrierDeadlock));
                 }

@@ -1,8 +1,8 @@
 //! Property-based tests on core invariants, spanning the workspace.
 
 use proptest::prelude::*;
-use vgpu_arch::{CmpOp, KernelBuilder, MemSpace, Operand};
-use vgpu_sim::cache::{load_via, store_via, Cache};
+use vgpu_arch::{CmpOp, KernelBuilder, MemSpace, Operand, WARP_SIZE};
+use vgpu_sim::cache::{load_via, store_warp, Cache};
 use vgpu_sim::{
     ArenaPlanner, Budget, CacheGeom, FaultPlan, GlobalMem, Gpu, GpuConfig, Latencies, Mode,
 };
@@ -28,7 +28,9 @@ proptest! {
         let mut shadow = vec![0u32; 512];
         let mut now = 0u64;
         for (word, value) in writes {
-            store_via(&mut l1, &mut l2, &mut mem, word * 4, value, now, &test_lat(), &mut mr, &mut mw, None);
+            let (mut addrs, mut vals) = ([0; WARP_SIZE], [0; WARP_SIZE]);
+            (addrs[0], vals[0]) = (word * 4, value);
+            store_warp(&mut l1, &mut l2, &mut mem, 1, &addrs, &vals, now, &test_lat(), &mut mr, &mut mw, None);
             shadow[word as usize] = value;
             now += 1000;
         }
