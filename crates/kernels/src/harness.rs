@@ -24,6 +24,7 @@
 //! kernel (Figure 6 of the paper).
 
 use std::cell::RefCell;
+use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
 use vgpu_arch::{Kernel, LaunchConfig};
@@ -397,10 +398,61 @@ struct FfCtx<'a> {
     /// machine if it has to go live before the next snapshot subsumes
     /// them.
     host_writes: Vec<(u32, u32)>,
+    /// The injected launch has started.
+    injected: bool,
+    /// The host's accesses to the live machine since the injected launch
+    /// and until it re-converges, oldest first: `(launch before it,
+    /// address, value read)`, with `None` for a write. What the host read
+    /// decides what it does next, so a boundary convergence stands only if
+    /// these reads saw the golden words ([`FfCtx::host_agrees`]).
+    host_glue: Vec<(u32, u32, Option<u32>)>,
     restored_bytes: u64,
 }
 
+/// The most host accesses [`FfCtx::host_glue`] keeps. A run whose host
+/// made more is not let re-converge at a boundary: that misses a
+/// convergence, which costs time, never exactness, and keeps the log's
+/// memory bounded (K-Means reads 18,472 words an iteration; the shipped
+/// apps that re-converge after host reads read at most 4,096).
+const HOST_GLUE_CAP: usize = 8192;
+
 impl FfCtx<'_> {
+    /// Log a host access to the live machine after launch `launch`
+    /// (`read`: the value read, `None` for a write), if it can tell the
+    /// host program apart from the golden one.
+    fn log_host(&mut self, launch: usize, addr: u32, read: Option<u32>) {
+        if self.injected && !self.converged && self.host_glue.len() < HOST_GLUE_CAP {
+            self.host_glue.push((launch as u32, addr, read));
+        }
+    }
+
+    /// Whether every logged host read saw what the golden host program
+    /// saw at the same point: the word of the golden boundary snapshot of
+    /// the launch before it — unless the host itself wrote that word since
+    /// that launch. Then, by induction over the reads, the host program is
+    /// still the golden one.
+    fn host_agrees(&self) -> bool {
+        let mut written = HashSet::new();
+        let mut since = None;
+        self.host_glue.len() < HOST_GLUE_CAP
+            && self.host_glue.iter().all(|&(launch, addr, read)| {
+                if since != Some(launch) {
+                    (since, written) = (Some(launch), HashSet::new());
+                }
+                match read {
+                    None => {
+                        written.insert(addr);
+                        true
+                    }
+                    Some(v) => {
+                        written.contains(&addr)
+                            || (self.snaps.boundaries.get(launch as usize))
+                                .is_some_and(|&b| self.snaps.store.host_word(b, addr) == v)
+                    }
+                }
+            })
+    }
+
     fn follow(&mut self, snap: SnapId) {
         self.following = Some(snap);
         self.host_writes.clear();
@@ -416,13 +468,16 @@ impl FfCtx<'_> {
     }
 
     /// Launch `ordinal` just retired (or converged mid-flight) on the live
-    /// machine: if its state now equals the golden post-launch snapshot,
-    /// the rest of the application is provably bit-identical to golden —
-    /// follow it from there.
+    /// machine: if its state now equals the golden post-launch snapshot and
+    /// the host program is still the golden one, the rest of the
+    /// application is provably bit-identical to golden — follow it from
+    /// there.
     fn check_boundary(&mut self, gpu: &Gpu, ordinal: usize) {
         if let Some(&boundary) = self.snaps.boundaries.get(ordinal) {
-            self.converged = self.converged || gpu.converged(&self.snaps.store, boundary);
+            self.converged = self.converged
+                || (gpu.converged(&self.snaps.store, boundary) && self.host_agrees());
             if self.converged {
+                self.host_glue.clear();
                 self.follow(boundary);
             }
         }
@@ -627,8 +682,12 @@ impl<'a> RunCtl<'a> {
     /// Host write to a *single* copy, bypassing TMR replication — only for
     /// tests and diagnostics that need to desynchronise redundant copies.
     pub fn write_u32_single(&mut self, addr: u32, v: u32) {
-        if self.ff().is_some_and(|f| f.host_write(addr, v)) {
-            return;
+        let launch = self.launch_idx.wrapping_sub(1);
+        if let Some(f) = self.ff() {
+            if f.host_write(addr, v) {
+                return;
+            }
+            f.log_host(launch, addr, None);
         }
         self.gpu_mut().host_write_u32(addr, v);
         if let Some(replay) = self.cta_replay() {
@@ -672,7 +731,12 @@ impl<'a> RunCtl<'a> {
         }
         let gpu = self.gpu_mut();
         gpu.probe_host_read(addr);
-        gpu.host_read_u32(addr)
+        let v = gpu.host_read_u32(addr);
+        let launch = self.launch_idx.wrapping_sub(1);
+        if let Some(f) = self.ff() {
+            f.log_host(launch, addr, Some(v));
+        }
+        v
     }
 
     pub fn read_f32(&mut self, addr: u32) -> f32 {
@@ -801,6 +865,7 @@ impl<'a> RunCtl<'a> {
 
                 if let AccelState::Snapshots(ffc) = accel {
                     let snaps = ffc.snaps;
+                    ffc.injected |= fault_here;
                     // Fast-forward: a launch before the fault, or after the
                     // machine provably re-converged, executes bit-identically
                     // to golden — follow the run to its golden boundary
@@ -1250,6 +1315,8 @@ pub fn faulty_run_with(
                 following: Some(snaps.initial),
                 preamble: true,
                 host_writes: Vec::new(),
+                injected: false,
+                host_glue: Vec::new(),
                 restored_bytes: 0,
             })
         }

@@ -1,7 +1,8 @@
-//! A small application with the host steps only a TMR run has, for the
-//! hardened sweeps of `fast_forward.rs` and `cta_replay.rs`: a vote a
-//! single fault can make fail, and a replicated host write read back with
-//! no launch in between.
+//! Small applications with host steps the 11 benchmarks lack: for the
+//! hardened sweeps of `fast_forward.rs` and `cta_replay.rs`, a vote a
+//! single fault can make fail and a replicated host write read back with
+//! no launch in between; for `fast_forward.rs`, a corrupted word the host
+//! carries past a launch that re-converges the device.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -81,5 +82,34 @@ impl Benchmark for TmrProbe {
             self.vote_failures.fetch_add(1, Ordering::Relaxed);
         }
         run
+    }
+}
+
+/// K1 fills `x`, the host reads `x` into locals, K1 runs again — the
+/// device now equals golden whatever the first run stored — and the host
+/// writes the locals to `out`, the output. A fault that corrupted `x` in
+/// the first launch is an SDC the device state no longer shows.
+pub struct HostCarry;
+
+impl Benchmark for HostCarry {
+    fn name(&self) -> &'static str {
+        "HostCarry"
+    }
+
+    fn kernels(&self) -> &'static [&'static str] {
+        &["K1"]
+    }
+
+    fn run(&self, ctl: &mut RunCtl) -> Result<(), AppAbort> {
+        let bufs = ctl.alloc(&[WORDS * 4, WORDS * 4]);
+        let (x, out) = (bufs[0], bufs[1]);
+        ctl.set_outputs(&[(out, WORDS)]);
+        ctl.launch(0, &kernel(true), 1, WORDS, vec![x])?;
+        let carried: Vec<u32> = (0..WORDS).map(|w| ctl.read_u32(x + 4 * w)).collect();
+        ctl.launch(0, &kernel(true), 1, WORDS, vec![x])?;
+        for (w, v) in (0..).zip(carried) {
+            ctl.write_u32(out + 4 * w, v);
+        }
+        Ok(())
     }
 }

@@ -12,7 +12,7 @@ mod common;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use common::TmrProbe;
+use common::{HostCarry, TmrProbe};
 use kernels::apps::{bfs::Bfs, kmeans::KMeans, sradv2::SradV2, va::Va};
 use kernels::{
     all_benchmarks, faulty_run, faulty_run_with, golden_pass, golden_run, Accel, Benchmark, CtaLog,
@@ -220,6 +220,20 @@ fn kmeans_host_glue_reading_a_dirty_word_falls_back_to_full_simulation() {
     let n = host_divergence_trials(&KMeans, 1, SwFaultKind::DestValue, FaultPattern::WholeEntry)
         + host_divergence_trials(&KMeans, 1, SwFaultKind::ArchState, FaultPattern::StuckAt1);
     assert!(n > 0, "no K-Means trial dirtied a host-read word");
+}
+
+#[test]
+fn host_carried_corruption_falls_back_to_full_simulation() {
+    // `HostCarry` (tests/common): the host reads the words K1 stored, so
+    // a fault that corrupted one leaves the log for the rest of the run,
+    // though K1's second launch makes device memory golden again.
+    let n = host_divergence_trials(
+        &HostCarry,
+        0,
+        SwFaultKind::DestValue,
+        FaultPattern::SingleBit,
+    );
+    assert!(n > 0, "no HostCarry trial dirtied a host-read word");
 }
 
 #[test]

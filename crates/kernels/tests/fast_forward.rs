@@ -16,12 +16,12 @@ mod common;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use common::TmrProbe;
+use common::{HostCarry, TmrProbe};
 use kernels::apps::{lud::Lud, scp::Scp, va::Va};
 use kernels::{
     all_benchmarks, faulty_run_ff, faulty_run_with, golden_pass, golden_run, golden_run_snapshots,
-    verify_snapshot_resume, Accel, AppSnapshots, Benchmark, GoldenRun, PlannedFault, Sinks,
-    SnapshotSink, Variant,
+    verify_snapshot_resume, Accel, AppSnapshots, Benchmark, GoldenRun, Outcome, PlannedFault,
+    Sinks, SnapshotSink, Variant,
 };
 use proptest::prelude::*;
 use vgpu_sim::fault::HwStructure;
@@ -53,7 +53,7 @@ fn assert_ff_matches_pattern(
     pattern: vgpu_sim::FaultPattern,
 ) {
     let faults = sweep(golden, target, pattern);
-    let resumed_past_zero = assert_ff_matches_faults(bench, Variant::TIMED, golden, &faults);
+    let (resumed_past_zero, _) = assert_ff_matches_faults(bench, Variant::TIMED, golden, &faults);
     assert!(
         resumed_past_zero > 0,
         "{}: no trial ever resumed from a mid-launch snapshot — fast-forward inert",
@@ -102,13 +102,14 @@ fn snapshot_set(
 /// Run `faults` (launch, fault) through fast-forward back to back — one
 /// scratch machine, each trial inheriting the last one's leftovers — then
 /// through the slow path, and require identical classification artifacts.
-/// Returns how many trials resumed from a snapshot past cycle 0.
+/// Returns how many trials resumed from a snapshot past cycle 0, and how
+/// many were SDCs.
 fn assert_ff_matches_faults(
     bench: &dyn Benchmark,
     variant: Variant,
     golden: &GoldenRun,
     faults: &[(usize, UarchFault)],
-) -> u32 {
+) -> (u32, u32) {
     let cfg = cfg();
     let snaps = Arc::new(snapshot_set(bench, &cfg, variant, golden, 4));
     let run = |target, f, accel| {
@@ -119,9 +120,10 @@ fn assert_ff_matches_faults(
         .iter()
         .map(|&(target, f)| run(target, f, Accel::Snapshots(&snaps)))
         .collect();
-    let mut resumed_past_zero = 0;
+    let (mut resumed_past_zero, mut sdcs) = (0, 0);
     for (&(target, f), fast) in faults.iter().zip(fast) {
         let slow = run(target, f, Accel::None);
+        sdcs += u32::from(slow.outcome == Outcome::Sdc);
         let tag = format!("{} launch {target} {f:?}", bench.name());
         assert_eq!(fast.outcome, slow.outcome, "{tag}");
         assert_eq!(fast.total_cost, slow.total_cost, "{tag}");
@@ -137,7 +139,7 @@ fn assert_ff_matches_faults(
             resumed_past_zero += u32::from(at > 0);
         }
     }
-    resumed_past_zero
+    (resumed_past_zero, sdcs)
 }
 
 #[test]
@@ -238,7 +240,7 @@ fn ff_bit_identical_to_slow_path_hardened() {
     for target in [0, vote, golden.records.len() - 1] {
         faults.extend(sweep(&golden, target, vgpu_sim::FaultPattern::SingleBit));
     }
-    let resumed = assert_ff_matches_faults(&Scp, Variant::TIMED_TMR, &golden, &faults);
+    let (resumed, _) = assert_ff_matches_faults(&Scp, Variant::TIMED_TMR, &golden, &faults);
     assert!(resumed > 0, "SCP-TMR: fast-forward inert");
 }
 
@@ -275,6 +277,44 @@ fn hardened_host_steps_follow_snapshots_exactly() {
     let failed = probe.vote_failures.load(Ordering::Relaxed);
     assert!(failed > 0, "no fault made the vote fail");
     assert_eq!(failed % 2, 0, "a vote failed on one path only");
+}
+
+#[test]
+fn a_corruption_the_host_carries_past_reconvergence_is_not_masked() {
+    // `HostCarry` (tests/common): a fault in K1's first launch that
+    // corrupts `x` reaches the output only through the host's locals. The
+    // second launch rewrites `x`, so the device equals golden at its
+    // boundary; following golden from there is exact only if every word
+    // the host read since the fault was golden too.
+    let golden = golden_run(&HostCarry, &cfg(), Variant::TIMED);
+    let k1 = &golden.records[0];
+    let rf_words = 32 * u64::from(k1.num_regs);
+    let fault = |structure, cycle, loc_pick| {
+        let pattern = vgpu_sim::FaultPattern::SingleBit;
+        let f = UarchFault {
+            cycle,
+            structure,
+            loc_pick,
+            bit: 3,
+            pattern,
+        };
+        (0, f)
+    };
+    let mut faults = Vec::new();
+    for cycle in (0..k1.stats.cycles).step_by(4) {
+        for loc_pick in (0..rf_words).step_by(3) {
+            faults.push(fault(HwStructure::RegFile, cycle, loc_pick));
+        }
+    }
+    for structure in [HwStructure::L2, HwStructure::L1D] {
+        for cycle in probe_cycles(k1.stats.cycles) {
+            for loc_pick in (0..rf_words).step_by(7) {
+                faults.push(fault(structure, cycle, loc_pick));
+            }
+        }
+    }
+    let (_, sdcs) = assert_ff_matches_faults(&HostCarry, Variant::TIMED, &golden, &faults);
+    assert!(sdcs > 0, "no fault reached the output through the host");
 }
 
 #[test]

@@ -111,10 +111,22 @@ impl Cache {
     /// Find a resident line and mark it most-recently used.
     pub fn lookup(&mut self, line_addr: u32) -> Option<usize> {
         let idx = self.probe(line_addr)?;
+        self.use_way(idx);
+        Some(idx)
+    }
+
+    /// Mark way `idx` most-recently used, as a hit in [`Cache::lookup`] does.
+    fn use_way(&mut self, idx: usize) {
         self.touch(idx);
         self.stamp += 1;
         self.lru[idx] = self.stamp;
-        Some(idx)
+    }
+
+    /// Does way `idx`, where a lookup found or filled `line_addr`, still
+    /// hold it? A fill since may have replaced it.
+    #[inline]
+    fn holds(&self, idx: usize, line_addr: u32) -> bool {
+        self.valid[idx] && self.tags[idx] == line_addr
     }
 
     /// Choose a victim way in the set of `line_addr`: an invalid way if one
@@ -396,14 +408,6 @@ pub struct L1Probe<'a> {
     pub(crate) sm: usize,
 }
 
-/// Result of a hierarchy access: the loaded value and the cycle at which
-/// the requesting warp may proceed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AccessResult {
-    pub value: u32,
-    pub ready: u64,
-}
-
 /// Fetch a full line into `l2` (if absent) and return `(way, ready)`.
 #[allow(clippy::too_many_arguments)]
 fn ensure_l2(
@@ -455,24 +459,24 @@ fn ensure_l2(
     (victim, ready)
 }
 
-/// Load one word through an L1 (data or texture) backed by the shared L2.
-/// `addr` must already be validated (aligned + mapped).
+/// One access through an L1 (data or texture) backed by the shared L2 to
+/// line `line_addr`, reading its word at byte `off`: the way that holds
+/// the line afterwards, and the cycle its data is ready.
 #[allow(clippy::too_many_arguments)]
-pub fn load_via(
+fn load_via(
     l1: &mut Cache,
     l2: &mut Cache,
     mem: &mut GlobalMem,
-    addr: u32,
+    line_addr: u32,
+    off: u32,
     now: u64,
     lat: &Latencies,
     mem_reads: &mut u64,
     mem_writes: &mut u64,
-    mut probe: Option<L1Probe<'_>>,
-) -> AccessResult {
+    mut probe: Option<&mut L1Probe<'_>>,
+) -> (usize, u64) {
     let lb = l1.geom.line_bytes;
     debug_assert_eq!(lb, l2.geom.line_bytes, "uniform line size across levels");
-    let line_addr = addr / lb;
-    let off = addr % lb;
     l1.stats.accesses += 1;
     if let Some(idx) = l1.lookup(line_addr) {
         let ready = match l1.mshr_ready(line_addr, now) {
@@ -482,13 +486,10 @@ pub fn load_via(
             }
             None => now + lat.l1_hit as u64,
         };
-        if let Some(p) = probe.as_mut() {
+        if let Some(p) = probe {
             p.probe.access(p.l1, p.sm, l1.word(idx, off), now, false);
         }
-        return AccessResult {
-            value: l1.read_word(idx, off),
-            ready,
-        };
+        return (idx, ready);
     }
     l1.stats.misses += 1;
     let (l2_idx, l2_ready) = ensure_l2(
@@ -509,6 +510,7 @@ pub fn load_via(
         // The whole L2 line is read to service the L1 fill (conservative),
         // every word of the L1 victim is overwritten, and the requested
         // word is read immediately.
+        let (h, sm) = (*h, *sm);
         probe.range(HwStructure::L2, 0, l2.word(l2_idx, 0), lb / 4, now, false);
         probe.range(h, sm, l1.word(victim, 0), lb / 4, now, true);
         probe.access(h, sm, l1.word(victim, off), now, false);
@@ -518,17 +520,82 @@ pub fn load_via(
         l1.stats.reservation_fails += 1;
         ready += lat.mshr_fail as u64;
     }
-    AccessResult {
-        value: l1.read_word(victim, off),
-        ready,
+    (victim, ready)
+}
+
+/// Load the lanes of `mask` of one warp instruction (`addrs[lane]` into
+/// `out[lane]`) through an L1 (data or texture) backed by the shared L2.
+/// The first lane on a line makes one access; later lanes on it read the
+/// way that access resolved to, without touching LRU, unless a fill for
+/// another lane's line has since replaced it — then the line is accessed
+/// again. Returns the cycle the warp may proceed. The addresses must
+/// already be validated.
+#[allow(clippy::too_many_arguments)]
+pub fn load_warp(
+    l1: &mut Cache,
+    l2: &mut Cache,
+    mem: &mut GlobalMem,
+    mask: u32,
+    addrs: &[u32; WARP_SIZE],
+    out: &mut [u32; WARP_SIZE],
+    now: u64,
+    lat: &Latencies,
+    mem_reads: &mut u64,
+    mem_writes: &mut u64,
+    mut probe: Option<L1Probe<'_>>,
+) -> u64 {
+    let lb = l1.geom.line_bytes;
+    // (line, way) of each distinct line so far.
+    let mut lines = [(0u32, 0usize); WARP_SIZE];
+    let mut n = 0usize;
+    let mut ready_max = now;
+    for lane in lanes_of(mask) {
+        let (line, off) = (addrs[lane] / lb, addrs[lane] % lb);
+        let known = lines[..n].iter().position(|&(l, _)| l == line);
+        let way = match known {
+            Some(i) if l1.holds(lines[i].1, line) => {
+                if let Some(p) = probe.as_mut() {
+                    p.probe
+                        .access(p.l1, p.sm, l1.word(lines[i].1, off), now, false);
+                }
+                lines[i].1
+            }
+            _ => {
+                let (way, ready) = load_via(
+                    l1,
+                    l2,
+                    mem,
+                    line,
+                    off,
+                    now,
+                    lat,
+                    mem_reads,
+                    mem_writes,
+                    probe.as_mut(),
+                );
+                ready_max = ready_max.max(ready);
+                let i = known.unwrap_or_else(|| {
+                    n += 1;
+                    n - 1
+                });
+                lines[i] = (line, way);
+                way
+            }
+        };
+        out[lane] = l1.read_word(way, off);
     }
+    ready_max
 }
 
 /// Store the lanes of `mask` of one warp instruction (`vals[lane]` to
 /// `addrs[lane]`): write-through the L1D without allocating, write-back
 /// allocate in L2. Each distinct line counts one access (and, if the L1D
-/// does not hold it, one miss) however many lanes hit it. Returns the
-/// cycle the warp may proceed. The addresses must already be validated.
+/// does not hold it, one miss) however many lanes hit it; each lane's
+/// write to a resident L1D line counts as a use for LRU. A store never
+/// fills the L1D, so a line's L1D way holds for the whole store; its L2
+/// way holds until a later line's L2 fill replaces it, and the line is
+/// then fetched again. Returns the cycle the warp may proceed. The
+/// addresses must already be validated.
 #[allow(clippy::too_many_arguments)]
 pub fn store_warp(
     l1d: &mut Cache,
@@ -544,42 +611,21 @@ pub fn store_warp(
     mut probe: Option<L1Probe<'_>>,
 ) -> u64 {
     let lb = l1d.geom.line_bytes;
-    let mut seen = [0u32; WARP_SIZE];
+    // (line, L1D way, L2 way) of each distinct line so far.
+    let mut lines = [(0u32, None, 0usize); WARP_SIZE];
     let mut n = 0usize;
     for lane in lanes_of(mask) {
-        let addr = addrs[lane];
-        let line = addr / lb;
-        let off = addr % lb;
-        if !seen[..n].contains(&line) {
-            // One coalesced access per line for the statistics.
-            l1d.stats.accesses += 1;
-            if l1d.probe(line).is_none() {
-                l1d.stats.misses += 1; // write-through, no allocate
-            }
-            ensure_l2(
-                l2,
-                mem,
-                line,
-                now,
-                lat,
-                mem_reads,
-                mem_writes,
-                probe.as_mut().map(|p| &mut *p.probe),
-            );
-            seen[n] = line;
-            n += 1;
-        }
-        if let Some(i1) = l1d.lookup(line) {
-            // Update in place; the line stays clean (write-through).
-            l1d.write_word(i1, off, vals[lane], false);
-            if let Some(p) = probe.as_mut() {
-                p.probe.access(p.l1, p.sm, l1d.word(i1, off), now, true);
-            }
-        }
-        let i2 = match l2.probe(line) {
+        let (line, off) = (addrs[lane] / lb, addrs[lane] % lb);
+        let i = match lines[..n].iter().position(|&(l, ..)| l == line) {
             Some(i) => i,
             None => {
-                ensure_l2(
+                // One coalesced access per line for the statistics.
+                l1d.stats.accesses += 1;
+                let i1 = l1d.probe(line);
+                if i1.is_none() {
+                    l1d.stats.misses += 1; // write-through, no allocate
+                }
+                let (i2, _) = ensure_l2(
                     l2,
                     mem,
                     line,
@@ -588,10 +634,34 @@ pub fn store_warp(
                     mem_reads,
                     mem_writes,
                     probe.as_mut().map(|p| &mut *p.probe),
-                )
-                .0
+                );
+                lines[n] = (line, i1, i2);
+                n += 1;
+                n - 1
             }
         };
+        if let Some(i1) = lines[i].1 {
+            // Update in place; the line stays clean (write-through).
+            l1d.use_way(i1);
+            l1d.write_word(i1, off, vals[lane], false);
+            if let Some(p) = probe.as_mut() {
+                p.probe.access(p.l1, p.sm, l1d.word(i1, off), now, true);
+            }
+        }
+        if !l2.holds(lines[i].2, line) {
+            lines[i].2 = ensure_l2(
+                l2,
+                mem,
+                line,
+                now,
+                lat,
+                mem_reads,
+                mem_writes,
+                probe.as_mut().map(|p| &mut *p.probe),
+            )
+            .0;
+        }
+        let i2 = lines[i].2;
         l2.write_word(i2, off, vals[lane], true);
         if let Some(p) = probe.as_mut() {
             p.probe
@@ -633,6 +703,34 @@ mod tests {
         m.map(0, 64 * 1024);
         m.write_u32(addr, v);
         m
+    }
+
+    /// A one-lane [`load_warp`] of `addr`: the value and the ready cycle.
+    fn load_word(
+        l1: &mut Cache,
+        l2: &mut Cache,
+        mem: &mut GlobalMem,
+        addr: u32,
+        now: u64,
+        mem_reads: &mut u64,
+        mem_writes: &mut u64,
+    ) -> (u32, u64) {
+        let (mut addrs, mut out) = ([0; WARP_SIZE], [0; WARP_SIZE]);
+        addrs[0] = addr;
+        let ready = load_warp(
+            l1,
+            l2,
+            mem,
+            1,
+            &addrs,
+            &mut out,
+            now,
+            &lat(),
+            mem_reads,
+            mem_writes,
+            None,
+        );
+        (out[0], ready)
     }
 
     /// A one-lane [`store_warp`] of `value` to `addr`.
@@ -701,37 +799,17 @@ mod tests {
         });
         let mut mem = mem_with(256, 0xabcd);
         let (mut mr, mut mw) = (0, 0);
-        let r = load_via(
-            &mut l1,
-            &mut l2,
-            &mut mem,
-            256,
-            0,
-            &lat(),
-            &mut mr,
-            &mut mw,
-            None,
-        );
-        assert_eq!(r.value, 0xabcd);
-        assert!(r.ready >= 400, "miss pays DRAM latency");
+        let r = load_word(&mut l1, &mut l2, &mut mem, 256, 0, &mut mr, &mut mw);
+        assert_eq!(r.0, 0xabcd);
+        assert!(r.1 >= 400, "miss pays DRAM latency");
         assert_eq!(l1.stats.misses, 1);
         assert_eq!(l2.stats.misses, 1);
         assert_eq!(mr, 1);
 
         // Second access after the fill completes: plain L1 hit.
-        let r2 = load_via(
-            &mut l1,
-            &mut l2,
-            &mut mem,
-            260,
-            10_000,
-            &lat(),
-            &mut mr,
-            &mut mw,
-            None,
-        );
-        assert_eq!(r2.value, 0);
-        assert_eq!(r2.ready, 10_000 + 30);
+        let r2 = load_word(&mut l1, &mut l2, &mut mem, 260, 10_000, &mut mr, &mut mw);
+        assert_eq!(r2.0, 0);
+        assert_eq!(r2.1, 10_000 + 30);
         assert_eq!(l1.stats.misses, 1);
         assert_eq!(l1.stats.accesses, 2);
         assert_eq!(mr, 1, "no extra DRAM traffic");
@@ -748,31 +826,11 @@ mod tests {
         });
         let mut mem = mem_with(0, 5);
         let (mut mr, mut mw) = (0, 0);
-        let r = load_via(
-            &mut l1,
-            &mut l2,
-            &mut mem,
-            0,
-            0,
-            &lat(),
-            &mut mr,
-            &mut mw,
-            None,
-        );
+        let r = load_word(&mut l1, &mut l2, &mut mem, 0, 0, &mut mr, &mut mw);
         // Another warp reads the same line 10 cycles later, before ready.
-        let r2 = load_via(
-            &mut l1,
-            &mut l2,
-            &mut mem,
-            4,
-            10,
-            &lat(),
-            &mut mr,
-            &mut mw,
-            None,
-        );
+        let r2 = load_word(&mut l1, &mut l2, &mut mem, 4, 10, &mut mr, &mut mw);
         assert_eq!(l1.stats.pending_hits, 1);
-        assert_eq!(r2.ready, r.ready, "pending hit completes with the fill");
+        assert_eq!(r2.1, r.1, "pending hit completes with the fill");
     }
 
     #[test]
@@ -787,17 +845,7 @@ mod tests {
         let mut mem = mem_with(0, 1);
         let (mut mr, mut mw) = (0, 0);
         for i in 0..3u32 {
-            load_via(
-                &mut l1,
-                &mut l2,
-                &mut mem,
-                i * 128,
-                0,
-                &lat(),
-                &mut mr,
-                &mut mw,
-                None,
-            );
+            load_word(&mut l1, &mut l2, &mut mem, i * 128, 0, &mut mr, &mut mw);
         }
         assert_eq!(l1.stats.reservation_fails, 1);
     }
@@ -814,17 +862,7 @@ mod tests {
         let mut mem = mem_with(0, 0);
         let (mut mr, mut mw) = (0, 0);
         // Load first so the line is in both levels.
-        load_via(
-            &mut l1,
-            &mut l2,
-            &mut mem,
-            0,
-            0,
-            &lat(),
-            &mut mr,
-            &mut mw,
-            None,
-        );
+        load_word(&mut l1, &mut l2, &mut mem, 0, 0, &mut mr, &mut mw);
         store_word(&mut l1, &mut l2, &mut mem, 0, 42, 1000, &mut mr, &mut mw);
         let i1 = l1.probe(0).unwrap();
         assert!(!l1.line_dirty(i1), "write-through L1 stays clean");
@@ -890,68 +928,18 @@ mod tests {
         });
         let mut mem = mem_with(0, 0x1111);
         let (mut mr, mut mw) = (0, 0);
-        load_via(
-            &mut l1,
-            &mut l2,
-            &mut mem,
-            0,
-            0,
-            &lat(),
-            &mut mr,
-            &mut mw,
-            None,
-        );
+        load_word(&mut l1, &mut l2, &mut mem, 0, 0, &mut mr, &mut mw);
         let idx = l1.probe(0).unwrap();
         let byte_index = idx as u64 * 128;
         l1.flip_bit(byte_index, 1); // value becomes 0x1113
-        let r = load_via(
-            &mut l1,
-            &mut l2,
-            &mut mem,
-            0,
-            1000,
-            &lat(),
-            &mut mr,
-            &mut mw,
-            None,
-        );
-        assert_eq!(r.value, 0x1113, "fault visible while resident");
+        let r = load_word(&mut l1, &mut l2, &mut mem, 0, 1000, &mut mr, &mut mw);
+        assert_eq!(r.0, 0x1113, "fault visible while resident");
         // Evict set 0 by loading two other lines mapping to it (lines 4, 8).
-        load_via(
-            &mut l1,
-            &mut l2,
-            &mut mem,
-            4 * 128,
-            2000,
-            &lat(),
-            &mut mr,
-            &mut mw,
-            None,
-        );
-        load_via(
-            &mut l1,
-            &mut l2,
-            &mut mem,
-            8 * 128,
-            3000,
-            &lat(),
-            &mut mr,
-            &mut mw,
-            None,
-        );
+        load_word(&mut l1, &mut l2, &mut mem, 4 * 128, 2000, &mut mr, &mut mw);
+        load_word(&mut l1, &mut l2, &mut mem, 8 * 128, 3000, &mut mr, &mut mw);
         assert_eq!(l1.probe(0), None, "faulty line evicted");
-        let r = load_via(
-            &mut l1,
-            &mut l2,
-            &mut mem,
-            0,
-            9000,
-            &lat(),
-            &mut mr,
-            &mut mw,
-            None,
-        );
-        assert_eq!(r.value, 0x1111, "clean eviction masked the fault");
+        let r = load_word(&mut l1, &mut l2, &mut mem, 0, 9000, &mut mr, &mut mw);
+        assert_eq!(r.0, 0x1111, "clean eviction masked the fault");
     }
 
     #[test]
@@ -972,28 +960,8 @@ mod tests {
         let idx = l2.probe(0).unwrap();
         l2.flip_bit(idx as u64 * 128, 0); // 0x10 -> 0x11
                                           // Evict line 0 from L2: load lines 2 and 4 (set 0 of 2 sets).
-        load_via(
-            &mut l1,
-            &mut l2,
-            &mut mem,
-            2 * 128,
-            100,
-            &lat(),
-            &mut mr,
-            &mut mw,
-            None,
-        );
-        load_via(
-            &mut l1,
-            &mut l2,
-            &mut mem,
-            4 * 128,
-            200,
-            &lat(),
-            &mut mr,
-            &mut mw,
-            None,
-        );
+        load_word(&mut l1, &mut l2, &mut mem, 2 * 128, 100, &mut mr, &mut mw);
+        load_word(&mut l1, &mut l2, &mut mem, 4 * 128, 200, &mut mr, &mut mw);
         assert_eq!(
             mem.read_u32(0),
             0x11,
@@ -1020,5 +988,350 @@ mod tests {
         assert_eq!(c.peek_word(8), Some(77));
         assert_eq!(c.peek_word(128 * 5), None);
         assert!(!c.poke_word(128 * 5, 1));
+    }
+
+    /// The per-lane loop [`load_warp`] replaced: a lane on a line an
+    /// earlier lane accessed probes the set again, and accesses the line
+    /// again if it is gone.
+    #[allow(clippy::too_many_arguments)]
+    fn load_lanes(
+        l1: &mut Cache,
+        l2: &mut Cache,
+        mem: &mut GlobalMem,
+        mask: u32,
+        addrs: &[u32; WARP_SIZE],
+        out: &mut [u32; WARP_SIZE],
+        now: u64,
+        mem_reads: &mut u64,
+        mem_writes: &mut u64,
+        mut probe: Option<L1Probe<'_>>,
+    ) -> u64 {
+        let lb = l1.geom.line_bytes;
+        let mut seen = Vec::new();
+        let mut ready_max = now;
+        for lane in lanes_of(mask) {
+            let (line, off) = (addrs[lane] / lb, addrs[lane] % lb);
+            if seen.contains(&line) {
+                if let Some(idx) = l1.probe(line) {
+                    if let Some(p) = probe.as_mut() {
+                        p.probe.access(p.l1, p.sm, l1.word(idx, off), now, false);
+                    }
+                    out[lane] = l1.read_word(idx, off);
+                    continue;
+                }
+            } else {
+                seen.push(line);
+            }
+            let (way, ready) = load_via(
+                l1,
+                l2,
+                mem,
+                line,
+                off,
+                now,
+                &lat(),
+                mem_reads,
+                mem_writes,
+                probe.as_mut(),
+            );
+            out[lane] = l1.read_word(way, off);
+            ready_max = ready_max.max(ready);
+        }
+        ready_max
+    }
+
+    /// The per-lane loop [`store_warp`] replaced: every lane looks its line
+    /// up in the L1D and probes the L2 for it.
+    #[allow(clippy::too_many_arguments)]
+    fn store_lanes(
+        l1d: &mut Cache,
+        l2: &mut Cache,
+        mem: &mut GlobalMem,
+        mask: u32,
+        addrs: &[u32; WARP_SIZE],
+        vals: &[u32; WARP_SIZE],
+        now: u64,
+        mem_reads: &mut u64,
+        mem_writes: &mut u64,
+        mut probe: Option<L1Probe<'_>>,
+    ) -> u64 {
+        let lb = l1d.geom.line_bytes;
+        let mut seen = Vec::new();
+        for lane in lanes_of(mask) {
+            let (line, off) = (addrs[lane] / lb, addrs[lane] % lb);
+            let mut l2_access = |l2: &mut Cache, probe: &mut Option<L1Probe<'_>>| {
+                let probe = probe.as_mut().map(|p| &mut *p.probe);
+                ensure_l2(l2, mem, line, now, &lat(), mem_reads, mem_writes, probe).0
+            };
+            if !seen.contains(&line) {
+                l1d.stats.accesses += 1;
+                if l1d.probe(line).is_none() {
+                    l1d.stats.misses += 1;
+                }
+                l2_access(l2, &mut probe);
+                seen.push(line);
+            }
+            if let Some(i1) = l1d.lookup(line) {
+                l1d.write_word(i1, off, vals[lane], false);
+                if let Some(p) = probe.as_mut() {
+                    p.probe.access(p.l1, p.sm, l1d.word(i1, off), now, true);
+                }
+            }
+            let i2 = match l2.probe(line) {
+                Some(i) => i,
+                None => l2_access(l2, &mut probe),
+            };
+            l2.write_word(i2, off, vals[lane], true);
+            if let Some(p) = probe.as_mut() {
+                p.probe
+                    .access(HwStructure::L2, 0, l2.word(i2, off), now, true);
+            }
+        }
+        now + lat().store as u64
+    }
+
+    struct Collect(Vec<crate::probe::ProbeEvent>);
+
+    impl crate::probe::TraceSink for Collect {
+        fn consume(&mut self, batch: &[crate::probe::ProbeEvent]) {
+            self.0.extend_from_slice(batch);
+        }
+    }
+
+    /// A two-level hierarchy over a patterned arena, warmed up by one-lane
+    /// loads of `warm`.
+    struct Rig {
+        l1: Cache,
+        l2: Cache,
+        mem: GlobalMem,
+        mem_reads: u64,
+        mem_writes: u64,
+    }
+
+    const ARENA: u32 = 64 * 1024;
+
+    impl Rig {
+        fn new(l1: CacheGeom, l2: CacheGeom, warm: &[u32]) -> Rig {
+            let mut mem = GlobalMem::new(ARENA);
+            mem.map(0, ARENA);
+            for w in 0..ARENA / 4 {
+                mem.write_u32(w * 4, w.wrapping_mul(2_654_435_761));
+            }
+            let (l1, l2) = (Cache::new(l1), Cache::new(l2));
+            let mut rig = Rig {
+                l1,
+                l2,
+                mem,
+                mem_reads: 0,
+                mem_writes: 0,
+            };
+            for (t, &addr) in (0..).zip(warm) {
+                let Rig {
+                    l1,
+                    l2,
+                    mem,
+                    mem_reads,
+                    mem_writes,
+                } = &mut rig;
+                load_word(l1, l2, mem, addr, t, mem_reads, mem_writes);
+            }
+            rig
+        }
+
+        /// Run `access` with a probe attached; what it returned and the
+        /// probe events, in order.
+        fn run<R>(
+            &mut self,
+            access: impl FnOnce(&mut Rig, L1Probe<'_>) -> R,
+        ) -> (R, Vec<crate::probe::ProbeEvent>) {
+            let sink = std::sync::Arc::new(std::sync::Mutex::new(Collect(Vec::new())));
+            let mut probe = Probe::new(sink.clone());
+            let l1 = L1Probe {
+                probe: &mut probe,
+                l1: HwStructure::L1D,
+                sm: 0,
+            };
+            let r = access(self, l1);
+            drop(probe);
+            let events = std::mem::take(&mut sink.lock().unwrap().0);
+            (r, events)
+        }
+    }
+
+    /// Every bit of state an access may change: data, tags, valid and
+    /// dirty bits, LRU ages, MSHR entries, stamp and statistics of both
+    /// caches, the arena, and the DRAM counters.
+    fn state(r: &Rig) -> impl PartialEq + std::fmt::Debug {
+        let cache = |c: &Cache| {
+            let arrays = (
+                c.data.clone(),
+                c.tags.clone(),
+                c.valid.clone(),
+                c.dirty.clone(),
+            );
+            (arrays, c.lru.clone(), c.mshr.clone(), c.stamp, c.stats)
+        };
+        let mem = r.mem.line(0, ARENA).to_vec();
+        (cache(&r.l1), cache(&r.l2), mem, r.mem_reads, r.mem_writes)
+    }
+
+    /// `load_warp` and `store_warp` against the per-lane loops, each from
+    /// the same warmed-up hierarchy, on the lanes of `addrs`.
+    fn assert_warp_access_agrees(
+        l1: CacheGeom,
+        l2: CacheGeom,
+        warm: &[u32],
+        addrs: [u32; WARP_SIZE],
+    ) {
+        let now = 1000;
+        let vals = std::array::from_fn(|lane| 0xA000 + lane as u32);
+        let load = |lanes: bool| {
+            let mut rig = Rig::new(l1.clone(), l2.clone(), warm);
+            let mut out = [0; WARP_SIZE];
+            let (ready, events) = rig.run(|r, p| {
+                let f = if lanes { load_lanes } else { load_warp_at };
+                f(
+                    &mut r.l1,
+                    &mut r.l2,
+                    &mut r.mem,
+                    u32::MAX,
+                    &addrs,
+                    &mut out,
+                    now,
+                    &mut r.mem_reads,
+                    &mut r.mem_writes,
+                    Some(p),
+                )
+            });
+            (ready, out, events, state(&rig))
+        };
+        assert_eq!(load(false), load(true), "load");
+        let store = |lanes: bool| {
+            let mut rig = Rig::new(l1.clone(), l2.clone(), warm);
+            let (ready, events) = rig.run(|r, p| {
+                let f = if lanes { store_lanes } else { store_warp_at };
+                f(
+                    &mut r.l1,
+                    &mut r.l2,
+                    &mut r.mem,
+                    u32::MAX,
+                    &addrs,
+                    &vals,
+                    now,
+                    &mut r.mem_reads,
+                    &mut r.mem_writes,
+                    Some(p),
+                )
+            });
+            (ready, events, state(&rig))
+        };
+        assert_eq!(store(false), store(true), "store");
+    }
+
+    /// [`load_warp`] and [`store_warp`] with the test latencies, in the
+    /// shape of the per-lane references.
+    #[allow(clippy::too_many_arguments)]
+    fn load_warp_at(
+        l1: &mut Cache,
+        l2: &mut Cache,
+        mem: &mut GlobalMem,
+        mask: u32,
+        addrs: &[u32; WARP_SIZE],
+        out: &mut [u32; WARP_SIZE],
+        now: u64,
+        mem_reads: &mut u64,
+        mem_writes: &mut u64,
+        probe: Option<L1Probe<'_>>,
+    ) -> u64 {
+        load_warp(
+            l1,
+            l2,
+            mem,
+            mask,
+            addrs,
+            out,
+            now,
+            &lat(),
+            mem_reads,
+            mem_writes,
+            probe,
+        )
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn store_warp_at(
+        l1d: &mut Cache,
+        l2: &mut Cache,
+        mem: &mut GlobalMem,
+        mask: u32,
+        addrs: &[u32; WARP_SIZE],
+        vals: &[u32; WARP_SIZE],
+        now: u64,
+        mem_reads: &mut u64,
+        mem_writes: &mut u64,
+        probe: Option<L1Probe<'_>>,
+    ) -> u64 {
+        store_warp(
+            l1d,
+            l2,
+            mem,
+            mask,
+            addrs,
+            vals,
+            now,
+            &lat(),
+            mem_reads,
+            mem_writes,
+            probe,
+        )
+    }
+
+    fn geom(bytes: u32, ways: u32, mshrs: u32) -> CacheGeom {
+        CacheGeom {
+            bytes,
+            line_bytes: 128,
+            ways,
+            mshrs,
+        }
+    }
+
+    #[test]
+    fn warp_access_on_one_line_matches_the_lane_loop() {
+        // Lines 3 and 5 resident in both levels, 5 still in flight.
+        let warm = [3 * 128, 5 * 128 + 4];
+        let (l1, l2) = (geom(2048, 4, 4), geom(8192, 4, 8));
+        for line in [3, 5, 7] {
+            let addrs = std::array::from_fn(|lane| line * 128 + 4 * (31 - lane as u32));
+            assert_warp_access_agrees(l1.clone(), l2.clone(), &warm, addrs);
+        }
+    }
+
+    #[test]
+    fn warp_access_on_32_lines_matches_the_lane_loop() {
+        // More lines than either cache holds, and than MSHRs: evictions,
+        // dirty write-backs and reservation fails on the way.
+        let warm = [0, 128 * 40, 128 * 9];
+        let addrs = std::array::from_fn(|lane| 128 * (lane as u32 * 5 % 37) + 8);
+        assert_warp_access_agrees(geom(1024, 2, 2), geom(2048, 2, 4), &warm, addrs);
+    }
+
+    #[test]
+    fn a_fill_between_lanes_that_evicts_an_earlier_lanes_line_refetches_it() {
+        // 4 sets of 4 ways: lines 0, 4, 8, 12 and 16 share set 0, which the
+        // warm-up fills. Lanes cycle through the five, so each new line
+        // evicts the oldest, which the next lane on it must fetch again.
+        let warm = [20 * 128, 24 * 128, 28 * 128, 32 * 128];
+        let addrs = std::array::from_fn(|lane| 128 * 4 * (lane as u32 % 5) + 4 * (lane as u32 / 5));
+        assert_warp_access_agrees(geom(2048, 4, 8), geom(16384, 8, 8), &warm, addrs);
+    }
+
+    #[test]
+    fn a_store_whose_l2_fill_evicts_an_earlier_lanes_line_refetches_it() {
+        // Two sets of two L2 ways: lines 0, 2 and 4 share set 0. The third
+        // line's fill evicts the first, dirty by then, which the next lane
+        // on it fetches again. Line 2 is also resident in the L1D.
+        let warm = [2 * 128];
+        let addrs = std::array::from_fn(|lane| 128 * 2 * (lane as u32 % 3) + 4 * (lane as u32 / 3));
+        assert_warp_access_agrees(geom(1024, 2, 4), geom(512, 2, 4), &warm, addrs);
     }
 }

@@ -36,8 +36,10 @@ pub struct Stats {
     pub cycles: u64,
     /// Cycles where at least one warp issued (timed mode only).
     pub issue_cycles: u64,
-    /// Cycles where no warp could issue — all stalled on scoreboard or
-    /// memory (timed mode only). `issue_cycles + stall_cycles == cycles`.
+    /// Cycles where no warp could issue — every warp busy until its last
+    /// instruction's latency (ALU, SFU, shared or global memory) elapses,
+    /// or at a barrier (timed mode only). `issue_cycles + stall_cycles ==
+    /// cycles`.
     pub stall_cycles: u64,
     /// Warp-level instructions issued.
     pub warp_instrs: u64,

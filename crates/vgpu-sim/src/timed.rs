@@ -7,10 +7,10 @@
 //! are fast-forwarded to the next readiness event (clamped to the pending
 //! fault cycle so injections land at the exact requested cycle).
 
-use crate::cache::{load_via, store_warp, Cache, L1Probe};
+use crate::cache::{load_warp, store_warp, Cache, L1Probe};
 use crate::config::{GpuConfig, Latencies};
 use crate::due::{DueKind, LaunchAbort};
-use crate::exec::{lanes_of, step_warp, ExecCtx, GMem, IssueClass, StepEvent};
+use crate::exec::{step_warp, ExecCtx, GMem, IssueClass, StepEvent};
 use crate::fault::{
     apply_stuck, resolve_site, value_mask, HwStructure, StuckCache, StuckSite, SwInjector,
     UarchInjector,
@@ -51,55 +51,28 @@ impl GMem for TimedGMem<'_> {
         out: &mut [u32; WARP_SIZE],
     ) -> Result<u64, DueKind> {
         self.mem.check_warp(mask, addrs)?;
-        let l1 = if tex { &mut *self.l1t } else { &mut *self.l1d };
-        let h = if tex {
-            HwStructure::L1T
+        let (l1, h) = if tex {
+            (&mut *self.l1t, HwStructure::L1T)
         } else {
-            HwStructure::L1D
+            (&mut *self.l1d, HwStructure::L1D)
         };
-        let lb = l1.geom().line_bytes;
-        let mut seen = [0u32; WARP_SIZE];
-        let mut n = 0usize;
-        let mut ready_max = self.now;
-        for lane in lanes_of(mask) {
-            let addr = addrs[lane];
-            let line = addr / lb;
-            let already = seen[..n].contains(&line);
-            if already {
-                // Same line touched earlier in this coalesced access; it is
-                // normally still resident, but an intervening fill in the
-                // same set may have evicted it — refetch in that case.
-                if let Some(idx) = l1.probe(line) {
-                    if let Some(p) = self.probe.as_deref_mut() {
-                        p.access(h, self.sm, l1.word(idx, addr % lb), self.now, false);
-                    }
-                    out[lane] = l1.read_word(idx, addr % lb);
-                    continue;
-                }
-            }
-            let r = load_via(
-                l1,
-                self.l2,
-                self.mem,
-                addr,
-                self.now,
-                self.lat,
-                self.mem_reads,
-                self.mem_writes,
-                self.probe.as_deref_mut().map(|probe| L1Probe {
-                    probe,
-                    l1: h,
-                    sm: self.sm,
-                }),
-            );
-            out[lane] = r.value;
-            ready_max = ready_max.max(r.ready);
-            if !already {
-                seen[n] = line;
-                n += 1;
-            }
-        }
-        Ok(ready_max)
+        Ok(load_warp(
+            l1,
+            self.l2,
+            self.mem,
+            mask,
+            addrs,
+            out,
+            self.now,
+            self.lat,
+            self.mem_reads,
+            self.mem_writes,
+            self.probe.as_deref_mut().map(|probe| L1Probe {
+                probe,
+                l1: h,
+                sm: self.sm,
+            }),
+        ))
     }
 
     fn store(
@@ -170,12 +143,26 @@ pub(crate) struct SmState {
     /// set iff warp slot `wi` holds a warp ([`launch_cta`] sets it, `Done`
     /// clears it, [`SmState::load_scalars`] rebuilds it).
     occupied: u64,
-    /// Derived too: the earliest cycle at which an occupied warp that is
-    /// not at a barrier can issue (`u64::MAX` if none) — exactly, or any
-    /// value not after the cycle it was set in, which sends the next
-    /// [`SmState::pick`] to rescan. Whatever changes readiness behind the
-    /// scheduler's back (a barrier release, a CTA refill, a restore, a
-    /// `SchedReady` fault) sets it to 0.
+    /// Derived too, the scheduler's view of `warps` (docs/PERF.md): warp
+    /// slot `wi`'s `ready_at`, or `u64::MAX` for an empty slot or a warp
+    /// at a barrier ([`SmState::schedule`], [`SmState::unschedule`])…
+    issue_at: Vec<u64>,
+    /// … the warps whose `issue_at` the last [`SmState::pick`] found come…
+    ready: u64,
+    /// … the other occupied warps not at a barrier…
+    pending: u64,
+    /// … and the live CTA slots in launch order, which is `seq` order: a
+    /// CTA's warps take consecutive `seq`s.
+    order: Vec<usize>,
+    /// Warps per CTA slot of the current launch.
+    wpc: usize,
+    /// The earliest `issue_at` of a `pending` warp (`u64::MAX` if none) —
+    /// exactly, or any value not after the cycle it was set in, which
+    /// sends the next [`SmState::pick`] to rescan `pending`. With `ready`
+    /// empty, as on every idle advance, it is the earliest cycle at which
+    /// an occupied warp that is not at a barrier can issue. A `SchedReady`
+    /// fault, which changes readiness behind the scheduler's back, sets it
+    /// to 0.
     wake: u64,
     /// Granules of `rf` / `smem` written since the last snapshot
     /// synchronisation …
@@ -210,6 +197,11 @@ impl SmState {
             warps: Vec::new(),
             last: None,
             occupied: 0,
+            issue_at: Vec::new(),
+            ready: 0,
+            pending: 0,
+            order: Vec::new(),
+            wpc: 1,
             wake: u64::MAX,
             rf_dirty: DirtyMap::new(rf_words * 4),
             smem_dirty: DirtyMap::new(smem_words * 4),
@@ -226,6 +218,11 @@ impl SmState {
         self.warps.resize((g.slots_per_sm * g.wpc) as usize, None);
         self.last = None;
         self.occupied = 0;
+        self.issue_at.clear();
+        self.issue_at.resize(self.warps.len(), u64::MAX);
+        (self.ready, self.pending) = (0, 0);
+        self.order.clear();
+        self.wpc = g.wpc as usize;
         self.wake = u64::MAX;
     }
 
@@ -241,62 +238,114 @@ impl SmState {
         self.slots.clone_from(&s.slots);
         self.warps.clone_from(&s.warps);
         self.last = s.last;
-        self.occupied = (self.warps.iter().enumerate())
-            .filter(|(_, w)| w.is_some())
-            .fold(0, |m, (wi, _)| m | 1 << wi);
-        self.wake = 0;
-    }
-
-    /// The greedy-then-oldest pick at `cycle`: the warp issued last cycle
-    /// if it is ready again, else the oldest ready warp. Leaves `wake`
-    /// covering the *other* warps, for the caller to fold the picked one's
-    /// new state into; with nothing ready, forgets the greedy warp.
-    fn pick(&mut self, cycle: u64) -> Option<usize> {
-        if self.wake > cycle {
-            self.last = None;
-            return None;
-        }
-        let ready = |w: &Warp| !w.at_barrier && w.ready_at <= cycle;
-        if let Some(wi) = self.last {
-            if self.warps[wi].as_ref().is_some_and(ready) {
-                return Some(wi);
-            }
-        }
-        let mut oldest: Option<(usize, u64)> = None;
-        let mut others_ready = false;
-        let mut next = u64::MAX;
-        for wi in bits(self.occupied) {
-            let w = self.warps[wi].as_ref().expect("occupied slot holds a warp");
-            debug_assert!(!w.done, "a finished warp left in its slot");
-            if w.at_barrier {
-                continue;
-            }
-            if w.ready_at > cycle {
-                next = next.min(w.ready_at);
-            } else {
-                others_ready |= oldest.is_some();
-                if oldest.is_none_or(|(_, seq)| w.seq < seq) {
-                    oldest = Some((wi, w.seq));
+        self.wpc = self.warps.len() / self.slots.len();
+        (self.occupied, self.ready, self.pending) = (0, 0, 0);
+        self.wake = u64::MAX;
+        self.issue_at.clear();
+        self.issue_at.resize(self.warps.len(), u64::MAX);
+        for wi in 0..self.warps.len() {
+            if let Some(w) = &self.warps[wi] {
+                self.occupied |= 1 << wi;
+                if !w.at_barrier {
+                    self.schedule(wi, w.ready_at);
                 }
             }
         }
-        self.wake = if others_ready { cycle } else { next };
-        if oldest.is_none() {
-            self.last = None;
-        }
-        oldest.map(|(wi, _)| wi)
+        let first_seq = |slot: usize| {
+            let warps = &self.warps[slot * self.wpc..(slot + 1) * self.wpc];
+            warps.iter().flatten().map(|w| w.seq).next()
+        };
+        let mut order: Vec<usize> = (0..self.slots.len())
+            .filter(|&slot| self.slots[slot].is_some())
+            .collect();
+        order.sort_by_key(|&slot| first_seq(slot));
+        self.order = order;
     }
 
-    /// Release the barrier of CTA slot `slot` (`wpc` warps per slot).
-    fn release_barrier(&mut self, slot: usize, wpc: usize) {
-        self.slots[slot].as_mut().expect("slot live").arrived = 0;
-        for w in self.warps[slot * wpc..(slot + 1) * wpc]
-            .iter_mut()
-            .flatten()
-        {
-            w.at_barrier = false;
+    /// Warp `wi` competes again from cycle `at` on: it issued, arrived, or
+    /// left a barrier.
+    fn schedule(&mut self, wi: usize, at: u64) {
+        self.issue_at[wi] = at;
+        self.ready &= !(1 << wi);
+        self.pending |= 1 << wi;
+        self.wake = self.wake.min(at);
+    }
+
+    /// Warp `wi` stops competing: it waits at a barrier or retired.
+    fn unschedule(&mut self, wi: usize) {
+        self.issue_at[wi] = u64::MAX;
+        self.ready &= !(1 << wi);
+        self.pending &= !(1 << wi);
+    }
+
+    /// The greedy-then-oldest pick at `cycle`: the warp issued last cycle
+    /// if it is ready again, else the oldest ready warp — the lowest ready
+    /// bit of the first slot in `order` that has one. Pending warps whose
+    /// cycle has come move to `ready` only when `wake` says one has; with
+    /// nothing ready, forgets the greedy warp.
+    fn pick(&mut self, cycle: u64) -> Option<usize> {
+        #[cfg(debug_assertions)]
+        let scan = self.pick_by_scan(cycle);
+        if self.wake <= cycle {
+            // Branch-free: which warps come due is data, not control flow.
+            let (mut due, mut next) = (0u64, u64::MAX);
+            for wi in bits(self.pending) {
+                let at = self.issue_at[wi];
+                due |= u64::from(at <= cycle) << wi;
+                next = next.min(if at <= cycle { u64::MAX } else { at });
+            }
+            self.ready |= due;
+            self.pending &= !due;
+            self.wake = next;
         }
-        self.wake = 0;
+        let slot_warps = u64::MAX >> (u64::BITS as usize - self.wpc);
+        let picked = match self.last {
+            _ if self.ready == 0 => None,
+            Some(wi) if self.ready >> wi & 1 == 1 => Some(wi),
+            _ => self.order.iter().find_map(|&slot| {
+                let m = self.ready & slot_warps << (slot * self.wpc);
+                (m != 0).then(|| m.trailing_zeros() as usize)
+            }),
+        };
+        if picked.is_none() {
+            self.last = None;
+        }
+        #[cfg(debug_assertions)]
+        {
+            assert_eq!(picked, scan.0, "pick disagrees with the scan at {cycle}");
+            assert!(picked.is_some() || self.wake == scan.1, "inexact wake");
+        }
+        picked
+    }
+
+    /// The pick by brute force over `warps`, and the earliest `ready_at`
+    /// after `cycle` of a warp not at a barrier: what [`SmState::pick`]
+    /// must agree with.
+    #[cfg(debug_assertions)]
+    fn pick_by_scan(&self, cycle: u64) -> (Option<usize>, u64) {
+        let live = || {
+            let warps = self.warps.iter().enumerate();
+            warps.filter_map(|(wi, w)| w.as_ref().filter(|w| !w.at_barrier).map(|w| (wi, w)))
+        };
+        let ready = live().filter(|(_, w)| w.ready_at <= cycle);
+        let picked = match self.last {
+            Some(wi) if ready.clone().any(|(r, _)| r == wi) => Some(wi),
+            _ => ready.min_by_key(|(_, w)| w.seq).map(|(wi, _)| wi),
+        };
+        let wake = live().map(|(_, w)| w.ready_at).filter(|&r| r > cycle).min();
+        (picked, wake.unwrap_or(u64::MAX))
+    }
+
+    /// Release the barrier of CTA slot `slot`.
+    fn release_barrier(&mut self, slot: usize) {
+        self.slots[slot].as_mut().expect("slot live").arrived = 0;
+        for wi in slot * self.wpc..(slot + 1) * self.wpc {
+            if let Some(w) = self.warps[wi].as_mut() {
+                w.at_barrier = false;
+                let at = w.ready_at;
+                self.schedule(wi, at);
+            }
+        }
     }
 
     /// Append the register file and shared memory to a snapshot being
@@ -548,13 +597,14 @@ fn launch_cta(
         let idx = slot * g.wpc as usize + wi as usize;
         sm.warps[idx] = Some(w);
         sm.occupied |= 1 << idx;
+        // The new warps are ready at once.
+        sm.schedule(idx, 0);
     }
     sm.slots[slot] = Some(CtaSlot {
         warps_running: g.wpc,
         arrived: 0,
     });
-    // The new warps are ready at once.
-    sm.wake = 0;
+    sm.order.push(slot);
 }
 
 /// The indices of the set bits of `m`, ascending.
@@ -707,11 +757,17 @@ fn disturb(
             }
         }
         StuckSite::SchedReady { sm, warp, mask } => {
-            if let Some(w) = sms[sm].warps[warp].as_mut() {
+            let sm = &mut sms[sm];
+            if let Some(w) = sm.warps[warp].as_mut() {
                 let lo = hit(w.ready_at as u32, mask);
                 w.ready_at = (w.ready_at & !0xFFFF_FFFF) | u64::from(lo);
+                let (at, waiting) = (w.ready_at, w.at_barrier);
+                if !waiting {
+                    sm.schedule(warp, at);
+                }
             }
-            sms[sm].wake = 0;
+            // The warp may have been the earliest pending one.
+            sm.wake = 0;
         }
     }
 }
@@ -994,7 +1050,7 @@ pub(crate) fn run_timed_ctl(
                     continue;
                 };
 
-                let mut warp = sm.warps[wi].take().expect("picked warp exists");
+                let warp = sm.warps[wi].as_mut().expect("picked warp exists");
                 let slot_idx = wi / g.wpc as usize;
                 let rf_base = slot_idx * g.regs_per_cta as usize
                     + warp.warp_in_cta as usize * g.regs_per_warp as usize;
@@ -1027,7 +1083,7 @@ pub(crate) fn run_timed_ctl(
                         sw: sw.as_deref_mut(),
                         max_stack: cfg.max_stack_depth,
                     };
-                    match step_warp(&mut warp, &mut ctx) {
+                    match step_warp(warp, &mut ctx) {
                         Ok(ev) => (Some(ev), None),
                         Err(e) => (None, Some(e)),
                     }
@@ -1058,28 +1114,29 @@ pub(crate) fn run_timed_ctl(
                             IssueClass::Mem { ready } => ready.saturating_sub(cycle).max(1),
                         };
                         warp.ready_at = cycle + latency;
-                        sm.wake = sm.wake.min(warp.ready_at);
-                        sm.warps[wi] = Some(warp);
+                        sm.schedule(wi, cycle + latency);
                         sm.last = Some(wi);
                         clear_greedy = false;
                     }
                     StepEvent::Barrier => {
                         warp.at_barrier = true;
                         warp.ready_at = cycle + cfg.lat.alu as u64;
-                        sm.warps[wi] = Some(warp);
+                        sm.unschedule(wi);
                         let slot = sm.slots[slot_idx].as_mut().expect("slot live");
                         slot.arrived += 1;
                         if slot.arrived >= slot.warps_running {
-                            sm.release_barrier(slot_idx, g.wpc as usize);
+                            sm.release_barrier(slot_idx);
                         }
                     }
                     StepEvent::Done => {
                         sm.warps[wi] = None;
                         sm.occupied &= !(1 << wi);
+                        sm.unschedule(wi);
                         let slot = sm.slots[slot_idx].as_mut().expect("slot live");
                         slot.warps_running -= 1;
                         if slot.warps_running == 0 {
                             sm.slots[slot_idx] = None;
+                            sm.order.retain(|&s| s != slot_idx);
                             done_ctas += 1;
                             if let Some(p) = probe.as_deref_mut() {
                                 p.slot_free(smi, slot_idx, cycle);
@@ -1101,7 +1158,7 @@ pub(crate) fn run_timed_ctl(
                             }
                         } else if slot.arrived >= slot.warps_running {
                             // Last non-waiting warp exited: release the barrier.
-                            sm.release_barrier(slot_idx, g.wpc as usize);
+                            sm.release_barrier(slot_idx);
                         }
                     }
                 }
@@ -1121,18 +1178,12 @@ pub(crate) fn run_timed_ctl(
             // Advance time: one cycle after an issue, else fast-forward to the
             // next readiness event (clamped to a pending fault cycle). With
             // nothing issued, every SM's pick found nothing ready, so every
-            // wake cycle is exact and after `cycle`.
+            // wake cycle is exact and after `cycle` (a debug build checks it
+            // in each pick).
             let advance = if issued_any {
                 1
             } else {
                 let nxt = m.sms.iter().map(|sm| sm.wake).min().unwrap_or(u64::MAX);
-                debug_assert!(m.sms.iter().all(|sm| sm.wake > cycle
-                    && sm.wake
-                        == (sm.warps.iter().flatten())
-                            .filter(|w| !w.at_barrier)
-                            .map(|w| w.ready_at)
-                            .min()
-                            .unwrap_or(u64::MAX)));
                 if nxt == u64::MAX {
                     break Err(LaunchAbort::Due(DueKind::BarrierDeadlock));
                 }

@@ -2,13 +2,34 @@
 
 use proptest::prelude::*;
 use vgpu_arch::{CmpOp, KernelBuilder, MemSpace, Operand, WARP_SIZE};
-use vgpu_sim::cache::{load_via, store_warp, Cache};
+use vgpu_sim::cache::{load_warp, store_warp, Cache};
 use vgpu_sim::{
     ArenaPlanner, Budget, CacheGeom, FaultPlan, GlobalMem, Gpu, GpuConfig, Latencies, Mode,
 };
 
 fn test_lat() -> Latencies {
     GpuConfig::default().lat
+}
+
+/// A one-lane [`load_warp`] of the word at `addr`.
+fn load_word(l1: &mut Cache, l2: &mut Cache, mem: &mut GlobalMem, addr: u32, now: u64) -> u32 {
+    let (mut addrs, mut out) = ([0; WARP_SIZE], [0; WARP_SIZE]);
+    addrs[0] = addr;
+    let (mut mr, mut mw) = (0u64, 0u64);
+    load_warp(
+        l1,
+        l2,
+        mem,
+        1,
+        &addrs,
+        &mut out,
+        now,
+        &test_lat(),
+        &mut mr,
+        &mut mw,
+        None,
+    );
+    out[0]
 }
 
 proptest! {
@@ -35,8 +56,8 @@ proptest! {
             now += 1000;
         }
         for word in probes {
-            let r = load_via(&mut l1, &mut l2, &mut mem, word * 4, now, &test_lat(), &mut mr, &mut mw, None);
-            prop_assert_eq!(r.value, shadow[word as usize]);
+            let r = load_word(&mut l1, &mut l2, &mut mem, word * 4, now);
+            prop_assert_eq!(r, shadow[word as usize]);
             now += 1000;
         }
     }
@@ -49,22 +70,21 @@ proptest! {
         let mut l2 = Cache::new(CacheGeom { bytes: 8192, line_bytes: 128, ways: 4, mshrs: 8 });
         let mut mem = GlobalMem::new(64 * 4 + 4096);
         mem.map(0, 64 * 4);
-        let (mut mr, mut mw) = (0u64, 0u64);
         mem.write_u32(word * 4, 0x5A5A_5A5A);
         // Load through the hierarchy so L2 holds the line; invalidate L1 so
         // the next read must come from L2.
-        load_via(&mut l1, &mut l2, &mut mem, word * 4, 0, &test_lat(), &mut mr, &mut mw, None);
+        load_word(&mut l1, &mut l2, &mut mem, word * 4, 0);
         l1.invalidate_all();
         let idx = l2.probe(word * 4 / 128).expect("line resident in L2");
         let byte_index = idx as u64 * 128 + (word as u64 * 4 % 128) + (bit as u64 / 8);
         l2.flip_bit(byte_index, bit % 8);
-        let r = load_via(&mut l1, &mut l2, &mut mem, word * 4, 10_000, &test_lat(), &mut mr, &mut mw, None);
-        prop_assert_eq!(r.value, 0x5A5A_5A5Au32 ^ (1 << ((bit / 8) * 8 + bit % 8)));
+        let r = load_word(&mut l1, &mut l2, &mut mem, word * 4, 10_000);
+        prop_assert_eq!(r, 0x5A5A_5A5Au32 ^ (1 << ((bit / 8) * 8 + bit % 8)));
         // Flip back and reload (L1 holds the faulty copy; invalidate again).
         l2.flip_bit(byte_index, bit % 8);
         l1.invalidate_all();
-        let r = load_via(&mut l1, &mut l2, &mut mem, word * 4, 20_000, &test_lat(), &mut mr, &mut mw, None);
-        prop_assert_eq!(r.value, 0x5A5A_5A5A);
+        let r = load_word(&mut l1, &mut l2, &mut mem, word * 4, 20_000);
+        prop_assert_eq!(r, 0x5A5A_5A5A);
     }
 
     /// The arena planner never produces overlapping or adjacent
