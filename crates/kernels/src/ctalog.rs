@@ -137,7 +137,10 @@ impl CtaLog {
                 + (l.runs.len() + l.reads.len()) * 8
                 + (l.words.len() + l.params.len()) * 4
         };
-        let kernels = |k: &Kernel| k.instrs.len() * std::mem::size_of::<vgpu_arch::Instr>();
+        let kernels = |k: &Kernel| {
+            k.instrs.len() * std::mem::size_of::<vgpu_arch::Instr>()
+                + std::mem::size_of_val(k.facts())
+        };
         (self.launches.iter().map(per_launch).sum::<usize>()
             + self.kernels.iter().map(kernels).sum::<usize>()) as u64
     }
@@ -232,6 +235,13 @@ impl DirtySet {
         self.words.is_empty()
     }
 
+    /// Whether `addr`'s granule holds a dirty word: when not, `addr` is
+    /// clean without a search of `words`.
+    fn granule_dirty(&self, addr: u32) -> bool {
+        let (w, bit) = granule_bit(addr);
+        self.granules.get(w).is_some_and(|g| g & bit != 0)
+    }
+
     fn touches(&self, footprint: &[(u32, u32)]) -> bool {
         !self.words.is_empty()
             && footprint
@@ -249,7 +259,7 @@ impl DirtySet {
     }
 
     fn remove(&mut self, addr: u32) {
-        if self.words.remove(&addr).is_none() {
+        if !self.granule_dirty(addr) || self.words.remove(&addr).is_none() {
             return;
         }
         let base = addr >> GRANULE_SHIFT << GRANULE_SHIFT;
@@ -339,7 +349,7 @@ impl CtaReplay {
     /// The host read `addr`: a dirty word may steer the host program away
     /// from the golden one, so the log is consulted no further.
     pub fn host_read(&mut self, addr: u32) {
-        if self.dirty.words.contains_key(&addr) {
+        if self.dirty.granule_dirty(addr) && self.dirty.words.contains_key(&addr) {
             self.live = false;
         }
     }
@@ -460,6 +470,11 @@ mod tests {
         assert!(d.touches(&[(0, 0b10)]));
         assert!(!d.touches(&[(0, 0b01), (1, !0)]));
         assert!(d.touches(&[(2, 1)]));
+        assert!(d.granule_dirty(0x48) && !d.granule_dirty(0x80));
+        // A clean granule, beyond the bitmap too, answers without a search.
+        d.remove(0x80);
+        d.remove(0x10_0000);
+        assert_eq!(d.words.len(), 3);
         // A granule's bit survives until its last dirty word goes.
         d.remove(0x40);
         assert!(d.touches(&[(0, 0b10)]));

@@ -1,7 +1,7 @@
 //! Kernels (validated programs) and launch configurations.
 
 use crate::instr::Instr;
-use crate::op::Op;
+use crate::op::{InstrClass, MemSpace, Op};
 use crate::reg::Reg;
 use crate::{NUM_PREDS, WARP_SIZE};
 use std::fmt;
@@ -16,6 +16,67 @@ pub struct Kernel {
     pub num_regs: u8,
     /// Static shared memory per CTA in bytes (word aligned).
     pub smem_bytes: u32,
+    /// One [`PcFacts`] per instruction of `instrs`, built by [`Kernel::new`].
+    facts: Vec<PcFacts>,
+}
+
+/// The memory access an instruction makes, as the interpreter's statistics
+/// count it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MemAccess {
+    None,
+    /// A global or texture load.
+    GlobalLoad,
+    GlobalStore,
+    /// A shared-memory load or store.
+    Shared,
+}
+
+/// What the interpreter asks of an instruction on every execution, settled
+/// once per kernel: [`Kernel::facts`] holds one per pc, so the answers cost
+/// a table read instead of a walk over the [`Op`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PcFacts {
+    /// [`Op::has_gp_dest`].
+    pub gp_dest: bool,
+    /// [`Op::instr_class`].
+    pub class: InstrClass,
+    pub access: MemAccess,
+    /// Whether [`Op::src_regs`] is non-empty.
+    pub reads_src: bool,
+}
+
+impl PcFacts {
+    /// The facts of `op`. Cheap enough for a kernel built on every run: one
+    /// class lookup and two small matches. The interpreter's debug build
+    /// checks each entry against [`Op::has_gp_dest`] and [`Op::src_regs`].
+    pub fn of(op: &Op) -> PcFacts {
+        let class = op.instr_class();
+        PcFacts {
+            // Exactly the ops with a GP destination have a class other
+            // than `Other` (see [`InstrClass`]).
+            gp_dest: class != InstrClass::Other,
+            class,
+            access: match op {
+                Op::Ld {
+                    space: MemSpace::Shared,
+                    ..
+                }
+                | Op::St {
+                    space: MemSpace::Shared,
+                    ..
+                } => MemAccess::Shared,
+                Op::Ld { .. } => MemAccess::GlobalLoad,
+                Op::St { .. } => MemAccess::GlobalStore,
+                _ => MemAccess::None,
+            },
+            reads_src: match op {
+                Op::S2R { .. } | Op::PSetP { .. } | Op::Bar | Op::Bra { .. } | Op::Exit => false,
+                Op::Mov { a, .. } => a.src_reg().is_some(),
+                _ => true,
+            },
+        }
+    }
 }
 
 /// Errors found by [`Kernel::validate`].
@@ -61,7 +122,8 @@ impl fmt::Display for ValidateError {
 impl std::error::Error for ValidateError {}
 
 impl Kernel {
-    /// Construct and validate a kernel.
+    /// Construct and validate a kernel. The only constructor: it also
+    /// builds the per-pc [`PcFacts`] table.
     pub fn new(
         name: impl Into<String>,
         instrs: Vec<Instr>,
@@ -70,6 +132,7 @@ impl Kernel {
     ) -> Result<Self, ValidateError> {
         let k = Kernel {
             name: name.into(),
+            facts: instrs.iter().map(|i| PcFacts::of(&i.op)).collect(),
             instrs,
             num_regs,
             smem_bytes,
@@ -149,6 +212,12 @@ impl Kernel {
             }
         }
         Ok(())
+    }
+
+    /// The facts of every instruction, indexed by pc. They describe
+    /// `instrs` as [`Kernel::new`] received it.
+    pub fn facts(&self) -> &[PcFacts] {
+        &self.facts
     }
 
     /// Number of instructions.

@@ -29,7 +29,7 @@ pub mod reg;
 
 pub use asm::KernelBuilder;
 pub use instr::{Guard, Instr};
-pub use kernel::{Kernel, LaunchConfig, ValidateError};
+pub use kernel::{Kernel, LaunchConfig, MemAccess, PcFacts, ValidateError};
 pub use op::{BoolOp, CmpOp, InstrClass, MemSpace, Op, Operand, SrcRegs};
 pub use reg::{Pred, Reg, SpecialReg};
 

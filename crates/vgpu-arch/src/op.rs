@@ -505,6 +505,7 @@ impl InstrClass {
     ];
 
     /// Stable index into per-class count arrays. `Other` has no slot.
+    #[inline]
     pub fn index(self) -> Option<usize> {
         match self {
             InstrClass::Mov => Some(0),

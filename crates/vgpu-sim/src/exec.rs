@@ -12,7 +12,9 @@ use crate::due::DueKind;
 use crate::fault::{apply_stuck, value_mask, SwFaultKind, SwInjector, SwStuck};
 use crate::stats::Stats;
 use crate::warp::{StackEntry, Warp};
-use vgpu_arch::{CmpOp, Kernel, MemSpace, Op, Operand, Reg, SpecialReg, WARP_SIZE};
+use vgpu_arch::{
+    CmpOp, Kernel, MemAccess, MemSpace, Op, Operand, PcFacts, Reg, SpecialReg, WARP_SIZE,
+};
 
 /// Global-memory interface implemented by the two engines.
 pub trait GMem {
@@ -158,19 +160,75 @@ fn lanes(f: impl Fn(usize) -> u32) -> Row {
     out
 }
 
-/// Write `vals` into register `d` on the lanes of `mask` only.
+/// `a` on the lanes of `mask`, `b` on the others: a branch-free masked
+/// select.
+#[inline(always)]
+fn select(mask: u32, a: &Row, b: &Row) -> Row {
+    lanes(|l| {
+        let m = (mask >> l & 1).wrapping_neg();
+        (a[l] & m) | (b[l] & !m)
+    })
+}
+
+/// Register `r` of every lane, to write.
 #[inline]
-fn write_row(regs: &mut [u32], d: Reg, mask: u32, vals: &Row) {
-    let dst: &mut Row = (&mut regs[reg_idx(d, 0)..reg_idx(d, WARP_SIZE)])
+fn row_mut(regs: &mut [u32], r: Reg) -> &mut Row {
+    (&mut regs[reg_idx(r, 0)..reg_idx(r, WARP_SIZE)])
         .try_into()
-        .expect("a row is WARP_SIZE words");
-    if mask == u32::MAX {
-        *dst = *vals;
-    } else {
-        for (lane, (o, &v)) in dst.iter_mut().zip(vals).enumerate() {
-            *o = if mask >> lane & 1 != 0 { v } else { *o };
+        .expect("a row is WARP_SIZE words")
+}
+
+/// Write `vals` into register `d` on the lanes of `mask` only.
+#[inline(always)]
+fn write_row(regs: &mut [u32], d: Reg, mask: u32, vals: &Row) {
+    let dst = row_mut(regs, d);
+    *dst = select(mask, vals, dst);
+}
+
+/// `a * b + c`, fused, on every lane: bit for bit what `f32::mul_add` gives
+/// lane by lane. On an x86-64 CPU with FMA the row runs on the vector
+/// fused op. `mul_add` is a call to `fmaf` there (the default target has no
+/// FMA), and `fmaf` runs the scalar fused op when the CPU has one, so both
+/// round `a * b + c` once and agree on every result that is not a NaN.
+/// Which input NaN an FMA instruction returns depends on the operand order
+/// it encodes, so every lane whose result is a NaN is recomputed with
+/// `mul_add`.
+pub fn ffma_row(
+    a: &[u32; WARP_SIZE],
+    b: &[u32; WARP_SIZE],
+    c: &[u32; WARP_SIZE],
+) -> [u32; WARP_SIZE] {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("fma") {
+        // SAFETY: the CPU has FMA, the one feature the function enables.
+        let mut out = unsafe { ffma_row_fma(a, b, c) };
+        let nan = lane_bits(|l| out[l] & 0x7fff_ffff > 0x7f80_0000);
+        for l in lanes_of(nan) {
+            out[l] = fb(f(a[l]).mul_add(f(b[l]), f(c[l])));
         }
+        return out;
     }
+    ffma_row_lanes(a, b, c)
+}
+
+/// [`ffma_row`] without the vector path: `f32::mul_add` lane by lane.
+pub fn ffma_row_lanes(
+    a: &[u32; WARP_SIZE],
+    b: &[u32; WARP_SIZE],
+    c: &[u32; WARP_SIZE],
+) -> [u32; WARP_SIZE] {
+    lanes(|l| fb(f(a[l]).mul_add(f(b[l]), f(c[l]))))
+}
+
+/// [`ffma_row_lanes`] compiled for the FMA instruction set.
+///
+/// # Safety
+///
+/// The CPU must support FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+unsafe fn ffma_row_fma(a: &Row, b: &Row, c: &Row) -> Row {
+    lanes(|l| fb(f(a[l]).mul_add(f(b[l]), f(c[l]))))
 }
 
 /// Predicate bits of `mask` set to those of `bits`, the rest kept.
@@ -243,6 +301,13 @@ pub fn step_warp<M: GMem>(w: &mut Warp, ctx: &mut ExecCtx<'_, M>) -> Result<Step
     ctx.stats.thread_instrs += n_active;
 
     let op = instr.op;
+    let facts = ctx.kernel.facts()[pc as usize];
+    debug_assert!(
+        facts == PcFacts::of(&op)
+            && facts.gp_dest == op.has_gp_dest()
+            && facts.reads_src != op.src_regs().is_empty(),
+        "pc {pc}: facts {facts:?} do not describe {op}"
+    );
 
     // ---- software-level fault injection bookkeeping -------------------
     // Count eligible dynamic thread-instructions and, when the target index
@@ -251,19 +316,11 @@ pub fn step_warp<M: GMem>(w: &mut Warp, ctx: &mut ExecCtx<'_, M>) -> Result<Step
     if let Some(sw) = ctx.sw.as_deref_mut() {
         if n_active > 0 {
             let eligible = match sw.fault.kind {
-                SwFaultKind::DestValue => op.has_gp_dest(),
-                SwFaultKind::DestValueLoad => {
-                    matches!(
-                        op,
-                        Op::Ld {
-                            space: MemSpace::Global | MemSpace::Tex,
-                            ..
-                        }
-                    )
-                }
-                SwFaultKind::SrcTransient | SwFaultKind::SrcPersistent => !op.src_regs().is_empty(),
+                SwFaultKind::DestValue => facts.gp_dest,
+                SwFaultKind::DestValueLoad => facts.access == MemAccess::GlobalLoad,
+                SwFaultKind::SrcTransient | SwFaultKind::SrcPersistent => facts.reads_src,
                 SwFaultKind::ArchState => true,
-                SwFaultKind::DestClass(c) => op.has_gp_dest() && op.instr_class() == c,
+                SwFaultKind::DestClass(c) => facts.gp_dest && facts.class == c,
             };
             if eligible {
                 let t = sw.fault.target;
@@ -333,46 +390,19 @@ pub fn step_warp<M: GMem>(w: &mut Warp, ctx: &mut ExecCtx<'_, M>) -> Result<Step
     }
 
     // ---- instruction-class statistics ----------------------------------
-    match op {
-        Op::Ld {
-            space: MemSpace::Global | MemSpace::Tex,
-            ..
-        } => {
-            ctx.stats.load_instrs += n_active;
-        }
-        Op::St {
-            space: MemSpace::Global,
-            ..
-        } => ctx.stats.store_instrs += n_active,
-        Op::Ld {
-            space: MemSpace::Shared,
-            ..
-        }
-        | Op::St {
-            space: MemSpace::Shared,
-            ..
-        } => {
-            ctx.stats.smem_instrs += n_active;
-        }
-        _ => {}
-    }
-    if op.has_gp_dest() {
-        ctx.stats.gp_dest_instrs += n_active;
-        if let Some(c) = op.instr_class().index() {
+    // Branch-free: `n_active` where the fact holds, else 0.
+    let count = |holds: bool| n_active * holds as u64;
+    let global_load = count(facts.access == MemAccess::GlobalLoad);
+    ctx.stats.load_instrs += global_load;
+    ctx.stats.ld_dest_instrs += global_load;
+    ctx.stats.store_instrs += count(facts.access == MemAccess::GlobalStore);
+    ctx.stats.smem_instrs += count(facts.access == MemAccess::Shared);
+    ctx.stats.gp_dest_instrs += count(facts.gp_dest);
+    ctx.stats.src_reg_instrs += count(facts.reads_src);
+    if facts.gp_dest {
+        if let Some(c) = facts.class.index() {
             ctx.stats.class_dest_instrs[c] += n_active;
         }
-    }
-    if matches!(
-        op,
-        Op::Ld {
-            space: MemSpace::Global | MemSpace::Tex,
-            ..
-        }
-    ) {
-        ctx.stats.ld_dest_instrs += n_active;
-    }
-    if !op.src_regs().is_empty() {
-        ctx.stats.src_reg_instrs += n_active;
     }
 
     // ---- probe: source-register reads -----------------------------------
@@ -475,11 +505,8 @@ pub fn step_warp<M: GMem>(w: &mut Warp, ctx: &mut ExecCtx<'_, M>) -> Result<Step
         Op::FFma { d, a, b, c } => {
             let (a, b) = (row(ctx.regs, *a), operand(ctx.regs, ctx.params, b));
             let c = operand(ctx.regs, ctx.params, c);
-            alu!(
-                IssueClass::Alu,
-                d,
-                |l| fb(f(a[l]).mul_add(f(b[l]), f(c[l])))
-            )
+            write_row(ctx.regs, *d, exec_mask, &ffma_row(a, &b, &c));
+            IssueClass::Alu
         }
         Op::FMnMx { d, a, b, max } => {
             if *max {
@@ -540,11 +567,9 @@ pub fn step_warp<M: GMem>(w: &mut Warp, ctx: &mut ExecCtx<'_, M>) -> Result<Step
         Op::Sel { d, a, b, p, neg } => {
             let pm = w.preds[p.0 as usize] ^ if *neg { !0 } else { 0 };
             let (a, b) = (row(ctx.regs, *a), operand(ctx.regs, ctx.params, b));
-            alu!(IssueClass::Alu, d, |l| if pm >> l & 1 != 0 {
-                a[l]
-            } else {
-                b[l]
-            })
+            let v = select(pm, a, &b);
+            write_row(ctx.regs, *d, exec_mask, &v);
+            IssueClass::Alu
         }
         Op::Ld { d, space, a, off } => {
             let addrs = addrs(ctx.regs, *a, *off);
@@ -682,7 +707,11 @@ pub fn step_warp<M: GMem>(w: &mut Warp, ctx: &mut ExecCtx<'_, M>) -> Result<Step
     Ok(event)
 }
 
-/// Shared-memory access with bounds checking and a 32-bank conflict model.
+/// Shared-memory access with bounds checking and a 32-bank conflict model,
+/// as one pass over the warp: the lanes are checked as a row, and the
+/// first bad lane, ascending, raises its DUE (misalignment before bounds)
+/// after the lanes below it have loaded or stored. Lanes store in
+/// ascending order, so of two lanes on one word the higher one wins.
 fn smem_access<M: GMem>(
     ctx: &mut ExecCtx<'_, M>,
     exec_mask: u32,
@@ -690,29 +719,50 @@ fn smem_access<M: GMem>(
     load_into: Option<Reg>,
     store_from: Option<Reg>,
 ) -> Result<IssueClass, DueKind> {
-    let len_bytes = ctx.smem.len() as u64 * 4;
-    let mut bank_counts = [0u8; 32];
-    for lane in lanes_of(exec_mask) {
-        let addr = addrs[lane];
-        if !addr.is_multiple_of(4) {
-            return Err(DueKind::Misaligned { addr });
-        }
-        if addr as u64 + 4 > len_bytes {
-            return Err(DueKind::SmemOutOfBounds { off: addr });
-        }
-        let word = (addr / 4) as usize;
-        bank_counts[word % 32] += 1;
-        if ctx.mem.probed() {
-            ctx.mem.probe_smem(word, store_from.is_some());
-        }
-        if let Some(d) = load_into {
-            ctx.regs[reg_idx(d, lane)] = ctx.smem[word];
-        }
-        if let Some(v) = store_from {
-            ctx.smem[word] = ctx.regs[reg_idx(v, lane)];
+    let words = u32::try_from(ctx.smem.len()).unwrap_or(u32::MAX);
+    let bad = exec_mask & lane_bits(|l| (addrs[l] & 3 != 0) | (addrs[l] / 4 >= words));
+    let done = match bad {
+        0 => exec_mask,
+        _ => exec_mask & ((bad & bad.wrapping_neg()) - 1),
+    };
+    if ctx.mem.probed() {
+        for lane in lanes_of(done) {
+            ctx.mem
+                .probe_smem((addrs[lane] / 4) as usize, store_from.is_some());
         }
     }
-    let max_per_bank = *bank_counts.iter().max().unwrap() as u32;
+    // Each lane that completes moves its word and counts it against its
+    // bank. Lane `l` counts in tally `l % 4`, so lanes that share a bank
+    // mostly bump different bytes rather than one byte in a chain.
+    let mut tally = [[0u8; 32]; 4];
+    let word = |lane: usize| (addrs[lane] / 4) as usize;
+    if let Some(d) = load_into {
+        let dst = row_mut(ctx.regs, d);
+        for lane in lanes_of(done) {
+            tally[lane % 4][word(lane) % 32] += 1;
+            dst[lane] = ctx.smem[word(lane)];
+        }
+    }
+    if let Some(v) = store_from {
+        let vals = row(ctx.regs, v);
+        for lane in lanes_of(done) {
+            tally[lane % 4][word(lane) % 32] += 1;
+            ctx.smem[word(lane)] = vals[lane];
+        }
+    }
+    if bad != 0 {
+        let addr = addrs[bad.trailing_zeros() as usize];
+        return Err(if addr.is_multiple_of(4) {
+            DueKind::SmemOutOfBounds { off: addr }
+        } else {
+            DueKind::Misaligned { addr }
+        });
+    }
+    // The most lanes on one bank; two lanes on one word count twice.
+    let max_per_bank = (0..32)
+        .map(|b| tally.iter().map(|t| t[b]).sum::<u8>())
+        .max()
+        .map_or(0, u32::from);
     Ok(IssueClass::Smem {
         extra_conflicts: max_per_bank.saturating_sub(1),
     })
@@ -731,10 +781,7 @@ impl GMem for FlatMem<'_> {
         addrs: &[u32; WARP_SIZE],
         out: &mut [u32; WARP_SIZE],
     ) -> Result<u64, DueKind> {
-        self.mem.check_warp(mask, addrs)?;
-        for lane in lanes_of(mask) {
-            out[lane] = self.mem.read_u32(addrs[lane]);
-        }
+        self.mem.read_warp(mask, addrs, out)?;
         Ok(0)
     }
 
@@ -744,10 +791,7 @@ impl GMem for FlatMem<'_> {
         addrs: &[u32; WARP_SIZE],
         vals: &[u32; WARP_SIZE],
     ) -> Result<u64, DueKind> {
-        self.mem.check_warp(mask, addrs)?;
-        for lane in lanes_of(mask) {
-            self.mem.write_u32(addrs[lane], vals[lane]);
-        }
+        self.mem.write_warp(mask, addrs, vals)?;
         Ok(0)
     }
 }

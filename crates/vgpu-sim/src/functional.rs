@@ -108,19 +108,19 @@ pub fn run_cta<M: GMem>(
             }
             let rb = wi * regs_per_warp;
             let mut quantum = QUANTUM;
+            let mut ctx = ExecCtx {
+                kernel,
+                params: &lc.params,
+                ntid: lc.block_x,
+                nctaid: lc.grid_x,
+                regs: &mut regs[rb..rb + regs_per_warp],
+                smem: &mut smem,
+                mem: &mut *mem,
+                stats: &mut *stats,
+                sw: sw.as_deref_mut(),
+                max_stack,
+            };
             loop {
-                let mut ctx = ExecCtx {
-                    kernel,
-                    params: &lc.params,
-                    ntid: lc.block_x,
-                    nctaid: lc.grid_x,
-                    regs: &mut regs[rb..rb + regs_per_warp],
-                    smem: &mut smem,
-                    mem: &mut *mem,
-                    stats: &mut *stats,
-                    sw: sw.as_deref_mut(),
-                    max_stack,
-                };
                 match step_warp(&mut warps[wi], &mut ctx).map_err(LaunchAbort::Due)? {
                     StepEvent::Done => {
                         running -= 1;

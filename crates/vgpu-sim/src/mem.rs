@@ -185,6 +185,64 @@ impl GlobalMem {
         Ok(())
     }
 
+    /// Load one word per lane of `mask` into `out`, after
+    /// [`GlobalMem::check_warp`]'s checks.
+    pub fn read_warp(
+        &self,
+        mask: u32,
+        addrs: &[u32; WARP_SIZE],
+        out: &mut [u32; WARP_SIZE],
+    ) -> Result<(), DueKind> {
+        if let Some(row) = self.row_span(mask, addrs) {
+            for (o, w) in out.iter_mut().zip(self.data[row].chunks_exact(4)) {
+                *o = u32::from_le_bytes(w.try_into().expect("a word is 4 bytes"));
+            }
+            return Ok(());
+        }
+        self.check_warp(mask, addrs)?;
+        for lane in lanes_of(mask) {
+            out[lane] = self.read_u32(addrs[lane]);
+        }
+        Ok(())
+    }
+
+    /// Store one word per lane of `mask` from `vals`, after
+    /// [`GlobalMem::check_warp`]'s checks, in ascending lane order.
+    pub fn write_warp(
+        &mut self,
+        mask: u32,
+        addrs: &[u32; WARP_SIZE],
+        vals: &[u32; WARP_SIZE],
+    ) -> Result<(), DueKind> {
+        if let Some(row) = self.row_span(mask, addrs) {
+            for (w, v) in self.data[row].chunks_exact_mut(4).zip(vals) {
+                w.copy_from_slice(&v.to_le_bytes());
+            }
+            return Ok(());
+        }
+        self.check_warp(mask, addrs)?;
+        for lane in lanes_of(mask) {
+            self.write_u32(addrs[lane], vals[lane]);
+        }
+        Ok(())
+    }
+
+    /// The bytes of a full warp whose lanes address 32 consecutive
+    /// aligned words, ascending, in one mapped range: no lane can fault,
+    /// so the row moves as one piece.
+    fn row_span(&self, mask: u32, addrs: &[u32; WARP_SIZE]) -> Option<std::ops::Range<usize>> {
+        let base = addrs[0];
+        let consecutive = (0..WARP_SIZE).fold(mask == u32::MAX, |ok, l| {
+            ok & (addrs[l] == base.wrapping_add(4 * l as u32))
+        });
+        if !consecutive || !base.is_multiple_of(4) {
+            return None;
+        }
+        let (_, end) = self.range_of_word(base)?;
+        let row_end = base as u64 + 4 * WARP_SIZE as u64;
+        (row_end <= end as u64).then_some(base as usize..row_end as usize)
+    }
+
     /// Read a word (caller must have validated the access).
     #[inline]
     pub fn read_u32(&self, addr: u32) -> u32 {

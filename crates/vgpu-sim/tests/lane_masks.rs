@@ -9,12 +9,21 @@
 //!
 //! `proptest_engines.rs` cannot catch a mistake here: both of its engines
 //! run through this same `step_warp`.
+//!
+//! Then the row paths that the random instruction rarely reaches: global
+//! rows of 32 consecutive words, FFMA rows bit for bit against
+//! `f32::mul_add`, every shape of a shared-memory access (the DUE lane, the
+//! stores before it, two lanes on one word, each bank-conflict degree, the
+//! probe events), and the per-pc facts of every app kernel against its ops.
 
 use proptest::prelude::*;
 use vgpu_arch::{
-    BoolOp, CmpOp, Instr, Kernel, MemSpace, Op, Operand, Pred, Reg, SpecialReg, WARP_SIZE,
+    BoolOp, CmpOp, Instr, InstrClass, Kernel, MemAccess, MemSpace, Op, Operand, Pred, Reg,
+    SpecialReg, WARP_SIZE,
 };
-use vgpu_sim::exec::{step_warp, ExecCtx, FlatMem, StepEvent};
+use vgpu_sim::exec::{
+    ffma_row, ffma_row_lanes, step_warp, ExecCtx, FlatMem, GMem, IssueClass, StepEvent,
+};
 use vgpu_sim::warp::Warp;
 use vgpu_sim::{DueKind, GlobalMem, Stats};
 
@@ -470,4 +479,448 @@ proptest! {
             (w, e) => panic!("{op:?} mask {mask:#x}: model {w:?}, interpreter {e:?}"),
         }
     }
+}
+
+#[test]
+fn global_rows_of_consecutive_words_match_the_per_lane_model() {
+    // Full warps on 32 consecutive words move as one piece when the row
+    // lies in one mapped range; every other row takes the lane path.
+    let (r0, r1) = (GLOBAL[0].0, GLOBAL[1].0);
+    let bases = [
+        r0,
+        r0 + 0x40,
+        r0 + 0x80,   // ends exactly at the range's end
+        r0 + 0x84,   // lane 31 past the end
+        r1,          // the whole second range
+        r1 - 0x40,   // starts in the guard gap
+        r0 + 2,      // misaligned
+        0xffff_ffc0, // wraps around the address space
+    ];
+    for base in bases {
+        for mask in [u32::MAX, 0x7fff_ffff, 0xffff_fffe] {
+            for op in [
+                Op::Ld {
+                    d: Reg(1),
+                    space: MemSpace::Global,
+                    a: Reg(0),
+                    off: 0,
+                },
+                Op::St {
+                    space: MemSpace::Global,
+                    a: Reg(0),
+                    off: 0,
+                    v: Reg(2),
+                },
+            ] {
+                let mut mem = GlobalMem::new(0x2000);
+                for (s, e) in GLOBAL {
+                    mem.map(s, e - s);
+                    for addr in (s..e).step_by(4) {
+                        mem.write_u32(addr, addr.wrapping_mul(0x9e37_79b9));
+                    }
+                }
+                let mut regs = vec![0u32; NUM_REGS as usize * WARP_SIZE];
+                for l in 0..WARP_SIZE {
+                    regs[l] = base.wrapping_add(4 * l as u32);
+                    regs[2 * WARP_SIZE + l] = 0x5000 + l as u32;
+                }
+                let before = State {
+                    regs,
+                    preds: [mask, 0, 0, 0],
+                    smem: vec![0; SMEM_WORDS],
+                    mem,
+                };
+                let mut want = before.clone();
+                let want_res = model(&op, mask, &mut want);
+                let mut got = before.clone();
+                let got_res = interpret(op, Pred(0), false, &mut got).map(|_| ());
+                assert_eq!(got_res, want_res, "{op:?} base {base:#x} mask {mask:#x}");
+                assert_eq!(got, want, "{op:?} base {base:#x} mask {mask:#x}");
+            }
+        }
+    }
+}
+
+/// Words for FFMA operands: ±0, subnormals, normals, ±max, ±inf, and
+/// NaNs with distinct payloads (quiet and signalling, both signs).
+const FMA_WORDS: [u32; 20] = [
+    0x0000_0000,
+    0x8000_0000,
+    0x0000_0001,
+    0x8000_0001,
+    0x007f_ffff,
+    0x0080_0000,
+    0x3f80_0000,
+    0xbf80_0000,
+    0x4040_0000,
+    0x3eaa_aaab,
+    0x7f7f_ffff,
+    0xff7f_ffff,
+    0x7f80_0000,
+    0xff80_0000,
+    0x7fc0_0000,
+    0x7fc0_1234,
+    0xffc0_0abc,
+    0x7f80_0001,
+    0xff80_5555,
+    0x7fa0_0007,
+];
+
+#[test]
+fn ffma_rows_match_per_lane_mul_add_bit_for_bit() {
+    let f = f32::from_bits;
+    // Every ordered triple of FMA_WORDS (so one, two and three NaN
+    // operands, each with its own payload), then pseudo-random words.
+    let mut triples: Vec<[u32; 3]> = Vec::new();
+    for &a in &FMA_WORDS {
+        for &b in &FMA_WORDS {
+            for &c in &FMA_WORDS {
+                triples.push([a, b, c]);
+            }
+        }
+    }
+    let mut x = 0x2545_f491_4f6c_dd1du64;
+    for _ in 0..32 * 64 {
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as u32
+        };
+        triples.push([next(), next(), next()]);
+    }
+    let nan_operands = |t: &[u32; 3]| t.iter().filter(|&&w| f(w).is_nan()).count();
+    for n in 0..=3 {
+        assert!(triples.iter().any(|t| nan_operands(t) == n));
+    }
+    for chunk in triples.chunks(WARP_SIZE) {
+        let mut rows = [[0u32; WARP_SIZE]; 3];
+        for (l, t) in chunk.iter().enumerate() {
+            for (row, &w) in rows.iter_mut().zip(t) {
+                row[l] = w;
+            }
+        }
+        let [a, b, c] = &rows;
+        let hw = ffma_row(a, b, c);
+        let portable = ffma_row_lanes(a, b, c);
+        for l in 0..chunk.len() {
+            let want = f(a[l]).mul_add(f(b[l]), f(c[l])).to_bits();
+            assert_eq!(hw[l], want, "ffma_row {:08x?}", chunk[l]);
+            assert_eq!(portable[l], want, "ffma_row_lanes {:08x?}", chunk[l]);
+        }
+    }
+}
+
+/// Shared words of the shared-memory shape tests: 32 banks, 32 deep.
+const BIG_SMEM: usize = 1024;
+
+/// [`FlatMem`] that records the shared-memory probe events it is given,
+/// and reports itself probed only when `on`.
+struct SmemProbe<'a> {
+    flat: FlatMem<'a>,
+    on: bool,
+    events: Vec<(usize, bool)>,
+}
+
+impl GMem for SmemProbe<'_> {
+    fn load(
+        &mut self,
+        tex: bool,
+        mask: u32,
+        addrs: &[u32; WARP_SIZE],
+        out: &mut [u32; WARP_SIZE],
+    ) -> Result<u64, DueKind> {
+        self.flat.load(tex, mask, addrs, out)
+    }
+
+    fn store(
+        &mut self,
+        mask: u32,
+        addrs: &[u32; WARP_SIZE],
+        vals: &[u32; WARP_SIZE],
+    ) -> Result<u64, DueKind> {
+        self.flat.store(mask, addrs, vals)
+    }
+
+    fn probed(&self) -> bool {
+        self.on
+    }
+
+    fn probe_smem(&mut self, word: usize, write: bool) {
+        self.events.push((word, write));
+    }
+}
+
+/// One shared-memory access and what it left behind.
+struct SmemRun {
+    res: Result<StepEvent, DueKind>,
+    /// R1: the load destination, `0xdead_0000 + lane` before.
+    dst: Vec<u32>,
+    /// Shared memory, `!word` before.
+    smem: Vec<u32>,
+    events: Vec<(usize, bool)>,
+}
+
+/// Step `LD.S R1, [R0]` (or `ST.S [R0], R2` with `R2 = 0x100 + lane`) on
+/// the lanes of `mask`, with `R0 = addrs`.
+fn smem_step(store: bool, mask: u32, addrs: [u32; WARP_SIZE], probed: bool) -> SmemRun {
+    let (a, d, v) = (Reg(0), Reg(1), Reg(2));
+    let op = if store {
+        Op::St {
+            space: MemSpace::Shared,
+            a,
+            off: 0,
+            v,
+        }
+    } else {
+        Op::Ld {
+            d,
+            space: MemSpace::Shared,
+            a,
+            off: 0,
+        }
+    };
+    let kernel = Kernel::new(
+        "smem",
+        vec![Instr::new(op), Instr::new(Op::Exit)],
+        3,
+        (BIG_SMEM * 4) as u32,
+    )
+    .unwrap();
+    let mut regs = vec![0u32; 3 * WARP_SIZE];
+    for l in 0..WARP_SIZE {
+        regs[l] = addrs[l];
+        regs[WARP_SIZE + l] = 0xdead_0000 + l as u32;
+        regs[2 * WARP_SIZE + l] = 0x100 + l as u32;
+    }
+    let mut smem: Vec<u32> = (0..BIG_SMEM as u32).map(|i| !i).collect();
+    let mut global = GlobalMem::new(64);
+    let mut mem = SmemProbe {
+        flat: FlatMem { mem: &mut global },
+        on: probed,
+        events: Vec::new(),
+    };
+    let mut stats = Stats::default();
+    let mut w = Warp::new(0, 0, 0, mask, 0);
+    let res = step_warp(
+        &mut w,
+        &mut ExecCtx {
+            kernel: &kernel,
+            params: &[],
+            ntid: 32,
+            nctaid: 1,
+            regs: &mut regs,
+            smem: &mut smem,
+            mem: &mut mem,
+            stats: &mut stats,
+            sw: None,
+            max_stack: 64,
+        },
+    );
+    SmemRun {
+        res,
+        dst: regs[WARP_SIZE..2 * WARP_SIZE].to_vec(),
+        smem,
+        events: mem.events,
+    }
+}
+
+fn smem_issued(extra_conflicts: u32) -> Result<StepEvent, DueKind> {
+    Ok(StepEvent::Issued(IssueClass::Smem { extra_conflicts }))
+}
+
+/// Word `l` on lane `l`: one word per bank.
+fn stride_one() -> [u32; WARP_SIZE] {
+    std::array::from_fn(|l| 4 * l as u32)
+}
+
+#[test]
+fn smem_aligned_row_loads_and_stores_every_lane() {
+    let ld = smem_step(false, u32::MAX, stride_one(), true);
+    assert_eq!(ld.res, smem_issued(0));
+    assert!((0..WARP_SIZE).all(|l| ld.dst[l] == !(l as u32)));
+    let want: Vec<_> = (0..WARP_SIZE).map(|l| (l, false)).collect();
+    assert_eq!(ld.events, want);
+
+    let st = smem_step(true, u32::MAX, stride_one(), true);
+    assert_eq!(st.res, smem_issued(0));
+    assert!((0..WARP_SIZE).all(|l| st.smem[l] == 0x100 + l as u32));
+    assert!((WARP_SIZE..BIG_SMEM).all(|i| st.smem[i] == !(i as u32)));
+    let want: Vec<_> = (0..WARP_SIZE).map(|l| (l, true)).collect();
+    assert_eq!(st.events, want);
+}
+
+#[test]
+fn smem_first_bad_lane_raises_its_due_after_the_lanes_below_it() {
+    let end = (BIG_SMEM * 4) as u32;
+    // (bad lanes and their addresses, the DUE): the lowest bad lane
+    // decides, and a lane both misaligned and out of range is Misaligned.
+    let cases: [(&[(usize, u32)], DueKind); 4] = [
+        (&[(5, 22)], DueKind::Misaligned { addr: 22 }),
+        (&[(7, end)], DueKind::SmemOutOfBounds { off: end }),
+        (
+            &[(9, end + 4), (12, 2)],
+            DueKind::SmemOutOfBounds { off: end + 4 },
+        ),
+        (
+            &[(3, end + 1), (4, end)],
+            DueKind::Misaligned { addr: end + 1 },
+        ),
+    ];
+    for (bad, due) in cases {
+        let mut addrs = stride_one();
+        for &(l, a) in bad {
+            addrs[l] = a;
+        }
+        let first = bad[0].0;
+        for store in [false, true] {
+            let run = smem_step(store, u32::MAX, addrs, true);
+            assert_eq!(run.res, Err(due), "store {store}");
+            for l in 0..WARP_SIZE {
+                let moved = if store {
+                    run.smem[l] == 0x100 + l as u32
+                } else {
+                    run.dst[l] == !(l as u32)
+                };
+                assert_eq!(moved, l < first, "store {store}, lane {l}");
+            }
+            let want: Vec<_> = (0..first).map(|l| (l, store)).collect();
+            assert_eq!(run.events, want, "store {store}");
+        }
+    }
+}
+
+#[test]
+fn smem_two_lanes_on_one_word() {
+    let mut addrs = stride_one();
+    addrs[20] = addrs[3];
+    // Bank 3 holds lanes 3 and 20; bank 20 none.
+    let st = smem_step(true, u32::MAX, addrs, true);
+    assert_eq!(st.res, smem_issued(1));
+    assert_eq!(st.smem[3], 0x100 + 20, "the higher lane's store wins");
+    assert_eq!(st.smem[20], !20);
+    assert_eq!(st.events[20], (3, true));
+
+    let ld = smem_step(false, u32::MAX, addrs, true);
+    assert_eq!(ld.res, smem_issued(1));
+    assert_eq!((ld.dst[3], ld.dst[20]), (!3, !3));
+}
+
+#[test]
+fn smem_each_bank_conflict_degree() {
+    for degree in 1..=WARP_SIZE {
+        // Lanes `k * degree ..` share bank `k`, each on its own word.
+        let addrs: [u32; WARP_SIZE] =
+            std::array::from_fn(|l| 4 * ((l / degree) + WARP_SIZE * (l % degree)) as u32);
+        for store in [false, true] {
+            let run = smem_step(store, u32::MAX, addrs, false);
+            assert_eq!(run.res, smem_issued(degree as u32 - 1), "degree {degree}");
+        }
+    }
+    // Every lane on one word counts 32 times.
+    let run = smem_step(false, u32::MAX, [64; WARP_SIZE], false);
+    assert_eq!(run.res, smem_issued(31));
+}
+
+#[test]
+fn smem_partial_mask_touches_and_checks_its_lanes_only() {
+    let mask = 0x00f0_0f0f;
+    let end = (BIG_SMEM * 4) as u32;
+    // Inactive lanes hold addresses that would raise a DUE; lanes 0 and
+    // 8 share bank 0.
+    let addrs: [u32; WARP_SIZE] = std::array::from_fn(|l| match l {
+        8 => 4 * WARP_SIZE as u32,
+        _ if mask >> l & 1 != 0 => 4 * l as u32,
+        _ => end + l as u32,
+    });
+    let active = |l: usize| mask >> l & 1 != 0;
+    let ld = smem_step(false, mask, addrs, true);
+    assert_eq!(ld.res, smem_issued(1));
+    for l in 0..WARP_SIZE {
+        let want = match l {
+            8 => !(WARP_SIZE as u32),
+            _ if active(l) => !(l as u32),
+            _ => 0xdead_0000 + l as u32,
+        };
+        assert_eq!(ld.dst[l], want, "lane {l}");
+    }
+    let st = smem_step(true, mask, addrs, true);
+    assert_eq!(st.res, smem_issued(1));
+    for (l, &addr) in addrs.iter().enumerate() {
+        let stored = st.smem[(addr / 4) as usize % BIG_SMEM] == 0x100 + l as u32;
+        assert_eq!(stored, active(l), "lane {l}");
+    }
+    let want: Vec<_> = (0..WARP_SIZE)
+        .filter(|&l| active(l))
+        .map(|l| ((addrs[l] / 4) as usize, true))
+        .collect();
+    assert_eq!(st.events, want);
+    // Unprobed, no event is reported.
+    assert!(smem_step(true, mask, addrs, false).events.is_empty());
+}
+
+#[test]
+fn every_app_kernel_has_its_ops_facts() {
+    use kernels::apps::*;
+    let kernels = [
+        sradv1::kernel_extract(),
+        sradv1::kernel_prepare(),
+        sradv1::kernel_reduce(),
+        sradv1::kernel_srad(),
+        sradv1::kernel_srad2(),
+        sradv1::kernel_compress(),
+        sradv2::kernel1(),
+        sradv2::kernel2(),
+        kmeans::kernel_invert(),
+        kmeans::kernel_point(),
+        hotspot::kernel(),
+        lud::kernel_diagonal(),
+        lud::kernel_perimeter(),
+        lud::kernel_internal(),
+        scp::kernel(),
+        va::kernel(),
+        nw::kernel1(),
+        nw::kernel2(),
+        pathfinder::kernel(),
+        backprop::kernel_layerforward(),
+        backprop::kernel_adjust(),
+        bfs::kernel_expand(),
+        bfs::kernel_fold(),
+    ];
+    assert_eq!(kernels.len(), ::kernels::total_kernels());
+    // Hardened runs launch the same kernels with `grid_y == 3`, plus the
+    // vote kernel.
+    let vote = ::kernels::tmr::vote_kernel();
+    let mut seen = [false; 4];
+    for k in kernels.iter().chain([vote]) {
+        assert_eq!(k.facts().len(), k.instrs.len(), "{}", k.name);
+        for (pc, (i, facts)) in k.instrs.iter().zip(k.facts()).enumerate() {
+            let op = &i.op;
+            let access = match *op {
+                Op::Ld {
+                    space: MemSpace::Shared,
+                    ..
+                }
+                | Op::St {
+                    space: MemSpace::Shared,
+                    ..
+                } => MemAccess::Shared,
+                Op::Ld { .. } => MemAccess::GlobalLoad,
+                Op::St { .. } => MemAccess::GlobalStore,
+                _ => MemAccess::None,
+            };
+            seen[access as usize] = true;
+            assert_eq!(facts.access, access, "{} pc {pc}: {op}", k.name);
+            assert_eq!(facts.gp_dest, op.has_gp_dest(), "{} pc {pc}: {op}", k.name);
+            assert_eq!(facts.class, op.instr_class(), "{} pc {pc}: {op}", k.name);
+            assert_eq!(
+                facts.reads_src,
+                !op.src_regs().is_empty(),
+                "{} pc {pc}: {op}",
+                k.name
+            );
+            assert_eq!(facts.gp_dest, facts.class != InstrClass::Other);
+        }
+    }
+    assert_eq!(seen, [true; 4], "the suite makes every kind of access");
 }
