@@ -1,10 +1,10 @@
 //! What the subcommands share on top of the flag table: the
-//! runtime-failure exit, and the projections of `--adaptive` and
-//! `--telemetry-port` that both `run`/`serve` and `serve`/`work` use.
+//! runtime-failure exit, and the projection of `--adaptive` that both
+//! `run` and `serve` use.
 
 use bench::cli::{die, Parsed};
 pub use bench::driver::fail;
-use dispatch::{CampaignSpec, TelemetryCfg};
+use dispatch::CampaignSpec;
 use relia::plan::{Layer, TrialTarget};
 use stat::{sw_targets, uarch_targets, AdaptiveCfg};
 
@@ -31,19 +31,5 @@ pub fn adaptive_targets(spec: &CampaignSpec) -> Vec<TrialTarget> {
         (Layer::Uarch, None) => uarch_targets(),
         (Layer::Uarch, Some(v)) => v.iter().map(|&h| TrialTarget::Structure(h)).collect(),
         (Layer::Sw, _) => sw_targets(),
-    }
-}
-
-/// `--telemetry-port` (0 = ephemeral; pair it with
-/// `--telemetry-port-file` so pollers can find the port).
-pub fn telemetry_cfg(a: &Parsed) -> Option<TelemetryCfg> {
-    let port_file = a.path("--telemetry-port-file");
-    match a.num::<u16>("--telemetry-port") {
-        Some(port) => Some(TelemetryCfg {
-            listen: format!("127.0.0.1:{port}"),
-            port_file,
-        }),
-        None if port_file.is_some() => die("--telemetry-port-file requires --telemetry-port"),
-        None => None,
     }
 }

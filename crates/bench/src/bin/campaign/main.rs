@@ -18,7 +18,7 @@
 //! campaign merge --app VA --layer uarch shard0.jsonl shard1.jsonl ...
 //! campaign serve --app VA --layer uarch --shards 3 --listen 127.0.0.1:0 [--adaptive ...]
 //! campaign work  --connect 127.0.0.1:PORT
-//! campaign status|top|scrape ADDR, campaign lint, campaign timeline FILE...
+//! campaign timeline FILE...
 //! ```
 //!
 //! `campaign --help` lists the subcommands and `campaign <sub> --help`
@@ -44,20 +44,19 @@
 //! dispatch failures), **0** on success and for `--help`.
 
 mod args;
-mod fleet;
 mod golden;
 mod merge;
 mod paper;
 mod run;
 mod serve;
+mod timeline;
 mod work;
 
 use bench::cli::{die, usage, Cmd};
 use bench::figures::{EXTENSIONS, FIGURES};
 use bench::{finish_observability, init_observability};
 
-const SUBCOMMANDS: &str =
-    "paper|extensions|list|golden|run|merge|serve|work|status|top|scrape|lint|timeline";
+const SUBCOMMANDS: &str = "paper|extensions|list|golden|run|merge|serve|work|timeline";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -74,8 +73,6 @@ fn main() {
         }
         println!(
             "usage: campaign list                   the applications and their kernels\n\
-             usage: campaign status|scrape ADDR     one-shot fleet view / lint of a telemetry endpoint\n\
-             usage: campaign lint                   validate Prometheus exposition text from stdin\n\
              usage: campaign timeline FILE...       merge JSONL trace events into one timeline"
         );
         return;
@@ -97,11 +94,7 @@ fn main() {
         "merge" => merge::merge(rest),
         "serve" => serve::serve(rest),
         "work" => work::work(rest),
-        "status" => fleet::status(rest),
-        "top" => fleet::top(rest),
-        "scrape" => fleet::scrape(rest),
-        "lint" => fleet::lint(),
-        "timeline" => fleet::timeline(rest),
+        "timeline" => timeline::timeline(rest),
         other => die(&format!("unknown subcommand {other:?} ({SUBCOMMANDS})")),
     }
     finish_observability();

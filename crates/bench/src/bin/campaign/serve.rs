@@ -8,7 +8,7 @@ use bench::cli::{parse_or_exit, Cmd};
 use dispatch::{DispatchCfg, DispatchStats};
 use stat::run_adaptive;
 
-use crate::args::{adaptive, adaptive_targets, fail, telemetry_cfg};
+use crate::args::{adaptive, adaptive_targets, fail};
 use crate::merge::print_result;
 use crate::run::print_adaptive;
 
@@ -36,7 +36,6 @@ pub fn serve(args: &[String]) {
         shards: a.num("--shards").unwrap_or(defaults.shards),
         lease: a.millis("--lease-ms").unwrap_or(defaults.lease),
         out_dir: a.path("--out-dir"),
-        telemetry: telemetry_cfg(&a),
     };
     let csv = a.path("--csv");
     let listen = a.text("--listen").unwrap_or("127.0.0.1:0");

@@ -4,7 +4,7 @@
 use bench::cli::{die, parse_or_exit, Cmd};
 use dispatch::{WorkSummary, WorkerCfg};
 
-use crate::args::{fail, telemetry_cfg};
+use crate::args::fail;
 
 /// The injected `--fail-after` death is the requested behaviour.
 fn report_death(s: &WorkSummary) {
@@ -21,7 +21,6 @@ pub fn work(args: &[String]) {
             .text("--name")
             .map_or_else(|| format!("worker-{}", std::process::id()), String::from),
         fail_after: a.num("--fail-after"),
-        telemetry: telemetry_cfg(&a),
         trace: a.has("--trace"),
     };
     let Some(addr) = a.text("--connect") else {
@@ -29,10 +28,18 @@ pub fn work(args: &[String]) {
     };
     match dispatch::work(addr, &cfg) {
         Ok(s) if s.died_early => report_death(&s),
-        Ok(s) => println!(
-            "worker {}: {} shards completed, {} trials executed",
-            s.worker, s.shards_completed, s.trials_executed
-        ),
+        Ok(s) => {
+            // Records over the capture cap never reached the coordinator's
+            // timeline: say so, or the gap reads as missing work.
+            let lost = match s.trace_dropped {
+                0 => String::new(),
+                n => format!(", {n} trace records dropped"),
+            };
+            println!(
+                "worker {}: {} shards completed, {} trials executed{lost}",
+                s.worker, s.shards_completed, s.trials_executed
+            );
+        }
         Err(e) => fail(&e.to_string()),
     }
 }

@@ -31,7 +31,6 @@ pub enum Cmd {
     Merge,
     Serve,
     Work,
-    Top,
     /// `campaign paper` and `campaign extensions`: every campaign behind
     /// a figure set, once.
     Paper,
@@ -40,12 +39,11 @@ pub enum Cmd {
 }
 
 impl Cmd {
-    pub const ALL: [Cmd; 7] = [
+    pub const ALL: [Cmd; 6] = [
         Cmd::Run,
         Cmd::Merge,
         Cmd::Serve,
         Cmd::Work,
-        Cmd::Top,
         Cmd::Paper,
         Cmd::Golden,
     ];
@@ -62,7 +60,6 @@ impl Cmd {
             Cmd::Merge => "merge",
             Cmd::Serve => "serve",
             Cmd::Work => "work",
-            Cmd::Top => "top",
             Cmd::Paper => "paper|extensions",
             Cmd::Golden => "golden",
         }
@@ -72,7 +69,6 @@ impl Cmd {
     fn positional(self) -> Option<&'static str> {
         match self {
             Cmd::Merge => Some("SHARD.jsonl..."),
-            Cmd::Top => Some("ADDR"),
             _ => None,
         }
     }
@@ -82,7 +78,6 @@ const RUN: u16 = Cmd::Run.bit();
 const MERGE: u16 = Cmd::Merge.bit();
 const SERVE: u16 = Cmd::Serve.bit();
 const WORK: u16 = Cmd::Work.bit();
-const TOP: u16 = Cmd::Top.bit();
 const PAPER: u16 = Cmd::Paper.bit();
 const GOLDEN: u16 = Cmd::Golden.bit();
 /// The commands that rebuild a plan from a campaign description.
@@ -117,7 +112,6 @@ pub struct Flag {
 
 const ANY: RangeInclusive<u64> = 0..=u64::MAX;
 const POSITIVE: RangeInclusive<u64> = 1..=u64::MAX;
-const PORT: RangeInclusive<u64> = 0..=u16::MAX as u64;
 /// `--n-uarch` / `--n-sw`: the bound [`CampaignSpec::validate`] puts on `--n`.
 const SAMPLE: RangeInclusive<u64> = 0..=MAX_N as u64;
 
@@ -181,16 +175,11 @@ pub const FLAGS: &[Flag] = &[
     flag("--port-file", Arg::Text("PATH"), SERVE, "write the bound port here (write-then-rename)"),
     flag("--lease-ms", Arg::Num("MS", POSITIVE), SERVE, "shard lease duration, which every fleet timing derives from; default 10000"),
     flag("--out-dir", Arg::Text("DIR"), SERVE | PAPER, "serve: shard journals under DIR; paper, extensions (required): CSVs + journal/"),
-    flag("--telemetry-port", Arg::Num("PORT", PORT), SERVE | WORK, "mount /metrics and /status on 127.0.0.1:PORT (0 = any)"),
-    flag("--telemetry-port-file", Arg::Text("PATH"), SERVE | WORK, "write the bound telemetry port here"),
     // Worker.
     flag("--connect", Arg::Addr, WORK, "coordinator address (required)"),
-    flag("--name", Arg::Text("NAME"), WORK, "worker name in events and /status"),
+    flag("--name", Arg::Text("NAME"), WORK, "worker name in events and trace records"),
     flag("--fail-after", Arg::Num("N", ANY), WORK, "test hook: die abruptly after N trial records"),
     flag("--trace", Arg::Switch, WORK, "forward trace events to the coordinator after each lease"),
-    // Fleet view.
-    flag("--interval-ms", Arg::Num("MS", POSITIVE), TOP, "poll interval; default 1000"),
-    flag("--iterations", Arg::Num("N", ANY), TOP, "stop after N polls (0 = until the campaign is done)"),
     // Figure sets.
     flag("--apps", Arg::Text("VA,NW,.."), PAPER, "suite subset"),
 ];
@@ -215,9 +204,8 @@ impl Arg {
         }
     }
 
-    /// Whether `v` is an acceptable value for the flag (or argument)
-    /// called `name`.
-    pub fn check(&self, name: &str, v: &str) -> Result<(), String> {
+    /// Whether `v` is an acceptable value for the flag called `name`.
+    fn check(&self, name: &str, v: &str) -> Result<(), String> {
         match self {
             Arg::Switch | Arg::Text(_) => Ok(()),
             Arg::Num(_, range) => match v.parse::<u64>() {
@@ -586,7 +574,6 @@ mod tests {
             "--connect noport",
             "--connect :123",
             "--connect 127.0.0.1:99999",
-            "--telemetry-port 70000",
         ] {
             assert!(parse(Cmd::Work, &args(bad)).is_err(), "work {bad}");
         }

@@ -170,7 +170,6 @@ fn help_exits_0_and_lists_the_flags() {
         ("merge", "--csv", "--backend"),
         ("serve", "--lease-ms", "--checkpoint"),
         ("work", "--connect", "--app"),
-        ("top", "--interval-ms", "--app"),
         ("paper", "--out-dir", "--app "),
         ("extensions", "--fault-model", "--app "),
         ("golden", "--hardened", "--seed"),
@@ -265,29 +264,34 @@ fn removed_timing_flags_are_unknown_options() {
 }
 
 #[test]
-fn telemetry_validation_errors_exit_2() {
-    // Telemetry flags and the status/top/scrape/timeline consumers.
-    assert_exit(&["serve", "--app", "VA", "--telemetry-port", "70000"], 2);
-    assert_exit(
-        &["serve", "--app", "VA", "--telemetry-port-file", "p.txt"],
-        2,
-    ); // port file without a port
-    assert_exit(
-        &[
-            "work",
-            "--connect",
-            "127.0.0.1:80",
-            "--telemetry-port-file",
-            "p.txt",
-        ],
-        2,
-    );
-    assert_exit(&["status"], 2); // missing ADDR
-    assert_exit(&["status", "nonsense"], 2);
-    assert_exit(&["top"], 2);
-    assert_exit(&["top", "127.0.0.1:80", "--interval-ms", "0"], 2);
-    assert_exit(&["top", "127.0.0.1:80", "--bogus"], 2);
-    assert_exit(&["scrape"], 2);
+fn removed_telemetry_surface_is_unknown() {
+    // The event log is the fleet's one telemetry output: there is no
+    // endpoint to mount and no live view to poll. The flags are gone, not
+    // ignored. (Spelled in pieces, like the other removed flags, so that a
+    // grep over the sources finds none.)
+    let serve = ["serve", "--app", "VA"];
+    let work = ["work", "--connect", "127.0.0.1:80"];
+    let port = format!("--{}-port", "telemetry");
+    for (cmd, removed) in [
+        (&serve, port.clone()),
+        (&work, port.clone()),
+        (&serve, format!("{port}-file")),
+        (&work, format!("{port}-file")),
+        (&serve, format!("--interval-{}", "ms")),
+        (&serve, format!("--{}", "iterations")),
+    ] {
+        let out = campaign(&[&cmd[..], &[&removed, "1"]].concat());
+        assert_eq!(out.status.code(), Some(2), "{removed}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown option"), "{removed}: {stderr}");
+    }
+    // And so are the subcommands that read the endpoints.
+    for sub in ["status", "top", "scrape", "lint"] {
+        let out = campaign(&[sub, "127.0.0.1:80"]);
+        assert_eq!(out.status.code(), Some(2), "{sub}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown subcommand"), "{sub}: {stderr}");
+    }
     assert_exit(&["timeline"], 2); // no files
 }
 
@@ -298,40 +302,24 @@ fn one_session_serves_an_adaptive_campaign_so_no_flag_asks_for_it() {
     // the other removed flags, so that a grep over the sources finds none.)
     let removed = format!("--{}", "follow");
     assert_exit(&["work", "--connect", "127.0.0.1:80", &removed], 2);
-    // And with one coordinator and one session per campaign, both ends
-    // mount a telemetry port like any other campaign's: the command lines
-    // pass validation and fail at run time only — here on a listen
-    // address that is taken, and on a coordinator that is not there.
+    // An adaptive coordinator and its worker take the command lines of
+    // any other campaign's: they pass validation and fail at run time
+    // only — here on a listen address that is taken, and on a coordinator
+    // that is not there.
     let taken = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = taken.local_addr().unwrap().to_string();
     assert_exit(
-        &[
-            "serve",
-            "--app",
-            "VA",
-            "--adaptive",
-            "--telemetry-port",
-            "0",
-            "--listen",
-            &addr,
-        ],
+        &["serve", "--app", "VA", "--adaptive", "--listen", &addr],
         1,
     );
     drop(taken);
-    assert_exit(&["work", "--connect", &addr, "--telemetry-port", "0"], 1);
+    assert_exit(&["work", "--connect", &addr], 1);
 }
 
 #[test]
 fn telemetry_runtime_failures_exit_1() {
-    // A dead port is a runtime failure for every poller, and a missing
-    // events file is a runtime failure for the timeline renderer.
-    let port = {
-        let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        l.local_addr().unwrap().port()
-    };
-    let addr = format!("127.0.0.1:{port}");
-    assert_exit(&["status", &addr], 1);
-    assert_exit(&["scrape", &addr], 1);
+    // A missing events file is a runtime failure for the timeline
+    // renderer.
     assert_exit(&["timeline", "/definitely/not/events.jsonl"], 1);
 }
 

@@ -36,7 +36,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::Ordering as AtomicOrdering;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -510,13 +509,12 @@ fn simulate(
 /// resume-or-simulate → classify — where each stage either decides the
 /// trial or passes it on. Which stages are live follows from `path`
 /// alone; classification is bit-identical on all three
-/// (differential-tested). Returns the record plus the cycles actually
-/// simulated (throughput accounting).
+/// (differential-tested).
 fn run_one_trial(
     prep: &PreparedCampaign,
     t: &crate::plan::PlannedTrial,
     path: FastForward,
-) -> (TrialRecord, u64) {
+) -> TrialRecord {
     let wd = prep.cfg.watchdog;
     let layer = prep.plan.layer.label();
     let obs_on = observing();
@@ -525,7 +523,6 @@ fn run_one_trial(
         adjudicate(prep, path, *ordinal, pf)
             .or_else(|| obs::span("kernels.trials", || simulate(prep, path, *ordinal, pf)))
     });
-    let mut sim_cost = 0u64;
     let (mut outcome, cost_differs) = match run {
         // No eligible fault population: trivially masked.
         None => (Outcome::Masked, false),
@@ -534,7 +531,6 @@ fn run_one_trial(
             (Outcome::Timeout, false)
         }
         Some(Some(r)) => {
-            sim_cost = r.simulated_cost;
             let mut o = r.outcome;
             // The cycle budget checks *architectural* cost: every path
             // must classify every trial identically, and
@@ -558,15 +554,14 @@ fn run_one_trial(
     if let (true, Some(t0)) = (obs_on, t0) {
         observe_trial(prep, t, outcome, t0);
     }
-    let rec = TrialRecord {
+    TrialRecord {
         idx: t.index,
         outcome,
         // The Figure-11 control-path proxy: a masked run whose total cost
         // differs from golden had its control path disturbed.
         ctrl: outcome == Outcome::Masked && cost_differs,
         wall_us,
-    };
-    (rec, sim_cost)
+    }
 }
 
 /// Scheduling key for snapshot locality: trials of the same launch,
@@ -577,38 +572,6 @@ fn trial_sort_key(t: &crate::plan::PlannedTrial) -> (u64, u64) {
         None => (0, 0),
         Some((ordinal, PlannedFault::Uarch(u))) => (*ordinal as u64 + 1, u.cycle),
         Some((ordinal, PlannedFault::Sw(s))) => (*ordinal as u64 + 1, s.target),
-    }
-}
-
-/// Refresh the engine-side throughput gauges consumed by `/metrics` and
-/// the telemetry `/status` documents. Rates are stored in milli-units
-/// (gauges are integers): `campaign_trial_rate_milli` is trials/s ×
-/// 1000; `campaign_eta_ms` is the projected time to finish the current
-/// trial set at the observed rate.
-fn record_trial_rate(done: u64, total: u64, sim_cycles: u64, t0: Instant) {
-    obs::gauge_set("campaign_trials_done", &[], done);
-    obs::gauge_set("campaign_trials_planned", &[], total);
-    // Simulated-cost throughput: under replay (and fast-forward) the
-    // wall cost of a trial varies by orders of magnitude, so trial
-    // counts alone make ETA/rate projections meaningless; status
-    // surfaces should prefer these when nonzero.
-    obs::gauge_set("campaign_sim_cycles_done", &[], sim_cycles);
-    let secs = t0.elapsed().as_secs_f64();
-    if secs > 0.0 {
-        let rate = done as f64 / secs;
-        obs::gauge_set("campaign_trial_rate_milli", &[], (rate * 1e3) as u64);
-        obs::gauge_set(
-            "campaign_sim_cycle_rate_milli",
-            &[],
-            (sim_cycles as f64 / secs * 1e3) as u64,
-        );
-        if rate > 0.0 && total >= done {
-            obs::gauge_set(
-                "campaign_eta_ms",
-                &[],
-                ((total - done) as f64 / rate * 1e3) as u64,
-            );
-        }
     }
 }
 
@@ -669,28 +632,17 @@ where
     if sorted {
         order.sort_by_key(|&i| trial_sort_key(&prep.plan.trials[i]));
     }
-    // Fleet telemetry: progress / throughput / ETA gauges for the local
-    // `/metrics` endpoint, and per-trial trace contexts. Pure
-    // observation — nothing here touches the seeded RNG streams.
-    let telem = observing();
-    if telem {
+    // Per-trial trace contexts. Pure observation — nothing here touches
+    // the seeded RNG streams.
+    if observing() {
         obs::trace::set_campaign_fp(prep.plan.fingerprint());
     }
-    let total = order.len() as u64;
-    let done_ctr = std::sync::atomic::AtomicU64::new(0);
-    let sim_ctr = std::sync::atomic::AtomicU64::new(0);
-    let t0 = Instant::now();
     let mut records: Vec<TrialRecord> = obs::span("core.execute", || {
         (order.par_iter())
             .map(|&idx| -> Result<TrialRecord, std::io::Error> {
-                let (rec, sim_cost) = obs::trace::with_ctx(idx as u64, || {
+                let rec = obs::trace::with_ctx(idx as u64, || {
                     run_one_trial(prep, &prep.plan.trials[idx], path)
                 });
-                if telem {
-                    let done = done_ctr.fetch_add(1, AtomicOrdering::Relaxed) + 1;
-                    let sim = sim_ctr.fetch_add(sim_cost, AtomicOrdering::Relaxed) + sim_cost;
-                    record_trial_rate(done, total, sim, t0);
-                }
                 sink(&rec)?;
                 Ok(rec)
             })

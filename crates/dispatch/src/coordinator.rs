@@ -2,9 +2,8 @@
 //! results.
 //!
 //! A coordinator outlives one plan: [`serve_with`] binds the fleet — the
-//! listener, the accepted connections, the worker directory, the
-//! telemetry server, one running [`DispatchStats`] — to the caller's
-//! closure, and [`Coordinator::run`] serves one plan to it, once per wave
+//! listener, the accepted connections, one running [`DispatchStats`] —
+//! to the caller's closure, and [`Coordinator::run`] serves one plan to it, once per wave
 //! of an adaptive campaign. [`serve`] is the one-plan case.
 //!
 //! One accept loop (non-blocking, 20 ms tick) doubles as the lease
@@ -34,10 +33,9 @@
 
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use obs::events::push_json_str;
 use obs::{counter_add, gauge_set};
 use relia::checkpoint::{CheckpointHeader, CheckpointWriter, TrialRecord};
 use relia::plan::{shard_trials, CampaignPlan};
@@ -46,7 +44,7 @@ use relia::{EngineError, RecordSet};
 use crate::proto::{
     backoff, parse_frame, wait, write_frame, CampaignSpec, Frame, Line, LineReader, PROTO_VERSION,
 };
-use crate::{DispatchError, TelemetryCfg};
+use crate::DispatchError;
 
 /// Accept-loop tick: how often the coordinator scans for expired leases.
 const ACCEPT_TICK: Duration = Duration::from_millis(20);
@@ -56,15 +54,6 @@ const HANDLER_TICK: Duration = Duration::from_millis(50);
 /// How long a handler lingers after sending `shutdown`, waiting for the
 /// worker to hang up first (so the worker reads the frame, not a reset).
 const FAREWELL_GRACE: Duration = Duration::from_secs(5);
-/// How often the accept loop re-renders the `/status` fleet view (the
-/// render scans every slot, so it runs well below the accept tick rate).
-const STATUS_TICK: Duration = Duration::from_millis(250);
-/// How often the scraper thread polls worker `/metrics` endpoints.
-const SCRAPE_TICK: Duration = Duration::from_millis(500);
-/// Per-worker scrape budget; a hung worker endpoint must not stall the
-/// whole scrape round.
-const SCRAPE_TIMEOUT: Duration = Duration::from_millis(250);
-
 /// Coordinator settings.
 #[derive(Debug, Clone)]
 pub struct DispatchCfg {
@@ -78,9 +67,6 @@ pub struct DispatchCfg {
     /// Journal each completed shard here as a checkpoint file, fsynced
     /// *before* the shard is acked (crash-safe hand-off).
     pub out_dir: Option<PathBuf>,
-    /// Mount `GET /metrics` + `GET /status` here while serving
-    /// (docs/OBSERVABILITY.md). `None` = no telemetry server.
-    pub telemetry: Option<TelemetryCfg>,
 }
 
 impl Default for DispatchCfg {
@@ -89,7 +75,6 @@ impl Default for DispatchCfg {
             shards: 2,
             lease: Duration::from_secs(10),
             out_dir: None,
-            telemetry: None,
         }
     }
 }
@@ -130,7 +115,6 @@ enum ShardState {
     },
     Leased {
         conn: u64,
-        worker: String,
         expires: Instant,
         attempts: u64,
     },
@@ -157,12 +141,11 @@ struct Job {
     shard_idxs: Vec<Vec<usize>>,
     records: RecordSet,
     shards: Vec<ShardState>,
-    started: Instant,
     done: bool,
 }
 
 struct State {
-    /// The plan of the latest `run` (kept after it completes, for `/status`).
+    /// The plan of the latest `run`.
     job: Option<Job>,
     stats: DispatchStats,
     /// The caller's closure has returned: handlers say `shutdown`.
@@ -173,14 +156,7 @@ struct State {
 /// A running coordinator, handed to the closure of [`serve_with`].
 pub struct Coordinator<'a> {
     cfg: &'a DispatchCfg,
-    /// Workers that said hello: `(name, telemetry addr)` — addr may be
-    /// empty when the worker mounts no telemetry server.
-    workers: Mutex<Vec<(String, String)>>,
     state: Mutex<State>,
-    /// The `/status` document the telemetry server hands out: its
-    /// handlers need 'static content, so the fleet view is published
-    /// into a shared string.
-    status_doc: Arc<Mutex<String>>,
     /// Signalled on every transition a thread may be parked on: a plan
     /// installed, a plan finished or aborted, the campaign over.
     wake: Condvar,
@@ -221,14 +197,12 @@ pub fn serve_with<R>(
     }
     let coord = Coordinator {
         cfg,
-        workers: Mutex::new(Vec::new()),
         state: Mutex::new(State {
             job: None,
             stats: DispatchStats::default(),
             over: false,
             fatal: None,
         }),
-        status_doc: Arc::new(Mutex::new(String::from("{}"))),
         wake: Condvar::new(),
     };
     // Lifecycle markers (serve_start/lease/shard_complete/complete) are
@@ -239,44 +213,12 @@ pub fn serve_with<R>(
     }
     listener.set_nonblocking(true)?;
 
-    let worker_metrics = Arc::new(Mutex::new(String::new()));
-    let _telemetry = match &cfg.telemetry {
-        None => None,
-        Some(tcfg) => {
-            let status = Arc::clone(&coord.status_doc);
-            let extra = Arc::clone(&worker_metrics);
-            Some(crate::mount_telemetry(
-                tcfg,
-                obs::Handlers {
-                    status: Box::new(move || status.lock().unwrap().clone()),
-                    metrics_extra: Box::new(move || extra.lock().unwrap().clone()),
-                },
-            )?)
-        }
-    };
-
     let out = std::thread::scope(|s| {
         let coord = &coord;
-        if _telemetry.is_some() {
-            // Scraper: poll every advertised worker /metrics and
-            // re-export the series under worker="name" labels.
-            let extra = Arc::clone(&worker_metrics);
-            s.spawn(move || {
-                while !coord.state.lock().unwrap().over {
-                    *extra.lock().unwrap() = scrape_workers(coord);
-                    std::thread::sleep(SCRAPE_TICK);
-                }
-            });
-        }
         let listener = &listener;
         s.spawn(move || {
             let mut next_conn = 1u64;
-            let mut last_status = Instant::now() - STATUS_TICK;
             while !coord.state.lock().unwrap().over {
-                if last_status.elapsed() >= STATUS_TICK {
-                    last_status = Instant::now();
-                    coord.publish_status();
-                }
                 match listener.accept() {
                     Ok((stream, _addr)) => {
                         let conn = next_conn;
@@ -301,8 +243,6 @@ pub fn serve_with<R>(
         let _end = EndCampaign(coord);
         body(coord)
     });
-    // Final (post-completion) fleet view for pollers that race shutdown.
-    coord.publish_status();
     let st = coord.state.into_inner().unwrap();
     Ok((out, st.stats))
 }
@@ -374,12 +314,9 @@ impl Coordinator<'_> {
                 records: RecordSet::new(plan.len()),
                 done: states.iter().all(|s| matches!(s, ShardState::Done)),
                 shards: states,
-                started: now,
             });
         }
         self.wake.notify_all();
-        // A poller sees the new plan at once, not a status tick later.
-        self.publish_status();
         let running = |s: &mut State| s.fatal.is_none() && s.job.as_ref().is_some_and(|j| !j.done);
         let mut st = (self.wake)
             .wait_while(self.state.lock().unwrap(), running)
@@ -403,13 +340,6 @@ impl Coordinator<'_> {
         Ok(records)
     }
 
-    /// Re-render the `/status` document, if a telemetry server serves one.
-    fn publish_status(&self) {
-        if self.cfg.telemetry.is_some() {
-            *self.status_doc.lock().unwrap() = render_status(self);
-        }
-    }
-
     /// End the current plan — complete, or aborted by `fatal` — and wake
     /// its `run`.
     fn finish(&self, st: &mut State, fatal: Option<DispatchError>) {
@@ -421,165 +351,6 @@ impl Coordinator<'_> {
         }
         self.wake.notify_all();
     }
-}
-
-/// Render the coordinator's `/status` document: one JSON object with the
-/// fleet view of the current plan (`campaign status`/`campaign top` poll
-/// this; `{}` until the first plan is installed). Scans every shard's
-/// slots, so it runs at [`STATUS_TICK`] rate, not per request. Also
-/// refreshes the coordinator-side `dispatch_*` gauges so `/metrics`
-/// moves in lockstep with `/status`.
-fn render_status(coord: &Coordinator) -> String {
-    let st = coord.state.lock().unwrap();
-    let Some(job) = &st.job else {
-        return String::from("{}");
-    };
-    let now = Instant::now();
-    let held_total = job.records.held();
-    let planned = job.header.trials;
-    let elapsed = job.started.elapsed();
-    let rate = if elapsed.as_secs_f64() > 0.0 {
-        held_total as f64 / elapsed.as_secs_f64()
-    } else {
-        0.0
-    };
-    let remaining = planned.saturating_sub(held_total);
-    // No observed rate yet means no projection: `eta_ms` is omitted from
-    // the document (status renderers print `eta --`) and the gauge is
-    // left untouched rather than lying with a 0.
-    let eta_ms: Option<u64> = if job.done {
-        Some(0)
-    } else if rate > 0.0 {
-        Some((remaining as f64 / rate * 1000.0) as u64)
-    } else {
-        None
-    };
-    gauge_set("dispatch_records_held", &[], held_total as u64);
-    gauge_set("dispatch_records_planned", &[], planned as u64);
-    gauge_set("dispatch_record_rate_milli", &[], (rate * 1000.0) as u64);
-    if let Some(ms) = eta_ms {
-        gauge_set("dispatch_eta_ms", &[], ms);
-    }
-    gauge_set(
-        "dispatch_workers_known",
-        &[],
-        coord.workers.lock().unwrap().len() as u64,
-    );
-
-    let mut out = String::with_capacity(1024);
-    out.push_str("{\"record\":\"dispatch_status\",\"role\":\"coordinator\"");
-    out.push_str(",\"app\":");
-    push_json_str(&mut out, &job.spec.app);
-    out.push_str(",\"layer\":");
-    push_json_str(&mut out, job.spec.layer.label());
-    // The trial counts below are the current wave's; the stats are the
-    // whole campaign's.
-    if let Some(w) = &job.spec.wave {
-        out.push_str(&format!(",\"wave\":{}", w.wave));
-    }
-    out.push_str(",\"campaign_fp\":");
-    push_json_str(&mut out, &format!("{:016x}", job.header.fingerprint));
-    out.push_str(&format!(
-        ",\"shards\":{},\"trials\":{planned},\"records_held\":{held_total}",
-        coord.cfg.shards
-    ));
-    out.push_str(&format!(",\"records_per_s\":{rate:.3}"));
-    if let Some(ms) = eta_ms {
-        out.push_str(&format!(",\"eta_ms\":{ms}"));
-    }
-    out.push_str(&format!(",\"elapsed_ms\":{}", elapsed.as_millis()));
-    out.push_str(&format!(",\"done\":{}", st.over));
-    out.push_str(&format!(
-        ",\"stats\":{{\"workers_joined\":{},\"leases_granted\":{},\"leases_reassigned\":{},\
-         \"leases_expired\":{},\"shards_completed\":{},\"duplicate_records\":{},\
-         \"torn_frames\":{},\"resend_requests\":{}}}",
-        st.stats.workers_joined,
-        st.stats.leases_granted,
-        st.stats.leases_reassigned,
-        st.stats.leases_expired,
-        st.stats.shards_completed,
-        st.stats.duplicate_records,
-        st.stats.torn_frames,
-        st.stats.resend_requests
-    ));
-    out.push_str(",\"shard_detail\":[");
-    for (i, s) in job.shards.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let total = job.shard_idxs[i].len();
-        let held = total - job.records.missing(&job.shard_idxs[i]).len();
-        out.push_str(&format!(
-            "{{\"shard\":{i},\"held\":{held},\"total\":{total}"
-        ));
-        match s {
-            ShardState::Pending {
-                not_before,
-                attempts,
-            } => {
-                let retry_in = not_before.saturating_duration_since(now).as_millis();
-                out.push_str(&format!(
-                    ",\"state\":\"pending\",\"attempts\":{attempts},\"retry_in_ms\":{retry_in}}}"
-                ));
-            }
-            ShardState::Leased {
-                worker,
-                expires,
-                attempts,
-                ..
-            } => {
-                let expires_in = expires.saturating_duration_since(now);
-                let hb_age = coord.cfg.lease.saturating_sub(expires_in).as_millis();
-                out.push_str(",\"state\":\"leased\",\"owner\":");
-                push_json_str(&mut out, worker);
-                out.push_str(&format!(
-                    ",\"attempts\":{attempts},\"heartbeat_age_ms\":{hb_age},\
-                     \"expires_in_ms\":{}}}",
-                    expires_in.as_millis()
-                ));
-            }
-            ShardState::Done => out.push_str(",\"state\":\"done\"}"),
-        }
-    }
-    out.push_str("],\"workers\":[");
-    for (i, (name, addr)) in coord.workers.lock().unwrap().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"name\":");
-        push_json_str(&mut out, name);
-        out.push_str(",\"telemetry\":");
-        push_json_str(&mut out, addr);
-        out.push('}');
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Scrape every advertised worker `/metrics`, relabel each series with
-/// `worker="name"`, and return the concatenated exposition text (appended
-/// verbatim to the coordinator's own `/metrics` body — the lint accepts
-/// per-worker label sets under a shared family). Unreachable workers are
-/// skipped; a counter records the misses.
-fn scrape_workers(coord: &Coordinator) -> String {
-    let targets: Vec<(String, String)> = coord
-        .workers
-        .lock()
-        .unwrap()
-        .iter()
-        .filter(|(_, addr)| !addr.is_empty())
-        .cloned()
-        .collect();
-    let mut out = String::new();
-    for (name, addr) in targets {
-        match obs::http_get(&addr, "/metrics", SCRAPE_TIMEOUT) {
-            Ok((200, body)) => out.push_str(&obs::expo::inject_label(&body, "worker", &name)),
-            Ok(_) | Err(_) => {
-                counter_add("dispatch_scrape_failures_total", &[], 1);
-            }
-        }
-    }
-    out
 }
 
 /// Put a lost lease back in play, after the backoff its attempt count earns.
@@ -707,7 +478,6 @@ fn next_frame(coord: &Coordinator, conn: u64, worker: &str, seq: u64) -> (Frame,
     };
     job.shards[shard] = ShardState::Leased {
         conn,
-        worker: worker.to_string(),
         expires: now + coord.cfg.lease,
         attempts,
     };
@@ -901,15 +671,7 @@ fn handle_inner(conn: u64, mut stream: TcpStream, coord: &Coordinator) -> std::i
         Some(Frame::Hello {
             worker,
             proto: PROTO_VERSION,
-            telemetry,
-        }) => {
-            let mut ws = coord.workers.lock().unwrap();
-            match ws.iter_mut().find(|(n, _)| *n == worker) {
-                Some(entry) => entry.1 = telemetry,
-                None => ws.push((worker.clone(), telemetry)),
-            }
-            worker
-        }
+        }) => worker,
         _ => return Ok(()),
     };
     coord.state.lock().unwrap().stats.workers_joined += 1;

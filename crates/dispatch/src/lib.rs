@@ -43,38 +43,6 @@ pub use proto::{
 pub use worker::{work, WorkSummary, WorkerCfg};
 
 use std::fmt;
-use std::path::PathBuf;
-
-/// Where a dispatch endpoint mounts its telemetry HTTP server
-/// (`GET /metrics`, `GET /status` — docs/OBSERVABILITY.md).
-#[derive(Debug, Clone)]
-pub struct TelemetryCfg {
-    /// Bind address; port 0 picks an ephemeral port (read it back from
-    /// `port_file` or the startup log line).
-    pub listen: String,
-    /// Write the bound port here (write-then-rename, so a waiting reader
-    /// never observes a partial file).
-    pub port_file: Option<PathBuf>,
-}
-
-/// Bind a telemetry server per `cfg` and publish the chosen port.
-pub(crate) fn mount_telemetry(
-    cfg: &TelemetryCfg,
-    handlers: obs::Handlers,
-) -> std::io::Result<obs::TelemetryServer> {
-    // Mounting /metrics implies wanting metrics: turn the registry on so
-    // the dispatch_* series actually move. Safe by the observability
-    // invariant — metrics never touch the seeded RNG streams (the
-    // telemetry differential test pins the bit-identical merge).
-    obs::set_enabled(true);
-    let server = obs::TelemetryServer::bind(&cfg.listen, handlers)?;
-    if let Some(pf) = &cfg.port_file {
-        let tmp = pf.with_extension("tmp");
-        std::fs::write(&tmp, format!("{}\n", server.addr().port()))?;
-        std::fs::rename(&tmp, pf)?;
-    }
-    Ok(server)
-}
 
 use relia::EngineError;
 

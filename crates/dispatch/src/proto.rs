@@ -8,7 +8,7 @@
 //! [`relia::checkpoint::CheckpointWriter`] unchanged.
 //!
 //! ```text
-//! W→C  {"frame":"hello","worker":"w1","proto":4,"telemetry":""}
+//! W→C  {"frame":"hello","worker":"w1","proto":5}
 //! C→W  {"frame":"job","app":"VA","layer":"uarch","n":60,"seed":7,...}
 //! W→C  {"frame":"ready","fingerprint":123456789}
 //! C→W  {"frame":"lease","shard":2,"done":"8,14","ms":10000}
@@ -52,8 +52,9 @@ use vgpu_sim::{FaultPattern, GpuConfig, HwStructure, SwFaultKind};
 /// version 3 changed no frame's bytes but lets `job` repeat on one
 /// connection, which a version-2 worker would read as a protocol error;
 /// version 4 adds the lease's duration (`ms`) to the `lease` frame, which
-/// the worker derives its heartbeat from.
-pub const PROTO_VERSION: u64 = 4;
+/// the worker derives its heartbeat from; version 5 drops the worker's
+/// telemetry address from the `hello` frame.
+pub const PROTO_VERSION: u64 = 5;
 
 /// How long a worker waits on a silent coordinator before it gives up. A
 /// constant: an idle worker hears from the coordinator at least every
@@ -335,15 +336,8 @@ impl CampaignSpec {
 /// One protocol frame (control frames plus streamed trial records).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
-    /// Worker introduces itself after connecting. `telemetry` is the
-    /// address of the worker's `/metrics` endpoint (`""` = none); the
-    /// coordinator scrapes it and re-exports the series with a
-    /// `worker=` label.
-    Hello {
-        worker: String,
-        proto: u64,
-        telemetry: String,
-    },
+    /// Worker introduces itself after connecting.
+    Hello { worker: String, proto: u64 },
     /// Coordinator describes the campaign; the worker rebuilds the plan.
     Job {
         spec: CampaignSpec,
@@ -401,16 +395,11 @@ impl Frame {
     /// Serialize as a single JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
         let (kind, fields): (&str, Vec<(&str, JsonValue)>) = match self {
-            Frame::Hello {
-                worker,
-                proto,
-                telemetry,
-            } => (
+            Frame::Hello { worker, proto } => (
                 "hello",
                 vec![
                     ("worker", worker.as_str().into()),
                     ("proto", (*proto).into()),
-                    ("telemetry", telemetry.as_str().into()),
                 ],
             ),
             Frame::Job {
@@ -493,7 +482,6 @@ pub fn parse_frame(line: &str) -> Option<Frame> {
         "hello" => Some(Frame::Hello {
             worker: f.str("worker")?.to_string(),
             proto: f.u64("proto")?,
-            telemetry: f.str("telemetry")?.to_string(),
         }),
         "job" => {
             let structures = match f.str("structures")? {
@@ -675,12 +663,10 @@ mod tests {
             Frame::Hello {
                 worker: "w\"1\\".into(),
                 proto: PROTO_VERSION,
-                telemetry: "127.0.0.1:9102".into(),
             },
             Frame::Hello {
                 worker: "plain".into(),
                 proto: PROTO_VERSION,
-                telemetry: String::new(),
             },
             Frame::Job {
                 spec: spec(),
@@ -797,19 +783,19 @@ mod tests {
         assert!(parse_frame(&h.to_json()).is_none());
     }
 
-    /// One line per frame kind. Every one but `lease` holds the bytes the
-    /// protocol-3 writer produced for the same values; `lease` gained its
-    /// duration, and one without it does not parse.
+    /// One line per frame kind. Every one but `lease` and `hello` holds
+    /// the bytes the protocol-3 writer produced for the same values;
+    /// `lease` gained its duration in protocol 4, and one without it does
+    /// not parse; `hello` lost the worker's telemetry address in 5.
     #[test]
     fn every_frame_kind_is_pinned_byte_for_byte() {
         let pins = [
             (
                 Frame::Hello {
                     worker: "w\"1".into(),
-                    proto: 4,
-                    telemetry: "127.0.0.1:9102".into(),
+                    proto: 5,
                 },
-                r#"{"frame":"hello","worker":"w\"1","proto":4,"telemetry":"127.0.0.1:9102"}"#,
+                r#"{"frame":"hello","worker":"w\"1","proto":5}"#,
             ),
             (
                 Frame::Job {
@@ -924,11 +910,10 @@ mod tests {
         let hello = Frame::Hello {
             worker: "w".into(),
             proto: PROTO_VERSION,
-            telemetry: String::new(),
         }
         .to_json();
         assert!(parse_frame(&hello).is_some());
-        assert!(parse_frame(&hello.replace(",\"telemetry\":\"\"", "")).is_none());
+        assert!(parse_frame(&hello.replace(",\"proto\":5", "")).is_none());
         let job = Frame::Job {
             spec: spec(),
             shards: 2,

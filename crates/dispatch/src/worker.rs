@@ -40,7 +40,7 @@ use relia::{execute_trials_with, AppCaptures, FastForward, RecordSet};
 use crate::proto::{
     heartbeat, parse_frame, write_frame, Frame, Line, LineReader, PROTO_VERSION, READ_PATIENCE,
 };
-use crate::{DispatchError, TelemetryCfg};
+use crate::DispatchError;
 
 /// Socket-level read tick; overall patience is [`READ_PATIENCE`].
 const READ_TICK: Duration = Duration::from_millis(50);
@@ -54,10 +54,6 @@ pub struct WorkerCfg {
     /// Test hook: tear the connection down (no goodbye) after this many
     /// trial records have been streamed, emulating a SIGKILLed worker.
     pub fail_after: Option<usize>,
-    /// Mount a local `GET /metrics` + `GET /status` server here and
-    /// advertise its address in the hello frame so the coordinator
-    /// scrapes and re-exports this worker's series. `None` = headless.
-    pub telemetry: Option<TelemetryCfg>,
     /// Capture [`obs::TraceEvent`]s during execution and forward them to
     /// the coordinator as `trace` frames after each lease.
     pub trace: bool,
@@ -68,7 +64,6 @@ impl Default for WorkerCfg {
         WorkerCfg {
             name: "worker".into(),
             fail_after: None,
-            telemetry: None,
             trace: false,
         }
     }
@@ -84,6 +79,9 @@ pub struct WorkSummary {
     pub trials_executed: usize,
     /// True when `fail_after` fired and the session died mid-stream.
     pub died_early: bool,
+    /// Trace records lost to the capture cap during this session, so
+    /// missing from the coordinator's timeline (0 unless `trace`).
+    pub trace_dropped: u64,
 }
 
 /// Read the next well-formed frame, dropping torn lines, within
@@ -138,23 +136,7 @@ struct Job<'b> {
 /// is reported as `Ok` with [`WorkSummary::died_early`] set — the test
 /// harness treats it as the expected outcome, not a failure.
 pub fn work(addr: &str, cfg: &WorkerCfg) -> Result<WorkSummary, DispatchError> {
-    // Mount the local telemetry server first so the hello frame can
-    // advertise a live address for the coordinator to scrape.
-    let telemetry = match &cfg.telemetry {
-        None => None,
-        Some(tcfg) => {
-            // A worker with a live /status endpoint keeps the progress
-            // counters moving so the document carries real trial counts
-            // (execute_trials records per-injection outcomes only while
-            // the reporter is on).
-            obs::progress::enable();
-            let name = cfg.name.clone();
-            Some(crate::mount_telemetry(
-                tcfg,
-                obs::Handlers::status_only(move || worker_status(&name)),
-            )?)
-        }
-    };
+    let dropped_before = obs::trace::dropped();
     if cfg.trace {
         obs::trace::set_tracing(true);
         obs::trace::set_capture(true);
@@ -172,10 +154,6 @@ pub fn work(addr: &str, cfg: &WorkerCfg) -> Result<WorkSummary, DispatchError> {
         &Frame::Hello {
             worker: cfg.name.clone(),
             proto: PROTO_VERSION,
-            telemetry: telemetry
-                .as_ref()
-                .map(|t| t.addr().to_string())
-                .unwrap_or_default(),
         },
     )?;
 
@@ -193,6 +171,7 @@ pub fn work(addr: &str, cfg: &WorkerCfg) -> Result<WorkSummary, DispatchError> {
         shards_completed: 0,
         trials_executed: 0,
         died_early: false,
+        trace_dropped: 0,
     };
     let held = |job: &Option<Job>| job.as_ref().map_or(0, |j| j.cache.lock().unwrap().held());
 
@@ -310,65 +289,10 @@ pub fn work(addr: &str, cfg: &WorkerCfg) -> Result<WorkSummary, DispatchError> {
     }
 
     summary.trials_executed += held(&job);
+    if cfg.trace {
+        summary.trace_dropped = obs::trace::dropped() - dropped_before;
+    }
     Ok(summary)
-}
-
-/// Render a worker's `/status` document: local engine progress plus
-/// per-injection wall-time quantiles from the global registry.
-fn worker_status(name: &str) -> String {
-    let (done, total, classes) = obs::progress::counts();
-    let mut out = String::with_capacity(256);
-    out.push_str("{\"record\":\"dispatch_status\",\"role\":\"worker\",\"name\":");
-    obs::events::push_json_str(&mut out, name);
-    out.push_str(&format!(",\"trials_done\":{done},\"trials_total\":{total}"));
-    for (c, n) in obs::OutcomeClass::ALL.iter().zip(classes) {
-        out.push_str(&format!(",\"{}\":{n}", c.label()));
-    }
-    // Cost-weighted throughput and replay adjudication counters: under
-    // the replay backend, trial counts alone overstate progress (dead
-    // trials are nearly free), so the status document also carries the
-    // engine's simulated-cycle gauges when they are live.
-    let snap = obs::global().snapshot();
-    let gauge = |k: &str| {
-        snap.gauges
-            .iter()
-            .find(|(n, _)| n == k)
-            .map(|&(_, v)| v)
-            .unwrap_or(0)
-    };
-    let prefix_sum = |p: &str| -> u64 {
-        snap.counters
-            .iter()
-            .filter(|(k, _)| k.starts_with(p))
-            .map(|&(_, v)| v)
-            .sum()
-    };
-    let sim_done = gauge("campaign_sim_cycles_done");
-    if sim_done > 0 {
-        out.push_str(&format!(
-            ",\"sim_cycles_done\":{sim_done},\"sim_cycles_per_s\":{:.1}",
-            gauge("campaign_sim_cycle_rate_milli") as f64 / 1e3
-        ));
-    }
-    let dead = prefix_sum("trace_replay_dead_total");
-    let fell_back = prefix_sum("trace_fallback_full_total");
-    if dead + fell_back > 0 {
-        out.push_str(&format!(
-            ",\"replay_dead\":{dead},\"replay_fallback\":{fell_back}"
-        ));
-    }
-    match obs::progress::wall_quantiles() {
-        Some((p50, p95)) => out.push_str(&format!(
-            ",\"wall_p50_us\":{p50:.1},\"wall_p95_us\":{p95:.1}"
-        )),
-        None => out.push_str(",\"wall_p50_us\":null,\"wall_p95_us\":null"),
-    }
-    out.push_str(&format!(
-        ",\"trace_dropped\":{},\"tracing\":{}}}",
-        obs::trace::dropped(),
-        obs::trace::tracing()
-    ));
-    out
 }
 
 /// Execute the lease's trials in parallel, streaming each record as it

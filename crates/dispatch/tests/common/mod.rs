@@ -64,7 +64,6 @@ impl Conn {
         self.send(&Frame::Hello {
             worker: name.into(),
             proto: PROTO_VERSION,
-            telemetry: String::new(),
         });
         let (spec, shards, fingerprint) = self.await_job();
         self.send(&Frame::Ready { fingerprint });

@@ -6,7 +6,9 @@
 //! 2. a local 3-shard run merged through a `RecordSet`,
 //! 3. a coordinator + 3 worker daemons over TCP, where the FIRST worker
 //!    is killed mid-campaign (socket torn down after a few trials) and
-//!    its lease is reassigned to a healthy worker.
+//!    its lease is reassigned to a healthy worker — in one case with
+//!    trace capture and forwarding on in a healthy worker, which must not
+//!    change a result bit nor lose a trace record.
 //!
 //! "Agree" is byte-level for everything the campaign defines: record
 //! fingerprints, per-trial (idx, outcome, ctrl), and the fully assembled
@@ -53,10 +55,12 @@ fn differential(app: &str, layer: Layer) {
 }
 
 fn differential_pattern(app: &str, layer: Layer, fault_model: FaultPattern) {
-    differential_spec(spec_for(app, layer, fault_model));
+    differential_spec(spec_for(app, layer, fault_model), false);
 }
 
-fn differential_spec(spec: CampaignSpec) {
+/// `trace`: worker w1 captures trace records and forwards them after each
+/// lease (`campaign work --trace`).
+fn differential_spec(spec: CampaignSpec, trace: bool) {
     let app = spec.app.clone();
     let layer = spec.layer;
     let bench = spec.find_bench().expect("benchmark exists");
@@ -93,7 +97,6 @@ fn differential_spec(spec: CampaignSpec) {
         shards: 3,
         lease: Duration::from_millis(300),
         out_dir: None,
-        telemetry: None,
     };
     let healthy = WorkerCfg::default();
     let outcome = std::thread::scope(|s| {
@@ -117,6 +120,7 @@ fn differential_spec(spec: CampaignSpec) {
                 &addr,
                 &WorkerCfg {
                     name: "w1".into(),
+                    trace,
                     ..healthy.clone()
                 },
             )
@@ -131,7 +135,8 @@ fn differential_spec(spec: CampaignSpec) {
             )
         });
         let outcome = coordinator.join().unwrap().expect("serve");
-        w1.join().unwrap().expect("w1");
+        let w1 = w1.join().unwrap().expect("w1");
+        assert_eq!(w1.trace_dropped, 0, "w1 lost trace records: {w1:?}");
         w2.join().unwrap().expect("w2");
         outcome
     });
@@ -192,7 +197,8 @@ fn differential_spec(spec: CampaignSpec) {
 
 #[test]
 fn va_uarch_dispatch_equals_single_shot() {
-    differential("VA", Layer::Uarch);
+    let spec = spec_for("VA", Layer::Uarch, FaultPattern::SingleBit);
+    differential_spec(spec, true);
 }
 
 #[test]
@@ -247,7 +253,6 @@ fn va_uarch_adaptive_dispatch_equals_single_shot() {
         shards: 3,
         lease: Duration::from_millis(300),
         out_dir: None,
-        telemetry: None,
     };
     let healthy = WorkerCfg::default();
     let dispatched = run_adaptive(
@@ -382,10 +387,13 @@ fn va_uarch_replay_backend_dispatch_equals_single_shot() {
     // The workers run the replay backend (the spec field rides the job
     // frame); the single-shot reference stays timed, so this is the
     // cross-backend, cross-process equality the backend axis promises.
-    differential_spec(CampaignSpec {
-        backend: relia::EngineBackend::Replay,
-        ..spec_for("VA", Layer::Uarch, FaultPattern::SingleBit)
-    });
+    differential_spec(
+        CampaignSpec {
+            backend: relia::EngineBackend::Replay,
+            ..spec_for("VA", Layer::Uarch, FaultPattern::SingleBit)
+        },
+        false,
+    );
 }
 
 #[test]

@@ -7,7 +7,7 @@
 //! * a `trial` frame whose index the plan does not have is dropped like a
 //!   torn line — the campaign completes byte-identically — and counted in
 //!   both `DispatchStats::torn_frames` and `dispatch_torn_frames_total`,
-//!   so `/status` and `/metrics` agree.
+//!   so `serve`'s exit line and its exit metrics table agree.
 //!
 //! And, with one connection serving every plan of a campaign, a failure in
 //! a plan after the first:

@@ -58,7 +58,6 @@ fn one_session_per_worker_serves_every_wave() {
         shards: 2,
         lease: Duration::from_millis(300),
         out_dir: None,
-        telemetry: None,
     };
     let worker = |name: &str, fail_after| WorkerCfg {
         name: name.into(),

@@ -74,8 +74,10 @@ fn torn_trial_record_is_dropped_and_resent() {
         // An older peer is refused at hello, never handed a job it would
         // half-understand — or, speaking version 2, a second job it would
         // take for a protocol violation, or, speaking version 3, a lease
-        // whose duration it would not read.
-        for proto in [1, 2, 3] {
+        // whose duration it would not read. A version-4 hello still carries
+        // the telemetry address that version 5 dropped: the extra field
+        // parses, the version refuses it.
+        for proto in [1, 2, 3, 4] {
             let mut old = Conn::connect(&addr);
             old.send_line(&format!(
                 "{{\"frame\":\"hello\",\"worker\":\"old\",\"proto\":{proto},\"telemetry\":\"\"}}"
@@ -303,7 +305,6 @@ fn no_control_frame_prefix_parses() {
         Frame::Hello {
             worker: "w\"1\\".into(),
             proto: PROTO_VERSION,
-            telemetry: "127.0.0.1:9090".into(),
         },
         Frame::Job {
             spec: CampaignSpec {
@@ -415,7 +416,6 @@ proptest! {
         let f = Frame::Hello {
             worker: String::from_utf8(name_bytes).unwrap(),
             proto: PROTO_VERSION,
-            telemetry: "127.0.0.1:1".into(),
         };
         let line = f.to_json();
         prop_assert_eq!(parse_frame(&line), Some(f));

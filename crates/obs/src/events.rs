@@ -24,10 +24,9 @@ use std::sync::Mutex;
 static EVENTS_ON: AtomicBool = AtomicBool::new(false);
 static SINK: Mutex<Option<BufWriter<File>>> = Mutex::new(None);
 
-/// JSON string literal serializer behind [`record_json`] and the nested
-/// `/status` documents, so every shape escapes identically and
-/// [`parse_json`] reads them all.
-pub fn push_json_str(out: &mut String, s: &str) {
+/// JSON string literal serializer behind [`record_json`], so every line
+/// escapes identically and [`parse_json`] reads them all.
+fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -239,8 +238,8 @@ impl Fields {
 }
 
 /// A parsed JSON document node. Unlike [`parse_line`]'s flat rows, this
-/// shape nests — the telemetry `/status` documents carry arrays of
-/// per-shard / per-worker objects.
+/// shape nests — arrays and objects inside objects, as in the perf
+/// ledger's reports.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonNode {
     Scalar(JsonValue),

@@ -29,8 +29,6 @@
 //! observability on or off (guarded by a test in `crates/core`).
 
 pub mod events;
-pub mod expo;
-pub mod http;
 pub mod progress;
 pub mod registry;
 mod span;
@@ -39,7 +37,6 @@ pub mod trace;
 pub use events::{
     emit_record, events_enabled, flush_events, init_events, parse_json, JsonNode, JsonValue,
 };
-pub use http::{http_get, Handlers, TelemetryServer};
 pub use progress::OutcomeClass;
 pub use registry::{
     counter_add, enabled, gauge_set, global, histogram_observe, set_enabled, Histogram,

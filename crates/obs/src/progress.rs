@@ -178,7 +178,7 @@ pub fn eta_secs(done: u64, total: u64, elapsed_secs: f64) -> Option<f64> {
 /// p50/p95 per-injection wall time (µs), merged across every
 /// `injection_wall_us{...}` series in the global registry. `None` when
 /// metrics are off, no series exists yet, or the tail sits in the
-/// overflow bucket. Also feeds the worker `/status` document.
+/// overflow bucket.
 pub fn wall_quantiles() -> Option<(f64, f64)> {
     if !crate::registry::enabled() {
         return None;

@@ -3,8 +3,8 @@
 //! perf ledger gives the same work (docs/OBSERVABILITY.md lists them):
 //!
 //! * metrics on: one observation of the registry histogram
-//!   `span_us{span=<name>}`, which `/metrics`, a coordinator's worker
-//!   scrape and the end-of-run histogram table all carry;
+//!   `span_us{span=<name>}`, which the end-of-run histogram table
+//!   carries;
 //! * tracing on: one span-end trace record with `kind = <name>`.
 //!
 //! With both off, a span costs two relaxed loads.
