@@ -20,7 +20,7 @@ use vgpu_arch::{Kernel, KernelBuilder, MemSpace, Op, Operand, Reg, SpecialReg};
 /// may not survive it depending on the predicate).
 pub fn readers_until_redef(kernel: &Kernel, pc: usize, reg: Reg) -> Vec<usize> {
     let mut readers = Vec::new();
-    for (i, instr) in kernel.instrs.iter().enumerate().skip(pc + 1) {
+    for (i, instr) in kernel.instrs().iter().enumerate().skip(pc + 1) {
         if instr.op.src_regs().contains(&reg) {
             readers.push(i);
         }
@@ -40,7 +40,7 @@ pub fn readers_until_redef(kernel: &Kernel, pc: usize, reg: Reg) -> Vec<usize> {
 pub fn dynamic_readers(kernel: &Kernel, trace: &[u32], at: usize, reg: Reg) -> Vec<usize> {
     let mut readers = Vec::new();
     for (i, &pc) in trace.iter().enumerate().skip(at + 1) {
-        let instr = &kernel.instrs[pc as usize];
+        let instr = &kernel.instrs()[pc as usize];
         if instr.op.src_regs().contains(&reg) {
             readers.push(i);
         }

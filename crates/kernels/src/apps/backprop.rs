@@ -10,6 +10,8 @@
 //! * **K2 `adjust_weights`** — one thread per weight applies the delta
 //!   rule with momentum (pure global-memory ALU work).
 
+use std::sync::OnceLock;
+
 use crate::harness::{AppAbort, Benchmark, RunCtl};
 use crate::kutil::{elem_addr, gid_guard, hash_f32};
 use crate::tmr;
@@ -28,120 +30,126 @@ const SEED: u64 = 0x4250;
 pub struct BackProp;
 
 /// K1: benchmark parameters: 0 = input, 1 = weights, 2 = partial sums.
-pub fn kernel_layerforward() -> Kernel {
-    let mut a = KernelBuilder::new("backprop_k1_layerforward");
-    let s_in = a.alloc_smem(HID * 4); // 16 input activations
-    let s_mat = a.alloc_smem(BLOCK * 4); // 16x16 product matrix
-    debug_assert_eq!(s_in, 0);
-    let roff = tmr::prologue(&mut a);
-    let (tid, row, col, gin, addr, v, w) = (
-        a.reg(),
-        a.reg(),
-        a.reg(),
-        a.reg(),
-        a.reg(),
-        a.reg(),
-        a.reg(),
-    );
-    let p = a.pred();
-    a.s2r(tid, SpecialReg::TidX);
-    a.shr(row, tid, HID.trailing_zeros()); // input row within group
-    a.and(col, tid, HID - 1); // hidden unit
-                              // gin = ctaid * 16 + row: the global input index this row covers.
-    a.s2r(gin, SpecialReg::CtaIdX);
-    a.shl(gin, gin, HID.trailing_zeros());
-    a.iadd(gin, gin, Operand::Reg(row));
-    // Threads in column 0 stage the input slice into shared memory.
-    a.isetp(p, col, 0u32, CmpOp::Eq, true);
-    a.predicated(p, false, |a| {
-        elem_addr(a, addr, roff, 0, gin, 2);
-        a.ld(v, MemSpace::Global, addr, 0);
-        a.shl(addr, row, 2u32);
-        a.st(MemSpace::Shared, addr, s_in as i32, v);
-    });
-    a.bar();
-    // product = input[row] * w[gin*HID + col] into the matrix.
-    a.shl(addr, row, 2u32);
-    a.ld(v, MemSpace::Shared, addr, s_in as i32);
-    a.shl(w, gin, HID.trailing_zeros());
-    a.iadd(w, w, Operand::Reg(col));
-    elem_addr(&mut a, addr, roff, 1, w, 2);
-    a.ld(w, MemSpace::Global, addr, 0);
-    a.fmul(v, v, Operand::Reg(w));
-    a.shl(addr, tid, 2u32);
-    a.st(MemSpace::Shared, addr, s_mat as i32, v);
-    a.bar();
-    // Tree reduction along rows: matrix[row][col] += matrix[row+s][col].
-    let mut s = HID / 2;
-    while s >= 1 {
-        a.isetp(p, row, s, CmpOp::Lt, true);
+pub fn kernel_layerforward() -> &'static Kernel {
+    static K: OnceLock<Kernel> = OnceLock::new();
+    K.get_or_init(|| {
+        let mut a = KernelBuilder::new("backprop_k1_layerforward");
+        let s_in = a.alloc_smem(HID * 4); // 16 input activations
+        let s_mat = a.alloc_smem(BLOCK * 4); // 16x16 product matrix
+        debug_assert_eq!(s_in, 0);
+        let roff = tmr::prologue(&mut a);
+        let (tid, row, col, gin, addr, v, w) = (
+            a.reg(),
+            a.reg(),
+            a.reg(),
+            a.reg(),
+            a.reg(),
+            a.reg(),
+            a.reg(),
+        );
+        let p = a.pred();
+        a.s2r(tid, SpecialReg::TidX);
+        a.shr(row, tid, HID.trailing_zeros()); // input row within group
+        a.and(col, tid, HID - 1); // hidden unit
+                                  // gin = ctaid * 16 + row: the global input index this row covers.
+        a.s2r(gin, SpecialReg::CtaIdX);
+        a.shl(gin, gin, HID.trailing_zeros());
+        a.iadd(gin, gin, Operand::Reg(row));
+        // Threads in column 0 stage the input slice into shared memory.
+        a.isetp(p, col, 0u32, CmpOp::Eq, true);
         a.predicated(p, false, |a| {
-            a.iadd(addr, row, s);
-            a.shl(addr, addr, HID.trailing_zeros());
-            a.iadd(addr, addr, Operand::Reg(col));
-            a.shl(addr, addr, 2u32);
-            a.ld(v, MemSpace::Shared, addr, s_mat as i32);
-            a.shl(addr, tid, 2u32);
-            a.ld(w, MemSpace::Shared, addr, s_mat as i32);
-            a.fadd(w, w, Operand::Reg(v));
-            a.st(MemSpace::Shared, addr, s_mat as i32, w);
+            elem_addr(a, addr, roff, 0, gin, 2);
+            a.ld(v, MemSpace::Global, addr, 0);
+            a.shl(addr, row, 2u32);
+            a.st(MemSpace::Shared, addr, s_in as i32, v);
         });
         a.bar();
-        s /= 2;
-    }
-    // Row 0 publishes: partial[ctaid*HID + col] = matrix[0][col].
-    a.isetp(p, row, 0u32, CmpOp::Eq, true);
-    a.predicated(p, false, |a| {
-        a.shl(addr, col, 2u32);
-        a.ld(v, MemSpace::Shared, addr, s_mat as i32);
-        a.s2r(w, SpecialReg::CtaIdX);
-        a.shl(w, w, HID.trailing_zeros());
+        // product = input[row] * w[gin*HID + col] into the matrix.
+        a.shl(addr, row, 2u32);
+        a.ld(v, MemSpace::Shared, addr, s_in as i32);
+        a.shl(w, gin, HID.trailing_zeros());
         a.iadd(w, w, Operand::Reg(col));
-        elem_addr(a, addr, roff, 2, w, 2);
-        a.st(MemSpace::Global, addr, 0, v);
-    });
-    a.build().expect("layerforward is well formed")
+        elem_addr(&mut a, addr, roff, 1, w, 2);
+        a.ld(w, MemSpace::Global, addr, 0);
+        a.fmul(v, v, Operand::Reg(w));
+        a.shl(addr, tid, 2u32);
+        a.st(MemSpace::Shared, addr, s_mat as i32, v);
+        a.bar();
+        // Tree reduction along rows: matrix[row][col] += matrix[row+s][col].
+        let mut s = HID / 2;
+        while s >= 1 {
+            a.isetp(p, row, s, CmpOp::Lt, true);
+            a.predicated(p, false, |a| {
+                a.iadd(addr, row, s);
+                a.shl(addr, addr, HID.trailing_zeros());
+                a.iadd(addr, addr, Operand::Reg(col));
+                a.shl(addr, addr, 2u32);
+                a.ld(v, MemSpace::Shared, addr, s_mat as i32);
+                a.shl(addr, tid, 2u32);
+                a.ld(w, MemSpace::Shared, addr, s_mat as i32);
+                a.fadd(w, w, Operand::Reg(v));
+                a.st(MemSpace::Shared, addr, s_mat as i32, w);
+            });
+            a.bar();
+            s /= 2;
+        }
+        // Row 0 publishes: partial[ctaid*HID + col] = matrix[0][col].
+        a.isetp(p, row, 0u32, CmpOp::Eq, true);
+        a.predicated(p, false, |a| {
+            a.shl(addr, col, 2u32);
+            a.ld(v, MemSpace::Shared, addr, s_mat as i32);
+            a.s2r(w, SpecialReg::CtaIdX);
+            a.shl(w, w, HID.trailing_zeros());
+            a.iadd(w, w, Operand::Reg(col));
+            elem_addr(a, addr, roff, 2, w, 2);
+            a.st(MemSpace::Global, addr, 0, v);
+        });
+        a.build().expect("layerforward is well formed")
+    })
 }
 
 /// K2: benchmark parameters: 0 = weights, 1 = old deltas, 2 = input,
 /// 3 = hidden deltas, 4 = n (number of weights).
-pub fn kernel_adjust() -> Kernel {
-    let mut a = KernelBuilder::new("backprop_k2_adjust_weights");
-    let roff = tmr::prologue(&mut a);
-    let (gid, tmp, addr, w, ow, inp, dl) = (
-        a.reg(),
-        a.reg(),
-        a.reg(),
-        a.reg(),
-        a.reg(),
-        a.reg(),
-        a.reg(),
-    );
-    let p = a.pred();
-    gid_guard(&mut a, gid, tmp, p, 4);
-    a.if_then(p, false, |a| {
-        // i = gid / HID (input), j = gid % HID (hidden).
-        a.shr(tmp, gid, HID.trailing_zeros());
-        elem_addr(a, addr, roff, 2, tmp, 2);
-        a.ld(inp, MemSpace::Global, addr, 0); // input[i]
-        a.and(tmp, gid, HID - 1);
-        elem_addr(a, addr, roff, 3, tmp, 2);
-        a.ld(dl, MemSpace::Global, addr, 0); // delta[j]
-        elem_addr(a, addr, roff, 1, gid, 2);
-        a.ld(ow, MemSpace::Global, addr, 0); // oldw
-                                             // new_dw = ETA*delta*input + MOMENTUM*oldw
-        a.fmul(dl, dl, Operand::imm_f32(ETA));
-        a.fmul(dl, dl, Operand::Reg(inp));
-        a.ffma(dl, ow, Operand::imm_f32(MOMENTUM), Operand::Reg(dl));
-        // w += new_dw; oldw = new_dw
-        elem_addr(a, addr, roff, 0, gid, 2);
-        a.ld(w, MemSpace::Global, addr, 0);
-        a.fadd(w, w, Operand::Reg(dl));
-        a.st(MemSpace::Global, addr, 0, w);
-        elem_addr(a, addr, roff, 1, gid, 2);
-        a.st(MemSpace::Global, addr, 0, dl);
-    });
-    a.build().expect("adjust_weights is well formed")
+pub fn kernel_adjust() -> &'static Kernel {
+    static K: OnceLock<Kernel> = OnceLock::new();
+    K.get_or_init(|| {
+        let mut a = KernelBuilder::new("backprop_k2_adjust_weights");
+        let roff = tmr::prologue(&mut a);
+        let (gid, tmp, addr, w, ow, inp, dl) = (
+            a.reg(),
+            a.reg(),
+            a.reg(),
+            a.reg(),
+            a.reg(),
+            a.reg(),
+            a.reg(),
+        );
+        let p = a.pred();
+        gid_guard(&mut a, gid, tmp, p, 4);
+        a.if_then(p, false, |a| {
+            // i = gid / HID (input), j = gid % HID (hidden).
+            a.shr(tmp, gid, HID.trailing_zeros());
+            elem_addr(a, addr, roff, 2, tmp, 2);
+            a.ld(inp, MemSpace::Global, addr, 0); // input[i]
+            a.and(tmp, gid, HID - 1);
+            elem_addr(a, addr, roff, 3, tmp, 2);
+            a.ld(dl, MemSpace::Global, addr, 0); // delta[j]
+            elem_addr(a, addr, roff, 1, gid, 2);
+            a.ld(ow, MemSpace::Global, addr, 0); // oldw
+                                                 // new_dw = ETA*delta*input + MOMENTUM*oldw
+            a.fmul(dl, dl, Operand::imm_f32(ETA));
+            a.fmul(dl, dl, Operand::Reg(inp));
+            a.ffma(dl, ow, Operand::imm_f32(MOMENTUM), Operand::Reg(dl));
+            // w += new_dw; oldw = new_dw
+            elem_addr(a, addr, roff, 0, gid, 2);
+            a.ld(w, MemSpace::Global, addr, 0);
+            a.fadd(w, w, Operand::Reg(dl));
+            a.st(MemSpace::Global, addr, 0, w);
+            elem_addr(a, addr, roff, 1, gid, 2);
+            a.st(MemSpace::Global, addr, 0, dl);
+        });
+        a.build().expect("adjust_weights is well formed")
+    })
 }
 
 pub fn input_unit(i: u32) -> f32 {
@@ -184,7 +192,7 @@ impl Benchmark for BackProp {
         }
         let k1 = kernel_layerforward();
         let k2 = kernel_adjust();
-        ctl.launch(0, &k1, GROUPS, BLOCK, vec![input, weights, partial])?;
+        ctl.launch(0, k1, GROUPS, BLOCK, vec![input, weights, partial])?;
         ctl.vote(0, &[(partial, GROUPS * HID)])?;
         // Host: fold partial sums per hidden unit, sigmoid, delta rule
         // against a constant target.
@@ -199,7 +207,7 @@ impl Benchmark for BackProp {
         }
         ctl.launch(
             1,
-            &k2,
+            k2,
             nw / BLOCK,
             BLOCK,
             vec![weights, oldw, input, deltas, nw],

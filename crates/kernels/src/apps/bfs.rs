@@ -12,6 +12,8 @@
 //! capped so corrupted flags cannot hang the run). Integer data — output
 //! comparisons are exact.
 
+use std::sync::OnceLock;
+
 use crate::harness::{AppAbort, Benchmark, RunCtl};
 use crate::kutil::{elem_addr, gid_guard, hash_u32};
 use crate::tmr;
@@ -56,92 +58,98 @@ pub fn graph() -> (Vec<u32>, Vec<u32>) {
 
 /// K1: benchmark parameters: 0 = starts, 1 = edges, 2 = mask, 3 = updating,
 /// 4 = visited, 5 = cost, 6 = nodes.
-pub fn kernel_expand() -> Kernel {
-    let mut a = KernelBuilder::new("bfs_k1_expand");
-    let roff = tmr::prologue(&mut a);
-    let (gid, tmp, addr, j, end, nb, cost) = (
-        a.reg(),
-        a.reg(),
-        a.reg(),
-        a.reg(),
-        a.reg(),
-        a.reg(),
-        a.reg(),
-    );
-    let (p, q, r) = (a.pred(), a.pred(), a.pred());
-    gid_guard(&mut a, gid, tmp, p, 6);
-    a.if_then(p, false, |a| {
-        // q = mask[gid] != 0
-        elem_addr(a, addr, roff, 2, gid, 2);
-        a.ld(tmp, MemSpace::Global, addr, 0);
-        a.isetp(q, tmp, 0u32, CmpOp::Ne, true);
-        a.if_then(q, false, |a| {
-            // mask[gid] = 0
-            a.mov(tmp, 0u32);
-            a.st(MemSpace::Global, addr, 0, tmp);
-            // my cost
-            elem_addr(a, addr, roff, 5, gid, 2);
-            a.ld(cost, MemSpace::Global, addr, 0);
-            a.iadd(cost, cost, 1u32);
-            // j = starts[gid], end = starts[gid+1]
-            elem_addr(a, addr, roff, 0, gid, 2);
-            a.ld(j, MemSpace::Global, addr, 0);
-            a.ld(end, MemSpace::Global, addr, 4);
-            // Guard against zero-trip (cannot happen fault-free: deg >= 2).
-            a.isetp(r, j, Operand::Reg(end), CmpOp::Lt, true);
-            a.if_then(r, false, |a| {
-                a.loop_while(|a| {
-                    // nb = edges[j]
-                    elem_addr(a, addr, roff, 1, j, 2);
-                    a.ld(nb, MemSpace::Global, addr, 0);
-                    // if !visited[nb]: cost[nb] = cost; updating[nb] = 1
-                    elem_addr(a, addr, roff, 4, nb, 2);
-                    a.ld(tmp, MemSpace::Global, addr, 0);
-                    a.isetp(r, tmp, 0u32, CmpOp::Eq, true);
-                    a.predicated(r, false, |a| {
-                        elem_addr(a, addr, roff, 5, nb, 2);
-                        a.st(MemSpace::Global, addr, 0, cost);
-                        a.mov(tmp, 1u32);
-                        elem_addr(a, addr, roff, 3, nb, 2);
-                        a.st(MemSpace::Global, addr, 0, tmp);
+pub fn kernel_expand() -> &'static Kernel {
+    static K: OnceLock<Kernel> = OnceLock::new();
+    K.get_or_init(|| {
+        let mut a = KernelBuilder::new("bfs_k1_expand");
+        let roff = tmr::prologue(&mut a);
+        let (gid, tmp, addr, j, end, nb, cost) = (
+            a.reg(),
+            a.reg(),
+            a.reg(),
+            a.reg(),
+            a.reg(),
+            a.reg(),
+            a.reg(),
+        );
+        let (p, q, r) = (a.pred(), a.pred(), a.pred());
+        gid_guard(&mut a, gid, tmp, p, 6);
+        a.if_then(p, false, |a| {
+            // q = mask[gid] != 0
+            elem_addr(a, addr, roff, 2, gid, 2);
+            a.ld(tmp, MemSpace::Global, addr, 0);
+            a.isetp(q, tmp, 0u32, CmpOp::Ne, true);
+            a.if_then(q, false, |a| {
+                // mask[gid] = 0
+                a.mov(tmp, 0u32);
+                a.st(MemSpace::Global, addr, 0, tmp);
+                // my cost
+                elem_addr(a, addr, roff, 5, gid, 2);
+                a.ld(cost, MemSpace::Global, addr, 0);
+                a.iadd(cost, cost, 1u32);
+                // j = starts[gid], end = starts[gid+1]
+                elem_addr(a, addr, roff, 0, gid, 2);
+                a.ld(j, MemSpace::Global, addr, 0);
+                a.ld(end, MemSpace::Global, addr, 4);
+                // Guard against zero-trip (cannot happen fault-free: deg >= 2).
+                a.isetp(r, j, Operand::Reg(end), CmpOp::Lt, true);
+                a.if_then(r, false, |a| {
+                    a.loop_while(|a| {
+                        // nb = edges[j]
+                        elem_addr(a, addr, roff, 1, j, 2);
+                        a.ld(nb, MemSpace::Global, addr, 0);
+                        // if !visited[nb]: cost[nb] = cost; updating[nb] = 1
+                        elem_addr(a, addr, roff, 4, nb, 2);
+                        a.ld(tmp, MemSpace::Global, addr, 0);
+                        a.isetp(r, tmp, 0u32, CmpOp::Eq, true);
+                        a.predicated(r, false, |a| {
+                            elem_addr(a, addr, roff, 5, nb, 2);
+                            a.st(MemSpace::Global, addr, 0, cost);
+                            a.mov(tmp, 1u32);
+                            elem_addr(a, addr, roff, 3, nb, 2);
+                            a.st(MemSpace::Global, addr, 0, tmp);
+                        });
+                        a.iadd(j, j, 1u32);
+                        a.isetp(r, j, Operand::Reg(end), CmpOp::Lt, true);
+                        (r, false)
                     });
-                    a.iadd(j, j, 1u32);
-                    a.isetp(r, j, Operand::Reg(end), CmpOp::Lt, true);
-                    (r, false)
                 });
             });
         });
-    });
-    a.build().expect("bfs expand is well formed")
+        a.build().expect("bfs expand is well formed")
+    })
 }
 
 /// K2: benchmark parameters: 0 = mask, 1 = updating, 2 = visited,
 /// 3 = over flag, 4 = nodes.
-pub fn kernel_fold() -> Kernel {
-    let mut a = KernelBuilder::new("bfs_k2_fold");
-    let roff = tmr::prologue(&mut a);
-    let (gid, tmp, addr, one) = (a.reg(), a.reg(), a.reg(), a.reg());
-    let (p, q) = (a.pred(), a.pred());
-    gid_guard(&mut a, gid, tmp, p, 4);
-    a.if_then(p, false, |a| {
-        elem_addr(a, addr, roff, 1, gid, 2);
-        a.ld(tmp, MemSpace::Global, addr, 0);
-        a.isetp(q, tmp, 0u32, CmpOp::Ne, true);
-        a.if_then(q, false, |a| {
-            a.mov(one, 1u32);
-            // mask[gid] = visited[gid] = 1; updating[gid] = 0; over = 1.
-            elem_addr(a, addr, roff, 0, gid, 2);
-            a.st(MemSpace::Global, addr, 0, one);
-            elem_addr(a, addr, roff, 2, gid, 2);
-            a.st(MemSpace::Global, addr, 0, one);
-            a.mov(tmp, 0u32);
+pub fn kernel_fold() -> &'static Kernel {
+    static K: OnceLock<Kernel> = OnceLock::new();
+    K.get_or_init(|| {
+        let mut a = KernelBuilder::new("bfs_k2_fold");
+        let roff = tmr::prologue(&mut a);
+        let (gid, tmp, addr, one) = (a.reg(), a.reg(), a.reg(), a.reg());
+        let (p, q) = (a.pred(), a.pred());
+        gid_guard(&mut a, gid, tmp, p, 4);
+        a.if_then(p, false, |a| {
             elem_addr(a, addr, roff, 1, gid, 2);
-            a.st(MemSpace::Global, addr, 0, tmp);
-            tmr::load_ptr(a, addr, roff, 3);
-            a.st(MemSpace::Global, addr, 0, one);
+            a.ld(tmp, MemSpace::Global, addr, 0);
+            a.isetp(q, tmp, 0u32, CmpOp::Ne, true);
+            a.if_then(q, false, |a| {
+                a.mov(one, 1u32);
+                // mask[gid] = visited[gid] = 1; updating[gid] = 0; over = 1.
+                elem_addr(a, addr, roff, 0, gid, 2);
+                a.st(MemSpace::Global, addr, 0, one);
+                elem_addr(a, addr, roff, 2, gid, 2);
+                a.st(MemSpace::Global, addr, 0, one);
+                a.mov(tmp, 0u32);
+                elem_addr(a, addr, roff, 1, gid, 2);
+                a.st(MemSpace::Global, addr, 0, tmp);
+                tmr::load_ptr(a, addr, roff, 3);
+                a.st(MemSpace::Global, addr, 0, one);
+            });
         });
-    });
-    a.build().expect("bfs fold is well formed")
+        a.build().expect("bfs fold is well formed")
+    })
 }
 
 impl Benchmark for Bfs {
@@ -187,13 +195,13 @@ impl Benchmark for Bfs {
             ctl.write_u32(over, 0);
             ctl.launch(
                 0,
-                &k1,
+                k1,
                 grid,
                 BLOCK,
                 vec![b_starts, b_edges, mask, upd, visited, cost, NODES],
             )?;
             ctl.vote(0, &[(cost, NODES), (upd, NODES), (mask, NODES)])?;
-            ctl.launch(1, &k2, grid, BLOCK, vec![mask, upd, visited, over, NODES])?;
+            ctl.launch(1, k2, grid, BLOCK, vec![mask, upd, visited, over, NODES])?;
             ctl.vote(
                 1,
                 &[(mask, NODES), (visited, NODES), (upd, NODES), (over, 1)],

@@ -5,6 +5,8 @@
 //! the high-resource-utilization workload of Figure 3a. Two ping-pong
 //! iterations.
 
+use std::sync::OnceLock;
+
 use crate::harness::{AppAbort, Benchmark, RunCtl};
 use crate::kutil::hash_f32;
 use crate::tmr;
@@ -54,94 +56,97 @@ fn emit_halo_load(
 }
 
 /// Benchmark parameters: 0 = temp_in, 1 = power, 2 = temp_out.
-pub fn kernel() -> Kernel {
-    let sh = TILE + 2; // halo'd tile side (10)
-    let mut a = KernelBuilder::new("hotspot_k1");
-    let smem = a.alloc_smem(sh * sh * 4);
-    debug_assert_eq!(smem, 0);
-    let roff = tmr::prologue(&mut a);
-    let (tid, r, c, gr, gc, nb) = (a.reg(), a.reg(), a.reg(), a.reg(), a.reg(), a.reg());
-    let (addr, v, t0, t1) = (a.reg(), a.reg(), a.reg(), a.reg());
-    let (idx, acc) = (a.reg(), a.reg());
-    let scratch = (addr, v, idx);
-    let p = a.pred();
+pub fn kernel() -> &'static Kernel {
+    static K: OnceLock<Kernel> = OnceLock::new();
+    K.get_or_init(|| {
+        let sh = TILE + 2; // halo'd tile side (10)
+        let mut a = KernelBuilder::new("hotspot_k1");
+        let smem = a.alloc_smem(sh * sh * 4);
+        debug_assert_eq!(smem, 0);
+        let roff = tmr::prologue(&mut a);
+        let (tid, r, c, gr, gc, nb) = (a.reg(), a.reg(), a.reg(), a.reg(), a.reg(), a.reg());
+        let (addr, v, t0, t1) = (a.reg(), a.reg(), a.reg(), a.reg());
+        let (idx, acc) = (a.reg(), a.reg());
+        let scratch = (addr, v, idx);
+        let p = a.pred();
 
-    a.s2r(tid, SpecialReg::TidX);
-    a.shr(r, tid, TILE.trailing_zeros());
-    a.and(c, tid, TILE - 1);
-    // Tile coordinates from the linear CTA id.
-    a.s2r(gr, SpecialReg::CtaIdX);
-    a.shr(gr, gr, (W / TILE).trailing_zeros()); // tile row
-    a.shl(gr, gr, TILE.trailing_zeros());
-    a.iadd(gr, gr, Operand::Reg(r)); // global row
-    a.s2r(gc, SpecialReg::CtaIdX);
-    a.and(gc, gc, W / TILE - 1);
-    a.shl(gc, gc, TILE.trailing_zeros());
-    a.iadd(gc, gc, Operand::Reg(c)); // global col
+        a.s2r(tid, SpecialReg::TidX);
+        a.shr(r, tid, TILE.trailing_zeros());
+        a.and(c, tid, TILE - 1);
+        // Tile coordinates from the linear CTA id.
+        a.s2r(gr, SpecialReg::CtaIdX);
+        a.shr(gr, gr, (W / TILE).trailing_zeros()); // tile row
+        a.shl(gr, gr, TILE.trailing_zeros());
+        a.iadd(gr, gr, Operand::Reg(r)); // global row
+        a.s2r(gc, SpecialReg::CtaIdX);
+        a.and(gc, gc, W / TILE - 1);
+        a.shl(gc, gc, TILE.trailing_zeros());
+        a.iadd(gc, gc, Operand::Reg(c)); // global col
 
-    // Center cell.
-    emit_halo_load(&mut a, roff, gr, gc, r, c, 1, 1, scratch);
-    // North halo (tile row 0): row = max(gr-1, 0); smem row 0.
-    a.isetp(p, r, 0u32, CmpOp::Eq, true);
-    a.if_then(p, false, |a| {
-        a.isub(nb, gr, 1u32);
-        a.imax(nb, nb, 0u32, true);
-        emit_halo_load(a, roff, nb, gc, r, c, 0, 1, scratch);
-    });
-    // South halo (tile row TILE-1): row = min(gr+1, W-1); smem row TILE+1.
-    a.isetp(p, r, TILE - 1, CmpOp::Eq, true);
-    a.if_then(p, false, |a| {
-        a.iadd(nb, gr, 1u32);
-        a.imin(nb, nb, W - 1, true);
-        emit_halo_load(a, roff, nb, gc, r, c, 2, 1, scratch);
-    });
-    // West halo.
-    a.isetp(p, c, 0u32, CmpOp::Eq, true);
-    a.if_then(p, false, |a| {
-        a.isub(nb, gc, 1u32);
-        a.imax(nb, nb, 0u32, true);
-        emit_halo_load(a, roff, gr, nb, r, c, 1, 0, scratch);
-    });
-    // East halo.
-    a.isetp(p, c, TILE - 1, CmpOp::Eq, true);
-    a.if_then(p, false, |a| {
-        a.iadd(nb, gc, 1u32);
-        a.imin(nb, nb, W - 1, true);
-        emit_halo_load(a, roff, gr, nb, r, c, 1, 2, scratch);
-    });
-    a.bar();
+        // Center cell.
+        emit_halo_load(&mut a, roff, gr, gc, r, c, 1, 1, scratch);
+        // North halo (tile row 0): row = max(gr-1, 0); smem row 0.
+        a.isetp(p, r, 0u32, CmpOp::Eq, true);
+        a.if_then(p, false, |a| {
+            a.isub(nb, gr, 1u32);
+            a.imax(nb, nb, 0u32, true);
+            emit_halo_load(a, roff, nb, gc, r, c, 0, 1, scratch);
+        });
+        // South halo (tile row TILE-1): row = min(gr+1, W-1); smem row TILE+1.
+        a.isetp(p, r, TILE - 1, CmpOp::Eq, true);
+        a.if_then(p, false, |a| {
+            a.iadd(nb, gr, 1u32);
+            a.imin(nb, nb, W - 1, true);
+            emit_halo_load(a, roff, nb, gc, r, c, 2, 1, scratch);
+        });
+        // West halo.
+        a.isetp(p, c, 0u32, CmpOp::Eq, true);
+        a.if_then(p, false, |a| {
+            a.isub(nb, gc, 1u32);
+            a.imax(nb, nb, 0u32, true);
+            emit_halo_load(a, roff, gr, nb, r, c, 1, 0, scratch);
+        });
+        // East halo.
+        a.isetp(p, c, TILE - 1, CmpOp::Eq, true);
+        a.if_then(p, false, |a| {
+            a.iadd(nb, gc, 1u32);
+            a.imin(nb, nb, W - 1, true);
+            emit_halo_load(a, roff, gr, nb, r, c, 1, 2, scratch);
+        });
+        a.bar();
 
-    // Stencil from shared memory; center index = (r+1)*sh + (c+1).
-    a.imad(idx, r, sh, Operand::Reg(c));
-    a.iadd(idx, idx, sh + 1);
-    a.shl(idx, idx, 2u32);
-    a.ld(t0, MemSpace::Shared, idx, 0); // center
-    a.ld(v, MemSpace::Shared, idx, -((sh * 4) as i32)); // north
-    a.ld(t1, MemSpace::Shared, idx, (sh * 4) as i32); // south
-    a.fadd(acc, v, Operand::Reg(t1));
-    a.ld(v, MemSpace::Shared, idx, -4); // west
-    a.fadd(acc, acc, Operand::Reg(v));
-    a.ld(v, MemSpace::Shared, idx, 4); // east
-    a.fadd(acc, acc, Operand::Reg(v));
-    a.ffma(acc, t0, Operand::imm_f32(-4.0), Operand::Reg(acc)); // Σneigh - 4t
-                                                                // new = t + K_DIFF*acc + K_POWER*power[g] + K_AMB*(T_AMB - t)
-    a.ffma(t1, acc, Operand::imm_f32(K_DIFF), Operand::Reg(t0));
-    a.shl(idx, gr, W.trailing_zeros());
-    a.iadd(idx, idx, Operand::Reg(gc));
-    tmr::load_ptr(&mut a, addr, roff, 1);
-    a.iscadd(addr, idx, Operand::Reg(addr), 2);
-    a.ld(v, MemSpace::Global, addr, 0); // power
-    a.ffma(t1, v, Operand::imm_f32(K_POWER), Operand::Reg(t1));
-    // v = T_AMB - t0
-    a.fmul(t0, t0, Operand::imm_f32(-1.0));
-    a.mov(v, T_AMB);
-    a.fadd(v, v, Operand::Reg(t0));
-    a.ffma(t1, v, Operand::imm_f32(K_AMB), Operand::Reg(t1));
-    // temp_out[g] = t1
-    tmr::load_ptr(&mut a, addr, roff, 2);
-    a.iscadd(addr, idx, Operand::Reg(addr), 2);
-    a.st(MemSpace::Global, addr, 0, t1);
-    a.build().expect("hotspot kernel is well formed")
+        // Stencil from shared memory; center index = (r+1)*sh + (c+1).
+        a.imad(idx, r, sh, Operand::Reg(c));
+        a.iadd(idx, idx, sh + 1);
+        a.shl(idx, idx, 2u32);
+        a.ld(t0, MemSpace::Shared, idx, 0); // center
+        a.ld(v, MemSpace::Shared, idx, -((sh * 4) as i32)); // north
+        a.ld(t1, MemSpace::Shared, idx, (sh * 4) as i32); // south
+        a.fadd(acc, v, Operand::Reg(t1));
+        a.ld(v, MemSpace::Shared, idx, -4); // west
+        a.fadd(acc, acc, Operand::Reg(v));
+        a.ld(v, MemSpace::Shared, idx, 4); // east
+        a.fadd(acc, acc, Operand::Reg(v));
+        a.ffma(acc, t0, Operand::imm_f32(-4.0), Operand::Reg(acc)); // Σneigh - 4t
+                                                                    // new = t + K_DIFF*acc + K_POWER*power[g] + K_AMB*(T_AMB - t)
+        a.ffma(t1, acc, Operand::imm_f32(K_DIFF), Operand::Reg(t0));
+        a.shl(idx, gr, W.trailing_zeros());
+        a.iadd(idx, idx, Operand::Reg(gc));
+        tmr::load_ptr(&mut a, addr, roff, 1);
+        a.iscadd(addr, idx, Operand::Reg(addr), 2);
+        a.ld(v, MemSpace::Global, addr, 0); // power
+        a.ffma(t1, v, Operand::imm_f32(K_POWER), Operand::Reg(t1));
+        // v = T_AMB - t0
+        a.fmul(t0, t0, Operand::imm_f32(-1.0));
+        a.mov(v, T_AMB);
+        a.fadd(v, v, Operand::Reg(t0));
+        a.ffma(t1, v, Operand::imm_f32(K_AMB), Operand::Reg(t1));
+        // temp_out[g] = t1
+        tmr::load_ptr(&mut a, addr, roff, 2);
+        a.iscadd(addr, idx, Operand::Reg(addr), 2);
+        a.st(MemSpace::Global, addr, 0, t1);
+        a.build().expect("hotspot kernel is well formed")
+    })
 }
 
 pub fn input_temp(i: u32) -> f32 {
@@ -173,7 +178,7 @@ impl Benchmark for HotSpot {
         let grid = (W / TILE) * (W / TILE);
         let (mut src, mut dst) = (t0, t1);
         for _ in 0..STEPS {
-            ctl.launch(0, &k, grid, BLOCK, vec![src, power, dst])?;
+            ctl.launch(0, k, grid, BLOCK, vec![src, power, dst])?;
             ctl.vote(0, &[(dst, n)])?;
             std::mem::swap(&mut src, &mut dst);
         }

@@ -12,6 +12,8 @@
 //! Host glue recomputes centroids between iterations, exactly like the
 //! benchmark's CPU side.
 
+use std::sync::OnceLock;
+
 use crate::harness::{AppAbort, Benchmark, RunCtl};
 use crate::kutil::{elem_addr, gid_guard, hash_f32};
 use crate::tmr;
@@ -28,72 +30,78 @@ pub struct KMeans;
 
 /// K1: `features[f*NPOINTS + gid] = flipped[gid*NFEAT + f]` for all f.
 /// Benchmark parameters: 0 = flipped, 1 = features, 2 = npoints.
-pub fn kernel_invert() -> Kernel {
-    let mut a = KernelBuilder::new("kmeans_k1_invert_mapping");
-    let roff = tmr::prologue(&mut a);
-    let (gid, tmp, src, dst, v) = (a.reg(), a.reg(), a.reg(), a.reg(), a.reg());
-    let p = a.pred();
-    gid_guard(&mut a, gid, tmp, p, 2);
-    a.if_then(p, false, |a| {
-        for f in 0..NFEAT {
-            // src = flipped + 4*(gid*NFEAT + f)
-            a.shl(tmp, gid, NFEAT.trailing_zeros());
-            a.iadd(tmp, tmp, f);
-            elem_addr(a, src, roff, 0, tmp, 2);
-            // re-derive the element index for the transposed store
-            a.ld(v, MemSpace::Global, src, 0);
-            a.mov(tmp, f * NPOINTS);
-            a.iadd(tmp, tmp, Operand::Reg(gid));
-            elem_addr(a, dst, roff, 1, tmp, 2);
-            a.st(MemSpace::Global, dst, 0, v);
-        }
-    });
-    a.build().expect("invert_mapping is well formed")
+pub fn kernel_invert() -> &'static Kernel {
+    static K: OnceLock<Kernel> = OnceLock::new();
+    K.get_or_init(|| {
+        let mut a = KernelBuilder::new("kmeans_k1_invert_mapping");
+        let roff = tmr::prologue(&mut a);
+        let (gid, tmp, src, dst, v) = (a.reg(), a.reg(), a.reg(), a.reg(), a.reg());
+        let p = a.pred();
+        gid_guard(&mut a, gid, tmp, p, 2);
+        a.if_then(p, false, |a| {
+            for f in 0..NFEAT {
+                // src = flipped + 4*(gid*NFEAT + f)
+                a.shl(tmp, gid, NFEAT.trailing_zeros());
+                a.iadd(tmp, tmp, f);
+                elem_addr(a, src, roff, 0, tmp, 2);
+                // re-derive the element index for the transposed store
+                a.ld(v, MemSpace::Global, src, 0);
+                a.mov(tmp, f * NPOINTS);
+                a.iadd(tmp, tmp, Operand::Reg(gid));
+                elem_addr(a, dst, roff, 1, tmp, 2);
+                a.st(MemSpace::Global, dst, 0, v);
+            }
+        });
+        a.build().expect("invert_mapping is well formed")
+    })
 }
 
 /// K2: nearest-cluster assignment.
 /// Benchmark parameters: 0 = features (feature-major, read via texture),
 /// 1 = clusters, 2 = membership, 3 = npoints.
-pub fn kernel_point() -> Kernel {
-    let mut a = KernelBuilder::new("kmeans_k2_kmeansPoint");
-    let roff = tmr::prologue(&mut a);
-    let (gid, tmp, addr, fv, cv, d) = (a.reg(), a.reg(), a.reg(), a.reg(), a.reg(), a.reg());
-    let (dist, best, besti) = (a.reg(), a.reg(), a.reg());
-    let p = a.pred();
-    let q = a.pred();
-    gid_guard(&mut a, gid, tmp, p, 3);
-    a.if_then(p, false, |a| {
-        a.mov(best, f32::MAX);
-        a.mov(besti, 0u32);
-        for c in 0..NCLUST {
-            a.mov(dist, 0.0f32);
-            for f in 0..NFEAT {
-                // fv = tex features[f*NPOINTS + gid]
-                a.mov(tmp, f * NPOINTS);
-                a.iadd(tmp, tmp, Operand::Reg(gid));
-                tmr::load_ptr(a, addr, roff, 0);
-                a.iscadd(addr, tmp, Operand::Reg(addr), 2);
-                a.ld(fv, MemSpace::Tex, addr, 0);
-                // cv = clusters[c*NFEAT + f]
-                a.mov(tmp, c * NFEAT + f);
-                elem_addr(a, addr, roff, 1, tmp, 2);
-                a.ld(cv, MemSpace::Global, addr, 0);
-                // dist += (fv - cv)^2
-                a.fmul(cv, cv, Operand::imm_f32(-1.0));
-                a.fadd(d, fv, Operand::Reg(cv));
-                a.ffma(dist, d, Operand::Reg(d), Operand::Reg(dist));
+pub fn kernel_point() -> &'static Kernel {
+    static K: OnceLock<Kernel> = OnceLock::new();
+    K.get_or_init(|| {
+        let mut a = KernelBuilder::new("kmeans_k2_kmeansPoint");
+        let roff = tmr::prologue(&mut a);
+        let (gid, tmp, addr, fv, cv, d) = (a.reg(), a.reg(), a.reg(), a.reg(), a.reg(), a.reg());
+        let (dist, best, besti) = (a.reg(), a.reg(), a.reg());
+        let p = a.pred();
+        let q = a.pred();
+        gid_guard(&mut a, gid, tmp, p, 3);
+        a.if_then(p, false, |a| {
+            a.mov(best, f32::MAX);
+            a.mov(besti, 0u32);
+            for c in 0..NCLUST {
+                a.mov(dist, 0.0f32);
+                for f in 0..NFEAT {
+                    // fv = tex features[f*NPOINTS + gid]
+                    a.mov(tmp, f * NPOINTS);
+                    a.iadd(tmp, tmp, Operand::Reg(gid));
+                    tmr::load_ptr(a, addr, roff, 0);
+                    a.iscadd(addr, tmp, Operand::Reg(addr), 2);
+                    a.ld(fv, MemSpace::Tex, addr, 0);
+                    // cv = clusters[c*NFEAT + f]
+                    a.mov(tmp, c * NFEAT + f);
+                    elem_addr(a, addr, roff, 1, tmp, 2);
+                    a.ld(cv, MemSpace::Global, addr, 0);
+                    // dist += (fv - cv)^2
+                    a.fmul(cv, cv, Operand::imm_f32(-1.0));
+                    a.fadd(d, fv, Operand::Reg(cv));
+                    a.ffma(dist, d, Operand::Reg(d), Operand::Reg(dist));
+                }
+                // if dist < best { best = dist; besti = c }
+                a.fsetp(q, dist, Operand::Reg(best), CmpOp::Lt);
+                a.predicated(q, false, |a| {
+                    a.mov(best, Operand::Reg(dist));
+                    a.mov(besti, c);
+                });
             }
-            // if dist < best { best = dist; besti = c }
-            a.fsetp(q, dist, Operand::Reg(best), CmpOp::Lt);
-            a.predicated(q, false, |a| {
-                a.mov(best, Operand::Reg(dist));
-                a.mov(besti, c);
-            });
-        }
-        elem_addr(a, addr, roff, 2, gid, 2);
-        a.st(MemSpace::Global, addr, 0, besti);
-    });
-    a.build().expect("kmeansPoint is well formed")
+            elem_addr(a, addr, roff, 2, gid, 2);
+            a.st(MemSpace::Global, addr, 0, besti);
+        });
+        a.build().expect("kmeansPoint is well formed")
+    })
 }
 
 /// Point-major input features.
@@ -134,12 +142,12 @@ impl Benchmark for KMeans {
         let k1 = kernel_invert();
         let k2 = kernel_point();
         let grid = NPOINTS / BLOCK;
-        ctl.launch(0, &k1, grid, BLOCK, vec![flipped, features, NPOINTS])?;
+        ctl.launch(0, k1, grid, BLOCK, vec![flipped, features, NPOINTS])?;
         ctl.vote(0, &[(features, nf)])?;
         for _ in 0..ITERS {
             ctl.launch(
                 1,
-                &k2,
+                k2,
                 grid,
                 BLOCK,
                 vec![features, clusters, membership, NPOINTS],

@@ -15,6 +15,8 @@
 //! Product subtractions everywhere use the `a.mul_add(-b, c)` idiom so the
 //! CPU reference can mirror the arithmetic bit-exactly.
 
+use std::sync::OnceLock;
+
 use crate::harness::{AppAbort, Benchmark, RunCtl};
 use crate::kutil::hash_f32;
 use crate::tmr;
@@ -41,335 +43,344 @@ pub fn input(i: u32, j: u32) -> f32 {
 
 /// K1: benchmark parameters: 0 = matrix, 1 = base element index
 /// (`kb*N + kb`, scalar). One CTA, B threads.
-pub fn kernel_diagonal() -> Kernel {
-    let mut a = KernelBuilder::new("lud_k1_diagonal");
-    let s_dia = a.alloc_smem(B * B * 4);
-    debug_assert_eq!(s_dia, 0);
-    let roff = tmr::prologue(&mut a);
-    let (tx, addr, v, t0, t1, idx) = (a.reg(), a.reg(), a.reg(), a.reg(), a.reg(), a.reg());
-    let p = a.pred();
-    a.s2r(tx, SpecialReg::TidX);
-    // Load: dia[i][tx] = m[base + i*N + tx].
-    for i in 0..B {
-        a.mov(v, tmr::scalar(1));
-        a.iadd(v, v, i * N);
-        a.iadd(v, v, Operand::Reg(tx));
-        tmr::load_ptr(&mut a, addr, roff, 0);
-        a.iscadd(addr, v, Operand::Reg(addr), 2);
-        a.ld(t0, MemSpace::Global, addr, 0);
-        a.iadd(idx, tx, i * B);
-        a.shl(idx, idx, 2u32);
-        a.st(MemSpace::Shared, idx, 0, t0);
-    }
-    a.bar();
-    for i in 0..B - 1 {
-        // Column elimination: dia[tx][i] *= 1/dia[i][i]  (tx > i).
-        a.isetp(p, tx, i, CmpOp::Gt, true);
-        a.predicated(p, false, |a| {
-            a.mov(idx, (i * B + i) * 4);
-            a.ld(v, MemSpace::Shared, idx, 0);
-            a.frcp(v, v);
-            a.shl(idx, tx, B.trailing_zeros());
-            a.iadd(idx, idx, i);
+pub fn kernel_diagonal() -> &'static Kernel {
+    static K: OnceLock<Kernel> = OnceLock::new();
+    K.get_or_init(|| {
+        let mut a = KernelBuilder::new("lud_k1_diagonal");
+        let s_dia = a.alloc_smem(B * B * 4);
+        debug_assert_eq!(s_dia, 0);
+        let roff = tmr::prologue(&mut a);
+        let (tx, addr, v, t0, t1, idx) = (a.reg(), a.reg(), a.reg(), a.reg(), a.reg(), a.reg());
+        let p = a.pred();
+        a.s2r(tx, SpecialReg::TidX);
+        // Load: dia[i][tx] = m[base + i*N + tx].
+        for i in 0..B {
+            a.mov(v, tmr::scalar(1));
+            a.iadd(v, v, i * N);
+            a.iadd(v, v, Operand::Reg(tx));
+            tmr::load_ptr(&mut a, addr, roff, 0);
+            a.iscadd(addr, v, Operand::Reg(addr), 2);
+            a.ld(t0, MemSpace::Global, addr, 0);
+            a.iadd(idx, tx, i * B);
+            a.shl(idx, idx, 2u32);
+            a.st(MemSpace::Shared, idx, 0, t0);
+        }
+        a.bar();
+        for i in 0..B - 1 {
+            // Column elimination: dia[tx][i] *= 1/dia[i][i]  (tx > i).
+            a.isetp(p, tx, i, CmpOp::Gt, true);
+            a.predicated(p, false, |a| {
+                a.mov(idx, (i * B + i) * 4);
+                a.ld(v, MemSpace::Shared, idx, 0);
+                a.frcp(v, v);
+                a.shl(idx, tx, B.trailing_zeros());
+                a.iadd(idx, idx, i);
+                a.shl(idx, idx, 2u32);
+                a.ld(t0, MemSpace::Shared, idx, 0);
+                a.fmul(t0, t0, Operand::Reg(v));
+                a.st(MemSpace::Shared, idx, 0, t0);
+            });
+            a.bar();
+            // Trailing update: dia[tx][j] -= dia[tx][i] * dia[i][j], j > i.
+            a.predicated(p, false, |a| {
+                a.shl(idx, tx, B.trailing_zeros());
+                a.iadd(idx, idx, i);
+                a.shl(idx, idx, 2u32);
+                a.ld(v, MemSpace::Shared, idx, 0); // dia[tx][i]
+                for j in i + 1..B {
+                    a.mov(idx, (i * B + j) * 4);
+                    a.ld(t0, MemSpace::Shared, idx, 0); // dia[i][j]
+                    a.fmul(t0, t0, Operand::imm_f32(-1.0));
+                    a.shl(idx, tx, B.trailing_zeros());
+                    a.iadd(idx, idx, j);
+                    a.shl(idx, idx, 2u32);
+                    a.ld(t1, MemSpace::Shared, idx, 0);
+                    a.ffma(t1, v, Operand::Reg(t0), Operand::Reg(t1));
+                    a.st(MemSpace::Shared, idx, 0, t1);
+                }
+            });
+            a.bar();
+        }
+        // Write back.
+        for i in 0..B {
+            a.iadd(idx, tx, i * B);
             a.shl(idx, idx, 2u32);
             a.ld(t0, MemSpace::Shared, idx, 0);
-            a.fmul(t0, t0, Operand::Reg(v));
-            a.st(MemSpace::Shared, idx, 0, t0);
-        });
-        a.bar();
-        // Trailing update: dia[tx][j] -= dia[tx][i] * dia[i][j], j > i.
-        a.predicated(p, false, |a| {
-            a.shl(idx, tx, B.trailing_zeros());
-            a.iadd(idx, idx, i);
-            a.shl(idx, idx, 2u32);
-            a.ld(v, MemSpace::Shared, idx, 0); // dia[tx][i]
-            for j in i + 1..B {
-                a.mov(idx, (i * B + j) * 4);
-                a.ld(t0, MemSpace::Shared, idx, 0); // dia[i][j]
-                a.fmul(t0, t0, Operand::imm_f32(-1.0));
-                a.shl(idx, tx, B.trailing_zeros());
-                a.iadd(idx, idx, j);
-                a.shl(idx, idx, 2u32);
-                a.ld(t1, MemSpace::Shared, idx, 0);
-                a.ffma(t1, v, Operand::Reg(t0), Operand::Reg(t1));
-                a.st(MemSpace::Shared, idx, 0, t1);
-            }
-        });
-        a.bar();
-    }
-    // Write back.
-    for i in 0..B {
-        a.iadd(idx, tx, i * B);
-        a.shl(idx, idx, 2u32);
-        a.ld(t0, MemSpace::Shared, idx, 0);
-        a.mov(v, tmr::scalar(1));
-        a.iadd(v, v, i * N);
-        a.iadd(v, v, Operand::Reg(tx));
-        tmr::load_ptr(&mut a, addr, roff, 0);
-        a.iscadd(addr, v, Operand::Reg(addr), 2);
-        a.st(MemSpace::Global, addr, 0, t0);
-    }
-    a.build().expect("lud_diagonal is well formed")
+            a.mov(v, tmr::scalar(1));
+            a.iadd(v, v, i * N);
+            a.iadd(v, v, Operand::Reg(tx));
+            tmr::load_ptr(&mut a, addr, roff, 0);
+            a.iscadd(addr, v, Operand::Reg(addr), 2);
+            a.st(MemSpace::Global, addr, 0, t0);
+        }
+        a.build().expect("lud_diagonal is well formed")
+    })
 }
 
 /// K2: benchmark parameters: 0 = matrix, 1 = kb (scalar). Grid = remaining
 /// blocks, 2*B threads: the low half solves the row strip, the high half
 /// the column strip.
-pub fn kernel_perimeter() -> Kernel {
-    let mut a = KernelBuilder::new("lud_k2_perimeter");
-    let s_dia = a.alloc_smem(B * B * 4);
-    let s_row = a.alloc_smem(B * B * 4);
-    let s_col = a.alloc_smem(B * B * 4);
-    debug_assert_eq!(s_dia, 0);
-    let roff = tmr::prologue(&mut a);
-    let (tx, idx2, addr, v, t0, t1, idx, gcol) = (
-        a.reg(),
-        a.reg(),
-        a.reg(),
-        a.reg(),
-        a.reg(),
-        a.reg(),
-        a.reg(),
-        a.reg(),
-    );
-    let p = a.pred();
-    a.s2r(tx, SpecialReg::TidX);
-    // Cooperatively load the diagonal block: 8 entries per thread.
-    for q in 0..8 {
-        // e = tx*8 + q; dia[e] = m[(kb + e/B)*N + kb + e%B]
-        a.shl(idx, tx, 3u32);
-        a.iadd(idx, idx, q);
-        a.shr(v, idx, B.trailing_zeros()); // e / B
-        a.imul(v, v, N);
-        a.and(t0, idx, B - 1); // e % B
-        a.iadd(v, v, Operand::Reg(t0));
-        a.iadd(v, v, tmr::scalar(1)); // + kb (row)
-        a.mov(t0, tmr::scalar(1));
-        a.imul(t0, t0, N);
-        a.iadd(v, v, Operand::Reg(t0)); // + kb*N
-        tmr::load_ptr(&mut a, addr, roff, 0);
-        a.iscadd(addr, v, Operand::Reg(addr), 2);
-        a.ld(t0, MemSpace::Global, addr, 0);
-        a.shl(idx, idx, 2u32);
-        a.st(MemSpace::Shared, idx, 0, t0);
-    }
-    a.bar();
-    // gcol/idx2: strip coordinates. chunk = ctaid.x.
-    a.isetp(p, tx, B, CmpOp::Lt, true);
-    a.if_then_else(
-        p,
-        false,
-        |a| {
-            // Row strip: thread tx owns column tx of tile at
-            // rows kb..kb+B, cols kb + (chunk+1)*B .. +B.
-            a.s2r(gcol, SpecialReg::CtaIdX);
-            a.iadd(gcol, gcol, 1u32);
-            a.shl(gcol, gcol, B.trailing_zeros());
-            a.iadd(gcol, gcol, tmr::scalar(1)); // + kb
-            a.iadd(gcol, gcol, Operand::Reg(tx));
-            // Load column: row_t[i][tx] = m[(kb+i)*N + gcol].
-            for i in 0..B {
-                a.mov(v, tmr::scalar(1));
-                a.iadd(v, v, i);
-                a.imul(v, v, N);
-                a.iadd(v, v, Operand::Reg(gcol));
-                tmr::load_ptr(a, addr, roff, 0);
-                a.iscadd(addr, v, Operand::Reg(addr), 2);
-                a.ld(t0, MemSpace::Global, addr, 0);
-                a.mov(idx, i * B * 4);
-                a.iscadd(idx, tx, Operand::Reg(idx), 2);
-                a.st(MemSpace::Shared, idx, s_row as i32, t0);
-            }
-            // Unit lower solve: row_t[i] -= dia[i][j]*row_t[j], j < i.
-            for i in 1..B {
-                a.mov(idx, i * B * 4);
-                a.iscadd(idx, tx, Operand::Reg(idx), 2);
-                a.ld(t1, MemSpace::Shared, idx, s_row as i32);
-                for j in 0..i {
-                    a.mov(idx2, (i * B + j) * 4);
-                    a.ld(v, MemSpace::Shared, idx2, 0); // dia[i][j]
-                    a.fmul(v, v, Operand::imm_f32(-1.0));
-                    a.mov(idx2, j * B * 4);
-                    a.iscadd(idx2, tx, Operand::Reg(idx2), 2);
-                    a.ld(t0, MemSpace::Shared, idx2, s_row as i32);
-                    a.ffma(t1, t0, Operand::Reg(v), Operand::Reg(t1));
+pub fn kernel_perimeter() -> &'static Kernel {
+    static K: OnceLock<Kernel> = OnceLock::new();
+    K.get_or_init(|| {
+        let mut a = KernelBuilder::new("lud_k2_perimeter");
+        let s_dia = a.alloc_smem(B * B * 4);
+        let s_row = a.alloc_smem(B * B * 4);
+        let s_col = a.alloc_smem(B * B * 4);
+        debug_assert_eq!(s_dia, 0);
+        let roff = tmr::prologue(&mut a);
+        let (tx, idx2, addr, v, t0, t1, idx, gcol) = (
+            a.reg(),
+            a.reg(),
+            a.reg(),
+            a.reg(),
+            a.reg(),
+            a.reg(),
+            a.reg(),
+            a.reg(),
+        );
+        let p = a.pred();
+        a.s2r(tx, SpecialReg::TidX);
+        // Cooperatively load the diagonal block: 8 entries per thread.
+        for q in 0..8 {
+            // e = tx*8 + q; dia[e] = m[(kb + e/B)*N + kb + e%B]
+            a.shl(idx, tx, 3u32);
+            a.iadd(idx, idx, q);
+            a.shr(v, idx, B.trailing_zeros()); // e / B
+            a.imul(v, v, N);
+            a.and(t0, idx, B - 1); // e % B
+            a.iadd(v, v, Operand::Reg(t0));
+            a.iadd(v, v, tmr::scalar(1)); // + kb (row)
+            a.mov(t0, tmr::scalar(1));
+            a.imul(t0, t0, N);
+            a.iadd(v, v, Operand::Reg(t0)); // + kb*N
+            tmr::load_ptr(&mut a, addr, roff, 0);
+            a.iscadd(addr, v, Operand::Reg(addr), 2);
+            a.ld(t0, MemSpace::Global, addr, 0);
+            a.shl(idx, idx, 2u32);
+            a.st(MemSpace::Shared, idx, 0, t0);
+        }
+        a.bar();
+        // gcol/idx2: strip coordinates. chunk = ctaid.x.
+        a.isetp(p, tx, B, CmpOp::Lt, true);
+        a.if_then_else(
+            p,
+            false,
+            |a| {
+                // Row strip: thread tx owns column tx of tile at
+                // rows kb..kb+B, cols kb + (chunk+1)*B .. +B.
+                a.s2r(gcol, SpecialReg::CtaIdX);
+                a.iadd(gcol, gcol, 1u32);
+                a.shl(gcol, gcol, B.trailing_zeros());
+                a.iadd(gcol, gcol, tmr::scalar(1)); // + kb
+                a.iadd(gcol, gcol, Operand::Reg(tx));
+                // Load column: row_t[i][tx] = m[(kb+i)*N + gcol].
+                for i in 0..B {
+                    a.mov(v, tmr::scalar(1));
+                    a.iadd(v, v, i);
+                    a.imul(v, v, N);
+                    a.iadd(v, v, Operand::Reg(gcol));
+                    tmr::load_ptr(a, addr, roff, 0);
+                    a.iscadd(addr, v, Operand::Reg(addr), 2);
+                    a.ld(t0, MemSpace::Global, addr, 0);
+                    a.mov(idx, i * B * 4);
+                    a.iscadd(idx, tx, Operand::Reg(idx), 2);
+                    a.st(MemSpace::Shared, idx, s_row as i32, t0);
                 }
-                a.mov(idx, i * B * 4);
-                a.iscadd(idx, tx, Operand::Reg(idx), 2);
-                a.st(MemSpace::Shared, idx, s_row as i32, t1);
-            }
-            // Store back.
-            for i in 0..B {
-                a.mov(idx, i * B * 4);
-                a.iscadd(idx, tx, Operand::Reg(idx), 2);
-                a.ld(t0, MemSpace::Shared, idx, s_row as i32);
-                a.mov(v, tmr::scalar(1));
-                a.iadd(v, v, i);
-                a.imul(v, v, N);
-                a.iadd(v, v, Operand::Reg(gcol));
-                tmr::load_ptr(a, addr, roff, 0);
-                a.iscadd(addr, v, Operand::Reg(addr), 2);
-                a.st(MemSpace::Global, addr, 0, t0);
-            }
-        },
-        |a| {
-            // Column strip: thread (tx-B) owns row (tx-B) of tile at
-            // rows kb + (chunk+1)*B .., cols kb..kb+B.
-            let lane = gcol; // reuse: lane = tx - B
-            a.isub(lane, tx, B);
-            // grow = kb + (chunk+1)*B + lane
-            let grow = idx2;
-            a.s2r(grow, SpecialReg::CtaIdX);
-            a.iadd(grow, grow, 1u32);
-            a.shl(grow, grow, B.trailing_zeros());
-            a.iadd(grow, grow, tmr::scalar(1));
-            a.iadd(grow, grow, Operand::Reg(lane));
-            // Load row: col_t[lane][j] = m[grow*N + kb + j].
-            for j in 0..B {
-                a.imul(v, grow, N);
-                a.iadd(v, v, tmr::scalar(1));
-                a.iadd(v, v, j);
-                tmr::load_ptr(a, addr, roff, 0);
-                a.iscadd(addr, v, Operand::Reg(addr), 2);
-                a.ld(t0, MemSpace::Global, addr, 0);
-                a.shl(idx, lane, B.trailing_zeros());
-                a.iadd(idx, idx, j);
-                a.shl(idx, idx, 2u32);
-                a.st(MemSpace::Shared, idx, s_col as i32, t0);
-            }
-            // Upper solve with division:
-            // col_t[j] = (col_t[j] - Σ_{i<j} col_t[i]*dia[i][j]) / dia[j][j].
-            for j in 0..B {
-                a.shl(idx, lane, B.trailing_zeros());
-                a.iadd(idx, idx, j);
-                a.shl(idx, idx, 2u32);
-                a.ld(t1, MemSpace::Shared, idx, s_col as i32);
-                for i in 0..j {
-                    a.mov(v, (i * B + j) * 4);
-                    a.ld(v, MemSpace::Shared, v, 0); // dia[i][j]
-                    a.fmul(v, v, Operand::imm_f32(-1.0));
+                // Unit lower solve: row_t[i] -= dia[i][j]*row_t[j], j < i.
+                for i in 1..B {
+                    a.mov(idx, i * B * 4);
+                    a.iscadd(idx, tx, Operand::Reg(idx), 2);
+                    a.ld(t1, MemSpace::Shared, idx, s_row as i32);
+                    for j in 0..i {
+                        a.mov(idx2, (i * B + j) * 4);
+                        a.ld(v, MemSpace::Shared, idx2, 0); // dia[i][j]
+                        a.fmul(v, v, Operand::imm_f32(-1.0));
+                        a.mov(idx2, j * B * 4);
+                        a.iscadd(idx2, tx, Operand::Reg(idx2), 2);
+                        a.ld(t0, MemSpace::Shared, idx2, s_row as i32);
+                        a.ffma(t1, t0, Operand::Reg(v), Operand::Reg(t1));
+                    }
+                    a.mov(idx, i * B * 4);
+                    a.iscadd(idx, tx, Operand::Reg(idx), 2);
+                    a.st(MemSpace::Shared, idx, s_row as i32, t1);
+                }
+                // Store back.
+                for i in 0..B {
+                    a.mov(idx, i * B * 4);
+                    a.iscadd(idx, tx, Operand::Reg(idx), 2);
+                    a.ld(t0, MemSpace::Shared, idx, s_row as i32);
+                    a.mov(v, tmr::scalar(1));
+                    a.iadd(v, v, i);
+                    a.imul(v, v, N);
+                    a.iadd(v, v, Operand::Reg(gcol));
+                    tmr::load_ptr(a, addr, roff, 0);
+                    a.iscadd(addr, v, Operand::Reg(addr), 2);
+                    a.st(MemSpace::Global, addr, 0, t0);
+                }
+            },
+            |a| {
+                // Column strip: thread (tx-B) owns row (tx-B) of tile at
+                // rows kb + (chunk+1)*B .., cols kb..kb+B.
+                let lane = gcol; // reuse: lane = tx - B
+                a.isub(lane, tx, B);
+                // grow = kb + (chunk+1)*B + lane
+                let grow = idx2;
+                a.s2r(grow, SpecialReg::CtaIdX);
+                a.iadd(grow, grow, 1u32);
+                a.shl(grow, grow, B.trailing_zeros());
+                a.iadd(grow, grow, tmr::scalar(1));
+                a.iadd(grow, grow, Operand::Reg(lane));
+                // Load row: col_t[lane][j] = m[grow*N + kb + j].
+                for j in 0..B {
+                    a.imul(v, grow, N);
+                    a.iadd(v, v, tmr::scalar(1));
+                    a.iadd(v, v, j);
+                    tmr::load_ptr(a, addr, roff, 0);
+                    a.iscadd(addr, v, Operand::Reg(addr), 2);
+                    a.ld(t0, MemSpace::Global, addr, 0);
                     a.shl(idx, lane, B.trailing_zeros());
-                    a.iadd(idx, idx, i);
+                    a.iadd(idx, idx, j);
+                    a.shl(idx, idx, 2u32);
+                    a.st(MemSpace::Shared, idx, s_col as i32, t0);
+                }
+                // Upper solve with division:
+                // col_t[j] = (col_t[j] - Σ_{i<j} col_t[i]*dia[i][j]) / dia[j][j].
+                for j in 0..B {
+                    a.shl(idx, lane, B.trailing_zeros());
+                    a.iadd(idx, idx, j);
+                    a.shl(idx, idx, 2u32);
+                    a.ld(t1, MemSpace::Shared, idx, s_col as i32);
+                    for i in 0..j {
+                        a.mov(v, (i * B + j) * 4);
+                        a.ld(v, MemSpace::Shared, v, 0); // dia[i][j]
+                        a.fmul(v, v, Operand::imm_f32(-1.0));
+                        a.shl(idx, lane, B.trailing_zeros());
+                        a.iadd(idx, idx, i);
+                        a.shl(idx, idx, 2u32);
+                        a.ld(t0, MemSpace::Shared, idx, s_col as i32);
+                        a.ffma(t1, t0, Operand::Reg(v), Operand::Reg(t1));
+                    }
+                    a.mov(v, (j * B + j) * 4);
+                    a.ld(v, MemSpace::Shared, v, 0); // pivot
+                    a.frcp(v, v);
+                    a.fmul(t1, t1, Operand::Reg(v));
+                    a.shl(idx, lane, B.trailing_zeros());
+                    a.iadd(idx, idx, j);
+                    a.shl(idx, idx, 2u32);
+                    a.st(MemSpace::Shared, idx, s_col as i32, t1);
+                }
+                // Store back.
+                for j in 0..B {
+                    a.shl(idx, lane, B.trailing_zeros());
+                    a.iadd(idx, idx, j);
                     a.shl(idx, idx, 2u32);
                     a.ld(t0, MemSpace::Shared, idx, s_col as i32);
-                    a.ffma(t1, t0, Operand::Reg(v), Operand::Reg(t1));
+                    a.imul(v, grow, N);
+                    a.iadd(v, v, tmr::scalar(1));
+                    a.iadd(v, v, j);
+                    tmr::load_ptr(a, addr, roff, 0);
+                    a.iscadd(addr, v, Operand::Reg(addr), 2);
+                    a.st(MemSpace::Global, addr, 0, t0);
                 }
-                a.mov(v, (j * B + j) * 4);
-                a.ld(v, MemSpace::Shared, v, 0); // pivot
-                a.frcp(v, v);
-                a.fmul(t1, t1, Operand::Reg(v));
-                a.shl(idx, lane, B.trailing_zeros());
-                a.iadd(idx, idx, j);
-                a.shl(idx, idx, 2u32);
-                a.st(MemSpace::Shared, idx, s_col as i32, t1);
-            }
-            // Store back.
-            for j in 0..B {
-                a.shl(idx, lane, B.trailing_zeros());
-                a.iadd(idx, idx, j);
-                a.shl(idx, idx, 2u32);
-                a.ld(t0, MemSpace::Shared, idx, s_col as i32);
-                a.imul(v, grow, N);
-                a.iadd(v, v, tmr::scalar(1));
-                a.iadd(v, v, j);
-                tmr::load_ptr(a, addr, roff, 0);
-                a.iscadd(addr, v, Operand::Reg(addr), 2);
-                a.st(MemSpace::Global, addr, 0, t0);
-            }
-        },
-    );
-    a.build().expect("lud_perimeter is well formed")
+            },
+        );
+        a.build().expect("lud_perimeter is well formed")
+    })
 }
 
 /// K3: benchmark parameters: 0 = matrix, 1 = kb (scalar), 2 = nbb
 /// (remaining blocks per side, scalar). Grid = nbb², B*B threads.
-pub fn kernel_internal() -> Kernel {
-    let mut a = KernelBuilder::new("lud_k3_internal");
-    let s_a = a.alloc_smem(B * B * 4); // U strip above the target tile
-    let s_b = a.alloc_smem(B * B * 4); // L strip left of the target tile
-    debug_assert_eq!(s_a, 0);
-    let roff = tmr::prologue(&mut a);
-    let (tid, tx, ty, bx, by, addr, v, t0, acc) = (
-        a.reg(),
-        a.reg(),
-        a.reg(),
-        a.reg(),
-        a.reg(),
-        a.reg(),
-        a.reg(),
-        a.reg(),
-        a.reg(),
-    );
-    let p = a.pred();
-    a.s2r(tid, SpecialReg::TidX);
-    a.and(tx, tid, B - 1);
-    a.shr(ty, tid, B.trailing_zeros());
-    // (bx, by) = ctaid % nbb, ctaid / nbb via repeated subtraction
-    // (nbb <= 3; the ISA has no integer divide, like early GPUs).
-    a.s2r(bx, SpecialReg::CtaIdX);
-    a.mov(by, 0u32);
-    a.isetp(p, bx, tmr::scalar(2), CmpOp::Ge, true);
-    a.loop_while(|a| {
-        a.predicated(p, false, |a| {
-            a.isub(bx, bx, tmr::scalar(2));
-            a.iadd(by, by, 1u32);
-        });
+pub fn kernel_internal() -> &'static Kernel {
+    static K: OnceLock<Kernel> = OnceLock::new();
+    K.get_or_init(|| {
+        let mut a = KernelBuilder::new("lud_k3_internal");
+        let s_a = a.alloc_smem(B * B * 4); // U strip above the target tile
+        let s_b = a.alloc_smem(B * B * 4); // L strip left of the target tile
+        debug_assert_eq!(s_a, 0);
+        let roff = tmr::prologue(&mut a);
+        let (tid, tx, ty, bx, by, addr, v, t0, acc) = (
+            a.reg(),
+            a.reg(),
+            a.reg(),
+            a.reg(),
+            a.reg(),
+            a.reg(),
+            a.reg(),
+            a.reg(),
+            a.reg(),
+        );
+        let p = a.pred();
+        a.s2r(tid, SpecialReg::TidX);
+        a.and(tx, tid, B - 1);
+        a.shr(ty, tid, B.trailing_zeros());
+        // (bx, by) = ctaid % nbb, ctaid / nbb via repeated subtraction
+        // (nbb <= 3; the ISA has no integer divide, like early GPUs).
+        a.s2r(bx, SpecialReg::CtaIdX);
+        a.mov(by, 0u32);
         a.isetp(p, bx, tmr::scalar(2), CmpOp::Ge, true);
-        (p, false)
-    });
-    // After the loop: bx = remainder, by = quotient. Global tile origin:
-    // rows = kb + (by+1)*B, cols = kb + (bx+1)*B.
-    let (grow, gcol) = (a.reg(), a.reg());
-    a.iadd(grow, by, 1u32);
-    a.shl(grow, grow, B.trailing_zeros());
-    a.iadd(grow, grow, tmr::scalar(1));
-    a.iadd(gcol, bx, 1u32);
-    a.shl(gcol, gcol, B.trailing_zeros());
-    a.iadd(gcol, gcol, tmr::scalar(1));
-    // s_a[ty][tx] = m[(kb+ty)*N + gcol + tx] (U strip).
-    a.mov(v, tmr::scalar(1));
-    a.iadd(v, v, Operand::Reg(ty));
-    a.imul(v, v, N);
-    a.iadd(v, v, Operand::Reg(gcol));
-    a.iadd(v, v, Operand::Reg(tx));
-    tmr::load_ptr(&mut a, addr, roff, 0);
-    a.iscadd(addr, v, Operand::Reg(addr), 2);
-    a.ld(t0, MemSpace::Global, addr, 0);
-    a.shl(v, tid, 2u32);
-    a.st(MemSpace::Shared, v, s_a as i32, t0);
-    // s_b[ty][tx] = m[(grow+ty)*N + kb + tx] (L strip).
-    a.iadd(v, grow, Operand::Reg(ty));
-    a.imul(v, v, N);
-    a.iadd(v, v, tmr::scalar(1));
-    a.iadd(v, v, Operand::Reg(tx));
-    tmr::load_ptr(&mut a, addr, roff, 0);
-    a.iscadd(addr, v, Operand::Reg(addr), 2);
-    a.ld(t0, MemSpace::Global, addr, 0);
-    a.shl(v, tid, 2u32);
-    a.st(MemSpace::Shared, v, s_b as i32, t0);
-    a.bar();
-    // acc = Σ_i s_b[ty][i] * s_a[i][tx]; m[target] -= acc.
-    a.mov(acc, 0.0f32);
-    for i in 0..B {
-        a.shl(v, ty, B.trailing_zeros());
-        a.iadd(v, v, i);
-        a.shl(v, v, 2u32);
-        a.ld(t0, MemSpace::Shared, v, s_b as i32);
-        a.mov(v, i * B * 4);
-        a.iscadd(v, tx, Operand::Reg(v), 2);
-        a.ld(v, MemSpace::Shared, v, s_a as i32);
-        a.ffma(acc, t0, Operand::Reg(v), Operand::Reg(acc));
-    }
-    a.iadd(v, grow, Operand::Reg(ty));
-    a.imul(v, v, N);
-    a.iadd(v, v, Operand::Reg(gcol));
-    a.iadd(v, v, Operand::Reg(tx));
-    tmr::load_ptr(&mut a, addr, roff, 0);
-    a.iscadd(addr, v, Operand::Reg(addr), 2);
-    a.ld(t0, MemSpace::Global, addr, 0);
-    a.ffma(t0, acc, Operand::imm_f32(-1.0), Operand::Reg(t0));
-    a.st(MemSpace::Global, addr, 0, t0);
-    a.build().expect("lud_internal is well formed")
+        a.loop_while(|a| {
+            a.predicated(p, false, |a| {
+                a.isub(bx, bx, tmr::scalar(2));
+                a.iadd(by, by, 1u32);
+            });
+            a.isetp(p, bx, tmr::scalar(2), CmpOp::Ge, true);
+            (p, false)
+        });
+        // After the loop: bx = remainder, by = quotient. Global tile origin:
+        // rows = kb + (by+1)*B, cols = kb + (bx+1)*B.
+        let (grow, gcol) = (a.reg(), a.reg());
+        a.iadd(grow, by, 1u32);
+        a.shl(grow, grow, B.trailing_zeros());
+        a.iadd(grow, grow, tmr::scalar(1));
+        a.iadd(gcol, bx, 1u32);
+        a.shl(gcol, gcol, B.trailing_zeros());
+        a.iadd(gcol, gcol, tmr::scalar(1));
+        // s_a[ty][tx] = m[(kb+ty)*N + gcol + tx] (U strip).
+        a.mov(v, tmr::scalar(1));
+        a.iadd(v, v, Operand::Reg(ty));
+        a.imul(v, v, N);
+        a.iadd(v, v, Operand::Reg(gcol));
+        a.iadd(v, v, Operand::Reg(tx));
+        tmr::load_ptr(&mut a, addr, roff, 0);
+        a.iscadd(addr, v, Operand::Reg(addr), 2);
+        a.ld(t0, MemSpace::Global, addr, 0);
+        a.shl(v, tid, 2u32);
+        a.st(MemSpace::Shared, v, s_a as i32, t0);
+        // s_b[ty][tx] = m[(grow+ty)*N + kb + tx] (L strip).
+        a.iadd(v, grow, Operand::Reg(ty));
+        a.imul(v, v, N);
+        a.iadd(v, v, tmr::scalar(1));
+        a.iadd(v, v, Operand::Reg(tx));
+        tmr::load_ptr(&mut a, addr, roff, 0);
+        a.iscadd(addr, v, Operand::Reg(addr), 2);
+        a.ld(t0, MemSpace::Global, addr, 0);
+        a.shl(v, tid, 2u32);
+        a.st(MemSpace::Shared, v, s_b as i32, t0);
+        a.bar();
+        // acc = Σ_i s_b[ty][i] * s_a[i][tx]; m[target] -= acc.
+        a.mov(acc, 0.0f32);
+        for i in 0..B {
+            a.shl(v, ty, B.trailing_zeros());
+            a.iadd(v, v, i);
+            a.shl(v, v, 2u32);
+            a.ld(t0, MemSpace::Shared, v, s_b as i32);
+            a.mov(v, i * B * 4);
+            a.iscadd(v, tx, Operand::Reg(v), 2);
+            a.ld(v, MemSpace::Shared, v, s_a as i32);
+            a.ffma(acc, t0, Operand::Reg(v), Operand::Reg(acc));
+        }
+        a.iadd(v, grow, Operand::Reg(ty));
+        a.imul(v, v, N);
+        a.iadd(v, v, Operand::Reg(gcol));
+        a.iadd(v, v, Operand::Reg(tx));
+        tmr::load_ptr(&mut a, addr, roff, 0);
+        a.iscadd(addr, v, Operand::Reg(addr), 2);
+        a.ld(t0, MemSpace::Global, addr, 0);
+        a.ffma(t0, acc, Operand::imm_f32(-1.0), Operand::Reg(t0));
+        a.st(MemSpace::Global, addr, 0, t0);
+        a.build().expect("lud_internal is well formed")
+    })
 }
 
 impl Benchmark for Lud {
@@ -395,13 +406,13 @@ impl Benchmark for Lud {
         let k3 = kernel_internal();
         for k in 0..NB {
             let kb = k * B;
-            ctl.launch(0, &k1, 1, B, vec![m, kb * N + kb])?;
+            ctl.launch(0, k1, 1, B, vec![m, kb * N + kb])?;
             ctl.vote(0, &[(m, words)])?;
             let nbb = NB - 1 - k;
             if nbb > 0 {
-                ctl.launch(1, &k2, nbb, 2 * B, vec![m, kb])?;
+                ctl.launch(1, k2, nbb, 2 * B, vec![m, kb])?;
                 ctl.vote(1, &[(m, words)])?;
-                ctl.launch(2, &k3, nbb * nbb, B * B, vec![m, kb, nbb])?;
+                ctl.launch(2, k3, nbb * nbb, B * B, vec![m, kb, nbb])?;
                 ctl.vote(2, &[(m, words)])?;
             }
         }

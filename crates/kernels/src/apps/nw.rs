@@ -6,6 +6,8 @@
 //! tile, 16 threads perform the classic shared-memory wavefront with a
 //! barrier per wave. Integer data — output comparisons are exact.
 
+use std::sync::OnceLock;
+
 use crate::harness::{AppAbort, Benchmark, RunCtl};
 use crate::kutil::hash_u32;
 use crate::tmr;
@@ -152,28 +154,34 @@ fn tile_kernel(name: &str, coords: impl FnOnce(&mut KernelBuilder, Reg, Reg, Reg
 
 /// K1: upper-left diagonals. Benchmark parameters: 0 = reference,
 /// 1 = itemsets, 2 = diagonal index i (1..=NB); grid = i CTAs.
-pub fn kernel1() -> Kernel {
-    tile_kernel("nw_k1", |a, bxx, byy, _tmp| {
-        // b_index_x = bx; b_index_y = i - 1 - bx.
-        a.s2r(bxx, SpecialReg::CtaIdX);
-        a.mov(byy, tmr::scalar(2));
-        a.isub(byy, byy, 1u32);
-        a.isub(byy, byy, Operand::Reg(bxx));
+pub fn kernel1() -> &'static Kernel {
+    static K: OnceLock<Kernel> = OnceLock::new();
+    K.get_or_init(|| {
+        tile_kernel("nw_k1", |a, bxx, byy, _tmp| {
+            // b_index_x = bx; b_index_y = i - 1 - bx.
+            a.s2r(bxx, SpecialReg::CtaIdX);
+            a.mov(byy, tmr::scalar(2));
+            a.isub(byy, byy, 1u32);
+            a.isub(byy, byy, Operand::Reg(bxx));
+        })
     })
 }
 
 /// K2: lower-right diagonals. Benchmark parameters as K1 but i counts
 /// down (NB-1..=1); grid = i CTAs.
-pub fn kernel2() -> Kernel {
-    tile_kernel("nw_k2", |a, bxx, byy, tmp| {
-        // b_index_x = bx + NB - i; b_index_y = NB - bx - 1.
-        a.s2r(bxx, SpecialReg::CtaIdX);
-        a.mov(tmp, NB);
-        a.isub(tmp, tmp, tmr::scalar(2));
-        a.iadd(bxx, bxx, Operand::Reg(tmp));
-        a.s2r(tmp, SpecialReg::CtaIdX);
-        a.mov(byy, NB - 1);
-        a.isub(byy, byy, Operand::Reg(tmp));
+pub fn kernel2() -> &'static Kernel {
+    static K: OnceLock<Kernel> = OnceLock::new();
+    K.get_or_init(|| {
+        tile_kernel("nw_k2", |a, bxx, byy, tmp| {
+            // b_index_x = bx + NB - i; b_index_y = NB - bx - 1.
+            a.s2r(bxx, SpecialReg::CtaIdX);
+            a.mov(tmp, NB);
+            a.isub(tmp, tmp, tmr::scalar(2));
+            a.iadd(bxx, bxx, Operand::Reg(tmp));
+            a.s2r(tmp, SpecialReg::CtaIdX);
+            a.mov(byy, NB - 1);
+            a.isub(byy, byy, Operand::Reg(tmp));
+        })
     })
 }
 
@@ -211,11 +219,11 @@ impl Benchmark for Nw {
         let k1 = kernel1();
         let k2 = kernel2();
         for i in 1..=NB {
-            ctl.launch(0, &k1, i, B, vec![refs, items, i])?;
+            ctl.launch(0, k1, i, B, vec![refs, items, i])?;
             ctl.vote(0, &[(items, words)])?;
         }
         for i in (1..NB).rev() {
-            ctl.launch(1, &k2, i, B, vec![refs, items, i])?;
+            ctl.launch(1, k2, i, B, vec![refs, items, i])?;
             ctl.vote(1, &[(items, words)])?;
         }
         ctl.set_outputs(&[(items, words)]);

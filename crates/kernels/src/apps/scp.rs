@@ -4,6 +4,8 @@
 //! strided per-thread accumulation followed by a shared-memory tree
 //! reduction — the classic reduction idiom (heavy SMEM + barrier use).
 
+use std::sync::OnceLock;
+
 use crate::harness::{AppAbort, Benchmark, RunCtl};
 use crate::kutil::hash_f32;
 use crate::tmr;
@@ -19,72 +21,75 @@ const SEED: u64 = 0x0053_4350;
 pub struct Scp;
 
 /// Benchmark parameters: 0 = A, 1 = B, 2 = C (results).
-pub fn kernel() -> Kernel {
-    let mut a = KernelBuilder::new("scp_k1");
-    let smem = a.alloc_smem(BLOCK * 4);
-    debug_assert_eq!(smem, 0);
-    let roff = tmr::prologue(&mut a);
-    let (tid, acc, i, idx, pa, va, vb) = (
-        a.reg(),
-        a.reg(),
-        a.reg(),
-        a.reg(),
-        a.reg(),
-        a.reg(),
-        a.reg(),
-    );
-    let p = a.pred();
-    a.s2r(tid, SpecialReg::TidX);
-    a.mov(acc, 0.0f32);
-    a.mov(i, Operand::Reg(tid));
-    // Strided accumulation: for (i = tid; i < ELEM; i += BLOCK).
-    a.loop_while(|a| {
-        // idx = ctaid.x * ELEM + i
-        a.s2r(idx, SpecialReg::CtaIdX);
-        a.shl(idx, idx, ELEM.trailing_zeros());
-        a.iadd(idx, idx, Operand::Reg(i));
-        tmr::load_ptr(a, pa, roff, 0);
-        a.iscadd(pa, idx, Operand::Reg(pa), 2);
-        a.ld(va, MemSpace::Global, pa, 0);
-        tmr::load_ptr(a, pa, roff, 1);
-        a.iscadd(pa, idx, Operand::Reg(pa), 2);
-        a.ld(vb, MemSpace::Global, pa, 0);
-        a.ffma(acc, va, Operand::Reg(vb), Operand::Reg(acc));
-        a.iadd(i, i, BLOCK);
-        a.isetp(p, i, ELEM, CmpOp::Lt, true);
-        (p, false)
-    });
-    // smem[tid] = acc
-    a.shl(idx, tid, 2u32);
-    a.st(MemSpace::Shared, idx, 0, acc);
-    a.bar();
-    // Tree reduction (predicated so every thread reaches each barrier).
-    let mut s = BLOCK / 2;
-    while s >= 1 {
-        a.isetp(p, tid, s, CmpOp::Lt, true);
-        a.predicated(p, false, |a| {
-            a.iadd(idx, tid, s);
-            a.shl(idx, idx, 2u32);
-            a.ld(va, MemSpace::Shared, idx, 0);
-            a.shl(idx, tid, 2u32);
-            a.ld(vb, MemSpace::Shared, idx, 0);
-            a.fadd(vb, vb, Operand::Reg(va));
-            a.st(MemSpace::Shared, idx, 0, vb);
+pub fn kernel() -> &'static Kernel {
+    static K: OnceLock<Kernel> = OnceLock::new();
+    K.get_or_init(|| {
+        let mut a = KernelBuilder::new("scp_k1");
+        let smem = a.alloc_smem(BLOCK * 4);
+        debug_assert_eq!(smem, 0);
+        let roff = tmr::prologue(&mut a);
+        let (tid, acc, i, idx, pa, va, vb) = (
+            a.reg(),
+            a.reg(),
+            a.reg(),
+            a.reg(),
+            a.reg(),
+            a.reg(),
+            a.reg(),
+        );
+        let p = a.pred();
+        a.s2r(tid, SpecialReg::TidX);
+        a.mov(acc, 0.0f32);
+        a.mov(i, Operand::Reg(tid));
+        // Strided accumulation: for (i = tid; i < ELEM; i += BLOCK).
+        a.loop_while(|a| {
+            // idx = ctaid.x * ELEM + i
+            a.s2r(idx, SpecialReg::CtaIdX);
+            a.shl(idx, idx, ELEM.trailing_zeros());
+            a.iadd(idx, idx, Operand::Reg(i));
+            tmr::load_ptr(a, pa, roff, 0);
+            a.iscadd(pa, idx, Operand::Reg(pa), 2);
+            a.ld(va, MemSpace::Global, pa, 0);
+            tmr::load_ptr(a, pa, roff, 1);
+            a.iscadd(pa, idx, Operand::Reg(pa), 2);
+            a.ld(vb, MemSpace::Global, pa, 0);
+            a.ffma(acc, va, Operand::Reg(vb), Operand::Reg(acc));
+            a.iadd(i, i, BLOCK);
+            a.isetp(p, i, ELEM, CmpOp::Lt, true);
+            (p, false)
         });
+        // smem[tid] = acc
+        a.shl(idx, tid, 2u32);
+        a.st(MemSpace::Shared, idx, 0, acc);
         a.bar();
-        s /= 2;
-    }
-    // Thread 0 publishes the result.
-    a.isetp(p, tid, 0u32, CmpOp::Eq, true);
-    a.predicated(p, false, |a| {
-        a.mov(idx, 0u32);
-        a.ld(va, MemSpace::Shared, idx, 0);
-        a.s2r(idx, SpecialReg::CtaIdX);
-        tmr::load_ptr(a, pa, roff, 2);
-        a.iscadd(pa, idx, Operand::Reg(pa), 2);
-        a.st(MemSpace::Global, pa, 0, va);
-    });
-    a.build().expect("scp kernel is well formed")
+        // Tree reduction (predicated so every thread reaches each barrier).
+        let mut s = BLOCK / 2;
+        while s >= 1 {
+            a.isetp(p, tid, s, CmpOp::Lt, true);
+            a.predicated(p, false, |a| {
+                a.iadd(idx, tid, s);
+                a.shl(idx, idx, 2u32);
+                a.ld(va, MemSpace::Shared, idx, 0);
+                a.shl(idx, tid, 2u32);
+                a.ld(vb, MemSpace::Shared, idx, 0);
+                a.fadd(vb, vb, Operand::Reg(va));
+                a.st(MemSpace::Shared, idx, 0, vb);
+            });
+            a.bar();
+            s /= 2;
+        }
+        // Thread 0 publishes the result.
+        a.isetp(p, tid, 0u32, CmpOp::Eq, true);
+        a.predicated(p, false, |a| {
+            a.mov(idx, 0u32);
+            a.ld(va, MemSpace::Shared, idx, 0);
+            a.s2r(idx, SpecialReg::CtaIdX);
+            tmr::load_ptr(a, pa, roff, 2);
+            a.iscadd(pa, idx, Operand::Reg(pa), 2);
+            a.st(MemSpace::Global, pa, 0, va);
+        });
+        a.build().expect("scp kernel is well formed")
+    })
 }
 
 pub fn input_a(i: u32) -> f32 {
@@ -114,7 +119,7 @@ impl Benchmark for Scp {
         }
         ctl.set_outputs(&[(c, VECS)]);
         let k = kernel();
-        ctl.launch(0, &k, VECS, BLOCK, vec![a, b, c])?;
+        ctl.launch(0, k, VECS, BLOCK, vec![a, b, c])?;
         ctl.vote(0, &[(c, VECS)])?;
         Ok(())
     }

@@ -7,6 +7,8 @@
 //! is recomputed on the host before each iteration, as in the original's
 //! main loop.
 
+use std::sync::OnceLock;
+
 use crate::harness::{AppAbort, Benchmark, RunCtl};
 use crate::kutil::hash_f32;
 use crate::tmr;
@@ -105,127 +107,133 @@ fn neighbour_value(
 
 /// K1: params: 0 = image, 1 = dN, 2 = dS, 3 = dW, 4 = dE, 5 = c,
 /// 6 = q0sqr (f32 bits).
-pub fn kernel1() -> Kernel {
-    let mut a = KernelBuilder::new("sradv2_k1");
-    let s_tile = a.alloc_smem(BLOCK * 4);
-    debug_assert_eq!(s_tile, 0);
-    let roff = tmr::prologue(&mut a);
-    let (tid, r, c, gr, gc) = (a.reg(), a.reg(), a.reg(), a.reg(), a.reg());
-    let (tmp, addr, jc, g2, l) = (a.reg(), a.reg(), a.reg(), a.reg(), a.reg());
-    let (dn, ds, dw, de, num, den, q, gidx) = (
-        a.reg(),
-        a.reg(),
-        a.reg(),
-        a.reg(),
-        a.reg(),
-        a.reg(),
-        a.reg(),
-        a.reg(),
-    );
-    coords(&mut a, tid, r, c, gr, gc);
-    // Stage the tile: smem[tid] = I[gr*W + gc].
-    a.shl(gidx, gr, W.trailing_zeros());
-    a.iadd(gidx, gidx, Operand::Reg(gc));
-    tmr::load_ptr(&mut a, addr, roff, 0);
-    a.iscadd(addr, gidx, Operand::Reg(addr), 2);
-    a.ld(jc, MemSpace::Global, addr, 0);
-    a.shl(tmp, tid, 2u32);
-    a.st(MemSpace::Shared, tmp, 0, jc);
-    a.bar();
-    // Directional derivatives.
-    let deriv = |a: &mut KernelBuilder, d: Reg, dir: u32| {
-        neighbour_value(a, d, roff, 0, r, c, gr, gc, tid, tmp, addr, dir);
-        a.ffma(d, jc, Operand::imm_f32(-1.0), Operand::Reg(d));
-    };
-    deriv(&mut a, dn, 0);
-    deriv(&mut a, ds, 1);
-    deriv(&mut a, dw, 2);
-    deriv(&mut a, de, 3);
-    // Same diffusion-coefficient arithmetic as SRADv1 K4.
-    a.fmul(g2, dn, Operand::Reg(dn));
-    a.ffma(g2, ds, Operand::Reg(ds), Operand::Reg(g2));
-    a.ffma(g2, dw, Operand::Reg(dw), Operand::Reg(g2));
-    a.ffma(g2, de, Operand::Reg(de), Operand::Reg(g2));
-    a.fmul(tmp, jc, Operand::Reg(jc));
-    a.frcp(tmp, tmp);
-    a.fmul(g2, g2, Operand::Reg(tmp));
-    a.fadd(l, dn, Operand::Reg(ds));
-    a.fadd(l, l, Operand::Reg(dw));
-    a.fadd(l, l, Operand::Reg(de));
-    a.frcp(tmp, jc);
-    a.fmul(l, l, Operand::Reg(tmp));
-    a.fmul(num, g2, Operand::imm_f32(0.5));
-    a.fmul(tmp, l, Operand::Reg(l));
-    a.ffma(num, tmp, Operand::imm_f32(-1.0 / 16.0), Operand::Reg(num));
-    a.mov(den, 1.0f32);
-    a.ffma(den, l, Operand::imm_f32(0.25), Operand::Reg(den));
-    a.fmul(den, den, Operand::Reg(den));
-    a.frcp(den, den);
-    a.fmul(q, num, Operand::Reg(den));
-    a.mov(tmp, tmr::scalar(6));
-    a.ffma(q, tmp, Operand::imm_f32(-1.0), Operand::Reg(q));
-    a.mov(den, 1.0f32);
-    a.fadd(den, den, Operand::Reg(tmp));
-    a.fmul(den, den, Operand::Reg(tmp));
-    a.frcp(den, den);
-    a.fmul(q, q, Operand::Reg(den));
-    a.mov(den, 1.0f32);
-    a.fadd(q, q, Operand::Reg(den));
-    a.frcp(q, q);
-    a.fmax(q, q, Operand::imm_f32(0.0));
-    a.fmin(q, q, Operand::imm_f32(1.0));
-    for (i, reg) in [(1u16, dn), (2, ds), (3, dw), (4, de), (5, q)] {
-        tmr::load_ptr(&mut a, addr, roff, i);
+pub fn kernel1() -> &'static Kernel {
+    static K: OnceLock<Kernel> = OnceLock::new();
+    K.get_or_init(|| {
+        let mut a = KernelBuilder::new("sradv2_k1");
+        let s_tile = a.alloc_smem(BLOCK * 4);
+        debug_assert_eq!(s_tile, 0);
+        let roff = tmr::prologue(&mut a);
+        let (tid, r, c, gr, gc) = (a.reg(), a.reg(), a.reg(), a.reg(), a.reg());
+        let (tmp, addr, jc, g2, l) = (a.reg(), a.reg(), a.reg(), a.reg(), a.reg());
+        let (dn, ds, dw, de, num, den, q, gidx) = (
+            a.reg(),
+            a.reg(),
+            a.reg(),
+            a.reg(),
+            a.reg(),
+            a.reg(),
+            a.reg(),
+            a.reg(),
+        );
+        coords(&mut a, tid, r, c, gr, gc);
+        // Stage the tile: smem[tid] = I[gr*W + gc].
+        a.shl(gidx, gr, W.trailing_zeros());
+        a.iadd(gidx, gidx, Operand::Reg(gc));
+        tmr::load_ptr(&mut a, addr, roff, 0);
         a.iscadd(addr, gidx, Operand::Reg(addr), 2);
-        a.st(MemSpace::Global, addr, 0, reg);
-    }
-    a.build().expect("sradv2 k1 is well formed")
+        a.ld(jc, MemSpace::Global, addr, 0);
+        a.shl(tmp, tid, 2u32);
+        a.st(MemSpace::Shared, tmp, 0, jc);
+        a.bar();
+        // Directional derivatives.
+        let deriv = |a: &mut KernelBuilder, d: Reg, dir: u32| {
+            neighbour_value(a, d, roff, 0, r, c, gr, gc, tid, tmp, addr, dir);
+            a.ffma(d, jc, Operand::imm_f32(-1.0), Operand::Reg(d));
+        };
+        deriv(&mut a, dn, 0);
+        deriv(&mut a, ds, 1);
+        deriv(&mut a, dw, 2);
+        deriv(&mut a, de, 3);
+        // Same diffusion-coefficient arithmetic as SRADv1 K4.
+        a.fmul(g2, dn, Operand::Reg(dn));
+        a.ffma(g2, ds, Operand::Reg(ds), Operand::Reg(g2));
+        a.ffma(g2, dw, Operand::Reg(dw), Operand::Reg(g2));
+        a.ffma(g2, de, Operand::Reg(de), Operand::Reg(g2));
+        a.fmul(tmp, jc, Operand::Reg(jc));
+        a.frcp(tmp, tmp);
+        a.fmul(g2, g2, Operand::Reg(tmp));
+        a.fadd(l, dn, Operand::Reg(ds));
+        a.fadd(l, l, Operand::Reg(dw));
+        a.fadd(l, l, Operand::Reg(de));
+        a.frcp(tmp, jc);
+        a.fmul(l, l, Operand::Reg(tmp));
+        a.fmul(num, g2, Operand::imm_f32(0.5));
+        a.fmul(tmp, l, Operand::Reg(l));
+        a.ffma(num, tmp, Operand::imm_f32(-1.0 / 16.0), Operand::Reg(num));
+        a.mov(den, 1.0f32);
+        a.ffma(den, l, Operand::imm_f32(0.25), Operand::Reg(den));
+        a.fmul(den, den, Operand::Reg(den));
+        a.frcp(den, den);
+        a.fmul(q, num, Operand::Reg(den));
+        a.mov(tmp, tmr::scalar(6));
+        a.ffma(q, tmp, Operand::imm_f32(-1.0), Operand::Reg(q));
+        a.mov(den, 1.0f32);
+        a.fadd(den, den, Operand::Reg(tmp));
+        a.fmul(den, den, Operand::Reg(tmp));
+        a.frcp(den, den);
+        a.fmul(q, q, Operand::Reg(den));
+        a.mov(den, 1.0f32);
+        a.fadd(q, q, Operand::Reg(den));
+        a.frcp(q, q);
+        a.fmax(q, q, Operand::imm_f32(0.0));
+        a.fmin(q, q, Operand::imm_f32(1.0));
+        for (i, reg) in [(1u16, dn), (2, ds), (3, dw), (4, de), (5, q)] {
+            tmr::load_ptr(&mut a, addr, roff, i);
+            a.iscadd(addr, gidx, Operand::Reg(addr), 2);
+            a.st(MemSpace::Global, addr, 0, reg);
+        }
+        a.build().expect("sradv2 k1 is well formed")
+    })
 }
 
 /// K2: params: 0 = image, 1 = dN, 2 = dS, 3 = dW, 4 = dE, 5 = c.
-pub fn kernel2() -> Kernel {
-    let mut a = KernelBuilder::new("sradv2_k2");
-    let s_tile = a.alloc_smem(BLOCK * 4);
-    debug_assert_eq!(s_tile, 0);
-    let roff = tmr::prologue(&mut a);
-    let (tid, r, c, gr, gc) = (a.reg(), a.reg(), a.reg(), a.reg(), a.reg());
-    let (tmp, addr, cn, cs, ce) = (a.reg(), a.reg(), a.reg(), a.reg(), a.reg());
-    let (d, acc, gidx) = (a.reg(), a.reg(), a.reg());
-    coords(&mut a, tid, r, c, gr, gc);
-    // Stage the coefficient tile.
-    a.shl(gidx, gr, W.trailing_zeros());
-    a.iadd(gidx, gidx, Operand::Reg(gc));
-    tmr::load_ptr(&mut a, addr, roff, 5);
-    a.iscadd(addr, gidx, Operand::Reg(addr), 2);
-    a.ld(cn, MemSpace::Global, addr, 0); // cN = cW = c[gid]
-    a.shl(tmp, tid, 2u32);
-    a.st(MemSpace::Shared, tmp, 0, cn);
-    a.bar();
-    neighbour_value(&mut a, cs, roff, 5, r, c, gr, gc, tid, tmp, addr, 1);
-    neighbour_value(&mut a, ce, roff, 5, r, c, gr, gc, tid, tmp, addr, 3);
-    // D = cN*dN + cS*dS + cN*dW + cE*dE; I += 0.25*lambda*D.
-    tmr::load_ptr(&mut a, addr, roff, 1);
-    a.iscadd(addr, gidx, Operand::Reg(addr), 2);
-    a.ld(d, MemSpace::Global, addr, 0);
-    a.fmul(acc, cn, Operand::Reg(d));
-    tmr::load_ptr(&mut a, addr, roff, 2);
-    a.iscadd(addr, gidx, Operand::Reg(addr), 2);
-    a.ld(d, MemSpace::Global, addr, 0);
-    a.ffma(acc, cs, Operand::Reg(d), Operand::Reg(acc));
-    tmr::load_ptr(&mut a, addr, roff, 3);
-    a.iscadd(addr, gidx, Operand::Reg(addr), 2);
-    a.ld(d, MemSpace::Global, addr, 0);
-    a.ffma(acc, cn, Operand::Reg(d), Operand::Reg(acc));
-    tmr::load_ptr(&mut a, addr, roff, 4);
-    a.iscadd(addr, gidx, Operand::Reg(addr), 2);
-    a.ld(d, MemSpace::Global, addr, 0);
-    a.ffma(acc, ce, Operand::Reg(d), Operand::Reg(acc));
-    tmr::load_ptr(&mut a, addr, roff, 0);
-    a.iscadd(addr, gidx, Operand::Reg(addr), 2);
-    a.ld(d, MemSpace::Global, addr, 0);
-    a.ffma(d, acc, Operand::imm_f32(0.25 * LAMBDA), Operand::Reg(d));
-    a.st(MemSpace::Global, addr, 0, d);
-    a.build().expect("sradv2 k2 is well formed")
+pub fn kernel2() -> &'static Kernel {
+    static K: OnceLock<Kernel> = OnceLock::new();
+    K.get_or_init(|| {
+        let mut a = KernelBuilder::new("sradv2_k2");
+        let s_tile = a.alloc_smem(BLOCK * 4);
+        debug_assert_eq!(s_tile, 0);
+        let roff = tmr::prologue(&mut a);
+        let (tid, r, c, gr, gc) = (a.reg(), a.reg(), a.reg(), a.reg(), a.reg());
+        let (tmp, addr, cn, cs, ce) = (a.reg(), a.reg(), a.reg(), a.reg(), a.reg());
+        let (d, acc, gidx) = (a.reg(), a.reg(), a.reg());
+        coords(&mut a, tid, r, c, gr, gc);
+        // Stage the coefficient tile.
+        a.shl(gidx, gr, W.trailing_zeros());
+        a.iadd(gidx, gidx, Operand::Reg(gc));
+        tmr::load_ptr(&mut a, addr, roff, 5);
+        a.iscadd(addr, gidx, Operand::Reg(addr), 2);
+        a.ld(cn, MemSpace::Global, addr, 0); // cN = cW = c[gid]
+        a.shl(tmp, tid, 2u32);
+        a.st(MemSpace::Shared, tmp, 0, cn);
+        a.bar();
+        neighbour_value(&mut a, cs, roff, 5, r, c, gr, gc, tid, tmp, addr, 1);
+        neighbour_value(&mut a, ce, roff, 5, r, c, gr, gc, tid, tmp, addr, 3);
+        // D = cN*dN + cS*dS + cN*dW + cE*dE; I += 0.25*lambda*D.
+        tmr::load_ptr(&mut a, addr, roff, 1);
+        a.iscadd(addr, gidx, Operand::Reg(addr), 2);
+        a.ld(d, MemSpace::Global, addr, 0);
+        a.fmul(acc, cn, Operand::Reg(d));
+        tmr::load_ptr(&mut a, addr, roff, 2);
+        a.iscadd(addr, gidx, Operand::Reg(addr), 2);
+        a.ld(d, MemSpace::Global, addr, 0);
+        a.ffma(acc, cs, Operand::Reg(d), Operand::Reg(acc));
+        tmr::load_ptr(&mut a, addr, roff, 3);
+        a.iscadd(addr, gidx, Operand::Reg(addr), 2);
+        a.ld(d, MemSpace::Global, addr, 0);
+        a.ffma(acc, cn, Operand::Reg(d), Operand::Reg(acc));
+        tmr::load_ptr(&mut a, addr, roff, 4);
+        a.iscadd(addr, gidx, Operand::Reg(addr), 2);
+        a.ld(d, MemSpace::Global, addr, 0);
+        a.ffma(acc, ce, Operand::Reg(d), Operand::Reg(acc));
+        tmr::load_ptr(&mut a, addr, roff, 0);
+        a.iscadd(addr, gidx, Operand::Reg(addr), 2);
+        a.ld(d, MemSpace::Global, addr, 0);
+        a.ffma(d, acc, Operand::imm_f32(0.25 * LAMBDA), Operand::Reg(d));
+        a.st(MemSpace::Global, addr, 0, d);
+        a.build().expect("sradv2 k2 is well formed")
+    })
 }
 
 pub fn input_pixel(i: u32) -> f32 {
@@ -264,13 +272,13 @@ impl Benchmark for SradV2 {
             let q0sqr = var / (mean * mean);
             ctl.launch(
                 0,
-                &k1,
+                k1,
                 grid,
                 BLOCK,
                 vec![img, dn, ds, dw, de, c, q0sqr.to_bits()],
             )?;
             ctl.vote(0, &[(dn, NE), (ds, NE), (dw, NE), (de, NE), (c, NE)])?;
-            ctl.launch(1, &k2, grid, BLOCK, vec![img, dn, ds, dw, de, c])?;
+            ctl.launch(1, k2, grid, BLOCK, vec![img, dn, ds, dw, de, c])?;
             ctl.vote(1, &[(img, NE)])?;
         }
         ctl.set_outputs(&[(img, NE)]);

@@ -4,6 +4,8 @@
 //! Minimal register pressure, no shared memory, one load pair and one store
 //! per thread — the low-utilization end of the suite's spectrum.
 
+use std::sync::OnceLock;
+
 use crate::harness::{AppAbort, Benchmark, RunCtl};
 use crate::kutil::{elem_addr, gid_guard, hash_f32};
 use crate::tmr;
@@ -17,22 +19,25 @@ const SEED: u64 = 0x5641; // "VA"
 pub struct Va;
 
 /// Benchmark parameters: 0 = a, 1 = b, 2 = c, 3 = n.
-pub fn kernel() -> Kernel {
-    let mut a = KernelBuilder::new("va_k1");
-    let roff = tmr::prologue(&mut a);
-    let (gid, tmp, addr, x, y) = (a.reg(), a.reg(), a.reg(), a.reg(), a.reg());
-    let p = a.pred();
-    gid_guard(&mut a, gid, tmp, p, 3);
-    a.if_then(p, false, |a| {
-        elem_addr(a, addr, roff, 0, gid, 2);
-        a.ld(x, MemSpace::Global, addr, 0);
-        elem_addr(a, addr, roff, 1, gid, 2);
-        a.ld(y, MemSpace::Global, addr, 0);
-        a.fadd(x, x, Operand::Reg(y));
-        elem_addr(a, addr, roff, 2, gid, 2);
-        a.st(MemSpace::Global, addr, 0, x);
-    });
-    a.build().expect("va kernel is well formed")
+pub fn kernel() -> &'static Kernel {
+    static K: OnceLock<Kernel> = OnceLock::new();
+    K.get_or_init(|| {
+        let mut a = KernelBuilder::new("va_k1");
+        let roff = tmr::prologue(&mut a);
+        let (gid, tmp, addr, x, y) = (a.reg(), a.reg(), a.reg(), a.reg(), a.reg());
+        let p = a.pred();
+        gid_guard(&mut a, gid, tmp, p, 3);
+        a.if_then(p, false, |a| {
+            elem_addr(a, addr, roff, 0, gid, 2);
+            a.ld(x, MemSpace::Global, addr, 0);
+            elem_addr(a, addr, roff, 1, gid, 2);
+            a.ld(y, MemSpace::Global, addr, 0);
+            a.fadd(x, x, Operand::Reg(y));
+            elem_addr(a, addr, roff, 2, gid, 2);
+            a.st(MemSpace::Global, addr, 0, x);
+        });
+        a.build().expect("va kernel is well formed")
+    })
 }
 
 /// Input vector element `i` of `a` (shared with tests).
@@ -62,7 +67,7 @@ impl Benchmark for Va {
         }
         ctl.set_outputs(&[(c, N)]);
         let k = kernel();
-        ctl.launch(0, &k, N / BLOCK, BLOCK, vec![a, b, c, N])?;
+        ctl.launch(0, k, N / BLOCK, BLOCK, vec![a, b, c, N])?;
         ctl.vote(0, &[(c, N)])?;
         Ok(())
     }

@@ -33,7 +33,9 @@ use vgpu_sim::{granule_bit, GlobalMem, Stats, SwFault, SwInjector, GRANULE_SHIFT
 pub struct CtaLog {
     launches: Vec<LaunchLog>,
     /// The distinct kernels launched, referenced by [`LaunchLog::kernel`].
-    kernels: Vec<Kernel>,
+    /// Apps build each kernel once per process, so a kernel is known by
+    /// its address.
+    kernels: Vec<&'static Kernel>,
 }
 
 /// One golden launch, CTA by CTA. The per-CTA slices of `runs`, `words`
@@ -59,10 +61,6 @@ struct LaunchLog {
     /// Read footprint: the non-zero `(word index, bits)` of the CTA's
     /// granule bitmap ([`vgpu_sim::granule_bit`]).
     reads: Vec<(u32, u32)>,
-}
-
-fn same_kernel(a: &Kernel, b: &Kernel) -> bool {
-    a.num_regs == b.num_regs && a.smem_bytes == b.smem_bytes && a.instrs == b.instrs
 }
 
 impl LaunchLog {
@@ -137,12 +135,8 @@ impl CtaLog {
                 + (l.runs.len() + l.reads.len()) * 8
                 + (l.words.len() + l.params.len()) * 4
         };
-        let kernels = |k: &Kernel| {
-            k.instrs.len() * std::mem::size_of::<vgpu_arch::Instr>()
-                + std::mem::size_of_val(k.facts())
-        };
         (self.launches.iter().map(per_launch).sum::<usize>()
-            + self.kernels.iter().map(kernels).sum::<usize>()) as u64
+            + std::mem::size_of_val(self.kernels.as_slice())) as u64
     }
 
     /// Run the next golden launch CTA by CTA on `mem`, logging each CTA's
@@ -151,14 +145,14 @@ impl CtaLog {
     pub(crate) fn capture_launch(
         &mut self,
         mem: &mut GlobalMem,
-        kernel: &Kernel,
+        kernel: &'static Kernel,
         lc: &LaunchConfig,
         max_stack: usize,
     ) -> Result<Stats, LaunchAbort> {
-        let kernel_idx = match self.kernels.iter().position(|k| same_kernel(k, kernel)) {
+        let kernel_idx = match self.kernels.iter().position(|&k| std::ptr::eq(k, kernel)) {
             Some(i) => i,
             None => {
-                self.kernels.push(kernel.clone());
+                self.kernels.push(kernel);
                 self.kernels.len() - 1
             }
         };
@@ -392,7 +386,7 @@ impl CtaReplay {
             *live
                 && (ll.grid_x, ll.grid_y, ll.block_x) == (lc.grid_x, lc.grid_y, lc.block_x)
                 && ll.params == lc.params
-                && same_kernel(&log.kernels[ll.kernel], kernel)
+                && std::ptr::eq(log.kernels[ll.kernel], kernel)
         });
         let Some(ll) = ll else {
             *live = false;

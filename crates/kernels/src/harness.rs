@@ -754,11 +754,13 @@ impl<'a> RunCtl<'a> {
     ///
     /// The TMR stride is prepended as parameter word 0 — kernels built with
     /// [`tmr::prologue`] use it to rebase their buffer pointers per copy —
-    /// and hardened launches run with `grid_y == 3`.
+    /// and hardened launches run with `grid_y == 3`. Kernels are built once
+    /// per process (a `OnceLock` per kernel function), so every run shares
+    /// one decode and the golden CTA log knows a kernel by its address.
     pub fn launch(
         &mut self,
         kernel_idx: usize,
-        kernel: &Kernel,
+        kernel: &'static Kernel,
         grid_x: u32,
         block_x: u32,
         params: Vec<u32>,
@@ -803,7 +805,7 @@ impl<'a> RunCtl<'a> {
         &mut self,
         kernel_idx: usize,
         is_vote: bool,
-        kernel: &Kernel,
+        kernel: &'static Kernel,
         lc: LaunchConfig,
     ) -> Result<(), AppAbort> {
         let ordinal = self.launch_idx;

@@ -5,6 +5,7 @@
 //! carries past a launch that re-converges the device.
 
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::OnceLock;
 
 use kernels::{tmr, AppAbort, Benchmark, RunCtl};
 use vgpu_arch::{Kernel, KernelBuilder, MemSpace, Operand};
@@ -20,8 +21,14 @@ pub struct TmrProbe {
     pub vote_failures: AtomicU32,
 }
 
-/// `out[gid] = gid + 100` (`fill`) or `out[gid] += 1`, per copy.
-fn kernel(fill: bool) -> Kernel {
+/// `out[gid] = gid + 100` (`fill`) or `out[gid] += 1`, per copy, built
+/// once per process as [`kernels::RunCtl::launch`] asks.
+fn kernel(fill: bool) -> &'static Kernel {
+    static K: [OnceLock<Kernel>; 2] = [OnceLock::new(), OnceLock::new()];
+    K[fill as usize].get_or_init(|| build(fill))
+}
+
+fn build(fill: bool) -> Kernel {
     let mut a = KernelBuilder::new(if fill { "fill" } else { "bump" });
     let roff = tmr::prologue(&mut a);
     let (gid, tmp, addr, v) = (a.reg(), a.reg(), a.reg(), a.reg());
@@ -42,7 +49,7 @@ impl TmrProbe {
     fn host_program(&self, ctl: &mut RunCtl) -> Result<(), AppAbort> {
         let out = ctl.alloc(&[WORDS * 4])[0];
         ctl.set_outputs(&[(out, WORDS)]);
-        ctl.launch(0, &kernel(true), 1, WORDS, vec![out])?;
+        ctl.launch(0, kernel(true), 1, WORDS, vec![out])?;
         // Copy 0 disagrees with the other two before the vote: the golden
         // vote out-votes it, and any fault that changed what copy 1 or 2
         // stored leaves three different words.
@@ -62,7 +69,7 @@ impl TmrProbe {
         if (0..3).any(|c| ctl.read_u32(out + c * stride) != 200) {
             return Err(AppAbort::VoteFailed);
         }
-        ctl.launch(1, &kernel(false), 1, WORDS, vec![out])?;
+        ctl.launch(1, kernel(false), 1, WORDS, vec![out])?;
         ctl.vote(1, &[(out, WORDS)])
     }
 }
@@ -104,9 +111,9 @@ impl Benchmark for HostCarry {
         let bufs = ctl.alloc(&[WORDS * 4, WORDS * 4]);
         let (x, out) = (bufs[0], bufs[1]);
         ctl.set_outputs(&[(out, WORDS)]);
-        ctl.launch(0, &kernel(true), 1, WORDS, vec![x])?;
+        ctl.launch(0, kernel(true), 1, WORDS, vec![x])?;
         let carried: Vec<u32> = (0..WORDS).map(|w| ctl.read_u32(x + 4 * w)).collect();
-        ctl.launch(0, &kernel(true), 1, WORDS, vec![x])?;
+        ctl.launch(0, kernel(true), 1, WORDS, vec![x])?;
         for (w, v) in (0..).zip(carried) {
             ctl.write_u32(out + 4 * w, v);
         }

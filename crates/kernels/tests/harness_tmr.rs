@@ -1,11 +1,13 @@
 //! Harness-level integration tests: TMR layout invariants, the vote
 //! kernel's repair and failure paths, and fault-outcome classification.
 
+use std::sync::OnceLock;
+
 use kernels::apps::va::{self, Va};
 use kernels::{
     faulty_run, golden_run, AppAbort, Benchmark, Outcome, PlannedFault, RunCtl, Variant,
 };
-use vgpu_arch::MemSpace;
+use vgpu_arch::{Kernel, MemSpace};
 use vgpu_sim::{GpuConfig, Mode, SwFault, SwFaultKind, UarchFault};
 
 /// A tiny benchmark that lets the test desynchronise TMR copies between
@@ -13,6 +15,23 @@ use vgpu_sim::{GpuConfig, Mode, SwFault, SwFaultKind, UarchFault};
 struct VoteProbe {
     /// Word values written per copy before voting (copy 0, 1, 2).
     values: [u32; 3],
+}
+
+/// A trivial kernel writing 1 to out[gid] in each copy, built once per
+/// process.
+fn probe_kernel() -> &'static Kernel {
+    static K: OnceLock<Kernel> = OnceLock::new();
+    K.get_or_init(|| {
+        let mut a = vgpu_arch::KernelBuilder::new("probe");
+        let roff = kernels::tmr::prologue(&mut a);
+        let (gid, tmp, addr, v) = (a.reg(), a.reg(), a.reg(), a.reg());
+        a.linear_tid(gid, tmp);
+        kernels::tmr::load_ptr(&mut a, addr, roff, 0);
+        a.iscadd(addr, gid, vgpu_arch::Operand::Reg(addr), 2);
+        a.mov(v, 1u32);
+        a.st(MemSpace::Global, addr, 0, v);
+        a.build().unwrap()
+    })
 }
 
 impl Benchmark for VoteProbe {
@@ -28,17 +47,7 @@ impl Benchmark for VoteProbe {
         let bufs = ctl.alloc(&[64]);
         let out = bufs[0];
         ctl.set_outputs(&[(out, 16)]);
-        // A trivial kernel writing 1 to out[gid] in each copy.
-        let mut a = vgpu_arch::KernelBuilder::new("probe");
-        let roff = kernels::tmr::prologue(&mut a);
-        let (gid, tmp, addr, v) = (a.reg(), a.reg(), a.reg(), a.reg());
-        a.linear_tid(gid, tmp);
-        kernels::tmr::load_ptr(&mut a, addr, roff, 0);
-        a.iscadd(addr, gid, vgpu_arch::Operand::Reg(addr), 2);
-        a.mov(v, 1u32);
-        a.st(MemSpace::Global, addr, 0, v);
-        let k = a.build().unwrap();
-        ctl.launch(0, &k, 1, 16, vec![out])?;
+        ctl.launch(0, probe_kernel(), 1, 16, vec![out])?;
         // Desynchronise the copies of word 3 before voting.
         if ctl.hardened() {
             let stride = ctl.tmr_stride();
@@ -98,11 +107,14 @@ fn tmr_stride_is_uniform_and_copies_replicated() {
             }
             ctl.set_outputs(&[(bufs[0], 4)]);
             // Minimal kernel so the harness accepts the run.
-            let mut a = vgpu_arch::KernelBuilder::new("nop");
-            let r = a.reg();
-            a.mov(r, 0u32);
-            let k = a.build().unwrap();
-            ctl.launch(0, &k, 1, 32, vec![])?;
+            static NOP: OnceLock<Kernel> = OnceLock::new();
+            let k = NOP.get_or_init(|| {
+                let mut a = vgpu_arch::KernelBuilder::new("nop");
+                let r = a.reg();
+                a.mov(r, 0u32);
+                a.build().unwrap()
+            });
+            ctl.launch(0, k, 1, 32, vec![])?;
             Ok(())
         }
     }

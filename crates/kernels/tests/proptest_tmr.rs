@@ -2,9 +2,11 @@
 //! pattern the vote repairs the data; for any three-way disagreement it
 //! raises the DUE flag.
 
+use std::sync::OnceLock;
+
 use kernels::{golden_run, AppAbort, Benchmark, RunCtl, Variant};
 use proptest::prelude::*;
-use vgpu_arch::{KernelBuilder, MemSpace, Operand};
+use vgpu_arch::{Kernel, KernelBuilder, MemSpace, Operand};
 use vgpu_sim::GpuConfig;
 
 /// Benchmark that writes known data, then applies an arbitrary corruption
@@ -16,6 +18,22 @@ struct Corruptor {
 }
 
 const WORDS: u32 = 32;
+
+/// `out[gid] = gid + 100` (per copy), built once per process.
+fn fill_kernel() -> &'static Kernel {
+    static K: OnceLock<Kernel> = OnceLock::new();
+    K.get_or_init(|| {
+        let mut a = KernelBuilder::new("fill");
+        let roff = kernels::tmr::prologue(&mut a);
+        let (gid, tmp, addr, v) = (a.reg(), a.reg(), a.reg(), a.reg());
+        a.linear_tid(gid, tmp);
+        kernels::tmr::load_ptr(&mut a, addr, roff, 0);
+        a.iscadd(addr, gid, Operand::Reg(addr), 2);
+        a.iadd(v, gid, 100u32);
+        a.st(MemSpace::Global, addr, 0, v);
+        a.build().unwrap()
+    })
+}
 
 impl Benchmark for Corruptor {
     fn name(&self) -> &'static str {
@@ -30,17 +48,7 @@ impl Benchmark for Corruptor {
         let bufs = ctl.alloc(&[WORDS * 4]);
         let out = bufs[0];
         ctl.set_outputs(&[(out, WORDS)]);
-        // Kernel: out[gid] = gid + 100 (per copy).
-        let mut a = KernelBuilder::new("fill");
-        let roff = kernels::tmr::prologue(&mut a);
-        let (gid, tmp, addr, v) = (a.reg(), a.reg(), a.reg(), a.reg());
-        a.linear_tid(gid, tmp);
-        kernels::tmr::load_ptr(&mut a, addr, roff, 0);
-        a.iscadd(addr, gid, Operand::Reg(addr), 2);
-        a.iadd(v, gid, 100u32);
-        a.st(MemSpace::Global, addr, 0, v);
-        let k = a.build().unwrap();
-        ctl.launch(0, &k, 1, WORDS, vec![out])?;
+        ctl.launch(0, fill_kernel(), 1, WORDS, vec![out])?;
         if ctl.hardened() {
             let stride = ctl.tmr_stride();
             for &(word, copy, delta) in &self.hits {

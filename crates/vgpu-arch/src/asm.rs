@@ -413,7 +413,7 @@ mod tests {
         a.iadd(r1, r0, 2u32);
         let k = a.build().unwrap();
         assert_eq!(k.num_regs, 2);
-        assert!(matches!(k.instrs.last().unwrap().op, Op::Exit));
+        assert!(matches!(k.instrs().last().unwrap().op, Op::Exit));
     }
 
     #[test]
@@ -438,14 +438,14 @@ mod tests {
         });
         let k = a.build().unwrap();
         // instrs: 0 isetp, 1 bra, 2 mov, 3 mov, 4 exit
-        match k.instrs[1].op {
+        match k.instrs()[1].op {
             Op::Bra { target, reconv } => {
                 assert_eq!(target, 4);
                 assert_eq!(reconv, 4);
             }
             ref other => panic!("expected Bra, got {other:?}"),
         }
-        let g = k.instrs[1].guard.unwrap();
+        let g = k.instrs()[1].guard.unwrap();
         assert_eq!(g.pred, p);
         assert!(g.negate, "branch taken when condition is false");
     }
@@ -459,14 +459,14 @@ mod tests {
         a.if_then_else(p, false, |a| a.mov(r, 1u32), |a| a.mov(r, 2u32));
         let k = a.build().unwrap();
         // 0 isetp, 1 bra->else(4) rc=5, 2 mov(then), 3 bra->5 rc=5, 4 mov(else), 5 exit
-        match k.instrs[1].op {
+        match k.instrs()[1].op {
             Op::Bra { target, reconv } => {
                 assert_eq!(target, 4);
                 assert_eq!(reconv, 5);
             }
             ref o => panic!("{o:?}"),
         }
-        match k.instrs[3].op {
+        match k.instrs()[3].op {
             Op::Bra { target, reconv } => {
                 assert_eq!(target, 5);
                 assert_eq!(reconv, 5);
@@ -474,7 +474,7 @@ mod tests {
             ref o => panic!("{o:?}"),
         }
         assert!(
-            k.instrs[3].guard.is_none(),
+            k.instrs()[3].guard.is_none(),
             "jump over else is unconditional"
         );
     }
@@ -492,14 +492,14 @@ mod tests {
         });
         let k = a.build().unwrap();
         // 0 mov, 1 iadd, 2 isetp, 3 bra->1 rc=4, 4 exit
-        match k.instrs[3].op {
+        match k.instrs()[3].op {
             Op::Bra { target, reconv } => {
                 assert_eq!(target, 1);
                 assert_eq!(reconv, 4);
             }
             ref o => panic!("{o:?}"),
         }
-        assert!(!k.instrs[3].guard.unwrap().negate);
+        assert!(!k.instrs()[3].guard.unwrap().negate);
     }
 
     #[test]
@@ -510,8 +510,8 @@ mod tests {
         a.predicated(p, true, |a| a.mov(r, 7u32));
         a.mov(r, 8u32);
         let k = a.build().unwrap();
-        assert_eq!(k.instrs[0].guard, Some(Guard::new(p, true)));
-        assert_eq!(k.instrs[1].guard, None);
+        assert_eq!(k.instrs()[0].guard, Some(Guard::new(p, true)));
+        assert_eq!(k.instrs()[1].guard, None);
     }
 
     #[test]
@@ -523,7 +523,7 @@ mod tests {
         let k = a.build().unwrap();
         assert_eq!(k.len(), 6); // 5 + exit
         assert!(matches!(
-            k.instrs[0].op,
+            k.instrs()[0].op,
             Op::S2R {
                 sr: SpecialReg::CtaIdX,
                 ..

@@ -1,23 +1,29 @@
 //! Kernels (validated programs) and launch configurations.
 
+use crate::decode::{counter, decode, Decoded};
 use crate::instr::Instr;
-use crate::op::{InstrClass, MemSpace, Op};
+use crate::op::{InstrClass, Op};
 use crate::reg::Reg;
 use crate::{NUM_PREDS, WARP_SIZE};
 use std::fmt;
 
 /// A validated GPU kernel: its instruction stream plus the static resource
-/// footprint the hardware needs to reserve per thread / per CTA.
+/// footprint the hardware needs to reserve per thread / per CTA, and the
+/// decoded form the interpreter runs ([`crate::decode`]).
 #[derive(Debug, Clone)]
 pub struct Kernel {
     pub name: String,
-    pub instrs: Vec<Instr>,
+    /// Private, so the decoded tables built from it cannot go stale.
+    instrs: Vec<Instr>,
     /// Architectural general-purpose registers per thread.
     pub num_regs: u8,
     /// Static shared memory per CTA in bytes (word aligned).
     pub smem_bytes: u32,
-    /// One [`PcFacts`] per instruction of `instrs`, built by [`Kernel::new`].
-    facts: Vec<PcFacts>,
+    /// One decoded op per instruction.
+    ops: Vec<Decoded>,
+    /// Running sums of the instruction counters over `ops`: row `pc` sums
+    /// the ops before `pc` (no kernel is longer than `u16::MAX`).
+    sums: Vec<[u16; counter::COUNT]>,
 }
 
 /// The memory access an instruction makes, as the interpreter's statistics
@@ -32,9 +38,8 @@ pub enum MemAccess {
     Shared,
 }
 
-/// What the interpreter asks of an instruction on every execution, settled
-/// once per kernel: [`Kernel::facts`] holds one per pc, so the answers cost
-/// a table read instead of a walk over the [`Op`].
+/// What the interpreter's statistics ask of an instruction, derived from
+/// its decoded op ([`Decoded::facts`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PcFacts {
     /// [`Op::has_gp_dest`].
@@ -46,43 +51,11 @@ pub struct PcFacts {
     pub reads_src: bool,
 }
 
-impl PcFacts {
-    /// The facts of `op`. Cheap enough for a kernel built on every run: one
-    /// class lookup and two small matches. The interpreter's debug build
-    /// checks each entry against [`Op::has_gp_dest`] and [`Op::src_regs`].
-    pub fn of(op: &Op) -> PcFacts {
-        let class = op.instr_class();
-        PcFacts {
-            // Exactly the ops with a GP destination have a class other
-            // than `Other` (see [`InstrClass`]).
-            gp_dest: class != InstrClass::Other,
-            class,
-            access: match op {
-                Op::Ld {
-                    space: MemSpace::Shared,
-                    ..
-                }
-                | Op::St {
-                    space: MemSpace::Shared,
-                    ..
-                } => MemAccess::Shared,
-                Op::Ld { .. } => MemAccess::GlobalLoad,
-                Op::St { .. } => MemAccess::GlobalStore,
-                _ => MemAccess::None,
-            },
-            reads_src: match op {
-                Op::S2R { .. } | Op::PSetP { .. } | Op::Bar | Op::Bra { .. } | Op::Exit => false,
-                Op::Mov { a, .. } => a.src_reg().is_some(),
-                _ => true,
-            },
-        }
-    }
-}
-
 /// Errors found by [`Kernel::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ValidateError {
     Empty,
+    TooLong { len: usize },
     MissingExit,
     RegOutOfRange { pc: usize, reg: Reg, num_regs: u8 },
     PredOutOfRange { pc: usize, pred: u8 },
@@ -96,6 +69,9 @@ impl fmt::Display for ValidateError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ValidateError::Empty => write!(f, "kernel has no instructions"),
+            ValidateError::TooLong { len } => {
+                write!(f, "kernel has {len} instructions, more than {}", u16::MAX)
+            }
             ValidateError::MissingExit => write!(f, "kernel does not end with EXIT"),
             ValidateError::RegOutOfRange { pc, reg, num_regs } => {
                 write!(f, "pc {pc}: {reg} out of range (num_regs = {num_regs})")
@@ -123,30 +99,51 @@ impl std::error::Error for ValidateError {}
 
 impl Kernel {
     /// Construct and validate a kernel. The only constructor: it also
-    /// builds the per-pc [`PcFacts`] table.
+    /// decodes the instructions.
     pub fn new(
         name: impl Into<String>,
         instrs: Vec<Instr>,
         num_regs: u8,
         smem_bytes: u32,
     ) -> Result<Self, ValidateError> {
-        let k = Kernel {
+        let mut k = Kernel {
             name: name.into(),
-            facts: instrs.iter().map(|i| PcFacts::of(&i.op)).collect(),
             instrs,
             num_regs,
             smem_bytes,
+            ops: Vec::new(),
+            sums: Vec::new(),
         };
         k.validate()?;
+        (k.ops, k.sums) = decode(&k.instrs);
+        #[cfg(debug_assertions)]
+        for (i, o) in k.instrs.iter().zip(&k.ops) {
+            let f = o.facts();
+            debug_assert!(
+                f.gp_dest == i.op.has_gp_dest()
+                    && f.class == i.op.instr_class()
+                    && f.reads_src != i.op.src_regs().is_empty()
+                    && (f.access == MemAccess::None) != i.op.is_mem()
+                    && o.is_control() == i.op.is_control()
+                    && o.guard == i.guard,
+                "{o:?} does not describe {i}"
+            );
+        }
         Ok(k)
     }
 
-    /// Check structural well-formedness: register/predicate indices in range,
+    /// Check structural well-formedness: at most `u16::MAX` instructions,
+    /// register/predicate indices in range,
     /// branch targets and reconvergence points inside the program, word
     /// aligned shared memory, and a terminating `EXIT`.
     pub fn validate(&self) -> Result<(), ValidateError> {
         if self.instrs.is_empty() {
             return Err(ValidateError::Empty);
+        }
+        if self.instrs.len() > u16::MAX as usize {
+            return Err(ValidateError::TooLong {
+                len: self.instrs.len(),
+            });
         }
         if !matches!(self.instrs.last().map(|i| i.op), Some(Op::Exit)) {
             return Err(ValidateError::MissingExit);
@@ -214,10 +211,22 @@ impl Kernel {
         Ok(())
     }
 
-    /// The facts of every instruction, indexed by pc. They describe
-    /// `instrs` as [`Kernel::new`] received it.
-    pub fn facts(&self) -> &[PcFacts] {
-        &self.facts
+    /// The instructions, indexed by pc.
+    pub fn instrs(&self) -> &[Instr] {
+        &self.instrs
+    }
+
+    /// The decoded op of every instruction, indexed by pc.
+    pub fn ops(&self) -> &[Decoded] {
+        &self.ops
+    }
+
+    /// How many of the ops at pcs `from..to` add to each counter
+    /// ([`counter`]).
+    #[inline]
+    pub fn counted(&self, from: usize, to: usize) -> [u32; counter::COUNT] {
+        let (a, b) = (&self.sums[from], &self.sums[to]);
+        std::array::from_fn(|k| u32::from(b[k] - a[k]))
     }
 
     /// Number of instructions.
@@ -303,6 +312,15 @@ mod tests {
         assert_eq!(
             Kernel::new("k", vec![], 4, 0).unwrap_err(),
             ValidateError::Empty
+        );
+    }
+
+    #[test]
+    fn overlong_kernel_rejected() {
+        let len = u16::MAX as usize + 1;
+        assert_eq!(
+            Kernel::new("k", vec![exit(); len], 4, 0).unwrap_err(),
+            ValidateError::TooLong { len }
         );
     }
 

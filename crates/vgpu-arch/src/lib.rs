@@ -12,7 +12,8 @@
 //!
 //! * [`Op`] / [`Instr`] — the instruction set, with optional predication.
 //! * [`Kernel`] — a validated program plus its static resource footprint
-//!   (architectural registers per thread, static shared memory per CTA).
+//!   (architectural registers per thread, static shared memory per CTA),
+//!   decoded once into the dense [`Decoded`] ops the interpreter runs.
 //! * [`KernelBuilder`] — an assembler DSL with structured control flow
 //!   (`if_then`, `if_then_else`, `loop_while`) that computes reconvergence
 //!   points so hand-written kernels cannot get divergence wrong.
@@ -22,12 +23,14 @@
 //! [`vgpu-sim`]: ../vgpu_sim/index.html
 
 pub mod asm;
+pub mod decode;
 pub mod instr;
 pub mod kernel;
 pub mod op;
 pub mod reg;
 
 pub use asm::KernelBuilder;
+pub use decode::{counter, Decoded, Src, Tag};
 pub use instr::{Guard, Instr};
 pub use kernel::{Kernel, LaunchConfig, MemAccess, PcFacts, ValidateError};
 pub use op::{BoolOp, CmpOp, InstrClass, MemSpace, Op, Operand, SrcRegs};

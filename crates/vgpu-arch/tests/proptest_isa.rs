@@ -86,7 +86,7 @@ proptest! {
             b.emit(*op);
         }
         let k = b.build().unwrap();
-        for i in &k.instrs {
+        for i in k.instrs() {
             if let Some(d) = i.op.dst_reg() {
                 prop_assert!(d.0 < k.num_regs);
             }

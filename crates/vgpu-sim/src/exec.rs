@@ -1,20 +1,20 @@
 //! The SIMT instruction interpreter, shared by the cycle-level and
 //! functional engines.
 //!
-//! [`step_warp`] executes one warp instruction: it settles the SIMT stack,
-//! evaluates predication, runs the lane loop, handles divergence, applies
-//! software-level fault injection hooks, and reports an issue class that the
-//! timed engine converts into latency. The engines differ only in the
-//! [`GMem`] implementation (cached vs. flat) and in how they consume the
-//! returned issue class.
+//! [`run_warp`] runs a warp a straight-line block at a time over the
+//! kernel's decoded ops ([`vgpu_arch::Decoded`]): it settles the SIMT stack,
+//! evaluates predication, runs each op as one pass over 32-lane rows,
+//! handles divergence, applies software-level fault injection hooks, and
+//! reports an issue class that the timed engine converts into latency. The
+//! functional engine runs a warp up to its scheduling quantum per call,
+//! the timed engine one instruction per issue slot. The engines differ
+//! otherwise only in the [`GMem`] implementation (cached vs. flat).
 
 use crate::due::DueKind;
 use crate::fault::{apply_stuck, value_mask, SwFaultKind, SwInjector, SwStuck};
 use crate::stats::Stats;
 use crate::warp::{StackEntry, Warp};
-use vgpu_arch::{
-    CmpOp, Kernel, MemAccess, MemSpace, Op, Operand, PcFacts, Reg, SpecialReg, WARP_SIZE,
-};
+use vgpu_arch::{counter, Decoded, Kernel, Reg, Src, Tag, WARP_SIZE};
 
 /// Global-memory interface implemented by the two engines.
 pub trait GMem {
@@ -38,7 +38,7 @@ pub trait GMem {
     ) -> Result<u64, DueKind>;
 
     /// Whether a probe is attached. Gates the per-instruction
-    /// register-operand walk in [`step_warp`] so unprobed runs pay nothing.
+    /// register-operand walk in [`run_warp`] so unprobed runs pay nothing.
     fn probed(&self) -> bool {
         false
     }
@@ -68,9 +68,10 @@ pub enum IssueClass {
     },
 }
 
-/// Outcome of stepping a warp once.
+/// How a call of [`run_warp`] ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepEvent {
+    /// The instruction limit ran out; the last instruction's class.
     Issued(IssueClass),
     /// The warp arrived at a CTA barrier (PC already advanced).
     Barrier,
@@ -78,7 +79,7 @@ pub enum StepEvent {
     Done,
 }
 
-/// Everything `step_warp` needs besides the warp itself.
+/// Everything [`run_warp`] needs besides the warp itself.
 pub struct ExecCtx<'a, M: GMem> {
     pub kernel: &'a Kernel,
     pub params: &'a [u32],
@@ -124,22 +125,23 @@ pub(crate) fn lanes_of(mut mask: u32) -> impl Iterator<Item = usize> {
     })
 }
 
-/// Register `r` of every lane.
+/// The register row at word offset `o` ([`Src::Row`]).
 #[inline]
-fn row(regs: &[u32], r: Reg) -> &Row {
-    regs[reg_idx(r, 0)..reg_idx(r, WARP_SIZE)]
+fn row(regs: &[u32], o: u16) -> &Row {
+    let o = o as usize;
+    regs[o..o + WARP_SIZE]
         .try_into()
         .expect("a row is WARP_SIZE words")
 }
 
-/// An operand on every lane: a register row, or an immediate or
+/// A source operand on every lane: a register row, or an immediate or
 /// constant-bank word broadcast.
 #[inline]
-fn operand(regs: &[u32], params: &[u32], o: &Operand) -> Row {
-    match *o {
-        Operand::Reg(r) => *row(regs, r),
-        Operand::Imm(v) => [v; WARP_SIZE],
-        Operand::Const(i) => {
+fn src(regs: &[u32], params: &[u32], s: Src) -> Row {
+    match s {
+        Src::Row(o) => *row(regs, o),
+        Src::Imm(v) => [v; WARP_SIZE],
+        Src::Const(i) => {
             debug_assert!(
                 (i as usize) < params.len(),
                 "constant bank index out of range"
@@ -170,17 +172,18 @@ fn select(mask: u32, a: &Row, b: &Row) -> Row {
     })
 }
 
-/// Register `r` of every lane, to write.
+/// The register row at word offset `o`, to write.
 #[inline]
-fn row_mut(regs: &mut [u32], r: Reg) -> &mut Row {
-    (&mut regs[reg_idx(r, 0)..reg_idx(r, WARP_SIZE)])
+fn row_mut(regs: &mut [u32], o: u16) -> &mut Row {
+    let o = o as usize;
+    (&mut regs[o..o + WARP_SIZE])
         .try_into()
         .expect("a row is WARP_SIZE words")
 }
 
-/// Write `vals` into register `d` on the lanes of `mask` only.
+/// Write `vals` into the row at `d` on the lanes of `mask` only.
 #[inline(always)]
-fn write_row(regs: &mut [u32], d: Reg, mask: u32, vals: &Row) {
+fn write_row(regs: &mut [u32], d: u16, mask: u32, vals: &Row) {
     let dst = row_mut(regs, d);
     *dst = select(mask, vals, dst);
 }
@@ -243,20 +246,8 @@ fn lane_bits(f: impl Fn(usize) -> bool) -> u32 {
     (0..WARP_SIZE).fold(0, |m, lane| m | (f(lane) as u32) << lane)
 }
 
-/// `cmp` on a comparison result, tabulated so a lane pays an index, not a
-/// match: `table[ord_idx(..)]`. Unordered (NaN) is index 3, where only
-/// `Ne` holds.
-#[inline]
-fn cmp_table(cmp: CmpOp) -> [bool; 4] {
-    use std::cmp::Ordering::*;
-    [
-        cmp.eval(Less),
-        cmp.eval(Equal),
-        cmp.eval(Greater),
-        cmp == CmpOp::Ne,
-    ]
-}
-
+/// The bit of a comparison result in a [`vgpu_arch::decode::cmp_table`]:
+/// unordered (NaN) is bit 3.
 #[inline(always)]
 fn ord_idx(ord: Option<std::cmp::Ordering>) -> usize {
     ord.map_or(3, |o| (o as i8 + 1) as usize)
@@ -264,9 +255,9 @@ fn ord_idx(ord: Option<std::cmp::Ordering>) -> usize {
 
 /// `[a + off]` on every lane.
 #[inline]
-fn addrs(regs: &[u32], a: Reg, off: i32) -> Row {
+fn addrs(regs: &[u32], a: u16, off: u32) -> Row {
     let a = row(regs, a);
-    lanes(|l| a[l].wrapping_add(off as u32))
+    lanes(|l| a[l].wrapping_add(off))
 }
 
 /// Kind of value-level software fault pending for this instruction.
@@ -276,347 +267,475 @@ enum PendingSw {
     None,
 }
 
-/// Execute one instruction of `w`. Returns the issue event or a DUE.
-pub fn step_warp<M: GMem>(w: &mut Warp, ctx: &mut ExecCtx<'_, M>) -> Result<StepEvent, DueKind> {
-    if !w.settle() {
-        return Ok(StepEvent::Done);
-    }
-    let top_idx = w.stack.len() - 1;
-    let live = w.stack[top_idx].mask & !w.exited;
-    let pc = w.stack[top_idx].pc;
-    if pc as usize >= ctx.kernel.instrs.len() {
-        return Err(DueKind::BadPc { pc });
-    }
-    let instr = ctx.kernel.instrs[pc as usize];
-    let exec_mask = match instr.guard {
-        Some(g) => {
-            let pm = w.preds[g.pred.0 as usize];
-            live & if g.negate { !pm } else { pm }
+/// Run `w` until `limit` instructions have issued, it arrives at a
+/// barrier, or it finishes. Returns the event that ended the run (the
+/// issue class of the last instruction when `limit` ran out), or a DUE.
+///
+/// The warp runs a straight-line block at a time. A block starts wherever
+/// the SIMT stack's top entry points and ends at the earliest of: the end
+/// of the op's run (its next `Bra`, `Bar` or `Exit`, included), the top
+/// entry's reconvergence point, or `limit`. The stack is settled and its
+/// top read once per block, and the block's instruction counters are
+/// added once, from the kernel's running sums ([`Kernel::counted`]) times
+/// the live lanes, less the lanes each guard masked off. The guard is
+/// re-read per instruction, so predicates set inside a block apply at
+/// once. A software fault's target is tested once per block, against the
+/// most lanes the block can count; the block that may hold it, and every
+/// block of a warp with a stuck-at cell, run one instruction at a time
+/// with the injector's per-instruction bookkeeping. The timed engine calls
+/// this with a `limit` of 1, the least there is. At a DUE, `Stats` and the
+/// injector hold what they held had every instruction run alone: the
+/// faulting one counted, nothing after it.
+pub fn run_warp<M: GMem>(
+    w: &mut Warp,
+    ctx: &mut ExecCtx<'_, M>,
+    limit: u32,
+) -> Result<StepEvent, DueKind> {
+    debug_assert!(limit > 0, "a call issues at least one instruction");
+    let kernel = ctx.kernel;
+    let ops = kernel.ops();
+    let sw_k = ctx.sw.as_deref().and_then(|sw| sw.fault.kind.counter());
+    let probed = ctx.mem.probed();
+    let mut left = limit as usize;
+    loop {
+        if !w.settle() {
+            return Ok(StepEvent::Done);
         }
-        None => live,
-    };
+        let top_idx = w.stack.len() - 1;
+        let top = w.stack[top_idx];
+        let live = top.mask & !w.exited;
+        let pc = top.pc as usize;
+        if pc >= ops.len() {
+            return Err(DueKind::BadPc { pc: top.pc });
+        }
+        let mut end = (ops[pc].end as usize).min(pc + left);
+        if top.rpc as usize > pc {
+            end = end.min(top.rpc as usize);
+        }
+        let n_live = live.count_ones();
+        let slow = ctx.sw.as_deref().is_some_and(|sw| {
+            let bound = |k| u64::from(n_live) * u64::from(kernel.counted(pc, end)[k]);
+            sw.stuck.is_some_and(|st| st.seq == w.seq)
+                || sw_k.is_some_and(|k| {
+                    let t = sw.fault.target;
+                    t >= sw.counter && t - sw.counter < bound(k)
+                })
+        });
+        if slow {
+            end = pc + 1;
+        }
 
-    ctx.stats.warp_instrs += 1;
-    let n_active = exec_mask.count_ones() as u64;
-    ctx.stats.thread_instrs += n_active;
-
-    let op = instr.op;
-    let facts = ctx.kernel.facts()[pc as usize];
-    debug_assert!(
-        facts == PcFacts::of(&op)
-            && facts.gp_dest == op.has_gp_dest()
-            && facts.reads_src != op.src_regs().is_empty(),
-        "pc {pc}: facts {facts:?} do not describe {op}"
-    );
-
-    // ---- software-level fault injection bookkeeping -------------------
-    // Count eligible dynamic thread-instructions and, when the target index
-    // falls inside this instruction, arrange the bit flip.
-    let mut pending = PendingSw::None;
-    if let Some(sw) = ctx.sw.as_deref_mut() {
-        if n_active > 0 {
-            let eligible = match sw.fault.kind {
-                SwFaultKind::DestValue => facts.gp_dest,
-                SwFaultKind::DestValueLoad => facts.access == MemAccess::GlobalLoad,
-                SwFaultKind::SrcTransient | SwFaultKind::SrcPersistent => facts.reads_src,
-                SwFaultKind::ArchState => true,
-                SwFaultKind::DestClass(c) => facts.gp_dest && facts.class == c,
+        // Lanes each counter did not get because a guard masked them off.
+        let mut short = [0u32; counter::COUNT];
+        let mut class = IssueClass::Alu;
+        for (i, op) in (pc..end).zip(&ops[pc..end]) {
+            let exec = match op.guard {
+                Some(g) => live & (w.preds[g.pred.0 as usize] ^ (g.negate as u32).wrapping_neg()),
+                None => live,
             };
-            if eligible {
-                let t = sw.fault.target;
-                if t >= sw.counter && t < sw.counter + n_active {
-                    let lane = lanes_of(exec_mask)
-                        .nth((t - sw.counter) as usize)
-                        .expect("the target is one of this instruction's active lanes");
-                    let mask = value_mask(sw.fault.pattern, sw.fault.bit);
-                    let stuck_v = sw.fault.pattern.stuck_value();
-                    match sw.fault.kind {
-                        SwFaultKind::DestValue
-                        | SwFaultKind::DestValueLoad
-                        | SwFaultKind::DestClass(_) => {
-                            pending = PendingSw::Dest { lane, mask };
-                        }
-                        SwFaultKind::SrcTransient | SwFaultKind::SrcPersistent => {
-                            let r = op.src_regs()[0];
-                            let i = reg_idx(r, lane);
-                            match stuck_v {
-                                Some(v) => {
-                                    // Persistent pattern: the cell is stuck
-                                    // regardless of the source-fault kind.
-                                    ctx.regs[i] = apply_stuck(ctx.regs[i], mask, v);
-                                    sw.stuck = Some(SwStuck {
-                                        seq: w.seq,
-                                        reg: r.0,
-                                        lane,
-                                        mask,
-                                        value: v,
-                                    });
-                                }
-                                None => {
-                                    ctx.regs[i] ^= mask;
-                                    if sw.fault.kind == SwFaultKind::SrcTransient {
-                                        pending = PendingSw::SrcRestore { r, lane, mask };
-                                    }
-                                }
-                            }
-                            sw.applied = true;
-                        }
-                        SwFaultKind::ArchState => {
-                            // Architectural-state fault (PVF model): any
-                            // live register of this warp, before execution.
-                            let nregs = ctx.kernel.num_regs as u64;
-                            let r = Reg((sw.fault.loc_pick % nregs) as u8);
-                            let i = reg_idx(r, lane);
-                            match stuck_v {
-                                Some(v) => {
-                                    ctx.regs[i] = apply_stuck(ctx.regs[i], mask, v);
-                                    sw.stuck = Some(SwStuck {
-                                        seq: w.seq,
-                                        reg: r.0,
-                                        lane,
-                                        mask,
-                                        value: v,
-                                    });
-                                }
-                                None => ctx.regs[i] ^= mask,
-                            }
-                            sw.applied = true;
-                        }
+            if exec != live {
+                let off = n_live - exec.count_ones();
+                let mut m = op.counts;
+                while m != 0 {
+                    short[m.trailing_zeros() as usize] += off;
+                    m &= m - 1;
+                }
+            }
+            let pending = if slow {
+                sw_before(w, ctx, sw_k, i, exec)
+            } else {
+                PendingSw::None
+            };
+            // `Sel` conservatively counts both inputs as read; predicate
+            // registers are not part of the modeled register file.
+            if probed {
+                for r in kernel.instrs()[i].op.src_regs() {
+                    for lane in lanes_of(exec) {
+                        ctx.mem.probe_reg(reg_idx(r, lane), false);
                     }
                 }
-                sw.counter += n_active;
+            }
+            match exec_op(op, i, live, exec, w, ctx) {
+                Ok(c) => class = c,
+                Err(e) => {
+                    count_block(ctx, pc, i + 1, n_live, &short, slow, sw_k);
+                    if op.tag != Tag::Bra {
+                        w.stack[top_idx].pc = i as u32;
+                    }
+                    return Err(e);
+                }
+            }
+            if slow {
+                sw_after(w, ctx, i, pending);
+            }
+            if probed {
+                if let Some(d) = kernel.instrs()[i].op.dst_reg() {
+                    for lane in lanes_of(exec) {
+                        ctx.mem.probe_reg(reg_idx(d, lane), true);
+                    }
+                }
             }
         }
-    }
-
-    // ---- instruction-class statistics ----------------------------------
-    // Branch-free: `n_active` where the fact holds, else 0.
-    let count = |holds: bool| n_active * holds as u64;
-    let global_load = count(facts.access == MemAccess::GlobalLoad);
-    ctx.stats.load_instrs += global_load;
-    ctx.stats.ld_dest_instrs += global_load;
-    ctx.stats.store_instrs += count(facts.access == MemAccess::GlobalStore);
-    ctx.stats.smem_instrs += count(facts.access == MemAccess::Shared);
-    ctx.stats.gp_dest_instrs += count(facts.gp_dest);
-    ctx.stats.src_reg_instrs += count(facts.reads_src);
-    if facts.gp_dest {
-        if let Some(c) = facts.class.index() {
-            ctx.stats.class_dest_instrs[c] += n_active;
+        count_block(ctx, pc, end, n_live, &short, slow, sw_k);
+        let last = ops[end - 1].tag;
+        if last != Tag::Bra {
+            w.stack[top_idx].pc = end as u32;
+        }
+        if last == Tag::Bar {
+            return Ok(StepEvent::Barrier);
+        }
+        left -= end - pc;
+        if left == 0 {
+            return Ok(StepEvent::Issued(class));
         }
     }
+}
 
-    // ---- probe: source-register reads -----------------------------------
-    // `Sel` conservatively counts both inputs as read; predicate registers
-    // are not part of the modeled register file.
-    if ctx.mem.probed() {
-        for r in op.src_regs() {
-            for lane in lanes_of(exec_mask) {
-                ctx.mem.probe_reg(reg_idx(r, lane), false);
+/// Add the block `pc..end`, run with `n_live` live lanes, to the
+/// statistics: each counter gets the live lanes times the block's ops that
+/// feed it ([`Kernel::counted`]), less the lanes guards took from it
+/// (`short`); a one-instruction block reads its op's counter bits instead.
+/// Unless the block did the injector's bookkeeping itself (`slow`), the
+/// injector's counter too.
+#[inline(always)]
+fn count_block<M: GMem>(
+    ctx: &mut ExecCtx<'_, M>,
+    pc: usize,
+    end: usize,
+    n_live: u32,
+    short: &[u32; counter::COUNT],
+    slow: bool,
+    sw_k: Option<usize>,
+) {
+    if end - pc == 1 {
+        let n = u64::from(n_live - short[counter::THREAD]);
+        let bits = ctx.kernel.ops()[pc].counts;
+        let lanes = |k: usize| n * u64::from(bits >> k & 1);
+        add_counts(ctx, 1, lanes, bits >> counter::CLASS, slow, sw_k);
+    } else {
+        let counted = ctx.kernel.counted(pc, end);
+        let lanes = |k: usize| u64::from(n_live * counted[k] - short[k]);
+        add_counts(ctx, (end - pc) as u64, lanes, !0, slow, sw_k);
+    }
+}
+
+/// Add `warp_instrs` instructions and `lanes(k)` lanes to each counter `k`;
+/// of the per-class counters, only those in `classes` (bit `c` for class
+/// index `c`) can be non-zero.
+#[inline(always)]
+fn add_counts<M: GMem>(
+    ctx: &mut ExecCtx<'_, M>,
+    warp_instrs: u64,
+    lanes: impl Fn(usize) -> u64,
+    classes: u16,
+    slow: bool,
+    sw_k: Option<usize>,
+) {
+    let s = &mut *ctx.stats;
+    s.warp_instrs += warp_instrs;
+    s.thread_instrs += lanes(counter::THREAD);
+    let global_load = lanes(counter::GLOBAL_LOAD);
+    s.load_instrs += global_load;
+    s.ld_dest_instrs += global_load;
+    s.store_instrs += lanes(counter::GLOBAL_STORE);
+    s.smem_instrs += lanes(counter::SHARED);
+    s.gp_dest_instrs += lanes(counter::GP_DEST);
+    s.src_reg_instrs += lanes(counter::SRC_REG);
+    for (c, n) in s.class_dest_instrs.iter_mut().enumerate() {
+        if classes >> c & 1 != 0 {
+            *n += lanes(counter::CLASS + c);
+        }
+    }
+    if !slow {
+        if let (Some(sw), Some(k)) = (ctx.sw.as_deref_mut(), sw_k) {
+            sw.counter += lanes(k);
+        }
+    }
+}
+
+/// The injector's bookkeeping of the instruction at `pc` before it runs
+/// on `exec`: count its eligible lanes and, when the target index falls
+/// among them, apply a source or architectural-state fault now or return
+/// the destination fault to apply after it.
+fn sw_before<M: GMem>(
+    w: &Warp,
+    ctx: &mut ExecCtx<'_, M>,
+    sw_k: Option<usize>,
+    pc: usize,
+    exec: u32,
+) -> PendingSw {
+    let Some(sw) = ctx.sw.as_deref_mut() else {
+        return PendingSw::None;
+    };
+    let n_active = exec.count_ones() as u64;
+    let eligible = sw_k.is_some_and(|k| ctx.kernel.ops()[pc].counts >> k & 1 != 0);
+    if n_active == 0 || !eligible {
+        return PendingSw::None;
+    }
+    let mut pending = PendingSw::None;
+    let t = sw.fault.target;
+    if t >= sw.counter && t < sw.counter + n_active {
+        let lane = lanes_of(exec)
+            .nth((t - sw.counter) as usize)
+            .expect("the target is one of this instruction's active lanes");
+        let mask = value_mask(sw.fault.pattern, sw.fault.bit);
+        let stuck_v = sw.fault.pattern.stuck_value();
+        let hit = match sw.fault.kind {
+            SwFaultKind::DestValue | SwFaultKind::DestValueLoad | SwFaultKind::DestClass(_) => {
+                pending = PendingSw::Dest { lane, mask };
+                None
+            }
+            SwFaultKind::SrcTransient | SwFaultKind::SrcPersistent => {
+                let r = ctx.kernel.instrs()[pc].op.src_regs()[0];
+                // A persistent pattern sticks the cell whatever the
+                // source-fault kind; a transient one is undone after the
+                // instruction.
+                if stuck_v.is_none() && sw.fault.kind == SwFaultKind::SrcTransient {
+                    pending = PendingSw::SrcRestore { r, lane, mask };
+                }
+                Some(r)
+            }
+            // Architectural-state fault (PVF model): any live register of
+            // this warp, before execution.
+            SwFaultKind::ArchState => Some(Reg(
+                (sw.fault.loc_pick % u64::from(ctx.kernel.num_regs)) as u8,
+            )),
+        };
+        if let Some(r) = hit {
+            let i = reg_idx(r, lane);
+            match stuck_v {
+                Some(v) => {
+                    ctx.regs[i] = apply_stuck(ctx.regs[i], mask, v);
+                    sw.stuck = Some(SwStuck {
+                        seq: w.seq,
+                        reg: r.0,
+                        lane,
+                        mask,
+                        value: v,
+                    });
+                }
+                None => ctx.regs[i] ^= mask,
+            }
+            sw.applied = true;
+        }
+    }
+    sw.counter += n_active;
+    pending
+}
+
+/// The injector's bookkeeping after the instruction at `pc` ran: apply a
+/// pending destination fault or undo a transient source flip, then
+/// re-force a stuck cell of this warp, so whatever the instruction wrote
+/// is pinned back before the next reader can observe it.
+fn sw_after<M: GMem>(w: &Warp, ctx: &mut ExecCtx<'_, M>, pc: usize, pending: PendingSw) {
+    let Some(sw) = ctx.sw.as_deref_mut() else {
+        return;
+    };
+    let dst = ctx.kernel.instrs()[pc].op.dst_reg();
+    match pending {
+        PendingSw::Dest { lane, mask } => {
+            if let Some(d) = dst {
+                let i = reg_idx(d, lane);
+                match sw.fault.pattern.stuck_value() {
+                    Some(v) => {
+                        ctx.regs[i] = apply_stuck(ctx.regs[i], mask, v);
+                        sw.stuck = Some(SwStuck {
+                            seq: w.seq,
+                            reg: d.0,
+                            lane,
+                            mask,
+                            value: v,
+                        });
+                    }
+                    None => ctx.regs[i] ^= mask,
+                }
+                sw.applied = true;
             }
         }
+        // Transient source fault: undo the flip unless the instruction
+        // overwrote the register anyway.
+        PendingSw::SrcRestore { r, lane, mask } => {
+            if dst != Some(r) {
+                ctx.regs[reg_idx(r, lane)] ^= mask;
+            }
+        }
+        PendingSw::None => {}
     }
+    if let Some(st) = sw.stuck.filter(|st| st.seq == w.seq) {
+        let i = reg_idx(Reg(st.reg), st.lane);
+        ctx.regs[i] = apply_stuck(ctx.regs[i], st.mask, st.value);
+    }
+}
 
-    // ---- the operation: one pass over 32-lane rows ----------------------
-    // Register operands are read as rows and immediate / constant operands
-    // broadcast once; results are written back under the exec mask.
-    macro_rules! alu {
-        ($class:expr, $d:expr, |$l:ident| $e:expr) => {{
-            let out = lanes(|$l| $e);
-            write_row(ctx.regs, *$d, exec_mask, &out);
-            $class
+/// Execute decoded op `op` at `pc` on the lanes of `exec` (`live` are the
+/// lanes of the stack's top entry): one pass over 32-lane rows. Register
+/// operands are read as rows and immediate / constant operands broadcast
+/// once; results are written back under the exec mask. A branch updates
+/// the SIMT stack itself; the caller advances the pc past any other op.
+#[inline(always)]
+fn exec_op<M: GMem>(
+    op: &Decoded,
+    pc: usize,
+    live: u32,
+    exec: u32,
+    w: &mut Warp,
+    ctx: &mut ExecCtx<'_, M>,
+) -> Result<IssueClass, DueKind> {
+    macro_rules! put {
+        ($v:expr) => {{
+            let v = $v;
+            write_row(ctx.regs, op.d, exec, &v);
+            IssueClass::Alu
         }};
     }
     macro_rules! alu1 {
-        ($d:expr, $a:expr, $e:expr) => {{
-            let a = row(ctx.regs, *$a);
-            alu!(IssueClass::Alu, $d, |l| $e(a[l]))
+        ($class:expr, |$x:ident| $e:expr) => {{
+            let a = row(ctx.regs, op.a);
+            let out = lanes(|l| {
+                let $x = a[l];
+                $e
+            });
+            write_row(ctx.regs, op.d, exec, &out);
+            $class
         }};
     }
     macro_rules! alu2 {
-        ($d:expr, $a:expr, $b:expr, $e:expr) => {{
-            let (a, b) = (row(ctx.regs, *$a), operand(ctx.regs, ctx.params, $b));
-            alu!(IssueClass::Alu, $d, |l| $e(a[l], b[l]))
+        (|$x:ident, $y:ident| $e:expr) => {{
+            let (a, b) = (row(ctx.regs, op.a), src(ctx.regs, ctx.params, op.b));
+            put!(lanes(|l| {
+                let ($x, $y) = (a[l], b[l]);
+                $e
+            }))
         }};
     }
     macro_rules! sfu {
-        ($d:expr, $a:expr, $e:expr) => {{
-            let a = row(ctx.regs, *$a);
-            alu!(IssueClass::Sfu, $d, |l| fb($e(f(a[l]))))
+        ($e:expr) => {
+            alu1!(IssueClass::Sfu, |x| fb($e(f(x))))
+        };
+    }
+    macro_rules! setp {
+        (|$x:ident, $y:ident| $ord:expr) => {{
+            let (a, b) = (row(ctx.regs, op.a), src(ctx.regs, ctx.params, op.b));
+            let bits = lane_bits(|l| {
+                let ($x, $y) = (a[l], b[l]);
+                op.imm >> ord_idx($ord) & 1 != 0
+            });
+            write_pred(&mut w.preds[op.d as usize], exec, bits);
+            IssueClass::Alu
         }};
     }
-
-    let mut event = StepEvent::Issued(IssueClass::Alu);
-    let mut advance = true;
-
-    let class: IssueClass = match &op {
-        Op::S2R { d, sr } => {
+    macro_rules! pset {
+        (|$x:ident, $y:ident| $e:expr) => {{
+            let neg = |bit: u32| (op.imm >> bit & 1).wrapping_neg();
+            let $x = w.preds[op.a as usize] ^ neg(8);
+            let $y = w.preds[(op.imm & 0xff) as usize] ^ neg(9);
+            write_pred(&mut w.preds[op.d as usize], exec, $e);
+            IssueClass::Alu
+        }};
+    }
+    Ok(match op.tag {
+        Tag::TidX => {
             let tid0 = w.warp_in_cta * WARP_SIZE as u32;
-            let v = match sr {
-                SpecialReg::TidX => lanes(|l| tid0 + l as u32),
-                SpecialReg::LaneId => lanes(|l| l as u32),
-                SpecialReg::CtaIdX => [w.ctaid_x; WARP_SIZE],
-                SpecialReg::CtaIdY => [w.ctaid_y; WARP_SIZE],
-                SpecialReg::NTidX => [ctx.ntid; WARP_SIZE],
-                SpecialReg::NCtaIdX => [ctx.nctaid; WARP_SIZE],
-            };
-            write_row(ctx.regs, *d, exec_mask, &v);
-            IssueClass::Alu
+            put!(lanes(|l| tid0 + l as u32))
         }
-        Op::Mov { d, a } => {
-            let v = operand(ctx.regs, ctx.params, a);
-            write_row(ctx.regs, *d, exec_mask, &v);
-            IssueClass::Alu
-        }
-        Op::IAdd { d, a, b } => alu2!(d, a, b, |x: u32, y| x.wrapping_add(y)),
-        Op::ISub { d, a, b } => alu2!(d, a, b, |x: u32, y| x.wrapping_sub(y)),
-        Op::IMul { d, a, b } => alu2!(d, a, b, |x: u32, y| x.wrapping_mul(y)),
-        Op::IMad { d, a, b, c } => {
-            let (a, b) = (row(ctx.regs, *a), operand(ctx.regs, ctx.params, b));
-            let c = operand(ctx.regs, ctx.params, c);
-            alu!(IssueClass::Alu, d, |l| a[l]
-                .wrapping_mul(b[l])
-                .wrapping_add(c[l]))
-        }
-        Op::IScAdd { d, a, b, shift } => {
-            let sh = *shift as u32 & 31;
-            alu2!(d, a, b, |x: u32, y| (x << sh).wrapping_add(y))
-        }
-        Op::IMnMx {
-            d,
-            a,
-            b,
-            max,
-            signed,
-        } => match (*max, *signed) {
-            (true, true) => alu2!(d, a, b, |x, y| (x as i32).max(y as i32) as u32),
-            (false, true) => alu2!(d, a, b, |x, y| (x as i32).min(y as i32) as u32),
-            (true, false) => alu2!(d, a, b, u32::max),
-            (false, false) => alu2!(d, a, b, u32::min),
-        },
+        Tag::LaneId => put!(lanes(|l| l as u32)),
+        Tag::CtaIdX => put!([w.ctaid_x; WARP_SIZE]),
+        Tag::CtaIdY => put!([w.ctaid_y; WARP_SIZE]),
+        Tag::NTidX => put!([ctx.ntid; WARP_SIZE]),
+        Tag::NCtaIdX => put!([ctx.nctaid; WARP_SIZE]),
+        Tag::Mov => put!(src(ctx.regs, ctx.params, op.b)),
+        Tag::IAdd => alu2!(|x, y| x.wrapping_add(y)),
+        Tag::ISub => alu2!(|x, y| x.wrapping_sub(y)),
+        Tag::IMul => alu2!(|x, y| x.wrapping_mul(y)),
+        Tag::IMaxS => alu2!(|x, y| (x as i32).max(y as i32) as u32),
+        Tag::IMinS => alu2!(|x, y| (x as i32).min(y as i32) as u32),
+        Tag::IMaxU => alu2!(|x, y| x.max(y)),
+        Tag::IMinU => alu2!(|x, y| x.min(y)),
         // NVIDIA shifts clamp: amounts >= 32 yield 0.
-        Op::Shl { d, a, b } => alu2!(d, a, b, |x: u32, y| x.checked_shl(y).unwrap_or(0)),
-        Op::Shr { d, a, b } => alu2!(d, a, b, |x: u32, y| x.checked_shr(y).unwrap_or(0)),
-        Op::And { d, a, b } => alu2!(d, a, b, |x, y| x & y),
-        Op::Or { d, a, b } => alu2!(d, a, b, |x, y| x | y),
-        Op::Xor { d, a, b } => alu2!(d, a, b, |x, y| x ^ y),
-        Op::Not { d, a } => alu1!(d, a, |x: u32| !x),
-        Op::FAdd { d, a, b } => alu2!(d, a, b, |x, y| fb(f(x) + f(y))),
-        Op::FMul { d, a, b } => alu2!(d, a, b, |x, y| fb(f(x) * f(y))),
-        Op::FFma { d, a, b, c } => {
-            let (a, b) = (row(ctx.regs, *a), operand(ctx.regs, ctx.params, b));
-            let c = operand(ctx.regs, ctx.params, c);
-            write_row(ctx.regs, *d, exec_mask, &ffma_row(a, &b, &c));
+        Tag::Shl => alu2!(|x, y| x.checked_shl(y).unwrap_or(0)),
+        Tag::Shr => alu2!(|x, y| x.checked_shr(y).unwrap_or(0)),
+        Tag::And => alu2!(|x, y| x & y),
+        Tag::Or => alu2!(|x, y| x | y),
+        Tag::Xor => alu2!(|x, y| x ^ y),
+        Tag::FAdd => alu2!(|x, y| fb(f(x) + f(y))),
+        Tag::FMul => alu2!(|x, y| fb(f(x) * f(y))),
+        Tag::FMax => alu2!(|x, y| fb(f(x).max(f(y)))),
+        Tag::FMin => alu2!(|x, y| fb(f(x).min(f(y)))),
+        Tag::IScAdd => {
+            let sh = op.imm;
+            alu2!(|x, y| (x << sh).wrapping_add(y))
+        }
+        Tag::IMad => {
+            let (a, b) = (row(ctx.regs, op.a), src(ctx.regs, ctx.params, op.b));
+            let c = src(ctx.regs, ctx.params, op.c);
+            put!(lanes(|l| a[l].wrapping_mul(b[l]).wrapping_add(c[l])))
+        }
+        Tag::FFma => {
+            let (a, b) = (row(ctx.regs, op.a), src(ctx.regs, ctx.params, op.b));
+            let c = src(ctx.regs, ctx.params, op.c);
+            put!(ffma_row(a, &b, &c))
+        }
+        Tag::Not => alu1!(IssueClass::Alu, |x| !x),
+        Tag::FAbs => alu1!(IssueClass::Alu, |x| x & 0x7fff_ffff),
+        Tag::I2F => alu1!(IssueClass::Alu, |x| fb(x as i32 as f32)),
+        Tag::F2I => alu1!(IssueClass::Alu, |x| f(x) as i32 as u32),
+        Tag::FRcp => sfu!(|x: f32| 1.0 / x),
+        Tag::FSqrt => sfu!(f32::sqrt),
+        Tag::FExp => sfu!(f32::exp),
+        Tag::FLog => sfu!(f32::ln),
+        Tag::ISetPS => setp!(|x, y| Some((x as i32).cmp(&(y as i32)))),
+        Tag::ISetPU => setp!(|x, y| Some(x.cmp(&y))),
+        Tag::FSetP => setp!(|x, y| f(x).partial_cmp(&f(y))),
+        Tag::PAnd => pset!(|x, y| x & y),
+        Tag::POr => pset!(|x, y| x | y),
+        Tag::PXor => pset!(|x, y| x ^ y),
+        Tag::Sel => {
+            let pm = w.preds[(op.imm & 0xff) as usize] ^ (op.imm >> 8 & 1).wrapping_neg();
+            let (a, b) = (row(ctx.regs, op.a), src(ctx.regs, ctx.params, op.b));
+            put!(select(pm, a, &b))
+        }
+        Tag::LdShared => {
+            let addrs = addrs(ctx.regs, op.a, op.imm);
+            smem_access(ctx, exec, &addrs, Some(op.d), None)?
+        }
+        Tag::StShared => {
+            let addrs = addrs(ctx.regs, op.a, op.imm);
+            smem_access(ctx, exec, &addrs, None, Some(stored(op)))?
+        }
+        Tag::LdGlobal | Tag::LdTex | Tag::StGlobal if exec == 0 => IssueClass::Alu,
+        Tag::LdGlobal | Tag::LdTex => {
+            let addrs = addrs(ctx.regs, op.a, op.imm);
+            let mut out = [0u32; WARP_SIZE];
+            let ready = ctx.mem.load(op.tag == Tag::LdTex, exec, &addrs, &mut out)?;
+            write_row(ctx.regs, op.d, exec, &out);
+            IssueClass::Mem { ready }
+        }
+        Tag::StGlobal => {
+            let addrs = addrs(ctx.regs, op.a, op.imm);
+            let ready = ctx.mem.store(exec, &addrs, row(ctx.regs, stored(op)))?;
+            IssueClass::Mem { ready }
+        }
+        Tag::Bar => IssueClass::Alu,
+        Tag::Exit => {
+            w.exited |= exec;
             IssueClass::Alu
         }
-        Op::FMnMx { d, a, b, max } => {
-            if *max {
-                alu2!(d, a, b, |x, y| fb(f(x).max(f(y))))
-            } else {
-                alu2!(d, a, b, |x, y| fb(f(x).min(f(y))))
-            }
-        }
-        Op::FRcp { d, a } => sfu!(d, a, |x: f32| 1.0 / x),
-        Op::FSqrt { d, a } => sfu!(d, a, f32::sqrt),
-        Op::FExp { d, a } => sfu!(d, a, f32::exp),
-        Op::FLog { d, a } => sfu!(d, a, f32::ln),
-        Op::FAbs { d, a } => alu1!(d, a, |x: u32| x & 0x7fff_ffff),
-        Op::I2F { d, a } => alu1!(d, a, |x: u32| fb(x as i32 as f32)),
-        Op::F2I { d, a } => alu1!(d, a, |x: u32| f(x) as i32 as u32),
-        Op::ISetP {
-            p,
-            a,
-            b,
-            cmp,
-            signed,
-        } => {
-            let (a, b) = (row(ctx.regs, *a), operand(ctx.regs, ctx.params, b));
-            let t = cmp_table(*cmp);
-            let bits = if *signed {
-                lane_bits(|l| t[ord_idx(Some((a[l] as i32).cmp(&(b[l] as i32))))])
-            } else {
-                lane_bits(|l| t[ord_idx(Some(a[l].cmp(&b[l])))])
-            };
-            write_pred(&mut w.preds[p.0 as usize], exec_mask, bits);
-            IssueClass::Alu
-        }
-        Op::FSetP { p, a, b, cmp } => {
-            let (a, b) = (row(ctx.regs, *a), operand(ctx.regs, ctx.params, b));
-            let t = cmp_table(*cmp);
-            let bits = lane_bits(|l| t[ord_idx(f(a[l]).partial_cmp(&f(b[l])))]);
-            write_pred(&mut w.preds[p.0 as usize], exec_mask, bits);
-            IssueClass::Alu
-        }
-        Op::PSetP {
-            p,
-            a,
-            b,
-            op: bop,
-            na,
-            nb,
-        } => {
-            let am = w.preds[a.0 as usize] ^ if *na { !0 } else { 0 };
-            let bm = w.preds[b.0 as usize] ^ if *nb { !0 } else { 0 };
-            let rm = match bop {
-                vgpu_arch::BoolOp::And => am & bm,
-                vgpu_arch::BoolOp::Or => am | bm,
-                vgpu_arch::BoolOp::Xor => am ^ bm,
-            };
-            write_pred(&mut w.preds[p.0 as usize], exec_mask, rm);
-            IssueClass::Alu
-        }
-        Op::Sel { d, a, b, p, neg } => {
-            let pm = w.preds[p.0 as usize] ^ if *neg { !0 } else { 0 };
-            let (a, b) = (row(ctx.regs, *a), operand(ctx.regs, ctx.params, b));
-            let v = select(pm, a, &b);
-            write_row(ctx.regs, *d, exec_mask, &v);
-            IssueClass::Alu
-        }
-        Op::Ld { d, space, a, off } => {
-            let addrs = addrs(ctx.regs, *a, *off);
-            match space {
-                MemSpace::Shared => smem_access(ctx, exec_mask, &addrs, Some(*d), None)?,
-                _ if exec_mask == 0 => IssueClass::Alu,
-                MemSpace::Global | MemSpace::Tex => {
-                    let mut out = [0u32; WARP_SIZE];
-                    let tex = *space == MemSpace::Tex;
-                    let ready = ctx.mem.load(tex, exec_mask, &addrs, &mut out)?;
-                    write_row(ctx.regs, *d, exec_mask, &out);
-                    IssueClass::Mem { ready }
-                }
-            }
-        }
-        Op::St { space, a, off, v } => {
-            let addrs = addrs(ctx.regs, *a, *off);
-            match space {
-                MemSpace::Shared => smem_access(ctx, exec_mask, &addrs, None, Some(*v))?,
-                MemSpace::Tex => unreachable!("validated kernels cannot store to texture space"),
-                _ if exec_mask == 0 => IssueClass::Alu,
-                MemSpace::Global => {
-                    let ready = ctx.mem.store(exec_mask, &addrs, row(ctx.regs, *v))?;
-                    IssueClass::Mem { ready }
-                }
-            }
-        }
-        Op::Bar => {
-            event = StepEvent::Barrier;
-            IssueClass::Alu
-        }
-        Op::Bra { target, reconv } => {
-            advance = false;
-            let taken = exec_mask;
+        Tag::Bra => {
+            let (pc, target, rpc) = (pc as u32, op.imm, op.reconv);
+            let taken = exec;
             let fall = live & !taken;
+            let top_idx = w.stack.len() - 1;
             let top = &mut w.stack[top_idx];
             if taken == 0 {
                 top.pc = pc + 1;
             } else if fall == 0 {
-                top.pc = *target;
+                top.pc = target;
             } else {
                 // Divergence: the current entry becomes the reconvergence
                 // continuation; push the two sides (skipping any side that
                 // starts at the reconvergence point itself).
-                top.pc = *reconv;
+                top.pc = rpc;
                 top.mask = live;
-                let rpc = *reconv;
                 if pc + 1 != rpc {
                     w.stack.push(StackEntry {
                         pc: pc + 1,
@@ -624,9 +743,9 @@ pub fn step_warp<M: GMem>(w: &mut Warp, ctx: &mut ExecCtx<'_, M>) -> Result<Step
                         mask: fall,
                     });
                 }
-                if *target != rpc {
+                if target != rpc {
                     w.stack.push(StackEntry {
-                        pc: *target,
+                        pc: target,
                         rpc,
                         mask: taken,
                     });
@@ -637,74 +756,16 @@ pub fn step_warp<M: GMem>(w: &mut Warp, ctx: &mut ExecCtx<'_, M>) -> Result<Step
             }
             IssueClass::Alu
         }
-        Op::Exit => {
-            w.exited |= exec_mask;
-            IssueClass::Alu
-        }
-    };
+    })
+}
 
-    // ---- apply pending destination-value fault & advance ---------------
-    match pending {
-        PendingSw::Dest { lane, mask } => {
-            if let Some(d) = op.dst_reg() {
-                let i = reg_idx(d, lane);
-                if let Some(sw) = ctx.sw.as_deref_mut() {
-                    match sw.fault.pattern.stuck_value() {
-                        Some(v) => {
-                            ctx.regs[i] = apply_stuck(ctx.regs[i], mask, v);
-                            sw.stuck = Some(SwStuck {
-                                seq: w.seq,
-                                reg: d.0,
-                                lane,
-                                mask,
-                                value: v,
-                            });
-                        }
-                        None => ctx.regs[i] ^= mask,
-                    }
-                    sw.applied = true;
-                }
-            }
-        }
-        PendingSw::SrcRestore { r, lane, mask } => {
-            // Transient source fault: undo the flip unless the instruction
-            // overwrote the register anyway.
-            if op.dst_reg() != Some(r) {
-                ctx.regs[reg_idx(r, lane)] ^= mask;
-            }
-        }
-        PendingSw::None => {}
+/// The register row a store writes out.
+#[inline]
+fn stored(op: &Decoded) -> u16 {
+    match op.b {
+        Src::Row(v) => v,
+        _ => unreachable!("a store's value is a register"),
     }
-
-    // ---- re-assert a persistent software-level fault --------------------
-    // A stuck register cell is re-forced after every instruction of its
-    // warp, so whatever the instruction wrote is pinned back before the
-    // next reader can observe it.
-    if let Some(sw) = ctx.sw.as_deref_mut() {
-        if let Some(st) = sw.stuck {
-            if st.seq == w.seq {
-                let i = reg_idx(Reg(st.reg), st.lane);
-                ctx.regs[i] = apply_stuck(ctx.regs[i], st.mask, st.value);
-            }
-        }
-    }
-
-    // ---- probe: destination-register write ------------------------------
-    if ctx.mem.probed() {
-        if let Some(d) = op.dst_reg() {
-            for lane in lanes_of(exec_mask) {
-                ctx.mem.probe_reg(reg_idx(d, lane), true);
-            }
-        }
-    }
-
-    if advance {
-        w.stack[top_idx].pc = pc + 1;
-    }
-    if let StepEvent::Issued(_) = event {
-        event = StepEvent::Issued(class);
-    }
-    Ok(event)
 }
 
 /// Shared-memory access with bounds checking and a 32-bank conflict model,
@@ -716,8 +777,8 @@ fn smem_access<M: GMem>(
     ctx: &mut ExecCtx<'_, M>,
     exec_mask: u32,
     addrs: &Row,
-    load_into: Option<Reg>,
-    store_from: Option<Reg>,
+    load_into: Option<u16>,
+    store_from: Option<u16>,
 ) -> Result<IssueClass, DueKind> {
     let words = u32::try_from(ctx.smem.len()).unwrap_or(u32::MAX);
     let bad = exec_mask & lane_bits(|l| (addrs[l] & 3 != 0) | (addrs[l] / 4 >= words));
@@ -850,8 +911,9 @@ impl GMem for LogMem<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPattern;
     use crate::mem::GlobalMem;
-    use vgpu_arch::KernelBuilder;
+    use vgpu_arch::{CmpOp, KernelBuilder, MemSpace, Op, Operand, SpecialReg};
 
     /// Run `kernel` for one full warp with flat memory; returns
     /// (regs, preds, stats) on completion.
@@ -861,11 +923,38 @@ mod tests {
         mem: &mut GlobalMem,
         init_mask: u32,
     ) -> (Vec<u32>, [u32; 4], Stats) {
+        let run = run_to_end(kernel, params, mem, init_mask, 256, None);
+        run.end.expect("no DUE expected");
+        (run.regs, run.preds, run.stats)
+    }
+
+    /// What one warp left behind.
+    #[derive(Debug, PartialEq)]
+    struct WarpRun {
+        regs: Vec<u32>,
+        preds: [u32; 4],
+        stats: Stats,
+        end: Result<(), DueKind>,
+    }
+
+    /// Run one warp of `kernel` until it finishes or raises a DUE,
+    /// `limit` instructions per [`run_warp`] call: 1 is the
+    /// per-instruction path the timed engine takes, 256 the functional
+    /// engine's quantum.
+    fn run_to_end(
+        kernel: &Kernel,
+        params: &[u32],
+        mem: &mut GlobalMem,
+        init_mask: u32,
+        limit: u32,
+        mut sw: Option<&mut SwInjector>,
+    ) -> WarpRun {
         let mut w = Warp::new(0, 0, 0, init_mask, 0);
         let mut regs = vec![0u32; kernel.num_regs as usize * WARP_SIZE];
         let mut smem = vec![0u32; (kernel.smem_bytes / 4).max(1) as usize];
         let mut stats = Stats::default();
         let mut flat = FlatMem { mem };
+        let mut end = Err(DueKind::BarrierDeadlock);
         for _ in 0..100_000 {
             let mut ctx = ExecCtx {
                 kernel,
@@ -876,16 +965,28 @@ mod tests {
                 smem: &mut smem,
                 mem: &mut flat,
                 stats: &mut stats,
-                sw: None,
+                sw: sw.as_deref_mut(),
                 max_stack: 64,
             };
-            match step_warp(&mut w, &mut ctx).expect("no DUE expected") {
-                StepEvent::Done => return (regs, w.preds, stats),
-                StepEvent::Barrier => {} // single warp: barrier is a no-op
-                StepEvent::Issued(_) => {}
+            match run_warp(&mut w, &mut ctx, limit) {
+                Ok(StepEvent::Done) => {
+                    end = Ok(());
+                    break;
+                }
+                // Single warp: a barrier is a no-op.
+                Ok(StepEvent::Barrier | StepEvent::Issued(_)) => {}
+                Err(e) => {
+                    end = Err(e);
+                    break;
+                }
             }
         }
-        panic!("warp did not finish");
+        WarpRun {
+            regs,
+            preds: w.preds,
+            stats,
+            end,
+        }
     }
 
     #[test]
@@ -1033,7 +1134,7 @@ mod tests {
                 sw: None,
                 max_stack: 64,
             };
-            match step_warp(&mut w, &mut ctx) {
+            match run_warp(&mut w, &mut ctx, 1) {
                 Err(e) => {
                     err = Some(e);
                     break;
@@ -1095,7 +1196,7 @@ mod tests {
                     sw: None,
                     max_stack: 64,
                 };
-                match step_warp(&mut w, &mut ctx) {
+                match run_warp(&mut w, &mut ctx, 1) {
                     Err(e) => {
                         got = Some(e);
                         break;
@@ -1143,7 +1244,7 @@ mod tests {
                 sw: Some(&mut inj),
                 max_stack: 64,
             };
-            if let StepEvent::Done = step_warp(&mut w, &mut ctx).unwrap() {
+            if let StepEvent::Done = run_warp(&mut w, &mut ctx, 1).unwrap() {
                 break;
             }
         }
@@ -1198,7 +1299,7 @@ mod tests {
                 sw: Some(&mut inj),
                 max_stack: 64,
             };
-            if let StepEvent::Done = step_warp(&mut w, &mut ctx).unwrap() {
+            if let StepEvent::Done = run_warp(&mut w, &mut ctx, 1).unwrap() {
                 break;
             }
         }
@@ -1233,5 +1334,206 @@ mod tests {
             let expect = if lane < 4 { 0 } else { 9 };
             assert_eq!(regs[reg_idx(Reg(1), lane)], expect, "lane {lane}");
         }
+    }
+
+    /// One straight-line block: lane-dependent values, a predicate set
+    /// inside the block and used by the next two guards, a global load
+    /// and store, FFMA and a source-reading op that overwrites its own
+    /// source. Params: 0 = a 32-word input, 1 = a 32-word output.
+    fn block_kernel() -> Kernel {
+        let mut a = KernelBuilder::new("block");
+        let (lane, r1, r2, r3, r4, addr) = (a.reg(), a.reg(), a.reg(), a.reg(), a.reg(), a.reg());
+        let p = a.pred();
+        a.s2r(lane, SpecialReg::LaneId);
+        a.isetp(p, lane, 20u32, CmpOp::Lt, true);
+        a.mov(r1, 7u32);
+        a.predicated(p, false, |a| a.iadd(r2, lane, 3u32));
+        a.predicated(p, true, |a| a.imul(r3, lane, 5u32));
+        a.mov(addr, a.param(0));
+        a.iscadd(addr, lane, Operand::Reg(addr), 2);
+        a.ld(r4, MemSpace::Global, addr, 0);
+        a.iadd(r1, r1, Operand::Reg(r4));
+        a.ffma(r2, r1, 0.5f32, Operand::Reg(r2));
+        a.xor(r3, r3, Operand::Reg(r2));
+        a.mov(addr, a.param(1));
+        a.iscadd(addr, lane, Operand::Reg(addr), 2);
+        a.st(MemSpace::Global, addr, 0, r3);
+        a.build().unwrap()
+    }
+
+    fn block_mem() -> GlobalMem {
+        let mut mem = GlobalMem::new(4096);
+        mem.map(0, 4096);
+        for i in 0..32u32 {
+            mem.write_u32(256 + 4 * i, 1000 + i * i);
+        }
+        mem
+    }
+
+    const KINDS: [SwFaultKind; 6] = [
+        SwFaultKind::DestValue,
+        SwFaultKind::DestValueLoad,
+        SwFaultKind::SrcTransient,
+        SwFaultKind::SrcPersistent,
+        SwFaultKind::ArchState,
+        SwFaultKind::DestClass(vgpu_arch::InstrClass::IntAlu),
+    ];
+
+    /// `kernel` run with `fault` as a block and one instruction at a time:
+    /// registers, predicates, statistics, memory and injector agree.
+    fn assert_block_matches_per_instruction(
+        kernel: &Kernel,
+        init_mask: u32,
+        fault: crate::fault::SwFault,
+    ) -> (SwInjector, WarpRun) {
+        let (mut m1, mut m256) = (block_mem(), block_mem());
+        let (mut i1, mut i256) = (SwInjector::new(fault), SwInjector::new(fault));
+        let one = run_to_end(kernel, &[256, 512], &mut m1, init_mask, 1, Some(&mut i1));
+        let block = run_to_end(
+            kernel,
+            &[256, 512],
+            &mut m256,
+            init_mask,
+            256,
+            Some(&mut i256),
+        );
+        let what = format!("{fault:?} mask {init_mask:#x}");
+        assert_eq!(block, one, "{what}");
+        assert_eq!(m256, m1, "{what}");
+        assert_eq!(
+            (i256.counter, i256.applied, i256.stuck),
+            (i1.counter, i1.applied, i1.stuck),
+            "{what}"
+        );
+        (i256, block)
+    }
+
+    #[test]
+    fn a_sw_target_anywhere_in_a_block_fires_as_one_instruction_at_a_time_would() {
+        // Every eligible lane of every instruction, so targets on the
+        // first, middle and last instruction of the block, under a full
+        // and a partial warp, with guards that split each.
+        let k = block_kernel();
+        for init_mask in [u32::MAX, 0x0ff0_f00f] {
+            let golden = run_to_end(&k, &[256, 512], &mut block_mem(), init_mask, 256, None);
+            for kind in KINDS {
+                let eligible = kind.eligible(&golden.stats);
+                assert!(eligible > 0, "{kind:?}");
+                for target in 0..eligible + 2 {
+                    for pattern in [FaultPattern::SingleBit, FaultPattern::WholeEntry] {
+                        let fault = crate::fault::SwFault {
+                            kind,
+                            target,
+                            bit: (target % 32) as u8,
+                            loc_pick: target * 7,
+                            pattern,
+                        };
+                        let (inj, run) = assert_block_matches_per_instruction(&k, init_mask, fault);
+                        assert_eq!(inj.applied, target < eligible, "{fault:?}");
+                        if run.end.is_ok() {
+                            assert_eq!(inj.counter, eligible, "{fault:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_stuck_at_warp_runs_as_one_instruction_at_a_time_would() {
+        // The cell is pinned after every later instruction of the warp,
+        // also the ones that write it.
+        let k = block_kernel();
+        let golden = run_to_end(&k, &[256, 512], &mut block_mem(), u32::MAX, 256, None);
+        for kind in KINDS {
+            let eligible = kind.eligible(&golden.stats);
+            for target in [0, eligible / 3, eligible / 2, eligible - 1] {
+                for pattern in [FaultPattern::StuckAt0, FaultPattern::StuckAt1] {
+                    let fault = crate::fault::SwFault {
+                        kind,
+                        target,
+                        bit: 3,
+                        loc_pick: 2,
+                        pattern,
+                    };
+                    let (inj, _) = assert_block_matches_per_instruction(&k, u32::MAX, fault);
+                    assert!(inj.stuck.is_some(), "{fault:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_transient_source_fault_stays_in_a_register_its_instruction_overwrote() {
+        // `r1 = r1 + r4` reads and writes r1: the flipped source is
+        // consumed and the result is not flipped back.
+        let k = block_kernel();
+        let pc = k
+            .instrs()
+            .iter()
+            .position(|i| matches!(i.op, Op::IAdd { d, a, .. } if d == a))
+            .unwrap();
+        // Of the source readers before it, the two guarded ones split the
+        // warp 20 / 12 and the others take all 32 lanes.
+        let readers = k.ops()[..pc].iter().filter(|o| o.facts().reads_src).count() as u64;
+        let target = (readers - 1) * 32 + 5;
+        let fault = crate::fault::SwFault {
+            kind: SwFaultKind::SrcTransient,
+            target,
+            bit: 4,
+            loc_pick: 0,
+            pattern: FaultPattern::SingleBit,
+        };
+        let (inj, run) = assert_block_matches_per_instruction(&k, u32::MAX, fault);
+        assert!(inj.applied);
+        let golden = run_to_end(&k, &[256, 512], &mut block_mem(), u32::MAX, 256, None);
+        let r1 = |r: &WarpRun, lane| r.regs[reg_idx(Reg(1), lane)];
+        assert_eq!(
+            r1(&run, 5),
+            r1(&golden, 5) ^ 1 << 4,
+            "lane 5 keeps the flip"
+        );
+        assert_eq!(r1(&run, 6), r1(&golden, 6), "lane 6 is untouched");
+    }
+
+    #[test]
+    fn a_due_mid_block_leaves_the_statistics_of_the_per_instruction_path() {
+        // Lanes 0..20 load from the input, lanes 20.. from an unmapped
+        // word: the load raises the DUE in the middle of the block, after
+        // a guarded instruction, with ALU ops after it never counted.
+        let mut a = KernelBuilder::new("due");
+        let (lane, addr, v) = (a.reg(), a.reg(), a.reg());
+        let p = a.pred();
+        a.s2r(lane, SpecialReg::LaneId);
+        a.isetp(p, lane, 20u32, CmpOp::Lt, true);
+        a.mov(addr, a.param(0));
+        a.predicated(p, true, |a| a.mov(addr, 0x2000u32));
+        a.iscadd(addr, lane, Operand::Reg(addr), 2);
+        a.ld(v, MemSpace::Global, addr, 0);
+        a.iadd(v, v, 1u32);
+        a.st(MemSpace::Global, addr, 0, v);
+        let k = a.build().unwrap();
+        let fault = crate::fault::SwFault {
+            kind: SwFaultKind::DestValue,
+            target: 1_000,
+            bit: 0,
+            loc_pick: 0,
+            pattern: FaultPattern::SingleBit,
+        };
+        let (inj, run) = assert_block_matches_per_instruction(&k, u32::MAX, fault);
+        assert_eq!(
+            run.end,
+            Err(DueKind::IllegalAddress {
+                addr: 0x2000 + 4 * 20
+            })
+        );
+        // s2r, isetp, mov, @!p mov (12 lanes), iscadd, ld: counted.
+        let s = run.stats;
+        assert_eq!(s.warp_instrs, 6);
+        assert_eq!(s.thread_instrs, 5 * 32 + 12);
+        assert_eq!(s.gp_dest_instrs, 4 * 32 + 12);
+        assert_eq!(s.load_instrs, 32);
+        assert_eq!(s.store_instrs, 0);
+        assert_eq!(inj.counter, s.gp_dest_instrs);
     }
 }

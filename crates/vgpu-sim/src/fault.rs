@@ -457,6 +457,21 @@ impl SwFaultKind {
         }
     }
 
+    /// The interpreter's instruction counter ([`vgpu_arch::counter`]) whose
+    /// active lanes this kind counts towards its target: the same choice
+    /// as [`eligible`](SwFaultKind::eligible) makes among the `Stats`
+    /// fields. `None` for a kind nothing is eligible for.
+    pub(crate) fn counter(&self) -> Option<usize> {
+        use vgpu_arch::counter::*;
+        match self {
+            SwFaultKind::DestValue => Some(GP_DEST),
+            SwFaultKind::DestValueLoad => Some(GLOBAL_LOAD),
+            SwFaultKind::SrcTransient | SwFaultKind::SrcPersistent => Some(SRC_REG),
+            SwFaultKind::ArchState => Some(THREAD),
+            SwFaultKind::DestClass(c) => c.index().map(|i| CLASS + i),
+        }
+    }
+
     /// Eligible population of this kind in an execution that accumulated
     /// `stats`: the number of dynamic thread-instructions the injector
     /// counts towards [`SwFault::target`]. The one mapping behind the

@@ -8,7 +8,7 @@
 //! cheaper than cross-layer AVF campaigns.
 
 use crate::due::{DueKind, LaunchAbort};
-use crate::exec::{step_warp, ExecCtx, FlatMem, GMem, StepEvent};
+use crate::exec::{run_warp, ExecCtx, FlatMem, GMem, StepEvent};
 use crate::fault::SwInjector;
 use crate::mem::GlobalMem;
 use crate::stats::Stats;
@@ -107,7 +107,6 @@ pub fn run_cta<M: GMem>(
                 continue;
             }
             let rb = wi * regs_per_warp;
-            let mut quantum = QUANTUM;
             let mut ctx = ExecCtx {
                 kernel,
                 params: &lc.params,
@@ -120,28 +119,15 @@ pub fn run_cta<M: GMem>(
                 sw: sw.as_deref_mut(),
                 max_stack,
             };
-            loop {
-                match step_warp(&mut warps[wi], &mut ctx).map_err(LaunchAbort::Due)? {
-                    StepEvent::Done => {
-                        running -= 1;
-                        progressed = true;
-                        break;
-                    }
-                    StepEvent::Barrier => {
-                        warps[wi].at_barrier = true;
-                        arrived += 1;
-                        progressed = true;
-                        break;
-                    }
-                    StepEvent::Issued(_) => {
-                        progressed = true;
-                        quantum -= 1;
-                        if quantum == 0 {
-                            break;
-                        }
-                    }
+            match run_warp(&mut warps[wi], &mut ctx, QUANTUM).map_err(LaunchAbort::Due)? {
+                StepEvent::Done => running -= 1,
+                StepEvent::Barrier => {
+                    warps[wi].at_barrier = true;
+                    arrived += 1;
                 }
+                StepEvent::Issued(_) => {}
             }
+            progressed = true;
             if stats.thread_instrs > budget_instrs {
                 return Err(LaunchAbort::Timeout);
             }

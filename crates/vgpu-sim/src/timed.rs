@@ -10,7 +10,7 @@
 use crate::cache::{load_warp, store_warp, Cache, L1Probe};
 use crate::config::{GpuConfig, Latencies};
 use crate::due::{DueKind, LaunchAbort};
-use crate::exec::{step_warp, ExecCtx, GMem, IssueClass, StepEvent};
+use crate::exec::{run_warp, ExecCtx, GMem, IssueClass, StepEvent};
 use crate::fault::{
     apply_stuck, resolve_site, value_mask, HwStructure, StuckCache, StuckSite, SwInjector,
     UarchInjector,
@@ -1083,7 +1083,7 @@ pub(crate) fn run_timed_ctl(
                         sw: sw.as_deref_mut(),
                         max_stack: cfg.max_stack_depth,
                     };
-                    match step_warp(warp, &mut ctx) {
+                    match run_warp(warp, &mut ctx, 1) {
                         Ok(ev) => (Some(ev), None),
                         Err(e) => (None, Some(e)),
                     }

@@ -1,4 +1,4 @@
-//! The interpreter against a per-lane model. `step_warp` evaluates an op on
+//! The interpreter against a per-lane model. `run_warp` evaluates an op on
 //! all 32 lanes at once and writes back under the exec mask; the model
 //! here evaluates it lane by lane, touching active lanes only. One random
 //! instruction of every lane-parallel kind, with random operand kinds,
@@ -8,21 +8,23 @@
 //! or predicate bit may change.
 //!
 //! `proptest_engines.rs` cannot catch a mistake here: both of its engines
-//! run through this same `step_warp`.
+//! run through this same `run_warp`.
 //!
 //! Then the row paths that the random instruction rarely reaches: global
 //! rows of 32 consecutive words, FFMA rows bit for bit against
 //! `f32::mul_add`, every shape of a shared-memory access (the DUE lane, the
 //! stores before it, two lanes on one word, each bank-conflict degree, the
-//! probe events), and the per-pc facts of every app kernel against its ops.
+//! probe events), and the decoded op, run end, counters and facts of every
+//! pc of every app kernel against its `Op`.
 
 use proptest::prelude::*;
+use vgpu_arch::decode::cmp_table;
 use vgpu_arch::{
-    BoolOp, CmpOp, Instr, InstrClass, Kernel, MemAccess, MemSpace, Op, Operand, Pred, Reg,
-    SpecialReg, WARP_SIZE,
+    counter, BoolOp, CmpOp, Decoded, Instr, InstrClass, Kernel, MemAccess, MemSpace, Op, Operand,
+    Pred, Reg, SpecialReg, Src, Tag, WARP_SIZE,
 };
 use vgpu_sim::exec::{
-    ffma_row, ffma_row_lanes, step_warp, ExecCtx, FlatMem, GMem, IssueClass, StepEvent,
+    ffma_row, ffma_row_lanes, run_warp, ExecCtx, FlatMem, GMem, IssueClass, StepEvent,
 };
 use vgpu_sim::warp::Warp;
 use vgpu_sim::{DueKind, GlobalMem, Stats};
@@ -402,7 +404,7 @@ fn interpret(op: Op, g: Pred, negate: bool, st: &mut State) -> Result<StepEvent,
         sw: None,
         max_stack: 64,
     };
-    let ev = step_warp(&mut w, &mut ctx);
+    let ev = run_warp(&mut w, &mut ctx, 1);
     st.preds = w.preds;
     ev
 }
@@ -702,7 +704,7 @@ fn smem_step(store: bool, mask: u32, addrs: [u32; WARP_SIZE], probed: bool) -> S
     };
     let mut stats = Stats::default();
     let mut w = Warp::new(0, 0, 0, mask, 0);
-    let res = step_warp(
+    let res = run_warp(
         &mut w,
         &mut ExecCtx {
             kernel: &kernel,
@@ -716,6 +718,7 @@ fn smem_step(store: bool, mask: u32, addrs: [u32; WARP_SIZE], probed: bool) -> S
             sw: None,
             max_stack: 64,
         },
+        1,
     );
     SmemRun {
         res,
@@ -860,7 +863,7 @@ fn smem_partial_mask_touches_and_checks_its_lanes_only() {
 }
 
 #[test]
-fn every_app_kernel_has_its_ops_facts() {
+fn every_app_kernel_decodes_to_its_ops() {
     use kernels::apps::*;
     let kernels = [
         sradv1::kernel_extract(),
@@ -892,10 +895,19 @@ fn every_app_kernel_has_its_ops_facts() {
     // vote kernel.
     let vote = ::kernels::tmr::vote_kernel();
     let mut seen = [false; 4];
-    for k in kernels.iter().chain([vote]) {
-        assert_eq!(k.facts().len(), k.instrs.len(), "{}", k.name);
-        for (pc, (i, facts)) in k.instrs.iter().zip(k.facts()).enumerate() {
+    for k in kernels.into_iter().chain([vote]) {
+        assert_eq!(k.ops().len(), k.instrs().len(), "{}", k.name);
+        for (pc, (i, d)) in k.instrs().iter().zip(k.ops()).enumerate() {
             let op = &i.op;
+            assert_eq!(undecode(d), *op, "{} pc {pc}: {d:?}", k.name);
+            assert_eq!(d.guard, i.guard, "{} pc {pc}: {op}", k.name);
+            let control = k.instrs()[pc..]
+                .iter()
+                .position(|i| i.op.is_control())
+                .expect("a kernel ends with EXIT");
+            assert_eq!(d.end as usize, pc + control + 1, "{} pc {pc}", k.name);
+
+            let facts = d.facts();
             let access = match *op {
                 Op::Ld {
                     space: MemSpace::Shared,
@@ -920,7 +932,174 @@ fn every_app_kernel_has_its_ops_facts() {
                 k.name
             );
             assert_eq!(facts.gp_dest, facts.class != InstrClass::Other);
+
+            // The counters the op adds to, and the kernel's running sums
+            // of them over this one pc.
+            let mut want = [0u32; counter::COUNT];
+            want[counter::THREAD] = 1;
+            want[counter::GP_DEST] = op.has_gp_dest() as u32;
+            want[counter::GLOBAL_LOAD] = (access == MemAccess::GlobalLoad) as u32;
+            want[counter::GLOBAL_STORE] = (access == MemAccess::GlobalStore) as u32;
+            want[counter::SHARED] = (access == MemAccess::Shared) as u32;
+            want[counter::SRC_REG] = !op.src_regs().is_empty() as u32;
+            if let Some(c) = op.instr_class().index() {
+                want[counter::CLASS + c] = 1;
+            }
+            assert_eq!(k.counted(pc, pc + 1), want, "{} pc {pc}: {op}", k.name);
+            let bits: u32 = want.iter().enumerate().map(|(b, &n)| n << b).sum();
+            assert_eq!(u32::from(d.counts), bits, "{} pc {pc}: {op}", k.name);
         }
     }
     assert_eq!(seen, [true; 4], "the suite makes every kind of access");
+}
+
+/// The [`Op`] a decoded op stands for, rebuilt field by field.
+fn undecode(d: &Decoded) -> Op {
+    // A row offset inside a row names no register: R255, which no kernel
+    // has.
+    let reg = |o: u16| match o as usize % WARP_SIZE {
+        0 => Reg((o as usize / WARP_SIZE) as u8),
+        _ => Reg(u8::MAX),
+    };
+    let opnd = |s: Src| match s {
+        Src::Row(o) => Operand::Reg(reg(o)),
+        Src::Imm(v) => Operand::Imm(v),
+        Src::Const(i) => Operand::Const(i),
+    };
+    let cmp = |t: u32| {
+        *CMPS
+            .iter()
+            .find(|&&c| cmp_table(c) == t)
+            .expect("a comparison's table")
+    };
+    let (dr, a, b) = (reg(d.d), reg(d.a), opnd(d.b));
+    let p = Pred(d.d as u8);
+    let s2r = |sr| Op::S2R { d: dr, sr };
+    let pset = |op| Op::PSetP {
+        p,
+        a: Pred(d.a as u8),
+        b: Pred(d.imm as u8),
+        op,
+        na: d.imm >> 8 & 1 != 0,
+        nb: d.imm >> 9 & 1 != 0,
+    };
+    let ld = |space| Op::Ld {
+        d: dr,
+        space,
+        a,
+        off: d.imm as i32,
+    };
+    let st = |space| Op::St {
+        space,
+        a,
+        off: d.imm as i32,
+        v: match b {
+            Operand::Reg(v) => v,
+            _ => panic!("a store's value is a register"),
+        },
+    };
+    let mnmx = |max, signed| Op::IMnMx {
+        d: dr,
+        a,
+        b,
+        max,
+        signed,
+    };
+    let isetp = |signed| Op::ISetP {
+        p,
+        a,
+        b,
+        cmp: cmp(d.imm),
+        signed,
+    };
+    match d.tag {
+        Tag::TidX => s2r(SpecialReg::TidX),
+        Tag::LaneId => s2r(SpecialReg::LaneId),
+        Tag::CtaIdX => s2r(SpecialReg::CtaIdX),
+        Tag::CtaIdY => s2r(SpecialReg::CtaIdY),
+        Tag::NTidX => s2r(SpecialReg::NTidX),
+        Tag::NCtaIdX => s2r(SpecialReg::NCtaIdX),
+        Tag::Mov => Op::Mov { d: dr, a: b },
+        Tag::IAdd => Op::IAdd { d: dr, a, b },
+        Tag::ISub => Op::ISub { d: dr, a, b },
+        Tag::IMul => Op::IMul { d: dr, a, b },
+        Tag::IMaxS => mnmx(true, true),
+        Tag::IMinS => mnmx(false, true),
+        Tag::IMaxU => mnmx(true, false),
+        Tag::IMinU => mnmx(false, false),
+        Tag::Shl => Op::Shl { d: dr, a, b },
+        Tag::Shr => Op::Shr { d: dr, a, b },
+        Tag::And => Op::And { d: dr, a, b },
+        Tag::Or => Op::Or { d: dr, a, b },
+        Tag::Xor => Op::Xor { d: dr, a, b },
+        Tag::FAdd => Op::FAdd { d: dr, a, b },
+        Tag::FMul => Op::FMul { d: dr, a, b },
+        Tag::FMax => Op::FMnMx {
+            d: dr,
+            a,
+            b,
+            max: true,
+        },
+        Tag::FMin => Op::FMnMx {
+            d: dr,
+            a,
+            b,
+            max: false,
+        },
+        Tag::IMad => Op::IMad {
+            d: dr,
+            a,
+            b,
+            c: opnd(d.c),
+        },
+        Tag::FFma => Op::FFma {
+            d: dr,
+            a,
+            b,
+            c: opnd(d.c),
+        },
+        Tag::IScAdd => Op::IScAdd {
+            d: dr,
+            a,
+            b,
+            shift: d.imm as u8,
+        },
+        Tag::Not => Op::Not { d: dr, a },
+        Tag::FRcp => Op::FRcp { d: dr, a },
+        Tag::FSqrt => Op::FSqrt { d: dr, a },
+        Tag::FExp => Op::FExp { d: dr, a },
+        Tag::FLog => Op::FLog { d: dr, a },
+        Tag::FAbs => Op::FAbs { d: dr, a },
+        Tag::I2F => Op::I2F { d: dr, a },
+        Tag::F2I => Op::F2I { d: dr, a },
+        Tag::ISetPS => isetp(true),
+        Tag::ISetPU => isetp(false),
+        Tag::FSetP => Op::FSetP {
+            p,
+            a,
+            b,
+            cmp: cmp(d.imm),
+        },
+        Tag::PAnd => pset(BoolOp::And),
+        Tag::POr => pset(BoolOp::Or),
+        Tag::PXor => pset(BoolOp::Xor),
+        Tag::Sel => Op::Sel {
+            d: dr,
+            a,
+            b,
+            p: Pred(d.imm as u8),
+            neg: d.imm >> 8 & 1 != 0,
+        },
+        Tag::LdGlobal => ld(MemSpace::Global),
+        Tag::LdTex => ld(MemSpace::Tex),
+        Tag::LdShared => ld(MemSpace::Shared),
+        Tag::StGlobal => st(MemSpace::Global),
+        Tag::StShared => st(MemSpace::Shared),
+        Tag::Bar => Op::Bar,
+        Tag::Bra => Op::Bra {
+            target: d.imm,
+            reconv: d.reconv,
+        },
+        Tag::Exit => Op::Exit,
+    }
 }

@@ -14,6 +14,11 @@ cargo build --release --workspace
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> the interpreter's differential tests, compiled as the perf ledger compiles them"
+# Release code is what every campaign and the ledger run: the block runner
+# and the FMA rows (vector or `mul_add`) are checked in that build too.
+cargo test -q --release -p vgpu-sim --test lane_masks --test proptest_engines
+
 echo "==> campaign CLI: --help exits 0, out-of-range --sms exits 2"
 CAMPAIGN=target/release/campaign
 "$CAMPAIGN" --help > /dev/null
@@ -207,6 +212,6 @@ echo "==> perf ledger gate (benchmarks/check.sh: the symbols it pins still build
 benchmarks/check.sh
 
 echo "==> size (reported, not gated): code lines under crates/*/src — no blanks, comments or #[cfg(test)] modules"
-awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && !/^[[:space:]]*(\/\/|$)/{n[FILENAME]++; all++} END{for(f in n) if(f~/\/(harness|captures|codec|recorder|gpu|lifetime|probe|fault|replay|campaign|plan|records|adaptive|twolevel|coordinator|worker|driver|paper|figures|exec|op|mem|functional|timed|cache|snapshot)\.rs$/) print n[f], f; print all, "total"}' $(find crates/*/src -name '*.rs') | sort -k2
+awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && !/^[[:space:]]*(\/\/|$)/{n[FILENAME]++; all++} END{for(f in n) if(f~/\/(harness|captures|codec|recorder|gpu|lifetime|probe|fault|replay|campaign|plan|records|adaptive|twolevel|coordinator|worker|driver|paper|figures|exec|decode|op|mem|functional|timed|cache|snapshot)\.rs$/) print n[f], f; print all, "total"}' $(find crates/*/src -name '*.rs') | sort -k2
 
 echo "tier-1 gate: OK"
