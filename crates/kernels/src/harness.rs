@@ -242,7 +242,9 @@ pub struct AceProfile {
     /// lines dead).
     pub totals: [u64; 5],
     /// `Access` and `Range` probe events the sink consumed (work volume,
-    /// for `obs`).
+    /// for `obs`). A warp's register operand is one event per run of
+    /// executing lanes — one for a full warp — not one per lane, so this
+    /// counts far fewer events than the words they touch.
     pub events: u64,
 }
 

@@ -1,8 +1,9 @@
 //! One golden pass, any set of sinks (`kernels::golden_pass`): a sink
 //! observes the run, never perturbs it — nor what another sink riding the
 //! same pass records — and a pass that does not reproduce its reference is
-//! refused. Lives in this crate because it is the lowest one that can
-//! finish every sink's artefact, the encoded trace included.
+//! refused; what the pass streams to its sinks, expanded to word touches,
+//! is pinned per application. Lives in this crate because it is the lowest
+//! one that can finish every sink's artefact, the encoded trace included.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
@@ -14,7 +15,7 @@ use kernels::{
 };
 use rayon::prelude::*;
 use trace::TraceBuilder;
-use vgpu_sim::{GpuConfig, SharedSink};
+use vgpu_sim::{tee, GpuConfig, HwStructure, ProbeEvent, SegEvent, SharedSink, TraceSink};
 
 const K: usize = 4;
 
@@ -141,4 +142,287 @@ fn a_pass_that_does_not_reproduce_its_reference_is_refused() {
             golden_pass(&Va, &cfg, Variant::FUNCTIONAL, sinks);
         });
     }
+}
+
+/// The probe stream as its consumers read it: each `Range` expanded into
+/// its words, ascending, folded with FNV-1a over the `(seg, h, inst, word,
+/// t, write)` of every touch. Segments are numbered as the recorder
+/// numbers them; a host read is an L2 read at `t == 0`, as the replay
+/// index takes it. How the engine groups touches into events is not part
+/// of the fold.
+struct TouchFold {
+    seg: u64,
+    touches: u64,
+    hash: u64,
+}
+
+impl TouchFold {
+    fn touch(&mut self, h: HwStructure, inst: u32, word: u64, t: u64, write: bool) {
+        self.touches += 1;
+        let fields = [self.seg, h as u64, inst.into(), word, t, write.into()];
+        for v in fields {
+            self.hash = (self.hash ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+impl TraceSink for TouchFold {
+    fn consume(&mut self, batch: &[ProbeEvent]) {
+        for ev in batch {
+            match *ev {
+                ProbeEvent::LaunchBegin(_) | ProbeEvent::LaunchEnd { .. } => self.seg += 1,
+                ProbeEvent::Seg(SegEvent::Access {
+                    h,
+                    inst,
+                    word,
+                    t,
+                    write,
+                }) => self.touch(h, inst, word, t, write),
+                ProbeEvent::Seg(SegEvent::Range {
+                    h,
+                    inst,
+                    start,
+                    len,
+                    t,
+                    write,
+                }) => {
+                    for word in start..start + u64::from(len) {
+                        self.touch(h, inst, word, t, write);
+                    }
+                }
+                ProbeEvent::Seg(SegEvent::HostRead { word }) => {
+                    self.touch(HwStructure::L2, 0, word, 0, false)
+                }
+                ProbeEvent::Seg(SegEvent::SlotFill { .. } | SegEvent::SlotFree { .. }) => {}
+            }
+        }
+    }
+}
+
+/// Per application, unprotected then TMR: expanded touches, their fold,
+/// `AppTrace::index_bytes` and `AppTrace::live_word_cycles`.
+type StreamPin = (&'static str, bool, u64, u64, u64, [u64; 5]);
+
+/// The word-level probe stream of every application's timed golden pass,
+/// unprotected and TMR, and the replay index folded from it, are what they
+/// were when the engine reported one `Access` per register lane: grouping
+/// a warp's lanes into `Range`s changes the events, never the touches.
+#[test]
+fn the_expanded_probe_stream_is_what_it_was() {
+    const PINS: [StreamPin; 22] = [
+        (
+            "SRADv1",
+            false,
+            5139648,
+            0x19d6676c5a723449,
+            33034344,
+            [248015224, 17165080, 2342504, 0, 0],
+        ),
+        (
+            "SRADv1",
+            true,
+            20584068,
+            0x5ab9326191328005,
+            119876008,
+            [1147675016, 41300640, 272104287, 0, 0],
+        ),
+        (
+            "SRADv2",
+            false,
+            3661952,
+            0xf70d9284528d29dd,
+            21483448,
+            [207425280, 5543794, 34662874, 0, 0],
+        ),
+        (
+            "SRADv2",
+            true,
+            14370368,
+            0x83474bf6c0ae9bb5,
+            76855256,
+            [926266418, 18662795, 198568769, 0, 0],
+        ),
+        (
+            "K-Means",
+            false,
+            6745302,
+            0x2dbd54ffabe23e23,
+            46389000,
+            [329507978, 0, 19384488, 109329152, 0],
+        ),
+        (
+            "K-Means",
+            true,
+            21625170,
+            0x76c3dcff3ee5df43,
+            142453576,
+            [1390848668, 0, 74292392, 338243072, 17103360],
+        ),
+        (
+            "HotSpot",
+            false,
+            1425920,
+            0x3ca5721a53c55fad,
+            9604968,
+            [94232476, 7989552, 2905141, 0, 861152],
+        ),
+        (
+            "HotSpot",
+            true,
+            4833152,
+            0x5e5e0d6b117ee33d,
+            28459288,
+            [281837756, 21100420, 107223644, 0, 4382176],
+        ),
+        (
+            "LUD",
+            false,
+            2523456,
+            0x9a2a303f09170a85,
+            17043944,
+            [709266448, 198386588, 40516896, 0, 9357696],
+        ),
+        (
+            "LUD",
+            true,
+            10428928,
+            0x8f294075d6688135,
+            63727528,
+            [641873520, 362011444, 82940304, 0, 0],
+        ),
+        (
+            "SCP",
+            false,
+            511968,
+            0xb874c076010115d,
+            4714344,
+            [66186216, 763232, 2381824, 0, 0],
+        ),
+        (
+            "SCP",
+            true,
+            1540001,
+            0xad9a2d91b0dc22b2,
+            11063704,
+            [194596952, 3606784, 85340928, 0, 0],
+        ),
+        (
+            "VA",
+            false,
+            245792,
+            0x8cda00d75e5cd485,
+            2885736,
+            [15851520, 0, 0, 0, 0],
+        ),
+        (
+            "VA",
+            true,
+            1015936,
+            0x37ee94421e02d8e5,
+            7606120,
+            [85450752, 0, 0, 0, 0],
+        ),
+        (
+            "NW",
+            false,
+            535057,
+            0xb8ecdd44a1f3eb03,
+            4193160,
+            [46214240, 47406814, 69390, 0, 0],
+        ),
+        (
+            "NW",
+            true,
+            3686003,
+            0x96441c8a4fac2c98,
+            21365480,
+            [211824584, 182505307, 1539135, 0, 0],
+        ),
+        (
+            "PathFinder",
+            false,
+            341192,
+            0xcf12cc6cf6fa1b85,
+            2790568,
+            [22214924, 677684, 2980, 0, 3744],
+        ),
+        (
+            "PathFinder",
+            true,
+            1091104,
+            0x5b0abdba4caa22b7,
+            7948744,
+            [74698037, 2120026, 7246, 0, 11968],
+        ),
+        (
+            "BackProp",
+            false,
+            2991456,
+            0x6c931698e32564a5,
+            19592008,
+            [214045636, 5173526, 29977378, 0, 0],
+        ),
+        (
+            "BackProp",
+            true,
+            11272232,
+            0x1fc3f3a57b6d751a,
+            65868424,
+            [839084880, 15723944, 582611434, 0, 6496],
+        ),
+        (
+            "BFS",
+            false,
+            1028278,
+            0xadad27f9440c5170,
+            6868040,
+            [18541671, 0, 4432465, 0, 18572],
+        ),
+        (
+            "BFS",
+            true,
+            7849461,
+            0x2f27f5d5827dd35a,
+            41537912,
+            [325686043, 0, 11701988, 0, 0],
+        ),
+    ];
+    let cfg = GpuConfig::default();
+    let benches = all_benchmarks();
+    let runs: Vec<_> = benches
+        .iter()
+        .flat_map(|b| [(b, false), (b, true)])
+        .collect();
+    let got: Vec<StreamPin> = runs
+        .par_iter()
+        .map(|&(b, hardened)| {
+            let fold = Arc::new(Mutex::new(TouchFold {
+                seg: 0,
+                touches: 0,
+                hash: 0xcbf2_9ce4_8422_2325,
+            }));
+            let builder = Arc::new(Mutex::new(TraceBuilder::new()));
+            let sinks = Sinks {
+                trace: Some(tee(fold.clone(), builder.clone())),
+                ..Sinks::default()
+            };
+            let variant = if hardened {
+                Variant::TIMED_TMR
+            } else {
+                Variant::TIMED
+            };
+            golden_pass(b.as_ref(), &cfg, variant, sinks);
+            let trace = builder.lock().unwrap().finish();
+            let fold = fold.lock().unwrap();
+            (
+                b.name(),
+                hardened,
+                fold.touches,
+                fold.hash,
+                trace.index_bytes(),
+                trace.live_word_cycles(),
+            )
+        })
+        .collect();
+    assert_eq!(got, PINS, "{got:?}");
 }

@@ -1,14 +1,17 @@
 //! The replay index — per-word read runs folded in program order — against
 //! what it replaced and what it must agree with:
 //!
-//! * on generated multi-segment streams, `AppTrace::live` equals a
+//! * on generated multi-segment streams — single words, ranges, and
+//!   register rows as the timed engine reports them (full, partial-mask,
+//!   read and written in one cycle) — `AppTrace::live` equals a
 //!   brute-force scan of the sorted touch list (first touch at-or-after the
 //!   position, reads before writes at one position) at every touch position
 //!   ±1 cycle, and `live_word_cycles` a brute-force grouping of reads by the
 //!   write they follow (one run per such write, none overlapping), for the
 //!   recorder's trace and for its blobs re-imported; and however the
 //!   stream is batched, each blob the recorder streamed decodes to exactly
-//!   its segment's header and events;
+//!   its segment's header and events; and ACE's word-cycles are the same
+//!   with every `Range` split into one `Access` per word;
 //! * on every application, the read runs' within-segment lengths are ACE's
 //!   register-file and shared-memory lifetimes, word-cycle for word-cycle;
 //! * K-Means' index costs its read runs, not its word touches.
@@ -21,7 +24,8 @@ use proptest::prelude::*;
 use rayon::prelude::*;
 use trace::{decode_segment_lossy, AppTrace, SegmentEvents, TraceBuilder};
 use vgpu_sim::{
-    GpuConfig, HwStructure, LaunchGeometry, ProbeEvent, SegEvent, SharedSink, TraceSink,
+    GpuConfig, HwStructure, LaunchGeometry, LifetimeTracker, ProbeEvent, SegEvent, SharedSink,
+    TraceSink,
 };
 
 /// One recorded word touch, in the oracle's terms.
@@ -35,61 +39,114 @@ struct Touch {
     write: bool,
 }
 
+/// Each word's touches, `(seg, t, write)` in stream order.
+type ByWord = BTreeMap<(HwStructure, u32, u64), Vec<(u32, u64, bool)>>;
+
+fn by_word(touches: &[Touch]) -> ByWord {
+    let mut words = ByWord::new();
+    for x in touches {
+        let key = (x.h, x.inst, x.word);
+        words.entry(key).or_default().push((x.seg, x.t, x.write));
+    }
+    words
+}
+
 /// The pre-interval index's answer: the first touch of the word at-or-after
 /// `(seg, c)`, reads ordered before writes at one position, is a read.
-fn oracle(touches: &[Touch], h: HwStructure, inst: u32, word: u64, seg: u32, c: u64) -> bool {
-    touches
-        .iter()
-        .filter(|x| (x.h, x.inst, x.word) == (h, inst, word) && (x.seg, x.t) >= (seg, c))
-        .min_by_key(|x| (x.seg, x.t, x.write))
-        .is_some_and(|x| !x.write)
+fn oracle(word: &[(u32, u64, bool)], seg: u32, c: u64) -> bool {
+    word.iter()
+        .filter(|&&(s, t, _)| (s, t) >= (seg, c))
+        .min()
+        .is_some_and(|&(.., write)| !write)
 }
 
 /// `AppTrace::live_word_cycles` from the touch list: per structure, each
 /// word's reads grouped by the write they follow (the last one strictly
 /// before them), Σ last read − write over the groups inside one segment.
-fn oracle_word_cycles(touches: &[Touch]) -> [u64; 5] {
-    let mut runs = BTreeMap::new();
-    for r in touches.iter().filter(|x| !x.write) {
-        let key = (r.h, r.inst, r.word);
-        let opening = touches
-            .iter()
-            .filter(|x| x.write && (x.h, x.inst, x.word) == key && (x.seg, x.t) < (r.seg, r.t))
-            .map(|x| (x.seg, x.t))
-            .max();
-        if let Some(write) = opening {
-            let last = runs
-                .entry((r.h as usize, write, key))
-                .or_insert((r.seg, r.t));
-            *last = (*last).max((r.seg, r.t));
-        }
-    }
+fn oracle_word_cycles(words: &ByWord) -> [u64; 5] {
     let mut sum = [0; 5];
-    for ((h, (seg, t), _), (last_seg, last_t)) in runs {
-        if seg == last_seg {
-            sum[h] += last_t - t;
+    for (&(h, ..), touches) in words {
+        let mut runs = BTreeMap::new();
+        for &(seg, t, _) in touches.iter().filter(|x| !x.2) {
+            let opening = touches
+                .iter()
+                .filter(|&&(s, u, write)| write && (s, u) < (seg, t))
+                .map(|&(s, u, _)| (s, u))
+                .max();
+            if let Some(write) = opening {
+                let last = runs.entry(write).or_insert((seg, t));
+                *last = (*last).max((seg, t));
+            }
+        }
+        for ((seg, t), (last_seg, last_t)) in runs {
+            if seg == last_seg {
+                sum[h as usize] += last_t - t;
+            }
         }
     }
     sum
 }
 
-/// Raw parts of one touch event: `((op, h, write), (inst, word, len, dt))`.
-type Part = ((u8, u8, bool), (u32, u64, u32, u64));
+/// Raw parts of one touch event:
+/// `((op, h, write), (inst, word, len, dt), lane mask)`.
+type Part = ((u8, u8, bool), (u32, u64, u32, u64), u32);
 
 fn arb_parts(max: usize) -> impl Strategy<Value = Vec<Part>> {
+    let mask = prop_oneof![
+        Just(u32::MAX),
+        Just(0xFFFF_FF0F),
+        (0u32..32).prop_map(|lane| 1 << lane),
+        any::<u32>(),
+    ];
     prop::collection::vec(
         (
-            (0u8..3, 0u8..5, any::<bool>()),
+            (0u8..5, 0u8..5, any::<bool>()),
             (0u32..2, 0u64..4, 1u32..3, 0u64..3),
+            mask,
         ),
         0..max,
     )
 }
 
+/// A warp register operand as the timed engine reports it: the lanes
+/// `mask` of the 32-word row at `start`, one `Range` per run of two or
+/// more consecutive lanes and one `Access` per lone lane, ascending.
+fn row(inst: u32, start: u64, mask: u32, t: u64, write: bool) -> Vec<SegEvent> {
+    let mut events = Vec::new();
+    let mut lane = 0;
+    while lane < 32 {
+        let len = (lane..32).take_while(|&l| mask >> l & 1 == 1).count() as u64;
+        let (h, word) = (HwStructure::RegFile, start + lane);
+        if len == 1 {
+            events.push(SegEvent::Access {
+                h,
+                inst,
+                word,
+                t,
+                write,
+            });
+        } else if len > 1 {
+            events.push(SegEvent::Range {
+                h,
+                inst,
+                start: word,
+                len: len as u32,
+                t,
+                write,
+            });
+        }
+        lane += len.max(1);
+    }
+    events
+}
+
 /// One segment's events, and its touches appended to `touches`: in a
 /// launch segment `t` accumulates the deltas (repeated cycles are
 /// frequent) and the launch runs one cycle past the last; a host segment
-/// is all `t == 0` and may carry `HostRead`s.
+/// is all `t == 0` and may carry `HostRead`s. Ops 3 and 4 are register
+/// rows (`word` picks the row, `mask` the lanes; `h` and `len` are
+/// unused): one operand, or a row read and then written in one cycle
+/// (`r1 = r1 + …`).
 fn segment(
     parts: Vec<Part>,
     seg: u32,
@@ -98,44 +155,64 @@ fn segment(
 ) -> SegmentEvents {
     let mut events = Vec::new();
     let mut t = 0;
-    for ((op, h, write), (inst, word, len, dt)) in parts {
+    for ((op, h, write), (inst, word, len, dt), mask) in parts {
         let h = HwStructure::ALL[usize::from(h)];
         if launch.is_some() {
             t += dt;
         }
-        let (ev, h, inst, len, write) = match op {
-            2 if launch.is_none() => (SegEvent::HostRead { word }, HwStructure::L2, 0, 1, false),
-            0 => {
-                let ev = SegEvent::Access {
+        let mut evs = match op {
+            2 if launch.is_none() => vec![SegEvent::HostRead { word }],
+            0 => vec![SegEvent::Access {
+                h,
+                inst,
+                word,
+                t,
+                write,
+            }],
+            1 | 2 => vec![SegEvent::Range {
+                h,
+                inst,
+                start: word,
+                len,
+                t,
+                write,
+            }],
+            3 => row(inst, word * 32, mask, t, write),
+            _ => row(inst, word * 32, mask, t, false),
+        };
+        if op == 4 {
+            evs.extend(row(inst, word * 32, mask, t, true));
+        }
+        for ev in &evs {
+            let (h, inst, start, len, t, write) = match *ev {
+                SegEvent::HostRead { word } => (HwStructure::L2, 0, word, 1, 0, false),
+                SegEvent::Access {
                     h,
                     inst,
                     word,
                     t,
                     write,
-                };
-                (ev, h, inst, 1, write)
-            }
-            _ => {
-                let ev = SegEvent::Range {
+                } => (h, inst, word, 1, t, write),
+                SegEvent::Range {
                     h,
                     inst,
-                    start: word,
+                    start,
                     len,
                     t,
                     write,
-                };
-                (ev, h, inst, len, write)
-            }
-        };
-        events.push(ev);
-        touches.extend((word..word + u64::from(len)).map(|word| Touch {
-            h,
-            inst,
-            word,
-            seg,
-            t,
-            write,
-        }));
+                } => (h, inst, start, len, t, write),
+                SegEvent::SlotFill { .. } | SegEvent::SlotFree { .. } => unreachable!(),
+            };
+            touches.extend((start..start + u64::from(len)).map(|word| Touch {
+                h,
+                inst,
+                word,
+                seg,
+                t,
+                write,
+            }));
+        }
+        events.extend(evs);
     }
     SegmentEvents {
         seg,
@@ -143,6 +220,50 @@ fn segment(
         events,
         complete: true,
     }
+}
+
+/// `LifetimeTracker::ace_word_cycles` over `probe`, every L2 line still
+/// open at the end closed live when its index is even. The tracker models
+/// the one L2 there is, so L2 touches of instance 1 are left out.
+fn ace_word_cycles(probe: &[ProbeEvent]) -> [u64; 5] {
+    let other_l2 = |ev: &&ProbeEvent| match ev {
+        ProbeEvent::Seg(SegEvent::Access { h, inst, .. } | SegEvent::Range { h, inst, .. }) => {
+            *h == HwStructure::L2 && *inst > 0
+        }
+        _ => false,
+    };
+    let kept: Vec<_> = probe.iter().filter(|ev| !other_l2(ev)).copied().collect();
+    let mut tracker = LifetimeTracker::new(&GpuConfig::volta_scaled(2));
+    tracker.consume(&kept);
+    tracker.finalize(|line| line % 2 == 0);
+    tracker.ace_word_cycles()
+}
+
+/// `probe` with every `Range` replaced by one `Access` per word, ascending.
+fn split_ranges(probe: &[ProbeEvent]) -> Vec<ProbeEvent> {
+    let mut split = Vec::new();
+    for &ev in probe {
+        match ev {
+            ProbeEvent::Seg(SegEvent::Range {
+                h,
+                inst,
+                start,
+                len,
+                t,
+                write,
+            }) => split.extend((start..start + u64::from(len)).map(|word| {
+                ProbeEvent::Seg(SegEvent::Access {
+                    h,
+                    inst,
+                    word,
+                    t,
+                    write,
+                })
+            })),
+            ev => split.push(ev),
+        }
+    }
+    split
 }
 
 proptest! {
@@ -185,13 +306,17 @@ proptest! {
             prop_assert_eq!(decode_segment_lossy(blob).as_ref(), Some(want));
         }
         let imported = AppTrace::from_blobs(recorded.blobs().to_vec());
-        let word_cycles = oracle_word_cycles(&touches);
+        let words = by_word(&touches);
+        let word_cycles = oracle_word_cycles(&words);
         for tr in [&recorded, &imported] {
             prop_assert_eq!(tr.live_word_cycles(), word_cycles);
         }
+        // ACE lifetimes do not depend on how touches are grouped into events.
+        prop_assert_eq!(ace_word_cycles(&probe), ace_word_cycles(&split_ranges(&probe)));
         for x in &touches {
+            let word = &words[&(x.h, x.inst, x.word)];
             for c in [x.t.checked_sub(1), Some(x.t), Some(x.t + 1)].into_iter().flatten() {
-                let want = oracle(&touches, x.h, x.inst, x.word, x.seg, c);
+                let want = oracle(word, x.seg, c);
                 for tr in [&recorded, &imported] {
                     prop_assert_eq!(
                         tr.live(x.h, x.inst, x.word, x.seg, c),

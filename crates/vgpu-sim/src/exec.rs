@@ -43,9 +43,9 @@ pub trait GMem {
         false
     }
 
-    /// Probe hook: a register word (`reg * 32 + lane`, warp-local) was
-    /// read or written.
-    fn probe_reg(&mut self, _reg_word: usize, _write: bool) {}
+    /// Probe hook: the lanes `mask` of the register row at word offset
+    /// `row` (`reg * 32`, warp-local) were read or written.
+    fn probe_reg(&mut self, _row: usize, _mask: u32, _write: bool) {}
 
     /// Probe hook: a shared-memory word (CTA-local index) was read or
     /// written.
@@ -350,9 +350,7 @@ pub fn run_warp<M: GMem>(
             // registers are not part of the modeled register file.
             if probed {
                 for r in kernel.instrs()[i].op.src_regs() {
-                    for lane in lanes_of(exec) {
-                        ctx.mem.probe_reg(reg_idx(r, lane), false);
-                    }
+                    ctx.mem.probe_reg(reg_idx(r, 0), exec, false);
                 }
             }
             match exec_op(op, i, live, exec, w, ctx) {
@@ -370,9 +368,7 @@ pub fn run_warp<M: GMem>(
             }
             if probed {
                 if let Some(d) = kernel.instrs()[i].op.dst_reg() {
-                    for lane in lanes_of(exec) {
-                        ctx.mem.probe_reg(reg_idx(d, lane), true);
-                    }
+                    ctx.mem.probe_reg(reg_idx(d, 0), exec, true);
                 }
             }
         }
@@ -1535,5 +1531,73 @@ mod tests {
         assert_eq!(s.load_instrs, 32);
         assert_eq!(s.store_instrs, 0);
         assert_eq!(inj.counter, s.gp_dest_instrs);
+    }
+
+    /// Global memory that only records the register rows the probe hook
+    /// reports: `(row, mask, write)`.
+    #[derive(Default)]
+    struct RowLog(Vec<(usize, u32, bool)>);
+
+    impl GMem for RowLog {
+        fn load(&mut self, _: bool, _: u32, _: &Row, _: &mut Row) -> Result<u64, DueKind> {
+            unreachable!("the kernel does not load")
+        }
+
+        fn store(&mut self, _: u32, _: &Row, _: &Row) -> Result<u64, DueKind> {
+            unreachable!("the kernel does not store")
+        }
+
+        fn probed(&self) -> bool {
+            true
+        }
+
+        fn probe_reg(&mut self, row: usize, mask: u32, write: bool) {
+            self.0.push((row, mask, write));
+        }
+    }
+
+    #[test]
+    fn the_probe_hears_each_register_operand_once_as_a_row() {
+        // `@!p r1 = r1 + r4` with p set on lanes 4..8: the operands are
+        // reported in program order, sources first, each as one row under
+        // the lanes the guard let through.
+        let mut a = KernelBuilder::new("rows");
+        let (lane, r1, quad, _, r4) = (a.reg(), a.reg(), a.reg(), a.reg(), a.reg());
+        let p = a.pred();
+        a.s2r(lane, SpecialReg::LaneId);
+        a.shr(quad, lane, 2u32);
+        a.isetp(p, quad, 1u32, CmpOp::Eq, false);
+        a.predicated(p, true, |a| a.iadd(r1, r1, Operand::Reg(r4)));
+        let k = a.build().unwrap();
+        let mut w = Warp::new(0, 0, 0, u32::MAX, 0);
+        let mut regs = vec![0u32; k.num_regs as usize * WARP_SIZE];
+        let (mut smem, mut stats, mut log) = (vec![0u32; 1], Stats::default(), RowLog::default());
+        let mut ctx = ExecCtx {
+            kernel: &k,
+            params: &[],
+            ntid: 32,
+            nctaid: 1,
+            regs: &mut regs,
+            smem: &mut smem,
+            mem: &mut log,
+            stats: &mut stats,
+            sw: None,
+            max_stack: 64,
+        };
+        assert_eq!(run_warp(&mut w, &mut ctx, 256), Ok(StepEvent::Done));
+        let row = |r: Reg| reg_idx(r, 0);
+        let (all, guarded) = (u32::MAX, 0xFFFF_FF0F);
+        assert_eq!(
+            log.0,
+            [
+                (row(lane), all, true),
+                (row(lane), all, false),
+                (row(quad), all, true),
+                (row(quad), all, false),
+                (row(r1), guarded, false),
+                (row(r4), guarded, false),
+                (row(r1), guarded, true),
+            ]
+        );
     }
 }

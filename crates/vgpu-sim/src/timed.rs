@@ -105,10 +105,19 @@ impl GMem for TimedGMem<'_> {
         self.probe.is_some()
     }
 
-    fn probe_reg(&mut self, reg_word: usize, write: bool) {
+    /// One event per run of consecutive lanes in `mask`, ascending: a
+    /// `Range` of its words, or an `Access` for a lone lane.
+    fn probe_reg(&mut self, row: usize, mask: u32, write: bool) {
         if let Some(p) = self.probe.as_deref_mut() {
-            let word = (self.rf_base + reg_word) as u64;
-            p.access(HwStructure::RegFile, self.sm, word, self.now, write);
+            let row = (self.rf_base + row) as u64;
+            for (lane, len) in lane_runs(mask) {
+                let word = row + u64::from(lane);
+                if len == 1 {
+                    p.access(HwStructure::RegFile, self.sm, word, self.now, write);
+                } else {
+                    p.range(HwStructure::RegFile, self.sm, word, len, self.now, write);
+                }
+            }
         }
     }
 
@@ -118,6 +127,19 @@ impl GMem for TimedGMem<'_> {
             p.access(HwStructure::Smem, self.sm, word, self.now, write);
         }
     }
+}
+
+/// The runs of consecutive set bits of `mask`, ascending, as
+/// `(first lane, lanes)`.
+fn lane_runs(mut mask: u32) -> impl Iterator<Item = (u32, u32)> {
+    std::iter::from_fn(move || {
+        let lane = mask.trailing_zeros();
+        // An empty mask has 32 trailing zeros, a shift that ends the runs.
+        let len = mask.checked_shr(lane)?.trailing_ones();
+        // Adding the lowest set bit carries through the run, clearing it.
+        mask &= mask.wrapping_add(mask & mask.wrapping_neg());
+        Some((lane, len))
+    })
 }
 
 /// One CTA resident on an SM.
@@ -1508,5 +1530,72 @@ mod tests {
         assert_eq!(w0.init_mask, u32::MAX);
         assert_eq!(w1.init_mask, 0xFF);
         assert_eq!(seq, 2);
+    }
+
+    #[test]
+    fn a_register_row_is_one_event_per_run_of_lanes() {
+        use crate::probe::{ProbeEvent, SegEvent, TraceSink};
+        use std::sync::{Arc, Mutex};
+
+        struct Collect(Vec<ProbeEvent>);
+        impl TraceSink for Collect {
+            fn consume(&mut self, batch: &[ProbeEvent]) {
+                self.0.extend_from_slice(batch);
+            }
+        }
+
+        let cfg = GpuConfig::default();
+        let sink = Arc::new(Mutex::new(Collect(Vec::new())));
+        let mut probe = Probe::new(sink.clone());
+        let (mut l1d, mut l1t, mut l2) =
+            (Cache::new(cfg.l1d), Cache::new(cfg.l1t), Cache::new(cfg.l2));
+        let (mut mem, mut reads, mut writes) = (GlobalMem::new(4096), 0, 0);
+        let mut tg = TimedGMem {
+            l1d: &mut l1d,
+            l1t: &mut l1t,
+            l2: &mut l2,
+            mem: &mut mem,
+            lat: &cfg.lat,
+            now: 7,
+            mem_reads: &mut reads,
+            mem_writes: &mut writes,
+            probe: Some(&mut probe),
+            sm: 1,
+            rf_base: 256,
+            smem_base: 0,
+        };
+        // Row r2 of a warp whose registers start at word 256 of SM 1.
+        let row = 256 + 64;
+        tg.probe_reg(64, 0xFFFF_FF0F, false);
+        tg.probe_reg(64, 1 << 5, true);
+        tg.probe_reg(64, u32::MAX, true);
+        tg.probe_reg(64, 0, false);
+        tg.probe_reg(64, 1 << 31 | 1, false);
+        drop(probe);
+        let range = |start, len, write| SegEvent::Range {
+            h: HwStructure::RegFile,
+            inst: 1,
+            start,
+            len,
+            t: 7,
+            write,
+        };
+        let access = |word, write| SegEvent::Access {
+            h: HwStructure::RegFile,
+            inst: 1,
+            word,
+            t: 7,
+            write,
+        };
+        let want = [
+            range(row, 4, false),
+            range(row + 8, 24, false),
+            access(row + 5, true),
+            range(row, 32, true),
+            access(row, false),
+            access(row + 31, false),
+        ];
+        let got = &sink.lock().unwrap().0;
+        assert_eq!(got, &want.map(ProbeEvent::Seg));
     }
 }

@@ -19,6 +19,12 @@ echo "==> the interpreter's differential tests, compiled as the perf ledger comp
 # and the FMA rows (vector or `mul_add`) are checked in that build too.
 cargo test -q --release -p vgpu-sim --test lane_masks --test proptest_engines
 
+echo "==> the probe stream's pins and the replay index, compiled as the perf ledger compiles the recorder"
+# The register-operand rows, the recorder and the read-run fold run in
+# release in every ledger capture: the expanded-stream pin of all 11 apps
+# and the index-vs-touch-list property are checked in that build too.
+cargo test -q --release -p trace --test golden_pass --test live_intervals
+
 echo "==> campaign CLI: --help exits 0, out-of-range --sms exits 2"
 CAMPAIGN=target/release/campaign
 "$CAMPAIGN" --help > /dev/null
