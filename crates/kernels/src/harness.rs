@@ -178,8 +178,9 @@ pub enum PlannedFault {
 /// about one machine image plus what the run changed. Always timed, to
 /// match the microarchitectural campaigns that consume them; a hardened
 /// application's set holds its three copies and its vote launches like
-/// any other buffers and launches.
-#[derive(Debug)]
+/// any other buffers and launches. Two sets are equal when they captured
+/// the same machines at the same points, chunk for chunk.
+#[derive(Debug, PartialEq, Eq)]
 pub struct AppSnapshots {
     store: ChunkStore,
     /// The machine when the host program first looks at it (reads a word

@@ -10,8 +10,8 @@ use std::sync::{Arc, Mutex};
 
 use kernels::apps::va::Va;
 use kernels::{
-    all_benchmarks, golden_pass, golden_run, AceProfile, Benchmark, CtaLog, GoldenRun, Sinks,
-    SnapshotSink, Variant,
+    all_benchmarks, golden_pass, golden_run, AceProfile, AppSnapshots, Benchmark, CtaLog,
+    GoldenRun, Sinks, SnapshotSink, Variant,
 };
 use rayon::prelude::*;
 use trace::TraceBuilder;
@@ -23,8 +23,7 @@ const K: usize = 4;
 struct Recorded {
     golden: GoldenRun,
     ace: Option<AceProfile>,
-    /// `AppSnapshots::{bytes, count, chunks}`.
-    snapshots: Option<(u64, usize, (u64, u64))>,
+    snapshots: Option<AppSnapshots>,
     /// The encoded segments (`AppTrace::blobs`).
     trace: Option<Vec<Vec<u8>>>,
 }
@@ -49,7 +48,7 @@ fn timed_pass(
     Recorded {
         golden: pass.golden,
         ace: pass.ace,
-        snapshots: pass.snapshots.map(|s| (s.bytes, s.count(), s.chunks())),
+        snapshots: pass.snapshots,
         trace: trace.then(|| builder.finish().blobs().to_vec()),
     }
 }
@@ -68,8 +67,10 @@ fn all_sinks_on_one_pass_record_what_each_records_alone() {
             assert_eq!(pass.golden, plain, "{app}: a sink perturbed the run");
         }
         assert_eq!(all.ace, ace.ace, "{app}: ACE profile in company");
-        assert_eq!(
-            all.snapshots, snapshots.snapshots,
+        // Byte for byte: the probed pass and the snapshot-only one capture
+        // the same machine at every capture cycle.
+        assert!(
+            all.snapshots == snapshots.snapshots,
             "{app}: snapshot store in company"
         );
         assert!(all.trace == trace.trace, "{app}: trace blobs in company");
@@ -80,7 +81,7 @@ fn all_sinks_on_one_pass_record_what_each_records_alone() {
         assert!(ace.totals[0] > 0, "{app}: RF lifetimes expected");
         let attributed: u64 = ace.per_launch.iter().map(|d| d[4]).sum();
         assert!(ace.totals[4] >= attributed, "{app}: negative L2 residual");
-        let (_, count, _) = all.snapshots.expect("asked for");
+        let count = all.snapshots.expect("asked for").count();
         assert!(count > 2 * plain.records.len(), "{app}: {count} snapshots");
         assert_eq!(
             all.trace.expect("asked for").len(),

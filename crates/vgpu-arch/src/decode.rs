@@ -116,6 +116,31 @@ pub enum Tag {
     Exit,
 }
 
+impl Tag {
+    /// Whether an op of this tag is pure: it reads and writes only its
+    /// warp's registers and predicates (and the launch's parameters),
+    /// leaves the SIMT stack alone and cannot raise a DUE. Every tag but
+    /// the loads, the stores, `Bar`, `Bra` and `Exit`.
+    pub fn is_pure(self) -> bool {
+        !matches!(
+            self,
+            Tag::LdGlobal
+                | Tag::LdTex
+                | Tag::LdShared
+                | Tag::StGlobal
+                | Tag::StShared
+                | Tag::Bar
+                | Tag::Bra
+                | Tag::Exit
+        )
+    }
+
+    /// Whether an op of this tag issues to the special-function unit.
+    pub fn is_sfu(self) -> bool {
+        matches!(self, Tag::FRcp | Tag::FSqrt | Tag::FExp | Tag::FLog)
+    }
+}
+
 /// The instruction counters an op adds its active lanes to: bit `k` of
 /// [`Decoded::counts`] stands for counter `k`, and [`Kernel::counted`]
 /// sums a counter over a pc range.

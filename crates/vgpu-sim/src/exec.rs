@@ -283,9 +283,11 @@ enum PendingSw {
 /// most lanes the block can count; the block that may hold it, and every
 /// block of a warp with a stuck-at cell, run one instruction at a time
 /// with the injector's per-instruction bookkeeping. The timed engine calls
-/// this with a `limit` of 1, the least there is. At a DUE, `Stats` and the
-/// injector hold what they held had every instruction run alone: the
-/// faulting one counted, nothing after it.
+/// this at a warp's issue with a `limit` of its deferred pure ops plus one,
+/// and with a `limit` of 1 — the least there is — whenever a probe or a
+/// software injector rides the launch. At a DUE, `Stats` and the injector
+/// hold what they held had every instruction run alone: the faulting one
+/// counted, nothing after it.
 pub fn run_warp<M: GMem>(
     w: &mut Warp,
     ctx: &mut ExecCtx<'_, M>,

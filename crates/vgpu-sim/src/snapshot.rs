@@ -57,7 +57,7 @@ pub(crate) trait Elem: Copy + PartialEq + Default {
 
 /// Append-only pool of `T::LEN`-element chunks. Chunk 0 is all zeros
 /// (`T::default()`), so untouched state costs a table entry, not bytes.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct Pool<T> {
     data: Vec<T>,
 }
@@ -92,7 +92,7 @@ impl<T: Elem> Pool<T> {
 }
 
 /// One pool per element type of the machine's arrays.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct Pools {
     bytes: Pool<u8>,
     words: Pool<u32>,
@@ -121,7 +121,7 @@ elem!(bool, flags);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnapId(u32);
 
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 struct Snap {
     /// Chunk index of every chunk of every array, in machine walk order.
     table: Vec<u32>,
@@ -150,6 +150,18 @@ pub struct ChunkStore {
     /// an earlier chunk).
     owned: u64,
 }
+
+/// Equal stores hold the same bytes in the same chunks under the same
+/// tables, scalars and shape: two captures of one run in the same states.
+/// The process-unique `id` is not compared.
+impl PartialEq for ChunkStore {
+    fn eq(&self, o: &Self) -> bool {
+        (&self.pools, &self.snaps, &self.shape, &self.l2, self.owned)
+            == (&o.pools, &o.snaps, &o.shape, &o.l2, o.owned)
+    }
+}
+
+impl Eq for ChunkStore {}
 
 impl Default for ChunkStore {
     fn default() -> Self {

@@ -30,7 +30,7 @@ impl CacheStats {
 }
 
 /// Statistics of one kernel launch (or an aggregate over launches).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Stats {
     /// Cycles (timed mode only; 0 in functional mode).
     pub cycles: u64,

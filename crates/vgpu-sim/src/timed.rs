@@ -20,7 +20,7 @@ use crate::probe::{LaunchGeometry, Probe};
 use crate::snapshot::{Capture, ChunkStore, ConvergeWith, Machine, Scope, SnapId, Walk};
 use crate::stats::{CacheStats, Stats};
 use crate::warp::Warp;
-use vgpu_arch::{Kernel, LaunchConfig, WARP_SIZE};
+use vgpu_arch::{Decoded, Kernel, LaunchConfig, WARP_SIZE};
 
 /// Timed global-memory interface: coalesces a warp's lane accesses into
 /// line accesses against the L1/L2 hierarchy.
@@ -129,6 +129,30 @@ impl GMem for TimedGMem<'_> {
     }
 }
 
+/// The memory of deferred pure ops ([`materialize`]), which touch none.
+struct NoMem;
+
+impl GMem for NoMem {
+    fn load(
+        &mut self,
+        _: bool,
+        _: u32,
+        _: &[u32; WARP_SIZE],
+        _: &mut [u32; WARP_SIZE],
+    ) -> Result<u64, DueKind> {
+        unreachable!("a pure op loads nothing")
+    }
+
+    fn store(
+        &mut self,
+        _: u32,
+        _: &[u32; WARP_SIZE],
+        _: &[u32; WARP_SIZE],
+    ) -> Result<u64, DueKind> {
+        unreachable!("a pure op stores nothing")
+    }
+}
+
 /// The runs of consecutive set bits of `mask`, ascending, as
 /// `(first lane, lanes)`.
 fn lane_runs(mut mask: u32) -> impl Iterator<Item = (u32, u32)> {
@@ -196,6 +220,11 @@ pub(crate) struct SmState {
     /// shared memory may have.
     issued: u64,
     smem_issued: u64,
+    /// Per warp slot, the pure ops issued but not yet run (docs/PERF.md,
+    /// *Issue now, execute later*): those from the top entry's pc on, in
+    /// program order. All zero whenever the machine is observed
+    /// ([`materialize`]), so never captured or compared.
+    lazy: Vec<u32>,
 }
 
 /// The part of an [`SmState`] a mid-launch snapshot keeps verbatim.
@@ -229,6 +258,7 @@ impl SmState {
             smem_dirty: DirtyMap::new(smem_words * 4),
             issued: 0,
             smem_issued: 0,
+            lazy: Vec::new(),
         }
     }
 
@@ -242,6 +272,8 @@ impl SmState {
         self.occupied = 0;
         self.issue_at.clear();
         self.issue_at.resize(self.warps.len(), u64::MAX);
+        self.lazy.clear();
+        self.lazy.resize(self.warps.len(), 0);
         (self.ready, self.pending) = (0, 0);
         self.order.clear();
         self.wpc = g.wpc as usize;
@@ -265,6 +297,8 @@ impl SmState {
         self.wake = u64::MAX;
         self.issue_at.clear();
         self.issue_at.resize(self.warps.len(), u64::MAX);
+        self.lazy.clear();
+        self.lazy.resize(self.warps.len(), 0);
         for wi in 0..self.warps.len() {
             if let Some(w) = &self.warps[wi] {
                 self.occupied |= 1 << wi;
@@ -374,16 +408,23 @@ impl SmState {
     /// captured (the order [`SmState::restore`] and [`SmState::same`]
     /// walk in).
     pub(crate) fn capture(&self, cap: &mut Capture<'_>) {
-        debug_assert_eq!(self.issued | self.smem_issued, 0, "unfolded issue marks");
+        self.assert_observable();
         cap.array(&self.rf, &self.rf_dirty, 4);
         cap.array(&self.smem, &self.smem_dirty, 4);
     }
 
     pub(crate) fn restore(&mut self, w: &mut Walk<'_>) {
-        debug_assert_eq!(self.issued | self.smem_issued, 0, "unfolded issue marks");
+        self.assert_observable();
         w.restore(&mut self.rf, &self.rf_dirty, 4);
         w.restore(&mut self.smem, &self.smem_dirty, 4);
         self.clear_dirty();
+    }
+
+    /// What holds whenever the SM is captured, restored or compared: the
+    /// issue marks folded and no pure op left to run.
+    fn assert_observable(&self) {
+        debug_assert_eq!(self.issued | self.smem_issued, 0, "unfolded issue marks");
+        debug_assert!(self.lazy.iter().all(|&n| n == 0), "deferred ops not run");
     }
 
     pub(crate) fn clear_dirty(&mut self) {
@@ -402,7 +443,7 @@ impl SmState {
         s: Option<&SmScalars>,
         live_slots: Option<(usize, usize)>,
     ) -> bool {
-        debug_assert_eq!(self.issued | self.smem_issued, 0, "unfolded issue marks");
+        self.assert_observable();
         if s.is_some_and(|s| self.last != s.last || self.slots != s.slots || self.warps != s.warps)
         {
             return false;
@@ -426,7 +467,7 @@ impl SmState {
 /// simulating, in storable form. Together with the [`Machine`] (device
 /// state, RF/SMEM, warp and slot state) this suffices to continue a
 /// launch bit-identically from the captured cycle.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct LaunchScalars {
     pub(crate) next_cta: u64,
     pub(crate) done_ctas: u64,
@@ -445,7 +486,7 @@ pub(crate) struct LaunchScalars {
 
 /// Everything a mid-launch snapshot keeps verbatim beyond the caches'
 /// own scalars.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct EngineScalars {
     pub(crate) sms: Vec<SmScalars>,
     pub(crate) launch: LaunchScalars,
@@ -653,6 +694,54 @@ fn fold_issue_marks(sms: &mut [SmState], g: &Geometry) {
         for slot in bits(std::mem::take(&mut sm.smem_issued)) {
             let words = g.smem_words_per_cta;
             sm.smem_dirty.mark_range(slot as u32 * words * 4, words * 4);
+        }
+    }
+}
+
+/// The warp's next instruction if its issue may be deferred: a pure op
+/// ([`vgpu_arch::Tag::is_pure`]) `lazy` ops past the top entry's pc, run
+/// by live lanes before the entry's reconvergence pc — in the block the
+/// deferred ops began, so [`run_warp`] can run them all as one.
+fn deferrable<'k>(w: &Warp, lazy: u32, ops: &'k [Decoded]) -> Option<&'k Decoded> {
+    let top = w.stack.last()?;
+    let pc = top.pc + lazy;
+    let op = ops.get(pc as usize)?;
+    (op.tag.is_pure() && pc < top.rpc && top.mask & !w.exited != 0).then_some(op)
+}
+
+/// Run every warp's deferred pure ops, each warp's as one block, before
+/// anything observes the machine: a snapshot capture, a convergence
+/// compare, a fault landing, the end of the launch.
+fn materialize(
+    sms: &mut [SmState],
+    g: &Geometry,
+    kernel: &Kernel,
+    lc: &LaunchConfig,
+    max_stack: usize,
+    stats: &mut Stats,
+) {
+    let rpw = g.regs_per_warp as usize;
+    for sm in sms {
+        for wi in 0..sm.lazy.len() {
+            let n = std::mem::take(&mut sm.lazy[wi]);
+            if n == 0 {
+                continue;
+            }
+            let warp = sm.warps[wi].as_mut().expect("a warp with deferred ops");
+            let mut ctx = ExecCtx {
+                kernel,
+                params: &lc.params,
+                ntid: lc.block_x,
+                nctaid: lc.grid_x,
+                regs: &mut sm.rf[wi * rpw..(wi + 1) * rpw],
+                smem: &mut [],
+                mem: &mut NoMem,
+                stats: &mut *stats,
+                sw: None,
+                max_stack,
+            };
+            let ran = run_warp(warp, &mut ctx, n);
+            debug_assert!(matches!(ran, Ok(StepEvent::Issued(_))), "{ran:?}");
         }
     }
 }
@@ -867,6 +956,13 @@ pub(crate) fn run_timed_ctl(
         None => (&[][..], None),
     };
     let mut converge = ctl.converge.take();
+    // Issue now, execute later (docs/PERF.md): a probe stamps every
+    // register access with its cycle and a software injector counts
+    // instructions in issue order, so both see every op run at its issue.
+    let mut defer = probe.is_none() && sw.is_none();
+    let run_deferred = |sms: &mut [SmState], stats: &mut Stats| {
+        materialize(sms, &g, kernel, lc, cfg.max_stack_depth, stats)
+    };
     // A persistent (stuck-at) fault is re-asserted until launch end, so
     // the disturbed machine can never provably re-converge to golden
     // while the launch runs: disable the early masked-convergence exit.
@@ -982,6 +1078,7 @@ pub(crate) fn run_timed_ctl(
                     break;
                 }
                 if cc == cycle {
+                    run_deferred(&mut m.sms, &mut stats);
                     fold_issue_marks(&mut m.sms, &g);
                     let store = capture_into.as_deref_mut().expect("capture store");
                     let launch = LaunchScalars {
@@ -1006,6 +1103,7 @@ pub(crate) fn run_timed_ctl(
             // faults) before the next instructions can observe them.
             if let Some(inj) = uarch.as_deref_mut() {
                 if !inj.applied && cycle >= inj.fault.cycle {
+                    run_deferred(&mut m.sms, &mut stats);
                     apply_uarch(
                         inj,
                         &mut m.sms,
@@ -1015,6 +1113,9 @@ pub(crate) fn run_timed_ctl(
                         &launch_geom,
                         cfg,
                     );
+                    // A stuck-at site is re-forced every cycle, so every
+                    // op must run at its issue from now on.
+                    defer &= inj.stuck.is_empty();
                 } else if inj.applied && !inj.stuck.is_empty() {
                     reassert_stuck(inj, &mut m.sms, &mut m.l1ds, &mut m.l1ts, &mut m.l2);
                 }
@@ -1041,6 +1142,7 @@ pub(crate) fn run_timed_ctl(
                     {
                         let gs = cv.snaps[conv_idx];
                         conv_idx += 1;
+                        run_deferred(&mut m.sms, &mut stats);
                         fold_issue_marks(&mut m.sms, &g);
                         let gl = store.launch_scalars(gs);
                         if (next_cta, done_ctas, seq) == (gl.next_cta, gl.done_ctas, gl.seq)
@@ -1074,11 +1176,27 @@ pub(crate) fn run_timed_ctl(
 
                 let warp = sm.warps[wi].as_mut().expect("picked warp exists");
                 let slot_idx = wi / g.wpc as usize;
-                let rf_base = slot_idx * g.regs_per_cta as usize
-                    + warp.warp_in_cta as usize * g.regs_per_warp as usize;
-                let smem_base = slot_idx * g.smem_words_per_cta as usize;
                 sm.issued |= 1 << wi;
-                let (event, due) = {
+                let lazy = sm.lazy[wi];
+                let pure = if defer {
+                    deferrable(warp, lazy, kernel.ops())
+                } else {
+                    None
+                };
+                let (event, due) = if let Some(op) = pure {
+                    // Charged now, run with the warp's next impure issue.
+                    sm.lazy[wi] += 1;
+                    let class = if op.tag.is_sfu() {
+                        IssueClass::Sfu
+                    } else {
+                        IssueClass::Alu
+                    };
+                    (Some(StepEvent::Issued(class)), None)
+                } else {
+                    sm.lazy[wi] = 0;
+                    let rf_base = slot_idx * g.regs_per_cta as usize
+                        + warp.warp_in_cta as usize * g.regs_per_warp as usize;
+                    let smem_base = slot_idx * g.smem_words_per_cta as usize;
                     let mut tg = TimedGMem {
                         l1d: &mut m.l1ds[smi],
                         l1t: &mut m.l1ts[smi],
@@ -1105,7 +1223,7 @@ pub(crate) fn run_timed_ctl(
                         sw: sw.as_deref_mut(),
                         max_stack: cfg.max_stack_depth,
                     };
-                    match run_warp(warp, &mut ctx, 1) {
+                    match run_warp(warp, &mut ctx, lazy + 1) {
                         Ok(ev) => (Some(ev), None),
                         Err(e) => (None, Some(e)),
                     }
@@ -1247,6 +1365,7 @@ pub(crate) fn run_timed_ctl(
     };
 
     ctl.simulated_cycles = cycle - start_cycle;
+    run_deferred(&mut m.sms, &mut stats);
 
     // A stuck-at site overwritten by the very last step must still read
     // stuck when the launch retires (output classification reads L2 and

@@ -12,18 +12,26 @@
 //! runs, and predicated `EXIT`. On those, the engines must agree on memory
 //! and on every instruction counter of `Stats`, fault-free; and on a
 //! single-warp launch, where both engines execute the same dynamic
-//! instruction order, under every software fault kind and pattern. The
-//! timed engine issues one instruction at a time, so it is the
-//! per-instruction reference for the functional engine's blocks.
+//! instruction order, under every software fault kind and pattern. A
+//! software injector makes the timed engine run each instruction at its
+//! issue, so there it is the per-instruction reference for the functional
+//! engine's blocks. Without an injector or a probe, the timed engine
+//! defers pure ops to the warp's next impure issue and runs them as one
+//! block; on structured launches of several warps, with a
+//! microarchitecture fault in any structure, from cycle 0 and resumed
+//! from a snapshot, that must end exactly as a probed run, which runs
+//! every op at its issue.
 
 use proptest::prelude::*;
+use std::sync::{Arc, Mutex};
 use vgpu_arch::{
     BoolOp, CmpOp, InstrClass, Kernel, KernelBuilder, LaunchConfig, MemSpace, Op, Operand, Pred,
     Reg, SpecialReg,
 };
 use vgpu_sim::{
-    ArenaPlanner, Budget, FaultPattern, FaultPlan, Gpu, GpuConfig, HwStructure, LaunchAbort, Mode,
-    Stats, SwFault, SwFaultKind, SwInjector, UarchFault, UarchInjector,
+    ArenaPlanner, Budget, ChunkStore, ConvergeWith, FaultPattern, FaultPlan, GlobalMem, Gpu,
+    GpuConfig, HwStructure, LaunchAbort, Mode, ProbeEvent, Stats, SwFault, SwFaultKind, SwInjector,
+    TraceSink, UarchFault, UarchInjector,
 };
 
 /// A random but *safe* kernel: ALU soup over 6 data registers driven by
@@ -323,6 +331,22 @@ fn input(i: u32) -> u32 {
     i.wrapping_mul(0x9e37_79b9) ^ 0x5bd1_e995
 }
 
+/// A machine holding the input of a structured launch on `threads`
+/// threads in CTAs of `block`, and the launch.
+fn structured_gpu(mode: Mode, block: u32, threads: u32) -> (Gpu, LaunchConfig) {
+    let mut planner = ArenaPlanner::new();
+    let out = planner.alloc(threads * SLOTS * 4);
+    let inp = planner.alloc(threads * 4);
+    let mem = planner.build();
+    let mut gpu = Gpu::new(GpuConfig::default(), mem, mode);
+    let words: Vec<u32> = (0..threads).map(input).collect();
+    gpu.host_write_block(inp, &words);
+    (
+        gpu,
+        LaunchConfig::new(threads / block, block, vec![out, inp]),
+    )
+}
+
 /// Run a structured kernel on `threads` threads in CTAs of `block`:
 /// its result, output words and a counter of `sw`, if one is given.
 fn run_structured(
@@ -333,14 +357,8 @@ fn run_structured(
     sw: Option<&mut SwInjector>,
     budget: &Budget,
 ) -> (Result<Stats, LaunchAbort>, Vec<u32>) {
-    let mut planner = ArenaPlanner::new();
-    let out = planner.alloc(threads * SLOTS * 4);
-    let inp = planner.alloc(threads * 4);
-    let mem = planner.build();
-    let mut gpu = Gpu::new(GpuConfig::default(), mem, mode);
-    let words: Vec<u32> = (0..threads).map(input).collect();
-    gpu.host_write_block(inp, &words);
-    let lc = LaunchConfig::new(threads / block, block, vec![out, inp]);
+    let (mut gpu, lc) = structured_gpu(mode, block, threads);
+    let out = lc.params[0];
     let plan = match sw {
         Some(s) => FaultPlan::Sw(s),
         None => FaultPlan::None,
@@ -392,6 +410,23 @@ const PATTERNS: [FaultPattern; 7] = [
     FaultPattern::StuckAt0,
     FaultPattern::StuckAt1,
 ];
+
+/// A probe sink that drops what it is told.
+struct Discard;
+
+impl TraceSink for Discard {
+    fn consume(&mut self, _: &[ProbeEvent]) {}
+}
+
+/// What a faulty launch left: its result, the injector's `applied` and
+/// `population`, device memory, and the arena as the host reads it
+/// (through the L2).
+type Ending = (Result<Stats, LaunchAbort>, bool, u64, GlobalMem, Vec<u32>);
+
+fn ending(gpu: &Gpu, res: Result<Stats, LaunchAbort>, inj: &UarchInjector) -> Ending {
+    let host = gpu.host_read_block(0, gpu.mem().size() / 4);
+    (res, inj.applied, inj.population, gpu.mem().clone(), host)
+}
 
 fn run(kernel: &Kernel, mode: Mode, n: u32) -> Vec<u32> {
     let mut planner = ArenaPlanner::new();
@@ -549,6 +584,82 @@ proptest! {
                 if target < kind.eligible(&golden) {
                     prop_assert!(fi.applied, "{}: an in-stream target fires", what);
                 }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Deferred pure ops are exact under faults. A structured launch of
+    /// four warps in two CTAs takes a microarchitecture fault at a random
+    /// cycle in each injectable structure, once transient and once
+    /// stuck-at. Run with a probe attached, every op runs at its issue;
+    /// run without one, from cycle 0 and resumed from the latest golden
+    /// snapshot at or before the fault with the convergence exit on, pure
+    /// ops wait for the warp's next impure issue. All three must leave the
+    /// same outcome, `Stats`, injector and memory.
+    #[test]
+    fn deferred_ops_match_eager_ones_under_faults(
+        codes in prop::collection::vec(any::<u8>(), 1..40),
+        cycle_frac in 0.0f64..1.0,
+        pick in any::<u64>(),
+        bit in 0u8..32,
+        transient in 0usize..5,
+        stuck in 5usize..7,
+    ) {
+        let (block, threads) = (64, 128);
+        let k = structured_kernel(&codes, block, threads);
+        let none = Budget::unlimited();
+        let (mut gpu, lc) = structured_gpu(Mode::Timed, block, threads);
+        let cycles = gpu.launch(&k, &lc, FaultPlan::None, &none).unwrap().cycles;
+        // The golden run again, captured at four cycles and at its end.
+        let (mut gpu, _) = structured_gpu(Mode::Timed, block, threads);
+        let mut store = ChunkStore::new();
+        let at: Vec<u64> = (0..4).map(|i| cycles * i / 4).collect();
+        let (golden, mids) = gpu.launch_instrumented(&k, &lc, &none, &at, &mut store).unwrap();
+        let end = gpu.capture(&mut store);
+        let budget = Budget { cycles: cycles * 20 + 10_000, instrs: u64::MAX / 2 };
+
+        for structure in HwStructure::INJECTABLE {
+            for pattern in [PATTERNS[transient], PATTERNS[stuck]] {
+                let fault = UarchFault {
+                    cycle: (cycles as f64 * cycle_frac) as u64,
+                    structure,
+                    loc_pick: pick,
+                    bit,
+                    pattern,
+                };
+                let what = format!("{structure:?} {pattern:?} at cycle {}", fault.cycle);
+                let from_zero = |probed: bool| {
+                    let (mut gpu, lc) = structured_gpu(Mode::Timed, block, threads);
+                    if probed {
+                        gpu.attach_probe(Arc::new(Mutex::new(Discard)));
+                    }
+                    let mut inj = UarchInjector::new(fault);
+                    let res = gpu.launch(&k, &lc, FaultPlan::Uarch(&mut inj), &budget);
+                    ending(&gpu, res, &inj)
+                };
+                let eager = from_zero(true);
+                prop_assert_eq!(&from_zero(false), &eager, "{} from cycle 0", what);
+
+                let snap = *mids
+                    .iter()
+                    .rev()
+                    .find(|&&s| store.cycle(s).unwrap() <= fault.cycle)
+                    .expect("a snapshot at cycle 0");
+                let (mut gpu, lc) = structured_gpu(Mode::Timed, block, threads);
+                let mut inj = UarchInjector::new(fault);
+                let converge = ConvergeWith { snaps: &mids, end_stats: golden };
+                let res = gpu.resume_from(&store, snap, &k, &lc, Some(&mut inj), &budget, Some(converge));
+                // A converged run stops where it met golden; the rest of
+                // the launch is golden's.
+                if res.as_ref().is_ok_and(|r| r.converged_at.is_some()) {
+                    gpu.restore(&store, end);
+                }
+                let resumed = ending(&gpu, res.map(|r| r.stats), &inj);
+                prop_assert_eq!(&resumed, &eager, "{} resumed", what);
             }
         }
     }

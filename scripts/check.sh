@@ -14,10 +14,15 @@ cargo build --release --workspace
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "==> the interpreter's differential tests, compiled as the perf ledger compiles them"
-# Release code is what every campaign and the ledger run: the block runner
-# and the FMA rows (vector or `mul_add`) are checked in that build too.
-cargo test -q --release -p vgpu-sim --test lane_masks --test proptest_engines
+echo "==> the interpreter's differential tests and the schedule pins, compiled as the perf ledger compiles them"
+# Release code is what every campaign and the ledger run: the block runner,
+# the FMA rows (vector or `mul_add`) and the timed engine's deferred pure
+# ops (run at the warp's next impure issue, or before a snapshot, a
+# convergence compare or a fault) are checked in that build too: against
+# eager runs under faults, against every timed golden launch's `Stats`,
+# and through snapshot capture, resume and convergence.
+cargo test -q --release -p vgpu-sim --test lane_masks --test proptest_engines --test snapshots
+cargo test -q --release -p kernels --test golden_schedule
 
 echo "==> the probe stream's pins and the replay index, compiled as the perf ledger compiles the recorder"
 # The register-operand rows, the recorder and the read-run fold run in
