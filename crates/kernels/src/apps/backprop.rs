@@ -183,13 +183,9 @@ impl Benchmark for BackProp {
             HID * 4,          // hidden deltas (host-computed)
         ]);
         let (input, weights, partial, oldw, deltas) = (bufs[0], bufs[1], bufs[2], bufs[3], bufs[4]);
-        for i in 0..N_IN {
-            ctl.write_f32(input + i * 4, input_unit(i));
-        }
-        for i in 0..nw {
-            ctl.write_f32(weights + i * 4, input_weight(i));
-            ctl.write_f32(oldw + i * 4, 0.0);
-        }
+        ctl.write_with(input, N_IN, |i| input_unit(i).to_bits());
+        ctl.write_with(weights, nw, |i| input_weight(i).to_bits());
+        ctl.write_with(oldw, nw, |_| 0);
         let k1 = kernel_layerforward();
         let k2 = kernel_adjust();
         ctl.launch(0, k1, GROUPS, BLOCK, vec![input, weights, partial])?;

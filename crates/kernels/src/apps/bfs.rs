@@ -32,8 +32,14 @@ fn degree(i: u32) -> u32 {
     2 + hash_u32(SEED ^ 0xdeed, i as u64, 4)
 }
 
-/// Build the CSR adjacency (starts, edges).
-pub fn graph() -> (Vec<u32>, Vec<u32>) {
+/// The CSR adjacency (starts, edges), built once per process as the
+/// kernels are.
+pub fn graph() -> &'static (Vec<u32>, Vec<u32>) {
+    static G: OnceLock<(Vec<u32>, Vec<u32>)> = OnceLock::new();
+    G.get_or_init(build_graph)
+}
+
+fn build_graph() -> (Vec<u32>, Vec<u32>) {
     let mut starts = Vec::with_capacity(NODES as usize + 1);
     let mut edges = Vec::new();
     let mut cursor = 0u32;
@@ -176,18 +182,12 @@ impl Benchmark for Bfs {
         let (b_starts, b_edges, mask, upd, visited, cost, over) = (
             bufs[0], bufs[1], bufs[2], bufs[3], bufs[4], bufs[5], bufs[6],
         );
-        for (i, &s) in starts.iter().enumerate() {
-            ctl.write_u32(b_starts + i as u32 * 4, s);
-        }
-        for (i, &e) in edges.iter().enumerate() {
-            ctl.write_u32(b_edges + i as u32 * 4, e);
-        }
-        for i in 0..NODES {
-            ctl.write_u32(mask + i * 4, (i == 0) as u32);
-            ctl.write_u32(upd + i * 4, 0);
-            ctl.write_u32(visited + i * 4, (i == 0) as u32);
-            ctl.write_u32(cost + i * 4, if i == 0 { 0 } else { u32::MAX });
-        }
+        ctl.write_with(b_starts, NODES + 1, |i| starts[i as usize]);
+        ctl.write_with(b_edges, ne, |i| edges[i as usize]);
+        ctl.write_with(mask, NODES, |i| (i == 0) as u32);
+        ctl.write_with(upd, NODES, |_| 0);
+        ctl.write_with(visited, NODES, |i| (i == 0) as u32);
+        ctl.write_with(cost, NODES, |i| if i == 0 { 0 } else { u32::MAX });
         let k1 = kernel_expand();
         let k2 = kernel_fold();
         let grid = NODES / BLOCK;
@@ -245,10 +245,7 @@ mod tests {
 
     #[test]
     fn graph_is_connectedish_and_deterministic() {
-        let (s1, e1) = graph();
-        let (s2, e2) = graph();
-        assert_eq!(s1, s2);
-        assert_eq!(e1, e2);
+        assert_eq!(*graph(), build_graph());
         let cost = cpu_reference();
         let reached = cost.iter().filter(|&&c| c != u32::MAX).count();
         assert!(

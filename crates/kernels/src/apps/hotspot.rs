@@ -170,10 +170,8 @@ impl Benchmark for HotSpot {
         let n = W * W;
         let bufs = ctl.alloc(&[n * 4, n * 4, n * 4]);
         let (t0, power, t1) = (bufs[0], bufs[1], bufs[2]);
-        for i in 0..n {
-            ctl.write_f32(t0 + i * 4, input_temp(i));
-            ctl.write_f32(power + i * 4, input_power(i));
-        }
+        ctl.write_with(t0, n, |i| input_temp(i).to_bits());
+        ctl.write_with(power, n, |i| input_power(i).to_bits());
         let k = kernel();
         let grid = (W / TILE) * (W / TILE);
         let (mut src, mut dst) = (t0, t1);

@@ -129,16 +129,12 @@ impl Benchmark for KMeans {
         let nf = NPOINTS * NFEAT;
         let bufs = ctl.alloc(&[nf * 4, nf * 4, NCLUST * NFEAT * 4, NPOINTS * 4]);
         let (flipped, features, clusters, membership) = (bufs[0], bufs[1], bufs[2], bufs[3]);
-        for pnt in 0..NPOINTS {
-            for f in 0..NFEAT {
-                ctl.write_f32(flipped + (pnt * NFEAT + f) * 4, input_feature(pnt, f));
-            }
-        }
-        for c in 0..NCLUST {
-            for f in 0..NFEAT {
-                ctl.write_f32(clusters + (c * NFEAT + f) * 4, initial_cluster(c, f));
-            }
-        }
+        ctl.write_with(flipped, nf, |i| {
+            input_feature(i / NFEAT, i % NFEAT).to_bits()
+        });
+        ctl.write_with(clusters, NCLUST * NFEAT, |i| {
+            initial_cluster(i / NFEAT, i % NFEAT).to_bits()
+        });
         let k1 = kernel_invert();
         let k2 = kernel_point();
         let grid = NPOINTS / BLOCK;

@@ -396,11 +396,7 @@ impl Benchmark for Lud {
         let words = N * N;
         let bufs = ctl.alloc(&[words * 4]);
         let m = bufs[0];
-        for i in 0..N {
-            for j in 0..N {
-                ctl.write_f32(m + (i * N + j) * 4, input(i, j));
-            }
-        }
+        ctl.write_with(m, words, |i| input(i / N, i % N).to_bits());
         let k1 = kernel_diagonal();
         let k2 = kernel_perimeter();
         let k3 = kernel_internal();

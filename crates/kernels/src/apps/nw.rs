@@ -198,24 +198,22 @@ impl Benchmark for Nw {
         let words = COLS * COLS;
         let bufs = ctl.alloc(&[words * 4, words * 4]);
         let (refs, items) = (bufs[0], bufs[1]);
-        for i in 0..COLS {
-            for j in 0..COLS {
-                let r = if i >= 1 && j >= 1 { reference(i, j) } else { 0 };
-                ctl.write_u32(refs + (i * COLS + j) * 4, r as u32);
-            }
-        }
-        for i in 0..COLS {
-            for j in 0..COLS {
-                let v: i32 = if i == 0 {
-                    -(j as i32) * PENALTY
-                } else if j == 0 {
-                    -(i as i32) * PENALTY
-                } else {
-                    0
-                };
-                ctl.write_u32(items + (i * COLS + j) * 4, v as u32);
-            }
-        }
+        ctl.write_with(refs, words, |w| {
+            let (i, j) = (w / COLS, w % COLS);
+            let r = if i >= 1 && j >= 1 { reference(i, j) } else { 0 };
+            r as u32
+        });
+        ctl.write_with(items, words, |w| {
+            let (i, j) = (w / COLS, w % COLS);
+            let v: i32 = if i == 0 {
+                -(j as i32) * PENALTY
+            } else if j == 0 {
+                -(i as i32) * PENALTY
+            } else {
+                0
+            };
+            v as u32
+        });
         let k1 = kernel1();
         let k2 = kernel2();
         for i in 1..=NB {

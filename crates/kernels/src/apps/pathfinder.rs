@@ -141,15 +141,9 @@ impl Benchmark for PathFinder {
     fn run(&self, ctl: &mut RunCtl) -> Result<(), AppAbort> {
         let bufs = ctl.alloc(&[ROWS * COLS * 4, COLS * 4, COLS * 4]);
         let (wall_buf, r0, r1) = (bufs[0], bufs[1], bufs[2]);
-        for row in 0..ROWS {
-            for col in 0..COLS {
-                ctl.write_u32(wall_buf + (row * COLS + col) * 4, wall(row, col));
-            }
-        }
+        ctl.write_with(wall_buf, ROWS * COLS, |i| wall(i / COLS, i % COLS));
         // Source row = wall row 0.
-        for col in 0..COLS {
-            ctl.write_u32(r0 + col * 4, wall(0, col));
-        }
+        ctl.write_with(r0, COLS, |col| wall(0, col));
         let k = kernel();
         let grid = COLS / STRIDE;
         let (mut src, mut dst) = (r0, r1);

@@ -113,10 +113,8 @@ impl Benchmark for Scp {
         let n = VECS * ELEM;
         let bufs = ctl.alloc(&[n * 4, n * 4, VECS * 4]);
         let (a, b, c) = (bufs[0], bufs[1], bufs[2]);
-        for i in 0..n {
-            ctl.write_f32(a + i * 4, input_a(i));
-            ctl.write_f32(b + i * 4, input_b(i));
-        }
+        ctl.write_with(a, n, |i| input_a(i).to_bits());
+        ctl.write_with(b, n, |i| input_b(i).to_bits());
         ctl.set_outputs(&[(c, VECS)]);
         let k = kernel();
         ctl.launch(0, k, VECS, BLOCK, vec![a, b, c])?;

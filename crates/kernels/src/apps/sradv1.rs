@@ -337,9 +337,7 @@ impl Benchmark for SradV1 {
         ]);
         let (img, sums, sums2, p1, p2) = (bufs[0], bufs[1], bufs[2], bufs[3], bufs[4]);
         let (dn, ds, dw, de, c) = (bufs[5], bufs[6], bufs[7], bufs[8], bufs[9]);
-        for i in 0..NE {
-            ctl.write_f32(img + i * 4, input_pixel(i));
-        }
+        ctl.write_with(img, NE, |i| input_pixel(i).to_bits());
         let grid = NE / BLOCK;
         let (k1, k2, k3) = (kernel_extract(), kernel_prepare(), kernel_reduce());
         let (k4, k5, k6) = (kernel_srad(), kernel_srad2(), kernel_compress());

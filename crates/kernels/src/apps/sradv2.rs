@@ -252,9 +252,7 @@ impl Benchmark for SradV2 {
     fn run(&self, ctl: &mut RunCtl) -> Result<(), AppAbort> {
         let bufs = ctl.alloc(&[NE * 4; 6]);
         let (img, dn, ds, dw, de, c) = (bufs[0], bufs[1], bufs[2], bufs[3], bufs[4], bufs[5]);
-        for i in 0..NE {
-            ctl.write_f32(img + i * 4, input_pixel(i));
-        }
+        ctl.write_with(img, NE, |i| input_pixel(i).to_bits());
         let k1 = kernel1();
         let k2 = kernel2();
         let grid = (W / TILE) * (W / TILE);

@@ -61,10 +61,8 @@ impl Benchmark for Va {
     fn run(&self, ctl: &mut RunCtl) -> Result<(), AppAbort> {
         let bufs = ctl.alloc(&[N * 4, N * 4, N * 4]);
         let (a, b, c) = (bufs[0], bufs[1], bufs[2]);
-        for i in 0..N {
-            ctl.write_f32(a + i * 4, input_a(i));
-            ctl.write_f32(b + i * 4, input_b(i));
-        }
+        ctl.write_with(a, N, |i| input_a(i).to_bits());
+        ctl.write_with(b, N, |i| input_b(i).to_bits());
         ctl.set_outputs(&[(c, N)]);
         let k = kernel();
         ctl.launch(0, k, N / BLOCK, BLOCK, vec![a, b, c, N])?;

@@ -27,10 +27,15 @@ use vgpu_sim::{granule_bit, GlobalMem, Stats, SwFault, SwInjector, GRANULE_SHIFT
 
 /// What every CTA of one golden functional run read and wrote. Captured
 /// once per software-level application by [`crate::golden_pass`] and
-/// shared by every trial; holds store deltas and sparse granule bitmaps
-/// only, never a copy of device memory.
+/// shared by every trial; holds store deltas and sparse granule bitmaps,
+/// and one copy of device memory: the arena when the host program first
+/// observes the device, its inputs written — where every trial starts
+/// instead of re-running the host code that writes them.
 #[derive(Debug, Default)]
 pub struct CtaLog {
+    /// The arena's bytes at the golden run's first observation
+    /// ([`vgpu_sim::GlobalMem::data`]).
+    image: Vec<u8>,
     launches: Vec<LaunchLog>,
     /// The distinct kernels launched, referenced by [`LaunchLog::kernel`].
     /// Apps build each kernel once per process, so a kernel is known by
@@ -135,8 +140,20 @@ impl CtaLog {
                 + (l.runs.len() + l.reads.len()) * 8
                 + (l.words.len() + l.params.len()) * 4
         };
-        (self.launches.iter().map(per_launch).sum::<usize>()
+        (self.image.len()
+            + self.launches.iter().map(per_launch).sum::<usize>()
             + std::mem::size_of_val(self.kernels.as_slice())) as u64
+    }
+
+    /// The arena at the golden run's first observation: what a trial's
+    /// host program has written by then, since it has seen nothing.
+    pub fn image(&self) -> &[u8] {
+        &self.image
+    }
+
+    /// The golden host program observes the device for the first time.
+    pub(crate) fn capture_image(&mut self, mem: &GlobalMem) {
+        self.image = mem.data().to_vec();
     }
 
     /// Run the next golden launch CTA by CTA on `mem`, logging each CTA's
@@ -332,6 +349,18 @@ impl CtaReplay {
             replayed: 0,
             simulated: 0,
         }
+    }
+
+    /// The trial's host program observes the device for the first time:
+    /// bring `mem` to the golden image in one copy. Its writes until now
+    /// were the golden ones, dropped in a release build; a debug build
+    /// made them, and checks them against the image.
+    pub fn enter(&self, mem: &mut GlobalMem) {
+        debug_assert!(
+            mem.data() == self.log.image,
+            "the preamble must write the golden image"
+        );
+        mem.load_data(&self.log.image);
     }
 
     /// Whether the trial's memory currently equals golden memory with the

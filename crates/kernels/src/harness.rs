@@ -58,6 +58,12 @@ pub enum AppAbort {
     /// TMR majority voting found three mutually different copies
     /// (classified as DUE, per the paper's Figure 6 workflow).
     VoteFailed,
+    /// The trial provably re-joined the golden run for good: what is left
+    /// of its host program is the golden one, so it stops at the launch
+    /// that re-joins (or the next one) and [`faulty_run_with`] credits the
+    /// golden launches it did not make. Never ends a golden pass or an
+    /// unaccelerated trial.
+    Rejoined,
 }
 
 impl From<LaunchAbort> for AppAbort {
@@ -217,6 +223,9 @@ pub struct Sinks<'a> {
     /// The run this pass must reproduce bit for bit: output, total cost,
     /// per-launch statistics. A snapshot sink brings its own.
     pub reference: Option<&'a GoldenRun>,
+    /// The arena this pass must hold when its host program first observes
+    /// the device — a [`CtaLog::image`] to check: compared there.
+    pub preamble: Option<&'a [u8]>,
     /// ACE lifetime accounting: a `vgpu_sim::lifetime` sink on the probe
     /// stream of the pass (timed engine).
     pub ace: Option<AceProfile>,
@@ -393,10 +402,6 @@ struct FfCtx<'a> {
     /// the golden output. `None` once the machine is live (the fault
     /// launch resumed, or a launch had to simulate).
     following: Option<SnapId>,
-    /// Nothing has been read or launched yet: the host program cannot have
-    /// left the golden one, so its writes are the ones the initial
-    /// snapshot already holds, and are dropped.
-    preamble: bool,
     /// Host writes since `following`, oldest first; replayed onto the
     /// machine if it has to go live before the next snapshot subsumes
     /// them.
@@ -464,7 +469,7 @@ impl FfCtx<'_> {
     /// A host write while following (`false`: the machine is live, write
     /// it there).
     fn host_write(&mut self, addr: u32, v: u32) -> bool {
-        if self.following.is_some() && !self.preamble {
+        if self.following.is_some() {
             self.host_writes.push((addr, v));
         }
         self.following.is_some()
@@ -490,7 +495,6 @@ impl FfCtx<'_> {
     /// host writes made since. Must run before anything simulates on it
     /// or reads a word written since.
     fn go_live(&mut self, gpu: &mut Gpu) {
-        self.preamble = false;
         if let Some(at) = self.following.take() {
             self.restored_bytes += gpu.restore(&self.snaps.store, at);
             for (addr, v) in self.host_writes.drain(..) {
@@ -537,6 +541,8 @@ pub struct RunCtl<'a> {
     /// path.
     simulated_cost: u64,
     outputs: Vec<(u32, u32)>,
+    /// Nothing has been read or launched yet ([`RunCtl::observe`]).
+    preamble: bool,
 }
 
 impl<'a> RunCtl<'a> {
@@ -554,6 +560,7 @@ impl<'a> RunCtl<'a> {
             total_cost: 0,
             simulated_cost: 0,
             outputs: Vec::new(),
+            preamble: true,
         }
     }
 
@@ -595,11 +602,12 @@ impl<'a> RunCtl<'a> {
         let mut gpu = match scratch {
             Some(mut g) => {
                 // Identical configuration and arena layout: reuse instead
-                // of reallocating (hot campaign loop). A fast-forward run
-                // restores a snapshot before it simulates anything, and
-                // wants the machine as the last trial left it; any other
-                // run starts from zeroed memory and reset caches.
-                if self.ff().is_none() {
+                // of reallocating (hot campaign loop). A run that drops
+                // its preamble starts from golden material — a snapshot
+                // restore, which wants the machine as the last trial left
+                // it, or the CTA log's image, copied whole; any other run
+                // starts from zeroed memory and reset caches.
+                if !self.drops_preamble() {
                     g.reset_in_place();
                 }
                 g
@@ -623,25 +631,60 @@ impl<'a> RunCtl<'a> {
         }
     }
 
-    /// The host program is about to observe the device for the first time
-    /// (a read or a launch): whatever it wrote until now, it wrote without
-    /// having seen anything, on the golden run and on every faulty one
-    /// alike. A snapshot sink takes its initial snapshot here; a
-    /// fast-forward run starts following it.
+    /// The host program is about to observe the device (a read or a
+    /// launch). The first time, its preamble ends: whatever it wrote until
+    /// now, it wrote without having seen anything, on the golden run and
+    /// on every faulty one alike. A snapshot sink takes its initial
+    /// snapshot here and a fast-forward run starts following it; the CTA
+    /// log copies the arena here and a CTA-log run gets that copy.
     fn observe(&mut self) {
+        if !self.preamble {
+            return;
+        }
+        self.preamble = false;
+        let gpu = self.gpu.as_mut().expect("alloc before device access");
         match &mut self.ctl {
             CtlMode::Golden(sinks) => {
-                if let Some(snaps @ SnapshotSink { initial: None, .. }) = &mut sinks.snapshots {
-                    let gpu = self.gpu.as_mut().expect("alloc before device access");
+                if let Some(image) = sinks.preamble {
+                    assert!(
+                        gpu.mem().data() == image,
+                        "the arena at the first observation differs from the image"
+                    );
+                }
+                if let Some(snaps) = &mut sinks.snapshots {
                     snaps.initial = Some(gpu.capture(&mut snaps.store));
+                }
+                if let Some(log) = &mut sinks.cta_log {
+                    log.capture_image(gpu.mem());
                 }
             }
             CtlMode::Faulty {
-                accel: AccelState::Snapshots(ffc),
+                accel: AccelState::CtaLog(replay),
                 ..
-            } => ffc.preamble = false,
+            } => replay.enter(gpu.mem_mut()),
             _ => {}
         }
+    }
+
+    /// Whether this run drops the host writes of its preamble: an
+    /// accelerated trial starts from golden material that already holds
+    /// them — the initial snapshot, or the CTA log's image. A debug build
+    /// of a CTA-log run makes them anyway, and checks them against the
+    /// image ([`CtaReplay::enter`]).
+    fn drops_preamble(&self) -> bool {
+        match &self.ctl {
+            CtlMode::Faulty { accel, .. } => match accel {
+                AccelState::None => false,
+                AccelState::Snapshots(_) => true,
+                AccelState::CtaLog(_) => !cfg!(debug_assertions),
+            },
+            CtlMode::Golden(_) => false,
+        }
+    }
+
+    /// Whether a host write made now is dropped ([`RunCtl::drops_preamble`]).
+    fn drops_write(&self) -> bool {
+        self.preamble && self.drops_preamble()
     }
 
     /// The fast-forward state of this run, if it has one.
@@ -685,6 +728,9 @@ impl<'a> RunCtl<'a> {
     /// Host write to a *single* copy, bypassing TMR replication — only for
     /// tests and diagnostics that need to desynchronise redundant copies.
     pub fn write_u32_single(&mut self, addr: u32, v: u32) {
+        if self.drops_write() {
+            return;
+        }
         let launch = self.launch_idx.wrapping_sub(1);
         if let Some(f) = self.ff() {
             if f.host_write(addr, v) {
@@ -709,6 +755,20 @@ impl<'a> RunCtl<'a> {
 
     pub fn write_f32(&mut self, addr: u32, v: f32) {
         self.write_u32(addr, v.to_bits());
+    }
+
+    /// Host write of `words` consecutive words from `addr`, word `i` being
+    /// `f(i)`, replicated like [`RunCtl::write_u32`]. Where the writes
+    /// would be dropped — an accelerated trial's preamble — `f` is never
+    /// called, so inputs are computed only where they land: the golden
+    /// passes and the unaccelerated trials.
+    pub fn write_with(&mut self, addr: u32, words: u32, f: impl Fn(u32) -> u32) {
+        if self.drops_write() {
+            return;
+        }
+        for i in 0..words {
+            self.write_u32(addr + 4 * i, f(i));
+        }
     }
 
     /// Host read (copy 0 — the voted copy in hardened mode).
@@ -804,7 +864,49 @@ impl<'a> RunCtl<'a> {
         Ok(())
     }
 
+    /// Make one launch — unless the run has re-joined golden for good, or
+    /// does with this launch: then what is left of the host program is
+    /// the golden one, so the run stops, and `faulty_run_with` credits the
+    /// golden launches from the first one not made.
     fn do_launch(
+        &mut self,
+        kernel_idx: usize,
+        is_vote: bool,
+        kernel: &'static Kernel,
+        lc: LaunchConfig,
+    ) -> Result<(), AppAbort> {
+        if self.rejoined() {
+            return Err(AppAbort::Rejoined);
+        }
+        self.launch_one(kernel_idx, is_vote, kernel, lc)?;
+        if self.rejoined() {
+            return Err(AppAbort::Rejoined);
+        }
+        Ok(())
+    }
+
+    /// Whether this trial has provably re-joined the golden run for good:
+    /// the device equals golden and every host read so far saw the golden
+    /// word. A fast-forward run knows it once it re-converged
+    /// ([`FfCtx::check_boundary`]); a CTA-log run once, the fault launch
+    /// made, its memory is golden with the log still live — which a host
+    /// write restoring the last dirty word can also bring about.
+    fn rejoined(&self) -> bool {
+        match &self.ctl {
+            CtlMode::Faulty {
+                accel: AccelState::Snapshots(ffc),
+                ..
+            } => ffc.converged,
+            CtlMode::Faulty {
+                accel: AccelState::CtaLog(replay),
+                target_launch,
+                ..
+            } => self.launch_idx > *target_launch && replay.converged(),
+            _ => false,
+        }
+    }
+
+    fn launch_one(
         &mut self,
         kernel_idx: usize,
         is_vote: bool,
@@ -827,11 +929,7 @@ impl<'a> RunCtl<'a> {
                 } else {
                     gpu.launch(kernel, &lc, FaultPlan::None, &Budget::unlimited())?
                 };
-                let cost = if gpu.mode() == Mode::Timed {
-                    stats.cycles
-                } else {
-                    stats.thread_instrs
-                };
+                let cost = cost(&stats, gpu.mode());
                 self.total_cost += cost;
                 self.simulated_cost += cost;
                 self.records.push(LaunchRecord {
@@ -854,42 +952,26 @@ impl<'a> RunCtl<'a> {
                 accel,
             } => {
                 let golden_stats = golden.records.get(ordinal).map(|r| &r.stats);
-                let mut budget = launch_budget(golden_stats, self.cfg);
-                // Whole-app backstop: never exceed the remaining budget.
-                budget.cycles = budget
-                    .cycles
-                    .min(app_budget.cycles.saturating_sub(self.total_cost));
-                budget.instrs = budget
-                    .instrs
-                    .min(app_budget.instrs.saturating_sub(self.total_cost));
-                if budget.cycles == 0 || budget.instrs == 0 {
-                    return Err(AppAbort::Launch(LaunchAbort::Timeout));
-                }
+                let budget = budget_left(golden_stats, self.cfg, app_budget, self.total_cost)?;
                 let fault_here = ordinal == *target_launch;
                 let gpu = self.gpu.as_mut().expect("alloc before launch");
 
                 if let AccelState::Snapshots(ffc) = accel {
                     let snaps = ffc.snaps;
                     ffc.injected |= fault_here;
-                    // Fast-forward: a launch before the fault, or after the
-                    // machine provably re-converged, executes bit-identically
-                    // to golden — follow the run to its golden boundary
-                    // snapshot and credit the golden cost instead of
-                    // simulating. Nothing is restored: a run of skipped
-                    // launches costs nothing until the machine goes live.
-                    if !fault_here && (ordinal < *target_launch || ffc.converged) {
-                        if let (Some(gstats), Some(&boundary)) =
-                            (golden_stats, snaps.boundaries.get(ordinal))
-                        {
-                            // The slow path would simulate exactly the
-                            // golden launch; it times out iff the golden
-                            // cycle count exceeds the budget. Keep that
-                            // equivalence exact.
-                            if gstats.cycles > budget.cycles {
-                                return Err(AppAbort::Launch(LaunchAbort::Timeout));
-                            }
+                    // Fast-forward: a launch before the fault executes
+                    // bit-identically to golden — follow the run to its
+                    // golden boundary snapshot and credit the golden cost
+                    // instead of simulating. Nothing is restored: a run of
+                    // skipped launches costs nothing until the machine goes
+                    // live.
+                    if ordinal < *target_launch {
+                        if let (Some(rec), Some(&boundary)) = (
+                            golden.records.get(ordinal..=ordinal),
+                            snaps.boundaries.get(ordinal),
+                        ) {
+                            credit(rec, self.cfg, Mode::Timed, app_budget, &mut self.total_cost)?;
                             ffc.follow(boundary);
-                            self.total_cost += gstats.cycles;
                             return Ok(());
                         }
                         // Launch the golden pass never saw (impossible for
@@ -997,11 +1079,7 @@ impl<'a> RunCtl<'a> {
                     gpu.launch(kernel, &lc, FaultPlan::None, &budget)
                 };
                 let stats = result?;
-                let cost = if gpu.mode() == Mode::Timed {
-                    stats.cycles
-                } else {
-                    stats.thread_instrs
-                };
+                let cost = cost(&stats, gpu.mode());
                 self.total_cost += cost;
                 self.simulated_cost += cost;
                 // After the fault, a launch that retires with device state
@@ -1241,6 +1319,66 @@ fn app_budget(golden: &GoldenRun, cfg: &GpuConfig) -> Budget {
     }
 }
 
+/// The budget of a faulty launch after the run has spent `spent`: its
+/// own ([`launch_budget`]), capped by what is left of the application's.
+/// Nothing left is a timeout before the launch starts.
+fn budget_left(
+    golden: Option<&Stats>,
+    cfg: &GpuConfig,
+    app: &Budget,
+    spent: u64,
+) -> Result<Budget, AppAbort> {
+    let own = launch_budget(golden, cfg);
+    let budget = Budget {
+        cycles: own.cycles.min(app.cycles.saturating_sub(spent)),
+        instrs: own.instrs.min(app.instrs.saturating_sub(spent)),
+    };
+    if budget.cycles == 0 || budget.instrs == 0 {
+        return Err(AppAbort::Launch(LaunchAbort::Timeout));
+    }
+    Ok(budget)
+}
+
+/// What a launch costs on `mode`'s engine: cycles (timed) or thread
+/// instructions (functional).
+fn cost(stats: &Stats, mode: Mode) -> u64 {
+    match mode {
+        Mode::Timed => stats.cycles,
+        Mode::Functional => stats.thread_instrs,
+    }
+}
+
+/// Credit golden launches `records` at their golden cost instead of
+/// simulating them, adding it to `spent`, the run's cost so far; returns
+/// the CTAs credited. Simulating a golden launch reproduces it, so it
+/// times out iff its golden cost exceeds its budget ([`budget_left`]):
+/// crediting stops with a timeout exactly there, the launches before it
+/// credited. The one way a faulty run skips a launch — the golden prefix
+/// a fast-forward run follows, and whatever is left once a run re-joined
+/// golden — so the two cannot disagree on a timeout.
+fn credit(
+    records: &[LaunchRecord],
+    cfg: &GpuConfig,
+    mode: Mode,
+    app: &Budget,
+    spent: &mut u64,
+) -> Result<u64, AppAbort> {
+    let mut ctas = 0;
+    for r in records {
+        let budget = budget_left(Some(&r.stats), cfg, app, *spent)?;
+        let (cost, limit) = match mode {
+            Mode::Timed => (r.stats.cycles, budget.cycles),
+            Mode::Functional => (r.stats.thread_instrs, budget.instrs),
+        };
+        if cost > limit {
+            return Err(AppAbort::Launch(LaunchAbort::Timeout));
+        }
+        *spent += cost;
+        ctas += r.ctas;
+    }
+    Ok(ctas)
+}
+
 /// Run `bench` with one injected fault and classify the outcome against
 /// `golden`, simulating the whole application: [`faulty_run_with`] under
 /// [`Accel::None`].
@@ -1298,6 +1436,12 @@ pub fn faulty_run_ff(
 ///   reach apply their golden stores instead of simulating
 ///   ([`crate::ctalog`]).
 ///
+/// Under either, the trial starts from the golden material at the host
+/// program's first observation instead of making its preamble's writes,
+/// and a trial that provably re-joins golden for good stops there
+/// ([`AppAbort::Rejoined`]): the golden launches it did not make are
+/// credited, and it is Masked.
+///
 /// # Panics
 /// Panics if `accel` does not match `variant`.
 pub fn faulty_run_with(
@@ -1318,7 +1462,6 @@ pub fn faulty_run_with(
                 converged: false,
                 resumed_at: None,
                 following: Some(snaps.initial),
-                preamble: true,
                 host_writes: Vec::new(),
                 injected: false,
                 host_glue: Vec::new(),
@@ -1344,10 +1487,25 @@ pub fn faulty_run_with(
         },
     );
     let run = bench.run(&mut ctl);
+    // The run stopped where it re-joined golden for good: the rest of its
+    // host program, its launches and its output are golden's. Credit the
+    // launches it did not make.
+    let rejoined = run == Err(AppAbort::Rejoined);
+    let mut credited_ctas = 0;
+    let run = match (run, &ctl.ctl) {
+        (Err(AppAbort::Rejoined), CtlMode::Faulty { app_budget, .. }) => {
+            let rest = &golden.records[ctl.launch_idx..];
+            credit(rest, cfg, variant.mode, app_budget, &mut ctl.total_cost)
+                .map(|ctas| credited_ctas = ctas)
+        }
+        (run, _) => run,
+    };
     let (outcome, corrupted_words) = match run {
-        // Still following the golden run at the end: its output is the
-        // golden output, no need to read it back.
-        Ok(()) if ctl.ff().is_some_and(|f| f.following.is_some()) => (Outcome::Masked, 0),
+        // Re-joined, or still following the golden run at the end: its
+        // output is the golden output, no need to read it back.
+        Ok(()) if rejoined || ctl.ff().is_some_and(|f| f.following.is_some()) => {
+            (Outcome::Masked, 0)
+        }
         Ok(()) => {
             let out = ctl.snapshot_outputs();
             let corrupted_words = out
@@ -1364,6 +1522,7 @@ pub fn faulty_run_with(
         }
         Err(AppAbort::Launch(LaunchAbort::Timeout)) => (Outcome::Timeout, 0),
         Err(AppAbort::Launch(LaunchAbort::Due(_))) | Err(AppAbort::VoteFailed) => (Outcome::Due, 0),
+        Err(AppAbort::Rejoined) => unreachable!("credited above"),
     };
     let CtlMode::Faulty { applied, accel, .. } = &ctl.ctl else {
         unreachable!()
@@ -1389,7 +1548,7 @@ pub fn faulty_run_with(
         }
         AccelState::CtaLog(replay) => {
             result.converged = run.is_ok() && replay.converged();
-            result.ctas_replayed = replay.replayed;
+            result.ctas_replayed = replay.replayed + credited_ctas as u32;
             result.ctas_simulated = replay.simulated;
         }
     }
@@ -1432,6 +1591,71 @@ mod tests {
         assert_eq!(g.kernel_stats(0).thread_instrs, 3000);
         assert_eq!(g.kernel_stats(1).cycles, 50);
         assert_eq!(g.app_stats().cycles, 350);
+    }
+
+    /// Launch records costing `costs` in units of 2^20 cycles and thread
+    /// instructions — above every budget floor — of two CTAs each.
+    fn records(costs: &[u64]) -> Vec<LaunchRecord> {
+        let unit = 1 << 20;
+        let rec = |&c: &u64| LaunchRecord {
+            kernel_idx: 0,
+            is_vote: false,
+            stats: Stats {
+                cycles: c * unit,
+                thread_instrs: c * unit,
+                ..Default::default()
+            },
+            threads: 64,
+            ctas: 2,
+            num_regs: 8,
+            smem_bytes: 0,
+        };
+        costs.iter().map(rec).collect()
+    }
+
+    #[test]
+    fn credit_times_out_exactly_where_a_simulation_would() {
+        const U: u64 = 1 << 20;
+        // Each launch's own budget is its golden cost: the application's
+        // budget is what binds.
+        let cfg = GpuConfig {
+            timeout_factor: 1,
+            min_timeout_cycles: 1,
+            ..GpuConfig::default()
+        };
+        let recs = records(&[3, 2, 5]);
+        let timeout = Err(AppAbort::Launch(LaunchAbort::Timeout));
+        for mode in [Mode::Timed, Mode::Functional] {
+            let app = Budget {
+                cycles: 10 * U,
+                instrs: 10 * U,
+            };
+            // A cost equal to the budget left is credited …
+            let mut spent = 5 * U;
+            assert_eq!(credit(&recs[2..], &cfg, mode, &app, &mut spent), Ok(2));
+            assert_eq!(spent, 10 * U, "{mode:?}");
+            // … one above it times out, crediting nothing …
+            let mut spent = 5 * U + 1;
+            assert_eq!(credit(&recs[2..], &cfg, mode, &app, &mut spent), timeout);
+            assert_eq!(spent, 5 * U + 1, "{mode:?}");
+            // … and with nothing left, so does a launch costing nothing.
+            let mut spent = 10 * U;
+            assert_eq!(
+                credit(&records(&[0]), &cfg, mode, &app, &mut spent),
+                timeout
+            );
+            // The budget runs out at the third launch left: the two before
+            // it are credited, the trial times out there.
+            let app = Budget {
+                cycles: 9 * U,
+                instrs: 9 * U,
+            };
+            let mut spent = 0;
+            assert_eq!(credit(&recs, &cfg, mode, &app, &mut spent), timeout);
+            assert_eq!(spent, 5 * U, "{mode:?}");
+            let mut spent = 0;
+            assert_eq!(credit(&recs[..2], &cfg, mode, &app, &mut spent), Ok(4));
+        }
     }
 
     #[test]

@@ -136,6 +136,35 @@ fn zero_fault_replay_reproduces_golden_without_simulating() {
 }
 
 #[test]
+fn the_image_is_the_arena_of_a_fresh_run_at_its_first_observation() {
+    // A CTA-log trial skips its preamble — the host writes before it first
+    // reads the device or launches — and starts from the log's image. A
+    // fresh functional pass of the same variant must hold that image
+    // exactly when its host program first observes the device. And a
+    // trial on the scratch machine a faulty trial left behind, not zeroed
+    // since, must still reproduce golden (a debug build zeroes it, makes
+    // the preamble's writes and checks them against the image there,
+    // `CtaReplay::enter`).
+    for variant in [Variant::FUNCTIONAL, Variant::FUNCTIONAL_TMR] {
+        for b in all_benchmarks() {
+            let rig = Rig::of(b.as_ref(), variant);
+            let tag = format!("{} {variant:?}", b.name());
+            assert!(rig.log.image().iter().any(|&x| x != 0), "{tag}: no inputs");
+            let sinks = Sinks {
+                preamble: Some(rig.log.image()),
+                ..Sinks::default()
+            };
+            golden_pass(b.as_ref(), &rig.cfg, variant, sinks);
+            let fault = rig.fault_at(0, SwFaultKind::DestValue, 0.5, 9).unwrap();
+            rig.check(0, fault);
+            let r = rig.replay(usize::MAX, fault);
+            let golden = (Outcome::Masked, rig.golden.total_cost);
+            assert_eq!((r.outcome, r.total_cost), golden, "{tag}");
+        }
+    }
+}
+
+#[test]
 fn every_kind_and_pattern_matches_the_oracle_on_every_benchmark() {
     // First, middle and last launch × first, middle and last eligible
     // instruction: the fault CTA is the first, an inner and the last CTA

@@ -17,7 +17,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use common::{HostCarry, TmrProbe};
-use kernels::apps::{lud::Lud, scp::Scp, va::Va};
+use kernels::apps::{backprop::BackProp, lud::Lud, scp::Scp, va::Va};
 use kernels::{
     all_benchmarks, faulty_run_ff, faulty_run_with, golden_pass, golden_run, golden_run_snapshots,
     verify_snapshot_resume, Accel, AppSnapshots, Benchmark, GoldenRun, Outcome, PlannedFault,
@@ -188,6 +188,34 @@ fn ff_bit_identical_to_slow_path_multi_bit() {
     let golden = golden_run(&b, &cfg(), Variant::TIMED);
     assert_ff_matches_pattern(&b, 0, &golden, vgpu_sim::FaultPattern::BurstRow);
     assert_ff_matches_pattern(&b, 0, &golden, vgpu_sim::FaultPattern::WholeEntry);
+}
+
+#[test]
+fn trials_that_rejoin_before_the_last_launch_stop_with_the_oracles_records() {
+    // A trial that re-converges — inside its fault launch, or at a boundary
+    // with every host read since the fault golden — before the last launch
+    // stops at its next launch, and the launches left are credited in one
+    // go: LUD's launches back to back, BackProp's with the host folding
+    // the partial sums of the first launch before the second.
+    let cfg = cfg();
+    for b in [&Lud as &dyn Benchmark, &BackProp] {
+        let golden = golden_run(b, &cfg, Variant::TIMED);
+        let last = golden.records.len() - 1;
+        let faults: Vec<_> = [0, last / 2]
+            .into_iter()
+            .flat_map(|target| sweep(&golden, target, vgpu_sim::FaultPattern::SingleBit))
+            .collect();
+        let snaps = Arc::new(snapshot_set(b, &cfg, Variant::TIMED, &golden, 4));
+        let rejoined = faults
+            .iter()
+            .filter(|&&(target, f)| {
+                let r = faulty_run_ff(b, &cfg, &golden, &snaps, target, PlannedFault::Uarch(f));
+                r.converged && target < last
+            })
+            .count();
+        assert!(rejoined > 0, "{}: no trial re-joined early", b.name());
+        assert_ff_matches_faults(b, Variant::TIMED, &golden, &faults);
+    }
 }
 
 #[test]

@@ -38,6 +38,7 @@ fn timed_pass(
     let builder = Arc::new(Mutex::new(TraceBuilder::new()));
     let sinks = Sinks {
         reference: Some(reference),
+        preamble: None,
         ace: ace.then(AceProfile::default),
         trace: trace.then(|| builder.clone() as SharedSink),
         snapshots: snapshots.then(|| SnapshotSink::new(reference, K)),

@@ -355,14 +355,18 @@ impl Gpu {
     /// (the mapped-range table survives), reset caches, no probe — so a
     /// pooled instance can be reused without reallocating (per-worker
     /// scratch reuse on the campaign hot path). Register files and shared
-    /// memories keep their bytes: a launch zeroes what it uses.
+    /// memories keep their bytes: a launch zeroes what it uses. A
+    /// functional machine never touches its caches, so only a timed one
+    /// resets them.
     pub fn reset_in_place(&mut self) {
         self.m.desync();
         self.m.mem.clear_data();
-        for c in self.m.l1ds.iter_mut().chain(self.m.l1ts.iter_mut()) {
-            c.reset();
+        if self.mode == Mode::Timed {
+            for c in self.m.l1ds.iter_mut().chain(self.m.l1ts.iter_mut()) {
+                c.reset();
+            }
+            self.m.l2.reset();
         }
-        self.m.l2.reset();
         self.probe = None;
     }
 

@@ -277,6 +277,18 @@ impl GlobalMem {
         self.write_u32(addr, v);
     }
 
+    /// The arena's bytes, guard gaps included.
+    pub fn data(&self) -> &[u8] {
+        &self.data
+    }
+
+    /// Overwrite the arena with `image`, the [`GlobalMem::data`] of an
+    /// arena of the same layout. Marks nothing dirty: for the functional
+    /// engine, whose stores do not mark either.
+    pub fn load_data(&mut self, image: &[u8]) {
+        self.data.copy_from_slice(image);
+    }
+
     /// Zero the whole arena, keeping the mapped-range table. Scratch-reuse
     /// helper: a recycled arena must start from the same all-zero bytes a
     /// fresh [`GlobalMem::new`] would have.

@@ -20,9 +20,12 @@ echo "==> the interpreter's differential tests and the schedule pins, compiled a
 # ops (run at the warp's next impure issue, or before a snapshot, a
 # convergence compare or a fault) are checked in that build too: against
 # eager runs under faults, against every timed golden launch's `Stats`,
-# and through snapshot capture, resume and convergence.
+# and through snapshot capture, resume and convergence. Both accelerated
+# trial paths — fast-forward and CTA replay, with their preamble images
+# and their stop where a trial re-joins golden — are held to the oracle
+# in that build too.
 cargo test -q --release -p vgpu-sim --test lane_masks --test proptest_engines --test snapshots
-cargo test -q --release -p kernels --test golden_schedule
+cargo test -q --release -p kernels --test golden_schedule --test cta_replay --test fast_forward
 
 echo "==> the probe stream's pins and the replay index, compiled as the perf ledger compiles the recorder"
 # The register-operand rows, the recorder and the read-run fold run in
