@@ -9,13 +9,15 @@
 //! 1. **Record** ([`recorder`]): one golden pass per (app variant, config)
 //!    runs with a probe sink attached. Every register-file, shared-memory,
 //!    and cache word access streams, as its probe batch arrives, into
-//!    per-word *read runs* — the intervals from a write to the last read
-//!    of its value — and into a compact delta/varint-encoded blob per
-//!    segment (host glue / launch; [`codec`]), held for the life of the
-//!    application's captures. No segment's events are buffered.
+//!    *read runs* — the intervals from a write to the last read of its
+//!    value, kept once per 32-word row (a register operand, a cache line)
+//!    until the row's words diverge — and into a compact
+//!    delta/varint-encoded blob per segment (host glue / launch;
+//!    [`codec`]), held for the life of the application's captures. No
+//!    segment's events are buffered.
 //! 2. **Adjudicate** ([`replay`]): for each trial, ask the injector's own
 //!    site resolver (`vgpu_sim::resolve_site`) which words the fault
-//!    hits, and binary-search each word's read runs for the fault
+//!    hits, and binary-search each word's row of read runs for the fault
 //!    position. If no word's first touch at-or-after it is a read (every
 //!    word is written first, or never touched), the trial is *provably
 //!    masked* and its record is synthesized in microseconds. Reads,

@@ -2,8 +2,8 @@
 //!
 //! An [`AppTrace`] is the indexed form of one application's recorded
 //! probe stream: the encoded per-segment blobs, per-launch occupancy
-//! info, and a per-word live-interval index folded from every recorded
-//! access.
+//! info, and a live-interval index folded from every recorded access,
+//! one entry per row of 32 words until the row's words diverge.
 //!
 //! The replay engine's core question, for one transient uarch fault, is:
 //! *is every bit of the fault footprint provably dead?* A flipped word
@@ -31,15 +31,26 @@
 //! (−∞ when none precedes it), `hi` the last read that follows the same
 //! write. A flip at position `p` is consumed iff `p` lies in one of them;
 //! writes and repeated reads inside a run leave nothing behind. `Fold`
-//! builds the runs in one pass over the events in program order, one
-//! event at a time — per word the last write, the write before it (what a
-//! read tied with the last write follows) and the open run's last read —
-//! so they come out time-ordered per word, and a counting sort by word
-//! lays them out at the end. Besides that per-word state, the only thing
-//! the fold holds per segment is an open launch's slot timeline.
+//! builds the runs in one pass over the events in program order — per word
+//! the last write, the write before it (what a read tied with the last
+//! write follows) and the open run's last read — so they come out
+//! time-ordered per word.
+//!
+//! Words come in **rows** of 32: a warp's register operand, a 128-B cache
+//! line. A row whose touches have all covered every one of its words has
+//! had one touch history, so the fold keeps one state for it and closes
+//! one run for all 32 words. Its first partial touch splits it into 32
+//! per-word states; a full-row touch that leaves those 32 equal field for
+//! field merges it back. A closed run is `(lo, hi, lane mask)` per row —
+//! one full-mask run for a uniform row, one per word for a split row, a
+//! split row's equal neighbours closed in one touch sharing one run — and
+//! at the end a counting sort by row and a sort of each row's runs by `hi`
+//! lay them out. Besides that per-row state, the only thing the fold holds
+//! per segment is an open launch's slot timeline.
 
 use std::cell::OnceCell;
 use std::mem::size_of;
+use std::ops::Range;
 
 use rayon::prelude::*;
 use vgpu_sim::{resolve_site, GpuConfig, HwStructure, LaunchGeometry, SegEvent, UarchFault};
@@ -47,12 +58,15 @@ use vgpu_sim::{resolve_site, GpuConfig, HwStructure, LaunchGeometry, SegEvent, U
 use crate::codec::decode_segment_lossy;
 
 /// Coordinate caps: a touch beyond them makes the trace unindexable
-/// (every trial falls back `NoTrace`) before any per-word state is
+/// (every trial falls back `NoTrace`) before any per-row state is
 /// allocated for it.
 const INST_BITS: u32 = 16;
 const WORD_BITS: u32 = 24;
 const T_BITS: u32 = 40;
 const SEG_BITS: u32 = 22;
+
+/// Words per row: a warp's register operand, a 128-B cache line.
+const ROW: usize = 32;
 
 /// `(seg, t)` as one ordered u64, offset by one so that 0 is −∞ ("no
 /// write yet").
@@ -61,7 +75,7 @@ fn pos(seg: u32, t: u64) -> Option<u64> {
 }
 
 /// Fold state of one word, positions as [`pos`].
-#[derive(Clone, Copy, Default)]
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
 struct WordState {
     /// The last write.
     w: u64,
@@ -73,59 +87,153 @@ struct WordState {
     hi: u64,
 }
 
-/// One (structure, instance) array under construction.
-#[derive(Default)]
-struct Lane {
-    words: Vec<WordState>,
-    /// Closed runs `(word, lo, hi)`, in closing order.
-    closed: Vec<(u32, u64, u64)>,
+impl WordState {
+    /// Fold a touch at `p`; the read run it closes, if any.
+    fn touch(&mut self, p: u64, write: bool) -> Option<(u64, u64)> {
+        if write {
+            if self.w != p {
+                (self.before_w, self.w) = (self.w, p);
+            }
+            return None;
+        }
+        // The write this read follows; a different one opens a run.
+        let lo = if self.w == p { self.before_w } else { self.w };
+        let closed = (self.lo != lo && self.hi != 0).then_some((self.lo, self.hi));
+        (self.lo, self.hi) = (lo, p);
+        closed
+    }
+
+    /// The open read run, if any.
+    fn open(&self) -> Option<(u64, u64)> {
+        (self.hi != 0).then_some((self.lo, self.hi))
+    }
 }
 
-impl Lane {
+/// Fold state of one row of [`ROW`] words.
+enum Row {
+    /// Every touch so far covered the whole row: one state for all of it.
+    Uniform(WordState),
+    /// Per word.
+    Split(Box<[WordState; ROW]>),
+}
+
+impl Default for Row {
+    fn default() -> Self {
+        Row::Uniform(WordState::default())
+    }
+}
+
+/// A read run `(lo, hi]` of the words of one row whose lanes are in `mask`.
+#[derive(Clone, Copy, Default)]
+struct Run {
+    lo: u64,
+    hi: u64,
+    mask: u32,
+}
+
+/// A closed [`Run`] of row `row`.
+struct Closed {
+    row: u32,
+    run: Run,
+}
+
+/// Push the run `(lo, hi]` of the words `mask` of `row`, into the last
+/// closed run when that is the same run of their neighbours.
+fn close(closed: &mut Vec<Closed>, row: u32, mask: u32, (lo, hi): (u64, u64)) {
+    match closed.last_mut() {
+        Some(c) if c.row == row && c.run.lo == lo && c.run.hi == hi => c.run.mask |= mask,
+        _ => closed.push(Closed {
+            row,
+            run: Run { lo, hi, mask },
+        }),
+    }
+}
+
+/// One (structure, instance) array under construction.
+#[derive(Default)]
+struct Array {
+    rows: Vec<Row>,
+    /// Closed runs, in closing order.
+    closed: Vec<Closed>,
+}
+
+impl Array {
     fn touch(&mut self, start: usize, end: usize, p: u64, write: bool) {
-        if self.words.len() < end {
-            self.words.resize(end, WordState::default());
+        if self.rows.len() < end.div_ceil(ROW) {
+            self.rows.resize_with(end.div_ceil(ROW), Row::default);
         }
-        for i in start..end {
-            let s = &mut self.words[i];
-            if write {
-                if s.w != p {
-                    (s.before_w, s.w) = (s.w, p);
-                }
-                continue;
-            }
-            // The write this read follows; a different one opens a run.
-            let lo = if s.w == p { s.before_w } else { s.w };
-            if s.lo != lo && s.hi != 0 {
-                self.closed.push((i as u32, s.lo, s.hi));
-            }
-            (s.lo, s.hi) = (lo, p);
+        for r in start / ROW..end.div_ceil(ROW) {
+            let base = r * ROW;
+            let lanes = start.max(base) - base..end.min(base + ROW) - base;
+            self.touch_row(r, lanes, p, write);
         }
     }
 
-    /// Close every open run and lay all of them out by word, with a
-    /// counting sort that keeps each word's runs in time order.
+    /// Fold a touch at `p` of the words `lanes` of row `r`.
+    fn touch_row(&mut self, r: usize, lanes: Range<usize>, p: u64, write: bool) {
+        let (row, closed) = (&mut self.rows[r], &mut self.closed);
+        let full = lanes.len() == ROW;
+        match row {
+            Row::Uniform(s) if full => {
+                if let Some(run) = s.touch(p, write) {
+                    close(closed, r as u32, u32::MAX, run);
+                }
+                return;
+            }
+            Row::Uniform(s) => *row = Row::Split(Box::new([*s; ROW])),
+            Row::Split(_) => {}
+        }
+        let Row::Split(words) = row else {
+            unreachable!("a partial touch splits the row")
+        };
+        for lane in lanes {
+            if let Some(run) = words[lane].touch(p, write) {
+                close(closed, r as u32, 1 << lane, run);
+            }
+        }
+        if full && words.iter().all(|s| *s == words[0]) {
+            *row = Row::Uniform(words[0]);
+        }
+    }
+
+    /// Close every open run and lay all of them out by row, each row's
+    /// runs sorted by `hi`.
     fn finish(self) -> Column {
-        let Lane { words, closed } = self;
-        let open = |(w, s): (usize, &WordState)| (s.hi != 0).then_some((w as u32, s.lo, s.hi));
-        let mut offsets = vec![0; words.len() + 1];
-        for (w, ..) in closed
-            .iter()
-            .copied()
-            .chain(words.iter().enumerate().filter_map(open))
-        {
-            offsets[w as usize] += 1;
+        let Array { rows, mut closed } = self;
+        for (r, row) in rows.iter().enumerate() {
+            let r = r as u32;
+            match row {
+                Row::Uniform(s) => {
+                    if let Some(run) = s.open() {
+                        close(&mut closed, r, u32::MAX, run);
+                    }
+                }
+                Row::Split(words) => {
+                    for (lane, s) in words.iter().enumerate() {
+                        if let Some(run) = s.open() {
+                            close(&mut closed, r, 1 << lane, run);
+                        }
+                    }
+                }
+            }
+        }
+        let mut offsets = vec![0; rows.len() + 1];
+        for c in &closed {
+            offsets[c.row as usize] += 1;
         }
         for i in 1..offsets.len() {
             offsets[i] += offsets[i - 1];
         }
-        // Latest first, each into the last free slot of its word's slice:
-        // a word's offset ends where its slice starts.
-        let mut runs = vec![(0, 0); offsets[words.len()]];
-        let open_runs = words.iter().enumerate().filter_map(open);
-        for (w, lo, hi) in open_runs.chain(closed.into_iter().rev()) {
-            offsets[w as usize] -= 1;
-            runs[offsets[w as usize]] = (lo, hi);
+        // Latest first, each into the last free slot of its row's slice:
+        // a row's offset ends where its slice starts, its runs in closing
+        // order — time order for a row that never split.
+        let mut runs = vec![Run::default(); closed.len()];
+        for Closed { row, run } in closed.into_iter().rev() {
+            offsets[row as usize] -= 1;
+            runs[offsets[row as usize]] = run;
+        }
+        for w in offsets.windows(2) {
+            runs[w[0]..w[1]].sort_unstable_by_key(|run| run.hi);
         }
         Column { offsets, runs }
     }
@@ -133,9 +241,9 @@ impl Lane {
 
 /// The read runs of one (structure, instance) array.
 struct Column {
-    /// Word `w`'s runs are `runs[offsets[w]..offsets[w + 1]]`.
+    /// Row `r`'s runs are `runs[offsets[r]..offsets[r + 1]]`, by `hi`.
     offsets: Vec<usize>,
-    runs: Vec<(u64, u64)>,
+    runs: Vec<Run>,
 }
 
 /// The fold that builds an [`AppTrace`]'s index and launch table from
@@ -147,10 +255,10 @@ struct Column {
 #[derive(Default)]
 pub(crate) struct Fold {
     /// Per structure, per instance.
-    lanes: [Vec<Lane>; 5],
+    arrays: [Vec<Array>; 5],
     launches: Vec<LaunchInfo>,
     /// Some touch exceeded the coordinate caps or went back in time; the
-    /// lanes are dropped and adjudication always falls back.
+    /// arrays are dropped and adjudication always falls back.
     unindexable: bool,
     /// The open segment, and the last position folded in it.
     seg: u32,
@@ -200,16 +308,16 @@ impl Fold {
         let end = start.saturating_add(u64::from(len));
         match pos(self.seg, t) {
             Some(p) if p >= self.last && inst >> INST_BITS == 0 && end <= 1 << WORD_BITS => {
-                let lanes = &mut self.lanes[h as usize];
-                if lanes.len() <= inst as usize {
-                    lanes.resize_with(inst as usize + 1, Lane::default);
+                let arrays = &mut self.arrays[h as usize];
+                if arrays.len() <= inst as usize {
+                    arrays.resize_with(inst as usize + 1, Array::default);
                 }
-                lanes[inst as usize].touch(start as usize, end as usize, p, write);
+                arrays[inst as usize].touch(start as usize, end as usize, p, write);
                 self.last = p;
             }
             _ => {
                 self.unindexable = true;
-                self.lanes = Default::default();
+                self.arrays = Default::default();
             }
         }
     }
@@ -242,8 +350,8 @@ impl Fold {
             blobs,
             launches: self.launches,
             columns: self
-                .lanes
-                .map(|lanes| lanes.into_par_iter().map(Lane::finish).collect()),
+                .arrays
+                .map(|arrays| arrays.into_par_iter().map(Array::finish).collect()),
             unindexable: self.unindexable,
         }
     }
@@ -329,11 +437,13 @@ pub enum Verdict {
     Fallback { reason: FallbackReason },
 }
 
-/// A fully indexed application trace.
+/// A fully indexed application trace: the encoded segments, the launch
+/// table, and per (structure, instance) the read runs of every row of 32
+/// words, each run with the mask of the words it belongs to (module docs).
 pub struct AppTrace {
     blobs: Vec<Vec<u8>>,
     launches: Vec<LaunchInfo>,
-    /// Per structure, per instance: the read runs of every word.
+    /// Per structure, per instance: the read runs of every row.
     columns: [Vec<Column>; 5],
     unindexable: bool,
     /// Total encoded size of all segment blobs.
@@ -416,7 +526,9 @@ impl AppTrace {
     /// it is overwritten: the first recorded touch at-or-after that
     /// position is a read, a same-position read and write counting read
     /// first. Always `false` on an unindexable trace, which
-    /// [`adjudicate`](Self::adjudicate) refuses before asking.
+    /// [`adjudicate`](Self::adjudicate) refuses before asking. The word's
+    /// runs are those of its row whose mask holds it; the first of them
+    /// with `hi ≥ p` decides.
     pub fn live(&self, h: HwStructure, inst: u32, word: u64, seg: u32, cycle: u64) -> bool {
         let column = self
             .columns
@@ -425,12 +537,14 @@ impl AppTrace {
         let (Some(column), Some(p), w) = (column, pos(seg, cycle), word as usize) else {
             return false;
         };
-        let Some(&[start, end]) = column.offsets.get(w..w.saturating_add(2)) else {
+        let Some(&[start, end]) = column.offsets.get(w / ROW..(w / ROW).saturating_add(2)) else {
             return false;
         };
         let runs = &column.runs[start..end];
-        let first = runs.partition_point(|&(_, hi)| hi < p);
-        runs.get(first).is_some_and(|&(lo, _)| lo < p)
+        let first = runs.partition_point(|run| run.hi < p);
+        let lane = 1 << (w % ROW);
+        let own = runs[first..].iter().find(|run| run.mask & lane != 0);
+        own.is_some_and(|run| run.lo < p)
     }
 
     /// Per structure (`HwStructure::ALL` order), Σ `hi − lo` over the read
@@ -438,19 +552,19 @@ impl AppTrace {
     /// word-cycles from a write to the last read of its value. ACE
     /// lifetime where ACE's rules and the trace's coincide (docs/ACE.md).
     pub fn live_word_cycles(&self) -> [u64; 5] {
-        let same_seg =
-            |&&(lo, hi): &&(u64, u64)| lo != 0 && (lo - 1) >> T_BITS == (hi - 1) >> T_BITS;
+        let same_seg = |run: &&Run| run.lo != 0 && (run.lo - 1) >> T_BITS == (run.hi - 1) >> T_BITS;
         self.columns.each_ref().map(|columns| {
-            let runs = columns.iter().flat_map(|c| &c.runs);
-            runs.filter(same_seg).map(|&(lo, hi)| hi - lo).sum()
+            let runs = columns.iter().flat_map(|c| &c.runs).filter(same_seg);
+            runs.map(|run| (run.hi - run.lo) * u64::from(run.mask.count_ones()))
+                .sum()
         })
     }
 
-    /// Bytes held by the index: per-word offsets, read runs and the
+    /// Bytes held by the index: per-row offsets, read runs and the
     /// launches' slot timelines (the blobs are [`bytes`](Self::bytes)).
     pub fn index_bytes(&self) -> u64 {
         let columns = self.columns.iter().flatten();
-        let run = size_of::<(u64, u64)>();
+        let run = size_of::<Run>();
         let runs = columns.map(|c| c.offsets.len() * size_of::<usize>() + c.runs.len() * run);
         let slots = self.launches.iter().map(|l| l.slot_events.len());
         (runs.sum::<usize>() + slots.sum::<usize>() * size_of::<SlotEvent>()) as u64

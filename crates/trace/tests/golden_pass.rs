@@ -206,9 +206,11 @@ impl TraceSink for TouchFold {
 type StreamPin = (&'static str, bool, u64, u64, u64, [u64; 5]);
 
 /// The word-level probe stream of every application's timed golden pass,
-/// unprotected and TMR, and the replay index folded from it, are what they
-/// were when the engine reported one `Access` per register lane: grouping
-/// a warp's lanes into `Range`s changes the events, never the touches.
+/// unprotected and TMR, and the live word-cycles of the replay index folded
+/// from it, are what they were when the engine reported one `Access` per
+/// register lane: grouping a warp's lanes into `Range`s changes the events,
+/// never the touches. The index's size is pinned as the row fold (one state
+/// per 32-word row until its words diverge) lays it out.
 #[test]
 fn the_expanded_probe_stream_is_what_it_was() {
     const PINS: [StreamPin; 22] = [
@@ -217,7 +219,7 @@ fn the_expanded_probe_stream_is_what_it_was() {
             false,
             5139648,
             0x19d6676c5a723449,
-            33034344,
+            1697104,
             [248015224, 17165080, 2342504, 0, 0],
         ),
         (
@@ -225,7 +227,7 @@ fn the_expanded_probe_stream_is_what_it_was() {
             true,
             20584068,
             0x5ab9326191328005,
-            119876008,
+            6142136,
             [1147675016, 41300640, 272104287, 0, 0],
         ),
         (
@@ -233,7 +235,7 @@ fn the_expanded_probe_stream_is_what_it_was() {
             false,
             3661952,
             0xf70d9284528d29dd,
-            21483448,
+            2237808,
             [207425280, 5543794, 34662874, 0, 0],
         ),
         (
@@ -241,7 +243,7 @@ fn the_expanded_probe_stream_is_what_it_was() {
             true,
             14370368,
             0x83474bf6c0ae9bb5,
-            76855256,
+            7661784,
             [926266418, 18662795, 198568769, 0, 0],
         ),
         (
@@ -249,7 +251,7 @@ fn the_expanded_probe_stream_is_what_it_was() {
             false,
             6745302,
             0x2dbd54ffabe23e23,
-            46389000,
+            2869008,
             [329507978, 0, 19384488, 109329152, 0],
         ),
         (
@@ -257,7 +259,7 @@ fn the_expanded_probe_stream_is_what_it_was() {
             true,
             21625170,
             0x76c3dcff3ee5df43,
-            142453576,
+            8120096,
             [1390848668, 0, 74292392, 338243072, 17103360],
         ),
         (
@@ -265,7 +267,7 @@ fn the_expanded_probe_stream_is_what_it_was() {
             false,
             1425920,
             0x3ca5721a53c55fad,
-            9604968,
+            1057448,
             [94232476, 7989552, 2905141, 0, 861152],
         ),
         (
@@ -273,7 +275,7 @@ fn the_expanded_probe_stream_is_what_it_was() {
             true,
             4833152,
             0x5e5e0d6b117ee33d,
-            28459288,
+            3191360,
             [281837756, 21100420, 107223644, 0, 4382176],
         ),
         (
@@ -281,7 +283,7 @@ fn the_expanded_probe_stream_is_what_it_was() {
             false,
             2523456,
             0x9a2a303f09170a85,
-            17043944,
+            1569784,
             [709266448, 198386588, 40516896, 0, 9357696],
         ),
         (
@@ -289,7 +291,7 @@ fn the_expanded_probe_stream_is_what_it_was() {
             true,
             10428928,
             0x8f294075d6688135,
-            63727528,
+            5304976,
             [641873520, 362011444, 82940304, 0, 0],
         ),
         (
@@ -297,7 +299,7 @@ fn the_expanded_probe_stream_is_what_it_was() {
             false,
             511968,
             0xb874c076010115d,
-            4714344,
+            244048,
             [66186216, 763232, 2381824, 0, 0],
         ),
         (
@@ -305,7 +307,7 @@ fn the_expanded_probe_stream_is_what_it_was() {
             true,
             1540001,
             0xad9a2d91b0dc22b2,
-            11063704,
+            637088,
             [194596952, 3606784, 85340928, 0, 0],
         ),
         (
@@ -313,7 +315,7 @@ fn the_expanded_probe_stream_is_what_it_was() {
             false,
             245792,
             0x8cda00d75e5cd485,
-            2885736,
+            116368,
             [15851520, 0, 0, 0, 0],
         ),
         (
@@ -321,7 +323,7 @@ fn the_expanded_probe_stream_is_what_it_was() {
             true,
             1015936,
             0x37ee94421e02d8e5,
-            7606120,
+            336952,
             [85450752, 0, 0, 0, 0],
         ),
         (
@@ -329,7 +331,7 @@ fn the_expanded_probe_stream_is_what_it_was() {
             false,
             535057,
             0xb8ecdd44a1f3eb03,
-            4193160,
+            724920,
             [46214240, 47406814, 69390, 0, 0],
         ),
         (
@@ -337,7 +339,7 @@ fn the_expanded_probe_stream_is_what_it_was() {
             true,
             3686003,
             0x96441c8a4fac2c98,
-            21365480,
+            2740208,
             [211824584, 182505307, 1539135, 0, 0],
         ),
         (
@@ -345,7 +347,7 @@ fn the_expanded_probe_stream_is_what_it_was() {
             false,
             341192,
             0xcf12cc6cf6fa1b85,
-            2790568,
+            138080,
             [22214924, 677684, 2980, 0, 3744],
         ),
         (
@@ -353,7 +355,7 @@ fn the_expanded_probe_stream_is_what_it_was() {
             true,
             1091104,
             0x5b0abdba4caa22b7,
-            7948744,
+            406320,
             [74698037, 2120026, 7246, 0, 11968],
         ),
         (
@@ -361,7 +363,7 @@ fn the_expanded_probe_stream_is_what_it_was() {
             false,
             2991456,
             0x6c931698e32564a5,
-            19592008,
+            1099400,
             [214045636, 5173526, 29977378, 0, 0],
         ),
         (
@@ -369,7 +371,7 @@ fn the_expanded_probe_stream_is_what_it_was() {
             true,
             11272232,
             0x1fc3f3a57b6d751a,
-            65868424,
+            3729560,
             [839084880, 15723944, 582611434, 0, 6496],
         ),
         (
@@ -377,7 +379,7 @@ fn the_expanded_probe_stream_is_what_it_was() {
             false,
             1028278,
             0xadad27f9440c5170,
-            6868040,
+            1484464,
             [18541671, 0, 4432465, 0, 18572],
         ),
         (
@@ -385,7 +387,7 @@ fn the_expanded_probe_stream_is_what_it_was() {
             true,
             7849461,
             0x2f27f5d5827dd35a,
-            41537912,
+            5913136,
             [325686043, 0, 11701988, 0, 0],
         ),
     ];

@@ -1,20 +1,24 @@
-//! The replay index — per-word read runs folded in program order — against
-//! what it replaced and what it must agree with:
+//! The replay index — read runs folded in program order, one entry per
+//! 32-word row until the row's words diverge — against what it replaced
+//! and what it must agree with:
 //!
-//! * on generated multi-segment streams — single words, ranges, and
-//!   register rows as the timed engine reports them (full, partial-mask,
-//!   read and written in one cycle) — `AppTrace::live` equals a
-//!   brute-force scan of the sorted touch list (first touch at-or-after the
-//!   position, reads before writes at one position) at every touch position
-//!   ±1 cycle, and `live_word_cycles` a brute-force grouping of reads by the
-//!   write they follow (one run per such write, none overlapping), for the
-//!   recorder's trace and for its blobs re-imported; and however the
-//!   stream is batched, each blob the recorder streamed decodes to exactly
-//!   its segment's header and events; and ACE's word-cycles are the same
-//!   with every `Range` split into one `Access` per word;
+//! * on generated multi-segment streams — single words, ranges inside a
+//!   row, ranges from an unaligned start across a row boundary and ranges
+//!   of whole rows, and register rows as the timed engine reports them
+//!   (full, partial-mask, read and written in one cycle, split by a
+//!   partial operand and merged back by full-row touches) —
+//!   `AppTrace::live` equals a brute-force scan of the sorted touch list
+//!   (first touch at-or-after the position, reads before writes at one
+//!   position) at every touch position ±1 cycle, and `live_word_cycles` a
+//!   brute-force grouping of reads by the write they follow (one run per
+//!   such write, none overlapping), for the recorder's trace and for its
+//!   blobs re-imported; and however the stream is batched, each blob the
+//!   recorder streamed decodes to exactly its segment's header and events;
+//!   and ACE's word-cycles are the same with every `Range` split into one
+//!   `Access` per word;
 //! * on every application, the read runs' within-segment lengths are ACE's
 //!   register-file and shared-memory lifetimes, word-cycle for word-cycle;
-//! * K-Means' index costs its read runs, not its word touches.
+//! * K-Means' index costs its rows' read runs, not its word touches.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -100,7 +104,7 @@ fn arb_parts(max: usize) -> impl Strategy<Value = Vec<Part>> {
     ];
     prop::collection::vec(
         (
-            (0u8..5, 0u8..5, any::<bool>()),
+            (0u8..8, 0u8..5, any::<bool>()),
             (0u32..2, 0u64..4, 1u32..3, 0u64..3),
             mask,
         ),
@@ -143,10 +147,15 @@ fn row(inst: u32, start: u64, mask: u32, t: u64, write: bool) -> Vec<SegEvent> {
 /// One segment's events, and its touches appended to `touches`: in a
 /// launch segment `t` accumulates the deltas (repeated cycles are
 /// frequent) and the launch runs one cycle past the last; a host segment
-/// is all `t == 0` and may carry `HostRead`s. Ops 3 and 4 are register
-/// rows (`word` picks the row, `mask` the lanes; `h` and `len` are
-/// unused): one operand, or a row read and then written in one cycle
-/// (`r1 = r1 + …`).
+/// is all `t == 0` and may carry `HostRead`s. Ops 0–2 touch words inside
+/// the first row. Ops 3, 4 and 7 are register rows (`word` picks the row,
+/// `mask` the lanes; `h` and `len` are unused): one operand, a row read
+/// and then written in one cycle (`r1 = r1 + …`), or an operand followed
+/// by a full-row write, read and write on the next three cycles — the
+/// index splits the row at a partial operand and merges it back there.
+/// Op 5 is a `Range` from an unaligned start into the next row or two, op
+/// 6 a `Range` of two or three whole rows (a CTA's zero-fill with
+/// `regs_per_cta > 32`).
 fn segment(
     parts: Vec<Part>,
     seg: u32,
@@ -177,11 +186,35 @@ fn segment(
                 t,
                 write,
             }],
-            3 => row(inst, word * 32, mask, t, write),
-            _ => row(inst, word * 32, mask, t, false),
+            3 | 7 => row(inst, word * 32, mask, t, write),
+            4 => row(inst, word * 32, mask, t, false),
+            5 => vec![SegEvent::Range {
+                h,
+                inst,
+                start: word * 32 + 31 - u64::from(len),
+                len: 2 + 17 * len,
+                t,
+                write,
+            }],
+            _ => vec![SegEvent::Range {
+                h,
+                inst,
+                start: word * 32,
+                len: 32 * (len + 1),
+                t,
+                write,
+            }],
         };
         if op == 4 {
             evs.extend(row(inst, word * 32, mask, t, true));
+        }
+        if op == 7 {
+            for write in [true, false, true] {
+                if launch.is_some() {
+                    t += 1;
+                }
+                evs.extend(row(inst, word * 32, u32::MAX, t, write));
+            }
         }
         for ev in &evs {
             let (h, inst, start, len, t, write) = match *ev {
@@ -364,10 +397,11 @@ fn read_runs_are_ace_lifetimes_in_the_register_file_and_shared_memory() {
 
 #[test]
 fn kmeans_index_costs_read_runs_not_word_touches() {
-    // The campaign configuration (4 SMs). Measured: 45 MB of read runs
-    // over K-Means' 6.75 M expanded word touches, which the point index
-    // this replaced held at 16 B each (108 MB); a regression back to
-    // per-touch storage must not land silently.
+    // The campaign configuration (4 SMs). Measured: 2.9 MB (2,869,008 B)
+    // of per-row offsets and read runs over K-Means' 6.75 M expanded word
+    // touches. Folded per word, the same runs took 46.4 MB, and the point
+    // index before them held every touch at 16 B (108 MB); a regression
+    // back to per-word runs or per-touch storage must not land silently.
     let cfg = GpuConfig::default();
     let bench = all_benchmarks()
         .into_iter()
@@ -375,5 +409,5 @@ fn kmeans_index_costs_read_runs_not_word_touches() {
         .expect("K-Means is in the suite");
     let golden = golden_run(bench.as_ref(), &cfg, Variant::TIMED);
     let bytes = trace::record_app_trace(bench.as_ref(), &cfg, &golden).index_bytes();
-    assert!(bytes <= 56 << 20, "K-Means index is {bytes} B");
+    assert!(bytes <= 4 << 20, "K-Means index is {bytes} B");
 }

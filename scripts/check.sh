@@ -30,8 +30,13 @@ cargo test -q --release -p kernels --test golden_schedule --test cta_replay --te
 echo "==> the probe stream's pins and the replay index, compiled as the perf ledger compiles the recorder"
 # The register-operand rows, the recorder and the read-run fold run in
 # release in every ledger capture: the expanded-stream pin of all 11 apps
-# and the index-vs-touch-list property are checked in that build too.
-cargo test -q --release -p trace --test golden_pass --test live_intervals
+# and the index-vs-touch-list property are checked in that build too. The
+# index's verdicts decide which replay records are synthesized in that
+# build, so the Dead-verdict cross-checks against real faulty runs (VA,
+# and NW and LUD, whose register rows split) and the replay backend
+# against the oracle (path_differential) run there as well.
+cargo test -q --release -p trace --test golden_pass --test live_intervals --test replay_adjudication
+cargo test -q --release -p relia --test path_differential
 
 echo "==> campaign CLI: --help exits 0, out-of-range --sms exits 2"
 CAMPAIGN=target/release/campaign
