@@ -20,7 +20,7 @@ use bench::cli::{die, parse_or_exit, Cmd};
 use bench::driver::{write_csv, Driver};
 use bench::figures::{manifest, wall, Figure, RECORD_N_SW, RECORD_N_UARCH};
 use relia::plan::str_tag;
-use relia::{error_margin, Confidence, EngineCfg, DEFAULT_CHECKPOINT_EVERY};
+use relia::{error_margin, Confidence, EngineCfg};
 
 /// Run the figure set of subcommand `sub`; `set` is what its manifest and
 /// wall table carry in their file names after `MANIFEST` / `wall`.
@@ -41,9 +41,6 @@ pub fn figure_set(sub: &str, figures: &[Figure], set: &str, args: &[String]) {
         margin(cfg.n_sw),
     );
     let eng = EngineCfg {
-        checkpoint_every: a
-            .num("--checkpoint-every")
-            .unwrap_or(DEFAULT_CHECKPOINT_EVERY),
         backend: a.backend(),
         trial_limit: a.num("--limit"),
         ..EngineCfg::single_shot()

@@ -7,10 +7,7 @@ use bench::cli::{die, parse_or_exit, Cmd};
 use bench::driver::execute_journaled;
 use dispatch::CampaignSpec;
 use kernels::Benchmark;
-use relia::{
-    execute_shard, pct, records_fingerprint, shard_trials, CampaignCfg, EngineCfg, Table, Watchdog,
-    DEFAULT_CHECKPOINT_EVERY,
-};
+use relia::{execute_shard, pct, records_fingerprint, shard_trials, EngineCfg, Table};
 use stat::{run_adaptive, AdaptiveCfg, AdaptiveResult};
 
 use crate::args::{adaptive, adaptive_targets, fail};
@@ -24,9 +21,6 @@ pub fn run(args: &[String]) {
         shards: a.num("--shards").unwrap_or(1),
         shard_index: a.num("--shard-index").unwrap_or(0),
         checkpoint: a.path("--checkpoint"),
-        checkpoint_every: a
-            .num("--checkpoint-every")
-            .unwrap_or(DEFAULT_CHECKPOINT_EVERY),
         resume: a.path("--resume"),
         trial_limit: a.num("--limit"),
         backend: spec.backend,
@@ -46,12 +40,11 @@ pub fn run(args: &[String]) {
                  with serve --adaptive + work instead of --shards",
             );
         }
-        let res = run_waves(bench.as_ref(), &spec, a.watchdog(), &acfg, &eng);
+        let res = run_waves(bench.as_ref(), &spec, &acfg, &eng);
         print_adaptive(bench.as_ref(), &res, &acfg, csv.as_deref());
         return;
     }
-    let mut prep = spec.prepare(bench.as_ref());
-    prep.cfg.watchdog = a.watchdog();
+    let prep = spec.prepare(bench.as_ref());
     let my = shard_trials(prep.plan.len(), shards, shard_index).len();
     eprintln!(
         "[campaign] {} {} plan: {} trials, fingerprint {:#018x}, shard {}/{} ({} trials)",
@@ -102,7 +95,6 @@ fn wave_path(base: &Path, wave: u64) -> PathBuf {
 fn run_waves(
     bench: &dyn Benchmark,
     spec: &CampaignSpec,
-    watchdog: Watchdog,
     acfg: &AdaptiveCfg,
     eng: &EngineCfg,
 ) -> AdaptiveResult {
@@ -118,10 +110,7 @@ fn run_waves(
         acfg.wave_size,
         acfg.max_per_stratum,
     );
-    let cfg = CampaignCfg {
-        watchdog,
-        ..spec.campaign_cfg()
-    };
+    let cfg = spec.campaign_cfg();
     // What is left of `--limit` is charged wave by wave.
     let mut eng = eng.clone();
     let (checkpoint, resume) = (eng.checkpoint.take(), eng.resume.take());

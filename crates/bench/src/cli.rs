@@ -17,7 +17,7 @@ use std::process::exit;
 use dispatch::{parse_structures, scaled_gpu, CampaignSpec, MAX_N};
 use kernels::{all_benchmarks, Benchmark};
 use relia::plan::Layer;
-use relia::{CampaignCfg, EngineBackend, Watchdog};
+use relia::{CampaignCfg, EngineBackend};
 use stat::AdaptiveCfg;
 use vgpu_sim::{FaultPattern, GpuConfig};
 
@@ -151,10 +151,6 @@ pub const FLAGS: &[Flag] = &[
     flag("--structures", Arg::Text("RF,SMEM,.."), PLAN, "uarch structure subset (SIMT, SCHED: stuck-at models only)"),
     flag("--fault-model", Arg::Choice(fault_models), PLAN | PAPER, "fault pattern of every trial; default single-bit"),
     flag("--backend", Arg::Choice(backends), RUN | SERVE | PAPER, "trial engine; records are identical, replay skips dead faults"),
-    // Per-injection watchdog (relia::Watchdog); off by default.
-    flag("--wall-limit-us", Arg::Num("N", ANY), RUN | PAPER, "reclassify a trial over this wall time as Timeout"),
-    flag("--cycle-limit", Arg::Num("N", ANY), RUN | PAPER, "reclassify a trial over this many cycles as Timeout"),
-    flag("--no-retry", Arg::Switch, RUN | PAPER, "do not retry a trial whose harness panicked"),
     // Output.
     flag("--csv", Arg::Text("PATH"), PLAN, "also write the result table as CSV"),
     flag("--events", Arg::Text("PATH"), EVERY, "JSONL event sink; turns metrics on (docs/OBSERVABILITY.md)"),
@@ -162,7 +158,6 @@ pub const FLAGS: &[Flag] = &[
     flag("--shards", Arg::Num("N", POSITIVE), RUN | SERVE, "strided shards the plan is split into"),
     flag("--shard-index", Arg::Num("I", ANY), RUN, "this process's shard, 0-based"),
     flag("--checkpoint", Arg::Text("PATH"), RUN, "journal every classified trial (adaptive: PATH.waveW)"),
-    flag("--checkpoint-every", Arg::Num("K", ANY), RUN | PAPER, "trials between checkpoint flushes; default 64"),
     flag("--resume", Arg::Text("PATH"), RUN, "skip the trials this checkpoint already classifies"),
     flag("--limit", Arg::Num("L", ANY), RUN | PAPER, "stop after L new trials, leaving a resumable checkpoint"),
     // CI-driven sizing (docs/TWOLEVEL.md).
@@ -414,15 +409,6 @@ impl Parsed {
         (spec, bench)
     }
 
-    /// The per-injection watchdog the command line asks for.
-    pub fn watchdog(&self) -> Watchdog {
-        Watchdog {
-            wall_us_limit: self.num("--wall-limit-us"),
-            cycle_limit: self.num("--cycle-limit"),
-            retry_on_panic: !self.has("--no-retry"),
-        }
-    }
-
     /// The configuration of the fixed-size campaigns of the figure sets.
     /// Defaults are sized so every figure regenerates in minutes on a
     /// laptop; pass larger counts to tighten confidence intervals (the
@@ -431,11 +417,12 @@ impl Parsed {
     pub fn campaign_cfg(&self, default_uarch: usize, default_sw: usize) -> CampaignCfg {
         CampaignCfg {
             gpu: self.gpu(),
-            n_uarch: self.num("--n-uarch").unwrap_or(default_uarch),
-            n_sw: self.num("--n-sw").unwrap_or(default_sw),
-            seed: self.num("--seed").unwrap_or(DEFAULT_SEED),
-            watchdog: self.watchdog(),
             pattern: self.fault_model(),
+            ..CampaignCfg::new(
+                self.num("--n-uarch").unwrap_or(default_uarch),
+                self.num("--n-sw").unwrap_or(default_sw),
+                self.num("--seed").unwrap_or(DEFAULT_SEED),
+            )
         }
     }
 

@@ -1,8 +1,8 @@
 //! The journaled campaign driver: the one piece of code that runs a suite
 //! campaign for a file under `results/`.
 //!
-//! A campaign is named by its [`Key`] — what, besides the run's seed and
-//! watchdog, determines its records: application, targets, variant, fault
+//! A campaign is named by its [`Key`] — what, besides the run's seed,
+//! determines its records: application, targets, variant, fault
 //! pattern, GPU size and trials per stratum — and journaled at
 //! `DIR/journal/<name>.jsonl` in the checkpoint format, `<name>` derived
 //! from the key ([`Key::name`]). The journal is both checkpoint and
@@ -127,8 +127,7 @@ impl Targets {
     }
 }
 
-/// What determines a campaign's records, given the run's seed and
-/// watchdog.
+/// What determines a campaign's records, given the run's seed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Key {
     pub app: &'static str,
@@ -250,9 +249,9 @@ pub struct Campaign {
 
 pub struct Driver<'a> {
     cfg: CampaignCfg,
-    /// Backend and flush interval of every campaign, and as `trial_limit`
-    /// what is left of `--limit`: the new trials this invocation may still
-    /// execute. The journal paths are filled in per campaign.
+    /// Backend of every campaign, and as `trial_limit` what is left of
+    /// `--limit`: the new trials this invocation may still execute. The
+    /// journal paths are filled in per campaign.
     eng: EngineCfg,
     journals: PathBuf,
     /// The applications campaigns may be asked for (`--apps`).
@@ -263,8 +262,7 @@ pub struct Driver<'a> {
 
 impl<'a> Driver<'a> {
     /// A driver for a run at flags `cfg`, journaling under
-    /// `dir/journal/`. `eng` carries the backend, the flush interval and
-    /// `--limit`.
+    /// `dir/journal/`. `eng` carries the backend and `--limit`.
     pub fn new(
         cfg: &CampaignCfg,
         eng: EngineCfg,

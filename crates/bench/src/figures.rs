@@ -897,7 +897,6 @@ pub fn manifest(cfg: &CampaignCfg, campaigns: &[Campaign], csvs: &[(&str, u64)])
         "MANIFEST: flags, campaigns and CSV hashes of this run",
         &["Record", "Name", "Value", "Trials", "Plan", "Records"],
     );
-    let opt = |v: Option<u64>| v.map_or("none".to_string(), |v| v.to_string());
     let hex = |v: u64| format!("{v:#018x}");
     let mut push = |cells: [&str; 6]| t.row(cells.map(String::from).to_vec());
     for (name, value) in [
@@ -906,9 +905,6 @@ pub fn manifest(cfg: &CampaignCfg, campaigns: &[Campaign], csvs: &[(&str, u64)])
         ("seed", cfg.seed.to_string()),
         ("sms", cfg.gpu.num_sms.to_string()),
         ("fault_model", cfg.pattern.label().to_string()),
-        ("wall_limit_us", opt(cfg.watchdog.wall_us_limit)),
-        ("cycle_limit", opt(cfg.watchdog.cycle_limit)),
-        ("retry_on_panic", cfg.watchdog.retry_on_panic.to_string()),
     ] {
         push(["flag", name, &value, "", "", ""]);
     }

@@ -7,7 +7,7 @@
 use std::path::Path;
 use std::process::Command;
 
-const CAMPAIGN: [&str; 15] = [
+const CAMPAIGN: [&str; 13] = [
     "--app",
     "VA",
     "--layer",
@@ -21,8 +21,6 @@ const CAMPAIGN: [&str; 15] = [
     "24",
     "--seed",
     "53083",
-    "--checkpoint-every",
-    "1",
 ];
 
 fn run(extra: &[&str]) -> String {

@@ -11,8 +11,8 @@
 //!    JSONL checkpoint ([`crate::checkpoint`]) and skipping trials an
 //!    interrupted run already finished (`resume`);
 //!    [`execute_resumable`] is the same stage for callers that only want
-//!    the shard finished, and loads a journal that already is. A
-//!    per-injection [`Watchdog`] bounds pathological trials.
+//!    the shard finished, and loads a journal that already is. A trial
+//!    whose harness panics is retried once, then recorded as Timeout.
 //! 3. **Assemble** ([`assemble`] and its projections) — one fold turns
 //!    any record set that covers the plan (a single shot, a merge of
 //!    shards in any order, duplicates from at-least-once execution
@@ -56,31 +56,18 @@ use crate::plan::{
 };
 use crate::records::RecordSet;
 
-/// Per-injection watchdog: bounds how long one pathological trial can
-/// hold a shard hostage. All limits are off by default so watchdog-free
-/// campaigns stay bit-reproducible; see docs/CAMPAIGNS.md.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Per-injection wall-clock watchdog. No command-line flag sets it: a
+/// wall-clock limit depends on the machine, so no plan fingerprint can
+/// describe it, and the harness's golden-derived budget
+/// ([`GpuConfig::timeout_factor`]) is the one source of Timeout a
+/// campaign's records depend on. A library caller may set it to time its
+/// trials; see docs/CAMPAIGNS.md.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Watchdog {
     /// Wall-clock budget per injection in microseconds; a trial that
-    /// finishes over budget is reclassified as Timeout. `None` disables.
+    /// finishes over budget is reclassified as Timeout, and every trial's
+    /// [`TrialRecord::wall_us`] is measured. `None` disables.
     pub wall_us_limit: Option<u64>,
-    /// Cycle (timed) / instruction (functional) budget per injection on
-    /// top of the harness's golden-derived budgets; a trial whose total
-    /// cost exceeds it is reclassified as Timeout. `None` disables.
-    pub cycle_limit: Option<u64>,
-    /// Retry a trial once if the harness panics; a second panic
-    /// classifies the trial as Timeout instead of wedging the shard.
-    pub retry_on_panic: bool,
-}
-
-impl Default for Watchdog {
-    fn default() -> Self {
-        Watchdog {
-            wall_us_limit: None,
-            cycle_limit: None,
-            retry_on_panic: true,
-        }
-    }
 }
 
 /// Campaign parameters.
@@ -239,8 +226,6 @@ pub struct EngineCfg {
     pub shard_index: usize,
     /// Journal every classified trial to this JSONL file (truncated).
     pub checkpoint: Option<PathBuf>,
-    /// Classified trials between checkpoint flushes.
-    pub checkpoint_every: usize,
     /// Resume from (and keep appending to) this checkpoint file,
     /// skipping trials it already classifies. Wins over `checkpoint`.
     pub resume: Option<PathBuf>,
@@ -262,7 +247,6 @@ impl EngineCfg {
             shards: 1,
             shard_index: 0,
             checkpoint: None,
-            checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
             resume: None,
             trial_limit: None,
             backend: EngineBackend::Timed,
@@ -437,8 +421,8 @@ fn adjudicate(
 /// the campaign's layer has — the golden-prefix snapshot set (uarch) or
 /// the golden CTA log (sw), each captured on first use, so a replay
 /// campaign only pays for snapshots once a trial falls back — and in full
-/// on the oracle path. A panicking harness is retried once under the
-/// watchdog; `None` means it panicked for good.
+/// on the oracle path. A panicking harness is retried once; `None` means
+/// it panicked for good.
 fn simulate(
     prep: &PreparedCampaign,
     path: FastForward,
@@ -467,7 +451,7 @@ fn simulate(
     };
     let layer = prep.plan.layer.label();
     let mut res = catch_unwind(AssertUnwindSafe(attempt)).ok();
-    if res.is_none() && prep.cfg.watchdog.retry_on_panic {
+    if res.is_none() {
         obs::counter_add("watchdog_retries_total", &[("layer", layer)], 1);
         res = catch_unwind(AssertUnwindSafe(attempt)).ok();
     }
@@ -530,21 +514,7 @@ fn run_one_trial(
             obs::counter_add("watchdog_panic_timeouts_total", &[("layer", layer)], 1);
             (Outcome::Timeout, false)
         }
-        Some(Some(r)) => {
-            let mut o = r.outcome;
-            // The cycle budget checks *architectural* cost: every path
-            // must classify every trial identically, and
-            // `simulated_cost` is a scheduling artifact that differs
-            // between them (a resumed trial simulates only its suffix).
-            // Persistent stuck-at trials in particular run to the
-            // harness budget with convergence exit disabled, and must
-            // land on Timeout on every path, not just the oracle.
-            if wd.cycle_limit.is_some_and(|l| r.total_cost > l) && o != Outcome::Timeout {
-                obs::counter_add("watchdog_cycle_timeouts_total", &[("layer", layer)], 1);
-                o = Outcome::Timeout;
-            }
-            (o, r.total_cost != prep.golden.total_cost)
-        }
+        Some(Some(r)) => (r.outcome, r.total_cost != prep.golden.total_cost),
     };
     let wall_us = t0.map_or(0, |i| i.elapsed().as_micros() as u64);
     if wd.wall_us_limit.is_some_and(|l| wall_us > l) && outcome != Outcome::Timeout {
@@ -671,7 +641,7 @@ pub struct ShardRun {
 /// from a resumed checkpoint plus everything newly executed. With
 /// `eng.checkpoint`/`eng.resume` set, every classified trial is journaled
 /// so an interruption at any point (including mid-line) loses at most
-/// `checkpoint_every` trials. Resuming a checkpoint that already
+/// [`DEFAULT_CHECKPOINT_EVERY`] trials. Resuming a checkpoint that already
 /// classifies the whole shard is [`EngineError::AlreadyComplete`]: there
 /// is nothing to execute ([`execute_resumable`] loads it instead).
 pub fn execute_shard(
@@ -754,9 +724,17 @@ pub fn execute_resumable(
             done as u64,
         );
         campaign_event("resume", done);
-        writer = Some(CheckpointWriter::recreate(rp, &ck, eng.checkpoint_every)?);
+        writer = Some(CheckpointWriter::recreate(
+            rp,
+            &ck,
+            DEFAULT_CHECKPOINT_EVERY,
+        )?);
     } else if let Some(cp) = &eng.checkpoint {
-        writer = Some(CheckpointWriter::create(cp, &header, eng.checkpoint_every)?);
+        writer = Some(CheckpointWriter::create(
+            cp,
+            &header,
+            DEFAULT_CHECKPOINT_EVERY,
+        )?);
     }
 
     let resumed = set.held();
@@ -1212,38 +1190,33 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_flush_interval_edges_resume_identically() {
-        // K=1 flushes every record; K far above the plan size only
-        // flushes at finish. Both must leave a checkpoint that resumes
-        // to the single-shot assembled result.
-        let dir = std::env::temp_dir().join(format!("relia_ckpt_edges_{}", std::process::id()));
+    fn an_interrupted_checkpoint_resumes_identically() {
+        // The kill goes through `trial_limit`, which flushes at finish;
+        // the flush interval's own edges are `CheckpointWriter`'s tests.
+        let dir = std::env::temp_dir().join(format!("relia_ckpt_resume_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = CampaignCfg::new(4, 4, 3);
         let prep = prepare_uarch_campaign(&Va, &cfg, false);
         let single = execute_shard(&prep, &EngineCfg::single_shot()).unwrap();
         let expect = assemble_uarch(&prep, &single).unwrap();
-        for every in [1usize, 10 * prep.plan.len()] {
-            let path = dir.join(format!("k{every}.jsonl"));
-            let interrupted = EngineCfg {
-                checkpoint: Some(path.clone()),
-                checkpoint_every: every,
-                trial_limit: Some(5),
-                ..EngineCfg::single_shot()
-            };
-            assert_eq!(execute_shard(&prep, &interrupted).unwrap().len(), 5);
-            let resumed = EngineCfg {
-                checkpoint_every: every,
-                resume: Some(path.clone()),
-                ..EngineCfg::single_shot()
-            };
-            let records = execute_shard(&prep, &resumed).unwrap();
-            assert_eq!(records.len(), prep.plan.len());
-            assert_eq!(assemble_uarch(&prep, &records).unwrap(), expect);
-            assert_eq!(records_fingerprint(&records), records_fingerprint(&single));
-            // The finished checkpoint alone also carries the result.
-            let ck = crate::checkpoint::load_checkpoint(&path).unwrap();
-            assert_eq!(assemble_uarch(&prep, &ck.records).unwrap(), expect);
-        }
+        let path = dir.join("journal.jsonl");
+        let interrupted = EngineCfg {
+            checkpoint: Some(path.clone()),
+            trial_limit: Some(5),
+            ..EngineCfg::single_shot()
+        };
+        assert_eq!(execute_shard(&prep, &interrupted).unwrap().len(), 5);
+        let resumed = EngineCfg {
+            resume: Some(path.clone()),
+            ..EngineCfg::single_shot()
+        };
+        let records = execute_shard(&prep, &resumed).unwrap();
+        assert_eq!(records.len(), prep.plan.len());
+        assert_eq!(assemble_uarch(&prep, &records).unwrap(), expect);
+        assert_eq!(records_fingerprint(&records), records_fingerprint(&single));
+        // The finished checkpoint alone also carries the result.
+        let ck = crate::checkpoint::load_checkpoint(&path).unwrap();
+        assert_eq!(assemble_uarch(&prep, &ck.records).unwrap(), expect);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -495,6 +495,24 @@ mod tests {
     }
 
     #[test]
+    fn a_flush_interval_of_one_leaves_every_record_readable_at_once() {
+        // The other edge of `flush_and_sync_makes_the_tail_durable_before_any_ack`:
+        // at K = 1 (and at 0, which means 1) each record reaches the file
+        // before `record` returns, with the writer still open.
+        let dir = std::env::temp_dir().join(format!("relia_ckpt_k1_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        for every in [0, 1] {
+            let path = dir.join(format!("k{every}.jsonl"));
+            let mut w = CheckpointWriter::create(&path, &header(), every).unwrap();
+            for (i, r) in records().iter().enumerate() {
+                w.record(r).unwrap();
+                assert_eq!(load_checkpoint(&path).unwrap().records, records()[..=i]);
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn writer_create_record_recreate() {
         let dir = std::env::temp_dir().join("relia_ckpt_test");
         let _ = std::fs::remove_dir_all(&dir);

@@ -3,8 +3,8 @@
 //! in full), the timed path (golden-prefix snapshots, the default) and
 //! the replay path (trace adjudication first) must produce the same
 //! classified records — and the same assembled result, derating factors
-//! included — for every fault pattern, under a watchdog cycle budget,
-//! merged from shards, and killed and resumed. Software-layer campaigns
+//! included — for every fault pattern, merged from shards, and killed and
+//! resumed. Software-layer campaigns
 //! take the same two engine paths through the golden CTA log instead
 //! (docs/PERF.md) and are held to the same oracle, for every fault kind
 //! and pattern on all 11 applications. TMR-hardened variants take the
@@ -12,7 +12,7 @@
 //! the engine. Any divergence here is a bug.
 
 use kernels::apps::{bfs::Bfs, lud::Lud, scp::Scp, sradv1::SradV1, va::Va};
-use kernels::{all_benchmarks, Benchmark, Outcome};
+use kernels::{all_benchmarks, Benchmark};
 use relia::plan::{plan_sw, plan_uarch, Layer};
 use relia::{
     assemble, assemble_uarch, execute_shard, execute_trials_with, prepare_sw_campaign,
@@ -74,30 +74,19 @@ fn all_paths_classify_identically_for_every_fault_pattern() {
     assert_paths_agree(&prep, Bfs.name());
 }
 
-/// A persistent stuck-at fault under a cycle limit: stuck-at trials
-/// cannot take the masked-convergence early exit, and the watchdog must
-/// compare the *architectural* cost (`total_cost`) against the budget —
-/// `simulated_cost` is a scheduling artifact that differs between the
-/// paths and must never feed classification.
+/// A persistent stuck-at fault cannot take the masked-convergence early
+/// exit, so every trial on the accelerated paths simulates its launch to
+/// the end from a resumed snapshot; its records must still be the
+/// oracle's. (The budget edge of those paths is `fast_forward.rs`'s
+/// `cycle_budget_one_under_golden_cost_times_out_on_both_paths`.)
 #[test]
-fn watchdog_cycle_limit_is_path_independent() {
+fn stuck_at_trials_are_path_independent() {
     let cfg = CampaignCfg {
         pattern: FaultPattern::StuckAt0,
         ..CampaignCfg::new(3, 0, 11)
     };
-    let mut prep = prepare_uarch_campaign(&Va, &cfg, false);
-    // One cycle under the fault-free cost: every trial that runs to
-    // completion overruns the budget on the oracle, while a resumed trial
-    // *simulates* far fewer cycles than that.
-    prep.cfg.watchdog.cycle_limit = Some(prep.golden.total_cost - 1);
-    let records = assert_paths_agree(&prep, "stuck-at-0 under a cycle limit");
-    assert!(records.iter().any(|r| r.outcome == Outcome::Timeout));
-    assert!(
-        records
-            .iter()
-            .all(|r| matches!(r.outcome, Outcome::Timeout | Outcome::Due)),
-        "only aborted runs may keep their class: {records:?}"
-    );
+    let prep = prepare_uarch_campaign(&Va, &cfg, false);
+    assert_paths_agree(&prep, "stuck-at-0");
 }
 
 /// Merge `prep` from three shards, then kill it after 7 trials and
@@ -198,21 +187,15 @@ fn sw_shard_merge_and_kill_resume_match_the_oracle() {
 }
 
 #[test]
-fn sw_watchdog_instruction_limit_is_path_independent() {
-    // The watchdog compares the architectural instruction count, which
-    // CTA replay credits exactly; one under the fault-free cost, every
-    // trial that completes overruns it on every path.
-    let mut prep = prepare_sw_campaign(&Scp, &CampaignCfg::new(0, 6, 13), false);
-    prep.cfg.watchdog.cycle_limit = Some(prep.golden.total_cost - 1);
-    let want = oracle(&prep);
+fn sw_records_are_path_independent() {
+    // CTA replay credits the architectural instruction count exactly.
+    // (Its budget edge is `cta_replay.rs`'s
+    // `instruction_budget_one_under_golden_cost_times_out_on_both_paths`.)
+    let prep = prepare_sw_campaign(&Scp, &CampaignCfg::new(0, 6, 13), false);
     assert_eq!(
         execute_shard(&prep, &EngineCfg::single_shot()).unwrap(),
-        want
+        oracle(&prep)
     );
-    assert!(want.iter().any(|r| r.outcome == Outcome::Timeout));
-    assert!(want
-        .iter()
-        .all(|r| matches!(r.outcome, Outcome::Timeout | Outcome::Due)));
 }
 
 /// `hardened` is not an eligibility dimension: a TMR plan captures the
@@ -240,17 +223,9 @@ fn hardened_uarch_plans_are_served_and_match_the_oracle_on_every_path() {
             pattern,
             ..CampaignCfg::new(2, 0, 0x4A9D)
         };
-        let mut prep = prepare_uarch_campaign(&Va, &cfg, true);
+        let prep = prepare_uarch_campaign(&Va, &cfg, true);
         let what = format!("VA-TMR {}", pattern.label());
-        if matches!(pattern, FaultPattern::StuckAt0 | FaultPattern::StuckAt1) {
-            // No masked-convergence exit for a persistent fault, and the
-            // watchdog budget is architectural cost on every path.
-            prep.cfg.watchdog.cycle_limit = Some(prep.golden.total_cost - 1);
-            let records = assert_paths_agree(&prep, &what);
-            assert!(records.iter().any(|r| r.outcome == Outcome::Timeout));
-        } else {
-            assert_paths_agree(&prep, &what);
-        }
+        assert_paths_agree(&prep, &what);
         served(&prep, &what);
     }
     // BFS: 22 launches, a vote (launch + host read of its flag) after

@@ -201,9 +201,10 @@ pub fn parse_strata(spec: &str, layer: Layer) -> Option<Vec<StratumSpec>> {
 }
 
 /// Everything a worker needs to rebuild the coordinator's campaign plan
-/// locally. Deliberately *excludes* watchdog limits: wall-clock limits
-/// reclassify slow trials by machine speed, which would break the
-/// byte-identical merge guarantee across heterogeneous workers.
+/// locally. Every setting that decides a trial's record is here or in the
+/// plan fingerprint; the one other knob, the library's wall-clock
+/// [`relia::Watchdog`], reclassifies by machine speed and is never set on
+/// a worker.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignSpec {
     pub app: String,
@@ -262,8 +263,8 @@ impl CampaignSpec {
         Ok(())
     }
 
-    /// The campaign configuration this spec describes (default watchdog:
-    /// limits off, panic-retry on — the bit-reproducible setting).
+    /// The campaign configuration this spec describes (no wall-clock
+    /// watchdog — the bit-reproducible setting).
     pub fn campaign_cfg(&self) -> CampaignCfg {
         let mut cfg = CampaignCfg::new(self.n, self.n, self.seed);
         cfg.gpu = GpuConfig::volta_scaled(self.sms);

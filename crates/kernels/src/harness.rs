@@ -95,8 +95,8 @@ pub struct RunResult {
     /// Cycles (or instructions) actually simulated: `total_cost` minus
     /// everything fast-forward skipped or spliced. Equal to `total_cost`
     /// on the slow path. A scheduling statistic only — anything that
-    /// feeds classification (including the campaign watchdog's cycle
-    /// budget) must use `total_cost`, which both paths agree on.
+    /// feeds classification must use `total_cost`, which both paths
+    /// agree on.
     pub simulated_cost: u64,
     /// Cycle the injected launch was resumed at, if fast-forward used a
     /// mid-launch snapshot.

@@ -219,6 +219,70 @@ fn trials_that_rejoin_before_the_last_launch_stop_with_the_oracles_records() {
 }
 
 #[test]
+fn cycle_budget_one_under_golden_cost_times_out_on_both_paths() {
+    // With `timeout_factor` 1 and no floor, each launch's cycle budget is
+    // its golden cost and the application's is the golden total. A trial
+    // that costs exactly golden completes; one cycle under, it must time
+    // out on the oracle at its last launch's last cycle, and on
+    // fast-forward wherever that path stops simulating: at a resumed
+    // launch's last cycle, at an in-launch splice of the golden suffix,
+    // or in the credit of the launches left after it re-joined golden.
+    use vgpu_sim::FaultPattern::{SingleBit, StuckAt0, StuckAt1};
+    let cfg = GpuConfig {
+        timeout_factor: 1,
+        min_timeout_cycles: 0,
+        ..cfg()
+    };
+    for b in [&Lud as &dyn Benchmark, &BackProp, &Va] {
+        let mut golden = golden_run(b, &cfg, Variant::TIMED);
+        let snaps = Arc::new(snapshot_set(b, &cfg, Variant::TIMED, &golden, 4));
+        let run = |golden: &GoldenRun, f: UarchFault, accel| {
+            let fault = PlannedFault::Uarch(f);
+            faulty_run_with(b, &cfg, Variant::TIMED, golden, 0, fault, accel)
+        };
+        let completes = |f: &UarchFault| {
+            let r = run(&golden, *f, Accel::None);
+            r.outcome != Outcome::Timeout && r.total_cost == golden.total_cost
+        };
+        let launch_cycles = golden.records[0].stats.cycles;
+        let never = UarchFault {
+            cycle: launch_cycles + 1,
+            structure: HwStructure::RegFile,
+            loc_pick: 0,
+            bit: 0,
+            pattern: SingleBit,
+        };
+        let in_launch = |f: &UarchFault| {
+            let r = run(&golden, *f, Accel::Snapshots(&snaps));
+            r.converged && r.resumed_at.unwrap_or(0) + r.simulated_cost < launch_cycles
+        };
+        let (stuck, spliced) = {
+            let of = |pattern| sweep(&golden, 0, pattern).into_iter().map(|(_, f)| f);
+            let stuck = of(StuckAt1).chain(of(StuckAt0)).find(completes);
+            (stuck, of(SingleBit).find(|f| completes(f) && in_launch(f)))
+        };
+        let faults = [
+            never,
+            stuck.expect("some stuck-at costs golden"),
+            spliced.expect("some transient converges in its launch"),
+        ];
+        let check = |golden: &GoldenRun, want_timeout: bool| {
+            for f in faults {
+                let slow = run(golden, f, Accel::None);
+                let fast = run(golden, f, Accel::Snapshots(&snaps));
+                let tag = format!("{} {f:?}", b.name());
+                assert_eq!(slow.outcome == Outcome::Timeout, want_timeout, "{tag}");
+                assert_eq!(fast.outcome, slow.outcome, "{tag}");
+                assert_eq!(fast.total_cost, slow.total_cost, "{tag}");
+            }
+        };
+        check(&golden, false);
+        golden.total_cost -= 1;
+        check(&golden, true);
+    }
+}
+
+#[test]
 fn dead_state_left_on_the_scratch_machine_is_harmless() {
     // Faults into state no instruction can read — an L1 or L2 line that is
     // invalid at cycle 0, a register-file burst that runs past its CTA

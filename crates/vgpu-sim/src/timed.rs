@@ -1155,6 +1155,12 @@ pub(crate) fn run_timed_ctl(
                                 },
                             )
                         {
+                            // The spliced suffix ends where golden's
+                            // launch does: past the budget, the run it
+                            // stands for times out on its way there.
+                            if cv.end_stats.cycles > budget_cycles {
+                                break 'outer Err(LaunchAbort::Timeout);
+                            }
                             ctl.converged_at = Some(cycle);
                             ctl.simulated_cycles = cycle - start_cycle;
                             return Ok(splice_golden_suffix(
@@ -1312,7 +1318,12 @@ pub(crate) fn run_timed_ctl(
                 stats.max_warp_cycles += num_sms as u64 * max_warps_hw;
                 stats.issue_cycles += 1; // the Done event implies an issue
                 cycle += 1;
-                break Ok(());
+                // The budget check every other advance makes below.
+                break if cycle > budget_cycles {
+                    Err(LaunchAbort::Timeout)
+                } else {
+                    Ok(())
+                };
             }
 
             // Advance time: one cycle after an issue, else fast-forward to the

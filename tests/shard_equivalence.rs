@@ -50,7 +50,6 @@ fn run_interrupted(prep: &relia::PreparedCampaign, path: &PathBuf) -> Vec<TrialR
     let _ = std::fs::remove_file(path);
     let interrupted = EngineCfg {
         checkpoint: Some(path.clone()),
-        checkpoint_every: 7,
         trial_limit: Some(prep.plan.len() / 3 + 1),
         ..EngineCfg::single_shot()
     };
@@ -293,7 +292,6 @@ fn adaptive_campaign_killed_mid_wave_2_resumes_byte_identically() {
             // resumable checkpoint behind.
             let killed = EngineCfg {
                 checkpoint: Some(path.clone()),
-                checkpoint_every: 3,
                 trial_limit: Some(prep.plan.len() / 2),
                 ..EngineCfg::single_shot()
             };
