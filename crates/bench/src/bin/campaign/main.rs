@@ -32,8 +32,8 @@
 //! same explicit trial list from `--seed`, so any disjoint cover of the
 //! plan — 1 shard or 40, interrupted and resumed or not, executed locally
 //! or by a fleet of `work` daemons against a `serve` coordinator
-//! (docs/DISPATCH.md), on the timed engine or with `--backend replay`
-//! (docs/TRACE.md) — merges to the byte-identical
+//! (docs/DISPATCH.md), on the default replay backend (docs/TRACE.md) or
+//! with `--backend timed` — merges to the byte-identical
 //! `UarchAppResult`/`SvfAppResult`. `--adaptive` switches from a fixed
 //! `--n` per stratum to CI-driven sizing in deterministic waves
 //! (docs/TWOLEVEL.md).

@@ -17,7 +17,7 @@ use std::process::exit;
 use dispatch::{parse_structures, scaled_gpu, CampaignSpec, MAX_N};
 use kernels::{all_benchmarks, Benchmark};
 use relia::plan::Layer;
-use relia::{CampaignCfg, EngineBackend};
+use relia::{CampaignCfg, FastForward};
 use stat::AdaptiveCfg;
 use vgpu_sim::{FaultPattern, GpuConfig};
 
@@ -124,7 +124,7 @@ fn fault_models() -> Vec<&'static str> {
 }
 
 fn backends() -> Vec<&'static str> {
-    EngineBackend::ALL.iter().map(|b| b.label()).collect()
+    FastForward::SELECTABLE.iter().map(|b| b.label()).collect()
 }
 
 const fn flag(name: &'static str, arg: Arg, cmds: u16, help: &'static str) -> Flag {
@@ -150,7 +150,7 @@ pub const FLAGS: &[Flag] = &[
     flag("--hardened", Arg::Switch, PLAN | GOLDEN, "the TMR-hardened variant of the application"),
     flag("--structures", Arg::Text("RF,SMEM,.."), PLAN, "uarch structure subset (SIMT, SCHED: stuck-at models only)"),
     flag("--fault-model", Arg::Choice(fault_models), PLAN | PAPER, "fault pattern of every trial; default single-bit"),
-    flag("--backend", Arg::Choice(backends), RUN | SERVE | PAPER, "trial engine; records are identical, replay skips dead faults"),
+    flag("--backend", Arg::Choice(backends), RUN | SERVE | PAPER, "trial engine; default replay, which skips dead faults; records are identical"),
     // Output.
     flag("--csv", Arg::Text("PATH"), PLAN, "also write the result table as CSV"),
     flag("--events", Arg::Text("PATH"), EVERY, "JSONL event sink; turns metrics on (docs/OBSERVABILITY.md)"),
@@ -369,9 +369,11 @@ impl Parsed {
         )
     }
 
-    /// `--backend`; the timed engine when absent.
-    pub fn backend(&self) -> EngineBackend {
-        self.label("--backend", EngineBackend::Timed, EngineBackend::from_label)
+    /// `--backend`; replay when absent. The one place the command line's
+    /// default trial path lives: records are identical on every path, and
+    /// replay regenerates the paper fastest.
+    pub fn backend(&self) -> FastForward {
+        self.label("--backend", FastForward::Replay, FastForward::from_label)
     }
 
     fn sms(&self) -> u32 {

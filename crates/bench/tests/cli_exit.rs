@@ -93,11 +93,16 @@ fn fault_model_validation_errors_exit_2() {
 #[test]
 fn backend_validation_errors_exit_2() {
     // Unknown backend labels must die before any simulation starts, on
-    // both subcommands that accept the flag.
+    // every subcommand that accepts the flag.
     assert_exit(&["run", "--app", "VA", "--backend", "quantum"], 2);
     assert_exit(&["run", "--app", "VA", "--backend", ""], 2);
     assert_exit(&["serve", "--app", "VA", "--backend", "bogus"], 2);
     assert_exit(&["run", "--app", "VA", "--backend"], 2); // missing value
+
+    // The oracle path is the library's reference, selectable by no flag.
+    assert_exit(&["run", "--app", "VA", "--backend", "oracle"], 2);
+    assert_exit(&["serve", "--app", "VA", "--backend", "oracle"], 2);
+    assert_exit(&["paper", "--out-dir", "x", "--backend", "oracle"], 2);
 }
 
 #[test]
@@ -375,6 +380,35 @@ fn runtime_failures_exit_1() {
         l.local_addr().unwrap().port()
     };
     assert_exit(&["work", "--connect", &format!("127.0.0.1:{port}")], 1);
+}
+
+/// A journal whose last line is `{"idx":` and 100,000 `[`s resumes like
+/// any torn tail (exit 0); the same line before the last record is an
+/// unreadable checkpoint (exit 1). Neither overflows the reader's stack.
+#[test]
+fn a_deeply_nested_journal_line_is_a_torn_tail_or_corruption() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_exit_deep_journal");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let run = [
+        "run", "--app", "VA", "--layer", "uarch", "--n", "6", "--seed", "1",
+    ];
+    let ck = journal("ck.jsonl");
+    assert_exit(
+        &[&run[..], &["--checkpoint", &ck, "--limit", "5"]].concat(),
+        0,
+    );
+    let text = std::fs::read_to_string(&ck).unwrap();
+    let deep = format!("{{\"idx\":{}", "[".repeat(100_000));
+    let (tail, inside) = (journal("tail.jsonl"), journal("inside.jsonl"));
+    std::fs::write(&tail, format!("{text}{deep}")).unwrap();
+    let mut lines: Vec<&str> = text.lines().collect();
+    lines.insert(1, &deep);
+    std::fs::write(&inside, lines.join("\n") + "\n").unwrap();
+    assert_exit(&[&run[..], &["--resume", &tail]].concat(), 0);
+    assert_exit(&[&run[..], &["--resume", &inside]].concat(), 1);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

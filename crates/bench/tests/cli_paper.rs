@@ -138,10 +138,11 @@ fn only_figures_whose_applications_were_all_run_are_written() {
     assert!(journals.contains(&"VA.sw.base.src.jsonl".to_string()));
 }
 
+/// The default run is on replay; its timed twin writes the same bytes.
 #[test]
-fn the_replay_backend_writes_the_same_manifest() {
-    let dir = fresh_dir("replay");
-    expect_exit(&paper(&dir, &["--backend", "replay"]), 0);
+fn the_timed_backend_writes_the_same_manifest() {
+    let dir = fresh_dir("timed");
+    expect_exit(&paper(&dir, &["--backend", "timed"]), 0);
     for file in ["fig03c.csv", "MANIFEST.csv"] {
         assert_eq!(read(&dir, file), read(uninterrupted(), file), "{file}");
     }

@@ -26,7 +26,10 @@ fn a_traced_worker_alone_fills_the_timeline() {
     let (events, port_file) = (dir.join("events.jsonl"), dir.join("port.txt"));
     let (events, port_file) = (events.to_str().unwrap(), port_file.to_str().unwrap());
 
-    let spec = "serve --app VA --layer uarch --n 4 --seed 1234 --shards 2 --listen 127.0.0.1:0";
+    // On the timed backend every trial is simulated, so each one has a
+    // `kernels.trials` span; replay would synthesize most of VA's as dead.
+    let spec = "serve --app VA --layer uarch --n 4 --seed 1234 --shards 2 --backend timed \
+                --listen 127.0.0.1:0";
     let mut args: Vec<&str> = spec.split(' ').collect();
     args.extend(["--port-file", port_file, "--events", events]);
     let mut serve = campaign(&args)

@@ -36,13 +36,15 @@ use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use rayon::prelude::*;
 
-use kernels::{faulty_run_with, Accel, Benchmark, Outcome, PlannedFault, RunResult};
-use trace::Verdict;
+use kernels::{
+    faulty_run_with, Accel, AppSnapshots, Benchmark, CtaLog, Outcome, PlannedFault, RunResult,
+};
+use trace::{AppTrace, Verdict};
 use vgpu_sim::{FaultPattern, GpuConfig, HwStructure};
 
 use crate::checkpoint::{
@@ -180,42 +182,6 @@ fn observe_trial(
 // Execution engine
 // ---------------------------------------------------------------------
 
-/// Which simulation backend executes the trials of a campaign.
-///
-/// `Replay` is a pure throughput choice: trials whose fault footprint is
-/// provably dead in the recorded golden access trace synthesize their
-/// (masked) record without simulating; everything else re-executes on
-/// the timed engine. Classification is byte-identical either way
-/// (differential-tested). A software-layer campaign, which has no
-/// access trace, runs the same under either.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineBackend {
-    /// Simulate every trial on the timed engine, resumed from
-    /// golden-prefix snapshots.
-    #[default]
-    Timed,
-    /// Trace-driven replay: adjudicate deadness first, simulate only the
-    /// trials that need it.
-    Replay,
-}
-
-impl EngineBackend {
-    pub const ALL: [EngineBackend; 2] = [EngineBackend::Timed, EngineBackend::Replay];
-
-    /// Stable CLI / wire label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            EngineBackend::Timed => "timed",
-            EngineBackend::Replay => "replay",
-        }
-    }
-
-    /// Parse a CLI / wire label.
-    pub fn from_label(s: &str) -> Option<EngineBackend> {
-        EngineBackend::ALL.into_iter().find(|b| b.label() == s)
-    }
-}
-
 /// How to execute a prepared campaign: which shard of the plan, where to
 /// checkpoint, what to resume from, on which backend.
 #[derive(Debug, Clone)]
@@ -232,16 +198,18 @@ pub struct EngineCfg {
     /// Stop after this many *newly executed* trials, leaving a resumable
     /// checkpoint behind — interruption simulation and incremental runs.
     pub trial_limit: Option<usize>,
-    /// Simulation backend; the trial path ([`FastForward`]) follows from
-    /// it alone.
-    pub backend: EngineBackend,
+    /// The trial path every trial of the shard takes.
+    pub backend: FastForward,
 }
 
 /// Mid-launch snapshots per launch in the golden-prefix capture pass.
 pub const DEFAULT_SNAPSHOTS: usize = 8;
 
 impl EngineCfg {
-    /// One shard covering the whole plan, no files.
+    /// One shard covering the whole plan, no files, on the `Timed` path.
+    /// The command line defaults to `Replay`; this library default stays
+    /// `Timed` because the perf ledger's adaptive workload inherits it, and
+    /// it moves only once the ledger names every workload's path.
     pub fn single_shot() -> Self {
         EngineCfg {
             shards: 1,
@@ -249,7 +217,7 @@ impl EngineCfg {
             checkpoint: None,
             resume: None,
             trial_limit: None,
-            backend: EngineBackend::Timed,
+            backend: FastForward::Timed,
         }
     }
 
@@ -338,56 +306,119 @@ impl From<CheckpointError> for EngineError {
     }
 }
 
-/// The path a trial takes through the engine. Every path classifies
-/// every trial identically (`crates/core/tests/path_differential.rs`);
-/// they differ only in how much of the faulty run is simulated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The path a trial takes through the engine: the one trial-path type,
+/// named by the command line's `--backend`, the job frame's `backend`
+/// field and [`EngineCfg::backend`] alike. Every path classifies every
+/// trial identically (`crates/core/tests/path_differential.rs`); they
+/// differ only in how much of the faulty run is simulated, so the path is
+/// a throughput choice and no plan fingerprint covers it. There is no
+/// `Default`: the command line's is `Replay`, [`EngineCfg::single_shot`]'s
+/// is `Timed`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FastForward {
     /// Simulate the whole application for every trial: the reference the
-    /// other two paths are verified against. No CLI flag or [`EngineCfg`]
-    /// value selects it; tests and the perf ledger ask for it through
-    /// [`execute_trials_with`].
+    /// other two paths are verified against. No label parses to it, so
+    /// neither the command line nor the wire selects it; tests and the
+    /// perf ledger ask for it through [`execute_trials_with`].
     Oracle,
     /// Resume from the latest golden-prefix snapshot before the fault
     /// and stop once the machine provably re-converges with golden.
-    #[default]
     Timed,
     /// Adjudicate the fault footprint against the recorded golden access
-    /// trace first; trials it cannot decide pass on to the `Timed` path.
+    /// trace first, and synthesize the (masked) record of a provably-dead
+    /// one; trials it cannot decide pass on to the `Timed` path. A
+    /// software-layer plan has no access trace and runs as on `Timed`.
     Replay,
 }
 
+/// The perf ledger's name for [`FastForward`]. It exists only because the
+/// ledger under `benchmarks/` names it, and it goes when the ledger next
+/// changes (ROADMAP item 1).
+pub type EngineBackend = FastForward;
+
 impl FastForward {
+    /// The paths a `--backend` flag or a job frame may name.
+    pub const SELECTABLE: [FastForward; 2] = [FastForward::Timed, FastForward::Replay];
+
     /// The oracle path: every trial simulates its whole application.
     pub fn disabled() -> Self {
         FastForward::Oracle
     }
+
+    /// Stable CLI / wire label.
+    pub fn label(&self) -> &'static str {
+        match self {
+            FastForward::Oracle => "oracle",
+            FastForward::Timed => "timed",
+            FastForward::Replay => "replay",
+        }
+    }
+
+    /// Parse a CLI / wire label: `timed` or `replay`, never `oracle`.
+    pub fn from_label(s: &str) -> Option<FastForward> {
+        FastForward::SELECTABLE.into_iter().find(|b| b.label() == s)
+    }
 }
 
-impl From<EngineBackend> for FastForward {
-    fn from(backend: EngineBackend) -> Self {
-        match backend {
-            EngineBackend::Timed => FastForward::Timed,
-            EngineBackend::Replay => FastForward::Replay,
+/// The golden material a plan's trials read on one path: chosen once per
+/// [`execute_trials_with`], and the one place the (path, layer) pair
+/// decides what a trial is adjudicated against and what it resumes from.
+#[derive(Clone, Copy)]
+enum Golden<'p> {
+    /// Nothing: every trial simulates its whole application (the oracle
+    /// path, or a plan with no fault to inject).
+    None,
+    /// The golden-prefix snapshot set (`Timed`, uarch).
+    Snapshots(&'p Arc<AppSnapshots>),
+    /// The golden access trace (`Replay`, uarch). The snapshot set is
+    /// captured only once a trial falls back, so a campaign whose every
+    /// footprint is dead never captures it.
+    Trace(&'p Arc<AppTrace>),
+    /// The golden CTA log (sw, on either accelerated path).
+    CtaLog(&'p Arc<CtaLog>),
+}
+
+impl<'p> Golden<'p> {
+    /// Capture (or share) what `path` needs for `prep`'s layer.
+    fn of(prep: &'p PreparedCampaign, path: FastForward) -> Self {
+        let material = match (path, prep.plan.layer) {
+            (FastForward::Oracle, _) => None,
+            (FastForward::Timed, Layer::Uarch) => {
+                prep.snapshots(DEFAULT_SNAPSHOTS).map(Golden::Snapshots)
+            }
+            (FastForward::Replay, Layer::Uarch) => prep.trace().map(Golden::Trace),
+            (_, Layer::Sw) => prep.cta_log().map(Golden::CtaLog),
+        };
+        material.unwrap_or(Golden::None)
+    }
+
+    /// What a simulated trial resumes from.
+    fn accel(self, prep: &'p PreparedCampaign) -> Accel<'p> {
+        match self {
+            Golden::None => Accel::None,
+            Golden::Snapshots(s) => Accel::Snapshots(s),
+            Golden::Trace(_) => prep
+                .snapshots(DEFAULT_SNAPSHOTS)
+                .map_or(Accel::None, Accel::Snapshots),
+            Golden::CtaLog(l) => Accel::CtaLog(l),
         }
     }
 }
 
 /// Stage 1, replay path only: a provably-dead footprint means the faulty
 /// run is bit-identical to golden, so its result is synthesized without
-/// simulating. `None` passes the trial on (not the replay path, no trace
-/// for this campaign, or a footprint the trace cannot call dead).
+/// simulating. `None` passes the trial on (no trace to adjudicate
+/// against, or a footprint the trace cannot call dead).
 fn adjudicate(
     prep: &PreparedCampaign,
-    path: FastForward,
+    golden: Golden,
     ordinal: usize,
     pf: &PlannedFault,
 ) -> Option<RunResult> {
-    let (FastForward::Replay, PlannedFault::Uarch(u)) = (path, pf) else {
+    let (Golden::Trace(trace), PlannedFault::Uarch(u)) = (golden, pf) else {
         return None;
     };
     let app = prep.plan.app.as_str();
-    let trace = prep.trace()?;
     match obs::span("trace.adjudicate", || {
         trace.adjudicate(&prep.cfg.gpu, ordinal, u)
     }) {
@@ -417,27 +448,16 @@ fn adjudicate(
     }
 }
 
-/// Stage 2: run the faulty execution, reusing whatever golden material
-/// the campaign's layer has — the golden-prefix snapshot set (uarch) or
-/// the golden CTA log (sw), each captured on first use, so a replay
-/// campaign only pays for snapshots once a trial falls back — and in full
-/// on the oracle path. A panicking harness is retried once; `None` means
-/// it panicked for good.
+/// Stage 2: run the faulty execution from what [`Golden::accel`] hands
+/// it, in full when that is nothing. A panicking harness is retried once;
+/// `None` means it panicked for good.
 fn simulate(
     prep: &PreparedCampaign,
-    path: FastForward,
+    golden: Golden,
     ordinal: usize,
     pf: &PlannedFault,
 ) -> Option<RunResult> {
-    let accel = match path {
-        FastForward::Oracle => Accel::None,
-        FastForward::Timed | FastForward::Replay => match prep.plan.layer {
-            Layer::Uarch => prep
-                .snapshots(DEFAULT_SNAPSHOTS)
-                .map_or(Accel::None, Accel::Snapshots),
-            Layer::Sw => prep.cta_log().map_or(Accel::None, Accel::CtaLog),
-        },
-    };
+    let accel = golden.accel(prep);
     let attempt = || {
         faulty_run_with(
             prep.bench(),
@@ -491,21 +511,21 @@ fn simulate(
 
 /// Run one planned trial end to end as a linear pipeline — adjudicate →
 /// resume-or-simulate → classify — where each stage either decides the
-/// trial or passes it on. Which stages are live follows from `path`
-/// alone; classification is bit-identical on all three
+/// trial or passes it on. Which stages are live follows from `golden`
+/// alone; classification is bit-identical on every path
 /// (differential-tested).
 fn run_one_trial(
     prep: &PreparedCampaign,
     t: &crate::plan::PlannedTrial,
-    path: FastForward,
+    golden: Golden,
 ) -> TrialRecord {
     let wd = prep.cfg.watchdog;
     let layer = prep.plan.layer.label();
     let obs_on = observing();
     let t0 = (obs_on || wd.wall_us_limit.is_some()).then(Instant::now);
     let run = t.fault.as_ref().map(|(ordinal, pf)| {
-        adjudicate(prep, path, *ordinal, pf)
-            .or_else(|| obs::span("kernels.trials", || simulate(prep, path, *ordinal, pf)))
+        adjudicate(prep, golden, *ordinal, pf)
+            .or_else(|| obs::span("kernels.trials", || simulate(prep, golden, *ordinal, pf)))
     });
     let (mut outcome, cost_differs) = match run {
         // No eligible fault population: trivially masked.
@@ -545,10 +565,10 @@ fn trial_sort_key(t: &crate::plan::PlannedTrial) -> (u64, u64) {
     }
 }
 
-/// Execute an explicit set of plan indices in parallel, streaming every
-/// classified trial into `sink` as it finishes (in completion order, not
-/// plan order — records are self-describing via [`TrialRecord::idx`]).
-/// Runs on the default ([`FastForward::Timed`]) trial path.
+/// Execute an explicit set of plan indices in parallel on trial path
+/// `path`, streaming every classified trial into `sink` as it finishes (in
+/// completion order, not plan order — records are self-describing via
+/// [`TrialRecord::idx`]).
 ///
 /// This is the primitive under both [`execute_shard`] (sink = checkpoint
 /// file) and the dispatch worker daemon (sink = TCP connection to the
@@ -556,26 +576,16 @@ fn trial_sort_key(t: &crate::plan::PlannedTrial) -> (u64, u64) {
 /// other workers may still call the sink before the abort propagates,
 /// which is safe because every consumer holds its records in a
 /// [`RecordSet`], one slot per plan index.
-pub fn execute_trials<F>(
-    prep: &PreparedCampaign,
-    idxs: &[usize],
-    sink: F,
-) -> Result<Vec<TrialRecord>, std::io::Error>
-where
-    F: Fn(&TrialRecord) -> std::io::Result<()> + Sync,
-{
-    execute_trials_with(prep, FastForward::default(), idxs, sink)
-}
-
-/// [`execute_trials`] on an explicit trial path. The accelerated paths
-/// capture what they need once up front — the snapshot set for `Timed`,
-/// the golden access trace for `Replay` (which defers snapshots until a
-/// trial falls back), the golden CTA log for a software-layer plan on
-/// either — and uarch trials run sorted by (launch, injection-cycle): the
-/// workers claim trials one at a time in that order, so each worker's own
-/// sequence is ascending too, and a trial finds its scratch machine
-/// synchronised with a snapshot close to the one it resumes from. Records
-/// are self-describing, so the reordering is invisible to every consumer.
+///
+/// The accelerated paths capture what they need once up front: the
+/// snapshot set for `Timed`, the golden access trace for `Replay` (which
+/// defers snapshots until a trial falls back), the golden CTA log for a
+/// software-layer plan on either. Uarch trials run sorted by (launch,
+/// injection-cycle): the workers claim trials one at a time in that order,
+/// so each worker's own sequence is ascending too, and a trial finds its
+/// scratch machine synchronised with a snapshot close to the one it
+/// resumes from. Records are self-describing, so the reordering is
+/// invisible to every consumer.
 pub fn execute_trials_with<F>(
     prep: &PreparedCampaign,
     path: FastForward,
@@ -589,16 +599,9 @@ where
     // with nothing captured keeps the caller's order, and so does a
     // software-layer plan (no locality to gain, and workers that claim
     // one trial at a time need no dealing-out to stay evenly busy).
+    let golden = Golden::of(prep, path);
     let mut order: Vec<usize> = idxs.to_vec();
-    let sorted = match (path, prep.plan.layer) {
-        (FastForward::Oracle, _) => false,
-        (FastForward::Timed, Layer::Uarch) => prep.snapshots(DEFAULT_SNAPSHOTS).is_some(),
-        (FastForward::Replay, Layer::Uarch) => prep.trace().is_some(),
-        (_, Layer::Sw) => {
-            prep.cta_log();
-            false
-        }
-    };
+    let sorted = matches!(golden, Golden::Snapshots(_) | Golden::Trace(_));
     if sorted {
         order.sort_by_key(|&i| trial_sort_key(&prep.plan.trials[i]));
     }
@@ -611,7 +614,7 @@ where
         (order.par_iter())
             .map(|&idx| -> Result<TrialRecord, std::io::Error> {
                 let rec = obs::trace::with_ctx(idx as u64, || {
-                    run_one_trial(prep, &prep.plan.trials[idx], path)
+                    run_one_trial(prep, &prep.plan.trials[idx], golden)
                 });
                 sink(&rec)?;
                 Ok(rec)
@@ -748,17 +751,12 @@ pub fn execute_resumable(
     campaign_event("shard_start", my.len() - remaining.len());
 
     let writer = Mutex::new(writer);
-    let new_records = execute_trials_with(
-        prep,
-        FastForward::from(eng.backend),
-        &remaining[..todo],
-        |rec| {
-            if let Some(w) = writer.lock().unwrap().as_mut() {
-                w.record(rec)?;
-            }
-            Ok(())
-        },
-    )?;
+    let new_records = execute_trials_with(prep, eng.backend, &remaining[..todo], |rec| {
+        if let Some(w) = writer.lock().unwrap().as_mut() {
+            w.record(rec)?;
+        }
+        Ok(())
+    })?;
     // Durable before the shard reports done: finish() fsyncs, so a crash
     // right after "shard complete" cannot lose the checkpoint tail.
     if let Some(w) = writer.into_inner().unwrap() {
@@ -1311,7 +1309,7 @@ mod tests {
         let prep = prepare_sw_campaign(&Va, &cfg, false);
         let idxs: Vec<usize> = (0..prep.plan.len()).step_by(2).collect();
         let streamed = Mutex::new(Vec::new());
-        let got = execute_trials(&prep, &idxs, |r| {
+        let got = execute_trials_with(&prep, FastForward::Timed, &idxs, |r| {
             streamed.lock().unwrap().push(*r);
             Ok(())
         })
@@ -1330,7 +1328,9 @@ mod tests {
             "every requested index classified once"
         );
         // A sink error aborts the run.
-        let err = execute_trials(&prep, &idxs, |_| Err(std::io::Error::other("sink down")));
+        let err = execute_trials_with(&prep, FastForward::Timed, &idxs, |_| {
+            Err(std::io::Error::other("sink down"))
+        });
         assert!(err.is_err());
     }
 

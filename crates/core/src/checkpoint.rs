@@ -461,6 +461,33 @@ mod tests {
         ));
     }
 
+    /// A tail line of a million `[`s is a torn write like any other, and
+    /// the same line between records is corruption; neither may overflow
+    /// the reader's stack (2 MiB, a spawned thread's default).
+    #[test]
+    fn a_deeply_nested_line_is_torn_at_the_tail_and_corrupt_inside() {
+        let text = checkpoint_to_string(&Checkpoint {
+            header: header(),
+            records: records(),
+        });
+        let deep = format!("{{\"idx\":{}", "[".repeat(1 << 20));
+        let mut lines: Vec<&str> = text.lines().collect();
+        let tail = format!("{text}{deep}");
+        lines.insert(2, &deep);
+        let inside = lines.join("\n");
+        let (tail, inside) = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || (parse_checkpoint(&tail), parse_checkpoint(&inside)))
+            .unwrap()
+            .join()
+            .expect("the reader must not overflow its stack");
+        assert_eq!(tail.unwrap().records, records());
+        assert!(matches!(
+            inside,
+            Err(CheckpointError::Corrupt { line_no: 3 })
+        ));
+    }
+
     #[test]
     fn flush_and_sync_makes_the_tail_durable_before_any_ack() {
         // With a huge flush interval nothing reaches the file until the

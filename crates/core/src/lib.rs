@@ -50,9 +50,9 @@ pub mod trends;
 
 pub use campaign::{
     assemble, assemble_sw, assemble_uarch, derating_factor, execute_resumable, execute_shard,
-    execute_trials, execute_trials_with, run_sw_campaign, run_uarch_campaign, CampaignCfg,
-    EngineBackend, EngineCfg, EngineError, FastForward, ShardRun, StratumCounts, SvfAppResult,
-    SvfKernelResult, UarchAppResult, UarchKernelResult, Watchdog, DEFAULT_SNAPSHOTS,
+    execute_trials_with, run_sw_campaign, run_uarch_campaign, CampaignCfg, EngineBackend,
+    EngineCfg, EngineError, FastForward, ShardRun, StratumCounts, SvfAppResult, SvfKernelResult,
+    UarchAppResult, UarchKernelResult, Watchdog, DEFAULT_SNAPSHOTS,
 };
 pub use captures::AppCaptures;
 pub use checkpoint::{

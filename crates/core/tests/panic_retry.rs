@@ -9,7 +9,7 @@ use kernels::apps::va::{self, Va};
 use kernels::{AppAbort, Benchmark, Outcome, RunCtl};
 use relia::{
     execute_shard, execute_trials_with, prepare_sw_campaign, prepare_uarch_campaign, CampaignCfg,
-    EngineBackend, EngineCfg, FastForward, TrialRecord,
+    EngineCfg, FastForward, TrialRecord,
 };
 
 /// VA with a host program that checks its output word by word and
@@ -54,7 +54,7 @@ fn a_panicking_host_is_retried_once_then_recorded_as_timeout_on_every_path() {
     let uarch = prepare_uarch_campaign(&CheckedVa, &cfg, false);
     let sw = prepare_sw_campaign(&CheckedVa, &cfg, false);
     let replay = EngineCfg {
-        backend: EngineBackend::Replay,
+        backend: FastForward::Replay,
         ..EngineCfg::single_shot()
     };
     // The host's panics are the expected path here: keep them quiet.

@@ -16,15 +16,15 @@ use kernels::{all_benchmarks, Benchmark};
 use relia::plan::{plan_sw, plan_uarch, Layer};
 use relia::{
     assemble, assemble_uarch, execute_shard, execute_trials_with, prepare_sw_campaign,
-    prepare_uarch_campaign, records_fingerprint, AppCaptures, CampaignCfg, EngineBackend,
-    EngineCfg, FastForward, PreparedCampaign, TrialRecord, DEFAULT_SNAPSHOTS,
+    prepare_uarch_campaign, records_fingerprint, AppCaptures, CampaignCfg, EngineCfg, FastForward,
+    PreparedCampaign, TrialRecord, DEFAULT_SNAPSHOTS,
 };
 use vgpu_arch::InstrClass;
 use vgpu_sim::{FaultPattern, GpuConfig, HwStructure, SwFaultKind};
 
 fn replay_engine() -> EngineCfg {
     EngineCfg {
-        backend: EngineBackend::Replay,
+        backend: FastForward::Replay,
         ..EngineCfg::single_shot()
     }
 }
@@ -94,7 +94,7 @@ fn stuck_at_trials_are_path_independent() {
 /// oracle's records and assembled counts.
 fn assert_merge_and_resume_match_the_oracle(
     prep: &PreparedCampaign,
-    backend: EngineBackend,
+    backend: FastForward,
     tag: &str,
 ) {
     let dir = std::env::temp_dir().join(format!("relia_path_resume_{tag}_{}", std::process::id()));
@@ -131,7 +131,7 @@ fn assert_merge_and_resume_match_the_oracle(
 #[test]
 fn replay_shard_merge_and_kill_resume_match_the_oracle() {
     let prep = prepare_uarch_campaign(&Va, &CampaignCfg::new(5, 0, 0x9E5E), false);
-    assert_merge_and_resume_match_the_oracle(&prep, EngineBackend::Replay, "replay");
+    assert_merge_and_resume_match_the_oracle(&prep, FastForward::Replay, "replay");
 }
 
 /// Every software fault kind.
@@ -183,7 +183,7 @@ fn sw_paths_classify_identically_for_every_app_kind_and_pattern() {
 fn sw_shard_merge_and_kill_resume_match_the_oracle() {
     // BFS: 22 launches with host glue between them.
     let prep = prepare_sw_campaign(&Bfs, &CampaignCfg::new(0, 6, 0xB0F5), false);
-    assert_merge_and_resume_match_the_oracle(&prep, EngineBackend::Timed, "sw");
+    assert_merge_and_resume_match_the_oracle(&prep, FastForward::Timed, "sw");
 }
 
 #[test]
@@ -283,5 +283,5 @@ fn control_state_stuck_at_faults_classify_identically_on_every_path() {
 #[test]
 fn hardened_shard_merge_and_kill_resume_match_the_oracle() {
     let prep = prepare_uarch_campaign(&Va, &CampaignCfg::new(3, 0, 0x9E5E), true);
-    assert_merge_and_resume_match_the_oracle(&prep, EngineBackend::Replay, "tmr");
+    assert_merge_and_resume_match_the_oracle(&prep, FastForward::Replay, "tmr");
 }

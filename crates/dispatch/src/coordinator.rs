@@ -102,7 +102,7 @@ pub struct DispatchStats {
 #[derive(Debug, Clone)]
 pub struct ServeOutcome {
     /// One record per planned trial, sorted by plan index — the same
-    /// vector a single-process [`relia::execute_trials`] over the full
+    /// vector a single-process [`relia::execute_trials_with`] over the full
     /// plan would produce (modulo wall-clock noise).
     pub records: Vec<TrialRecord>,
     pub stats: DispatchStats,
@@ -264,7 +264,7 @@ impl Coordinator<'_> {
     /// Serve one plan to the fleet — every worker connected now or joining
     /// while it runs — until each of its shards is complete, and return
     /// one record per planned trial, sorted by plan index: the same vector
-    /// a single-process [`relia::execute_trials`] over the full plan would
+    /// a single-process [`relia::execute_trials_with`] over the full plan would
     /// produce (modulo wall-clock noise). `spec` is the campaign `plan`
     /// belongs to: it rides in the `job` frame each worker re-expands the
     /// plan from, a wave plan's index and strata with it.

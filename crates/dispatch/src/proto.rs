@@ -43,7 +43,7 @@ use relia::plan::{
     plan_sw, plan_uarch, plan_wave, CampaignPlan, Layer, PreparedCampaign, StratumSpec,
     TrialTarget, SVF_KINDS,
 };
-use relia::{AppCaptures, CampaignCfg, EngineBackend};
+use relia::{AppCaptures, CampaignCfg, FastForward};
 use vgpu_sim::{FaultPattern, GpuConfig, HwStructure, SwFaultKind};
 
 /// Bumped whenever a frame changes incompatibly; [`Frame::Hello`] carries
@@ -221,11 +221,11 @@ pub struct CampaignSpec {
     /// the plan fingerprint for non-default patterns, so a worker running
     /// a different model fails the handshake instead of merging garbage.
     pub fault_model: FaultPattern,
-    /// Simulation backend the workers run ([`relia::EngineBackend`]).
-    /// A pure throughput choice — classification is byte-identical either
-    /// way — so it is *not* part of the plan fingerprint; heterogeneous
-    /// backends across a fleet still merge.
-    pub backend: EngineBackend,
+    /// Trial path the workers run: `timed` or `replay` on the wire, never
+    /// the oracle. A pure throughput choice — classification is
+    /// byte-identical either way — so it is *not* part of the plan
+    /// fingerprint; heterogeneous backends across a fleet still merge.
+    pub backend: FastForward,
     /// `Some` for one wave of an adaptive campaign (`None` = the classic
     /// fixed-n plan, which carries neither wave field on the wire).
     pub wave: Option<WaveSpec>,
@@ -238,6 +238,12 @@ impl CampaignSpec {
     /// engine assertion. Messages name the CLI flags.
     pub fn validate(&self) -> Result<(), String> {
         scaled_gpu(self.sms)?;
+        if !FastForward::SELECTABLE.contains(&self.backend) {
+            return Err(format!(
+                "--backend must be timed or replay, got {}",
+                self.backend.label()
+            ));
+        }
         let wave_counts = self.wave.iter().flat_map(|w| &w.strata).map(|s| s.count);
         if let Some(n) = wave_counts.chain([self.n]).find(|&n| n > MAX_N) {
             return Err(format!("--n must be 0..={MAX_N}, got {n}"));
@@ -509,7 +515,7 @@ pub fn parse_frame(line: &str) -> Option<Frame> {
                 hardened: f.bool("hardened")?,
                 structures,
                 fault_model: FaultPattern::from_label(f.str("fault_model")?)?,
-                backend: EngineBackend::from_label(f.str("backend")?)?,
+                backend: FastForward::from_label(f.str("backend")?)?,
                 wave,
             };
             // A job this worker could not execute without tripping an
@@ -633,7 +639,7 @@ mod tests {
             hardened: true,
             structures: Some(vec![HwStructure::RegFile, HwStructure::L2]),
             fault_model: FaultPattern::SingleBit,
-            backend: EngineBackend::Timed,
+            backend: FastForward::Timed,
             wave: None,
         }
     }
@@ -813,7 +819,7 @@ mod tests {
                             wave: 3,
                             strata: parse_strata("0:RF:16:8;2:L2:0:4", Layer::Uarch).unwrap(),
                         }),
-                        backend: EngineBackend::Replay,
+                        backend: FastForward::Replay,
                         ..spec()
                     },
                     shards: 3,
@@ -929,10 +935,12 @@ mod tests {
         // An unknown label is corruption, not a default.
         assert!(parse_frame(&job.replace("single-bit", "warp-drive")).is_none());
         assert!(parse_frame(&job.replace("\"timed\"", "\"quantum\"")).is_none());
+        // The oracle path has a label but is selectable on no wire.
+        assert!(parse_frame(&job.replace("\"timed\"", "\"oracle\"")).is_none());
         // A replay-backend job survives serialize → parse.
         let replay = Frame::Job {
             spec: CampaignSpec {
-                backend: EngineBackend::Replay,
+                backend: FastForward::Replay,
                 ..spec()
             },
             shards: 2,
@@ -972,6 +980,10 @@ mod tests {
             },
             CampaignSpec {
                 structures: Some(vec![HwStructure::RegFile, HwStructure::Simt]),
+                ..spec()
+            },
+            CampaignSpec {
+                backend: FastForward::Oracle,
                 ..spec()
             },
         ];

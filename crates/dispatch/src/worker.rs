@@ -5,7 +5,7 @@
 //! rebuilds the *entire* campaign plan locally — golden run included —
 //! then proves it by echoing the plan fingerprint. From there it loops:
 //! take a lease, execute the shard's still-missing trials with the same
-//! parallel engine a local run uses ([`relia::execute_trials`]), stream
+//! parallel engine a local run uses ([`relia::execute_trials_with`]), stream
 //! each classified record over the wire the moment it exists, and claim
 //! `shard_done`. A heartbeat thread renews the lease while trials run, at
 //! an interval derived from the duration the `lease` frame carries, so a
@@ -121,7 +121,7 @@ struct Job<'b> {
     prep: PreparedCampaign<'b>,
     fingerprint: u64,
     shards: usize,
-    ff: FastForward,
+    path: FastForward,
     /// Every record this worker produced for the plan (`resend` replays
     /// from here).
     cache: Mutex<RecordSet>,
@@ -213,7 +213,7 @@ pub fn work(addr: &str, cfg: &WorkerCfg) -> Result<WorkSummary, DispatchError> {
                     // The dispatched backend is a throughput choice, not a
                     // plan property: it rides outside the fingerprint, so
                     // mixed-backend fleets merge.
-                    ff: FastForward::from(spec.backend),
+                    path: spec.backend,
                 });
                 send(&write, &Frame::Ready { fingerprint })?;
             }
@@ -328,7 +328,7 @@ fn run_lease(
                 }
             }
         });
-        let r = execute_trials_with(&job.prep, job.ff, todo, |rec| {
+        let r = execute_trials_with(&job.prep, job.path, todo, |rec| {
             let k = executed.fetch_add(1, Ordering::AcqRel);
             if let Some(limit) = cfg.fail_after {
                 if k >= limit {
@@ -350,7 +350,7 @@ fn run_lease(
     });
     match result {
         Ok(_) => Ok(()),
-        // The injected death aborts execute_trials with an I/O error;
+        // The injected death aborts execute_trials_with with an I/O error;
         // the caller reads `died` and reports it as a summary, not an Err.
         Err(_) if died.load(Ordering::Acquire) => Ok(()),
         Err(e) => Err(e.into()),

@@ -22,8 +22,8 @@ use dispatch::{serve, work, CampaignSpec, DispatchCfg, WorkerCfg};
 use relia::checkpoint::TrialRecord;
 use relia::plan::Layer;
 use relia::{
-    assemble_sw, assemble_uarch, execute_shard, execute_trials, records_fingerprint, EngineCfg,
-    RecordSet,
+    assemble_sw, assemble_uarch, execute_shard, execute_trials_with, records_fingerprint,
+    EngineCfg, RecordSet,
 };
 use vgpu_sim::{FaultPattern, HwStructure};
 
@@ -41,7 +41,7 @@ fn spec_for(app: &str, layer: Layer, fault_model: FaultPattern) -> CampaignSpec 
         hardened: false,
         structures: None,
         fault_model,
-        backend: relia::EngineBackend::Timed,
+        backend: relia::FastForward::Timed,
         wave: None,
     }
 }
@@ -72,7 +72,8 @@ fn differential_spec(spec: CampaignSpec, trace: bool) {
 
     // 1. Single-shot reference.
     let all: Vec<usize> = (0..prep.plan.len()).collect();
-    let single = execute_trials(&prep, &all, |_| Ok(())).expect("single-shot");
+    let single = execute_trials_with(&prep, relia::FastForward::Timed, &all, |_| Ok(()))
+        .expect("single-shot");
 
     // 2. Local 3-shard merge.
     let mut sharded = RecordSet::new(prep.plan.len());
@@ -389,7 +390,7 @@ fn va_uarch_replay_backend_dispatch_equals_single_shot() {
     // cross-backend, cross-process equality the backend axis promises.
     differential_spec(
         CampaignSpec {
-            backend: relia::EngineBackend::Replay,
+            backend: relia::FastForward::Replay,
             ..spec_for("VA", Layer::Uarch, FaultPattern::SingleBit)
         },
         false,

@@ -32,7 +32,7 @@ use dispatch::{
 use kernels::Outcome;
 use relia::checkpoint::TrialRecord;
 use relia::plan::Layer;
-use relia::{execute_trials, records_fingerprint, EngineError};
+use relia::{execute_trials_with, records_fingerprint, EngineError, FastForward};
 
 fn spec() -> CampaignSpec {
     CampaignSpec {
@@ -44,7 +44,7 @@ fn spec() -> CampaignSpec {
         hardened: false,
         structures: None,
         fault_model: vgpu_sim::FaultPattern::SingleBit,
-        backend: relia::EngineBackend::Timed,
+        backend: FastForward::Timed,
         wave: None,
     }
 }
@@ -106,7 +106,7 @@ fn out_of_plan_index_is_dropped_and_counted_like_a_torn_line() {
     let bench = spec.find_bench().unwrap();
     let prep = spec.prepare(bench.as_ref());
     let all: Vec<usize> = (0..prep.plan.len()).collect();
-    let records = execute_trials(&prep, &all, |_| Ok(())).unwrap();
+    let records = execute_trials_with(&prep, FastForward::Timed, &all, |_| Ok(())).unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = format!("127.0.0.1:{}", listener.local_addr().unwrap().port());
     let cfg = cfg();
@@ -210,7 +210,7 @@ fn a_wrong_ready_in_a_later_plan_drops_that_connection_only() {
     let reference: Vec<Vec<TrialRecord>> = (preps.iter())
         .map(|(prep, _)| {
             let all: Vec<usize> = (0..prep.plan.len()).collect();
-            execute_trials(prep, &all, |_| Ok(())).unwrap()
+            execute_trials_with(prep, FastForward::Timed, &all, |_| Ok(())).unwrap()
         })
         .collect();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();

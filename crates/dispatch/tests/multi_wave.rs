@@ -44,7 +44,7 @@ fn one_session_per_worker_serves_every_wave() {
         hardened: false,
         structures: None,
         fault_model: FaultPattern::SingleBit,
-        backend: relia::EngineBackend::Timed,
+        backend: relia::FastForward::Timed,
         wave: None,
     };
     let bench = base.find_bench().expect("benchmark exists");

@@ -31,7 +31,7 @@ use dispatch::{
 use proptest::prelude::*;
 use relia::checkpoint::TrialRecord;
 use relia::plan::Layer;
-use relia::{execute_trials, records_fingerprint};
+use relia::{execute_trials_with, records_fingerprint, FastForward};
 use vgpu_sim::HwStructure;
 
 fn spec() -> CampaignSpec {
@@ -44,7 +44,7 @@ fn spec() -> CampaignSpec {
         hardened: false,
         structures: None,
         fault_model: vgpu_sim::FaultPattern::SingleBit,
-        backend: relia::EngineBackend::Timed,
+        backend: FastForward::Timed,
         wave: None,
     }
 }
@@ -53,7 +53,7 @@ fn run_all(spec: &CampaignSpec) -> Vec<TrialRecord> {
     let bench = spec.find_bench().unwrap();
     let prep = spec.prepare(bench.as_ref());
     let all: Vec<usize> = (0..prep.plan.len()).collect();
-    execute_trials(&prep, &all, |_| Ok(())).unwrap()
+    execute_trials_with(&prep, FastForward::Timed, &all, |_| Ok(())).unwrap()
 }
 
 #[test]
@@ -225,7 +225,7 @@ fn a_default_worker_keeps_a_short_lease_through_a_long_shard() {
         let prep = spec.prepare(bench.as_ref());
         let all: Vec<usize> = (0..prep.plan.len()).collect();
         let t0 = std::time::Instant::now();
-        let single = execute_trials(&prep, &all, |_| Ok(())).unwrap();
+        let single = execute_trials_with(&prep, FastForward::Timed, &all, |_| Ok(())).unwrap();
         if t0.elapsed() >= 3 * cfg.lease {
             break (spec, prep, single);
         }
@@ -316,7 +316,7 @@ fn no_control_frame_prefix_parses() {
         },
         Frame::Job {
             spec: CampaignSpec {
-                backend: relia::EngineBackend::Replay,
+                backend: FastForward::Replay,
                 wave: Some(dispatch::WaveSpec {
                     wave: 1,
                     strata: dispatch::parse_strata("0:RF:4:4;0:L2:0:2", Layer::Uarch).unwrap(),

@@ -292,12 +292,18 @@ impl JsonNode {
     }
 }
 
+/// Arrays and objects nested deeper than this do not parse. The reader
+/// recurses once per level, and it reads torn journal tails and frames
+/// from the wire, so without a bound a line of `[`s overflows the stack.
+const MAX_DEPTH: usize = 64;
+
 /// Parse a full (possibly nested) JSON document — the one reader of the
 /// workspace; [`parse_line`] is this plus "a flat object". `None` on
-/// malformed input or trailing garbage.
+/// malformed input, trailing garbage or arrays and objects nested more
+/// than 64 deep.
 pub fn parse_json(text: &str) -> Option<JsonNode> {
     let mut chars = text.trim().chars().peekable();
-    let node = parse_node(&mut chars)?;
+    let node = parse_node(&mut chars, 0)?;
     skip_ws(&mut chars);
     if chars.next().is_some() {
         return None; // trailing garbage
@@ -305,8 +311,12 @@ pub fn parse_json(text: &str) -> Option<JsonNode> {
     Some(node)
 }
 
-fn parse_node(chars: &mut std::iter::Peekable<std::str::Chars>) -> Option<JsonNode> {
+fn parse_node(chars: &mut std::iter::Peekable<std::str::Chars>, depth: usize) -> Option<JsonNode> {
     skip_ws(chars);
+    let open = matches!(chars.peek()?, '{' | '[');
+    if open && depth == MAX_DEPTH {
+        return None;
+    }
     match chars.peek()? {
         '{' => {
             chars.next();
@@ -329,7 +339,7 @@ fn parse_node(chars: &mut std::iter::Peekable<std::str::Chars>) -> Option<JsonNo
                 if chars.next()? != ':' {
                     return None;
                 }
-                fields.push((key, parse_node(chars)?));
+                fields.push((key, parse_node(chars, depth + 1)?));
             }
         }
         '[' => {
@@ -348,7 +358,7 @@ fn parse_node(chars: &mut std::iter::Peekable<std::str::Chars>) -> Option<JsonNo
                     }
                     _ => {}
                 }
-                items.push(parse_node(chars)?);
+                items.push(parse_node(chars, depth + 1)?);
             }
         }
         '"' => Some(JsonNode::Scalar(JsonValue::Str(parse_string(chars)?))),
@@ -563,6 +573,28 @@ mod tests {
         assert!(parse_json("{\"a\":1} x").is_none());
         assert!(parse_json("{\"a\":[1,}").is_none());
         assert!(parse_json("").is_none());
+    }
+
+    #[test]
+    fn nesting_past_the_depth_bound_is_rejected_without_recursing() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse_json(&nested(MAX_DEPTH)).is_some());
+        assert!(parse_json(&nested(MAX_DEPTH + 1)).is_none());
+        // A 2 MiB stack is what a spawned thread gets by default; unbounded
+        // recursion over these lines overflowed it.
+        let deep = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let line = format!("{{\"k\":{}", "[".repeat(10_000));
+                (
+                    parse_json(&"[".repeat(1 << 20)),
+                    Fields::parse(&line).is_none(),
+                )
+            })
+            .unwrap()
+            .join()
+            .expect("the reader must not overflow its stack");
+        assert_eq!(deep, (None, true));
     }
 
     #[test]

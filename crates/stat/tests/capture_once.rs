@@ -13,9 +13,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use kernels::apps::va::Va;
 use relia::{
     execute_shard, execute_trials_with, load_checkpoint, plan_sw, plan_uarch, plan_wave,
-    records_fingerprint, AppCaptures, CampaignCfg, EngineBackend, EngineCfg, EngineError,
-    FastForward, Layer, PreparedCampaign, StratumSpec, TrialRecord, TrialTarget, DEFAULT_SNAPSHOTS,
-    SVF_KINDS,
+    records_fingerprint, AppCaptures, CampaignCfg, EngineCfg, EngineError, FastForward, Layer,
+    PreparedCampaign, StratumSpec, TrialRecord, TrialTarget, DEFAULT_SNAPSHOTS, SVF_KINDS,
 };
 use stat::{run_adaptive, sw_targets, uarch_targets, AdaptiveCfg, AdaptiveResult};
 use vgpu_arch::InstrClass;
@@ -66,21 +65,21 @@ fn a_campaign_of_many_waves_runs_golden_and_captures_once() {
     for (layer, backend, capture, kind, gauge) in [
         (
             Layer::Uarch,
-            EngineBackend::Timed,
+            FastForward::Timed,
             "kernels.snapshot_capture",
             "snapshots",
             "snapshot_bytes{app=VA,layer=uarch,",
         ),
         (
             Layer::Uarch,
-            EngineBackend::Replay,
+            FastForward::Replay,
             "trace.capture",
             "trace",
             "trace_bytes{app=VA,layer=uarch,",
         ),
         (
             Layer::Sw,
-            EngineBackend::Timed,
+            FastForward::Timed,
             "kernels.cta_log_capture",
             "cta_log",
             "cta_log_bytes{app=VA,layer=sw,",

@@ -7,7 +7,7 @@
 
 use kernels::apps::va::Va;
 use relia::{
-    assemble_uarch, execute_shard, prepare_uarch_campaign, CampaignCfg, EngineBackend, EngineCfg,
+    assemble_uarch, execute_shard, prepare_uarch_campaign, CampaignCfg, EngineCfg, FastForward,
     Layer,
 };
 use stat::{run_adaptive, uarch_targets, AdaptiveCfg};
@@ -35,7 +35,7 @@ fn production_spans_are_the_ledgers() {
     let cfg = CampaignCfg::new(4, 0, 0x5EED);
     let prep = prepare_uarch_campaign(&Va, &cfg, false);
     let eng = EngineCfg {
-        backend: EngineBackend::Replay,
+        backend: FastForward::Replay,
         ..EngineCfg::single_shot()
     };
     let records = execute_shard(&prep, &eng).unwrap();

@@ -45,39 +45,54 @@ CAMPAIGN=target/release/campaign
 rc=0; "$CAMPAIGN" run --app VA --sms 0 2> /dev/null || rc=$?
 [ "$rc" -eq 2 ]
 
-echo "==> paper smoke (docs/CAMPAIGNS.md): every campaign once, resumable, same figures as the per-figure binaries"
-# The whole suite at n = 2 (55 campaigns, 736 trials, ~4 s), once
-# uninterrupted and once killed by --limit and resumed. Both must write
-# the 13 figure CSVs of crates/bench/tests/fixtures/paper_n2 — generated
-# once, at the parent of the change that introduced `campaign paper`
-# (commit 39cbd8e), by the three binaries it replaced (baseline_study,
-# fig03_utilization, hardening_study at --n-uarch 2 --n-sw 2), whose TMR
-# trials all ran on the oracle path: an all-apps, both-layers hardened
-# differential — Figure 12's static reuse sets as results/ holds them,
-# and the same MANIFEST, from 44 golden runs (the exit profile's
-# span_us{span=kernels.golden} count), 55 shard starts and 22
-# snapshot captures (every uarch campaign, base and TMR, is served by the
-# fast-forward path; the 11 source-register campaigns of Figure 12 share
-# the captures of their application's SVF campaign).
+echo "==> paper smoke (docs/CAMPAIGNS.md): every campaign once on each backend, resumable across them, same figures as the per-figure binaries"
+# The whole suite at n = 2 (55 campaigns, 736 trials, ~4 s) three times:
+# on the default (replay) backend, on --backend timed, and killed by
+# --limit on the default and resumed with --backend timed — a journal may
+# mix backends, because records are identical on every path. All three
+# must write the 13 figure CSVs of crates/bench/tests/fixtures/paper_n2 —
+# generated once, at the parent of the change that introduced `campaign
+# paper` (commit 39cbd8e), by the three binaries it replaced
+# (baseline_study, fig03_utilization, hardening_study at --n-uarch 2
+# --n-sw 2), whose TMR trials all ran on the oracle path: an all-apps,
+# both-layers hardened differential — Figure 12's static reuse sets as
+# results/ holds them, and the same MANIFEST. Either backend makes 44
+# golden runs (the exit profile's span_us{span=kernels.golden} count: the
+# 11 source-register campaigns of Figure 12 share the captures of their
+# application's SVF campaign) and 55 shard starts. On timed, every uarch
+# campaign, base and TMR, captures its snapshot set: 22, 11 of them
+# hardened. On replay, every uarch campaign records its golden access
+# trace (22 trace.capture spans), and a snapshot set is captured only once
+# a trial falls back to simulation: at n = 2 three campaigns have every
+# fault provably dead, so 19 snapshot records, 10 of them hardened.
 PAPER=$(mktemp -d)
 PFLAGS=(paper --n-uarch 2 --n-sw 2)
 "$CAMPAIGN" "${PFLAGS[@]}" --out-dir "$PAPER/a" --events "$PAPER/a.jsonl" \
   > /dev/null 2> "$PAPER/a.err"
 test "$(grep -c '"kind":"shard_start"' "$PAPER/a.jsonl")" -eq 55
-test "$(grep -c '"record":"snapshot"' "$PAPER/a.jsonl")" -eq 22
-test "$(grep -c '"record":"snapshot".*"hardened":true' "$PAPER/a.jsonl")" -eq 11
+test "$(grep -c '"record":"snapshot"' "$PAPER/a.jsonl")" -eq 19
+test "$(grep -c '"record":"snapshot".*"hardened":true' "$PAPER/a.jsonl")" -eq 10
 grep -Eq '^span_us\{span=kernels\.golden\} +44 ' "$PAPER/a.err"
+grep -Eq '^span_us\{span=trace\.capture\} +22 ' "$PAPER/a.err"
+"$CAMPAIGN" "${PFLAGS[@]}" --backend timed --out-dir "$PAPER/t" --events "$PAPER/t.jsonl" \
+  > /dev/null 2> "$PAPER/t.err"
+test "$(grep -c '"kind":"shard_start"' "$PAPER/t.jsonl")" -eq 55
+test "$(grep -c '"record":"snapshot"' "$PAPER/t.jsonl")" -eq 22
+test "$(grep -c '"record":"snapshot".*"hardened":true' "$PAPER/t.jsonl")" -eq 11
+grep -Eq '^span_us\{span=kernels\.golden\} +44 ' "$PAPER/t.err"
 "$CAMPAIGN" "${PFLAGS[@]}" --out-dir "$PAPER/b" --limit 40 2> /dev/null \
   | grep 'partial — resume to finish' > /dev/null
-"$CAMPAIGN" "${PFLAGS[@]}" --out-dir "$PAPER/b" > /dev/null 2>&1
+"$CAMPAIGN" "${PFLAGS[@]}" --backend timed --out-dir "$PAPER/b" > /dev/null 2>&1
 test "$(ls crates/bench/tests/fixtures/paper_n2/*.csv | wc -l)" -eq 13
 for f in crates/bench/tests/fixtures/paper_n2/*.csv; do
-  cmp "$f" "$PAPER/a/$(basename "$f")"
-  cmp "$f" "$PAPER/b/$(basename "$f")"
+  for run in a t b; do
+    cmp "$f" "$PAPER/$run/$(basename "$f")"
+  done
 done
 cmp results/fig12_reuse_sets.csv "$PAPER/a/fig12_reuse_sets.csv"
+cmp "$PAPER/a/MANIFEST.csv" "$PAPER/t/MANIFEST.csv"
 cmp "$PAPER/a/MANIFEST.csv" "$PAPER/b/MANIFEST.csv"
-echo "paper smoke: uninterrupted == resumed == the per-figure binaries' CSVs"
+echo "paper smoke: replay == timed == resumed across backends == the per-figure binaries' CSVs"
 
 echo "==> extension smoke (docs/CAMPAIGNS.md): same journals, same bytes as the study binaries it replaced"
 # `campaign extensions` at the same flags into the directory the paper
@@ -119,10 +134,13 @@ echo "==> dispatch smoke (coordinator + 2 workers, one killed mid-run)"
 # campaign completing with every planned trial held (VA: 1 kernel x 5
 # structures x 6 = 30). w1 runs with --trace: its spans reach the event
 # log, and `campaign timeline` lists a kernels.trials row per trial it ran.
+# Both runs name the timed backend: it simulates every trial, where replay
+# synthesizes 26 of these 30 as dead and leaves w1 few trials to show; the
+# single-process CSV is also the replay smoke's reference below.
 DISP=$(mktemp -d)
-"$CAMPAIGN" run --app VA --layer uarch --n 6 --seed 1234 \
+"$CAMPAIGN" run --app VA --layer uarch --n 6 --seed 1234 --backend timed \
   --csv "$DISP/single.csv" > /dev/null
-"$CAMPAIGN" serve --app VA --layer uarch --n 6 --seed 1234 --shards 3 \
+"$CAMPAIGN" serve --app VA --layer uarch --n 6 --seed 1234 --shards 3 --backend timed \
   --listen 127.0.0.1:0 --port-file "$DISP/port.txt" \
   --lease-ms 400 --csv "$DISP/dispatch.csv" --events "$DISP/serve.jsonl" \
   > /dev/null 2> "$DISP/serve.log" &
