@@ -16,54 +16,45 @@
 //! campaign run   --app VA --layer uarch --adaptive --ci-target 0.05 \
 //!                [--wave-size 16 --max-trials 256 --checkpoint BASE --resume BASE]
 //! campaign merge --app VA --layer uarch shard0.jsonl shard1.jsonl ...
-//! campaign serve --app VA --layer uarch --shards 3 --listen 127.0.0.1:0 [--adaptive ...]
-//! campaign work  --connect 127.0.0.1:PORT
-//! campaign timeline FILE...
 //! ```
 //!
 //! `campaign --help` lists the subcommands and `campaign <sub> --help`
 //! every flag of one, both generated from the flag table in
-//! [`bench::cli`] — the only place a flag is declared. `run`, `merge` and
-//! `serve` parse into one campaign description
-//! ([`dispatch::CampaignSpec`], range-checked by its `validate`), the
-//! same structure the job frame carries to the workers.
+//! [`bench::cli`] — the only place a flag is declared. `run` and `merge`
+//! parse into one campaign description ([`relia::CampaignSpec`],
+//! range-checked by its `validate`).
 //!
 //! Plans are deterministic (docs/CAMPAIGNS.md): every shard derives the
 //! same explicit trial list from `--seed`, so any disjoint cover of the
-//! plan — 1 shard or 40, interrupted and resumed or not, executed locally
-//! or by a fleet of `work` daemons against a `serve` coordinator
-//! (docs/DISPATCH.md), on the default replay backend (docs/TRACE.md) or
-//! with `--backend timed` — merges to the byte-identical
+//! plan — 1 shard or 40, on one machine or several, interrupted and
+//! resumed or not, on the default replay backend (docs/TRACE.md) or with
+//! `--backend timed` — merges to the byte-identical
 //! `UarchAppResult`/`SvfAppResult`. `--adaptive` switches from a fixed
 //! `--n` per stratum to CI-driven sizing in deterministic waves
 //! (docs/TWOLEVEL.md).
 //!
 //! Exit codes are uniform across subcommands: **2** for CLI/validation
-//! errors (unknown flags, out-of-range values, malformed addresses),
-//! **1** for runtime failures (engine errors, unreadable checkpoints,
-//! dispatch failures), **0** on success and for `--help`.
+//! errors (unknown subcommands or flags, out-of-range values), **1** for
+//! runtime failures (engine errors, unreadable checkpoints), **0** on
+//! success and for `--help`.
 
-mod args;
 mod golden;
 mod merge;
 mod paper;
 mod run;
-mod serve;
-mod timeline;
-mod work;
 
 use bench::cli::{die, usage, Cmd};
 use bench::figures::{EXTENSIONS, FIGURES};
 use bench::{finish_observability, init_observability};
 
-const SUBCOMMANDS: &str = "paper|extensions|list|golden|run|merge|serve|work|timeline";
+const SUBCOMMANDS: &str = "paper|extensions|list|golden|run|merge";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let Some(sub) = args.get(1) else {
         die(&format!(
             "usage: campaign <{SUBCOMMANDS}> [options] (campaign --help; docs/CAMPAIGNS.md, \
-             docs/DISPATCH.md, docs/OBSERVABILITY.md)"
+             docs/OBSERVABILITY.md)"
         ));
     };
     if sub == "--help" || sub == "-h" {
@@ -71,10 +62,7 @@ fn main() {
         for cmd in Cmd::ALL {
             println!("{}", usage(cmd));
         }
-        println!(
-            "usage: campaign list                   the applications and their kernels\n\
-             usage: campaign timeline FILE...       merge JSONL trace events into one timeline"
-        );
+        println!("usage: campaign list                   the applications and their kernels");
         return;
     }
     let rest = &args[2..];
@@ -92,9 +80,6 @@ fn main() {
         "golden" => golden::golden(rest),
         "run" => run::run(rest),
         "merge" => merge::merge(rest),
-        "serve" => serve::serve(rest),
-        "work" => work::work(rest),
-        "timeline" => timeline::timeline(rest),
         other => die(&format!("unknown subcommand {other:?} ({SUBCOMMANDS})")),
     }
     finish_observability();

@@ -5,13 +5,12 @@
 use std::path::Path;
 
 use bench::cli::{die, parse_or_exit, Cmd};
+use bench::driver::fail;
 use relia::plan::{Layer, PreparedCampaign};
 use relia::{
     assemble_sw, assemble_uarch, load_checkpoint, pct, records_fingerprint, ClassRates, RecordSet,
     Table, TrialRecord,
 };
-
-use crate::args::fail;
 
 /// One result row: a label and the per-class rates in percent.
 fn rate_row(label: &str, r: ClassRates) -> Vec<String> {
@@ -26,7 +25,7 @@ fn rate_row(label: &str, r: ClassRates) -> Vec<String> {
 
 /// Print the assembled result of a fully covered plan (and write it as
 /// CSV when `--csv` was given) — the byte-comparison artifact for the
-/// shard-merge and dispatch differential checks.
+/// shard-merge differential checks.
 pub fn print_result(prep: &PreparedCampaign, records: &[TrialRecord], csv: Option<&Path>) {
     let table = match prep.plan.layer {
         Layer::Uarch => {
@@ -79,8 +78,8 @@ pub fn merge(args: &[String]) {
     let (spec, bench) = a.campaign();
     let prep = spec.prepare(bench.as_ref());
     let fingerprint = prep.plan.fingerprint();
-    // Two files for the same shard (a reassigned lease journaled twice, a
-    // resumed run merged alongside its original) are fine: the set keeps
+    // Two files for the same shard (a shard run twice, a resumed run
+    // merged alongside its original) are fine: the set keeps
     // the first record of each trial and rejects only records that
     // *disagree* on an outcome.
     let mut set = RecordSet::new(prep.plan.len());

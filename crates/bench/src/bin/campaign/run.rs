@@ -3,14 +3,15 @@
 
 use std::path::{Path, PathBuf};
 
-use bench::cli::{die, parse_or_exit, Cmd};
-use bench::driver::execute_journaled;
-use dispatch::CampaignSpec;
+use bench::cli::{die, parse_or_exit, Cmd, Parsed};
+use bench::driver::{execute_journaled, fail};
 use kernels::Benchmark;
-use relia::{execute_shard, pct, records_fingerprint, shard_trials, EngineCfg, Table};
-use stat::{run_adaptive, AdaptiveCfg, AdaptiveResult};
+use relia::plan::{Layer, TrialTarget};
+use relia::{
+    execute_shard, pct, records_fingerprint, shard_trials, CampaignSpec, EngineCfg, Table,
+};
+use stat::{run_adaptive, sw_targets, uarch_targets, AdaptiveCfg, AdaptiveResult};
 
-use crate::args::{adaptive, adaptive_targets, fail};
 use crate::merge::{print_result, write_csv};
 
 pub fn run(args: &[String]) {
@@ -35,10 +36,7 @@ pub fn run(args: &[String]) {
     let csv = a.path("--csv");
     if let Some(acfg) = adaptive {
         if shards != 1 {
-            die(
-                "--adaptive runs single-process per wave; distribute an adaptive campaign \
-                 with serve --adaptive + work instead of --shards",
-            );
+            die("--adaptive runs single-process per wave; it takes no --shards");
         }
         let res = run_waves(bench.as_ref(), &spec, &acfg, &eng);
         print_adaptive(bench.as_ref(), &res, &acfg, csv.as_deref());
@@ -73,6 +71,32 @@ pub fn run(args: &[String]) {
                 " (merge with the other shards for results)"
             }
         );
+    }
+}
+
+/// `--adaptive` sizing, or `None` for a fixed-n campaign. An
+/// adaptive-only flag without `--adaptive` is a usage error, not a
+/// silent no-op.
+fn adaptive(a: &Parsed) -> Option<AdaptiveCfg> {
+    if a.has("--adaptive") {
+        return Some(a.adaptive_cfg(0.05, 16, 256));
+    }
+    for flag in ["--ci-target", "--wave-size", "--max-trials"] {
+        if a.has(flag) {
+            die(&format!("{flag} requires --adaptive"));
+        }
+    }
+    None
+}
+
+/// The stratification an adaptive campaign sizes: kernel × structure for
+/// the uarch layer (respecting `--structures`), kernel × software fault
+/// kind for the sw layer.
+fn adaptive_targets(spec: &CampaignSpec) -> Vec<TrialTarget> {
+    match (spec.layer, &spec.structures) {
+        (Layer::Uarch, None) => uarch_targets(),
+        (Layer::Uarch, Some(v)) => v.iter().map(|&h| TrialTarget::Structure(h)).collect(),
+        (Layer::Sw, _) => sw_targets(),
     }
 }
 
@@ -132,9 +156,8 @@ fn run_waves(
 
 /// Print the per-stratum table and summary of a finished adaptive
 /// campaign. The two fingerprints are the byte-comparison artifact for
-/// the adaptive differential checks (single-shot vs sharded vs resumed
-/// vs dispatched).
-pub fn print_adaptive(
+/// the adaptive differential checks (single-shot vs resumed).
+fn print_adaptive(
     bench: &dyn Benchmark,
     res: &AdaptiveResult,
     acfg: &AdaptiveCfg,

@@ -6,18 +6,16 @@
 //! [`parse`] checks a command line against the table, [`usage`] renders
 //! `--help` from it, and the typed projections on [`Parsed`] turn the
 //! checked values into the structures the engine takes — above all the
-//! campaign description, [`dispatch::CampaignSpec`], which the CLI, the
-//! job frame and the workers share. Every error is a usage error: one
-//! line on stderr, exit 2.
+//! campaign description, [`relia::CampaignSpec`]. Every error is a usage
+//! error: one line on stderr, exit 2.
 
 use std::ops::RangeInclusive;
 use std::path::PathBuf;
 use std::process::exit;
 
-use dispatch::{parse_structures, scaled_gpu, CampaignSpec, MAX_N};
 use kernels::{all_benchmarks, Benchmark};
 use relia::plan::Layer;
-use relia::{CampaignCfg, FastForward};
+use relia::{parse_structures, scaled_gpu, CampaignCfg, CampaignSpec, FastForward, MAX_N};
 use stat::AdaptiveCfg;
 use vgpu_sim::{FaultPattern, GpuConfig};
 
@@ -29,8 +27,6 @@ pub const DEFAULT_SEED: u64 = 0xC0FF_EE00;
 pub enum Cmd {
     Run,
     Merge,
-    Serve,
-    Work,
     /// `campaign paper` and `campaign extensions`: every campaign behind
     /// a figure set, once.
     Paper,
@@ -39,14 +35,7 @@ pub enum Cmd {
 }
 
 impl Cmd {
-    pub const ALL: [Cmd; 6] = [
-        Cmd::Run,
-        Cmd::Merge,
-        Cmd::Serve,
-        Cmd::Work,
-        Cmd::Paper,
-        Cmd::Golden,
-    ];
+    pub const ALL: [Cmd; 4] = [Cmd::Run, Cmd::Merge, Cmd::Paper, Cmd::Golden];
 
     const fn bit(self) -> u16 {
         1 << self as u16
@@ -58,8 +47,6 @@ impl Cmd {
         match self {
             Cmd::Run => "run",
             Cmd::Merge => "merge",
-            Cmd::Serve => "serve",
-            Cmd::Work => "work",
             Cmd::Paper => "paper|extensions",
             Cmd::Golden => "golden",
         }
@@ -76,13 +63,10 @@ impl Cmd {
 
 const RUN: u16 = Cmd::Run.bit();
 const MERGE: u16 = Cmd::Merge.bit();
-const SERVE: u16 = Cmd::Serve.bit();
-const WORK: u16 = Cmd::Work.bit();
 const PAPER: u16 = Cmd::Paper.bit();
 const GOLDEN: u16 = Cmd::Golden.bit();
 /// The commands that rebuild a plan from a campaign description.
-const PLAN: u16 = RUN | MERGE | SERVE;
-const EVERY: u16 = PLAN | WORK | PAPER;
+const PLAN: u16 = RUN | MERGE;
 
 /// What follows a flag on the command line, with its placeholder in the
 /// usage text and the check the value must pass.
@@ -95,9 +79,6 @@ pub enum Arg {
     Num(&'static str, RangeInclusive<u64>),
     /// A floating-point number.
     Real(&'static str),
-    /// `HOST:PORT`. Hostnames are allowed (resolution happens at
-    /// connect/bind time); the port must be numeric.
-    Addr,
     /// One of a fixed set of labels.
     Choice(fn() -> Vec<&'static str>),
 }
@@ -139,7 +120,7 @@ const fn flag(name: &'static str, arg: Arg, cmds: u16, help: &'static str) -> Fl
 /// Every flag of `campaign`, declared once.
 #[rustfmt::skip]
 pub const FLAGS: &[Flag] = &[
-    // The campaign description (dispatch::CampaignSpec).
+    // The campaign description (relia::CampaignSpec).
     flag("--app", Arg::Text("NAME"), PLAN | GOLDEN, "application to inject into (required)"),
     flag("--layer", Arg::Choice(layers), PLAN | GOLDEN, "injection layer: AVF (uarch, default) or SVF (sw)"),
     flag("--n", Arg::Num("N", ANY), PLAN, "injections per (kernel, target); default 100"),
@@ -150,32 +131,23 @@ pub const FLAGS: &[Flag] = &[
     flag("--hardened", Arg::Switch, PLAN | GOLDEN, "the TMR-hardened variant of the application"),
     flag("--structures", Arg::Text("RF,SMEM,.."), PLAN, "uarch structure subset (SIMT, SCHED: stuck-at models only)"),
     flag("--fault-model", Arg::Choice(fault_models), PLAN | PAPER, "fault pattern of every trial; default single-bit"),
-    flag("--backend", Arg::Choice(backends), RUN | SERVE | PAPER, "trial engine; default replay, which skips dead faults; records are identical"),
+    flag("--backend", Arg::Choice(backends), RUN | PAPER, "trial engine; default replay, which skips dead faults; records are identical"),
     // Output.
     flag("--csv", Arg::Text("PATH"), PLAN, "also write the result table as CSV"),
-    flag("--events", Arg::Text("PATH"), EVERY, "JSONL event sink; turns metrics on (docs/OBSERVABILITY.md)"),
+    flag("--events", Arg::Text("PATH"), PLAN | PAPER, "JSONL event sink; turns metrics on (docs/OBSERVABILITY.md)"),
     // Sharding, checkpoints, resume.
-    flag("--shards", Arg::Num("N", POSITIVE), RUN | SERVE, "strided shards the plan is split into"),
+    flag("--shards", Arg::Num("N", POSITIVE), RUN, "strided shards the plan is split into"),
     flag("--shard-index", Arg::Num("I", ANY), RUN, "this process's shard, 0-based"),
     flag("--checkpoint", Arg::Text("PATH"), RUN, "journal every classified trial (adaptive: PATH.waveW)"),
     flag("--resume", Arg::Text("PATH"), RUN, "skip the trials this checkpoint already classifies"),
     flag("--limit", Arg::Num("L", ANY), RUN | PAPER, "stop after L new trials, leaving a resumable checkpoint"),
     // CI-driven sizing (docs/TWOLEVEL.md).
-    flag("--adaptive", Arg::Switch, RUN | SERVE, "size each stratum by CI half-width instead of --n"),
-    flag("--ci-target", Arg::Real("X"), RUN | SERVE, "adaptive: CI half-width to reach, in (0, 1)"),
-    flag("--wave-size", Arg::Num("N", ANY), RUN | SERVE, "adaptive: trials per unconverged stratum per wave"),
-    flag("--max-trials", Arg::Num("N", ANY), RUN | SERVE, "adaptive: trial cap per stratum"),
-    // Coordinator (docs/DISPATCH.md).
-    flag("--listen", Arg::Addr, SERVE, "coordinator bind address; default 127.0.0.1:0"),
-    flag("--port-file", Arg::Text("PATH"), SERVE, "write the bound port here (write-then-rename)"),
-    flag("--lease-ms", Arg::Num("MS", POSITIVE), SERVE, "shard lease duration, which every fleet timing derives from; default 10000"),
-    flag("--out-dir", Arg::Text("DIR"), SERVE | PAPER, "serve: shard journals under DIR; paper, extensions (required): CSVs + journal/"),
-    // Worker.
-    flag("--connect", Arg::Addr, WORK, "coordinator address (required)"),
-    flag("--name", Arg::Text("NAME"), WORK, "worker name in events and trace records"),
-    flag("--fail-after", Arg::Num("N", ANY), WORK, "test hook: die abruptly after N trial records"),
-    flag("--trace", Arg::Switch, WORK, "forward trace events to the coordinator after each lease"),
+    flag("--adaptive", Arg::Switch, RUN, "size each stratum by CI half-width instead of --n"),
+    flag("--ci-target", Arg::Real("X"), RUN, "adaptive: CI half-width to reach, in (0, 1)"),
+    flag("--wave-size", Arg::Num("N", ANY), RUN, "adaptive: trials per unconverged stratum per wave"),
+    flag("--max-trials", Arg::Num("N", ANY), RUN, "adaptive: trial cap per stratum"),
     // Figure sets.
+    flag("--out-dir", Arg::Text("DIR"), PAPER, "CSVs + journal/ under DIR (required)"),
     flag("--apps", Arg::Text("VA,NW,.."), PAPER, "suite subset"),
 ];
 
@@ -194,7 +166,6 @@ impl Arg {
         match self {
             Arg::Switch => None,
             Arg::Text(m) | Arg::Num(m, _) | Arg::Real(m) => Some(m.to_string()),
-            Arg::Addr => Some("HOST:PORT".into()),
             Arg::Choice(labels) => Some(labels().join("|")),
         }
     }
@@ -217,17 +188,6 @@ impl Arg {
                 .parse::<f64>()
                 .map(|_| ())
                 .map_err(|_| format!("{name} takes a number, got {v:?}")),
-            Arg::Addr => {
-                let host_port = matches!(
-                    v.rsplit_once(':'),
-                    Some((host, port)) if !host.is_empty() && port.parse::<u16>().is_ok()
-                );
-                if host_port || v.parse::<std::net::SocketAddr>().is_ok() {
-                    Ok(())
-                } else {
-                    Err(format!("{name} must be HOST:PORT, got {v:?}"))
-                }
-            }
             Arg::Choice(labels) => {
                 let labels = labels();
                 if labels.contains(&v) {
@@ -348,10 +308,6 @@ impl Parsed {
     pub fn real(&self, name: &str) -> Option<f64> {
         self.text(name)
             .map(|v| v.parse().expect("checked by the flag table"))
-    }
-
-    pub fn millis(&self, name: &str) -> Option<std::time::Duration> {
-        self.num(name).map(std::time::Duration::from_millis)
     }
 
     /// The value of an [`Arg::Choice`] flag, or `default` when absent.
@@ -483,7 +439,6 @@ mod tests {
             Arg::Text(_) => Some("x".into()),
             Arg::Num(_, range) => Some(range.start().to_string()),
             Arg::Real(_) => Some("0.5".into()),
-            Arg::Addr => Some("localhost:1".into()),
             Arg::Choice(labels) => Some(labels()[0].to_string()),
         }
     }
@@ -554,17 +509,10 @@ mod tests {
             "--backend quantum",
             "--shards 0",
             "--bogus-flag 1",
-            "--connect 127.0.0.1:1",
+            "--out-dir x",
             "stray",
         ] {
             assert!(parse(Cmd::Run, &args(bad)).is_err(), "run {bad}");
-        }
-        for bad in [
-            "--connect noport",
-            "--connect :123",
-            "--connect 127.0.0.1:99999",
-        ] {
-            assert!(parse(Cmd::Work, &args(bad)).is_err(), "work {bad}");
         }
         let ok = parse(
             Cmd::Run,

@@ -30,7 +30,7 @@ pub mod figures;
 /// seeded RNG streams).
 pub fn init_observability(events: Option<&str>) {
     // Always installed: a panicking campaign must not lose the buffered
-    // event/trace lines needed to debug the panic.
+    // event lines needed to debug the panic.
     obs::install_panic_hook();
     let events_path = events
         .map(String::from)

@@ -1,13 +1,12 @@
 //! Uniform exit codes across every `campaign` subcommand:
 //!
 //! * **2** — CLI/validation errors: unknown subcommands/flags, malformed
-//!   values, bad `--listen`/`--connect` addresses, a zero lease;
-//! * **1** — runtime failures: unreadable checkpoints, refused
-//!   connections, engine errors;
+//!   or out-of-range values;
+//! * **1** — runtime failures: unreadable checkpoints, engine errors;
 //! * **0** — success.
 //!
-//! These are load-bearing for scripts/check.sh and any fleet supervisor
-//! wrapping `serve`/`work`: a supervisor must be able to tell "my command
+//! These are load-bearing for scripts/check.sh and any supervisor that
+//! runs shards on several machines: it must be able to tell "my command
 //! line is wrong, don't retry" from "the run failed, maybe retry".
 
 use std::process::Command;
@@ -50,6 +49,7 @@ fn validation_errors_exit_2() {
         &["run", "--app", "VA", "--shards", "2", "--shard-index", "2"],
         2,
     );
+    assert_exit(&["run", "--app", "VA", "--shards", "0"], 2);
     assert_exit(&["merge"], 2); // no shard files
     assert_exit(&["merge", "missing.jsonl"], 2); // no --app
     assert_exit(&["paper"], 2); // no --out-dir
@@ -72,7 +72,10 @@ fn fault_model_validation_errors_exit_2() {
     // every subcommand that accepts the flag.
     assert_exit(&["run", "--app", "VA", "--fault-model", "bogus"], 2);
     assert_exit(&["run", "--app", "VA", "--fault-model", ""], 2);
-    assert_exit(&["serve", "--app", "VA", "--fault-model", "warp-drive"], 2);
+    assert_exit(
+        &["paper", "--out-dir", "x", "--fault-model", "warp-drive"],
+        2,
+    );
     // SIMT/SCHED state is ephemeral: a transient flip there is not a
     // meaningful model, only stuck-at campaigns may target it.
     assert_exit(&["run", "--app", "VA", "--structures", "SIMT,SCHED"], 2);
@@ -96,12 +99,11 @@ fn backend_validation_errors_exit_2() {
     // every subcommand that accepts the flag.
     assert_exit(&["run", "--app", "VA", "--backend", "quantum"], 2);
     assert_exit(&["run", "--app", "VA", "--backend", ""], 2);
-    assert_exit(&["serve", "--app", "VA", "--backend", "bogus"], 2);
+    assert_exit(&["paper", "--out-dir", "x", "--backend", "bogus"], 2);
     assert_exit(&["run", "--app", "VA", "--backend"], 2); // missing value
 
     // The oracle path is the library's reference, selectable by no flag.
     assert_exit(&["run", "--app", "VA", "--backend", "oracle"], 2);
-    assert_exit(&["serve", "--app", "VA", "--backend", "oracle"], 2);
     assert_exit(&["paper", "--out-dir", "x", "--backend", "oracle"], 2);
 }
 
@@ -115,7 +117,7 @@ fn removed_engine_knobs_are_unknown_options() {
     let snapshots = format!("--{}", "snapshots");
     assert_exit(&["run", "--app", "VA", &no_ff], 2);
     assert_exit(&["run", "--app", "VA", &snapshots, "4"], 2);
-    assert_exit(&["serve", "--app", "VA", &snapshots, "4"], 2);
+    assert_exit(&["paper", "--out-dir", "x", &snapshots, "4"], 2);
 }
 
 #[test]
@@ -124,7 +126,6 @@ fn out_of_range_sms_exits_2_instead_of_panicking() {
     // (exit 101); the spec's range check now rejects it up front, on
     // every command that takes a campaign description.
     assert_exit(&["run", "--app", "VA", "--sms", "0"], 2);
-    assert_exit(&["serve", "--app", "VA", "--sms", "0"], 2);
     assert_exit(&["merge", "--app", "VA", "--sms", "0", "x.jsonl"], 2);
     assert_exit(&["golden", "--app", "VA", "--sms", "0"], 2);
     assert_exit(&["paper", "--out-dir", "x", "--sms", "0"], 2);
@@ -142,7 +143,7 @@ fn oversized_sample_sizes_exit_2_with_one_line() {
         &["run", "--app", "VA", "--n", "18446744073709551615"][..],
         &["run", "--app", "VA", "--n", "1000000000000"],
         &["run", "--app", "VA", "--n", "1000001"],
-        &["serve", "--app", "VA", "--n", "1000001"],
+        &["merge", "--app", "VA", "--n", "1000001", "x.jsonl"],
         &["paper", "--out-dir", "x", "--n-uarch", "1000001"],
         &["paper", "--out-dir", "x", "--n-sw", "18446744073709551615"],
         &["extensions", "--out-dir", "x", "--n-uarch", "1000000000000"],
@@ -173,8 +174,6 @@ fn help_exits_0_and_lists_the_flags() {
     // Per subcommand, the text lists that subcommand's flags only.
     for (sub, has, lacks) in [
         ("merge", "--csv", "--backend"),
-        ("serve", "--lease-ms", "--checkpoint"),
-        ("work", "--connect", "--app"),
         ("paper", "--out-dir", "--app "),
         ("extensions", "--fault-model", "--app "),
         ("golden", "--hardened", "--seed"),
@@ -194,7 +193,7 @@ fn help_exits_0_and_lists_the_flags() {
 #[test]
 fn adaptive_validation_errors_exit_2() {
     // Malformed adaptive sizing flags must die before any simulation
-    // starts (docs/TWOLEVEL.md), on both `run` and `serve`.
+    // starts (docs/TWOLEVEL.md).
     assert_exit(&["run", "--app", "VA", "--adaptive", "--ci-target", "0"], 2);
     assert_exit(
         &["run", "--app", "VA", "--adaptive", "--ci-target", "1.5"],
@@ -223,24 +222,8 @@ fn adaptive_validation_errors_exit_2() {
     assert_exit(&["run", "--app", "VA", "--ci-target", "0.1"], 2);
     assert_exit(&["run", "--app", "VA", "--wave-size", "8"], 2);
     assert_exit(&["run", "--app", "VA", "--max-trials", "64"], 2);
-    // Adaptive campaigns are single-process per wave; sharding belongs to
-    // serve/work.
+    // Adaptive campaigns are single-process per wave: no --shards.
     assert_exit(&["run", "--app", "VA", "--adaptive", "--shards", "3"], 2);
-    assert_exit(&["serve", "--app", "VA", "--ci-target", "0.1"], 2);
-}
-
-#[test]
-fn dispatch_validation_errors_exit_2() {
-    // Bad --listen / --connect addresses and lease values.
-    assert_exit(&["serve", "--app", "VA", "--listen", "nonsense"], 2);
-    assert_exit(&["serve", "--app", "VA", "--listen", "host:NaN"], 2);
-    assert_exit(&["serve", "--app", "VA", "--lease-ms", "0"], 2);
-    assert_exit(&["serve", "--app", "VA", "--shards", "0"], 2);
-    assert_exit(&["serve"], 2); // missing --app
-    assert_exit(&["work"], 2); // missing --connect
-    assert_exit(&["work", "--connect", "noport"], 2);
-    assert_exit(&["work", "--connect", ":123"], 2);
-    assert_exit(&["work", "--connect", "127.0.0.1:99999"], 2);
 }
 
 #[test]
@@ -252,14 +235,14 @@ fn removed_watchdog_and_flush_flags_are_unknown_options() {
     // a grep over the sources finds none.)
     let run = ["run", "--app", "VA"];
     let paper = ["paper", "--out-dir", "x"];
-    let serve = ["serve", "--app", "VA"];
+    let merge = ["merge", "--app", "VA"];
     let removed = [
         (format!("--wall-limit-{}", "us"), Some("1000")),
         (format!("--cycle-{}", "limit"), Some("50")),
         (format!("--no-{}", "retry"), None),
         (format!("--checkpoint-{}", "every"), Some("1")),
     ];
-    for cmd in [&run, &paper, &serve] {
+    for cmd in [&run[..], &paper, &merge] {
         for (flag, value) in &removed {
             let args: Vec<&str> = cmd
                 .iter()
@@ -283,87 +266,74 @@ fn removed_watchdog_and_flush_flags_are_unknown_options() {
     assert!(!std::path::Path::new("x").exists(), "nothing was written");
 }
 
+/// The TCP fleet is gone from the command line: its subcommands are
+/// unknown, and so are its flags — the seven it had last and the timing,
+/// telemetry and reconnect flags it shed before them — on every command
+/// that takes a campaign, and no `--help` lists one. Multi-machine runs
+/// are `run --shards/--shard-index` plus `merge`. (Spelled in pieces,
+/// like the other removed flags, so that a grep over the sources finds
+/// none.)
 #[test]
-fn removed_timing_flags_are_unknown_options() {
-    // The lease is the fleet's one timing setting: the backoff, the poll
-    // interval, the heartbeat and the worker's patience derive from it
-    // or are constants. (Spelled in pieces, like the other removed
-    // flags, so that a grep over the sources finds none.)
-    let serve = ["serve", "--app", "VA"];
-    let work = ["work", "--connect", "127.0.0.1:80"];
-    for (cmd, name) in [
-        (&serve, "backoff"),
-        (&serve, "max-backoff"),
-        (&serve, "wait"),
-        (&work, "heartbeat"),
-        (&work, "read-timeout"),
+fn removed_fleet_surface_is_unknown() {
+    for sub in [
+        "serve", "work", "timeline", "status", "top", "scrape", "lint",
     ] {
-        let removed = format!("--{name}-{}", "ms");
-        let out = campaign(&[&cmd[..], &[&removed, "100"]].concat());
-        assert_eq!(out.status.code(), Some(2), "{removed}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("unknown option"), "{removed}: {stderr}");
-    }
-}
-
-#[test]
-fn removed_telemetry_surface_is_unknown() {
-    // The event log is the fleet's one telemetry output: there is no
-    // endpoint to mount and no live view to poll. The flags are gone, not
-    // ignored. (Spelled in pieces, like the other removed flags, so that a
-    // grep over the sources finds none.)
-    let serve = ["serve", "--app", "VA"];
-    let work = ["work", "--connect", "127.0.0.1:80"];
-    let port = format!("--{}-port", "telemetry");
-    for (cmd, removed) in [
-        (&serve, port.clone()),
-        (&work, port.clone()),
-        (&serve, format!("{port}-file")),
-        (&work, format!("{port}-file")),
-        (&serve, format!("--interval-{}", "ms")),
-        (&serve, format!("--{}", "iterations")),
-    ] {
-        let out = campaign(&[&cmd[..], &[&removed, "1"]].concat());
-        assert_eq!(out.status.code(), Some(2), "{removed}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("unknown option"), "{removed}: {stderr}");
-    }
-    // And so are the subcommands that read the endpoints.
-    for sub in ["status", "top", "scrape", "lint"] {
         let out = campaign(&[sub, "127.0.0.1:80"]);
         assert_eq!(out.status.code(), Some(2), "{sub}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("unknown subcommand"), "{sub}: {stderr}");
     }
-    assert_exit(&["timeline"], 2); // no files
-}
-
-#[test]
-fn one_session_serves_an_adaptive_campaign_so_no_flag_asks_for_it() {
-    // The worker is told each wave by its job frame: the switch that made
-    // it reconnect per wave is gone, not ignored. (Spelled in pieces, like
-    // the other removed flags, so that a grep over the sources finds none.)
-    let removed = format!("--{}", "follow");
-    assert_exit(&["work", "--connect", "127.0.0.1:80", &removed], 2);
-    // An adaptive coordinator and its worker take the command lines of
-    // any other campaign's: they pass validation and fail at run time
-    // only — here on a listen address that is taken, and on a coordinator
-    // that is not there.
-    let taken = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = taken.local_addr().unwrap().to_string();
-    assert_exit(
-        &["serve", "--app", "VA", "--adaptive", "--listen", &addr],
-        1,
-    );
-    drop(taken);
-    assert_exit(&["work", "--connect", &addr], 1);
-}
-
-#[test]
-fn telemetry_runtime_failures_exit_1() {
-    // A missing events file is a runtime failure for the timeline
-    // renderer.
-    assert_exit(&["timeline", "/definitely/not/events.jsonl"], 1);
+    let removed = [
+        (format!("--{}", "listen"), Some("127.0.0.1:0")),
+        (format!("--port-{}", "file"), Some("port.txt")),
+        (format!("--lease-{}", "ms"), Some("100")),
+        (format!("--{}", "connect"), Some("127.0.0.1:80")),
+        (format!("--{}", "name"), Some("w1")),
+        (format!("--fail-{}", "after"), Some("1")),
+        (format!("--{}", "trace"), None),
+        (format!("--backoff-{}", "ms"), Some("100")),
+        (format!("--max-backoff-{}", "ms"), Some("100")),
+        (format!("--wait-{}", "ms"), Some("100")),
+        (format!("--heartbeat-{}", "ms"), Some("100")),
+        (format!("--read-timeout-{}", "ms"), Some("100")),
+        (format!("--{}-port", "telemetry"), Some("1")),
+        (format!("--{}-port-file", "telemetry"), Some("1")),
+        (format!("--interval-{}", "ms"), Some("1")),
+        (format!("--{}", "iterations"), Some("1")),
+        (format!("--{}", "follow"), None),
+    ];
+    let run = ["run", "--app", "VA"];
+    let merge = ["merge", "--app", "VA"];
+    let paper = ["paper", "--out-dir", "x"];
+    for cmd in [&run[..], &merge, &paper] {
+        for (flag, value) in &removed {
+            let args: Vec<&str> = cmd
+                .iter()
+                .copied()
+                .chain([flag.as_str()])
+                .chain(*value)
+                .collect();
+            let out = campaign(&args);
+            assert_eq!(out.status.code(), Some(2), "{args:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains("unknown option"), "{args:?}: {stderr}");
+        }
+    }
+    for help in [
+        &["--help"][..],
+        &["run", "--help"],
+        &["merge", "--help"],
+        &["paper", "--help"],
+    ] {
+        let text = String::from_utf8(campaign(help).stdout).unwrap();
+        for (flag, _) in &removed {
+            assert!(!text.contains(flag.as_str()), "{help:?} lists {flag}");
+        }
+        for sub in ["serve", "work", "timeline"] {
+            assert!(!text.contains(sub), "{help:?} names {sub}");
+        }
+    }
+    assert!(!std::path::Path::new("x").exists(), "nothing was written");
 }
 
 #[test]
@@ -373,13 +343,6 @@ fn runtime_failures_exit_1() {
         &["merge", "--app", "VA", "/definitely/not/a/real/file.jsonl"],
         1,
     );
-    // Connection refused: find a port with no listener by binding then
-    // dropping it (racy in theory, dead port in practice).
-    let port = {
-        let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        l.local_addr().unwrap().port()
-    };
-    assert_exit(&["work", "--connect", &format!("127.0.0.1:{port}")], 1);
 }
 
 /// A journal whose last line is `{"idx":` and 100,000 `[`s resumes like

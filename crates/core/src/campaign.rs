@@ -605,17 +605,10 @@ where
     if sorted {
         order.sort_by_key(|&i| trial_sort_key(&prep.plan.trials[i]));
     }
-    // Per-trial trace contexts. Pure observation — nothing here touches
-    // the seeded RNG streams.
-    if observing() {
-        obs::trace::set_campaign_fp(prep.plan.fingerprint());
-    }
     let mut records: Vec<TrialRecord> = obs::span("core.execute", || {
         (order.par_iter())
             .map(|&idx| -> Result<TrialRecord, std::io::Error> {
-                let rec = obs::trace::with_ctx(idx as u64, || {
-                    run_one_trial(prep, &prep.plan.trials[idx], golden)
-                });
+                let rec = run_one_trial(prep, &prep.plan.trials[idx], golden);
                 sink(&rec)?;
                 Ok(rec)
             })
@@ -672,7 +665,6 @@ pub fn execute_resumable(
 ) -> Result<ShardRun, EngineError> {
     let plan = &prep.plan;
     let my = shard_trials(plan.len(), eng.shards, eng.shard_index);
-    obs::trace::set_shard(eng.shard_index as u64);
     let header = CheckpointHeader::for_plan(plan, eng.shards, eng.shard_index);
     let mut set = RecordSet::new(plan.len());
     let in_plan_order = |set: &RecordSet| -> Vec<TrialRecord> {

@@ -21,9 +21,9 @@
 //! garbage as corruption.
 
 use std::fmt;
-use std::fs::File;
+use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use kernels::Outcome;
 use obs::events::{record_json, Fields};
@@ -258,6 +258,15 @@ pub fn load_checkpoint(path: &Path) -> Result<Checkpoint, CheckpointError> {
     parse_checkpoint(&std::fs::read_to_string(path)?)
 }
 
+/// Where [`CheckpointWriter::recreate`] writes a journal's canonical copy
+/// before renaming it over the journal: `PATH.tmp`, beside it, so the
+/// rename stays on one file system.
+fn temp_path(path: &Path) -> PathBuf {
+    let mut os = path.as_os_str().to_owned();
+    os.push(".tmp");
+    PathBuf::from(os)
+}
+
 /// Incremental checkpoint writer: appends one line per classified trial
 /// and flushes every `every` records, so an interruption loses at most
 /// `every` finished trials (plus one torn line, which the reader drops).
@@ -293,20 +302,38 @@ impl CheckpointWriter {
 
     /// Rewrite `path` with the canonical serialization of an existing
     /// checkpoint and keep it open for appending — the resume path. The
-    /// rewrite truncates any torn final line the previous run left, so
-    /// appends never land mid-record.
+    /// rewrite drops any torn final line the previous run left, so appends
+    /// never land mid-record. The journal is never truncated in place: the
+    /// canonical copy goes to `PATH.tmp` beside it, is fsynced and renamed
+    /// over `path`, so a kill or a write error at any point leaves either
+    /// the old journal or the new one, never a partial one.
     pub fn recreate(
         path: &Path,
         existing: &Checkpoint,
         every: usize,
     ) -> std::io::Result<CheckpointWriter> {
-        let mut cw = CheckpointWriter::create(path, &existing.header, every)?;
-        for r in &existing.records {
-            cw.w.write_all(r.to_json().as_bytes())?;
-            cw.w.write_all(b"\n")?;
+        let tmp = temp_path(path);
+        let written = (|| {
+            let mut f = File::create(&tmp)?;
+            f.write_all(checkpoint_to_string(existing).as_bytes())?;
+            f.sync_all()?;
+            std::fs::rename(&tmp, path)?;
+            // The rename is durable only once the directory entry is.
+            let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+            File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
+        })();
+        if let Err(e) = written {
+            // Best effort: a temp file left behind is harmless, but the
+            // error that stopped the rewrite is the one to report.
+            let _ = std::fs::remove_file(&tmp);
+            return Err(e);
         }
-        cw.w.flush()?;
-        Ok(cw)
+        let file = OpenOptions::new().append(true).open(path)?;
+        Ok(CheckpointWriter {
+            w: BufWriter::new(file),
+            every: every.max(1),
+            pending: 0,
+        })
     }
 
     /// Append one classified trial, flushing every `every` records.
@@ -570,6 +597,43 @@ mod tests {
         let after = load_checkpoint(&path).unwrap();
         assert_eq!(after.records.len(), 4);
         assert_eq!(after.records[3], extra);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_recreate_leaves_the_journal_intact() {
+        // The rewrite goes to a sibling file first: when that cannot be
+        // created (here a directory sits at its path), recreate fails and
+        // the journal keeps every byte it had, torn tail included.
+        let dir = std::env::temp_dir().join(format!("relia_ckpt_atomic_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("shard.jsonl");
+        let mut w = CheckpointWriter::create(&path, &header(), 1).unwrap();
+        for r in records() {
+            w.record(&r).unwrap();
+        }
+        w.finish().unwrap();
+        let mut text = std::fs::read_to_string(&path).unwrap();
+        text.push_str("{\"record\":\"tri");
+        std::fs::write(&path, &text).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        let loaded = load_checkpoint(&path).unwrap();
+
+        std::fs::create_dir_all(temp_path(&path)).unwrap();
+        assert!(CheckpointWriter::recreate(&path, &loaded, 1).is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+
+        // With the way clear, the same call rewrites it canonically.
+        std::fs::remove_dir(temp_path(&path)).unwrap();
+        CheckpointWriter::recreate(&path, &loaded, 1)
+            .unwrap()
+            .finish()
+            .unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            checkpoint_to_string(&loaded)
+        );
+        assert!(!temp_path(&path).exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -46,6 +46,7 @@ pub mod pvf;
 pub mod records;
 pub mod report;
 pub mod reuse;
+pub mod spec;
 pub mod trends;
 
 pub use campaign::{
@@ -70,4 +71,5 @@ pub use profile::{kernel_metrics, normalized_pair, pair_shares, UtilMetrics, MET
 pub use pvf::{assemble_pvf, run_pvf_campaign, PvfAppResult, PvfKernelResult};
 pub use records::{records_fingerprint, RecordSet};
 pub use report::{metrics_tables, pct, pct4, RowArityError, Table};
+pub use spec::{parse_structures, scaled_gpu, CampaignSpec, WaveSpec, MAX_N, MAX_SMS};
 pub use trends::{compare_pairs, opposite_pairs, TrendCount, TrendItem};

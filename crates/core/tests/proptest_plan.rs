@@ -251,6 +251,43 @@ proptest! {
             Err(e) => prop_assert!(false, "unexpected error on truncation: {e}"),
         }
     }
+
+    /// The journal reader takes any bytes a damaged disk or a foreign
+    /// writer could leave: a valid journal with random bit flips, inserted
+    /// bytes and runs of `[`/`{` parses to a checkpoint or fails with a
+    /// `CheckpointError` — it never panics — and what it does accept is
+    /// canonical: written back out, it reads the same.
+    #[test]
+    fn damaged_journals_parse_or_fail_cleanly(
+        seed in any::<u64>(),
+        trials in prop::collection::vec((any::<u32>(), any::<u8>(), any::<bool>(), any::<u32>()), 0..30),
+        edits in prop::collection::vec((any::<u8>(), 0.0f64..1.0, any::<u8>(), any::<u16>()), 1..5),
+    ) {
+        let mut bytes = checkpoint_to_string(&checkpoint(seed, trials)).into_bytes();
+        for edit in edits {
+            fuzz_edit(&mut bytes, edit);
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        if let Ok(ck) = parse_checkpoint(&text) {
+            let again = parse_checkpoint(&checkpoint_to_string(&ck));
+            prop_assert_eq!(again.ok(), Some(ck), "an accepted journal round-trips");
+        }
+    }
+}
+
+/// Apply one fuzz edit to `bytes`: flip a bit, insert a byte, or insert
+/// a run of `[` or `{` (at most 1 KB), at the position `at` picks.
+fn fuzz_edit(bytes: &mut Vec<u8>, (kind, at, byte, run): (u8, f64, u8, u16)) {
+    let pos = (bytes.len() as f64 * at) as usize;
+    match kind % 3 {
+        0 if pos < bytes.len() => bytes[pos] ^= 1 << (byte % 8),
+        0 | 1 => bytes.insert(pos, byte),
+        _ => {
+            let open = if byte % 2 == 0 { b'[' } else { b'{' };
+            let run = usize::from(run % 1024);
+            bytes.splice(pos..pos, std::iter::repeat_n(open, run));
+        }
+    }
 }
 
 /// Golden pin for plan identity: the fingerprints of single-bit plans

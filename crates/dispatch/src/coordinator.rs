@@ -42,8 +42,9 @@ use relia::plan::{shard_trials, CampaignPlan};
 use relia::{EngineError, RecordSet};
 
 use crate::proto::{
-    backoff, parse_frame, wait, write_frame, CampaignSpec, Frame, Line, LineReader, PROTO_VERSION,
+    backoff, for_plan, parse_frame, wait, write_frame, Frame, Line, LineReader, PROTO_VERSION,
 };
+use crate::CampaignSpec;
 use crate::DispatchError;
 
 /// Accept-loop tick: how often the coordinator scans for expired leases.
@@ -205,12 +206,6 @@ pub fn serve_with<R>(
         }),
         wake: Condvar::new(),
     };
-    // Lifecycle markers (serve_start/lease/shard_complete/complete) are
-    // gated on the tracing switch; a coordinator with a live events sink
-    // wants them in the timeline alongside the worker-forwarded records.
-    if obs::events_enabled() {
-        obs::trace::set_tracing(true);
-    }
     listener.set_nonblocking(true)?;
 
     let out = std::thread::scope(|s| {
@@ -300,14 +295,12 @@ impl Coordinator<'_> {
             })
             .collect();
         let header = CheckpointHeader::for_plan(plan, shards, 0);
-        obs::trace::set_campaign_fp(header.fingerprint);
-        obs::trace::emit_for("serve_start", 0, u64::MAX, 0);
 
         {
             let mut st = self.state.lock().unwrap();
             st.job = Some(Job {
                 seq: st.job.as_ref().map_or(1, |j| j.seq + 1),
-                spec: spec.for_plan(plan),
+                spec: for_plan(spec, plan),
                 header,
                 journal,
                 shard_idxs,
@@ -336,7 +329,6 @@ impl Coordinator<'_> {
             records.len() as u64,
             records.len() as u64,
         );
-        obs::trace::emit_for("complete", 0, u64::MAX, 0);
         Ok(records)
     }
 
@@ -500,7 +492,6 @@ fn next_frame(coord: &Coordinator, conn: u64, worker: &str, seq: u64) -> (Frame,
         done.len() as u64,
         job.shard_idxs[shard].len() as u64,
     );
-    obs::trace::emit_for("lease", shard as u64, u64::MAX, 0);
     let ms = u64::try_from(coord.cfg.lease.as_millis()).unwrap_or(u64::MAX);
     (Frame::Lease { shard, done, ms }, seq)
 }
@@ -605,7 +596,6 @@ fn complete_shard(coord: &Coordinator, seq: u64, shard: usize, worker: &str) -> 
         total,
         total,
     );
-    obs::trace::emit_for("shard_complete", shard as u64, u64::MAX, 0);
     if done_shards == coord.cfg.shards {
         coord.finish(&mut st, None);
     }
@@ -725,7 +715,6 @@ fn handle_inner(conn: u64, mut stream: TcpStream, coord: &Coordinator) -> std::i
                             return Ok(()); // conflicting duplicate: plan aborted
                         }
                     }
-                    Some(Frame::Trace(ev)) => obs::trace::emit_event(ev),
                     Some(Frame::Heartbeat { shard, .. }) => renew_lease(coord, conn, seq, shard),
                     Some(Frame::Poll) => continue 'serve,
                     Some(Frame::ShardDone { shard }) => {

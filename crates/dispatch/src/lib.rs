@@ -4,7 +4,13 @@
 //! farms the shards of one deterministic fault-injection campaign out to
 //! a fleet of worker daemons and merges their results **byte-identically**
 //! to a single-process run — the networked layer on top of the
-//! plan/execute/assemble engine in `crates/core` (docs/DISPATCH.md).
+//! plan/execute/assemble engine in `crates/core`.
+//!
+//! No command runs it: the `campaign` command line's multi-machine path
+//! is `run --shards/--shard-index` plus `merge`. The library stays only
+//! for the perf ledger's loopback probe (`benchmarks/ledger`), and goes
+//! once that probe does. Its job frame carries the library's campaign
+//! description, [`relia::CampaignSpec`].
 //!
 //! * The **coordinator** ([`serve`] for one plan; [`serve_with`] and
 //!   [`Coordinator::run`] for a campaign of several, the waves of an
@@ -36,10 +42,9 @@ pub mod proto;
 pub mod worker;
 
 pub use coordinator::{serve, serve_with, Coordinator, DispatchCfg, DispatchStats, ServeOutcome};
-pub use proto::{
-    parse_frame, parse_strata, parse_structures, scaled_gpu, strata_spec, structures_spec,
-    CampaignSpec, Frame, WaveSpec, MAX_N, MAX_SMS,
-};
+pub use proto::{parse_frame, parse_strata, strata_spec, structures_spec, Frame};
+/// The campaign description the job frame carries is the library's.
+pub use relia::{CampaignSpec, WaveSpec};
 pub use worker::{work, WorkSummary, WorkerCfg};
 
 use std::fmt;

@@ -8,7 +8,7 @@
 //! [`relia::checkpoint::CheckpointWriter`] unchanged.
 //!
 //! ```text
-//! W→C  {"frame":"hello","worker":"w1","proto":5}
+//! W→C  {"frame":"hello","worker":"w1","proto":6}
 //! C→W  {"frame":"job","app":"VA","layer":"uarch","n":60,"seed":7,...}
 //! W→C  {"frame":"ready","fingerprint":123456789}
 //! C→W  {"frame":"lease","shard":2,"done":"8,14","ms":10000}
@@ -34,17 +34,13 @@
 //! is always detected, never misread as a shorter valid frame (guarded
 //! by a property test mirroring the torn-checkpoint-line tests).
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use obs::events::{record_json, Fields, JsonValue};
 use relia::checkpoint::TrialRecord;
-use relia::plan::{
-    plan_sw, plan_uarch, plan_wave, CampaignPlan, Layer, PreparedCampaign, StratumSpec,
-    TrialTarget, SVF_KINDS,
-};
-use relia::{AppCaptures, CampaignCfg, FastForward};
-use vgpu_sim::{FaultPattern, GpuConfig, HwStructure, SwFaultKind};
+use relia::plan::{CampaignPlan, Layer, StratumSpec, TrialTarget};
+use relia::{parse_structures, CampaignSpec, FastForward, WaveSpec};
+use vgpu_sim::{FaultPattern, HwStructure, SwFaultKind};
 
 /// Bumped whenever a frame changes incompatibly; [`Frame::Hello`] carries
 /// it and the coordinator rejects mismatched workers during the handshake.
@@ -53,8 +49,10 @@ use vgpu_sim::{FaultPattern, GpuConfig, HwStructure, SwFaultKind};
 /// connection, which a version-2 worker would read as a protocol error;
 /// version 4 adds the lease's duration (`ms`) to the `lease` frame, which
 /// the worker derives its heartbeat from; version 5 drops the worker's
-/// telemetry address from the `hello` frame.
-pub const PROTO_VERSION: u64 = 5;
+/// telemetry address from the `hello` frame; version 6 drops the `trace`
+/// record a worker could forward, which a version-5 coordinator would
+/// re-log and a version-6 one reads as a protocol error.
+pub const PROTO_VERSION: u64 = 6;
 
 /// How long a worker waits on a silent coordinator before it gives up. A
 /// constant: an idle worker hears from the coordinator at least every
@@ -84,51 +82,6 @@ pub(crate) fn heartbeat(lease: Duration) -> Duration {
     at_least_1ms(lease / 20)
 }
 
-/// Largest simulated GPU a campaign may ask for. Bounds what a job frame
-/// can make a worker allocate, and keeps the L2 size (128 KiB per SM)
-/// well inside `u32`.
-pub const MAX_SMS: u32 = 1024;
-
-/// Largest per-stratum sample size a campaign may ask for (333× the
-/// paper's 3,000). Bounds the trial list a `--n` or a job frame's `n` can
-/// make a process allocate.
-pub const MAX_N: usize = 1_000_000;
-
-/// The simulated GPU for an SM count from outside the program (`--sms`,
-/// the job frame's `sms`): the only place that count is range-checked.
-pub fn scaled_gpu(sms: u32) -> Result<GpuConfig, String> {
-    if !(1..=MAX_SMS).contains(&sms) {
-        return Err(format!("--sms must be 1..={MAX_SMS}, got {sms}"));
-    }
-    Ok(GpuConfig::volta_scaled(sms))
-}
-
-/// Parse a `--structures RF,SMEM,L2` list into [`HwStructure`]s
-/// (case-insensitive labels, order preserved, duplicates dropped). The
-/// canonical implementation for both the CLI and the job frame; the error
-/// message names the offending label so callers can `exit(2)` with it.
-pub fn parse_structures(spec: &str) -> Result<Vec<HwStructure>, String> {
-    let mut out = Vec::new();
-    for part in spec.split(',') {
-        let label = part.trim().to_ascii_uppercase();
-        if label.is_empty() {
-            continue;
-        }
-        let h = HwStructure::from_label(&label).ok_or_else(|| {
-            format!("unknown structure {label:?} (known: RF, SMEM, L1D, L1T, L2, SIMT, SCHED)")
-        })?;
-        if !out.contains(&h) {
-            out.push(h);
-        }
-    }
-    if out.is_empty() {
-        return Err(
-            "--structures requires at least one of RF, SMEM, L1D, L1T, L2, SIMT, SCHED".into(),
-        );
-    }
-    Ok(out)
-}
-
 /// Inverse of [`parse_structures`] for the job frame: `None` (all five
 /// structures) serializes as the empty string.
 pub fn structures_spec(structures: &Option<Vec<HwStructure>>) -> String {
@@ -136,18 +89,6 @@ pub fn structures_spec(structures: &Option<Vec<HwStructure>>) -> String {
         None => String::new(),
         Some(v) => v.iter().map(|h| h.label()).collect::<Vec<_>>().join(","),
     }
-}
-
-/// One adaptive wave of a CI-driven campaign: the still-unconverged
-/// strata and their trial-ordinal windows. When a job frame carries a
-/// wave the worker rebuilds the plan with
-/// [`relia::plan::plan_wave`] instead of the fixed-n
-/// planners; the wave index folds into the plan fingerprint, so the
-/// handshake still proves both sides expanded the identical trial set.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WaveSpec {
-    pub wave: u64,
-    pub strata: Vec<StratumSpec>,
 }
 
 /// Serialize wave strata for the job frame:
@@ -200,143 +141,16 @@ pub fn parse_strata(spec: &str, layer: Layer) -> Option<Vec<StratumSpec>> {
     Some(out)
 }
 
-/// Everything a worker needs to rebuild the coordinator's campaign plan
-/// locally. Every setting that decides a trial's record is here or in the
-/// plan fingerprint; the one other knob, the library's wall-clock
-/// [`relia::Watchdog`], reclassifies by machine speed and is never set on
-/// a worker.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CampaignSpec {
-    pub app: String,
-    pub layer: Layer,
-    /// Injections per (kernel, target) sub-campaign.
-    pub n: usize,
-    pub seed: u64,
-    /// SM count of the simulated GPU ([`GpuConfig::volta_scaled`]).
-    pub sms: u32,
-    pub hardened: bool,
-    /// Structure subset for uarch campaigns (`None` = all five).
-    pub structures: Option<Vec<HwStructure>>,
-    /// Fault pattern every trial applies (docs/FAULT_MODELS.md). Part of
-    /// the plan fingerprint for non-default patterns, so a worker running
-    /// a different model fails the handshake instead of merging garbage.
-    pub fault_model: FaultPattern,
-    /// Trial path the workers run: `timed` or `replay` on the wire, never
-    /// the oracle. A pure throughput choice — classification is
-    /// byte-identical either way — so it is *not* part of the plan
-    /// fingerprint; heterogeneous backends across a fleet still merge.
-    pub backend: FastForward,
-    /// `Some` for one wave of an adaptive campaign (`None` = the classic
-    /// fixed-n plan, which carries neither wave field on the wire).
-    pub wave: Option<WaveSpec>,
-}
-
-impl CampaignSpec {
-    /// The one range check of a campaign description, run wherever a spec
-    /// enters the program (the CLI flag table, [`parse_frame`]): a spec
-    /// that passes can be prepared and executed without tripping an
-    /// engine assertion. Messages name the CLI flags.
-    pub fn validate(&self) -> Result<(), String> {
-        scaled_gpu(self.sms)?;
-        if !FastForward::SELECTABLE.contains(&self.backend) {
-            return Err(format!(
-                "--backend must be timed or replay, got {}",
-                self.backend.label()
-            ));
-        }
-        let wave_counts = self.wave.iter().flat_map(|w| &w.strata).map(|s| s.count);
-        if let Some(n) = wave_counts.chain([self.n]).find(|&n| n > MAX_N) {
-            return Err(format!("--n must be 0..={MAX_N}, got {n}"));
-        }
-        let Some(structures) = &self.structures else {
-            return Ok(());
-        };
-        if self.layer == Layer::Sw {
-            return Err("--structures only applies to --layer uarch".into());
-        }
-        // SIMT-stack and scheduler state is ephemeral: a transient flip
-        // there is just one corrupted access, which the storage
-        // structures already model. Only the persistent stuck-at patterns
-        // target them.
-        let control = |h: &HwStructure| matches!(h, HwStructure::Simt | HwStructure::Sched);
-        if structures.iter().any(control) && !self.fault_model.is_persistent() {
-            return Err(format!(
-                "--structures SIMT/SCHED requires a stuck-at fault model \
-                 (--fault-model stuck-at-0 or stuck-at-1), got {}",
-                self.fault_model.label()
-            ));
-        }
-        Ok(())
-    }
-
-    /// The campaign configuration this spec describes (no wall-clock
-    /// watchdog — the bit-reproducible setting).
-    pub fn campaign_cfg(&self) -> CampaignCfg {
-        let mut cfg = CampaignCfg::new(self.n, self.n, self.seed);
-        cfg.gpu = GpuConfig::volta_scaled(self.sms);
-        cfg.pattern = self.fault_model;
-        cfg
-    }
-
-    /// Look up the benchmark by name (case-insensitive).
-    pub fn find_bench(&self) -> Result<Box<dyn kernels::Benchmark>, String> {
-        let mut all = kernels::all_benchmarks();
-        let i = self.bench_index(&all)?;
-        Ok(all.swap_remove(i))
-    }
-
-    /// Position of this spec's benchmark in `all` (by name,
-    /// case-insensitive) — for callers that keep the suite alive across
-    /// several specs.
-    pub fn bench_index(&self, all: &[Box<dyn kernels::Benchmark>]) -> Result<usize, String> {
-        all.iter()
-            .position(|b| b.name().eq_ignore_ascii_case(&self.app))
-            .ok_or_else(|| {
-                let names: Vec<&str> = all.iter().map(|b| b.name()).collect();
-                format!(
-                    "unknown app {:?}; available: {}",
-                    self.app,
-                    names.join(", ")
-                )
-            })
-    }
-
-    /// This spec as the job frame of `plan`, one plan of its campaign: a
-    /// wave plan's index and strata ride along, so a worker re-expands
-    /// exactly it.
-    pub(crate) fn for_plan(&self, plan: &CampaignPlan) -> CampaignSpec {
-        let wave = plan.wave.map(|wave| WaveSpec {
-            wave,
-            strata: plan.strata.clone(),
-        });
-        CampaignSpec {
-            wave,
-            ..self.clone()
-        }
-    }
-
-    /// Run the golden execution and expand the deterministic trial plan —
-    /// the worker-side mirror of what the coordinator prepared. Identical
-    /// specs on identical code produce identical plan fingerprints; the
-    /// handshake verifies exactly that.
-    pub fn prepare<'a>(&self, bench: &'a dyn kernels::Benchmark) -> PreparedCampaign<'a> {
-        let gpu = GpuConfig::volta_scaled(self.sms);
-        self.plan(&AppCaptures::new(bench, &gpu, self.layer, self.hardened))
-    }
-
-    /// [`CampaignSpec::prepare`] against captures the caller holds (they
-    /// must be this spec's application, GPU, layer and variant).
-    pub fn plan<'a>(&self, captures: &Arc<AppCaptures<'a>>) -> PreparedCampaign<'a> {
-        let cfg = self.campaign_cfg();
-        match (&self.wave, self.layer) {
-            (Some(w), _) => plan_wave(captures, &cfg, &w.strata, w.wave),
-            (None, Layer::Uarch) => plan_uarch(
-                captures,
-                &cfg,
-                self.structures.as_deref().unwrap_or(&HwStructure::ALL),
-            ),
-            (None, Layer::Sw) => plan_sw(captures, &cfg, &SVF_KINDS),
-        }
+/// `spec` as the job frame of `plan`, one plan of its campaign: a wave
+/// plan's index and strata ride along, so a worker re-expands exactly it.
+pub(crate) fn for_plan(spec: &CampaignSpec, plan: &CampaignPlan) -> CampaignSpec {
+    let wave = plan.wave.map(|wave| WaveSpec {
+        wave,
+        strata: plan.strata.clone(),
+    });
+    CampaignSpec {
+        wave,
+        ..spec.clone()
     }
 }
 
@@ -378,10 +192,6 @@ pub enum Frame {
     Shutdown,
     /// One classified trial, in the checkpoint record shape.
     Trial(TrialRecord),
-    /// One trace record forwarded worker → coordinator, in the
-    /// `"record":"trace"` JSONL shape (docs/OBSERVABILITY.md), so the
-    /// coordinator's event log holds the fleet-wide timeline.
-    Trace(obs::TraceEvent),
 }
 
 fn idx_list(v: &[usize]) -> String {
@@ -464,7 +274,6 @@ impl Frame {
             Frame::Ack { shard } => ("ack", vec![("shard", (*shard).into())]),
             Frame::Shutdown => ("shutdown", vec![]),
             Frame::Trial(r) => return r.to_json(),
-            Frame::Trace(ev) => return ev.to_json(),
         };
         let mut all = vec![("frame", kind.into())];
         all.extend(fields);
@@ -478,10 +287,9 @@ impl Frame {
 pub fn parse_frame(line: &str) -> Option<Frame> {
     let f = Fields::parse(line)?;
     let Some(kind) = f.str("frame") else {
-        // Not a control frame: a trial or a trace record.
+        // Not a control frame: a trial record.
         return match f.str("record")? {
             "trial" => TrialRecord::from_fields(&f).map(Frame::Trial),
-            "trace" => obs::TraceEvent::from_fields(&f).map(Frame::Trace),
             _ => None,
         };
     };
@@ -628,6 +436,7 @@ pub(crate) fn write_frame(w: &mut std::net::TcpStream, frame: &Frame) -> std::io
 mod tests {
     use super::*;
     use kernels::Outcome;
+    use relia::{MAX_N, MAX_SMS};
 
     fn spec() -> CampaignSpec {
         CampaignSpec {
@@ -756,15 +565,6 @@ mod tests {
                 ctrl: false,
                 wall_us: 950,
             }),
-            Frame::Trace(obs::TraceEvent {
-                kind: "kernels.trials".into(),
-                worker: "w1".into(),
-                campaign_fp: u64::MAX - 3,
-                shard: 2,
-                trial: 17,
-                t_us: 1_000_000,
-                wall_us: 917,
-            }),
         ];
         for f in frames {
             let line = f.to_json();
@@ -793,16 +593,17 @@ mod tests {
     /// One line per frame kind. Every one but `lease` and `hello` holds
     /// the bytes the protocol-3 writer produced for the same values;
     /// `lease` gained its duration in protocol 4, and one without it does
-    /// not parse; `hello` lost the worker's telemetry address in 5.
+    /// not parse; `hello` lost the worker's telemetry address in 5, and
+    /// its version reads 6 since the `trace` record went.
     #[test]
     fn every_frame_kind_is_pinned_byte_for_byte() {
         let pins = [
             (
                 Frame::Hello {
                     worker: "w\"1".into(),
-                    proto: 5,
+                    proto: 6,
                 },
-                r#"{"frame":"hello","worker":"w\"1","proto":5}"#,
+                r#"{"frame":"hello","worker":"w\"1","proto":6}"#,
             ),
             (
                 Frame::Job {
@@ -869,18 +670,6 @@ mod tests {
                 }),
                 r#"{"record":"trial","idx":17,"outcome":"sdc","ctrl":true,"wall_us":950}"#,
             ),
-            (
-                Frame::Trace(obs::TraceEvent {
-                    kind: "kernels.trials".into(),
-                    worker: "w1".into(),
-                    campaign_fp: u64::MAX - 3,
-                    shard: 2,
-                    trial: 17,
-                    t_us: 1_000_000,
-                    wall_us: 917,
-                }),
-                r#"{"record":"trace","kind":"kernels.trials","worker":"w1","campaign_fp":18446744073709551612,"shard":2,"trial":17,"t_us":1000000,"wall_us":917}"#,
-            ),
         ];
         for (frame, pinned) in pins {
             assert_eq!(frame.to_json(), pinned);
@@ -920,7 +709,7 @@ mod tests {
         }
         .to_json();
         assert!(parse_frame(&hello).is_some());
-        assert!(parse_frame(&hello.replace(",\"proto\":5", "")).is_none());
+        assert!(parse_frame(&hello.replace(",\"proto\":6", "")).is_none());
         let job = Frame::Job {
             spec: spec(),
             shards: 2,

@@ -54,9 +54,6 @@ pub struct WorkerCfg {
     /// Test hook: tear the connection down (no goodbye) after this many
     /// trial records have been streamed, emulating a SIGKILLed worker.
     pub fail_after: Option<usize>,
-    /// Capture [`obs::TraceEvent`]s during execution and forward them to
-    /// the coordinator as `trace` frames after each lease.
-    pub trace: bool,
 }
 
 impl Default for WorkerCfg {
@@ -64,7 +61,6 @@ impl Default for WorkerCfg {
         WorkerCfg {
             name: "worker".into(),
             fail_after: None,
-            trace: false,
         }
     }
 }
@@ -79,9 +75,6 @@ pub struct WorkSummary {
     pub trials_executed: usize,
     /// True when `fail_after` fired and the session died mid-stream.
     pub died_early: bool,
-    /// Trace records lost to the capture cap during this session, so
-    /// missing from the coordinator's timeline (0 unless `trace`).
-    pub trace_dropped: u64,
 }
 
 /// Read the next well-formed frame, dropping torn lines, within
@@ -119,7 +112,6 @@ fn send(write: &Mutex<TcpStream>, frame: &Frame) -> std::io::Result<()> {
 /// The plan of the latest `job` frame, as this worker expanded it.
 struct Job<'b> {
     prep: PreparedCampaign<'b>,
-    fingerprint: u64,
     shards: usize,
     path: FastForward,
     /// Every record this worker produced for the plan (`resend` replays
@@ -136,13 +128,6 @@ struct Job<'b> {
 /// is reported as `Ok` with [`WorkSummary::died_early`] set — the test
 /// harness treats it as the expected outcome, not a failure.
 pub fn work(addr: &str, cfg: &WorkerCfg) -> Result<WorkSummary, DispatchError> {
-    let dropped_before = obs::trace::dropped();
-    if cfg.trace {
-        obs::trace::set_tracing(true);
-        obs::trace::set_capture(true);
-        obs::trace::set_worker(&cfg.name);
-    }
-
     let stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(READ_TICK))?;
@@ -171,7 +156,6 @@ pub fn work(addr: &str, cfg: &WorkerCfg) -> Result<WorkSummary, DispatchError> {
         shards_completed: 0,
         trials_executed: 0,
         died_early: false,
-        trace_dropped: 0,
     };
     let held = |job: &Option<Job>| job.as_ref().map_or(0, |j| j.cache.lock().unwrap().held());
 
@@ -208,7 +192,6 @@ pub fn work(addr: &str, cfg: &WorkerCfg) -> Result<WorkSummary, DispatchError> {
                 job = Some(Job {
                     cache: Mutex::new(RecordSet::new(prep.plan.len())),
                     prep,
-                    fingerprint,
                     shards,
                     // The dispatched backend is a throughput choice, not a
                     // plan property: it rides outside the fingerprint, so
@@ -228,11 +211,6 @@ pub fn work(addr: &str, cfg: &WorkerCfg) -> Result<WorkSummary, DispatchError> {
                     .into_iter()
                     .filter(|i| done.binary_search(i).is_err())
                     .collect();
-                if cfg.trace {
-                    obs::trace::set_shard(shard as u64);
-                    obs::trace::set_campaign_fp(job.fingerprint);
-                    obs::trace::emit_for("lease_start", shard as u64, u64::MAX, 0);
-                }
                 let hb = heartbeat(Duration::from_millis(ms));
                 run_lease(job, &todo, &write, cfg, shard, hb, &executed, &died)?;
                 if died.load(Ordering::Acquire) {
@@ -241,13 +219,6 @@ pub fn work(addr: &str, cfg: &WorkerCfg) -> Result<WorkSummary, DispatchError> {
                     let _ = write.lock().unwrap().shutdown(std::net::Shutdown::Both);
                     summary.died_early = true;
                     break;
-                }
-                if cfg.trace {
-                    // Forward everything captured during the lease; the
-                    // coordinator re-emits the events into its own sink.
-                    for ev in obs::trace::drain() {
-                        send(&write, &Frame::Trace(ev))?;
-                    }
                 }
                 send(&write, &Frame::ShardDone { shard })?;
                 // Await the ack, replaying any records lost to torn frames.
@@ -289,9 +260,6 @@ pub fn work(addr: &str, cfg: &WorkerCfg) -> Result<WorkSummary, DispatchError> {
     }
 
     summary.trials_executed += held(&job);
-    if cfg.trace {
-        summary.trace_dropped = obs::trace::dropped() - dropped_before;
-    }
     Ok(summary)
 }
 

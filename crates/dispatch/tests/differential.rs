@@ -6,9 +6,7 @@
 //! 2. a local 3-shard run merged through a `RecordSet`,
 //! 3. a coordinator + 3 worker daemons over TCP, where the FIRST worker
 //!    is killed mid-campaign (socket torn down after a few trials) and
-//!    its lease is reassigned to a healthy worker — in one case with
-//!    trace capture and forwarding on in a healthy worker, which must not
-//!    change a result bit nor lose a trace record.
+//!    its lease is reassigned to a healthy worker.
 //!
 //! "Agree" is byte-level for everything the campaign defines: record
 //! fingerprints, per-trial (idx, outcome, ctrl), and the fully assembled
@@ -55,12 +53,10 @@ fn differential(app: &str, layer: Layer) {
 }
 
 fn differential_pattern(app: &str, layer: Layer, fault_model: FaultPattern) {
-    differential_spec(spec_for(app, layer, fault_model), false);
+    differential_spec(spec_for(app, layer, fault_model));
 }
 
-/// `trace`: worker w1 captures trace records and forwards them after each
-/// lease (`campaign work --trace`).
-fn differential_spec(spec: CampaignSpec, trace: bool) {
+fn differential_spec(spec: CampaignSpec) {
     let app = spec.app.clone();
     let layer = spec.layer;
     let bench = spec.find_bench().expect("benchmark exists");
@@ -109,7 +105,6 @@ fn differential_spec(spec: CampaignSpec, trace: bool) {
             &WorkerCfg {
                 name: "doomed".into(),
                 fail_after: Some(2),
-                ..healthy.clone()
             },
         )
         .expect("doomed worker session");
@@ -121,7 +116,6 @@ fn differential_spec(spec: CampaignSpec, trace: bool) {
                 &addr,
                 &WorkerCfg {
                     name: "w1".into(),
-                    trace,
                     ..healthy.clone()
                 },
             )
@@ -136,8 +130,7 @@ fn differential_spec(spec: CampaignSpec, trace: bool) {
             )
         });
         let outcome = coordinator.join().unwrap().expect("serve");
-        let w1 = w1.join().unwrap().expect("w1");
-        assert_eq!(w1.trace_dropped, 0, "w1 lost trace records: {w1:?}");
+        w1.join().unwrap().expect("w1");
         w2.join().unwrap().expect("w2");
         outcome
     });
@@ -198,8 +191,7 @@ fn differential_spec(spec: CampaignSpec, trace: bool) {
 
 #[test]
 fn va_uarch_dispatch_equals_single_shot() {
-    let spec = spec_for("VA", Layer::Uarch, FaultPattern::SingleBit);
-    differential_spec(spec, true);
+    differential("VA", Layer::Uarch);
 }
 
 #[test]
@@ -283,7 +275,6 @@ fn va_uarch_adaptive_dispatch_equals_single_shot() {
                         &WorkerCfg {
                             name: "doomed".into(),
                             fail_after: Some(2),
-                            ..healthy.clone()
                         },
                     )
                     .expect("doomed worker session");
@@ -388,13 +379,10 @@ fn va_uarch_replay_backend_dispatch_equals_single_shot() {
     // The workers run the replay backend (the spec field rides the job
     // frame); the single-shot reference stays timed, so this is the
     // cross-backend, cross-process equality the backend axis promises.
-    differential_spec(
-        CampaignSpec {
-            backend: relia::FastForward::Replay,
-            ..spec_for("VA", Layer::Uarch, FaultPattern::SingleBit)
-        },
-        false,
-    );
+    differential_spec(CampaignSpec {
+        backend: relia::FastForward::Replay,
+        ..spec_for("VA", Layer::Uarch, FaultPattern::SingleBit)
+    });
 }
 
 #[test]

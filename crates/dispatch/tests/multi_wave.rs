@@ -62,7 +62,6 @@ fn one_session_per_worker_serves_every_wave() {
     let worker = |name: &str, fail_after| WorkerCfg {
         name: name.into(),
         fail_after,
-        ..WorkerCfg::default()
     };
     let (steady_cfg, late_cfg) = (worker("steady", None), worker("late", None));
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");

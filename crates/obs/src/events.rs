@@ -1,7 +1,7 @@
 //! Structured JSONL event sink: one flat JSON object per line.
 //!
 //! Every record shape — one line per injection, the `campaign`,
-//! `dispatch`, `snapshot`, `wave` and `trace` records — goes through one
+//! `dispatch`, `snapshot` and `wave` records — goes through one
 //! hand-rolled writer (no serde in the sandbox), [`record_json`] behind
 //! [`emit_record`], so downstream analysis — SDC-pattern studies in the
 //! style of Tung et al., two-level SDC estimation à la Hari et al. — can
@@ -200,8 +200,7 @@ pub fn parse_line(line: &str) -> Option<Vec<(String, JsonValue)>> {
 }
 
 /// The fields of one [`parse_line`] line, looked up by key: the one field
-/// reader of every JSONL parser (checkpoint lines, wire frames, trace
-/// records). Fields a reader does not ask for are ignored, so a line may
+/// reader of every JSONL parser (checkpoint lines, wire frames). Fields a reader does not ask for are ignored, so a line may
 /// carry more than its reader knows.
 #[derive(Debug)]
 pub struct Fields(Vec<(String, JsonValue)>);
@@ -442,7 +441,7 @@ mod tests {
         ]
     }
 
-    /// One line of each of the six record shapes, pinned to the bytes the
+    /// One line of each of the five record shapes, pinned to the bytes the
     /// per-shape serializers this writer replaced produced for the same
     /// values — and each line parses back to exactly its fields.
     #[test]
@@ -514,18 +513,6 @@ mod tests {
                 back.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
             assert_eq!(back, *fields);
         }
-        let trace = crate::TraceEvent {
-            kind: "lease_start".into(),
-            worker: "w\t7".into(),
-            campaign_fp: 0xDEAD_BEEF_1234_5678,
-            shard: 2,
-            trial: u64::MAX,
-            t_us: 1_000_001,
-            wall_us: 0,
-        };
-        let pinned = r#"{"record":"trace","kind":"lease_start","worker":"w\t7","campaign_fp":16045690981402826360,"shard":2,"trial":18446744073709551615,"t_us":1000001,"wall_us":0}"#;
-        assert_eq!(trace.to_json(), pinned);
-        assert_eq!(crate::TraceEvent::parse(pinned), Some(trace));
     }
 
     #[test]

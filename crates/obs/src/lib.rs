@@ -14,13 +14,11 @@
 //!   `key=value` labels (e.g. `app`/`kernel`/`structure`).
 //! * [`span()`] — the one timer: a named span (`kernels.trials`,
 //!   `core.plan`, …, the perf ledger's names) observed into the
-//!   `span_us{span=<name>}` histogram while metrics are on and emitted as
-//!   a span-end [`trace`] record while tracing is on.
+//!   `span_us{span=<name>}` histogram while metrics are on.
 //! * [`events`] — a structured JSONL sink with one line writer,
 //!   [`events::record_json`], behind every line (one per injection, plus
-//!   campaign / dispatch / snapshot / wave / trace records, checkpoint
-//!   journals and dispatch wire frames); [`events::Fields`] reads lines
-//!   back.
+//!   campaign / dispatch / snapshot / wave records, checkpoint journals
+//!   and dispatch wire frames); [`events::Fields`] reads lines back.
 //! * [`progress`] — a throttled stderr progress reporter with running
 //!   outcome-class rates.
 //!
@@ -32,7 +30,6 @@ pub mod events;
 pub mod progress;
 pub mod registry;
 mod span;
-pub mod trace;
 
 pub use events::{
     emit_record, events_enabled, flush_events, init_events, parse_json, JsonNode, JsonValue,
@@ -43,7 +40,6 @@ pub use registry::{
     HistogramSnapshot, Registry, Snapshot,
 };
 pub use span::span;
-pub use trace::{TraceCtx, TraceEvent};
 
 /// Bucket upper bounds (µs) for injection wall-time histograms:
 /// sub-millisecond through multi-second, roughly ×2.5 per step.
@@ -57,13 +53,12 @@ pub fn reset_for_test() {
     registry::set_enabled(false);
     registry::global().clear();
     progress::reset();
-    trace::reset();
     events::shutdown_events();
 }
 
 /// Install a panic hook that flushes the JSONL event sink before the
 /// previous hook (usually the default backtrace printer) runs. Without
-/// it, a worker panicking mid-campaign loses the buffered event/trace
+/// it, a worker panicking mid-campaign loses the buffered event
 /// lines — exactly the lines needed to debug the panic. Idempotent.
 pub fn install_panic_hook() {
     static INSTALLED: std::sync::Once = std::sync::Once::new();

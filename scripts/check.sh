@@ -124,42 +124,28 @@ cmp "$PAPER/a/MANIFEST.extensions.csv" "$PAPER/c/MANIFEST.extensions.csv"
 rm -rf "$PAPER"
 echo "extension smoke: after paper == killed and resumed on its own == the study binaries' CSVs"
 
-echo "==> dispatch smoke (coordinator + 2 workers, one killed mid-run)"
-# Single-process reference, then the same campaign through the dispatch
-# service (docs/DISPATCH.md) with a worker that dies mid-lease via the
-# --fail-after hook. The merged CSV must be byte-identical and the
-# coordinator must report the dead worker's lease as reassigned. The
-# coordinator's event log is the fleet's one telemetry output
-# (docs/OBSERVABILITY.md): it must show the three workers joining and the
-# campaign completing with every planned trial held (VA: 1 kernel x 5
-# structures x 6 = 30). w1 runs with --trace: its spans reach the event
-# log, and `campaign timeline` lists a kernels.trials row per trial it ran.
-# Both runs name the timed backend: it simulates every trial, where replay
-# synthesizes 26 of these 30 as dead and leaves w1 few trials to show; the
-# single-process CSV is also the replay smoke's reference below.
-DISP=$(mktemp -d)
+echo "==> shard smoke (docs/CAMPAIGNS.md): three shard processes, one killed and resumed, merged"
+# The multi-machine path is one `run --shards 3 --shard-index i` process
+# per machine, each journaling with --checkpoint, and one `merge` of the
+# journals. Shard 1 is killed by --limit (3 of its 10 trials journaled)
+# and finished by --resume. The merged CSV must be byte-identical to the
+# single-process one (VA: 1 kernel x 5 structures x 6 = 30 trials). The
+# reference names the timed backend, which simulates every trial; the
+# shards run on the default replay backend, which synthesizes the trials
+# it proves dead: records are identical on both. The single-process CSV
+# is also the replay smoke's reference below.
+SMOKE=$(mktemp -d)
 "$CAMPAIGN" run --app VA --layer uarch --n 6 --seed 1234 --backend timed \
-  --csv "$DISP/single.csv" > /dev/null
-"$CAMPAIGN" serve --app VA --layer uarch --n 6 --seed 1234 --shards 3 --backend timed \
-  --listen 127.0.0.1:0 --port-file "$DISP/port.txt" \
-  --lease-ms 400 --csv "$DISP/dispatch.csv" --events "$DISP/serve.jsonl" \
-  > /dev/null 2> "$DISP/serve.log" &
-SERVE_PID=$!
-for _ in $(seq 1 100); do [ -s "$DISP/port.txt" ] && break; sleep 0.1; done
-PORT=$(cat "$DISP/port.txt")
-"$CAMPAIGN" work --connect "127.0.0.1:$PORT" --name doomed --fail-after 4 > /dev/null
-"$CAMPAIGN" work --connect "127.0.0.1:$PORT" --name w1 --trace > /dev/null &
-"$CAMPAIGN" work --connect "127.0.0.1:$PORT" --name w2 > /dev/null &
-wait "$SERVE_PID"
-wait
-cmp "$DISP/single.csv" "$DISP/dispatch.csv"
-grep -Eq '\([1-9][0-9]* reassigned' "$DISP/serve.log"
-test "$(grep -c '"kind":"worker_join"' "$DISP/serve.jsonl")" -eq 3
-for w in doomed w1 w2; do
-  grep -q "\"kind\":\"worker_join\",\"worker\":\"$w\"" "$DISP/serve.jsonl"
-done
-test "$(grep -c '"kind":"complete".*"done":30,"total":30' "$DISP/serve.jsonl")" -eq 1
-"$CAMPAIGN" timeline "$DISP/serve.jsonl" | grep -Eq '  kernels\.trials +w1 '
+  --csv "$SMOKE/single.csv" > /dev/null
+SFLAGS=(--app VA --layer uarch --n 6 --seed 1234 --shards 3)
+"$CAMPAIGN" run "${SFLAGS[@]}" --shard-index 0 --checkpoint "$SMOKE/shard0.jsonl" > /dev/null
+"$CAMPAIGN" run "${SFLAGS[@]}" --shard-index 1 --checkpoint "$SMOKE/shard1.jsonl" --limit 3 \
+  | grep '3/10 trials classified.*partial — resume to finish' > /dev/null
+"$CAMPAIGN" run "${SFLAGS[@]}" --shard-index 2 --checkpoint "$SMOKE/shard2.jsonl" > /dev/null
+"$CAMPAIGN" run "${SFLAGS[@]}" --shard-index 1 --resume "$SMOKE/shard1.jsonl" > /dev/null
+"$CAMPAIGN" merge --app VA --layer uarch --n 6 --seed 1234 --csv "$SMOKE/merged.csv" \
+  "$SMOKE"/shard{0,1,2}.jsonl > /dev/null
+cmp "$SMOKE/single.csv" "$SMOKE/merged.csv"
 
 echo "==> replay backend smoke (docs/TRACE.md)"
 # The trace-replay backend records the golden access trace, adjudicates
@@ -169,17 +155,17 @@ echo "==> replay backend smoke (docs/TRACE.md)"
 # launches with host glue between them, pointer chasing) and TMR VA
 # (three copies, a vote launch after every launch).
 "$CAMPAIGN" run --app VA --layer uarch --n 6 --seed 1234 --backend replay \
-  --csv "$DISP/replay.csv" > /dev/null
-cmp "$DISP/single.csv" "$DISP/replay.csv"
+  --csv "$SMOKE/replay.csv" > /dev/null
+cmp "$SMOKE/single.csv" "$SMOKE/replay.csv"
 for target in "BFS" "VA --hardened"; do
   tag=${target// /}
   for backend in timed replay; do
     # $target is split on purpose: an app name and its flags.
     # shellcheck disable=SC2086
     "$CAMPAIGN" run --app $target --layer uarch --n 6 --seed 1234 \
-      --backend "$backend" --csv "$DISP/$tag.$backend.csv" > /dev/null
+      --backend "$backend" --csv "$SMOKE/$tag.$backend.csv" > /dev/null
   done
-  cmp "$DISP/$tag.timed.csv" "$DISP/$tag.replay.csv"
+  cmp "$SMOKE/$tag.timed.csv" "$SMOKE/$tag.replay.csv"
 done
 
 echo "==> fault-model smoke (docs/FAULT_MODELS.md)"
@@ -187,17 +173,15 @@ echo "==> fault-model smoke (docs/FAULT_MODELS.md)"
 # pattern classifies identically on every trial path is proven by
 # crates/core/tests/path_differential.rs).
 "$CAMPAIGN" run --app VA --layer uarch --n 4 --seed 1234 \
-  --fault-model burst-row --csv "$DISP/burst.csv" | grep 'result fingerprint' > /dev/null
-test -s "$DISP/burst.csv"
-rm -rf "$DISP"
-echo "dispatch + replay smoke: CSVs byte-identical; fault-model smoke: OK"
+  --fault-model burst-row --csv "$SMOKE/burst.csv" | grep 'result fingerprint' > /dev/null
+test -s "$SMOKE/burst.csv"
+rm -rf "$SMOKE"
+echo "shard + replay smoke: CSVs byte-identical; fault-model smoke: OK"
 
 echo "==> adaptive sizing smoke (docs/TWOLEVEL.md)"
 # CI-driven wave sizing must be deterministic and resumable: an
-# uninterrupted run, a run killed mid-wave-2 (--limit) and resumed from
-# its per-wave checkpoints, and a dispatched run (one coordinator, two
-# plain workers that each stay connected for every wave) must all print
-# the same plan/result fingerprints.
+# uninterrupted run and a run killed mid-wave-2 (--limit) and resumed from
+# its per-wave checkpoints must print the same plan/result fingerprints.
 ADPT=$(mktemp -d)
 AFLAGS=(--app VA --layer uarch --adaptive --ci-target 0.15
         --wave-size 6 --max-trials 24 --seed 53083)
@@ -217,24 +201,8 @@ test "$(wc -l < "$ADPT/adaptive.csv")" -eq 6
 "$CAMPAIGN" run "${AFLAGS[@]}" --checkpoint "$ADPT/ck.jsonl" \
   --resume "$ADPT/ck.jsonl" > "$ADPT/two.txt"
 cmp "$ADPT/one.txt" "$ADPT/two.txt"
-"$CAMPAIGN" serve "${AFLAGS[@]}" --shards 3 --listen 127.0.0.1:0 \
-  --port-file "$ADPT/port.txt" --lease-ms 400 \
-  > "$ADPT/served.txt" 2> "$ADPT/serve.log" &
-ADPT_PID=$!
-for _ in $(seq 1 100); do [ -s "$ADPT/port.txt" ] && break; sleep 0.1; done
-APORT=$(cat "$ADPT/port.txt")
-"$CAMPAIGN" work --connect "127.0.0.1:$APORT" --name aw1 > /dev/null &
-"$CAMPAIGN" work --connect "127.0.0.1:$APORT" --name aw2 > /dev/null &
-wait "$ADPT_PID"
-wait
-# One connection per worker for the campaign, not one per worker and wave
-# (a worker that starts after the last wave finished never joins).
-grep -Eq 'adaptive complete: [0-9]+ waves, [12] workers,' "$ADPT/serve.log"
-grep 'fingerprint' "$ADPT/one.txt" > "$ADPT/fp-single.txt"
-grep 'fingerprint' "$ADPT/served.txt" > "$ADPT/fp-served.txt"
-cmp "$ADPT/fp-single.txt" "$ADPT/fp-served.txt"
 rm -rf "$ADPT"
-echo "adaptive smoke: single-shot == resumed == dispatched"
+echo "adaptive smoke: single-shot == resumed"
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --release --workspace --all-targets -- -D warnings
