@@ -4,7 +4,7 @@
 use std::path::{Path, PathBuf};
 
 use bench::cli::{die, parse_or_exit, Cmd, Parsed};
-use bench::driver::{execute_journaled, fail};
+use bench::driver::{execute_journaled, fail, refuse_to_truncate};
 use kernels::Benchmark;
 use relia::plan::{Layer, TrialTarget};
 use relia::{
@@ -41,6 +41,9 @@ pub fn run(args: &[String]) {
         let res = run_waves(bench.as_ref(), &spec, &acfg, &eng);
         print_adaptive(bench.as_ref(), &res, &acfg, csv.as_deref());
         return;
+    }
+    if eng.resume.is_none() {
+        refuse_to_truncate(eng.checkpoint.as_deref());
     }
     let prep = spec.prepare(bench.as_ref());
     let my = shard_trials(prep.plan.len(), shards, shard_index).len();

@@ -36,6 +36,18 @@ pub fn fail(msg: &str) -> ! {
     exit(1);
 }
 
+/// A journal at `checkpoint` is about to be started afresh: if it holds
+/// anything, that would truncate it, so exit 1 naming `--resume` instead
+/// and leave the file as it is.
+pub fn refuse_to_truncate(checkpoint: Option<&Path>) {
+    let Some(path) = checkpoint else { return };
+    if let Err(e) = relia::fresh_journal(path) {
+        fail(&format!(
+            "{e}; pass --resume to finish it, or remove it to start over"
+        ));
+    }
+}
+
 /// `--limit` ran out before `what` (a campaign of a figure set, a wave of
 /// `run --adaptive`) was covered: say so and stop, successfully — the
 /// journal is resumable.
@@ -49,10 +61,12 @@ fn exit_partial(what: &str, done: usize, total: usize) -> ! {
 /// (`what`: a campaign of a figure set, a wave of `run --adaptive`). A
 /// journal at `resume` that holds records is resumed, a complete one
 /// loaded; one that is missing, or was killed before its header reached
-/// the disk, holds nothing and the plan starts fresh. `eng.trial_limit`
-/// is what is left of `--limit`: it is charged with the trials executed
-/// now, and when it runs out before the plan is covered the process exits
-/// 0 with the "partial" line, the journal at `checkpoint` resumable.
+/// the disk, holds nothing and the plan starts fresh — at `checkpoint`,
+/// which must then hold nothing either ([`refuse_to_truncate`]).
+/// `eng.trial_limit` is what is left of `--limit`: it is charged with the
+/// trials executed now, and when it runs out before the plan is covered
+/// the process exits 0 with the "partial" line, the journal at
+/// `checkpoint` resumable.
 pub fn execute_journaled(
     what: &str,
     prep: &PreparedCampaign,
@@ -66,6 +80,9 @@ pub fn execute_journaled(
         resume: resume.filter(holds_records),
         ..eng.clone()
     };
+    if cfg.resume.is_none() {
+        refuse_to_truncate(cfg.checkpoint.as_deref());
+    }
     let run = execute_resumable(prep, &cfg).unwrap_or_else(|e| fail(&format!("{what}: {e}")));
     if let Some(left) = &mut eng.trial_limit {
         *left -= run.records.len() - run.resumed;

@@ -374,6 +374,42 @@ fn a_deeply_nested_journal_line_is_a_torn_tail_or_corruption() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `--checkpoint J` without `--resume` starts J afresh: over an empty file
+/// it runs, over a journal that holds trials it exits 1 naming `--resume`
+/// and leaves the journal as it was.
+#[test]
+fn a_fresh_checkpoint_refuses_to_truncate_a_journal() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_exit_truncate");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let ck = dir.join("ck.jsonl");
+    std::fs::File::create(&ck).unwrap();
+    let ck = ck.to_str().unwrap();
+    let run = [
+        "run",
+        "--app",
+        "VA",
+        "--layer",
+        "uarch",
+        "--n",
+        "2",
+        "--seed",
+        "1",
+        "--checkpoint",
+        ck,
+    ];
+    assert_exit(&run, 0);
+    let journal = std::fs::read(ck).unwrap();
+    for limit in [&[][..], &["--limit", "1"]] {
+        let out = campaign(&[&run[..], limit].concat());
+        assert_eq!(out.status.code(), Some(1));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--resume"), "{stderr}");
+        assert_eq!(std::fs::read(ck).unwrap(), journal, "left byte-identical");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn list_and_golden_exit_0() {
     let out = campaign(&["list"]);

@@ -152,11 +152,13 @@ impl Benchmark for KMeans {
             // Host: recompute centroids (guarded against corrupted indices).
             let mut sums = vec![0.0f32; (NCLUST * NFEAT) as usize];
             let mut counts = vec![0u32; NCLUST as usize];
+            let mut point = [0u32; NFEAT as usize];
             for pnt in 0..NPOINTS {
                 let m = ctl.read_u32(membership + pnt * 4) % NCLUST;
                 counts[m as usize] += 1;
-                for f in 0..NFEAT {
-                    sums[(m * NFEAT + f) as usize] += ctl.read_f32(flipped + (pnt * NFEAT + f) * 4);
+                ctl.read_slice(flipped + pnt * NFEAT * 4, &mut point);
+                for (f, &v) in (0..NFEAT).zip(&point) {
+                    sums[(m * NFEAT + f) as usize] += f32::from_bits(v);
                 }
             }
             for c in 0..NCLUST {

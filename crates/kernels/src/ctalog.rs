@@ -23,7 +23,7 @@ use vgpu_arch::{Kernel, LaunchConfig};
 use vgpu_sim::due::LaunchAbort;
 use vgpu_sim::exec::LogMem;
 use vgpu_sim::functional::run_cta;
-use vgpu_sim::{granule_bit, GlobalMem, Stats, SwFault, SwInjector, GRANULE_SHIFT};
+use vgpu_sim::{granule_bit, granule_span, GlobalMem, Stats, SwFault, SwInjector, GRANULE_SHIFT};
 
 /// What every CTA of one golden functional run read and wrote. Captured
 /// once per software-level application by [`crate::golden_pass`] and
@@ -106,13 +106,23 @@ struct Delta<'a> {
     words: &'a [u32],
 }
 
-impl Delta<'_> {
-    /// `(address, final word)`, ascending by address.
-    fn iter(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.runs
-            .iter()
-            .flat_map(|&(start, n)| (0..n).map(move |i| start + 4 * i))
-            .zip(self.words.iter().copied())
+impl<'a> Delta<'a> {
+    /// `(first address, final words)` of each run, ascending by address:
+    /// what a replayed CTA copies into memory.
+    fn runs(&self) -> impl Iterator<Item = (u32, &'a [u32])> + 'a {
+        let mut words = self.words;
+        self.runs.iter().map(move |&(start, n)| {
+            let (run, rest) = words.split_at(n as usize);
+            words = rest;
+            (start, run)
+        })
+    }
+
+    /// `(address, final word)`, ascending by address: what a simulated
+    /// CTA's golden counterpart stored, word by word ([`DirtySet::absorb`]).
+    fn iter(&self) -> impl Iterator<Item = (u32, u32)> + 'a {
+        self.runs()
+            .flat_map(|(start, run)| (0..).map(move |i| start + 4 * i).zip(run.iter().copied()))
     }
 
     fn contains(&self, addr: u32) -> bool {
@@ -234,7 +244,7 @@ impl CtaLog {
 /// the same point of the run, each with the *golden* value — so a later
 /// store can be recognised as restoring it — plus a granule bitmap of
 /// those words for the footprint test.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct DirtySet {
     words: BTreeMap<u32, u32>,
     /// One bit per granule holding a dirty word; grown on demand.
@@ -251,6 +261,16 @@ impl DirtySet {
     fn granule_dirty(&self, addr: u32) -> bool {
         let (w, bit) = granule_bit(addr);
         self.granules.get(w).is_some_and(|g| g & bit != 0)
+    }
+
+    /// Whether a word of the bytes `[lo, hi)` is dirty: the granule bits
+    /// first, a search of `words` only behind a set one.
+    fn any_in(&self, lo: u32, hi: u32) -> bool {
+        !self.words.is_empty()
+            && lo < hi
+            && granule_span(lo, hi - lo)
+                .any(|(w, bits)| self.granules.get(w).is_some_and(|g| g & bits != 0))
+            && self.words.range(lo..hi).next().is_some()
     }
 
     fn touches(&self, footprint: &[(u32, u32)]) -> bool {
@@ -278,6 +298,18 @@ impl DirtySet {
         if self.words.range(base..=last).next().is_none() {
             let (w, bit) = granule_bit(addr);
             self.granules[w] &= !bit;
+        }
+    }
+
+    /// [`DirtySet::remove`] of every word in the bytes `[lo, hi)`: a run
+    /// of golden stores. A run whose granules hold no dirty word costs no
+    /// search, and an empty set not even the granule test.
+    fn remove_range(&mut self, lo: u32, hi: u32) {
+        if !self.any_in(lo, hi) {
+            return;
+        }
+        while let Some((&addr, _)) = self.words.range(lo..hi).next() {
+            self.remove(addr);
         }
     }
 
@@ -369,10 +401,11 @@ impl CtaReplay {
         self.live && self.dirty.is_empty()
     }
 
-    /// The host read `addr`: a dirty word may steer the host program away
-    /// from the golden one, so the log is consulted no further.
-    pub fn host_read(&mut self, addr: u32) {
-        if self.dirty.granule_dirty(addr) && self.dirty.words.contains_key(&addr) {
+    /// The host read the bytes `[lo, hi)`: a dirty word may steer the
+    /// host program away from the golden one, so the log is consulted no
+    /// further.
+    pub fn host_read(&mut self, lo: u32, hi: u32) {
+        if self.live && self.dirty.any_in(lo, hi) {
             self.live = false;
         }
     }
@@ -429,11 +462,9 @@ impl CtaReplay {
         for c in 0..ll.ctas() {
             let carries_fault = fault_cta == Some(c);
             if !carries_fault && !dirty.touches(ll.footprint(c)) {
-                for (addr, v) in ll.delta(c).iter() {
-                    mem.write_u32(addr, v);
-                    if !dirty.is_empty() {
-                        dirty.remove(addr);
-                    }
+                for (start, run) in ll.delta(c).runs() {
+                    mem.write_words(start, run);
+                    dirty.remove_range(start, start + 4 * run.len() as u32);
                 }
                 out.stats.add_engine_delta(&ll.cum[c + 1], &ll.cum[c]);
                 *replayed += 1;
@@ -482,6 +513,7 @@ impl CtaReplay {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn dirty_set_tracks_granules_exactly() {
@@ -507,5 +539,39 @@ mod tests {
         assert_eq!(d.words[&0x1000], 1, "settle keeps the golden value");
         d.remove(0x1000);
         assert!(d.is_empty() && d.granules.iter().all(|&g| g == 0));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// `remove_range` is `remove` of every word in the range, and a
+        /// range host read ends the log's use iff a word in it is dirty.
+        /// Runs start and end mid-granule, granules hold dirty words on
+        /// both sides of a run's ends, and ranges reach past the bitmap.
+        #[test]
+        fn range_operations_match_their_words(
+            dirty in prop::collection::vec((0u32..2048, any::<u32>()), 0..48),
+            lo in 0u32..2560,
+            words in 0u32..160,
+        ) {
+            let mut d = DirtySet::default();
+            for &(w, golden) in &dirty {
+                d.insert(4 * w, golden);
+            }
+            let (lo, hi) = (4 * lo, 4 * (lo + words));
+            let mut by_word = d.clone();
+            for addr in (lo..hi).step_by(4) {
+                by_word.remove(addr);
+            }
+            let mut by_range = d.clone();
+            by_range.remove_range(lo, hi);
+            prop_assert_eq!(&by_range.words, &by_word.words);
+            prop_assert_eq!(&by_range.granules, &by_word.granules);
+
+            let mut replay = CtaReplay::new(&Arc::new(CtaLog::default()));
+            replay.dirty = d;
+            replay.host_read(lo, hi);
+            let hit = (lo..hi).step_by(4).any(|a| replay.dirty.words.contains_key(&a));
+            prop_assert_eq!(replay.live, !hit);
+        }
     }
 }

@@ -637,10 +637,14 @@ impl<'a> RunCtl<'a> {
     /// on every faulty one alike. A snapshot sink takes its initial
     /// snapshot here and a fast-forward run starts following it; the CTA
     /// log copies the arena here and a CTA-log run gets that copy.
+    #[inline]
     fn observe(&mut self) {
-        if !self.preamble {
-            return;
+        if self.preamble {
+            self.end_preamble();
         }
+    }
+
+    fn end_preamble(&mut self) {
         self.preamble = false;
         let gpu = self.gpu.as_mut().expect("alloc before device access");
         match &mut self.ctl {
@@ -790,7 +794,7 @@ impl<'a> RunCtl<'a> {
             }
         }
         if let Some(replay) = self.cta_replay() {
-            replay.host_read(addr);
+            replay.host_read(addr, addr + 4);
         }
         let gpu = self.gpu_mut();
         gpu.probe_host_read(addr);
@@ -804,6 +808,29 @@ impl<'a> RunCtl<'a> {
 
     pub fn read_f32(&mut self, addr: u32) -> f32 {
         f32::from_bits(self.read_u32(addr))
+    }
+
+    /// Host read of the `out.len()` consecutive words from `addr` (copy
+    /// 0), into `out`: what a [`RunCtl::read_u32`] per word, in address
+    /// order, returns and leaves behind. A run following golden snapshots
+    /// reads word by word, as that is what its host-glue log records; any
+    /// other run checks the CTA log's dirty set once for the range and
+    /// reads the arena as one slice (word by word on the timed engine,
+    /// and for an attached probe).
+    pub fn read_slice(&mut self, addr: u32, out: &mut [u32]) {
+        if out.is_empty() || self.ff().is_some() {
+            for (i, o) in out.iter_mut().enumerate() {
+                *o = self.read_u32(addr + 4 * i as u32);
+            }
+            return;
+        }
+        self.observe();
+        if let Some(replay) = self.cta_replay() {
+            replay.host_read(addr, addr + 4 * out.len() as u32);
+        }
+        let gpu = self.gpu_mut();
+        gpu.probe_host_reads(addr, out.len() as u32);
+        gpu.host_read_words(addr, out);
     }
 
     /// Register the application's final output buffers (copy-0 address,
@@ -1093,15 +1120,19 @@ impl<'a> RunCtl<'a> {
         }
     }
 
+    /// The output buffers, read back as the host would at the end.
     fn snapshot_outputs(&mut self) -> Vec<u32> {
-        let outputs = self.outputs.clone();
-        let gpu = self.gpu_mut();
-        let mut out = Vec::new();
-        for &(addr, words) in &outputs {
-            for i in 0..words {
-                gpu.probe_host_read(addr + i * 4);
-            }
-            out.extend(gpu.host_read_block(addr, words));
+        let gpu = self
+            .gpu
+            .as_mut()
+            .expect("alloc() must run before device access");
+        let mut out = vec![0; self.outputs.iter().map(|&(_, words)| words as usize).sum()];
+        let mut rest = &mut out[..];
+        for &(addr, words) in &self.outputs {
+            let (buf, tail) = rest.split_at_mut(words as usize);
+            gpu.probe_host_reads(addr, words);
+            gpu.host_read_words(addr, buf);
+            rest = tail;
         }
         out
     }
@@ -1655,6 +1686,116 @@ mod tests {
             assert_eq!(spent, 5 * U, "{mode:?}");
             let mut spent = 0;
             assert_eq!(credit(&recs[..2], &cfg, mode, &app, &mut spent), Ok(4));
+        }
+    }
+
+    /// VA on 256 elements whose host reads its buffers back both ways —
+    /// an input before the launch, the output after it, and again after a
+    /// host write — and panics where `read_slice` and a `read_u32` loop
+    /// disagree.
+    struct ReadsBothWays;
+
+    const RN: u32 = 256;
+
+    impl Benchmark for ReadsBothWays {
+        fn name(&self) -> &'static str {
+            "ReadsBothWays"
+        }
+
+        fn kernels(&self) -> &'static [&'static str] {
+            &["K1"]
+        }
+
+        fn run(&self, ctl: &mut RunCtl) -> Result<(), AppAbort> {
+            use crate::apps::va;
+            let bufs = ctl.alloc(&[RN * 4; 3]);
+            let (a, b, c) = (bufs[0], bufs[1], bufs[2]);
+            ctl.write_with(a, RN, |i| va::input_a(i).to_bits());
+            ctl.write_with(b, RN, |i| va::input_b(i).to_bits());
+            ctl.set_outputs(&[(c, RN)]);
+            let both = |ctl: &mut RunCtl, addr: u32| {
+                let mut slice = vec![0; RN as usize];
+                ctl.read_slice(addr, &mut slice);
+                let words: Vec<u32> = (0..RN).map(|i| ctl.read_u32(addr + 4 * i)).collect();
+                assert_eq!(slice, words, "read_slice at {addr:#x}");
+            };
+            both(ctl, a);
+            ctl.launch(0, va::kernel(), RN / 128, 128, vec![a, b, c, RN])?;
+            both(ctl, c);
+            ctl.write_u32(c + 8, 7);
+            both(ctl, c);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn read_slice_reads_what_read_u32_reads() {
+        use vgpu_sim::{FaultPattern, HwStructure, SwFaultKind};
+        let cfg = GpuConfig::default();
+        let bench = &ReadsBothWays;
+        let timed = golden_run(bench, &cfg, Variant::TIMED);
+        let functional = golden_run(bench, &cfg, Variant::FUNCTIONAL);
+        assert_eq!(timed.output, functional.output);
+
+        // Every run reads `a` while following the initial snapshot; a
+        // masked fault follows a boundary snapshot for the rest, a
+        // corrupting one reads the live machine.
+        let snaps = Arc::new(golden_run_snapshots(bench, &cfg, &timed, 2));
+        let cycles = timed.records[0].stats.cycles;
+        for i in 0..8u64 {
+            let fault = UarchFault {
+                cycle: i * cycles / 8,
+                structure: [HwStructure::RegFile, HwStructure::L2][i as usize % 2],
+                loc_pick: 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i + 1),
+                bit: 30,
+                pattern: FaultPattern::SingleBit,
+            };
+            let accel = Accel::Snapshots(&snaps);
+            faulty_run_with(
+                bench,
+                &cfg,
+                Variant::TIMED,
+                &timed,
+                0,
+                PlannedFault::Uarch(fault),
+                accel,
+            );
+        }
+
+        // A corrupted output word is dirty when the host reads it back.
+        let sinks = Sinks {
+            cta_log: Some(CtaLog::default()),
+            ..Sinks::default()
+        };
+        let log = Arc::new(
+            golden_pass(bench, &cfg, Variant::FUNCTIONAL, sinks)
+                .cta_log
+                .unwrap(),
+        );
+        let instrs = functional.records[0].stats.thread_instrs;
+        for i in 0..8u64 {
+            let fault = PlannedFault::Sw(SwFault {
+                kind: SwFaultKind::DestValue,
+                target: i * instrs / 8,
+                bit: 30,
+                loc_pick: 0,
+                pattern: FaultPattern::SingleBit,
+            });
+            let accel = Accel::CtaLog(&log);
+            let replayed = faulty_run_with(
+                bench,
+                &cfg,
+                Variant::FUNCTIONAL,
+                &functional,
+                0,
+                fault,
+                accel,
+            );
+            let oracle = faulty_run(bench, &cfg, Variant::FUNCTIONAL, &functional, 0, fault);
+            assert_eq!(
+                (replayed.outcome, replayed.corrupted_words),
+                (oracle.outcome, oracle.corrupted_words)
+            );
         }
     }
 

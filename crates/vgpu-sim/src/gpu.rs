@@ -146,10 +146,22 @@ impl Gpu {
     /// Record a host-side word read against an attached probe: if `addr`
     /// is L2-resident, the sink learns that the word's value propagated to
     /// the host (classification or inter-launch glue). No-op otherwise.
+    #[inline]
     pub fn probe_host_read(&mut self, addr: u32) {
         if let Some(p) = self.probe.as_mut() {
             if let Some(word) = self.m.l2.resident_word(addr) {
                 p.host_read(word);
+            }
+        }
+    }
+
+    /// [`Gpu::probe_host_read`] of the `words` words from `addr`, in
+    /// order. Without a probe it costs one test, not one per word.
+    #[inline]
+    pub fn probe_host_reads(&mut self, addr: u32, words: u32) {
+        if self.probe.is_some() {
+            for i in 0..words {
+                self.probe_host_read(addr + 4 * i);
             }
         }
     }
@@ -373,6 +385,7 @@ impl Gpu {
     // ---- coherent host access ------------------------------------------
 
     /// Host word read: sees the L2's copy if resident (timed mode).
+    #[inline]
     pub fn host_read_u32(&self, addr: u32) -> u32 {
         if self.mode == Mode::Timed {
             if let Some(v) = self.m.l2.peek_word(addr) {
@@ -401,11 +414,26 @@ impl Gpu {
         self.host_write_u32(addr, v.to_bits());
     }
 
-    /// Read `words` consecutive words starting at `addr`.
+    /// Host read of the `out.len()` consecutive words from `addr`, each
+    /// what [`Gpu::host_read_u32`] returns: functional mode reads the arena
+    /// as one slice, timed mode peeks the L2 word by word.
+    pub fn host_read_words(&self, addr: u32, out: &mut [u32]) {
+        match self.mode {
+            Mode::Timed => {
+                for (i, o) in out.iter_mut().enumerate() {
+                    *o = self.host_read_u32(addr + 4 * i as u32);
+                }
+            }
+            Mode::Functional => self.m.mem.read_words(addr, out),
+        }
+    }
+
+    /// [`Gpu::host_read_words`] of `words` words into a new vector: one
+    /// slice in functional mode, word by word in timed mode.
     pub fn host_read_block(&self, addr: u32, words: u32) -> Vec<u32> {
-        (0..words)
-            .map(|i| self.host_read_u32(addr + i * 4))
-            .collect()
+        let mut out = vec![0; words as usize];
+        self.host_read_words(addr, &mut out);
+        out
     }
 
     /// Write a block of words starting at `addr`.

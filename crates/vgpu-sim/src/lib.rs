@@ -46,7 +46,7 @@ pub use fault::{
 };
 pub use gpu::{record_launch, Budget, FaultPlan, Gpu, LaunchAbort, Mode};
 pub use lifetime::LifetimeTracker;
-pub use mem::{granule_bit, ArenaPlanner, GlobalMem, GRANULE_SHIFT};
+pub use mem::{granule_bit, granule_span, ArenaPlanner, GlobalMem, GRANULE_SHIFT};
 pub use probe::{tee, LaunchGeometry, ProbeEvent, SegEvent, SharedSink, TraceSink};
 pub use snapshot::{ChunkStore, ConvergeWith, DeviceSnapshot, ResumeOutcome, SnapId};
 pub use stats::{CacheStats, Stats};

@@ -31,6 +31,17 @@ fn word_in(addr: u32, (start, end): (u32, u32)) -> bool {
     start <= addr && addr as u64 + 4 <= end as u64
 }
 
+/// `(word index, bit mask)` of every granule bitmap word ([`granule_bit`])
+/// overlapping the bytes `[off, off + len)`; `len > 0`.
+pub fn granule_span(off: u32, len: u32) -> impl Iterator<Item = (usize, u32)> {
+    let (g0, g1) = (off >> GRANULE_SHIFT, (off + len - 1) >> GRANULE_SHIFT);
+    (g0 / 32..=g1 / 32).map(move |w| {
+        let lo = if w == g0 / 32 { g0 % 32 } else { 0 };
+        let hi = if w == g1 / 32 { g1 % 32 } else { 31 };
+        (w as usize, (!0u32 >> (31 - hi)) & (!0u32 << lo))
+    })
+}
+
 /// Words of a granule bitmap ([`granule_bit`]) covering `bytes` bytes.
 pub(crate) fn granule_words(bytes: usize) -> usize {
     bytes.div_ceil(1 << GRANULE_SHIFT).div_ceil(32)
@@ -61,20 +72,9 @@ impl DirtyMap {
         self.bits[w] |= bit;
     }
 
-    /// `(word index, bit mask)` of every bitmap word overlapping
-    /// `[off, off + len)`; `len > 0`.
-    fn span(off: u32, len: u32) -> impl Iterator<Item = (usize, u32)> {
-        let (g0, g1) = (off >> GRANULE_SHIFT, (off + len - 1) >> GRANULE_SHIFT);
-        (g0 / 32..=g1 / 32).map(move |w| {
-            let lo = if w == g0 / 32 { g0 % 32 } else { 0 };
-            let hi = if w == g1 / 32 { g1 % 32 } else { 31 };
-            (w as usize, (!0u32 >> (31 - hi)) & (!0u32 << lo))
-        })
-    }
-
     /// Mark every granule overlapping `[off, off + len)`.
     pub fn mark_range(&mut self, off: u32, len: u32) {
-        for (w, mask) in Self::span(off, len) {
+        for (w, mask) in granule_span(off, len) {
             self.bits[w] |= mask;
         }
     }
@@ -82,7 +82,7 @@ impl DirtyMap {
     /// Whether any granule overlapping `[off, off + len)` is marked; the
     /// range may run past the end of the array.
     pub fn any(&self, off: u32, len: u32) -> bool {
-        Self::span(off, len).any(|(w, mask)| self.bits.get(w).is_some_and(|b| b & mask != 0))
+        granule_span(off, len).any(|(w, mask)| self.bits.get(w).is_some_and(|b| b & mask != 0))
     }
 
     pub fn clear(&mut self) {
@@ -255,6 +255,29 @@ impl GlobalMem {
     pub fn write_u32(&mut self, addr: u32, v: u32) {
         let i = addr as usize;
         self.data[i..i + 4].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// Read `out.len()` consecutive words from `addr` in one slice (caller
+    /// must have validated the access).
+    pub fn read_words(&self, addr: u32, out: &mut [u32]) {
+        let i = addr as usize;
+        let bytes = &self.data[i..i + 4 * out.len()];
+        for (o, w) in out.iter_mut().zip(bytes.chunks_exact(4)) {
+            *o = u32::from_le_bytes(w.try_into().expect("a word is 4 bytes"));
+        }
+    }
+
+    /// Write `words` to consecutive words from `addr` in one slice: the
+    /// functional engine's store, unmarked like [`GlobalMem::write_u32`]
+    /// (caller must have validated the access).
+    pub fn write_words(&mut self, addr: u32, words: &[u32]) {
+        let i = addr as usize;
+        for (w, v) in self.data[i..i + 4 * words.len()]
+            .chunks_exact_mut(4)
+            .zip(words)
+        {
+            w.copy_from_slice(&v.to_le_bytes());
+        }
     }
 
     /// Raw byte view of a line for cache fills (no mapping check: caches
@@ -454,6 +477,30 @@ mod tests {
         assert!(m.is_mapped_word(b));
         // Guard gap between them is unmapped.
         assert!(!m.is_mapped_word(a + 104));
+    }
+
+    #[test]
+    fn word_slices_match_word_accesses() {
+        let mut m = GlobalMem::new(4096);
+        m.write_words(252, &[1, 2, 3]);
+        assert_eq!(
+            [248, 252, 256, 260, 264].map(|a| m.read_u32(a)),
+            [0, 1, 2, 3, 0]
+        );
+        let mut out = [0; 4];
+        m.read_words(256, &mut out);
+        assert_eq!(out, [2, 3, 0, 0]);
+        m.read_words(256, &mut []);
+    }
+
+    #[test]
+    fn granule_spans_cover_exactly_the_range() {
+        let spans = |off, len| granule_span(off, len).collect::<Vec<_>>();
+        assert_eq!(spans(0, 4), [(0, 1)]);
+        assert_eq!(spans(60, 8), [(0, 0b11)]);
+        // Granules 31 and 32 straddle a bitmap word.
+        assert_eq!(spans(31 * 64, 65), [(0, 1 << 31), (1, 1)]);
+        assert_eq!(spans(64, 3 * 32 * 64), [(0, !1), (1, !0), (2, !0), (3, 1)]);
     }
 
     #[test]

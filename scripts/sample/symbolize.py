@@ -1,7 +1,11 @@
 #!/usr/bin/env python3
 """Symbolise a sampler.c profile: the share of samples per function, from
 `nm` on the executable and each shared library the samples fall in.
-Samples outside every file-backed mapping count as "[unknown]".
+Samples outside every file-backed mapping count as "[unknown]". A sample
+past the end of the symbol before it (`nm -S` gives sizes) lies in code
+no symbol names, such as a stripped library's hidden functions: it
+counts as "[libc.so.6+0xOFF]", OFF being where that unnamed stretch
+starts in the object, or as "[libc.so.6]" when no symbol precedes it.
 
     scripts/sample/symbolize.py run.pcs [--top 25] [--lines FUNC]
 
@@ -38,16 +42,20 @@ symbols = {}
 
 
 def symbols_of(obj):
-    """Sorted (address, name) of the functions in `obj`."""
+    """Sorted (address, name, end or None) of the functions in `obj`."""
     if obj not in symbols:
         syms = []
         for flags in ([], ["-D"]):
-            out = subprocess.run(["nm", "-C", "-n", "--defined-only", *flags, obj],
+            out = subprocess.run(["nm", "-C", "-n", "-S", "--defined-only", *flags, obj],
                                  capture_output=True, text=True).stdout
             for line in out.splitlines():
-                f = line.split(" ", 2)
-                if len(f) == 3 and f[1] in "tTwWiI":
-                    syms.append((int(f[0], 16), re.sub(r"::h[0-9a-f]{16}$", "", f[2])))
+                f = line.split(" ", 3)
+                if len(f) > 2 and len(f[1]) == 1:  # no size: address, type, name
+                    f = [f[0], None, f[1], " ".join(f[2:])]
+                if len(f) == 4 and f[2] in "tTwWiI":
+                    addr = int(f[0], 16)
+                    end = None if f[1] is None else addr + int(f[1], 16)
+                    syms.append((addr, re.sub(r"::h[0-9a-f]{16}$", "", f[3]), end))
             if syms:
                 break
         symbols[obj] = (sorted(syms), obj.rsplit("/", 1)[-1])
@@ -64,8 +72,14 @@ for pc in pcs:
         counts["[unknown]"] += 1
         continue
     syms, short = symbols_of(obj)
-    i = bisect.bisect_right(syms, (pc - bias[obj], chr(0x10FFFF))) - 1
-    name = syms[i][1] if i >= 0 else f"[{short}]"
+    off = pc - bias[obj]
+    i = bisect.bisect_right(syms, (off, chr(0x10FFFF))) - 1
+    if i < 0:
+        name = f"[{short}]"
+    elif syms[i][2] is not None and off >= syms[i][2]:
+        name = f"[{short}+{syms[i][2]:#x}]"
+    else:
+        name = syms[i][1]
     counts[name] += 1
     if func is not None and func in name:
         hits[(obj, pc - bias[obj])] += 1
