@@ -2,9 +2,9 @@
 //! Regenerate the paper's injection figures (`paper`) or the extension
 //! studies built on the same campaigns, the analytic ACE estimate against
 //! injection among them (`extensions`), in one resumable run each, or split
-//! one fault-injection campaign across processes/machines, checkpoint
-//! while running, resume after a kill, and merge shard outputs back into
-//! the single-shot result.
+//! one fault-injection campaign across processes/machines, journal it
+//! while running, resume it after a kill by re-running the same command,
+//! and merge shard outputs back into the single-shot result.
 //!
 //! ```text
 //! campaign paper --out-dir DIR [--n-uarch N --n-sw N --apps VA,SCP --limit L]
@@ -12,9 +12,9 @@
 //! campaign list
 //! campaign golden --app VA [--layer uarch|sw] [--hardened] [--sms N]
 //! campaign run   --app VA --layer uarch --shards 4 --shard-index 0 \
-//!                --checkpoint shard0.jsonl [--resume shard0.jsonl]
+//!                --checkpoint shard0.jsonl [--limit L]
 //! campaign run   --app VA --layer uarch --adaptive --ci-target 0.05 \
-//!                [--wave-size 16 --max-trials 256 --checkpoint BASE --resume BASE]
+//!                [--wave-size 16 --max-trials 256 --checkpoint BASE]
 //! campaign merge --app VA --layer uarch shard0.jsonl shard1.jsonl ...
 //! ```
 //!
@@ -29,9 +29,12 @@
 //! plan — 1 shard or 40, on one machine or several, interrupted and
 //! resumed or not, on the default replay backend (docs/TRACE.md) or with
 //! `--backend timed` — merges to the byte-identical
-//! `UarchAppResult`/`SvfAppResult`. `--adaptive` switches from a fixed
-//! `--n` per stratum to CI-driven sizing in deterministic waves
-//! (docs/TWOLEVEL.md).
+//! `UarchAppResult`/`SvfAppResult`. Every command follows one journal
+//! rule (`relia::execute_resumable`): a `--checkpoint` (or `paper`
+//! journal) that holds trials is resumed, a complete one loaded, one of
+//! another plan or shard refused; none is ever truncated. `--adaptive`
+//! switches from a fixed `--n` per stratum to CI-driven sizing in
+//! deterministic waves (docs/TWOLEVEL.md).
 //!
 //! Exit codes are uniform across subcommands: **2** for CLI/validation
 //! errors (unknown subcommands or flags, out-of-range values), **1** for

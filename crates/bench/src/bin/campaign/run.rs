@@ -4,12 +4,10 @@
 use std::path::{Path, PathBuf};
 
 use bench::cli::{die, parse_or_exit, Cmd, Parsed};
-use bench::driver::{execute_journaled, fail, refuse_to_truncate};
+use bench::driver::{execute_journaled, fail};
 use kernels::Benchmark;
 use relia::plan::{Layer, TrialTarget};
-use relia::{
-    execute_shard, pct, records_fingerprint, shard_trials, CampaignSpec, EngineCfg, Table,
-};
+use relia::{pct, records_fingerprint, shard_trials, CampaignSpec, EngineCfg, Table};
 use stat::{run_adaptive, sw_targets, uarch_targets, AdaptiveCfg, AdaptiveResult};
 
 use crate::merge::{print_result, write_csv};
@@ -18,11 +16,10 @@ pub fn run(args: &[String]) {
     let a = parse_or_exit(Cmd::Run, args);
     let (spec, bench) = a.campaign();
     let adaptive = adaptive(&a);
-    let eng = EngineCfg {
+    let mut eng = EngineCfg {
         shards: a.num("--shards").unwrap_or(1),
         shard_index: a.num("--shard-index").unwrap_or(0),
         checkpoint: a.path("--checkpoint"),
-        resume: a.path("--resume"),
         trial_limit: a.num("--limit"),
         backend: spec.backend,
     };
@@ -33,17 +30,18 @@ pub fn run(args: &[String]) {
             shards - 1
         ));
     }
+    // Without a journal, what `--limit` leaves undone could not be resumed.
+    if eng.trial_limit.is_some() && eng.checkpoint.is_none() {
+        die("--limit requires --checkpoint");
+    }
     let csv = a.path("--csv");
     if let Some(acfg) = adaptive {
         if shards != 1 {
             die("--adaptive runs single-process per wave; it takes no --shards");
         }
-        let res = run_waves(bench.as_ref(), &spec, &acfg, &eng);
+        let res = run_waves(bench.as_ref(), &spec, &acfg, eng);
         print_adaptive(bench.as_ref(), &res, &acfg, csv.as_deref());
         return;
-    }
-    if eng.resume.is_none() {
-        refuse_to_truncate(eng.checkpoint.as_deref());
     }
     let prep = spec.prepare(bench.as_ref());
     let my = shard_trials(prep.plan.len(), shards, shard_index).len();
@@ -57,22 +55,16 @@ pub fn run(args: &[String]) {
         shards,
         my,
     );
-    let records = execute_shard(&prep, &eng).unwrap_or_else(|e| fail(&e.to_string()));
+    let what = format!("shard {shard_index}/{shards}");
+    let records = execute_journaled(&what, &prep, &mut eng).records;
     if records.len() == prep.plan.len() {
         print_result(&prep, &records, csv.as_deref());
     } else {
         println!(
-            "shard {}/{}: {}/{} trials classified, fingerprint {:#018x}{}",
-            shard_index,
-            shards,
+            "{what}: {}/{my} trials classified, fingerprint {:#018x} \
+             (merge with the other shards for results)",
             records.len(),
-            my,
             records_fingerprint(&records),
-            if records.len() < my {
-                " (partial — resume to finish)"
-            } else {
-                " (merge with the other shards for results)"
-            }
         );
     }
 }
@@ -114,16 +106,16 @@ fn wave_path(base: &Path, wave: u64) -> PathBuf {
 
 /// `campaign run --adaptive`: CI-driven sizing, one in-process engine run
 /// per wave. With `--checkpoint BASE` each wave journals to
-/// `BASE.waveW`; `--resume BASE` skips completed waves from their
-/// journals and finishes a partial one. `--limit L` bounds the *new*
-/// trials this invocation executes (the kill-mid-wave test hook): when
-/// the budget runs out mid-wave the run exits 0 with a resumable
-/// checkpoint, exactly like a fixed-n sharded run.
+/// `BASE.waveW` under the one journal rule: a complete wave's journal is
+/// loaded, a partial one finished, a missing one started. `--limit L`
+/// bounds the *new* trials this invocation executes (the kill-mid-wave
+/// test hook): when the budget runs out mid-wave the run exits 0 with a
+/// resumable checkpoint, exactly like a fixed-n sharded run.
 fn run_waves(
     bench: &dyn Benchmark,
     spec: &CampaignSpec,
     acfg: &AdaptiveCfg,
-    eng: &EngineCfg,
+    mut eng: EngineCfg,
 ) -> AdaptiveResult {
     let targets = adaptive_targets(spec);
     eprintln!(
@@ -139,8 +131,7 @@ fn run_waves(
     );
     let cfg = spec.campaign_cfg();
     // What is left of `--limit` is charged wave by wave.
-    let mut eng = eng.clone();
-    let (checkpoint, resume) = (eng.checkpoint.take(), eng.resume.take());
+    let base = eng.checkpoint.take();
     run_adaptive(
         bench,
         &cfg,
@@ -149,9 +140,8 @@ fn run_waves(
         &targets,
         acfg,
         |prep, wave| {
-            let at = |base: &Option<PathBuf>| base.as_ref().map(|b| wave_path(b, wave));
-            let what = format!("adaptive wave {wave}");
-            Ok(execute_journaled(&what, prep, &mut eng, at(&checkpoint), at(&resume)).records)
+            eng.checkpoint = base.as_ref().map(|b| wave_path(b, wave));
+            Ok(execute_journaled(&format!("adaptive wave {wave}"), prep, &mut eng).records)
         },
     )
     .unwrap_or_else(|e| fail(&e.to_string()))

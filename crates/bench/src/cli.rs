@@ -135,12 +135,11 @@ pub const FLAGS: &[Flag] = &[
     // Output.
     flag("--csv", Arg::Text("PATH"), PLAN, "also write the result table as CSV"),
     flag("--events", Arg::Text("PATH"), PLAN | PAPER, "JSONL event sink; turns metrics on (docs/OBSERVABILITY.md)"),
-    // Sharding, checkpoints, resume.
+    // Sharding and journals.
     flag("--shards", Arg::Num("N", POSITIVE), RUN, "strided shards the plan is split into"),
     flag("--shard-index", Arg::Num("I", ANY), RUN, "this process's shard, 0-based"),
-    flag("--checkpoint", Arg::Text("PATH"), RUN, "journal every classified trial (adaptive: PATH.waveW)"),
-    flag("--resume", Arg::Text("PATH"), RUN, "skip the trials this checkpoint already classifies"),
-    flag("--limit", Arg::Num("L", ANY), RUN | PAPER, "stop after L new trials, leaving a resumable checkpoint"),
+    flag("--checkpoint", Arg::Text("PATH"), RUN, "journal of the shard (adaptive: PATH.waveW); one that holds trials is resumed"),
+    flag("--limit", Arg::Num("L", ANY), RUN | PAPER, "stop after L new trials, the journal resumable (run: needs --checkpoint)"),
     // CI-driven sizing (docs/TWOLEVEL.md).
     flag("--adaptive", Arg::Switch, RUN, "size each stratum by CI half-width instead of --n"),
     flag("--ci-target", Arg::Real("X"), RUN, "adaptive: CI half-width to reach, in (0, 1)"),

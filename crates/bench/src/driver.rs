@@ -5,9 +5,9 @@
 //! determines its records: application, targets, variant, fault
 //! pattern, GPU size and trials per stratum — and journaled at
 //! `DIR/journal/<name>.jsonl` in the checkpoint format, `<name>` derived
-//! from the key ([`Key::name`]). The journal is both checkpoint and
-//! resume file: a killed run re-invoked with the same command line
-//! finishes what is missing, and a complete journal is loaded, not
+//! from the key ([`Key::name`]), under the one journal rule of
+//! [`execute_resumable`]: a killed run re-invoked with the same command
+//! line finishes what is missing, and a complete journal is loaded, not
 //! re-simulated — whichever figure set (`campaign paper`, `campaign
 //! extensions`) asked for the key first. One handle
 //! ([`AppCaptures`]) lives at a time, reused by consecutive keys of the
@@ -24,8 +24,8 @@ use kernels::{all_benchmarks, Benchmark, GoldenRun};
 use relia::plan::{variant_label, Layer, PreparedCampaign};
 use relia::{
     assemble_pvf, assemble_sw, assemble_uarch, execute_resumable, plan_sw, plan_uarch,
-    records_fingerprint, AppCaptures, CampaignCfg, EngineCfg, PvfAppResult, ShardRun, SvfAppResult,
-    Table, UarchAppResult, SVF_KINDS,
+    records_fingerprint, shard_trials, AppCaptures, CampaignCfg, EngineCfg, PvfAppResult, ShardRun,
+    SvfAppResult, Table, UarchAppResult, SVF_KINDS,
 };
 use stat::{StrataRecords, CLASS_KINDS};
 use vgpu_sim::{FaultPattern, GpuConfig, HwStructure, SwFaultKind};
@@ -36,59 +36,31 @@ pub fn fail(msg: &str) -> ! {
     exit(1);
 }
 
-/// A journal at `checkpoint` is about to be started afresh: if it holds
-/// anything, that would truncate it, so exit 1 naming `--resume` instead
-/// and leave the file as it is.
-pub fn refuse_to_truncate(checkpoint: Option<&Path>) {
-    let Some(path) = checkpoint else { return };
-    if let Err(e) = relia::fresh_journal(path) {
-        fail(&format!(
-            "{e}; pass --resume to finish it, or remove it to start over"
-        ));
-    }
-}
-
 /// `--limit` ran out before `what` (a campaign of a figure set, a wave of
-/// `run --adaptive`) was covered: say so and stop, successfully — the
-/// journal is resumable.
+/// `run --adaptive`, the shard of `run`) was covered: say so and stop,
+/// successfully — the journal is resumable.
 fn exit_partial(what: &str, done: usize, total: usize) -> ! {
     println!("{what}: {done}/{total} trials classified (partial — resume to finish)");
     crate::finish_observability();
     exit(0);
 }
 
-/// Run — or finish, or just load — one journaled plan of a larger run
-/// (`what`: a campaign of a figure set, a wave of `run --adaptive`). A
-/// journal at `resume` that holds records is resumed, a complete one
-/// loaded; one that is missing, or was killed before its header reached
-/// the disk, holds nothing and the plan starts fresh — at `checkpoint`,
-/// which must then hold nothing either ([`refuse_to_truncate`]).
-/// `eng.trial_limit` is what is left of `--limit`: it is charged with the
-/// trials executed now, and when it runs out before the plan is covered
-/// the process exits 0 with the "partial" line, the journal at
-/// `checkpoint` resumable.
-pub fn execute_journaled(
-    what: &str,
-    prep: &PreparedCampaign,
-    eng: &mut EngineCfg,
-    checkpoint: Option<PathBuf>,
-    resume: Option<PathBuf>,
-) -> ShardRun {
-    let holds_records = |p: &PathBuf| std::fs::metadata(p).is_ok_and(|m| m.len() > 0);
-    let cfg = EngineCfg {
-        checkpoint,
-        resume: resume.filter(holds_records),
-        ..eng.clone()
-    };
-    if cfg.resume.is_none() {
-        refuse_to_truncate(cfg.checkpoint.as_deref());
-    }
-    let run = execute_resumable(prep, &cfg).unwrap_or_else(|e| fail(&format!("{what}: {e}")));
+/// Run — or finish, or just load — one journaled shard of a plan (`what`:
+/// a campaign of a figure set, a wave of `run --adaptive`, the shard of
+/// `run`), journaled at `eng.checkpoint` under
+/// [`execute_resumable`]'s one rule. `eng.trial_limit` is what is left of
+/// `--limit`: it is charged with the trials executed now, and when it
+/// runs out before the shard is covered the process exits 0 with the
+/// "partial" line, the journal resumable. A journal of another plan or
+/// shard is a runtime failure, the file left as it is.
+pub fn execute_journaled(what: &str, prep: &PreparedCampaign, eng: &mut EngineCfg) -> ShardRun {
+    let run = execute_resumable(prep, eng).unwrap_or_else(|e| fail(&format!("{what}: {e}")));
     if let Some(left) = &mut eng.trial_limit {
         *left -= run.records.len() - run.resumed;
     }
-    if run.records.len() < prep.plan.len() {
-        exit_partial(what, run.records.len(), prep.plan.len());
+    let my = shard_trials(prep.plan.len(), eng.shards, eng.shard_index).len();
+    if run.records.len() < my {
+        exit_partial(what, run.records.len(), my);
     }
     run
 }
@@ -268,7 +240,7 @@ pub struct Driver<'a> {
     cfg: CampaignCfg,
     /// Backend of every campaign, and as `trial_limit` what is left of
     /// `--limit`: the new trials this invocation may still execute. The
-    /// journal paths are filled in per campaign.
+    /// journal path is filled in per campaign.
     eng: EngineCfg,
     journals: PathBuf,
     /// The applications campaigns may be asked for (`--apps`).
@@ -343,14 +315,8 @@ impl<'a> Driver<'a> {
             Targets::Structures => plan_uarch(&captures, &cfg, &HwStructure::ALL),
             Targets::Kinds(kinds) => plan_sw(&captures, &cfg, kinds),
         };
-        let journal = self.journals.join(format!("{name}.jsonl"));
-        let run = execute_journaled(
-            &name,
-            &prep,
-            &mut self.eng,
-            Some(journal.clone()),
-            Some(journal),
-        );
+        self.eng.checkpoint = Some(self.journals.join(format!("{name}.jsonl")));
+        let run = execute_journaled(&name, &prep, &mut self.eng);
         let records = &run.records;
         let result = match key.targets {
             Targets::Structures => {

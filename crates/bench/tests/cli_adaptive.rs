@@ -58,10 +58,11 @@ fn a_wave_journal_killed_before_its_header_resumes_like_a_missing_one() {
     // As if the kill had come a moment earlier: the file exists, its
     // header never reached the disk.
     std::fs::File::create(&wave1).unwrap();
-    let resumed = run(&["--checkpoint", base, "--resume", base]);
+    let resumed = run(&["--checkpoint", base]);
     assert_eq!(resumed, uninterrupted);
 
-    // The journals are complete now: resuming again loads every wave.
-    assert_eq!(run(&["--resume", base, "--limit", "0"]), uninterrupted);
+    // The journals are complete now: the same command loads every wave,
+    // also with no trial left to execute.
+    assert_eq!(run(&["--checkpoint", base, "--limit", "0"]), uninterrupted);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -50,6 +50,9 @@ fn validation_errors_exit_2() {
         2,
     );
     assert_exit(&["run", "--app", "VA", "--shards", "0"], 2);
+    // What `--limit` leaves undone must be journaled to be resumable.
+    assert_exit(&["run", "--app", "VA", "--n", "4", "--limit", "2"], 2);
+    assert_exit(&["run", "--app", "VA", "--adaptive", "--limit", "10"], 2);
     assert_exit(&["merge"], 2); // no shard files
     assert_exit(&["merge", "missing.jsonl"], 2); // no --app
     assert_exit(&["paper"], 2); // no --out-dir
@@ -229,10 +232,11 @@ fn adaptive_validation_errors_exit_2() {
 #[test]
 fn removed_watchdog_and_flush_flags_are_unknown_options() {
     // The harness's golden-derived budget is the one source of Timeout,
-    // and the checkpoint flush interval is a constant: the per-trial
-    // watchdog's three flags and the flush flag are gone from every
-    // command. (Spelled in pieces, like the other removed flags, so that
-    // a grep over the sources finds none.)
+    // the checkpoint flush interval is a constant, and a `--checkpoint`
+    // that holds trials is resumed: the per-trial watchdog's three flags,
+    // the flush flag and the resume flag are gone from every command.
+    // (Spelled in pieces, like the other removed flags, so that a grep
+    // over the sources finds none.)
     let run = ["run", "--app", "VA"];
     let paper = ["paper", "--out-dir", "x"];
     let merge = ["merge", "--app", "VA"];
@@ -241,6 +245,7 @@ fn removed_watchdog_and_flush_flags_are_unknown_options() {
         (format!("--cycle-{}", "limit"), Some("50")),
         (format!("--no-{}", "retry"), None),
         (format!("--checkpoint-{}", "every"), Some("1")),
+        (format!("--{}", "resume"), Some("j.jsonl")),
     ];
     for cmd in [&run[..], &paper, &merge] {
         for (flag, value) in &removed {
@@ -369,44 +374,59 @@ fn a_deeply_nested_journal_line_is_a_torn_tail_or_corruption() {
     let mut lines: Vec<&str> = text.lines().collect();
     lines.insert(1, &deep);
     std::fs::write(&inside, lines.join("\n") + "\n").unwrap();
-    assert_exit(&[&run[..], &["--resume", &tail]].concat(), 0);
-    assert_exit(&[&run[..], &["--resume", &inside]].concat(), 1);
+    assert_exit(&[&run[..], &["--checkpoint", &tail]].concat(), 0);
+    assert_exit(&[&run[..], &["--checkpoint", &inside]].concat(), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `--checkpoint J` without `--resume` starts J afresh: over an empty file
-/// it runs, over a journal that holds trials it exits 1 naming `--resume`
-/// and leaves the journal as it was.
+/// `--checkpoint J` never truncates a journal that holds trials: over an
+/// empty file the run starts, over this plan's complete journal it
+/// reprints the result (with or without `--limit`) and simulates nothing,
+/// over another seed's journal it exits 1 — and in both cases `J` is left
+/// byte-identical.
 #[test]
-fn a_fresh_checkpoint_refuses_to_truncate_a_journal() {
+fn a_checkpoint_is_never_truncated() {
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_exit_truncate");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let ck = dir.join("ck.jsonl");
     std::fs::File::create(&ck).unwrap();
     let ck = ck.to_str().unwrap();
-    let run = [
-        "run",
-        "--app",
-        "VA",
-        "--layer",
-        "uarch",
-        "--n",
-        "2",
-        "--seed",
-        "1",
-        "--checkpoint",
-        ck,
-    ];
-    assert_exit(&run, 0);
+    let run = |seed: &str, extra: &[&str]| {
+        let args = [
+            "run",
+            "--app",
+            "VA",
+            "--layer",
+            "uarch",
+            "--n",
+            "2",
+            "--seed",
+            seed,
+            "--checkpoint",
+            ck,
+        ];
+        campaign(&[&args[..], extra].concat())
+    };
+    let fingerprint = |out: &std::process::Output| {
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let line = stdout.lines().find(|l| l.starts_with("result fingerprint"));
+        line.expect("a result fingerprint").to_string()
+    };
+    let first = run("1", &[]);
+    assert_eq!(first.status.code(), Some(0));
     let journal = std::fs::read(ck).unwrap();
     for limit in [&[][..], &["--limit", "1"]] {
-        let out = campaign(&[&run[..], limit].concat());
-        assert_eq!(out.status.code(), Some(1));
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("--resume"), "{stderr}");
+        let out = run("1", limit);
+        assert_eq!(out.status.code(), Some(0), "{limit:?}");
+        assert_eq!(fingerprint(&out), fingerprint(&first), "{limit:?}");
         assert_eq!(std::fs::read(ck).unwrap(), journal, "left byte-identical");
     }
+    let out = run("2", &[]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("plan mismatch"), "{stderr}");
+    assert_eq!(std::fs::read(ck).unwrap(), journal, "left byte-identical");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -8,11 +8,11 @@
 //!    (kernel, structure/instruction, bit, cycle) for every injection).
 //! 2. **Execute** ([`execute_shard`]) — run any strided shard of the plan
 //!    in parallel, optionally journaling every classified trial to a
-//!    JSONL checkpoint ([`crate::checkpoint`]) and skipping trials an
-//!    interrupted run already finished (`resume`);
-//!    [`execute_resumable`] is the same stage for callers that only want
-//!    the shard finished, and loads a journal that already is. A trial
-//!    whose harness panics is retried once, then recorded as Timeout.
+//!    JSONL checkpoint ([`crate::checkpoint`]), started afresh;
+//!    [`execute_resumable`] is the same stage with the one journal rule
+//!    of the command line: a journal that holds trials is finished, and
+//!    loaded if it already is. A trial whose harness panics is retried
+//!    once, then recorded as Timeout.
 //! 3. **Assemble** ([`assemble`] and its projections) — one fold turns
 //!    any record set that covers the plan (a single shot, a merge of
 //!    shards in any order, duplicates from at-least-once execution
@@ -183,18 +183,17 @@ fn observe_trial(
 // ---------------------------------------------------------------------
 
 /// How to execute a prepared campaign: which shard of the plan, where to
-/// checkpoint, what to resume from, on which backend.
+/// journal it, on which backend.
 #[derive(Debug, Clone)]
 pub struct EngineCfg {
     /// Total shards the plan is partitioned into (>= 1).
     pub shards: usize,
     /// This process's shard (0-based, < `shards`).
     pub shard_index: usize,
-    /// Journal every classified trial to this JSONL file (truncated).
+    /// Journal every classified trial to this JSONL file: started afresh
+    /// by [`execute_shard`], resumed by [`execute_resumable`] when it
+    /// holds anything.
     pub checkpoint: Option<PathBuf>,
-    /// Resume from (and keep appending to) this checkpoint file,
-    /// skipping trials it already classifies. Wins over `checkpoint`.
-    pub resume: Option<PathBuf>,
     /// Stop after this many *newly executed* trials, leaving a resumable
     /// checkpoint behind — interruption simulation and incremental runs.
     pub trial_limit: Option<usize>,
@@ -215,7 +214,6 @@ impl EngineCfg {
             shards: 1,
             shard_index: 0,
             checkpoint: None,
-            resume: None,
             trial_limit: None,
             backend: FastForward::Timed,
         }
@@ -245,10 +243,6 @@ pub enum EngineError {
     /// A checkpoint/shard header does not match the plan being executed
     /// (different seed, app, GPU config, shard slice, or code revision).
     PlanMismatch(String),
-    /// The resumed checkpoint already classifies every trial of its shard.
-    AlreadyComplete {
-        done: usize,
-    },
     /// A record's plan index is outside the plan or this shard's slice.
     ForeignTrial {
         idx: usize,
@@ -272,9 +266,6 @@ impl fmt::Display for EngineError {
             EngineError::Io(e) => write!(f, "campaign I/O error: {e}"),
             EngineError::Checkpoint(e) => write!(f, "{e}"),
             EngineError::PlanMismatch(why) => write!(f, "plan mismatch: {why}"),
-            EngineError::AlreadyComplete { done } => {
-                write!(f, "checkpoint already complete ({done} trials classified)")
-            }
             EngineError::ForeignTrial { idx } => {
                 write!(f, "trial record {idx} does not belong to this plan/shard")
             }
@@ -624,7 +615,7 @@ where
 }
 
 /// What [`execute_resumable`] returns: a shard's classified trials in plan
-/// order, and how many of them its resume journal already held.
+/// order, and how many of them its journal already held.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardRun {
     pub records: Vec<TrialRecord>,
@@ -633,35 +624,43 @@ pub struct ShardRun {
 
 /// Execute one strided shard of a prepared campaign, in parallel.
 ///
-/// Returns the shard's classified trials in plan order — records loaded
-/// from a resumed checkpoint plus everything newly executed. With
-/// `eng.checkpoint`/`eng.resume` set, every classified trial is journaled
-/// so an interruption at any point (including mid-line) loses at most
-/// [`DEFAULT_CHECKPOINT_EVERY`] trials. Resuming a checkpoint that already
-/// classifies the whole shard is [`EngineError::AlreadyComplete`]: there
-/// is nothing to execute ([`execute_resumable`] loads it instead).
+/// Returns the shard's classified trials in plan order. With
+/// `eng.checkpoint` set, the journal is started afresh (whatever the file
+/// held is truncated) and every classified trial is journaled, so an
+/// interruption at any point (including mid-line) loses at most
+/// [`DEFAULT_CHECKPOINT_EVERY`] trials.
 pub fn execute_shard(
     prep: &PreparedCampaign,
     eng: &EngineCfg,
 ) -> Result<Vec<TrialRecord>, EngineError> {
-    let run = execute_resumable(prep, eng)?;
-    let shard_len = shard_trials(prep.plan.len(), eng.shards, eng.shard_index).len();
-    if eng.resume.is_some() && run.resumed >= shard_len {
-        return Err(EngineError::AlreadyComplete { done: run.resumed });
-    }
-    Ok(run.records)
+    execute(prep, eng, false).map(|run| run.records)
 }
 
-/// [`execute_shard`] for callers that journal and resume at the same
-/// place and only want the shard finished — the campaigns of `campaign
-/// paper`, the waves of `campaign run --adaptive`. Whatever `eng.resume`
-/// holds is kept; what it lacks is executed (up to `eng.trial_limit`) and
-/// appended; a journal that already classifies the whole shard is the
-/// result — loaded once, nothing simulated, no file rewritten, no
-/// campaign event emitted.
+/// [`execute_shard`] under the one journal rule of the command line —
+/// `campaign run --checkpoint`, the waves of `run --adaptive`, the
+/// campaigns of `campaign paper`. A journal at `eng.checkpoint` that
+/// holds anything is resumed: what it classifies is kept, what it lacks
+/// is executed (up to `eng.trial_limit`) and appended, and one that
+/// already classifies the whole shard is the result — loaded once,
+/// nothing simulated, no file rewritten, no campaign event emitted. A
+/// missing or empty one (a run killed before its header reached the
+/// disk) is started. A journal of another plan or shard is refused and
+/// left as it is.
 pub fn execute_resumable(
     prep: &PreparedCampaign,
     eng: &EngineCfg,
+) -> Result<ShardRun, EngineError> {
+    let holds_records = (eng.checkpoint.as_deref())
+        .is_some_and(|p| std::fs::metadata(p).is_ok_and(|m| m.len() > 0));
+    execute(prep, eng, holds_records)
+}
+
+/// The body of [`execute_shard`] and [`execute_resumable`]: `resume`
+/// says whether `eng.checkpoint` is loaded and appended to, or started.
+fn execute(
+    prep: &PreparedCampaign,
+    eng: &EngineCfg,
+    resume: bool,
 ) -> Result<ShardRun, EngineError> {
     let plan = &prep.plan;
     let my = shard_trials(plan.len(), eng.shards, eng.shard_index);
@@ -685,7 +684,8 @@ pub fn execute_resumable(
     };
 
     let mut writer: Option<CheckpointWriter> = None;
-    if let Some(rp) = &eng.resume {
+    let journal = eng.checkpoint.as_deref();
+    if let Some(rp) = journal.filter(|_| resume) {
         let ck = load_checkpoint(rp)?;
         if ck.header != header {
             return Err(EngineError::PlanMismatch(format!(
@@ -724,7 +724,7 @@ pub fn execute_resumable(
             &ck,
             DEFAULT_CHECKPOINT_EVERY,
         )?);
-    } else if let Some(cp) = &eng.checkpoint {
+    } else if let Some(cp) = journal {
         writer = Some(CheckpointWriter::create(
             cp,
             &header,
@@ -1197,10 +1197,10 @@ mod tests {
         };
         assert_eq!(execute_shard(&prep, &interrupted).unwrap().len(), 5);
         let resumed = EngineCfg {
-            resume: Some(path.clone()),
-            ..EngineCfg::single_shot()
+            trial_limit: None,
+            ..interrupted
         };
-        let records = execute_shard(&prep, &resumed).unwrap();
+        let records = execute_resumable(&prep, &resumed).unwrap().records;
         assert_eq!(records.len(), prep.plan.len());
         assert_eq!(assemble_uarch(&prep, &records).unwrap(), expect);
         assert_eq!(records_fingerprint(&records), records_fingerprint(&single));
@@ -1216,13 +1216,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("journal.jsonl");
         let prep = prepare_sw_campaign(&Va, &CampaignCfg::new(4, 4, 9), false);
-        let eng = |resume: bool, trial_limit| EngineCfg {
+        let eng = |trial_limit| EngineCfg {
             checkpoint: Some(path.clone()),
-            resume: resume.then(|| path.clone()),
             trial_limit,
             ..EngineCfg::single_shot()
         };
-        let killed = execute_resumable(&prep, &eng(false, Some(3))).unwrap();
+        let killed = execute_resumable(&prep, &eng(Some(3))).unwrap();
         assert_eq!((killed.records.len(), killed.resumed), (3, 0));
         // A header that also names the plan's inputs resumes all the same.
         let text = std::fs::read_to_string(&path).unwrap();
@@ -1235,14 +1234,14 @@ mod tests {
         let text = text.replacen(&h.to_json(), &with_inputs, 1);
         assert!(text.starts_with(&with_inputs));
         std::fs::write(&path, text).unwrap();
-        let finished = execute_resumable(&prep, &eng(true, None)).unwrap();
+        let finished = execute_resumable(&prep, &eng(None)).unwrap();
         assert_eq!(
             (finished.records.len(), finished.resumed),
             (prep.plan.len(), 3)
         );
         // Complete: the journal is the result, and is left as it is.
         let bytes = std::fs::read(&path).unwrap();
-        let loaded = execute_resumable(&prep, &eng(true, Some(0))).unwrap();
+        let loaded = execute_resumable(&prep, &eng(Some(0))).unwrap();
         assert_eq!(loaded.resumed, prep.plan.len());
         assert_eq!(loaded.records, finished.records);
         assert_eq!(std::fs::read(&path).unwrap(), bytes);
@@ -1250,11 +1249,6 @@ mod tests {
             records_fingerprint(&loaded.records),
             records_fingerprint(&execute_shard(&prep, &EngineCfg::single_shot()).unwrap())
         );
-        // For `execute_shard`, which is asked to execute, that is an error.
-        assert!(matches!(
-            execute_shard(&prep, &eng(true, None)),
-            Err(EngineError::AlreadyComplete { done }) if done == prep.plan.len()
-        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -267,25 +267,6 @@ fn temp_path(path: &Path) -> PathBuf {
     PathBuf::from(os)
 }
 
-/// Whether a journal may be started afresh at `path`: `Ok` if the file is
-/// missing or empty, an `AlreadyExists` error if it holds anything.
-/// [`CheckpointWriter::create`] truncates, and also serves scratch
-/// journals meant to be rewritten, so a caller starting a journal the user
-/// named checks here first: one that holds trials is resumed, or refused.
-pub fn fresh_journal(path: &Path) -> std::io::Result<()> {
-    match std::fs::metadata(path) {
-        Ok(m) if m.len() > 0 => Err(std::io::Error::new(
-            std::io::ErrorKind::AlreadyExists,
-            format!(
-                "{} already holds a journal ({} bytes)",
-                path.display(),
-                m.len()
-            ),
-        )),
-        _ => Ok(()),
-    }
-}
-
 /// Incremental checkpoint writer: appends one line per classified trial
 /// and flushes every `every` records, so an interruption loses at most
 /// `every` finished trials (plus one torn line, which the reader drops).
@@ -532,28 +513,6 @@ mod tests {
             inside,
             Err(CheckpointError::Corrupt { line_no: 3 })
         ));
-    }
-
-    #[test]
-    fn only_a_missing_or_empty_journal_is_fresh() {
-        let dir = std::env::temp_dir().join(format!("relia_ckpt_fresh_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("shard.jsonl");
-        assert!(fresh_journal(&path).is_ok(), "missing");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(&path, "").unwrap();
-        assert!(fresh_journal(&path).is_ok(), "empty");
-        let mut w = CheckpointWriter::create(&path, &header(), 1).unwrap();
-        for r in records() {
-            w.record(&r).unwrap();
-        }
-        w.finish().unwrap();
-        let before = std::fs::read(&path).unwrap();
-        let e = fresh_journal(&path).unwrap_err();
-        assert_eq!(e.kind(), std::io::ErrorKind::AlreadyExists);
-        assert!(e.to_string().contains("already holds a journal"), "{e}");
-        assert_eq!(std::fs::read(&path).unwrap(), before, "left as it was");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

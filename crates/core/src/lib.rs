@@ -57,8 +57,8 @@ pub use campaign::{
 };
 pub use captures::AppCaptures;
 pub use checkpoint::{
-    fresh_journal, load_checkpoint, Checkpoint, CheckpointError, CheckpointHeader,
-    CheckpointWriter, TrialRecord, DEFAULT_CHECKPOINT_EVERY,
+    load_checkpoint, Checkpoint, CheckpointError, CheckpointHeader, CheckpointWriter, TrialRecord,
+    DEFAULT_CHECKPOINT_EVERY,
 };
 pub use hardening::{HardeningComparison, KernelHardeningRow};
 pub use metrics::{error_margin, ClassCounts, ClassRates, Confidence};

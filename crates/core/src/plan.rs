@@ -7,13 +7,14 @@
 //! `(seed, app, kernel, target, trial)` alone, the plan is identical no
 //! matter how execution is split: across rayon workers, across
 //! `--shards M --shard-index i` processes, or across an interruption and
-//! a `--resume`. The plan keeps the [`StratumSpec`]s it was expanded from
-//! and lays its trials out stratum by stratum, so a wave's job frame, the
-//! assemble fold and the adaptive sizer all read one description instead
-//! of reverse-engineering it from the trial list. [`shard_trials`] partitions a plan into disjoint strided
-//! slices, and [`CampaignPlan::fingerprint`] condenses the whole trial
-//! list into one u64 so checkpoints and shard outputs can prove they came
-//! from the same plan before being merged.
+//! the resume of its journal. The plan keeps the [`StratumSpec`]s it was
+//! expanded from and lays its trials out stratum by stratum, so a wave's
+//! job frame, the assemble fold and the adaptive sizer all read one
+//! description instead of reverse-engineering it from the trial list.
+//! [`shard_trials`] partitions a plan into disjoint strided slices, and
+//! [`CampaignPlan::fingerprint`] condenses the whole trial list into one
+//! u64 so checkpoints and shard outputs can prove they came from the same
+//! plan before being merged.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -15,9 +15,9 @@ use kernels::apps::{bfs::Bfs, lud::Lud, scp::Scp, sradv1::SradV1, va::Va};
 use kernels::{all_benchmarks, Benchmark};
 use relia::plan::{plan_sw, plan_uarch, Layer};
 use relia::{
-    assemble, assemble_uarch, execute_shard, execute_trials_with, prepare_sw_campaign,
-    prepare_uarch_campaign, records_fingerprint, AppCaptures, CampaignCfg, EngineCfg, FastForward,
-    PreparedCampaign, TrialRecord, DEFAULT_SNAPSHOTS,
+    assemble, assemble_uarch, execute_resumable, execute_shard, execute_trials_with,
+    prepare_sw_campaign, prepare_uarch_campaign, records_fingerprint, AppCaptures, CampaignCfg,
+    EngineCfg, FastForward, PreparedCampaign, TrialRecord, DEFAULT_SNAPSHOTS,
 };
 use vgpu_arch::InstrClass;
 use vgpu_sim::{FaultPattern, GpuConfig, HwStructure, SwFaultKind};
@@ -118,11 +118,11 @@ fn assert_merge_and_resume_match_the_oracle(
         ..EngineCfg::single_shot()
     });
     assert_eq!(execute_shard(prep, &interrupted).unwrap().len(), 7);
-    let resumed = engine(EngineCfg {
-        resume: Some(path),
-        ..EngineCfg::single_shot()
-    });
-    let records = execute_shard(prep, &resumed).unwrap();
+    let resumed = EngineCfg {
+        trial_limit: None,
+        ..interrupted
+    };
+    let records = execute_resumable(prep, &resumed).unwrap().records;
     assert_eq!(records, oracle);
     assert_eq!(assemble(prep, &records).unwrap(), assembled);
     let _ = std::fs::remove_dir_all(&dir);

@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use kernels::apps::va::Va;
 use relia::{
-    execute_shard, execute_trials_with, load_checkpoint, plan_sw, plan_uarch, plan_wave,
+    execute_resumable, execute_shard, execute_trials_with, plan_sw, plan_uarch, plan_wave,
     records_fingerprint, AppCaptures, CampaignCfg, EngineCfg, EngineError, FastForward, Layer,
     PreparedCampaign, StratumSpec, TrialRecord, TrialTarget, DEFAULT_SNAPSHOTS, SVF_KINDS,
 };
@@ -262,18 +262,16 @@ fn a_run_resumed_from_complete_journals_captures_nothing() {
     assert_eq!(calls("kernels.snapshot_capture"), 1);
 
     reset_counters();
-    // What `campaign run --adaptive --resume` does with a complete journal.
+    // What `campaign run --adaptive --checkpoint` does with complete
+    // journals: each is loaded, and nothing is captured or simulated.
     let resumed = adaptive_uarch(|prep, wave| {
         let eng = EngineCfg {
-            resume: Some(journal(wave)),
+            checkpoint: Some(journal(wave)),
             ..EngineCfg::single_shot()
         };
-        match execute_shard(prep, &eng) {
-            Err(EngineError::AlreadyComplete { .. }) => {
-                Ok(load_checkpoint(&journal(wave)).unwrap().records)
-            }
-            other => panic!("wave {wave} journal is complete, got {other:?}"),
-        }
+        let run = execute_resumable(prep, &eng)?;
+        assert_eq!(run.resumed, prep.plan.len(), "wave {wave} was loaded");
+        Ok(run.records)
     });
     assert_eq!(first, resumed);
     assert_eq!(calls("kernels.golden"), 1, "planning needs the golden run");

@@ -128,12 +128,15 @@ echo "==> shard smoke (docs/CAMPAIGNS.md): three shard processes, one killed and
 # The multi-machine path is one `run --shards 3 --shard-index i` process
 # per machine, each journaling with --checkpoint, and one `merge` of the
 # journals. Shard 1 is killed by --limit (3 of its 10 trials journaled)
-# and finished by --resume. The merged CSV must be byte-identical to the
-# single-process one (VA: 1 kernel x 5 structures x 6 = 30 trials). The
-# reference names the timed backend, which simulates every trial; the
-# shards run on the default replay backend, which synthesizes the trials
-# it proves dead: records are identical on both. The single-process CSV
-# is also the replay smoke's reference below.
+# and finished by the same --checkpoint. Re-running it over its complete
+# journal exits 0 and leaves the file as it was; running shard 2 over it
+# is another shard's journal: exit 1, file untouched. The merged CSV must
+# be byte-identical to the single-process one (VA: 1 kernel x 5
+# structures x 6 = 30 trials). The reference names the timed backend,
+# which simulates every trial; the shards run on the default replay
+# backend, which synthesizes the trials it proves dead: records are
+# identical on both. The single-process CSV is also the replay smoke's
+# reference below.
 SMOKE=$(mktemp -d)
 "$CAMPAIGN" run --app VA --layer uarch --n 6 --seed 1234 --backend timed \
   --csv "$SMOKE/single.csv" > /dev/null
@@ -142,10 +145,17 @@ SFLAGS=(--app VA --layer uarch --n 6 --seed 1234 --shards 3)
 "$CAMPAIGN" run "${SFLAGS[@]}" --shard-index 1 --checkpoint "$SMOKE/shard1.jsonl" --limit 3 \
   | grep '3/10 trials classified.*partial — resume to finish' > /dev/null
 "$CAMPAIGN" run "${SFLAGS[@]}" --shard-index 2 --checkpoint "$SMOKE/shard2.jsonl" > /dev/null
-"$CAMPAIGN" run "${SFLAGS[@]}" --shard-index 1 --resume "$SMOKE/shard1.jsonl" > /dev/null
+"$CAMPAIGN" run "${SFLAGS[@]}" --shard-index 1 --checkpoint "$SMOKE/shard1.jsonl" > /dev/null
 "$CAMPAIGN" merge --app VA --layer uarch --n 6 --seed 1234 --csv "$SMOKE/merged.csv" \
   "$SMOKE"/shard{0,1,2}.jsonl > /dev/null
 cmp "$SMOKE/single.csv" "$SMOKE/merged.csv"
+cp "$SMOKE/shard1.jsonl" "$SMOKE/shard1.before"
+"$CAMPAIGN" run "${SFLAGS[@]}" --shard-index 1 --checkpoint "$SMOKE/shard1.jsonl" > /dev/null
+cmp "$SMOKE/shard1.before" "$SMOKE/shard1.jsonl"
+rc=0; "$CAMPAIGN" run "${SFLAGS[@]}" --shard-index 2 --checkpoint "$SMOKE/shard1.jsonl" \
+  > /dev/null 2>&1 || rc=$?
+[ "$rc" -eq 1 ]
+cmp "$SMOKE/shard1.before" "$SMOKE/shard1.jsonl"
 
 echo "==> replay backend smoke (docs/TRACE.md)"
 # The trace-replay backend records the golden access trace, adjudicates
@@ -198,8 +208,7 @@ test "$(wc -l < "$ADPT/adaptive.csv")" -eq 6
 ! grep -q ',cap$' "$ADPT/adaptive.csv"
 "$CAMPAIGN" run "${AFLAGS[@]}" --checkpoint "$ADPT/ck.jsonl" --limit 33 \
   > /dev/null
-"$CAMPAIGN" run "${AFLAGS[@]}" --checkpoint "$ADPT/ck.jsonl" \
-  --resume "$ADPT/ck.jsonl" > "$ADPT/two.txt"
+"$CAMPAIGN" run "${AFLAGS[@]}" --checkpoint "$ADPT/ck.jsonl" > "$ADPT/two.txt"
 cmp "$ADPT/one.txt" "$ADPT/two.txt"
 rm -rf "$ADPT"
 echo "adaptive smoke: single-shot == resumed"

@@ -11,7 +11,7 @@
 use gpu_reliability::prelude::*;
 use kernels::apps::{scp::Scp, va::Va};
 use relia::checkpoint::load_checkpoint;
-use relia::{records_fingerprint, TrialRecord};
+use relia::{execute_resumable, records_fingerprint, TrialRecord};
 use std::path::PathBuf;
 use vgpu_sim::{FaultPattern, HwStructure};
 
@@ -65,10 +65,10 @@ fn run_interrupted(prep: &relia::PreparedCampaign, path: &PathBuf) -> Vec<TrialR
         "checkpoint records every classified trial"
     );
     let resumed = EngineCfg {
-        resume: Some(path.clone()),
-        ..EngineCfg::single_shot()
+        trial_limit: None,
+        ..interrupted
     };
-    let records = execute_shard(prep, &resumed).unwrap();
+    let records = execute_resumable(prep, &resumed).unwrap().records;
     let _ = std::fs::remove_file(path);
     records
 }
@@ -205,7 +205,7 @@ fn uneven_shard_counts_also_merge_exactly() {
 }
 
 #[test]
-fn resuming_a_complete_checkpoint_is_rejected() {
+fn resuming_a_complete_checkpoint_loads_it() {
     let cfg = CampaignCfg::new(6, 6, 0xD0E);
     let prep = prepare_sw_campaign(&Va, &cfg, false);
     let path = tmp("complete");
@@ -214,22 +214,61 @@ fn resuming_a_complete_checkpoint_is_rejected() {
         checkpoint: Some(path.clone()),
         ..EngineCfg::single_shot()
     };
-    execute_shard(&prep, &eng).unwrap();
-    let again = EngineCfg {
-        resume: Some(path.clone()),
+    let records = execute_shard(&prep, &eng).unwrap();
+    let journal = std::fs::read(&path).unwrap();
+    let loaded = execute_resumable(&prep, &eng).unwrap();
+    assert_eq!(loaded.resumed, prep.plan.len());
+    assert_eq!(loaded.records, records, "the journal's records, as run");
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        journal,
+        "left byte-identical"
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+/// `execute_shard` starts its journal afresh even over a complete one of
+/// the same plan, and executes every trial again: the perf ledger times
+/// real trials through scratch journals it rewrites on every pass.
+#[test]
+fn a_shard_over_a_complete_checkpoint_executes_every_trial_again() {
+    let cfg = CampaignCfg::new(6, 6, 0xD0E);
+    let prep = prepare_sw_campaign(&Va, &cfg, false);
+    let path = tmp("rerun");
+    let _ = std::fs::remove_file(&path);
+    let eng = EngineCfg {
+        checkpoint: Some(path.clone()),
         ..EngineCfg::single_shot()
     };
-    let err = execute_shard(&prep, &again).unwrap_err();
+    let first = execute_shard(&prep, &eng).unwrap();
+    // Stamp every journaled trial with a wall time no trial takes: a
+    // record that still carries it was loaded, not executed.
+    const STAMP: u64 = u64::MAX / 2;
+    let mut ck = load_checkpoint(&path).unwrap();
+    for r in &mut ck.records {
+        r.wall_us = STAMP;
+    }
+    std::fs::write(&path, relia::checkpoint::checkpoint_to_string(&ck)).unwrap();
+    let again = execute_shard(&prep, &eng).unwrap();
+    assert_eq!(again.len(), prep.plan.len());
     assert!(
-        matches!(err, EngineError::AlreadyComplete { done } if done == prep.plan.len()),
-        "wanted AlreadyComplete, got {err}"
+        again.iter().all(|r| r.wall_us != STAMP),
+        "a trial was loaded"
+    );
+    assert_eq!(records_fingerprint(&again), records_fingerprint(&first));
+    let rewritten = load_checkpoint(&path).unwrap().records;
+    assert_eq!(rewritten.len(), prep.plan.len());
+    assert!(
+        rewritten.iter().all(|r| r.wall_us != STAMP),
+        "not restarted"
     );
     let _ = std::fs::remove_file(&path);
 }
 
 #[test]
 fn resuming_a_foreign_checkpoint_is_rejected() {
-    // A checkpoint from a different seed must not silently pollute a run.
+    // A checkpoint from a different seed must not silently pollute a run,
+    // and is left as it is.
     let cfg_a = CampaignCfg::new(6, 6, 1);
     let cfg_b = CampaignCfg::new(6, 6, 2);
     let path = tmp("foreign");
@@ -241,15 +280,17 @@ fn resuming_a_foreign_checkpoint_is_rejected() {
         ..EngineCfg::single_shot()
     };
     execute_shard(&prep_a, &eng).unwrap();
+    let journal = std::fs::read(&path).unwrap();
     let prep_b = prepare_sw_campaign(&Va, &cfg_b, false);
-    let again = EngineCfg {
-        resume: Some(path.clone()),
-        ..EngineCfg::single_shot()
-    };
-    let err = execute_shard(&prep_b, &again).unwrap_err();
+    let err = execute_resumable(&prep_b, &eng).unwrap_err();
     assert!(
         matches!(err, EngineError::PlanMismatch(_)),
         "wanted PlanMismatch, got {err}"
+    );
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        journal,
+        "left byte-identical"
     );
     let _ = std::fs::remove_file(&path);
 }
@@ -305,13 +346,11 @@ fn adaptive_campaign_killed_mid_wave_2_resumes_byte_identically() {
                 partial.len(),
                 "checkpoint records every classified wave-2 trial"
             );
-            execute_shard(
-                prep,
-                &EngineCfg {
-                    resume: Some(path.clone()),
-                    ..EngineCfg::single_shot()
-                },
-            )
+            let resumed = EngineCfg {
+                trial_limit: None,
+                ..killed
+            };
+            execute_resumable(prep, &resumed).map(|run| run.records)
         },
     )
     .unwrap();
