@@ -117,18 +117,6 @@ impl<'a> Delta<'a> {
             (start, run)
         })
     }
-
-    /// `(address, final word)`, ascending by address: what a simulated
-    /// CTA's golden counterpart stored, word by word ([`DirtySet::absorb`]).
-    fn iter(&self) -> impl Iterator<Item = (u32, u32)> + 'a {
-        self.runs()
-            .flat_map(|(start, run)| (0..).map(move |i| start + 4 * i).zip(run.iter().copied()))
-    }
-
-    fn contains(&self, addr: u32) -> bool {
-        let after = self.runs.partition_point(|&(start, _)| start <= addr);
-        after > 0 && addr < self.runs[after - 1].0 + 4 * self.runs[after - 1].1
-    }
 }
 
 impl CtaLog {
@@ -326,25 +314,42 @@ impl DirtySet {
     /// Update the set after a simulated CTA whose store journal is
     /// `stores` ([`LogMem::writes`]) and whose golden counterpart stored
     /// `golden`: every word either of them stored to is compared with
-    /// what golden memory holds there now.
+    /// what golden memory holds there now. Both lists ascend, so they are
+    /// merged in one walk, and a stored word inside a golden run is
+    /// settled with the run.
     fn absorb(&mut self, mem: &GlobalMem, stores: &mut Vec<(u32, u32)>, golden: Delta<'_>) {
         // Stable sort + dedup keeps each address's first journal entry:
         // the word the CTA found there.
         stores.sort_by_key(|&(a, _)| a);
         stores.dedup_by_key(|&mut (a, _)| a);
-        for &(addr, found) in stores.iter() {
-            if golden.contains(addr) {
-                continue;
+        let mut own = stores.iter().copied().peekable();
+        for (start, run) in golden.runs() {
+            while let Some((addr, found)) = own.next_if(|&(a, _)| a < start) {
+                self.settle_unstored(mem, addr, found);
             }
-            // The golden CTA left this word alone, so golden memory holds
-            // what it held before: the recorded golden value of a dirty
-            // word, else what the trial's own memory held.
-            let gold = self.words.get(&addr).copied().unwrap_or(found);
-            self.settle(addr, gold, mem.read_u32(addr));
+            let end = start + 4 * run.len() as u32;
+            while own.next_if(|&(a, _)| a < end).is_some() {}
+            for (i, &gold) in run.iter().enumerate() {
+                let addr = start + 4 * i as u32;
+                self.settle(addr, gold, mem.read_u32(addr));
+            }
         }
-        for (addr, gold) in golden.iter() {
-            self.settle(addr, gold, mem.read_u32(addr));
+        for (addr, found) in own {
+            self.settle_unstored(mem, addr, found);
         }
+    }
+
+    /// Settle a word the simulated CTA stored to and its golden counterpart
+    /// left alone. Golden memory holds there what it held before: the
+    /// recorded golden value of a dirty word, else what the trial's own
+    /// memory held, `found`. Only a set granule bit costs a search.
+    fn settle_unstored(&mut self, mem: &GlobalMem, addr: u32, found: u32) {
+        let gold = if self.granule_dirty(addr) {
+            self.words.get(&addr).copied().unwrap_or(found)
+        } else {
+            found
+        };
+        self.settle(addr, gold, mem.read_u32(addr));
     }
 }
 
@@ -572,6 +577,74 @@ mod tests {
             replay.host_read(lo, hi);
             let hit = (lo..hi).step_by(4).any(|a| replay.dirty.words.contains_key(&a));
             prop_assert_eq!(replay.live, !hit);
+        }
+
+        /// The merged `absorb` leaves the set the per-word one does: every
+        /// stored word looked up in the golden runs, and a dirty word's
+        /// golden value looked up whatever its granule. Journals repeat
+        /// addresses, store inside and outside golden runs and to words
+        /// already dirty; memory, found and golden words are drawn from a
+        /// few values, so that many words settle clean.
+        #[test]
+        fn merged_absorb_matches_the_per_word_model(
+            dirty in prop::collection::vec((0u32..512, 0u32..4), 0..48),
+            golden in prop::collection::vec((0u32..512, 0u32..4), 0..96),
+            journal in prop::collection::vec((0u32..512, 0u32..4), 0..96),
+            memory in prop::collection::vec(0u32..4, 512),
+        ) {
+            let mut d = DirtySet::default();
+            for &(w, gold) in &dirty {
+                d.insert(4 * w, gold);
+            }
+            let golden: BTreeMap<u32, u32> = golden.into_iter().collect();
+            let mut runs: Vec<(u32, u32)> = Vec::new();
+            for &w in golden.keys() {
+                match runs.last_mut() {
+                    Some((start, n)) if *start + 4 * *n == 4 * w => *n += 1,
+                    _ => runs.push((4 * w, 1)),
+                }
+            }
+            let words: Vec<u32> = golden.values().copied().collect();
+            let delta = Delta { runs: &runs, words: &words };
+            let mut mem = GlobalMem::new(4 * 512);
+            mem.write_words(0, &memory);
+            let stores: Vec<(u32, u32)> = journal.iter().map(|&(w, found)| (4 * w, found)).collect();
+
+            let mut by_word = d.clone();
+            absorb_by_word(&mut by_word, &mem, &mut stores.clone(), delta);
+            let mut merged = d;
+            merged.absorb(&mem, &mut stores.clone(), delta);
+            prop_assert_eq!(&merged.words, &by_word.words);
+            prop_assert_eq!(&merged.granules, &by_word.granules);
+        }
+    }
+
+    /// `DirtySet::absorb` word by word: each stored word is searched for in
+    /// the golden runs, each golden word settled after them.
+    fn absorb_by_word(
+        d: &mut DirtySet,
+        mem: &GlobalMem,
+        stores: &mut Vec<(u32, u32)>,
+        golden: Delta<'_>,
+    ) {
+        let in_golden = |addr: u32| {
+            let after = golden.runs.partition_point(|&(start, _)| start <= addr);
+            after > 0 && addr < golden.runs[after - 1].0 + 4 * golden.runs[after - 1].1
+        };
+        stores.sort_by_key(|&(a, _)| a);
+        stores.dedup_by_key(|&mut (a, _)| a);
+        for &(addr, found) in stores.iter() {
+            if in_golden(addr) {
+                continue;
+            }
+            let gold = d.words.get(&addr).copied().unwrap_or(found);
+            d.settle(addr, gold, mem.read_u32(addr));
+        }
+        for (start, run) in golden.runs() {
+            for (i, &gold) in run.iter().enumerate() {
+                let addr = start + 4 * i as u32;
+                d.settle(addr, gold, mem.read_u32(addr));
+            }
         }
     }
 }

@@ -18,6 +18,11 @@ use vgpu_arch::{counter, Decoded, Kernel, Reg, Src, Tag, WARP_SIZE};
 
 /// Global-memory interface implemented by the two engines.
 pub trait GMem {
+    /// Whether issue latency is read: the timed engine's memory. Only then
+    /// does a shared-memory access tally its bank conflicts; otherwise
+    /// [`IssueClass::Smem`] reports none.
+    const TIMED: bool = false;
+
     /// Warp-coalesced load of one word per active lane. `addrs[lane]` is
     /// meaningful where `mask` has the lane bit set. Returns the cycle at
     /// which the data is available (0 in functional mode).
@@ -166,8 +171,11 @@ fn lanes(f: impl Fn(usize) -> u32) -> Row {
 /// select.
 #[inline(always)]
 fn select(mask: u32, a: &Row, b: &Row) -> Row {
+    // Each lane tests the constant bit `1 << l`, not `mask >> l`: the
+    // baseline x86-64 target has no per-lane variable shift, and a row of
+    // constants lets the loop run as vector compares.
     lanes(|l| {
-        let m = (mask >> l & 1).wrapping_neg();
+        let m = (((mask & (1 << l)) != 0) as u32).wrapping_neg();
         (a[l] & m) | (b[l] & !m)
     })
 }
@@ -185,7 +193,11 @@ fn row_mut(regs: &mut [u32], o: u16) -> &mut Row {
 #[inline(always)]
 fn write_row(regs: &mut [u32], d: u16, mask: u32, vals: &Row) {
     let dst = row_mut(regs, d);
-    *dst = select(mask, vals, dst);
+    if mask == u32::MAX {
+        *dst = *vals;
+    } else {
+        *dst = select(mask, vals, dst);
+    }
 }
 
 /// `a * b + c`, fused, on every lane: bit for bit what `f32::mul_add` gives
@@ -240,17 +252,13 @@ fn write_pred(p: &mut u32, mask: u32, bits: u32) {
     *p = (*p & !mask) | (bits & mask);
 }
 
-/// Bit `lane` set where `f(lane)` holds.
+/// Bit `lane` set where `f(lane)` holds. Like [`select`], each lane masks
+/// the constant bit `1 << lane` rather than shifting by the lane index.
 #[inline(always)]
 fn lane_bits(f: impl Fn(usize) -> bool) -> u32 {
-    (0..WARP_SIZE).fold(0, |m, lane| m | (f(lane) as u32) << lane)
-}
-
-/// The bit of a comparison result in a [`vgpu_arch::decode::cmp_table`]:
-/// unordered (NaN) is bit 3.
-#[inline(always)]
-fn ord_idx(ord: Option<std::cmp::Ordering>) -> usize {
-    ord.map_or(3, |o| (o as i8 + 1) as usize)
+    (0..WARP_SIZE).fold(0, |m, lane| {
+        m | ((f(lane) as u32).wrapping_neg() & (1 << lane))
+    })
 }
 
 /// `[a + off]` on every lane.
@@ -606,17 +614,42 @@ fn exec_op<M: GMem>(
             }))
         }};
     }
+    // NVIDIA shifts clamp: amounts >= 32 yield 0. An immediate or constant
+    // amount is one for every lane, so the row shifts as one vector op;
+    // the baseline x86-64 target has no per-lane variable shift.
+    macro_rules! shift {
+        (|$x:ident, $y:ident| $e:expr) => {
+            match op.b {
+                Src::Row(_) => alu2!(|$x, $y| $e),
+                Src::Imm(_) | Src::Const(_) => {
+                    let $y = src(ctx.regs, ctx.params, op.b)[0];
+                    alu1!(IssueClass::Alu, |$x| $e)
+                }
+            }
+        };
+    }
     macro_rules! sfu {
         ($e:expr) => {
             alu1!(IssueClass::Sfu, |x| fb($e(f(x))))
         };
     }
+    // `op.imm` is a [`vgpu_arch::decode::cmp_table`]: bits 0–3 hold the
+    // result when the lane's operands, read as `$v`, compare less, equal,
+    // greater or unordered (a NaN). Each lane tests the four relations
+    // against those bits rather than shifting the table by its own
+    // ordering, so the row runs as vector compares.
     macro_rules! setp {
-        (|$x:ident, $y:ident| $ord:expr) => {{
+        (|$x:ident| $v:expr) => {{
             let (a, b) = (row(ctx.regs, op.a), src(ctx.regs, ctx.params, op.b));
+            let t = |bit: u32| op.imm & 1 << bit != 0;
+            let (lt, eq, gt, un) = (t(0), t(1), t(2), t(3));
+            let read = |$x: u32| $v;
             let bits = lane_bits(|l| {
-                let ($x, $y) = (a[l], b[l]);
-                op.imm >> ord_idx($ord) & 1 != 0
+                let (x, y) = (read(a[l]), read(b[l]));
+                (lt & (x < y))
+                    | (eq & (x == y))
+                    | (gt & (x > y))
+                    | (un & x.partial_cmp(&y).is_none())
             });
             write_pred(&mut w.preds[op.d as usize], exec, bits);
             IssueClass::Alu
@@ -649,9 +682,8 @@ fn exec_op<M: GMem>(
         Tag::IMinS => alu2!(|x, y| (x as i32).min(y as i32) as u32),
         Tag::IMaxU => alu2!(|x, y| x.max(y)),
         Tag::IMinU => alu2!(|x, y| x.min(y)),
-        // NVIDIA shifts clamp: amounts >= 32 yield 0.
-        Tag::Shl => alu2!(|x, y| x.checked_shl(y).unwrap_or(0)),
-        Tag::Shr => alu2!(|x, y| x.checked_shr(y).unwrap_or(0)),
+        Tag::Shl => shift!(|x, y| x.checked_shl(y).unwrap_or(0)),
+        Tag::Shr => shift!(|x, y| x.checked_shr(y).unwrap_or(0)),
         Tag::And => alu2!(|x, y| x & y),
         Tag::Or => alu2!(|x, y| x | y),
         Tag::Xor => alu2!(|x, y| x ^ y),
@@ -681,9 +713,9 @@ fn exec_op<M: GMem>(
         Tag::FSqrt => sfu!(f32::sqrt),
         Tag::FExp => sfu!(f32::exp),
         Tag::FLog => sfu!(f32::ln),
-        Tag::ISetPS => setp!(|x, y| Some((x as i32).cmp(&(y as i32)))),
-        Tag::ISetPU => setp!(|x, y| Some(x.cmp(&y))),
-        Tag::FSetP => setp!(|x, y| f(x).partial_cmp(&f(y))),
+        Tag::ISetPS => setp!(|x| x as i32),
+        Tag::ISetPU => setp!(|x| x),
+        Tag::FSetP => setp!(|x| f(x)),
         Tag::PAnd => pset!(|x, y| x & y),
         Tag::POr => pset!(|x, y| x | y),
         Tag::PXor => pset!(|x, y| x ^ y),
@@ -770,7 +802,9 @@ fn stored(op: &Decoded) -> u16 {
 /// as one pass over the warp: the lanes are checked as a row, and the
 /// first bad lane, ascending, raises its DUE (misalignment before bounds)
 /// after the lanes below it have loaded or stored. Lanes store in
-/// ascending order, so of two lanes on one word the higher one wins.
+/// ascending order, so of two lanes on one word the higher one wins. The
+/// banks are tallied only for a [`GMem::TIMED`] memory; the functional
+/// engine, which never reads the degree, gets `extra_conflicts: 0`.
 fn smem_access<M: GMem>(
     ctx: &mut ExecCtx<'_, M>,
     exec_mask: u32,
@@ -790,22 +824,16 @@ fn smem_access<M: GMem>(
                 .probe_smem((addrs[lane] / 4) as usize, store_from.is_some());
         }
     }
-    // Each lane that completes moves its word and counts it against its
-    // bank. Lane `l` counts in tally `l % 4`, so lanes that share a bank
-    // mostly bump different bytes rather than one byte in a chain.
-    let mut tally = [[0u8; 32]; 4];
     let word = |lane: usize| (addrs[lane] / 4) as usize;
     if let Some(d) = load_into {
         let dst = row_mut(ctx.regs, d);
         for lane in lanes_of(done) {
-            tally[lane % 4][word(lane) % 32] += 1;
             dst[lane] = ctx.smem[word(lane)];
         }
     }
     if let Some(v) = store_from {
         let vals = row(ctx.regs, v);
         for lane in lanes_of(done) {
-            tally[lane % 4][word(lane) % 32] += 1;
             ctx.smem[word(lane)] = vals[lane];
         }
     }
@@ -816,6 +844,16 @@ fn smem_access<M: GMem>(
         } else {
             DueKind::Misaligned { addr }
         });
+    }
+    if !M::TIMED {
+        return Ok(IssueClass::Smem { extra_conflicts: 0 });
+    }
+    // Each lane counts its word against its bank. Lane `l` counts in
+    // tally `l % 4`, so lanes that share a bank mostly bump different
+    // bytes rather than one byte in a chain.
+    let mut tally = [[0u8; 32]; 4];
+    for lane in lanes_of(done) {
+        tally[lane % 4][word(lane) % 32] += 1;
     }
     // The most lanes on one bank; two lanes on one word count twice.
     let max_per_bank = (0..32)

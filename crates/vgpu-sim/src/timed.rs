@@ -43,6 +43,8 @@ struct TimedGMem<'a> {
 }
 
 impl GMem for TimedGMem<'_> {
+    const TIMED: bool = true;
+
     fn load(
         &mut self,
         tex: bool,

@@ -14,7 +14,8 @@
 //! rows of 32 consecutive words, FFMA rows bit for bit against
 //! `f32::mul_add`, every shape of a shared-memory access (the DUE lane, the
 //! stores before it, two lanes on one word, each bank-conflict degree, the
-//! probe events), and the decoded op, run end, counters and facts of every
+//! probe events, and the functional engine's access against the timed
+//! one's), and the decoded op, run end, counters and facts of every
 //! pc of every app kernel against its `Op`.
 
 use proptest::prelude::*;
@@ -617,14 +618,18 @@ fn ffma_rows_match_per_lane_mul_add_bit_for_bit() {
 const BIG_SMEM: usize = 1024;
 
 /// [`FlatMem`] that records the shared-memory probe events it is given,
-/// and reports itself probed only when `on`.
-struct SmemProbe<'a> {
+/// and reports itself probed only when `on`. Timed (the default) so that a
+/// shared-memory access tallies its bank conflicts, as on the timed
+/// engine; `SmemProbe<false>` is the functional engine's memory.
+struct SmemProbe<'a, const TIMED: bool = true> {
     flat: FlatMem<'a>,
     on: bool,
     events: Vec<(usize, bool)>,
 }
 
-impl GMem for SmemProbe<'_> {
+impl<const T: bool> GMem for SmemProbe<'_, T> {
+    const TIMED: bool = T;
+
     fn load(
         &mut self,
         tex: bool,
@@ -664,8 +669,18 @@ struct SmemRun {
 }
 
 /// Step `LD.S R1, [R0]` (or `ST.S [R0], R2` with `R2 = 0x100 + lane`) on
-/// the lanes of `mask`, with `R0 = addrs`.
+/// the lanes of `mask`, with `R0 = addrs`, on a timed memory.
 fn smem_step(store: bool, mask: u32, addrs: [u32; WARP_SIZE], probed: bool) -> SmemRun {
+    smem_step_on::<true>(store, mask, addrs, probed)
+}
+
+/// [`smem_step`] on a memory that is timed or not.
+fn smem_step_on<const TIMED: bool>(
+    store: bool,
+    mask: u32,
+    addrs: [u32; WARP_SIZE],
+    probed: bool,
+) -> SmemRun {
     let (a, d, v) = (Reg(0), Reg(1), Reg(2));
     let op = if store {
         Op::St {
@@ -697,7 +712,7 @@ fn smem_step(store: bool, mask: u32, addrs: [u32; WARP_SIZE], probed: bool) -> S
     }
     let mut smem: Vec<u32> = (0..BIG_SMEM as u32).map(|i| !i).collect();
     let mut global = GlobalMem::new(64);
-    let mut mem = SmemProbe {
+    let mut mem = SmemProbe::<TIMED> {
         flat: FlatMem { mem: &mut global },
         on: probed,
         events: Vec::new(),
@@ -860,6 +875,50 @@ fn smem_partial_mask_touches_and_checks_its_lanes_only() {
     assert_eq!(st.events, want);
     // Unprobed, no event is reported.
     assert!(smem_step(true, mask, addrs, false).events.is_empty());
+}
+
+/// A shared-memory address row for [`smem_step`]: per lane, a random word
+/// of the shared memory, one of four words of bank 0 (so lanes meet on one
+/// word or bank), a misaligned byte, or a word past the end.
+fn smem_addrs() -> impl Strategy<Value = [u32; WARP_SIZE]> {
+    let end = (BIG_SMEM * 4) as u32;
+    // A bad lane one time in 32, so that about a third of the full rows
+    // complete.
+    let lane = (0u32..64, any::<u32>()).prop_map(move |(kind, x)| match kind {
+        0..=39 => 4 * (x % BIG_SMEM as u32),
+        40..=61 => 4 * WARP_SIZE as u32 * (x % 4),
+        62 => (x % end) | 1,
+        _ => end + 4 * (x % 8),
+    });
+    prop::collection::vec(lane, WARP_SIZE).prop_map(|v| v.try_into().unwrap())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The functional engine's memory skips the bank tally and nothing
+    /// else: on a random access it leaves the same destination row, shared
+    /// memory, DUE and probe events as a timed memory, and reports no
+    /// conflict.
+    #[test]
+    fn untimed_smem_access_differs_from_timed_in_conflicts_only(
+        addrs in smem_addrs(),
+        mask in prop_oneof![Just(u32::MAX), 1u32..=u32::MAX, (0u32..32).prop_map(|l| 1 << l)],
+        store in any::<bool>(),
+        probed in any::<bool>(),
+    ) {
+        let timed = smem_step_on::<true>(store, mask, addrs, probed);
+        let functional = smem_step_on::<false>(store, mask, addrs, probed);
+        prop_assert_eq!(&functional.dst, &timed.dst);
+        prop_assert!(functional.smem == timed.smem, "shared memory differs");
+        prop_assert_eq!(&functional.events, &timed.events);
+        match (functional.res, timed.res) {
+            (Ok(f), Ok(StepEvent::Issued(IssueClass::Smem { .. }))) => {
+                prop_assert_eq!(f, StepEvent::Issued(IssueClass::Smem { extra_conflicts: 0 }));
+            }
+            (f, t) => prop_assert_eq!(f, t),
+        }
+    }
 }
 
 #[test]

@@ -23,9 +23,11 @@ echo "==> the interpreter's differential tests and the schedule pins, compiled a
 # and through snapshot capture, resume and convergence. Both accelerated
 # trial paths — fast-forward and CTA replay, with their preamble images
 # and their stop where a trial re-joins golden — are held to the oracle
-# in that build too.
+# in that build too, and so is CTA replay's dirty set (the merged walk
+# that settles a simulated CTA's stores against its golden ones).
 cargo test -q --release -p vgpu-sim --test lane_masks --test proptest_engines --test snapshots
 cargo test -q --release -p kernels --test golden_schedule --test cta_replay --test fast_forward
+cargo test -q --release -p kernels --lib ctalog
 
 echo "==> the probe stream's pins and the replay index, compiled as the perf ledger compiles the recorder"
 # The register-operand rows, the recorder and the read-run fold run in
