@@ -33,7 +33,7 @@ impl AceKernelEstimate {
     }
 
     /// Size-weighted analytic AVF over a set of structures (mirrors
-    /// `UarchKernelResult::avf_over`).
+    /// the injection side's `StrataRecords::chip_avf`).
     pub fn avf_over(&self, gpu: &GpuConfig, set: &[HwStructure]) -> f64 {
         let total_bits: u64 = set.iter().map(|&h| gpu.structure_bits(h)).sum();
         set.iter()

@@ -28,8 +28,8 @@
 //! same explicit trial list from `--seed`, so any disjoint cover of the
 //! plan — 1 shard or 40, on one machine or several, interrupted and
 //! resumed or not, on the default replay backend (docs/TRACE.md) or with
-//! `--backend timed` — merges to the byte-identical
-//! `UarchAppResult`/`SvfAppResult`. Every command follows one journal
+//! `--backend timed` — merges to the same assembled result
+//! (`relia::StrataRecords`) and prints the byte-identical table. Every command follows one journal
 //! rule (`relia::execute_resumable`): a `--checkpoint` (or `paper`
 //! journal) that holds trials is resumed, a complete one loaded, one of
 //! another plan or shard refused; none is ever truncated. `--adaptive`

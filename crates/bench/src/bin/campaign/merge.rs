@@ -34,10 +34,10 @@ pub fn print_result(prep: &PreparedCampaign, records: &[TrialRecord], csv: Optio
                 format!("{} — chip AVF per kernel (%)", res.app),
                 &["Kernel", "SDC", "Timeout", "DUE", "AVF"],
             );
-            for k in &res.kernels {
-                t.row(rate_row(&k.kernel, k.chip_avf(&prep.cfg.gpu)));
+            for (k, name) in res.kernels.iter().enumerate() {
+                t.row(rate_row(name, res.chip_avf(k)));
             }
-            t.row(rate_row("app", res.app_avf(&prep.cfg.gpu)));
+            t.row(rate_row("app", res.app_avf()));
             t
         }
         Layer::Sw => {
@@ -51,8 +51,8 @@ pub fn print_result(prep: &PreparedCampaign, records: &[TrialRecord], csv: Optio
                 cells.push(pct(svf_ld.total()));
                 t.row(cells);
             };
-            for k in &res.kernels {
-                row(&k.kernel, k.svf(), k.svf_ld());
+            for (k, name) in res.kernels.iter().enumerate() {
+                row(name, res.svf(k), res.svf_ld(k));
             }
             row("app", res.app_svf(), res.app_svf_ld());
             t

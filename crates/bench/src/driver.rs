@@ -20,14 +20,13 @@ use std::process::exit;
 use std::sync::Arc;
 use std::time::Instant;
 
-use kernels::{all_benchmarks, Benchmark, GoldenRun};
+use kernels::{all_benchmarks, Benchmark};
 use relia::plan::{variant_label, Layer, PreparedCampaign};
 use relia::{
-    assemble_sw, assemble_uarch, execute_resumable, plan_sw, plan_uarch, records_fingerprint,
-    shard_trials, AppCaptures, CampaignCfg, EngineCfg, ShardRun, SvfAppResult, Table,
-    UarchAppResult, SVF_KINDS,
+    assemble, execute_resumable, plan_sw, plan_uarch, records_fingerprint, shard_trials,
+    AppCaptures, CampaignCfg, EngineCfg, ShardRun, StrataRecords, Table, SVF_KINDS,
 };
-use stat::{StrataRecords, CLASS_KINDS};
+use stat::CLASS_KINDS;
 use vgpu_sim::{FaultPattern, GpuConfig, HwStructure, SwFaultKind};
 
 /// Runtime failure: the request was well-formed but executing it failed.
@@ -182,49 +181,14 @@ impl Key {
     }
 }
 
-/// A campaign's assembled result.
-pub enum Assembled {
-    /// With the golden run the campaign was planned against (Figure 3's
-    /// utilization profile).
-    Avf(UarchAppResult, Arc<GoldenRun>),
-    Svf(SvfAppResult),
-    /// Any other set of fault kinds: the records, stratum by stratum.
-    Strata(StrataRecords),
-}
-
-impl Assembled {
-    /// The result of a [`Targets::Structures`] campaign, with its golden
-    /// run.
-    pub fn avf(&self) -> (&UarchAppResult, &Arc<GoldenRun>) {
-        match self {
-            Assembled::Avf(result, golden) => (result, golden),
-            _ => panic!("not an AVF campaign"),
-        }
-    }
-
-    /// The result of an SVF campaign.
-    pub fn svf(&self) -> &SvfAppResult {
-        match self {
-            Assembled::Svf(result) => result,
-            _ => panic!("not an SVF campaign"),
-        }
-    }
-
-    /// The records of a campaign of another set of fault kinds.
-    pub fn strata(&self) -> &StrataRecords {
-        match self {
-            Assembled::Strata(result) => result,
-            _ => panic!("not a campaign kept by stratum"),
-        }
-    }
-}
-
 /// One campaign of this invocation: its result, what the manifest records
 /// of it, and what this invocation spent on it.
 pub struct Campaign {
     pub key: Key,
     pub name: String,
-    pub result: Assembled,
+    /// The assembled result, with the golden run and GPU it was planned
+    /// against.
+    pub result: StrataRecords,
     pub trials: usize,
     pub plan_fp: u64,
     pub records_fp: u64,
@@ -317,16 +281,7 @@ impl<'a> Driver<'a> {
         self.eng.checkpoint = Some(self.journals.join(format!("{name}.jsonl")));
         let run = execute_journaled(&name, &prep, &mut self.eng);
         let records = &run.records;
-        let result = match key.targets {
-            Targets::Structures => {
-                assemble_uarch(&prep, records).map(|r| Assembled::Avf(r, prep.golden.clone()))
-            }
-            Targets::Svf => assemble_sw(&prep, records).map(Assembled::Svf),
-            Targets::Pvf | Targets::Src | Targets::Classes => {
-                StrataRecords::assemble(&prep, records).map(Assembled::Strata)
-            }
-        }
-        .unwrap_or_else(|e| fail(&format!("{name}: {e}")));
+        let result = assemble(&prep, records).unwrap_or_else(|e| fail(&format!("{name}: {e}")));
         self.done.push(Campaign {
             key: key.clone(),
             name,

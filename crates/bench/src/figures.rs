@@ -9,10 +9,11 @@
 //! the figure is still a function of the run's flags.)
 //! [`FIGURES`] is the paper's set: every artifact of the evaluation
 //! section that comes from injection (Figures 1, 2, 3a–c, 4, 5, 7–11 and
-//! Table I), each a function of one [`AppResults`] per application — the
-//! four campaigns the paper runs on it (AVF and SVF, unprotected and
-//! TMR-hardened) plus the fault-free run its utilization profile is read
-//! from — and Figure 12: the static register-reuse sets and the
+//! Table I), each a function of one [`HardeningComparison`] per
+//! application — the four campaigns the paper runs on it (AVF and SVF,
+//! unprotected and TMR-hardened), the unprotected AVF campaign's golden
+//! run being what Figure 3's utilization profile is read from — and
+//! Figure 12: the static register-reuse sets and the
 //! Section V-B proposal measured by one source-register campaign per
 //! application. [`EXTENSIONS`] is the set beyond the paper: the
 //! three-layer comparison, the sizing ablation, the fault-model ranking
@@ -27,22 +28,22 @@
 //! `crates/bench/tests/results_of_record.rs` can tell when a file under
 //! `results/` is no longer the one its manifest describes.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use ace::{app_table, comparison_table, estimate_app, spearman, structure_table, CompareRow};
-use kernels::{all_benchmarks, GoldenRun};
-use relia::plan::{variant_label, Layer};
+use kernels::all_benchmarks;
+use relia::plan::{variant_label, Layer, TrialTarget};
 use relia::reuse::{figure12_kernel, readers_until_redef};
 use relia::{
     compare_pairs, kernel_metrics, normalized_pair, pair_shares, pct, pct4, CampaignCfg,
-    ClassRates, Confidence, HardeningComparison, KernelHardeningRow, Table, TrendItem,
+    ClassRates, Confidence, HardeningComparison, KernelHardeningRow, StrataRecords, Table,
+    TrendItem,
 };
-use stat::{AdaptiveCfg, Interval, DEFAULT_BOOTSTRAP_REPS};
+use stat::{replay_adaptive, two_level, AdaptiveCfg, Interval, DEFAULT_BOOTSTRAP_REPS};
 use vgpu_arch::Reg;
-use vgpu_sim::{FaultPattern, GpuConfig, HwStructure, SwFaultKind};
+use vgpu_sim::{FaultPattern, HwStructure, SwFaultKind};
 
-use crate::driver::{Assembled, Campaign, Key, Targets, SRC_KINDS};
+use crate::driver::{Campaign, Key, Targets, SRC_KINDS};
 
 /// Injections per (kernel, structure) of the results of record under
 /// `results/`, and the default `--n-uarch` of the commands that write
@@ -51,15 +52,6 @@ pub const RECORD_N_UARCH: usize = 250;
 /// Injections per (kernel, fault kind) of the results of record, and the
 /// default `--n-sw` of the commands that write them.
 pub const RECORD_N_SW: usize = 500;
-
-/// Everything the paper's figures read about one application.
-pub struct AppResults {
-    /// AVF and SVF campaigns of the unprotected and the TMR variant.
-    pub campaigns: HardeningComparison,
-    /// The golden run of the unprotected microarchitecture-level campaign:
-    /// Figure 3's utilization profile.
-    pub golden: Arc<GoldenRun>,
-}
 
 /// The suite's application names, in figure order.
 fn suite() -> Vec<&'static str> {
@@ -79,30 +71,24 @@ fn paper_keys(cfg: &CampaignCfg, apps: impl IntoIterator<Item = &'static str>) -
 }
 
 /// The results of [`paper_keys`], application by application.
-fn app_results(results: &[&Assembled]) -> Vec<AppResults> {
+fn app_results(results: &[&StrataRecords]) -> Vec<HardeningComparison> {
     (results.chunks(4))
-        .map(|of_app| {
-            let (base_avf, golden) = of_app[0].avf();
-            AppResults {
-                campaigns: HardeningComparison {
-                    app: base_avf.app.clone(),
-                    base_avf: base_avf.clone(),
-                    base_svf: of_app[1].svf().clone(),
-                    tmr_avf: of_app[2].avf().0.clone(),
-                    tmr_svf: of_app[3].svf().clone(),
-                },
-                golden: golden.clone(),
-            }
+        .map(|of_app| HardeningComparison {
+            app: of_app[0].app.clone(),
+            base_avf: of_app[0].clone(),
+            base_svf: of_app[1].clone(),
+            tmr_avf: of_app[2].clone(),
+            tmr_svf: of_app[3].clone(),
         })
         .collect()
 }
 
 /// A pure function of the results of the applications that were run.
-type Projection<T> = fn(&[AppResults], &GpuConfig) -> T;
+type Projection<T> = fn(&[HardeningComparison]) -> T;
 
 /// A figure's table, with the summary lines printed under it, from the
 /// results of its keys in key order.
-type KeyedTable = fn(&CampaignCfg, &[&Assembled]) -> (Table, String);
+type KeyedTable = fn(&CampaignCfg, &[&StrataRecords]) -> (Table, String);
 
 /// One CSV under `results/`.
 pub struct Figure {
@@ -168,13 +154,13 @@ impl Figure {
     /// a campaign it reads is not among them.
     pub fn render(&self, campaigns: &[Campaign], cfg: &CampaignCfg) -> Option<(Table, String)> {
         let result = |key: &Key| Some(&campaigns.iter().find(|c| c.key == *key)?.result);
-        let results: Vec<&Assembled> =
+        let results: Vec<&StrataRecords> =
             (self.keys(cfg).iter().map(result)).collect::<Option<_>>()?;
         Some(match self.source {
-            Suite(table) => (table(&app_results(&results), &cfg.gpu), String::new()),
+            Suite(table) => (table(&app_results(&results)), String::new()),
             KernelPair(title, [(_, ka), (_, kb)]) => {
                 let apps = app_results(&results);
-                let table = fig03(title, (&apps[0], ka), (&apps[1], kb), &cfg.gpu);
+                let table = fig03(title, (&apps[0], ka), (&apps[1], kb));
                 (table, String::new())
             }
             Keyed(_, table) => table(cfg, &results),
@@ -210,28 +196,25 @@ type Pair = (String, ClassRates, ClassRates);
 
 /// The four comparisons of Section III — the data of Figures 1, 2, 4 and
 /// 5 and, as rankings, the four rows of Table I.
-fn app_level(results: &[AppResults], gpu: &GpuConfig) -> Vec<Pair> {
-    (results.iter().map(|r| &r.campaigns))
-        .map(|c| (c.app.clone(), c.base_avf.app_avf(gpu), c.base_svf.app_svf()))
+fn app_level(results: &[HardeningComparison]) -> Vec<Pair> {
+    (results.iter())
+        .map(|c| (c.app.clone(), c.base_avf.app_avf(), c.base_svf.app_svf()))
         .collect()
 }
 
-fn kernel_level(results: &[AppResults], gpu: &GpuConfig) -> Vec<Pair> {
-    (results.iter().map(|r| &r.campaigns))
+fn kernel_level(results: &[HardeningComparison]) -> Vec<Pair> {
+    (results.iter())
         .flat_map(|c| {
-            (c.base_avf.kernels.iter().zip(&c.base_svf.kernels)).map(|(ka, ks)| {
-                (
-                    format!("{} {}", c.app, ka.kernel),
-                    ka.chip_avf(gpu),
-                    ks.svf(),
-                )
+            (c.base_avf.kernels.iter().enumerate()).map(|(k, name)| {
+                let (avf, svf) = (c.base_avf.chip_avf(k), c.base_svf.svf(k));
+                (format!("{} {name}", c.app), avf, svf)
             })
         })
         .collect()
 }
 
-fn rf_vs_svf(results: &[AppResults], _: &GpuConfig) -> Vec<Pair> {
-    (results.iter().map(|r| &r.campaigns))
+fn rf_vs_svf(results: &[HardeningComparison]) -> Vec<Pair> {
+    (results.iter())
         .map(|c| {
             let rf = c.base_avf.app_avf_structure(HwStructure::RegFile);
             (c.app.clone(), rf, c.base_svf.app_svf())
@@ -239,10 +222,10 @@ fn rf_vs_svf(results: &[AppResults], _: &GpuConfig) -> Vec<Pair> {
         .collect()
 }
 
-fn cache_vs_svf_ld(results: &[AppResults], gpu: &GpuConfig) -> Vec<Pair> {
-    (results.iter().map(|r| &r.campaigns))
+fn cache_vs_svf_ld(results: &[HardeningComparison]) -> Vec<Pair> {
+    (results.iter())
         .map(|c| {
-            let cache = c.base_avf.app_avf_cache(gpu);
+            let cache = c.base_avf.app_avf_cache();
             (c.app.clone(), cache, c.base_svf.app_svf_ld())
         })
         .collect()
@@ -279,29 +262,29 @@ fn avf_by_class(title: &str, avf_name: &str, svf_name: &str, pairs: Vec<Pair>) -
     t
 }
 
-fn fig01(results: &[AppResults], gpu: &GpuConfig) -> Table {
+fn fig01(results: &[HardeningComparison]) -> Table {
     let title = "Figure 1: application-level AVF (cross-layer) and SVF (software-only), %";
-    both_by_class(title, "App", app_level(results, gpu))
+    both_by_class(title, "App", app_level(results))
 }
 
-fn fig02(results: &[AppResults], gpu: &GpuConfig) -> Table {
+fn fig02(results: &[HardeningComparison]) -> Table {
     let title = "Figure 2: kernel-level AVF and SVF, %";
-    both_by_class(title, "Kernel", kernel_level(results, gpu))
+    both_by_class(title, "Kernel", kernel_level(results))
 }
 
-fn fig04(results: &[AppResults], gpu: &GpuConfig) -> Table {
+fn fig04(results: &[HardeningComparison]) -> Table {
     let title = "Figure 4: AVF-RF (register file only) vs SVF, %";
-    avf_by_class(title, "AVF-RF", "SVF", rf_vs_svf(results, gpu))
+    avf_by_class(title, "AVF-RF", "SVF", rf_vs_svf(results))
 }
 
-fn fig05(results: &[AppResults], gpu: &GpuConfig) -> Table {
+fn fig05(results: &[HardeningComparison]) -> Table {
     let title = "Figure 5: AVF-Cache (L1D+L1T+L2) vs SVF-LD (load injections), %";
-    avf_by_class(title, "AVF-Cache", "SVF-LD", cache_vs_svf_ld(results, gpu))
+    avf_by_class(title, "AVF-Cache", "SVF-LD", cache_vs_svf_ld(results))
 }
 
 /// Table I: consistent vs opposite ranking trends over all pairs of
 /// workloads, for each of the four comparisons.
-fn tab1(results: &[AppResults], gpu: &GpuConfig) -> Table {
+fn tab1(results: &[HardeningComparison]) -> Table {
     let mut t = Table::new(
         "Table I: consistent vs opposite vulnerability-ranking trends",
         &[
@@ -319,7 +302,7 @@ fn tab1(results: &[AppResults], gpu: &GpuConfig) -> Table {
         ("AVF-Cache vs. SVF-LD", cache_vs_svf_ld),
     ];
     for (label, pairs) in comparisons {
-        let items: Vec<TrendItem> = (pairs(results, gpu).into_iter())
+        let items: Vec<TrendItem> = (pairs(results).into_iter())
             .map(|(name, avf, svf)| TrendItem {
                 name,
                 a: avf.total(),
@@ -342,17 +325,16 @@ fn tab1(results: &[AppResults], gpu: &GpuConfig) -> Table {
 /// each normalized to the pair's sum (50 % = equal).
 fn fig03(
     title: &str,
-    first: (&AppResults, usize),
-    second: (&AppResults, usize),
-    gpu: &GpuConfig,
+    first: (&HardeningComparison, usize),
+    second: (&HardeningComparison, usize),
 ) -> Table {
     let [(name1, avf1, svf1, m1), (name2, avf2, svf2, m2)] = [first, second].map(|(r, k)| {
-        let (avf, svf) = (&r.campaigns.base_avf.kernels[k], &r.campaigns.base_svf);
+        let (avf, svf) = (&r.base_avf, &r.base_svf);
         (
-            format!("{} {} %", r.campaigns.app, avf.kernel),
-            avf.chip_avf(gpu).total(),
-            svf.kernels[k].svf().total(),
-            kernel_metrics(&r.golden, k, gpu),
+            format!("{} {} %", r.app, avf.kernels[k]),
+            avf.chip_avf(k).total(),
+            svf.svf(k).total(),
+            kernel_metrics(&avf.golden, k, &avf.gpu),
         )
     });
     let mut t = table(title, "Metric", [name1, name2]);
@@ -369,13 +351,12 @@ fn fig03(
 fn hardening_table(
     title: &str,
     columns: &[&str],
-    results: &[AppResults],
-    gpu: &GpuConfig,
+    results: &[HardeningComparison],
     rows: impl Fn(&KernelHardeningRow) -> Vec<Vec<String>>,
 ) -> Table {
     let mut t = table(title, "Kernel", columns.iter().map(|c| c.to_string()));
-    for c in results.iter().map(|r| &r.campaigns) {
-        for k in c.kernel_rows(gpu) {
+    for c in results {
+        for k in c.kernel_rows() {
             for cells in rows(&k) {
                 t.row(row(format!("{} {}", c.app, k.kernel), cells));
             }
@@ -384,25 +365,25 @@ fn hardening_table(
     t
 }
 
-fn fig07(results: &[AppResults], gpu: &GpuConfig) -> Table {
+fn fig07(results: &[HardeningComparison]) -> Table {
     let title = "Figure 7: AVF and SVF with/without TMR hardening, %";
     let columns = ["AVF_base", "AVF_TMR", "SVF_base", "SVF_TMR"];
-    hardening_table(title, &columns, results, gpu, |k| {
+    hardening_table(title, &columns, results, |k| {
         let avf = [k.avf_base, k.avf_tmr].map(|r| pct4(r.total()));
         let svf = [k.svf_base, k.svf_tmr].map(|r| pct(r.total()));
         vec![avf.into_iter().chain(svf).collect()]
     })
 }
 
-fn fig08(results: &[AppResults], gpu: &GpuConfig) -> Table {
+fn fig08(results: &[HardeningComparison]) -> Table {
     let title = "Figure 8: SDC share of AVF with/without hardening, %";
     let columns = ["AVF-SDC_base", "AVF-SDC_TMR"];
-    hardening_table(title, &columns, results, gpu, |k| {
+    hardening_table(title, &columns, results, |k| {
         vec![vec![pct4(k.avf_base.sdc), pct4(k.avf_tmr.sdc)]]
     })
 }
 
-fn fig09(results: &[AppResults], gpu: &GpuConfig) -> Table {
+fn fig09(results: &[HardeningComparison]) -> Table {
     let title = "Figure 9: Timeout and DUE with/without hardening, %";
     let columns = [
         "AVF-TO_base",
@@ -414,14 +395,14 @@ fn fig09(results: &[AppResults], gpu: &GpuConfig) -> Table {
         "SVF-TO_TMR",
         "SVF-DUE_TMR",
     ];
-    hardening_table(title, &columns, results, gpu, |k| {
+    hardening_table(title, &columns, results, |k| {
         let avf = [k.avf_base, k.avf_tmr].map(|r| [pct4(r.timeout), pct4(r.due)]);
         let svf = [k.svf_base, k.svf_tmr].map(|r| [pct(r.timeout), pct(r.due)]);
         vec![avf.into_iter().chain(svf).flatten().collect()]
     })
 }
 
-fn fig10(results: &[AppResults], gpu: &GpuConfig) -> Table {
+fn fig10(results: &[HardeningComparison]) -> Table {
     let title = "Figure 10: per-structure AVF before/after hardening, %";
     let columns = [
         "Structure",
@@ -432,7 +413,7 @@ fn fig10(results: &[AppResults], gpu: &GpuConfig) -> Table {
         "TO_TMR",
         "DUE_TMR",
     ];
-    hardening_table(title, &columns, results, gpu, |k| {
+    hardening_table(title, &columns, results, |k| {
         (k.structures.iter())
             .map(|(h, before, after)| {
                 let rates = [before, after].map(|r| [pct4(r.sdc), pct4(r.timeout), pct4(r.due)]);
@@ -442,9 +423,9 @@ fn fig10(results: &[AppResults], gpu: &GpuConfig) -> Table {
     })
 }
 
-fn fig11(results: &[AppResults], gpu: &GpuConfig) -> Table {
+fn fig11(results: &[HardeningComparison]) -> Table {
     let title = "Figure 11: control-path-affected masked runs (microarch FI), %";
-    hardening_table(title, &["base", "TMR"], results, gpu, |k| {
+    hardening_table(title, &["base", "TMR"], results, |k| {
         vec![vec![pct(k.ctrl_base), pct(k.ctrl_tmr)]]
     })
 }
@@ -457,7 +438,7 @@ fn no_keys(_: &CampaignCfg) -> Vec<Key> {
 /// snippet — the instructions a flip of a source register reaches before
 /// the register is rewritten (Section V-B's red circles) — with the
 /// snippet's disassembly as the summary.
-fn fig12_reuse_sets(_: &CampaignCfg, _: &[&Assembled]) -> (Table, String) {
+fn fig12_reuse_sets(_: &CampaignCfg, _: &[&StrataRecords]) -> (Table, String) {
     let k = figure12_kernel();
     let mut t = Table::new(
         "Figure 12: register-reuse sets (fault at instruction #4)",
@@ -486,13 +467,13 @@ fn src_keys(cfg: &CampaignCfg) -> Vec<Key> {
 /// injectors model) against flips every later reader of the register sees
 /// (what the proposed reuse analyzer replicates). Each kernel's rate is
 /// weighted by its source-reading instructions.
-fn fig12_src(_: &CampaignCfg, results: &[&Assembled]) -> (Table, String) {
+fn fig12_src(_: &CampaignCfg, results: &[&StrataRecords]) -> (Table, String) {
     let mut t = Table::new(
         "Source-register injection: instantaneous (SrcTransient) vs reuse-replicating (SrcPersistent) failure rates, %",
         &["App", "FR transient", "FR persistent", "underestimation (pp)"],
     );
     let mut higher = 0;
-    for r in results.iter().map(|r| r.strata()) {
+    for r in results {
         let [transient, persistent] = SRC_KINDS.map(|kind| r.app_rates(kind).total());
         higher += (persistent > transient) as usize;
         let gap = format!("{:+.2}", (persistent - transient) * 100.0);
@@ -523,7 +504,7 @@ fn layers_keys(cfg: &CampaignCfg) -> Vec<Key> {
 /// executed instructions vs the whole live architectural register state),
 /// and PVF → AVF, hardware masking + derating (dead/unallocated entries,
 /// cache evictions, structure sizes).
-fn layers(cfg: &CampaignCfg, results: &[&Assembled]) -> (Table, String) {
+fn layers(_: &CampaignCfg, results: &[&StrataRecords]) -> (Table, String) {
     let mut t = Table::new(
         "Three-layer comparison: SVF (software) vs PVF (architectural state) vs AVF (cross-layer), %",
         &["App", "SVF", "PVF", "AVF", "SVF/PVF", "PVF/AVF"],
@@ -531,10 +512,10 @@ fn layers(cfg: &CampaignCfg, results: &[&Assembled]) -> (Table, String) {
     let mut items_sp = Vec::new(); // SVF vs PVF ranking agreement
     let mut items_pa = Vec::new(); // PVF vs AVF ranking agreement
     for of_app in results.chunks(3) {
-        let app = &of_app[0].svf().app;
-        let svf = of_app[0].svf().app_svf().total();
-        let pvf = (of_app[1].strata().app_rates(SwFaultKind::ArchState)).total();
-        let avf = of_app[2].avf().0.app_avf(&cfg.gpu).total();
+        let app = &of_app[0].app;
+        let svf = of_app[0].app_svf().total();
+        let pvf = (of_app[1].app_rates(SwFaultKind::ArchState)).total();
+        let avf = of_app[2].app_avf().total();
         t.row(vec![
             app.clone(),
             pct(svf),
@@ -581,7 +562,7 @@ fn ablation_keys(cfg: &CampaignCfg) -> Vec<Key> {
 /// values shift with sizing, relative trends should not) by recomputing
 /// three applications' AVFs under different GPU sizings and reporting
 /// whether the HotSpot > LUD *ranking* survives.
-fn ablation(_: &CampaignCfg, results: &[&Assembled]) -> (Table, String) {
+fn ablation(_: &CampaignCfg, results: &[&StrataRecords]) -> (Table, String) {
     let mut t = Table::new(
         "Ablation: chip AVF under different GPU sizings, %",
         &[
@@ -595,10 +576,10 @@ fn ablation(_: &CampaignCfg, results: &[&Assembled]) -> (Table, String) {
         ],
     );
     for (of_sizing, sms) in results.chunks(ABLATION_APPS.len()).zip(ABLATION_SMS) {
-        let gpu = GpuConfig::volta_scaled(sms);
+        let gpu = &of_sizing[0].gpu;
         let rf_share = gpu.structure_bits(HwStructure::RegFile) as f64 / gpu.total_bits() as f64;
         let avfs: Vec<_> = (of_sizing.iter())
-            .map(|r| (r.avf().0, r.avf().0.app_avf(&gpu).total()))
+            .map(|r| (r, r.app_avf().total()))
             .collect();
         let rank_holds = avfs[0].1 > avfs[1].1; // HotSpot vs LUD
         for (r, avf) in &avfs {
@@ -655,7 +636,7 @@ fn rho(base: &[Point], pts: &[Point], f: impl Fn(&Point) -> f64) -> String {
 /// reshuffles the vulnerability ranking at each layer — and the
 /// SVF-vs-AVF pairwise ranking agreement (the Table I / Insight #6
 /// inversion analysis), re-run under that pattern.
-fn fault_model(cfg: &CampaignCfg, results: &[&Assembled]) -> (Table, String) {
+fn fault_model(cfg: &CampaignCfg, results: &[&StrataRecords]) -> (Table, String) {
     let mut t = Table::new(
         format!(
             "Fault-model ranking study (n_uarch={}, n_sw={}, seed {:#x})",
@@ -676,14 +657,14 @@ fn fault_model(cfg: &CampaignCfg, results: &[&Assembled]) -> (Table, String) {
         .map(|of_pattern| {
             let mut points = Vec::new();
             for of_app in of_pattern.chunks(2) {
-                let (uarch, sw) = (of_app[0].avf().0, of_app[1].svf());
-                for (ku, ks) in uarch.kernels.iter().zip(&sw.kernels) {
-                    assert_eq!(ku.kernel, ks.kernel, "layer kernel order must agree");
+                let (uarch, sw) = (of_app[0], of_app[1]);
+                assert_eq!(uarch.kernels, sw.kernels, "layer kernel order must agree");
+                for (k, kernel) in uarch.kernels.iter().enumerate() {
                     points.push(Point {
                         app: uarch.app.clone(),
-                        kernel: ku.kernel.clone(),
-                        avf: ku.chip_avf(&cfg.gpu).total(),
-                        svf: ks.svf().total(),
+                        kernel: kernel.clone(),
+                        avf: uarch.chip_avf(k).total(),
+                        svf: sw.svf(k).total(),
                     });
                 }
             }
@@ -761,7 +742,7 @@ fn twolevel_keys(cfg: &CampaignCfg) -> Vec<Key> {
 ///   [`TWOLEVEL_CAP`]), replayed over the class campaign's records, and
 ///   the uniform design with the same guarantee (every class stratum of
 ///   the kernel at its worst stratum's count).
-fn twolevel(cfg: &CampaignCfg, results: &[&Assembled]) -> (Table, String) {
+fn twolevel(cfg: &CampaignCfg, results: &[&StrataRecords]) -> (Table, String) {
     let mut t = Table::new(
         format!(
             "Two-level vs full-injection SDC per kernel (seed {:#x})",
@@ -786,23 +767,23 @@ fn twolevel(cfg: &CampaignCfg, results: &[&Assembled]) -> (Table, String) {
     let mut summary = Vec::new();
     let (mut fulls, mut twos, mut adaptive_total, mut uniform_total) = (vec![], vec![], 0, 0);
     for of_app in results.chunks(2) {
-        let (full, classes) = (of_app[0].svf(), of_app[1].strata());
-        let two = classes.two_level(TWOLEVEL_N, Confidence::C95, DEFAULT_BOOTSTRAP_REPS);
-        let adaptive = classes.adaptive(&acfg);
-        for (k, (kf, kt)) in full.kernels.iter().zip(&two.kernels).enumerate() {
+        let (full, classes) = (of_app[0], of_app[1]);
+        let two = two_level(classes, TWOLEVEL_N, Confidence::C95, DEFAULT_BOOTSTRAP_REPS);
+        let adaptive = replay_adaptive(classes, &acfg);
+        for (k, (name, kt)) in full.kernels.iter().zip(&two.kernels).enumerate() {
+            let kf = full.counts(k, TrialTarget::Fault(SwFaultKind::DestValue));
             let sizes = (adaptive.strata.iter().filter(|s| s.kernel_idx == k)).map(|s| s.n());
             let trials: usize = sizes.clone().sum();
             let uniform = sizes.clone().max().unwrap_or(0) * sizes.count();
             let band = |end: fn(&Interval) -> f64| -> f64 {
                 kt.classes.iter().map(|c| c.share * end(&c.sdc_ci)).sum()
             };
-            let (f, two_sdc) = (kf.counts.rates().sdc, kt.sdc());
+            let (f, two_sdc) = (kf.rates().sdc, kt.sdc());
             let (lo, hi) = (band(|i| i.lo), band(|i| i.hi));
             let rates = [f, two_sdc, lo, hi, (two_sdc - f).abs()].map(|x| format!("{x:.6}"));
             let n_two = kt.classes.len() * TWOLEVEL_N.min(cap);
-            let counts =
-                [kf.counts.total() as usize, n_two, trials, uniform].map(|n| n.to_string());
-            let cells = [kf.kernel.clone()].into_iter().chain(rates).chain(counts);
+            let counts = [kf.total() as usize, n_two, trials, uniform].map(|n| n.to_string());
+            let cells = [name.clone()].into_iter().chain(rates).chain(counts);
             t.row(row(full.app.clone(), cells));
             fulls.push(f);
             twos.push(two_sdc);
@@ -842,25 +823,24 @@ fn ace_keys(cfg: &CampaignCfg) -> Vec<Key> {
 /// analytic estimates per kernel and per application, the overall
 /// Spearman and each application's ACE pass in ms — machine-dependent,
 /// so printed only, like `wall.csv`'s seconds.
-fn ace_vs_avf(cfg: &CampaignCfg, results: &[&Assembled]) -> (Table, String) {
+fn ace_vs_avf(cfg: &CampaignCfg, results: &[&StrataRecords]) -> (Table, String) {
     let gpu = &cfg.gpu;
     let mut pass = Table::new("ACE pass per application, ms", &["app", "ace_ms"]);
     let (mut estimates, mut points) = (Vec::new(), Vec::new());
-    for (bench, r) in all_benchmarks().iter().zip(results) {
+    for (bench, injected) in all_benchmarks().iter().zip(results) {
         let t0 = Instant::now();
         let est = estimate_app(bench.as_ref(), gpu);
         let ms = t0.elapsed().as_secs_f64() * 1e3;
         pass.row(vec![est.app.clone(), format!("{ms:.1}")]);
-        let injected = r.avf().0;
-        for (k, inj) in est.kernels.iter().zip(&injected.kernels) {
-            let (analytic, measured) = ((&est.app, &k.kernel), (&injected.app, &inj.kernel));
+        for (k_idx, (k, inj)) in est.kernels.iter().zip(&injected.kernels).enumerate() {
+            let (analytic, measured) = ((&est.app, &k.kernel), (&injected.app, inj));
             assert_eq!(analytic, measured, "the two sides name the same kernels");
             points.extend(HwStructure::ALL.map(|h| CompareRow {
                 app: est.app.clone(),
                 kernel: k.kernel.clone(),
                 structure: h,
                 analytic: k.avf(gpu, h),
-                injected: inj.avf(h).total(),
+                injected: injected.avf(k_idx, h).total(),
             }));
         }
         estimates.push(est);

@@ -13,18 +13,15 @@
 //!    of the command line: a journal that holds trials is finished, and
 //!    loaded if it already is. A trial whose harness panics is retried
 //!    once, then recorded as Timeout.
-//! 3. **Assemble** ([`assemble`] and its projections) — one fold turns
-//!    any record set that covers the plan (a single shot, a merge of
-//!    shards in any order, duplicates from at-least-once execution
-//!    included — [`crate::records::RecordSet`] owns that rule) into
-//!    outcome counts per stratum of [`CampaignPlan::strata`];
-//!    [`assemble_uarch`] / [`assemble_sw`] project the table by
-//!    (kernel, target) into the AVF/SVF result types, and the `stat`
-//!    crate's stratum records (PVF, the two-level estimator) and adaptive
-//!    sizer read it directly.
-//!    Because outcome counts are integer sums and every trial's fault is
-//!    fixed at plan time, merged shard outputs are identical to a
-//!    single-shot run.
+//! 3. **Assemble** ([`assemble`]) — one fold turns any record set that
+//!    covers the plan (a single shot, a merge of shards in any order,
+//!    duplicates from at-least-once execution included —
+//!    [`RecordSet`] owns that rule) into the plan's strata with their
+//!    records ([`StrataRecords`]). AVF, SVF, PVF, the two-level estimate
+//!    and adaptive convergence are all projections of it;
+//!    [`assemble_uarch`] / [`assemble_sw`] are the same fold with a check
+//!    of the plan's layer. Because every trial's fault is fixed at plan
+//!    time, merged shard outputs are identical to a single-shot run.
 //!
 //! [`run_uarch_campaign`] and [`run_sw_campaign`] — the gpuFI-4 (AVF) and
 //! NVBitFI (SVF) methodologies of Sections II-B/II-C — are now thin
@@ -46,18 +43,17 @@ use kernels::{
     faulty_run_with, Accel, AppSnapshots, Benchmark, CtaLog, Outcome, PlannedFault, RunResult,
 };
 use trace::{AppTrace, Verdict};
-use vgpu_sim::{FaultPattern, GpuConfig, HwStructure};
+use vgpu_sim::{FaultPattern, GpuConfig};
 
 use crate::checkpoint::{
     load_checkpoint, outcome_class, CheckpointError, CheckpointHeader, CheckpointWriter,
     TrialRecord, DEFAULT_CHECKPOINT_EVERY,
 };
-use crate::metrics::{ClassCounts, ClassRates};
 use crate::plan::{
-    prepare_sw_campaign, prepare_uarch_campaign, shard_trials, CampaignPlan, Layer,
-    PreparedCampaign, TrialTarget, SVF_KINDS,
+    prepare_sw_campaign, prepare_uarch_campaign, shard_trials, Layer, PreparedCampaign,
+    TrialTarget, SVF_KINDS,
 };
-use crate::records::RecordSet;
+use crate::records::{assemble, RecordSet, StrataRecords};
 
 /// Per-injection wall-clock watchdog. No command-line flag sets it: a
 /// wall-clock limit depends on the machine, so no plan fingerprint can
@@ -766,264 +762,25 @@ fn execute(
 }
 
 // ---------------------------------------------------------------------
-// Assembly: the one fold and its projections
+// Assembly: the layer-checked folds and the one-call campaigns
 // ---------------------------------------------------------------------
 
-/// Outcome counts of one stratum of a plan: one row of [`assemble`]'s
-/// table, and of the per-(kernel, structure) projection
-/// [`UarchKernelResult::per_structure`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StratumCounts {
-    pub counts: ClassCounts,
-    /// Masked runs whose total cycle count differs from golden — the
-    /// control-path proxy of Figure 11.
-    pub ctrl_affected_masked: u32,
-}
-
-/// Stage 3, the one fold: outcome counts per stratum of the plan, aligned
-/// with `prep.plan.strata`. `records` may come from a single-shot run, a
-/// merge of shards in any order, a resumed checkpoint or a dispatch fleet,
-/// and may repeat a trial (at-least-once execution) — they pass through a
-/// [`RecordSet`] first, so the table is identical in every case and its
-/// rows sum to `plan.len()`. Everything the engine reports — AVF, SVF,
-/// PVF, the two-level estimate, adaptive convergence — is a projection of
-/// this table.
-pub fn assemble(
-    prep: &PreparedCampaign,
-    records: &[TrialRecord],
-) -> Result<Vec<StratumCounts>, EngineError> {
-    obs::span("core.assemble", || {
-        let mut set = RecordSet::new(prep.plan.len());
-        set.extend(records)?;
-        let outs = set.complete()?;
-        let rows = prep.plan.strata_trials().map(|(_, trials)| {
-            let mut row = StratumCounts::default();
-            for r in trials.iter().map(|t| &outs[t.index]) {
-                row.counts.record(r.outcome);
-                row.ctrl_affected_masked += r.ctrl as u32;
-            }
-            row
-        });
-        Ok(rows.collect())
-    })
-}
-
-/// The table's projection onto one (kernel, target): the sum of the rows
-/// of every stratum of that pair. A wave plan may hold a pair more than
-/// once and a structure-subset plan not at all.
-fn project(
-    plan: &CampaignPlan,
-    table: &[StratumCounts],
-    kernel_idx: usize,
-    target: TrialTarget,
-) -> StratumCounts {
-    let mut acc = StratumCounts::default();
-    for (st, row) in plan.strata.iter().zip(table) {
-        if st.kernel_idx == kernel_idx && st.target == target {
-            acc.counts.add(&row.counts);
-            acc.ctrl_affected_masked += row.ctrl_affected_masked;
-        }
-    }
-    acc
-}
-
-// ---------------------------------------------------------------------
-// Microarchitecture level (AVF)
-// ---------------------------------------------------------------------
-
-/// Everything measured about one kernel at the microarchitecture level.
-#[derive(Debug, Clone, PartialEq)]
-pub struct UarchKernelResult {
-    /// Kernel display name ("K1", ...).
-    pub kernel: String,
-    pub per_structure: Vec<(HwStructure, StratumCounts)>,
-    /// Derating factors (Section II-B): live-allocation share for RF and
-    /// SMEM, 1.0 for the always-whole-array cache structures.
-    pub df: Vec<(HwStructure, f64)>,
-    /// Golden cycles attributed to this kernel (AVF weighting).
-    pub cycles: u64,
-    /// Injections per structure (for error margins).
-    pub n_per_structure: usize,
-}
-
-impl UarchKernelResult {
-    pub fn df_of(&self, h: HwStructure) -> f64 {
-        self.df
-            .iter()
-            .find(|&&(s, _)| s == h)
-            .map_or(1.0, |&(_, d)| d)
-    }
-
-    pub fn counts_of(&self, h: HwStructure) -> &StratumCounts {
-        &self
-            .per_structure
-            .iter()
-            .find(|&&(s, _)| s == h)
-            .expect("structure present")
-            .1
-    }
-
-    /// AVF of one structure: per-class failure fractions × derating factor.
-    pub fn avf(&self, h: HwStructure) -> ClassRates {
-        self.counts_of(h).counts.rates().scale(self.df_of(h))
-    }
-
-    /// Size-weighted AVF over a set of structures — the chip AVF when
-    /// `set` is [`HwStructure::ALL`], the AVF-Cache sub-metric when it is
-    /// [`HwStructure::CACHES`].
-    pub fn avf_over(&self, gpu: &GpuConfig, set: &[HwStructure]) -> ClassRates {
-        let total_bits: u64 = set.iter().map(|&h| gpu.structure_bits(h)).sum();
-        let mut acc = ClassRates::default();
-        for &h in set {
-            let w = gpu.structure_bits(h) as f64 / total_bits as f64;
-            acc.add(&self.avf(h).scale(w));
-        }
-        acc
-    }
-
-    /// Full-chip AVF (all five structures, size-weighted).
-    pub fn chip_avf(&self, gpu: &GpuConfig) -> ClassRates {
-        self.avf_over(gpu, &HwStructure::ALL)
-    }
-
-    /// Fraction of all injections that were masked with a disturbed cycle
-    /// count (Figure 11).
-    pub fn ctrl_affected_fraction(&self) -> f64 {
-        let total: u32 = self
-            .per_structure
-            .iter()
-            .map(|(_, c)| c.counts.total())
-            .sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let ctrl: u32 = self
-            .per_structure
-            .iter()
-            .map(|(_, c)| c.ctrl_affected_masked)
-            .sum();
-        ctrl as f64 / total as f64
-    }
-}
-
-/// Microarchitecture-level results for a whole application.
-#[derive(Debug, Clone, PartialEq)]
-pub struct UarchAppResult {
-    pub app: String,
-    pub kernels: Vec<UarchKernelResult>,
-}
-
-impl UarchAppResult {
-    fn cycle_weighted(&self, f: impl Fn(&UarchKernelResult) -> ClassRates) -> ClassRates {
-        ClassRates::weighted(self.kernels.iter().map(|k| (f(k), k.cycles)))
-    }
-
-    /// Application AVF: kernel chip-AVF weighted by kernel cycles
-    /// (Section II-B's multi-kernel rule).
-    pub fn app_avf(&self, gpu: &GpuConfig) -> ClassRates {
-        self.cycle_weighted(|k| k.chip_avf(gpu))
-    }
-
-    /// Application AVF restricted to one structure (AVF-RF of Figure 4).
-    pub fn app_avf_structure(&self, h: HwStructure) -> ClassRates {
-        self.cycle_weighted(|k| k.avf(h))
-    }
-
-    /// Application AVF over the cache structures (Figure 5).
-    pub fn app_avf_cache(&self, gpu: &GpuConfig) -> ClassRates {
-        self.cycle_weighted(|k| k.avf_over(gpu, &HwStructure::CACHES))
-    }
-}
-
-/// Derating factor of one kernel for RF or SMEM, cycle-weighted over its
-/// launches (Section II-B):
-/// `DF = size_per_thread × num_threads / system_size`
-/// (per-CTA for shared memory), clamped to 1.
-pub fn derating_factor(
-    golden: &kernels::GoldenRun,
-    kernel_idx: usize,
-    gpu: &GpuConfig,
-    h: HwStructure,
-) -> f64 {
-    let mut weighted = 0.0f64;
-    let mut cycles = 0u64;
-    for r in golden.records.iter().filter(|r| r.kernel_idx == kernel_idx) {
-        let live_bits = match h {
-            HwStructure::RegFile => r.num_regs as u64 * 32 * r.threads,
-            HwStructure::Smem => r.smem_bytes as u64 * 8 * r.ctas,
-            _ => return 1.0,
-        };
-        let df = (live_bits as f64 / gpu.structure_bits(h) as f64).min(1.0);
-        weighted += df * r.stats.cycles as f64;
-        cycles += r.stats.cycles;
-    }
-    if cycles == 0 {
-        0.0
-    } else {
-        weighted / cycles as f64
-    }
-}
-
-/// The microarchitecture-level result: [`assemble`]'s table projected by
-/// (kernel, structure), plus each kernel's cycles and derating factors.
-/// `records` may come from one single-shot run, a merge of shards, or a
-/// resumed checkpoint — the result is identical.
+/// [`assemble`] of a microarchitecture-level plan; a software-level plan
+/// is a [`EngineError::PlanMismatch`]. `records` may come from one
+/// single-shot run, a merge of shards, or a resumed checkpoint — the
+/// result is identical. It stays as a name of its own because the perf
+/// ledger under `benchmarks/` calls it, and goes when the ledger next
+/// changes (ROADMAP item 1).
 pub fn assemble_uarch(
     prep: &PreparedCampaign,
     records: &[TrialRecord],
-) -> Result<UarchAppResult, EngineError> {
-    let plan = &prep.plan;
-    if plan.layer != Layer::Uarch {
+) -> Result<StrataRecords, EngineError> {
+    if prep.plan.layer != Layer::Uarch {
         return Err(EngineError::PlanMismatch(
             "assemble_uarch on a software-level plan".into(),
         ));
     }
-    let table = assemble(prep, records)?;
-    // Plans restricted to the storage structures keep the historical
-    // five-row shape; only plans that actually target the SIMT stack or
-    // the scheduler widen the result to the full injectable set.
-    let structs: &[HwStructure] =
-        if plan.strata.iter().any(
-            |s| matches!(s.target, TrialTarget::Structure(h) if !HwStructure::ALL.contains(&h)),
-        ) {
-            &HwStructure::INJECTABLE
-        } else {
-            &HwStructure::ALL
-        };
-    let kernels = prep
-        .bench()
-        .kernels()
-        .iter()
-        .enumerate()
-        .map(|(k_idx, k_name)| {
-            let cycles: u64 = prep
-                .golden
-                .records
-                .iter()
-                .filter(|r| r.kernel_idx == k_idx)
-                .map(|r| r.stats.cycles)
-                .sum();
-            let per_structure = structs
-                .iter()
-                .map(|&h| (h, project(plan, &table, k_idx, TrialTarget::Structure(h))))
-                .collect();
-            let df = structs
-                .iter()
-                .map(|&h| (h, derating_factor(&prep.golden, k_idx, &prep.cfg.gpu, h)))
-                .collect();
-            UarchKernelResult {
-                kernel: k_name.to_string(),
-                per_structure,
-                df,
-                cycles,
-                n_per_structure: prep.cfg.n_uarch,
-            }
-        })
-        .collect();
-    Ok(UarchAppResult {
-        app: plan.app.clone(),
-        kernels,
-    })
+    assemble(prep, records)
 }
 
 /// Run the cross-layer (gpuFI-4 model) campaign for one application:
@@ -1032,98 +789,32 @@ pub fn run_uarch_campaign(
     bench: &dyn Benchmark,
     cfg: &CampaignCfg,
     hardened: bool,
-) -> UarchAppResult {
+) -> StrataRecords {
     let prep = prepare_uarch_campaign(bench, cfg, hardened);
     let records = execute_shard(&prep, &EngineCfg::single_shot())
         .expect("single-shot execution performs no checkpoint I/O");
     assemble_uarch(&prep, &records).expect("a single shard covers the whole plan")
 }
 
-// ---------------------------------------------------------------------
-// Software level (SVF)
-// ---------------------------------------------------------------------
-
-/// Software-level results for one kernel.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SvfKernelResult {
-    pub kernel: String,
-    /// Destination-value injections (NVBitFI default).
-    pub counts: ClassCounts,
-    /// Load-destination injections (SVF-LD of Figure 5).
-    pub counts_ld: ClassCounts,
-    /// Dynamic thread instructions (the SVF application-weighting metric).
-    pub instrs: u64,
-}
-
-impl SvfKernelResult {
-    /// `SVF(ker) = FR(ker)` per class.
-    pub fn svf(&self) -> ClassRates {
-        self.counts.rates()
-    }
-
-    pub fn svf_ld(&self) -> ClassRates {
-        self.counts_ld.rates()
-    }
-}
-
-/// Software-level results for a whole application.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SvfAppResult {
-    pub app: String,
-    pub kernels: Vec<SvfKernelResult>,
-}
-
-impl SvfAppResult {
-    fn instr_weighted(&self, f: impl Fn(&SvfKernelResult) -> ClassRates) -> ClassRates {
-        ClassRates::weighted(self.kernels.iter().map(|k| (f(k), k.instrs)))
-    }
-
-    /// Application SVF: kernel SVF weighted by executed instructions
-    /// (Section II-C's multi-kernel rule).
-    pub fn app_svf(&self) -> ClassRates {
-        self.instr_weighted(|k| k.svf())
-    }
-
-    pub fn app_svf_ld(&self) -> ClassRates {
-        self.instr_weighted(|k| k.svf_ld())
-    }
-}
-
-/// The software-level result of the standard SVF plan: [`assemble`]'s
-/// table projected by (kernel, dest-value | dest-value-load).
+/// [`assemble`] of the standard SVF plan (dest-value + dest-value-load
+/// strata only); any other plan is a [`EngineError::PlanMismatch`]. Kept,
+/// like [`assemble_uarch`], for the perf ledger until ROADMAP item 1.
 pub fn assemble_sw(
     prep: &PreparedCampaign,
     records: &[TrialRecord],
-) -> Result<SvfAppResult, EngineError> {
-    let plan = &prep.plan;
-    let [value, load] = SVF_KINDS.map(TrialTarget::Fault);
-    if (plan.strata.iter()).any(|s| s.target != value && s.target != load) {
+) -> Result<StrataRecords, EngineError> {
+    let svf = SVF_KINDS.map(TrialTarget::Fault);
+    if (prep.plan.strata.iter()).any(|s| !svf.contains(&s.target)) {
         return Err(EngineError::PlanMismatch(
             "assemble_sw expects the standard dest-value + dest-value-ld plan".into(),
         ));
     }
-    let table = assemble(prep, records)?;
-    let kernels = prep
-        .bench()
-        .kernels()
-        .iter()
-        .enumerate()
-        .map(|(k_idx, k_name)| SvfKernelResult {
-            kernel: k_name.to_string(),
-            counts: project(plan, &table, k_idx, value).counts,
-            counts_ld: project(plan, &table, k_idx, load).counts,
-            instrs: prep.golden.kernel_stats(k_idx).thread_instrs,
-        })
-        .collect();
-    Ok(SvfAppResult {
-        app: plan.app.clone(),
-        kernels,
-    })
+    assemble(prep, records)
 }
 
 /// Run the software-level (NVBitFI model) campaign for one application:
 /// destination-value injections plus the load-only SVF-LD variant.
-pub fn run_sw_campaign(bench: &dyn Benchmark, cfg: &CampaignCfg, hardened: bool) -> SvfAppResult {
+pub fn run_sw_campaign(bench: &dyn Benchmark, cfg: &CampaignCfg, hardened: bool) -> StrataRecords {
     let prep = prepare_sw_campaign(bench, cfg, hardened);
     let records = execute_shard(&prep, &EngineCfg::single_shot())
         .expect("single-shot execution performs no checkpoint I/O");

@@ -6,17 +6,17 @@
 
 use vgpu_sim::HwStructure;
 
-use crate::campaign::{SvfAppResult, UarchAppResult};
 use crate::metrics::ClassRates;
+use crate::records::StrataRecords;
 
 /// Paired unprotected/TMR measurements for one application.
 #[derive(Debug, Clone)]
 pub struct HardeningComparison {
     pub app: String,
-    pub base_avf: UarchAppResult,
-    pub base_svf: SvfAppResult,
-    pub tmr_avf: UarchAppResult,
-    pub tmr_svf: SvfAppResult,
+    pub base_avf: StrataRecords,
+    pub base_svf: StrataRecords,
+    pub tmr_avf: StrataRecords,
+    pub tmr_svf: StrataRecords,
 }
 
 /// One kernel's before/after numbers for the hardened figures.
@@ -36,24 +36,20 @@ pub struct KernelHardeningRow {
 
 impl HardeningComparison {
     /// Flatten into per-kernel before/after rows.
-    pub fn kernel_rows(&self, gpu: &vgpu_sim::GpuConfig) -> Vec<KernelHardeningRow> {
-        self.base_avf
-            .kernels
-            .iter()
-            .zip(&self.tmr_avf.kernels)
-            .zip(self.base_svf.kernels.iter().zip(&self.tmr_svf.kernels))
-            .map(|((ab, at), (sb, st))| KernelHardeningRow {
-                kernel: ab.kernel.clone(),
-                avf_base: ab.chip_avf(gpu),
-                avf_tmr: at.chip_avf(gpu),
-                svf_base: sb.svf(),
-                svf_tmr: st.svf(),
-                structures: HwStructure::ALL
-                    .iter()
-                    .map(|&h| (h, ab.avf(h), at.avf(h)))
+    pub fn kernel_rows(&self) -> Vec<KernelHardeningRow> {
+        let (ab, at, sb, st) = (&self.base_avf, &self.tmr_avf, &self.base_svf, &self.tmr_svf);
+        (ab.kernels.iter().enumerate())
+            .map(|(k, kernel)| KernelHardeningRow {
+                kernel: kernel.clone(),
+                avf_base: ab.chip_avf(k),
+                avf_tmr: at.chip_avf(k),
+                svf_base: sb.svf(k),
+                svf_tmr: st.svf(k),
+                structures: (HwStructure::ALL.iter())
+                    .map(|&h| (h, ab.avf(k, h), at.avf(k, h)))
                     .collect(),
-                ctrl_base: ab.ctrl_affected_fraction(),
-                ctrl_tmr: at.ctrl_affected_fraction(),
+                ctrl_base: ab.ctrl_fraction(k),
+                ctrl_tmr: at.ctrl_fraction(k),
             })
             .collect()
     }

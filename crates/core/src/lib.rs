@@ -8,11 +8,12 @@
 //! against hardware-agnostic functional execution), plus the analyses the
 //! paper builds on top:
 //!
-//! * the AVF formulas of Section II-B — failure rates, derating factors,
-//!   size-weighted chip AVF, cycle-weighted application AVF
-//!   ([`campaign::UarchKernelResult`], [`campaign::UarchAppResult`]);
-//! * the SVF formulas of Section II-C, including the load-only SVF-LD
-//!   sub-metric ([`campaign::SvfAppResult`]);
+//! * one assembled result per campaign, its strata with their records
+//!   ([`records::StrataRecords`]), of which every metric is a projection:
+//!   the AVF formulas of Section II-B — failure rates, derating factors,
+//!   size-weighted chip AVF, cycle-weighted application AVF — the SVF
+//!   formulas of Section II-C, including the load-only SVF-LD sub-metric,
+//!   and the rates of any other fault kind (PVF);
 //! * consistent/opposite relative-vulnerability trend counting — Table I
 //!   ([`trends`]);
 //! * the Figure-3 resource-utilization profile and pairwise normalization
@@ -31,7 +32,7 @@
 //! let bench = kernels::apps::va::Va;
 //! let avf = run_uarch_campaign(&bench, &cfg, false);
 //! let svf = run_sw_campaign(&bench, &cfg, false);
-//! println!("VA chip AVF = {:.4}%", avf.app_avf(&cfg.gpu).total() * 100.0);
+//! println!("VA chip AVF = {:.4}%", avf.app_avf().total() * 100.0);
 //! println!("VA SVF      = {:.2}%", svf.app_svf().total() * 100.0);
 //! ```
 
@@ -49,10 +50,9 @@ pub mod spec;
 pub mod trends;
 
 pub use campaign::{
-    assemble, assemble_sw, assemble_uarch, derating_factor, execute_resumable, execute_shard,
-    execute_trials_with, run_sw_campaign, run_uarch_campaign, CampaignCfg, EngineBackend,
-    EngineCfg, EngineError, FastForward, ShardRun, StratumCounts, SvfAppResult, SvfKernelResult,
-    UarchAppResult, UarchKernelResult, Watchdog, DEFAULT_SNAPSHOTS,
+    assemble_sw, assemble_uarch, execute_resumable, execute_shard, execute_trials_with,
+    run_sw_campaign, run_uarch_campaign, CampaignCfg, EngineBackend, EngineCfg, EngineError,
+    FastForward, ShardRun, Watchdog, DEFAULT_SNAPSHOTS,
 };
 pub use captures::AppCaptures;
 pub use checkpoint::{
@@ -67,7 +67,9 @@ pub use plan::{
     SVF_KINDS,
 };
 pub use profile::{kernel_metrics, normalized_pair, pair_shares, UtilMetrics, METRIC_LABELS};
-pub use records::{records_fingerprint, RecordSet};
+pub use records::{
+    assemble, derating_factor, records_fingerprint, RecordSet, RecordedStratum, StrataRecords,
+};
 pub use report::{metrics_tables, pct, pct4, RowArityError, Table};
 pub use spec::{parse_structures, scaled_gpu, CampaignSpec, WaveSpec, MAX_N, MAX_SMS};
 pub use trends::{compare_pairs, opposite_pairs, TrendCount, TrendItem};

@@ -206,7 +206,7 @@ impl CampaignPlan {
 /// configuration and the [`AppCaptures`] handle — benchmark, golden run,
 /// lazily captured golden material — its faults were resolved against.
 /// Produced by the `prepare_*` / `plan_*` functions below, consumed by
-/// [`crate::campaign::execute_shard`] and [`crate::campaign::assemble`]. Every
+/// [`crate::campaign::execute_shard`] and [`crate::records::assemble`]. Every
 /// plan of one application can share one handle; whether *this* plan may
 /// use what the handle holds is decided here, per plan.
 pub struct PreparedCampaign<'a> {

@@ -19,7 +19,7 @@ fn hardening_comparison_has_full_shape() {
         tmr_avf: run_uarch_campaign(&Va, &cfg, true),
         tmr_svf: run_sw_campaign(&Va, &cfg, true),
     };
-    let rows = cmp.kernel_rows(&cfg.gpu);
+    let rows = cmp.kernel_rows();
     assert_eq!(rows.len(), 1, "VA has one kernel");
     let row = &rows[0];
     assert_eq!(row.kernel, "K1");

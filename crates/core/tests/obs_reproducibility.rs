@@ -10,26 +10,34 @@
 //! and cargo runs tests of one binary concurrently.
 
 use kernels::apps::va::Va;
-use relia::{run_sw_campaign, run_uarch_campaign, CampaignCfg, SvfAppResult, UarchAppResult};
+use relia::{
+    run_sw_campaign, run_uarch_campaign, CampaignCfg, ClassCounts, StrataRecords, TrialTarget,
+    SVF_KINDS,
+};
+use vgpu_sim::HwStructure;
 
-fn counts_fingerprint(u: &UarchAppResult, s: &SvfAppResult) -> String {
+/// Every (kernel, target) of the standard plans, with its outcome counts.
+fn per_target<'r>(
+    r: &'r StrataRecords,
+    targets: &'r [TrialTarget],
+) -> impl Iterator<Item = (usize, TrialTarget, ClassCounts)> + 'r {
+    (0..r.kernels.len()).flat_map(move |k| targets.iter().map(move |&t| (k, t, r.counts(k, t))))
+}
+
+fn counts_fingerprint(u: &StrataRecords, s: &StrataRecords) -> String {
     let mut out = String::new();
-    for k in &u.kernels {
-        for (h, c) in &k.per_structure {
-            out.push_str(&format!(
-                "{} {:?} {:?} ctrl={}\n",
-                k.kernel,
-                h.label(),
-                c.counts,
-                c.ctrl_affected_masked
-            ));
-        }
-    }
-    for k in &s.kernels {
+    for (k, t, counts) in per_target(u, &HwStructure::ALL.map(TrialTarget::Structure)) {
         out.push_str(&format!(
-            "{} {:?} ld={:?}\n",
-            k.kernel, k.counts, k.counts_ld
+            "{} {:?} {:?} ctrl={}\n",
+            u.kernels[k],
+            t.label(),
+            counts,
+            u.ctrl_masked(k, t)
         ));
+    }
+    for (k, name) in s.kernels.iter().enumerate() {
+        let [value, load] = SVF_KINDS.map(|kind| s.counts(k, TrialTarget::Fault(kind)));
+        out.push_str(&format!("{name} {value:?} ld={load:?}\n"));
     }
     out
 }
@@ -72,8 +80,7 @@ fn event_sink_and_metrics_do_not_change_outcomes() {
     // lifecycle records the engine journals (shard_start + shard_done for
     // each of the two single-shot campaigns).
     let n_kernels = base_u.kernels.len();
-    let expected =
-        n_kernels * vgpu_sim::HwStructure::ALL.len() * cfg.n_uarch + n_kernels * 2 * cfg.n_sw;
+    let expected = n_kernels * HwStructure::ALL.len() * cfg.n_uarch + n_kernels * 2 * cfg.n_sw;
     let text = std::fs::read_to_string(&events_path).unwrap();
     let mut lines = Vec::new();
     let mut campaign_lines = 0usize;
@@ -127,21 +134,16 @@ fn event_sink_and_metrics_do_not_change_outcomes() {
             *campaign_outcomes.entry(label.to_string()).or_insert(0) += n;
         }
     };
-    for k in &obs_u.kernels {
-        for (_, c) in &k.per_structure {
-            bump("masked", c.counts.masked);
-            bump("sdc", c.counts.sdc);
-            bump("timeout", c.counts.timeout);
-            bump("due", c.counts.due);
-        }
-    }
-    for k in &obs_s.kernels {
-        for c in [&k.counts, &k.counts_ld] {
-            bump("masked", c.masked);
-            bump("sdc", c.sdc);
-            bump("timeout", c.timeout);
-            bump("due", c.due);
-        }
+    let (structures, kinds) = (
+        HwStructure::ALL.map(TrialTarget::Structure),
+        SVF_KINDS.map(TrialTarget::Fault),
+    );
+    let uarch = per_target(&obs_u, &structures);
+    for (_, _, c) in uarch.chain(per_target(&obs_s, &kinds)) {
+        bump("masked", c.masked);
+        bump("sdc", c.sdc);
+        bump("timeout", c.timeout);
+        bump("due", c.due);
     }
     assert_eq!(
         event_outcomes, campaign_outcomes,

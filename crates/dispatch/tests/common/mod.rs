@@ -95,6 +95,14 @@ impl Conn {
         }
     }
 
+    /// Poll until the coordinator ends the campaign.
+    pub fn await_shutdown(&mut self) {
+        match self.past_waits() {
+            Frame::Shutdown => {}
+            f => panic!("expected shutdown/wait, got {f:?}"),
+        }
+    }
+
     /// Poll until the coordinator grants a lease.
     pub fn await_lease(&mut self) -> (usize, Vec<usize>) {
         match self.past_waits() {

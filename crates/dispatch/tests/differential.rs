@@ -10,8 +10,8 @@
 //!
 //! "Agree" is byte-level for everything the campaign defines: record
 //! fingerprints, per-trial (idx, outcome, ctrl), and the fully assembled
-//! `UarchAppResult`/`SvfAppResult` (whose `PartialEq` covers outcome
-//! counts per structure and the FIT-derating factors).
+//! `StrataRecords` (whose `PartialEq` covers every stratum's outcomes
+//! and the golden run the derating factors are computed from).
 
 use std::net::TcpListener;
 use std::time::Duration;
@@ -21,7 +21,7 @@ use relia::checkpoint::TrialRecord;
 use relia::plan::Layer;
 use relia::{
     assemble_sw, assemble_uarch, execute_shard, execute_trials_with, records_fingerprint,
-    EngineCfg, RecordSet,
+    EngineCfg, RecordSet, TrialTarget,
 };
 use vgpu_sim::{FaultPattern, HwStructure};
 
@@ -160,17 +160,18 @@ fn differential_spec(spec: CampaignSpec) {
             let a = assemble_uarch(&prep, &single).unwrap();
             let b = assemble_uarch(&prep, &outcome.records).unwrap();
             let c = assemble_uarch(&prep, &sharded).unwrap();
-            for (ka, kb) in a.kernels.iter().zip(&b.kernels) {
+            for k in 0..a.kernels.len() {
                 for h in HwStructure::ALL {
+                    let t = TrialTarget::Structure(h);
                     assert_eq!(
-                        ka.counts_of(h),
-                        kb.counts_of(h),
+                        (a.counts(k, t), a.ctrl_masked(k, t)),
+                        (b.counts(k, t), b.ctrl_masked(k, t)),
                         "{label}: per-structure counts must match for {}",
                         h.label()
                     );
                     assert_eq!(
-                        ka.df_of(h).to_bits(),
-                        kb.df_of(h).to_bits(),
+                        a.derating(k, h).to_bits(),
+                        b.derating(k, h).to_bits(),
                         "{label}: derating factors must be bit-identical for {}",
                         h.label()
                     );

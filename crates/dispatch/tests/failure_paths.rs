@@ -124,7 +124,7 @@ fn out_of_plan_index_is_dropped_and_counted_like_a_torn_line() {
         }
         conn.send(&Frame::ShardDone { shard: 0 });
         assert!(matches!(conn.recv(), Frame::Ack { shard: 0 }));
-        assert!(matches!(conn.recv(), Frame::Shutdown));
+        conn.await_shutdown();
         drop(conn);
         coordinator.join().unwrap().expect("serve")
     });

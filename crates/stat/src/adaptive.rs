@@ -12,8 +12,8 @@
 //! (kernel, target, ordinal) streams as the fixed-n planners. Convergence
 //! decisions are pure functions of complete wave record sets: each wave's
 //! records pass through a [`RecordSet`] and the one stratum fold
-//! ([`assemble`]), whose rows — aligned with the wave plan's strata, which
-//! *are* the pending strata — are zipped into the running counts. So an
+//! ([`assemble`]), whose strata — the wave plan's, which *are* the slices
+//! the pending strata asked for — are folded into the running counts. So an
 //! adaptive campaign run single-shot, sharded, killed-and-resumed, or
 //! farmed out over dispatch workers produces byte-identical wave plans,
 //! records, and final intervals.
@@ -25,19 +25,18 @@
 //!
 //! Which strata a wave samples and how a stratum folds a wave are one
 //! rule (`AdaptiveResult::next_wave`, `AdaptiveResult::fold_wave`),
-//! shared by [`run_adaptive`] and by [`StrataRecords::adaptive`], which
-//! replays the schedule over a fixed campaign's records.
+//! shared by [`run_adaptive`] and by [`replay_adaptive`], which replays
+//! the schedule over a fixed campaign's records.
 
 use kernels::Benchmark;
 use relia::{
     assemble, derating_factor, execute_shard, plan_wave, records_fingerprint, AppCaptures,
     CampaignCfg, ClassCounts, Confidence, EngineCfg, EngineError, Layer, PreparedCampaign,
-    RecordSet, StratumSpec, TrialRecord, TrialTarget,
+    RecordSet, StrataRecords, StratumSpec, TrialRecord, TrialTarget,
 };
 use vgpu_sim::{HwStructure, SwFaultKind};
 
 use crate::ci::wilson;
-use crate::strata::StrataRecords;
 use crate::twolevel::CLASS_KINDS;
 
 /// How an adaptive campaign decides it is done.
@@ -329,12 +328,9 @@ where
             result.records_fp = fold_fp(result.records_fp, records_fingerprint(&records));
 
             // The wave's plan strata are the slices `next_wave` asked for, in
-            // order: one row of the count table and one slice of trials each.
-            // A stratum whose trials all resolved to no fault has an empty
-            // population.
-            let table = assemble(&prep, &records)?;
-            let rows = (table.iter().zip(prep.plan.strata_trials()))
-                .map(|(row, (_, trials))| (row.counts, trials.iter().all(|t| t.fault.is_none())));
+            // order.
+            let strata = assemble(&prep, &records)?.strata;
+            let rows = (strata.iter()).map(|s| (s.counts(0..s.outcomes.len()), s.empty));
             result.fold_wave(acfg, rows);
 
             let still_pending = result.next_wave(acfg).len() as u64;
@@ -373,31 +369,31 @@ where
     })
 }
 
-impl StrataRecords {
-    /// The adaptive campaign over this campaign's strata, replayed: every
-    /// wave reads the ordinals it asks for from the recorded outcomes
-    /// instead of running them. A trial does not depend on the plan that
-    /// holds it and a stratum stops on its own prefix alone, so with a cap
-    /// no larger than the recorded trials per stratum the strata, counts
-    /// and waves are exactly [`run_adaptive`]'s over the same targets;
-    /// only the fingerprints (of plans never built) stay 0. Strata are
-    /// taken as software strata: no derating.
-    pub fn adaptive(&self, acfg: &AdaptiveCfg) -> AdaptiveResult {
-        let strata = (self.strata.iter())
-            .map(|s| AdaptiveStratum::new(s.kernel_idx, s.target, 1.0))
-            .collect();
-        let mut result = AdaptiveResult::start(self.app.clone(), self.layer, strata);
-        loop {
-            let specs = result.next_wave(acfg);
-            if specs.is_empty() {
-                return result;
-            }
-            let rows = specs.iter().map(|sl| {
-                let st = (self.stratum(sl.kernel_idx, sl.target)).expect("a recorded stratum");
-                (st.counts(sl.start..sl.start + sl.count), st.empty)
-            });
-            result.fold_wave(acfg, rows);
+/// The adaptive campaign over the strata of a fixed-n campaign,
+/// replayed: every wave reads the ordinals it asks for from the recorded
+/// outcomes instead of running them. A trial does not depend on the plan
+/// that holds it and a stratum stops on its own prefix alone, so with a
+/// cap no larger than the recorded trials per stratum the strata, counts
+/// and waves are exactly [`run_adaptive`]'s over the same targets; only
+/// the fingerprints (of plans never built) stay 0. Strata are taken as
+/// software strata: no derating.
+pub fn replay_adaptive(records: &StrataRecords, acfg: &AdaptiveCfg) -> AdaptiveResult {
+    let strata = (records.strata.iter())
+        .map(|s| AdaptiveStratum::new(s.kernel_idx, s.target, 1.0))
+        .collect();
+    let mut result = AdaptiveResult::start(records.app.clone(), records.layer, strata);
+    loop {
+        let specs = result.next_wave(acfg);
+        if specs.is_empty() {
+            return result;
         }
+        let rows = specs.iter().map(|sl| {
+            let st = (records.strata.iter())
+                .find(|s| s.kernel_idx == sl.kernel_idx && s.target == sl.target)
+                .expect("a recorded stratum");
+            (st.counts(sl.start..sl.start + sl.count), st.empty)
+        });
+        result.fold_wave(acfg, rows);
     }
 }
 

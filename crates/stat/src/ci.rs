@@ -136,6 +136,8 @@ pub fn bootstrap_weighted_ci(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kernels::Outcome;
+    use relia::ClassCounts;
 
     #[test]
     fn wilson_degenerate_and_extremes() {
@@ -196,5 +198,49 @@ mod tests {
             Interval::FULL
         );
         assert_eq!(weighted_rate(&empty), 0.0);
+    }
+
+    fn counts(outcomes: &[Outcome]) -> ClassCounts {
+        let mut c = ClassCounts::default();
+        outcomes.iter().for_each(|&o| c.record(o));
+        c
+    }
+
+    #[test]
+    fn empty_stratum_is_nan_free_and_degenerate() {
+        let c = ClassCounts::default();
+        assert_eq!((c.total(), c.failures()), (0, 0));
+        assert_eq!(c.failure_rate(), 0.0);
+        let (failures, sdc, n) = (c.failures() as u64, c.sdc as u64, c.total() as u64);
+        assert_eq!(wilson(failures, n, Confidence::C95), Interval::FULL);
+        assert_eq!(wilson(sdc, n, Confidence::C99), Interval::FULL);
+    }
+
+    #[test]
+    fn single_trial_stratum_is_finite() {
+        for o in [Outcome::Masked, Outcome::Sdc] {
+            let c = counts(&[o]);
+            assert_eq!(c.total(), 1);
+            assert!(c.failure_rate().is_finite());
+            let ci = wilson(c.failures() as u64, 1, Confidence::C95);
+            assert!(ci.lo.is_finite() && ci.hi.is_finite());
+            assert!(ci.half_width() < 0.5, "one trial is evidence: {ci:?}");
+        }
+    }
+
+    #[test]
+    fn merging_empty_strata_never_poisons_the_fold() {
+        let live = counts(&[[Outcome::Masked; 7].as_slice(), &[Outcome::Sdc; 3]].concat());
+        let mut acc = ClassCounts::default();
+        acc.add(&ClassCounts::default());
+        acc.add(&live);
+        acc.add(&ClassCounts::default());
+        assert_eq!((acc.total(), acc.failures()), (10, 3));
+        assert!((acc.failure_rate() - 0.3).abs() < 1e-12);
+        assert!((acc.rates().sdc - 0.3).abs() < 1e-12);
+        // The fold is commutative on counts: its order cannot matter.
+        let mut rev = live;
+        rev.add(&ClassCounts::default());
+        assert_eq!(acc, rev);
     }
 }

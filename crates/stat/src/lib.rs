@@ -10,11 +10,6 @@
 //!   per-class samples are injected through the ordinary plan/execute
 //!   engine, and class rates propagate through population shares to
 //!   kernel- and application-level estimates with bootstrap CIs.
-//! - [`strata`] — a fixed campaign kept stratum by stratum
-//!   ([`StrataRecords`]), from which the application rates under any
-//!   fault kind (PVF among them), the two-level estimate of any smaller
-//!   sample and the adaptive campaign under any smaller cap are read off
-//!   without running them.
 //! - [`adaptive`] — CI-driven campaign sizing: deterministic trial waves
 //!   per (kernel, target) stratum until every stratum's derated CI
 //!   half-width meets the target, with per-wave plan fingerprints so
@@ -23,16 +18,14 @@
 
 pub mod adaptive;
 pub mod ci;
-pub mod strata;
 pub mod twolevel;
 
 pub use adaptive::{
-    class_targets, run_adaptive, run_adaptive_single, sw_targets, uarch_targets, AdaptiveCfg,
-    AdaptiveResult, AdaptiveStratum,
+    class_targets, replay_adaptive, run_adaptive, run_adaptive_single, sw_targets, uarch_targets,
+    AdaptiveCfg, AdaptiveResult, AdaptiveStratum,
 };
 pub use ci::{bootstrap_weighted_ci, weighted_rate, wilson, Interval, WeightedStratum};
-pub use strata::{RecordedStratum, StrataRecords};
 pub use twolevel::{
-    estimate_two_level, ClassEstimate, KernelEstimate, TwoLevelEstimate, CLASS_KINDS,
+    estimate_two_level, two_level, ClassEstimate, KernelEstimate, TwoLevelEstimate, CLASS_KINDS,
     DEFAULT_BOOTSTRAP_REPS,
 };

@@ -12,18 +12,17 @@
 //! end: a two-level campaign is an ordinary [`plan_sw`] plan over
 //! [`CLASS_KINDS`], so checkpoints, shard merges, and dispatch leases all
 //! work unchanged, and the estimate is a fold of its records
-//! ([`StrataRecords::two_level`]) — of any prefix of them.
+//! ([`two_level`]) — of any prefix of them.
 
 use kernels::Benchmark;
 use relia::{
-    execute_shard, plan_sw, AppCaptures, CampaignCfg, ClassCounts, Confidence, EngineCfg, Layer,
-    TrialTarget,
+    assemble, execute_shard, plan_sw, AppCaptures, CampaignCfg, ClassCounts, Confidence, EngineCfg,
+    Layer, StrataRecords, TrialTarget,
 };
 use vgpu_arch::InstrClass;
 use vgpu_sim::SwFaultKind;
 
 use crate::ci::{bootstrap_weighted_ci, weighted_rate, wilson, Interval, WeightedStratum};
-use crate::strata::StrataRecords;
 
 /// The per-class sub-campaigns of a two-level plan, in the stable
 /// [`InstrClass::ALL`] order (seed-derivation tags 20 + index).
@@ -140,66 +139,72 @@ fn bootstrap_strata(
     out
 }
 
-impl StrataRecords {
-    /// The propagated two-level estimate from the first `n` ordinals of
-    /// every instruction-class stratum (strata of other targets are
-    /// skipped): what a plan of `n` trials per (kernel, class) folds to.
-    /// Deterministic: the bootstrap seed is derived from the campaign
-    /// seed.
-    pub fn two_level(&self, n: usize, conf: Confidence, reps: usize) -> TwoLevelEstimate {
-        let mut kernels: Vec<KernelEstimate> = (self.kernels.iter())
-            .map(|(name, stats)| KernelEstimate {
-                kernel: name.clone(),
-                instrs: stats.thread_instrs,
-                gp_dest_instrs: stats.gp_dest_instrs,
-                classes: Vec::new(),
-            })
-            .collect();
-        let (mut planned, mut injected) = (0, 0);
-        for st in &self.strata {
-            let TrialTarget::Fault(SwFaultKind::DestClass(class)) = st.target else {
-                continue;
-            };
-            let taken = n.min(st.outcomes.len());
-            planned += taken;
-            injected += if st.empty { 0 } else { taken };
-            let stats = &self.kernels[st.kernel_idx].1;
-            let pop = class.index().map_or(0, |i| stats.class_dest_instrs[i]);
-            let share = if stats.gp_dest_instrs == 0 {
-                0.0
-            } else {
-                pop as f64 / stats.gp_dest_instrs as f64
-            };
-            // An empty class population contributes weight 0; its trivially
-            // masked trials carry no evidence and must not narrow the
-            // propagated CI, so drop its sample.
-            let c = if pop == 0 {
-                ClassCounts::default()
-            } else {
-                st.counts(0..taken)
-            };
-            kernels[st.kernel_idx].classes.push(ClassEstimate {
-                class,
-                share,
-                counts: c,
-                sdc_ci: wilson(c.sdc as u64, c.total() as u64, conf),
-                failure_ci: wilson(c.failures() as u64, c.total() as u64, conf),
-            });
-        }
+/// The propagated two-level estimate from the first `n` ordinals of every
+/// instruction-class stratum of a fixed-n campaign (strata of other
+/// targets are skipped): what a plan of `n` trials per (kernel, class)
+/// folds to. Deterministic: the bootstrap seed is derived from the
+/// campaign seed.
+pub fn two_level(
+    records: &StrataRecords,
+    n: usize,
+    conf: Confidence,
+    reps: usize,
+) -> TwoLevelEstimate {
+    let stats: Vec<_> = (0..records.kernels.len())
+        .map(|k| records.kernel_stats(k))
+        .collect();
+    let mut kernels: Vec<KernelEstimate> = (records.kernels.iter().zip(&stats))
+        .map(|(name, stats)| KernelEstimate {
+            kernel: name.clone(),
+            instrs: stats.thread_instrs,
+            gp_dest_instrs: stats.gp_dest_instrs,
+            classes: Vec::new(),
+        })
+        .collect();
+    let (mut planned, mut injected) = (0, 0);
+    for st in &records.strata {
+        let TrialTarget::Fault(SwFaultKind::DestClass(class)) = st.target else {
+            continue;
+        };
+        let taken = n.min(st.outcomes.len());
+        planned += taken;
+        injected += if st.empty { 0 } else { taken };
+        let stats = &stats[st.kernel_idx];
+        let pop = class.index().map_or(0, |i| stats.class_dest_instrs[i]);
+        let share = if stats.gp_dest_instrs == 0 {
+            0.0
+        } else {
+            pop as f64 / stats.gp_dest_instrs as f64
+        };
+        // An empty class population contributes weight 0; its trivially
+        // masked trials carry no evidence and must not narrow the
+        // propagated CI, so drop its sample.
+        let c = if pop == 0 {
+            ClassCounts::default()
+        } else {
+            st.counts(0..taken)
+        };
+        kernels[st.kernel_idx].classes.push(ClassEstimate {
+            class,
+            share,
+            counts: c,
+            sdc_ci: wilson(c.sdc as u64, c.total() as u64, conf),
+            failure_ci: wilson(c.failures() as u64, c.total() as u64, conf),
+        });
+    }
 
-        let sdc_strata = bootstrap_strata(&kernels, |c| c.sdc as u64);
-        let fail_strata = bootstrap_strata(&kernels, |c| c.failures() as u64);
-        let boot_seed = self.seed ^ 0x7701_e7e1u64.rotate_left(13);
-        TwoLevelEstimate {
-            app: self.app.clone(),
-            sdc: weighted_rate(&sdc_strata),
-            failure: weighted_rate(&fail_strata),
-            sdc_ci: bootstrap_weighted_ci(&sdc_strata, reps, boot_seed, conf),
-            failure_ci: bootstrap_weighted_ci(&fail_strata, reps, boot_seed ^ 1, conf),
-            planned,
-            injected,
-            kernels,
-        }
+    let sdc_strata = bootstrap_strata(&kernels, |c| c.sdc as u64);
+    let fail_strata = bootstrap_strata(&kernels, |c| c.failures() as u64);
+    let boot_seed = records.seed ^ 0x7701_e7e1u64.rotate_left(13);
+    TwoLevelEstimate {
+        app: records.app.clone(),
+        sdc: weighted_rate(&sdc_strata),
+        failure: weighted_rate(&fail_strata),
+        sdc_ci: bootstrap_weighted_ci(&sdc_strata, reps, boot_seed, conf),
+        failure_ci: bootstrap_weighted_ci(&fail_strata, reps, boot_seed ^ 1, conf),
+        planned,
+        injected,
+        kernels,
     }
 }
 
@@ -216,8 +221,8 @@ pub fn estimate_two_level(
     let prep = plan_sw(&captures, cfg, &CLASS_KINDS);
     let records = execute_shard(&prep, &EngineCfg::single_shot())
         .expect("single-shot execution performs no checkpoint I/O");
-    let strata = StrataRecords::assemble(&prep, &records).expect("a single shard covers the plan");
-    strata.two_level(cfg.n_sw, conf, reps)
+    let strata = assemble(&prep, &records).expect("a single shard covers the plan");
+    two_level(&strata, cfg.n_sw, conf, reps)
 }
 
 #[cfg(test)]

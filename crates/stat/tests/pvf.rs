@@ -6,10 +6,9 @@
 
 use kernels::apps::va::Va;
 use relia::{
-    execute_shard, plan_sw, run_sw_campaign, run_uarch_campaign, AppCaptures, CampaignCfg,
-    EngineCfg, Layer,
+    assemble, execute_shard, plan_sw, run_sw_campaign, run_uarch_campaign, AppCaptures,
+    CampaignCfg, EngineCfg, Layer, StrataRecords,
 };
-use stat::StrataRecords;
 use vgpu_sim::SwFaultKind;
 
 fn cfg(n: usize) -> CampaignCfg {
@@ -21,7 +20,7 @@ fn pvf_campaign(cfg: &CampaignCfg) -> StrataRecords {
     let captures = AppCaptures::new(&Va, &cfg.gpu, Layer::Sw, false);
     let prep = plan_sw(&captures, cfg, &[SwFaultKind::ArchState]);
     let records = execute_shard(&prep, &EngineCfg::single_shot()).unwrap();
-    StrataRecords::assemble(&prep, &records).unwrap()
+    assemble(&prep, &records).unwrap()
 }
 
 #[test]
@@ -29,9 +28,7 @@ fn pvf_sits_between_avf_and_svf() {
     let cfg = cfg(80);
     let svf = run_sw_campaign(&Va, &cfg, false).app_svf().total();
     let pvf = (pvf_campaign(&cfg).app_rates(SwFaultKind::ArchState)).total();
-    let avf = run_uarch_campaign(&Va, &cfg, false)
-        .app_avf(&cfg.gpu)
-        .total();
+    let avf = run_uarch_campaign(&Va, &cfg, false).app_avf().total();
     assert!(
         svf > pvf && pvf > avf,
         "expected SVF ({svf:.3}) > PVF ({pvf:.3}) > AVF ({avf:.4})"

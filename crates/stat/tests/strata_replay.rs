@@ -18,11 +18,12 @@ use kernels::apps::sradv1::SradV1;
 use kernels::apps::va::Va;
 use kernels::Benchmark;
 use relia::{
-    execute_shard, plan_sw, AppCaptures, CampaignCfg, Confidence, EngineCfg, Layer, TrialTarget,
+    assemble, execute_shard, plan_sw, AppCaptures, CampaignCfg, Confidence, EngineCfg, Layer,
+    StrataRecords, TrialTarget,
 };
 use stat::{
-    class_targets, estimate_two_level, run_adaptive_single, AdaptiveCfg, AdaptiveResult,
-    StrataRecords, CLASS_KINDS,
+    class_targets, estimate_two_level, replay_adaptive, run_adaptive_single, two_level,
+    AdaptiveCfg, AdaptiveResult, CLASS_KINDS,
 };
 
 const CAP: usize = 32;
@@ -35,7 +36,7 @@ fn class_campaign(bench: &dyn Benchmark, n: usize) -> StrataRecords {
     let captures = AppCaptures::new(bench, &cfg.gpu, Layer::Sw, false);
     let prep = plan_sw(&captures, &cfg, &CLASS_KINDS);
     let records = execute_shard(&prep, &EngineCfg::single_shot()).unwrap();
-    StrataRecords::assemble(&prep, &records).unwrap()
+    assemble(&prep, &records).unwrap()
 }
 
 /// Check both identities on `bench`; returns the adaptive campaign run.
@@ -47,7 +48,7 @@ fn check(bench: &dyn Benchmark) -> AdaptiveResult {
     );
 
     let acfg = AdaptiveCfg::new(0.15, 8, CAP);
-    let replayed = fixed.adaptive(&acfg);
+    let replayed = replay_adaptive(&fixed, &acfg);
     let cfg = CampaignCfg::new(0, 0, SEED);
     let run = run_adaptive_single(bench, &cfg, false, Layer::Sw, &class_targets(), &acfg).unwrap();
     assert_eq!(replayed.waves, run.waves, "{}", bench.name());
@@ -65,7 +66,7 @@ fn check(bench: &dyn Benchmark) -> AdaptiveResult {
     assert!((run.strata.iter()).any(|s| s.converged_wave.is_some() && s.n() < CAP));
 
     let reps = 200;
-    let folded = fixed.two_level(N, Confidence::C95, reps);
+    let folded = two_level(&fixed, N, Confidence::C95, reps);
     let cfg = CampaignCfg::new(0, N, SEED);
     let estimated = estimate_two_level(bench, &cfg, Confidence::C95, reps);
     assert_eq!(folded, estimated, "{}", bench.name());
@@ -81,7 +82,8 @@ fn va_replays_and_prefixes_equal_the_campaigns_run() {
     assert!(fixed.strata.iter().any(|s| s.empty));
     assert!(fixed.strata.iter().all(|s| s.outcomes.len() == 2));
     let class = TrialTarget::Fault(CLASS_KINDS[0]);
-    assert!(fixed.stratum(0, class).is_some() && fixed.stratum(1, class).is_none());
+    let held = |k| (fixed.strata.iter()).any(|s| (s.kernel_idx, s.target) == (k, class));
+    assert!(held(0) && !held(1));
 }
 
 #[test]

@@ -8,7 +8,7 @@
 use gpu_reliability::prelude::*;
 use kernels::apps::hotspot::HotSpot;
 use relia::error_margin;
-use relia::Confidence;
+use relia::{Confidence, TrialTarget};
 use vgpu_sim::HwStructure;
 
 fn main() {
@@ -26,15 +26,15 @@ fn main() {
     // cycle-level simulator, derated and size-weighted (Section II-B).
     let avf = run_uarch_campaign(&HotSpot, &cfg, false);
     println!("HotSpot, microarchitecture level (gpuFI-4 model):");
-    for k in &avf.kernels {
+    for (k, kernel) in avf.kernels.iter().enumerate() {
         for &h in &HwStructure::ALL {
-            let r = k.avf(h);
+            let r = avf.avf(k, h);
             println!(
                 "  {} {:<4}  FR={:>6.2}%  DF={:<6.4}  AVF={:>7.4}%  (sdc {:.4}%, to {:.4}%, due {:.4}%)",
-                k.kernel,
+                kernel,
                 h.label(),
-                k.counts_of(h).counts.failure_rate() * 100.0,
-                k.df_of(h),
+                avf.counts(k, TrialTarget::Structure(h)).failure_rate() * 100.0,
+                avf.derating(k, h),
                 r.total() * 100.0,
                 r.sdc * 100.0,
                 r.timeout * 100.0,
@@ -42,7 +42,7 @@ fn main() {
             );
         }
     }
-    let a = avf.app_avf(&cfg.gpu);
+    let a = avf.app_avf();
     println!(
         "  chip AVF (size-weighted, cycle-weighted) = {:.4}%\n",
         a.total() * 100.0
@@ -51,16 +51,16 @@ fn main() {
     // Software level: destination-register value flips in the dynamic
     // instruction stream (Section II-C).
     let svf = run_sw_campaign(&HotSpot, &cfg, false);
-    for k in &svf.kernels {
-        let s = k.svf();
+    for (k, kernel) in svf.kernels.iter().enumerate() {
+        let s = svf.svf(k);
         println!(
             "HotSpot {} software level (NVBitFI model): SVF = {:.2}% (sdc {:.2}%, to {:.2}%, due {:.2}%), SVF-LD = {:.2}%",
-            k.kernel,
+            kernel,
             s.total() * 100.0,
             s.sdc * 100.0,
             s.timeout * 100.0,
             s.due * 100.0,
-            k.svf_ld().total() * 100.0
+            svf.svf_ld(k).total() * 100.0
         );
     }
     println!(
@@ -68,6 +68,6 @@ fn main() {
          sees only live destination values and no hardware masking, so its\n\
          absolute vulnerabilities — and often its *rankings* — diverge from\n\
          the cross-layer ground truth.",
-        (svf.app_svf().total() / avf.app_avf(&cfg.gpu).total().max(1e-9)) as u32
+        (svf.app_svf().total() / avf.app_avf().total().max(1e-9)) as u32
     );
 }

@@ -41,7 +41,7 @@ fn main() {
     let svf_base = run_sw_campaign(&Scp, &cfg, false);
     let svf_tmr = run_sw_campaign(&Scp, &cfg, true);
 
-    let (ab, at) = (avf_base.app_avf(&gpu), avf_tmr.app_avf(&gpu));
+    let (ab, at) = (avf_base.app_avf(), avf_tmr.app_avf());
     let (sb, st) = (svf_base.app_svf(), svf_tmr.app_svf());
     println!("                 unprotected   TMR-hardened");
     println!(

@@ -165,6 +165,28 @@ rc=0; "$CAMPAIGN" run "${SFLAGS[@]}" --shard-index 2 --checkpoint "$SMOKE/shard1
 [ "$rc" -eq 1 ]
 cmp "$SMOKE/shard1.before" "$SMOKE/shard1.jsonl"
 
+echo "==> result tables (crates/bench/tests/fixtures/run_tables): run and merge print the pinned numbers in release"
+# The tables `campaign run` and `merge` print, from the release binary
+# users run: each line of commands.txt against its stdout and --csv
+# fixtures, and the first command as two shards merged. `cargo test`
+# checks the same fixtures with the debug binary (cli_tables.rs).
+TABLES=crates/bench/tests/fixtures/run_tables
+while read -r stem args; do
+  # $args is split on purpose: a command line.
+  # shellcheck disable=SC2086
+  "$CAMPAIGN" $args --csv "$SMOKE/$stem.csv" > "$SMOKE/$stem.txt" 2> /dev/null
+  cmp "$TABLES/$stem.txt" "$SMOKE/$stem.txt"
+  cmp "$TABLES/$stem.csv" "$SMOKE/$stem.csv"
+done < "$TABLES/commands.txt"
+for i in 0 1; do
+  "$CAMPAIGN" run --app VA --n 8 --shards 2 --shard-index $i --checkpoint "$SMOKE/t$i.jsonl" \
+    > /dev/null 2>&1
+done
+"$CAMPAIGN" merge --app VA --n 8 --csv "$SMOKE/va_n8_merge.csv" "$SMOKE"/t{0,1}.jsonl \
+  > "$SMOKE/va_n8_merge.txt" 2> /dev/null
+cmp "$TABLES/va_n8_merge.txt" "$SMOKE/va_n8_merge.txt"
+cmp "$TABLES/va_n8_merge.csv" "$SMOKE/va_n8_merge.csv"
+
 echo "==> replay backend smoke (docs/TRACE.md)"
 # The trace-replay backend records the golden access trace, adjudicates
 # each trial's footprint deadness against it, and synthesizes masked

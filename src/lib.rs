@@ -35,7 +35,7 @@ pub mod prelude {
     pub use relia::{
         assemble_sw, assemble_uarch, execute_shard, prepare_sw_campaign, prepare_uarch_campaign,
         run_sw_campaign, run_uarch_campaign, CampaignCfg, ClassRates, EngineCfg, EngineError,
-        Table, TrendItem, Watchdog,
+        StrataRecords, Table, TrendItem, Watchdog,
     };
     pub use vgpu_arch::{CmpOp, Kernel, KernelBuilder, LaunchConfig, MemSpace, Operand};
     pub use vgpu_sim::{

@@ -2,7 +2,10 @@
 
 use gpu_reliability::prelude::*;
 use kernels::apps::{scp::Scp, va::Va};
-use vgpu_sim::HwStructure;
+use relia::TrialTarget;
+use vgpu_sim::{HwStructure, SwFaultKind};
+
+const DEST_VALUE: TrialTarget = TrialTarget::Fault(SwFaultKind::DestValue);
 
 fn small_cfg() -> CampaignCfg {
     CampaignCfg::new(60, 60, 0xABCD)
@@ -16,7 +19,7 @@ fn avf_is_much_smaller_than_svf() {
     let cfg = small_cfg();
     let avf = run_uarch_campaign(&Va, &cfg, false);
     let svf = run_sw_campaign(&Va, &cfg, false);
-    let a = avf.app_avf(&cfg.gpu).total();
+    let a = avf.app_avf().total();
     let s = svf.app_svf().total();
     assert!(a > 0.0, "some hardware faults must matter");
     assert!(s > 0.2, "software faults hit live state: {s}");
@@ -28,18 +31,19 @@ fn campaigns_are_deterministic() {
     let cfg = small_cfg();
     let a1 = run_uarch_campaign(&Va, &cfg, false);
     let a2 = run_uarch_campaign(&Va, &cfg, false);
-    for (k1, k2) in a1.kernels.iter().zip(&a2.kernels) {
+    for k in 0..a1.kernels.len() {
         for &h in &HwStructure::ALL {
+            let t = TrialTarget::Structure(h);
             assert_eq!(
-                k1.counts_of(h).counts,
-                k2.counts_of(h).counts,
+                a1.counts(k, t),
+                a2.counts(k, t),
                 "{h:?} counts must be reproducible"
             );
         }
     }
     let s1 = run_sw_campaign(&Va, &cfg, false);
     let s2 = run_sw_campaign(&Va, &cfg, false);
-    assert_eq!(s1.kernels[0].counts, s2.kernels[0].counts);
+    assert_eq!(s1.counts(0, DEST_VALUE), s2.counts(0, DEST_VALUE));
 }
 
 #[test]
@@ -49,7 +53,8 @@ fn different_seeds_differ() {
     cfg.seed ^= 0xFFFF;
     let a2 = run_sw_campaign(&Va, &cfg, false);
     assert_ne!(
-        a1.kernels[0].counts, a2.kernels[0].counts,
+        a1.counts(0, DEST_VALUE),
+        a2.counts(0, DEST_VALUE),
         "different seeds should sample different faults"
     );
 }
@@ -58,32 +63,31 @@ fn different_seeds_differ() {
 fn derating_factors_are_sane() {
     let cfg = small_cfg();
     let avf = run_uarch_campaign(&Scp, &cfg, false);
-    let k = &avf.kernels[0];
+    let df_of = |h| avf.derating(0, h);
     for &h in &HwStructure::ALL {
-        let df = k.df_of(h);
+        let df = df_of(h);
         assert!((0.0..=1.0).contains(&df), "{h:?} DF {df}");
     }
     // SCP uses shared memory and a modest register count: both live DFs
     // are strictly between 0 and 1; cache DFs are exactly 1.
-    assert!(k.df_of(HwStructure::RegFile) > 0.0 && k.df_of(HwStructure::RegFile) < 1.0);
-    assert!(k.df_of(HwStructure::Smem) > 0.0 && k.df_of(HwStructure::Smem) < 1.0);
-    assert_eq!(k.df_of(HwStructure::L1D), 1.0);
-    assert_eq!(k.df_of(HwStructure::L2), 1.0);
+    assert!(df_of(HwStructure::RegFile) > 0.0 && df_of(HwStructure::RegFile) < 1.0);
+    assert!(df_of(HwStructure::Smem) > 0.0 && df_of(HwStructure::Smem) < 1.0);
+    assert_eq!(df_of(HwStructure::L1D), 1.0);
+    assert_eq!(df_of(HwStructure::L2), 1.0);
 }
 
 #[test]
 fn chip_avf_is_a_convex_combination_of_structures() {
     let cfg = small_cfg();
     let avf = run_uarch_campaign(&Va, &cfg, false);
-    let k = &avf.kernels[0];
-    let chip = k.chip_avf(&cfg.gpu).total();
+    let chip = avf.chip_avf(0).total();
     let min = HwStructure::ALL
         .iter()
-        .map(|&h| k.avf(h).total())
+        .map(|&h| avf.avf(0, h).total())
         .fold(f64::MAX, f64::min);
     let max = HwStructure::ALL
         .iter()
-        .map(|&h| k.avf(h).total())
+        .map(|&h| avf.avf(0, h).total())
         .fold(0.0f64, f64::max);
     assert!(
         chip >= min - 1e-12 && chip <= max + 1e-12,
@@ -155,11 +159,9 @@ fn tmr_through_the_sharded_engine_shows_the_cross_layer_gap() {
         sdc_sw_tmr < sdc_base / 4.0,
         "TMR must slash software-visible SDCs: {sdc_base} -> {sdc_sw_tmr}"
     );
-    let uarch_sdcs: u32 = avf_tmr
-        .kernels
-        .iter()
-        .flat_map(|k| k.per_structure.iter())
-        .map(|(_, c)| c.counts.sdc)
+    let uarch_sdcs: u32 = (0..avf_tmr.kernels.len())
+        .flat_map(|k| HwStructure::ALL.map(|h| (k, TrialTarget::Structure(h))))
+        .map(|(k, t)| avf_tmr.counts(k, t).sdc)
         .sum();
     assert!(
         uarch_sdcs > 0,
@@ -172,9 +174,10 @@ fn outcome_population_is_exhaustive() {
     // Every injection lands in exactly one of the four classes.
     let cfg = small_cfg();
     let avf = run_uarch_campaign(&Va, &cfg, false);
-    for k in &avf.kernels {
-        for (_, camp) in &k.per_structure {
-            assert_eq!(camp.counts.total() as usize, cfg.n_uarch);
+    for k in 0..avf.kernels.len() {
+        for h in HwStructure::ALL {
+            let camp = avf.counts(k, TrialTarget::Structure(h));
+            assert_eq!(camp.total() as usize, cfg.n_uarch);
         }
     }
 }
@@ -190,7 +193,7 @@ fn trend_comparison_plumbs_through() {
             let svf = run_sw_campaign(*b, &cfg, false);
             TrendItem {
                 name: b.name().to_string(),
-                a: avf.app_avf(&cfg.gpu).total(),
+                a: avf.app_avf().total(),
                 b: svf.app_svf().total(),
             }
         })

@@ -11,7 +11,7 @@
 use gpu_reliability::prelude::*;
 use kernels::apps::{scp::Scp, va::Va};
 use relia::checkpoint::load_checkpoint;
-use relia::{execute_resumable, records_fingerprint, TrialRecord};
+use relia::{execute_resumable, records_fingerprint, TrialRecord, TrialTarget};
 use std::path::PathBuf;
 use vgpu_sim::{FaultPattern, HwStructure};
 
@@ -97,23 +97,23 @@ fn check_uarch_cfg(bench: &dyn Benchmark, name: &str, cfg: CampaignCfg) {
 
     // Spell out the per-structure equivalence the struct equality implies,
     // so a future PartialEq change can't silently weaken this test.
-    for (km, ks) in merged.kernels.iter().zip(&single.kernels) {
+    let (m, s) = (&merged, &single);
+    for k in 0..m.kernels.len() {
         for &h in &HwStructure::ALL {
-            assert_eq!(km.counts_of(h).counts, ks.counts_of(h).counts);
+            let t = TrialTarget::Structure(h);
+            assert_eq!(m.counts(k, t), s.counts(k, t));
+            assert_eq!(m.ctrl_masked(k, t), s.ctrl_masked(k, t));
             assert_eq!(
-                km.counts_of(h).ctrl_affected_masked,
-                ks.counts_of(h).ctrl_affected_masked
+                m.derating(k, h),
+                s.derating(k, h),
+                "{name} {h:?} derating factor"
             );
-            assert_eq!(km.df_of(h), ks.df_of(h), "{name} {h:?} derating factor");
-            assert_eq!(km.avf(h), ks.avf(h), "{name} {h:?} AVF");
+            assert_eq!(m.avf(k, h), s.avf(k, h), "{name} {h:?} AVF");
         }
-        assert_eq!(km.cycles, ks.cycles);
+        assert_eq!(m.kernel_stats(k).cycles, s.kernel_stats(k).cycles);
     }
-    assert_eq!(merged.app_avf(&cfg.gpu), single.app_avf(&cfg.gpu));
-    assert_eq!(
-        merged.app_avf_cache(&cfg.gpu),
-        single.app_avf_cache(&cfg.gpu)
-    );
+    assert_eq!(merged.app_avf(), single.app_avf());
+    assert_eq!(merged.app_avf_cache(), single.app_avf_cache());
 }
 
 fn check_sw(bench: &dyn Benchmark, name: &str) {
@@ -132,11 +132,18 @@ fn check_sw_cfg(bench: &dyn Benchmark, name: &str, cfg: CampaignCfg) {
     let recovered = relia::assemble_sw(&prep, &resumed).unwrap();
     assert_eq!(recovered, single, "{name}: interrupt+resume != single-shot");
 
-    for (km, ks) in merged.kernels.iter().zip(&single.kernels) {
-        assert_eq!(km.counts, ks.counts, "{name} dest-value counts");
-        assert_eq!(km.counts_ld, ks.counts_ld, "{name} SVF-LD counts");
-        assert_eq!(km.svf(), ks.svf(), "{name} SVF rates");
-        assert_eq!(km.instrs, ks.instrs);
+    let (m, s) = (&merged, &single);
+    let [value, load] = relia::SVF_KINDS.map(TrialTarget::Fault);
+    for k in 0..m.kernels.len() {
+        assert_eq!(
+            m.counts(k, value),
+            s.counts(k, value),
+            "{name} dest-value counts"
+        );
+        assert_eq!(m.counts(k, load), s.counts(k, load), "{name} SVF-LD counts");
+        assert_eq!(m.svf(k), s.svf(k), "{name} SVF rates");
+        let instrs = |r: &StrataRecords| r.kernel_stats(k).thread_instrs;
+        assert_eq!(instrs(m), instrs(s));
     }
     assert_eq!(merged.app_svf(), single.app_svf());
     assert_eq!(merged.app_svf_ld(), single.app_svf_ld());
