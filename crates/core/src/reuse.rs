@@ -34,23 +34,6 @@ pub fn readers_until_redef(kernel: &Kernel, pc: usize, reg: Reg) -> Vec<usize> {
     readers
 }
 
-/// Dynamic variant: given a straight-line execution trace of (pc) values,
-/// map a fault at trace position `at` in `reg` to the trace positions that
-/// observe it.
-pub fn dynamic_readers(kernel: &Kernel, trace: &[u32], at: usize, reg: Reg) -> Vec<usize> {
-    let mut readers = Vec::new();
-    for (i, &pc) in trace.iter().enumerate().skip(at + 1) {
-        let instr = &kernel.instrs()[pc as usize];
-        if instr.op.src_regs().contains(&reg) {
-            readers.push(i);
-        }
-        if instr.op.dst_reg() == Some(reg) {
-            break;
-        }
-    }
-    readers
-}
-
 /// The exact ten-instruction SASS snippet of Figure 12, transcribed into
 /// the vGPU ISA (the `c[0x0][...]` kernel arguments become constant-bank
 /// words; `R0` of instruction #4 is the register under study).
@@ -120,16 +103,6 @@ mod tests {
         let k = a.build().unwrap();
         // From the MOV: the ISETP reads r, then the BRA ends the block.
         assert_eq!(readers_until_redef(&k, 0, r), vec![1]);
-    }
-
-    #[test]
-    fn dynamic_readers_follow_the_trace() {
-        let k = figure12_kernel();
-        let trace: Vec<u32> = (0..k.len() as u32).collect();
-        assert_eq!(dynamic_readers(&k, &trace, 3, Reg(0)), vec![4, 6]);
-        // A trace that revisits the reader (loop unrolled dynamically).
-        let trace = vec![3, 4, 4, 4, 6];
-        assert_eq!(dynamic_readers(&k, &trace, 0, Reg(0)), vec![1, 2, 3, 4]);
     }
 
     #[test]

@@ -23,7 +23,14 @@ use vgpu_arch::{Kernel, LaunchConfig};
 use vgpu_sim::due::LaunchAbort;
 use vgpu_sim::exec::LogMem;
 use vgpu_sim::functional::run_cta;
-use vgpu_sim::{granule_bit, granule_span, GlobalMem, Stats, SwFault, SwInjector, GRANULE_SHIFT};
+use vgpu_sim::{
+    granule_bit, granule_span, record_launch, GlobalMem, Gpu, Mode, Stats, SwFault, SwInjector,
+    GRANULE_SHIFT,
+};
+
+use crate::harness::{
+    Accelerator, AppAbort, Decision, LaunchCost, Outcome, PlannedFault, RunResult, TrialLaunch,
+};
 
 /// What every CTA of one golden functional run read and wrote. Captured
 /// once per software-level application by [`crate::golden_pass`] and
@@ -353,14 +360,6 @@ impl DirtySet {
     }
 }
 
-/// What [`CtaReplay::launch`] did with one launch that completed.
-pub(crate) struct CtaLaunch {
-    /// Launch statistics, bit-identical to a whole-launch simulation's.
-    pub stats: Stats,
-    /// Thread instructions actually simulated (the rest was credited).
-    pub simulated_instrs: u64,
-}
-
 /// One faulty run's view of the [`CtaLog`]: its dirty set, and whether the
 /// log may still be consulted.
 #[derive(Debug)]
@@ -370,10 +369,12 @@ pub(crate) struct CtaReplay {
     /// Cleared once the host may have diverged from the golden host
     /// program; every later launch then simulates in full.
     live: bool,
+    /// The fault launch has started.
+    injected: bool,
     /// Store journal of the CTA being simulated (scratch).
     stores: Vec<(u32, u32)>,
-    pub replayed: u32,
-    pub simulated: u32,
+    replayed: u32,
+    simulated: u32,
 }
 
 impl CtaReplay {
@@ -382,65 +383,33 @@ impl CtaReplay {
             log: Arc::clone(log),
             dirty: DirtySet::default(),
             live: true,
+            injected: false,
             stores: Vec::new(),
             replayed: 0,
             simulated: 0,
         }
     }
 
-    /// The trial's host program observes the device for the first time:
-    /// bring `mem` to the golden image in one copy. Its writes until now
-    /// were the golden ones, dropped in a release build; a debug build
-    /// made them, and checks them against the image.
-    pub fn enter(&self, mem: &mut GlobalMem) {
-        debug_assert!(
-            mem.data() == self.log.image,
-            "the preamble must write the golden image"
-        );
-        mem.load_data(&self.log.image);
-    }
-
     /// Whether the trial's memory currently equals golden memory with the
     /// log still in use — everything that follows is then golden.
-    pub fn converged(&self) -> bool {
+    fn converged(&self) -> bool {
         self.live && self.dirty.is_empty()
     }
 
-    /// The host read the bytes `[lo, hi)`: a dirty word may steer the
-    /// host program away from the golden one, so the log is consulted no
-    /// further.
-    pub fn host_read(&mut self, lo: u32, hi: u32) {
-        if self.live && self.dirty.any_in(lo, hi) {
-            self.live = false;
-        }
-    }
-
-    /// The host wrote `addr`. Until it has read a dirty word the host
-    /// program is the golden one, so the golden run wrote the same value.
-    pub fn host_write(&mut self, addr: u32) {
-        if self.live && !self.dirty.is_empty() {
-            self.dirty.remove(addr);
-        }
-    }
-
-    /// Run launch `ordinal` CTA by CTA: replay the CTAs the dirty set
+    /// Run launch `l` CTA by CTA on `mem`: replay the CTAs the dirty set
     /// cannot reach, simulate the others (the one carrying `fault`
-    /// included; `applied` is set if it fires, abort or not). `None` means
-    /// the log no longer applies — the host diverged, or the launch is
-    /// not the golden run's — and the caller must simulate the launch
-    /// whole.
-    #[allow(clippy::too_many_arguments)]
-    pub fn launch(
+    /// included; `applied` is set if it fires, abort or not). The launch
+    /// cost is bit-identical to a whole-launch simulation's. `None` when
+    /// the log no longer applies: the host diverged, or the launch is not
+    /// the golden run's.
+    fn replay(
         &mut self,
         mem: &mut GlobalMem,
-        ordinal: usize,
-        kernel: &Kernel,
-        lc: &LaunchConfig,
+        l: &TrialLaunch<'_>,
         fault: Option<&SwFault>,
         applied: &mut bool,
-        budget_instrs: u64,
         max_stack: usize,
-    ) -> Option<Result<CtaLaunch, LaunchAbort>> {
+    ) -> Option<Result<LaunchCost, LaunchAbort>> {
         let CtaReplay {
             log,
             dirty,
@@ -448,22 +417,19 @@ impl CtaReplay {
             stores,
             replayed,
             simulated,
+            ..
         } = self;
-        let ll = log.launches.get(ordinal).filter(|ll| {
+        let (kernel, lc) = (l.kernel, l.lc);
+        let ll = log.launches.get(l.ordinal).filter(|ll| {
             *live
                 && (ll.grid_x, ll.grid_y, ll.block_x) == (lc.grid_x, lc.grid_y, lc.block_x)
                 && ll.params == lc.params
                 && std::ptr::eq(log.kernels[ll.kernel], kernel)
-        });
-        let Some(ll) = ll else {
-            *live = false;
-            return None;
-        };
+        })?;
+        let budget_instrs = l.budget.limit;
         let fault_cta = fault.and_then(|f| ll.fault_cta(f));
-        let mut out = CtaLaunch {
-            stats: Stats::default(),
-            simulated_instrs: 0,
-        };
+        let mut stats = Stats::default();
+        let mut simulated_instrs = 0;
         for c in 0..ll.ctas() {
             let carries_fault = fault_cta == Some(c);
             if !carries_fault && !dirty.touches(ll.footprint(c)) {
@@ -471,12 +437,12 @@ impl CtaReplay {
                     mem.write_words(start, run);
                     dirty.remove_range(start, start + 4 * run.len() as u32);
                 }
-                out.stats.add_engine_delta(&ll.cum[c + 1], &ll.cum[c]);
+                stats.add_engine_delta(&ll.cum[c + 1], &ll.cum[c]);
                 *replayed += 1;
                 // The oracle checks the budget after every warp slice; the
                 // count only grows, so checking where a replayed CTA ends
                 // reports the same timeouts.
-                if out.stats.thread_instrs > budget_instrs {
+                if stats.thread_instrs > budget_instrs {
                     return Some(Err(LaunchAbort::Timeout));
                 }
                 continue;
@@ -486,7 +452,7 @@ impl CtaReplay {
                 inj.counter = f.kind.eligible(&ll.cum[c]);
                 inj
             });
-            let before = out.stats.thread_instrs;
+            let before = stats.thread_instrs;
             stores.clear();
             let mut lm = LogMem {
                 mem,
@@ -499,19 +465,93 @@ impl CtaReplay {
                 lc,
                 c as u64,
                 inj.as_mut(),
-                &mut out.stats,
+                &mut stats,
                 budget_instrs,
                 max_stack,
             );
             *simulated += 1;
-            out.simulated_instrs += out.stats.thread_instrs - before;
+            simulated_instrs += stats.thread_instrs - before;
             *applied |= inj.is_some_and(|i| i.applied);
             if let Err(abort) = run {
                 return Some(Err(abort));
             }
             dirty.absorb(mem, stores, ll.delta(c));
         }
-        Some(Ok(out))
+        Some(Ok((stats.thread_instrs, simulated_instrs)))
+    }
+}
+
+impl Accelerator for CtaReplay {
+    /// A debug build makes the preamble's writes anyway, and checks them
+    /// against the image ([`Accelerator::enter`]).
+    fn drops_preamble(&self) -> bool {
+        !cfg!(debug_assertions)
+    }
+
+    /// Bring the machine to the golden image in one copy. The trial's
+    /// writes until now were the golden ones, dropped in a release build;
+    /// a debug build made them, and checks them against the image.
+    fn enter(&mut self, gpu: &mut Gpu) {
+        let mem = gpu.mem_mut();
+        debug_assert!(
+            mem.data() == self.log.image,
+            "the preamble must write the golden image"
+        );
+        mem.load_data(&self.log.image);
+    }
+
+    /// Replay the launch from the log, the CTAs the fault can reach
+    /// simulated. Once the log no longer applies, every launch from this
+    /// one on simulates whole.
+    fn launch(&mut self, gpu: &mut Gpu, l: &TrialLaunch<'_>, applied: &mut bool) -> Decision {
+        self.injected |= l.ordinal == l.target;
+        let fault = match l.fault {
+            Some(PlannedFault::Sw(f)) => Some(f),
+            // The functional engine refuses it.
+            Some(PlannedFault::Uarch(_)) => return None,
+            None => None,
+        };
+        let max_stack = gpu.cfg.max_stack_depth;
+        let run = self.replay(gpu.mem_mut(), l, fault, applied, max_stack);
+        self.live &= run.is_some();
+        let run = run?;
+        // The simulator counters see what was simulated; replayed CTAs are
+        // `sw_cta_total{path=replayed}`.
+        let simulated = run.as_ref().map(|&(_, simulated)| Stats {
+            thread_instrs: simulated,
+            ..Stats::default()
+        });
+        record_launch(Mode::Functional, &simulated.map_err(|e| *e));
+        Some(run.map_err(AppAbort::from))
+    }
+
+    /// A dirty word may steer the host program away from the golden one,
+    /// so reading one ends the log's use.
+    fn host_read(&mut self, _: &mut Gpu, _: usize, addr: u32, out: &mut [u32]) -> bool {
+        self.live = self.live && !self.dirty.any_in(addr, addr + 4 * out.len() as u32);
+        false
+    }
+
+    /// Until it has read a dirty word the host program is the golden one,
+    /// so the golden run wrote the same value.
+    fn host_write(&mut self, _: usize, addr: u32, _: u32) -> bool {
+        if self.live && !self.dirty.is_empty() {
+            self.dirty.remove(addr);
+        }
+        false
+    }
+
+    /// Once the fault launch is made, memory equal to golden with the log
+    /// still live — which a host write restoring the last dirty word can
+    /// also bring about.
+    fn rejoined(&mut self, _: &Gpu) -> bool {
+        self.injected && self.converged()
+    }
+
+    fn fill(&self, r: &mut RunResult, credited_ctas: u64) {
+        r.converged = matches!(r.outcome, Outcome::Masked | Outcome::Sdc) && self.converged();
+        r.ctas_replayed = self.replayed + credited_ctas as u32;
+        r.ctas_simulated = self.simulated;
     }
 }
 
@@ -519,6 +559,7 @@ impl CtaReplay {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use vgpu_sim::GpuConfig;
 
     #[test]
     fn dirty_set_tracks_granules_exactly() {
@@ -574,7 +615,8 @@ mod tests {
 
             let mut replay = CtaReplay::new(&Arc::new(CtaLog::default()));
             replay.dirty = d;
-            replay.host_read(lo, hi);
+            let mut gpu = Gpu::new(GpuConfig::default(), GlobalMem::new(4), Mode::Functional);
+            replay.host_read(&mut gpu, 0, lo, &mut vec![0; words as usize]);
             let hit = (lo..hi).step_by(4).any(|a| replay.dirty.words.contains_key(&a));
             prop_assert_eq!(replay.live, !hit);
         }

@@ -17,25 +17,29 @@
 //!   it, in one place;
 //! * **faulty**, by [`faulty_run_with`] — one fault injected into one
 //!   chosen launch, the outcome classified against the golden output,
-//!   reusing whatever golden material an [`Accel`] offers.
+//!   reusing whatever golden material an [`Accel`] offers. The controller
+//!   puts each launch and host access to the run's accelerator through one
+//!   contract (`Accelerator`) and simulates whatever it declines; it holds
+//!   no code of its own for either accelerator, which live in
+//!   [`crate::ffwd`] (golden-prefix snapshots) and [`crate::ctalog`] (the
+//!   golden CTA log).
 //!
 //! Either way the **hardened** variant transparently triplicates buffers,
 //! launches with `grid_y == 3`, and majority-votes after every protected
 //! kernel (Figure 6 of the paper).
 
 use std::cell::RefCell;
-use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
 use vgpu_arch::{Kernel, LaunchConfig};
 use vgpu_sim::due::LaunchAbort;
 use vgpu_sim::{
-    record_launch, tee, ArenaPlanner, Budget, ChunkStore, ConvergeWith, FaultPlan, Gpu, GpuConfig,
-    LifetimeTracker, Mode, SharedSink, SnapId, Stats, SwFault, SwInjector, UarchFault,
-    UarchInjector,
+    record_launch, tee, ArenaPlanner, Budget, FaultPlan, Gpu, GpuConfig, LifetimeTracker, Mode,
+    SharedSink, Stats, SwFault, SwInjector, UarchFault, UarchInjector,
 };
 
 use crate::ctalog::{CtaLog, CtaReplay};
+use crate::ffwd::{AppSnapshots, FfCtx, SnapshotSink};
 use crate::tmr;
 
 thread_local! {
@@ -178,42 +182,6 @@ pub enum PlannedFault {
     Sw(SwFault),
 }
 
-/// Golden-prefix snapshots of one application, captured by
-/// [`golden_run_snapshots`] and shared (via `Arc`) across every
-/// fast-forward trial of a campaign: one chunk store, so the set costs
-/// about one machine image plus what the run changed. Always timed, to
-/// match the microarchitectural campaigns that consume them; a hardened
-/// application's set holds its three copies and its vote launches like
-/// any other buffers and launches. Two sets are equal when they captured
-/// the same machines at the same points, chunk for chunk.
-#[derive(Debug, PartialEq, Eq)]
-pub struct AppSnapshots {
-    store: ChunkStore,
-    /// The machine when the host program first looks at it (reads a word
-    /// or launches a kernel), its initial writes done.
-    initial: SnapId,
-    /// `boundaries[i]`: device state immediately after golden launch `i`
-    /// retired (before any host glue that follows it).
-    boundaries: Vec<SnapId>,
-    /// `mids[i]`: mid-launch snapshots of launch `i`, ascending by cycle;
-    /// always includes cycle 0, so a resume point exists for every fault.
-    mids: Vec<Vec<SnapId>>,
-    /// Exact heap footprint of the store (the `snapshot_bytes` gauge).
-    pub bytes: u64,
-}
-
-impl AppSnapshots {
-    /// Total number of snapshots held (initial + mid-launch + boundary).
-    pub fn count(&self) -> usize {
-        self.store.len()
-    }
-
-    /// `(owned, shared)` chunk-table entries ([`ChunkStore::chunks`]).
-    pub fn chunks(&self) -> (u64, u64) {
-        self.store.chunks()
-    }
-}
-
 /// What a golden pass records on top of its [`GoldenRun`]
 /// ([`golden_pass`]). The sinks are independent of one another — any set
 /// the engine of the pass serves may ride the same run — and each is
@@ -258,103 +226,6 @@ pub struct AceProfile {
     pub events: u64,
 }
 
-/// The snapshot sink of a golden pass: `~k` mid-launch snapshots per
-/// launch, evenly spaced over the launch, plus one at every launch
-/// boundary — the [`AppSnapshots`] consumed under [`Accel::Snapshots`].
-pub struct SnapshotSink<'a> {
-    /// The reference golden run: capture cycles are spaced by its launch
-    /// lengths, and the pass is compared with it.
-    golden: &'a GoldenRun,
-    k: usize,
-    /// Test hook: `(ordinal, cycle)` — capture an extra snapshot of that
-    /// launch at that cycle (clamped into the launch), immediately resume
-    /// from it with no fault, and assert the suffix is reproduced
-    /// bit-identically ([`verify_snapshot_resume`]).
-    pub verify_resume: Option<(usize, u64)>,
-    store: ChunkStore,
-    initial: Option<SnapId>,
-    boundaries: Vec<SnapId>,
-    mids: Vec<Vec<SnapId>>,
-}
-
-impl<'a> SnapshotSink<'a> {
-    pub fn new(golden: &'a GoldenRun, k: usize) -> Self {
-        SnapshotSink {
-            golden,
-            k,
-            verify_resume: None,
-            store: ChunkStore::new(),
-            initial: None,
-            boundaries: Vec::new(),
-            mids: Vec::new(),
-        }
-    }
-
-    /// Run golden launch `ordinal` on `gpu`, capturing its mid-launch
-    /// snapshots and the boundary snapshot after it.
-    fn launch(
-        &mut self,
-        gpu: &mut Gpu,
-        ordinal: usize,
-        kernel: &Kernel,
-        lc: &LaunchConfig,
-    ) -> Result<Stats, LaunchAbort> {
-        let cycles = self.golden.records.get(ordinal).map_or_else(
-            || panic!("the pass launched more kernels than its reference golden run"),
-            |r| r.stats.cycles,
-        );
-        let mut capture_at = snapshot_cycles(cycles, self.k);
-        let probe_cycle = match self.verify_resume {
-            Some((po, pc)) if po == ordinal => {
-                let pc = pc.min(cycles.saturating_sub(1));
-                if let Err(i) = capture_at.binary_search(&pc) {
-                    capture_at.insert(i, pc);
-                }
-                Some(pc)
-            }
-            _ => None,
-        };
-        let store = &mut self.store;
-        let (stats, snaps) =
-            gpu.launch_instrumented(kernel, lc, &Budget::unlimited(), &capture_at, store)?;
-        let boundary = gpu.capture(store);
-        if let Some(pc) = probe_cycle {
-            // Resume from the probe snapshot with no fault; the suffix
-            // must be reproduced bit-for-bit in statistics, cycle count,
-            // and machine state.
-            let snap = *snaps
-                .iter()
-                .find(|&&s| store.cycle(s) == Some(pc))
-                .expect("probe snapshot captured");
-            let r = gpu
-                .resume_from(store, snap, kernel, lc, None, &Budget::unlimited(), None)
-                .unwrap_or_else(|e| panic!("fault-free resume aborted: {e:?}"));
-            assert_eq!(r.stats, stats, "resume must reproduce golden stats");
-            assert_eq!(r.resumed_at, pc);
-            assert_eq!(r.simulated_cycles, stats.cycles - pc);
-            assert!(r.converged_at.is_none());
-            assert!(
-                gpu.matches_image(store, boundary),
-                "resume must reproduce the post-launch machine state verbatim"
-            );
-        }
-        self.mids.push(snaps);
-        self.boundaries.push(boundary);
-        Ok(stats)
-    }
-
-    fn finish(mut self) -> AppSnapshots {
-        self.store.shrink_to_fit();
-        AppSnapshots {
-            bytes: self.store.heap_bytes(),
-            store: self.store,
-            initial: self.initial.expect("the run launched a kernel"),
-            boundaries: self.boundaries,
-            mids: self.mids,
-        }
-    }
-}
-
 /// A finished [`golden_pass`]: the golden run and what its sinks hold.
 pub struct GoldenPass {
     pub golden: GoldenRun,
@@ -373,12 +244,78 @@ pub enum Accel<'a> {
     None,
     /// Golden-prefix snapshots of the timed engine: follow them instead of
     /// simulating the prefix, resume the injected launch mid-flight, and
-    /// credit whatever provably re-converges ([`SnapshotSink`]).
+    /// credit whatever provably re-converges ([`crate::ffwd`]).
     Snapshots(&'a Arc<AppSnapshots>),
     /// The golden CTA log of the functional engine: simulate only the
-    /// CTAs the fault can reach ([`Sinks::cta_log`]).
+    /// CTAs the fault can reach ([`crate::ctalog`]).
     CtaLog(&'a Arc<CtaLog>),
 }
+
+/// The one contract of a trial accelerator: the golden material of an
+/// [`Accel`], consulted by a faulty run's [`RunCtl`] at each launch and
+/// host access. Every call may decline — a launch to simulate whole, a
+/// host access for the machine — and what it does not decline it answers
+/// exactly as the whole simulation would. [`Accel::None`] declines
+/// everything.
+pub(crate) trait Accelerator {
+    /// Whether the trial drops the host writes of its preamble: it starts
+    /// from golden material that already holds them.
+    fn drops_preamble(&self) -> bool;
+
+    /// The host program observes the device for the first time
+    /// ([`RunCtl::observe`]).
+    fn enter(&mut self, gpu: &mut Gpu);
+
+    /// Decide launch `l` — credit it, resume it, replay it — or decline
+    /// it (`applied`: whether the planned fault fired).
+    fn launch(&mut self, gpu: &mut Gpu, l: &TrialLaunch<'_>, applied: &mut bool) -> Decision;
+
+    /// The host reads `out.len()` words from `addr` after `launches`
+    /// launches: `true` when the accelerator answered into `out`, `false`
+    /// when they are to be read from the machine.
+    fn host_read(&mut self, gpu: &mut Gpu, launches: usize, addr: u32, out: &mut [u32]) -> bool;
+
+    /// The host writes `v` to `addr` after `launches` launches: `true`
+    /// when the accelerator took the write, `false` when it is to be made
+    /// on the machine.
+    fn host_write(&mut self, launches: usize, addr: u32, v: u32) -> bool;
+
+    /// Whether the trial has provably re-joined the golden run for good:
+    /// the device equals golden and every host read since the fault saw
+    /// the golden word. Asked before every launch and after every one that
+    /// completes.
+    fn rejoined(&mut self, gpu: &Gpu) -> bool;
+
+    /// Add what the accelerator knows to the classified `r`;
+    /// `credited_ctas`: the CTAs of the golden launches credited after the
+    /// trial re-joined golden.
+    fn fill(&self, r: &mut RunResult, credited_ctas: u64);
+}
+
+/// One launch of a faulty run, as its [`Accelerator`] is asked to decide
+/// it.
+pub(crate) struct TrialLaunch<'r> {
+    pub ordinal: usize,
+    /// The launch the planned fault targets.
+    pub target: usize,
+    /// The planned fault, if this launch carries it.
+    pub fault: Option<&'r PlannedFault>,
+    pub kernel: &'static Kernel,
+    pub lc: &'r LaunchConfig,
+    /// The golden run's record of this launch, if it made one.
+    pub golden: Option<&'r LaunchRecord>,
+    /// What the launch may spend ([`budget_left`]).
+    pub budget: Budget,
+}
+
+/// An [`Accelerator`]'s answer to a launch: `Some` when it decided the
+/// launch, with why it aborted or its [`LaunchCost`]; `None` when it
+/// cannot decide, and the launch simulates whole.
+pub(crate) type Decision = Option<Result<LaunchCost, AppAbort>>;
+
+/// What a launch cost, and how much of that was simulated, in cycles
+/// (timed) or thread instructions (functional).
+pub(crate) type LaunchCost = (u64, u64);
 
 /// [`Accel`] plus the per-run state it needs.
 enum AccelState<'a> {
@@ -387,118 +324,30 @@ enum AccelState<'a> {
     CtaLog(CtaReplay),
 }
 
-/// Fast-forward state threaded through one faulty run.
-struct FfCtx<'a> {
-    snaps: &'a AppSnapshots,
-    /// The machine has provably re-converged to golden; every remaining
-    /// launch is credited instead of simulated.
-    converged: bool,
-    /// Cycle the injected launch resumed at.
-    resumed_at: Option<u64>,
-    /// The golden snapshot the run is *following*: up to here it is
-    /// bit-identical to the golden run, so nothing has been materialised
-    /// on the scratch machine — skipped launches only move this, host
-    /// reads are answered from the store, and a run that ends here has
-    /// the golden output. `None` once the machine is live (the fault
-    /// launch resumed, or a launch had to simulate).
-    following: Option<SnapId>,
-    /// Host writes since `following`, oldest first; replayed onto the
-    /// machine if it has to go live before the next snapshot subsumes
-    /// them.
-    host_writes: Vec<(u32, u32)>,
-    /// The injected launch has started.
-    injected: bool,
-    /// The host's accesses to the live machine since the injected launch
-    /// and until it re-converges, oldest first: `(launch before it,
-    /// address, value read)`, with `None` for a write. What the host read
-    /// decides what it does next, so a boundary convergence stands only if
-    /// these reads saw the golden words ([`FfCtx::host_agrees`]).
-    host_glue: Vec<(u32, u32, Option<u32>)>,
-    restored_bytes: u64,
+/// Make one [`Accelerator`] call on the accelerator an [`AccelState`]
+/// holds, dispatched statically; `$none` is the answer of
+/// [`Accel::None`], which declines everything.
+macro_rules! on_accel {
+    ($state:expr, $none:expr, $a:ident => $call:expr) => {
+        match $state {
+            AccelState::None => $none,
+            AccelState::Snapshots($a) => $call,
+            AccelState::CtaLog($a) => $call,
+        }
+    };
 }
 
-/// The most host accesses [`FfCtx::host_glue`] keeps. A run whose host
-/// made more is not let re-converge at a boundary: that misses a
-/// convergence, which costs time, never exactness, and keeps the log's
-/// memory bounded (K-Means reads 18,472 words an iteration; the shipped
-/// apps that re-converge after host reads read at most 4,096).
-const HOST_GLUE_CAP: usize = 8192;
-
-impl FfCtx<'_> {
-    /// Log a host access to the live machine after launch `launch`
-    /// (`read`: the value read, `None` for a write), if it can tell the
-    /// host program apart from the golden one.
-    fn log_host(&mut self, launch: usize, addr: u32, read: Option<u32>) {
-        if self.injected && !self.converged && self.host_glue.len() < HOST_GLUE_CAP {
-            self.host_glue.push((launch as u32, addr, read));
-        }
-    }
-
-    /// Whether every logged host read saw what the golden host program
-    /// saw at the same point: the word of the golden boundary snapshot of
-    /// the launch before it — unless the host itself wrote that word since
-    /// that launch. Then, by induction over the reads, the host program is
-    /// still the golden one.
-    fn host_agrees(&self) -> bool {
-        let mut written = HashSet::new();
-        let mut since = None;
-        self.host_glue.len() < HOST_GLUE_CAP
-            && self.host_glue.iter().all(|&(launch, addr, read)| {
-                if since != Some(launch) {
-                    (since, written) = (Some(launch), HashSet::new());
-                }
-                match read {
-                    None => {
-                        written.insert(addr);
-                        true
-                    }
-                    Some(v) => {
-                        written.contains(&addr)
-                            || (self.snaps.boundaries.get(launch as usize))
-                                .is_some_and(|&b| self.snaps.store.host_word(b, addr) == v)
-                    }
-                }
-            })
-    }
-
-    fn follow(&mut self, snap: SnapId) {
-        self.following = Some(snap);
-        self.host_writes.clear();
-    }
-
-    /// A host write while following (`false`: the machine is live, write
-    /// it there).
-    fn host_write(&mut self, addr: u32, v: u32) -> bool {
-        if self.following.is_some() {
-            self.host_writes.push((addr, v));
-        }
-        self.following.is_some()
-    }
-
-    /// Launch `ordinal` just retired (or converged mid-flight) on the live
-    /// machine: if its state now equals the golden post-launch snapshot and
-    /// the host program is still the golden one, the rest of the
-    /// application is provably bit-identical to golden — follow it from
-    /// there.
-    fn check_boundary(&mut self, gpu: &Gpu, ordinal: usize) {
-        if let Some(&boundary) = self.snaps.boundaries.get(ordinal) {
-            self.converged = self.converged
-                || (gpu.converged(&self.snaps.store, boundary) && self.host_agrees());
-            if self.converged {
-                self.host_glue.clear();
-                self.follow(boundary);
+impl<'a> AccelState<'a> {
+    fn new(accel: Accel<'a>, mode: Mode) -> Self {
+        match accel {
+            Accel::None => AccelState::None,
+            Accel::Snapshots(snaps) => {
+                assert_eq!(mode, Mode::Timed, "snapshots are timed");
+                AccelState::Snapshots(FfCtx::new(snaps))
             }
-        }
-    }
-
-    /// Stop following: bring `gpu` to the followed snapshot plus the
-    /// host writes made since. Must run before anything simulates on it
-    /// or reads a word written since.
-    fn go_live(&mut self, gpu: &mut Gpu) {
-        if let Some(at) = self.following.take() {
-            self.restored_bytes += gpu.restore(&self.snaps.store, at);
-            for (addr, v) in self.host_writes.drain(..) {
-                gpu.host_write_u32(addr, v);
+            Accel::CtaLog(log) => {
+                assert_eq!(mode, Mode::Functional, "the CTA log is functional");
+                AccelState::CtaLog(CtaReplay::new(log))
             }
         }
     }
@@ -543,6 +392,9 @@ pub struct RunCtl<'a> {
     outputs: Vec<(u32, u32)>,
     /// Nothing has been read or launched yet ([`RunCtl::observe`]).
     preamble: bool,
+    /// The accelerator reported that the trial re-joined golden for good
+    /// ([`RunCtl::check_rejoined`]).
+    rejoined: bool,
 }
 
 impl<'a> RunCtl<'a> {
@@ -561,6 +413,7 @@ impl<'a> RunCtl<'a> {
             simulated_cost: 0,
             outputs: Vec::new(),
             preamble: true,
+            rejoined: false,
         }
     }
 
@@ -623,14 +476,6 @@ impl<'a> RunCtl<'a> {
         addrs
     }
 
-    /// Park this run's `Gpu` in the thread-local scratch pool for the next
-    /// trial on this thread.
-    fn stash_scratch(&mut self) {
-        if let Some(g) = self.gpu.take() {
-            GPU_SCRATCH.set(Some(g));
-        }
-    }
-
     /// The host program is about to observe the device (a read or a
     /// launch). The first time, its preamble ends: whatever it wrote until
     /// now, it wrote without having seen anything, on the golden run and
@@ -656,67 +501,28 @@ impl<'a> RunCtl<'a> {
                     );
                 }
                 if let Some(snaps) = &mut sinks.snapshots {
-                    snaps.initial = Some(gpu.capture(&mut snaps.store));
+                    snaps.capture_initial(gpu);
                 }
                 if let Some(log) = &mut sinks.cta_log {
                     log.capture_image(gpu.mem());
                 }
             }
-            CtlMode::Faulty {
-                accel: AccelState::CtaLog(replay),
-                ..
-            } => replay.enter(gpu.mem_mut()),
-            _ => {}
+            CtlMode::Faulty { accel, .. } => on_accel!(accel, (), a => a.enter(gpu)),
         }
     }
 
-    /// Whether this run drops the host writes of its preamble: an
-    /// accelerated trial starts from golden material that already holds
-    /// them — the initial snapshot, or the CTA log's image. A debug build
-    /// of a CTA-log run makes them anyway, and checks them against the
-    /// image ([`CtaReplay::enter`]).
+    /// Whether this run drops the host writes of its preamble
+    /// ([`Accelerator::drops_preamble`]).
     fn drops_preamble(&self) -> bool {
-        match &self.ctl {
-            CtlMode::Faulty { accel, .. } => match accel {
-                AccelState::None => false,
-                AccelState::Snapshots(_) => true,
-                AccelState::CtaLog(_) => !cfg!(debug_assertions),
-            },
-            CtlMode::Golden(_) => false,
-        }
+        let CtlMode::Faulty { accel, .. } = &self.ctl else {
+            return false;
+        };
+        on_accel!(accel, false, a => a.drops_preamble())
     }
 
     /// Whether a host write made now is dropped ([`RunCtl::drops_preamble`]).
     fn drops_write(&self) -> bool {
         self.preamble && self.drops_preamble()
-    }
-
-    /// The fast-forward state of this run, if it has one.
-    fn ff(&mut self) -> Option<&mut FfCtx<'a>> {
-        match &mut self.ctl {
-            CtlMode::Faulty {
-                accel: AccelState::Snapshots(ffc),
-                ..
-            } => Some(ffc),
-            _ => None,
-        }
-    }
-
-    fn gpu_mut(&mut self) -> &mut Gpu {
-        self.gpu
-            .as_mut()
-            .expect("alloc() must run before device access")
-    }
-
-    /// The CTA-log state of this run, if it has one.
-    fn cta_replay(&mut self) -> Option<&mut CtaReplay> {
-        match &mut self.ctl {
-            CtlMode::Faulty {
-                accel: AccelState::CtaLog(replay),
-                ..
-            } => Some(replay),
-            _ => None,
-        }
     }
 
     /// True when running the TMR-hardened variant.
@@ -735,17 +541,13 @@ impl<'a> RunCtl<'a> {
         if self.drops_write() {
             return;
         }
-        let launch = self.launch_idx.wrapping_sub(1);
-        if let Some(f) = self.ff() {
-            if f.host_write(addr, v) {
+        if let CtlMode::Faulty { accel, .. } = &mut self.ctl {
+            if on_accel!(accel, false, a => a.host_write(self.launch_idx, addr, v)) {
                 return;
             }
-            f.log_host(launch, addr, None);
         }
-        self.gpu_mut().host_write_u32(addr, v);
-        if let Some(replay) = self.cta_replay() {
-            replay.host_write(addr);
-        }
+        let gpu = self.gpu.as_mut().expect("alloc before device access");
+        gpu.host_write_u32(addr, v);
     }
 
     /// Host write, replicated to every TMR copy: each copy is a word of
@@ -777,33 +579,9 @@ impl<'a> RunCtl<'a> {
 
     /// Host read (copy 0 — the voted copy in hardened mode).
     pub fn read_u32(&mut self, addr: u32) -> u32 {
-        self.observe();
-        let RunCtl { ctl, gpu, .. } = self;
-        if let CtlMode::Faulty {
-            accel: AccelState::Snapshots(ffc),
-            ..
-        } = ctl
-        {
-            match ffc.following {
-                Some(at) if ffc.host_writes.is_empty() => {
-                    return ffc.snaps.store.host_word(at, addr);
-                }
-                // A word the host wrote since the followed snapshot is on
-                // the machine once it is live.
-                _ => ffc.go_live(gpu.as_mut().expect("alloc() must run before device access")),
-            }
-        }
-        if let Some(replay) = self.cta_replay() {
-            replay.host_read(addr, addr + 4);
-        }
-        let gpu = self.gpu_mut();
-        gpu.probe_host_read(addr);
-        let v = gpu.host_read_u32(addr);
-        let launch = self.launch_idx.wrapping_sub(1);
-        if let Some(f) = self.ff() {
-            f.log_host(launch, addr, Some(v));
-        }
-        v
+        let mut word = [0];
+        self.read_slice(addr, &mut word);
+        word[0]
     }
 
     pub fn read_f32(&mut self, addr: u32) -> f32 {
@@ -812,23 +590,20 @@ impl<'a> RunCtl<'a> {
 
     /// Host read of the `out.len()` consecutive words from `addr` (copy
     /// 0), into `out`: what a [`RunCtl::read_u32`] per word, in address
-    /// order, returns and leaves behind. A run following golden snapshots
-    /// reads word by word, as that is what its host-glue log records; any
-    /// other run checks the CTA log's dirty set once for the range and
-    /// reads the arena as one slice (word by word on the timed engine,
-    /// and for an attached probe).
+    /// order, returns and leaves behind. The accelerator may answer it;
+    /// else the arena is read as one slice (word by word on the timed
+    /// engine, and for an attached probe).
     pub fn read_slice(&mut self, addr: u32, out: &mut [u32]) {
-        if out.is_empty() || self.ff().is_some() {
-            for (i, o) in out.iter_mut().enumerate() {
-                *o = self.read_u32(addr + 4 * i as u32);
-            }
+        if out.is_empty() {
             return;
         }
         self.observe();
-        if let Some(replay) = self.cta_replay() {
-            replay.host_read(addr, addr + 4 * out.len() as u32);
+        let gpu = self.gpu.as_mut().expect("alloc before device access");
+        if let CtlMode::Faulty { accel, .. } = &mut self.ctl {
+            if on_accel!(accel, false, a => a.host_read(gpu, self.launch_idx, addr, out)) {
+                return;
+            }
         }
-        let gpu = self.gpu_mut();
         gpu.probe_host_reads(addr, out.len() as u32);
         gpu.host_read_words(addr, out);
     }
@@ -902,50 +677,13 @@ impl<'a> RunCtl<'a> {
         kernel: &'static Kernel,
         lc: LaunchConfig,
     ) -> Result<(), AppAbort> {
-        if self.rejoined() {
-            return Err(AppAbort::Rejoined);
-        }
-        self.launch_one(kernel_idx, is_vote, kernel, lc)?;
-        if self.rejoined() {
-            return Err(AppAbort::Rejoined);
-        }
-        Ok(())
-    }
-
-    /// Whether this trial has provably re-joined the golden run for good:
-    /// the device equals golden and every host read so far saw the golden
-    /// word. A fast-forward run knows it once it re-converged
-    /// ([`FfCtx::check_boundary`]); a CTA-log run once, the fault launch
-    /// made, its memory is golden with the log still live — which a host
-    /// write restoring the last dirty word can also bring about.
-    fn rejoined(&self) -> bool {
-        match &self.ctl {
-            CtlMode::Faulty {
-                accel: AccelState::Snapshots(ffc),
-                ..
-            } => ffc.converged,
-            CtlMode::Faulty {
-                accel: AccelState::CtaLog(replay),
-                target_launch,
-                ..
-            } => self.launch_idx > *target_launch && replay.converged(),
-            _ => false,
-        }
-    }
-
-    fn launch_one(
-        &mut self,
-        kernel_idx: usize,
-        is_vote: bool,
-        kernel: &'static Kernel,
-        lc: LaunchConfig,
-    ) -> Result<(), AppAbort> {
+        self.check_rejoined()?;
         let ordinal = self.launch_idx;
         self.launch_idx += 1;
         self.observe();
-        match &mut self.ctl {
+        let gpu = self.gpu.as_mut().expect("alloc before launch");
+        let (cost, simulated) = match &mut self.ctl {
             CtlMode::Golden(sinks) => {
-                let gpu = self.gpu.as_mut().expect("alloc before launch");
                 let stats = if let Some(log) = &mut sinks.cta_log {
                     let max_stack = gpu.cfg.max_stack_depth;
                     let res = log.capture_launch(gpu.mem_mut(), kernel, &lc, max_stack);
@@ -956,9 +694,6 @@ impl<'a> RunCtl<'a> {
                 } else {
                     gpu.launch(kernel, &lc, FaultPlan::None, &Budget::unlimited())?
                 };
-                let cost = cost(&stats, gpu.mode());
-                self.total_cost += cost;
-                self.simulated_cost += cost;
                 self.records.push(LaunchRecord {
                     kernel_idx,
                     is_vote,
@@ -968,7 +703,8 @@ impl<'a> RunCtl<'a> {
                     num_regs: kernel.num_regs,
                     smem_bytes: kernel.smem_bytes,
                 });
-                Ok(())
+                let cost = cost(&stats, gpu.mode());
+                (cost, cost)
             }
             CtlMode::Faulty {
                 target_launch,
@@ -977,171 +713,83 @@ impl<'a> RunCtl<'a> {
                 app_budget,
                 applied,
                 accel,
+                ..
             } => {
-                let golden_stats = golden.records.get(ordinal).map(|r| &r.stats);
+                let rec = golden.records.get(ordinal);
                 let budget = budget_left(
-                    golden_stats,
+                    rec.map(|r| &r.stats),
                     self.cfg,
                     self.mode_sim,
                     app_budget,
                     self.total_cost,
                 )?;
-                let fault_here = ordinal == *target_launch;
-                let gpu = self.gpu.as_mut().expect("alloc before launch");
-
-                if let AccelState::Snapshots(ffc) = accel {
-                    let snaps = ffc.snaps;
-                    ffc.injected |= fault_here;
-                    // Fast-forward: a launch before the fault executes
-                    // bit-identically to golden — follow the run to its
-                    // golden boundary snapshot and credit the golden cost
-                    // instead of simulating. Nothing is restored: a run of
-                    // skipped launches costs nothing until the machine goes
-                    // live.
-                    if ordinal < *target_launch {
-                        if let (Some(rec), Some(&boundary)) = (
-                            golden.records.get(ordinal..=ordinal),
-                            snaps.boundaries.get(ordinal),
-                        ) {
-                            credit(rec, self.cfg, Mode::Timed, app_budget, &mut self.total_cost)?;
-                            ffc.follow(boundary);
-                            return Ok(());
-                        }
-                        // Launch the golden pass never saw (impossible for
-                        // a deterministic benchmark): simulate it.
-                    }
-                    let mids = snaps.mids.get(ordinal).filter(|m| !m.is_empty());
-                    if let (true, PlannedFault::Uarch(f), Some(mids), Some(gstats)) =
-                        (fault_here, &*fault, mids, golden_stats)
-                    {
-                        // Resume from the nearest golden snapshot
-                        // at-or-before the fault cycle — which subsumes
-                        // whatever the run was following — with the
-                        // convergence exit armed against the remaining
-                        // golden snapshots of this launch.
-                        let snap = *mids
-                            .iter()
-                            .rev()
-                            .find(|&&s| snaps.store.cycle(s).is_some_and(|c| c <= f.cycle))
-                            .expect("cycle-0 snapshot always exists");
-                        ffc.following = None;
-                        ffc.host_writes.clear();
-                        let mut inj = UarchInjector::new(*f);
-                        let cv = ConvergeWith {
-                            snaps: mids,
-                            end_stats: *gstats,
-                        };
-                        let out = gpu.resume_from(
-                            &snaps.store,
-                            snap,
-                            kernel,
-                            &lc,
-                            Some(&mut inj),
-                            &budget,
-                            Some(cv),
-                        );
-                        *applied = inj.applied && inj.population > 0;
-                        let out = out?;
-                        ffc.resumed_at = Some(out.resumed_at);
-                        ffc.restored_bytes += out.restored_bytes;
-                        // Skipped prefix + credited suffix are not
-                        // simulated.
-                        self.simulated_cost += out.simulated_cycles;
-                        self.total_cost += out.stats.cycles;
-                        ffc.converged = out.converged_at.is_some();
-                        ffc.check_boundary(gpu, ordinal);
-                        return Ok(());
-                    }
-                    // This launch simulates for real.
-                    ffc.go_live(gpu);
-                }
-
-                // CTA replay: simulate only the CTAs the fault can reach.
-                if let AccelState::CtaLog(replay) = accel {
-                    let sw = match fault {
-                        PlannedFault::Sw(f) if fault_here => Some(&*f),
-                        PlannedFault::Uarch(_) if fault_here => {
-                            panic!("microarchitecture faults require the timed engine")
-                        }
-                        _ => None,
-                    };
-                    let max_stack = gpu.cfg.max_stack_depth;
-                    if let Some(run) = replay.launch(
-                        gpu.mem_mut(),
-                        ordinal,
-                        kernel,
-                        &lc,
-                        sw,
-                        applied,
-                        budget.limit,
-                        max_stack,
-                    ) {
-                        // The simulator counters see what was simulated;
-                        // replayed CTAs are `sw_cta_total{path=replayed}`.
-                        record_launch(
-                            Mode::Functional,
-                            &run.as_ref().map_err(|e| *e).map(|r| Stats {
-                                thread_instrs: r.simulated_instrs,
-                                ..Stats::default()
-                            }),
-                        );
-                        let run = run?;
-                        self.total_cost += run.stats.thread_instrs;
-                        self.simulated_cost += run.simulated_instrs;
-                        return Ok(());
-                    }
-                    // The log no longer applies: simulate the launch whole.
-                }
-
-                let result = if fault_here {
-                    match fault {
-                        PlannedFault::Uarch(f) => {
-                            let mut inj = UarchInjector::new(*f);
-                            let r = gpu.launch(kernel, &lc, FaultPlan::Uarch(&mut inj), &budget);
-                            *applied = inj.applied && inj.population > 0;
-                            r
-                        }
-                        PlannedFault::Sw(f) => {
-                            let mut inj = SwInjector::new(*f);
-                            let r = gpu.launch(kernel, &lc, FaultPlan::Sw(&mut inj), &budget);
-                            *applied = inj.applied;
-                            r
-                        }
-                    }
-                } else {
-                    gpu.launch(kernel, &lc, FaultPlan::None, &budget)
+                let l = TrialLaunch {
+                    ordinal,
+                    target: *target_launch,
+                    fault: (ordinal == *target_launch).then_some(&*fault),
+                    kernel,
+                    lc: &lc,
+                    golden: rec,
+                    budget,
                 };
-                let stats = result?;
-                let cost = cost(&stats, gpu.mode());
-                self.total_cost += cost;
-                self.simulated_cost += cost;
-                // After the fault, a launch that retires with device state
-                // identical to golden makes every later launch
-                // bit-identical too — flag it so they are credited.
-                if let (true, AccelState::Snapshots(ffc)) = (ordinal >= *target_launch, accel) {
-                    ffc.check_boundary(gpu, ordinal);
+                match on_accel!(accel, None, a => a.launch(gpu, &l, applied)) {
+                    Some(decided) => decided?,
+                    None => simulate(gpu, &l, applied)?,
                 }
-                Ok(())
             }
-        }
+        };
+        self.total_cost += cost;
+        self.simulated_cost += simulated;
+        self.check_rejoined()
     }
 
-    /// The output buffers, read back as the host would at the end.
-    fn snapshot_outputs(&mut self) -> Vec<u32> {
-        let gpu = self
-            .gpu
-            .as_mut()
-            .expect("alloc() must run before device access");
-        let mut out = vec![0; self.outputs.iter().map(|&(_, words)| words as usize).sum()];
-        let mut rest = &mut out[..];
-        for &(addr, words) in &self.outputs {
-            let (buf, tail) = rest.split_at_mut(words as usize);
-            gpu.probe_host_reads(addr, words);
-            gpu.host_read_words(addr, buf);
-            rest = tail;
+    /// [`AppAbort::Rejoined`] once the accelerator has reported that the
+    /// trial re-joined golden for good ([`Accelerator::rejoined`]).
+    fn check_rejoined(&mut self) -> Result<(), AppAbort> {
+        if let CtlMode::Faulty { accel, .. } = &mut self.ctl {
+            let gpu = self.gpu.as_ref().expect("alloc before launch");
+            self.rejoined = self.rejoined || on_accel!(accel, false, a => a.rejoined(gpu));
         }
-        out
+        match self.rejoined {
+            true => Err(AppAbort::Rejoined),
+            false => Ok(()),
+        }
     }
+}
+
+/// The output buffers `outputs` of `gpu`, read back as the host would at
+/// the end.
+fn read_outputs(gpu: &mut Option<Gpu>, outputs: &[(u32, u32)]) -> Vec<u32> {
+    let gpu = gpu.as_mut().expect("alloc() must run before device access");
+    let mut out = vec![0; outputs.iter().map(|&(_, words)| words as usize).sum()];
+    let mut rest = &mut out[..];
+    for &(addr, words) in outputs {
+        let (buf, tail) = rest.split_at_mut(words as usize);
+        gpu.probe_host_reads(addr, words);
+        gpu.host_read_words(addr, buf);
+        rest = tail;
+    }
+    out
+}
+
+/// Simulate faulty launch `l` whole, injecting its fault if it carries
+/// one.
+fn simulate(
+    gpu: &mut Gpu,
+    l: &TrialLaunch<'_>,
+    applied: &mut bool,
+) -> Result<LaunchCost, AppAbort> {
+    let (mut uarch, mut sw) = (None, None);
+    let plan = match l.fault {
+        Some(PlannedFault::Uarch(f)) => FaultPlan::Uarch(uarch.insert(UarchInjector::new(*f))),
+        Some(PlannedFault::Sw(f)) => FaultPlan::Sw(sw.insert(SwInjector::new(*f))),
+        None => FaultPlan::None,
+    };
+    let run = gpu.launch(l.kernel, l.lc, plan, &l.budget);
+    *applied |=
+        uarch.is_some_and(|i| i.applied && i.population > 0) || sw.is_some_and(|i| i.applied);
+    let cost = cost(&run?, gpu.mode());
+    Ok((cost, cost))
 }
 
 /// A GPU application: the 11 benchmarks implement this.
@@ -1155,6 +803,10 @@ pub trait Benchmark: Sync {
     /// The whole host program: allocate, initialize, launch, glue.
     /// All device interaction must go through `ctl`. Host-side loops must
     /// be iteration-capped so corrupted device data cannot hang the host.
+    /// A launch returns [`AppAbort::Rejoined`] once an accelerated trial
+    /// has re-joined golden; propagating it with `?` saves the rest of
+    /// the host program's work, but the trial is classified from the
+    /// re-join point whatever `run` returns.
     fn run(&self, ctl: &mut RunCtl) -> Result<(), AppAbort>;
 }
 
@@ -1227,7 +879,7 @@ pub fn golden_pass(
         .unwrap_or_else(|e| panic!("golden pass of {app} aborted: {e:?}"));
     assert!(!ctl.outputs.is_empty(), "{app} registered no outputs");
     let golden = GoldenRun {
-        output: ctl.snapshot_outputs(),
+        output: read_outputs(&mut ctl.gpu, &ctl.outputs),
         records: std::mem::take(&mut ctl.records),
         total_cost: ctl.total_cost,
     };
@@ -1279,58 +931,6 @@ fn assert_same_golden(pass: &GoldenRun, reference: &GoldenRun, app: &str) {
 /// [`golden_pass`] with no sink: the plain golden run.
 pub fn golden_run(bench: &dyn Benchmark, cfg: &GpuConfig, variant: Variant) -> GoldenRun {
     golden_pass(bench, cfg, variant, Sinks::default()).golden
-}
-
-/// [`golden_pass`] of the unhardened application with the snapshot sink
-/// alone: `~k` mid-launch snapshots per launch plus one at every launch
-/// boundary — the golden-prefix material consumed by [`faulty_run_ff`].
-pub fn golden_run_snapshots(
-    bench: &dyn Benchmark,
-    cfg: &GpuConfig,
-    golden: &GoldenRun,
-    k: usize,
-) -> AppSnapshots {
-    let sinks = Sinks {
-        snapshots: Some(SnapshotSink::new(golden, k)),
-        ..Sinks::default()
-    };
-    let pass = golden_pass(bench, cfg, Variant::TIMED, sinks);
-    pass.snapshots.expect("asked for")
-}
-
-/// The `~k` capture cycles for a launch of `cycles` total: evenly spaced,
-/// deduplicated, always including cycle 0 (so every fault cycle has a
-/// snapshot at-or-before it) and never reaching the final cycle (which a
-/// completing launch may never revisit).
-fn snapshot_cycles(cycles: u64, k: usize) -> Vec<u64> {
-    let k = k.max(1) as u64;
-    let mut v: Vec<u64> = (0..k).map(|i| i * cycles / k).collect();
-    v.dedup();
-    v
-}
-
-/// Test helper: capture an extra snapshot of launch `ordinal` at `cycle`
-/// (clamped into the launch), resume from it with no fault, and assert
-/// the golden suffix — statistics, cycle count, post-launch device state,
-/// and final application output — is reproduced bit-identically.
-///
-/// # Panics
-/// Panics (or fails an assertion) on any divergence.
-pub fn verify_snapshot_resume(
-    bench: &dyn Benchmark,
-    cfg: &GpuConfig,
-    golden: &GoldenRun,
-    ordinal: usize,
-    cycle: u64,
-) {
-    assert!(ordinal < golden.records.len(), "probe ordinal out of range");
-    let mut snapshots = SnapshotSink::new(golden, 2);
-    snapshots.verify_resume = Some((ordinal, cycle));
-    let sinks = Sinks {
-        snapshots: Some(snapshots),
-        ..Sinks::default()
-    };
-    golden_pass(bench, cfg, Variant::TIMED, sinks);
 }
 
 /// `timeout_factor ×` a golden `cost` on `mode`'s engine, and at least
@@ -1406,14 +1006,21 @@ fn credit(
 ) -> Result<u64, AppAbort> {
     let mut ctas = 0;
     for r in records {
-        let cost = cost(&r.stats, mode);
-        if cost > budget_left(Some(&r.stats), cfg, mode, app, *spent)?.limit {
-            return Err(AppAbort::Launch(LaunchAbort::Timeout));
-        }
-        *spent += cost;
+        let budget = budget_left(Some(&r.stats), cfg, mode, app, *spent)?;
+        *spent += credit_one(r, mode, &budget)?;
         ctas += r.ctas;
     }
     Ok(ctas)
+}
+
+/// [`credit`] of golden launch `r` alone, given the budget a simulation
+/// of it would get: its golden cost, or a timeout if that exceeds the
+/// budget.
+pub(crate) fn credit_one(r: &LaunchRecord, mode: Mode, budget: &Budget) -> Result<u64, AppAbort> {
+    match cost(&r.stats, mode) {
+        cost if cost > budget.limit => Err(AppAbort::Launch(LaunchAbort::Timeout)),
+        cost => Ok(cost),
+    }
 }
 
 /// Run `bench` with one injected fault and classify the outcome against
@@ -1474,10 +1081,12 @@ pub fn faulty_run_ff(
 ///   ([`crate::ctalog`]).
 ///
 /// Under either, the trial starts from the golden material at the host
-/// program's first observation instead of making its preamble's writes,
-/// and a trial that provably re-joins golden for good stops there
-/// ([`AppAbort::Rejoined`]): the golden launches it did not make are
-/// credited, and it is Masked.
+/// program's first observation instead of making its preamble's writes.
+/// A trial whose accelerator reports that it re-joined golden for good
+/// stops at its next launch ([`AppAbort::Rejoined`]) and is classified
+/// from there, whatever its host program returned: what is left of the
+/// host program is the golden one, so the golden launches it did not make
+/// are credited, and it is Masked.
 ///
 /// # Panics
 /// Panics if `accel` does not match `variant`.
@@ -1490,26 +1099,6 @@ pub fn faulty_run_with(
     fault: PlannedFault,
     accel: Accel<'_>,
 ) -> RunResult {
-    let accel = match accel {
-        Accel::None => AccelState::None,
-        Accel::Snapshots(snaps) => {
-            assert_eq!(variant.mode, Mode::Timed, "snapshots are timed");
-            AccelState::Snapshots(FfCtx {
-                snaps,
-                converged: false,
-                resumed_at: None,
-                following: Some(snaps.initial),
-                host_writes: Vec::new(),
-                injected: false,
-                host_glue: Vec::new(),
-                restored_bytes: 0,
-            })
-        }
-        Accel::CtaLog(log) => {
-            assert_eq!(variant.mode, Mode::Functional, "the CTA log is functional");
-            AccelState::CtaLog(CtaReplay::new(log))
-        }
-    };
     let mut ctl = RunCtl::new(
         cfg,
         variant.mode,
@@ -1520,49 +1109,38 @@ pub fn faulty_run_with(
             golden,
             app_budget: app_budget(golden, cfg, variant.mode),
             applied: false,
-            accel,
+            accel: AccelState::new(accel, variant.mode),
         },
     );
     let run = bench.run(&mut ctl);
-    // The run stopped where it re-joined golden for good: the rest of its
-    // host program, its launches and its output are golden's. Credit the
-    // launches it did not make.
-    let rejoined = run == Err(AppAbort::Rejoined);
+    let CtlMode::Faulty { applied, accel, .. } = &ctl.ctl else {
+        unreachable!()
+    };
     let mut credited_ctas = 0;
-    let run = match (run, &ctl.ctl) {
-        (Err(AppAbort::Rejoined), CtlMode::Faulty { app_budget, .. }) => {
-            let rest = &golden.records[ctl.launch_idx..];
-            credit(rest, cfg, variant.mode, app_budget, &mut ctl.total_cost)
-                .map(|ctas| credited_ctas = ctas)
-        }
-        (run, _) => run,
+    let run = match ctl.rejoined {
+        true => credit(
+            &golden.records[ctl.launch_idx..],
+            cfg,
+            variant.mode,
+            &app_budget(golden, cfg, variant.mode),
+            &mut ctl.total_cost,
+        )
+        .map(|ctas| credited_ctas = ctas),
+        false => run,
     };
     let (outcome, corrupted_words) = match run {
-        // Re-joined, or still following the golden run at the end: its
-        // output is the golden output, no need to read it back.
-        Ok(()) if rejoined || ctl.ff().is_some_and(|f| f.following.is_some()) => {
-            (Outcome::Masked, 0)
-        }
+        Ok(()) if ctl.rejoined => (Outcome::Masked, 0),
         Ok(()) => {
-            let out = ctl.snapshot_outputs();
-            let corrupted_words = out
-                .iter()
-                .zip(&golden.output)
-                .filter(|(a, b)| a != b)
-                .count() as u32;
-            let outcome = if corrupted_words == 0 {
-                Outcome::Masked
-            } else {
-                Outcome::Sdc
-            };
-            (outcome, corrupted_words)
+            let out = read_outputs(&mut ctl.gpu, &ctl.outputs);
+            let corrupted = out.iter().zip(&golden.output).filter(|(a, b)| a != b);
+            match corrupted.count() as u32 {
+                0 => (Outcome::Masked, 0),
+                corrupted => (Outcome::Sdc, corrupted),
+            }
         }
         Err(AppAbort::Launch(LaunchAbort::Timeout)) => (Outcome::Timeout, 0),
         Err(AppAbort::Launch(LaunchAbort::Due(_))) | Err(AppAbort::VoteFailed) => (Outcome::Due, 0),
         Err(AppAbort::Rejoined) => unreachable!("credited above"),
-    };
-    let CtlMode::Faulty { applied, accel, .. } = &ctl.ctl else {
-        unreachable!()
     };
     let mut result = RunResult {
         outcome,
@@ -1576,26 +1154,18 @@ pub fn faulty_run_with(
         ctas_simulated: 0,
         restored_bytes: 0,
     };
-    match accel {
-        AccelState::None => {}
-        AccelState::Snapshots(ffc) => {
-            result.resumed_at = ffc.resumed_at;
-            result.converged = ffc.converged;
-            result.restored_bytes = ffc.restored_bytes;
-        }
-        AccelState::CtaLog(replay) => {
-            result.converged = run.is_ok() && replay.converged();
-            result.ctas_replayed = replay.replayed + credited_ctas as u32;
-            result.ctas_simulated = replay.simulated;
-        }
+    on_accel!(accel, (), a => a.fill(&mut result, credited_ctas));
+    // Park the machine for the next trial on this thread.
+    if let Some(gpu) = ctl.gpu {
+        GPU_SCRATCH.set(Some(gpu));
     }
-    ctl.stash_scratch();
     result
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ffwd::golden_run_snapshots;
 
     #[test]
     fn outcome_and_abort_conversions() {

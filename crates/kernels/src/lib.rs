@@ -22,19 +22,27 @@
 //! Inputs are scaled down (Section 2 of DESIGN.md) so that statistical
 //! campaigns finish on one machine, while preserving each benchmark's
 //! control/data-flow character and resource-utilization profile.
+//!
+//! The harness ([`harness`]) runs an application fault-free once per
+//! methodology and then once per trial. A trial may reuse golden material
+//! through one of two accelerators, each a module that captures its
+//! material on the golden pass and answers the harness's per-launch
+//! question with it: [`ffwd`] (golden-prefix snapshots, timed engine) and
+//! [`ctalog`] (the golden CTA log, functional engine).
 
 pub mod apps;
 pub mod ctalog;
+pub mod ffwd;
 pub mod harness;
 pub mod kutil;
 pub mod tmr;
 
 pub use ctalog::CtaLog;
+pub use ffwd::{golden_run_snapshots, verify_snapshot_resume, AppSnapshots, SnapshotSink};
 pub use harness::{
-    faulty_run, faulty_run_ff, faulty_run_with, golden_pass, golden_run, golden_run_snapshots,
-    verify_snapshot_resume, Accel, AceProfile, AppAbort, AppSnapshots, Benchmark, GoldenPass,
-    GoldenRun, LaunchRecord, Outcome, PlannedFault, RunCtl, RunResult, Sinks, SnapshotSink,
-    Variant,
+    faulty_run, faulty_run_ff, faulty_run_with, golden_pass, golden_run, Accel, AceProfile,
+    AppAbort, Benchmark, GoldenPass, GoldenRun, LaunchRecord, Outcome, PlannedFault, RunCtl,
+    RunResult, Sinks, Variant,
 };
 
 /// All 11 benchmarks in the paper's figure order.

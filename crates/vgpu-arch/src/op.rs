@@ -14,11 +14,6 @@ pub enum Operand {
 }
 
 impl Operand {
-    /// Immediate operand from an `i32` (stored as its two's-complement bits).
-    pub fn imm_i32(v: i32) -> Self {
-        Operand::Imm(v as u32)
-    }
-
     /// Immediate operand from an `f32` (stored as its IEEE-754 bits).
     pub fn imm_f32(v: f32) -> Self {
         Operand::Imm(v.to_bits())
@@ -385,11 +380,6 @@ impl Op {
         matches!(self, Op::Ld { .. } | Op::St { .. })
     }
 
-    /// True if this is a load.
-    pub fn is_load(&self) -> bool {
-        matches!(self, Op::Ld { .. })
-    }
-
     /// True for control instructions (no destination value).
     pub fn is_control(&self) -> bool {
         matches!(self, Op::Bra { .. } | Op::Exit | Op::Bar)
@@ -609,7 +599,6 @@ mod tests {
         assert_eq!(*st.src_regs(), [Reg(2), Reg(5)]);
         assert!(Op::Bar.src_regs().is_empty());
         assert!(st.is_mem());
-        assert!(!st.is_load());
     }
 
     #[test]

@@ -409,10 +409,6 @@ impl Gpu {
         f32::from_bits(self.host_read_u32(addr))
     }
 
-    pub fn host_write_f32(&mut self, addr: u32, v: f32) {
-        self.host_write_u32(addr, v.to_bits());
-    }
-
     /// Host read of the `out.len()` consecutive words from `addr`, each
     /// what [`Gpu::host_read_u32`] returns: functional mode reads the arena
     /// as one slice, timed mode peeks the L2 word by word.
@@ -518,7 +514,7 @@ mod tests {
         let (mut gpu, _, out) = fresh(Mode::Functional);
         gpu.host_write_block(out, &[1, 2, 3, 4]);
         assert_eq!(gpu.host_read_block(out, 4), vec![1, 2, 3, 4]);
-        gpu.host_write_f32(out, 2.5);
+        gpu.host_write_u32(out, 2.5f32.to_bits());
         assert_eq!(gpu.host_read_f32(out), 2.5);
     }
 

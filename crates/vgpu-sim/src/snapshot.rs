@@ -776,7 +776,7 @@ pub struct ResumeOutcome {
     /// Cycle at which the disturbed machine re-converged to golden, if
     /// the early masked-convergence exit fired. The machine is then left
     /// as it was at that cycle — equal to golden in every live bit — and
-    /// the run continues from the golden post-launch snapshot.
+    /// the rest of the run is golden's.
     pub converged_at: Option<u64>,
     /// Bytes the restore to the resume snapshot copied.
     pub restored_bytes: u64,

@@ -87,15 +87,6 @@ impl Stats {
         }
     }
 
-    /// Fraction of cycles with at least one issuing warp, in [0, 1].
-    pub fn issue_utilization(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.issue_cycles as f64 / self.cycles as f64
-        }
-    }
-
     /// Accumulate another launch's statistics.
     pub fn add(&mut self, o: &Stats) {
         self.cycles += o.cycles;
@@ -218,20 +209,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(s.occupancy(), 0.0);
-        assert_eq!(s.issue_utilization(), 0.0);
         assert!(s.occupancy().is_finite());
-        assert!(s.issue_utilization().is_finite());
-    }
-
-    #[test]
-    fn issue_utilization_ratio() {
-        let s = Stats {
-            cycles: 10,
-            issue_cycles: 4,
-            stall_cycles: 6,
-            ..Default::default()
-        };
-        assert!((s.issue_utilization() - 0.4).abs() < 1e-12);
-        assert_eq!(Stats::default().issue_utilization(), 0.0);
     }
 }

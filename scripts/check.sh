@@ -23,11 +23,14 @@ echo "==> the interpreter's differential tests and the schedule pins, compiled a
 # and through snapshot capture, resume and convergence. Both accelerated
 # trial paths — fast-forward and CTA replay, with their preamble images
 # and their stop where a trial re-joins golden — are held to the oracle
-# in that build too, and so is CTA replay's dirty set (the merged walk
-# that settles a simulated CTA's stores against its golden ones).
+# in that build too, their per-path statistics pinned (trial_stats), and
+# so are the kernels unit tests: CTA replay's dirty set (the merged walk
+# that settles a simulated CTA's stores against its golden ones), the
+# budget edges of crediting, and host reads by the slice.
 cargo test -q --release -p vgpu-sim --test lane_masks --test proptest_engines --test snapshots
-cargo test -q --release -p kernels --test golden_schedule --test cta_replay --test fast_forward
-cargo test -q --release -p kernels --lib ctalog
+cargo test -q --release -p kernels --test golden_schedule --test cta_replay --test fast_forward \
+  --test trial_stats
+cargo test -q --release -p kernels --lib
 
 echo "==> the probe stream's pins and the replay index, compiled as the perf ledger compiles the recorder"
 # The register-operand rows, the recorder and the read-run fold run in
@@ -256,7 +259,7 @@ echo "==> perf ledger gate (benchmarks/check.sh: the symbols it pins still build
 benchmarks/check.sh
 
 echo "==> size (reported, not gated): code lines under crates/*/src — no blanks, comments or #[cfg(test)] modules — and campaign flags"
-awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && !/^[[:space:]]*(\/\/|$)/{n[FILENAME]++; all++} END{for(f in n) if(f~/\/(harness|captures|codec|recorder|gpu|lifetime|probe|fault|replay|campaign|plan|records|adaptive|twolevel|coordinator|worker|driver|paper|figures|exec|decode|op|mem|functional|timed|cache|snapshot)\.rs$/) print n[f], f; print all, "total"}' $(find crates/*/src -name '*.rs') | sort -k2
+awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && !/^[[:space:]]*(\/\/|$)/{n[FILENAME]++; all++} END{for(f in n) if(f~/\/(harness|ctalog|ffwd|captures|codec|recorder|gpu|lifetime|probe|fault|replay|campaign|plan|records|adaptive|twolevel|coordinator|worker|driver|paper|figures|exec|decode|op|mem|functional|timed|cache|snapshot)\.rs$/) print n[f], f; print all, "total"}' $(find crates/*/src -name '*.rs') | sort -k2
 # And the campaign's flag table: one `flag(...)` row per command-line flag.
 awk '/^pub const FLAGS/{t=1} t && /^\];/{t=0} t && /^[[:space:]]*flag\(/{n++} END{print n, "flags in crates/bench/src/cli.rs"}' crates/bench/src/cli.rs
 
