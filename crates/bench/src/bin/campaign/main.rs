@@ -48,7 +48,7 @@ mod run;
 
 use bench::cli::{die, usage, Cmd};
 use bench::figures::{EXTENSIONS, FIGURES};
-use bench::{finish_observability, init_observability};
+use bench::finish_observability;
 
 const SUBCOMMANDS: &str = "paper|extensions|list|golden|run|merge";
 
@@ -69,13 +69,6 @@ fn main() {
         return;
     }
     let rest = &args[2..];
-    // A subcommand of the flag table turns observability on when it parses
-    // `rest` (`--events`); the others have the `RELIA_*` variables alone.
-    let in_table = (Cmd::ALL.iter().map(|c| c.subcommand()))
-        .any(|names| names.split('|').any(|name| name == sub));
-    if !in_table {
-        init_observability(None);
-    }
     match sub.as_str() {
         "paper" => paper::figure_set(sub, &FIGURES, "", rest),
         "extensions" => paper::figure_set(sub, &EXTENSIONS, ".extensions", rest),

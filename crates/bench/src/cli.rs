@@ -268,7 +268,7 @@ pub fn parse(cmd: Cmd, args: &[String]) -> Result<Parsed, String> {
 
 /// [`parse`] for a subcommand: `--help`/`-h` prints the usage text
 /// and exits 0, a usage error exits 2, and a command line that parses
-/// turns observability on from its `--events` and the `RELIA_*` variables
+/// turns observability on from its `--events`
 /// ([`crate::init_observability`]).
 pub fn parse_or_exit(cmd: Cmd, args: &[String]) -> Parsed {
     if args.iter().any(|a| a == "--help" || a == "-h") {

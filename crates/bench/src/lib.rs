@@ -22,45 +22,26 @@ static EVENTS_PATH: OnceLock<String> = OnceLock::new();
 
 /// Turn on observability before running campaigns — called by
 /// [`cli::parse_or_exit`] with the command line's `--events`, so a binary
-/// that parses its flags has it on:
+/// that parses its flags has it on. `--events PATH` opens the JSONL event
+/// sink (one line per injection) and turns on the metrics registry, spans
+/// included (each `obs::span` observes `span_us{span=<name>}`), and the
+/// stderr progress reporter.
 ///
-/// * `--events PATH` (`events`) or `RELIA_EVENTS=PATH` — JSONL event sink
-///   (one line per injection) plus the metrics registry;
-/// * `RELIA_METRICS=1` — the metrics registry alone, spans included (each
-///   `obs::span` observes `span_us{span=<name>}`);
-/// * `RELIA_PROGRESS=1`/`0` — force the stderr progress reporter on/off
-///   (default: on exactly when events or metrics are on).
-///
-/// With none of these set the campaigns run exactly as before: no files,
-/// no extra output, identical results (observability never touches the
-/// seeded RNG streams).
+/// Without it the campaigns run exactly as before: no files, no extra
+/// output, identical results (observability never touches the seeded RNG
+/// streams).
 pub fn init_observability(events: Option<&str>) {
     // Always installed: a panicking campaign must not lose the buffered
     // event lines needed to debug the panic.
     obs::install_panic_hook();
-    let events_path = events
-        .map(String::from)
-        .or_else(|| std::env::var("RELIA_EVENTS").ok().filter(|s| !s.is_empty()));
-    let metrics_on = std::env::var("RELIA_METRICS").is_ok_and(|v| v != "0");
-    let mut any = metrics_on;
-    if let Some(p) = &events_path {
+    if let Some(p) = events {
         if let Err(e) = obs::init_events(std::path::Path::new(p)) {
             eprintln!("error: cannot open events file {p}: {e}");
             std::process::exit(2);
         }
         eprintln!("[obs] writing events to {p}");
-        let _ = EVENTS_PATH.set(p.clone());
-        any = true;
-    }
-    if any {
+        let _ = EVENTS_PATH.set(p.to_string());
         obs::set_enabled(true);
-    }
-    let progress = match std::env::var("RELIA_PROGRESS").ok().as_deref() {
-        Some("0") => false,
-        Some(_) => true,
-        None => any,
-    };
-    if progress {
         obs::progress::enable();
     }
 }

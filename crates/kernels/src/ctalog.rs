@@ -437,7 +437,7 @@ impl CtaReplay {
                     mem.write_words(start, run);
                     dirty.remove_range(start, start + 4 * run.len() as u32);
                 }
-                stats.add_engine_delta(&ll.cum[c + 1], &ll.cum[c]);
+                stats.add_delta(&ll.cum[c + 1], &ll.cum[c]);
                 *replayed += 1;
                 // The oracle checks the budget after every warp slice; the
                 // count only grows, so checking where a replayed CTA ends

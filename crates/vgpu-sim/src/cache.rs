@@ -38,6 +38,9 @@ pub struct Cache {
     /// Outstanding fills: `(line_addr, ready_cycle)`.
     mshr: Vec<(u32, u64)>,
     stamp: u64,
+    /// The current launch's counts: a timed launch zeroes them at its
+    /// first cycle, and a snapshot keeps and restores them with the rest
+    /// of the cache.
     pub stats: CacheStats,
     /// Lines whose data or per-line state (tag, valid, dirty, LRU age)
     /// changed since the last snapshot synchronisation, as granules of the
@@ -244,29 +247,9 @@ impl Cache {
         self.mshr.clear();
     }
 
-    /// Write back every dirty line to `mem` and leave lines resident+clean.
-    pub fn writeback_all(&mut self, mem: &mut GlobalMem, mem_writes: &mut u64) {
-        let lb = self.geom.line_bytes;
-        for idx in 0..self.tags.len() {
-            if self.valid[idx] && self.dirty[idx] {
-                let addr = self.tags[idx] * lb;
-                mem.write_line(addr, self.line_data(idx));
-                self.touch(idx);
-                self.dirty[idx] = false;
-                *mem_writes += 1;
-            }
-        }
-    }
-
-    /// Flip one bit of the data array (microarchitecture fault injection).
-    /// The flip lands wherever `byte_index` points — valid line, stale
-    /// invalid line, it does not matter: that is the AVF fault model.
-    pub fn flip_bit(&mut self, byte_index: u64, bit: u8) {
-        self.flip_mask(byte_index, 1 << (bit % 8));
-    }
-
-    /// XOR a whole bit mask into one byte of the data array (multi-bit
-    /// transient fault patterns).
+    /// XOR a bit mask into one byte of the data array (transient fault
+    /// patterns). The flip lands wherever `byte_index` points — valid line,
+    /// stale invalid line, it does not matter: that is the AVF fault model.
     pub fn flip_mask(&mut self, byte_index: u64, mask: u8) {
         let i = byte_index as usize % self.data.len();
         self.touched.mark(i as u32);
@@ -871,10 +854,6 @@ mod tests {
         assert!(l2.line_dirty(i2), "L2 line dirtied");
         assert_eq!(l2.read_word(i2, 0), 42);
         assert_eq!(mem.read_u32(0), 0, "DRAM not yet updated (write-back L2)");
-        let mut mw2 = 0;
-        l2.writeback_all(&mut mem, &mut mw2);
-        assert_eq!(mw2, 1);
-        assert_eq!(mem.read_u32(0), 42);
     }
 
     #[test]
@@ -931,7 +910,7 @@ mod tests {
         load_word(&mut l1, &mut l2, &mut mem, 0, 0, &mut mr, &mut mw);
         let idx = l1.probe(0).unwrap();
         let byte_index = idx as u64 * 128;
-        l1.flip_bit(byte_index, 1); // value becomes 0x1113
+        l1.flip_mask(byte_index, 1 << 1); // value becomes 0x1113
         let r = load_word(&mut l1, &mut l2, &mut mem, 0, 1000, &mut mr, &mut mw);
         assert_eq!(r.0, 0x1113, "fault visible while resident");
         // Evict set 0 by loading two other lines mapping to it (lines 4, 8).
@@ -958,8 +937,9 @@ mod tests {
         let (mut mr, mut mw) = (0, 0);
         store_word(&mut l1, &mut l2, &mut mem, 0, 0x10, 0, &mut mr, &mut mw);
         let idx = l2.probe(0).unwrap();
-        l2.flip_bit(idx as u64 * 128, 0); // 0x10 -> 0x11
-                                          // Evict line 0 from L2: load lines 2 and 4 (set 0 of 2 sets).
+        // 0x10 -> 0x11
+        l2.flip_mask(idx as u64 * 128, 1);
+        // Evict line 0 from L2: load lines 2 and 4 (set 0 of 2 sets).
         load_word(&mut l1, &mut l2, &mut mem, 2 * 128, 100, &mut mr, &mut mw);
         load_word(&mut l1, &mut l2, &mut mem, 4 * 128, 200, &mut mr, &mut mw);
         assert_eq!(

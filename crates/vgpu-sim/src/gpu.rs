@@ -12,7 +12,7 @@ use crate::snapshot::{
     ChunkStore, ConvergeWith, DeviceSnapshot, Machine, ResumeOutcome, Scope, SnapId,
 };
 use crate::stats::Stats;
-use crate::timed::{run_timed, run_timed_ctl, SmState, TimedCtl};
+use crate::timed::{run_timed_ctl, SmState, TimedCtl};
 use vgpu_arch::{Kernel, LaunchConfig};
 
 /// Which execution engine a [`Gpu`] uses.
@@ -193,7 +193,7 @@ impl Gpu {
                     FaultPlan::Uarch(u) => (Some(u), None),
                     FaultPlan::Sw(s) => (None, Some(s)),
                 };
-                run_timed(
+                run_timed_ctl(
                     &self.cfg,
                     &mut self.m,
                     kernel,
@@ -202,6 +202,7 @@ impl Gpu {
                     sw,
                     self.probe.as_mut(),
                     budget.limit,
+                    &mut TimedCtl::none(),
                 )
             }
             Mode::Functional => {

@@ -253,10 +253,9 @@ impl ChunkStore {
             .launch
     }
 
-    /// Cache scalars of snapshot `id`: `(L1Ds then L1Ts, L2)`.
-    pub(crate) fn cache_scalars(&self, id: SnapId) -> (&[CacheScalars], &CacheScalars) {
-        let (l2, l1s) = self.snap(id).caches.split_last().expect("an L2");
-        (l1s, l2)
+    /// Cache scalars of snapshot `id`: the L1Ds, the L1Ts, then the L2.
+    pub(crate) fn cache_scalars(&self, id: SnapId) -> &[CacheScalars] {
+        &self.snap(id).caches
     }
 
     /// Element `i` of the array whose chunks start at table position `at`.
@@ -757,8 +756,8 @@ pub struct ConvergeWith<'a> {
     /// resumed from), sorted by cycle; the disturbed machine is compared
     /// against each one it reaches after the fault has been applied.
     pub snaps: &'a [SnapId],
-    /// Golden statistics of this launch (the launch delta, not an
-    /// aggregate), used to credit the skipped suffix.
+    /// Golden statistics of this launch alone (not an aggregate over
+    /// launches), used to credit the skipped suffix.
     pub end_stats: Stats,
 }
 

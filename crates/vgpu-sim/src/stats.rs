@@ -22,14 +22,29 @@ impl CacheStats {
     }
 
     pub fn add(&mut self, o: &CacheStats) {
-        self.accesses += o.accesses;
-        self.misses += o.misses;
-        self.pending_hits += o.pending_hits;
-        self.reservation_fails += o.reservation_fails;
+        self.each_with(o, |a, b| *a += b);
+    }
+
+    /// Apply `f` to every counter, paired with the same counter of `o`.
+    fn each_with(&mut self, o: &CacheStats, mut f: impl FnMut(&mut u64, u64)) {
+        let CacheStats {
+            accesses,
+            misses,
+            pending_hits,
+            reservation_fails,
+        } = *o;
+        f(&mut self.accesses, accesses);
+        f(&mut self.misses, misses);
+        f(&mut self.pending_hits, pending_hits);
+        f(&mut self.reservation_fails, reservation_fails);
     }
 }
 
-/// Statistics of one kernel launch (or an aggregate over launches).
+/// Statistics of one kernel launch (or an aggregate over launches). A
+/// timed launch counts every field from its own first cycle, the cache
+/// counters included ([`Cache::stats`](crate::cache::Cache::stats)); the
+/// functional engine leaves the timed-only fields (cycles, residency,
+/// caches, DRAM) at zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Stats {
     /// Cycles (timed mode only; 0 in functional mode).
@@ -89,54 +104,62 @@ impl Stats {
 
     /// Accumulate another launch's statistics.
     pub fn add(&mut self, o: &Stats) {
-        self.cycles += o.cycles;
-        self.issue_cycles += o.issue_cycles;
-        self.stall_cycles += o.stall_cycles;
-        self.warp_instrs += o.warp_instrs;
-        self.thread_instrs += o.thread_instrs;
-        self.load_instrs += o.load_instrs;
-        self.store_instrs += o.store_instrs;
-        self.smem_instrs += o.smem_instrs;
-        self.gp_dest_instrs += o.gp_dest_instrs;
-        self.ld_dest_instrs += o.ld_dest_instrs;
-        self.src_reg_instrs += o.src_reg_instrs;
-        for (mine, theirs) in self.class_dest_instrs.iter_mut().zip(&o.class_dest_instrs) {
-            *mine += theirs;
-        }
-        self.l1d.add(&o.l1d);
-        self.l1t.add(&o.l1t);
-        self.l2.add(&o.l2);
-        self.mem_reads += o.mem_reads;
-        self.mem_writes += o.mem_writes;
-        self.resident_warp_cycles += o.resident_warp_cycles;
-        self.max_warp_cycles += o.max_warp_cycles;
+        self.each_with(o, |a, b| *a += b);
     }
 
-    /// Add `end − at` for the engine-accumulated counters (instruction,
-    /// issue/stall and residency counts) — the golden-suffix credit used
-    /// by the masked-convergence early exit. Cycles, DRAM traffic and
-    /// cache deltas are spliced separately by the caller.
-    pub fn add_engine_delta(&mut self, end: &Stats, at: &Stats) {
-        self.issue_cycles += end.issue_cycles - at.issue_cycles;
-        self.stall_cycles += end.stall_cycles - at.stall_cycles;
-        self.warp_instrs += end.warp_instrs - at.warp_instrs;
-        self.thread_instrs += end.thread_instrs - at.thread_instrs;
-        self.load_instrs += end.load_instrs - at.load_instrs;
-        self.store_instrs += end.store_instrs - at.store_instrs;
-        self.smem_instrs += end.smem_instrs - at.smem_instrs;
-        self.gp_dest_instrs += end.gp_dest_instrs - at.gp_dest_instrs;
-        self.ld_dest_instrs += end.ld_dest_instrs - at.ld_dest_instrs;
-        self.src_reg_instrs += end.src_reg_instrs - at.src_reg_instrs;
-        for ((mine, e), a) in self
-            .class_dest_instrs
-            .iter_mut()
-            .zip(&end.class_dest_instrs)
-            .zip(&at.class_dest_instrs)
-        {
-            *mine += e - a;
+    /// Add `end − at`, counter by counter: the share of a run between two
+    /// points of it — golden's suffix past a convergence snapshot, or one
+    /// CTA's slice of a launch logged as cumulative stats.
+    pub fn add_delta(&mut self, end: &Stats, at: &Stats) {
+        self.add(end);
+        self.each_with(at, |s, a| *s -= a);
+    }
+
+    /// Apply `f` to every counter, paired with the same counter of `o`:
+    /// the one field list [`Stats::add`] and [`Stats::add_delta`] walk.
+    fn each_with(&mut self, o: &Stats, mut f: impl FnMut(&mut u64, u64)) {
+        let Stats {
+            cycles,
+            issue_cycles,
+            stall_cycles,
+            warp_instrs,
+            thread_instrs,
+            load_instrs,
+            store_instrs,
+            smem_instrs,
+            gp_dest_instrs,
+            ld_dest_instrs,
+            src_reg_instrs,
+            class_dest_instrs,
+            l1d,
+            l1t,
+            l2,
+            mem_reads,
+            mem_writes,
+            resident_warp_cycles,
+            max_warp_cycles,
+        } = o;
+        f(&mut self.cycles, *cycles);
+        f(&mut self.issue_cycles, *issue_cycles);
+        f(&mut self.stall_cycles, *stall_cycles);
+        f(&mut self.warp_instrs, *warp_instrs);
+        f(&mut self.thread_instrs, *thread_instrs);
+        f(&mut self.load_instrs, *load_instrs);
+        f(&mut self.store_instrs, *store_instrs);
+        f(&mut self.smem_instrs, *smem_instrs);
+        f(&mut self.gp_dest_instrs, *gp_dest_instrs);
+        f(&mut self.ld_dest_instrs, *ld_dest_instrs);
+        f(&mut self.src_reg_instrs, *src_reg_instrs);
+        for (mine, theirs) in self.class_dest_instrs.iter_mut().zip(class_dest_instrs) {
+            f(mine, *theirs);
         }
-        self.resident_warp_cycles += end.resident_warp_cycles - at.resident_warp_cycles;
-        self.max_warp_cycles += end.max_warp_cycles - at.max_warp_cycles;
+        self.l1d.each_with(l1d, &mut f);
+        self.l1t.each_with(l1t, &mut f);
+        self.l2.each_with(l2, &mut f);
+        f(&mut self.mem_reads, *mem_reads);
+        f(&mut self.mem_writes, *mem_writes);
+        f(&mut self.resident_warp_cycles, *resident_warp_cycles);
+        f(&mut self.max_warp_cycles, *max_warp_cycles);
     }
 }
 

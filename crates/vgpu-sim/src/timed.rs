@@ -465,11 +465,13 @@ impl SmState {
     }
 }
 
-/// The launch-wide scalars `run_timed_ctl` keeps in locals while
-/// simulating, in storable form. Together with the [`Machine`] (device
-/// state, RF/SMEM, warp and slot state) this suffices to continue a
-/// launch bit-identically from the captured cycle.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The state of one launch beyond the [`Machine`]: [`run_timed_ctl`] holds
+/// one for the whole launch, a mid-launch snapshot keeps a copy, and a
+/// resume starts from the snapshot's copy. Together with the machine
+/// (device state, RF/SMEM, warp and slot state) it suffices to continue a
+/// launch bit-identically from `cycle`. Its counters, like the caches'
+/// ([`Cache::stats`]), count from the launch's first cycle.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct LaunchScalars {
     pub(crate) next_cta: u64,
     pub(crate) done_ctas: u64,
@@ -478,12 +480,28 @@ pub(crate) struct LaunchScalars {
     pub(crate) mem_reads: u64,
     pub(crate) mem_writes: u64,
     pub(crate) cycle: u64,
-    /// Per-launch cache-stat baselines captured at launch start; restored
-    /// verbatim so the resumed run's launch-delta accounting matches an
-    /// uninterrupted run exactly.
-    pub(crate) l1d_start: Vec<CacheStats>,
-    pub(crate) l1t_start: Vec<CacheStats>,
-    pub(crate) l2_start: CacheStats,
+}
+
+impl LaunchScalars {
+    /// The launch's [`Stats`] as of `cycle`, with `caches` the counters of
+    /// the machine's caches — the `sms` L1Ds, the `sms` L1Ts, then the L2,
+    /// the order a snapshot keeps them in.
+    fn stats_with(&self, caches: impl Iterator<Item = CacheStats>, sms: usize) -> Stats {
+        let mut s = Stats {
+            cycles: self.cycle,
+            mem_reads: self.mem_reads,
+            mem_writes: self.mem_writes,
+            ..self.stats
+        };
+        for (i, c) in caches.enumerate() {
+            match i / sms {
+                0 => s.l1d.add(&c),
+                1 => s.l1t.add(&c),
+                _ => s.l2.add(&c),
+            }
+        }
+        s
+    }
 }
 
 /// Everything a mid-launch snapshot keeps verbatim beyond the caches'
@@ -506,17 +524,13 @@ impl EngineScalars {
                     .map(|w| w.stack.capacity() * size_of::<crate::warp::StackEntry>())
                     .sum::<usize>()
         };
-        let l = &self.launch;
-        (self.sms.capacity() * size_of::<SmScalars>()
-            + self.sms.iter().map(per_sm).sum::<usize>()
-            + (l.l1d_start.capacity() + l.l1t_start.capacity()) * size_of::<CacheStats>())
+        (self.sms.capacity() * size_of::<SmScalars>() + self.sms.iter().map(per_sm).sum::<usize>())
             as u64
     }
 }
 
 /// Snapshot / resume / convergence controls for [`run_timed_ctl`]. The
-/// empty value ([`TimedCtl::none`]) makes `run_timed_ctl` behave exactly
-/// like the historical slow path.
+/// empty value ([`TimedCtl::none`]) runs a plain launch from cycle 0.
 pub(crate) struct TimedCtl<'a> {
     /// Cycles (sorted ascending) at which to capture a snapshot, and the
     /// store to capture into.
@@ -905,35 +919,10 @@ fn reassert_stuck(
     }
 }
 
-/// Run one kernel launch on the timed engine.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_timed(
-    cfg: &GpuConfig,
-    m: &mut Machine,
-    kernel: &Kernel,
-    lc: &LaunchConfig,
-    uarch: Option<&mut UarchInjector>,
-    sw: Option<&mut SwInjector>,
-    probe: Option<&mut Probe>,
-    budget_cycles: u64,
-) -> Result<Stats, LaunchAbort> {
-    run_timed_ctl(
-        cfg,
-        m,
-        kernel,
-        lc,
-        uarch,
-        sw,
-        probe,
-        budget_cycles,
-        &mut TimedCtl::none(),
-    )
-}
-
-/// Run one kernel launch with snapshot capture / resume / convergence
-/// controls. With an empty [`TimedCtl`] this is exactly the historical
-/// engine; every fast-forward feature routes through the same loop so the
-/// two paths cannot drift apart.
+/// Run one kernel launch on the timed engine, with the snapshot capture /
+/// resume / convergence controls of `ctl` ([`TimedCtl::none`] for none).
+/// Every fast-forward feature routes through the same loop as a plain
+/// launch, so the two cannot drift apart.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_timed_ctl(
     cfg: &GpuConfig,
@@ -977,7 +966,8 @@ pub(crate) fn run_timed_ctl(
         converge = None;
     }
 
-    let state = match ctl.resume {
+    // The launch state, the one value the loop below advances.
+    let mut ls = match ctl.resume {
         Some((store, snap)) => {
             // The probe stream and SW injection counters accumulate over
             // the whole prefix; a mid-launch restore cannot rebuild them,
@@ -987,67 +977,47 @@ pub(crate) fn run_timed_ctl(
                 "snapshot resume supports plain and uarch-fault runs only"
             );
             // The restored machine is bit-identical to the one the
-            // snapshot was taken from — including cache stats and the
-            // per-launch baselines — so the continuation accumulates
-            // exactly what an uninterrupted run would.
+            // snapshot was taken from — cache counters included — so the
+            // continuation accumulates exactly what an uninterrupted run
+            // would.
             ctl.restored_bytes = m.restore(store, snap);
-            store.launch_scalars(snap).clone()
+            *store.launch_scalars(snap)
         }
         None => {
-            let mut next_cta = 0u64;
-            let mut seq = 0u64;
+            // A launch's cache counters count from its first cycle.
+            for c in m.l1ds.iter_mut().chain(&mut m.l1ts).chain([&mut m.l2]) {
+                c.stats = CacheStats::default();
+            }
+            let mut ls = LaunchScalars::default();
             for sm in m.sms.iter_mut() {
                 sm.begin_launch(&g);
             }
             // Initial CTA fill, round-robin over SMs.
             'fill: for slot in 0..g.slots_per_sm as usize {
                 for (smi, sm) in m.sms.iter_mut().enumerate() {
-                    if next_cta >= total_ctas {
+                    if ls.next_cta >= total_ctas {
                         break 'fill;
                     }
                     launch_cta(
                         sm,
                         slot,
-                        next_cta,
+                        ls.next_cta,
                         lc,
                         &g,
-                        &mut seq,
+                        &mut ls.seq,
                         smi,
                         0,
                         true,
                         probe.as_deref_mut(),
                     );
-                    next_cta += 1;
+                    ls.next_cta += 1;
                 }
             }
-            LaunchScalars {
-                next_cta,
-                done_ctas: 0,
-                seq,
-                stats: Stats::default(),
-                mem_reads: 0,
-                mem_writes: 0,
-                cycle: 0,
-                l1d_start: m.l1ds.iter().map(|c| c.stats).collect(),
-                l1t_start: m.l1ts.iter().map(|c| c.stats).collect(),
-                l2_start: m.l2.stats,
-            }
+            ls
         }
     };
-    let LaunchScalars {
-        mut next_cta,
-        mut done_ctas,
-        mut seq,
-        mut stats,
-        mut mem_reads,
-        mut mem_writes,
-        mut cycle,
-        l1d_start,
-        l1t_start,
-        l2_start,
-    } = state;
-    let start_cycle = cycle;
-    let mut cap_idx = capture_at.partition_point(|&c| c < cycle);
+    let start_cycle = ls.cycle;
+    let mut cap_idx = capture_at.partition_point(|&c| c < ls.cycle);
     // Convergence checks start strictly after the fault cycle: at or
     // before it the disturbed state cannot have diverged yet, and the
     // check only fires once the flip has actually landed.
@@ -1067,7 +1037,7 @@ pub(crate) fn run_timed_ctl(
 
     let max_warps_hw = (cfg.max_threads_per_sm / WARP_SIZE as u32) as u64;
 
-    let result: Result<(), LaunchAbort> = if cycle > budget_cycles {
+    let result: Result<(), LaunchAbort> = if ls.cycle > budget_cycles {
         // Resumed past the budget: the uninterrupted run would already
         // have timed out on its way to this cycle.
         Err(LaunchAbort::Timeout)
@@ -1076,26 +1046,14 @@ pub(crate) fn run_timed_ctl(
             // Capture due snapshots before anything mutates state this
             // cycle (golden instrumented runs only).
             while let Some(&cc) = capture_at.get(cap_idx) {
-                if cc > cycle {
+                if cc > ls.cycle {
                     break;
                 }
-                if cc == cycle {
-                    run_deferred(&mut m.sms, &mut stats);
+                if cc == ls.cycle {
+                    run_deferred(&mut m.sms, &mut ls.stats);
                     fold_issue_marks(&mut m.sms, &g);
                     let store = capture_into.as_deref_mut().expect("capture store");
-                    let launch = LaunchScalars {
-                        next_cta,
-                        done_ctas,
-                        seq,
-                        stats,
-                        mem_reads,
-                        mem_writes,
-                        cycle,
-                        l1d_start: l1d_start.clone(),
-                        l1t_start: l1t_start.clone(),
-                        l2_start,
-                    };
-                    ctl.captured.push(m.capture(store, Some(launch)));
+                    ctl.captured.push(m.capture(store, Some(ls)));
                 }
                 cap_idx += 1;
             }
@@ -1104,8 +1062,8 @@ pub(crate) fn run_timed_ctl(
             // cycle, and re-force any live stuck-at sites (permanent
             // faults) before the next instructions can observe them.
             if let Some(inj) = uarch.as_deref_mut() {
-                if !inj.applied && cycle >= inj.fault.cycle {
-                    run_deferred(&mut m.sms, &mut stats);
+                if !inj.applied && ls.cycle >= inj.fault.cycle {
+                    run_deferred(&mut m.sms, &mut ls.stats);
                     apply_uarch(
                         inj,
                         &mut m.sms,
@@ -1133,21 +1091,22 @@ pub(crate) fn run_timed_ctl(
                     while cv
                         .snaps
                         .get(conv_idx)
-                        .is_some_and(|&s| golden_cycle(s) < cycle)
+                        .is_some_and(|&s| golden_cycle(s) < ls.cycle)
                     {
                         conv_idx += 1;
                     }
                     if cv
                         .snaps
                         .get(conv_idx)
-                        .is_some_and(|&s| golden_cycle(s) == cycle)
+                        .is_some_and(|&s| golden_cycle(s) == ls.cycle)
                     {
                         let gs = cv.snaps[conv_idx];
                         conv_idx += 1;
-                        run_deferred(&mut m.sms, &mut stats);
+                        run_deferred(&mut m.sms, &mut ls.stats);
                         fold_issue_marks(&mut m.sms, &g);
                         let gl = store.launch_scalars(gs);
-                        if (next_cta, done_ctas, seq) == (gl.next_cta, gl.done_ctas, gl.seq)
+                        if (ls.next_cta, ls.done_ctas, ls.seq)
+                            == (gl.next_cta, gl.done_ctas, gl.seq)
                             && m.same(
                                 store,
                                 gs,
@@ -1163,12 +1122,10 @@ pub(crate) fn run_timed_ctl(
                             if cv.end_stats.cycles > budget_cycles {
                                 break 'outer Err(LaunchAbort::Timeout);
                             }
-                            ctl.converged_at = Some(cycle);
-                            ctl.simulated_cycles = cycle - start_cycle;
-                            return Ok(splice_golden_suffix(
-                                cv, store, gs, stats, mem_reads, mem_writes, m, &l1d_start,
-                                &l1t_start, &l2_start,
-                            ));
+                            ctl.converged_at = Some(ls.cycle);
+                            ctl.simulated_cycles = ls.cycle - start_cycle;
+                            let here = ls.stats_with(cache_stats(m), num_sms);
+                            return Ok(splice_golden_suffix(here, cv, store, gs, num_sms));
                         }
                     }
                 }
@@ -1178,7 +1135,7 @@ pub(crate) fn run_timed_ctl(
             let mut resident = 0u64;
             for (smi, sm) in m.sms.iter_mut().enumerate() {
                 resident += u64::from(sm.occupied.count_ones());
-                let Some(wi) = sm.pick(cycle) else {
+                let Some(wi) = sm.pick(ls.cycle) else {
                     continue;
                 };
 
@@ -1211,9 +1168,9 @@ pub(crate) fn run_timed_ctl(
                         l2: &mut m.l2,
                         mem: &mut m.mem,
                         lat: &cfg.lat,
-                        now: cycle,
-                        mem_reads: &mut mem_reads,
-                        mem_writes: &mut mem_writes,
+                        now: ls.cycle,
+                        mem_reads: &mut ls.mem_reads,
+                        mem_writes: &mut ls.mem_writes,
                         probe: probe.as_deref_mut(),
                         sm: smi,
                         rf_base,
@@ -1227,7 +1184,7 @@ pub(crate) fn run_timed_ctl(
                         regs: &mut sm.rf[rf_base..rf_base + g.regs_per_warp as usize],
                         smem: &mut sm.smem[smem_base..smem_base + g.smem_words_per_cta as usize],
                         mem: &mut tg,
-                        stats: &mut stats,
+                        stats: &mut ls.stats,
                         sw: sw.as_deref_mut(),
                         max_stack: cfg.max_stack_depth,
                     };
@@ -1259,16 +1216,16 @@ pub(crate) fn run_timed_ctl(
                                 cfg.lat.smem as u64
                                     + extra_conflicts as u64 * cfg.lat.smem_conflict as u64
                             }
-                            IssueClass::Mem { ready } => ready.saturating_sub(cycle).max(1),
+                            IssueClass::Mem { ready } => ready.saturating_sub(ls.cycle).max(1),
                         };
-                        warp.ready_at = cycle + latency;
-                        sm.schedule(wi, cycle + latency);
+                        warp.ready_at = ls.cycle + latency;
+                        sm.schedule(wi, ls.cycle + latency);
                         sm.last = Some(wi);
                         clear_greedy = false;
                     }
                     StepEvent::Barrier => {
                         warp.at_barrier = true;
-                        warp.ready_at = cycle + cfg.lat.alu as u64;
+                        warp.ready_at = ls.cycle + cfg.lat.alu as u64;
                         sm.unschedule(wi);
                         let slot = sm.slots[slot_idx].as_mut().expect("slot live");
                         slot.arrived += 1;
@@ -1285,24 +1242,24 @@ pub(crate) fn run_timed_ctl(
                         if slot.warps_running == 0 {
                             sm.slots[slot_idx] = None;
                             sm.order.retain(|&s| s != slot_idx);
-                            done_ctas += 1;
+                            ls.done_ctas += 1;
                             if let Some(p) = probe.as_deref_mut() {
-                                p.slot_free(smi, slot_idx, cycle);
+                                p.slot_free(smi, slot_idx, ls.cycle);
                             }
-                            if next_cta < total_ctas {
+                            if ls.next_cta < total_ctas {
                                 launch_cta(
                                     sm,
                                     slot_idx,
-                                    next_cta,
+                                    ls.next_cta,
                                     lc,
                                     &g,
-                                    &mut seq,
+                                    &mut ls.seq,
                                     smi,
-                                    cycle,
+                                    ls.cycle,
                                     false,
                                     probe.as_deref_mut(),
                                 );
-                                next_cta += 1;
+                                ls.next_cta += 1;
                             }
                         } else if slot.arrived >= slot.warps_running {
                             // Last non-waiting warp exited: release the barrier.
@@ -1315,13 +1272,13 @@ pub(crate) fn run_timed_ctl(
                 }
             }
 
-            if done_ctas == total_ctas {
-                stats.resident_warp_cycles += resident;
-                stats.max_warp_cycles += num_sms as u64 * max_warps_hw;
-                stats.issue_cycles += 1; // the Done event implies an issue
-                cycle += 1;
+            if ls.done_ctas == total_ctas {
+                ls.stats.resident_warp_cycles += resident;
+                ls.stats.max_warp_cycles += num_sms as u64 * max_warps_hw;
+                ls.stats.issue_cycles += 1; // the Done event implies an issue
+                ls.cycle += 1;
                 // The budget check every other advance makes below.
-                break if cycle > budget_cycles {
+                break if ls.cycle > budget_cycles {
                     Err(LaunchAbort::Timeout)
                 } else {
                     Ok(())
@@ -1342,7 +1299,7 @@ pub(crate) fn run_timed_ctl(
                 }
                 let mut target = nxt;
                 if let Some(inj) = uarch.as_deref() {
-                    if !inj.applied && inj.fault.cycle > cycle {
+                    if !inj.applied && inj.fault.cycle > ls.cycle {
                         target = target.min(inj.fault.cycle);
                     }
                 }
@@ -1350,35 +1307,35 @@ pub(crate) fn run_timed_ctl(
                 // splitting an idle stretch in two is stats-neutral (stall and
                 // residency counters scale linearly with `advance`).
                 if let Some(&cc) = capture_at.get(cap_idx) {
-                    if cc > cycle {
+                    if cc > ls.cycle {
                         target = target.min(cc);
                     }
                 }
                 if let Some(cv) = &converge {
                     if let Some(&gs) = cv.snaps.get(conv_idx) {
-                        if golden_cycle(gs) > cycle {
+                        if golden_cycle(gs) > ls.cycle {
                             target = target.min(golden_cycle(gs));
                         }
                     }
                 }
-                target - cycle
+                target - ls.cycle
             };
             if issued_any {
-                stats.issue_cycles += 1;
+                ls.stats.issue_cycles += 1;
             } else {
-                stats.stall_cycles += advance;
+                ls.stats.stall_cycles += advance;
             }
-            stats.resident_warp_cycles += resident * advance;
-            stats.max_warp_cycles += num_sms as u64 * max_warps_hw * advance;
-            cycle += advance;
-            if cycle > budget_cycles {
+            ls.stats.resident_warp_cycles += resident * advance;
+            ls.stats.max_warp_cycles += num_sms as u64 * max_warps_hw * advance;
+            ls.cycle += advance;
+            if ls.cycle > budget_cycles {
                 break Err(LaunchAbort::Timeout);
             }
         }
     };
 
-    ctl.simulated_cycles = cycle - start_cycle;
-    run_deferred(&mut m.sms, &mut stats);
+    ctl.simulated_cycles = ls.cycle - start_cycle;
+    run_deferred(&mut m.sms, &mut ls.stats);
 
     // A stuck-at site overwritten by the very last step must still read
     // stuck when the launch retires (output classification reads L2 and
@@ -1395,96 +1352,36 @@ pub(crate) fn run_timed_ctl(
         c.invalidate_all();
     }
     if let Some(p) = probe {
-        p.launch_end(cycle);
+        p.launch_end(ls.cycle);
     }
 
     result?;
 
-    stats.cycles = cycle;
-    stats.mem_reads = mem_reads;
-    stats.mem_writes = mem_writes;
-    stats
-        .l1d
-        .add(&cache_delta(m.l1ds.iter().map(|c| c.stats), &l1d_start));
-    stats
-        .l1t
-        .add(&cache_delta(m.l1ts.iter().map(|c| c.stats), &l1t_start));
-    stats.l2.add(&one_cache_delta(m.l2.stats, &l2_start));
-    Ok(stats)
+    Ok(ls.stats_with(cache_stats(m), num_sms))
 }
 
-/// Build the final launch [`Stats`] for a trial that converged with the
-/// golden snapshot `gs` of `store`. The disturbed run simulated the prefix
-/// up to the convergence cycle; golden's own counters cover the suffix
-/// from `gs` to launch end, so the total is `prefix + (golden_end −
-/// golden_at_gs)` for every engine counter, and the cache deltas compose
-/// the same way against their per-launch baselines. The machine stays
-/// where it converged: whoever continues the run restores the golden
-/// post-launch snapshot (or follows it without restoring), so the launch
-/// epilogue is skipped.
-#[allow(clippy::too_many_arguments)]
+/// The counters of `m`'s caches in snapshot order: L1Ds, L1Ts, the L2.
+fn cache_stats(m: &Machine) -> impl Iterator<Item = CacheStats> + '_ {
+    m.l1ds.iter().chain(&m.l1ts).chain([&m.l2]).map(|c| c.stats)
+}
+
+/// The launch [`Stats`] of a run that converged with golden snapshot `gs`
+/// of `store`, having counted `here` so far: the rest of the launch is
+/// golden's, so every counter is `here + (golden end − golden at gs)`.
+/// The machine stays where it converged: whoever continues the run
+/// restores the golden post-launch snapshot (or follows it without
+/// restoring), so the launch epilogue is skipped.
 fn splice_golden_suffix(
+    mut here: Stats,
     cv: &ConvergeWith<'_>,
     store: &ChunkStore,
     gs: SnapId,
-    mut stats: Stats,
-    mem_reads: u64,
-    mem_writes: u64,
-    m: &Machine,
-    l1d_start: &[CacheStats],
-    l1t_start: &[CacheStats],
-    l2_start: &CacheStats,
+    sms: usize,
 ) -> Stats {
-    let end = &cv.end_stats;
-    let gl = store.launch_scalars(gs);
-    let (g_l1s, g_l2) = store.cache_scalars(gs);
-    let (g_l1ds, g_l1ts) = g_l1s.split_at(m.l1ds.len());
-    stats.add_engine_delta(end, &gl.stats);
-    stats.cycles = end.cycles;
-    stats.mem_reads = mem_reads + (end.mem_reads - gl.mem_reads);
-    stats.mem_writes = mem_writes + (end.mem_writes - gl.mem_writes);
-    // Cache counters: what this run accumulated so far plus golden's
-    // remaining share of its own per-launch delta.
-    stats.l1d = cache_delta(m.l1ds.iter().map(|c| c.stats), l1d_start);
-    stats.l1t = cache_delta(m.l1ts.iter().map(|c| c.stats), l1t_start);
-    stats.l2 = one_cache_delta(m.l2.stats, l2_start);
-    let mut tail = end.l1d;
-    sub_stats(
-        &mut tail,
-        &cache_delta(g_l1ds.iter().map(|c| c.stats), &gl.l1d_start),
-    );
-    stats.l1d.add(&tail);
-    let mut tail = end.l1t;
-    sub_stats(
-        &mut tail,
-        &cache_delta(g_l1ts.iter().map(|c| c.stats), &gl.l1t_start),
-    );
-    stats.l1t.add(&tail);
-    let mut tail = end.l2;
-    sub_stats(&mut tail, &one_cache_delta(g_l2.stats, &gl.l2_start));
-    stats.l2.add(&tail);
-    stats
-}
-
-/// Sum of per-cache stat deltas against their launch-start baselines.
-fn cache_delta(now: impl Iterator<Item = CacheStats>, starts: &[CacheStats]) -> CacheStats {
-    let mut acc = CacheStats::default();
-    for (c, s0) in now.zip(starts) {
-        acc.add(&one_cache_delta(c, s0));
-    }
-    acc
-}
-
-fn one_cache_delta(mut now: CacheStats, s0: &CacheStats) -> CacheStats {
-    sub_stats(&mut now, s0);
-    now
-}
-
-fn sub_stats(a: &mut CacheStats, b: &CacheStats) {
-    a.accesses -= b.accesses;
-    a.misses -= b.misses;
-    a.pending_hits -= b.pending_hits;
-    a.reservation_fails -= b.reservation_fails;
+    let caches = store.cache_scalars(gs).iter().map(|c| c.stats);
+    let golden_here = store.launch_scalars(gs).stats_with(caches, sms);
+    here.add_delta(&cv.end_stats, &golden_here);
+    here
 }
 
 #[cfg(test)]

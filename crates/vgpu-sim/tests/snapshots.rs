@@ -257,6 +257,93 @@ fn dead_state_left_by_one_trial_cannot_reach_the_next() {
     );
 }
 
+/// A trial resumed in the second launch of a machine — whose caches and
+/// DRAM counters the first launch already moved — and converging
+/// mid-launch reports exactly the statistics of the same trial run from
+/// that launch's first cycle: the golden suffix is spliced onto counters
+/// of this launch alone.
+#[test]
+fn a_converged_splice_in_a_later_launch_counts_that_launch_alone() {
+    let cfg = GpuConfig::volta_scaled(2);
+    let kernel = reduce_kernel();
+    let words = CTAS * BLOCK;
+    // Launch 1 reads the first `words` input words, launch 2 the `words`
+    // from the middle on: half its lines are in the L2, half in DRAM.
+    let machine = || {
+        let mut planner = ArenaPlanner::new();
+        let input = planner.alloc(words * 6);
+        let output = planner.alloc(CTAS * 4);
+        let mut gpu = Gpu::new(cfg.clone(), planner.build(), Mode::Timed);
+        let data: Vec<u32> = (0..words * 3 / 2)
+            .map(|i| i.wrapping_mul(2654435761))
+            .collect();
+        gpu.host_write_block(input, &data);
+        let first = LaunchConfig::new(CTAS, BLOCK, vec![input, output]);
+        let second = LaunchConfig::new(CTAS, BLOCK, vec![input + words * 2, output]);
+        (gpu, first, second, output)
+    };
+    let after_first = || {
+        let (mut gpu, first, second, output) = machine();
+        let s = gpu.launch(&kernel, &first, FaultPlan::None, &Budget::unlimited());
+        assert!(s.unwrap().l2.accesses > 0);
+        (gpu, second, output)
+    };
+
+    let (mut plain, lc, _) = after_first();
+    let golden = plain
+        .launch(&kernel, &lc, FaultPlan::None, &Budget::unlimited())
+        .unwrap();
+    assert!(golden.l2.misses < golden.l2.accesses && golden.mem_reads > 0);
+    let (mut gpu, _, _) = after_first();
+    let mut store = ChunkStore::new();
+    let at: Vec<u64> = (0..6).map(|i| i * golden.cycles / 6).collect();
+    let (stats, mids) = gpu
+        .launch_instrumented(&kernel, &lc, &Budget::unlimited(), &at, &mut store)
+        .unwrap();
+    assert_eq!(stats, golden);
+
+    let budget = Budget {
+        limit: golden.cycles * 10,
+    };
+    let mut converged = Vec::new();
+    for (k, &snap) in mids.iter().enumerate() {
+        for structure in HwStructure::INJECTABLE {
+            let cycle = store.cycle(snap).unwrap();
+            let f = fault(structure, FaultPattern::SingleBit, cycle, 0x5eed);
+            let (mut from_zero, _, output) = after_first();
+            let mut inj = UarchInjector::new(f);
+            let want = from_zero.launch(&kernel, &lc, FaultPlan::Uarch(&mut inj), &budget);
+            let mut resumed = machine().0;
+            let mut inj = UarchInjector::new(f);
+            let cv = ConvergeWith {
+                snaps: &mids,
+                end_stats: golden,
+            };
+            let got = resumed.resume_from(
+                &store,
+                snap,
+                &kernel,
+                &lc,
+                Some(&mut inj),
+                &budget,
+                Some(cv),
+            );
+            let spliced = got.as_ref().is_ok_and(|o| o.converged_at.is_some());
+            assert_eq!(got.map(|o| o.stats), want, "{structure:?} at mids[{k}]");
+            if spliced {
+                // The machine stays where it converged; the rest is golden's.
+                converged.push((k, structure));
+            } else if want.is_ok() {
+                let out = |gpu: &Gpu| gpu.host_read_block(output, CTAS);
+                assert_eq!(out(&resumed), out(&from_zero), "{structure:?} at mids[{k}]");
+            }
+        }
+    }
+    // At cycle 0 every L1 line is invalid: an L1D flip there is dead and
+    // the run converges at the next snapshot.
+    assert!(converged.contains(&(0, HwStructure::L1D)), "{converged:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -259,7 +259,7 @@ echo "==> perf ledger gate (benchmarks/check.sh: the symbols it pins still build
 benchmarks/check.sh
 
 echo "==> size (reported, not gated): code lines under crates/*/src — no blanks, comments or #[cfg(test)] modules — and campaign flags"
-awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && !/^[[:space:]]*(\/\/|$)/{n[FILENAME]++; all++} END{for(f in n) if(f~/\/(harness|ctalog|ffwd|captures|codec|recorder|gpu|lifetime|probe|fault|replay|campaign|plan|records|adaptive|twolevel|coordinator|worker|driver|paper|figures|exec|decode|op|mem|functional|timed|cache|snapshot)\.rs$/) print n[f], f; print all, "total"}' $(find crates/*/src -name '*.rs') | sort -k2
+awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && !/^[[:space:]]*(\/\/|$)/{n[FILENAME]++; all++; if(FILENAME~/^crates\/vgpu-sim\/src\//) sim++} END{for(f in n) if(f~/\/(harness|ctalog|ffwd|captures|codec|recorder|gpu|lifetime|probe|fault|replay|campaign|plan|records|adaptive|twolevel|coordinator|worker|driver|paper|figures|exec|decode|op|mem|functional|timed|cache|snapshot|stats)\.rs$/) print n[f], f; print sim, "crates/vgpu-sim/src"; print all, "total"}' $(find crates/*/src -name '*.rs') | sort -k2
 # And the campaign's flag table: one `flag(...)` row per command-line flag.
 awk '/^pub const FLAGS/{t=1} t && /^\];/{t=0} t && /^[[:space:]]*flag\(/{n++} END{print n, "flags in crates/bench/src/cli.rs"}' crates/bench/src/cli.rs
 

@@ -77,11 +77,11 @@ proptest! {
         l1.invalidate_all();
         let idx = l2.probe(word * 4 / 128).expect("line resident in L2");
         let byte_index = idx as u64 * 128 + (word as u64 * 4 % 128) + (bit as u64 / 8);
-        l2.flip_bit(byte_index, bit % 8);
+        l2.flip_mask(byte_index, 1 << (bit % 8));
         let r = load_word(&mut l1, &mut l2, &mut mem, word * 4, 10_000);
         prop_assert_eq!(r, 0x5A5A_5A5Au32 ^ (1 << ((bit / 8) * 8 + bit % 8)));
         // Flip back and reload (L1 holds the faulty copy; invalidate again).
-        l2.flip_bit(byte_index, bit % 8);
+        l2.flip_mask(byte_index, 1 << (bit % 8));
         l1.invalidate_all();
         let r = load_word(&mut l1, &mut l2, &mut mem, word * 4, 20_000);
         prop_assert_eq!(r, 0x5A5A_5A5A);
