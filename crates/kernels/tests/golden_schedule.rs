@@ -11,7 +11,8 @@ use kernels::{all_benchmarks, golden_run, Benchmark, GoldenRun, Variant};
 use vgpu_sim::stats::{CacheStats, Stats};
 use vgpu_sim::GpuConfig;
 
-/// FNV-1a over every launch's statistics, then the total cost.
+/// FNV-1a over every launch's statistics, then the total cost. Checks on
+/// the way that each launch's issue and stall cycles add up to its cycles.
 fn fold(run: &GoldenRun) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut eat = |v: u64| h = (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
@@ -38,6 +39,11 @@ fn fold(run: &GoldenRun) -> u64 {
             resident_warp_cycles,
             max_warp_cycles,
         } = r.stats;
+        assert_eq!(
+            issue_cycles + stall_cycles,
+            cycles,
+            "every cycle of a launch issues or stalls"
+        );
         for v in [
             cycles,
             issue_cycles,

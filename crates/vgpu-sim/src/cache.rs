@@ -22,7 +22,7 @@ use crate::fault::{cache_word, HwStructure};
 use crate::mem::{DirtyMap, GlobalMem};
 use crate::probe::Probe;
 use crate::snapshot::{Capture, Walk};
-use crate::stats::CacheStats;
+use crate::stats::{CacheStats, Stats};
 use vgpu_arch::WARP_SIZE;
 
 /// One cache instance.
@@ -38,10 +38,6 @@ pub struct Cache {
     /// Outstanding fills: `(line_addr, ready_cycle)`.
     mshr: Vec<(u32, u64)>,
     stamp: u64,
-    /// The current launch's counts: a timed launch zeroes them at its
-    /// first cycle, and a snapshot keeps and restores them with the rest
-    /// of the cache.
-    pub stats: CacheStats,
     /// Lines whose data or per-line state (tag, valid, dirty, LRU age)
     /// changed since the last snapshot synchronisation, as granules of the
     /// data array: one map covers all five arrays.
@@ -54,7 +50,6 @@ pub struct Cache {
 pub(crate) struct CacheScalars {
     mshr: Vec<(u32, u64)>,
     stamp: u64,
-    pub(crate) stats: CacheStats,
     /// [`Cache::no_live_lines`] of the captured cache.
     pub(crate) no_live_lines: bool,
 }
@@ -79,7 +74,6 @@ impl Cache {
             stamp: 0,
             touched: DirtyMap::new(geom.bytes as usize),
             geom,
-            stats: CacheStats::default(),
         }
     }
 
@@ -285,7 +279,8 @@ impl Cache {
     }
 
     /// Return the cache to its just-constructed state (scratch reuse):
-    /// every line invalid, zeroed arrays, empty MSHRs, zero stats.
+    /// every line invalid, zeroed arrays, empty MSHRs. A cache keeps no
+    /// counters: an access counts into the [`Stats`] it is given.
     pub fn reset(&mut self) {
         self.data.fill(0);
         self.tags.fill(0);
@@ -294,7 +289,6 @@ impl Cache {
         self.lru.fill(0);
         self.mshr.clear();
         self.stamp = 0;
-        self.stats = CacheStats::default();
         self.touched.mark_range(0, self.geom.bytes);
     }
 
@@ -312,13 +306,12 @@ impl Cache {
         CacheScalars {
             mshr: self.mshr.clone(),
             stamp: self.stamp,
-            stats: self.stats,
             no_live_lines: self.no_live_lines(),
         }
     }
 
-    /// Bring the cache to the snapshot `w` walks — bit for bit, statistics
-    /// and dead lines included — and mark it clean.
+    /// Bring the cache to the snapshot `w` walks — bit for bit, dead lines
+    /// included — and mark it clean.
     pub(crate) fn restore(&mut self, w: &mut Walk<'_>, s: &CacheScalars) {
         let lb = self.geom.line_bytes;
         w.restore(&mut self.data, &self.touched, 1);
@@ -328,7 +321,6 @@ impl Cache {
         w.restore(&mut self.lru, &self.touched, lb);
         self.mshr.clone_from(&s.mshr);
         self.stamp = s.stamp;
-        self.stats = s.stats;
         self.touched.clear();
     }
 
@@ -337,12 +329,12 @@ impl Cache {
     /// outstanding-fill list, the valid bitmap, and — for valid lines
     /// only — tag, dirtiness, LRU age and data bytes. Invalid lines' stale
     /// contents are dead state (a fill overwrites them before any read),
-    /// and `stats` are reporting counters, so both are excluded unless
-    /// `exact` asks for bit-for-bit identity. Used by the
+    /// so they are excluded unless `exact` asks for bit-for-bit identity.
+    /// Used by the
     /// masked-convergence check; a `false` from residual dead-state
     /// differences only costs a missed early exit, never correctness.
     pub(crate) fn same(&self, w: &mut Walk<'_>, s: &CacheScalars, exact: bool) -> bool {
-        if self.stamp != s.stamp || self.mshr != s.mshr || (exact && self.stats != s.stats) {
+        if self.stamp != s.stamp || self.mshr != s.mshr {
             return false;
         }
         let lb = self.geom.line_bytes;
@@ -381,50 +373,78 @@ impl Cache {
     }
 }
 
-/// The probe of an access through an L1, and the L1 instance it goes
-/// through: L1-side and L2-side events each name the right instance.
-pub struct L1Probe<'a> {
-    pub(crate) probe: &'a mut Probe,
-    /// Which L1 structure the access goes through (L1D or L1T).
-    pub(crate) l1: HwStructure,
-    /// SM index owning the L1 instance.
+/// What every access through the hierarchy shares: the L2 behind the
+/// L1s, device memory, the cycle, the latencies, the counters the access
+/// counts into, and the probe of an instrumented run.
+pub struct AccessCtx<'a> {
+    pub(crate) l2: &'a mut Cache,
+    pub(crate) mem: &'a mut GlobalMem,
+    pub(crate) now: u64,
+    pub(crate) lat: &'a Latencies,
+    /// The launch's counters: L1D accesses count into `l1d`, L1T accesses
+    /// into `l1t`, L2 accesses into `l2`, DRAM traffic into `mem_reads`
+    /// and `mem_writes`.
+    pub(crate) stats: &'a mut Stats,
+    pub(crate) probe: Option<&'a mut Probe>,
+    /// SM index owning the L1 instance the access goes through.
     pub(crate) sm: usize,
 }
 
-/// Fetch a full line into `l2` (if absent) and return `(way, ready)`.
-#[allow(clippy::too_many_arguments)]
-fn ensure_l2(
-    l2: &mut Cache,
-    mem: &mut GlobalMem,
-    line_addr: u32,
-    now: u64,
-    lat: &Latencies,
-    mem_reads: &mut u64,
-    mem_writes: &mut u64,
-    probe: Option<&mut Probe>,
-) -> (usize, u64) {
-    l2.stats.accesses += 1;
+impl<'a> AccessCtx<'a> {
+    /// The context of an unprobed access at cycle `now`.
+    pub fn new(
+        l2: &'a mut Cache,
+        mem: &'a mut GlobalMem,
+        now: u64,
+        lat: &'a Latencies,
+        stats: &'a mut Stats,
+    ) -> Self {
+        AccessCtx {
+            l2,
+            mem,
+            now,
+            lat,
+            stats,
+            probe: None,
+            sm: 0,
+        }
+    }
+
+    /// The counters of L1 structure `h`: the L1T's or the L1D's.
+    fn l1_stats(&mut self, h: HwStructure) -> &mut CacheStats {
+        if h == HwStructure::L1T {
+            &mut self.stats.l1t
+        } else {
+            &mut self.stats.l1d
+        }
+    }
+}
+
+/// Fetch a full line into the L2 (if absent) and return `(way, ready)`.
+fn ensure_l2(line_addr: u32, cx: &mut AccessCtx<'_>) -> (usize, u64) {
+    let (l2, now, lat) = (&mut *cx.l2, cx.now, cx.lat);
+    cx.stats.l2.accesses += 1;
     if let Some(idx) = l2.lookup(line_addr) {
         let ready = match l2.mshr_ready(line_addr, now) {
             Some(r) => {
-                l2.stats.pending_hits += 1;
+                cx.stats.l2.pending_hits += 1;
                 r
             }
             None => now + lat.l2_hit as u64,
         };
         return (idx, ready);
     }
-    l2.stats.misses += 1;
+    cx.stats.l2.misses += 1;
     let victim = l2.victim(line_addr);
     let victim_dirty = l2.line_dirty(victim);
     if victim_dirty {
         let wb_addr = l2.line_addr_of(victim) * l2.geom.line_bytes;
-        mem.write_line(wb_addr, l2.line_data(victim));
-        *mem_writes += 1;
+        cx.mem.write_line(wb_addr, l2.line_data(victim));
+        cx.stats.mem_writes += 1;
     }
     let lb = l2.geom.line_bytes;
-    l2.fill(victim, line_addr, mem.line(line_addr * lb, lb));
-    if let Some(p) = probe {
+    l2.fill(victim, line_addr, cx.mem.line(line_addr * lb, lb));
+    if let Some(p) = cx.probe.as_deref_mut() {
         // A dirty write-back propagates the victim's data outward: a
         // whole-line read. The fill overwrites the line either way.
         let line = l2.word(victim, 0);
@@ -433,129 +453,102 @@ fn ensure_l2(
         }
         p.range(HwStructure::L2, 0, line, lb / 4, now, true);
     }
-    *mem_reads += 1;
+    cx.stats.mem_reads += 1;
     let mut ready = now + lat.dram as u64;
     if !l2.mshr_alloc(line_addr, ready, now) {
-        l2.stats.reservation_fails += 1;
+        cx.stats.l2.reservation_fails += 1;
         ready += lat.mshr_fail as u64;
     }
     (victim, ready)
 }
 
-/// One access through an L1 (data or texture) backed by the shared L2 to
-/// line `line_addr`, reading its word at byte `off`: the way that holds
-/// the line afterwards, and the cycle its data is ready.
-#[allow(clippy::too_many_arguments)]
+/// One access through `l1`, the L1 structure `h` (L1D or L1T) backed by
+/// the shared L2, to line `line_addr`, reading its word at byte `off`: the
+/// way that holds the line afterwards, and the cycle its data is ready.
 fn load_via(
     l1: &mut Cache,
-    l2: &mut Cache,
-    mem: &mut GlobalMem,
+    h: HwStructure,
     line_addr: u32,
     off: u32,
-    now: u64,
-    lat: &Latencies,
-    mem_reads: &mut u64,
-    mem_writes: &mut u64,
-    mut probe: Option<&mut L1Probe<'_>>,
+    cx: &mut AccessCtx<'_>,
 ) -> (usize, u64) {
-    let lb = l1.geom.line_bytes;
-    debug_assert_eq!(lb, l2.geom.line_bytes, "uniform line size across levels");
-    l1.stats.accesses += 1;
+    let (lb, now, lat) = (l1.geom.line_bytes, cx.now, cx.lat);
+    debug_assert_eq!(lb, cx.l2.geom.line_bytes, "uniform line size across levels");
+    cx.l1_stats(h).accesses += 1;
     if let Some(idx) = l1.lookup(line_addr) {
         let ready = match l1.mshr_ready(line_addr, now) {
             Some(r) => {
-                l1.stats.pending_hits += 1;
+                cx.l1_stats(h).pending_hits += 1;
                 r
             }
             None => now + lat.l1_hit as u64,
         };
-        if let Some(p) = probe {
-            p.probe.access(p.l1, p.sm, l1.word(idx, off), now, false);
+        if let Some(p) = cx.probe.as_deref_mut() {
+            p.access(h, cx.sm, l1.word(idx, off), now, false);
         }
         return (idx, ready);
     }
-    l1.stats.misses += 1;
-    let (l2_idx, l2_ready) = ensure_l2(
-        l2,
-        mem,
-        line_addr,
-        now,
-        lat,
-        mem_reads,
-        mem_writes,
-        probe.as_mut().map(|p| &mut *p.probe),
-    );
+    cx.l1_stats(h).misses += 1;
+    let (l2_idx, l2_ready) = ensure_l2(line_addr, cx);
     let victim = l1.victim(line_addr);
     // L1 is write-through: the victim is clean by construction and is
     // silently dropped — a fault previously injected into it is masked here.
-    l1.fill(victim, line_addr, l2.line_data(l2_idx));
-    if let Some(L1Probe { probe, l1: h, sm }) = probe {
+    l1.fill(victim, line_addr, cx.l2.line_data(l2_idx));
+    if let Some(p) = cx.probe.as_deref_mut() {
         // The whole L2 line is read to service the L1 fill (conservative),
         // every word of the L1 victim is overwritten, and the requested
         // word is read immediately.
-        let (h, sm) = (*h, *sm);
-        probe.range(HwStructure::L2, 0, l2.word(l2_idx, 0), lb / 4, now, false);
-        probe.range(h, sm, l1.word(victim, 0), lb / 4, now, true);
-        probe.access(h, sm, l1.word(victim, off), now, false);
+        p.range(
+            HwStructure::L2,
+            0,
+            cx.l2.word(l2_idx, 0),
+            lb / 4,
+            now,
+            false,
+        );
+        p.range(h, cx.sm, l1.word(victim, 0), lb / 4, now, true);
+        p.access(h, cx.sm, l1.word(victim, off), now, false);
     }
     let mut ready = l2_ready + (lat.l1_hit as u64);
     if !l1.mshr_alloc(line_addr, ready, now) {
-        l1.stats.reservation_fails += 1;
+        cx.l1_stats(h).reservation_fails += 1;
         ready += lat.mshr_fail as u64;
     }
     (victim, ready)
 }
 
 /// Load the lanes of `mask` of one warp instruction (`addrs[lane]` into
-/// `out[lane]`) through an L1 (data or texture) backed by the shared L2.
-/// The first lane on a line makes one access; later lanes on it read the
-/// way that access resolved to, without touching LRU, unless a fill for
-/// another lane's line has since replaced it — then the line is accessed
-/// again. Returns the cycle the warp may proceed. The addresses must
-/// already be validated.
-#[allow(clippy::too_many_arguments)]
+/// `out[lane]`) through `l1`, the L1 structure `h` (L1D or L1T) backed by
+/// the shared L2. The first lane on a line makes one access; later lanes
+/// on it read the way that access resolved to, without touching LRU,
+/// unless a fill for another lane's line has since replaced it — then the
+/// line is accessed again. Returns the cycle the warp may proceed. The
+/// addresses must already be validated.
 pub fn load_warp(
     l1: &mut Cache,
-    l2: &mut Cache,
-    mem: &mut GlobalMem,
+    h: HwStructure,
     mask: u32,
     addrs: &[u32; WARP_SIZE],
     out: &mut [u32; WARP_SIZE],
-    now: u64,
-    lat: &Latencies,
-    mem_reads: &mut u64,
-    mem_writes: &mut u64,
-    mut probe: Option<L1Probe<'_>>,
+    cx: &mut AccessCtx<'_>,
 ) -> u64 {
     let lb = l1.geom.line_bytes;
     // (line, way) of each distinct line so far.
     let mut lines = [(0u32, 0usize); WARP_SIZE];
     let mut n = 0usize;
-    let mut ready_max = now;
+    let mut ready_max = cx.now;
     for lane in lanes_of(mask) {
         let (line, off) = (addrs[lane] / lb, addrs[lane] % lb);
         let known = lines[..n].iter().position(|&(l, _)| l == line);
         let way = match known {
             Some(i) if l1.holds(lines[i].1, line) => {
-                if let Some(p) = probe.as_mut() {
-                    p.probe
-                        .access(p.l1, p.sm, l1.word(lines[i].1, off), now, false);
+                if let Some(p) = cx.probe.as_deref_mut() {
+                    p.access(h, cx.sm, l1.word(lines[i].1, off), cx.now, false);
                 }
                 lines[i].1
             }
             _ => {
-                let (way, ready) = load_via(
-                    l1,
-                    l2,
-                    mem,
-                    line,
-                    off,
-                    now,
-                    lat,
-                    mem_reads,
-                    mem_writes,
-                    probe.as_mut(),
-                );
+                let (way, ready) = load_via(l1, h, line, off, cx);
                 ready_max = ready_max.max(ready);
                 let i = known.unwrap_or_else(|| {
                     n += 1;
@@ -579,21 +572,14 @@ pub fn load_warp(
 /// way holds until a later line's L2 fill replaces it, and the line is
 /// then fetched again. Returns the cycle the warp may proceed. The
 /// addresses must already be validated.
-#[allow(clippy::too_many_arguments)]
 pub fn store_warp(
     l1d: &mut Cache,
-    l2: &mut Cache,
-    mem: &mut GlobalMem,
     mask: u32,
     addrs: &[u32; WARP_SIZE],
     vals: &[u32; WARP_SIZE],
-    now: u64,
-    lat: &Latencies,
-    mem_reads: &mut u64,
-    mem_writes: &mut u64,
-    mut probe: Option<L1Probe<'_>>,
+    cx: &mut AccessCtx<'_>,
 ) -> u64 {
-    let lb = l1d.geom.line_bytes;
+    let (lb, now) = (l1d.geom.line_bytes, cx.now);
     // (line, L1D way, L2 way) of each distinct line so far.
     let mut lines = [(0u32, None, 0usize); WARP_SIZE];
     let mut n = 0usize;
@@ -603,21 +589,12 @@ pub fn store_warp(
             Some(i) => i,
             None => {
                 // One coalesced access per line for the statistics.
-                l1d.stats.accesses += 1;
+                cx.stats.l1d.accesses += 1;
                 let i1 = l1d.probe(line);
                 if i1.is_none() {
-                    l1d.stats.misses += 1; // write-through, no allocate
+                    cx.stats.l1d.misses += 1; // write-through, no allocate
                 }
-                let (i2, _) = ensure_l2(
-                    l2,
-                    mem,
-                    line,
-                    now,
-                    lat,
-                    mem_reads,
-                    mem_writes,
-                    probe.as_mut().map(|p| &mut *p.probe),
-                );
+                let (i2, _) = ensure_l2(line, cx);
                 lines[n] = (line, i1, i2);
                 n += 1;
                 n - 1
@@ -627,36 +604,27 @@ pub fn store_warp(
             // Update in place; the line stays clean (write-through).
             l1d.use_way(i1);
             l1d.write_word(i1, off, vals[lane], false);
-            if let Some(p) = probe.as_mut() {
-                p.probe.access(p.l1, p.sm, l1d.word(i1, off), now, true);
+            if let Some(p) = cx.probe.as_deref_mut() {
+                p.access(HwStructure::L1D, cx.sm, l1d.word(i1, off), now, true);
             }
         }
-        if !l2.holds(lines[i].2, line) {
-            lines[i].2 = ensure_l2(
-                l2,
-                mem,
-                line,
-                now,
-                lat,
-                mem_reads,
-                mem_writes,
-                probe.as_mut().map(|p| &mut *p.probe),
-            )
-            .0;
+        if !cx.l2.holds(lines[i].2, line) {
+            lines[i].2 = ensure_l2(line, cx).0;
         }
         let i2 = lines[i].2;
-        l2.write_word(i2, off, vals[lane], true);
-        if let Some(p) = probe.as_mut() {
-            p.probe
-                .access(HwStructure::L2, 0, l2.word(i2, off), now, true);
+        cx.l2.write_word(i2, off, vals[lane], true);
+        if let Some(p) = cx.probe.as_deref_mut() {
+            p.access(HwStructure::L2, 0, cx.l2.word(i2, off), now, true);
         }
     }
-    now + lat.store as u64
+    now + cx.lat.store as u64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::{ProbeEvent, TraceSink};
+    use std::sync::{Arc, Mutex};
 
     fn small_geom() -> CacheGeom {
         CacheGeom {
@@ -667,19 +635,17 @@ mod tests {
         }
     }
 
-    fn lat() -> Latencies {
-        Latencies {
-            alu: 4,
-            sfu: 16,
-            smem: 24,
-            smem_conflict: 2,
-            l1_hit: 30,
-            l2_hit: 100,
-            dram: 400,
-            store: 8,
-            mshr_fail: 64,
-        }
-    }
+    const LAT: Latencies = Latencies {
+        alu: 4,
+        sfu: 16,
+        smem: 24,
+        smem_conflict: 2,
+        l1_hit: 30,
+        l2_hit: 100,
+        dram: 400,
+        store: 8,
+        mshr_fail: 64,
+    };
 
     fn mem_with(addr: u32, v: u32) -> GlobalMem {
         let mut m = GlobalMem::new(64 * 1024);
@@ -688,60 +654,41 @@ mod tests {
         m
     }
 
-    /// A one-lane [`load_warp`] of `addr`: the value and the ready cycle.
+    /// A one-lane [`load_warp`] of `addr` through the L1D `l1`: the value
+    /// and the ready cycle.
     fn load_word(
         l1: &mut Cache,
         l2: &mut Cache,
         mem: &mut GlobalMem,
+        stats: &mut Stats,
         addr: u32,
         now: u64,
-        mem_reads: &mut u64,
-        mem_writes: &mut u64,
     ) -> (u32, u64) {
         let (mut addrs, mut out) = ([0; WARP_SIZE], [0; WARP_SIZE]);
         addrs[0] = addr;
-        let ready = load_warp(
-            l1,
-            l2,
-            mem,
-            1,
-            &addrs,
-            &mut out,
-            now,
-            &lat(),
-            mem_reads,
-            mem_writes,
-            None,
-        );
+        let mut cx = AccessCtx::new(l2, mem, now, &LAT, stats);
+        let ready = load_warp(l1, HwStructure::L1D, 1, &addrs, &mut out, &mut cx);
         (out[0], ready)
     }
 
     /// A one-lane [`store_warp`] of `value` to `addr`.
-    #[allow(clippy::too_many_arguments)]
     fn store_word(
         l1d: &mut Cache,
         l2: &mut Cache,
         mem: &mut GlobalMem,
+        stats: &mut Stats,
         addr: u32,
         value: u32,
         now: u64,
-        mem_reads: &mut u64,
-        mem_writes: &mut u64,
     ) -> u64 {
         let (mut addrs, mut vals) = ([0; WARP_SIZE], [0; WARP_SIZE]);
         (addrs[0], vals[0]) = (addr, value);
         store_warp(
             l1d,
-            l2,
-            mem,
             1,
             &addrs,
             &vals,
-            now,
-            &lat(),
-            mem_reads,
-            mem_writes,
-            None,
+            &mut AccessCtx::new(l2, mem, now, &LAT, stats),
         )
     }
 
@@ -774,79 +721,133 @@ mod tests {
     #[test]
     fn load_miss_then_hit() {
         let mut l1 = Cache::new(small_geom());
-        let mut l2 = Cache::new(CacheGeom {
-            bytes: 4096,
-            line_bytes: 128,
-            ways: 4,
-            mshrs: 4,
-        });
+        let mut l2 = Cache::new(geom(4096, 4, 4));
         let mut mem = mem_with(256, 0xabcd);
-        let (mut mr, mut mw) = (0, 0);
-        let r = load_word(&mut l1, &mut l2, &mut mem, 256, 0, &mut mr, &mut mw);
+        let mut s = Stats::default();
+        let r = load_word(&mut l1, &mut l2, &mut mem, &mut s, 256, 0);
         assert_eq!(r.0, 0xabcd);
         assert!(r.1 >= 400, "miss pays DRAM latency");
-        assert_eq!(l1.stats.misses, 1);
-        assert_eq!(l2.stats.misses, 1);
-        assert_eq!(mr, 1);
+        assert_eq!(s.l1d.misses, 1);
+        assert_eq!(s.l2.misses, 1);
+        assert_eq!(s.mem_reads, 1);
 
         // Second access after the fill completes: plain L1 hit.
-        let r2 = load_word(&mut l1, &mut l2, &mut mem, 260, 10_000, &mut mr, &mut mw);
+        let r2 = load_word(&mut l1, &mut l2, &mut mem, &mut s, 260, 10_000);
         assert_eq!(r2.0, 0);
         assert_eq!(r2.1, 10_000 + 30);
-        assert_eq!(l1.stats.misses, 1);
-        assert_eq!(l1.stats.accesses, 2);
-        assert_eq!(mr, 1, "no extra DRAM traffic");
+        assert_eq!(s.l1d.misses, 1);
+        assert_eq!(s.l1d.accesses, 2);
+        assert_eq!(s.mem_reads, 1, "no extra DRAM traffic");
     }
 
     #[test]
     fn pending_hit_waits_for_fill() {
         let mut l1 = Cache::new(small_geom());
-        let mut l2 = Cache::new(CacheGeom {
-            bytes: 4096,
-            line_bytes: 128,
-            ways: 4,
-            mshrs: 4,
-        });
+        let mut l2 = Cache::new(geom(4096, 4, 4));
         let mut mem = mem_with(0, 5);
-        let (mut mr, mut mw) = (0, 0);
-        let r = load_word(&mut l1, &mut l2, &mut mem, 0, 0, &mut mr, &mut mw);
+        let mut s = Stats::default();
+        let r = load_word(&mut l1, &mut l2, &mut mem, &mut s, 0, 0);
         // Another warp reads the same line 10 cycles later, before ready.
-        let r2 = load_word(&mut l1, &mut l2, &mut mem, 4, 10, &mut mr, &mut mw);
-        assert_eq!(l1.stats.pending_hits, 1);
+        let r2 = load_word(&mut l1, &mut l2, &mut mem, &mut s, 4, 10);
+        assert_eq!(s.l1d.pending_hits, 1);
         assert_eq!(r2.1, r.1, "pending hit completes with the fill");
     }
 
     #[test]
     fn mshr_exhaustion_counts_reservation_fail() {
         let mut l1 = Cache::new(small_geom()); // 2 MSHRs
-        let mut l2 = Cache::new(CacheGeom {
-            bytes: 8192,
-            line_bytes: 128,
-            ways: 4,
-            mshrs: 16,
-        });
+        let mut l2 = Cache::new(geom(8192, 4, 16));
         let mut mem = mem_with(0, 1);
-        let (mut mr, mut mw) = (0, 0);
+        let mut s = Stats::default();
         for i in 0..3u32 {
-            load_word(&mut l1, &mut l2, &mut mem, i * 128, 0, &mut mr, &mut mw);
+            load_word(&mut l1, &mut l2, &mut mem, &mut s, i * 128, 0);
         }
-        assert_eq!(l1.stats.reservation_fails, 1);
+        assert_eq!(s.l1d.reservation_fails, 1);
+    }
+
+    #[test]
+    fn each_access_counts_into_the_fields_of_its_structures() {
+        // A one-line L2: each access below misses it and evicts a line a
+        // store dirtied, so each counts one L2 miss, one DRAM read (the
+        // fill) and one DRAM write (the write-back).
+        let (mut l1d, mut l1t) = (Cache::new(small_geom()), Cache::new(small_geom()));
+        let mut l2 = Cache::new(geom(128, 1, 4));
+        let mut mem = mem_with(0, 0);
+        let miss = CacheStats {
+            accesses: 1,
+            misses: 1,
+            ..Default::default()
+        };
+        let l2_traffic = Stats {
+            l2: miss,
+            mem_reads: 1,
+            mem_writes: 1,
+            ..Default::default()
+        };
+        store_word(&mut l1d, &mut l2, &mut mem, &mut Stats::default(), 0, 1, 0);
+
+        let mut s = Stats::default();
+        store_word(&mut l1d, &mut l2, &mut mem, &mut s, 128, 2, 1000);
+        assert_eq!(
+            s,
+            Stats {
+                l1d: miss,
+                ..l2_traffic
+            },
+            "store"
+        );
+
+        let mut s = Stats::default();
+        let mut addrs = [0; WARP_SIZE];
+        addrs[0] = 2 * 128;
+        let mut cx = AccessCtx::new(&mut l2, &mut mem, 2000, &LAT, &mut s);
+        load_warp(
+            &mut l1t,
+            HwStructure::L1T,
+            1,
+            &addrs,
+            &mut [0; WARP_SIZE],
+            &mut cx,
+        );
+        assert_eq!(
+            s,
+            Stats {
+                l1t: miss,
+                ..l2_traffic
+            },
+            "texture load"
+        );
+
+        store_word(
+            &mut l1d,
+            &mut l2,
+            &mut mem,
+            &mut Stats::default(),
+            3 * 128,
+            3,
+            3000,
+        );
+        let mut s = Stats::default();
+        load_word(&mut l1d, &mut l2, &mut mem, &mut s, 4 * 128, 4000);
+        assert_eq!(
+            s,
+            Stats {
+                l1d: miss,
+                ..l2_traffic
+            },
+            "data load"
+        );
     }
 
     #[test]
     fn store_write_through_keeps_l1_clean_and_dirties_l2() {
         let mut l1 = Cache::new(small_geom());
-        let mut l2 = Cache::new(CacheGeom {
-            bytes: 4096,
-            line_bytes: 128,
-            ways: 4,
-            mshrs: 4,
-        });
+        let mut l2 = Cache::new(geom(4096, 4, 4));
         let mut mem = mem_with(0, 0);
-        let (mut mr, mut mw) = (0, 0);
+        let mut s = Stats::default();
         // Load first so the line is in both levels.
-        load_word(&mut l1, &mut l2, &mut mem, 0, 0, &mut mr, &mut mw);
-        store_word(&mut l1, &mut l2, &mut mem, 0, 42, 1000, &mut mr, &mut mw);
+        load_word(&mut l1, &mut l2, &mut mem, &mut s, 0, 0);
+        store_word(&mut l1, &mut l2, &mut mem, &mut s, 0, 42, 1000);
         let i1 = l1.probe(0).unwrap();
         assert!(!l1.line_dirty(i1), "write-through L1 stays clean");
         assert_eq!(l1.read_word(i1, 0), 42, "L1 copy updated");
@@ -859,34 +860,23 @@ mod tests {
     #[test]
     fn store_miss_does_not_allocate_in_l1() {
         let mut l1 = Cache::new(small_geom());
-        let mut l2 = Cache::new(CacheGeom {
-            bytes: 4096,
-            line_bytes: 128,
-            ways: 4,
-            mshrs: 4,
-        });
+        let mut l2 = Cache::new(geom(4096, 4, 4));
         let mut mem = mem_with(0, 0);
-        let (mut mr, mut mw) = (0, 0);
+        let mut s = Stats::default();
         // A whole warp storing one 128-byte line: one coalesced access.
         let addrs = std::array::from_fn(|lane| lane as u32 * 4);
         let vals = std::array::from_fn(|lane| 9 + lane as u32);
         let ready = store_warp(
             &mut l1,
-            &mut l2,
-            &mut mem,
             u32::MAX,
             &addrs,
             &vals,
-            0,
-            &lat(),
-            &mut mr,
-            &mut mw,
-            None,
+            &mut AccessCtx::new(&mut l2, &mut mem, 0, &LAT, &mut s),
         );
         assert_eq!(ready, 8, "a store costs the store latency");
         assert_eq!(l1.probe(0), None, "no write-allocate in L1");
-        assert_eq!((l1.stats.accesses, l1.stats.misses), (1, 1));
-        assert_eq!((l2.stats.accesses, l2.stats.misses), (1, 1));
+        assert_eq!((s.l1d.accesses, s.l1d.misses), (1, 1));
+        assert_eq!((s.l2.accesses, s.l2.misses), (1, 1));
         let i2 = l2.probe(0).expect("write-allocate in L2");
         for lane in [0, 17, 31] {
             assert_eq!(l2.read_word(i2, lane * 4), 9 + lane);
@@ -899,25 +889,20 @@ mod tests {
         // L1 line, evict it by loading conflicting lines, reload — the
         // fault is gone.
         let mut l1 = Cache::new(small_geom()); // 4 sets, 2 ways
-        let mut l2 = Cache::new(CacheGeom {
-            bytes: 16384,
-            line_bytes: 128,
-            ways: 8,
-            mshrs: 16,
-        });
+        let mut l2 = Cache::new(geom(16384, 8, 16));
         let mut mem = mem_with(0, 0x1111);
-        let (mut mr, mut mw) = (0, 0);
-        load_word(&mut l1, &mut l2, &mut mem, 0, 0, &mut mr, &mut mw);
+        let mut s = Stats::default();
+        load_word(&mut l1, &mut l2, &mut mem, &mut s, 0, 0);
         let idx = l1.probe(0).unwrap();
         let byte_index = idx as u64 * 128;
         l1.flip_mask(byte_index, 1 << 1); // value becomes 0x1113
-        let r = load_word(&mut l1, &mut l2, &mut mem, 0, 1000, &mut mr, &mut mw);
+        let r = load_word(&mut l1, &mut l2, &mut mem, &mut s, 0, 1000);
         assert_eq!(r.0, 0x1113, "fault visible while resident");
         // Evict set 0 by loading two other lines mapping to it (lines 4, 8).
-        load_word(&mut l1, &mut l2, &mut mem, 4 * 128, 2000, &mut mr, &mut mw);
-        load_word(&mut l1, &mut l2, &mut mem, 8 * 128, 3000, &mut mr, &mut mw);
+        load_word(&mut l1, &mut l2, &mut mem, &mut s, 4 * 128, 2000);
+        load_word(&mut l1, &mut l2, &mut mem, &mut s, 8 * 128, 3000);
         assert_eq!(l1.probe(0), None, "faulty line evicted");
-        let r = load_word(&mut l1, &mut l2, &mut mem, 0, 9000, &mut mr, &mut mw);
+        let r = load_word(&mut l1, &mut l2, &mut mem, &mut s, 0, 9000);
         assert_eq!(r.0, 0x1111, "clean eviction masked the fault");
     }
 
@@ -925,29 +910,23 @@ mod tests {
     fn dirty_l2_eviction_propagates_fault_to_dram() {
         // Converse scenario: a fault in a *dirty* L2 line is written back
         // and corrupts memory even though no instruction ever reads it.
-        let geom = CacheGeom {
-            bytes: 512,
-            line_bytes: 128,
-            ways: 2,
-            mshrs: 4,
-        }; // 2 sets
         let mut l1 = Cache::new(small_geom());
-        let mut l2 = Cache::new(geom);
+        let mut l2 = Cache::new(geom(512, 2, 4)); // 2 sets
         let mut mem = mem_with(0, 0);
-        let (mut mr, mut mw) = (0, 0);
-        store_word(&mut l1, &mut l2, &mut mem, 0, 0x10, 0, &mut mr, &mut mw);
+        let mut s = Stats::default();
+        store_word(&mut l1, &mut l2, &mut mem, &mut s, 0, 0x10, 0);
         let idx = l2.probe(0).unwrap();
         // 0x10 -> 0x11
         l2.flip_mask(idx as u64 * 128, 1);
         // Evict line 0 from L2: load lines 2 and 4 (set 0 of 2 sets).
-        load_word(&mut l1, &mut l2, &mut mem, 2 * 128, 100, &mut mr, &mut mw);
-        load_word(&mut l1, &mut l2, &mut mem, 4 * 128, 200, &mut mr, &mut mw);
+        load_word(&mut l1, &mut l2, &mut mem, &mut s, 2 * 128, 100);
+        load_word(&mut l1, &mut l2, &mut mem, &mut s, 4 * 128, 200);
         assert_eq!(
             mem.read_u32(0),
             0x11,
             "dirty write-back carried the flipped bit"
         );
-        assert!(mw >= 1);
+        assert!(s.mem_writes >= 1);
     }
 
     #[test]
@@ -970,31 +949,25 @@ mod tests {
         assert!(!c.poke_word(128 * 5, 1));
     }
 
-    /// The per-lane loop [`load_warp`] replaced: a lane on a line an
-    /// earlier lane accessed probes the set again, and accesses the line
-    /// again if it is gone.
-    #[allow(clippy::too_many_arguments)]
+    /// The per-lane loop [`load_warp`] replaced, through the L1D: a lane on
+    /// a line an earlier lane accessed probes the set again, and accesses
+    /// the line again if it is gone.
     fn load_lanes(
         l1: &mut Cache,
-        l2: &mut Cache,
-        mem: &mut GlobalMem,
         mask: u32,
         addrs: &[u32; WARP_SIZE],
         out: &mut [u32; WARP_SIZE],
-        now: u64,
-        mem_reads: &mut u64,
-        mem_writes: &mut u64,
-        mut probe: Option<L1Probe<'_>>,
+        cx: &mut AccessCtx<'_>,
     ) -> u64 {
-        let lb = l1.geom.line_bytes;
+        let (lb, now) = (l1.geom.line_bytes, cx.now);
         let mut seen = Vec::new();
         let mut ready_max = now;
         for lane in lanes_of(mask) {
             let (line, off) = (addrs[lane] / lb, addrs[lane] % lb);
             if seen.contains(&line) {
                 if let Some(idx) = l1.probe(line) {
-                    if let Some(p) = probe.as_mut() {
-                        p.probe.access(p.l1, p.sm, l1.word(idx, off), now, false);
+                    if let Some(p) = cx.probe.as_deref_mut() {
+                        p.access(HwStructure::L1D, cx.sm, l1.word(idx, off), now, false);
                     }
                     out[lane] = l1.read_word(idx, off);
                     continue;
@@ -1002,18 +975,7 @@ mod tests {
             } else {
                 seen.push(line);
             }
-            let (way, ready) = load_via(
-                l1,
-                l2,
-                mem,
-                line,
-                off,
-                now,
-                &lat(),
-                mem_reads,
-                mem_writes,
-                probe.as_mut(),
-            );
+            let (way, ready) = load_via(l1, HwStructure::L1D, line, off, cx);
             out[lane] = l1.read_word(way, off);
             ready_max = ready_max.max(ready);
         }
@@ -1022,70 +984,58 @@ mod tests {
 
     /// The per-lane loop [`store_warp`] replaced: every lane looks its line
     /// up in the L1D and probes the L2 for it.
-    #[allow(clippy::too_many_arguments)]
     fn store_lanes(
         l1d: &mut Cache,
-        l2: &mut Cache,
-        mem: &mut GlobalMem,
         mask: u32,
         addrs: &[u32; WARP_SIZE],
         vals: &[u32; WARP_SIZE],
-        now: u64,
-        mem_reads: &mut u64,
-        mem_writes: &mut u64,
-        mut probe: Option<L1Probe<'_>>,
+        cx: &mut AccessCtx<'_>,
     ) -> u64 {
-        let lb = l1d.geom.line_bytes;
+        let (lb, now) = (l1d.geom.line_bytes, cx.now);
         let mut seen = Vec::new();
         for lane in lanes_of(mask) {
             let (line, off) = (addrs[lane] / lb, addrs[lane] % lb);
-            let mut l2_access = |l2: &mut Cache, probe: &mut Option<L1Probe<'_>>| {
-                let probe = probe.as_mut().map(|p| &mut *p.probe);
-                ensure_l2(l2, mem, line, now, &lat(), mem_reads, mem_writes, probe).0
-            };
             if !seen.contains(&line) {
-                l1d.stats.accesses += 1;
+                cx.stats.l1d.accesses += 1;
                 if l1d.probe(line).is_none() {
-                    l1d.stats.misses += 1;
+                    cx.stats.l1d.misses += 1;
                 }
-                l2_access(l2, &mut probe);
+                ensure_l2(line, cx);
                 seen.push(line);
             }
             if let Some(i1) = l1d.lookup(line) {
                 l1d.write_word(i1, off, vals[lane], false);
-                if let Some(p) = probe.as_mut() {
-                    p.probe.access(p.l1, p.sm, l1d.word(i1, off), now, true);
+                if let Some(p) = cx.probe.as_deref_mut() {
+                    p.access(HwStructure::L1D, cx.sm, l1d.word(i1, off), now, true);
                 }
             }
-            let i2 = match l2.probe(line) {
+            let i2 = match cx.l2.probe(line) {
                 Some(i) => i,
-                None => l2_access(l2, &mut probe),
+                None => ensure_l2(line, cx).0,
             };
-            l2.write_word(i2, off, vals[lane], true);
-            if let Some(p) = probe.as_mut() {
-                p.probe
-                    .access(HwStructure::L2, 0, l2.word(i2, off), now, true);
+            cx.l2.write_word(i2, off, vals[lane], true);
+            if let Some(p) = cx.probe.as_deref_mut() {
+                p.access(HwStructure::L2, 0, cx.l2.word(i2, off), now, true);
             }
         }
-        now + lat().store as u64
+        now + LAT.store as u64
     }
 
-    struct Collect(Vec<crate::probe::ProbeEvent>);
+    struct Collect(Vec<ProbeEvent>);
 
-    impl crate::probe::TraceSink for Collect {
-        fn consume(&mut self, batch: &[crate::probe::ProbeEvent]) {
+    impl TraceSink for Collect {
+        fn consume(&mut self, batch: &[ProbeEvent]) {
             self.0.extend_from_slice(batch);
         }
     }
 
     /// A two-level hierarchy over a patterned arena, warmed up by one-lane
-    /// loads of `warm`.
+    /// loads of `warm`, and the counters its accesses count into.
     struct Rig {
         l1: Cache,
         l2: Cache,
         mem: GlobalMem,
-        mem_reads: u64,
-        mem_writes: u64,
+        stats: Stats,
     }
 
     const ARENA: u32 = 64 * 1024;
@@ -1102,36 +1052,29 @@ mod tests {
                 l1,
                 l2,
                 mem,
-                mem_reads: 0,
-                mem_writes: 0,
+                stats: Stats::default(),
             };
             for (t, &addr) in (0..).zip(warm) {
-                let Rig {
-                    l1,
-                    l2,
-                    mem,
-                    mem_reads,
-                    mem_writes,
-                } = &mut rig;
-                load_word(l1, l2, mem, addr, t, mem_reads, mem_writes);
+                let Rig { l1, l2, mem, stats } = &mut rig;
+                load_word(l1, l2, mem, stats, addr, t);
             }
             rig
         }
 
-        /// Run `access` with a probe attached; what it returned and the
-        /// probe events, in order.
+        /// Run `access` on the L1 at cycle `now` with a probe attached;
+        /// what it returned and the probe events, in order.
         fn run<R>(
             &mut self,
-            access: impl FnOnce(&mut Rig, L1Probe<'_>) -> R,
-        ) -> (R, Vec<crate::probe::ProbeEvent>) {
-            let sink = std::sync::Arc::new(std::sync::Mutex::new(Collect(Vec::new())));
+            now: u64,
+            access: impl FnOnce(&mut Cache, &mut AccessCtx<'_>) -> R,
+        ) -> (R, Vec<ProbeEvent>) {
+            let sink = Arc::new(Mutex::new(Collect(Vec::new())));
             let mut probe = Probe::new(sink.clone());
-            let l1 = L1Probe {
-                probe: &mut probe,
-                l1: HwStructure::L1D,
-                sm: 0,
+            let mut cx = AccessCtx {
+                probe: Some(&mut probe),
+                ..AccessCtx::new(&mut self.l2, &mut self.mem, now, &LAT, &mut self.stats)
             };
-            let r = access(self, l1);
+            let r = access(&mut self.l1, &mut cx);
             drop(probe);
             let events = std::mem::take(&mut sink.lock().unwrap().0);
             (r, events)
@@ -1139,8 +1082,8 @@ mod tests {
     }
 
     /// Every bit of state an access may change: data, tags, valid and
-    /// dirty bits, LRU ages, MSHR entries, stamp and statistics of both
-    /// caches, the arena, and the DRAM counters.
+    /// dirty bits, LRU ages, MSHR entries and stamp of both caches, the
+    /// arena, and every counter.
     fn state(r: &Rig) -> impl PartialEq + std::fmt::Debug {
         let cache = |c: &Cache| {
             let arrays = (
@@ -1149,10 +1092,10 @@ mod tests {
                 c.valid.clone(),
                 c.dirty.clone(),
             );
-            (arrays, c.lru.clone(), c.mshr.clone(), c.stamp, c.stats)
+            (arrays, c.lru.clone(), c.mshr.clone(), c.stamp)
         };
         let mem = r.mem.line(0, ARENA).to_vec();
-        (cache(&r.l1), cache(&r.l2), mem, r.mem_reads, r.mem_writes)
+        (cache(&r.l1), cache(&r.l2), mem, r.stats)
     }
 
     /// `load_warp` and `store_warp` against the per-lane loops, each from
@@ -1168,102 +1111,23 @@ mod tests {
         let load = |lanes: bool| {
             let mut rig = Rig::new(l1.clone(), l2.clone(), warm);
             let mut out = [0; WARP_SIZE];
-            let (ready, events) = rig.run(|r, p| {
-                let f = if lanes { load_lanes } else { load_warp_at };
-                f(
-                    &mut r.l1,
-                    &mut r.l2,
-                    &mut r.mem,
-                    u32::MAX,
-                    &addrs,
-                    &mut out,
-                    now,
-                    &mut r.mem_reads,
-                    &mut r.mem_writes,
-                    Some(p),
-                )
+            let (ready, events) = rig.run(now, |l1, cx| {
+                if lanes {
+                    load_lanes(l1, u32::MAX, &addrs, &mut out, cx)
+                } else {
+                    load_warp(l1, HwStructure::L1D, u32::MAX, &addrs, &mut out, cx)
+                }
             });
             (ready, out, events, state(&rig))
         };
         assert_eq!(load(false), load(true), "load");
         let store = |lanes: bool| {
             let mut rig = Rig::new(l1.clone(), l2.clone(), warm);
-            let (ready, events) = rig.run(|r, p| {
-                let f = if lanes { store_lanes } else { store_warp_at };
-                f(
-                    &mut r.l1,
-                    &mut r.l2,
-                    &mut r.mem,
-                    u32::MAX,
-                    &addrs,
-                    &vals,
-                    now,
-                    &mut r.mem_reads,
-                    &mut r.mem_writes,
-                    Some(p),
-                )
-            });
+            let f = if lanes { store_lanes } else { store_warp };
+            let (ready, events) = rig.run(now, |l1, cx| f(l1, u32::MAX, &addrs, &vals, cx));
             (ready, events, state(&rig))
         };
         assert_eq!(store(false), store(true), "store");
-    }
-
-    /// [`load_warp`] and [`store_warp`] with the test latencies, in the
-    /// shape of the per-lane references.
-    #[allow(clippy::too_many_arguments)]
-    fn load_warp_at(
-        l1: &mut Cache,
-        l2: &mut Cache,
-        mem: &mut GlobalMem,
-        mask: u32,
-        addrs: &[u32; WARP_SIZE],
-        out: &mut [u32; WARP_SIZE],
-        now: u64,
-        mem_reads: &mut u64,
-        mem_writes: &mut u64,
-        probe: Option<L1Probe<'_>>,
-    ) -> u64 {
-        load_warp(
-            l1,
-            l2,
-            mem,
-            mask,
-            addrs,
-            out,
-            now,
-            &lat(),
-            mem_reads,
-            mem_writes,
-            probe,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn store_warp_at(
-        l1d: &mut Cache,
-        l2: &mut Cache,
-        mem: &mut GlobalMem,
-        mask: u32,
-        addrs: &[u32; WARP_SIZE],
-        vals: &[u32; WARP_SIZE],
-        now: u64,
-        mem_reads: &mut u64,
-        mem_writes: &mut u64,
-        probe: Option<L1Probe<'_>>,
-    ) -> u64 {
-        store_warp(
-            l1d,
-            l2,
-            mem,
-            mask,
-            addrs,
-            vals,
-            now,
-            &lat(),
-            mem_reads,
-            mem_writes,
-            probe,
-        )
     }
 
     fn geom(bytes: u32, ways: u32, mshrs: u32) -> CacheGeom {

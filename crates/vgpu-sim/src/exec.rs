@@ -25,21 +25,25 @@ pub trait GMem {
 
     /// Warp-coalesced load of one word per active lane. `addrs[lane]` is
     /// meaningful where `mask` has the lane bit set. Returns the cycle at
-    /// which the data is available (0 in functional mode).
+    /// which the data is available (0 in functional mode). A cached memory
+    /// counts its cache and DRAM traffic into `stats`, the executing
+    /// launch's; a flat one has none to count.
     fn load(
         &mut self,
         tex: bool,
         mask: u32,
         addrs: &[u32; WARP_SIZE],
         out: &mut [u32; WARP_SIZE],
+        stats: &mut Stats,
     ) -> Result<u64, DueKind>;
 
-    /// Warp-coalesced store.
+    /// Warp-coalesced store, counted as [`GMem::load`] counts.
     fn store(
         &mut self,
         mask: u32,
         addrs: &[u32; WARP_SIZE],
         vals: &[u32; WARP_SIZE],
+        stats: &mut Stats,
     ) -> Result<u64, DueKind>;
 
     /// Whether a probe is attached. Gates the per-instruction
@@ -736,13 +740,17 @@ fn exec_op<M: GMem>(
         Tag::LdGlobal | Tag::LdTex => {
             let addrs = addrs(ctx.regs, op.a, op.imm);
             let mut out = [0u32; WARP_SIZE];
-            let ready = ctx.mem.load(op.tag == Tag::LdTex, exec, &addrs, &mut out)?;
+            let ready = ctx
+                .mem
+                .load(op.tag == Tag::LdTex, exec, &addrs, &mut out, ctx.stats)?;
             write_row(ctx.regs, op.d, exec, &out);
             IssueClass::Mem { ready }
         }
         Tag::StGlobal => {
             let addrs = addrs(ctx.regs, op.a, op.imm);
-            let ready = ctx.mem.store(exec, &addrs, row(ctx.regs, stored(op)))?;
+            let ready = ctx
+                .mem
+                .store(exec, &addrs, row(ctx.regs, stored(op)), ctx.stats)?;
             IssueClass::Mem { ready }
         }
         Tag::Bar => IssueClass::Alu,
@@ -877,6 +885,7 @@ impl GMem for FlatMem<'_> {
         mask: u32,
         addrs: &[u32; WARP_SIZE],
         out: &mut [u32; WARP_SIZE],
+        _stats: &mut Stats,
     ) -> Result<u64, DueKind> {
         self.mem.read_warp(mask, addrs, out)?;
         Ok(0)
@@ -887,6 +896,7 @@ impl GMem for FlatMem<'_> {
         mask: u32,
         addrs: &[u32; WARP_SIZE],
         vals: &[u32; WARP_SIZE],
+        _stats: &mut Stats,
     ) -> Result<u64, DueKind> {
         self.mem.write_warp(mask, addrs, vals)?;
         Ok(0)
@@ -914,11 +924,12 @@ impl GMem for LogMem<'_> {
         mask: u32,
         addrs: &[u32; WARP_SIZE],
         out: &mut [u32; WARP_SIZE],
+        stats: &mut Stats,
     ) -> Result<u64, DueKind> {
         FlatMem {
             mem: &mut *self.mem,
         }
-        .load(tex, mask, addrs, out)?;
+        .load(tex, mask, addrs, out, stats)?;
         if let Some(reads) = self.reads.as_deref_mut() {
             for lane in lanes_of(mask) {
                 let (word, bit) = crate::mem::granule_bit(addrs[lane]);
@@ -933,6 +944,7 @@ impl GMem for LogMem<'_> {
         mask: u32,
         addrs: &[u32; WARP_SIZE],
         vals: &[u32; WARP_SIZE],
+        _stats: &mut Stats,
     ) -> Result<u64, DueKind> {
         self.mem.check_warp(mask, addrs)?;
         for lane in lanes_of(mask) {
@@ -1579,11 +1591,18 @@ mod tests {
     struct RowLog(Vec<(usize, u32, bool)>);
 
     impl GMem for RowLog {
-        fn load(&mut self, _: bool, _: u32, _: &Row, _: &mut Row) -> Result<u64, DueKind> {
+        fn load(
+            &mut self,
+            _: bool,
+            _: u32,
+            _: &Row,
+            _: &mut Row,
+            _: &mut Stats,
+        ) -> Result<u64, DueKind> {
             unreachable!("the kernel does not load")
         }
 
-        fn store(&mut self, _: u32, _: &Row, _: &Row) -> Result<u64, DueKind> {
+        fn store(&mut self, _: u32, _: &Row, _: &Row, _: &mut Stats) -> Result<u64, DueKind> {
             unreachable!("the kernel does not store")
         }
 

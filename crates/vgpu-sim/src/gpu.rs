@@ -369,7 +369,8 @@ impl Gpu {
     /// scratch reuse on the campaign hot path). Register files and shared
     /// memories keep their bytes: a launch zeroes what it uses. A
     /// functional machine never touches its caches, so only a timed one
-    /// resets them.
+    /// resets them. No counter survives here to reset: each launch counts
+    /// into its own [`Stats`].
     pub fn reset_in_place(&mut self) {
         self.m.desync();
         self.m.mem.clear_data();

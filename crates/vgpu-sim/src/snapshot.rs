@@ -200,7 +200,7 @@ impl ChunkStore {
     /// Cycle (within its launch) at which a mid-launch snapshot was
     /// captured; `None` for a launch-boundary snapshot.
     pub fn cycle(&self, id: SnapId) -> Option<u64> {
-        self.snap(id).engine.as_ref().map(|e| e.launch.cycle)
+        self.snap(id).engine.as_ref().map(|e| e.launch.stats.cycles)
     }
 
     /// `(owned, shared)`: chunks this store holds bytes for, and table
@@ -251,11 +251,6 @@ impl ChunkStore {
             .as_ref()
             .expect("a mid-launch snapshot")
             .launch
-    }
-
-    /// Cache scalars of snapshot `id`: the L1Ds, the L1Ts, then the L2.
-    pub(crate) fn cache_scalars(&self, id: SnapId) -> &[CacheScalars] {
-        &self.snap(id).caches
     }
 
     /// Element `i` of the array whose chunks start at table position `at`.

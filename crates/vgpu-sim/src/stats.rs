@@ -21,10 +21,6 @@ impl CacheStats {
         }
     }
 
-    pub fn add(&mut self, o: &CacheStats) {
-        self.each_with(o, |a, b| *a += b);
-    }
-
     /// Apply `f` to every counter, paired with the same counter of `o`.
     fn each_with(&mut self, o: &CacheStats, mut f: impl FnMut(&mut u64, u64)) {
         let CacheStats {
@@ -41,10 +37,11 @@ impl CacheStats {
 }
 
 /// Statistics of one kernel launch (or an aggregate over launches). A
-/// timed launch counts every field from its own first cycle, the cache
-/// counters included ([`Cache::stats`](crate::cache::Cache::stats)); the
-/// functional engine leaves the timed-only fields (cycles, residency,
-/// caches, DRAM) at zero.
+/// timed launch keeps one of these and counts every field into it from
+/// its own first cycle: the executor its instructions, the cache
+/// hierarchy its accesses and DRAM traffic, the engine its clock
+/// (`cycles`) and residency. The functional engine leaves the timed-only
+/// fields (cycles, residency, caches, DRAM) at zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Stats {
     /// Cycles (timed mode only; 0 in functional mode).
@@ -218,6 +215,30 @@ mod tests {
         assert_eq!(a.mem_reads, 7);
         assert_eq!(a.issue_cycles, 7);
         assert_eq!(a.stall_cycles, 4);
+    }
+
+    /// The `Debug` text of a `Stats` whose every counter differs: a run's
+    /// stats are fingerprinted through this text, so a renamed or
+    /// reordered field must fail here, not only against recorded pins.
+    #[test]
+    fn debug_text_names_every_counter_in_order() {
+        let mut s = Stats::default();
+        let mut n = 0;
+        s.each_with(&Stats::default(), |a, _| {
+            n += 1;
+            *a = n;
+        });
+        let want = concat!(
+            "Stats { cycles: 1, issue_cycles: 2, stall_cycles: 3, warp_instrs: 4, ",
+            "thread_instrs: 5, load_instrs: 6, store_instrs: 7, smem_instrs: 8, ",
+            "gp_dest_instrs: 9, ld_dest_instrs: 10, src_reg_instrs: 11, ",
+            "class_dest_instrs: [12, 13, 14, 15, 16, 17], ",
+            "l1d: CacheStats { accesses: 18, misses: 19, pending_hits: 20, reservation_fails: 21 }, ",
+            "l1t: CacheStats { accesses: 22, misses: 23, pending_hits: 24, reservation_fails: 25 }, ",
+            "l2: CacheStats { accesses: 26, misses: 27, pending_hits: 28, reservation_fails: 29 }, ",
+            "mem_reads: 30, mem_writes: 31, resident_warp_cycles: 32, max_warp_cycles: 33 }",
+        );
+        assert_eq!(format!("{s:?}"), want);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! are fast-forwarded to the next readiness event (clamped to the pending
 //! fault cycle so injections land at the exact requested cycle).
 
-use crate::cache::{load_warp, store_warp, Cache, L1Probe};
+use crate::cache::{load_warp, store_warp, AccessCtx, Cache};
 use crate::config::{GpuConfig, Latencies};
 use crate::due::{DueKind, LaunchAbort};
 use crate::exec::{run_warp, ExecCtx, GMem, IssueClass, StepEvent};
@@ -18,7 +18,7 @@ use crate::fault::{
 use crate::mem::{DirtyMap, GlobalMem};
 use crate::probe::{LaunchGeometry, Probe};
 use crate::snapshot::{Capture, ChunkStore, ConvergeWith, Machine, Scope, SnapId, Walk};
-use crate::stats::{CacheStats, Stats};
+use crate::stats::Stats;
 use crate::warp::Warp;
 use vgpu_arch::{Decoded, Kernel, LaunchConfig, WARP_SIZE};
 
@@ -31,8 +31,6 @@ struct TimedGMem<'a> {
     mem: &'a mut GlobalMem,
     lat: &'a Latencies,
     now: u64,
-    mem_reads: &'a mut u64,
-    mem_writes: &'a mut u64,
     /// The probe of an instrumented fault-free run, plus the coordinates
     /// translating this step's warp-local register / CTA-local
     /// shared-memory indices to words of the SM's arrays.
@@ -40,6 +38,22 @@ struct TimedGMem<'a> {
     sm: usize,
     rf_base: usize,
     smem_base: usize,
+}
+
+impl TimedGMem<'_> {
+    /// This SM's L1D and L1T, and the context of an access through either
+    /// that counts into `stats`.
+    fn split<'s>(
+        &'s mut self,
+        stats: &'s mut Stats,
+    ) -> (&'s mut Cache, &'s mut Cache, AccessCtx<'s>) {
+        let cx = AccessCtx {
+            probe: self.probe.as_deref_mut(),
+            sm: self.sm,
+            ..AccessCtx::new(self.l2, self.mem, self.now, self.lat, stats)
+        };
+        (self.l1d, self.l1t, cx)
+    }
 }
 
 impl GMem for TimedGMem<'_> {
@@ -51,30 +65,16 @@ impl GMem for TimedGMem<'_> {
         mask: u32,
         addrs: &[u32; WARP_SIZE],
         out: &mut [u32; WARP_SIZE],
+        stats: &mut Stats,
     ) -> Result<u64, DueKind> {
         self.mem.check_warp(mask, addrs)?;
+        let (l1d, l1t, mut cx) = self.split(stats);
         let (l1, h) = if tex {
-            (&mut *self.l1t, HwStructure::L1T)
+            (l1t, HwStructure::L1T)
         } else {
-            (&mut *self.l1d, HwStructure::L1D)
+            (l1d, HwStructure::L1D)
         };
-        Ok(load_warp(
-            l1,
-            self.l2,
-            self.mem,
-            mask,
-            addrs,
-            out,
-            self.now,
-            self.lat,
-            self.mem_reads,
-            self.mem_writes,
-            self.probe.as_deref_mut().map(|probe| L1Probe {
-                probe,
-                l1: h,
-                sm: self.sm,
-            }),
-        ))
+        Ok(load_warp(l1, h, mask, addrs, out, &mut cx))
     }
 
     fn store(
@@ -82,25 +82,11 @@ impl GMem for TimedGMem<'_> {
         mask: u32,
         addrs: &[u32; WARP_SIZE],
         vals: &[u32; WARP_SIZE],
+        stats: &mut Stats,
     ) -> Result<u64, DueKind> {
         self.mem.check_warp(mask, addrs)?;
-        Ok(store_warp(
-            self.l1d,
-            self.l2,
-            self.mem,
-            mask,
-            addrs,
-            vals,
-            self.now,
-            self.lat,
-            self.mem_reads,
-            self.mem_writes,
-            self.probe.as_deref_mut().map(|probe| L1Probe {
-                probe,
-                l1: HwStructure::L1D,
-                sm: self.sm,
-            }),
-        ))
+        let (l1d, _, mut cx) = self.split(stats);
+        Ok(store_warp(l1d, mask, addrs, vals, &mut cx))
     }
 
     fn probed(&self) -> bool {
@@ -141,6 +127,7 @@ impl GMem for NoMem {
         _: u32,
         _: &[u32; WARP_SIZE],
         _: &mut [u32; WARP_SIZE],
+        _: &mut Stats,
     ) -> Result<u64, DueKind> {
         unreachable!("a pure op loads nothing")
     }
@@ -150,6 +137,7 @@ impl GMem for NoMem {
         _: u32,
         _: &[u32; WARP_SIZE],
         _: &[u32; WARP_SIZE],
+        _: &mut Stats,
     ) -> Result<u64, DueKind> {
         unreachable!("a pure op stores nothing")
     }
@@ -469,39 +457,15 @@ impl SmState {
 /// one for the whole launch, a mid-launch snapshot keeps a copy, and a
 /// resume starts from the snapshot's copy. Together with the machine
 /// (device state, RF/SMEM, warp and slot state) it suffices to continue a
-/// launch bit-identically from `cycle`. Its counters, like the caches'
-/// ([`Cache::stats`]), count from the launch's first cycle.
+/// launch bit-identically from `stats.cycles`. `stats` is the one home of
+/// the launch's counters, counted from its first cycle: the executor, the
+/// cache hierarchy and the clock all count into it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct LaunchScalars {
     pub(crate) next_cta: u64,
     pub(crate) done_ctas: u64,
     pub(crate) seq: u64,
     pub(crate) stats: Stats,
-    pub(crate) mem_reads: u64,
-    pub(crate) mem_writes: u64,
-    pub(crate) cycle: u64,
-}
-
-impl LaunchScalars {
-    /// The launch's [`Stats`] as of `cycle`, with `caches` the counters of
-    /// the machine's caches — the `sms` L1Ds, the `sms` L1Ts, then the L2,
-    /// the order a snapshot keeps them in.
-    fn stats_with(&self, caches: impl Iterator<Item = CacheStats>, sms: usize) -> Stats {
-        let mut s = Stats {
-            cycles: self.cycle,
-            mem_reads: self.mem_reads,
-            mem_writes: self.mem_writes,
-            ..self.stats
-        };
-        for (i, c) in caches.enumerate() {
-            match i / sms {
-                0 => s.l1d.add(&c),
-                1 => s.l1t.add(&c),
-                _ => s.l2.add(&c),
-            }
-        }
-        s
-    }
 }
 
 /// Everything a mid-launch snapshot keeps verbatim beyond the caches'
@@ -977,17 +941,13 @@ pub(crate) fn run_timed_ctl(
                 "snapshot resume supports plain and uarch-fault runs only"
             );
             // The restored machine is bit-identical to the one the
-            // snapshot was taken from — cache counters included — so the
-            // continuation accumulates exactly what an uninterrupted run
-            // would.
+            // snapshot was taken from, and the snapshot's launch state
+            // holds every counter, so the continuation accumulates exactly
+            // what an uninterrupted run would.
             ctl.restored_bytes = m.restore(store, snap);
             *store.launch_scalars(snap)
         }
         None => {
-            // A launch's cache counters count from its first cycle.
-            for c in m.l1ds.iter_mut().chain(&mut m.l1ts).chain([&mut m.l2]) {
-                c.stats = CacheStats::default();
-            }
             let mut ls = LaunchScalars::default();
             for sm in m.sms.iter_mut() {
                 sm.begin_launch(&g);
@@ -1016,8 +976,8 @@ pub(crate) fn run_timed_ctl(
             ls
         }
     };
-    let start_cycle = ls.cycle;
-    let mut cap_idx = capture_at.partition_point(|&c| c < ls.cycle);
+    let start_cycle = ls.stats.cycles;
+    let mut cap_idx = capture_at.partition_point(|&c| c < ls.stats.cycles);
     // Convergence checks start strictly after the fault cycle: at or
     // before it the disturbed state cannot have diverged yet, and the
     // check only fires once the flip has actually landed.
@@ -1037,7 +997,7 @@ pub(crate) fn run_timed_ctl(
 
     let max_warps_hw = (cfg.max_threads_per_sm / WARP_SIZE as u32) as u64;
 
-    let result: Result<(), LaunchAbort> = if ls.cycle > budget_cycles {
+    let result: Result<(), LaunchAbort> = if ls.stats.cycles > budget_cycles {
         // Resumed past the budget: the uninterrupted run would already
         // have timed out on its way to this cycle.
         Err(LaunchAbort::Timeout)
@@ -1046,10 +1006,10 @@ pub(crate) fn run_timed_ctl(
             // Capture due snapshots before anything mutates state this
             // cycle (golden instrumented runs only).
             while let Some(&cc) = capture_at.get(cap_idx) {
-                if cc > ls.cycle {
+                if cc > ls.stats.cycles {
                     break;
                 }
-                if cc == ls.cycle {
+                if cc == ls.stats.cycles {
                     run_deferred(&mut m.sms, &mut ls.stats);
                     fold_issue_marks(&mut m.sms, &g);
                     let store = capture_into.as_deref_mut().expect("capture store");
@@ -1062,7 +1022,7 @@ pub(crate) fn run_timed_ctl(
             // cycle, and re-force any live stuck-at sites (permanent
             // faults) before the next instructions can observe them.
             if let Some(inj) = uarch.as_deref_mut() {
-                if !inj.applied && ls.cycle >= inj.fault.cycle {
+                if !inj.applied && ls.stats.cycles >= inj.fault.cycle {
                     run_deferred(&mut m.sms, &mut ls.stats);
                     apply_uarch(
                         inj,
@@ -1091,14 +1051,14 @@ pub(crate) fn run_timed_ctl(
                     while cv
                         .snaps
                         .get(conv_idx)
-                        .is_some_and(|&s| golden_cycle(s) < ls.cycle)
+                        .is_some_and(|&s| golden_cycle(s) < ls.stats.cycles)
                     {
                         conv_idx += 1;
                     }
                     if cv
                         .snaps
                         .get(conv_idx)
-                        .is_some_and(|&s| golden_cycle(s) == ls.cycle)
+                        .is_some_and(|&s| golden_cycle(s) == ls.stats.cycles)
                     {
                         let gs = cv.snaps[conv_idx];
                         conv_idx += 1;
@@ -1122,10 +1082,16 @@ pub(crate) fn run_timed_ctl(
                             if cv.end_stats.cycles > budget_cycles {
                                 break 'outer Err(LaunchAbort::Timeout);
                             }
-                            ctl.converged_at = Some(ls.cycle);
-                            ctl.simulated_cycles = ls.cycle - start_cycle;
-                            let here = ls.stats_with(cache_stats(m), num_sms);
-                            return Ok(splice_golden_suffix(here, cv, store, gs, num_sms));
+                            ctl.converged_at = Some(ls.stats.cycles);
+                            ctl.simulated_cycles = ls.stats.cycles - start_cycle;
+                            // The rest of the launch is golden's: credit
+                            // every counter with golden's end minus golden
+                            // here. The machine stays where it converged:
+                            // whoever continues the run restores the golden
+                            // post-launch snapshot (or follows it without
+                            // restoring), so the launch epilogue is skipped.
+                            ls.stats.add_delta(&cv.end_stats, &gl.stats);
+                            return Ok(ls.stats);
                         }
                     }
                 }
@@ -1135,7 +1101,7 @@ pub(crate) fn run_timed_ctl(
             let mut resident = 0u64;
             for (smi, sm) in m.sms.iter_mut().enumerate() {
                 resident += u64::from(sm.occupied.count_ones());
-                let Some(wi) = sm.pick(ls.cycle) else {
+                let Some(wi) = sm.pick(ls.stats.cycles) else {
                     continue;
                 };
 
@@ -1168,9 +1134,7 @@ pub(crate) fn run_timed_ctl(
                         l2: &mut m.l2,
                         mem: &mut m.mem,
                         lat: &cfg.lat,
-                        now: ls.cycle,
-                        mem_reads: &mut ls.mem_reads,
-                        mem_writes: &mut ls.mem_writes,
+                        now: ls.stats.cycles,
                         probe: probe.as_deref_mut(),
                         sm: smi,
                         rf_base,
@@ -1216,16 +1180,18 @@ pub(crate) fn run_timed_ctl(
                                 cfg.lat.smem as u64
                                     + extra_conflicts as u64 * cfg.lat.smem_conflict as u64
                             }
-                            IssueClass::Mem { ready } => ready.saturating_sub(ls.cycle).max(1),
+                            IssueClass::Mem { ready } => {
+                                ready.saturating_sub(ls.stats.cycles).max(1)
+                            }
                         };
-                        warp.ready_at = ls.cycle + latency;
-                        sm.schedule(wi, ls.cycle + latency);
+                        warp.ready_at = ls.stats.cycles + latency;
+                        sm.schedule(wi, ls.stats.cycles + latency);
                         sm.last = Some(wi);
                         clear_greedy = false;
                     }
                     StepEvent::Barrier => {
                         warp.at_barrier = true;
-                        warp.ready_at = ls.cycle + cfg.lat.alu as u64;
+                        warp.ready_at = ls.stats.cycles + cfg.lat.alu as u64;
                         sm.unschedule(wi);
                         let slot = sm.slots[slot_idx].as_mut().expect("slot live");
                         slot.arrived += 1;
@@ -1244,7 +1210,7 @@ pub(crate) fn run_timed_ctl(
                             sm.order.retain(|&s| s != slot_idx);
                             ls.done_ctas += 1;
                             if let Some(p) = probe.as_deref_mut() {
-                                p.slot_free(smi, slot_idx, ls.cycle);
+                                p.slot_free(smi, slot_idx, ls.stats.cycles);
                             }
                             if ls.next_cta < total_ctas {
                                 launch_cta(
@@ -1255,7 +1221,7 @@ pub(crate) fn run_timed_ctl(
                                     &g,
                                     &mut ls.seq,
                                     smi,
-                                    ls.cycle,
+                                    ls.stats.cycles,
                                     false,
                                     probe.as_deref_mut(),
                                 );
@@ -1276,9 +1242,9 @@ pub(crate) fn run_timed_ctl(
                 ls.stats.resident_warp_cycles += resident;
                 ls.stats.max_warp_cycles += num_sms as u64 * max_warps_hw;
                 ls.stats.issue_cycles += 1; // the Done event implies an issue
-                ls.cycle += 1;
+                ls.stats.cycles += 1;
                 // The budget check every other advance makes below.
-                break if ls.cycle > budget_cycles {
+                break if ls.stats.cycles > budget_cycles {
                     Err(LaunchAbort::Timeout)
                 } else {
                     Ok(())
@@ -1299,7 +1265,7 @@ pub(crate) fn run_timed_ctl(
                 }
                 let mut target = nxt;
                 if let Some(inj) = uarch.as_deref() {
-                    if !inj.applied && inj.fault.cycle > ls.cycle {
+                    if !inj.applied && inj.fault.cycle > ls.stats.cycles {
                         target = target.min(inj.fault.cycle);
                     }
                 }
@@ -1307,18 +1273,18 @@ pub(crate) fn run_timed_ctl(
                 // splitting an idle stretch in two is stats-neutral (stall and
                 // residency counters scale linearly with `advance`).
                 if let Some(&cc) = capture_at.get(cap_idx) {
-                    if cc > ls.cycle {
+                    if cc > ls.stats.cycles {
                         target = target.min(cc);
                     }
                 }
                 if let Some(cv) = &converge {
                     if let Some(&gs) = cv.snaps.get(conv_idx) {
-                        if golden_cycle(gs) > ls.cycle {
+                        if golden_cycle(gs) > ls.stats.cycles {
                             target = target.min(golden_cycle(gs));
                         }
                     }
                 }
-                target - ls.cycle
+                target - ls.stats.cycles
             };
             if issued_any {
                 ls.stats.issue_cycles += 1;
@@ -1327,14 +1293,14 @@ pub(crate) fn run_timed_ctl(
             }
             ls.stats.resident_warp_cycles += resident * advance;
             ls.stats.max_warp_cycles += num_sms as u64 * max_warps_hw * advance;
-            ls.cycle += advance;
-            if ls.cycle > budget_cycles {
+            ls.stats.cycles += advance;
+            if ls.stats.cycles > budget_cycles {
                 break Err(LaunchAbort::Timeout);
             }
         }
     };
 
-    ctl.simulated_cycles = ls.cycle - start_cycle;
+    ctl.simulated_cycles = ls.stats.cycles - start_cycle;
     run_deferred(&mut m.sms, &mut ls.stats);
 
     // A stuck-at site overwritten by the very last step must still read
@@ -1352,36 +1318,16 @@ pub(crate) fn run_timed_ctl(
         c.invalidate_all();
     }
     if let Some(p) = probe {
-        p.launch_end(ls.cycle);
+        p.launch_end(ls.stats.cycles);
     }
 
+    debug_assert_eq!(
+        ls.stats.issue_cycles + ls.stats.stall_cycles,
+        ls.stats.cycles,
+        "every cycle issues or stalls"
+    );
     result?;
-
-    Ok(ls.stats_with(cache_stats(m), num_sms))
-}
-
-/// The counters of `m`'s caches in snapshot order: L1Ds, L1Ts, the L2.
-fn cache_stats(m: &Machine) -> impl Iterator<Item = CacheStats> + '_ {
-    m.l1ds.iter().chain(&m.l1ts).chain([&m.l2]).map(|c| c.stats)
-}
-
-/// The launch [`Stats`] of a run that converged with golden snapshot `gs`
-/// of `store`, having counted `here` so far: the rest of the launch is
-/// golden's, so every counter is `here + (golden end − golden at gs)`.
-/// The machine stays where it converged: whoever continues the run
-/// restores the golden post-launch snapshot (or follows it without
-/// restoring), so the launch epilogue is skipped.
-fn splice_golden_suffix(
-    mut here: Stats,
-    cv: &ConvergeWith<'_>,
-    store: &ChunkStore,
-    gs: SnapId,
-    sms: usize,
-) -> Stats {
-    let caches = store.cache_scalars(gs).iter().map(|c| c.stats);
-    let golden_here = store.launch_scalars(gs).stats_with(caches, sms);
-    here.add_delta(&cv.end_stats, &golden_here);
-    here
+    Ok(ls.stats)
 }
 
 #[cfg(test)]
@@ -1578,7 +1524,7 @@ mod tests {
         let mut probe = Probe::new(sink.clone());
         let (mut l1d, mut l1t, mut l2) =
             (Cache::new(cfg.l1d), Cache::new(cfg.l1t), Cache::new(cfg.l2));
-        let (mut mem, mut reads, mut writes) = (GlobalMem::new(4096), 0, 0);
+        let mut mem = GlobalMem::new(4096);
         let mut tg = TimedGMem {
             l1d: &mut l1d,
             l1t: &mut l1t,
@@ -1586,8 +1532,6 @@ mod tests {
             mem: &mut mem,
             lat: &cfg.lat,
             now: 7,
-            mem_reads: &mut reads,
-            mem_writes: &mut writes,
             probe: Some(&mut probe),
             sm: 1,
             rf_base: 256,

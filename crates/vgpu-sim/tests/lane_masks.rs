@@ -636,8 +636,9 @@ impl<const T: bool> GMem for SmemProbe<'_, T> {
         mask: u32,
         addrs: &[u32; WARP_SIZE],
         out: &mut [u32; WARP_SIZE],
+        stats: &mut Stats,
     ) -> Result<u64, DueKind> {
-        self.flat.load(tex, mask, addrs, out)
+        self.flat.load(tex, mask, addrs, out, stats)
     }
 
     fn store(
@@ -645,8 +646,9 @@ impl<const T: bool> GMem for SmemProbe<'_, T> {
         mask: u32,
         addrs: &[u32; WARP_SIZE],
         vals: &[u32; WARP_SIZE],
+        stats: &mut Stats,
     ) -> Result<u64, DueKind> {
-        self.flat.store(mask, addrs, vals)
+        self.flat.store(mask, addrs, vals, stats)
     }
 
     fn probed(&self) -> bool {

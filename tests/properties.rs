@@ -2,33 +2,30 @@
 
 use proptest::prelude::*;
 use vgpu_arch::{CmpOp, KernelBuilder, MemSpace, Operand, WARP_SIZE};
-use vgpu_sim::cache::{load_warp, store_warp, Cache};
+use vgpu_sim::cache::{load_warp, store_warp, AccessCtx, Cache};
 use vgpu_sim::{
-    ArenaPlanner, Budget, CacheGeom, FaultPlan, GlobalMem, Gpu, GpuConfig, Latencies, Mode,
+    ArenaPlanner, Budget, CacheGeom, FaultPlan, GlobalMem, Gpu, GpuConfig, HwStructure, Mode, Stats,
 };
 
-fn test_lat() -> Latencies {
-    GpuConfig::default().lat
+/// Run `access` at `now`, unprobed, with the default latencies; what it
+/// counts is dropped.
+fn at<R>(
+    l2: &mut Cache,
+    mem: &mut GlobalMem,
+    now: u64,
+    access: impl FnOnce(&mut AccessCtx<'_>) -> R,
+) -> R {
+    let (lat, mut stats) = (GpuConfig::default().lat, Stats::default());
+    access(&mut AccessCtx::new(l2, mem, now, &lat, &mut stats))
 }
 
-/// A one-lane [`load_warp`] of the word at `addr`.
+/// A one-lane [`load_warp`] of the word at `addr` through the L1D `l1`.
 fn load_word(l1: &mut Cache, l2: &mut Cache, mem: &mut GlobalMem, addr: u32, now: u64) -> u32 {
     let (mut addrs, mut out) = ([0; WARP_SIZE], [0; WARP_SIZE]);
     addrs[0] = addr;
-    let (mut mr, mut mw) = (0u64, 0u64);
-    load_warp(
-        l1,
-        l2,
-        mem,
-        1,
-        &addrs,
-        &mut out,
-        now,
-        &test_lat(),
-        &mut mr,
-        &mut mw,
-        None,
-    );
+    at(l2, mem, now, |cx| {
+        load_warp(l1, HwStructure::L1D, 1, &addrs, &mut out, cx)
+    });
     out[0]
 }
 
@@ -45,13 +42,12 @@ proptest! {
         let mut l2 = Cache::new(CacheGeom { bytes: 8192, line_bytes: 128, ways: 4, mshrs: 8 });
         let mut mem = GlobalMem::new(512 * 4 + 4096);
         mem.map(0, 512 * 4);
-        let (mut mr, mut mw) = (0u64, 0u64);
         let mut shadow = vec![0u32; 512];
         let mut now = 0u64;
         for (word, value) in writes {
             let (mut addrs, mut vals) = ([0; WARP_SIZE], [0; WARP_SIZE]);
             (addrs[0], vals[0]) = (word * 4, value);
-            store_warp(&mut l1, &mut l2, &mut mem, 1, &addrs, &vals, now, &test_lat(), &mut mr, &mut mw, None);
+            at(&mut l2, &mut mem, now, |cx| store_warp(&mut l1, 1, &addrs, &vals, cx));
             shadow[word as usize] = value;
             now += 1000;
         }
